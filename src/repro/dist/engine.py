@@ -360,10 +360,6 @@ class DistSimulator:
     def register_channel(self, chan) -> None:
         self.root.register_channel(chan)
 
-    def step(self) -> int:
-        self._advance(1)
-        return self.cycle
-
     def run_slice(self, n_cycles: int) -> int:
         if n_cycles > 0:
             self._advance(n_cycles)

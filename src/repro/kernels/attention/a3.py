@@ -41,6 +41,7 @@ from repro.fpga.device import ResourceVector
 from repro.kernels.attention.fixedpoint import WEIGHT_FRAC_BITS, fixed_weights
 from repro.kernels.attention.reference import SCALE_FRAC_BITS
 from repro.memory.types import ReadRequest, WriteRequest
+from repro.sim import NEVER
 
 DIV_LATENCY = 16  # fixed-point divider pipeline in stage 2
 STAGE_FIFO_DEPTH = 2
@@ -107,6 +108,22 @@ class A3Core(AcceleratorCore):
         self._tick_attend_cmd()
         self._tick_pipeline()
         self._tick_output()
+
+    def next_event(self, cycle: int) -> Optional[float]:
+        # Stage slots count down and FIFOs drain without channel traffic, so
+        # only a core with nothing at all pending may sleep until a command.
+        if (
+            self._init_pending
+            or self._attending
+            or self._s1 is not None
+            or self._s2 is not None
+            or self._s3 is not None
+            or self._fifo_scores
+            or self._fifo_weights
+            or self._out_chunks
+        ):
+            return None
+        return NEVER
 
     # ------------------------------------------------------------- K/V load
     def _tick_init(self) -> None:

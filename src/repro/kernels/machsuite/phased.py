@@ -5,7 +5,7 @@ in through Readers, run a fixed-function pipeline over on-chip data, stream
 results out through Writers (Section III-B: "implemented ... over an
 afternoon").  ``PhasedKernelCore`` captures that shape: subclasses describe
 each command as a :class:`KernelPlan` (loads -> compute -> stores) and the
-base class runs the cycle-level FSM — parallel load streams, a busy counter
+base class runs the cycle-level FSM — parallel load streams, a busy window
 for the compute schedule (whose cycle count the subclass derives from its
 pipeline structure), parallel store streams, then the response.
 
@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.accelerator import AcceleratorCore
 from repro.memory.types import ReadRequest, WriteRequest
+from repro.sim import NEVER
 
 
 @dataclass
@@ -51,7 +52,9 @@ class PhasedKernelCore(AcceleratorCore):
         self._store_data: Dict[str, bytes] = {}
         self._store_off: Dict[str, int] = {}
         self._stores_done: int = 0
-        self._busy = 0
+        # Absolute end of the compute window (not a countdown), so a computing
+        # core is a no-op until then and can publish the cycle as its hint.
+        self._compute_done_at = 0
         self.commands_completed = 0
         self.total_compute_cycles = 0
 
@@ -69,13 +72,22 @@ class PhasedKernelCore(AcceleratorCore):
         if self._state == self.IDLE:
             self._tick_idle()
         elif self._state == self.LOAD:
-            self._tick_load()
+            self._tick_load(cycle)
         elif self._state == self.COMPUTE:
-            self._tick_compute()
+            self._tick_compute(cycle)
         elif self._state == self.STORE:
             self._tick_store()
         elif self._state == self.RESPOND:
             self._tick_respond()
+
+    def next_event(self, cycle: int) -> Optional[float]:
+        if self._state == self.IDLE:
+            return NEVER  # woken by the next command
+        if self._state == self.COMPUTE:
+            return max(cycle, self._compute_done_at)
+        # LOAD/STORE/RESPOND advance on channel traffic, except a LOAD with
+        # no loads, which moves on by itself: tick every cycle.
+        return None
 
     def _tick_idle(self) -> None:
         io = self.command_io
@@ -88,7 +100,7 @@ class PhasedKernelCore(AcceleratorCore):
         self._load_requested = False
         self._state = self.LOAD
 
-    def _tick_load(self) -> None:
+    def _tick_load(self, cycle: int) -> None:
         plan = self._plan
         if not self._load_requested:
             if all(
@@ -114,24 +126,25 @@ class PhasedKernelCore(AcceleratorCore):
                 {name: bytes(buf) for name, buf in self._load_buf.items()}
             )
             self._store_data = outputs
-            self._busy = max(int(cycles), 1)
-            self.total_compute_cycles += self._busy
+            busy = max(int(cycles), 1)
+            self.total_compute_cycles += busy
+            self._compute_done_at = cycle + busy
             self._state = self.COMPUTE
 
-    def _tick_compute(self) -> None:
-        self._busy -= 1
-        if self._busy <= 0:
-            plan = self._plan
-            if not plan.stores:
-                self._state = self.RESPOND
-                return
-            for name, addr in plan.stores:
-                writer = self.get_writer_module(name)
-                data = self._store_data[name]
-                writer.request.push(WriteRequest(addr, len(data)))
-            self._store_off = {name: 0 for name, _ in plan.stores}
-            self._stores_done = 0
-            self._state = self.STORE
+    def _tick_compute(self, cycle: int) -> None:
+        if cycle < self._compute_done_at:
+            return
+        plan = self._plan
+        if not plan.stores:
+            self._state = self.RESPOND
+            return
+        for name, addr in plan.stores:
+            writer = self.get_writer_module(name)
+            data = self._store_data[name]
+            writer.request.push(WriteRequest(addr, len(data)))
+        self._store_off = {name: 0 for name, _ in plan.stores}
+        self._stores_done = 0
+        self._state = self.STORE
 
     def _tick_store(self) -> None:
         plan = self._plan

@@ -16,6 +16,7 @@ from repro.core.config import (
 )
 from repro.fpga.device import ResourceVector
 from repro.memory.types import ReadRequest, WriteRequest
+from repro.sim import NEVER
 
 
 class VectorAddCore(AcceleratorCore):
@@ -67,6 +68,12 @@ class VectorAddCore(AcceleratorCore):
             self.vec_out.done.pop()
             io.resp.push({})
             self._active = False
+
+    def next_event(self, cycle: int) -> float:
+        return NEVER  # purely reactive: command, words and done all arrive on channels
+
+    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    wake_only = True
 
 
 def vector_add_config(n_cores: int = 1, name: str = "MyAcceleratorSystem") -> AcceleratorConfig:

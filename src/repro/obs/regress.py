@@ -46,6 +46,8 @@ _HIGHER_BETTER = (
 #: correctly.
 _LOWER_BETTER = (
     "wall_seconds",
+    "setup_seconds",
+    "end_to_end_seconds",
     "cycles",
     "elapsed_cycles",
     "executed_ticks",

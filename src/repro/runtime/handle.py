@@ -205,6 +205,7 @@ class FpgaHandle:
         self.faults = getattr(design, "faults", None)
         design.sim.add(self.server)
         self.dma_cycles_spent = 0
+        self._next_client = 0
         # uid -> {"ctx", "fut", "make_cb"} for every call() issued through
         # this handle.  The snapshot layer serialises in-flight commands by
         # uid; on restore (after the host-side setup has been replayed so
@@ -241,12 +242,10 @@ class FpgaHandle:
 
     def _advance_dma(self, n_bytes: int) -> None:
         host = self.design.platform.host
-        if not self.discrete or host.dma_bytes_per_cycle <= 0:
-            return
-        cycles = int(n_bytes / host.dma_bytes_per_cycle) + 1
-        self.dma_cycles_spent += cycles
-        for _ in range(cycles):
-            self.design.sim.step()
+        if self.discrete and host.dma_bytes_per_cycle > 0:
+            cycles = int(n_bytes / host.dma_bytes_per_cycle) + 1
+            self.dma_cycles_spent += cycles
+            self.run_cycles(cycles)
 
     # ------------------------------------------------------------ processes
     def new_client(self, name: str = "") -> "ClientHandle":
@@ -256,7 +255,7 @@ class FpgaHandle:
         allocations never conflict) and are served round-robin by the
         runtime server's command arbitration.
         """
-        self._next_client = getattr(self, "_next_client", 0) + 1
+        self._next_client += 1
         return ClientHandle(self, self._next_client, name or f"client{self._next_client}")
 
     # ------------------------------------------------------------ degradation
@@ -471,7 +470,7 @@ class FpgaHandle:
             "allocator": fr.freeze_attrs(self.allocator),
             "degraded_cores": sorted(self.degraded_cores),
             "dma_cycles_spent": self.dma_cycles_spent,
-            "next_client": getattr(self, "_next_client", 0),
+            "next_client": self._next_client,
             "calls": calls,
         }
 
@@ -481,8 +480,7 @@ class FpgaHandle:
         self.degraded_cores.clear()
         self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
-        if state["next_client"]:
-            self._next_client = state["next_client"]
+        self._next_client = state["next_client"]
         for uid, st in state["calls"].items():
             rec = self._calls.get(uid)
             if rec is None:
@@ -503,11 +501,13 @@ class FpgaHandle:
 
     # ------------------------------------------------------------- sim plumbing
     def run_until(self, predicate, max_cycles: int = 10_000_000) -> int:
+        if predicate is not None and predicate():
+            return self.cycle  # already settled: no wake-all, no channel-stat sync
         return self.design.sim.run(max_cycles, until=predicate)
 
     def run_cycles(self, n: int) -> None:
-        for _ in range(n):
-            self.design.sim.step()
+        """Let ``n`` cycles pass through the design's configured scheduler."""
+        self.design.sim.run(n)
 
     @property
     def cycle(self) -> int:

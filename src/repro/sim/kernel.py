@@ -533,10 +533,14 @@ class Simulator:
     def step(self) -> None:
         """Advance exactly one cycle, ticking everything (naive semantics).
 
-        All three scheduling modes share these step semantics so callers may
-        freely interleave ``step()`` with ``run()``; under selective
-        scheduling the next ``run()`` re-wakes every component, and the
-        commit sweep first credits any lazily deferred channel observations.
+        The inner loop of the ``"naive"`` oracle (and of ``"fast_forward"``
+        between jumps) plus a test utility for single-stepping a model — not
+        a host-path API: the runtime advances time through :meth:`run`, so
+        the configured scheduler applies.  All four scheduling modes share
+        these step semantics, so tests may freely interleave ``step()`` with
+        ``run()``; under the selective and compiled schedules the next
+        ``run()`` re-wakes every component, and the commit sweep first
+        credits any lazily deferred channel observations.
         """
         if self.profile_enabled:
             return self._step_profiled()
