@@ -145,9 +145,10 @@ class ElaboratedDesign:
         # Built designs default to the per-component selective scheduler:
         # every framework component declares wake channels and hints, and
         # unhinted user cores are still ticked every cycle.  ``scheduling``
-        # overrides explicitly ("naive"/"fast_forward"/"selective"), e.g. for
-        # the differential harness; ``fast_forward=False`` keeps its legacy
-        # meaning of plain naive stepping.
+        # overrides explicitly ("naive"/"fast_forward"/"selective"/
+        # "compiled"), e.g. for the differential harness;
+        # ``fast_forward=False`` keeps its legacy meaning of plain naive
+        # stepping.
         if scheduling is None:
             scheduling = "selective" if fast_forward else "naive"
         self.sim = Simulator(

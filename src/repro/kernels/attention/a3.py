@@ -159,7 +159,7 @@ class A3Core(AcceleratorCore):
     def _matrix_from(self, sp) -> np.ndarray:
         row_bytes = self.dim
         rows = []
-        for cell in sp.mem._cells[: self.n_keys]:
+        for cell in sp.mem.cells()[: self.n_keys]:
             rows.append(
                 np.frombuffer(
                     int(cell).to_bytes(row_bytes, "little"), dtype=np.int8

@@ -17,8 +17,9 @@ stencils and NW, LUTs for GeMM and MD-KNN).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.delay_core import delay_config
 from repro.core.build import BeethovenBuild, BuildMode
@@ -171,19 +172,31 @@ def beethoven_kernel_cycles(bench: str) -> int:
     return int(seconds * BEETHOVEN_CLOCK_MHZ * 1e6)
 
 
-def fig6_row(bench: str, platform: Optional[Platform] = None, max_cores: int = 64) -> Fig6Row:
+def fig6_row_timed(
+    bench: str, platform: Optional[Platform] = None, max_cores: int = 64
+) -> Tuple[Fig6Row, Dict[str, float]]:
+    """One Figure 6 row plus the wall-clock seconds of its two phases.
+
+    ``elaborate_seconds`` is the feasibility search (every build inside
+    :func:`max_feasible_cores`), ``simulate_seconds`` the runtime-server
+    measurement.  The timings travel beside the row, not on it, so rows stay
+    ``==`` across serial, farm and cached executions.
+    """
     platform = platform or AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
     workload = TABLE1[bench]
     hls = SCHEDULES[bench]["hls"]
     spatial = SCHEDULES[bench]["spatial"]
     beethoven = SCHEDULES[bench]["beethoven"]
     hls_ops = hls.ops_per_second(workload)
+    t0 = time.perf_counter()
     n_cores, limiter, _build = max_feasible_cores(bench, platform, max_cores)
+    t1 = time.perf_counter()
     single = beethoven.ops_per_second(workload)
     ideal = single * n_cores
     kernel_cycles = beethoven_kernel_cycles(bench)
     measured = measured_ops(n_cores, kernel_cycles, platform)
-    return Fig6Row(
+    t2 = time.perf_counter()
+    row = Fig6Row(
         bench=bench,
         parallelism=workload.parallelism,
         n_cores=n_cores,
@@ -194,6 +207,11 @@ def fig6_row(bench: str, platform: Optional[Platform] = None, max_cores: int = 6
         beethoven_measured_speedup=measured.ops_per_second / hls_ops,
         measured_simulated=measured.simulated,
     )
+    return row, {"elaborate_seconds": t1 - t0, "simulate_seconds": t2 - t1}
+
+
+def fig6_row(bench: str, platform: Optional[Platform] = None, max_cores: int = 64) -> Fig6Row:
+    return fig6_row_timed(bench, platform, max_cores)[0]
 
 
 def fig6_all(platform: Optional[Platform] = None, max_cores: int = 64, farm=None):

@@ -31,6 +31,12 @@ class Memory:
     :meth:`~repro.sim.Component.request_wake` so that a *different* component
     accessing the memory directly (non-channel coupling, invisible to the
     selective scheduler's wake sets) still re-wakes the clocking component.
+
+    Storage is first-touch: the row array is allocated by :meth:`cells` on
+    the first read, write or initialisation, so a design that is only
+    floorplanned never pays for its scratchpads.  ``_cells`` stays an
+    attribute (``None`` until then) so that snapshots capture and restore
+    "untouched" as state.
     """
 
     on_activity = None
@@ -52,7 +58,7 @@ class Memory:
         self.n_rows = n_rows
         self.n_read_ports = n_read_ports
         self.n_write_ports = n_write_ports
-        self._cells: List[int] = [0] * n_rows
+        self._cells: Optional[List[int]] = None
         self._pipes: List[Deque[Optional[int]]] = [
             deque([None] * latency) for _ in range(n_read_ports)
         ]
@@ -65,13 +71,20 @@ class Memory:
     def bits(self) -> int:
         return self.data_width * self.n_rows
 
+    def cells(self) -> List[int]:
+        """The row array (zero-filled on first touch); sole owner of allocation."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = [0] * self.n_rows
+        return cells
+
     def read(self, port: int, row: int) -> None:
         if self._read_used[port]:
             raise RuntimeError(f"{self.name}: read port {port} used twice in a cycle")
         if not 0 <= row < self.n_rows:
             raise IndexError(f"{self.name}: row {row} out of range")
         self._read_used[port] = True
-        self._pipes[port][-1] = self._cells[row]
+        self._pipes[port][-1] = self.cells()[row]
         if self.on_activity is not None:
             self.on_activity()
 
@@ -81,7 +94,7 @@ class Memory:
         if not 0 <= row < self.n_rows:
             raise IndexError(f"{self.name}: row {row} out of range")
         self._write_used[port] = True
-        self._cells[row] = value & self._mask
+        self.cells()[row] = value & self._mask
         if self.on_activity is not None:
             self.on_activity()
 
@@ -222,10 +235,11 @@ class Scratchpad(Component):
             self._init_residue.extend(chunk)
             self._init_bytes_left -= len(chunk)
             word_bytes = self.data_width_bits // 8
+            cells = self.mem.cells()
             while len(self._init_residue) >= word_bytes and self._init_row < self.n_datas:
                 word = int.from_bytes(self._init_residue[:word_bytes], "little")
                 del self._init_residue[:word_bytes]
-                self.mem._cells[self._init_row] = word
+                cells[self._init_row] = word
                 self._init_row += 1
                 self.init_words += 1
             if self._init_bytes_left <= 0 and self.init_done.can_push():

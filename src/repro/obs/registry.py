@@ -18,10 +18,14 @@ metrics:
   hottest counters (per-cycle channel occupancy accumulation) use these so
   instrumentation stays on by default without slowing the kernel.
 
-Metrics are *owned by the components* and adopted into the registry when the
-component is registered with a :class:`~repro.sim.Simulator` — construction
-signatures stay unchanged and a primitive used standalone (outside any
-simulator) simply keeps private metrics.
+Metrics are *owned by the components* and adopted into the registry after
+the component is registered with a :class:`~repro.sim.Simulator` —
+construction signatures stay unchanged and a primitive used standalone
+(outside any simulator) simply keeps private metrics.  Adoption is deferred
+(:meth:`MetricRegistry.defer`): the simulator leaves one pending entry per
+component/channel and the registry runs them, in registration order, the
+first time anything reads or writes it, so a design that is elaborated only
+for its floorplan never builds the views.
 
 Volatile metrics (skip accounting, wall-clock profiles) are flagged so the
 differential fast-forward-vs-naive harness can compare ``dump(stable_only=
@@ -31,7 +35,7 @@ True)`` bit-for-bit.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 SEP = "/"
 
@@ -250,8 +254,31 @@ class MetricRegistry:
     """Hierarchically namespaced collection of metrics (``a/b/c`` paths)."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._adopted: Dict[str, object] = {}
         self._volatile: Dict[str, bool] = {}
+        self._pending: List[Tuple[str, Callable[["MetricScope"], None]]] = []
+
+    # ------------------------------------------------------------- adoption
+    def defer(self, prefix: str, register: Callable[["MetricScope"], None]) -> None:
+        """Queue ``register(scope(prefix))`` until the registry is next used.
+
+        Pending entries run in the order they were queued, before any read
+        and before any direct :meth:`attach`, so the key sequence — and with
+        it every ``#2``/``#3`` duplicate suffix — is exactly the one eager
+        registration would have produced.
+        """
+        self._pending.append((prefix, register))
+
+    @property
+    def _metrics(self) -> Dict[str, object]:
+        """Every adopted metric by name; adopts what is pending first."""
+        pending = self._pending
+        if pending:
+            # Detach first: the callbacks attach through this same property.
+            self._pending = []
+            for prefix, register in pending:
+                register(MetricScope(self, prefix))
+        return self._adopted
 
     # ------------------------------------------------------------- creation
     def scope(self, prefix: str) -> "MetricScope":
@@ -278,12 +305,13 @@ class MetricRegistry:
         anonymous components may legitimately share a name, and observability
         must never abort a simulation.
         """
+        metrics = self._metrics
         key = name
         n = 2
-        while key in self._metrics:
+        while key in metrics:
             key = f"{name}#{n}"
             n += 1
-        self._metrics[key] = metric
+        metrics[key] = metric
         self._volatile[key] = volatile
         return metric
 
@@ -301,10 +329,11 @@ class MetricRegistry:
         return len(self._metrics)
 
     def names(self, prefix: Optional[str] = None) -> List[str]:
+        metrics = self._metrics
         if prefix is None:
-            return list(self._metrics)
+            return list(metrics)
         pfx = prefix.rstrip(SEP) + SEP
-        return [n for n in self._metrics if n.startswith(pfx) or n == prefix]
+        return [n for n in metrics if n.startswith(pfx) or n == prefix]
 
     def value(self, name: str, default=0):
         m = self._metrics.get(name)
@@ -321,10 +350,11 @@ class MetricRegistry:
         proves bit-identical between naive and event-skipping runs.
         """
         out: Dict[str, Any] = {}
+        metrics = self._metrics
         for name in self.names(prefix):
             if stable_only and self._volatile.get(name):
                 continue
-            out[name] = self._metrics[name].dump_value()
+            out[name] = metrics[name].dump_value()
         return out
 
     def to_json(self, prefix: Optional[str] = None, indent: int = 2) -> str:

@@ -48,6 +48,9 @@ _LOWER_BETTER = (
     "wall_seconds",
     "setup_seconds",
     "end_to_end_seconds",
+    "elaborate_seconds",
+    "simulate_seconds",
+    "cache_seconds",
     "cycles",
     "elapsed_cycles",
     "executed_ticks",

@@ -34,6 +34,7 @@ Four scheduling modes are supported, all cycle- and statistic-identical:
 from __future__ import annotations
 
 import time
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, Set, Tuple, TypeVar
 
@@ -348,8 +349,9 @@ class Component:
     def register_metrics(self, scope) -> None:
         """Attach/bind this component's metrics under ``scope``.
 
-        Called by :meth:`Simulator.add`; the default registers nothing
-        (channel statistics are bound separately by the simulator).
+        Queued by :meth:`Simulator.add` and called when the registry is
+        first used; the default registers nothing (channel statistics are
+        bound separately by the simulator).
         """
 
     def debug_state(self) -> Optional[Dict[str, Any]]:
@@ -487,7 +489,14 @@ class Simulator:
         self._subs_stale = True
         for chan in component.channels():
             self.register_channel(chan)
-        scope = self.registry.scope(component.metric_path)
+        # Metric views are built when the registry is first used, not here:
+        # most elaborated designs are never simulated or read.
+        self.registry.defer(
+            component.metric_path, partial(self._register_component_metrics, component)
+        )
+        return component
+
+    def _register_component_metrics(self, component: Component, scope) -> None:
         component.register_metrics(scope)
         # Per-component scheduling effectiveness, for wake-set reporting.
         scope.bind(
@@ -500,7 +509,6 @@ class Simulator:
             lambda c=component: self.cycle - self.component_ticks(c),
             volatile=True,
         )
-        return component
 
     def register_channel(self, chan: ChannelQueue[Any]) -> ChannelQueue[Any]:
         if id(chan) not in self._channel_ids:
@@ -513,8 +521,8 @@ class Simulator:
                 # cycles_observed == sim.cycle - _anchor, exactly as if it
                 # had been committed on every cycle since registration.
                 chan._anchor = self.cycle - chan.cycles_observed
-            chan.register_metrics(
-                self.registry.scope("chan/" + chan.name.replace(".", "/"))
+            self.registry.defer(
+                "chan/" + chan.name.replace(".", "/"), chan.register_metrics
             )
         return chan
 

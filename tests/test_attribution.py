@@ -418,6 +418,8 @@ def test_flatten_and_direction_classifier():
     assert metric_direction("modes.naive.wall_seconds") == -1
     assert metric_direction("modes.naive.setup_seconds") == -1
     assert metric_direction("modes.naive.end_to_end_seconds") == -1
+    for phase in ("elaborate_seconds", "simulate_seconds", "cache_seconds"):
+        assert metric_direction(phase) == -1
     assert metric_direction("modes.naive.cycles") == -1
     assert metric_direction("cases.dense.size_bytes") == 0
     assert metric_direction("n_cores") == 0

@@ -155,3 +155,33 @@ def test_kernel_mode_preserves_platform_identity():
     assert km.host.mmio_word_cycles < base.host.mmio_word_cycles
     assert km.clock_mhz == base.clock_mhz
     assert km.device is base.device
+
+
+def test_sweep_cli_reports_phase_ledger(tmp_path):
+    """tools/sweep.py writes the wall-clock phase split into its JSON report:
+    fresh builds land in elaborate_seconds, a fully cached rerun in
+    cache_seconds."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def run_cores():
+        r = subprocess.run(
+            [sys.executable, "tools/sweep.py", "cores", "--bench", "gemm",
+             "--counts", "1:3", "--workers", "1",
+             "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=repo, timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "out" / "farm-stats.json") as fh:
+            return json.load(fh)
+
+    cold = run_cores()
+    assert 0 < cold["elaborate_seconds"] <= cold["end_to_end_seconds"]
+    assert cold["simulate_seconds"] == 0 and cold["cache_seconds"] == 0
+    warm = run_cores()
+    assert warm["cache_hits"] == 3 and warm["elaborate_seconds"] == 0
+    assert warm["cache_seconds"] == warm["end_to_end_seconds"] > 0

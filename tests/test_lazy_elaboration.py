@@ -1,0 +1,183 @@
+"""Elaboration pays only for what a run reads or touches.
+
+``Simulator.add``/``register_channel`` leave one pending entry per
+component/channel and the registry adopts them on first use; ``Memory``
+allocates its rows on first touch.  Three contracts keep that honest:
+
+* identity — a lazily adopted registry has exactly the keys (in order, with
+  the same ``#2`` duplicate suffixes), volatility split and values of one fed
+  eagerly, ``register_metrics`` by ``register_metrics`` in ``add`` order;
+* allocation guard — a design that is only elaborated holds no metric views
+  and no scratchpad rows, so an eager ``bind`` in a hot constructor fails
+  here instead of silently re-opening the hole;
+* observer effect — reading metrics mid-run changes nothing about the run.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.core.build import BeethovenBuild
+from repro.faults.chaos import MODES
+from repro.kernels.machsuite.nw import nw_config
+from repro.kernels.memcpy import memcpy_config
+from repro.memory.scratchpad import Memory
+from repro.obs.registry import BoundMetric, Counter, MetricRegistry
+from repro.platforms import AWSF1Platform, multi_die_platform
+from repro.runtime import FpgaHandle
+from repro.serve.scenarios import hetero_build
+from repro.sim import ChannelQueue, Component, Simulator
+
+
+# ------------------------------------------------------------------ identity
+def _memcpy32():
+    build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform())
+    yield build
+    handle = FpgaHandle(build.design)
+    src, dst = handle.malloc(1024), handle.malloc(1024)
+    src.write(bytes(range(256)) * 4)
+    handle.copy_to_fpga(src)
+    handle.call(
+        "Memcpy", "memcpy", 5, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=1024
+    ).get()
+    yield build
+
+
+def _hetero():
+    build = hetero_build()
+    yield build
+    FpgaHandle(build.design)  # adds the RuntimeServer after elaboration
+    yield build
+
+
+def _nw_point():
+    yield BeethovenBuild(nw_config(n_cores=4), AWSF1Platform())
+
+
+def _two_die_serial():
+    from repro.dist import DistConfig
+
+    build = BeethovenBuild(
+        memcpy_config(n_cores=2),
+        multi_die_platform(2),
+        distributed=DistConfig(n_workers=2, engine="serial"),
+    )
+    yield build
+    FpgaHandle(build.design)
+    yield build
+
+
+class _Twin(Component):
+    def __init__(self, hits: int, depth: int) -> None:
+        super().__init__("twin")
+        self.hits = Counter(hits)
+        self.q = ChannelQueue(depth, "twin.q")
+
+    def channels(self):
+        return [self.q]
+
+    def register_metrics(self, scope) -> None:
+        scope.attach("hits", self.hits)
+
+    def tick(self, cycle: int) -> None:
+        pass
+
+
+def _twins():
+    sim = Simulator()
+    sim.add(_Twin(1, 2))
+    yield sim.registry
+    sim.add(_Twin(2, 3))
+    yield sim.registry
+
+
+def _dumps(stages, read_between: bool):
+    """Full and stable dumps after the last stage; ``read_between`` also
+    reads at every earlier stage (adoption then happens in instalments)."""
+    for source in stages():
+        registry = getattr(source, "registry", source)
+        if read_between:
+            registry.dump()
+    return registry.dump(), registry.dump(stable_only=True)
+
+
+@pytest.mark.parametrize(
+    "stages", (_memcpy32, _hetero, _nw_point, _two_die_serial, _twins),
+    ids=lambda fn: fn.__name__.strip("_"),
+)
+def test_lazy_registry_matches_eager_reference(stages, monkeypatch):
+    lazy = _dumps(stages, read_between=False)
+    instalments = _dumps(stages, read_between=True)
+    # The reference: every registry adopts at registration time.
+    monkeypatch.setattr(
+        MetricRegistry, "defer", lambda self, prefix, register: register(self.scope(prefix))
+    )
+    full, stable = _dumps(stages, read_between=False)
+    assert len(full) > len(stable) > 0
+    for got_full, got_stable in (lazy, instalments):
+        # Same keys in the same order (so the same ``#n`` suffixes), the same
+        # volatility split, and — volatile wall-clock aside — the same values.
+        assert list(got_full) == list(full)
+        assert list(got_stable) == list(stable)
+        assert got_stable == stable
+
+
+def test_duplicate_suffixes_follow_registration_order():
+    *_, registry = _twins()
+    assert registry.value("twin/hits") == 1 and registry.value("twin/hits#2") == 2
+    assert registry.value("chan/twin/q/capacity") == 2
+    assert registry.value("chan/twin/q/capacity#2") == 3
+    assert "twin/hits#3" not in registry and len(registry) == len(registry.names())
+
+
+# ---------------------------------------------------------- allocation guard
+def _live(cls):
+    gc.collect()
+    return {id(o): o for o in gc.get_objects() if type(o) is cls}
+
+
+def test_elaboration_alone_builds_no_views_and_no_rows():
+    views_before, mems_before = _live(BoundMetric), _live(Memory)
+    copy48 = BeethovenBuild(memcpy_config(n_cores=48), AWSF1Platform())
+    nw16 = BeethovenBuild(nw_config(n_cores=16), AWSF1Platform())
+    views = [v for i, v in _live(BoundMetric).items() if i not in views_before]
+    # Only the two simulators' own sim/* and trace/* views exist: nothing
+    # for any chan/... or component path.
+    assert len(views) <= 16
+    mems = [m for i, m in _live(Memory).items() if i not in mems_before]
+    assert len(mems) >= 16 and all(m._cells is None for m in mems)
+
+    # The guard measures something: the first read adopts thousands of views.
+    names = copy48.registry.names()
+    assert any(n.startswith("chan/") for n in names)
+    assert len(_live(BoundMetric)) - len(views_before) > 1000
+    assert nw16.metrics() and all(m._cells is None for m in mems)
+
+
+# ----------------------------------------------------------- observer effect
+def _chunked_memcpy(mode: str, read_metrics: bool):
+    build = BeethovenBuild(memcpy_config(n_cores=4), AWSF1Platform(), scheduling=mode)
+    handle = FpgaHandle(build.design)
+    size = 2048
+    src = handle.malloc(size)
+    src.write(bytes((i * 7 + 3) % 256 for i in range(size)))
+    handle.copy_to_fpga(src)
+    futs = [
+        handle.call(
+            "Memcpy", "memcpy", core,
+            src=src.fpga_addr, dst=handle.malloc(size).fpga_addr, len_bytes=size,
+        )
+        for core in range(4)
+    ]
+    while not all(f.done for f in futs):
+        handle.run_cycles(125)
+        if read_metrics:
+            assert build.metrics()
+    return handle.cycle, [f.latency_cycles for f in futs], build.metrics(stable_only=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reading_metrics_mid_run_changes_nothing(mode):
+    assert _chunked_memcpy(mode, True) == _chunked_memcpy(mode, False)

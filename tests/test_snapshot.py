@@ -279,3 +279,79 @@ def test_dist_checkpoint_config_validation():
         DistConfig(checkpoint_every_slices=-1)
     with pytest.raises(DistError):
         DistConfig(max_restarts=-1)
+
+
+# ------------------------------------------- deferred views / first-touch cells
+def _memcpy32_snapshot(mode, read_first, path):
+    """Capture the 32-core memcpy design mid-run; ``read_first`` reads the
+    registry right after elaboration, before the handle adds its server."""
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import AWSF1Platform
+    from repro.runtime import FpgaHandle
+    from repro.snapshot import capture
+
+    build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform(), scheduling=mode)
+    if read_first:
+        assert build.metrics()
+    handle = FpgaHandle(build.design)
+    src, dst = handle.malloc(4096), handle.malloc(4096)
+    src.write(bytes(range(256)) * 16)
+    handle.copy_to_fpga(src)
+    handle.call("Memcpy", "memcpy", 0, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=4096)
+    handle.run_cycles(125)
+    snap = capture(handle)
+    save(snap, path)
+    return snap.payload["registry"], os.path.getsize(path)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_capture_same_before_and_after_first_registry_read(mode, tmp_path):
+    """Deferred metric adoption is invisible to snapshots: capturing a run
+    whose registry was never read equals capturing one that read it early."""
+    unread = _memcpy32_snapshot(mode, False, str(tmp_path / "unread.ckpt"))
+    read = _memcpy32_snapshot(mode, True, str(tmp_path / "read.ckpt"))
+    assert unread[0] and unread == read
+
+
+def _a3_with_pending_load(mode):
+    """One A3 core with its K/V load submitted but not yet run: both
+    scratchpads are still untouched."""
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.attention import a3_config
+    from repro.platforms import SimulationPlatform
+    from repro.runtime import FpgaHandle
+
+    dim = n_keys = 16
+    build = BeethovenBuild(a3_config(1, dim, n_keys), SimulationPlatform(), scheduling=mode)
+    handle = FpgaHandle(build.design)
+    pk, pv = handle.malloc(dim * n_keys), handle.malloc(dim * n_keys)
+    for ptr, salt in ((pk, 3), (pv, 7)):
+        ptr.write(bytes((i * salt + 1) % 251 for i in range(dim * n_keys)))
+        handle.copy_to_fpga(ptr)
+    fut = handle.call("A3", "load_kv", 0, key_addr=pk.fpga_addr, value_addr=pv.fpga_addr)
+    core = build.design.systems[0].cores[0].core
+    return handle, fut, [core.keys_sp.mem, core.values_sp.mem]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_untouched_scratchpad_is_restored_as_state(mode):
+    """"Never touched" is state: restoring such a snapshot over a scratchpad
+    that has since been written must drop the live cells, and the run must
+    then continue exactly like the uninterrupted one."""
+    from repro.snapshot import capture, restore
+
+    handle, fut, mems = _a3_with_pending_load(mode)
+    assert all(mem._cells is None for mem in mems)
+    snap = capture(handle)
+    fut.get()
+    reference = (handle.cycle, [list(mem.cells()) for mem in mems])
+    assert any(any(cells) for cells in reference[1])
+
+    handle, fut, mems = _a3_with_pending_load(mode)
+    for mem in mems:
+        mem.cells()[:] = [0xAB] * mem.n_rows
+    restore(handle, snap)
+    assert all(mem.cells() == [0] * mem.n_rows for mem in mems)
+    fut.get()
+    assert (handle.cycle, [list(mem.cells()) for mem in mems]) == reference

@@ -26,6 +26,14 @@ Three subcommands:
     ``farm-trace.json`` artefacts into --out.
 
         python tools/sweep.py smoke --workers 4 --min-speedup 2.0 --out artifacts
+
+Every subcommand's JSON report (``farm-stats.json``; ``smoke-stats.json`` for
+``smoke``) carries the wall-clock phase ledger: ``end_to_end_seconds`` plus
+``elaborate_seconds`` (building designs: ``DesignPoint.build_seconds`` and
+the Figure 6 feasibility searches), ``simulate_seconds`` (inside
+``simulate_measured``) and ``cache_seconds`` (a pass served wholly by the
+result cache).  Only freshly computed jobs count towards elaborate/simulate;
+farm queueing, IPC and rendering are the unattributed remainder.
 """
 
 from __future__ import annotations
@@ -41,11 +49,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro.analysis import render_sweep_report, sweep_frame  # noqa: E402
 from repro.dse import sweep_cores  # noqa: E402
-from repro.farm import Farm, Job  # noqa: E402
+from repro.farm import Farm, FarmJobError, Job  # noqa: E402
 from repro.kernels.machsuite.fig6 import (  # noqa: E402
     CONFIG_FACTORIES,
     config_for,
-    fig6_all,
     render_fig6,
 )
 from repro.kernels.machsuite.workloads import BEETHOVEN_CLOCK_MHZ  # noqa: E402
@@ -83,28 +90,70 @@ def _parse_counts(spec: str):
     return [int(x) for x in spec.split(",")]
 
 
-def _emit_artifacts(farm: Farm, out_dir: str) -> None:
+def _emit_artifacts(farm: Farm, out_dir: str, ledger=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "farm-stats.json"), "w") as f:
-        json.dump(farm.stats(), f, indent=2, sort_keys=True)
+        json.dump({**farm.stats(), **(ledger or {})}, f, indent=2, sort_keys=True)
     farm.export_metrics(os.path.join(out_dir, "farm-metrics.json"))
     farm.export_chrome_trace(os.path.join(out_dir, "farm-trace.json"))
+
+
+def _fig6_jobs(platform, max_cores: int, benches):
+    return [
+        Job(
+            "repro.kernels.machsuite.fig6:fig6_row_timed",
+            (bench, platform, max_cores),
+            label=f"fig6/{bench}",
+        )
+        for bench in benches
+    ]
+
+
+def _job_values(results):
+    """Comparable values of one pass: Figure 6 rows without their timings."""
+    return [r.value[0] if isinstance(r.value, tuple) else r.value for r in results]
+
+
+def _phase_ledger(results, end_to_end: float):
+    """Phase split of one farm pass (see the module docstring)."""
+    elaborate = simulate = 0.0
+    for r in results:
+        if r.cache_hit or not r.ok:
+            continue
+        if isinstance(r.value, tuple):  # fig6_row_timed: (row, phase seconds)
+            elaborate += r.value[1]["elaborate_seconds"]
+            simulate += r.value[1]["simulate_seconds"]
+        else:  # a simulate_measured job
+            simulate += r.wall_seconds
+    return _ledger(end_to_end, elaborate, simulate, all(r.cache_hit for r in results))
+
+
+def _ledger(end_to_end: float, elaborate: float, simulate: float, all_cached: bool):
+    return {
+        "end_to_end_seconds": end_to_end,
+        "elaborate_seconds": elaborate,
+        "simulate_seconds": simulate,
+        "cache_seconds": end_to_end if all_cached else 0.0,
+    }
 
 
 # ---------------------------------------------------------------- commands
 def cmd_fig6(args) -> int:
     farm = _make_farm(args)
     t0 = time.perf_counter()
-    rows = fig6_all(platform=_platform(), max_cores=args.max_cores, farm=farm)
+    results = farm.run(_fig6_jobs(_platform(), args.max_cores, list(CONFIG_FACTORIES)))
     wall = time.perf_counter() - t0
-    print(render_fig6(rows))
+    failures = [r for r in results if not r.ok]
+    if failures:
+        raise FarmJobError(failures)
+    print(render_fig6(_job_values(results)))
     stats = farm.stats()
     print(
         f"\n{stats['jobs_submitted']} jobs on {stats['workers']} worker(s) "
         f"in {wall:.1f}s; cache hit rate {stats['cache_hit_rate']:.0%}"
     )
     if args.out:
-        _emit_artifacts(farm, args.out)
+        _emit_artifacts(farm, args.out, _phase_ledger(results, wall))
     return 0
 
 
@@ -113,6 +162,7 @@ def cmd_cores(args) -> int:
         print(f"unknown bench {args.bench!r}; choose from {sorted(CONFIG_FACTORIES)}")
         return 2
     farm = _make_farm(args)
+    t0 = time.perf_counter()
     points = sweep_cores(
         partial(config_for, args.bench),
         _parse_counts(args.counts),
@@ -120,9 +170,12 @@ def cmd_cores(args) -> int:
         farm=farm,
         strategy=args.strategy,
     )
+    wall = time.perf_counter() - t0
     print(render_sweep_report(points))
     if args.out:
-        _emit_artifacts(farm, args.out)
+        built = sum((p.build_seconds for p in points if not p.cache_hit), 0.0)
+        ledger = _ledger(wall, built, 0.0, all(p.cache_hit for p in points))
+        _emit_artifacts(farm, args.out, ledger)
     return 0
 
 
@@ -134,14 +187,7 @@ def _smoke_jobs(max_cores: int):
     serial, parallel, and cached executions.
     """
     platform = _platform()
-    jobs = [
-        Job(
-            "repro.kernels.machsuite.fig6:fig6_row",
-            (bench, platform, max_cores),
-            label=f"fig6/{bench}",
-        )
-        for bench in ("nw", "stencil2d", "gemm", "stencil3d", "md-knn")
-    ]
+    jobs = _fig6_jobs(platform, max_cores, ("nw", "stencil2d", "gemm", "stencil3d", "md-knn"))
     for latency in (16_000, 8_000, 4_000, 2_000):
         for n_cores in (16, 8, 4):
             jobs.append(
@@ -177,7 +223,8 @@ def cmd_smoke(args) -> int:
 
         stage_log = StageLog(
             os.path.join(out_dir, "smoke-stages.json"),
-            {"workers": args.workers, "max_cores": args.max_cores},
+            # "ledger" versions the stage payloads (phase split added).
+            {"workers": args.workers, "max_cores": args.max_cores, "ledger": 1},
         )
         state_path = os.path.join(out_dir, "smoke-resume.pkl")
         stage_state = {}
@@ -203,18 +250,19 @@ def cmd_smoke(args) -> int:
 
     # Pass 0: serial reference (no cache, no workers) — ground truth.
     if _stage_done("serial"):
-        ref_values, report["serial_seconds"] = stage_state["serial"]
+        ref_values, report["serial_seconds"], phases = stage_state["serial"]
         print("resume: serial reference pass already complete")
     else:
         serial_farm = Farm.serial()
         t0 = time.perf_counter()
         reference = serial_farm.run(_smoke_jobs(args.max_cores))
         report["serial_seconds"] = time.perf_counter() - t0
-        ref_values = [r.value for r in reference]
         if not all(r.ok for r in reference):
             print("serial reference pass failed:", [r.error for r in reference if not r.ok])
             return 1
-        _stage_save("serial", (ref_values, report["serial_seconds"]))
+        ref_values = _job_values(reference)
+        phases = _phase_ledger(reference, report["serial_seconds"])
+        _stage_save("serial", (ref_values, report["serial_seconds"], phases))
 
     # Pass 1: parallel, cold cache.
     if _stage_done("run1"):
@@ -226,20 +274,25 @@ def cmd_smoke(args) -> int:
         run1 = farm1.run(_smoke_jobs(args.max_cores))
         report["parallel_seconds"] = time.perf_counter() - t0
         report["run1"] = farm1.stats()
-        run1_values = [r.value for r in run1]
+        run1_values = _job_values(run1)
         _stage_save("run1", (run1_values, report["parallel_seconds"], report["run1"]))
 
     # Pass 2: same sweep again — must be served from the cache.
     farm2 = Farm(n_workers=args.workers, cache_dir=cache_dir)
     t0 = time.perf_counter()
     run2 = farm2.run(_smoke_jobs(args.max_cores))
-    report["cached_seconds"] = time.perf_counter() - t0
+    cache_seconds = time.perf_counter() - t0
     report["run2"] = farm2.stats()
 
     speedup = report["serial_seconds"] / max(report["parallel_seconds"], 1e-9)
     hit_rate = report["run2"]["cache_hit_rate"]
-    identical = (
-        run1_values == ref_values and [r.value for r in run2] == ref_values
+    identical = run1_values == ref_values and _job_values(run2) == ref_values
+    # Phase ledger: the elaborate/simulate split comes from the serial pass
+    # (one process, so its job seconds add up to its wall-clock).
+    report.update(
+        phases,
+        cache_seconds=cache_seconds,
+        end_to_end_seconds=report["serial_seconds"] + report["parallel_seconds"] + cache_seconds,
     )
     report["speedup"] = speedup
     report["second_run_hit_rate"] = hit_rate
@@ -252,7 +305,7 @@ def cmd_smoke(args) -> int:
     print(
         f"smoke sweep: serial {report['serial_seconds']:.1f}s, "
         f"parallel({args.workers}) {report['parallel_seconds']:.1f}s "
-        f"({speedup:.2f}x), cached {report['cached_seconds']:.1f}s; "
+        f"({speedup:.2f}x), cached {cache_seconds:.1f}s; "
         f"second-run hit rate {hit_rate:.0%}; bit-identical: {identical}"
     )
 
