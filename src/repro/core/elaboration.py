@@ -47,7 +47,7 @@ from repro.fpga.resources import ResourceEstimator
 from repro.hdl.ir import HdlMemory
 from repro.noc.tree import BuiltNetwork, TreeBuilder
 from repro.platforms.base import Platform
-from repro.sim import Simulator, Tracer
+from repro.sim import DEFAULT_SCHEDULING, Simulator, Tracer
 
 
 @dataclass
@@ -142,15 +142,15 @@ class ElaboratedDesign:
             if self.observability.enabled and self.dist_config is None
             else None
         )
-        # Built designs default to the per-component selective scheduler:
-        # every framework component declares wake channels and hints, and
-        # unhinted user cores are still ticked every cycle.  ``scheduling``
-        # overrides explicitly ("naive"/"fast_forward"/"selective"/
-        # "compiled"), e.g. for the differential harness;
-        # ``fast_forward=False`` keeps its legacy meaning of plain naive
-        # stepping.
+        # Built designs default to the compiled schedule (the tick program
+        # itself is only built at the first ``run()``): every framework
+        # component declares wake channels and hints, and unhinted user
+        # cores are still ticked every cycle.  ``scheduling`` names any of
+        # ``SCHEDULING_MODES`` explicitly, e.g. for the differential
+        # harness; ``fast_forward=False`` keeps its legacy meaning of plain
+        # naive stepping.
         if scheduling is None:
-            scheduling = "selective" if fast_forward else "naive"
+            scheduling = DEFAULT_SCHEDULING if fast_forward else "naive"
         self.sim = Simulator(
             "beethoven",
             tracer=self.tracer,

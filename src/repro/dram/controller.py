@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.axi.monitor import MonitoredAxiPort
 from repro.axi.types import BResp, RBeat
@@ -34,7 +34,11 @@ from repro.obs.registry import Counter
 from repro.sim import Component
 
 
-@dataclass(slots=True)
+# The three records below are identities, not values (``eq=False``): the
+# window, the per-bank index and the per-ID queues alias the same objects,
+# and ``deque.remove``/``list.remove`` must find *that* object rather than
+# compare ``beats`` lists field by field.
+@dataclass(slots=True, eq=False)
 class _ReadTxn:
     tag: int
     axi_id: int
@@ -51,7 +55,7 @@ class _ReadTxn:
         self.beats = [None] * self.length
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _WriteTxn:
     tag: int
     axi_id: int
@@ -64,7 +68,7 @@ class _WriteTxn:
     cols_done: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _ColReq:
     txn: object
     beat_idx: int
@@ -73,10 +77,21 @@ class _ColReq:
     row: int
     is_write: bool
     enqueued_cycle: int
+    seq: int  # arrival number: the key in the window, the FCFS tie-break
 
 
 class MemoryController(Component):
-    """FR-FCFS DDR controller with an AXI4 slave frontend."""
+    """FR-FCFS DDR controller with an AXI4 slave frontend.
+
+    Two tick bodies share one state.  The interpreted :meth:`tick` is the
+    reference: every selection (bank prep, column pick, R and B return) is a
+    plain scan over everything pending.  The closure from
+    :meth:`compile_tick` makes the same selections from indexes, so its work
+    follows what is pending rather than what the controller holds.  Neither
+    body touches the indexed containers directly: ``_window_add``,
+    ``_issue``, ``_send_r`` and ``_send_b`` own them, and both bodies act
+    only through those helpers, so either may run any cycle.
+    """
 
     # Optional fault injector (repro.faults): filters column reads, flipping
     # bits and marking the beat ``err`` (the modeled ECC detects the flip).
@@ -116,12 +131,26 @@ class MemoryController(Component):
         # turnaround that multi-ID masters hide.
         self._id_read_pipe: Dict[int, Deque[object]] = {}
         self._id_write_pipe: Dict[int, Deque[object]] = {}
-        self._sched: List[_ColReq] = []
+        # Scheduler window: arrival number -> column command, so dict order
+        # is arrival order and removal is O(1).  ``_bank_q[b]`` indexes the
+        # same commands by bank, each list in arrival order.
+        self._sched: Dict[int, _ColReq] = {}
+        self._sched_seq = 0
+        self._bank_q: List[List[_ColReq]] = [[] for _ in self.banks]
         self._bus_free_at = 0
         self._bus_dir_write = False
         self._dir_streak = 0
-        self._return_rr: List[int] = []  # round-robin order of IDs for R channel
+        # Round-robin order of IDs for the R and B channels (first-seen
+        # order) with its inverse map.  Only the R path advances the
+        # pointer; B responses arbitrate from wherever R left it.
+        self._return_rr: List[int] = []
+        self._rr_index: Dict[int, int] = {}
         self._return_rr_pos = 0
+        # IDs whose oldest unanswered read has its next beat back from DRAM
+        # (possibly still inside the CAS latency), and IDs whose oldest
+        # unanswered write has every column done.
+        self._r_cand: Set[int] = set()
+        self._b_ready: Set[int] = set()
 
         # Statistics: typed counters (int-like), adopted by the metric
         # registry when this controller joins a simulator.
@@ -170,7 +199,8 @@ class MemoryController(Component):
         return ids[pos:] + ids[:pos]
 
     def _note_id(self, axi_id: int) -> None:
-        if axi_id not in self._return_rr:
+        if axi_id not in self._rr_index:
+            self._rr_index[axi_id] = len(self._return_rr)
             self._return_rr.append(axi_id)
 
     # ------------------------------------------------------------------ tick
@@ -183,31 +213,133 @@ class MemoryController(Component):
         self._return_read_data(cycle)
         self._return_write_responses(cycle)
 
-    # ------------------------------------------------------------------ phases
+    # -------------------------------------------------- actions (both bodies)
+    def _refresh(self, cycle: int) -> None:
+        for bank in self.banks:
+            bank.block_for_refresh(cycle)
+        self.stats["refreshes"] += 1
+
+    def _accept_read(self, req, cycle: int) -> None:
+        txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
+        self._read_txns[req.tag] = txn
+        self._id_read_issue.setdefault(req.axi_id, deque()).append(txn)
+        self._id_read_return.setdefault(req.axi_id, deque()).append(txn)
+        self._id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
+        self._note_id(req.axi_id)
+
+    def _accept_write(self, req, cycle: int) -> None:
+        txn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
+        self._write_txns[req.tag] = txn
+        self._id_write_issue.setdefault(req.axi_id, deque()).append(txn)
+        self._id_write_return.setdefault(req.axi_id, deque()).append(txn)
+        self._id_write_pipe.setdefault(req.axi_id, deque()).append(txn)
+        self._writes_awaiting_data.append(txn)
+        self._note_id(req.axi_id)
+
+    def _window_add(self, txn, is_write: bool, cycle: int) -> None:
+        """Move ``txn``'s next column command into the scheduler window."""
+        idx = txn.cols_enqueued
+        addr = txn.addr + idx * self.timing.col_bytes
+        bank, row, _col = self.timing.decompose(addr)
+        seq = self._sched_seq
+        self._sched_seq = seq + 1
+        req = _ColReq(txn, idx, addr, bank, row, is_write, cycle, seq)
+        self._sched[seq] = req
+        self._bank_q[bank].append(req)
+        txn.cols_enqueued = idx + 1
+
+    def _prep(self, req: _ColReq, cycle: int) -> None:
+        """Switch ``req``'s bank to its row (precharge if one is open)."""
+        bank = self.banks[req.bank]
+        if bank.open_row is not None:
+            self.stats["row_conflicts"] += 1
+        bank.prep(req.row, cycle)
+        bank.record_access(False)
+        self.stats["row_misses"] += 1
+
+    def _issue(self, req: _ColReq, cycle: int) -> None:
+        """Put the picked column on the data bus and leave the window."""
+        stats = self.stats
+        if req.is_write != self._bus_dir_write:
+            self._bus_dir_write = req.is_write
+            self._dir_streak = 1
+            stats["turnarounds"] += 1
+            self._bus_free_at = cycle + 1 + self.timing.t_bus_turn
+        else:
+            self._dir_streak += 1
+            self._bus_free_at = cycle + 1
+        stats["bus_cycles"] += 1
+        stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
+        del self._sched[req.seq]
+        self._bank_q[req.bank].remove(req)
+        self.banks[req.bank].record_access(True)
+        stats["row_hits"] += 1
+        txn = req.txn
+        if req.is_write:
+            beat = txn.wbeats[req.beat_idx]
+            self.store.write(req.addr, beat.data, beat.strb)
+            txn.cols_done += 1
+            stats["write_cols"] += 1
+            if (
+                txn.cols_done >= txn.length
+                and self._id_write_return[txn.axi_id][0] is txn
+            ):
+                self._b_ready.add(txn.axi_id)
+        else:
+            data = self.store.read(req.addr, self.timing.col_bytes)
+            err = False
+            hook = self._fault
+            if hook is not None:
+                data, err = hook.filter_read(cycle, req.addr, data)
+            txn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
+            txn.cols_done += 1
+            stats["read_cols"] += 1
+            if (
+                req.beat_idx == txn.beats_sent
+                and self._id_read_return[txn.axi_id][0] is txn
+            ):
+                self._r_cand.add(txn.axi_id)
+
+    def _send_r(self, axi_id: int, cycle: int) -> None:
+        """Return the next beat of ``axi_id``'s oldest unanswered read."""
+        q = self._id_read_return[axi_id]
+        txn = q[0]
+        _ready, data, err = txn.beats[txn.beats_sent]
+        last = txn.beats_sent == txn.length - 1
+        self.mport.push_r(
+            cycle, RBeat(axi_id=axi_id, data=data, last=last, tag=txn.tag, err=err)
+        )
+        txn.beats_sent += 1
+        if last:
+            q.popleft()
+            del self._read_txns[txn.tag]
+            # Pipeline slot frees once the data has left the controller.
+            self._retire(self._id_read_pipe, axi_id, txn)
+            txn = q[0] if q else None
+        if txn is None or txn.beats[txn.beats_sent] is None:
+            self._r_cand.discard(axi_id)
+        self._return_rr_pos += 1
+
+    def _send_b(self, axi_id: int, cycle: int) -> None:
+        """Acknowledge ``axi_id``'s oldest unanswered (fully written) write."""
+        q = self._id_write_return[axi_id]
+        txn = q.popleft()
+        self.mport.push_b(cycle, BResp(axi_id=axi_id, okay=True, tag=txn.tag))
+        del self._write_txns[txn.tag]
+        self._retire(self._id_write_pipe, axi_id, txn)
+        if not q or q[0].cols_done < q[0].length:
+            self._b_ready.discard(axi_id)
+
+    # ------------------------------------------------- phases (the reference)
     def _maybe_refresh(self, cycle: int) -> None:
         if cycle and cycle % self.timing.t_refi == 0:
-            for bank in self.banks:
-                bank.block_for_refresh(cycle)
-            self.stats["refreshes"] += 1
+            self._refresh(cycle)
 
     def _accept_requests(self, cycle: int) -> None:
         if self.port.ar.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            req = self.port.ar.pop()
-            txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-            self._read_txns[req.tag] = txn
-            self._id_read_issue.setdefault(req.axi_id, deque()).append(txn)
-            self._id_read_return.setdefault(req.axi_id, deque()).append(txn)
-            self._id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
-            self._note_id(req.axi_id)
+            self._accept_read(self.port.ar.pop(), cycle)
         if self.port.aw.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            req = self.port.aw.pop()
-            txn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-            self._write_txns[req.tag] = txn
-            self._id_write_issue.setdefault(req.axi_id, deque()).append(txn)
-            self._id_write_return.setdefault(req.axi_id, deque()).append(txn)
-            self._id_write_pipe.setdefault(req.axi_id, deque()).append(txn)
-            self._writes_awaiting_data.append(txn)
-            self._note_id(req.axi_id)
+            self._accept_write(self.port.aw.pop(), cycle)
         if self.port.w.can_pop() and self._writes_awaiting_data:
             head = self._writes_awaiting_data[0]
             beat = self.port.w.pop()
@@ -221,8 +353,6 @@ class MemoryController(Component):
         scheduler window.  Only the head transaction of each ID contributes —
         this is the per-ID serialisation rule."""
         budget = 8  # command-processing bandwidth per cycle
-        beat_bytes = self.timing.col_bytes
-        limit = self.timing.per_id_txn_limit
         for axi_id in list(self._id_read_issue):
             q = self._id_read_issue[axi_id]
             while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
@@ -234,12 +364,7 @@ class MemoryController(Component):
                     self._id_read_pipe, axi_id, txn
                 ):
                     break
-                addr = txn.addr + txn.cols_enqueued * beat_bytes
-                bank, row, _col = self.timing.decompose(addr)
-                self._sched.append(
-                    _ColReq(txn, txn.cols_enqueued, addr, bank, row, False, cycle)
-                )
-                txn.cols_enqueued += 1
+                self._window_add(txn, False, cycle)
                 budget -= 1
                 if txn.cols_enqueued >= txn.length:
                     q.popleft()
@@ -259,12 +384,7 @@ class MemoryController(Component):
                     self._id_write_pipe, axi_id, txn
                 ):
                     break
-                addr = txn.addr + txn.cols_enqueued * beat_bytes
-                bank, row, _col = self.timing.decompose(addr)
-                self._sched.append(
-                    _ColReq(txn, txn.cols_enqueued, addr, bank, row, True, cycle)
-                )
-                txn.cols_enqueued += 1
+                self._window_add(txn, True, cycle)
                 budget -= 1
                 if txn.cols_enqueued >= txn.length:
                     q.popleft()
@@ -297,7 +417,7 @@ class MemoryController(Component):
         """Open rows for pending column commands (oldest-first per bank)."""
         preps = 2  # activate/precharge command bandwidth per cycle
         seen_banks = set()
-        for req in self._sched:
+        for req in self._sched.values():
             if preps == 0:
                 break
             if req.bank in seen_banks:
@@ -305,56 +425,22 @@ class MemoryController(Component):
             seen_banks.add(req.bank)
             bank = self.banks[req.bank]
             if bank.open_row != req.row and bank.can_prep(cycle):
-                if bank.open_row is not None:
-                    self.stats["row_conflicts"] += 1
-                bank.prep(req.row, cycle)
-                bank.record_access(False)
-                self.stats["row_misses"] += 1
+                self._prep(req, cycle)
                 preps -= 1
 
     def _issue_column(self, cycle: int) -> None:
         if cycle < self._bus_free_at or not self._sched:
             return
         ready = [
-            (i, r)
-            for i, r in enumerate(self._sched)
-            if self.banks[r.bank].row_open(r.row, cycle)
+            r for r in self._sched.values() if self.banks[r.bank].row_open(r.row, cycle)
         ]
         if not ready:
             return
-        same_dir = [(i, r) for i, r in ready if r.is_write == self._bus_dir_write]
+        same_dir = [r for r in ready if r.is_write == self._bus_dir_write]
         if same_dir and self._dir_streak < self.timing.direction_streak:
-            idx, req = same_dir[0]
+            self._issue(same_dir[0], cycle)
         else:
-            idx, req = ready[0]
-        turnaround = req.is_write != self._bus_dir_write
-        if turnaround:
-            self._bus_dir_write = req.is_write
-            self._dir_streak = 0
-            self.stats["turnarounds"] += 1
-        self._dir_streak += 1
-        self._bus_free_at = cycle + 1 + (self.timing.t_bus_turn if turnaround else 0)
-        self.stats["bus_cycles"] += 1
-        self.stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
-        del self._sched[idx]
-        self.banks[req.bank].record_access(True)
-        self.stats["row_hits"] += 1
-        if req.is_write:
-            txn: _WriteTxn = req.txn
-            beat = txn.wbeats[req.beat_idx]
-            self.store.write(req.addr, beat.data, beat.strb)
-            txn.cols_done += 1
-            self.stats["write_cols"] += 1
-        else:
-            rtxn: _ReadTxn = req.txn
-            data = self.store.read(req.addr, self.timing.col_bytes)
-            err = False
-            hook = self._fault
-            if hook is not None:
-                data, err = hook.filter_read(cycle, req.addr, data)
-            rtxn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
-            rtxn.cols_done += 1
-            self.stats["read_cols"] += 1
+            self._issue(ready[0], cycle)
 
     def _return_read_data(self, cycle: int) -> None:
         if not self.port.r.can_push():
@@ -367,20 +453,7 @@ class MemoryController(Component):
             entry = txn.beats[txn.beats_sent]
             if entry is None or entry[0] > cycle:
                 continue
-            last = txn.beats_sent == txn.length - 1
-            self.mport.push_r(
-                cycle,
-                RBeat(
-                    axi_id=axi_id, data=entry[1], last=last, tag=txn.tag, err=entry[2]
-                ),
-            )
-            txn.beats_sent += 1
-            if last:
-                q.popleft()
-                del self._read_txns[txn.tag]
-                # Pipeline slot frees once the data has left the controller.
-                self._retire(self._id_read_pipe, axi_id, txn)
-            self._return_rr_pos += 1
+            self._send_r(axi_id, cycle)
             return
 
     def _return_write_responses(self, cycle: int) -> None:
@@ -390,13 +463,9 @@ class MemoryController(Component):
             q = self._id_write_return.get(axi_id)
             if not q:
                 continue
-            txn = q[0]
-            if txn.cols_done < txn.length:
+            if q[0].cols_done < q[0].length:
                 continue
-            self.mport.push_b(cycle, BResp(axi_id=axi_id, okay=True, tag=txn.tag))
-            q.popleft()
-            del self._write_txns[txn.tag]
-            self._retire(self._id_write_pipe, axi_id, txn)
+            self._send_b(axi_id, cycle)
             return
 
     # ----------------------------------------------------------- event skipping
@@ -410,87 +479,53 @@ class MemoryController(Component):
     def compile_tick(self):
         """Specialised tick for the compiled scheduler.
 
-        Same phases, same decisions, same statistics as :meth:`tick`; the
-        difference is purely mechanical — channel endpoints, bank objects,
-        timing constants and stat counters are captured as locals, the
-        FR-FCFS ready scan runs once with an early exit instead of building
-        ready/same-dir lists, the bank-prep row test is inlined, and the
-        return-path round-robin rotation is computed arithmetically instead
-        of slicing ``_return_rr`` twice per call.
+        Same phases, same decisions, same statistics as :meth:`tick`, and the
+        same action helpers; what differs is how each selection is found.
+        Bank prep probes the head of each bank's list instead of walking the
+        window for first occurrences; the FR-FCFS pick is the smallest
+        arrival number among the first open-row (and first same-direction)
+        entry of each ready bank; R and B arbitration take the round-robin
+        winner by rotated distance over the candidate/ready sets instead of
+        visiting every ID.  Set iteration order never matters: every
+        selection is a minimum over a total order.
         """
         timing = self.timing
         t_refi = timing.t_refi
-        t_rfc = timing.t_rfc
-        t_cl = timing.t_cl
-        t_ras = timing.t_ras
-        t_rcd = timing.t_rcd
-        t_rp = timing.t_rp
-        t_bus_turn = timing.t_bus_turn
         streak_limit = timing.direction_streak
         sched_depth = timing.sched_queue_depth
         max_txns = timing.max_outstanding_txns
-        beat_bytes = timing.col_bytes
-        decompose = timing.decompose
-        banks = self.banks
+        bank_view = tuple(zip(self.banks, self._bank_q))
         port = self.port
         ar, aw, w, r, b = port.ar, port.aw, port.w, port.r, port.b
-        push_r, push_b = self.mport.push_r, self.mport.push_b
         sched = self._sched
         read_txns, write_txns = self._read_txns, self._write_txns
         id_read_issue = self._id_read_issue
         id_write_issue = self._id_write_issue
         id_read_return = self._id_read_return
-        id_write_return = self._id_write_return
         id_read_pipe = self._id_read_pipe
         id_write_pipe = self._id_write_pipe
         awaiting = self._writes_awaiting_data
-        store_read, store_write = self.store.read, self.store.write
-        may_start, retire, note_id = self._may_start, self._retire, self._note_id
         rr = self._return_rr
-        # [n_rr_ids, n_read_return_keys, n_write_return_keys, read_qs, write_qs]
-        rr_cache: list = [0, -1, -1, (), ()]
-        stats = self.stats
-        s_bus = stats["bus_cycles"]
-        s_rcols = stats["read_cols"]
-        s_wcols = stats["write_cols"]
-        s_turn = stats["turnarounds"]
-        s_hits = stats["row_hits"]
-        s_miss = stats["row_misses"]
-        s_refresh = stats["refreshes"]
-        s_conflict = stats["row_conflicts"]
-        s_qwait = stats["queue_wait_cycles"]
+        rr_index = self._rr_index
+        r_cand, b_ready = self._r_cand, self._b_ready
+        may_start = self._may_start
+        refresh = self._refresh
+        accept_read, accept_write = self._accept_read, self._accept_write
+        window_add, prep, issue = self._window_add, self._prep, self._issue
+        send_r, send_b = self._send_r, self._send_b
 
         def tick(cycle, self=self):
-            # -- refresh --------------------------------------------------
             if cycle and not cycle % t_refi:
-                blocked = cycle + t_rfc
-                for bank in banks:
-                    if bank.ready_at < blocked:
-                        bank.ready_at = blocked
-                    bank.open_row = None
-                s_refresh.value += 1
+                refresh(cycle)
             # -- accept ---------------------------------------------------
             if ar._pop_count < len(ar._items) and (
                 len(read_txns) + len(write_txns) < max_txns
             ):
-                req = ar.pop()
-                txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-                read_txns[req.tag] = txn
-                id_read_issue.setdefault(req.axi_id, deque()).append(txn)
-                id_read_return.setdefault(req.axi_id, deque()).append(txn)
-                id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
-                note_id(req.axi_id)
+                accept_read(ar.pop(), cycle)
             if aw._pop_count < len(aw._items) and (
                 len(read_txns) + len(write_txns) < max_txns
             ):
-                req = aw.pop()
-                wtxn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-                write_txns[req.tag] = wtxn
-                id_write_issue.setdefault(req.axi_id, deque()).append(wtxn)
-                id_write_return.setdefault(req.axi_id, deque()).append(wtxn)
-                id_write_pipe.setdefault(req.axi_id, deque()).append(wtxn)
-                awaiting.append(wtxn)
-                note_id(req.axi_id)
+                accept_write(aw.pop(), cycle)
             if awaiting and w._pop_count < len(w._items):
                 head = awaiting[0]
                 beat = w.pop()
@@ -500,221 +535,123 @@ class MemoryController(Component):
                     awaiting.popleft()
             # -- enqueue columns ------------------------------------------
             budget = 8
-            n_sched = len(sched)
-            if n_sched < sched_depth:
+            room = sched_depth - len(sched)
+            if room > 0:
                 for axi_id, q in id_read_issue.items():
                     while q:
                         txn = q[0]
-                        enq = txn.cols_enqueued
-                        if enq >= txn.length:
+                        if txn.cols_enqueued >= txn.length:
                             q.popleft()
                             continue
-                        if enq == 0 and not may_start(id_read_pipe, axi_id, txn):
+                        if not txn.cols_enqueued and not may_start(
+                            id_read_pipe, axi_id, txn
+                        ):
                             break
-                        addr = txn.addr + enq * beat_bytes
-                        bank_i, row, _col = decompose(addr)
-                        sched.append(_ColReq(txn, enq, addr, bank_i, row, False, cycle))
-                        n_sched += 1
-                        enq += 1
-                        txn.cols_enqueued = enq
+                        window_add(txn, False, cycle)
+                        room -= 1
                         budget -= 1
-                        if enq >= txn.length:
+                        if txn.cols_enqueued >= txn.length:
                             q.popleft()
                             break
-                        if not budget or n_sched >= sched_depth:
+                        if not budget or not room:
                             break
-                    if not budget or n_sched >= sched_depth:
+                    if not budget or not room:
                         break
-            if budget and n_sched < sched_depth:
+            if budget and room > 0:
                 for axi_id, q in id_write_issue.items():
                     while q:
                         txn = q[0]
-                        enq = txn.cols_enqueued
-                        if enq >= txn.length:
+                        if txn.cols_enqueued >= txn.length:
                             q.popleft()
                             continue
-                        if enq >= len(txn.wbeats):
+                        if txn.cols_enqueued >= len(txn.wbeats):
                             break  # cut-through: wait for the W beat
-                        if enq == 0 and not may_start(id_write_pipe, axi_id, txn):
+                        if not txn.cols_enqueued and not may_start(
+                            id_write_pipe, axi_id, txn
+                        ):
                             break
-                        addr = txn.addr + enq * beat_bytes
-                        bank_i, row, _col = decompose(addr)
-                        sched.append(_ColReq(txn, enq, addr, bank_i, row, True, cycle))
-                        n_sched += 1
-                        enq += 1
-                        txn.cols_enqueued = enq
+                        window_add(txn, True, cycle)
+                        room -= 1
                         budget -= 1
-                        if enq >= txn.length:
+                        if txn.cols_enqueued >= txn.length:
                             q.popleft()
                             break
-                        if not budget or n_sched >= sched_depth:
+                        if not budget or not room:
                             break
-                    if not budget or n_sched >= sched_depth:
+                    if not budget or not room:
                         break
             if sched:
-                # -- prep banks + FR-FCFS pick, one fused walk ------------
-                # Equivalent to the separate prep-then-issue passes: a
-                # bank's prep decision happens at its first occurrence in
-                # ``sched``, which precedes (or is) any entry of that bank
-                # the issue check visits, so every readiness test still sees
-                # post-prep bank state; preps consume their budget in the
-                # same first-occurrence order; and the walk only stops early
-                # once both the pick is settled and prep can do no more.
-                preps = 2
-                seen = 0
-                full_mask = (1 << len(banks)) - 1
-                can_issue = cycle >= self._bus_free_at
-                dir_write = self._bus_dir_write
-                want_same = self._dir_streak < streak_limit
-                pick = -1
-                first_ready = -1
-                for i, req in enumerate(sched):
-                    bank = banks[req.bank]
-                    row = req.row
-                    bit = 1 << req.bank
-                    if not seen & bit:
-                        seen |= bit
-                        if preps and bank.open_row != row and cycle >= bank.ready_at:
-                            prev_row = bank.open_row
-                            if prev_row is None:
-                                cost = t_rcd
-                                can_prep = True
-                            elif cycle >= bank.activated_at + t_ras:
-                                cost = t_rcd + t_rp
-                                can_prep = True
-                            else:
-                                can_prep = False  # t_ras not yet satisfied
-                            if can_prep:
-                                if prev_row is not None:
-                                    s_conflict.value += 1
-                                bank.open_row = row
-                                bank.ready_at = cycle + cost
-                                bank.activated_at = cycle + cost - t_rcd
-                                bank.activations += 1
-                                bank.row_misses += 1
-                                s_miss.value += 1
-                                preps -= 1
-                    if (
-                        can_issue
-                        and pick < 0
-                        and bank.open_row == row
-                        and cycle >= bank.ready_at
-                    ):
-                        if first_ready < 0:
-                            first_ready = i
-                            if not want_same:
-                                pick = i
-                        if pick < 0 and req.is_write == dir_write:
-                            pick = i
-                    if (pick >= 0 or not can_issue) and (
-                        not preps or seen == full_mask
-                    ):
-                        break
-                if can_issue:
-                    if pick < 0:
-                        pick = first_ready  # no same-direction column ready
-                    if pick >= 0:
-                        req = sched[pick]
-                        is_write = req.is_write
-                        if is_write != dir_write:
-                            self._bus_dir_write = is_write
-                            self._dir_streak = 1
-                            s_turn.value += 1
-                            self._bus_free_at = cycle + 1 + t_bus_turn
-                        else:
-                            self._dir_streak += 1
-                            self._bus_free_at = cycle + 1
-                        s_bus.value += 1
-                        s_qwait.value += cycle - req.enqueued_cycle
-                        del sched[pick]
-                        bank = banks[req.bank]
-                        bank.row_hits += 1
-                        s_hits.value += 1
-                        txn = req.txn
-                        if is_write:
-                            beat = txn.wbeats[req.beat_idx]
-                            store_write(req.addr, beat.data, beat.strb)
-                            txn.cols_done += 1
-                            s_wcols.value += 1
-                        else:
-                            data = store_read(req.addr, beat_bytes)
-                            err = False
-                            hook = self._fault
-                            if hook is not None:
-                                data, err = hook.filter_read(cycle, req.addr, data)
-                            txn.beats[req.beat_idx] = (cycle + t_cl, data, err)
-                            txn.cols_done += 1
-                            s_rcols.value += 1
+                # -- prep: the two oldest-headed banks whose head needs
+                # another row and may switch now --------------------------
+                first = second = None
+                for bank, q in bank_view:
+                    if q:
+                        head = q[0]
+                        if bank.open_row != head.row and bank.can_prep(cycle):
+                            if first is None or head.seq < first.seq:
+                                first, second = head, first
+                            elif second is None or head.seq < second.seq:
+                                second = head
+                if first is not None:
+                    prep(first, cycle)
+                    if second is not None:
+                        prep(second, cycle)
+                # -- FR-FCFS pick over the ready banks --------------------
+                if cycle >= self._bus_free_at:
+                    dir_write = self._bus_dir_write
+                    want_same = self._dir_streak < streak_limit
+                    oldest = None  # oldest ready column
+                    oldest_same = None  # oldest ready same-direction column
+                    for bank, q in bank_view:
+                        if q and cycle >= bank.ready_at:
+                            row = bank.open_row
+                            first_open = True
+                            for req in q:
+                                if req.row != row:
+                                    continue
+                                if first_open:
+                                    first_open = False
+                                    if oldest is None or req.seq < oldest.seq:
+                                        oldest = req
+                                    if not want_same:
+                                        break
+                                if req.is_write == dir_write:
+                                    if oldest_same is None or req.seq < oldest_same.seq:
+                                        oldest_same = req
+                                    break
+                    if oldest_same is not None:
+                        issue(oldest_same, cycle)
+                    elif oldest is not None:
+                        issue(oldest, cycle)
             # -- return read data -----------------------------------------
-            # ``rr`` only grows (note_id) and the per-ID return deques are
-            # created once and never deleted, so the rr-aligned queue lists
-            # are rebuilt only when one of those key counts changes.
-            n_ids = len(rr)
-            if n_ids:
-                if (
-                    rr_cache[0] != n_ids
-                    or rr_cache[1] != len(id_read_return)
-                    or rr_cache[2] != len(id_write_return)
-                ):
-                    rr_cache[0] = n_ids
-                    rr_cache[1] = len(id_read_return)
-                    rr_cache[2] = len(id_write_return)
-                    rr_cache[3] = [id_read_return.get(i) for i in rr]
-                    rr_cache[4] = [id_write_return.get(i) for i in rr]
-                rr_read_qs = rr_cache[3]
-                rr_write_qs = rr_cache[4]
-            if n_ids and len(r._items) + len(r._staged) < r.capacity:
+            if r_cand and len(r._items) + len(r._staged) < r.capacity:
+                n_ids = len(rr)
                 pos = self._return_rr_pos % n_ids
-                for _ in range(n_ids):
-                    axi_id = rr[pos]
-                    q = rr_read_qs[pos]
-                    pos += 1
-                    if pos == n_ids:
-                        pos = 0
-                    if not q:
-                        continue
-                    txn = q[0]
-                    sent = txn.beats_sent
-                    entry = txn.beats[sent]
-                    if entry is None or entry[0] > cycle:
-                        continue
-                    last = sent == txn.length - 1
-                    push_r(
-                        cycle,
-                        RBeat(
-                            axi_id=axi_id,
-                            data=entry[1],
-                            last=last,
-                            tag=txn.tag,
-                            err=entry[2],
-                        ),
-                    )
-                    txn.beats_sent = sent + 1
-                    if last:
-                        q.popleft()
-                        del read_txns[txn.tag]
-                        retire(id_read_pipe, axi_id, txn)
-                    self._return_rr_pos += 1
-                    break
+                best = n_ids
+                for axi_id in r_cand:
+                    txn = id_read_return[axi_id][0]
+                    if txn.beats[txn.beats_sent][0] <= cycle:
+                        dist = rr_index[axi_id] - pos
+                        if dist < 0:
+                            dist += n_ids
+                        if dist < best:
+                            best = dist
+                            winner = axi_id
+                if best < n_ids:
+                    send_r(winner, cycle)
             # -- return write responses -----------------------------------
-            if n_ids and len(b._items) + len(b._staged) < b.capacity:
+            if b_ready and len(b._items) + len(b._staged) < b.capacity:
+                n_ids = len(rr)
                 pos = self._return_rr_pos % n_ids
-                for _ in range(n_ids):
-                    axi_id = rr[pos]
-                    q = rr_write_qs[pos]
-                    pos += 1
-                    if pos == n_ids:
-                        pos = 0
-                    if not q:
-                        continue
-                    txn = q[0]
-                    if txn.cols_done < txn.length:
-                        continue
-                    push_b(cycle, BResp(axi_id=axi_id, okay=True, tag=txn.tag))
-                    q.popleft()
-                    del write_txns[txn.tag]
-                    retire(id_write_pipe, axi_id, txn)
-                    break
+                best = n_ids
+                for axi_id in b_ready:
+                    dist = rr_index[axi_id] - pos
+                    if dist < 0:
+                        dist += n_ids
+                    if dist < best:
+                        best = dist
+                        winner = axi_id
+                send_b(winner, cycle)
 
         return tick
 

@@ -115,7 +115,7 @@ def simulate_measured(
 ) -> ContentionResult:
     """Measure multi-core throughput through the real runtime-server model.
 
-    ``scheduling`` overrides the kernel schedule (default: selective); the
+    ``scheduling`` overrides the kernel schedule (default: compiled); the
     result is schedule-independent — the differential harness pins that down
     on these exact configurations.
     """

@@ -47,6 +47,10 @@ NEVER = float("inf")
 #: Valid ``Simulator(scheduling=...)`` values.
 SCHEDULING_MODES = ("naive", "fast_forward", "selective", "compiled")
 
+#: What ``BeethovenBuild`` and ``build_memory_testbench`` hand out when the
+#: caller names no schedule.  ``Simulator()`` itself stays ``"naive"``.
+DEFAULT_SCHEDULING = "compiled"
+
 
 class SimulationError(RuntimeError):
     """Raised for illegal channel usage or a wedged simulation."""

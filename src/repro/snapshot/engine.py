@@ -50,7 +50,7 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
 #: restoring garbage into a newer model.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from repro.axi import AxiMonitor, AxiParams, AxiPort, MonitoredAxiPort
 from repro.dram import DDR4_AWS_F1, DramTiming, MemoryController, MemoryStore
 from repro.noc import TreeBuilder, TreeConfig
-from repro.sim import Component, Simulator, Tracer
+from repro.sim import DEFAULT_SCHEDULING, Component, Simulator, Tracer
 
 
 @dataclass
@@ -50,9 +50,9 @@ def build_memory_testbench(
     """Wire ``master_ports`` through a tree network to a DRAM controller.
 
     ``scheduling`` picks the kernel schedule ("naive", "fast_forward",
-    "selective" or "compiled"); by default the testbench runs the selective
-    per-component scheduler (cycle-exact), or naive stepping when
-    ``fast_forward=False``.
+    "selective" or "compiled"); by default the testbench runs
+    :data:`repro.sim.DEFAULT_SCHEDULING` (the compiled schedule, cycle-exact),
+    or naive stepping when ``fast_forward=False``.
     Driving the master ports directly between ``run`` calls is safe under
     every schedule: each run entry re-wakes all components and adopts any
     staged pushes/pops.  ``profile`` enables the per-component wall-clock
@@ -66,7 +66,7 @@ def build_memory_testbench(
     controller = MemoryController(mport, timing)
 
     if scheduling is None:
-        scheduling = "selective" if fast_forward else "naive"
+        scheduling = DEFAULT_SCHEDULING if fast_forward else "naive"
     sim = Simulator(tracer=tracer, profile=profile, scheduling=scheduling)
     sim.add(controller)
     sim.add(monitor)

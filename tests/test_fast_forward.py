@@ -28,7 +28,14 @@ from repro.kernels.memcpy import memcpy_config
 from repro.memory.types import ReadRequest, WriteRequest
 from repro.platforms import AWSF1Platform, SimulationPlatform
 from repro.runtime import FpgaHandle
-from repro.sim import NEVER, skip_summary, wake_summary
+from repro.sim import (
+    DEFAULT_SCHEDULING,
+    NEVER,
+    class_tick_table,
+    render_class_tick_table,
+    skip_summary,
+    wake_summary,
+)
 
 #: The event-skipping schedules, each compared against naive.  ``compiled``
 #: shares selective's wake decisions but dispatches through pre-specialised
@@ -349,11 +356,11 @@ def test_skip_summary_shape():
 def test_wake_summary_shape():
     build = BeethovenBuild(
         delay_config(2, 2000), AWSF1Platform(), BuildMode.Simulation
-    )  # selective by default
+    )  # no scheduling= named: the default schedule
     handle = FpgaHandle(build.design)
     handle.call("Delay", "run", 0, job=0).get(max_cycles=1_000_000)
     sim = build.design.sim
-    assert sim.scheduling == "selective"
+    assert sim.scheduling == DEFAULT_SCHEDULING
     summary = wake_summary(sim)
     assert len(summary) == len(sim._components)
     for name, s in summary.items():
@@ -363,6 +370,36 @@ def test_wake_summary_shape():
     # commanded core worked.
     idle_core = summary["Delay.core1"]
     assert idle_core["tick_fraction"] < 0.5
+
+
+def test_class_tick_table_rolls_up_wake_summary():
+    build = BeethovenBuild(memcpy_config(n_cores=4), AWSF1Platform())
+    handle = FpgaHandle(build.design)
+    src, dst = handle.malloc(2048), handle.malloc(2048)
+    handle.copy_to_fpga(src)
+    handle.call(
+        "Memcpy", "memcpy", 1, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=2048
+    ).get()
+    sim = build.design.sim
+    table = class_tick_table(sim)
+    summary = wake_summary(sim)
+    assert sum(row["instances"] for row in table.values()) == len(summary)
+    assert sum(row["ticks_executed"] for row in table.values()) == sum(
+        s["ticks_executed"] for s in summary.values()
+    )
+    ticks = [row["ticks_executed"] for row in table.values()]
+    assert ticks == sorted(ticks, reverse=True)
+    for row in table.values():
+        assert row["ticks_executed"] + row["ticks_elided"] == row["instances"] * sim.cycle
+        assert 0.0 <= row["elided_fraction"] <= 1.0
+    # 32 columns read + 32 written; three of the four cores never woke.
+    mc = table["MemoryController"]
+    assert mc["instances"] == 1
+    assert mc["ticks_per_dram_col"] == mc["ticks_executed"] / 64
+    assert table["MemcpyCore"]["instances"] == 4
+    assert table["MemcpyCore"]["elided_fraction"] > 0.75
+    text = render_class_tick_table(table)
+    assert all(name in text for name in table)
 
 
 @pytest.mark.parametrize("mode", SKIPPING_MODES)

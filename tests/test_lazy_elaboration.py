@@ -16,6 +16,7 @@ allocates its rows on first touch.  Three contracts keep that honest:
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.obs.registry import BoundMetric, Counter, MetricRegistry
 from repro.platforms import AWSF1Platform, multi_die_platform
 from repro.runtime import FpgaHandle
 from repro.serve.scenarios import hetero_build
-from repro.sim import ChannelQueue, Component, Simulator
+from repro.sim import ChannelQueue, CompiledProgram, Component, Simulator
 
 
 # ------------------------------------------------------------------ identity
@@ -154,6 +155,37 @@ def test_elaboration_alone_builds_no_views_and_no_rows():
     assert any(n.startswith("chan/") for n in names)
     assert len(_live(BoundMetric)) - len(views_before) > 1000
     assert nw16.metrics() and all(m._cells is None for m in mems)
+
+
+def test_tick_program_is_compiled_at_the_first_run_only():
+    """The default schedule is ``compiled``; its program is a run-time cost.
+
+    ``compose_sweep`` elaborates a hundred designs it never simulates and
+    every workload's ``setup_s`` ends before the first ``run()``, so a
+    compile in elaboration or in ``FpgaHandle`` would be paid where nothing
+    uses it."""
+    before = _live(CompiledProgram)
+
+    def programs():
+        return [p for i, p in _live(CompiledProgram).items() if i not in before]
+
+    build = BeethovenBuild(memcpy_config(n_cores=48), AWSF1Platform())
+    assert build.design.sim.scheduling == "compiled" and not programs()
+    handle = FpgaHandle(build.design)  # adds the RuntimeServer
+    assert not programs()
+    handle.run_cycles(10)
+    (first,) = programs()
+    handle.run_cycles(10)
+    assert programs() == [first]
+    # A later add does not compile either; the next run() rebuilds, once.
+    build.design.sim.add(_Twin(0, 2))
+    assert programs() == [first]
+    first = weakref.ref(first)
+    handle.run_cycles(10)
+    (second,) = programs()
+    assert first() is None
+    handle.run_cycles(10)
+    assert programs() == [second]
 
 
 # ----------------------------------------------------------- observer effect

@@ -355,3 +355,53 @@ def test_untouched_scratchpad_is_restored_as_state(mode):
     assert all(mem.cells() == [0] * mem.n_rows for mem in mems)
     fut.get()
     assert (handle.cycle, [list(mem.cells()) for mem in mems]) == reference
+
+
+# --------------------------------------------- the DRAM window and its indexes
+def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
+    """The window, the per-bank lists and the per-ID queues hold the *same*
+    column and transaction objects; a restore that rebuilt them as copies
+    would leave the controller issuing from one and retiring from another."""
+    from test_dram_indexed import check_index, memcpy32_submitted
+
+    from repro.snapshot import capture, restore
+
+    def submitted():
+        # The default schedule; copies long enough that early cores write
+        # while later ones still read.
+        build, handle, futs = memcpy32_submitted(active=8, size=16384)
+        assert build.design.sim.scheduling == "compiled"
+        return build, handle, futs
+
+    def outcome(build, handle, futs):
+        for fut in futs:
+            fut.get()
+        return handle.cycle, [f.latency_cycles for f in futs], build.metrics(stable_only=True)
+
+    build, handle, futs = submitted()
+    mc = build.design.controller
+    # Reads returning, writes part-way through their columns, window busy.
+    # (A ready B is answered in the tick that completes it unless the B
+    # channel is full, so ``_b_ready`` is empty between cycles here.)
+    while not (
+        len(mc._sched) > 8
+        and mc._r_cand
+        and any(txn.cols_done for txn in mc._write_txns.values())
+    ):
+        handle.run_cycles(1)
+        assert handle.cycle < 20_000
+    path = str(tmp_path / "window.ckpt")
+    save(capture(handle), path)
+    reference = outcome(build, handle, futs)
+
+    build, handle, futs = submitted()
+    restore(handle, load(path))
+    mc = build.design.controller
+    window = list(mc._sched.values())
+    assert len(window) > 8 and mc._r_cand
+    check_index(mc)  # per-bank lists hold the window's own objects
+    for req in window:
+        assert req.txn is (mc._write_txns if req.is_write else mc._read_txns)[req.txn.tag]
+    for txns, queues in ((mc._read_txns, mc._id_read_return), (mc._write_txns, mc._id_write_return)):
+        assert all(any(txn is t for t in queues[txn.axi_id]) for txn in txns.values())
+    assert outcome(build, handle, futs) == reference

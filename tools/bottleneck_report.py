@@ -38,6 +38,7 @@ from repro.kernels.memcpy import memcpy_config
 from repro.obs import Observability, extract_command_paths, render_attribution_report
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
+from repro.sim import class_tick_table, render_class_tick_table
 
 MODES = ("naive", "fast_forward", "selective", "compiled")
 
@@ -82,6 +83,7 @@ def run_point(name, config, drive, max_sum_error=0.01):
     reports = {}
     totals_by_mode = {}
     contention_by_mode = {}
+    class_ticks = {}
     for mode in MODES:
         build = _build(config, mode)
         drive(build)
@@ -100,6 +102,10 @@ def run_point(name, config, drive, max_sum_error=0.01):
                 )
         report = build.attribution_report()
         reports[mode] = report
+        if mode == "compiled":
+            # Tick accounting is exact per component only under the
+            # event-driven schedules; the table describes the production one.
+            class_ticks = class_tick_table(design.sim)
         totals_by_mode[mode] = {
             seg: s["cycles"] for seg, s in report["segments"].items()
         }
@@ -123,6 +129,7 @@ def run_point(name, config, drive, max_sum_error=0.01):
                 f"{name}: contention counters differ {ref_mode} vs {mode}"
             )
     report = reports.get(ref_mode, {})
+    report["class_ticks"] = class_ticks
     report["point"] = name
     report["modes_checked"] = list(reports)
     return report, problems
@@ -173,6 +180,8 @@ def main(argv=None) -> int:
             json.dump(report, f, indent=2, sort_keys=True, default=float)
         print(f"== {name} (modes: {', '.join(report.get('modes_checked', []))}) ==")
         print(render_attribution_report(report))
+        print("executed ticks by component class (compiled schedule):")
+        print(render_class_tick_table(report["class_ticks"]))
         print()
 
     with open(out / "bottleneck_report.json", "w") as f:

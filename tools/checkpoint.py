@@ -32,6 +32,7 @@ from pathlib import Path
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.faults.chaos import MODES  # noqa: E402
+from repro.sim import DEFAULT_SCHEDULING  # noqa: E402
 from repro.snapshot.engine import capture, restore  # noqa: E402
 from repro.snapshot.scenario import (  # noqa: E402
     CHUNK,
@@ -46,7 +47,7 @@ ALL_MODES = MODES + ("dist:fork",)
 def _timing_pass(out: Path, reps: int) -> dict:
     """Measure capture+save and load+restore wall time on a mid-flight run."""
     path = str(out / "sample.ckpt")
-    build, handle, futs, _dsts, _pattern = _build_memcpy(0, "selective")
+    build, handle, futs, _dsts, _pattern = _build_memcpy(0, DEFAULT_SCHEDULING)
     sim = build.design.sim
     for _ in range(2):
         sim.run(CHUNK)
@@ -61,7 +62,7 @@ def _timing_pass(out: Path, reps: int) -> dict:
 
     # Restore timing excludes the deterministic rebuild+replay (that cost is
     # the build's, not the snapshot layer's): one skeleton, ``reps`` restores.
-    build2, handle2, _futs2, _dsts2, _pattern2 = _build_memcpy(0, "selective")
+    build2, handle2, _futs2, _dsts2, _pattern2 = _build_memcpy(0, DEFAULT_SCHEDULING)
     restore_s = 0.0
     for _ in range(reps):
         t0 = time.perf_counter()
