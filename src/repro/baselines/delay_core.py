@@ -59,7 +59,14 @@ class DelayCore(AcceleratorCore):
             return cycle
         if self._respond_at is not None:
             return max(cycle, self._respond_at)
-        return NEVER  # waiting for a command: purely channel-reactive
+        if self.io.req.can_pop():
+            return cycle  # a queued command: nothing else re-wakes us for it
+        return NEVER  # waiting for a command to be pushed
+
+    def wake_edges(self):
+        # Only an arriving command wakes an idle core; a response blocked on
+        # a full ``io.resp`` already keeps the hint at "every cycle".
+        return [self.io.req], []
 
     def idle(self) -> bool:
         return self._respond_at is None and not self._responding

@@ -85,11 +85,36 @@ class CoreCommandAdapter(Component):
         self._unpack(cycle)
         self._pack_responses(cycle)
 
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: unpack/pack both pop channel items
+    def wake_edges(self):
+        # Commands and core responses arriving wake the adapter, as does
+        # room opening in a queue it fills; its own pops and pushes do not,
+        # so next_event covers the backlog.
+        ios = self.ios
+        return (
+            [self.cmd_in] + [io.resp for io in ios],
+            [self.resp_out] + [io.req for io in ios],
+        )
 
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
-    wake_only = True
+    def next_event(self, cycle: int) -> float:
+        """``cycle`` while a tick would still act with no further edge — a
+        visible chunk that is not a final one stalled on a full ``io.req``,
+        or a visible response with room in ``resp_out`` — else
+        :data:`NEVER`: one chunk and one response move per tick."""
+        cmd_in = self.cmd_in
+        if cmd_in.can_pop():
+            io_idx = cmd_in.peek().funct7
+            if io_idx >= len(self.ios):
+                return cycle  # the tick raises
+            io = self.ios[io_idx]
+            if io.req.can_push() or len(self._chunks.get(io_idx, ())) + 1 < (
+                io.command_spec.n_chunks(self.addr_bits)
+            ):
+                return cycle
+        if self.resp_out.can_push():
+            for idx, io in enumerate(self.ios):
+                if io.resp.can_pop() and self._pending_rd[idx]:
+                    return cycle
+        return NEVER
 
     def compile_tick(self):
         """Specialised tick: phase guards inlined so an idle adapter wake
@@ -239,24 +264,32 @@ class CommandRouter(Component):
             self.responses_routed += 1
 
     def next_event(self, cycle: int) -> float:
-        """Sleep until the head of either delay line matures; ingest and
-        response collection are channel-reactive."""
+        """Sleep until the head of either delay line matures, unless a
+        backlog remains: ingest and response collection move one item per
+        tick and the router's own pops do not re-wake it (``wake_edges``),
+        so a still-visible command or response names the next cycle."""
+        if self.cmd_in.can_pop():
+            return cycle
         nxt = NEVER
         if self._cmd_delay:
             nxt = min(nxt, max(cycle, self._cmd_delay[0][0]))
         if self._resp_delay:
             nxt = min(nxt, max(cycle, self._resp_delay[0][0]))
+        if nxt > cycle:
+            for entry in self._routes.values():
+                if entry.adapter.resp_out.can_pop():
+                    return cycle
         return nxt
 
-    def wake_channels(self):
-        # Besides its own queues, the router pushes into every adapter's
-        # cmd_in (freed space there unblocks delivery) and pops every
-        # adapter's resp_out (new responses there need collecting).
-        chans = [self.cmd_in, self.resp_out]
-        for entry in self._routes.values():
-            chans.append(entry.adapter.cmd_in)
-            chans.append(entry.adapter.resp_out)
-        return chans
+    def wake_edges(self):
+        # Commands from the frontend and responses from the adapters wake
+        # the router.  No pop does: a matured delay-line head blocked on a
+        # full adapter ``cmd_in`` or ``resp_out`` keeps the hint at "every
+        # cycle" until the consumer makes room.
+        return (
+            [self.cmd_in] + [e.adapter.resp_out for e in self._routes.values()],
+            [],
+        )
 
     def compile_tick(self):
         """Specialised tick: the adapter list is cached (rebuilt only when a
@@ -365,11 +398,23 @@ class MmioFrontend(Component):
             self.responses_forwarded += 1
 
     def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: word assembly and response encode pop channels
+        """``cycle`` while a tick would still act with no further edge (a
+        word or response is still visible and its destination has room),
+        else :data:`NEVER`: one word and one response move per tick, and the
+        frontend's own pops and pushes do not re-wake it (``wake_edges``)."""
+        router = self.router
+        if (self.cmd_words.can_pop() and router.cmd_in.can_push()) or (
+            router.resp_out.can_pop() and self.resp_words.can_push(4)
+        ):
+            return cycle
+        return NEVER
 
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
-    wake_only = True
-
-    def wake_channels(self):
-        # Bridges its own word FIFOs to the router's instruction queues.
-        return [self.cmd_words, self.resp_words, self.router.cmd_in, self.router.resp_out]
+    def wake_edges(self):
+        # Bridges its own word FIFOs to the router's instruction queues:
+        # woken by what arrives in the two it drains and by room opening in
+        # the two it fills.
+        router = self.router
+        return (
+            [self.cmd_words, router.resp_out],
+            [router.cmd_in, self.resp_words],
+        )

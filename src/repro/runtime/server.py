@@ -248,6 +248,13 @@ class RuntimeServer(Component):
         if client not in self._queues:
             self._queues[client] = deque()
             self._client_rr.append(client)
+        # With a command queued or dispatching the hint already walks the
+        # server through every queued command; only a submission that finds
+        # it with neither can move its next event earlier.  The caller may be
+        # another component's tick mid-run (a serving-layer pump, a watchdog
+        # retry), so ask for the wake rather than rely on a run entry.
+        if self._current is None and not any(self._queues.values()):
+            self.request_wake()
         self._queues[client].append(cmd)
 
     def _pop_next(self) -> Optional[PendingCommand]:
@@ -291,17 +298,22 @@ class RuntimeServer(Component):
 
     def next_event(self, cycle: int) -> float:
         """Next cycle the server acts: a word dispatch, a lock acquisition,
-        a poll visit, a matured retry, or a waiter deadline.  An idle server
-        (no queued commands, nothing in flight, no waiters) only wakes on a
-        new host submission, which the host performs between run calls — so
-        it reports :data:`NEVER`."""
+        a poll visit with response words to read, a matured retry, or a
+        waiter deadline.  An empty poll visit only steps ``_next_poll`` along
+        the grid, which :meth:`_poll` redoes in closed form, so the grid is
+        named only while ``resp_words`` holds a visible word; a word that
+        commits later wakes the server through :meth:`wake_edges`.  An idle
+        server (no queued commands, nothing in flight, no waiters) only
+        wakes on a new submission, which :meth:`submit` announces through
+        ``request_wake`` — so it reports :data:`NEVER`."""
         nxt = NEVER
         if self._current is not None:
             nxt = min(nxt, max(cycle, self._next_word_cycle))
         elif any(self._queues.values()):
             nxt = min(nxt, max(cycle, self._lock_until))
         if any(self._waiters.values()):
-            nxt = min(nxt, max(cycle, self._next_poll))
+            if self.mmio.resp_words.can_pop():
+                nxt = min(nxt, max(cycle, self._next_poll))
             if self.watchdog.enabled:
                 for waiters in self._waiters.values():
                     if waiters:
@@ -310,12 +322,12 @@ class RuntimeServer(Component):
             nxt = min(nxt, max(cycle, self._retry_heap[0][0]))
         return nxt
 
-    def wake_channels(self):
-        # The server owns no channels; it pushes command words into the MMIO
-        # frontend (freed space resumes a stalled dispatch) and polls its
-        # response words.  New submissions happen between run calls, which
-        # re-wake every component anyway.
-        return [self.mmio.cmd_words, self.mmio.resp_words]
+    def wake_edges(self):
+        # The server owns no channels.  Of the two it touches, only a pushed
+        # response word can let a sleeping server progress: a command-word
+        # push stalled on a full ``cmd_words`` keeps the dispatch hint at
+        # "every cycle", so a pop there need not wake it.
+        return [self.mmio.resp_words], []
 
     def _dispatch(self, cycle: int) -> None:
         if self._current is None and cycle >= self._lock_until:
@@ -367,6 +379,11 @@ class RuntimeServer(Component):
                     deadline: float = NEVER
                     if self.watchdog.enabled:
                         deadline = cycle + self.watchdog.timeout_cycles
+                    if not any(self._waiters.values()):
+                        # Nobody was waiting, so no grid was running: the
+                        # first waiter is polled for at once (this very
+                        # tick) unless the last visit asked for a pause.
+                        self._next_poll = max(self._next_poll, cycle)
                     self._waiters.setdefault(cmd.key, deque()).append(
                         _Waiter(cmd.on_response, cmd.span_id, deadline, cmd.ctx)
                     )
@@ -378,9 +395,19 @@ class RuntimeServer(Component):
                 self._lock_until = cycle + 1
 
     def _poll(self, cycle: int) -> None:
-        if cycle < self._next_poll:
-            return
         if not any(self._waiters.values()):
+            return
+        behind = cycle - self._next_poll
+        if behind > 0:
+            # The poll grid in closed form.  The server sleeps through grid
+            # points at which ``resp_words`` is empty (a committed response
+            # word wakes it the cycle the word turns visible), and each such
+            # visit would only have stepped ``_next_poll`` by one interval:
+            # step to the first grid point >= ``cycle`` instead.  Ticked
+            # every cycle (``naive``) the server is never behind.
+            period = self.host.response_poll_cycles or 1
+            self._next_poll += -(-behind // period) * period
+        if cycle < self._next_poll:
             return
         # One poll visit reads as many response words as are ready (a burst
         # of MMIO reads), then sleeps for the polling interval.

@@ -13,8 +13,10 @@ The generator advances the simulation itself, alternating two safe waits:
 * a **bounded run** (``sim.run(n)`` with no predicate) to reach the next
   known arrival cycle — exact under event-skipping, and never a cycle-number
   predicate (those can be skipped over);
-* a **state-predicate wait** (``settled_total`` strictly increasing) when
-  the next event is a completion whose cycle is unknown.
+* a **state-predicate wait** when no arrival is scheduled: one run until a
+  settlement puts an arrival on the host heap (think time, a retry backoff)
+  or nothing is outstanding.  Settlements that re-issue at once do so from
+  inside the runtime server's poll tick, so they do not end the wait.
 
 Rejection semantics mirror real load generators: open-loop arrivals that are
 rejected are *lost* (the client does not retry), while closed-loop streams
@@ -35,6 +37,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.serve.errors import AdmissionRejected, ServeError
 from repro.serve.service import AcceleratorService
 from repro.serve.tenant import ServeTicket, TenantConfig
+from repro.sim import DeadlockError
 
 #: A tenant's traffic mix: ``(kernel, fields, weight)`` entries.
 MixEntry = Tuple[str, Dict[str, int], int]
@@ -205,6 +208,8 @@ class LoadGenerator:
             service.tenant(runner.name)
         self._heap: List[Tuple[int, int, int]] = []
         self._order = 0
+        #: Cycle the current completion wait's stall budget counts from.
+        self._stall_from = 0
 
     # ------------------------------------------------------------- plumbing
     def _push(self, cycle: int, runner_idx: int) -> None:
@@ -250,6 +255,7 @@ class LoadGenerator:
     def _on_settle(self, idx: int, ticket: ServeTicket) -> None:
         runner = self._runners[idx]
         runner.settled += 1
+        self._stall_from = ticket.done_cycle + 1
         if runner.closed and not runner.exhausted:
             think = runner.load.arrivals.think_cycles
             if think <= 0:
@@ -290,12 +296,29 @@ class LoadGenerator:
                 continue
             if self.service.drained():
                 break
-            before = self.service.settled_total
-            budget = min(stall_budget, deadline + 1 - cycle)
-            # Settlement is a model-state predicate; a genuinely wedged
-            # service surfaces the kernel's typed DeadlockError here.
-            sim.run(budget, until=lambda: self.service.settled_total > before)
+            self._await_event(sim, deadline, stall_budget)
         return self._report(start, sim.cycle)
+
+    def _await_event(self, sim, deadline: int, stall_budget: int) -> None:
+        """Run until an arrival is on the host heap or nothing is outstanding.
+
+        Both are model-state predicates (the heap only grows from a settle
+        callback).  ``stall_budget`` keeps its per-settlement meaning: each
+        settlement restarts it, and a genuinely wedged service surfaces the
+        kernel's typed :class:`DeadlockError` exactly ``stall_budget`` cycles
+        after the last one.  A run's budget is fixed at entry, so one that
+        expires after a settlement moved the horizon is simply resumed.
+        """
+        heap, drained = self._heap, self.service.drained
+        self._stall_from = sim.cycle
+        while sim.cycle <= deadline:
+            stop = min(self._stall_from + stall_budget, deadline + 1)
+            try:
+                sim.run(stop - sim.cycle, until=lambda: bool(heap) or drained())
+                return
+            except DeadlockError:
+                if sim.cycle < stop or stop == self._stall_from + stall_budget:
+                    raise  # not a budget expiry, or nothing settled: a stall
 
     # --------------------------------------------------------------- report
     def _report(self, start: int, end: int) -> ServingReport:

@@ -109,6 +109,8 @@ class AcceleratorService:
         self.router.register_metrics(registry.scope("serve/routing"))
         registry.scope("serve").bind("settled", lambda: self._settled)
         self._settled = 0
+        #: Tickets admitted and not yet settled (queued or in flight).
+        self._outstanding = 0
         self._in_pump = False
 
     # -------------------------------------------------------------- tenants
@@ -147,6 +149,7 @@ class AcceleratorService:
             submit_cycle=cycle,
         )
         state.queue.append(ticket)
+        self._outstanding += 1
         self.pump()
         return ticket
 
@@ -223,6 +226,7 @@ class AcceleratorService:
         ticket.outcome = outcome
         ticket.error = error
         self._settled += 1
+        self._outstanding -= 1
         if outcome == "ok":
             state.completed += 1
             state.latency_hist.observe(ticket.latency)
@@ -236,15 +240,11 @@ class AcceleratorService:
     def total_in_flight(self) -> int:
         return sum(s.in_flight for s in self._tenants.values())
 
-    @property
-    def settled_total(self) -> int:
-        return self._settled
-
     def drained(self) -> bool:
-        """True when no tenant has queued or in-flight work."""
-        return all(
-            not s.queue and s.in_flight == 0 for s in self._tenants.values()
-        )
+        """True when no tenant has queued or in-flight work.
+
+        O(1): a wait predicate evaluates this after every stepped cycle."""
+        return self._outstanding == 0
 
     def run_until_drained(self, max_cycles: int = 10_000_000) -> int:
         """Advance the simulation until every admitted request settled.

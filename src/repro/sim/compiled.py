@@ -15,29 +15,31 @@ interpretation layer while executing the *same* schedule:
   same order.  Components without the hook run their plain bound ``tick``.
 
 * **Chain fusion** — runs of *consecutively registered* components with
-  *identical* wake subscription signatures (the same ``wake_channels()``
-  set) are fused into one scheduling slot: one heap entry, one wake
-  subscription, one dispatch.  Identical signatures mean the members are
-  always co-woken, so group dispatch adds zero spurious ticks by
-  construction (overlap-based fusion was measured a net loss: members woken
-  through unshared channels dragged the whole group awake).  Fused members
-  tick in registration-index order, and because the run is contiguous the
-  global tick order — and therefore the order channels first become dirty,
-  i.e. the channel-commit order — is exactly the naive order.  A spurious
-  member tick (e.g. from a ``request_wake`` aimed at one member) is safe by
-  the ``next_event`` no-op contract.
+  *identical* wake subscription signatures (the same pair of push- and
+  pop-sensitive channel sets) are fused into one scheduling slot: one heap
+  entry, one wake subscription, one dispatch.  Identical signatures mean
+  the members are always co-woken, so group dispatch adds zero spurious
+  ticks by construction (overlap-based fusion was measured a net loss:
+  members woken through unshared channels dragged the whole group awake).
+  Fused members tick in registration-index order, and because the run is
+  contiguous the global tick order — and therefore the order channels first
+  become dirty, i.e. the channel-commit order — is exactly the naive order.
+  A spurious member tick (e.g. from a ``request_wake`` aimed at one member)
+  is safe by the ``next_event`` no-op contract.
 
 * **Flat commit drain** — dirty channels commit through an inlined loop that
   fuses ``sync_observations`` + ``commit`` into direct attribute arithmetic
-  and wakes subscriber slots from a pre-computed tuple stored on the channel
-  (``_csubs``), with no dict lookups.  Wake membership is the selective
-  scheduler's rule: *any* committed activity (push or pop) on a channel
-  wakes every component that listed it in ``wake_channels()``.  Waking only
-  on the "foreign" edge (pushes for inputs, pops for outputs) was tried and
-  is unsound — a component that consumes one of several pending items per
-  tick (an :class:`~repro.noc.axi_node.AxiBufferNode` forwarding one AR per
-  cycle) is re-woken by its *own* pop/push under selective, and that
-  self-re-wake is what lets it drain the backlog on schedule.
+  and wakes subscriber slots from pre-computed tuples stored on the channel
+  (``_push_subs`` for a committed push, ``_pop_subs`` for a committed pop),
+  with no dict lookups.  By default a component subscribes to *both* edges
+  of every ``wake_channels()`` entry — the selective scheduler's rule, and
+  the one a component that consumes one of several pending items per tick
+  (an :class:`~repro.noc.axi_node.AxiBufferNode` forwarding one AR per
+  cycle) needs: its *own* pop/push re-wakes it to drain the backlog on
+  schedule.  A class may instead declare which edge of which channel it is
+  sensitive to (:meth:`~repro.sim.kernel.Component.wake_edges`) and cover
+  its backlog in ``next_event``; splitting the edges for everybody was
+  tried and is unsound, the opt-in form is exact.
 
 Determinism contract: a compiled run produces the same cycle count, the same
 channel statistics (``total_pushed``/``total_popped``/``occupancy_accum``/
@@ -96,30 +98,30 @@ class CompiledProgram:
         self.components = components
 
         # -- per-component wake membership ----------------------------------
-        # wake_chans[i]: channels whose commit (push *or* pop) wakes
-        # component i — the same membership rule the selective scheduler
-        # uses.  Waking only on the "foreign" edge (pushes for inputs, pops
-        # for outputs) is unsound: a component that consumes one of several
-        # pending items per tick (e.g. AxiBufferNode forwarding one AR) is
-        # re-woken in selective by its *own* push/pop on those channels, and
-        # that self-re-wake is what lets it drain the rest.
-        wake_chans: List[List[Any]] = []
+        # wake_on[i] = (channels whose committed push wakes component i,
+        # channels whose committed pop does).  Without a wake_edges()
+        # declaration both are the full wake_channels() set — the selective
+        # scheduler's rule, under which a component draining a backlog one
+        # item per tick is re-woken by its *own* push/pop.  An instance-
+        # patched tick or hint (fault hang injection) voids the class's
+        # declaration: the patch need not keep the class's backlog promise.
+        wake_on: List[Tuple[List[Any], List[Any]]] = []
         fusable: List[bool] = []
         for idx, comp in enumerate(components):
             comp._sched_index = idx
             comp._wake_hook = self._request_wake
-            chans = list(comp.wake_channels())
-            wake_chans.append(chans)
             comp_vars = vars(comp)
+            patched = "tick" in comp_vars or "next_event" in comp_vars
+            edges = None if patched else comp.wake_edges()
+            if edges is None:
+                on_push = on_pop = list(comp.wake_channels())
+            else:
+                on_push, on_pop = map(list, edges)
+            wake_on.append((on_push, on_pop))
             hinted = (
                 type(comp).next_event is not Component.next_event or comp.wake_only
             )
-            fusable.append(
-                hinted
-                and bool(chans)
-                and "tick" not in comp_vars
-                and "next_event" not in comp_vars
-            )
+            fusable.append(hinted and bool(on_push or on_pop) and not patched)
 
         # -- fusion: partition into contiguous scheduling slots ------------
         # Fuse a component into the preceding slot only when its wake
@@ -129,8 +131,8 @@ class CompiledProgram:
         # measured a net loss on the dense 32-core benchmark: members woken
         # through non-shared channels dragged the rest of the group awake.)
         signatures = [
-            frozenset(id(c) for c in wake_chans[idx])
-            for idx in range(len(components))
+            (frozenset(map(id, on_push)), frozenset(map(id, on_pop)))
+            for on_push, on_pop in wake_on
         ]
         # Profiled runs disable fusion entirely: a fused slot is one dispatch,
         # so its wall-clock sample cannot be split among members and would
@@ -160,19 +162,26 @@ class CompiledProgram:
                 comp._cslot = slot
 
         # -- channel subscriptions ------------------------------------------
-        # One flat tuple of subscriber slots per channel, stored on the
-        # channel itself so the commit drain wakes without a dict lookup.
-        sub_map: dict = {}
-        chan_by_id: dict = {}
-        for idx, comp in enumerate(components):
-            slot = comp._cslot
-            for chan in wake_chans[idx]:
-                chan_by_id[id(chan)] = chan
-                sub_map.setdefault(id(chan), set()).add(slot)
+        # Two flat tuples of subscriber slots per channel (push edge, pop
+        # edge), stored on the channel itself so the commit drain wakes
+        # without a dict lookup.
         for chan in sim._channels:
-            chan._csubs = ()
-        for cid, slots in sub_map.items():
-            chan_by_id[cid]._csubs = tuple(sorted(slots))
+            chan._push_subs = chan._pop_subs = ()
+        push_subs: dict = {}  # channel -> subscriber slots, per edge
+        pop_subs: dict = {}
+        for comp, (on_push, on_pop) in zip(components, wake_on):
+            for subs, chans in ((push_subs, on_push), (pop_subs, on_pop)):
+                for chan in chans:
+                    subs.setdefault(chan, set()).add(comp._cslot)
+        for chan, slots in push_subs.items():
+            chan._push_subs = tuple(sorted(slots))
+        for chan, slots in pop_subs.items():
+            # Share the tuple when both edges wake the same slots (the default).
+            chan._pop_subs = (
+                chan._push_subs
+                if slots == push_subs.get(chan)
+                else tuple(sorted(slots))
+            )
 
         # -- per-slot tick and hint closures -------------------------------
         tick_fns: List[Callable[[int], None]] = []
@@ -430,16 +439,17 @@ class CompiledProgram:
                         else:
                             chan.occupancy_accum += len(items)
                             chan.cycles_observed += 1
+                        # Wake each edge's subscribers (a dirty channel
+                        # committed at least one of the two).
                         if chan._pop_count:
                             del items[: chan._pop_count]
                             chan._pop_count = 0
+                            woken_update(chan._pop_subs)
                         staged = chan._staged
                         if staged:
                             items += staged
                             staged.clear()
-                        # A dirty channel had activity by definition; wake
-                        # every subscriber (selective's membership rule).
-                        woken_update(chan._csubs)
+                            woken_update(chan._push_subs)
                         chan._dirty = False
                     dirty.clear()
                     if profile:

@@ -121,7 +121,8 @@ class ChannelQueue(Generic[T]):
         "_sink",
         "_dirty",
         "_anchor",
-        "_csubs",
+        "_push_subs",
+        "_pop_subs",
     )
 
     def __init__(self, capacity: int = 2, name: str = "chan") -> None:
@@ -145,9 +146,10 @@ class ChannelQueue(Generic[T]):
         self._sink: Optional[List["ChannelQueue[Any]"]] = None
         self._dirty = False
         self._anchor = 0
-        # Compiled-scheduling subscriber array, installed by CompiledProgram:
-        # the scheduling slots woken when this channel commits activity.
-        self._csubs: Tuple[int, ...] = ()
+        # Compiled-scheduling subscriber arrays, installed by CompiledProgram:
+        # the scheduling slots woken when this channel commits a push / a pop.
+        self._push_subs: Tuple[int, ...] = ()
+        self._pop_subs: Tuple[int, ...] = ()
 
     # -- producer side ----------------------------------------------------
     def can_push(self, n: int = 1) -> bool:
@@ -284,20 +286,47 @@ class Component:
         for "tick me every cycle".
 
         The contract backing event-skipping: when a component returns a hint
-        ``h``, ticking it at any cycle in ``[cycle, h)`` in which none of its
-        :meth:`wake_channels` saw a committed push or pop since its previous
-        tick must be a no-op (no pushes, no pops, no state or statistics
-        change).  This is a strictly stronger requirement than the original
-        fast-forward contract (which only demanded no-op-ness when *every*
-        channel was empty); all framework components satisfy it.  Components
-        whose ``tick`` mutates state unconditionally (countdowns, pipelines)
-        must either return ``None`` or keep their timing in absolute cycles.
+        ``h``, then with no committed push on a push-subscribed channel and
+        no committed pop on a pop-subscribed channel since its previous tick,
+        a tick before ``h`` must be a no-op (no pushes, no pops, no state or
+        statistics change).  Both subscriptions default to every
+        :meth:`wake_channels` entry; :meth:`wake_edges` narrows them.  This
+        is a strictly stronger requirement than the original fast-forward
+        contract (which only demanded no-op-ness when *every* channel was
+        empty); all framework components satisfy it.  Components whose
+        ``tick`` mutates state unconditionally (countdowns, pipelines) must
+        either return ``None`` or keep their timing in absolute cycles.
         """
         return None
 
     def channels(self) -> Iterable[ChannelQueue[Any]]:
         """Channels owned by this component (auto-registered)."""
         return [v for v in vars(self).values() if isinstance(v, ChannelQueue)]
+
+    def wake_edges(
+        self,
+    ) -> Optional[Tuple[Iterable[ChannelQueue[Any]], Iterable[ChannelQueue[Any]]]]:
+        """Opt-in edge-directed sensitivity: ``(on_push, on_pop)`` or ``None``.
+
+        ``on_push`` lists the channels whose committed *pushes* can let this
+        component progress (its inputs), ``on_pop`` those whose committed
+        *pops* can (outputs it sleeps on while they are full).  The compiled
+        backend then wakes it on exactly those edges, so its own pops and
+        pushes — and its neighbours' consumption of what it produced — no
+        longer re-wake it for a no-op tick.
+
+        The price is that a declaring class covers its own backlog in
+        :meth:`next_event`: whenever a tick would still act with no further
+        edge (an input still holds a visible item after this tick and the
+        output it needs has room), the hint must name the next cycle,
+        because the self-re-wake the default rule provides is gone.  ``None``
+        (the default) keeps both edges of every :meth:`wake_channels` entry,
+        which needs no such care; an instance whose ``tick`` or
+        ``next_event`` is patched (fault hang injection) also falls back to
+        it.  The other schedules read the union through
+        :meth:`wake_channels` — a superset is always safe.
+        """
+        return None
 
     def wake_channels(self) -> Iterable[ChannelQueue[Any]]:
         """Channels whose push/pop activity may let this component progress.
@@ -306,26 +335,32 @@ class Component:
         any committed push or pop on one wakes it the next cycle.  The set
         must cover every channel the component's ``tick`` reads *or* probes
         for space (``can_push``) — a full output channel is part of the wake
-        set because only a pop on it can unblock the producer.
+        set because only a pop on it can unblock the producer — unless the
+        component's hint already keeps it ticking while it is blocked there.
 
-        The default — the component's own :meth:`channels` — is correct for
-        components that only touch channels they own.  Components that touch
-        foreign channels (NoC nodes forwarding between ports, the command
-        router pushing into adapters, cores driving Reader/Writer queues)
-        must override this with the complete set; a superset is always safe
-        (spurious wakes cost time, never correctness).
+        The default is the union of a :meth:`wake_edges` declaration when
+        the class makes one, else the component's own :meth:`channels`,
+        which is correct for components that only touch channels they own.
+        Components that touch foreign channels (NoC nodes forwarding between
+        ports, cores driving Reader/Writer queues) must override this with
+        the complete set; a superset is always safe (spurious wakes cost
+        time, never correctness).
 
-        The compiled backend uses the same membership rule (any committed
-        push or pop wakes every subscriber) — waking only on the "foreign"
-        edge is unsound, because a component that consumes one of several
-        pending items per tick relies on its *own* activity re-waking it to
-        drain the rest.  Components may also define ``compile_tick()``
-        returning a decision-identical specialised closure ``fn(cycle)`` (or
-        ``None`` to decline); the compiled backend prefers it over the plain
-        bound ``tick`` unless the instance's ``tick`` has been patched
-        (fault hang injection).
+        The compiled backend applies the same membership rule (any committed
+        push or pop wakes every subscriber) to every component that declares
+        no edges: a component that consumes one of several pending items per
+        tick then relies on its *own* activity re-waking it to drain the
+        rest.  Components may also define ``compile_tick()`` returning a
+        decision-identical specialised closure ``fn(cycle)`` (or ``None`` to
+        decline); the compiled backend prefers it over the plain bound
+        ``tick`` unless the instance's ``tick`` has been patched (fault hang
+        injection).
         """
-        return self.channels()
+        edges = self.wake_edges()
+        if edges is None:
+            return self.channels()
+        on_push, on_pop = edges
+        return list(dict.fromkeys([*on_push, *on_pop]))
 
     def request_wake(self) -> None:
         """Ask the selective scheduler to tick this component again.
@@ -408,7 +443,7 @@ class Simulator:
     * ``"compiled"`` executes the same schedule through a tick program
       compiled at the first ``run()`` (see :mod:`repro.sim.compiled`):
       specialised per-component closures, fused contiguous co-woken chains,
-      push/pop-split channel subscriptions, and an inlined commit drain.
+      per-edge channel subscriptions, and an inlined commit drain.
 
     A component returning ``None`` from :meth:`Component.next_event` (the
     default) is ticked every cycle under every schedule, so unhinted user

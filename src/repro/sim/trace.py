@@ -363,11 +363,13 @@ def class_tick_table(sim) -> Dict[str, Dict[str, float]]:
     """:func:`wake_summary` rolled up by component class, busiest first.
 
     Per class: ``instances``, ``ticks_executed``, ``ticks_elided`` (the two
-    sum to ``instances * sim.cycle``), ``elided_fraction``, and
-    ``ticks_per_dram_col`` — executed ticks per DRAM column the run moved
-    (``read_cols + write_cols`` over every controller in the registry; 0.0
-    when no column moved).  Which class costs what is then read, not guessed:
-    host seconds follow executed ticks, and columns are the useful work.
+    sum to ``instances * sim.cycle``), ``elided_fraction``, and executed
+    ticks per unit of useful work: ``ticks_per_dram_col`` — per DRAM column
+    the run moved (``read_cols + write_cols`` over every controller in the
+    registry) — and ``ticks_per_command`` — per host command the runtime
+    server sent (``runtime/server/commands_sent``); each is 0.0 when the run
+    did none of that work.  Which class costs what is then read, not
+    guessed: host seconds follow executed ticks.
     """
     total = sim.cycle
     registry = sim.registry
@@ -376,6 +378,7 @@ def class_tick_table(sim) -> Dict[str, Dict[str, float]]:
         for name in registry.names("dram")
         if name.endswith(("/read_cols", "/write_cols"))
     )
+    commands = registry.value("runtime/server/commands_sent")
     table: Dict[str, Dict[str, float]] = {}
     for comp in sim._components:
         row = table.setdefault(
@@ -389,20 +392,32 @@ def class_tick_table(sim) -> Dict[str, Dict[str, float]]:
         possible = row["instances"] * total
         row["elided_fraction"] = row["ticks_elided"] / possible if possible else 0.0
         row["ticks_per_dram_col"] = row["ticks_executed"] / cols if cols else 0.0
+        row["ticks_per_command"] = row["ticks_executed"] / commands if commands else 0.0
     return dict(
         sorted(table.items(), key=lambda kv: kv[1]["ticks_executed"], reverse=True)
     )
 
 
 def render_class_tick_table(table: Dict[str, Dict[str, float]]) -> str:
-    """Text form of a :func:`class_tick_table` result, one row per class."""
+    """Text form of a :func:`class_tick_table` result, one row per class.
+
+    Shows the ticks-per-work columns whose denominator the run actually
+    moved (DRAM columns, host commands); ``ticks/col`` alone when neither.
+    """
+    per_work = [
+        (key, title)
+        for key, title in (("ticks_per_dram_col", "ticks/col"), ("ticks_per_command", "ticks/cmd"))
+        if any(row[key] for row in table.values())
+    ] or [("ticks_per_dram_col", "ticks/col")]
     width = max((len(name) for name in table), default=5)
     lines = [
-        f"  {'class':<{width}} {'inst':>5} {'ticks':>10} {'elided':>7} {'ticks/col':>10}"
+        f"  {'class':<{width}} {'inst':>5} {'ticks':>10} {'elided':>7}"
+        + "".join(f" {title:>10}" for _, title in per_work)
     ]
     for name, row in table.items():
         lines.append(
             f"  {name:<{width}} {row['instances']:>5} {row['ticks_executed']:>10.0f} "
-            f"{row['elided_fraction']:>7.1%} {row['ticks_per_dram_col']:>10.3f}"
+            f"{row['elided_fraction']:>7.1%}"
+            + "".join(f" {row[key]:>10.3f}" for key, _ in per_work)
         )
     return "\n".join(lines)

@@ -398,8 +398,15 @@ def test_class_tick_table_rolls_up_wake_summary():
     assert mc["ticks_per_dram_col"] == mc["ticks_executed"] / 64
     assert table["MemcpyCore"]["instances"] == 4
     assert table["MemcpyCore"]["elided_fraction"] > 0.75
+    # One host command moved those columns, so both denominators show.
+    assert mc["ticks_per_command"] == mc["ticks_executed"]
     text = render_class_tick_table(table)
     assert all(name in text for name in table)
+    assert "ticks/col" in text and "ticks/cmd" in text
+    # A design that never ran did neither kind of work.
+    idle = class_tick_table(BeethovenBuild(memcpy_config(n_cores=1), AWSF1Platform()).design.sim)
+    assert all(row["ticks_per_command"] == row["ticks_per_dram_col"] == 0.0 for row in idle.values())
+    assert "ticks/col" in render_class_tick_table(idle)
 
 
 @pytest.mark.parametrize("mode", SKIPPING_MODES)

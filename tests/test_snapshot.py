@@ -405,3 +405,47 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
     for txns, queues in ((mc._read_txns, mc._id_read_return), (mc._write_txns, mc._id_write_return)):
         assert all(any(txn is t for t in queues[txn.axi_id]) for txn in txns.values())
     assert outcome(build, handle, futs) == reference
+
+
+# ------------------------------------------- the server's lazily held poll grid
+@pytest.mark.parametrize("restore_mode", ("naive", "compiled"))
+def test_sleeping_server_poll_grid_restores_under_either_schedule(restore_mode):
+    """Under ``compiled`` the server sleeps through empty poll visits and
+    leaves ``_next_poll`` behind; ``_poll`` catches up in closed form at the
+    next tick whichever schedule runs it, so the lazy value *is* the state:
+    captured as it stands, it restores onto a rebuilt design under the eager
+    schedule as well, and both continue like the uninterrupted run."""
+    from repro.runtime import FpgaHandle
+    from repro.serve.scenarios import hetero_build
+    from repro.snapshot import capture, restore
+
+    def submitted(mode):
+        build = hetero_build(mode=mode)
+        handle = FpgaHandle(build.design)
+        futs = [handle.call("Gemm", "gemm", 0, job=1), handle.call("Attn", "attn", 1, job=2)]
+        return build, handle, futs
+
+    def outcome(build, handle, futs):
+        for fut in futs:
+            fut.get()
+        handle.run_cycles(500)  # and back to an idle server
+        return handle.cycle, [f.latency_cycles for f in futs], build.metrics(stable_only=True)
+
+    build, handle, futs = submitted("compiled")
+    handle.run_cycles(1150)  # both dispatched; the attn answer read, gemm pending
+    period = build.design.platform.host.response_poll_cycles
+    lazy = handle.server._next_poll
+    assert futs[1].done and not futs[0].done
+    assert handle.cycle - lazy >= 2 * period  # >= 2 grid points elided
+    snap = capture(handle)
+    reference = outcome(build, handle, futs)
+
+    eager = submitted("naive")
+    eager[1].run_cycles(1150)
+    assert eager[1].server._next_poll >= eager[1].cycle  # stepped, never behind
+    assert outcome(*eager) == reference
+
+    build, handle, futs = submitted(restore_mode)
+    restore(handle, snap)
+    assert handle.server._next_poll == lazy
+    assert outcome(build, handle, futs) == reference

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.obs import Observability
 from repro.serve.scenarios import PROFILES, run_scenario
-from repro.sim import SCHEDULING_MODES
+from repro.sim import SCHEDULING_MODES, class_tick_table, render_class_tick_table
 
 
 def _mode_identity(profile: str, seed: int, n_requests: int) -> dict:
@@ -171,6 +171,10 @@ def main(argv=None) -> int:
             )
         print(text)
         (out / "report.txt").write_text(text + "\n")
+        if args.smoke:
+            # Stdout only: the artefacts stay byte-comparable across PRs.
+            print("executed ticks by component class:")
+            print(render_class_tick_table(class_tick_table(build.design.sim)))
         _mark("attribution")
 
     if args.smoke:
