@@ -50,6 +50,8 @@ class AxiMonitor(Component):
     Beethoven masters call these hooks through :class:`MonitoredAxiPort`.
     """
 
+    _snapshot_exclude = ("tracer",)  # wiring, rebuilt by elaboration
+
     def __init__(self, port_name: str, tracer: Tracer = NULL_TRACER) -> None:
         super().__init__(f"mon.{port_name}")
         self.port_name = port_name
@@ -178,6 +180,10 @@ class MonitoredAxiPort:
     it.  The wrapper keeps the W-beat to AW-tag association (AXI4: write data
     arrives in address order).
     """
+
+    # Wiring, rebuilt by elaboration.  Not ``monitor``: a bare testbench may
+    # leave it out of the simulator, and then this is the only path to it.
+    _snapshot_exclude = ("port",)
 
     def __init__(self, port: AxiPort, monitor: AxiMonitor) -> None:
         self.port = port

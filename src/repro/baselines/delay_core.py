@@ -27,6 +27,8 @@ class DelayCore(AcceleratorCore):
     makes long-latency kernels cheap under event-skipping simulation.
     """
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx, latency_cycles: int, io_name: str = "run") -> None:
         super().__init__(ctx)
         self.latency_cycles = max(int(latency_cycles), 1)

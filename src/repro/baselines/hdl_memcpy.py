@@ -23,6 +23,8 @@ from repro.sim import Component
 class HdlMemcpyMaster(Component):
     """Single-outstanding-per-direction streaming copier."""
 
+    _snapshot_exclude = ("port",)  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         mport: MonitoredAxiPort,

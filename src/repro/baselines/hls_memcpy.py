@@ -29,6 +29,8 @@ from repro.sim import Component
 class HlsMemcpyMaster(Component):
     """Single-ID, short-burst, FIFO-coupled copier."""
 
+    _snapshot_exclude = ("port",)  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         mport: MonitoredAxiPort,

@@ -26,6 +26,8 @@ from repro.sim import NEVER
 class SpinCore(AcceleratorCore):
     """Spins ``rounds`` cycles of integer hashing per command, then responds."""
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx, work_per_tick: int = 64) -> None:
         super().__init__(ctx)
         self.work_per_tick = max(int(work_per_tick), 1)

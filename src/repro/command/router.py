@@ -44,6 +44,8 @@ class BeethovenIO:
 class CoreCommandAdapter(Component):
     """Command unpacker + response packer sitting next to one core."""
 
+    _snapshot_exclude = ("cmd_in", "ios", "resp_out", "spans")  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         system_id: int,
@@ -201,6 +203,8 @@ class CommandRouter(Component):
     plus tree depth — while the structural cost is priced by the FPGA
     resource model.
     """
+
+    _snapshot_exclude = ("_routes", "cmd_in", "resp_out")  # wiring, rebuilt by elaboration
 
     def __init__(self, name: str = "cmdrouter") -> None:
         super().__init__(name)
@@ -363,6 +367,8 @@ class MmioFrontend(Component):
     # Optional fault injector (repro.faults): may eat whole responses off the
     # MMIO path, modelling a lost interrupt/register read on real hardware.
     _fault = None
+
+    _snapshot_exclude = ("router", "cmd_words", "resp_words")  # wiring, rebuilt by elaboration
 
     def __init__(self, router: CommandRouter, name: str = "mmio") -> None:
         super().__init__(name)

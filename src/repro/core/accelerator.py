@@ -45,6 +45,8 @@ class AcceleratorCore(Component):
             def tick(self, cycle): ...
     """
 
+    _snapshot_exclude = ("ctx",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx: CoreContext) -> None:
         super().__init__(f"{ctx.system_name}.core{ctx.core_id}")
         self.ctx = ctx

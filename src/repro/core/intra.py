@@ -38,6 +38,8 @@ class IntraCoreBroadcast(Component):
     endpoint).
     """
 
+    _snapshot_exclude = ("input", "sinks")  # wiring, rebuilt by elaboration
+
     def __init__(self, name: str, sinks: List[IntraCoreLink]) -> None:
         super().__init__(f"bcast.{name}")
         self.input = IntraCoreLink(f"{name}.in")
@@ -69,6 +71,8 @@ class IntraCoreMemory(Component):
     remote cores write through the aliased links at one write per link per
     cycle (matching a physical write port per channel).
     """
+
+    _snapshot_exclude = ("links",)  # wiring, rebuilt by elaboration
 
     def __init__(
         self,

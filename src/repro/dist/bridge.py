@@ -52,6 +52,8 @@ class BridgeEgress(Component):
     #: Purely reactive: progress requires traffic on a source channel.
     wake_only = True
 
+    _snapshot_exclude = ("_sources", "peer")  # wiring, rebuilt by partitioning
+
     def __init__(
         self,
         bridge_id: str,
@@ -116,6 +118,8 @@ class BridgeIngress(Component):
     the cycle for burst checking; plain channel pushes ignore it) and
     ``chan`` is the channel probed for space.
     """
+
+    _snapshot_exclude = ("_targets", "_in_flight_metrics")  # wiring, rebuilt by partitioning
 
     def __init__(
         self,

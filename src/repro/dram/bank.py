@@ -27,6 +27,8 @@ class Bank:
     row_hits: int = 0
     row_misses: int = 0
 
+    _snapshot_exclude = ("timing",)  # shared config, rebuilt by elaboration
+
     def row_open(self, row: int, cycle: int) -> bool:
         return self.open_row == row and cycle >= self.ready_at
 

@@ -97,6 +97,8 @@ class MemoryController(Component):
     # bits and marking the beat ``err`` (the modeled ECC detects the flip).
     _fault = None
 
+    _snapshot_exclude = ("port", "timing")  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         mport: MonitoredAxiPort,

@@ -8,7 +8,7 @@ every benchmark double as a functional test.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 
 class MemoryStore:
@@ -59,6 +59,23 @@ class MemoryStore:
                     if strb[pos + i]:
                         blk[offset + i] = data[pos + i]
             pos += span
+
+    # ------------------------------------------------------------- snapshot
+    def snapshot_state(self, fr) -> Tuple[int, Tuple[int, ...], bytes]:
+        """One flat image instead of a marker per block: the block size, the
+        touched block indices in address order, and their bytes joined."""
+        indices = sorted(self._blocks)
+        return self.block_bytes, tuple(indices), b"".join(map(self._blocks.__getitem__, indices))
+
+    def restore_state(self, state, th) -> None:
+        self.block_bytes, indices, image = state
+        size = self.block_bytes
+        view = memoryview(image)
+        # In place: the controller and the host both hold this dict's owner.
+        blocks = self.__dict__.setdefault("_blocks", {})
+        blocks.clear()
+        for i, index in enumerate(indices):
+            blocks[index] = bytearray(view[i * size : (i + 1) * size])
 
     @property
     def touched_bytes(self) -> int:

@@ -50,6 +50,9 @@ STAGE_FIFO_DEPTH = 2
 class A3Core(AcceleratorCore):
     """One A^3 core: stationary K/V, streaming queries."""
 
+    # wiring, rebuilt by elaboration
+    _snapshot_exclude = ("io_init", "io_attend", "queries", "out", "keys_sp", "values_sp")
+
     def __init__(self, ctx, dim: int = 64, n_keys: int = 320) -> None:
         super().__init__(ctx)
         if dim % 8:

@@ -31,6 +31,8 @@ PIPELINE_DEPTH = 12
 class GemmCore(PhasedKernelCore):
     """C = A @ B over int32, streamed from/to memory."""
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx, unroll_i: int = 4, unroll_j: int = 4) -> None:
         super().__init__(ctx)
         self.unroll_i = unroll_i

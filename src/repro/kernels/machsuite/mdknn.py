@@ -28,6 +28,8 @@ PIPELINE_DEPTH = 24  # deep FP pipeline: rsqrt chain
 class MdKnnCore(PhasedKernelCore):
     """Forces from positions + neighbour lists (float32)."""
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx, unroll: int = 4) -> None:
         super().__init__(ctx)
         self.unroll = unroll

@@ -28,6 +28,8 @@ PIPELINE_DEPTH = 6
 class NwCore(PhasedKernelCore):
     """Aligns two byte strings; emits padded aligned sequences + score."""
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self.io = self.beethoven_io(

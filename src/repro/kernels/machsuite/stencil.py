@@ -30,6 +30,8 @@ PIPELINE_DEPTH = 10
 class Stencil2dCore(PhasedKernelCore):
     """out = conv3x3(grid, coeffs) with pass-through borders."""
 
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx, unroll: int = 2) -> None:
         super().__init__(ctx)
         self.unroll = unroll
@@ -79,6 +81,8 @@ class Stencil2dCore(PhasedKernelCore):
 
 class Stencil3dCore(PhasedKernelCore):
     """7-point stencil: out = c0*x + c1*sum(neighbours)."""
+
+    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
 
     def __init__(self, ctx, unroll: int = 4) -> None:
         super().__init__(ctx)

@@ -22,6 +22,8 @@ from repro.sim import NEVER
 class MemcpyCore(AcceleratorCore):
     """Copy ``len_bytes`` from ``src`` to ``dst`` at full bus width."""
 
+    _snapshot_exclude = ("io", "src_reader", "dst_writer")  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self.io = self.beethoven_io(

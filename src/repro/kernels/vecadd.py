@@ -22,6 +22,8 @@ from repro.sim import NEVER
 class VectorAddCore(AcceleratorCore):
     """``for i in range(n_eles): vec[i] += addend`` (32-bit wraparound)."""
 
+    _snapshot_exclude = ("io", "vec_in", "vec_out")  # wiring, rebuilt by elaboration
+
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self.io = self.beethoven_io(

@@ -60,6 +60,9 @@ class Reader(Component):
     _fault_state = None
     _fault_key = None
 
+    # wiring, rebuilt by elaboration
+    _snapshot_exclude = ("port", "tuning", "data", "request", "spans")
+
     def __init__(
         self,
         name: str,

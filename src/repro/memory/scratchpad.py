@@ -136,6 +136,8 @@ class Scratchpad(Component):
     ``data_width_bits`` (little-endian), signalling ``init_done`` when full.
     """
 
+    _snapshot_exclude = ("ports", "init", "init_done", "reader")  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         name: str,

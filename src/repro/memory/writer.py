@@ -61,6 +61,9 @@ class _ActiveRequest:
 class Writer(Component):
     """Streams core data to memory; pops ``done`` when the request landed."""
 
+    # wiring, rebuilt by elaboration
+    _snapshot_exclude = ("port", "tuning", "data", "request", "done", "spans")
+
     def __init__(
         self,
         name: str,

@@ -40,6 +40,8 @@ class AxiBufferNode(Component):
     # constructions need no changes; a compiled FaultPlan installs instances.
     _fault = None
 
+    _snapshot_exclude = ("down", "upstreams")  # wiring, rebuilt by elaboration
+
     def __init__(
         self,
         upstreams: List[AxiPort],
@@ -422,6 +424,8 @@ class AxiPipe(Component):
     popped from the upstream port become pushable downstream ``latency``
     cycles later (on top of the usual one-cycle channel registration).
     """
+
+    _snapshot_exclude = ("down", "up")  # wiring, rebuilt by elaboration
 
     def __init__(self, upstream: AxiPort, downstream, latency: int, name: str = "axipipe") -> None:
         super().__init__(name)

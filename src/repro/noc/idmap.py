@@ -23,6 +23,8 @@ from repro.sim import NEVER, Component, SimulationError
 class IdCompressor(Component):
     """Folds a wide upstream ID space onto the controller's narrow one."""
 
+    _snapshot_exclude = ("up",)  # wiring, rebuilt by elaboration
+
     def __init__(self, upstream: AxiPort, downstream, name: str = "idmap") -> None:
         super().__init__(name)
         self.up = upstream

@@ -257,6 +257,7 @@ class MetricRegistry:
         self._adopted: Dict[str, object] = {}
         self._volatile: Dict[str, bool] = {}
         self._pending: List[Tuple[str, Callable[["MetricScope"], None]]] = []
+        self._owned: Tuple[int, List[Tuple[str, object]]] = (0, [])
 
     # ------------------------------------------------------------- adoption
     def defer(self, prefix: str, register: Callable[["MetricScope"], None]) -> None:
@@ -279,6 +280,19 @@ class MetricRegistry:
             for prefix, register in pending:
                 register(MetricScope(self, prefix))
         return self._adopted
+
+    def owned(self) -> List[Tuple[str, object]]:
+        """``(name, metric)`` of every metric that holds a value of its own
+        (counters, gauges, histograms — not :class:`BoundMetric` views), in
+        adoption order.  Metrics are only ever added, so the list is cached
+        against the adopted count."""
+        metrics = self._metrics
+        if self._owned[0] != len(metrics):
+            self._owned = (
+                len(metrics),
+                [(n, m) for n, m in metrics.items() if isinstance(m, (Counter, Histogram))],
+            )
+        return self._owned[1]
 
     # ------------------------------------------------------------- creation
     def scope(self, prefix: str) -> "MetricScope":

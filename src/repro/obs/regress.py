@@ -64,7 +64,11 @@ _LOWER_BETTER = (
     "rejection_rate",
     "sync_stall_cycles",
     "checkpoint_write_seconds",
+    "capture_seconds",
+    "save_seconds",
+    "load_seconds",
     "restore_seconds",
+    "snapshot_bytes",
 )
 #: Leaf names that are plain event counts, not perf metrics — excluded
 #: before fragment matching because some collide with a fragment

@@ -403,10 +403,14 @@ class Component:
         """
         return None
 
-    #: Attribute names the default snapshot skips, on top of the scheduler
-    #: wiring (``_sched_index``/``_wake_hook``/``_cslot``).  Subclasses list
-    #: structural fields that the rebuild recreates and must not be
-    #: overwritten from a checkpoint.
+    #: Attribute names the snapshot freezer does not walk, on top of the
+    #: scheduler wiring (``_sched_index``/``_wake_hook``/``_cslot``): the
+    #: construction-time wiring (ports, channels, contexts, configs) that
+    #: the rebuild recreates.  Each class lists what *it* binds; the freezer
+    #: takes the union up the MRO, on components and on any other object it
+    #: reaches.  An attribute nobody lists is captured, so a missing entry
+    #: costs time, never correctness; a listed one must never be rebound
+    #: after elaboration (``tests/test_snapshot_structure.py`` audits that).
     _snapshot_exclude: Tuple[str, ...] = ()
 
     def snapshot_state(self, fr) -> Dict[str, Any]:
@@ -416,7 +420,9 @@ class Component:
         (channels and infrastructure become references, callables are
         skipped, ``_snapshot_exclude`` names are dropped); components whose
         state embeds host-side callbacks (the runtime server) override both
-        this and :meth:`restore_state` with an explicit protocol.
+        this and :meth:`restore_state` with an explicit protocol.  The same
+        two methods on *any* reachable object (``MemoryStore``) make the
+        freezer store what they return instead of walking the object.
         """
         from repro.snapshot.engine import SCHED_ATTRS  # lazy: avoid cycle
 

@@ -11,46 +11,58 @@ Why not pickle the :class:`~repro.sim.Simulator` wholesale?  The live graph
 is full of unpicklables that are *structural*: registry ``BoundMetric``
 lambdas closing over model containers, compiled-backend closures, fault
 hooks patched over instance ``tick`` methods, host response callbacks.  The
-freezer therefore walks the graph and replaces
+freezer therefore walks the graph and emits **plain data**: primitives,
+tuples of primitives, and *markers* — lists ``[tag, ...]`` that start with
+one of the reserved ``T_*`` strings.  It replaces
 
 * infrastructure objects (components, channels, the simulator, registry,
-  tracer, span tracker, fault state/plan) with index-based :class:`_Ref`
+  tracer, span tracker, fault state/plan) with index-based ``T_REF``
   markers resolved against the rebuilt skeleton;
 * transient model objects (in-flight AXI beats, DRAM column requests,
-  pending commands) with :class:`_Obj` markers rebuilt via
-  ``cls.__new__`` + ``object.__setattr__``;
+  pending commands) with ``T_OBJ`` markers rebuilt via ``cls.__new__`` +
+  ``object.__setattr__``;
+* objects that implement ``snapshot_state``/``restore_state`` themselves
+  (``MemoryStore``) with a ``T_STATE`` marker around what they returned;
 * callables with a skip sentinel — they are structure, recreated by the
   rebuild (a container holding a callable is skipped whole, leaving the
-  live one untouched).
+  live one untouched); the sentinel never reaches a payload.
+
+Attributes a class lists in ``_snapshot_exclude`` are wiring made at
+construction and are not walked at all.
 
 Thawing is **two-pass**.  Registry bindings capture model containers by
 identity (``lambda q=q: len(q)``), so restore must mutate the *live*
 objects in place rather than swap in fresh ones.  A pairing pass first
 walks the frozen and live trees together and pre-seeds the memo with
-``frozen marker -> live object`` wherever a type-matching in-place target
+``id(marker) -> live object`` wherever a type-matching in-place target
 exists; the thaw pass then resolves aliased references (a DRAM bank reached
 both through ``controller.banks[i]`` and a scheduler entry) to the same
-identity-preserved live object regardless of traversal order.
+identity-preserved live object regardless of traversal order.  Pickle keeps
+list identity, so aliasing survives a file or a pipe.
+
+Pairing and thawing apply **only to freezer output**: a state dict written
+by hand (``RuntimeServer``, ``FpgaHandle``) may hold any lists it likes, the
+engine never interprets them, and its author thaws the leaves it froze.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import random
+import sys
 import types
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 
 #: Bumped on any change to the capture format or captured field set.  A
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
-#: restoring garbage into a newer model.
-SNAPSHOT_VERSION = 2
+#: restoring garbage into a newer model.  (3: plain-data marker trees.)
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -62,287 +74,248 @@ class SnapshotVersionError(SnapshotError):
 
 
 _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes)
+_PRIM = frozenset(_PRIMITIVES)  # exact-type test: one hash lookup per value
 
-#: Callable types that are always structure, never state.
-_CALLABLE_TYPES = (
+#: Types that are always structure, never state.
+_STRUCTURE_TYPES = (
     types.FunctionType,
     types.MethodType,
     types.BuiltinFunctionType,
     types.BuiltinMethodType,
     functools.partial,
+    type,
+    types.ModuleType,
+    weakref.ReferenceType,
+    memoryview,
 )
 
 #: Scheduler wiring rebuilt by ``Simulator.add()``; excluded from generic
 #: component capture (``_last_tick_cycle``/``_ticks_executed`` stay in).
 SCHED_ATTRS = ("_sched_index", "_wake_hook", "_cslot")
 
+# Marker tags.  A marker is a list whose first element is one of these
+# reserved strings; the layouts are
+#   [T_REF, kind, key]                      infrastructure reference
+#   [T_OBJ, module, qualname, {name: fz}]   transient object
+#   [T_STATE, module, qualname, state]      object with its own protocol
+#   [T_ATTRS, {name: fz}]                   freeze_attrs(): fields, no class
+#   [T_EXC, module, qualname, args, {..}]   exception instance
+#   [T_RNG, state]  [T_MET, kind, data]  [T_BYTES, bytes]
+#   [T_ARRAY, dtype, shape, bytes]          numpy.ndarray
+#   [T_LIST, *items]  [T_TUPLE, *items]  [T_DEQUE, maxlen, *items]
+#   [T_SET, frozen, *items]  [T_DICT, {key: fz}]
+T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC = "~ref", "~obj", "~state", "~attrs", "~exc"
+T_RNG, T_MET, T_BYTES, T_ARRAY = "~rng", "~metric", "~bytes", "~array"
+T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT = "~list", "~tuple", "~deque", "~set", "~dict"
+_TAGS = frozenset(
+    (T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC, T_RNG, T_MET, T_BYTES, T_ARRAY,
+     T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT)
+)
 
-class _Skip:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover — debug aid
-        return "<snapshot:skip>"
-
-
-#: Sentinel for unpicklable/structural values: restore leaves the live
-#: attribute untouched.
-_SKIP = _Skip()
-
-
-class _Ref:
-    """Reference to an infrastructure object, resolved against the skeleton."""
-
-    __slots__ = ("kind", "key")
-
-    def __init__(self, kind: str, key: Any = None) -> None:
-        self.kind = kind
-        self.key = key
-
-
-class _Obj:
-    """A transient object: class identity plus frozen attribute dict."""
-
-    __slots__ = ("module", "qualname", "attrs")
-
-    def __init__(self, module: str, qualname: str, attrs: Dict[str, Any]) -> None:
-        self.module = module
-        self.qualname = qualname
-        self.attrs = attrs
+#: Internal "this value is structure" signal.  Containers drop or propagate
+#: it; :meth:`Freezer.freeze` raises on it, so it never reaches a payload.
+_SKIP = object()
 
 
-class _Exc:
-    """An exception instance (typed errors parked in futures survive restore)."""
-
-    __slots__ = ("module", "qualname", "args", "attrs")
-
-    def __init__(self, module: str, qualname: str, args: Any, attrs: Dict[str, Any]) -> None:
-        self.module = module
-        self.qualname = qualname
-        self.args = args
-        self.attrs = attrs
-
-
-class _Rng:
-    """``random.Random`` position (per-site fault RNGs must resume exactly)."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: Any) -> None:
-        self.state = state
-
-
-class _Met:
-    """Raw value of a registry metric, restored into the live object."""
-
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind: str, data: Any) -> None:
-        self.kind = kind
-        self.data = data
-
-
-class _Bytes:
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-
-
-class _ListS:
-    __slots__ = ("items",)
-
-    def __init__(self, items: List[Any]) -> None:
-        self.items = items
-
-
-class _TupleS:
-    __slots__ = ("items",)
-
-    def __init__(self, items: List[Any]) -> None:
-        self.items = items
-
-
-class _SetS:
-    __slots__ = ("items", "frozen")
-
-    def __init__(self, items: List[Any], frozen: bool = False) -> None:
-        self.items = items
-        self.frozen = frozen
-
-
-class _DictS:
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: List[Tuple[Any, Any]]) -> None:
-        self.pairs = pairs
-
-
-class _DequeS:
-    __slots__ = ("items", "maxlen")
-
-    def __init__(self, items: List[Any], maxlen: Optional[int]) -> None:
-        self.items = items
-        self.maxlen = maxlen
+def _is_marker(fz: Any, tag: Optional[str] = None) -> bool:
+    """The one place that decides whether a value is a freezer marker."""
+    if type(fz) is not list or not fz or type(fz[0]) is not str:
+        return False
+    return fz[0] == tag if tag is not None else fz[0] in _TAGS
 
 
 def _is_plain(obj: Any) -> bool:
     """Deeply immutable values usable as frozen dict keys."""
     if isinstance(obj, _PRIMITIVES):
         return True
-    if isinstance(obj, tuple):
-        return all(_is_plain(x) for x in obj)
-    if isinstance(obj, frozenset):
+    if isinstance(obj, (tuple, frozenset)):
         return all(_is_plain(x) for x in obj)
     return False
 
 
-def _state_of(obj: Any) -> Dict[str, Any]:
-    """Instance state: ``__dict__`` plus any ``__slots__`` up the MRO."""
-    d = getattr(obj, "__dict__", None)
-    state = dict(d) if d else {}
-    for cls in type(obj).__mro__:
-        slots = getattr(cls, "__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for name in slots:
-            if name in ("__dict__", "__weakref__") or name in state:
-                continue
-            try:
-                state[name] = getattr(obj, name)
-            except AttributeError:
-                continue
-    return state
+#: type -> freeze handler, filled by :func:`_classify` the first time a type
+#: is met; (type, exclude) -> (slot names, skipped field names).
+_HANDLERS: Dict[type, Callable[["Freezer", Any], Any]] = {}
+_PLANS: Dict[Tuple[type, Tuple[str, ...]], Tuple[Tuple[str, ...], frozenset]] = {}
+
+
+def _plan(t: type, exclude: Tuple[str, ...]) -> Tuple[Tuple[str, ...], frozenset]:
+    """Slot names up the MRO and the union of every ``_snapshot_exclude``."""
+    slots: List[str] = []
+    skip = set(exclude)
+    for cls in t.__mro__:
+        names = cls.__dict__.get("__slots__", ())
+        slots.extend((names,) if isinstance(names, str) else names)
+        skip.update(cls.__dict__.get("_snapshot_exclude", ()))
+    plan = _PLANS[(t, exclude)] = (
+        tuple(n for n in slots if n not in ("__dict__", "__weakref__")),
+        frozenset(skip),
+    )
+    return plan
 
 
 class Freezer:
-    """Converts a live object graph into a picklable marker tree."""
+    """Converts a live object graph into a plain-data marker tree."""
 
     def __init__(self) -> None:
-        self._infra: Dict[int, _Ref] = {}
+        self._infra: Dict[int, list] = {}
         self._memo: Dict[int, Any] = {}
-        self._keep: List[Any] = []  # id()-stability for memo/infra keys
+        self._keep: List[Any] = []  # id()-stability for memo keys
         self.skipped = 0
 
     def add_infra(self, obj: Any, kind: str, key: Any = None) -> None:
-        self._infra[id(obj)] = _Ref(kind, key)
-        self._keep.append(obj)
+        self._infra[id(obj)] = [T_REF, kind, key]
 
     # ------------------------------------------------------------- freeze
     def freeze(self, obj: Any) -> Any:
-        if isinstance(obj, _PRIMITIVES):
-            return obj
-        ref = self._infra.get(id(obj))
-        if ref is not None:
-            return ref
-        memo = self._memo.get(id(obj))
-        if memo is not None:
-            return memo
-        if isinstance(obj, _CALLABLE_TYPES) or isinstance(obj, (type, types.ModuleType)):
-            self.skipped += 1
-            return _SKIP
-        if isinstance(obj, (weakref.ReferenceType, memoryview)):
-            self.skipped += 1
-            return _SKIP
-        if isinstance(obj, tuple):
-            if all(isinstance(x, _PRIMITIVES) for x in obj):
-                return obj
-            items = [self.freeze(x) for x in obj]
-            if any(x is _SKIP for x in items):
-                self.skipped += 1
-                return _SKIP
-            return _TupleS(items)
-        if isinstance(obj, (Counter, Gauge)):
-            # Gauge subclasses Counter — test the subclass first.
-            return self._memoize(obj, _Met("g" if isinstance(obj, Gauge) else "c", obj.value))
-        if isinstance(obj, Histogram):
-            data = (tuple(obj.buckets), list(obj.counts), obj.count, obj.total)
-            return self._memoize(obj, _Met("h", data))
-        if isinstance(obj, BoundMetric):
-            self.skipped += 1
-            return _SKIP
-        if isinstance(obj, random.Random):
-            return self._memoize(obj, _Rng(obj.getstate()))
-        if isinstance(obj, bytearray):
-            return self._memoize(obj, _Bytes(bytes(obj)))
-        if isinstance(obj, list):
-            marker = _ListS([])
-            self._memoize(obj, marker)
-            items = [self.freeze(x) for x in obj]
-            if any(x is _SKIP for x in items):
-                return self._contaminate(obj)
-            marker.items = items
-            return marker
-        if isinstance(obj, deque):
-            marker = _DequeS([], obj.maxlen)
-            self._memoize(obj, marker)
-            items = [self.freeze(x) for x in obj]
-            if any(x is _SKIP for x in items):
-                return self._contaminate(obj)
-            marker.items = items
-            return marker
-        if isinstance(obj, dict):
-            marker = _DictS([])
-            self._memoize(obj, marker)
-            pairs = []
-            for k, v in obj.items():
-                if not _is_plain(k):
-                    return self._contaminate(obj)
-                fv = self.freeze(v)
-                if fv is _SKIP:
-                    return self._contaminate(obj)
-                pairs.append((k, fv))
-            marker.pairs = pairs
-            return marker
-        if isinstance(obj, (set, frozenset)):
-            if not all(_is_plain(x) for x in obj):
-                self.skipped += 1
-                return _SKIP
-            try:
-                items = sorted(obj)
-            except TypeError:
-                items = list(obj)
-            return self._memoize(obj, _SetS(items, isinstance(obj, frozenset)))
-        if isinstance(obj, BaseException):
-            marker = _Exc(type(obj).__module__, type(obj).__qualname__, None, {})
-            self._memoize(obj, marker)
-            marker.args = self.freeze(tuple(obj.args))
-            attrs = {}
-            for name, val in _state_of(obj).items():
-                if name == "args":
-                    continue
-                fv = self.freeze(val)
-                if fv is not _SKIP:
-                    attrs[name] = fv
-            marker.attrs = attrs
-            return marker
-        # Generic transient object: class identity + frozen attrs.  A
-        # skipped attribute is dropped (the live one is left alone); the
-        # object itself always freezes.
-        marker = _Obj(type(obj).__module__, type(obj).__qualname__, {})
-        self._memoize(obj, marker)
-        attrs = {}
-        for name, val in _state_of(obj).items():
-            fv = self.freeze(val)
-            if fv is _SKIP:
-                self.skipped += 1
-                continue
-            attrs[name] = fv
-        marker.attrs = attrs
-        return marker
+        """Freeze one value; raises if it is structure (a callable, or a
+        tuple/list/dict holding one) instead of leaking the skip sentinel."""
+        fz = self._freeze(obj)
+        if fz is _SKIP:
+            raise SnapshotError(
+                f"cannot freeze a {type(obj).__qualname__}: it is or holds a "
+                "callable, which is structure, not state"
+            )
+        return fz
 
-    def freeze_attrs(self, obj: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, Any]:
-        """Freeze ``obj``'s fields into an attr dict (no class identity)."""
-        skip = set(exclude) | set(getattr(type(obj), "_snapshot_exclude", ()))
+    def freeze_attrs(self, obj: Any, exclude: Tuple[str, ...] = ()) -> list:
+        """Freeze ``obj``'s fields (no class identity) minus ``exclude`` and
+        every ``_snapshot_exclude`` up its MRO."""
+        return [T_ATTRS, self._fields(obj, exclude)]
+
+    def _freeze(self, obj: Any) -> Any:
+        t = type(obj)
+        if t in _PRIM:
+            return obj
+        key = id(obj)
+        fz = self._infra.get(key)
+        if fz is None:
+            fz = self._memo.get(key)
+            if fz is None:
+                fz = (_HANDLERS.get(t) or _classify(t))(self, obj)
+        return fz
+
+    def _fields(self, obj: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, Any]:
+        """Frozen ``__dict__`` + ``__slots__`` state; a skipped attribute is
+        dropped (the live one is left alone on restore)."""
+        t = type(obj)
+        slots, skip = _PLANS.get((t, exclude)) or _plan(t, exclude)
+        d = getattr(obj, "__dict__", None) or {}
+        pairs: Any = d.items()
+        if slots:
+            pairs = list(pairs) + [
+                (n, v) for n in slots if n not in d and (v := getattr(obj, n, _SKIP)) is not _SKIP
+            ]
         out = {}
-        for name, val in _state_of(obj).items():
+        for name, val in pairs:
             if name in skip:
                 continue
-            fv = self.freeze(val)
-            if fv is _SKIP:
-                self.skipped += 1
-                continue
-            out[name] = fv
+            if type(val) not in _PRIM:
+                val = self._freeze(val)
+                if val is _SKIP:
+                    self.skipped += 1
+                    continue
+            out[name] = val
         return out
+
+    # ----------------------------------------------------------- handlers
+    def _fz_raw(self, obj: Any) -> Any:
+        return obj  # subclass of a primitive
+
+    def _fz_skip(self, obj: Any) -> Any:
+        self.skipped += 1
+        return _SKIP
+
+    def _fz_tuple(self, obj: tuple) -> Any:
+        marker, raw = [T_TUPLE], True
+        for x in obj:
+            if type(x) not in _PRIM:
+                raw = False
+                x = self._freeze(x)
+                if x is _SKIP:
+                    self.skipped += 1
+                    return _SKIP
+            marker.append(x)
+        if raw:  # primitive-only tuples stay tuples (named ones lose the name)
+            return obj if type(obj) is tuple else tuple(obj)
+        return marker
+
+    def _fz_metric(self, obj: Any) -> list:
+        return self._memoize(obj, [T_MET, *_metric_state(obj)])
+
+    def _fz_rng(self, obj: random.Random) -> list:
+        return self._memoize(obj, [T_RNG, obj.getstate()])
+
+    def _fz_bytes(self, obj: bytearray) -> list:
+        return self._memoize(obj, [T_BYTES, bytes(obj)])
+
+    def _fz_array(self, obj: Any) -> Any:
+        if obj.dtype.hasobject:
+            return self._fz_skip(obj)
+        return self._memoize(obj, [T_ARRAY, obj.dtype.str, obj.shape, obj.tobytes()])
+
+    def _fz_list(self, obj: list) -> Any:
+        return self._fill(obj, [T_LIST])
+
+    def _fz_deque(self, obj: deque) -> Any:
+        return self._fill(obj, [T_DEQUE, obj.maxlen])
+
+    def _fill(self, obj: Any, marker: list) -> Any:
+        self._memoize(obj, marker)
+        for x in obj:
+            if type(x) not in _PRIM:
+                x = self._freeze(x)
+                if x is _SKIP:
+                    return self._contaminate(obj)
+            marker.append(x)
+        return marker
+
+    def _fz_dict(self, obj: dict) -> Any:
+        out: Dict[Any, Any] = {}
+        marker = self._memoize(obj, [T_DICT, out])
+        for k, v in obj.items():
+            if type(k) not in _PRIM and not _is_plain(k):
+                return self._contaminate(obj)
+            if type(v) not in _PRIM:
+                v = self._freeze(v)
+                if v is _SKIP:
+                    return self._contaminate(obj)
+            out[k] = v
+        return marker
+
+    def _fz_set(self, obj: Any) -> Any:
+        if not all(_is_plain(x) for x in obj):
+            return self._fz_skip(obj)
+        try:
+            items = sorted(obj)
+        except TypeError:
+            items = list(obj)
+        return self._memoize(obj, [T_SET, isinstance(obj, frozenset), *items])
+
+    def _fz_exc(self, obj: BaseException) -> list:
+        t = type(obj)
+        marker = self._memoize(obj, [T_EXC, t.__module__, t.__qualname__, (), None])
+        args = self._freeze(tuple(obj.args))
+        if args is not _SKIP:
+            marker[3] = args
+        marker[4] = self._fields(obj)
+        return marker
+
+    def _fz_protocol(self, obj: Any) -> list:
+        """Any object with ``snapshot_state``/``restore_state`` chooses its
+        own compact state (``MemoryStore``: one joined byte image)."""
+        t = type(obj)
+        marker = self._memoize(obj, [T_STATE, t.__module__, t.__qualname__, None])
+        marker[3] = obj.snapshot_state(self)
+        return marker
+
+    def _fz_object(self, obj: Any) -> list:
+        # Generic transient object: class identity + frozen fields.  The
+        # object itself always freezes.
+        t = type(obj)
+        marker = self._memoize(obj, [T_OBJ, t.__module__, t.__qualname__, None])
+        marker[3] = self._fields(obj)
+        return marker
 
     # ------------------------------------------------------------ helpers
     def _memoize(self, obj: Any, marker: Any) -> Any:
@@ -357,13 +330,49 @@ class Freezer:
         return _SKIP
 
 
+#: Today's precedence, tested once per *type*: first match wins.
+_RULES: Tuple[Tuple[Any, Callable[[Freezer, Any], Any]], ...] = (
+    (_PRIMITIVES, Freezer._fz_raw),
+    (_STRUCTURE_TYPES, Freezer._fz_skip),
+    (tuple, Freezer._fz_tuple),
+    ((Counter, Gauge, Histogram), Freezer._fz_metric),
+    (BoundMetric, Freezer._fz_skip),
+    (random.Random, Freezer._fz_rng),
+    (bytearray, Freezer._fz_bytes),
+    (list, Freezer._fz_list),
+    (deque, Freezer._fz_deque),
+    (dict, Freezer._fz_dict),
+    ((set, frozenset), Freezer._fz_set),
+    (BaseException, Freezer._fz_exc),
+)
+
+
+def _classify(t: type) -> Callable[[Freezer, Any], Any]:
+    for bases, handler in _RULES:
+        if issubclass(t, bases):
+            break
+    else:
+        # An ndarray can only be met once NumPy is loaded: never import it.
+        np = sys.modules.get("numpy")
+        if np is not None and issubclass(t, np.ndarray):
+            handler = Freezer._fz_array
+        elif hasattr(t, "snapshot_state") and hasattr(t, "restore_state"):
+            handler = Freezer._fz_protocol
+        else:
+            handler = Freezer._fz_object
+    _HANDLERS[t] = handler
+    return handler
+
+
 def _resolve_class(module: str, qualname: str) -> type:
+    """Look a class up in an *already imported* module: the rebuilt design
+    has loaded every model class, and a payload must not trigger imports."""
     try:
-        target: Any = importlib.import_module(module)
+        target: Any = sys.modules[module]
         for part in qualname.split("."):
             target = getattr(target, part)
-    except (ImportError, AttributeError) as exc:
-        raise SnapshotError(f"cannot resolve class {module}:{qualname}: {exc}") from exc
+    except (KeyError, AttributeError, TypeError) as exc:
+        raise SnapshotError(f"cannot resolve class {module}:{qualname}: {exc!r}") from exc
     if not isinstance(target, type):
         raise SnapshotError(f"{module}:{qualname} is not a class")
     return target
@@ -375,7 +384,7 @@ class Thawer:
     Call :meth:`pair`/:meth:`pair_attrs` over every (frozen, live) pair of
     the payload *first*, then thaw — the pairing memo is global, so aliases
     that cross component boundaries resolve correctly only if all pairing
-    precedes all thawing.
+    precedes all thawing.  Both accept freezer output only.
     """
 
     def __init__(self) -> None:
@@ -384,7 +393,6 @@ class Thawer:
         self._paired: Dict[int, Any] = {}
         self._claimed: set = set()  # id(live) already owned by a marker
         self._visited: set = set()
-        self._keep: List[Any] = []
         self.unresolved = 0
 
     def add_infra(self, kind: str, key: Any, obj: Any) -> None:
@@ -392,59 +400,60 @@ class Thawer:
 
     # ------------------------------------------------------------ pairing
     def pair(self, fz: Any, live: Any) -> None:
-        if fz is None or fz is _SKIP or isinstance(fz, (_PRIMITIVES, _Ref)) or live is None:
+        if live is None or not _is_marker(fz):
             return
         key = id(fz)
         if key in self._visited:
             return
         self._visited.add(key)
-        if isinstance(fz, _Obj):
-            if (
-                type(live).__qualname__ != fz.qualname
-                or type(live).__module__ != fz.module
-            ):
+        tag = fz[0]
+        if tag == T_ATTRS:
+            self._pair_fields(live, _attr_fields(fz))
+        elif tag == T_OBJ or tag == T_STATE:
+            t = type(live)
+            if t.__qualname__ != fz[2] or t.__module__ != fz[1]:
                 return
-            if not self._claim(key, live):
-                return
-            for name, sub in fz.attrs.items():
-                try:
-                    lv = getattr(live, name)
-                except AttributeError:
-                    continue
-                self.pair(sub, lv)
-        elif isinstance(fz, _ListS) and isinstance(live, list):
             if self._claim(key, live):
-                for sub, lv in zip(fz.items, live):
-                    self.pair(sub, lv)
-        elif isinstance(fz, _DequeS) and isinstance(live, deque):
-            if live.maxlen == fz.maxlen and self._claim(key, live):
-                for sub, lv in zip(fz.items, live):
-                    self.pair(sub, lv)
-        elif isinstance(fz, _DictS) and isinstance(live, dict):
+                # A protocol object's state pairs if it is a field walk
+                # (``Component``'s default); anything hand-written is not
+                # a marker and is left to the object's ``restore_state``.
+                if tag == T_OBJ:
+                    self._pair_fields(live, fz[3])
+                else:
+                    self.pair(fz[3], live)
+        elif tag == T_LIST and isinstance(live, list):
             if self._claim(key, live):
-                for k, sub in fz.pairs:
+                for sub, lv in zip(fz[1:], live):
+                    self.pair(sub, lv)
+        elif tag == T_DEQUE and isinstance(live, deque):
+            if live.maxlen == fz[1] and self._claim(key, live):
+                for sub, lv in zip(fz[2:], live):
+                    self.pair(sub, lv)
+        elif tag == T_DICT and isinstance(live, dict):
+            if self._claim(key, live):
+                for k, sub in fz[1].items():
                     if k in live:
                         self.pair(sub, live[k])
-        elif isinstance(fz, _TupleS) and isinstance(live, tuple):
-            for sub, lv in zip(fz.items, live):
+        elif tag == T_TUPLE and isinstance(live, tuple):
+            for sub, lv in zip(fz[1:], live):
                 self.pair(sub, lv)
-        elif isinstance(fz, _SetS) and isinstance(live, set) and not fz.frozen:
+        elif tag == T_SET and isinstance(live, set) and not fz[1]:
             self._claim(key, live)
-        elif isinstance(fz, _Met) and isinstance(live, (Counter, Gauge, Histogram)):
-            if _metric_kind(live) == fz.kind:
+        elif tag == T_MET and isinstance(live, (Counter, Gauge, Histogram)):
+            if _metric_state(live)[0] == fz[1]:
                 self._claim(key, live)
-        elif isinstance(fz, _Rng) and isinstance(live, random.Random):
+        elif tag == T_RNG and isinstance(live, random.Random):
             self._claim(key, live)
-        elif isinstance(fz, _Bytes) and isinstance(live, bytearray):
+        elif tag == T_BYTES and isinstance(live, bytearray):
             self._claim(key, live)
 
-    def pair_attrs(self, live: Any, state: Dict[str, Any]) -> None:
-        for name, sub in state.items():
-            try:
-                lv = getattr(live, name)
-            except AttributeError:
-                continue
-            self.pair(sub, lv)
+    def pair_attrs(self, live: Any, state: Any) -> None:
+        """Pair the output of :meth:`Freezer.freeze_attrs` with ``live``."""
+        self._pair_fields(live, _attr_fields(state))
+
+    def _pair_fields(self, live: Any, fields: Dict[str, Any]) -> None:
+        for name, sub in fields.items():
+            self.pair(sub, getattr(live, name, None))
 
     def _claim(self, key: int, live: Any) -> bool:
         if key in self._paired:
@@ -453,135 +462,118 @@ class Thawer:
             # A different marker already owns this live object; creating a
             # fresh instance for this one preserves checkpoint distinctness.
             return False
-        self._paired[key] = live
+        self._paired[key] = live  # also keeps id(live) stable
         self._claimed.add(id(live))
-        self._keep.append(live)
         return True
 
     # -------------------------------------------------------------- thaw
     def thaw(self, fz: Any) -> Any:
-        if isinstance(fz, _PRIMITIVES):
-            return fz
-        if isinstance(fz, tuple):
-            # Primitive-only tuples pass through freeze unchanged.
-            return fz
-        if fz is _SKIP:
-            return _SKIP
-        if isinstance(fz, _Ref):
+        t = type(fz)
+        if t in _PRIM or t is tuple:
+            return fz  # primitive-only tuples pass through freeze unchanged
+        if not _is_marker(fz):
+            if isinstance(fz, _PRIMITIVES):
+                return fz
+            raise SnapshotError(f"not freezer output: a bare {t.__name__} in the payload")
+        tag = fz[0]
+        if tag == T_REF:
             try:
-                return self._infra[(fz.kind, fz.key)]
+                return self._infra[(fz[1], fz[2])]
             except KeyError:
                 raise SnapshotError(
-                    f"snapshot references unknown infrastructure {fz.kind}:{fz.key} "
+                    f"snapshot references unknown infrastructure {fz[1]}:{fz[2]} "
                     "(skeleton mismatch — was the design rebuilt with the same config?)"
                 ) from None
         key = id(fz)
         if key in self._done:
             return self._done[key]
-        if isinstance(fz, _TupleS):
-            return tuple(self.thaw(x) for x in fz.items)
-        if isinstance(fz, _Obj):
-            target = self._paired.get(key)
-            if target is None:
-                cls = _resolve_class(fz.module, fz.qualname)
-                target = cls.__new__(cls)
-            self._done[key] = target
-            for name, sub in fz.attrs.items():
-                object.__setattr__(target, name, self.thaw(sub))
-            return target
-        if isinstance(fz, _ListS):
-            target = self._paired.get(key)
-            if target is None:
-                target = []
-            self._done[key] = target
-            items = [self.thaw(x) for x in fz.items]
-            target[:] = items
-            return target
-        if isinstance(fz, _DequeS):
-            target = self._paired.get(key)
-            if target is None:
-                target = deque(maxlen=fz.maxlen)
-            self._done[key] = target
-            items = [self.thaw(x) for x in fz.items]
+        if tag == T_TUPLE:
+            return tuple(self.thaw(x) for x in fz[1:])
+        # The in-place target the pairing pass found, else a fresh object;
+        # registered before it is filled so cycles resolve to it.
+        target = self._paired.get(key)
+        if target is None:
+            target = self._fresh(fz)
+        self._done[key] = target
+        if tag == T_OBJ:
+            self._thaw_fields(target, fz[3])
+        elif tag == T_STATE:
+            target.restore_state(fz[3], self)
+        elif tag == T_EXC:
+            BaseException.__init__(target, *self.thaw(fz[3]))
+            self._thaw_fields(target, fz[4])
+        elif tag == T_LIST:
+            target[:] = [self.thaw(x) for x in fz[1:]]
+        elif tag == T_DEQUE:
+            items = [self.thaw(x) for x in fz[2:]]
             target.clear()
             target.extend(items)
-            return target
-        if isinstance(fz, _DictS):
-            target = self._paired.get(key)
-            if target is None:
-                target = {}
-            self._done[key] = target
-            pairs = [(k, self.thaw(v)) for k, v in fz.pairs]
+        elif tag == T_DICT:
+            pairs = [(k, self.thaw(v)) for k, v in fz[1].items()]
             target.clear()
             target.update(pairs)
-            return target
-        if isinstance(fz, _SetS):
-            if fz.frozen:
-                out = frozenset(fz.items)
-                self._done[key] = out
-                return out
-            target = self._paired.get(key)
-            if target is None:
-                target = set()
-            self._done[key] = target
+        elif tag == T_SET and not fz[1]:
             target.clear()
-            target.update(fz.items)
-            return target
-        if isinstance(fz, _Met):
-            target = self._paired.get(key)
-            if target is None:
-                if fz.kind == "c":
-                    target = Counter()
-                elif fz.kind == "g":
-                    target = Gauge()
-                else:
-                    target = Histogram(buckets=fz.data[0])
-            self._done[key] = target
-            _apply_metric(target, fz)
-            return target
-        if isinstance(fz, _Rng):
-            target = self._paired.get(key)
-            if target is None:
-                target = random.Random()
-            self._done[key] = target
-            target.setstate(fz.state)
-            return target
-        if isinstance(fz, _Bytes):
-            target = self._paired.get(key)
-            if target is None:
-                target = bytearray()
-            self._done[key] = target
-            target[:] = fz.data
-            return target
-        if isinstance(fz, _Exc):
-            cls = _resolve_class(fz.module, fz.qualname)
-            exc = cls.__new__(cls)
-            self._done[key] = exc
-            args = self.thaw(fz.args)
-            BaseException.__init__(exc, *args)
-            for name, sub in fz.attrs.items():
-                object.__setattr__(exc, name, self.thaw(sub))
-            return exc
-        raise SnapshotError(f"unknown marker in snapshot payload: {type(fz).__name__}")
+            target.update(fz[2:])
+        elif tag == T_MET:
+            _apply_metric(target, fz[1], fz[2])
+        elif tag == T_RNG:
+            target.setstate(fz[1])
+        elif tag == T_BYTES:
+            target[:] = fz[1]
+        return target
 
-    def thaw_attrs(self, live: Any, state: Dict[str, Any]) -> None:
-        for name, sub in state.items():
-            if sub is _SKIP:
-                continue
+    def _fresh(self, fz: list) -> Any:
+        """A new, still empty object of the kind ``fz`` describes (complete
+        already for the immutable kinds: frozenset, array)."""
+        tag = fz[0]
+        if tag in (T_OBJ, T_STATE, T_EXC):
+            cls = _resolve_class(fz[1], fz[2])
+            return cls.__new__(cls)
+        if tag == T_DEQUE:
+            return deque(maxlen=fz[1])
+        if tag == T_SET:
+            return frozenset(fz[2:]) if fz[1] else set()
+        if tag == T_MET:
+            if fz[1] == "h":
+                return Histogram(buckets=fz[2][0])
+            return Gauge() if fz[1] == "g" else Counter()
+        if tag == T_ARRAY:
+            import numpy as np  # lazy: only designs that hold arrays pay
+
+            return np.frombuffer(fz[3], dtype=np.dtype(fz[1])).reshape(fz[2]).copy()
+        try:
+            return {T_LIST: list, T_DICT: dict, T_RNG: random.Random, T_BYTES: bytearray}[tag]()
+        except KeyError:  # T_ATTRS has no identity of its own: use thaw_attrs
+            raise SnapshotError(f"cannot thaw a {tag} marker as a value") from None
+
+    def thaw_attrs(self, live: Any, state: Any) -> None:
+        """Apply the output of :meth:`Freezer.freeze_attrs` onto ``live``."""
+        self._thaw_fields(live, _attr_fields(state))
+
+    def _thaw_fields(self, live: Any, fields: Dict[str, Any]) -> None:
+        for name, sub in fields.items():
             object.__setattr__(live, name, self.thaw(sub))
 
 
-def _metric_kind(metric: Any) -> str:
+def _attr_fields(state: Any) -> Dict[str, Any]:
+    if not _is_marker(state, T_ATTRS) or len(state) != 2 or type(state[1]) is not dict:
+        raise SnapshotError("expected the output of Freezer.freeze_attrs()")
+    return state[1]
+
+
+def _metric_state(metric: Any) -> Tuple[str, Any]:
+    """(kind, raw value) of an owned registry metric."""
     if isinstance(metric, Histogram):
-        return "h"
-    return "g" if isinstance(metric, Gauge) else "c"
+        return "h", (tuple(metric.buckets), list(metric.counts), metric.count, metric.total)
+    return ("g" if isinstance(metric, Gauge) else "c"), metric.value
 
 
-def _apply_metric(target: Any, fz: _Met) -> None:
-    if fz.kind in ("c", "g"):
-        target.value = fz.data
+def _apply_metric(target: Any, kind: str, data: Any) -> None:
+    if kind in ("c", "g"):
+        target.value = data
     else:
-        buckets, counts, count, total = fz.data
+        buckets, counts, count, total = data
         if tuple(target.buckets) != tuple(buckets):
             raise SnapshotError("histogram bucket layout changed between capture and restore")
         target.counts[:] = list(counts)
@@ -590,28 +582,35 @@ def _apply_metric(target: Any, fz: _Met) -> None:
 
 
 # ====================================================================== sim
-def _register_sim_infra_fr(fr: Freezer, sim: Any) -> None:
-    fr.add_infra(sim, "sim")
-    if sim.registry is not None:
-        fr.add_infra(sim.registry, "registry")
-    if sim.tracer is not None:
-        fr.add_infra(sim.tracer, "tracer")
+def _infra(sim: Any, fault_state: Any, spans: Any):
+    """(kind, key, object) of everything the markers of one simulator (a
+    whole design, or one dist partition) may reference."""
+    yield "sim", None, sim
+    named = (("registry", sim.registry), ("tracer", sim.tracer), ("spans", spans),
+             ("faults", fault_state), ("plan", getattr(fault_state, "plan", None)))
+    for kind, obj in named:
+        if obj is not None:
+            yield kind, None, obj
     for i, comp in enumerate(sim._components):
-        fr.add_infra(comp, "comp", i)
+        yield "comp", i, comp
     for i, chan in enumerate(sim._channels):
-        fr.add_infra(chan, "chan", i)
+        yield "chan", i, chan
 
 
-def _register_sim_infra_th(th: Thawer, sim: Any) -> None:
-    th.add_infra("sim", None, sim)
-    if sim.registry is not None:
-        th.add_infra("registry", None, sim.registry)
-    if sim.tracer is not None:
-        th.add_infra("tracer", None, sim.tracer)
-    for i, comp in enumerate(sim._components):
-        th.add_infra("comp", i, comp)
-    for i, chan in enumerate(sim._channels):
-        th.add_infra("chan", i, chan)
+#: Channel row: name, items, staged (``None`` when empty, else a list of
+#: frozen items), then the five counters.  Component row: name, state.
+_CHAN_ROW, _COMP_ROW = 8, 2
+_SIM_KEYS = ("cycle", "channels", "components", "wake_heap", "woken", "dirty",
+             "quiescent", "cycles_skipped", "skip_events")
+
+
+def _freeze_queue(fr: Freezer, chan: Any, queue: list) -> Optional[list]:
+    if not queue:
+        return None
+    try:
+        return [fr.freeze(item) for item in queue]
+    except SnapshotError as exc:
+        raise SnapshotError(f"channel {chan.name!r} holds an unfreezable item: {exc}") from None
 
 
 def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
@@ -621,24 +620,24 @@ def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     if sim._selective:
         sim._sync_channel_stats()
     chan_index = {id(ch): i for i, ch in enumerate(sim._channels)}
-    channels = []
-    for ch in sim._channels:
-        channels.append(
-            {
-                "name": ch.name,
-                "items": fr.freeze(list(ch._items)),
-                "staged": fr.freeze(list(ch._staged)),
-                "pop_count": ch._pop_count,
-                "total_pushed": ch.total_pushed,
-                "total_popped": ch.total_popped,
-                "occupancy_accum": ch.occupancy_accum,
-                "cycles_observed": ch.cycles_observed,
-            }
+    channels = [
+        (
+            ch.name,
+            _freeze_queue(fr, ch, ch._items),
+            _freeze_queue(fr, ch, ch._staged),
+            ch._pop_count,
+            ch.total_pushed,
+            ch.total_popped,
+            ch.occupancy_accum,
+            ch.cycles_observed,
         )
-    components = [
-        {"name": comp.name, "state": comp.snapshot_state(fr)} for comp in sim._components
+        for ch in sim._channels
     ]
-    sched = {
+    return {
+        "cycle": sim.cycle,
+        "scheduling": sim.scheduling,
+        "channels": channels,
+        "components": [(comp.name, comp.snapshot_state(fr)) for comp in sim._components],
         "wake_heap": [tuple(entry) for entry in sim._wake_heap],
         "woken": sorted(sim._woken),
         "dirty": [chan_index[id(ch)] for ch in sim._dirty_channels],
@@ -646,17 +645,24 @@ def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
         "cycles_skipped": sim.cycles_skipped,
         "skip_events": sim.skip_events,
     }
-    return {
-        "cycle": sim.cycle,
-        "scheduling": sim.scheduling,
-        "channels": channels,
-        "components": components,
-        "sched": sched,
-    }
+
+
+def _expect_keys(obj: Any, keys: Tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise SnapshotError(f"malformed snapshot: {what} must be a dict with keys {keys}")
+
+
+def _row_names(rows: Any, arity: int, what: str) -> List[Any]:
+    if not isinstance(rows, list) or not all(
+        isinstance(row, tuple) and len(row) == arity for row in rows
+    ):
+        raise SnapshotError(f"malformed snapshot: {what} rows must be {arity}-tuples")
+    return [row[0] for row in rows]
 
 
 def _check_skeleton(sim: Any, state: Dict[str, Any]) -> None:
-    want_comps = [c["name"] for c in state["components"]]
+    _expect_keys(state, _SIM_KEYS, "sim state")
+    want_comps = _row_names(state["components"], _COMP_ROW, "component")
     have_comps = [c.name for c in sim._components]
     if want_comps != have_comps:
         raise SnapshotError(
@@ -664,19 +670,20 @@ def _check_skeleton(sim: Any, state: Dict[str, Any]) -> None:
             f"components, design has {len(have_comps)} (or names differ) — "
             "rebuild with the identical config before restoring"
         )
-    want_chans = [c["name"] for c in state["channels"]]
-    have_chans = [c.name for c in sim._channels]
-    if want_chans != have_chans:
+    if _row_names(state["channels"], _CHAN_ROW, "channel") != [c.name for c in sim._channels]:
         raise SnapshotError("channel skeleton mismatch between snapshot and rebuilt design")
 
 
 def pair_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
     _check_skeleton(sim, state)
-    for comp, st in zip(sim._components, state["components"]):
-        th.pair_attrs(comp, st["state"])
-    for ch, st in zip(sim._channels, state["channels"]):
-        th.pair(st["items"], list(ch._items))
-        th.pair(st["staged"], list(ch._staged))
+    for comp, (_name, st) in zip(sim._components, state["components"]):
+        # Only the freezer's own field walk is a marker and pairs; a component
+        # that wrote its state by hand (the runtime server) thaws it itself.
+        th.pair(st, comp)
+    for ch, row in zip(sim._channels, state["channels"]):
+        for frozen, live in ((row[1], ch._items), (row[2], ch._staged)):
+            for sub, lv in zip(frozen or (), live):
+                th.pair(sub, lv)
 
 
 def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
@@ -687,28 +694,22 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
         sim._program.invalidate()
         sim._program = None
     sim._subs_stale = True
-    for comp, st in zip(sim._components, state["components"]):
-        comp.restore_state(st["state"], th)
-    for ch, st in zip(sim._channels, state["channels"]):
-        items = th.thaw(st["items"])
-        staged = th.thaw(st["staged"])
-        ch._items[:] = items
-        ch._staged[:] = staged
-        ch._pop_count = st["pop_count"]
-        ch.total_pushed = st["total_pushed"]
-        ch.total_popped = st["total_popped"]
-        ch.occupancy_accum = st["occupancy_accum"]
-        ch.cycles_observed = st["cycles_observed"]
+    for comp, (_name, st) in zip(sim._components, state["components"]):
+        comp.restore_state(st, th)
+    for ch, row in zip(sim._channels, state["channels"]):
+        ch._items[:] = [th.thaw(x) for x in row[1] or ()]
+        ch._staged[:] = [th.thaw(x) for x in row[2] or ()]
+        (ch._pop_count, ch.total_pushed, ch.total_popped,
+         ch.occupancy_accum, ch.cycles_observed) = row[3:]
         ch._dirty = False
-    sched = state["sched"]
     sim.cycle = state["cycle"]
-    sim.cycles_skipped = sched["cycles_skipped"]
-    sim.skip_events = sched["skip_events"]
-    sim._quiescent = sched["quiescent"]
-    sim._woken = set(sched["woken"])
-    sim._wake_heap = [tuple(entry) for entry in sched["wake_heap"]]
+    sim.cycles_skipped = state["cycles_skipped"]
+    sim.skip_events = state["skip_events"]
+    sim._quiescent = state["quiescent"]
+    sim._woken = set(state["woken"])
+    sim._wake_heap = [tuple(entry) for entry in state["wake_heap"]]
     del sim._dirty_channels[:]
-    for idx in sched["dirty"]:
+    for idx in state["dirty"]:
         ch = sim._channels[idx]
         ch._dirty = True
         sim._dirty_channels.append(ch)
@@ -722,13 +723,7 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
 # ================================================================= registry
 def capture_registry(registry: Any) -> Dict[str, Any]:
     """Raw values of every owned metric (bound views are recomputed live)."""
-    out: Dict[str, Any] = {}
-    for name, metric in registry._metrics.items():
-        if isinstance(metric, Histogram):
-            out[name] = ("h", (tuple(metric.buckets), list(metric.counts), metric.count, metric.total))
-        elif isinstance(metric, (Counter, Gauge)):
-            out[name] = (_metric_kind(metric), metric.value)
-    return out
+    return {name: _metric_state(metric) for name, metric in registry.owned()}
 
 
 def apply_registry(registry: Any, data: Dict[str, Any]) -> int:
@@ -736,12 +731,10 @@ def apply_registry(registry: Any, data: Dict[str, Any]) -> int:
     missing = 0
     for name, (kind, raw) in data.items():
         metric = registry._metrics.get(name)
-        if metric is None or _metric_kind(metric) != kind:
+        if metric is None or _metric_state(metric)[0] != kind:
             missing += 1
-        elif kind == "h":
-            _apply_metric(metric, _Met("h", raw))
         else:
-            metric.value = raw
+            _apply_metric(metric, kind, raw)
     return missing
 
 
@@ -756,23 +749,46 @@ class Snapshot:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-def _register_design_infra(design: Any, sim: Any, fr: Optional[Freezer], th: Optional[Thawer]) -> None:
-    spans = getattr(design, "span_tracker", None)
-    faults = getattr(design, "faults", None)
-    if fr is not None:
-        _register_sim_infra_fr(fr, sim)
-        if spans is not None:
-            fr.add_infra(spans, "spans")
-        if faults is not None:
-            fr.add_infra(faults, "faults")
-            fr.add_infra(faults.plan, "plan")
-    if th is not None:
-        _register_sim_infra_th(th, sim)
-        if spans is not None:
-            th.add_infra("spans", None, spans)
-        if faults is not None:
-            th.add_infra("faults", None, faults)
-            th.add_infra("plan", None, faults.plan)
+def _capture_state(fr: Freezer, sim: Any, fault_state: Any, extras: Dict[str, Any]) -> Dict[str, Any]:
+    """Freeze a simulator, its registry, its fault state and ``extras``
+    (payload key -> live object or ``None``, captured field by field)."""
+    for kind, key, obj in _infra(sim, fault_state, extras.get("spans")):
+        fr.add_infra(obj, kind, key)
+    payload = {
+        "sim": capture_sim_state(sim, fr),
+        "registry": capture_registry(sim.registry) if sim.registry is not None else None,
+        "faults": fr.freeze_attrs(fault_state, exclude=("plan",)) if fault_state is not None else None,
+    }
+    for key, part in extras.items():
+        payload[key] = fr.freeze_attrs(part) if part is not None else None
+    return payload
+
+
+def _restore_state(
+    th: Thawer, sim: Any, payload: Dict[str, Any], fault_state: Any, extras: Dict[str, Any]
+) -> None:
+    _expect_keys(payload, ("sim", "registry", "faults", *extras), "payload")
+    for kind, key, obj in _infra(sim, fault_state, extras.get("spans")):
+        th.add_infra(kind, key, obj)
+    parts = [
+        (part, payload[key])
+        for key, part in (("faults", fault_state), *extras.items())
+        if part is not None and payload[key] is not None
+    ]
+    # Pass 1: pair every frozen subtree with its live in-place target.
+    pair_sim_state(sim, payload["sim"], th)
+    for part, state in parts:
+        th.pair_attrs(part, state)
+    # Pass 2: thaw.
+    apply_sim_state(sim, payload["sim"], th)
+    if payload["registry"] is not None and sim.registry is not None:
+        apply_registry(sim.registry, payload["registry"])
+    for part, state in parts:
+        th.thaw_attrs(part, state)
+
+
+def _design_extras(design: Any, sim: Any) -> Dict[str, Any]:
+    return {"spans": getattr(design, "span_tracker", None), "tracer": sim.tracer}
 
 
 def capture(handle: Any) -> Snapshot:
@@ -791,23 +807,9 @@ def capture(handle: Any) -> Snapshot:
             "use DistConfig(checkpoint_every_slices=...) barrier checkpoints"
         )
     fr = Freezer()
-    _register_design_infra(design, sim, fr, None)
-    spans = getattr(design, "span_tracker", None)
-    faults = getattr(design, "faults", None)
-    payload = {
-        "sim": capture_sim_state(sim, fr),
-        "registry": capture_registry(sim.registry),
-        "spans": fr.freeze_attrs(spans) if spans is not None else None,
-        "faults": fr.freeze_attrs(faults, exclude=("plan",)) if faults is not None else None,
-        "tracer": fr.freeze_attrs(sim.tracer) if sim.tracer is not None else None,
-        "host": handle.snapshot_state(fr),
-    }
-    meta = {
-        "scheduling": sim.scheduling,
-        "components": [c.name for c in sim._components],
-        "channels": [c.name for c in sim._channels],
-        "skipped_attrs": fr.skipped,
-    }
+    payload = _capture_state(fr, sim, getattr(design, "faults", None), _design_extras(design, sim))
+    payload["host"] = handle.snapshot_state(fr)
+    meta = {"scheduling": sim.scheduling, "skipped_attrs": fr.skipped}
     return Snapshot(SNAPSHOT_VERSION, sim.cycle, payload, meta)
 
 
@@ -826,62 +828,24 @@ def restore(handle: Any, snap: Snapshot) -> None:
         )
     design = handle.design
     sim = design.sim
-    payload = snap.payload
+    _expect_keys(snap.payload, ("host",), "payload")
     th = Thawer()
-    _register_design_infra(design, sim, None, th)
-    spans = getattr(design, "span_tracker", None)
-    faults = getattr(design, "faults", None)
-    # Pass 1: pair every frozen subtree with its live in-place target.
-    pair_sim_state(sim, payload["sim"], th)
-    if payload["faults"] is not None and faults is not None:
-        th.pair_attrs(faults, payload["faults"])
-    if payload["spans"] is not None and spans is not None:
-        th.pair_attrs(spans, payload["spans"])
-    if payload["tracer"] is not None and sim.tracer is not None:
-        th.pair_attrs(sim.tracer, payload["tracer"])
-    # Pass 2: thaw.
-    apply_sim_state(sim, payload["sim"], th)
-    apply_registry(sim.registry, payload["registry"])
-    if payload["faults"] is not None and faults is not None:
-        th.thaw_attrs(faults, payload["faults"])
-    if payload["spans"] is not None and spans is not None:
-        th.thaw_attrs(spans, payload["spans"])
-    if payload["tracer"] is not None and sim.tracer is not None:
-        th.thaw_attrs(sim.tracer, payload["tracer"])
-    handle.restore_state(payload["host"], th)
+    _restore_state(
+        th, sim, snap.payload, getattr(design, "faults", None), _design_extras(design, sim)
+    )
+    handle.restore_state(snap.payload["host"], th)
 
 
 # ============================================================== dist workers
 def capture_partition_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
     """Freeze one partition (worker or root) for a barrier checkpoint.
 
-    The payload is fully decoupled from the live objects (markers only), so
-    worker processes ship it over the barrier pipe and the supervisor can
+    The payload is fully decoupled from the live objects (plain data only),
+    so worker processes ship it over the barrier pipe and the supervisor can
     hold the root's payload without aliasing state that keeps advancing.
     """
-    fr = Freezer()
-    _register_sim_infra_fr(fr, sim)
-    if fault_state is not None:
-        fr.add_infra(fault_state, "faults")
-        fr.add_infra(fault_state.plan, "plan")
-    return {
-        "sim": capture_sim_state(sim, fr),
-        "registry": capture_registry(sim.registry) if sim.registry is not None else None,
-        "faults": fr.freeze_attrs(fault_state, exclude=("plan",)) if fault_state is not None else None,
-    }
+    return _capture_state(Freezer(), sim, fault_state, {})
 
 
 def restore_partition_state(sim: Any, payload: Dict[str, Any], fault_state: Any = None) -> None:
-    th = Thawer()
-    _register_sim_infra_th(th, sim)
-    if fault_state is not None:
-        th.add_infra("faults", None, fault_state)
-        th.add_infra("plan", None, fault_state.plan)
-    pair_sim_state(sim, payload["sim"], th)
-    if payload["faults"] is not None and fault_state is not None:
-        th.pair_attrs(fault_state, payload["faults"])
-    apply_sim_state(sim, payload["sim"], th)
-    if payload["registry"] is not None and sim.registry is not None:
-        apply_registry(sim.registry, payload["registry"])
-    if payload["faults"] is not None and fault_state is not None:
-        th.thaw_attrs(fault_state, payload["faults"])
+    _restore_state(Thawer(), sim, payload, fault_state, {})

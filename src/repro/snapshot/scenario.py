@@ -301,11 +301,9 @@ def kill_and_resume_differential(
                 checkpoint_every_chunks=checkpoint_every_chunks,
                 stop_after_checkpoints=kill_after,
             )
-        if not os.path.exists(path):
-            # The seeded workload finished before its first checkpoint (or
-            # the victim died pre-checkpoint): resume degenerates to a
-            # fresh run, which must still match the reference.
-            pass
+        # If the seeded workload finished before its first checkpoint (or the
+        # victim died pre-checkpoint) there is no file: resume degenerates to
+        # a fresh run, which must still match the reference.
         resumed = run_checkpointed_memcpy(
             seed, mode,
             checkpoint_path=path,

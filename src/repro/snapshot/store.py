@@ -1,8 +1,17 @@
 """Checkpoint persistence: atomic snapshot files, farm plumbing, stage logs.
 
-Snapshot files are written atomically (temp file + ``os.replace``) so a
-SIGKILL mid-write leaves the previous checkpoint intact — the resume path
-never sees a torn file.
+A snapshot file is a fixed header — magic, ``SNAPSHOT_VERSION``, payload
+length, SHA-256 of the payload — then the payload: a pickle of one dict of
+*builtins only* (the engine freezes to plain data).  :func:`load` checks the
+header against the bytes before decoding anything and decodes with an
+unpickler that refuses every global, so a truncated, bit-flipped or foreign
+file is a typed :class:`SnapshotError` and no file can make the loader
+import or call anything.  The digest gives integrity (torn, rotted files),
+not authenticity: whoever can write the file can recompute it.
+
+Files are written atomically (temp file + ``os.replace``) so a SIGKILL
+mid-write leaves the previous checkpoint intact — the resume path never
+sees a torn file.
 
 Farm integration works over the environment: the pool supervisor exports
 the job's checkpoint path/interval before dispatch, checkpointed job
@@ -14,9 +23,11 @@ records whether the job actually resumed so the pool can surface
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
+import struct
 import tempfile
 from typing import Any, Dict, Optional, Tuple
 
@@ -27,7 +38,10 @@ from repro.snapshot.engine import (
     SnapshotVersionError,
 )
 
-_FORMAT = "repro-snapshot"
+_MAGIC = b"RPROSNAP"
+#: magic, version, payload length, sha256(payload) — big-endian, 52 bytes.
+_HEADER = struct.Struct(">8sIQ32s")
+_FIELDS = (("version", int), ("cycle", int), ("payload", dict), ("meta", dict))
 
 #: Exported by the farm pool around checkpointed job execution.
 CKPT_PATH_ENV = "REPRO_SNAPSHOT_JOB_PATH"
@@ -39,16 +53,18 @@ _resumed_flag = False
 # ------------------------------------------------------------------- files
 def save(snap: Snapshot, path: str) -> None:
     """Atomically write ``snap`` to ``path``."""
+    body = pickle.dumps(
+        {name: getattr(snap, name) for name, _type in _FIELDS},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    header = _HEADER.pack(_MAGIC, snap.version, len(body), hashlib.sha256(body).digest())
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(
-                {"format": _FORMAT, "version": snap.version, "snapshot": snap},
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            fh.write(header)
+            fh.write(body)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -60,24 +76,45 @@ def save(snap: Snapshot, path: str) -> None:
         raise
 
 
+class _NoGlobals(pickle.Unpickler):
+    """Decodes builtins only: every opcode that would resolve a class or a
+    callable goes through here, before anything is imported."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(f"the payload names the global {module}.{name}")
+
+
 def load(path: str) -> Snapshot:
-    """Read a snapshot file, enforcing format and version compatibility."""
+    """Read a snapshot file; every way it can be bad is a typed error."""
     try:
         with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            data = fh.read()
+    except OSError as exc:
         raise SnapshotError(f"unreadable snapshot file {path}: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != _FORMAT:
-        raise SnapshotError(f"{path} is not a repro snapshot file")
-    if envelope.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotVersionError(
-            f"{path} holds snapshot version {envelope.get('version')}, "
-            f"this build supports {SNAPSHOT_VERSION}"
+    if len(data) < _HEADER.size or not data.startswith(_MAGIC):
+        raise SnapshotError(
+            f"{path} is not a repro snapshot file (or predates format 3, "
+            "whose files are no longer read)"
         )
-    snap = envelope["snapshot"]
-    if not isinstance(snap, Snapshot):
-        raise SnapshotError(f"{path} holds no Snapshot payload")
-    return snap
+    _magic, version, length, digest = _HEADER.unpack_from(data)
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotVersionError(
+            f"{path} holds snapshot version {version}, this build supports {SNAPSHOT_VERSION}"
+        )
+    body = memoryview(data)[_HEADER.size :]
+    if len(body) != length or hashlib.sha256(body).digest() != digest:
+        raise SnapshotError(f"{path} is truncated or corrupt (length/digest mismatch)")
+    try:
+        fields = _NoGlobals(io.BytesIO(body)).load()
+    except Exception as exc:  # noqa: BLE001 — a hostile pickle can raise anything
+        raise SnapshotError(f"{path} holds an undecodable payload: {exc}") from exc
+    if not isinstance(fields, dict) or any(
+        type(fields.get(name)) is not kind for name, kind in _FIELDS
+    ):
+        raise SnapshotError(f"{path} holds no snapshot (wrong payload shape)")
+    if fields["version"] != version:
+        raise SnapshotError(f"{path}: header and payload disagree on the version")
+    return Snapshot(**{name: fields[name] for name, _type in _FIELDS})
 
 
 # -------------------------------------------------------------------- farm

@@ -15,7 +15,9 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import struct
 import time
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -113,9 +115,10 @@ def test_load_rejects_garbage_and_foreign_versions(tmp_path):
     with pytest.raises(SnapshotError):
         load(str(garbage))
 
+    # A bare pickle — the format-2 envelope included — is not a snapshot file.
     wrong = tmp_path / "wrong-pickle.ckpt"
     with open(wrong, "wb") as fh:
-        pickle.dump({"format": "something-else"}, fh)
+        pickle.dump({"format": "repro-snapshot", "version": 2, "snapshot": None}, fh)
     with pytest.raises(SnapshotError):
         load(str(wrong))
 
@@ -125,10 +128,10 @@ def test_load_rejects_garbage_and_foreign_versions(tmp_path):
         checkpoint_every_chunks=1, stop_after_checkpoints=1,
     )
     with open(path, "rb") as fh:
-        envelope = pickle.load(fh)
-    envelope["version"] = SNAPSHOT_VERSION + 999
+        data = bytearray(fh.read())
+    struct.pack_into(">I", data, 8, SNAPSHOT_VERSION + 999)  # header: magic, version
     with open(path, "wb") as fh:
-        pickle.dump(envelope, fh)
+        fh.write(data)
     with pytest.raises(SnapshotVersionError):
         load(path)
 
@@ -218,6 +221,34 @@ def test_farm_timeout_without_checkpoint_still_fails(tmp_path):
     (res,) = farm.run([Job("time:sleep", (60,), cache=False, timeout_s=1.5)])
     assert not res.ok
     assert res.timed_out
+
+
+class _CallbackMsg(NamedTuple):
+    """A queue item that carries structure: tuples holding a callable are
+    skipped whole, so it cannot be frozen."""
+
+    payload: int
+    on_done: Callable[[], None]
+
+
+def test_unfreezable_queue_item_fails_at_capture_by_name():
+    """It used to reach the payload as a skip sentinel and blow up in
+    ``restore`` with ``TypeError: can only assign an iterable``."""
+    from repro.baselines.delay_core import delay_config
+    from repro.core.build import BeethovenBuild
+    from repro.platforms import AWSF1Platform
+    from repro.runtime import FpgaHandle
+    from repro.snapshot import capture
+
+    build = BeethovenBuild(delay_config(1, 100), AWSF1Platform())
+    handle = FpgaHandle(build.design)
+    chan = build.design.sim._channels[3]
+    chan.push(_CallbackMsg(7, lambda: None))
+    with pytest.raises(SnapshotError) as excinfo:
+        capture(handle)
+    assert repr(chan.name) in str(excinfo.value) and "_CallbackMsg" in str(excinfo.value)
+    chan._staged.clear()
+    assert capture(handle).cycle == handle.cycle  # and nothing else objects
 
 
 # ------------------------------------------------- state-dump caps + export
@@ -355,6 +386,75 @@ def test_untouched_scratchpad_is_restored_as_state(mode):
     assert all(mem.cells() == [0] * mem.n_rows for mem in mems)
     fut.get()
     assert (handle.cycle, [list(mem.cells()) for mem in mems]) == reference
+
+
+def _a3_attending(mode, run_load):
+    """One A3 core with ``load_kv`` and an ``attend`` over four queries
+    submitted; ``run_load`` finishes the K/V load and runs on until the
+    attention pipeline holds arrays in its stage slots and FIFOs."""
+    import numpy as np
+
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.attention import a3_config
+    from repro.platforms import SimulationPlatform
+    from repro.runtime import FpgaHandle
+
+    dim = n_keys = 16
+    n_queries = 4
+    build = BeethovenBuild(a3_config(1, dim, n_keys), SimulationPlatform(), scheduling=mode)
+    handle = FpgaHandle(build.design)
+    rng = np.random.default_rng(11)
+    ptrs = []
+    for nbytes in (dim * n_keys, dim * n_keys, dim * n_queries):
+        ptr = handle.malloc(nbytes)
+        ptr.write(rng.integers(-40, 40, nbytes).astype(np.int8).tobytes())
+        handle.copy_to_fpga(ptr)
+        ptrs.append(ptr)
+    out = handle.malloc(dim * n_queries)
+    load = handle.call("A3", "load_kv", 0, key_addr=ptrs[0].fpga_addr, value_addr=ptrs[1].fpga_addr)
+    if run_load:
+        load.get()
+    attend = handle.call(
+        "A3", "attend", 0, query_addr=ptrs[2].fpga_addr, out_addr=out.fpga_addr,
+        n_queries=n_queries, temp_q=1 << 12,
+    )
+    core = build.design.systems[0].cores[0].core
+    if run_load:
+        while not (core._s2 is not None and core._fifo_scores and core.queries_processed == 0):
+            handle.run_cycles(1)
+            assert handle.cycle < 50_000
+    return handle, attend, out, core
+
+
+@pytest.mark.parametrize("mode", ("naive", None))
+def test_numpy_state_round_trips_mid_attention(mode, tmp_path):
+    """A3 keeps K/V and its stage FIFOs as ndarrays: captured after the K/V
+    load with an attend in flight, saved, and restored onto a rebuilt design
+    that has not run a cycle, the run continues bit-identically."""
+    import numpy as np
+
+    from repro.snapshot import capture, restore
+
+    def finish(handle, attend, out):
+        attend.get()
+        handle.copy_from_fpga(out)
+        return handle.cycle, attend.latency_cycles, out.read()
+
+    handle, attend, out, core = _a3_attending(mode, run_load=True)
+    arrays = [core._k_mat, core._v_mat, core._s2[1], *core._fifo_scores]
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    path = str(tmp_path / "a3.ckpt")
+    save(capture(handle), path)
+    reference = finish(handle, attend, out)
+    assert any(reference[2])
+
+    handle, attend, out, core = _a3_attending(mode, run_load=False)
+    assert core._k_mat is None
+    restore(handle, load(path))
+    restored = [core._k_mat, core._v_mat, core._s2[1], *core._fifo_scores]
+    for got, want in zip(restored, arrays):
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+    assert finish(handle, attend, out) == reference
 
 
 # --------------------------------------------- the DRAM window and its indexes
