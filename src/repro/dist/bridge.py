@@ -169,12 +169,16 @@ class BridgeIngress(Component):
     def accept(self, batch: Sequence[Delta]) -> None:
         """Barrier-transport delivery: apply a shipped delta batch.
 
-        Called between slices, never mid-cycle; the next ``run()`` re-wakes
-        every component, so no wake request is needed.
+        Called between slices, never mid-cycle.  A ``run()`` entry wakes
+        nobody by itself, so a non-empty batch requests the wake that lets
+        the next slice see it (the delay deques may all have been empty at
+        the last hint, which was then :data:`NEVER`).
         """
         delay = self._delay
         for key, due, item in batch:
             delay[key].append((due, item))
+        if batch:
+            self.request_wake()
 
     def tick(self, cycle: int) -> None:
         for key, push, chan in self._targets:

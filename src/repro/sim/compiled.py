@@ -62,7 +62,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.kernel import NEVER, Component
 
@@ -225,6 +225,7 @@ class CompiledProgram:
         self._ready_pos = 0
         self._cur_slot = -1
         self._cmember = -1
+        self._fresh = True  # no run yet: the first entry wakes every slot
 
     @staticmethod
     def _hint_fn(comp):
@@ -306,24 +307,22 @@ class CompiledProgram:
         else:
             self._woken.add(slot)
 
-    def flush_ticks(self) -> None:
+    def flush_ticks(self, slots: Optional[Iterable[int]] = None) -> None:
         """Fold per-slot tick counts into ``Component._ticks_executed``.
 
         The hot loop counts ticks per slot (a list-index increment); the
-        per-component counters the registry and wake reports read are only
-        reconciled here, at run exit.
+        per-component counters are reconciled only when read: one slot by
+        ``Simulator.component_ticks``, all (``None``) by snapshot capture and
+        a program rebuild.
         """
         slot_ticks = self._slot_ticks
-        for slot, group in enumerate(self.groups):
+        groups = self.groups
+        for slot in range(len(groups)) if slots is None else slots:
             count = slot_ticks[slot]
             if count:
                 slot_ticks[slot] = 0
-                for comp in group:
+                for comp in groups[slot]:
                     comp._ticks_executed += count
-
-    def invalidate(self) -> None:
-        """Called before this program is replaced by a rebuild."""
-        self.flush_ticks()
 
     def wake_dump(self):
         """(wake_heap, woken) with slot labels, for deadlock dumps."""
@@ -332,20 +331,15 @@ class CompiledProgram:
         return heap, woken
 
     def prepare(self) -> None:
-        """Wake everything and adopt pre-staged channels at ``run()`` entry.
+        """Apply ``Simulator._wake_all_on_entry`` at ``run()`` entry.
 
-        Mirrors ``Simulator._prepare_selective``: anything may have mutated
-        between runs (host command submission, direct ``step()`` use, test
-        pushes into registered ports), so the first cycle ticks every slot
-        and channels carrying uncommitted traffic join the dirty list.
+        The wake heap and woken set carry over from the previous run; every
+        slot wakes only on this program's first run or after a ``step()``.
         """
-        sim = self.sim
-        self._woken.update(range(len(self.groups)))
-        dirty = sim._dirty_channels
-        for chan in sim._channels:
-            if not chan._dirty and (chan._staged or chan._pop_count):
-                chan._dirty = True
-                dirty.append(chan)
+        n_slots = len(self.groups)
+        if self.sim._wake_all_on_entry(self._fresh, n_slots):
+            self._fresh = False
+            self._woken.update(range(n_slots))
 
     # -- the main loop -------------------------------------------------------
     def run(
@@ -362,109 +356,100 @@ class CompiledProgram:
         woken_add = woken.add
         woken_update = woken.update
         dirty = sim._dirty_channels
-        tracer = sim.tracer
         profile = sim.profile_enabled
         tick_profile = sim.tick_profile
         labels = self._labels
         clock = time.perf_counter_ns
         pred = bool(until()) if until is not None else False
-        cycle = sim.cycle
-        try:
-            while cycle < deadline:
-                if pred:
-                    break
-                while wake_heap and wake_heap[0][0] <= cycle:
-                    woken_add(heappop(wake_heap)[1])
-                if not woken:
-                    # Nothing can act before the earliest scheduled wake:
-                    # model state (and the predicate) is provably frozen.
-                    target = wake_heap[0][0] if wake_heap else deadline
-                    if target > deadline:
-                        target = deadline
-                    skipped = target - cycle
-                    sim.cycles_skipped += skipped
-                    sim.skip_events += 1
-                    if tracer is not None:
-                        tracer.record(cycle, "sim", "fast_forward", skipped)
-                    sim.cycle = cycle = target
-                    continue
-                order = sorted(woken)
-                woken.clear()
-                self._ready = order
-                cy1 = cycle + 1
-                i = 0
-                # Walk the sorted dispatch order by index; same-cycle wakes
-                # (request_wake) insort into the unvisited tail, so the loop
-                # bound is re-read each iteration.
-                while i < len(order):
-                    slot = order[i]
-                    i += 1
-                    self._ready_pos = i
-                    if last_tick[slot] == cycle:
-                        continue  # duplicate wake this cycle
-                    last_tick[slot] = cycle
-                    self._cur_slot = slot
-                    if profile:
-                        t0 = clock()
-                        tick_fns[slot](cycle)
-                        dt = clock() - t0
-                        entry = tick_profile.get(labels[slot])
-                        if entry is None:
-                            tick_profile[labels[slot]] = [dt, 1]
-                        else:
-                            entry[0] += dt
-                            entry[1] += 1
+        cycle = first = sim.cycle
+        while cycle < deadline:
+            if pred:
+                break
+            while wake_heap and wake_heap[0][0] <= cycle:
+                woken_add(heappop(wake_heap)[1])
+            # The entry cycle is stepped even if nobody wakes: it commits
+            # what the host staged between runs, exactly when naive would.
+            if not woken and cycle != first:
+                # Nothing can act before the earliest scheduled wake:
+                # model state (and the predicate) is provably frozen.
+                target = wake_heap[0][0] if wake_heap else deadline
+                if target > deadline:
+                    target = deadline
+                sim.cycles_skipped += target - cycle
+                sim.skip_events += 1
+                sim.cycle = cycle = target
+                continue
+            order = sorted(woken)
+            woken.clear()
+            self._ready = order
+            cy1 = cycle + 1
+            i = 0
+            # Walk the sorted dispatch order by index; same-cycle wakes
+            # (request_wake) insort into the unvisited tail, so the loop
+            # bound is re-read each iteration.
+            while i < len(order):
+                slot = order[i]
+                i += 1
+                self._ready_pos = i
+                if last_tick[slot] == cycle:
+                    continue  # duplicate wake this cycle
+                last_tick[slot] = cycle
+                self._cur_slot = slot
+                if profile:
+                    t0 = clock()
+                    tick_fns[slot](cycle)
+                    dt = clock() - t0
+                    entry = tick_profile.get(labels[slot])
+                    if entry is None:
+                        tick_profile[labels[slot]] = [dt, 1]
                     else:
-                        tick_fns[slot](cycle)
-                    slot_ticks[slot] += 1
-                    hint_fn = hint_fns[slot]
-                    if hint_fn is not None:
-                        hint = hint_fn(cy1)
-                        if hint is None or hint <= cy1:
-                            woken_add(slot)
-                        elif hint != NEVER:
-                            heappush(wake_heap, (int(hint), slot))
-                self._ready = None
-                self._cur_slot = -1
-                if dirty:
-                    if profile:
-                        t0 = clock()
-                    for chan in dirty:
-                        # sync_observations + commit, fused and inlined.
-                        items = chan._items
-                        lag = cycle - chan._anchor - chan.cycles_observed
-                        if lag > 0:
-                            chan.occupancy_accum += len(items) * (lag + 1)
-                            chan.cycles_observed += lag + 1
-                        else:
-                            chan.occupancy_accum += len(items)
-                            chan.cycles_observed += 1
-                        # Wake each edge's subscribers (a dirty channel
-                        # committed at least one of the two).
-                        if chan._pop_count:
-                            del items[: chan._pop_count]
-                            chan._pop_count = 0
-                            woken_update(chan._pop_subs)
-                        staged = chan._staged
-                        if staged:
-                            items += staged
-                            staged.clear()
-                            woken_update(chan._push_subs)
-                        chan._dirty = False
-                    dirty.clear()
-                    if profile:
-                        dt = clock() - t0
-                        entry = tick_profile.get("(kernel)/commit")
-                        if entry is None:
-                            tick_profile["(kernel)/commit"] = [dt, 1]
-                        else:
-                            entry[0] += dt
-                            entry[1] += 1
-                sim.cycle = cycle = cycle + 1
-                pred = bool(until()) if until is not None else False
-        finally:
-            self.flush_ticks()
-        sim._sync_channel_stats()
+                        entry[0] += dt
+                        entry[1] += 1
+                else:
+                    tick_fns[slot](cycle)
+                slot_ticks[slot] += 1
+                hint_fn = hint_fns[slot]
+                if hint_fn is not None:
+                    hint = hint_fn(cy1)
+                    if hint is None or hint <= cy1:
+                        woken_add(slot)
+                    elif hint != NEVER:
+                        heappush(wake_heap, (int(hint), slot))
+            self._ready = None
+            self._cur_slot = -1
+            if dirty:
+                if profile:
+                    t0 = clock()
+                for chan in dirty:
+                    # sync_observations + commit, fused and inlined: this
+                    # commit plus the ones elided since the last.
+                    items = chan._items
+                    n = cycle + 1 - chan._anchor - chan._obs
+                    chan._occ += len(items) * n
+                    chan._obs += n
+                    # Wake each edge's subscribers (a dirty channel
+                    # committed at least one of the two).
+                    if chan._pop_count:
+                        del items[: chan._pop_count]
+                        chan._pop_count = 0
+                        woken_update(chan._pop_subs)
+                    staged = chan._staged
+                    if staged:
+                        items += staged
+                        staged.clear()
+                        woken_update(chan._push_subs)
+                    chan._dirty = False
+                dirty.clear()
+                if profile:
+                    dt = clock() - t0
+                    entry = tick_profile.get("(kernel)/commit")
+                    if entry is None:
+                        tick_profile["(kernel)/commit"] = [dt, 1]
+                    else:
+                        entry[0] += dt
+                        entry[1] += 1
+            sim.cycle = cycle = cycle + 1
+            pred = bool(until()) if until is not None else False
         if cycle >= deadline and until is not None and not pred:
             sim._raise_deadlock(max_cycles)
         return cycle

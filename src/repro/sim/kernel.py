@@ -116,11 +116,12 @@ class ChannelQueue(Generic[T]):
         "_pop_count",
         "total_pushed",
         "total_popped",
-        "occupancy_accum",
-        "cycles_observed",
+        "_occ",
+        "_obs",
         "_sink",
         "_dirty",
         "_anchor",
+        "_sim",
         "_push_subs",
         "_pop_subs",
     )
@@ -133,19 +134,21 @@ class ChannelQueue(Generic[T]):
         self._items: List[T] = []
         self._staged: List[T] = []
         self._pop_count = 0
-        # Statistics, useful for NoC link utilisation reporting.
+        # Statistics, useful for NoC link utilisation reporting.  ``_occ`` and
+        # ``_obs`` are raw: read them through the exact properties below.
         self.total_pushed = 0
         self.total_popped = 0
-        self.occupancy_accum = 0
-        self.cycles_observed = 0
+        self._occ = 0
+        self._obs = 0
         # Selective-scheduling hooks, installed by Simulator.register_channel:
         # ``_sink`` is the simulator's dirty list (None outside selective and
-        # compiled modes), ``_dirty`` marks membership in it, and ``_anchor``
-        # is the registration offset that lets sparse commits credit elided
-        # observations lazily.
+        # compiled modes), ``_dirty`` marks membership in it, ``_sim`` is the
+        # simulator whose clock elided observations are credited against and
+        # ``_anchor`` the registration offset that makes the credit exact.
         self._sink: Optional[List["ChannelQueue[Any]"]] = None
         self._dirty = False
         self._anchor = 0
+        self._sim: Optional["Simulator"] = None
         # Compiled-scheduling subscriber arrays, installed by CompiledProgram:
         # the scheduling slots woken when this channel commits a push / a pop.
         self._push_subs: Tuple[int, ...] = ()
@@ -156,9 +159,10 @@ class ChannelQueue(Generic[T]):
         return len(self._items) + len(self._staged) + n <= self.capacity
 
     def push(self, item: T) -> None:
-        if not self.can_push():
+        staged = self._staged
+        if len(self._items) + len(staged) >= self.capacity:
             raise SimulationError(f"push to full channel {self.name!r}")
-        self._staged.append(item)
+        staged.append(item)
         self.total_pushed += 1
         if not self._dirty and self._sink is not None:
             self._dirty = True
@@ -178,10 +182,11 @@ class ChannelQueue(Generic[T]):
         return self._items[self._pop_count + offset]
 
     def pop(self) -> T:
-        if not self.can_pop():
+        n = self._pop_count
+        if n >= len(self._items):
             raise SimulationError(f"pop from empty channel {self.name!r}")
-        item = self._items[self._pop_count]
-        self._pop_count += 1
+        item = self._items[n]
+        self._pop_count = n + 1
         self.total_popped += 1
         if not self._dirty and self._sink is not None:
             self._dirty = True
@@ -191,8 +196,8 @@ class ChannelQueue(Generic[T]):
     # -- kernel interface ----------------------------------------------------
     def commit(self) -> None:
         """Apply this cycle's pops and pushes; called once per cycle."""
-        self.occupancy_accum += len(self._items)
-        self.cycles_observed += 1
+        self._occ += len(self._items)
+        self._obs += 1
         if self._pop_count:
             del self._items[: self._pop_count]
             self._pop_count = 0
@@ -208,8 +213,8 @@ class ChannelQueue(Generic[T]):
         ``mean_occupancy`` (and every cycle-normalised statistic built on
         ``cycles_observed``) exactly equal to a naively stepped run.
         """
-        self.occupancy_accum += len(self._items) * n
-        self.cycles_observed += n
+        self._occ += len(self._items) * n
+        self._obs += n
 
     def sync_observations(self, cycle: int) -> None:
         """Credit every observation elided since the last commit/sync.
@@ -219,17 +224,29 @@ class ChannelQueue(Generic[T]):
         commits are reconstructed exactly: at ``cycle`` the channel should
         have been observed ``cycle - _anchor`` times in total.
         """
-        lag = cycle - self._anchor - self.cycles_observed
+        lag = cycle - self._anchor - self._obs
         if lag > 0:
-            self.occupancy_accum += len(self._items) * lag
-            self.cycles_observed += lag
+            self._occ += len(self._items) * lag
+            self._obs += lag
+
+    @property
+    def cycles_observed(self) -> int:
+        """Commits a naive run would have made by now, exact at any time
+        (mid-tick too): elided ones are counted against ``_sim``'s clock."""
+        seen = self._sim.cycle - self._anchor if self._sim is not None else 0
+        return seen if seen > self._obs else self._obs
+
+    @property
+    def occupancy_accum(self) -> int:
+        """Occupancy integral; an elided commit saw the last real one's."""
+        return self._occ + len(self._items) * (self.cycles_observed - self._obs)
 
     def register_metrics(self, scope) -> None:
         """Bind this channel's statistics into a metric registry scope.
 
-        The stats themselves stay plain int fields — ``commit`` runs once per
+        The raw stats stay plain int slots — ``commit`` runs once per
         channel per cycle and is the kernel's hottest statistic — so the
-        registry holds lazy views that read the live values at dump time.
+        registry holds lazy views that read the exact values at dump time.
         """
         scope.bind("pushed", lambda: self.total_pushed)
         scope.bind("popped", lambda: self.total_popped)
@@ -244,9 +261,8 @@ class ChannelQueue(Generic[T]):
 
     @property
     def mean_occupancy(self) -> float:
-        if not self.cycles_observed:
-            return 0.0
-        return self.occupancy_accum / self.cycles_observed
+        observed = self.cycles_observed
+        return self.occupancy_accum / observed if observed else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChannelQueue({self.name!r}, {len(self._items)}/{self.capacity})"
@@ -363,12 +379,14 @@ class Component:
         return list(dict.fromkeys([*on_push, *on_pop]))
 
     def request_wake(self) -> None:
-        """Ask the selective scheduler to tick this component again.
+        """Ask the selective and compiled schedulers to tick this component.
 
         Escape hatch for progress enabled by *non-channel* coupling: e.g. a
         core calling :meth:`repro.memory.scratchpad.Memory.read` directly on
-        another component's memory.  Safe to call from any mode (a no-op
-        outside selective scheduling) and from inside a tick.
+        another component's memory.  It is also the contract *between* runs:
+        an entry wakes nobody, so host code that changes a component outside
+        any channel (a submission, a bridge batch) must call it.  Safe from
+        any mode (a no-op under naive and fast-forward), in a tick or not.
         """
         hook = self._wake_hook
         if hook is not None:
@@ -485,6 +503,10 @@ class Simulator:
         # Skip accounting, surfaced by :func:`repro.sim.trace.skip_summary`.
         self.cycles_skipped = 0
         self.skip_events = 0
+        # run() calls, slots woken by _wake_all_on_entry, step() since a run.
+        self.run_entries = 0
+        self.entry_wakes = 0
+        self._touched = False
         # Selective-scheduler state.  The compiled backend reuses the dirty
         # list, lazy anchors and per-component tick accounting, so every
         # ``_selective`` guard below covers both modes; only run() dispatch
@@ -517,11 +539,13 @@ class Simulator:
             "cycles_stepped", lambda: self.cycle - self.cycles_skipped, volatile=True
         )
         scope.bind("skip_events", lambda: self.skip_events, volatile=True)
+        scope.bind("run_entries", lambda: self.run_entries, volatile=True)
+        scope.bind("entry_wakes", lambda: self.entry_wakes, volatile=True)
         if self.tracer is not None:
             tracer = self.tracer
             tscope = self.registry.scope("trace")
-            # Event counts are volatile: fast-forward jumps log a trace event
-            # per skip, so they legitimately differ from a naive run.
+            # Event counts are volatile: they are not part of the stable
+            # surface the cross-schedule differentials and digests compare.
             tscope.bind("events", lambda: len(tracer.events), volatile=True)
             tscope.bind("spans", lambda: len(getattr(tracer, "span_log", ())))
             tscope.bind(
@@ -565,7 +589,13 @@ class Simulator:
                 # Anchor so that a fully synced channel always satisfies
                 # cycles_observed == sim.cycle - _anchor, exactly as if it
                 # had been committed on every cycle since registration.
-                chan._anchor = self.cycle - chan.cycles_observed
+                chan._anchor = self.cycle - chan._obs
+                chan._sim = self
+                # Traffic staged before registration joins the dirty list now,
+                # so it always holds every channel with uncommitted traffic.
+                if not chan._dirty and (chan._staged or chan._pop_count):
+                    chan._dirty = True
+                    self._dirty_channels.append(chan)
             self.registry.defer(
                 "chan/" + chan.name.replace(".", "/"), chan.register_metrics
             )
@@ -574,11 +604,13 @@ class Simulator:
     def component_ticks(self, component: Component) -> int:
         """Cycles in which ``component.tick`` actually ran.
 
-        Exact per-component counts are maintained by the selective scheduler;
-        under naive/fast-forward schedules every stepped cycle ticks every
-        component, so the count is derived.
+        Exact per-component counts are kept by the selective schedulers (the
+        compiled one folds the component's slot count here); under
+        naive/fast-forward every stepped cycle ticks every component.
         """
         if self._selective:
+            if self._program is not None and component._cslot >= 0:
+                self._program.flush_ticks((component._cslot,))
             return component._ticks_executed
         return self.cycle - self.cycles_skipped
 
@@ -591,9 +623,10 @@ class Simulator:
         a host-path API: the runtime advances time through :meth:`run`, so
         the configured scheduler applies.  All four scheduling modes share
         these step semantics, so tests may freely interleave ``step()`` with
-        ``run()``; under the selective and compiled schedules the next
-        ``run()`` re-wakes every component, and the commit sweep first
-        credits any lazily deferred channel observations.
+        ``run()``; under the selective and compiled schedules a step marks
+        the simulator touched, so the next ``run()`` entry wakes every
+        component (the wake state never saw what the step did), and the
+        commit sweep first credits any lazily deferred channel observations.
         """
         if self.profile_enabled:
             return self._step_profiled()
@@ -614,6 +647,7 @@ class Simulator:
                 quiescent = False
         if selective:
             self._dirty_channels.clear()
+            self._touched = True
         self._quiescent = quiescent
         self.cycle = cycle + 1
 
@@ -652,6 +686,7 @@ class Simulator:
                 quiescent = False
         if selective:
             self._dirty_channels.clear()
+            self._touched = True
         dt = clock() - t0
         entry = profile.get("(kernel)/commit")
         if entry is None:
@@ -672,17 +707,22 @@ class Simulator:
         :class:`SimulationError` when the budget runs out while a predicate is
         pending, because that almost always means the model deadlocked.
 
-        Under the skipping schedules (fast-forward and selective), ``until``
-        must be a function of model state (channel/component contents), not of
-        the raw cycle counter: skipped cycles are exactly the ones in which no
-        model state changes, so a state predicate is evaluated at every cycle
-        where its value could flip — but a predicate on ``sim.cycle`` itself
-        could fire inside a skipped window and be missed.
+        Under the skipping schedules (fast-forward, selective, compiled),
+        ``until`` must be a function of model state (channel/component
+        contents), not of the raw cycle counter: skipped cycles are exactly the
+        ones in which no model state changes, so a state predicate is evaluated
+        at every cycle where its value could flip — but a predicate on
+        ``sim.cycle`` itself could fire inside a skipped window and be missed.
 
         The predicate is evaluated exactly once per advanced cycle (the
         result is cached for the cycle, so predicate-heavy runs are not
         charged twice for the fast-forward guard's re-check).
+
+        Under selective and compiled a run entry pays only for what changed
+        (:meth:`_wake_all_on_entry`); the exit syncs nothing, because channel
+        statistics and tick counts are exact when read.
         """
+        self.run_entries += 1
         deadline = self.cycle + max_cycles
         if self._compiled:
             return self._run_compiled(deadline, max_cycles, until)
@@ -722,17 +762,33 @@ class Simulator:
         return self.run(n_cycles, until=None)
 
     # -- selective scheduling -------------------------------------------------
-    def _prepare_selective(self) -> None:
-        """Refresh subscriptions and wake state at ``run()`` entry.
+    def _wake_all_on_entry(self, fresh: bool, n_slots: int) -> bool:
+        """The ``run()`` entry rule both skipping schedulers share.
 
-        Anything may have mutated between run calls — the host submitted
-        commands, a test pushed into a registered port, ``step()`` was used
-        directly — so every component is woken for the first cycle (which is
-        exactly a naive tick-everything cycle) and channels carrying staged
-        traffic from before their registration are adopted into the dirty
-        list.
+        Between runs change announces itself — a push or pop on a registered
+        channel lands in the dirty list (committed at the entry cycle, which
+        is always stepped), anything else calls :meth:`Component.request_wake`
+        — and the wake state carries over, so an entry wakes nobody.  Only a
+        ``fresh`` schedule (first run; rebuilt after a restore or an add),
+        which also adopts staged channels, and a :meth:`step` since the last
+        run wake all ``n_slots`` for one naive cycle; returns whether to.
         """
-        if self._subs_stale:
+        if not (fresh or self._touched):
+            return False
+        self._touched = False
+        self.entry_wakes += n_slots
+        if fresh:
+            dirty = self._dirty_channels
+            for chan in self._channels:
+                if not chan._dirty and (chan._staged or chan._pop_count):
+                    chan._dirty = True
+                    dirty.append(chan)
+        return True
+
+    def _prepare_selective(self) -> None:
+        """Refresh subscriptions at ``run()`` entry and apply the entry rule."""
+        fresh = self._subs_stale
+        if fresh:
             subs: Dict[int, List[int]] = {}
             for idx, comp in enumerate(self._components):
                 comp._sched_index = idx
@@ -741,12 +797,8 @@ class Simulator:
                     subs.setdefault(id(chan), []).append(idx)
             self._subs = subs
             self._subs_stale = False
-        self._woken.update(range(len(self._components)))
-        dirty = self._dirty_channels
-        for chan in self._channels:
-            if not chan._dirty and (chan._staged or chan._pop_count):
-                chan._dirty = True
-                dirty.append(chan)
+        if self._wake_all_on_entry(fresh, len(self._components)):
+            self._woken.update(range(len(self._components)))
 
     def _request_wake(self, component: Component) -> None:
         """Wake ``component`` at the earliest cycle that matches naive order.
@@ -780,29 +832,28 @@ class Simulator:
         wake_heap = self._wake_heap
         woken = self._woken
         dirty = self._dirty_channels
-        tracer = self.tracer
         profile = self.profile_enabled
         tick_profile = self.tick_profile
         clock = time.perf_counter_ns
         pred = bool(until()) if until is not None else False
+        first = self.cycle
         while self.cycle < deadline:
             if pred:
                 break
             cycle = self.cycle
             while wake_heap and wake_heap[0][0] <= cycle:
                 woken.add(heappop(wake_heap)[1])
-            if not woken:
+            # The entry cycle is stepped even if nobody wakes: it commits
+            # what the host staged between runs, exactly when naive would.
+            if not woken and cycle != first:
                 # Nothing can act before the earliest scheduled wake: the
                 # model state is provably frozen, so jump (the predicate's
                 # value is frozen with it).
                 target = wake_heap[0][0] if wake_heap else deadline
                 if target > deadline:
                     target = deadline
-                skipped = target - cycle
-                self.cycles_skipped += skipped
+                self.cycles_skipped += target - cycle
                 self.skip_events += 1
-                if tracer is not None:
-                    tracer.record(cycle, "sim", "fast_forward", skipped)
                 self.cycle = target
                 continue
             ready = list(woken)
@@ -856,9 +907,6 @@ class Simulator:
                         entry[1] += 1
             self.cycle = cycle + 1
             pred = bool(until()) if until is not None else False
-        # Bring every channel's lazily deferred observation statistics up to
-        # the final cycle before anyone reads them.
-        self._sync_channel_stats()
         if self.cycle >= deadline and until is not None and not pred:
             self._raise_deadlock(max_cycles)
         return self.cycle
@@ -880,15 +928,10 @@ class Simulator:
         program = self._program
         if program is None or self._subs_stale:
             if program is not None:
-                program.invalidate()
+                program.flush_ticks()
             program = self._program = CompiledProgram(self)
             self._subs_stale = False
         return program.run(deadline, max_cycles, until)
-
-    def _sync_channel_stats(self) -> None:
-        cycle = self.cycle
-        for chan in self._channels:
-            chan.sync_observations(cycle)
 
     # -- deadlock diagnosis ---------------------------------------------------
     def state_dump(self) -> Dict[str, Any]:
@@ -991,6 +1034,4 @@ class Simulator:
             chan.credit_idle_cycles(skipped)
         self.cycles_skipped += skipped
         self.skip_events += 1
-        if self.tracer is not None:
-            self.tracer.record(self.cycle, "sim", "fast_forward", skipped)
         self.cycle = target

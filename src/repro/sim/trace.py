@@ -189,13 +189,15 @@ def skip_summary(sim) -> Dict[str, float]:
 
 
 def render_skip_report(sim) -> str:
-    """One-line human summary of :func:`skip_summary` for benchmark output."""
+    """One-line human summary of :func:`skip_summary` for benchmark output,
+    plus the run entries and the slots the entry rule woke."""
     s = skip_summary(sim)
     return (
         f"sim {sim.name!r}: {s['cycles_total']:.0f} cycles simulated, "
         f"{s['cycles_stepped']:.0f} stepped / {s['cycles_skipped']:.0f} skipped "
         f"({s['skip_fraction']:.1%}) in {s['skip_events']:.0f} jumps "
-        f"(mean {s['mean_skip_length']:.1f} cycles)"
+        f"(mean {s['mean_skip_length']:.1f} cycles); "
+        f"{sim.run_entries} run entries, {sim.entry_wakes} entry wakes"
     )
 
 

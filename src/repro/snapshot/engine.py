@@ -617,8 +617,8 @@ def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     """Freeze one :class:`~repro.sim.Simulator`'s complete mutable state."""
     if getattr(sim, "_ready", None) is not None:
         raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
-    if sim._selective:
-        sim._sync_channel_stats()
+    if sim._program is not None:
+        sim._program.flush_ticks()  # per-slot tick counts into the components
     chan_index = {id(ch): i for i, ch in enumerate(sim._channels)}
     channels = [
         (
@@ -688,19 +688,16 @@ def pair_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
 
 def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
     # Discard any compiled tick program *before* touching component state:
-    # invalidate() flushes per-slot tick counts into the components, which
-    # must not land on top of restored counters.  The next run() recompiles.
-    if sim._program is not None:
-        sim._program.invalidate()
-        sim._program = None
+    # its unfolded per-slot tick counts must not land on top of restored
+    # counters.  The next run() recompiles, and its first entry wakes all.
+    sim._program = None
     sim._subs_stale = True
     for comp, (_name, st) in zip(sim._components, state["components"]):
         comp.restore_state(st, th)
     for ch, row in zip(sim._channels, state["channels"]):
         ch._items[:] = [th.thaw(x) for x in row[1] or ()]
         ch._staged[:] = [th.thaw(x) for x in row[2] or ()]
-        (ch._pop_count, ch.total_pushed, ch.total_popped,
-         ch.occupancy_accum, ch.cycles_observed) = row[3:]
+        ch._pop_count, ch.total_pushed, ch.total_popped, ch._occ, ch._obs = row[3:]
         ch._dirty = False
     sim.cycle = state["cycle"]
     sim.cycles_skipped = state["cycles_skipped"]
@@ -717,7 +714,7 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
         for ch in sim._channels:
             # Re-anchor lazy occupancy crediting at the restored cycle, the
             # same invariant register_channel() establishes.
-            ch._anchor = sim.cycle - ch.cycles_observed
+            ch._anchor = sim.cycle - ch._obs
 
 
 # ================================================================= registry

@@ -54,9 +54,9 @@ def build_memory_testbench(
     :data:`repro.sim.DEFAULT_SCHEDULING` (the compiled schedule, cycle-exact),
     or naive stepping when ``fast_forward=False``.
     Driving the master ports directly between ``run`` calls is safe under
-    every schedule: each run entry re-wakes all components and adopts any
-    staged pushes/pops.  ``profile`` enables the per-component wall-clock
-    profiler (:func:`repro.obs.render_profile_report`).
+    every schedule: a push or pop on a registered channel is committed at
+    the next run's entry cycle.  ``profile`` enables the per-component
+    wall-clock profiler (:func:`repro.obs.render_profile_report`).
     """
     tracer = tracer or Tracer()
     params = controller_params or AxiParams(beat_bytes=timing.col_bytes)

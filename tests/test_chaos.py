@@ -1,10 +1,14 @@
 """Chaos sweep: the robustness contract under hundreds of seeded schedules.
 
-Asserts that every seeded fault schedule, under all three scheduling modes,
+Asserts that every seeded fault schedule, under all four scheduling modes,
 terminates bounded in an allowed outcome (correct / typed error /
 degraded-but-correct) — never a hang, never silent corruption — and that a
 seed's realised fault schedule, final cycle count and outcome are identical
 across modes.  The empty plan must be a strict no-op.
+
+Tier-1 runs a seed slice that crosses every scenario x mode x fault kind and
+reaches every outcome; the 36-seed population (the >= 200-schedule
+acceptance floor) is marked ``slow``.
 """
 
 from __future__ import annotations
@@ -25,17 +29,45 @@ from repro.faults.chaos import (
 )
 
 #: 36 seeds x 4 scenarios x 4 modes = 576 seeded schedules (the acceptance
-#: floor is 200).
+#: floor is 200), run under ``-m slow``.
 N_SEEDS = 36
+
+#: The tier-1 slice: seed 1 and 7 draw no fault class (the control group),
+#: 0-6 between them activate all six, and 4 quarantines a hung core.
+SLICE_SEEDS = range(8)
+
+#: The ``FaultPlan`` rate field of each fault class ``default_plan`` draws.
+FAULT_KINDS = (
+    "dram_read_flip_rate", "axi_r_corrupt_rate", "axi_r_drop_rate",
+    "axi_b_drop_rate", "mmio_resp_drop_rate", "core_hang_rate",
+)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_chaos_sweep(range(N_SEEDS))
+    return run_chaos_sweep(SLICE_SEEDS)
 
 
 def test_sweep_meets_schedule_count(sweep):
-    assert len(sweep) == N_SEEDS * len(SCENARIOS) * len(MODES) >= 200
+    """The slice crosses every scenario x mode x fault kind."""
+    assert len(sweep) == len(SLICE_SEEDS) * len(SCENARIOS) * len(MODES)
+    assert {(o.scenario, o.mode) for o in sweep} == {
+        (sc, m) for sc in SCENARIOS for m in MODES
+    }
+    drawn = {
+        kind for seed in SLICE_SEEDS for kind in FAULT_KINDS
+        if getattr(default_plan(seed), kind) > 0
+    }
+    assert drawn == set(FAULT_KINDS)
+
+
+@pytest.mark.slow
+def test_full_population_holds_the_contract():
+    population = run_chaos_sweep(range(N_SEEDS))
+    assert len(population) == N_SEEDS * len(SCENARIOS) * len(MODES) >= 200
+    test_contract_no_hangs_no_silent_corruption(population)
+    test_recovery_paths_actually_exercised(population)
+    test_outcome_identical_across_scheduling_modes(population)
 
 
 def test_contract_no_hangs_no_silent_corruption(sweep):
