@@ -5,8 +5,9 @@ generated artefact: the simulatable design, the structural Verilog, the
 placement constraints, the C++ host bindings and the reports.  The build
 modes mirror the paper's flows:
 
-* ``Simulation`` — elaborate + wire the cycle simulator (Verilator/DRAMsim3
-  role); the returned design is ready for :class:`repro.runtime.FpgaHandle`.
+* ``Simulation`` — elaborate for the cycle simulator (Verilator/DRAMsim3
+  role); the returned design is ready for :class:`repro.runtime.FpgaHandle`,
+  which wires the simulator at first use.
 * ``Synthesis`` — additionally runs the feasibility model (floorplan,
   memcell mapping, routability) and refuses designs that would not route.
 """
@@ -33,7 +34,15 @@ class BuildMode(enum.Enum):
 
 
 class InfeasibleDesignError(RuntimeError):
-    """Raised in Synthesis mode when the design would not place/route."""
+    """Raised in Synthesis mode when the design would not place/route.
+
+    ``design`` is the rejected :class:`ElaboratedDesign`, so a caller can
+    ask what binds without elaborating the same point again.
+    """
+
+    def __init__(self, message: str, design: Optional[ElaboratedDesign] = None) -> None:
+        super().__init__(message)
+        self.design = design
 
 
 class BeethovenBuild:
@@ -71,7 +80,8 @@ class BeethovenBuild:
             if report is not None and not report.feasible:
                 raise InfeasibleDesignError(
                     "design fails the place/route feasibility model: "
-                    + "; ".join(report.reasons)
+                    + "; ".join(report.reasons),
+                    self.design,
                 )
 
     # ------------------------------------------------------------- artefacts

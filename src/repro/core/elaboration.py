@@ -10,8 +10,10 @@ Beethoven's Chisel elaboration:
 4. build the SLR-aware memory tree network from every Reader/Writer port to
    the DDR controller, and the command network from the MMIO frontend to
    every core;
-5. register everything with a cycle simulator and produce the resource,
-   floorplan and routability reports.
+5. produce the resource, floorplan and routability reports, and register
+   everything with a cycle simulator at the first use of ``design.sim``
+   (a handle, the metric registry, a snapshot): most design points a
+   composer builds are only costed, never simulated.
 """
 
 from __future__ import annotations
@@ -151,12 +153,15 @@ class ElaboratedDesign:
         # naive stepping.
         if scheduling is None:
             scheduling = DEFAULT_SCHEDULING if fast_forward else "naive"
-        self.sim = Simulator(
+        self._sim = Simulator(
             "beethoven",
             tracer=self.tracer,
             profile=self.observability.profile,
             scheduling=scheduling,
         )
+        # Set at the wiring point below; until then a read of ``sim`` (the
+        # fault plan's registry) sees the bare simulator.
+        self._wire_pending = False
         self.estimator = ResourceEstimator()
         self.systems: List[ElaboratedSystem] = []
         self.memcell_mapper: Optional[MemcellMapper] = None
@@ -185,7 +190,13 @@ class ElaboratedDesign:
         self._build_command_network()
         self._wire_observability()
         self._compile_faults(faults)
-        self._register_all()
+        # The wiring point.  A single-process design registers its netlist at
+        # the first read of ``sim``; a sharded one wires now, so the
+        # DistSimulator below validates (and may refuse) in the constructor.
+        if self.dist_plan is None:
+            self._wire_pending = True
+        else:
+            self._register_all()
         self._finalise_report()
         self._check_routability()
         if self.dist_plan is not None:
@@ -194,8 +205,8 @@ class ElaboratedDesign:
             # From here on the design drives like any other: ``self.sim`` is
             # the slice/barrier supervisor, the single-process kernel stays
             # reachable as ``root_sim`` (partition 0).
-            self.root_sim = self.sim
-            self.sim = DistSimulator(
+            self.root_sim = self._sim
+            self._sim = DistSimulator(
                 self.dist_plan, self.part_sims, self.dist_config,
                 fault_state=self.faults,
             )
@@ -492,8 +503,8 @@ class ElaboratedDesign:
         """Compile a :class:`repro.faults.FaultPlan` into the built models.
 
         Runs after the networks exist (hooks attach to live components) and
-        before metric registration, so ``fault/*`` counters participate in
-        the same registry dumps as everything else.
+        before the wiring point, so ``fault/*`` counters participate in the
+        same registry dumps as everything else, ahead of every component's.
         """
         if plan is None:
             return
@@ -506,17 +517,31 @@ class ElaboratedDesign:
         self.faults = plan.compile(self)
 
     # ------------------------------------------------------------- simulator
+    @property
+    def sim(self):
+        """The cycle simulator, with the netlist registered on first use.
+
+        Everything that drives or reads the design goes through here — the
+        runtime handle, the metric registry, snapshots, the serving layer —
+        so resource-only callers (sweeps, feasibility searches) never pay for
+        ``Simulator.add``/``register_channel``.
+        """
+        if self._wire_pending:
+            self._wire_pending = False
+            self._register_all()
+        return self._sim
+
     def _register_all(self) -> None:
         if self.dist_plan is not None:
             from repro.dist import register_partitioned
 
-            self.part_sims = [self.sim] + [
-                Simulator(f"part{p}", scheduling=self.sim.scheduling)
+            self.part_sims = [self._sim] + [
+                Simulator(f"part{p}", scheduling=self._sim.scheduling)
                 for p in range(1, self.dist_plan.n_partitions)
             ]
             register_partitioned(self, self.dist_plan, self.part_sims)
             return
-        sim = self.sim
+        sim = self._sim
         sim.add(self.controller)
         sim.add(self.monitor)
         for chan in self.mem_mport.port.channels():

@@ -178,13 +178,17 @@ def frontier(points: Sequence[DesignPoint]) -> int:
 def limiting_resource(factory: ConfigFactory, n_cores: int, platform: Platform) -> str:
     """The most over-subscribed resource at ``n_cores`` (raw kind name)."""
     build = BeethovenBuild(factory(n_cores), platform, BuildMode.Simulation)
-    device = platform.device
+    return _limiting_kind(build.design)
+
+
+def _limiting_kind(design) -> str:
+    """The most over-subscribed resource of an elaborated design."""
+    device = design.platform.device
     worst_kind, worst_util = "lut", 0.0
-    placement = build.placement
     for slr in range(device.n_slrs):
         free = device.free_capacity(slr)
-        load = placement.slr_load[slr]
-        extra = build.resource_report.interconnect_per_slr.get(slr)
+        load = design.placement.slr_load[slr]
+        extra = design.report.interconnect_per_slr.get(slr)
         if extra is not None:
             load = load + extra
         for kind, util in load.utilisation_of(free).items():
@@ -201,9 +205,12 @@ def max_feasible_cores(
     """Largest feasible core count, its classified limiter, and the build.
 
     The limiter is classified the way the paper reports it: logic pressure
-    (CLB/LUT/FF) as "LUT", memory-tile pressure as "BRAM".
+    (CLB/LUT/FF) as "LUT", memory-tile pressure as "BRAM".  It is read off
+    the first infeasible count, ``best + 1``: the search stops just below
+    its last rejected design, so that design is reused rather than
+    elaborated again.  Only ``best == limit`` never built ``best + 1``.
     """
-    best, best_build = 0, None
+    best, best_build, rejected = 0, None, None
     lo, hi = 1, limit
     n = 1
     while n <= limit:
@@ -212,7 +219,8 @@ def max_feasible_cores(
             best = n
             lo = n + 1
             n *= 2
-        except InfeasibleDesignError:
+        except InfeasibleDesignError as exc:
+            rejected = exc.design
             hi = n - 1
             break
     while lo <= hi:
@@ -221,8 +229,12 @@ def max_feasible_cores(
             best_build = BeethovenBuild(factory(mid), platform, BuildMode.Synthesis)
             best = mid
             lo = mid + 1
-        except InfeasibleDesignError:
+        except InfeasibleDesignError as exc:
+            rejected = exc.design
             hi = mid - 1
-    raw = limiting_resource(factory, best + 1, platform)
+    if rejected is None:
+        raw = limiting_resource(factory, best + 1, platform)
+    else:
+        raw = _limiting_kind(rejected)
     limiter = "LUT" if raw in ("clb", "lut", "reg") else "BRAM"
     return best, limiter, best_build

@@ -55,13 +55,14 @@ class Floorplanner:
     def place(self, cores: Sequence[Tuple[str, ResourceVector]]) -> Placement:
         """Assign each (name, resource) core to an SLR."""
         placement = Placement()
+        budgets = [self._budget(slr) for slr in range(self.device.n_slrs)]
         for slr in range(self.device.n_slrs):
             placement.slr_load[slr] = ResourceVector()
         for name, vec in cores:
             best_slr, best_util = None, None
-            for slr in range(self.device.n_slrs):
+            for slr, budget in enumerate(budgets):
                 projected = placement.slr_load[slr] + vec
-                util = projected.max_utilisation_of(self._budget(slr))
+                util = projected.max_utilisation_of(budget)
                 if best_util is None or util < best_util:
                     best_slr, best_util = slr, util
             placement.assignment[name] = best_slr

@@ -13,9 +13,10 @@ others, which is what let a 96%-CLB design route at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
-from repro.fpga.device import FpgaDevice
+from repro.fpga.device import FpgaDevice, ResourceVector
 from repro.hdl.ir import HdlMemory
 
 BRAM_BITS = 36 * 1024
@@ -54,6 +55,18 @@ def uram_count(width_bits: int, depth: int) -> int:
     return max(-(-width_bits // URAM_WIDTH) * -(-depth // URAM_DEPTH), 1)
 
 
+@lru_cache(maxsize=1024)
+def _tile_counts(width_bits: int, depth: int) -> Tuple[int, int]:
+    """``(BRAM36, URAM)`` tiles for one memory shape.
+
+    A design repeats a handful of shapes across all of its cores, and a
+    core-count search repeats them across every design point, so each shape
+    is computed once; the bound only matters to a process that generates
+    thousands of distinct shapes.
+    """
+    return bram_count(width_bits, depth), uram_count(width_bits, depth)
+
+
 @dataclass
 class MemcellUsage:
     bram: int = 0
@@ -71,12 +84,19 @@ class MemcellMapper:
     usage: Dict[int, MemcellUsage] = field(default_factory=dict)
     spills: int = 0
     infeasible: List[str] = field(default_factory=list)
+    #: Per-SLR free capacity, read from the device once per mapper.
+    _free: Dict[int, ResourceVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _usage(self, slr: int) -> MemcellUsage:
         return self.usage.setdefault(slr, MemcellUsage())
 
     def _util(self, slr: int, kind: str, extra: int) -> float:
-        cap = getattr(self.device.free_capacity(slr), kind)
+        free = self._free.get(slr)
+        if free is None:
+            free = self._free[slr] = self.device.free_capacity(slr)
+        cap = getattr(free, kind)
         if cap <= 0:
             return float("inf")
         used = getattr(self._usage(slr), kind)
@@ -86,8 +106,7 @@ class MemcellMapper:
         """The natural cell for this memory shape, ignoring utilisation."""
         if mem.bits <= LUTRAM_MAX_BITS:
             return "LUTRAM"
-        n_bram = bram_count(mem.width_bits, mem.depth)
-        n_uram = uram_count(mem.width_bits, mem.depth)
+        n_bram, n_uram = _tile_counts(mem.width_bits, mem.depth)
         # Efficiency: bits wasted per implementing tile set; ties break
         # toward fewer tiles (less cascading logic and routing).
         bram_waste = n_bram * BRAM_BITS - mem.bits
@@ -106,8 +125,7 @@ class MemcellMapper:
             self._usage(slr).lutram_bits += mem.bits
             mem.cell_mapping = "LUTRAM"
             return "LUTRAM"
-        n_bram = bram_count(mem.width_bits, mem.depth)
-        n_uram = uram_count(mem.width_bits, mem.depth)
+        n_bram, n_uram = _tile_counts(mem.width_bits, mem.depth)
         order = ["BRAM", "URAM"] if kind == "BRAM" else ["URAM", "BRAM"]
         if self.spill_enabled:
             primary = order[0]
@@ -136,10 +154,8 @@ class MemcellMapper:
         return chosen
 
     def counts(self, mem: HdlMemory) -> Dict[str, int]:
-        return {
-            "BRAM": bram_count(mem.width_bits, mem.depth),
-            "URAM": uram_count(mem.width_bits, mem.depth),
-        }
+        n_bram, n_uram = _tile_counts(mem.width_bits, mem.depth)
+        return {"BRAM": n_bram, "URAM": n_uram}
 
     @property
     def feasible(self) -> bool:

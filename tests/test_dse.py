@@ -1,7 +1,9 @@
 """Tests for the design-space exploration utilities."""
 
 import math
+from collections import Counter
 
+import repro.core.build as build_module
 from repro.analysis import render_sweep_report, sweep_frame
 from repro.dse import (
     DesignPoint,
@@ -13,6 +15,8 @@ from repro.dse import (
 )
 from repro.farm import Farm
 from repro.kernels.attention import a3_config
+from repro.kernels.machsuite.fig6 import CONFIG_FACTORIES, fig6_row
+from repro.kernels.machsuite.workloads import BEETHOVEN_CLOCK_MHZ
 from repro.kernels.vecadd import vector_add_config
 from repro.platforms import AWSF1Platform, kernel_mode
 
@@ -67,6 +71,54 @@ def test_limiting_resource_returns_kind():
     platform = AWSF1Platform()
     kind = limiting_resource(lambda n: vector_add_config(n), 2, platform)
     assert kind in ("clb", "lut", "reg", "bram", "uram")
+
+
+def _count_elaborations(monkeypatch):
+    counter = Counter()
+    elaborate = build_module.ElaboratedDesign
+
+    def counting(*args, **kwargs):
+        counter["n"] += 1
+        return elaborate(*args, **kwargs)
+
+    monkeypatch.setattr(build_module, "ElaboratedDesign", counting)
+    return counter
+
+
+def test_fig6_rows_elaborate_the_boundary_design_once(monkeypatch):
+    """The limiter is read off the design the search already rejected at
+    ``best + 1``; each row is unchanged and costs one elaboration less."""
+    counter = _count_elaborations(monkeypatch)
+    rows, builds = {}, {}
+    for bench in CONFIG_FACTORIES:
+        counter.clear()
+        rows[bench] = fig6_row(bench, max_cores=48)
+        builds[bench] = counter["n"]
+    assert {b: (r.n_cores, r.limiter, r.measured_simulated) for b, r in rows.items()} == {
+        "gemm": (9, "LUT", True),
+        "nw": (29, "BRAM", True),
+        "stencil2d": (29, "BRAM", True),
+        "stencil3d": (41, "BRAM", True),
+        "md-knn": (26, "LUT", True),
+    }
+    # Search plus one simulate_measured build; before, 10 and 12 each.
+    assert builds == {"gemm": 9, "nw": 11, "stencil2d": 11, "stencil3d": 11, "md-knn": 11}
+    # The limiter agrees with a fresh elaboration of the boundary count.
+    platform = AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
+    for bench, row in rows.items():
+        raw = limiting_resource(CONFIG_FACTORIES[bench], row.n_cores + 1, platform)
+        assert row.limiter == ("LUT" if raw in ("clb", "lut", "reg") else "BRAM")
+
+
+def test_search_capped_at_limit_elaborates_its_boundary(monkeypatch):
+    """At ``best == limit`` the search never built ``best + 1``."""
+    counter = _count_elaborations(monkeypatch)
+    factory, platform = CONFIG_FACTORIES["gemm"], AWSF1Platform()
+    n, limiter, build = max_feasible_cores(factory, platform, limit=4)
+    assert (n, build.design.systems[0].config.n_cores) == (4, 4)
+    assert counter["n"] == 4  # counts 1, 2, 4, then the boundary 5
+    raw = limiting_resource(factory, 5, platform)
+    assert limiter == ("LUT" if raw in ("clb", "lut", "reg") else "BRAM")
 
 
 def test_bisect_matches_scan_on_monotone_frontier():

@@ -1,9 +1,14 @@
 """Elaboration pays only for what a run reads or touches.
 
-``Simulator.add``/``register_channel`` leave one pending entry per
-component/channel and the registry adopts them on first use; ``Memory``
-allocates its rows on first touch.  Three contracts keep that honest:
+An elaborated design registers its netlist with the simulator at the first
+use of ``design.sim``; ``Simulator.add``/``register_channel`` then leave one
+pending entry per component/channel and the registry adopts them on first
+use; ``Memory`` allocates its rows on first touch.  Four contracts keep that
+honest:
 
+* wiring — a costed-only design makes no ``add``/``register_channel`` call,
+  and every first-use entry point wires the same sequence as a design wired
+  in its constructor;
 * identity — a lazily adopted registry has exactly the keys (in order, with
   the same ``#2`` duplicate suffixes), volatility split and values of one fed
   eagerly, ``register_metrics`` by ``register_metrics`` in ``add`` order;
@@ -21,6 +26,9 @@ import weakref
 import pytest
 
 from repro.core.build import BeethovenBuild
+from repro.core.elaboration import ElaboratedDesign
+from repro.dse import sweep_cores
+from repro.faults import FaultPlan
 from repro.faults.chaos import MODES
 from repro.kernels.machsuite.nw import nw_config
 from repro.kernels.memcpy import memcpy_config
@@ -28,8 +36,98 @@ from repro.memory.scratchpad import Memory
 from repro.obs.registry import BoundMetric, Counter, MetricRegistry
 from repro.platforms import AWSF1Platform, multi_die_platform
 from repro.runtime import FpgaHandle
+from repro.serve import AcceleratorService, TenantConfig
 from repro.serve.scenarios import hetero_build
 from repro.sim import ChannelQueue, CompiledProgram, Component, Simulator
+from repro.snapshot import capture
+
+
+# -------------------------------------------------------------------- wiring
+def _wiring_log(monkeypatch):
+    """Record every ``Simulator.add``/``register_channel`` call, in order."""
+    log = []
+    add, register_channel = Simulator.add, Simulator.register_channel
+
+    def logged_add(self, component):
+        log.append(("add", self.name, type(component).__name__, component.name))
+        return add(self, component)
+
+    def logged_register_channel(self, chan):
+        log.append(("chan", self.name, chan.name))
+        return register_channel(self, chan)
+
+    monkeypatch.setattr(Simulator, "add", logged_add)
+    monkeypatch.setattr(Simulator, "register_channel", logged_register_channel)
+    return log
+
+
+def _wire_in_constructor(monkeypatch):
+    """The eager reference: every design is wired before its constructor
+    returns, as it was before wiring moved to first use."""
+    init = ElaboratedDesign.__init__
+
+    def eager_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.sim
+
+    monkeypatch.setattr(ElaboratedDesign, "__init__", eager_init)
+
+
+def test_a_sweep_wires_nothing(monkeypatch):
+    log = _wiring_log(monkeypatch)
+    points = sweep_cores(memcpy_config, range(1, 9), AWSF1Platform())
+    assert [p.n_cores for p in points] == list(range(1, 9))
+    assert all(p.feasible and p.total_lut > 0 for p in points)
+    assert log == []
+
+
+_ENTRY_POINTS = {
+    "handle": lambda build: FpgaHandle(build.design),
+    "metrics": lambda build: build.metrics(),
+    "registry": lambda build: build.design.registry,
+    "service": lambda build: AcceleratorService(
+        FpgaHandle(build.design), [TenantConfig(name="t")]
+    ),
+    "snapshot": lambda build: capture(FpgaHandle(build.design)),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_first_use_wires_like_the_eager_reference(entry, monkeypatch):
+    log = _wiring_log(monkeypatch)
+
+    def wire():
+        log.clear()
+        build = BeethovenBuild(
+            memcpy_config(n_cores=4),
+            AWSF1Platform(),
+            faults=FaultPlan(seed=7, axi_r_corrupt_rate=0.01),
+        )
+        at_construction = len(log)
+        _ENTRY_POINTS[entry](build)
+        return at_construction, list(log), list(build.metrics())
+
+    built, lazy, lazy_keys = wire()
+    assert built == 0
+    _wire_in_constructor(monkeypatch)
+    built, eager, eager_keys = wire()
+    assert built > 0
+    # Same components and channels, in the same order, into the same
+    # simulator; hence the same registry keys and ``#n`` suffixes.
+    assert lazy == eager
+    assert lazy_keys == eager_keys
+
+
+def test_sharded_builds_wire_in_the_constructor(monkeypatch):
+    """``distributed=`` builds stay eager: DistSimulator validates the wired
+    partitions, and its errors must come from the constructor."""
+    log = _wiring_log(monkeypatch)
+    stages = _two_die_serial()
+    next(stages)
+    assert {entry[1] for entry in log} == {"beethoven", "part1"}
+    wired = len(log)
+    next(stages)  # FpgaHandle adds only the RuntimeServer
+    assert [entry[2] for entry in log[wired:] if entry[0] == "add"] == ["RuntimeServer"]
 
 
 # ------------------------------------------------------------------ identity
@@ -55,6 +153,19 @@ def _hetero():
 
 def _nw_point():
     yield BeethovenBuild(nw_config(n_cores=4), AWSF1Platform())
+
+
+def _faulted():
+    # The plan's ``fault/*`` counters are registered inside the constructor,
+    # before the netlist is wired.
+    build = BeethovenBuild(
+        memcpy_config(n_cores=2),
+        AWSF1Platform(),
+        faults=FaultPlan(seed=3, dram_read_flip_rate=0.01, mmio_resp_drop_rate=0.01),
+    )
+    yield build
+    FpgaHandle(build.design)
+    yield build
 
 
 def _two_die_serial():
@@ -105,7 +216,7 @@ def _dumps(stages, read_between: bool):
 
 
 @pytest.mark.parametrize(
-    "stages", (_memcpy32, _hetero, _nw_point, _two_die_serial, _twins),
+    "stages", (_memcpy32, _hetero, _nw_point, _faulted, _two_die_serial, _twins),
     ids=lambda fn: fn.__name__.strip("_"),
 )
 def test_lazy_registry_matches_eager_reference(stages, monkeypatch):
@@ -123,6 +234,13 @@ def test_lazy_registry_matches_eager_reference(stages, monkeypatch):
         assert list(got_full) == list(full)
         assert list(got_stable) == list(stable)
         assert got_stable == stable
+    keys = list(full)
+    faults = [i for i, k in enumerate(keys) if k.startswith("fault/")]
+    if faults:
+        # Fault counters precede every component and channel key: reading
+        # ``design.sim`` while the constructor compiles the plan must not wire.
+        first_component = next(i for i, k in enumerate(keys) if k.startswith("chan/"))
+        assert max(faults) < first_component
 
 
 def test_duplicate_suffixes_follow_registration_order():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from repro.asic import ASAP7_MACROS, MemoryCompiler
 from repro.command import CommandSpec, Field, RoccInstruction, UInt
 from repro.dram import MemoryStore
-from repro.fpga import bram_count, uram_count
-from repro.fpga.memcells import BRAM_BITS, URAM_BITS
+from repro.fpga import FpgaDevice, MemcellMapper, ResourceVector, bram_count, uram_count
+from repro.fpga.memcells import BRAM_BITS, LUTRAM_MAX_BITS, URAM_BITS
+from repro.hdl.ir import HdlMemory
 from repro.kernels.attention.fixedpoint import exp2_fixed
 from repro.memory import split_into_bursts
 from repro.runtime import FirstFitAllocator
@@ -156,6 +157,97 @@ def test_cell_counts_cover_demand(width, depth):
     bits = width * depth
     assert bram_count(width, depth) * BRAM_BITS >= bits
     assert uram_count(width, depth) * URAM_BITS >= bits
+
+
+class _PerCallMapper(MemcellMapper):
+    """The mapper as it was before shapes and free capacity were cached:
+    tile counts and ``free_capacity`` recomputed on every call."""
+
+    def _util(self, slr, kind, extra):
+        cap = getattr(self.device.free_capacity(slr), kind)
+        if cap <= 0:
+            return float("inf")
+        return (getattr(self._usage(slr), kind) + extra) / cap
+
+    def preferred_kind(self, mem):
+        if mem.bits <= LUTRAM_MAX_BITS:
+            return "LUTRAM"
+        n_bram = bram_count(mem.width_bits, mem.depth)
+        n_uram = uram_count(mem.width_bits, mem.depth)
+        bram_waste = n_bram * BRAM_BITS - mem.bits
+        uram_waste = n_uram * URAM_BITS - mem.bits
+        if bram_waste == uram_waste:
+            return "BRAM" if n_bram <= n_uram else "URAM"
+        return "BRAM" if bram_waste < uram_waste else "URAM"
+
+    def map_memory(self, mem, slr, path=""):
+        kind = self.preferred_kind(mem)
+        if kind == "LUTRAM":
+            self._usage(slr).lutram_bits += mem.bits
+            return "LUTRAM"
+        n_bram = bram_count(mem.width_bits, mem.depth)
+        n_uram = uram_count(mem.width_bits, mem.depth)
+        order = ["BRAM", "URAM"] if kind == "BRAM" else ["URAM", "BRAM"]
+        if self.spill_enabled:
+            count = n_bram if order[0] == "BRAM" else n_uram
+            if self._util(slr, order[0].lower(), count) > self.spill_threshold:
+                order.reverse()
+                self.spills += 1
+        chosen = order[0]
+        count = n_bram if chosen == "BRAM" else n_uram
+        if self._util(slr, chosen.lower(), count) > 1.0:
+            other = order[1]
+            other_count = n_bram if other == "BRAM" else n_uram
+            if self.spill_enabled and self._util(slr, other.lower(), other_count) <= 1.0:
+                chosen, count = other, other_count
+            else:
+                self.infeasible.append(path or mem.name)
+        usage = self._usage(slr)
+        if chosen == "BRAM":
+            usage.bram += count
+        else:
+            usage.uram += count
+        return chosen
+
+    def counts(self, mem):
+        return {
+            "BRAM": bram_count(mem.width_bits, mem.depth),
+            "URAM": uram_count(mem.width_bits, mem.depth),
+        }
+
+
+_slr_inventory = st.tuples(st.integers(0, 80), st.integers(0, 24), st.integers(0, 8))
+
+
+@settings(max_examples=60)
+@given(
+    slrs=st.lists(_slr_inventory, min_size=1, max_size=3),
+    spill_enabled=st.booleans(),
+    data=st.data(),
+)
+def test_memcell_mapper_matches_per_call_reference(slrs, spill_enabled, data):
+    device = FpgaDevice(
+        "prop",
+        [ResourceVector(bram=bram, uram=uram) for bram, uram, _ in slrs],
+        shell_usage={i: ResourceVector(bram=shell) for i, (_, _, shell) in enumerate(slrs)},
+    )
+    shapes = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 600), st.integers(1, 20_000), st.integers(0, len(slrs) - 1)
+            ),
+            max_size=40,
+        )
+    )
+    mapper = MemcellMapper(device, spill_enabled=spill_enabled)
+    reference = _PerCallMapper(device, spill_enabled=spill_enabled)
+    for i, (width, depth, slr) in enumerate(shapes):
+        mem = HdlMemory(f"m{i}", width, depth)
+        assert mapper.map_memory(mem, slr, f"p{i}") == reference.map_memory(mem, slr, f"p{i}")
+        assert mapper.counts(mem) == reference.counts(mem)
+    assert mapper.spills == reference.spills
+    assert mapper.infeasible == reference.infeasible
+    assert mapper.usage == reference.usage
 
 
 # ------------------------------------------------------------ memory compiler
