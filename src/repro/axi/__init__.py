@@ -1,17 +1,19 @@
 """Transaction-level AXI4 protocol model."""
 
-from repro.axi.monitor import AxiMonitor, MonitoredAxiPort, TxnRecord
-from repro.axi.types import ARReq, AWReq, AxiParams, AxiPort, BResp, RBeat, WBeat
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARReq",
-    "AWReq",
-    "AxiParams",
-    "AxiPort",
-    "AxiMonitor",
-    "MonitoredAxiPort",
-    "BResp",
-    "RBeat",
-    "WBeat",
-    "TxnRecord",
-]
+_LAZY = {
+    "ARReq": "repro.axi.types",
+    "AWReq": "repro.axi.types",
+    "AxiParams": "repro.axi.types",
+    "AxiPort": "repro.axi.types",
+    "AxiMonitor": "repro.axi.monitor",
+    "MonitoredAxiPort": "repro.axi.monitor",
+    "BResp": "repro.axi.types",
+    "RBeat": "repro.axi.types",
+    "WBeat": "repro.axi.types",
+    "TxnRecord": "repro.axi.monitor",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,5 +1,12 @@
 """Host software generation: C++ headers and Python binding objects."""
 
-from repro.codegen.cpp import binding_signature, generate_header, response_struct
+from repro._lazy import lazy_exports
 
-__all__ = ["binding_signature", "generate_header", "response_struct"]
+_LAZY = {
+    "binding_signature": "repro.codegen.cpp",
+    "generate_header": "repro.codegen.cpp",
+    "response_struct": "repro.codegen.cpp",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

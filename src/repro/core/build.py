@@ -17,12 +17,8 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence, Union
 
-from repro.asic.chipkit import ChipKitIntegration
-from repro.codegen.cpp import generate_header
 from repro.core.config import AcceleratorConfig, as_config_list
 from repro.core.elaboration import ElaboratedDesign
-from repro.core.hdlgen import build_hdl
-from repro.hdl.verilog import emit_design
 from repro.obs.config import Observability
 from repro.platforms.base import Platform
 from repro.sim import Tracer
@@ -85,20 +81,30 @@ class BeethovenBuild:
                 )
 
     # ------------------------------------------------------------- artefacts
+    # The generators load only when an artefact is asked for: a build that
+    # is only simulated or costed never imports them.
     def emit_verilog(self) -> str:
+        from repro.hdl.verilog import emit_design
+
         return emit_design(self.hdl_top())
 
     def hdl_top(self):
+        from repro.core.hdlgen import build_hdl
+
         return build_hdl(self.design)
 
     def emit_constraints(self) -> str:
         return self.design.emit_constraints()
 
     def emit_cpp_header(self) -> str:
+        from repro.codegen.cpp import generate_header
+
         return generate_header(self.design)
 
     def emit_chipkit_top(self):
         """ASIC flow: wrap the fabric with the user's licensed CPU."""
+        from repro.asic.chipkit import ChipKitIntegration
+
         m0_path = getattr(self.platform, "m0_source_path", None)
         integration = ChipKitIntegration(m0_source_path=m0_path or "")
         return integration.build_top(self.hdl_top())

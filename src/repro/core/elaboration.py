@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.asic.macros import MemoryCompiler
 from repro.axi.monitor import AxiMonitor, MonitoredAxiPort
 from repro.axi.types import AxiPort
 from repro.command.router import CommandRouter, CoreCommandAdapter, MmioFrontend
@@ -395,6 +394,8 @@ class ElaboratedDesign:
 
     def _map_memories(self) -> None:
         if self.platform.is_asic:
+            from repro.asic.macros import MemoryCompiler
+
             library = getattr(self.platform, "macro_library", None)
             compiler = MemoryCompiler(library) if library else MemoryCompiler()
             for system in self.systems:

@@ -10,29 +10,23 @@ and fault fingerprints are bit-identical to the in-process reference; see
 DESIGN.md ("Sharded simulation") for the lookahead argument.
 """
 
-from repro.dist.bridge import BridgeEgress, BridgeIngress, CommandProxy
-from repro.dist.config import DIST_ENGINES, DistConfig, DistError
-from repro.dist.engine import DistSimulator, MergedRegistry
-from repro.dist.partition import (
-    BridgeSpec,
-    PartitionDescriptor,
-    PartitionPlan,
-    plan_partitions,
-    register_partitioned,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BridgeEgress",
-    "BridgeIngress",
-    "BridgeSpec",
-    "CommandProxy",
-    "DIST_ENGINES",
-    "DistConfig",
-    "DistError",
-    "DistSimulator",
-    "MergedRegistry",
-    "PartitionDescriptor",
-    "PartitionPlan",
-    "plan_partitions",
-    "register_partitioned",
-]
+_LAZY = {
+    "BridgeEgress": "repro.dist.bridge",
+    "BridgeIngress": "repro.dist.bridge",
+    "BridgeSpec": "repro.dist.partition",
+    "CommandProxy": "repro.dist.bridge",
+    "DIST_ENGINES": "repro.dist.config",
+    "DistConfig": "repro.dist.config",
+    "DistError": "repro.dist.config",
+    "DistSimulator": "repro.dist.engine",
+    "MergedRegistry": "repro.dist.engine",
+    "PartitionDescriptor": "repro.dist.partition",
+    "PartitionPlan": "repro.dist.partition",
+    "plan_partitions": "repro.dist.partition",
+    "register_partitioned": "repro.dist.partition",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,15 +1,15 @@
 """Bank-level DRAM model with an AXI4 frontend (DRAMsim3-inspired)."""
 
-from repro.dram.bank import Bank
-from repro.dram.controller import MemoryController
-from repro.dram.store import MemoryStore
-from repro.dram.timing import DDR4_AWS_F1, LPDDR4_KRIA, DramTiming
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Bank",
-    "MemoryController",
-    "MemoryStore",
-    "DramTiming",
-    "DDR4_AWS_F1",
-    "LPDDR4_KRIA",
-]
+_LAZY = {
+    "Bank": "repro.dram.bank",
+    "MemoryController": "repro.dram.controller",
+    "MemoryStore": "repro.dram.store",
+    "DramTiming": "repro.dram.timing",
+    "DDR4_AWS_F1": "repro.dram.timing",
+    "LPDDR4_KRIA": "repro.dram.timing",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -17,30 +17,23 @@ platform, build mode), so the farm treats evaluation as a job graph:
   :mod:`repro.obs`.
 """
 
-from repro.farm.cache import ResultCache
-from repro.farm.engine import Farm, FarmJobError
-from repro.farm.fingerprint import canonical, code_salt, job_fingerprint
-from repro.farm.job import Job, JobResult
-from repro.farm.pool import (
-    PoolStats,
-    SerialPool,
-    WorkerPool,
-    bind_pool_metrics,
-    current_attempt,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Farm",
-    "FarmJobError",
-    "Job",
-    "JobResult",
-    "PoolStats",
-    "ResultCache",
-    "SerialPool",
-    "WorkerPool",
-    "bind_pool_metrics",
-    "canonical",
-    "code_salt",
-    "current_attempt",
-    "job_fingerprint",
-]
+_LAZY = {
+    "Farm": "repro.farm.engine",
+    "FarmJobError": "repro.farm.engine",
+    "Job": "repro.farm.job",
+    "JobResult": "repro.farm.job",
+    "PoolStats": "repro.farm.pool",
+    "ResultCache": "repro.farm.cache",
+    "SerialPool": "repro.farm.pool",
+    "WorkerPool": "repro.farm.pool",
+    "bind_pool_metrics": "repro.farm.pool",
+    "canonical": "repro.farm.fingerprint",
+    "code_salt": "repro.farm.fingerprint",
+    "current_attempt": "repro.farm.pool",
+    "job_fingerprint": "repro.farm.fingerprint",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.farm.cache import ResultCache
 from repro.farm.job import Job, JobResult
-from repro.farm.pool import SerialPool, WorkerPool, multiprocessing_available
 from repro.obs.registry import MetricRegistry
 from repro.sim.trace import Tracer
 
@@ -98,6 +97,8 @@ class Farm:
         tracer: Optional[Tracer] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
+        from repro.farm.pool import SerialPool, WorkerPool, multiprocessing_available
+
         self.n_workers = default_workers() if n_workers is None else max(int(n_workers), 1)
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache

@@ -6,21 +6,18 @@ asserts the system's robustness contract (terminate bounded, fail typed,
 never corrupt silently).
 """
 
-from repro.faults.errors import (
-    CommandTimeout,
-    CoreQuarantined,
-    FaultedResponse,
-    FaultError,
-)
-from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan, FaultState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "CommandTimeout",
-    "CoreQuarantined",
-    "FaultedResponse",
-    "FaultError",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultState",
-]
+_LAZY = {
+    "FAULT_KINDS": "repro.faults.plan",
+    "CommandTimeout": "repro.faults.errors",
+    "CoreQuarantined": "repro.faults.errors",
+    "FaultedResponse": "repro.faults.errors",
+    "FaultError": "repro.faults.errors",
+    "FaultEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "FaultState": "repro.faults.plan",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

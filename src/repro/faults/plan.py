@@ -13,7 +13,7 @@ Determinism strategy:
   never perturbs another site's draws;
 * draws happen per *event processed at the site* (a column read at the DRAM
   controller, an R beat routed through a NoC node, a response crossing the
-  MMIO frontend).  All three scheduling modes process identical event
+  MMIO frontend).  All four scheduling modes process identical event
   sequences at identical cycles, so the schedules are bit-identical;
 * core hang windows are drawn once at compile time as absolute cycles (and
   their fault events recorded then), so a hung core that is never ticked

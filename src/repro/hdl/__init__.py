@@ -1,14 +1,16 @@
 """Structural HDL IR and Verilog emission."""
 
-from repro.hdl.ir import HdlInstance, HdlMemory, HdlModule, HdlPort, sanitize
-from repro.hdl.verilog import emit_design, emit_module
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HdlInstance",
-    "HdlMemory",
-    "HdlModule",
-    "HdlPort",
-    "sanitize",
-    "emit_design",
-    "emit_module",
-]
+_LAZY = {
+    "HdlInstance": "repro.hdl.ir",
+    "HdlMemory": "repro.hdl.ir",
+    "HdlModule": "repro.hdl.ir",
+    "HdlPort": "repro.hdl.ir",
+    "sanitize": "repro.hdl.ir",
+    "emit_design": "repro.hdl.verilog",
+    "emit_module": "repro.hdl.verilog",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,5 +1,11 @@
 """Accelerator kernels used by the examples, tests and benchmarks."""
 
-from repro.kernels.vecadd import VectorAddCore, vector_add_config
+from repro._lazy import lazy_exports
 
-__all__ = ["VectorAddCore", "vector_add_config"]
+_LAZY = {
+    "VectorAddCore": "repro.kernels.vecadd",
+    "vector_add_config": "repro.kernels.vecadd",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,22 +1,17 @@
 """A^3 approximate attention accelerator (paper Section III-C)."""
 
-from repro.kernels.attention.a3 import A3Core, a3_config
-from repro.kernels.attention.reference import (
-    BERT_DIM,
-    BERT_KEYS,
-    attention_a3_fixed,
-    attention_error,
-    attention_float,
-    scale_log2e_q,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "A3Core",
-    "a3_config",
-    "BERT_DIM",
-    "BERT_KEYS",
-    "attention_a3_fixed",
-    "attention_error",
-    "attention_float",
-    "scale_log2e_q",
-]
+_LAZY = {
+    "A3Core": "repro.kernels.attention.a3",
+    "a3_config": "repro.kernels.attention.a3",
+    "BERT_DIM": "repro.kernels.attention.reference",
+    "BERT_KEYS": "repro.kernels.attention.reference",
+    "attention_a3_fixed": "repro.kernels.attention.reference",
+    "attention_error": "repro.kernels.attention.reference",
+    "attention_float": "repro.kernels.attention.reference",
+    "scale_log2e_q": "repro.kernels.attention.reference",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

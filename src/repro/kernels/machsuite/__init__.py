@@ -1,27 +1,21 @@
 """MachSuite benchmark kernels (paper Section III-B, Table I)."""
 
-from repro.kernels.machsuite.gemm import GemmCore, gemm_config
-from repro.kernels.machsuite.mdknn import MdKnnCore, mdknn_config
-from repro.kernels.machsuite.nw import NwCore, nw_config
-from repro.kernels.machsuite.phased import KernelPlan, PhasedKernelCore
-from repro.kernels.machsuite.stencil import (
-    Stencil2dCore,
-    Stencil3dCore,
-    stencil2d_config,
-    stencil3d_config,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GemmCore",
-    "gemm_config",
-    "NwCore",
-    "nw_config",
-    "Stencil2dCore",
-    "Stencil3dCore",
-    "stencil2d_config",
-    "stencil3d_config",
-    "MdKnnCore",
-    "mdknn_config",
-    "KernelPlan",
-    "PhasedKernelCore",
-]
+_LAZY = {
+    "GemmCore": "repro.kernels.machsuite.gemm",
+    "gemm_config": "repro.kernels.machsuite.gemm",
+    "NwCore": "repro.kernels.machsuite.nw",
+    "nw_config": "repro.kernels.machsuite.nw",
+    "Stencil2dCore": "repro.kernels.machsuite.stencil",
+    "Stencil3dCore": "repro.kernels.machsuite.stencil",
+    "stencil2d_config": "repro.kernels.machsuite.stencil",
+    "stencil3d_config": "repro.kernels.machsuite.stencil",
+    "MdKnnCore": "repro.kernels.machsuite.mdknn",
+    "mdknn_config": "repro.kernels.machsuite.mdknn",
+    "KernelPlan": "repro.kernels.machsuite.phased",
+    "PhasedKernelCore": "repro.kernels.machsuite.phased",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -23,10 +23,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.delay_core import delay_config
 from repro.core.build import BeethovenBuild, BuildMode
-from repro.kernels.machsuite.gemm import gemm_config
-from repro.kernels.machsuite.mdknn import mdknn_config
-from repro.kernels.machsuite.nw import nw_config
-from repro.kernels.machsuite.stencil import stencil2d_config, stencil3d_config
 from repro.kernels.machsuite.workloads import (
     BEETHOVEN_CLOCK_MHZ,
     SCHEDULES,
@@ -38,13 +34,46 @@ from repro.platforms import AWSF1Platform
 from repro.platforms.base import Platform
 from repro.runtime import FpgaHandle
 
+
+# Each factory imports its kernel when called: a row builds one kernel, and
+# a farm worker serving cached rows builds none.
+def _gemm(n_cores: int):
+    from repro.kernels.machsuite.gemm import gemm_config
+
+    return gemm_config(n_cores=n_cores, unroll_i=16, unroll_j=16)
+
+
+def _nw(n_cores: int):
+    from repro.kernels.machsuite.nw import nw_config
+
+    return nw_config(n_cores=n_cores)
+
+
+def _stencil2d(n_cores: int):
+    from repro.kernels.machsuite.stencil import stencil2d_config
+
+    return stencil2d_config(n_cores=n_cores)
+
+
+def _stencil3d(n_cores: int):
+    from repro.kernels.machsuite.stencil import stencil3d_config
+
+    return stencil3d_config(n_cores=n_cores)
+
+
+def _mdknn(n_cores: int):
+    from repro.kernels.machsuite.mdknn import mdknn_config
+
+    return mdknn_config(n_cores=n_cores, unroll=8)
+
+
 #: Configuration factory per workload (full Table I parameters).
 CONFIG_FACTORIES: Dict[str, Callable[[int], object]] = {
-    "gemm": lambda n_cores: gemm_config(n_cores=n_cores, unroll_i=16, unroll_j=16),
-    "nw": lambda n_cores: nw_config(n_cores=n_cores),
-    "stencil2d": lambda n_cores: stencil2d_config(n_cores=n_cores),
-    "stencil3d": lambda n_cores: stencil3d_config(n_cores=n_cores),
-    "md-knn": lambda n_cores: mdknn_config(n_cores=n_cores, unroll=8),
+    "gemm": _gemm,
+    "nw": _nw,
+    "stencil2d": _stencil2d,
+    "stencil3d": _stencil3d,
+    "md-knn": _mdknn,
 }
 
 #: Simulate the measured bar when the whole run fits in this many cycles.
@@ -54,9 +83,10 @@ SIMULATION_CYCLE_BUDGET = 400_000
 def config_for(bench: str, n_cores: int):
     """Importable (hence picklable) factory entry point for farm jobs.
 
-    ``functools.partial(config_for, bench)`` is the payload-safe equivalent
-    of the lambdas in :data:`CONFIG_FACTORIES`: worker processes resolve it
-    by name, so sweeps over Table I workloads shard cleanly.
+    ``functools.partial(config_for, bench)`` is the public, payload-safe
+    equivalent of the factories in :data:`CONFIG_FACTORIES`: worker
+    processes resolve it by name, so sweeps over Table I workloads shard
+    cleanly.
     """
     return CONFIG_FACTORIES[bench](n_cores)
 

@@ -1,20 +1,20 @@
 """Beethoven memory primitives: Readers, Writers, Scratchpads."""
 
-from repro.memory.reader import Reader, ReaderTuning
-from repro.memory.scratchpad import Memory, Scratchpad, ScratchpadPort, SpReq
-from repro.memory.types import ReadRequest, WriteRequest, split_into_bursts
-from repro.memory.writer import Writer, WriterTuning
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Reader",
-    "ReaderTuning",
-    "Writer",
-    "WriterTuning",
-    "Memory",
-    "Scratchpad",
-    "ScratchpadPort",
-    "SpReq",
-    "ReadRequest",
-    "WriteRequest",
-    "split_into_bursts",
-]
+_LAZY = {
+    "Reader": "repro.memory.reader",
+    "ReaderTuning": "repro.memory.reader",
+    "Writer": "repro.memory.writer",
+    "WriterTuning": "repro.memory.writer",
+    "Memory": "repro.memory.scratchpad",
+    "Scratchpad": "repro.memory.scratchpad",
+    "ScratchpadPort": "repro.memory.scratchpad",
+    "SpReq": "repro.memory.scratchpad",
+    "ReadRequest": "repro.memory.types",
+    "WriteRequest": "repro.memory.types",
+    "split_into_bursts": "repro.memory.types",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

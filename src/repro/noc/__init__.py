@@ -1,18 +1,18 @@
 """Generated on-chip networks: buffer trees, SLR bridges, ID compression."""
 
-from repro.noc.axi_node import AxiBufferNode, AxiPipe, bits_for
-from repro.noc.idmap import IdCompressor
-from repro.noc.links import PlainAxiLink, as_link
-from repro.noc.tree import BuiltNetwork, TreeBuilder, TreeConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AxiBufferNode",
-    "AxiPipe",
-    "IdCompressor",
-    "PlainAxiLink",
-    "as_link",
-    "bits_for",
-    "BuiltNetwork",
-    "TreeBuilder",
-    "TreeConfig",
-]
+_LAZY = {
+    "AxiBufferNode": "repro.noc.axi_node",
+    "AxiPipe": "repro.noc.axi_node",
+    "IdCompressor": "repro.noc.idmap",
+    "PlainAxiLink": "repro.noc.links",
+    "as_link": "repro.noc.links",
+    "bits_for": "repro.noc.axi_node",
+    "BuiltNetwork": "repro.noc.tree",
+    "TreeBuilder": "repro.noc.tree",
+    "TreeConfig": "repro.noc.tree",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -3,65 +3,37 @@
 See DESIGN.md ("Observability") for the namespace scheme and span model.
 """
 
-from repro.obs.attribution import (
-    SEGMENTS,
-    CommandPath,
-    attribution_report,
-    contention_summary,
-    counter_track_events,
-    extract_command_paths,
-    render_attribution_report,
-    segment_totals,
-    tenant_rollup,
-)
-from repro.obs.config import Observability
-from repro.obs.export import (
-    TraceTruncationWarning,
-    chrome_trace,
-    chrome_trace_events,
-    export_chrome_trace,
-    export_metrics,
-    validate_chrome_trace,
-)
-from repro.obs.profiler import profile_summary, render_profile_report
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    DEFAULT_PERCENTILES,
-    BoundMetric,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    MetricScope,
-)
-from repro.obs.spans import CommandSpanTracker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundMetric",
-    "CommandPath",
-    "CommandSpanTracker",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_PERCENTILES",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "MetricScope",
-    "Observability",
-    "SEGMENTS",
-    "TraceTruncationWarning",
-    "attribution_report",
-    "chrome_trace",
-    "chrome_trace_events",
-    "contention_summary",
-    "counter_track_events",
-    "export_chrome_trace",
-    "export_metrics",
-    "extract_command_paths",
-    "profile_summary",
-    "render_attribution_report",
-    "render_profile_report",
-    "segment_totals",
-    "tenant_rollup",
-    "validate_chrome_trace",
-]
+_LAZY = {
+    "BoundMetric": "repro.obs.registry",
+    "CommandPath": "repro.obs.attribution",
+    "CommandSpanTracker": "repro.obs.spans",
+    "Counter": "repro.obs.registry",
+    "DEFAULT_BUCKETS": "repro.obs.registry",
+    "DEFAULT_PERCENTILES": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricRegistry": "repro.obs.registry",
+    "MetricScope": "repro.obs.registry",
+    "Observability": "repro.obs.config",
+    "SEGMENTS": "repro.obs.attribution",
+    "TraceTruncationWarning": "repro.obs.export",
+    "attribution_report": "repro.obs.attribution",
+    "chrome_trace": "repro.obs.export",
+    "chrome_trace_events": "repro.obs.export",
+    "contention_summary": "repro.obs.attribution",
+    "counter_track_events": "repro.obs.attribution",
+    "export_chrome_trace": "repro.obs.export",
+    "export_metrics": "repro.obs.export",
+    "extract_command_paths": "repro.obs.attribution",
+    "profile_summary": "repro.obs.profiler",
+    "render_attribution_report": "repro.obs.attribution",
+    "render_profile_report": "repro.obs.profiler",
+    "segment_totals": "repro.obs.attribution",
+    "tenant_rollup": "repro.obs.attribution",
+    "validate_chrome_trace": "repro.obs.export",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,29 +1,20 @@
 """Supported deployment platforms (paper Section II-D)."""
 
-from repro.platforms.asic_platforms import (
-    Asap7Platform,
-    AsicPlatform,
-    ChipKitPlatform,
-    SimulationPlatform,
-    SynopsysPdkPlatform,
-)
-from repro.platforms.base import HostInterface, Platform, kernel_mode
-from repro.platforms.fpga_platforms import (
-    AWSF1Platform,
-    KriaPlatform,
-    multi_die_platform,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Platform",
-    "HostInterface",
-    "kernel_mode",
-    "AWSF1Platform",
-    "KriaPlatform",
-    "multi_die_platform",
-    "Asap7Platform",
-    "AsicPlatform",
-    "ChipKitPlatform",
-    "SimulationPlatform",
-    "SynopsysPdkPlatform",
-]
+_LAZY = {
+    "Platform": "repro.platforms.base",
+    "HostInterface": "repro.platforms.base",
+    "kernel_mode": "repro.platforms.base",
+    "AWSF1Platform": "repro.platforms.fpga_platforms",
+    "KriaPlatform": "repro.platforms.fpga_platforms",
+    "multi_die_platform": "repro.platforms.fpga_platforms",
+    "Asap7Platform": "repro.platforms.asic_platforms",
+    "AsicPlatform": "repro.platforms.asic_platforms",
+    "ChipKitPlatform": "repro.platforms.asic_platforms",
+    "SimulationPlatform": "repro.platforms.fpga_platforms",
+    "SynopsysPdkPlatform": "repro.platforms.asic_platforms",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,4 +1,4 @@
-"""ASIC and simulation platform definitions."""
+"""ASIC platform definitions: the PDK targets and their SRAM macro libraries."""
 
 from __future__ import annotations
 
@@ -95,33 +95,3 @@ def ChipKitPlatform(m0_source_path: str, clock_mhz: float = 400.0) -> AsicPlatfo
         m0_source_path=m0_source_path,
     )
 
-
-def SimulationPlatform(clock_mhz: float = 250.0) -> Platform:
-    """A debugging platform: AWS F1 fabric with a free host.
-
-    Mirrors the paper's Verilator/VCS + DRAMsim3 simulation platform: the
-    memory model is the full DRAM simulator, but host interactions cost
-    (almost) nothing, which makes functional unit tests fast and focused.
-    """
-    from repro.platforms.fpga_platforms import AWSF1Platform
-
-    f1 = AWSF1Platform(clock_mhz)
-    return Platform(
-        name="simulation",
-        is_asic=False,
-        clock_mhz=clock_mhz,
-        axi_params=f1.axi_params,
-        dram_timing=f1.dram_timing,
-        host=HostInterface(
-            discrete=True,
-            mmio_word_cycles=1,
-            dma_bytes_per_cycle=64.0,
-            response_poll_cycles=4,
-            command_lock_cycles=2,
-        ),
-        tree_config=f1.tree_config,
-        device=f1.device,
-        memory_bytes=f1.memory_bytes,
-        reader_tuning=f1.reader_tuning,
-        writer_tuning=f1.writer_tuning,
-    )

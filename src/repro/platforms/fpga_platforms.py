@@ -1,4 +1,5 @@
-"""Concrete FPGA platforms: AWS F1 (discrete) and Kria/Zynq (embedded)."""
+"""Concrete FPGA platforms: AWS F1 (discrete), Kria/Zynq (embedded), and the
+simulation platform (F1 fabric with a free host)."""
 
 from __future__ import annotations
 
@@ -92,4 +93,33 @@ def KriaPlatform(clock_mhz: float = 100.0) -> Platform:
                                    buffer_bytes=2 * 4096),
         writer_tuning=WriterTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
                                    buffer_bytes=2 * 4096),
+    )
+
+
+def SimulationPlatform(clock_mhz: float = 250.0) -> Platform:
+    """A debugging platform: AWS F1 fabric with a free host.
+
+    Mirrors the paper's Verilator/VCS + DRAMsim3 simulation platform: the
+    memory model is the full DRAM simulator, but host interactions cost
+    (almost) nothing, which makes functional unit tests fast and focused.
+    """
+    f1 = AWSF1Platform(clock_mhz)
+    return Platform(
+        name="simulation",
+        is_asic=False,
+        clock_mhz=clock_mhz,
+        axi_params=f1.axi_params,
+        dram_timing=f1.dram_timing,
+        host=HostInterface(
+            discrete=True,
+            mmio_word_cycles=1,
+            dma_bytes_per_cycle=64.0,
+            response_poll_cycles=4,
+            command_lock_cycles=2,
+        ),
+        tree_config=f1.tree_config,
+        device=f1.device,
+        memory_bytes=f1.memory_bytes,
+        reader_tuning=f1.reader_tuning,
+        writer_tuning=f1.writer_tuning,
     )

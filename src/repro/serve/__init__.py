@@ -9,54 +9,32 @@ DESIGN.md ("Multi-tenant serving layer") for the model and its determinism
 contract.
 """
 
-from repro.serve.errors import (
-    REJECT_REASONS,
-    AdmissionRejected,
-    ServeError,
-    UnknownTenant,
-)
-from repro.serve.loadgen import (
-    ClosedLoop,
-    LoadBudgetExceeded,
-    LoadGenerator,
-    OpenLoop,
-    ServingReport,
-    TenantLoad,
-    jain_index,
-    percentile,
-)
-from repro.serve.routing import CoreSlot, KernelRouter
-from repro.serve.scheduler import DrrScheduler
-from repro.serve.service import AcceleratorService, TenantSession
-from repro.serve.tenant import (
-    AdmissionController,
-    ServeTicket,
-    TenantConfig,
-    TenantState,
-    TokenBucket,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorService",
-    "AdmissionController",
-    "AdmissionRejected",
-    "ClosedLoop",
-    "CoreSlot",
-    "DrrScheduler",
-    "KernelRouter",
-    "LoadBudgetExceeded",
-    "LoadGenerator",
-    "OpenLoop",
-    "REJECT_REASONS",
-    "ServeError",
-    "ServeTicket",
-    "ServingReport",
-    "TenantConfig",
-    "TenantLoad",
-    "TenantSession",
-    "TenantState",
-    "TokenBucket",
-    "UnknownTenant",
-    "jain_index",
-    "percentile",
-]
+_LAZY = {
+    "AcceleratorService": "repro.serve.service",
+    "AdmissionController": "repro.serve.tenant",
+    "AdmissionRejected": "repro.serve.errors",
+    "ClosedLoop": "repro.serve.loadgen",
+    "CoreSlot": "repro.serve.routing",
+    "DrrScheduler": "repro.serve.scheduler",
+    "KernelRouter": "repro.serve.routing",
+    "LoadBudgetExceeded": "repro.serve.loadgen",
+    "LoadGenerator": "repro.serve.loadgen",
+    "OpenLoop": "repro.serve.loadgen",
+    "REJECT_REASONS": "repro.serve.errors",
+    "ServeError": "repro.serve.errors",
+    "ServeTicket": "repro.serve.tenant",
+    "ServingReport": "repro.serve.loadgen",
+    "TenantConfig": "repro.serve.tenant",
+    "TenantLoad": "repro.serve.loadgen",
+    "TenantSession": "repro.serve.service",
+    "TenantState": "repro.serve.tenant",
+    "TokenBucket": "repro.serve.tenant",
+    "UnknownTenant": "repro.serve.errors",
+    "jain_index": "repro.serve.loadgen",
+    "percentile": "repro.serve.loadgen",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

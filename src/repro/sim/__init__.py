@@ -1,55 +1,32 @@
 """Cycle-level simulation kernel used by every Beethoven substrate model."""
 
-from repro.sim.compiled import CompiledProgram
-from repro.sim.kernel import (
-    DEFAULT_SCHEDULING,
-    NEVER,
-    SCHEDULING_MODES,
-    ChannelQueue,
-    Component,
-    DeadlockError,
-    PartitionSyncTimeout,
-    SimulationError,
-    Simulator,
-)
-from repro.sim.trace import (
-    NULL_TRACER,
-    Span,
-    TraceEvent,
-    Tracer,
-    class_tick_table,
-    compact_state_dump,
-    export_state_dump,
-    render_class_tick_table,
-    render_deadlock_report,
-    render_skip_report,
-    render_wake_report,
-    skip_summary,
-    wake_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChannelQueue",
-    "CompiledProgram",
-    "Component",
-    "DEFAULT_SCHEDULING",
-    "DeadlockError",
-    "NEVER",
-    "PartitionSyncTimeout",
-    "SCHEDULING_MODES",
-    "SimulationError",
-    "Simulator",
-    "Span",
-    "Tracer",
-    "TraceEvent",
-    "NULL_TRACER",
-    "class_tick_table",
-    "compact_state_dump",
-    "export_state_dump",
-    "render_class_tick_table",
-    "render_deadlock_report",
-    "render_skip_report",
-    "render_wake_report",
-    "skip_summary",
-    "wake_summary",
-]
+_LAZY = {
+    "ChannelQueue": "repro.sim.kernel",
+    "CompiledProgram": "repro.sim.compiled",
+    "Component": "repro.sim.kernel",
+    "DEFAULT_SCHEDULING": "repro.sim.kernel",
+    "DeadlockError": "repro.sim.kernel",
+    "NEVER": "repro.sim.kernel",
+    "PartitionSyncTimeout": "repro.sim.kernel",
+    "SCHEDULING_MODES": "repro.sim.kernel",
+    "SimulationError": "repro.sim.kernel",
+    "Simulator": "repro.sim.kernel",
+    "Span": "repro.sim.trace",
+    "Tracer": "repro.sim.trace",
+    "TraceEvent": "repro.sim.trace",
+    "NULL_TRACER": "repro.sim.trace",
+    "class_tick_table": "repro.sim.trace",
+    "compact_state_dump": "repro.sim.trace",
+    "export_state_dump": "repro.sim.trace",
+    "render_class_tick_table": "repro.sim.trace",
+    "render_deadlock_report": "repro.sim.trace",
+    "render_skip_report": "repro.sim.trace",
+    "render_wake_report": "repro.sim.trace",
+    "skip_summary": "repro.sim.trace",
+    "wake_summary": "repro.sim.trace",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

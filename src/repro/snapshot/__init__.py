@@ -14,44 +14,27 @@ worker failover: a killed worker is respawned and restored from the last
 barrier checkpoint instead of raising terminal ``PartitionSyncTimeout``.
 """
 
-from repro.snapshot.engine import (
-    SNAPSHOT_VERSION,
-    Freezer,
-    Snapshot,
-    SnapshotError,
-    SnapshotVersionError,
-    Thawer,
-    capture,
-    capture_partition_state,
-    restore,
-    restore_partition_state,
-)
-from repro.snapshot.store import (
-    StageLog,
-    consume_resumed_flag,
-    job_checkpoint,
-    job_checkpoint_path,
-    load,
-    note_job_resumed,
-    save,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_VERSION",
-    "Freezer",
-    "Snapshot",
-    "SnapshotError",
-    "SnapshotVersionError",
-    "StageLog",
-    "Thawer",
-    "capture",
-    "capture_partition_state",
-    "consume_resumed_flag",
-    "job_checkpoint",
-    "job_checkpoint_path",
-    "load",
-    "note_job_resumed",
-    "restore",
-    "restore_partition_state",
-    "save",
-]
+_LAZY = {
+    "SNAPSHOT_VERSION": "repro.snapshot.engine",
+    "Freezer": "repro.snapshot.engine",
+    "Snapshot": "repro.snapshot.engine",
+    "SnapshotError": "repro.snapshot.engine",
+    "SnapshotVersionError": "repro.snapshot.engine",
+    "StageLog": "repro.snapshot.store",
+    "Thawer": "repro.snapshot.engine",
+    "capture": "repro.snapshot.engine",
+    "capture_partition_state": "repro.snapshot.engine",
+    "consume_resumed_flag": "repro.snapshot.store",
+    "job_checkpoint": "repro.snapshot.store",
+    "job_checkpoint_path": "repro.snapshot.store",
+    "load": "repro.snapshot.store",
+    "note_job_resumed": "repro.snapshot.store",
+    "restore": "repro.snapshot.engine",
+    "restore_partition_state": "repro.snapshot.engine",
+    "save": "repro.snapshot.store",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

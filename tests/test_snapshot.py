@@ -12,6 +12,7 @@ and hung-job kills, and the chaos ``checkpoint`` scenario.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import signal
@@ -148,7 +149,86 @@ def test_job_checkpoint_path_is_version_addressed(tmp_path, monkeypatch):
     assert job_checkpoint_path(str(tmp_path), "fp") != p1
 
 
-# ---------------------------------------------------------------- farm resume
+# ------------------------------------------------------ fresh-process restore
+#: One memcpy-32 run; argv: phase (reference | capture | resume), snapshot
+#: path, faulted (0 | 1).  It imports only what a user's script would, so a
+#: resume process has loaded exactly the modules its rebuild loads.
+_FRESH_RUN = """
+import json, sys
+phase, path, faulted = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+from repro.core.build import BeethovenBuild
+from repro.kernels.memcpy import memcpy_config
+from repro.platforms import SimulationPlatform
+from repro.runtime import FpgaHandle
+
+faults = None
+if faulted:
+    from repro.faults import FaultPlan
+    faults = FaultPlan(seed=1, dram_read_flip_rate=0.05, core_hang_rate=0.5,
+                       core_hang_cycles=300, core_hang_window=400)
+build = BeethovenBuild(memcpy_config(n_cores=32), SimulationPlatform(), faults=faults)
+handle = FpgaHandle(build.design)
+pattern = bytes((i * 131 + 17) % 256 for i in range(1024))
+src = handle.malloc(len(pattern))
+dsts = [handle.malloc(len(pattern)) for _ in range(32)]
+src.write(pattern)
+handle.copy_to_fpga(src)
+futs = [handle.call("Memcpy", "memcpy", core, src=src.fpga_addr, dst=dst.fpga_addr,
+                    len_bytes=len(pattern)) for core, dst in enumerate(dsts)]
+def events():  # read after restore: the log is restored state
+    return handle.faults.events if handle.faults else []
+if phase == "capture":
+    from repro.snapshot import capture, save
+    build.design.sim.run(700 - handle.cycle)
+    save(capture(handle), path)
+    print(json.dumps({"cycle": handle.cycle, "done": sum(f.done for f in futs),
+                      "fired": sorted({e.kind for e in events() if e.cycle < handle.cycle})}))
+    sys.exit()
+if phase == "resume":
+    from repro.snapshot import load, restore
+    restore(handle, load(path))
+from repro.faults.errors import FaultError
+outcomes = []
+for fut, dst in zip(futs, dsts):
+    try:
+        fut.get()
+    except FaultError as exc:
+        outcomes.append(type(exc).__name__)
+        continue
+    handle.copy_from_fpga(dst)
+    outcomes.append(dst.read() == pattern)
+print(json.dumps({
+    "cycle": handle.cycle,
+    "outcomes": outcomes,
+    "latencies": [f.latency_cycles for f in futs],
+    "events": [[e.cycle, e.site, e.kind, e.detail] for e in events()],
+    "metrics": build.metrics(stable_only=True),
+}, sort_keys=True, default=repr))
+"""
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["plain", "fault_plan"])
+def test_restore_in_a_fresh_interpreter_is_bit_identical(faulted, tmp_path):
+    """Capture mid-flight in one interpreter; rebuild, replay, load, restore
+    and finish in another.  The snapshot resolves classes only in modules
+    already imported, so this pins that a rebuild alone imports every class
+    a payload names, however lazily the packages export."""
+    from test_import_surface import fresh_interpreter
+
+    path = str(tmp_path / "fresh.ckpt")
+
+    def run(phase):
+        out = fresh_interpreter(_FRESH_RUN, phase, path, str(int(faulted)))
+        return json.loads(out.splitlines()[-1])
+
+    reference = run("reference")
+    captured = run("capture")
+    assert 0 < captured["done"] < 32 and captured["cycle"] < reference["cycle"]
+    if faulted:
+        assert {"core_hang", "dram_flip", "detected"} <= set(captured["fired"])
+    resumed = run("resume")
+    assert resumed == reference
+    assert all(o is True for o in reference["outcomes"])
 def _crashy_job(x):
     from repro.snapshot.store import job_checkpoint, note_job_resumed
 
