@@ -62,7 +62,11 @@ class _WriteTxn:
     addr: int
     length: int
     accept_cycle: int
-    wbeats: List = field(default_factory=list)
+    # Accepted W data, one entry per beat: the payload and its byte strobe
+    # (``None``: every byte valid).  Plain values, not ``WBeat``s, so a
+    # capture copies two flat lists instead of freezing an object per beat.
+    wdata: List[bytes] = field(default_factory=list)
+    wstrb: List[Optional[bytes]] = field(default_factory=list)
     data_complete: bool = False
     cols_enqueued: int = 0
     cols_done: int = 0
@@ -238,6 +242,16 @@ class MemoryController(Component):
         self._writes_awaiting_data.append(txn)
         self._note_id(req.axi_id)
 
+    def _accept_data(self, beat) -> None:
+        """Keep ``beat``'s payload on the oldest write still awaiting data;
+        its ``last`` flag ends that burst and is not stored."""
+        head = self._writes_awaiting_data[0]
+        head.wdata.append(beat.data)
+        head.wstrb.append(beat.strb)
+        if beat.last:
+            head.data_complete = True
+            self._writes_awaiting_data.popleft()
+
     def _window_add(self, txn, is_write: bool, cycle: int) -> None:
         """Move ``txn``'s next column command into the scheduler window."""
         idx = txn.cols_enqueued
@@ -278,8 +292,8 @@ class MemoryController(Component):
         stats["row_hits"] += 1
         txn = req.txn
         if req.is_write:
-            beat = txn.wbeats[req.beat_idx]
-            self.store.write(req.addr, beat.data, beat.strb)
+            idx = req.beat_idx
+            self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])
             txn.cols_done += 1
             stats["write_cols"] += 1
             if (
@@ -343,12 +357,7 @@ class MemoryController(Component):
         if self.port.aw.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
             self._accept_write(self.port.aw.pop(), cycle)
         if self.port.w.can_pop() and self._writes_awaiting_data:
-            head = self._writes_awaiting_data[0]
-            beat = self.port.w.pop()
-            head.wbeats.append(beat)
-            if beat.last:
-                head.data_complete = True
-                self._writes_awaiting_data.popleft()
+            self._accept_data(self.port.w.pop())
 
     def _enqueue_columns(self, cycle: int) -> None:
         """Move column commands from head-of-ID transactions into the
@@ -380,7 +389,7 @@ class MemoryController(Component):
                     continue
                 # Cut-through: a write column is eligible as soon as its W
                 # beat has arrived (no store-and-forward of whole bursts).
-                if txn.cols_enqueued >= len(txn.wbeats):
+                if txn.cols_enqueued >= len(txn.wdata):
                     break
                 if txn.cols_enqueued == 0 and not self._may_start(
                     self._id_write_pipe, axi_id, txn
@@ -513,6 +522,7 @@ class MemoryController(Component):
         may_start = self._may_start
         refresh = self._refresh
         accept_read, accept_write = self._accept_read, self._accept_write
+        accept_data = self._accept_data
         window_add, prep, issue = self._window_add, self._prep, self._issue
         send_r, send_b = self._send_r, self._send_b
 
@@ -529,12 +539,7 @@ class MemoryController(Component):
             ):
                 accept_write(aw.pop(), cycle)
             if awaiting and w._pop_count < len(w._items):
-                head = awaiting[0]
-                beat = w.pop()
-                head.wbeats.append(beat)
-                if beat.last:
-                    head.data_complete = True
-                    awaiting.popleft()
+                accept_data(w.pop())
             # -- enqueue columns ------------------------------------------
             budget = 8
             room = sched_depth - len(sched)
@@ -566,7 +571,7 @@ class MemoryController(Component):
                         if txn.cols_enqueued >= txn.length:
                             q.popleft()
                             continue
-                        if txn.cols_enqueued >= len(txn.wbeats):
+                        if txn.cols_enqueued >= len(txn.wdata):
                             break  # cut-through: wait for the W beat
                         if not txn.cols_enqueued and not may_start(
                             id_write_pipe, axi_id, txn
@@ -702,7 +707,7 @@ class MemoryController(Component):
                     break
         if not busy:
             for wtxn in self._write_txns.values():
-                if wtxn.cols_enqueued < wtxn.length and len(wtxn.wbeats) > wtxn.cols_enqueued:
+                if wtxn.cols_enqueued < wtxn.length and len(wtxn.wdata) > wtxn.cols_enqueued:
                     busy = True  # staged W data ready to enter the scheduler
                     break
                 if wtxn.cols_done >= wtxn.length:

@@ -69,6 +69,7 @@ _LOWER_BETTER = (
     "load_seconds",
     "restore_seconds",
     "snapshot_bytes",
+    "objects_frozen",
 )
 #: Leaf names that are plain event counts, not perf metrics — excluded
 #: before fragment matching because some collide with a fragment

@@ -61,8 +61,9 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: Bumped on any change to the capture format or captured field set.  A
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
-#: restoring garbage into a newer model.  (3: plain-data marker trees.)
-SNAPSHOT_VERSION = 3
+#: restoring garbage into a newer model.  (3: plain-data marker trees;
+#: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``.)
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):
@@ -806,7 +807,8 @@ def capture(handle: Any) -> Snapshot:
     fr = Freezer()
     payload = _capture_state(fr, sim, getattr(design, "faults", None), _design_extras(design, sim))
     payload["host"] = handle.snapshot_state(fr)
-    meta = {"scheduling": sim.scheduling, "skipped_attrs": fr.skipped}
+    # ``objects``: how many objects the capture froze, which is what it costs.
+    meta = {"scheduling": sim.scheduling, "skipped_attrs": fr.skipped, "objects": len(fr._memo)}
     return Snapshot(SNAPSHOT_VERSION, sim.cycle, payload, meta)
 
 

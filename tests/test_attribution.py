@@ -421,6 +421,7 @@ def test_flatten_and_direction_classifier():
     for phase in ("elaborate_seconds", "simulate_seconds", "cache_seconds"):
         assert metric_direction(phase) == -1
     assert metric_direction("modes.naive.cycles") == -1
+    assert metric_direction("objects_frozen") == -1  # a checkpoint's capture cost
     assert metric_direction("cases.dense.size_bytes") == 0
     assert metric_direction("n_cores") == 0
 

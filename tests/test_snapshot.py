@@ -130,11 +130,13 @@ def test_load_rejects_garbage_and_foreign_versions(tmp_path):
     )
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
-    struct.pack_into(">I", data, 8, SNAPSHOT_VERSION + 999)  # header: magic, version
-    with open(path, "wb") as fh:
-        fh.write(data)
-    with pytest.raises(SnapshotVersionError):
-        load(path)
+    # The format this one replaced, and one from the future.
+    for version in (SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 999):
+        struct.pack_into(">I", data, 8, version)  # header: magic, version
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(SnapshotVersionError):
+            load(path)
 
 
 def test_job_checkpoint_path_is_version_addressed(tmp_path, monkeypatch):
@@ -145,8 +147,9 @@ def test_job_checkpoint_path_is_version_addressed(tmp_path, monkeypatch):
     assert p1.endswith(".ckpt") and str(tmp_path) in p1
     assert job_checkpoint_path(str(tmp_path), "fp") == p1
     assert job_checkpoint_path(str(tmp_path), "other") != p1
-    monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", SNAPSHOT_VERSION + 1)
-    assert job_checkpoint_path(str(tmp_path), "fp") != p1
+    for version in (SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1):
+        monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", version)
+        assert job_checkpoint_path(str(tmp_path), "fp") != p1
 
 
 # ------------------------------------------------------ fresh-process restore

@@ -6,7 +6,8 @@ only sound if a listed attribute (1) exists, (2) is never rebound after
 elaboration, (3) holds no state of its own — it freezes to the same tree at
 any point of a run — and (4) is recreated equal by a rebuild + replay.
 This file checks all four on live designs, for every declaring class, and
-checks that the audit itself notices a rebound attribute.
+checks that the audit itself notices a rebound attribute.  It also pins how
+many objects one capture freezes, which is what a capture costs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import pytest
 
 import repro
 from repro.core.build import BeethovenBuild
+from repro.dram.controller import MemoryController
 from repro.platforms import AWSF1Platform, SimulationPlatform, multi_die_platform
 from repro.runtime import FpgaHandle
 from repro.snapshot import capture
 from repro.snapshot.engine import T_OBJ, T_STATE, Freezer, _infra, _is_marker, _plan
+from repro.snapshot.scenario import CHUNK, _build_memcpy
 
 
 # ------------------------------------------------------------ declarations
@@ -342,3 +345,23 @@ def test_every_declaration_is_covered_and_names_real_attributes():
                 f"{cls.__qualname__}._snapshot_exclude names {name!r}, "
                 "which its instances do not have"
             )
+
+
+# -------------------------------------------------------- what a capture costs
+@pytest.mark.parametrize("mode", ("naive", "compiled"))
+def test_capture_freezes_a_pinned_number_of_objects(mode):
+    """A capture costs per object reached, not per byte, so a model field
+    that keeps one object per beat multiplies it.  Pinned on the
+    kill-and-resume scenario's memcpy at its first chunk boundary, where the
+    DRAM controller holds accepted write data: as plain values, no WBeat."""
+    build, handle, futs, _, _ = _build_memcpy(0, mode)
+    sim = build.design.sim
+    sim.run(CHUNK)
+    (mc,) = [c for c in sim._components if isinstance(c, MemoryController)]
+    assert not any(f.done for f in futs)
+    assert any(txn.wdata for txn in mc._write_txns.values())
+    snap = capture(handle)
+    # 373 while the controller kept one WBeat per accepted beat.
+    assert snap.meta["objects"] == 310
+    (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
+    assert "WBeat" not in _frozen_classes(state)

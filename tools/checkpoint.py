@@ -13,7 +13,8 @@ uninterrupted reference of the same seed.  Writes into ``--out``:
 * ``outcomes.json``           — one record per differential
 * ``BENCH_checkpoint.json``   — capture / save / load / restore seconds
                                 (checkpoint_write_seconds = capture + save),
-                                snapshot_bytes and dist restarts, for the
+                                snapshot_bytes, objects_frozen (what one
+                                capture walks) and dist restarts, for the
                                 bench-history regression gate
 * ``sample.ckpt``             — one snapshot file artefact
 
@@ -64,7 +65,8 @@ def _timing_pass(out: Path, reps: int) -> dict:
         return result
 
     for _ in range(reps):
-        timed("save", save, timed("capture", capture, handle), path)
+        snap = timed("capture", capture, handle)
+        timed("save", save, snap, path)
         timed("restore", restore, handle2, timed("load", load, path))
     for b in (build, build2):
         getattr(b.design.sim, "shutdown", lambda: None)()
@@ -72,6 +74,7 @@ def _timing_pass(out: Path, reps: int) -> dict:
     # The sum bench-history has always tracked, kept so its rows stay comparable.
     timing["checkpoint_write_seconds"] = timing["capture_seconds"] + timing["save_seconds"]
     timing["snapshot_bytes"] = os.path.getsize(path)
+    timing["objects_frozen"] = snap.meta["objects"]
     return timing
 
 
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
             f"{step} {bench[step + '_seconds'] * 1e3:.1f}ms"
             for step in ("capture", "save", "load", "restore")
         )
-        + f", {bench['snapshot_bytes']} bytes"
+        + f", {bench['snapshot_bytes']} bytes, {bench['objects_frozen']} objects frozen"
     )
     (out / "checkpoint-report.txt").write_text(report + "\n")
 
