@@ -101,7 +101,8 @@ class MemoryController(Component):
     # bits and marking the beat ``err`` (the modeled ECC detects the flip).
     _fault = None
 
-    _snapshot_exclude = ("port", "timing")  # wiring, rebuilt by elaboration
+    # Wiring and timing constants, rebuilt by elaboration.
+    _snapshot_exclude = ("port", "timing", "_col_bytes", "_cols_per_row", "_n_banks")
 
     def __init__(
         self,
@@ -137,12 +138,28 @@ class MemoryController(Component):
         # turnaround that multi-ID masters hide.
         self._id_read_pipe: Dict[int, Deque[object]] = {}
         self._id_write_pipe: Dict[int, Deque[object]] = {}
+        # Active-ID index, per direction: each ID's position in its issue
+        # dict (first-seen order) and the positions whose issue queue is
+        # non-empty.  Walking the active positions in sorted order visits the
+        # non-empty queues in dict order, which decides who gets the
+        # window's last slots; ``_rr_index`` would not (an ID first seen as a
+        # write sits elsewhere in it).
+        self._read_pos: Dict[int, int] = {}
+        self._write_pos: Dict[int, int] = {}
+        self._read_active: Set[int] = set()
+        self._write_active: Set[int] = set()
         # Scheduler window: arrival number -> column command, so dict order
         # is arrival order and removal is O(1).  ``_bank_q[b]`` indexes the
-        # same commands by bank, each list in arrival order.
+        # same commands by bank, each list in arrival order, and
+        # ``_live_banks`` holds the banks whose list is non-empty.
         self._sched: Dict[int, _ColReq] = {}
         self._sched_seq = 0
         self._bank_q: List[List[_ColReq]] = [[] for _ in self.banks]
+        self._live_banks: Set[int] = set()
+        # ``timing.decompose``'s constants, read once per column.
+        self._col_bytes = timing.col_bytes
+        self._cols_per_row = timing.cols_per_row
+        self._n_banks = timing.n_banks
         self._bus_free_at = 0
         self._bus_dir_write = False
         self._dir_streak = 0
@@ -223,12 +240,13 @@ class MemoryController(Component):
     def _refresh(self, cycle: int) -> None:
         for bank in self.banks:
             bank.block_for_refresh(cycle)
-        self.stats["refreshes"] += 1
+        self.stats["refreshes"].value += 1
 
     def _accept_read(self, req, cycle: int) -> None:
         txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
         self._read_txns[req.tag] = txn
         self._id_read_issue.setdefault(req.axi_id, deque()).append(txn)
+        self._read_active.add(self._read_pos.setdefault(req.axi_id, len(self._read_pos)))
         self._id_read_return.setdefault(req.axi_id, deque()).append(txn)
         self._id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
         self._note_id(req.axi_id)
@@ -237,6 +255,7 @@ class MemoryController(Component):
         txn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
         self._write_txns[req.tag] = txn
         self._id_write_issue.setdefault(req.axi_id, deque()).append(txn)
+        self._write_active.add(self._write_pos.setdefault(req.axi_id, len(self._write_pos)))
         self._id_write_return.setdefault(req.axi_id, deque()).append(txn)
         self._id_write_pipe.setdefault(req.axi_id, deque()).append(txn)
         self._writes_awaiting_data.append(txn)
@@ -255,23 +274,25 @@ class MemoryController(Component):
     def _window_add(self, txn, is_write: bool, cycle: int) -> None:
         """Move ``txn``'s next column command into the scheduler window."""
         idx = txn.cols_enqueued
-        addr = txn.addr + idx * self.timing.col_bytes
-        bank, row, _col = self.timing.decompose(addr)
+        addr = txn.addr + idx * self._col_bytes
+        # ``timing.decompose`` without the column.
+        row, bank = divmod(addr // self._col_bytes // self._cols_per_row, self._n_banks)
         seq = self._sched_seq
         self._sched_seq = seq + 1
         req = _ColReq(txn, idx, addr, bank, row, is_write, cycle, seq)
         self._sched[seq] = req
         self._bank_q[bank].append(req)
+        self._live_banks.add(bank)
         txn.cols_enqueued = idx + 1
 
     def _prep(self, req: _ColReq, cycle: int) -> None:
         """Switch ``req``'s bank to its row (precharge if one is open)."""
         bank = self.banks[req.bank]
         if bank.open_row is not None:
-            self.stats["row_conflicts"] += 1
+            self.stats["row_conflicts"].value += 1
         bank.prep(req.row, cycle)
         bank.record_access(False)
-        self.stats["row_misses"] += 1
+        self.stats["row_misses"].value += 1
 
     def _issue(self, req: _ColReq, cycle: int) -> None:
         """Put the picked column on the data bus and leave the window."""
@@ -279,37 +300,43 @@ class MemoryController(Component):
         if req.is_write != self._bus_dir_write:
             self._bus_dir_write = req.is_write
             self._dir_streak = 1
-            stats["turnarounds"] += 1
+            stats["turnarounds"].value += 1
             self._bus_free_at = cycle + 1 + self.timing.t_bus_turn
         else:
             self._dir_streak += 1
             self._bus_free_at = cycle + 1
-        stats["bus_cycles"] += 1
-        stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
+        stats["bus_cycles"].value += 1
+        stats["queue_wait_cycles"].value += cycle - req.enqueued_cycle
         del self._sched[req.seq]
-        self._bank_q[req.bank].remove(req)
+        q = self._bank_q[req.bank]
+        if q[0] is req:
+            del q[0]
+        else:
+            q.remove(req)
+        if not q:
+            self._live_banks.discard(req.bank)
         self.banks[req.bank].record_access(True)
-        stats["row_hits"] += 1
+        stats["row_hits"].value += 1
         txn = req.txn
         if req.is_write:
             idx = req.beat_idx
             self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])
             txn.cols_done += 1
-            stats["write_cols"] += 1
+            stats["write_cols"].value += 1
             if (
                 txn.cols_done >= txn.length
                 and self._id_write_return[txn.axi_id][0] is txn
             ):
                 self._b_ready.add(txn.axi_id)
         else:
-            data = self.store.read(req.addr, self.timing.col_bytes)
+            data = self.store.read(req.addr, self._col_bytes)
             err = False
             hook = self._fault
             if hook is not None:
                 data, err = hook.filter_read(cycle, req.addr, data)
             txn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
             txn.cols_done += 1
-            stats["read_cols"] += 1
+            stats["read_cols"].value += 1
             if (
                 req.beat_idx == txn.beats_sent
                 and self._id_read_return[txn.axi_id][0] is txn
@@ -380,6 +407,8 @@ class MemoryController(Component):
                 if txn.cols_enqueued >= txn.length:
                     q.popleft()
                     break  # next same-ID txn starts no earlier than next cycle
+            if not q:
+                self._read_active.discard(self._read_pos[axi_id])
         for axi_id in list(self._id_write_issue):
             q = self._id_write_issue[axi_id]
             while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
@@ -400,6 +429,8 @@ class MemoryController(Component):
                 if txn.cols_enqueued >= txn.length:
                     q.popleft()
                     break
+            if not q:
+                self._write_active.discard(self._write_pos[axi_id])
 
     def _may_start(self, pipes: Dict[int, Deque[object]], axi_id: int, txn: object) -> bool:
         """A transaction enters the DRAM pipeline only when it is among the
@@ -492,13 +523,15 @@ class MemoryController(Component):
 
         Same phases, same decisions, same statistics as :meth:`tick`, and the
         same action helpers; what differs is how each selection is found.
-        Bank prep probes the head of each bank's list instead of walking the
-        window for first occurrences; the FR-FCFS pick is the smallest
-        arrival number among the first open-row (and first same-direction)
-        entry of each ready bank; R and B arbitration take the round-robin
-        winner by rotated distance over the candidate/ready sets instead of
-        visiting every ID.  Set iteration order never matters: every
-        selection is a minimum over a total order.
+        Column enqueue visits only the IDs whose issue queue is non-empty, in
+        first-seen order (sorted active positions); bank prep probes the head
+        of each live bank's list instead of walking the window for first
+        occurrences; the FR-FCFS pick is the smallest arrival number among
+        the first open-row (and first same-direction) entry of each ready
+        live bank; R and B arbitration take the round-robin winner by
+        rotated distance over the candidate/ready sets instead of visiting
+        every ID.  Set iteration order never matters: every selection is a
+        minimum over a total order.
         """
         timing = self.timing
         t_refi = timing.t_refi
@@ -506,6 +539,11 @@ class MemoryController(Component):
         sched_depth = timing.sched_queue_depth
         max_txns = timing.max_outstanding_txns
         bank_view = tuple(zip(self.banks, self._bank_q))
+        live_banks = self._live_banks
+        read_active, write_active = self._read_active, self._write_active
+        # Position -> (ID, issue queue), extended as IDs are first seen.
+        read_slots: List[Tuple[int, Deque[_ReadTxn]]] = []
+        write_slots: List[Tuple[int, Deque[_WriteTxn]]] = []
         port = self.port
         ar, aw, w, r, b = port.ar, port.aw, port.w, port.r, port.b
         sched = self._sched
@@ -543,8 +581,11 @@ class MemoryController(Component):
             # -- enqueue columns ------------------------------------------
             budget = 8
             room = sched_depth - len(sched)
-            if room > 0:
-                for axi_id, q in id_read_issue.items():
+            if room > 0 and read_active:
+                if len(read_slots) < len(id_read_issue):
+                    read_slots.extend(list(id_read_issue.items())[len(read_slots):])
+                for pos in sorted(read_active):
+                    axi_id, q = read_slots[pos]
                     while q:
                         txn = q[0]
                         if txn.cols_enqueued >= txn.length:
@@ -562,10 +603,15 @@ class MemoryController(Component):
                             break
                         if not budget or not room:
                             break
+                    if not q:
+                        read_active.discard(pos)
                     if not budget or not room:
                         break
-            if budget and room > 0:
-                for axi_id, q in id_write_issue.items():
+            if budget and room > 0 and write_active:
+                if len(write_slots) < len(id_write_issue):
+                    write_slots.extend(list(id_write_issue.items())[len(write_slots):])
+                for pos in sorted(write_active):
+                    axi_id, q = write_slots[pos]
                     while q:
                         txn = q[0]
                         if txn.cols_enqueued >= txn.length:
@@ -585,20 +631,22 @@ class MemoryController(Component):
                             break
                         if not budget or not room:
                             break
+                    if not q:
+                        write_active.discard(pos)
                     if not budget or not room:
                         break
             if sched:
                 # -- prep: the two oldest-headed banks whose head needs
                 # another row and may switch now --------------------------
                 first = second = None
-                for bank, q in bank_view:
-                    if q:
-                        head = q[0]
-                        if bank.open_row != head.row and bank.can_prep(cycle):
-                            if first is None or head.seq < first.seq:
-                                first, second = head, first
-                            elif second is None or head.seq < second.seq:
-                                second = head
+                for bank_idx in live_banks:
+                    bank, q = bank_view[bank_idx]
+                    head = q[0]
+                    if bank.open_row != head.row and bank.can_prep(cycle):
+                        if first is None or head.seq < first.seq:
+                            first, second = head, first
+                        elif second is None or head.seq < second.seq:
+                            second = head
                 if first is not None:
                     prep(first, cycle)
                     if second is not None:
@@ -609,8 +657,9 @@ class MemoryController(Component):
                     want_same = self._dir_streak < streak_limit
                     oldest = None  # oldest ready column
                     oldest_same = None  # oldest ready same-direction column
-                    for bank, q in bank_view:
-                        if q and cycle >= bank.ready_at:
+                    for bank_idx in live_banks:
+                        bank, q = bank_view[bank_idx]
+                        if cycle >= bank.ready_at:
                             row = bank.open_row
                             first_open = True
                             for req in q:

@@ -28,6 +28,12 @@ class MemoryStore:
     def read(self, addr: int, length: int) -> bytes:
         if addr < 0 or length < 0:
             raise ValueError("negative address or length")
+        size = self.block_bytes
+        if length == size and not addr % size:
+            # Exactly one block (a DRAM column); a block never written reads
+            # as zeros and is not created.
+            blk = self._blocks.get(addr // size)
+            return bytes(size) if blk is None else bytes(blk)
         out = bytearray(length)
         pos = 0
         while pos < length:
@@ -43,7 +49,18 @@ class MemoryStore:
     def write(self, addr: int, data: bytes, strb: bytes = None) -> None:
         if addr < 0:
             raise ValueError("negative address")
-        if strb is not None and len(strb) != len(data):
+        size = self.block_bytes
+        if strb is None:
+            if len(data) == size and not addr % size:
+                # Exactly one block, every byte valid.  An existing block is
+                # overwritten in place: whoever holds it sees the write.
+                blk = self._blocks.get(addr // size)
+                if blk is None:
+                    self._blocks[addr // size] = bytearray(data)
+                else:
+                    blk[:] = data
+                return
+        elif len(strb) != len(data):
             raise ValueError("strb length mismatch")
         pos = 0
         length = len(data)

@@ -252,11 +252,17 @@ class AxiBufferNode(Component):
     def compile_tick(self):
         """Specialised tick: same phases and arbitration decisions as
         :meth:`tick` with channel endpoints, round-robin order and ID
-        remapping constants resolved at compile time."""
+        remapping constants resolved at compile time.  ``ar_rot[rr]`` is the
+        AR visiting order from round-robin position ``rr`` as
+        ``(index, channel)`` pairs (``aw_rot`` likewise); ``_ar_rr`` and
+        ``_aw_rr`` stay the state."""
         ups = self.upstreams
         n = len(ups)
         up_ar = [u.ar for u in ups]
         up_aw = [u.aw for u in ups]
+        order = [[*range(rr, n), *range(rr)] for rr in range(n)]
+        ar_rot = tuple(tuple((idx, up_ar[idx]) for idx in o) for o in order)
+        aw_rot = tuple(tuple((idx, up_aw[idx]) for idx in o) for o in order)
         up_w = [u.w for u in ups]
         up_r = [u.r for u in ups]
         up_b = [u.b for u in ups]
@@ -279,12 +285,7 @@ class AxiBufferNode(Component):
                 if since >= 0:
                     stall_cycles["ar"] += cycle - since
                     stall_since["ar"] = -1
-                rr = self._ar_rr
-                for k in range(n):
-                    idx = rr + k
-                    if idx >= n:
-                        idx -= n
-                    chan = up_ar[idx]
+                for idx, chan in ar_rot[self._ar_rr]:
                     if chan._pop_count < len(chan._items):
                         req = chan.pop()
                         push_ar(
@@ -311,12 +312,7 @@ class AxiBufferNode(Component):
                 if since >= 0:
                     stall_cycles["aw"] += cycle - since
                     stall_since["aw"] = -1
-                rr = self._aw_rr
-                for k in range(n):
-                    idx = rr + k
-                    if idx >= n:
-                        idx -= n
-                    chan = up_aw[idx]
+                for idx, chan in aw_rot[self._aw_rr]:
                     if chan._pop_count < len(chan._items):
                         req = chan.pop()
                         push_aw(

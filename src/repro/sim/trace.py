@@ -372,6 +372,11 @@ def class_tick_table(sim) -> Dict[str, Dict[str, float]]:
     server sent (``runtime/server/commands_sent``); each is 0.0 when the run
     did none of that work.  Which class costs what is then read, not
     guessed: host seconds follow executed ticks.
+
+    When the simulator was profiled (``sim.tick_profile`` has samples),
+    each class also gets ``us_per_tick`` — its profiled self-time over its
+    executed ticks — and a last row, ``(kernel)/commit``, books the channel
+    commit sweeps as its ticks (``instances`` 0).
     """
     total = sim.cycle
     registry = sim.registry
@@ -381,23 +386,32 @@ def class_tick_table(sim) -> Dict[str, Dict[str, float]]:
         if name.endswith(("/read_cols", "/write_cols"))
     )
     commands = registry.value("runtime/server/commands_sent")
+    profile = sim.tick_profile
     table: Dict[str, Dict[str, float]] = {}
+    self_ns: Dict[str, float] = {}
     for comp in sim._components:
-        row = table.setdefault(
-            type(comp).__name__, {"instances": 0, "ticks_executed": 0, "ticks_elided": 0}
-        )
+        name = type(comp).__name__
+        row = table.setdefault(name, {"instances": 0, "ticks_executed": 0, "ticks_elided": 0})
         executed = sim.component_ticks(comp)
         row["instances"] += 1
         row["ticks_executed"] += executed
         row["ticks_elided"] += total - executed
-    for row in table.values():
+        if profile:
+            self_ns[name] = self_ns.get(name, 0) + profile.get(comp.name, (0, 0))[0]
+    table = dict(sorted(table.items(), key=lambda kv: kv[1]["ticks_executed"], reverse=True))
+    commit = profile.get("(kernel)/commit")
+    if commit:
+        table["(kernel)/commit"] = {"instances": 0, "ticks_executed": commit[1], "ticks_elided": 0}
+        self_ns["(kernel)/commit"] = commit[0]
+    for name, row in table.items():
         possible = row["instances"] * total
+        executed = row["ticks_executed"]
         row["elided_fraction"] = row["ticks_elided"] / possible if possible else 0.0
-        row["ticks_per_dram_col"] = row["ticks_executed"] / cols if cols else 0.0
-        row["ticks_per_command"] = row["ticks_executed"] / commands if commands else 0.0
-    return dict(
-        sorted(table.items(), key=lambda kv: kv[1]["ticks_executed"], reverse=True)
-    )
+        row["ticks_per_dram_col"] = executed / cols if cols else 0.0
+        row["ticks_per_command"] = executed / commands if commands else 0.0
+        if profile:
+            row["us_per_tick"] = self_ns[name] / executed / 1e3 if executed else 0.0
+    return table
 
 
 def render_class_tick_table(table: Dict[str, Dict[str, float]]) -> str:
@@ -405,12 +419,15 @@ def render_class_tick_table(table: Dict[str, Dict[str, float]]) -> str:
 
     Shows the ticks-per-work columns whose denominator the run actually
     moved (DRAM columns, host commands); ``ticks/col`` alone when neither.
+    A profiled table adds ``us/tick``.
     """
     per_work = [
         (key, title)
         for key, title in (("ticks_per_dram_col", "ticks/col"), ("ticks_per_command", "ticks/cmd"))
         if any(row[key] for row in table.values())
     ] or [("ticks_per_dram_col", "ticks/col")]
+    if any("us_per_tick" in row for row in table.values()):
+        per_work.append(("us_per_tick", "us/tick"))
     width = max((len(name) for name in table), default=5)
     lines = [
         f"  {'class':<{width}} {'inst':>5} {'ticks':>10} {'elided':>7}"

@@ -62,8 +62,9 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
 #: restoring garbage into a newer model.  (3: plain-data marker trees;
-#: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``.)
-SNAPSHOT_VERSION = 4
+#: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``;
+#: 5: it also keeps its live-bank and active-ID indexes.)
+SNAPSHOT_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

@@ -174,10 +174,17 @@ def check_index(mc: MemoryController) -> None:
     assert [r.seq for r in window] == list(mc._sched) == sorted(mc._sched)
     assert len(window) <= mc.timing.sched_queue_depth
     assert window == [] or window[-1].seq < mc._sched_seq
+    # ``_window_add`` inlines the address map; it must stay ``decompose``.
+    assert all(mc.timing.decompose(r.addr)[:2] == (r.bank, r.row) for r in window)
     by_bank = [[r for r in window if r.bank == b] for b in range(len(mc.banks))]
     for indexed, scanned in zip(mc._bank_q, by_bank):
         assert len(indexed) == len(scanned)
         assert all(a is b for a, b in zip(indexed, scanned))  # same objects, arrival order
+    assert mc._live_banks == {b for b, q in enumerate(mc._bank_q) if q}
+    for issue, pos, active in ((mc._id_read_issue, mc._read_pos, mc._read_active),
+                               (mc._id_write_issue, mc._write_pos, mc._write_active)):
+        assert list(pos.items()) == [(axi_id, i) for i, axi_id in enumerate(issue)]
+        assert active == {pos[axi_id] for axi_id, q in issue.items() if q}
     assert mc._rr_index == {axi_id: i for i, axi_id in enumerate(mc._return_rr)}
     assert mc._r_cand == {
         axi_id for axi_id, q in mc._id_read_return.items()
@@ -207,7 +214,13 @@ class Checker(Component):
 # ------------------------------------------------------------------- harness
 def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None, **overrides):
     """The seeded testbench, built but not run; everything about it but
-    ``scheduling`` (and ``w_rate``, when given) follows ``seed``."""
+    ``scheduling`` (and ``w_rate``, when given) follows ``seed``.
+
+    Half the seeds shrink the window to 2 or 4 entries, so ``room`` binds
+    and the order the enqueue loops visit IDs decides who gets a slot; half
+    give one fresh ID to the first write and a later read, so it is first
+    seen as a write and its read-issue position differs from its
+    round-robin one."""
     rng = random.Random(seed)
     timing = replace(
         rng.choice((DDR4_AWS_F1, LPDDR4_KRIA)),
@@ -217,13 +230,20 @@ def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None, **
     n_ids = rng.choice((1, 2, 4, 8, 16, 32, 40))
     reads, writes, reference = make_script(rng, timing, n_ids, n_txns=rng.randint(30, 90))
     port = AxiPort(AxiParams(beat_bytes=timing.col_bytes), "mem", depth=rng.choice((2, 4, 8)))
+    drawn_rate = rng.choice((1.0, 0.6, 0.15))
+    stall_rate = rng.choice((0.0, 0.3, 0.7))
+    # Drawn last, so every earlier draw is what it was before these existed.
+    depth = rng.choice((timing.sched_queue_depth, timing.sched_queue_depth, 2, 4))
+    write_first = rng.random() < 0.5 and bool(writes) and len(reads) > 2
+    if "sched_queue_depth" not in overrides:
+        timing = replace(timing, sched_queue_depth=depth)
+    if write_first:
+        writes[0]["axi_id"] = reads[len(reads) // 2]["axi_id"] = n_ids
     mport = RecordingPort(port, AxiMonitor("mem"))
     mc = MemoryController(mport, timing)
-    drawn_rate = rng.choice((1.0, 0.6, 0.15))
     driver = Driver(
         mport, reads, writes, reference, random.Random(seed + 1),
-        w_rate=drawn_rate if w_rate is None else w_rate,
-        stall_rate=rng.choice((0.0, 0.3, 0.7)),
+        w_rate=drawn_rate if w_rate is None else w_rate, stall_rate=stall_rate,
     )
     checker = Checker(mc)
     sim = Simulator(scheduling=scheduling)
@@ -232,7 +252,7 @@ def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None, **
     for comp in (driver, mc, mport.monitor, checker):
         sim.add(comp)
     return SimpleNamespace(sim=sim, driver=driver, mc=mc, mport=mport, checker=checker,
-                           reference=reference, timing=timing)
+                           reference=reference, timing=timing, write_first=write_first)
 
 
 def finish_traffic(tb):
@@ -255,6 +275,7 @@ def finish_traffic(tb):
         "max_streak": tb.checker.max_streak,
         "max_window": tb.checker.max_window,
         "timing": timing,
+        "write_first": tb.write_first,
     }
 
 
@@ -294,18 +315,21 @@ def test_direction_streak_is_forced_past_its_limit():
     """Past ``direction_streak`` the pick is the oldest ready column whatever
     its direction, so the streak itself may run on: both bodies must take
     that branch on the same cycles."""
-    for seed in (0, 3, 14, 23):
+    for seed in (3, 14, 23, 51):
         run = assert_bodies_agree(seed, direction_streak=4)
         assert run["max_streak"] > 4 and run["stats"]["turnarounds"] >= 30
 
 
 def test_sweep_reaches_the_corners_it_names():
     """The tier-1 seeds cover both parts, both pipeline limits, a full
-    window, row conflicts and a natural refresh edge."""
+    default window, full 2- and 4-entry windows, an ID first seen as a
+    write, row conflicts and a natural refresh edge."""
     runs = [run_traffic(seed, "compiled") for seed in range(20)]
     assert {r["timing"].col_bytes for r in runs} == {16, 64}
     assert {r["timing"].per_id_txn_limit for r in runs} == {1, 2}
-    assert any(r["max_window"] == r["timing"].sched_queue_depth for r in runs)
+    full = {r["timing"].sched_queue_depth for r in runs if r["max_window"] == r["timing"].sched_queue_depth}
+    assert {2, 4} <= full and max(full) > 4
+    assert any(r["write_first"] for r in runs)
     assert any(r["stats"]["row_conflicts"] > 20 for r in runs)
     assert any(r["stats"]["refreshes"] for r in runs)
 

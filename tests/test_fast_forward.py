@@ -407,6 +407,40 @@ def test_class_tick_table_rolls_up_wake_summary():
     idle = class_tick_table(BeethovenBuild(memcpy_config(n_cores=1), AWSF1Platform()).design.sim)
     assert all(row["ticks_per_command"] == row["ticks_per_dram_col"] == 0.0 for row in idle.values())
     assert "ticks/col" in render_class_tick_table(idle)
+    # Unprofiled runs have no self-time to divide.
+    assert not any("us_per_tick" in row for row in table.values())
+    assert "us/tick" not in text and "(kernel)/commit" not in table
+
+
+@pytest.mark.parametrize("mode", ("naive", "compiled"))
+def test_profiled_class_tick_table_adds_us_per_tick(mode):
+    """Profiled: each class's self-time over its executed ticks, and the
+    channel commit sweeps as a last ``(kernel)/commit`` row."""
+    from repro.obs import Observability
+
+    build = BeethovenBuild(memcpy_config(n_cores=2), AWSF1Platform(), scheduling=mode,
+                           observability=Observability(enabled=False, profile=True))
+    handle = FpgaHandle(build.design)
+    src, dst = handle.malloc(1024), handle.malloc(1024)
+    handle.copy_to_fpga(src)
+    handle.call("Memcpy", "memcpy", 0, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=1024).get()
+    sim = build.design.sim
+    table = class_tick_table(sim)
+    assert list(table)[-1] == "(kernel)/commit"
+    ns_sweeps = sim.tick_profile["(kernel)/commit"]
+    kernel = table["(kernel)/commit"]
+    assert kernel["instances"] == 0 and kernel["ticks_executed"] == ns_sweeps[1]
+    assert kernel["us_per_tick"] == ns_sweeps[0] / ns_sweeps[1] / 1e3
+    for name, row in table.items():
+        if name == "(kernel)/commit":
+            continue
+        comps = [c for c in sim._components if type(c).__name__ == name]
+        ns = sum(sim.tick_profile.get(c.name, (0, 0))[0] for c in comps)
+        assert row["ticks_executed"] == sum(sim.component_ticks(c) for c in comps)
+        assert row["us_per_tick"] == (ns / row["ticks_executed"] / 1e3 if row["ticks_executed"] else 0.0)
+    assert table["MemoryController"]["us_per_tick"] > 0
+    text = render_class_tick_table(table)
+    assert "us/tick" in text and "(kernel)/commit" in text
 
 
 @pytest.mark.parametrize("mode", SKIPPING_MODES)

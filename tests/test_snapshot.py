@@ -544,16 +544,17 @@ def test_numpy_state_round_trips_mid_attention(mode, tmp_path):
 def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
     """The window, the per-bank lists and the per-ID queues hold the *same*
     column and transaction objects; a restore that rebuilt them as copies
-    would leave the controller issuing from one and retiring from another."""
+    would leave the controller issuing from one and retiring from another.
+    The live-bank and active-ID indexes are restored with them, and stay
+    exact to the end under either controller body."""
     from test_dram_indexed import check_index, memcpy32_submitted
 
     from repro.snapshot import capture, restore
 
-    def submitted():
-        # The default schedule; copies long enough that early cores write
-        # while later ones still read.
-        build, handle, futs = memcpy32_submitted(active=8, size=16384)
-        assert build.design.sim.scheduling == "compiled"
+    def submitted(scheduling=None):
+        # Copies long enough that early cores write while later ones still
+        # read; captured under the default schedule.
+        build, handle, futs = memcpy32_submitted(scheduling, active=8, size=16384)
         return build, handle, futs
 
     def outcome(build, handle, futs):
@@ -562,6 +563,7 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
         return handle.cycle, [f.latency_cycles for f in futs], build.metrics(stable_only=True)
 
     build, handle, futs = submitted()
+    assert build.design.sim.scheduling == "compiled"
     mc = build.design.controller
     # Reads returning, writes part-way through their columns, window busy.
     # (A ready B is answered in the tick that completes it unless the B
@@ -577,17 +579,19 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
     save(capture(handle), path)
     reference = outcome(build, handle, futs)
 
-    build, handle, futs = submitted()
-    restore(handle, load(path))
-    mc = build.design.controller
-    window = list(mc._sched.values())
-    assert len(window) > 8 and mc._r_cand
-    check_index(mc)  # per-bank lists hold the window's own objects
-    for req in window:
-        assert req.txn is (mc._write_txns if req.is_write else mc._read_txns)[req.txn.tag]
-    for txns, queues in ((mc._read_txns, mc._id_read_return), (mc._write_txns, mc._id_write_return)):
-        assert all(any(txn is t for t in queues[txn.axi_id]) for txn in txns.values())
-    assert outcome(build, handle, futs) == reference
+    for restore_mode in ("naive", "compiled"):
+        build, handle, futs = submitted(restore_mode)
+        restore(handle, load(path))
+        mc = build.design.controller
+        window = list(mc._sched.values())
+        assert len(window) > 8 and mc._r_cand and mc._live_banks
+        check_index(mc)  # per-bank lists hold the window's own objects
+        for req in window:
+            assert req.txn is (mc._write_txns if req.is_write else mc._read_txns)[req.txn.tag]
+        for txns, queues in ((mc._read_txns, mc._id_read_return), (mc._write_txns, mc._id_write_return)):
+            assert all(any(txn is t for t in queues[txn.axi_id]) for txn in txns.values())
+        assert outcome(build, handle, futs) == reference
+        check_index(mc)
 
 
 # ------------------------------------------- the server's lazily held poll grid

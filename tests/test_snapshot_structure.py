@@ -361,7 +361,8 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     assert not any(f.done for f in futs)
     assert any(txn.wdata for txn in mc._write_txns.values())
     snap = capture(handle)
-    # 373 while the controller kept one WBeat per accepted beat.
-    assert snap.meta["objects"] == 310
+    # 373 while the controller kept one WBeat per accepted beat; 310 before
+    # its live-bank set and two active-ID sets and position maps.
+    assert snap.meta["objects"] == 315
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)

@@ -43,12 +43,12 @@ from repro.sim import class_tick_table, render_class_tick_table
 MODES = ("naive", "fast_forward", "selective", "compiled")
 
 
-def _build(config, mode):
+def _build(config, mode, profile=False):
     return BeethovenBuild(
         config,
         AWSF1Platform(),
         BuildMode.Simulation,
-        observability=Observability(enabled=True, profile=False),
+        observability=Observability(enabled=True, profile=profile),
         scheduling=mode,
     )
 
@@ -77,8 +77,11 @@ def _drive_memcpy(build, n_bytes, rounds):
     return handle
 
 
-def run_point(name, config, drive, max_sum_error=0.01):
-    """Run one point under all modes; returns (report, problems)."""
+def run_point(name, config, drive, max_sum_error=0.01, profile=False):
+    """Run one point under all modes; returns (report, problems).
+
+    ``profile`` adds one profiled ``compiled`` pass whose class table
+    (with µs per tick per class) replaces the unprofiled one."""
     problems = []
     reports = {}
     totals_by_mode = {}
@@ -117,6 +120,10 @@ def run_point(name, config, drive, max_sum_error=0.01):
             "noc": contention["noc"],
             "tlp": contention["tlp"],
         }
+    if profile:
+        build = _build(config, "compiled", profile=True)
+        drive(build)
+        class_ticks = class_tick_table(build.design.sim)
     ref_mode = MODES[0]
     for mode in MODES[1:]:
         if totals_by_mode.get(mode) != totals_by_mode.get(ref_mode):
@@ -173,7 +180,7 @@ def main(argv=None) -> int:
     all_problems = []
     combined = {}
     for name, config, drive in points:
-        report, problems = run_point(name, config, drive)
+        report, problems = run_point(name, config, drive, profile=name == "memcpy")
         all_problems.extend(problems)
         combined[name] = report
         with open(out / f"attribution_{name}.json", "w") as f:
