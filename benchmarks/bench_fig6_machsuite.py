@@ -72,6 +72,12 @@ def test_fig6_machsuite(benchmark, fig6_rows):
     assert gaps[lowest] >= gaps[highest]
 
 
+#: Final cycle and per-command latencies of ``_sparse_delay_run`` (either
+#: schedule): four 50 000-cycle commands, one outstanding at a time.
+SPARSE_CYCLES = 200_964
+SPARSE_LATENCIES = [50_240] * 4
+
+
 def _sparse_delay_run(scheduling):
     """One long-latency core on AWS F1, one command outstanding at a time —
     the sparse configuration (low core count, long poll interval) whose
@@ -94,40 +100,24 @@ def _sparse_delay_run(scheduling):
     return handle.cycle, latencies, wall, build.design
 
 
-def test_fast_forward_sparse_speedup():
-    """Event-skipping wins >= 3x wall clock on a sparse config, cycle-exactly.
+def test_compiled_sparse_speedup():
+    """The compiled schedule wins >= 3x wall clock over the naive oracle on a
+    sparse config, with the exact cycles and command latencies.
 
     The skip accounting is read back through the unified metric registry
     (``sim/*`` namespace) rather than from simulator internals.
     """
     naive_cycle, naive_lat, naive_wall, naive_design = _sparse_delay_run("naive")
-    fast_cycle, fast_lat, fast_wall, fast_design = _sparse_delay_run("fast_forward")
-    speedup = naive_wall / fast_wall
+    comp_cycle, comp_lat, comp_wall, comp_design = _sparse_delay_run("compiled")
+    speedup = naive_wall / comp_wall
     print()
-    print(f"naive: {naive_cycle} cycles in {naive_wall:.3f}s")
-    print(f"fast : {fast_cycle} cycles in {fast_wall:.3f}s ({speedup:.1f}x)")
-    print(fast_design.metrics_report("sim"))
-    assert fast_cycle == naive_cycle
-    assert fast_lat == naive_lat
+    print(f"naive   : {naive_cycle} cycles in {naive_wall:.3f}s")
+    print(f"compiled: {comp_cycle} cycles in {comp_wall:.3f}s ({speedup:.1f}x)")
+    print(comp_design.metrics_report("sim"))
+    assert (comp_cycle, comp_lat) == (naive_cycle, naive_lat) == (SPARSE_CYCLES, SPARSE_LATENCIES)
     assert naive_design.registry.value("sim/cycles_skipped") == 0
-    assert skip_fraction(fast_design.registry) > 0.9
-    assert speedup >= 3.0
-
-
-def test_selective_sparse_speedup():
-    """Selective scheduling matches naive cycle-for-cycle on the same sparse
-    configuration and is at least as fast as whole-design fast-forward (it
-    performs the same idle-window jumps, plus per-component elision on the
-    cycles it does step)."""
-    naive_cycle, naive_lat, naive_wall, _ = _sparse_delay_run("naive")
-    sel_cycle, sel_lat, sel_wall, sel_design = _sparse_delay_run("selective")
-    speedup = naive_wall / sel_wall
-    print()
-    print(f"naive    : {naive_cycle} cycles in {naive_wall:.3f}s")
-    print(f"selective: {sel_cycle} cycles in {sel_wall:.3f}s ({speedup:.1f}x)")
-    assert sel_cycle == naive_cycle
-    assert sel_lat == naive_lat
-    sim = sel_design.sim
+    assert skip_fraction(comp_design.registry) > 0.9
+    sim = comp_design.sim
     executed = sum(sim.component_ticks(c) for c in sim._components)
     elided_fraction = 1.0 - executed / (sim.cycle * len(sim._components))
     print(f"elided component-tick fraction: {elided_fraction:.1%}")

@@ -1,25 +1,22 @@
-"""Simulation-kernel hot-path microbenchmark: ticks/sec across schedules.
+"""Simulation-kernel hot-path microbenchmark: compiled vs naive ticks/sec.
 
 Two 32-core memcpy configurations exercise the scheduling spectrum:
 
-* ``sparse`` — one active core out of 32, continuously streaming: the
-  whole-design fast-forward gate is pinned (traffic in flight every cycle)
-  while 90+% of components are idle.  This is the configuration selective
-  scheduling exists for.
-* ``dense``  — all 32 cores streaming concurrently: near-worst case for
-  selective scheduling (most components wake most cycles), bounding its
-  overhead when there is nothing to elide.  This is the configuration the
-  ``compiled`` tick-program backend targets: same wake decisions as
-  selective, but with dispatch specialised into closures and commit drains
-  flattened, so the per-tick overhead share shrinks.
+* ``sparse`` — one active core out of 32, continuously streaming: traffic
+  is in flight every cycle while 90+% of components are idle, so the
+  ``compiled`` schedule's per-component elision carries the win.
+* ``dense``  — all 32 cores streaming concurrently: most components wake
+  most cycles, so there is little to elide and the win comes from the tick
+  program itself (dispatch specialised into closures, commit drains
+  flattened).
 
 Each (case, schedule) cell is run twice and the faster repetition is kept
 as ``wall_seconds`` (the command loop only).  What a user pays around it is
 recorded beside it: ``setup_seconds`` (elaboration plus the host's
 ``copy_to_fpga`` DMA before the first command) and ``end_to_end_seconds``
 (the whole cell: set-up and both repetitions).  Cycle counts must be
-identical across all four schedules — the benchmark doubles as a
-differential check.
+identical across both schedules — the benchmark doubles as a differential
+check.
 
 Run as a script to emit ``BENCH_kernel.json``::
 
@@ -106,15 +103,7 @@ def _run_case(name, active_cores, size, rounds):
         "rounds": rounds,
         "modes": modes,
         "speedup": {
-            "fast_forward_vs_naive": round(walls["naive"] / walls["fast_forward"], 2),
-            "selective_vs_naive": round(walls["naive"] / walls["selective"], 2),
-            "selective_vs_fast_forward": round(
-                walls["fast_forward"] / walls["selective"], 2
-            ),
             "compiled_vs_naive": round(walls["naive"] / walls["compiled"], 2),
-            "compiled_vs_selective": round(
-                walls["selective"] / walls["compiled"], 2
-            ),
         },
     }
 
@@ -145,38 +134,35 @@ def render(results) -> str:
                 f"{m['end_to_end_seconds']:>9.3f} {m['cycles_per_second']:>10.0f} "
                 f"{m['elided_tick_fraction']:>6.1%}"
             )
-        s = data["speedup"]
         lines.append(
-            f"{case:<8} selective speedup: {s['selective_vs_naive']}x vs naive, "
-            f"{s['selective_vs_fast_forward']}x vs fast_forward"
-        )
-        lines.append(
-            f"{case:<8} compiled speedup:  {s['compiled_vs_naive']}x vs naive, "
-            f"{s['compiled_vs_selective']}x vs selective"
+            f"{case:<8} compiled speedup: {data['speedup']['compiled_vs_naive']}x vs naive"
         )
     return "\n".join(lines)
 
 
-def test_kernel_hotpath_sparse_speedup():
-    """Selective scheduling wins >= 3x wall clock over the whole-design
-    fast-forward kernel on the sparse 1-of-32 configuration, cycle-exactly
-    (cycle equality is enforced inside ``_run_case``)."""
+#: Regression floors for ``compiled_vs_naive`` wall clock, below the
+#: measured steady state (about 7.3x sparse and 6.1x dense on a 2-CPU x86
+#: host with ``--quick``).
+MIN_SPARSE_SPEEDUP = 5.0
+MIN_DENSE_SPEEDUP = 4.0
+
+
+def test_kernel_hotpath_speedup():
+    """The compiled schedule beats the naive oracle by >= 5x wall clock on
+    the sparse 1-of-32 configuration and >= 4x on the dense one,
+    cycle-exactly (cycle equality is enforced inside ``_run_case``)."""
     results = run_benchmark(quick=True)
     print()
     print(render(results))
     sparse = results["cases"]["sparse"]
-    assert sparse["speedup"]["selective_vs_fast_forward"] >= 3.0
-    # Selective elides the idle 31 cores' fabric almost entirely...
-    assert sparse["modes"]["selective"]["elided_tick_fraction"] > 0.8
+    assert sparse["speedup"]["compiled_vs_naive"] >= MIN_SPARSE_SPEEDUP
+    # Compiled elides the idle 31 cores' fabric almost entirely...
+    assert sparse["modes"]["compiled"]["elided_tick_fraction"] > 0.8
     # ...while naive by definition elides nothing.
     assert sparse["modes"]["naive"]["elided_tick_fraction"] == 0.0
-    # The compiled backend must not be slower than selective on the dense
-    # case it exists for (same decisions, specialised dispatch).  The CI
-    # regression gate (--min-dense-compiled-speedup) enforces a tighter
-    # floor; here we only guard against a wash.
     dense = results["cases"]["dense"]
     assert dense["modes"]["compiled"]["elided_tick_fraction"] > 0.0
-    assert dense["speedup"]["compiled_vs_selective"] >= 1.1
+    assert dense["speedup"]["compiled_vs_naive"] >= MIN_DENSE_SPEEDUP
     with open("BENCH_kernel.json", "w") as fh:
         json.dump(results, fh, indent=2)
 
@@ -186,15 +172,14 @@ def main():
     parser.add_argument("--quick", action="store_true", help="smaller dense case")
     parser.add_argument("--out", default="BENCH_kernel.json")
     parser.add_argument(
-        "--min-sparse-speedup", type=float, default=3.0,
-        help="fail unless selective beats fast_forward by this factor "
-        "on the sparse case (0 disables)",
+        "--min-sparse-speedup", type=float, default=MIN_SPARSE_SPEEDUP,
+        help="fail unless compiled beats naive by this factor on the sparse "
+        "case (0 disables)",
     )
     parser.add_argument(
-        "--min-dense-compiled-speedup", type=float, default=0.0,
-        help="fail unless compiled beats selective by this factor "
-        "on the dense case (0 disables); CI uses this as a regression "
-        "floor below the measured steady-state ratio",
+        "--min-dense-speedup", type=float, default=MIN_DENSE_SPEEDUP,
+        help="fail unless compiled beats naive by this factor on the dense "
+        "case (0 disables)",
     )
     args = parser.parse_args()
     results = run_benchmark(quick=args.quick)
@@ -202,18 +187,15 @@ def main():
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2)
     print(f"wrote {args.out}")
-    measured = results["cases"]["sparse"]["speedup"]["selective_vs_fast_forward"]
-    if args.min_sparse_speedup and measured < args.min_sparse_speedup:
-        raise SystemExit(
-            f"sparse selective-vs-fast_forward speedup {measured}x "
-            f"< required {args.min_sparse_speedup}x"
-        )
-    dense_compiled = results["cases"]["dense"]["speedup"]["compiled_vs_selective"]
-    if args.min_dense_compiled_speedup and dense_compiled < args.min_dense_compiled_speedup:
-        raise SystemExit(
-            f"dense compiled-vs-selective speedup {dense_compiled}x "
-            f"< required {args.min_dense_compiled_speedup}x"
-        )
+    sparse = results["cases"]["sparse"]
+    if sparse["modes"]["compiled"]["elided_tick_fraction"] <= 0.8:
+        raise SystemExit("sparse compiled cell elided <= 80% of component ticks")
+    for case, floor in (("sparse", args.min_sparse_speedup), ("dense", args.min_dense_speedup)):
+        measured = results["cases"][case]["speedup"]["compiled_vs_naive"]
+        if floor and measured < floor:
+            raise SystemExit(
+                f"{case} compiled-vs-naive speedup {measured}x < required {floor}x"
+            )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ index:
   steady and a bursty tenant; shows typed admission rejections shielding the
   well-behaved tenants (the flood tenant absorbs all rejections).
 
-Each profile runs under all four scheduling backends and the report must be
+Each profile runs under both scheduling backends and the report must be
 **bit-identical** across them — the serving layer's determinism contract
 (seeded simulated-time arrivals, decisions only at pump cycles) makes the
 whole SLO report a pure function of the seed.  The benchmark doubles as
@@ -34,7 +34,7 @@ from repro.sim import SCHEDULING_MODES
 
 
 def _run_profile(profile, seed, n_requests):
-    """One profile under all four modes; asserts report bit-identity."""
+    """One profile under both modes; asserts report bit-identity."""
     reports = {}
     walls = {}
     batch = {}
@@ -107,7 +107,7 @@ def render(results) -> str:
 
 def test_serving_bench_gates():
     """The symmetric profile is fair (Jain >= 0.9) and both profiles are
-    bit-identical across all four scheduling backends (enforced inside
+    bit-identical across both scheduling backends (enforced inside
     ``_run_profile``)."""
     results = run_benchmark(seed=42, quick=True)
     print()

@@ -143,7 +143,7 @@ def dram_row_hit_rate(registry, controller: str = "dram/mc") -> float:
 
 
 def skip_fraction(registry) -> float:
-    """Fraction of simulated cycles the event-skipping kernel fast-forwarded."""
+    """Fraction of simulated cycles the compiled schedule jumped over."""
     cycles = int(registry.value("sim/cycles_total", 0))
     skipped = int(registry.value("sim/cycles_skipped", 0))
     return skipped / cycles if cycles else 0.0

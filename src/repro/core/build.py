@@ -21,7 +21,7 @@ from repro.core.config import AcceleratorConfig, as_config_list
 from repro.core.elaboration import ElaboratedDesign
 from repro.obs.config import Observability
 from repro.platforms.base import Platform
-from repro.sim import Tracer
+from repro.sim import DEFAULT_SCHEDULING, Tracer
 
 
 class BuildMode(enum.Enum):
@@ -50,9 +50,8 @@ class BeethovenBuild:
         platform: Platform,
         build_mode: BuildMode = BuildMode.Simulation,
         tracer: Optional[Tracer] = None,
-        fast_forward: bool = True,
         observability: Optional["Observability"] = None,
-        scheduling: Optional[str] = None,
+        scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
         watchdog=None,
         distributed=None,
@@ -64,7 +63,6 @@ class BeethovenBuild:
             self.configs,
             platform,
             tracer,
-            fast_forward=fast_forward,
             observability=observability,
             scheduling=scheduling,
             faults=faults,

@@ -98,9 +98,8 @@ class ElaboratedDesign:
         configs,
         platform: Platform,
         tracer: Optional[Tracer] = None,
-        fast_forward: bool = True,
         observability: Optional["Observability"] = None,
-        scheduling: Optional[str] = None,
+        scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
         watchdog=None,
         distributed=None,
@@ -146,12 +145,8 @@ class ElaboratedDesign:
         # Built designs default to the compiled schedule (the tick program
         # itself is only built at the first ``run()``): every framework
         # component declares wake channels and hints, and unhinted user
-        # cores are still ticked every cycle.  ``scheduling`` names any of
-        # ``SCHEDULING_MODES`` explicitly, e.g. for the differential
-        # harness; ``fast_forward=False`` keeps its legacy meaning of plain
-        # naive stepping.
-        if scheduling is None:
-            scheduling = DEFAULT_SCHEDULING if fast_forward else "naive"
+        # cores are still ticked every cycle.  ``scheduling="naive"`` names
+        # the oracle, e.g. for the differential harness.
         self._sim = Simulator(
             "beethoven",
             tracer=self.tracer,

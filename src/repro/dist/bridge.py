@@ -161,7 +161,7 @@ class BridgeIngress(Component):
 
         The wake request covers the case where every delay deque was empty at
         the last hint (``next_event`` returned :data:`NEVER`) — without it
-        the selective scheduler would never look at this component again.
+        the compiled scheduler would never look at this component again.
         """
         self._delay[key].append((due, item))
         self.request_wake()

@@ -13,9 +13,9 @@ classifies the outcome:
 * ``unexpected``— an untyped exception escaped (CONTRACT VIOLATION).
 
 The contract the sweep asserts: every seeded schedule terminates bounded in
-one of the first three outcomes, under every scheduling mode, and a given
-seed produces the same fault schedule and final cycle count in all three
-modes.  ``run_empty_plan_differential`` additionally proves the empty plan
+one of the first three outcomes, under both scheduling modes (the naive
+oracle and the compiled production loop), and a given seed produces the
+same fault schedule and final cycle count in both.  ``run_empty_plan_differential`` additionally proves the empty plan
 is a strict no-op (stable metrics and final cycles bit-identical to a build
 with no plan at all).
 """
@@ -29,9 +29,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.faults.errors import FaultError
 from repro.faults.plan import FaultPlan
 from repro.runtime.server import WatchdogConfig
-from repro.sim import DeadlockError
+from repro.sim import SCHEDULING_MODES, DeadlockError
 
-MODES: Tuple[str, ...] = ("naive", "fast_forward", "selective", "compiled")
+MODES: Tuple[str, ...] = SCHEDULING_MODES
 SCENARIOS: Tuple[str, ...] = ("memcpy", "fig6", "serving", "checkpoint")
 
 #: Sharded-simulation modes (see :mod:`repro.dist`).  These are a separate

@@ -13,11 +13,11 @@ Determinism strategy:
   never perturbs another site's draws;
 * draws happen per *event processed at the site* (a column read at the DRAM
   controller, an R beat routed through a NoC node, a response crossing the
-  MMIO frontend).  All four scheduling modes process identical event
+  MMIO frontend).  Both scheduling modes process identical event
   sequences at identical cycles, so the schedules are bit-identical;
 * core hang windows are drawn once at compile time as absolute cycles (and
   their fault events recorded then), so a hung core that is never ticked
-  under selective scheduling still logs the same schedule as under naive.
+  under compiled scheduling still logs the same schedule as under naive.
 
 Silent corruption is structurally impossible: corrupted beats travel with
 ``err=True`` (modeled ECC/link CRC) and poison the owning core's command;
@@ -172,7 +172,7 @@ class FaultPlan:
         pre-hang work.  Suppression depends only on the cycle number, so all
         scheduling modes see identical behaviour; the fault event is logged
         at compile time because a wedged core may never be ticked at its
-        hang-start cycle under selective scheduling.
+        hang-start cycle under compiled scheduling.
         """
         site = f"core/{ecore.path}"
         rng = self.site_rng(site)

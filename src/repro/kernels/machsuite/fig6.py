@@ -33,6 +33,7 @@ from repro.kernels.machsuite.workloads import (
 from repro.platforms import AWSF1Platform
 from repro.platforms.base import Platform
 from repro.runtime import FpgaHandle
+from repro.sim import DEFAULT_SCHEDULING
 
 
 # Each factory imports its kernel when called: a row builds one kernel, and
@@ -141,7 +142,7 @@ def simulate_measured(
     kernel_cycles: int,
     platform: Optional[Platform] = None,
     rounds: int = 3,
-    scheduling: Optional[str] = None,
+    scheduling: str = DEFAULT_SCHEDULING,
 ) -> ContentionResult:
     """Measure multi-core throughput through the real runtime-server model.
 

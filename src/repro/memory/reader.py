@@ -103,7 +103,7 @@ class Reader(Component):
         # Contention accounting (repro.obs.attribution): per-burst AR stall
         # attribution, computed retroactively at issue time from stamps that
         # are only updated by genuinely mutating ticks (so the counters stay
-        # bit-identical under every scheduling mode, including fast-forward
+        # bit-identical under both scheduling modes, including compiled
         # jumps over quiescent windows).  ``_head_since`` is the cycle the
         # current head-of-pending burst became eligible for issue;
         # ``_inflight_ok_since``/``_buffer_ok_since`` are the cycles the

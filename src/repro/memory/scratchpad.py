@@ -30,7 +30,7 @@ class Memory:
     The component that clocks this memory sets it to its own
     :meth:`~repro.sim.Component.request_wake` so that a *different* component
     accessing the memory directly (non-channel coupling, invisible to the
-    selective scheduler's wake sets) still re-wakes the clocking component.
+    compiled scheduler's wake sets) still re-wakes the clocking component.
 
     Storage is first-touch: the row array is allocated by :meth:`cells` on
     the first read, write or initialisation, so a design that is only

@@ -75,7 +75,7 @@ class AxiBufferNode(Component):
         # ``_stall_since[ch] >= 0`` marks an open stall window; the window is
         # closed (and accrued) at the first tick the blocked side has room
         # again.  Stall windows only open while the blocking channels are
-        # non-empty, so every open/close tick is executed under all four
+        # non-empty, so every open/close tick is executed under both
         # scheduling modes and the counters are mode-identical.
         self.stall_cycles = {"ar": 0, "aw": 0, "w": 0, "r": 0, "b": 0}
         self._stall_since = {"ar": -1, "aw": -1, "w": -1, "r": -1, "b": -1}

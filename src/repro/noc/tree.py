@@ -41,9 +41,9 @@ class BuiltNetwork:
 
     def register_with(self, sim) -> None:
         # Interior-port channels are registered after the node components
-        # that react to them; that is fine for selective scheduling because
-        # the simulator builds channel->component wake subscriptions lazily
-        # at the first run(), when all registrations are complete.
+        # that react to them; that is fine for compiled scheduling because
+        # the tick program builds channel->component wake subscriptions
+        # lazily at the first run(), when all registrations are complete.
         for comp in self.components:
             sim.add(comp)
         for port in self.interior_ports:

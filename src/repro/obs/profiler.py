@@ -1,12 +1,12 @@
 """Per-component wall-clock self-time reporting for the simulation kernel.
 
 The simulator (constructed with ``profile=True``) times every component's
-``tick`` individually and books the channel-commit sweep and the
-fast-forward hint scan under ``(kernel)/...`` buckets, so the report cleanly
-separates model cost from kernel overhead.  The profile is *skip-aware*:
-cycles elided by event-skipping never tick components, so their absence from
-the call counts is exactly the speedup fast-forward bought — the report
-shows calls alongside simulated cycles to make that visible.
+``tick`` individually and books the channel-commit sweep under
+``(kernel)/commit``, so the report cleanly separates model cost from kernel
+overhead.  The profile is *skip-aware*: ticks the compiled schedule elides
+never run, so their absence from the call counts is exactly the speedup
+event-skipping bought — the report shows calls alongside simulated cycles
+to make that visible.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ first time anything reads or writes it, so a design that is elaborated only
 for its floorplan never builds the views.
 
 Volatile metrics (skip accounting, wall-clock profiles) are flagged so the
-differential fast-forward-vs-naive harness can compare ``dump(stable_only=
+compiled-vs-naive differential harness can compare ``dump(stable_only=
 True)`` bit-for-bit.
 """
 
@@ -360,8 +360,8 @@ class MetricRegistry:
         """Flat ``{path: value}`` snapshot, JSON-serialisable.
 
         ``stable_only`` drops volatile metrics (skip accounting, wall-clock
-        data), leaving exactly the set the differential fast-forward harness
-        proves bit-identical between naive and event-skipping runs.
+        data), leaving exactly the set the differential harness proves
+        bit-identical between naive and compiled runs.
         """
         out: Dict[str, Any] = {}
         metrics = self._metrics

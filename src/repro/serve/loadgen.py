@@ -5,8 +5,8 @@ interarrival gaps are drawn up front from a per-tenant PRNG (so the whole
 arrival schedule is a pure function of the seed), and closed-loop arrivals
 are driven by request settlement, which the cycle-identical scheduling
 backends reproduce exactly.  No wall-clock, no global randomness — the same
-seed therefore produces bit-identical reports under naive, fast_forward,
-selective and compiled scheduling, which ``bench_serving.py`` asserts.
+seed therefore produces bit-identical reports under naive and compiled
+scheduling, which ``bench_serving.py`` asserts.
 
 The generator advances the simulation itself, alternating two safe waits:
 

@@ -21,7 +21,7 @@ Profiles:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.serve.loadgen import (
     ClosedLoop,
@@ -32,6 +32,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.service import AcceleratorService
 from repro.serve.tenant import TenantConfig
+from repro.sim import DEFAULT_SCHEDULING
 
 PROFILES = ("symmetric", "asymmetric", "smoke")
 
@@ -41,7 +42,7 @@ ATTN_CYCLES = 400
 
 
 def hetero_build(
-    mode: Optional[str] = None,
+    mode: str = DEFAULT_SCHEDULING,
     faults=None,
     watchdog=None,
     observability=None,
@@ -128,7 +129,7 @@ def profile_loads(profile: str, n_requests: int) -> List[TenantLoad]:
 def run_scenario(
     profile: str,
     seed: int,
-    mode: Optional[str] = None,
+    mode: str = DEFAULT_SCHEDULING,
     n_requests: int = 8,
     faults=None,
     watchdog=None,

@@ -27,7 +27,7 @@ Batches never cross tenants, so coalescing cannot defeat fairness.
 
 Determinism: scheduling decisions depend only on queue contents, integer
 deficits and the visit rotation — all functions of model state at pump
-cycles, which the four scheduling backends reproduce cycle-identically.
+cycles, which the two scheduling backends reproduce cycle-identically.
 """
 
 from __future__ import annotations

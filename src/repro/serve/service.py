@@ -23,7 +23,7 @@ settle path runs inside the runtime server's poll tick via
 ``ResponseHandle.add_done_callback``, which is the same safe mid-tick
 resubmission pattern the watchdog's retry path already uses.  Between pumps
 the service is pure model state, so every decision happens at cycles the
-four scheduling backends reproduce identically.
+two scheduling backends reproduce identically.
 """
 
 from __future__ import annotations

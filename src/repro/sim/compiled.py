@@ -1,11 +1,13 @@
 """Compiled tick-program backend for ``Simulator(scheduling="compiled")``.
 
-The selective scheduler (``repro.sim.kernel``) already runs an event-driven
-schedule, but it still pays generic Python dispatch for every woken component
-every cycle: a bound ``tick`` call through the class, a ``next_event`` call, a
-subscription-dict lookup per dirty channel, and method calls inside each tick
-for every ``can_push``/``can_pop`` probe.  The compiled backend removes that
-interpretation layer while executing the *same* schedule:
+The production loop: an event-driven schedule in which a component is ticked
+only when a committed push or pop on one of its wake channels, a matured
+``next_event`` hint or a ``request_wake`` call wakes it, and in which only
+dirty channels commit.  Interpreted, such a schedule would pay generic Python
+dispatch for every woken component every cycle: a bound ``tick`` call through
+the class, a ``next_event`` call, a subscription-dict lookup per dirty
+channel, and method calls inside each tick for every ``can_push``/``can_pop``
+probe.  The program removes that interpretation layer:
 
 * **Closure specialisation** — at program build each component is asked for
   ``compile_tick()``: a specialised closure with its channel endpoints,
@@ -32,26 +34,25 @@ interpretation layer while executing the *same* schedule:
   and wakes subscriber slots from pre-computed tuples stored on the channel
   (``_push_subs`` for a committed push, ``_pop_subs`` for a committed pop),
   with no dict lookups.  By default a component subscribes to *both* edges
-  of every ``wake_channels()`` entry — the selective scheduler's rule, and
-  the one a component that consumes one of several pending items per tick
-  (an :class:`~repro.noc.axi_node.AxiBufferNode` forwarding one AR per
-  cycle) needs: its *own* pop/push re-wakes it to drain the backlog on
-  schedule.  A class may instead declare which edge of which channel it is
+  of every ``wake_channels()`` entry — the rule a component that consumes
+  one of several pending items per tick (an
+  :class:`~repro.noc.axi_node.AxiBufferNode` forwarding one AR per cycle)
+  needs: its *own* pop/push re-wakes it to drain the backlog on schedule.  A class may instead declare which edge of which channel it is
   sensitive to (:meth:`~repro.sim.kernel.Component.wake_edges`) and cover
   its backlog in ``next_event``; splitting the edges for everybody was
   tried and is unsound, the opt-in form is exact.
 
 Determinism contract: a compiled run produces the same cycle count, the same
 channel statistics (``total_pushed``/``total_popped``/``occupancy_accum``/
-``cycles_observed``) and the same stable metric dump as the naive, fast-
-forward and selective schedules.  Only volatile metrics (tick/skip
-accounting, trace event counts) and the wall clock differ.  The four-way
-differential harness in ``tests/test_fast_forward.py`` and the property
-tests in ``tests/test_compiled_kernel.py`` enforce this bit-for-bit.
+``cycles_observed``) and the same stable metric dump as the naive oracle.
+Only volatile metrics (tick/skip accounting, trace event counts) and the
+wall clock differ.  The differential harness in
+``tests/test_schedule_differential.py`` and the property tests in
+``tests/test_compiled_kernel.py`` enforce this bit-for-bit.
 
-``Component.request_wake`` keeps its selective semantics: a wake for a slot
-later in the dispatch order that has not ticked this cycle is injected into
-the current cycle (naive would have ticked it after the requester); anything
+``Component.request_wake`` matches naive order: a wake for a slot later in
+the dispatch order that has not ticked this cycle is injected into the
+current cycle (naive would have ticked it after the requester); anything
 else — including a member of the currently executing fused slot that already
 ticked — is woken next cycle.  This is how non-channel coupling such as
 :class:`repro.memory.scratchpad.Memory`'s ``on_activity`` hook stays honoured.
@@ -64,7 +65,7 @@ from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.sim.kernel import NEVER, Component
+from repro.sim.kernel import NEVER, Component, book_ns
 
 #: Cap on members merged into one fused scheduling slot.  Fused members are
 #: always co-woken (identical wake signatures), so the cap is a safety bound
@@ -88,8 +89,7 @@ class CompiledProgram:
 
     Built lazily at ``run()`` and rebuilt whenever components or channels
     were added since (``Simulator._subs_stale``), so post-elaboration
-    additions (the runtime server, testbench probes) are folded in exactly
-    like a selective subscription rebuild.
+    additions (the runtime server, testbench probes) are folded in.
     """
 
     def __init__(self, sim) -> None:
@@ -100,11 +100,11 @@ class CompiledProgram:
         # -- per-component wake membership ----------------------------------
         # wake_on[i] = (channels whose committed push wakes component i,
         # channels whose committed pop does).  Without a wake_edges()
-        # declaration both are the full wake_channels() set — the selective
-        # scheduler's rule, under which a component draining a backlog one
-        # item per tick is re-woken by its *own* push/pop.  An instance-
-        # patched tick or hint (fault hang injection) voids the class's
-        # declaration: the patch need not keep the class's backlog promise.
+        # declaration both are the full wake_channels() set, under which a
+        # component draining a backlog one item per tick is re-woken by its
+        # *own* push/pop.  An instance-patched tick or hint (fault hang
+        # injection) voids the class's declaration: the patch need not keep
+        # the class's backlog promise.
         wake_on: List[Tuple[List[Any], List[Any]]] = []
         fusable: List[bool] = []
         for idx, comp in enumerate(components):
@@ -221,7 +221,7 @@ class CompiledProgram:
         self._slot_ticks = [0] * n_slots
         self._wake_heap: List[Tuple[int, int]] = []
         self._woken: set = set()
-        self._ready: Optional[List[int]] = None
+        self._ready: Optional[List[int]] = None  # set mid-cycle only
         self._ready_pos = 0
         self._cur_slot = -1
         self._cmember = -1
@@ -284,7 +284,14 @@ class CompiledProgram:
 
     # -- wake plumbing -------------------------------------------------------
     def _request_wake(self, comp: Component) -> None:
-        """Compiled analogue of ``Simulator._request_wake`` (same semantics)."""
+        """Wake ``comp``'s slot at the earliest cycle that matches naive order.
+
+        Called (via :meth:`Component.request_wake`) when one component
+        mutates another's non-channel state: mid-cycle, a slot later in the
+        dispatch order that has not ticked yet joins this cycle (naive would
+        tick it after the requester); otherwise it wakes next cycle (naive
+        ticked it before, necessarily as a no-op on the pre-mutation state).
+        """
         slot = comp._cslot
         if slot < 0:
             return
@@ -398,13 +405,7 @@ class CompiledProgram:
                 if profile:
                     t0 = clock()
                     tick_fns[slot](cycle)
-                    dt = clock() - t0
-                    entry = tick_profile.get(labels[slot])
-                    if entry is None:
-                        tick_profile[labels[slot]] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
+                    book_ns(tick_profile, labels[slot], clock() - t0)
                 else:
                     tick_fns[slot](cycle)
                 slot_ticks[slot] += 1
@@ -441,13 +442,7 @@ class CompiledProgram:
                     chan._dirty = False
                 dirty.clear()
                 if profile:
-                    dt = clock() - t0
-                    entry = tick_profile.get("(kernel)/commit")
-                    if entry is None:
-                        tick_profile["(kernel)/commit"] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
+                    book_ns(tick_profile, "(kernel)/commit", clock() - t0)
             sim.cycle = cycle = cycle + 1
             pred = bool(until()) if until is not None else False
         if cycle >= deadline and until is not None and not pred:

@@ -10,20 +10,16 @@ ticked, which is the property that lets us compose large systems without
 worrying about evaluation order (the same property latency-insensitive
 ready/valid design gives real hardware).
 
-Four scheduling modes are supported, all cycle- and statistic-identical:
+Two scheduling modes are supported, cycle- and statistic-identical:
 
-* ``"naive"`` — tick every component and commit every channel each cycle.
-* ``"fast_forward"`` — naive stepping, plus whole-design jumps over windows
-  where every channel is empty and every component publishes a
-  :meth:`Component.next_event` hint.
-* ``"selective"`` — per-component event-driven scheduling: a component is
-  ticked only when one of its wake channels saw a push or pop, when its
-  ``next_event`` hint arrives, or when it requested a wake through
-  :meth:`Component.request_wake`.  Channel commits are sparse (only dirty
-  channels commit) with lazy occupancy crediting, so per-channel statistics
-  stay bit-identical to naive stepping.
-* ``"compiled"`` — the selective schedule driven by a compiled tick program
-  (:mod:`repro.sim.compiled`): at the first ``run()`` the component graph is
+* ``"naive"`` — the oracle: tick every component and commit every channel
+  each cycle.
+* ``"compiled"`` — the production loop (:mod:`repro.sim.compiled`): a
+  component is ticked only when one of its wake channels saw a committed
+  push or pop, when its :meth:`Component.next_event` hint arrives, or when
+  it requested a wake through :meth:`Component.request_wake`; only dirty
+  channels commit, with lazy occupancy crediting, and windows where nobody
+  is woken are jumped.  At the first ``run()`` the component graph is
   specialised into closures with channel endpoints pre-resolved, contiguous
   always-co-woken chains are fused into single scheduling slots, and channel
   commits drain through flat per-channel subscriber arrays.  Identical
@@ -35,8 +31,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -45,11 +40,21 @@ T = TypeVar("T")
 NEVER = float("inf")
 
 #: Valid ``Simulator(scheduling=...)`` values.
-SCHEDULING_MODES = ("naive", "fast_forward", "selective", "compiled")
+SCHEDULING_MODES = ("naive", "compiled")
 
 #: What ``BeethovenBuild`` and ``build_memory_testbench`` hand out when the
 #: caller names no schedule.  ``Simulator()`` itself stays ``"naive"``.
 DEFAULT_SCHEDULING = "compiled"
+
+
+def book_ns(profile: Dict[str, List[float]], key: str, dt: float) -> None:
+    """Add one ``dt``-nanosecond sample to ``profile[key]`` ([ns, calls])."""
+    entry = profile.get(key)
+    if entry is None:
+        profile[key] = [dt, 1]
+    else:
+        entry[0] += dt
+        entry[1] += 1
 
 
 class SimulationError(RuntimeError):
@@ -107,7 +112,7 @@ class ChannelQueue(Generic[T]):
 
     # Slotted: channels are the hottest objects in the kernel (every guard in
     # every tick probes one), and fixed-offset attribute access measurably
-    # beats dict lookup in both the selective and compiled hot loops.
+    # beats dict lookup in the compiled hot loop.
     __slots__ = (
         "capacity",
         "name",
@@ -140,9 +145,9 @@ class ChannelQueue(Generic[T]):
         self.total_popped = 0
         self._occ = 0
         self._obs = 0
-        # Selective-scheduling hooks, installed by Simulator.register_channel:
-        # ``_sink`` is the simulator's dirty list (None outside selective and
-        # compiled modes), ``_dirty`` marks membership in it, ``_sim`` is the
+        # Compiled-scheduling hooks, installed by Simulator.register_channel:
+        # ``_sink`` is the simulator's dirty list (None under naive),
+        # ``_dirty`` marks membership in it, ``_sim`` is the
         # simulator whose clock elided observations are credited against and
         # ``_anchor`` the registration offset that makes the credit exact.
         self._sink: Optional[List["ChannelQueue[Any]"]] = None
@@ -205,17 +210,6 @@ class ChannelQueue(Generic[T]):
             self._items.extend(self._staged)
             self._staged.clear()
 
-    def credit_idle_cycles(self, n: int) -> None:
-        """Account ``n`` elided commits during a fast-forward.
-
-        Skipped cycles carry no staged traffic, so each elided commit would
-        have observed the current occupancy unchanged; crediting them keeps
-        ``mean_occupancy`` (and every cycle-normalised statistic built on
-        ``cycles_observed``) exactly equal to a naively stepped run.
-        """
-        self._occ += len(self._items) * n
-        self._obs += n
-
     def sync_observations(self, cycle: int) -> None:
         """Credit every observation elided since the last commit/sync.
 
@@ -271,13 +265,11 @@ class ChannelQueue(Generic[T]):
 class Component:
     """Base class for everything that acts on each clock edge."""
 
-    # Selective-scheduling bookkeeping, installed by Simulator.add; class
+    # Compiled-scheduling bookkeeping, installed by CompiledProgram; class
     # attributes so existing subclasses need no __init__ changes.
     _sched_index = -1
     _wake_hook: Optional[Callable[["Component"], None]] = None
-    _last_tick_cycle = -1
     _ticks_executed = 0
-    # Compiled-scheduling slot assignment, installed by CompiledProgram.
     _cslot = -1
 
     #: Declares ``next_event`` constant at :data:`NEVER`: the component only
@@ -306,10 +298,8 @@ class Component:
         no committed pop on a pop-subscribed channel since its previous tick,
         a tick before ``h`` must be a no-op (no pushes, no pops, no state or
         statistics change).  Both subscriptions default to every
-        :meth:`wake_channels` entry; :meth:`wake_edges` narrows them.  This
-        is a strictly stronger requirement than the original fast-forward
-        contract (which only demanded no-op-ness when *every* channel was
-        empty); all framework components satisfy it.  Components whose
+        :meth:`wake_channels` entry; :meth:`wake_edges` narrows them.  All
+        framework components satisfy it.  Components whose
         ``tick`` mutates state unconditionally (countdowns, pipelines) must
         either return ``None`` or keep their timing in absolute cycles.
         """
@@ -339,15 +329,15 @@ class Component:
         (the default) keeps both edges of every :meth:`wake_channels` entry,
         which needs no such care; an instance whose ``tick`` or
         ``next_event`` is patched (fault hang injection) also falls back to
-        it.  The other schedules read the union through
-        :meth:`wake_channels` — a superset is always safe.
+        it.  :meth:`wake_channels` reports the union — a superset is always
+        safe.
         """
         return None
 
     def wake_channels(self) -> Iterable[ChannelQueue[Any]]:
         """Channels whose push/pop activity may let this component progress.
 
-        The selective scheduler subscribes the component to each of these:
+        The compiled scheduler subscribes the component to each of these:
         any committed push or pop on one wakes it the next cycle.  The set
         must cover every channel the component's ``tick`` reads *or* probes
         for space (``can_push``) — a full output channel is part of the wake
@@ -362,11 +352,10 @@ class Component:
         the complete set; a superset is always safe (spurious wakes cost
         time, never correctness).
 
-        The compiled backend applies the same membership rule (any committed
-        push or pop wakes every subscriber) to every component that declares
-        no edges: a component that consumes one of several pending items per
-        tick then relies on its *own* activity re-waking it to drain the
-        rest.  Components may also define ``compile_tick()`` returning a
+        Under that membership rule (applied to every component that declares
+        no edges) a component that consumes one of several pending items per
+        tick relies on its *own* activity re-waking it to drain the rest.
+        Components may also define ``compile_tick()`` returning a
         decision-identical specialised closure ``fn(cycle)`` (or ``None`` to
         decline); the compiled backend prefers it over the plain bound
         ``tick`` unless the instance's ``tick`` has been patched (fault hang
@@ -379,14 +368,14 @@ class Component:
         return list(dict.fromkeys([*on_push, *on_pop]))
 
     def request_wake(self) -> None:
-        """Ask the selective and compiled schedulers to tick this component.
+        """Ask the compiled scheduler to tick this component.
 
         Escape hatch for progress enabled by *non-channel* coupling: e.g. a
         core calling :meth:`repro.memory.scratchpad.Memory.read` directly on
         another component's memory.  It is also the contract *between* runs:
         an entry wakes nobody, so host code that changes a component outside
         any channel (a submission, a bridge batch) must call it.  Safe from
-        any mode (a no-op under naive and fast-forward), in a tick or not.
+        either mode (a no-op under naive), in a tick or not.
         """
         hook = self._wake_hook
         if hook is not None:
@@ -454,39 +443,31 @@ class Component:
 class Simulator:
     """Owns the clock; ticks components and commits channels each cycle.
 
-    ``scheduling`` selects one of four cycle-identical schedules:
+    ``scheduling`` selects one of two cycle-identical schedules:
 
-    * ``"naive"`` ticks everything every cycle;
-    * ``"fast_forward"`` (the legacy ``fast_forward=True``) adds whole-design
-      jumps over globally quiescent windows;
-    * ``"selective"`` runs the per-component event-driven scheduler: each
-      cycle only the components woken by dirty channels, matured
-      ``next_event`` hints, or explicit :meth:`Component.request_wake` calls
-      are ticked, and only dirty channels commit (with lazy occupancy
-      crediting so every statistic matches naive stepping exactly);
-    * ``"compiled"`` executes the same schedule through a tick program
-      compiled at the first ``run()`` (see :mod:`repro.sim.compiled`):
-      specialised per-component closures, fused contiguous co-woken chains,
-      per-edge channel subscriptions, and an inlined commit drain.
+    * ``"naive"`` (the default) ticks everything every cycle — the oracle;
+    * ``"compiled"`` executes the event-driven tick program compiled at the
+      first ``run()`` (see :mod:`repro.sim.compiled`): each cycle only the
+      components woken by dirty channels, matured ``next_event`` hints, or
+      explicit :meth:`Component.request_wake` calls are ticked, and only
+      dirty channels commit (with lazy occupancy crediting so every
+      statistic matches naive stepping exactly).
 
     A component returning ``None`` from :meth:`Component.next_event` (the
-    default) is ticked every cycle under every schedule, so unhinted user
+    default) is ticked every cycle under either schedule, so unhinted user
     cores are always safe.
     """
 
     def __init__(
         self,
         name: str = "sim",
-        fast_forward: bool = False,
         tracer: Optional["Tracer"] = None,
         registry=None,
         profile: bool = False,
-        scheduling: Optional[str] = None,
+        scheduling: str = "naive",
     ) -> None:
         from repro.obs.registry import MetricRegistry  # lazy: avoid import cycle
 
-        if scheduling is None:
-            scheduling = "fast_forward" if fast_forward else "naive"
         if scheduling not in SCHEDULING_MODES:
             raise ValueError(
                 f"unknown scheduling mode {scheduling!r}; pick one of {SCHEDULING_MODES}"
@@ -494,12 +475,10 @@ class Simulator:
         self.name = name
         self.cycle = 0
         self.scheduling = scheduling
-        self.fast_forward = scheduling == "fast_forward"
         self.tracer = tracer
         self._components: List[Component] = []
         self._channels: List[ChannelQueue[Any]] = []
         self._channel_ids = set()
-        self._quiescent = False
         # Skip accounting, surfaced by :func:`repro.sim.trace.skip_summary`.
         self.cycles_skipped = 0
         self.skip_events = 0
@@ -507,20 +486,15 @@ class Simulator:
         self.run_entries = 0
         self.entry_wakes = 0
         self._touched = False
-        # Selective-scheduler state.  The compiled backend reuses the dirty
-        # list, lazy anchors and per-component tick accounting, so every
-        # ``_selective`` guard below covers both modes; only run() dispatch
-        # distinguishes them.
-        self._selective = scheduling in ("selective", "compiled")
+        # True while step() ticks; the compiled loop's marker is its
+        # program's ``_ready`` (see :attr:`mid_cycle`).
+        self._stepping = False
+        # Compiled-schedule state: the dirty list, lazy channel anchors and
+        # per-component tick accounting behind every ``_compiled`` guard.
         self._compiled = scheduling == "compiled"
         self._program = None  # CompiledProgram, built lazily at run()
         self._dirty_channels: List[ChannelQueue[Any]] = []
-        self._subs: Dict[int, List[int]] = {}
         self._subs_stale = True
-        self._wake_heap: List[Tuple[int, int]] = []
-        self._woken: Set[int] = set()
-        self._ready: Optional[List[int]] = None  # heap of indices, mid-cycle only
-        self._current_idx = -1
         # Unified metrics: every added component/channel is adopted here.
         self.registry = registry if registry is not None else MetricRegistry()
         self._bind_own_metrics()
@@ -584,7 +558,7 @@ class Simulator:
             self._channel_ids.add(id(chan))
             self._channels.append(chan)
             self._subs_stale = True
-            if self._selective:
+            if self._compiled:
                 chan._sink = self._dirty_channels
                 # Anchor so that a fully synced channel always satisfies
                 # cycles_observed == sim.cycle - _anchor, exactly as if it
@@ -604,97 +578,66 @@ class Simulator:
     def component_ticks(self, component: Component) -> int:
         """Cycles in which ``component.tick`` actually ran.
 
-        Exact per-component counts are kept by the selective schedulers (the
-        compiled one folds the component's slot count here); under
-        naive/fast-forward every stepped cycle ticks every component.
+        Exact per-component counts are kept by the compiled schedule (its
+        program folds the component's slot count here); under naive every
+        cycle ticks every component.
         """
-        if self._selective:
+        if self._compiled:
             if self._program is not None and component._cslot >= 0:
                 self._program.flush_ticks((component._cslot,))
             return component._ticks_executed
         return self.cycle - self.cycles_skipped
 
+    @property
+    def mid_cycle(self) -> bool:
+        """True while a cycle's ticks run (a component's tick is on the stack)."""
+        program = self._program
+        return self._stepping or (program is not None and program._ready is not None)
+
     # -- stepping ------------------------------------------------------------
     def step(self) -> None:
         """Advance exactly one cycle, ticking everything (naive semantics).
 
-        The inner loop of the ``"naive"`` oracle (and of ``"fast_forward"``
-        between jumps) plus a test utility for single-stepping a model — not
-        a host-path API: the runtime advances time through :meth:`run`, so
-        the configured scheduler applies.  All four scheduling modes share
-        these step semantics, so tests may freely interleave ``step()`` with
-        ``run()``; under the selective and compiled schedules a step marks
+        The inner loop of the ``"naive"`` oracle plus a test utility for
+        single-stepping a model — not a host-path API: the runtime advances
+        time through :meth:`run`, so the configured scheduler applies.  Both
+        modes share these step semantics, so tests may freely interleave
+        ``step()`` with ``run()``; under the compiled schedule a step marks
         the simulator touched, so the next ``run()`` entry wakes every
         component (the wake state never saw what the step did), and the
         commit sweep first credits any lazily deferred channel observations.
+
+        Profiled runs time each tick individually and book the channel-commit
+        sweep under ``(kernel)/commit``, so simulator overhead is
+        distinguishable from model cost.
         """
-        if self.profile_enabled:
-            return self._step_profiled()
         cycle = self.cycle
-        selective = self._selective
-        for component in self._components:
-            component.tick(cycle)
-            if selective:
-                component._ticks_executed += 1
-                component._last_tick_cycle = cycle
-        quiescent = True
-        for chan in self._channels:
-            if selective:
-                chan.sync_observations(cycle)
-                chan._dirty = False
-            chan.commit()
-            if chan._items:
-                quiescent = False
-        if selective:
-            self._dirty_channels.clear()
-            self._touched = True
-        self._quiescent = quiescent
-        self.cycle = cycle + 1
-
-    def _step_profiled(self) -> None:
-        """One cycle with per-component wall-clock attribution.
-
-        Self-time only: each component's tick is timed individually, and the
-        channel-commit sweep is booked under ``(kernel)/commit`` so simulator
-        overhead is distinguishable from model cost.
-        """
-        profile = self.tick_profile
+        compiled = self._compiled
+        profile = self.tick_profile if self.profile_enabled else None
         clock = time.perf_counter_ns
-        cycle = self.cycle
-        selective = self._selective
+        self._stepping = True
         for component in self._components:
-            t0 = clock()
-            component.tick(cycle)
-            dt = clock() - t0
-            if selective:
-                component._ticks_executed += 1
-                component._last_tick_cycle = cycle
-            entry = profile.get(component.name)
-            if entry is None:
-                profile[component.name] = [dt, 1]
+            if profile is None:
+                component.tick(cycle)
             else:
-                entry[0] += dt
-                entry[1] += 1
-        t0 = clock()
-        quiescent = True
+                t0 = clock()
+                component.tick(cycle)
+                book_ns(profile, component.name, clock() - t0)
+            if compiled:
+                component._ticks_executed += 1
+        self._stepping = False
+        if profile is not None:
+            t0 = clock()
         for chan in self._channels:
-            if selective:
+            if compiled:
                 chan.sync_observations(cycle)
                 chan._dirty = False
             chan.commit()
-            if chan._items:
-                quiescent = False
-        if selective:
+        if compiled:
             self._dirty_channels.clear()
             self._touched = True
-        dt = clock() - t0
-        entry = profile.get("(kernel)/commit")
-        if entry is None:
-            profile["(kernel)/commit"] = [dt, 1]
-        else:
-            entry[0] += dt
-            entry[1] += 1
-        self._quiescent = quiescent
+        if profile is not None:
+            book_ns(profile, "(kernel)/commit", clock() - t0)
         self.cycle = cycle + 1
 
     def run(
@@ -707,18 +650,15 @@ class Simulator:
         :class:`SimulationError` when the budget runs out while a predicate is
         pending, because that almost always means the model deadlocked.
 
-        Under the skipping schedules (fast-forward, selective, compiled),
-        ``until`` must be a function of model state (channel/component
-        contents), not of the raw cycle counter: skipped cycles are exactly the
-        ones in which no model state changes, so a state predicate is evaluated
-        at every cycle where its value could flip — but a predicate on
-        ``sim.cycle`` itself could fire inside a skipped window and be missed.
+        Under the compiled schedule ``until`` must be a function of model
+        state (channel/component contents), not of the raw cycle counter:
+        skipped cycles are exactly the ones in which no model state changes,
+        so a state predicate is evaluated at every cycle where its value
+        could flip — but a predicate on ``sim.cycle`` itself could fire
+        inside a skipped window and be missed.  The predicate is evaluated
+        exactly once per advanced cycle.
 
-        The predicate is evaluated exactly once per advanced cycle (the
-        result is cached for the cycle, so predicate-heavy runs are not
-        charged twice for the fast-forward guard's re-check).
-
-        Under selective and compiled a run entry pays only for what changed
+        A compiled run entry pays only for what changed
         (:meth:`_wake_all_on_entry`); the exit syncs nothing, because channel
         statistics and tick counts are exact when read.
         """
@@ -726,23 +666,12 @@ class Simulator:
         deadline = self.cycle + max_cycles
         if self._compiled:
             return self._run_compiled(deadline, max_cycles, until)
-        if self._selective:
-            return self._run_selective(deadline, max_cycles, until)
         pred = bool(until()) if until is not None else False
         while self.cycle < deadline:
             if pred:
                 return self.cycle
             self.step()
             pred = bool(until()) if until is not None else False
-            if (
-                self.fast_forward
-                and self._quiescent
-                and self.cycle < deadline
-                # Never skip once the predicate holds: the caller must observe
-                # the first satisfying cycle, not some later wake-up.
-                and not pred
-            ):
-                self._try_fast_forward(deadline, to_deadline_ok=until is None)
         if until is not None and not pred:
             self._raise_deadlock(max_cycles)
         return self.cycle
@@ -761,15 +690,15 @@ class Simulator:
             return self.cycle
         return self.run(n_cycles, until=None)
 
-    # -- selective scheduling -------------------------------------------------
+    # -- compiled scheduling ---------------------------------------------------
     def _wake_all_on_entry(self, fresh: bool, n_slots: int) -> bool:
-        """The ``run()`` entry rule both skipping schedulers share.
+        """The compiled schedule's ``run()`` entry rule.
 
         Between runs change announces itself — a push or pop on a registered
         channel lands in the dirty list (committed at the entry cycle, which
         is always stepped), anything else calls :meth:`Component.request_wake`
         — and the wake state carries over, so an entry wakes nobody.  Only a
-        ``fresh`` schedule (first run; rebuilt after a restore or an add),
+        ``fresh`` program (first run; rebuilt after a restore or an add),
         which also adopts staged channels, and a :meth:`step` since the last
         run wake all ``n_slots`` for one naive cycle; returns whether to.
         """
@@ -785,133 +714,6 @@ class Simulator:
                     dirty.append(chan)
         return True
 
-    def _prepare_selective(self) -> None:
-        """Refresh subscriptions at ``run()`` entry and apply the entry rule."""
-        fresh = self._subs_stale
-        if fresh:
-            subs: Dict[int, List[int]] = {}
-            for idx, comp in enumerate(self._components):
-                comp._sched_index = idx
-                comp._wake_hook = self._request_wake
-                for chan in comp.wake_channels():
-                    subs.setdefault(id(chan), []).append(idx)
-            self._subs = subs
-            self._subs_stale = False
-        if self._wake_all_on_entry(fresh, len(self._components)):
-            self._woken.update(range(len(self._components)))
-
-    def _request_wake(self, component: Component) -> None:
-        """Wake ``component`` at the earliest cycle that matches naive order.
-
-        Called mid-tick-loop (via :meth:`Component.request_wake`) when
-        component A mutates B's non-channel state: if B is later in
-        registration order and has not ticked this cycle it is injected into
-        the current cycle's ready heap (naive would tick it after A this very
-        cycle); otherwise it is woken for the next cycle (naive ticked it
-        before A, necessarily as a no-op on the pre-mutation state).
-        """
-        idx = component._sched_index
-        if idx < 0:
-            return
-        ready = self._ready
-        if (
-            ready is not None
-            and idx > self._current_idx
-            and component._last_tick_cycle != self.cycle
-        ):
-            heappush(ready, idx)
-        else:
-            self._woken.add(idx)
-
-    def _run_selective(
-        self, deadline: int, max_cycles: int, until: Optional[Callable[[], bool]]
-    ) -> int:
-        self._prepare_selective()
-        components = self._components
-        subs = self._subs
-        wake_heap = self._wake_heap
-        woken = self._woken
-        dirty = self._dirty_channels
-        profile = self.profile_enabled
-        tick_profile = self.tick_profile
-        clock = time.perf_counter_ns
-        pred = bool(until()) if until is not None else False
-        first = self.cycle
-        while self.cycle < deadline:
-            if pred:
-                break
-            cycle = self.cycle
-            while wake_heap and wake_heap[0][0] <= cycle:
-                woken.add(heappop(wake_heap)[1])
-            # The entry cycle is stepped even if nobody wakes: it commits
-            # what the host staged between runs, exactly when naive would.
-            if not woken and cycle != first:
-                # Nothing can act before the earliest scheduled wake: the
-                # model state is provably frozen, so jump (the predicate's
-                # value is frozen with it).
-                target = wake_heap[0][0] if wake_heap else deadline
-                if target > deadline:
-                    target = deadline
-                self.cycles_skipped += target - cycle
-                self.skip_events += 1
-                self.cycle = target
-                continue
-            ready = list(woken)
-            heapify(ready)
-            woken.clear()
-            self._ready = ready
-            while ready:
-                idx = heappop(ready)
-                comp = components[idx]
-                if comp._last_tick_cycle == cycle:
-                    continue  # duplicate wake this cycle
-                comp._last_tick_cycle = cycle
-                self._current_idx = idx
-                if profile:
-                    t0 = clock()
-                    comp.tick(cycle)
-                    dt = clock() - t0
-                    entry = tick_profile.get(comp.name)
-                    if entry is None:
-                        tick_profile[comp.name] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
-                else:
-                    comp.tick(cycle)
-                comp._ticks_executed += 1
-                hint = comp.next_event(cycle + 1)
-                if hint is None or hint <= cycle + 1:
-                    woken.add(idx)
-                elif hint != NEVER:
-                    heappush(wake_heap, (int(hint), idx))
-            self._ready = None
-            self._current_idx = -1
-            if dirty:
-                if profile:
-                    t0 = clock()
-                for chan in dirty:
-                    chan.sync_observations(cycle)
-                    chan.commit()
-                    chan._dirty = False
-                    for cidx in subs.get(id(chan), ()):
-                        woken.add(cidx)
-                dirty.clear()
-                if profile:
-                    dt = clock() - t0
-                    entry = tick_profile.get("(kernel)/commit")
-                    if entry is None:
-                        tick_profile["(kernel)/commit"] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
-            self.cycle = cycle + 1
-            pred = bool(until()) if until is not None else False
-        if self.cycle >= deadline and until is not None and not pred:
-            self._raise_deadlock(max_cycles)
-        return self.cycle
-
-    # -- compiled scheduling ---------------------------------------------------
     def _run_compiled(
         self, deadline: int, max_cycles: int, until: Optional[Callable[[], bool]]
     ) -> int:
@@ -920,8 +722,7 @@ class Simulator:
         The program is compiled lazily at the first ``run()`` and recompiled
         whenever a component or channel was added since (``_subs_stale``), so
         late additions such as the runtime server joining after elaboration
-        are picked up exactly like the selective scheduler's subscription
-        rebuild.
+        are picked up.
         """
         from repro.sim.compiled import CompiledProgram  # lazy: avoid cycle
 
@@ -939,7 +740,7 @@ class Simulator:
 
         Collected when a ``run()`` budget expires with its predicate pending:
         non-empty channel occupancies, each component's
-        :meth:`Component.debug_state`, and (under selective scheduling) the
+        :meth:`Component.debug_state`, and (under the compiled schedule) the
         wake heap and woken set.  Cheap enough to also call ad hoc while
         debugging a live simulation.
         """
@@ -969,15 +770,8 @@ class Simulator:
             "channels": channels,
             "components": components,
         }
-        if self._compiled:
-            program = self._program
-            if program is not None:
-                dump["wake_heap"], dump["woken"] = program.wake_dump()
-        elif self._selective:
-            dump["wake_heap"] = sorted(
-                (cyc, self._components[idx].name) for cyc, idx in self._wake_heap
-            )
-            dump["woken"] = sorted(self._components[idx].name for idx in self._woken)
+        if self._program is not None:
+            dump["wake_heap"], dump["woken"] = self._program.wake_dump()
         return dump
 
     def _raise_deadlock(self, max_cycles: int) -> None:
@@ -992,46 +786,3 @@ class Simulator:
             + render_deadlock_report(dump),
             dump,
         )
-
-    # -- event skipping -----------------------------------------------------
-    def _try_fast_forward(self, deadline: int, to_deadline_ok: bool) -> None:
-        """Jump to the earliest pending component event, if one is provable."""
-        if self.profile_enabled:
-            t0 = time.perf_counter_ns()
-            try:
-                return self._fast_forward_inner(deadline, to_deadline_ok)
-            finally:
-                dt = time.perf_counter_ns() - t0
-                entry = self.tick_profile.get("(kernel)/fast_forward")
-                if entry is None:
-                    self.tick_profile["(kernel)/fast_forward"] = [dt, 1]
-                else:
-                    entry[0] += dt
-                    entry[1] += 1
-        return self._fast_forward_inner(deadline, to_deadline_ok)
-
-    def _fast_forward_inner(self, deadline: int, to_deadline_ok: bool) -> None:
-        target = NEVER
-        for component in self._components:
-            hint = component.next_event(self.cycle)
-            if hint is None:
-                return  # unhinted component: must tick every cycle
-            if hint < target:
-                target = hint
-        if target == NEVER:
-            # Nothing self-scheduled anywhere.  With no predicate pending the
-            # remaining cycles are provably dead, so jump to the deadline;
-            # with a predicate we keep naive stepping (the budget-exhausted
-            # error path must observe the same cycles it would naively).
-            if not to_deadline_ok:
-                return
-            target = deadline
-        target = min(int(target), deadline)
-        if target <= self.cycle:
-            return
-        skipped = target - self.cycle
-        for chan in self._channels:
-            chan.credit_idle_cycles(skipped)
-        self.cycles_skipped += skipped
-        self.skip_events += 1
-        self.cycle = target

@@ -172,8 +172,8 @@ def skip_summary(sim) -> Dict[str, float]:
 
     ``cycles_total`` counts simulated time, ``cycles_stepped`` the cycles the
     kernel actually ticked; their ratio is the upper bound on the wall-clock
-    speedup event-skipping bought.  All counters are exact regardless of
-    whether fast-forward was enabled (they are simply zero when it was not).
+    speedup event-skipping bought.  All counters are exact under either
+    schedule (they are simply zero under naive).
     """
     stepped = sim.cycle - sim.cycles_skipped
     return {
@@ -206,7 +206,7 @@ def render_deadlock_report(dump: Dict[str, Any], top: int = 16) -> str:
 
     Mirrors :func:`render_wake_report`'s table style: the busiest channels
     first (they are usually the smoking gun — a full queue nobody drains),
-    then each component's own debug state, then the selective scheduler's
+    then each component's own debug state, then the compiled scheduler's
     wake heap.  ``top`` bounds the channel rows.
     """
     lines = [
@@ -311,8 +311,8 @@ def wake_summary(sim) -> Dict[str, Dict[str, float]]:
     For each component: ``ticks_executed`` (cycles its ``tick`` actually
     ran), ``ticks_elided`` (cycles the scheduler proved it a no-op and
     skipped it) and ``tick_fraction`` (executed / simulated cycles).  Under
-    the selective schedule the counts are exact per component; under
-    naive/fast-forward every component shares the stepped-cycle count.  The
+    the compiled schedule the counts are exact per component; under naive
+    every component shares the stepped-cycle count.  The
     dict is keyed by component name in registration order — feed it to
     :func:`render_wake_report` for the human version.
     """
@@ -333,7 +333,7 @@ def render_wake_report(sim, top: int = 12) -> str:
 
     ``top`` bounds the rows (the aggregate line always includes everyone);
     pass ``top=None`` for the full table.  The aggregate elision fraction is
-    the wall-clock headroom the selective scheduler exploited: 0% means
+    the wall-clock headroom the compiled scheduler exploited: 0% means
     every component ticked every cycle (a dense design or naive schedule).
     """
     summary = wake_summary(sim)

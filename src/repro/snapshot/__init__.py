@@ -2,11 +2,11 @@
 
 ``capture(handle)`` freezes the complete state of a single-process run —
 cycle counter, every channel's contents and lag-credit bookkeeping,
-per-component model state, scheduler wake heap, metric registry, span
+per-component model state, the dirty-channel list, metric registry, span
 tracker, fault RNG positions and host-side command registry — into a
 versioned :class:`Snapshot`; after rebuilding the same design and
 replaying the host-side setup, ``restore(handle, snap); run(N)`` is
-bit-identical to the uninterrupted run under all four scheduling backends.
+bit-identical to the uninterrupted run under both scheduling backends.
 
 Distributed runs checkpoint at slice barriers via
 ``DistConfig(checkpoint_every_slices=...)``, which also arms fork-engine

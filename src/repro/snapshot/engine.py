@@ -5,7 +5,7 @@ A snapshot is *state*, never *structure*: the object graph of a design
 hooks) is rebuilt deterministically by re-elaborating the same config, and
 the snapshot then overwrites every mutable field so that ``restore(snap);
 run(N)`` is bit-identical — cycles, stable metric dumps, fault fingerprints
-— to the uninterrupted run under all four scheduling backends.
+— to the uninterrupted run under both scheduling backends.
 
 Why not pickle the :class:`~repro.sim.Simulator` wholesale?  The live graph
 is full of unpicklables that are *structural*: registry ``BoundMetric``
@@ -63,8 +63,10 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: version bump silently invalidates stale checkpoint files instead of
 #: restoring garbage into a newer model.  (3: plain-data marker trees;
 #: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``;
-#: 5: it also keeps its live-bank and active-ID indexes.)
-SNAPSHOT_VERSION = 5
+#: 5: it also keeps its live-bank and active-ID indexes; 6: the sim state
+#: drops the wake heap, woken set and quiescent flag of the deleted
+#: schedules.)
+SNAPSHOT_VERSION = 6
 
 
 class SnapshotError(RuntimeError):
@@ -91,8 +93,8 @@ _STRUCTURE_TYPES = (
     memoryview,
 )
 
-#: Scheduler wiring rebuilt by ``Simulator.add()``; excluded from generic
-#: component capture (``_last_tick_cycle``/``_ticks_executed`` stay in).
+#: Scheduler wiring rebuilt by the compiled program; excluded from generic
+#: component capture (``_ticks_executed`` stays in).
 SCHED_ATTRS = ("_sched_index", "_wake_hook", "_cslot")
 
 # Marker tags.  A marker is a list whose first element is one of these
@@ -602,8 +604,7 @@ def _infra(sim: Any, fault_state: Any, spans: Any):
 #: Channel row: name, items, staged (``None`` when empty, else a list of
 #: frozen items), then the five counters.  Component row: name, state.
 _CHAN_ROW, _COMP_ROW = 8, 2
-_SIM_KEYS = ("cycle", "channels", "components", "wake_heap", "woken", "dirty",
-             "quiescent", "cycles_skipped", "skip_events")
+_SIM_KEYS = ("cycle", "channels", "components", "dirty", "cycles_skipped", "skip_events")
 
 
 def _freeze_queue(fr: Freezer, chan: Any, queue: list) -> Optional[list]:
@@ -617,7 +618,7 @@ def _freeze_queue(fr: Freezer, chan: Any, queue: list) -> Optional[list]:
 
 def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     """Freeze one :class:`~repro.sim.Simulator`'s complete mutable state."""
-    if getattr(sim, "_ready", None) is not None:
+    if sim.mid_cycle:
         raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
     if sim._program is not None:
         sim._program.flush_ticks()  # per-slot tick counts into the components
@@ -640,10 +641,7 @@ def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
         "scheduling": sim.scheduling,
         "channels": channels,
         "components": [(comp.name, comp.snapshot_state(fr)) for comp in sim._components],
-        "wake_heap": [tuple(entry) for entry in sim._wake_heap],
-        "woken": sorted(sim._woken),
         "dirty": [chan_index[id(ch)] for ch in sim._dirty_channels],
-        "quiescent": sim._quiescent,
         "cycles_skipped": sim.cycles_skipped,
         "skip_events": sim.skip_events,
     }
@@ -704,15 +702,12 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
     sim.cycle = state["cycle"]
     sim.cycles_skipped = state["cycles_skipped"]
     sim.skip_events = state["skip_events"]
-    sim._quiescent = state["quiescent"]
-    sim._woken = set(state["woken"])
-    sim._wake_heap = [tuple(entry) for entry in state["wake_heap"]]
     del sim._dirty_channels[:]
     for idx in state["dirty"]:
         ch = sim._channels[idx]
         ch._dirty = True
         sim._dirty_channels.append(ch)
-    if sim._selective:
+    if sim._compiled:
         for ch in sim._channels:
             # Re-anchor lazy occupancy crediting at the restored cycle, the
             # same invariant register_channel() establishes.

@@ -43,16 +43,14 @@ def build_memory_testbench(
     controller_params: Optional[AxiParams] = None,
     child_id_bits: Optional[int] = None,
     tracer: Optional[Tracer] = None,
-    fast_forward: bool = True,
     profile: bool = False,
-    scheduling: Optional[str] = None,
+    scheduling: str = DEFAULT_SCHEDULING,
 ) -> MemoryTestbench:
     """Wire ``master_ports`` through a tree network to a DRAM controller.
 
-    ``scheduling`` picks the kernel schedule ("naive", "fast_forward",
-    "selective" or "compiled"); by default the testbench runs
-    :data:`repro.sim.DEFAULT_SCHEDULING` (the compiled schedule, cycle-exact),
-    or naive stepping when ``fast_forward=False``.
+    ``scheduling`` picks the kernel schedule ("naive" or "compiled"); by
+    default the testbench runs :data:`repro.sim.DEFAULT_SCHEDULING` (the
+    compiled schedule, cycle-exact).
     Driving the master ports directly between ``run`` calls is safe under
     every schedule: a push or pop on a registered channel is committed at
     the next run's entry cycle.  ``profile`` enables the per-component
@@ -65,8 +63,6 @@ def build_memory_testbench(
     mport = MonitoredAxiPort(slave_port, monitor)
     controller = MemoryController(mport, timing)
 
-    if scheduling is None:
-        scheduling = DEFAULT_SCHEDULING if fast_forward else "naive"
     sim = Simulator(tracer=tracer, profile=profile, scheduling=scheduling)
     sim.add(controller)
     sim.add(monitor)

@@ -19,7 +19,7 @@ import pytest
 from repro.axi.types import ARReq, AxiParams, AxiPort
 from repro.dist import BridgeEgress, BridgeIngress, DistConfig, DistError
 from repro.noc.axi_node import AxiPipe
-from repro.sim import NEVER, ChannelQueue, Component, Simulator
+from repro.sim import NEVER, SCHEDULING_MODES, ChannelQueue, Component, Simulator
 
 PARAMS = AxiParams(beat_bytes=64, id_bits=6, addr_bits=34, max_burst_beats=64)
 
@@ -173,7 +173,7 @@ def test_bridge_pops_at_most_one_item_per_channel_per_cycle():
 
 
 # ------------------------------------------------------- slice composition
-def _drive(sim_run, latency=4, total=160, seed=11, scheduling=None):
+def _drive(sim_run, latency=4, total=160, seed=11, scheduling="naive"):
     """Build the pipe micro-system and advance it via ``sim_run(sim, total)``."""
     rng = random.Random(seed)
     schedule = [
@@ -195,7 +195,7 @@ def _drive(sim_run, latency=4, total=160, seed=11, scheduling=None):
     return sink.log, sim.cycle
 
 
-@pytest.mark.parametrize("scheduling", ["naive", "selective", "compiled"])
+@pytest.mark.parametrize("scheduling", SCHEDULING_MODES)
 def test_sliced_runs_compose_bit_identically(scheduling):
     """Property: any slicing of run(N) into run(n) segments is bit-identical.
 

@@ -1,12 +1,16 @@
 """Property and unit tests for the compiled tick-program backend.
 
 Three layers of evidence that ``scheduling="compiled"`` executes the same
-schedule as selective (and therefore naive):
+schedule as the naive oracle:
 
-* **Randomised relay pipelines** — seeded topologies, burst schedules and
-  backpressure stalls, run to completion and compared log-for-log (every
-  event carries its cycle) and channel-statistic-for-statistic, both in one
-  shot and in lockstep chunks.
+* **Randomised relay pipelines** — seeded topologies of producers, relay
+  stages and sinks with burst schedules, backpressure stalls and long idle
+  windows, run to completion and compared log-for-log (every event carries
+  its cycle) and channel-statistic-for-statistic (sparse-commit occupancy
+  integrals included), both in one shot and in lockstep chunks.  All
+  randomness is drawn up front from seeded generators and service delays
+  are pure functions of the item value, so the schedules cannot diverge
+  through hidden state.
 * **Closure specialisation units** — ``compile_tick``/``compile_hint``
   selection, including the instance-patch escape hatches (fault injection
   replaces ``tick``/``next_event`` on instances; the compiled program must
@@ -28,22 +32,179 @@ import pytest
 import repro.sim.compiled as compiled_mod
 from repro.axi.types import AxiParams
 from repro.memory.scratchpad import Memory, Scratchpad, SpReq
-from repro.sim import NEVER, ChannelQueue, Component, Simulator
+from repro.sim import NEVER, SCHEDULING_MODES, ChannelQueue, Component, Simulator
 from repro.sim.compiled import CompiledProgram
 
-from test_selective_scheduling import (
-    RelayStage,
-    _build_pipeline,
-    _drained,
-    _observe,
-)
+MODES = SCHEDULING_MODES
 
-MODES = ("naive", "selective", "compiled")
+
+def _service_delay(value: int) -> int:
+    """Deterministic pseudo-random per-item service time, 0..6 cycles."""
+    return (value * 2654435761) % 7
+
+
+class ScheduledProducer(Component):
+    """Pushes a precomputed (cycle, value) schedule, honouring backpressure.
+
+    The ``next_event`` hint points at the next scheduled push; when the
+    output is full the producer stalls and relies on the freeing pop waking
+    it (the output channel is in its wake set via ``channels``).
+    """
+
+    def __init__(self, name, out, schedule):
+        super().__init__(name)
+        self.out = out
+        self.schedule = sorted(schedule)  # [(cycle, value), ...]
+        self._next = 0
+        self.log = []
+
+    def channels(self):
+        return [self.out]
+
+    def tick(self, cycle):
+        while (
+            self._next < len(self.schedule)
+            and self.schedule[self._next][0] <= cycle
+            and self.out.can_push()
+        ):
+            value = self.schedule[self._next][1]
+            self.out.push(value)
+            self.log.append((cycle, "push", value))
+            self._next += 1
+
+    def next_event(self, cycle):
+        if self._next >= len(self.schedule):
+            return NEVER
+        due = self.schedule[self._next][0]
+        if due > cycle:
+            return due
+        # An overdue item with free output space must wake immediately; if
+        # the output is full the freeing pop provides the wake (claiming
+        # NEVER while the output has room would break the hint contract —
+        # the committed drain since our last tick makes the next tick a
+        # push, not a no-op).
+        return NEVER if not self.out.can_push() else cycle
+
+    def done(self):
+        return self._next >= len(self.schedule)
+
+
+class RelayStage(Component):
+    """Pops an item, services it for ``_service_delay(value)`` cycles, then
+    pushes it downstream (blocking on backpressure)."""
+
+    def __init__(self, name, inp, out):
+        super().__init__(name)
+        self.inp = inp
+        self.out = out
+        self._item = None
+        self._ready_at = 0
+        self.log = []
+
+    def channels(self):
+        return [self.inp, self.out]
+
+    def tick(self, cycle):
+        if self._item is not None and cycle >= self._ready_at:
+            if self.out.can_push():
+                self.out.push(self._item)
+                self.log.append((cycle, "emit", self._item))
+                self._item = None
+            else:
+                return  # blocked; wake on downstream pop
+        if self._item is None and self.inp.can_pop():
+            self._item = self.inp.pop()
+            self._ready_at = cycle + _service_delay(self._item)
+            self.log.append((cycle, "take", self._item))
+
+    def next_event(self, cycle):
+        if self._item is not None:
+            return max(self._ready_at, cycle)
+        return NEVER
+
+    def done(self):
+        return self._item is None
+
+
+class Sink(Component):
+    def __init__(self, name, inp):
+        super().__init__(name)
+        self.inp = inp
+        self.log = []
+
+    def channels(self):
+        return [self.inp]
+
+    def tick(self, cycle):
+        while self.inp.can_pop():
+            self.log.append((cycle, "sink", self.inp.pop()))
+
+    def next_event(self, cycle):
+        return NEVER
+
+
+def _build_pipeline(seed, scheduling):
+    """A randomised fan-out of relay chains sharing one producer schedule."""
+    rng = random.Random(seed)
+    n_chains = rng.randint(1, 4)
+    sim = Simulator(scheduling=scheduling)
+    chains = []
+    for c in range(n_chains):
+        depth = rng.randint(1, 3)
+        n_items = rng.randint(5, 40)
+        # Bursty schedule: clusters of same-cycle pushes + long gaps, so
+        # both backpressure and long-idle windows occur.
+        schedule, cycle = [], 0
+        for _ in range(n_items):
+            cycle += rng.choice([0, 0, 1, 2, 3, rng.randint(20, 200)])
+            schedule.append((cycle, rng.randrange(1, 1 << 16)))
+        n_stages = rng.randint(1, 3)
+        links = [
+            ChannelQueue(rng.randint(1, 3), f"c{c}.l{i}")
+            for i in range(n_stages + 1)
+        ]
+        prod = sim.add(ScheduledProducer(f"c{c}.prod", links[0], schedule))
+        stages = [
+            sim.add(RelayStage(f"c{c}.s{i}", links[i], links[i + 1]))
+            for i in range(n_stages)
+        ]
+        sink = sim.add(Sink(f"c{c}.sink", links[-1]))
+        for link in links:
+            sim.register_channel(link)
+        chains.append((prod, stages, sink, n_items))
+    return sim, chains
+
+
+def _drained(chains):
+    def pred():
+        return all(
+            prod.done()
+            and all(s.done() for s in stages)
+            and len(sink.log) == n_items
+            for prod, stages, sink, n_items in chains
+        )
+
+    return pred
+
+
+def _observe(sim, chains):
+    logs = {}
+    for prod, stages, sink, _ in chains:
+        for comp in [prod, *stages, sink]:
+            logs[comp.name] = list(comp.log)
+    stats = [
+        (c.name, c.total_pushed, c.total_popped, c.occupancy_accum,
+         c.cycles_observed, c.mean_occupancy)
+        for c in sim._channels
+    ]
+    return {"cycle": sim.cycle, "logs": logs, "channel_stats": stats}
 
 
 def _run_to_drain(seed, scheduling, settle=500):
     sim, chains = _build_pipeline(seed, scheduling)
     sim.run(200_000, until=_drained(chains))
+    # Run past the drain point too: idle-tail statistics (occupancy
+    # integrals over empty channels) must also match under sparse commit.
     sim.run(settle)
     return _observe(sim, chains), sim
 
@@ -54,40 +215,54 @@ def _run_to_drain(seed, scheduling, settle=500):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_compiled_matches_selective(seed):
-    selective, _ = _run_to_drain(seed, "selective")
+def test_compiled_matches_naive(seed):
+    naive, _ = _run_to_drain(seed, "naive")
     compiled, sim = _run_to_drain(seed, "compiled")
-    assert compiled == selective
+    assert compiled == naive
     # Non-vacuous: the compiled schedule elided ticks somewhere.
     total = sum(sim.component_ticks(c) for c in sim._components)
     assert total < sim.cycle * len(sim._components)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_compiled_matches_naive(seed):
-    naive, _ = _run_to_drain(seed, "naive")
-    compiled, _ = _run_to_drain(seed, "compiled")
-    assert compiled == naive
-
-
 @pytest.mark.parametrize("seed", range(6))
-def test_compiled_lockstep_with_selective(seed):
-    """Step both schedulers in odd-sized chunks and compare the observable
+def test_compiled_lockstep_with_naive(seed):
+    """Step both schedules in odd-sized chunks and compare the observable
     state at every boundary — divergence is caught the cycle window it
     happens in, not just at the end.  Chunked runs also exercise program
-    re-entry (``prepare()`` wakes everything, which must be a no-op for
-    decisions by the hint contract)."""
-    sim_s, chains_s = _build_pipeline(seed, "selective")
+    re-entry (an entry wakes nobody; the wake state carries over)."""
+    sim_n, chains_n = _build_pipeline(seed, "naive")
     sim_c, chains_c = _build_pipeline(seed, "compiled")
     rng = random.Random(seed ^ 0xC0FFEE)
     for _ in range(200):
         chunk = rng.choice([1, 3, 7, 23, 97])
-        sim_s.run(chunk)
+        sim_n.run(chunk)
         sim_c.run(chunk)
-        assert _observe(sim_c, chains_c) == _observe(sim_s, chains_s)
-        if _drained(chains_s)():
+        assert _observe(sim_c, chains_c) == _observe(sim_n, chains_n)
+        if _drained(chains_n)():
             break
     assert _drained(chains_c)()
+
+
+def test_sparse_commit_occupancy_integral():
+    """A channel left non-empty across a long idle gap accrues occupancy for
+    every elided cycle (the anchor lag-credit path)."""
+    sim = Simulator(scheduling="compiled")
+    chan = ChannelQueue(4, "gap")
+    prod = ScheduledProducer("prod", chan, [(0, 7), (1, 9)])
+    sink_chan = ChannelQueue(4, "out")
+    stage = RelayStage("stage", chan, sink_chan)
+    sink = Sink("sink", sink_chan)
+    for c in (prod, stage, sink):
+        sim.add(c)
+    sim.register_channel(chan)
+    sim.register_channel(sink_chan)
+    sim.run(until=lambda: len(sink.log) == 2, max_cycles=1000)
+    sim.run(10_000)  # long fully-idle tail
+    assert sim.cycles_skipped > 9_000
+    for c in (chan, sink_chan):
+        assert c.cycles_observed == sim.cycle
+        # Empty throughout the tail: integral fixed, mean decays.
+        assert c.total_pushed == c.total_popped == 2
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +303,11 @@ class _Watcher(Component):
         return NEVER
 
 
-@pytest.mark.parametrize("scheduling", ("selective", "compiled"))
+@pytest.mark.parametrize("scheduling", MODES)
 def test_request_wake_order_semantics(scheduling):
     """A wake requested by an earlier-indexed component lands the same
-    cycle (naive would have ticked the target afterwards); from a
-    later-indexed component it lands next cycle."""
+    cycle (naive ticks the target afterwards); from a later-indexed
+    component it lands next cycle."""
 
     def run_order(poker_first):
         sim = Simulator(scheduling=scheduling)
@@ -235,7 +410,7 @@ def test_memory_on_activity_escape_hatch(driver_first):
     produce identical delivery cycles and final contents under every
     schedule: the ``on_activity`` hatch wakes the sleeping clocker."""
     baseline = _run_mem_coupling("naive", driver_first)
-    for scheduling in ("fast_forward", "selective", "compiled"):
+    for scheduling in MODES[1:]:
         assert _run_mem_coupling(scheduling, driver_first) == baseline
     delivered, cells = baseline
     assert [v for _, v in delivered] == [0xAB, 0xCD, 0xAB]
@@ -302,11 +477,11 @@ def _run_scratchpad(scheduling):
 
 def test_scratchpad_parity_across_schedules():
     """The real Scratchpad (request_wake-wired Memory + credit-ruled ports)
-    behaves identically under all four schedules."""
+    behaves identically under both schedules."""
     baseline = _run_scratchpad("naive")
     responses, reads, writes, _cells = baseline
     assert reads > 0 and writes > 0 and responses
-    for scheduling in ("fast_forward", "selective", "compiled"):
+    for scheduling in MODES[1:]:
         assert _run_scratchpad(scheduling) == baseline
 
 

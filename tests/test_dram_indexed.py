@@ -35,7 +35,7 @@ from repro.dram import DDR4_AWS_F1, LPDDR4_KRIA, MemoryController
 from repro.kernels.memcpy import memcpy_config
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
-from repro.sim import Component, Simulator
+from repro.sim import DEFAULT_SCHEDULING, Component, Simulator
 from repro.snapshot.engine import capture_partition_state, restore_partition_state
 
 MEM_BYTES = 1 << 20
@@ -368,7 +368,7 @@ def test_restore_mid_write_matches_uninterrupted_run(seed):
 
 
 # ------------------------------------------------------ two bodies, one state
-def memcpy32_submitted(scheduling=None, active: int = 32, size: int = 1024):
+def memcpy32_submitted(scheduling=DEFAULT_SCHEDULING, active: int = 32, size: int = 1024):
     """The 32-core memcpy design with ``active`` copies submitted, not yet run."""
     build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform(), scheduling=scheduling)
     handle = FpgaHandle(build.design)

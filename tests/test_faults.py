@@ -18,7 +18,7 @@ from repro.runtime.server import _Waiter
 from repro.sim import DeadlockError, SimulationError
 
 
-def _build(n_cores=1, plan=None, watchdog=None, scheduling="selective"):
+def _build(n_cores=1, plan=None, watchdog=None, scheduling="compiled"):
     build = BeethovenBuild(
         memcpy_config(n_cores=n_cores),
         AWSF1Platform(),
@@ -56,7 +56,7 @@ def test_deadlock_error_carries_structured_dump():
     with pytest.raises(DeadlockError) as ei:
         fut.get(max_cycles=20_000)
     dump = ei.value.dump
-    assert dump["scheduling"] == "selective"
+    assert dump["scheduling"] == "compiled"
     assert dump["cycle"] >= 20_000
     # The stalled components self-describe: the runtime server is waiting.
     assert "server" in dump["components"]

@@ -7,8 +7,7 @@ covered in each class's ``next_event``, the server's poll grid in closed
 form, and one ``LoadGenerator`` wait per arrival.  None of them may move a
 simulated cycle, so everything here is a differential:
 
-* seeded serving runs under ``naive`` vs ``compiled`` (``selective`` on a
-  few seeds) over host interfaces, core latencies and tenant mixes that back
+* seeded serving runs under ``naive`` vs ``compiled`` over host interfaces, core latencies and tenant mixes that back
   the command path up — which the stock F1 ``serve_mix`` never does — with
   and without a watchdog, dropped responses and hang patches;
 * the poll grid against a test-local server that steps it one visit at a
@@ -46,6 +45,7 @@ from repro.serve.loadgen import (
 from repro.serve.scenarios import hetero_build, profile_loads
 from repro.sim import (
     DEFAULT_SCHEDULING,
+    SCHEDULING_MODES,
     ChannelQueue,
     Component,
     DeadlockError,
@@ -156,9 +156,9 @@ def run_case(case: Case, mode: str, prepare=None):
     return handle.cycle, report.to_dict(), build.metrics(stable_only=True)
 
 
-def assert_same(case: Case, modes=("naive", "compiled"), prepare=None):
-    reference = run_case(case, modes[0], prepare)
-    for mode in modes[1:]:
+def assert_same(case: Case, prepare=None):
+    reference = run_case(case, SCHEDULING_MODES[0], prepare)
+    for mode in SCHEDULING_MODES[1:]:
         got = run_case(case, mode, prepare)
         assert got[0] == reference[0], f"seed {case.seed}: final cycle, {mode}"
         assert got[1] == reference[1], f"seed {case.seed}: serving report, {mode}"
@@ -174,12 +174,6 @@ def test_backed_up_host_path_is_cycle_exact(seed):
     event-driven schedule."""
     cycle, report, _ = assert_same(make_case(seed))
     assert cycle > 0 and report["totals"]["admitted"] > 0
-
-
-@pytest.mark.parametrize("seed", range(0, 20, 4))
-def test_selective_reads_the_union_of_the_edges(seed):
-    """``selective`` subscribes to both edges of the derived union."""
-    assert_same(make_case(seed), modes=("naive", "selective"))
 
 
 @pytest.mark.slow
@@ -267,7 +261,7 @@ def test_multi_chunk_and_two_port_backlogs_drain_on_schedule(latencies, word_cyc
     )
     wide = {f"w{i}": (i + 1) << 40 for i in range(5)}
     outcomes = {}
-    for mode in ("naive", "selective", "compiled"):
+    for mode in SCHEDULING_MODES:
         build = BeethovenBuild(config, platform, scheduling=mode)
         handle = FpgaHandle(build.design)
         futs = []
@@ -279,7 +273,6 @@ def test_multi_chunk_and_two_port_backlogs_drain_on_schedule(latencies, word_cyc
         outcomes[mode] = (
             handle.cycle, [f.latency_cycles for f in futs], build.metrics(stable_only=True)
         )
-    assert outcomes["selective"] == outcomes["naive"]
     assert outcomes["compiled"] == outcomes["naive"]
 
 
@@ -348,7 +341,7 @@ def test_late_responses_are_counted_exactly():
         watchdog=WatchdogConfig(timeout_cycles=250, max_retries=0, quarantine_strikes=1000),
         squeeze=False,
     )
-    _, report, metrics = assert_same(case, modes=("naive", "selective", "compiled"))
+    _, report, metrics = assert_same(case)
     assert report["totals"]["failed"] == metrics["runtime/server/watchdog/timeouts"] == 3
     assert metrics["runtime/server/watchdog/late_responses"] == 3
 
@@ -614,7 +607,7 @@ def test_poll_grid_closed_form_equals_eager_stepping(offset, resubmit_gap):
     delays = [2 * POLL_HOST.response_poll_cycles + offset, 11 + offset, 40]
     reference = _poll_grid_run(_EagerServer, "naive", delays, resubmit_gap, 3 + offset)
     assert len(reference[0]) == 2 and reference[2] == 2
-    for mode in ("naive", "selective", "compiled"):
+    for mode in SCHEDULING_MODES:
         got = _poll_grid_run(RuntimeServer, mode, delays, resubmit_gap, 3 + offset)
         assert got == reference, mode
 
@@ -640,7 +633,7 @@ def test_submission_from_another_tick_wakes_an_idle_server():
             return self.at if cycle <= self.at else float("inf")
 
     answered = {}
-    for mode in ("naive", "selective", "compiled"):
+    for mode in SCHEDULING_MODES:
         sim = Simulator(scheduling=mode)
         mmio = sim.add(_ScriptedFrontend([5]))
         server = sim.add(RuntimeServer(mmio, POLL_HOST))
@@ -648,5 +641,5 @@ def test_submission_from_another_tick_wakes_an_idle_server():
         sim.add(_Submitter(server, inst, at=50))
         sim.run(2_000, until=lambda: int(server.responses_received) == 1)
         answered[mode] = sim.cycle
-    assert answered["naive"] == answered["selective"] == answered["compiled"]
+    assert answered["naive"] == answered["compiled"]
     assert answered["naive"] < 150

@@ -6,8 +6,8 @@ other mutation of a component calls ``request_wake``.  So an entry wakes every
 component only for a freshly built schedule (first run, snapshot restore, a
 late ``sim.add``) or after ``step()``; channel counters are exact when read
 rather than synced at exit; per-slot tick counts are folded when read.  Each
-contract is checked under ``selective`` and ``compiled`` against ``naive``,
-and two tick budgets keep the host path from sliding back to wake-all entries.
+contract is checked under ``compiled`` against ``naive``, and two tick
+budgets keep the host path from sliding back to wake-all entries.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.serve.loadgen import LoadGenerator
 from repro.serve.scenarios import hetero_build, profile_loads
 from repro.sim import (
     NEVER,
+    SCHEDULING_MODES,
     ChannelQueue,
     Component,
     Simulator,
@@ -34,7 +35,7 @@ from repro.sim import (
 )
 from repro.snapshot import capture, restore
 
-SKIPPING = ("selective", "compiled")
+SKIPPING = SCHEDULING_MODES[1:]
 
 
 # ------------------------------------------------------------------ models
@@ -194,11 +195,11 @@ def test_a_host_call_between_runs_ticks_only_what_it_reaches(mode):
     assert cycles[mode] == cycles["naive"]
 
 
-def _all_tick_once(sim, mode):
+def _all_tick_once(sim):
     """Run one cycle and check the entry rule woke every slot."""
     before, wakes = _ticks(sim), sim.entry_wakes
     sim.run(1)
-    n_slots = len(sim._program.groups) if mode == "compiled" else len(sim._components)
+    n_slots = len(sim._program.groups)
     after = _ticks(sim)
     assert all(after[name] == before[name] + 1 for name in after), (before, after)
     assert sim.entry_wakes == wakes + n_slots
@@ -209,10 +210,10 @@ def test_step_and_late_add_wake_every_component(mode):
     sim, _chans = _pipeline(mode)
     sim.run(100)
     sim.step()
-    _all_tick_once(sim, mode)
+    _all_tick_once(sim)
     sim.run(50)
     sim.add(Sink("late", ChannelQueue(1, "late.in")))
-    _all_tick_once(sim, mode)
+    _all_tick_once(sim)
     sim.run(400)
     before = _ticks(sim)
     sim.run(50)  # no step, no add, nothing pending: nobody wakes
@@ -237,7 +238,7 @@ def test_snapshot_restore_wakes_every_component(mode):
 
     reference = finish()
     restore(handle, snap)
-    _all_tick_once(sim, mode)
+    _all_tick_once(sim)
     assert finish() == reference
 
 

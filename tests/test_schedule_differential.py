@@ -1,13 +1,11 @@
 """Differential cycle-exactness harness for the event-skipping kernel.
 
-Every scenario here is run under all four schedules — ``naive`` stepping,
-whole-design ``fast_forward``, per-component ``selective``, and the
-closure-specialised ``compiled`` tick program — and the runs must be
-*indistinguishable* in everything except wall clock: final cycle counts,
-per-channel statistics, AXI transaction timelines, response orderings and
-latencies, and the data the accelerator produced.  The skipping runs must
-additionally prove that they actually skipped/elided work (otherwise the
-harness is vacuous).
+Every scenario here is run under both schedules — the ``naive`` oracle and
+the ``compiled`` tick program — and the runs must be *indistinguishable* in
+everything except wall clock: final cycle counts, per-channel statistics,
+AXI transaction timelines, response orderings and latencies, and the data
+the accelerator produced.  The compiled run must additionally prove that it
+actually elided work (otherwise the harness is vacuous).
 """
 
 import numpy as np
@@ -31,16 +29,15 @@ from repro.runtime import FpgaHandle
 from repro.sim import (
     DEFAULT_SCHEDULING,
     NEVER,
+    SCHEDULING_MODES,
     class_tick_table,
     render_class_tick_table,
     skip_summary,
     wake_summary,
 )
 
-#: The event-skipping schedules, each compared against naive.  ``compiled``
-#: shares selective's wake decisions but dispatches through pre-specialised
-#: closures, so it must clear the exact same differential bar.
-SKIPPING_MODES = ("fast_forward", "selective", "compiled")
+#: The event-skipping schedule, compared against the naive oracle.
+SKIPPING_MODES = SCHEDULING_MODES[1:]
 
 
 def _channel_stats(design):
@@ -68,9 +65,9 @@ def _stable_metrics(design):
 def _elision(design):
     """Total component-ticks elided across the design (0 under naive).
 
-    ``component_ticks`` already accounts for whole-design jumps (both
-    schedules advance ``cycle`` without ticking during a jump), so this is
-    simply the gap between cycles elapsed and ticks executed, summed."""
+    ``component_ticks`` already accounts for jumps (the compiled schedule
+    advances ``cycle`` without ticking during one), so this is simply the
+    gap between cycles elapsed and ticks executed, summed."""
     sim = design.sim
     return sum(sim.cycle - sim.component_ticks(c) for c in sim._components)
 
@@ -120,8 +117,8 @@ def _assert_equivalent(naive, skipping):
     # from stable data, so it too must be scheduling-mode-identical.
     assert skipping["attribution"] == naive["attribution"]
     # The whole point: the skipping run elided work, the naive run never
-    # does.  (Fast-forward elides whole cycles; selective elides individual
-    # component ticks even on cycles it steps.)
+    # does (compiled elides individual component ticks even on cycles it
+    # steps, and whole cycles when nobody is woken).
     assert naive["skipped"] == 0
     assert naive["elided"] == 0
     assert skipping["elided"] > 0
@@ -295,35 +292,20 @@ def _run_server(scheduling):
     )
 
 
-def test_runtime_server_differential_fast_forward():
-    naive, fast = _run_server("naive"), _run_server("fast_forward")
-    _assert_equivalent(naive, fast)
-    # Long-latency kernels leave substantial dead time even though queued
-    # commands parked in a busy core's req channel pin much of the run
-    # non-quiescent (the strict gate refuses to skip over staged traffic).
-    assert fast["skipped"] > fast["cycle"] * 0.25
-
-
-def test_runtime_server_differential_selective():
-    naive, sel = _run_server("naive"), _run_server("selective")
-    _assert_equivalent(naive, sel)
-    # Selective scheduling is strictly more aggressive than the global gate:
-    # a busy core never pins idle components awake, so across the design the
-    # elided ticks exceed a full component-lifetime of work.
-    assert sel["elided"] > sel["cycle"]
-
-
 def test_runtime_server_differential_compiled():
     naive, comp = _run_server("naive"), _run_server("compiled")
     _assert_equivalent(naive, comp)
-    # Compiled inherits selective's wake decisions, so the same elision bar
-    # applies: sleeping components never appear in the dispatch order.
+    # A busy core never pins idle components awake — sleeping components
+    # never appear in the dispatch order — so across the design the elided
+    # ticks exceed a full component-lifetime of work, and long-latency
+    # kernels leave dead time the schedule jumps over outright.
     assert comp["elided"] > comp["cycle"]
+    assert comp["skipped"] > comp["cycle"] * 0.25
 
 
 # ---------------------------------------------------------------------------
 # Scenario 4: the fig6 MachSuite measured-bar configuration (acceptance
-# criterion: selective is bit-identical to naive on these configs).
+# criterion: compiled is bit-identical to naive on these configs).
 # ---------------------------------------------------------------------------
 
 
@@ -342,7 +324,7 @@ def test_fig6_machsuite_differential(mode):
 def test_skip_summary_shape():
     build = BeethovenBuild(
         delay_config(1, 2000), AWSF1Platform(), BuildMode.Simulation,
-        scheduling="fast_forward",
+        scheduling="compiled",
     )
     handle = FpgaHandle(build.design)
     handle.call("Delay", "run", 0, job=0).get(max_cycles=1_000_000)

@@ -27,9 +27,10 @@ from repro.serve.loadgen import (
     percentile,
 )
 from repro.serve.scenarios import hetero_build, run_scenario
+from repro.sim import DEFAULT_SCHEDULING
 
 
-def _service(tenants, mode=None, **build_kw):
+def _service(tenants, mode=DEFAULT_SCHEDULING, **build_kw):
     build = hetero_build(mode=mode, **build_kw)
     handle = FpgaHandle(build.design)
     return AcceleratorService(handle, tenants), handle, build

@@ -4,7 +4,42 @@ import random
 
 import pytest
 
-from repro.sim import NEVER, ChannelQueue, Component, SimulationError, Simulator
+from repro.sim import (
+    DEFAULT_SCHEDULING,
+    NEVER,
+    SCHEDULING_MODES,
+    ChannelQueue,
+    Component,
+    SimulationError,
+    Simulator,
+)
+
+
+def test_two_schedules_one_knob():
+    """The naive oracle and the compiled production loop are the only
+    schedules, and ``scheduling`` is the only knob that picks one."""
+    from repro.core.build import BeethovenBuild
+    from repro.core.elaboration import ElaboratedDesign
+    from repro.testing import build_memory_testbench
+
+    assert SCHEDULING_MODES == ("naive", "compiled")
+    assert DEFAULT_SCHEDULING == "compiled"
+    assert Simulator().scheduling == "naive"
+    for mode in ("fast_forward", "selective", None):
+        with pytest.raises(ValueError):
+            Simulator(scheduling=mode)
+    from repro.baselines.delay_core import delay_config
+    from repro.platforms import AWSF1Platform
+
+    config, platform = delay_config(1, 10), AWSF1Platform()
+    for entry, args in (
+        (Simulator, ()),
+        (BeethovenBuild, (config, platform)),
+        (ElaboratedDesign, ([config], platform)),
+        (build_memory_testbench, ([],)),
+    ):
+        with pytest.raises(TypeError, match="fast_forward"):
+            entry(*args, fast_forward=True)
 
 
 class Producer(Component):
@@ -275,8 +310,8 @@ class Sleeper(Component):
         return max(cycle, self._due)
 
 
-def test_fast_forward_skips_to_hint():
-    sim = Simulator(fast_forward=True)
+def test_compiled_skips_to_hint():
+    sim = Simulator(scheduling="compiled")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
     sim.run(5000, until=lambda: len(sleeper.resp) > 0)
@@ -286,7 +321,7 @@ def test_fast_forward_skips_to_hint():
     ns.req.push(0)
     naive.run(5000, until=lambda: len(ns.resp) > 0)
     assert sim.cycle == naive.cycle
-    # ...but the fast-forward run elided almost all of the wait.
+    # ...but the compiled run elided almost all of the wait.
     assert sim.cycles_skipped > 900
     assert len(sleeper.tick_cycles) < 100
 
@@ -296,7 +331,7 @@ def test_unhinted_component_vetoes_skipping():
         def tick(self, cycle):
             pass
 
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="compiled")
     sleeper = sim.add(Sleeper(1000))
     sim.add(Unhinted())
     sleeper.req.push(0)
@@ -304,8 +339,8 @@ def test_unhinted_component_vetoes_skipping():
     assert sim.cycles_skipped == 0
 
 
-def test_fast_forward_credits_channel_stats():
-    sim = Simulator(fast_forward=True)
+def test_compiled_credits_channel_stats():
+    sim = Simulator(scheduling="compiled")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
     sim.run(5000, until=lambda: len(sleeper.resp) > 0)
@@ -321,7 +356,7 @@ def test_all_never_skips_to_deadline_only_without_predicate():
         def next_event(self, cycle):
             return NEVER
 
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="compiled")
     sim.add(Reactive())
     assert sim.run(10_000) == 10_000
     assert sim.skip_events == 1

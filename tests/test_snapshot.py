@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from repro.faults.chaos import GOOD_OUTCOMES, MODES, SCENARIOS, run_chaos
+from repro.sim import DEFAULT_SCHEDULING
 from repro.snapshot import SNAPSHOT_VERSION, SnapshotError, SnapshotVersionError
 from repro.snapshot.scenario import (
     kill_and_resume_differential,
@@ -53,15 +54,15 @@ def test_resume_from_disk_under_active_fault_plan(tmp_path):
     """In-process variant (no fork): abandon after two checkpoints, resume
     from the file, compare against the uninterrupted reference."""
     path = str(tmp_path / "memcpy.ckpt")
-    ref = run_checkpointed_memcpy(FAULTY_SEED, "selective")
+    ref = run_checkpointed_memcpy(FAULTY_SEED, "compiled")
     assert ref["n_faults"] > 0
     run_checkpointed_memcpy(
-        FAULTY_SEED, "selective",
+        FAULTY_SEED, "compiled",
         checkpoint_path=path, checkpoint_every_chunks=1, stop_after_checkpoints=2,
     )
     assert os.path.exists(path)
     resumed = run_checkpointed_memcpy(
-        FAULTY_SEED, "selective", checkpoint_path=path, checkpoint_every_chunks=1
+        FAULTY_SEED, "compiled", checkpoint_path=path, checkpoint_every_chunks=1
     )
     assert resumed["resumed"]
     for key in _COMPARE_KEYS:
@@ -91,7 +92,7 @@ def test_checkpoint_scenario_registered():
 
 
 def test_checkpoint_chaos_outcome_allowed():
-    o = run_chaos("checkpoint", "fast_forward", FAULTY_SEED)
+    o = run_chaos("checkpoint", "compiled", FAULTY_SEED)
     assert o.scenario == "checkpoint"
     assert o.outcome in GOOD_OUTCOMES, o.error
     assert not o.violates_contract
@@ -334,6 +335,39 @@ def test_unfreezable_queue_item_fails_at_capture_by_name():
     assert capture(handle).cycle == handle.cycle  # and nothing else objects
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_capture_from_inside_a_tick_is_refused(mode):
+    """A capture taken while a cycle's ticks run would freeze half a cycle
+    (some components ticked, no channel committed), so both schedules
+    refuse it; between runs the same design captures fine."""
+    from repro.baselines.delay_core import delay_config
+    from repro.core.build import BeethovenBuild
+    from repro.platforms import AWSF1Platform
+    from repro.runtime import FpgaHandle
+    from repro.sim import Component
+    from repro.snapshot import capture
+
+    build = BeethovenBuild(delay_config(1, 50), AWSF1Platform(), scheduling=mode)
+    handle = FpgaHandle(build.design)
+    refusals = []
+
+    class _Capturer(Component):
+        """Unhinted, so it ticks every cycle; tries one capture mid-tick."""
+
+        def tick(self, cycle):
+            if not refusals:
+                try:
+                    capture(handle)
+                    refusals.append(None)
+                except SnapshotError as exc:
+                    refusals.append(str(exc))
+
+    build.design.sim.add(_Capturer("capturer"))
+    handle.call("Delay", "run", 0, job=0).get(max_cycles=10_000)
+    assert refusals and refusals[0] is not None and "mid-cycle" in refusals[0]
+    assert capture(handle).cycle == handle.cycle
+
+
 # ------------------------------------------------- state-dump caps + export
 def test_compact_state_dump_caps_and_passthrough(tmp_path):
     from repro.sim.trace import compact_state_dump, export_state_dump
@@ -484,7 +518,9 @@ def _a3_attending(mode, run_load):
 
     dim = n_keys = 16
     n_queries = 4
-    build = BeethovenBuild(a3_config(1, dim, n_keys), SimulationPlatform(), scheduling=mode)
+    # ``mode=None`` names no schedule: what a build hands out by default.
+    named = {} if mode is None else {"scheduling": mode}
+    build = BeethovenBuild(a3_config(1, dim, n_keys), SimulationPlatform(), **named)
     handle = FpgaHandle(build.design)
     rng = np.random.default_rng(11)
     ptrs = []
@@ -551,7 +587,7 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
 
     from repro.snapshot import capture, restore
 
-    def submitted(scheduling=None):
+    def submitted(scheduling=DEFAULT_SCHEDULING):
         # Copies long enough that early cores write while later ones still
         # read; captured under the default schedule.
         build, handle, futs = memcpy32_submitted(scheduling, active=8, size=16384)

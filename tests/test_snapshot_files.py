@@ -171,7 +171,7 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
     for mutate in (
         lambda f: f["payload"].pop("sim"),
         lambda f: f["payload"].pop("host"),
-        lambda f: f["payload"]["sim"].pop("wake_heap"),
+        lambda f: f["payload"]["sim"].pop("dirty"),
         lambda f: f["payload"]["sim"].update(components=3),
         swap_row,
         short_row,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Emit the cycle-attribution bottleneck report for benchmark points.
 
-Runs two instrumented points under all four scheduling modes and writes the
+Runs two instrumented points under both scheduling modes and writes the
 :mod:`repro.obs.attribution` rollup for each:
 
 * a Figure-6 MachSuite point (``--bench``, default ``md-knn``): the paper's
@@ -17,7 +17,7 @@ non-zero on violation:
   end-to-end latency exactly (the acceptance bar is 1%; the extractor is
   built to be exact);
 * **scheduling invariance** — segment totals and the contention counters are
-  identical under naive, fast_forward, selective and compiled scheduling.
+  identical under naive and compiled scheduling.
 
 Artifacts: ``attribution_<point>.json`` per point plus a combined
 ``bottleneck_report.json`` under ``--out``; the text reports go to stdout.
@@ -38,9 +38,8 @@ from repro.kernels.memcpy import memcpy_config
 from repro.obs import Observability, extract_command_paths, render_attribution_report
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
+from repro.sim import SCHEDULING_MODES as MODES
 from repro.sim import class_tick_table, render_class_tick_table
-
-MODES = ("naive", "fast_forward", "selective", "compiled")
 
 
 def _build(config, mode, profile=False):
@@ -107,7 +106,7 @@ def run_point(name, config, drive, max_sum_error=0.01, profile=False):
         reports[mode] = report
         if mode == "compiled":
             # Tick accounting is exact per component only under the
-            # event-driven schedules; the table describes the production one.
+            # compiled schedule, the production one.
             class_ticks = class_tick_table(design.sim)
         totals_by_mode[mode] = {
             seg: s["cycles"] for seg, s in report["segments"].items()

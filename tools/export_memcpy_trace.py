@@ -27,6 +27,7 @@ from repro.obs import Observability
 from repro.obs.export import validate_chrome_trace
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
+from repro.sim import DEFAULT_SCHEDULING, SCHEDULING_MODES
 
 
 def main(argv=None) -> int:
@@ -35,9 +36,9 @@ def main(argv=None) -> int:
     parser.add_argument("--bytes", type=int, default=16384, help="memcpy size")
     parser.add_argument(
         "--scheduling",
-        default=None,
-        choices=("naive", "fast_forward", "selective", "compiled"),
-        help="simulation kernel schedule (default: the design's default)",
+        default=DEFAULT_SCHEDULING,
+        choices=SCHEDULING_MODES,
+        help="simulation kernel schedule",
     )
     args = parser.parse_args(argv)
     out = Path(args.out)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.obs import Observability
 from repro.serve.scenarios import PROFILES, run_scenario
-from repro.sim import SCHEDULING_MODES, class_tick_table, render_class_tick_table
+from repro.sim import DEFAULT_SCHEDULING, SCHEDULING_MODES, class_tick_table, render_class_tick_table
 
 
 def _mode_identity(profile: str, seed: int, n_requests: int) -> dict:
@@ -84,8 +84,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--requests", type=int, default=16, help="requests per tenant")
-    parser.add_argument("--mode", default=None, choices=SCHEDULING_MODES,
-                        help="scheduling backend (default: design default)")
+    parser.add_argument("--mode", default=DEFAULT_SCHEDULING, choices=SCHEDULING_MODES,
+                        help="scheduling backend")
     parser.add_argument("--out", default="serving-artifacts", help="output directory")
     parser.add_argument(
         "--smoke", action="store_true",
