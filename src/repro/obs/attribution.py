@@ -28,7 +28,7 @@ so ``sum(segments.values()) == root.duration`` holds for every command — the
 acceptance bar for the bottleneck tool.  All inputs (spans, monitor records,
 contention counters) are stable across both scheduling modes, so
 attribution is scheduling-mode-identical;
-``tests/test_schedule_differential.py`` proves this bit-for-bit.
+``tests/test_fast_forward.py`` proves this bit-for-bit.
 
 The DRAM-service split by row outcome (hit / activate / precharge /
 turnaround / refresh) is computed at *report* level from the controller's

@@ -47,7 +47,7 @@ channel statistics (``total_pushed``/``total_popped``/``occupancy_accum``/
 ``cycles_observed``) and the same stable metric dump as the naive oracle.
 Only volatile metrics (tick/skip accounting, trace event counts) and the
 wall clock differ.  The differential harness in
-``tests/test_schedule_differential.py`` and the property tests in
+``tests/test_fast_forward.py`` and the property tests in
 ``tests/test_compiled_kernel.py`` enforce this bit-for-bit.
 
 ``Component.request_wake`` matches naive order: a wake for a slot later in

@@ -225,10 +225,11 @@ def test_compiled_matches_naive(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_compiled_lockstep_with_naive(seed):
-    """Step both schedules in odd-sized chunks and compare the observable
-    state at every boundary — divergence is caught the cycle window it
-    happens in, not just at the end.  Chunked runs also exercise program
+def test_compiled_lockstep_with_selective(seed):
+    """Step the compiled program's selective (wake-set) schedule and the
+    naive oracle in odd-sized chunks and compare the observable state at
+    every boundary — divergence is caught the cycle window it happens in,
+    not just at the end.  Chunked runs also exercise program
     re-entry (an entry wakes nobody; the wake state carries over)."""
     sim_n, chains_n = _build_pipeline(seed, "naive")
     sim_c, chains_c = _build_pipeline(seed, "compiled")

@@ -1,4 +1,8 @@
-"""Differential cycle-exactness harness for the event-skipping kernel.
+"""Differential cycle-exactness harness for the fast-forwarding kernel.
+
+Fast-forwarding is the compiled program's event skipping: it jumps over
+cycles in which no component can act and elides ticks of components with
+nothing to do.
 
 Every scenario here is run under both schedules — the ``naive`` oracle and
 the ``compiled`` tick program — and the runs must be *indistinguishable* in

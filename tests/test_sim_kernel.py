@@ -310,7 +310,7 @@ class Sleeper(Component):
         return max(cycle, self._due)
 
 
-def test_compiled_skips_to_hint():
+def test_fast_forward_skips_to_hint():
     sim = Simulator(scheduling="compiled")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
@@ -339,7 +339,7 @@ def test_unhinted_component_vetoes_skipping():
     assert sim.cycles_skipped == 0
 
 
-def test_compiled_credits_channel_stats():
+def test_fast_forward_credits_channel_stats():
     sim = Simulator(scheduling="compiled")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
