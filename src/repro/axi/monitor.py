@@ -218,11 +218,13 @@ class MonitoredAxiPort:
         elif self._w_beats_left[0] == 0:
             raise SimulationError("W burst overran its AW length")
 
-    # slave-side helpers
-    def push_r(self, cycle: int, beat) -> None:
-        self.port.r.push(beat)
-        self.monitor.on_r(cycle, beat.tag, beat.axi_id, beat.last)
+    # slave-side helpers: ``item`` is ``(axi_id, payload)``
+    def push_r(self, cycle: int, item) -> None:
+        self.port.r.push(item)
+        axi_id, beat = item
+        self.monitor.on_r(cycle, beat.tag, axi_id, beat.last)
 
-    def push_b(self, cycle: int, resp) -> None:
-        self.port.b.push(resp)
-        self.monitor.on_b(cycle, resp.tag, resp.axi_id)
+    def push_b(self, cycle: int, item) -> None:
+        self.port.b.push(item)
+        axi_id, resp = item
+        self.monitor.on_b(cycle, resp.tag, axi_id)

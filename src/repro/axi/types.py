@@ -3,7 +3,10 @@
 We model the five AXI4 channels at beat granularity.  Addresses are byte
 addresses, bursts are INCR bursts of ``length`` beats of ``beat_bytes`` each.
 Data is carried as ``bytes`` so simulations stay functionally exact: a memcpy
-through the model really copies the bytes.
+through the model really copies the bytes.  A beat's payload is a named tuple
+built once by the endpoint that originates it; R and B channel items carry
+the routed ID beside it as ``(axi_id, payload)``, so a NoC hop re-tags the ID
+and forwards the same payload.
 
 AXI rules the model enforces (via :mod:`repro.axi.monitor`):
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 from repro.sim import ChannelQueue
 
@@ -67,17 +70,18 @@ class ARReq:
         return self.length * beat_bytes
 
 
-@dataclass(frozen=True, slots=True)
-class RBeat:
-    """Read data channel payload (one beat).
+class RBeat(NamedTuple):
+    """Read data channel payload (one beat), built once by the memory
+    controller.
 
-    ``err`` models the SLVERR/ECC-poison signalling real links carry: a
-    corrupted beat is delivered with ``err=True`` so downstream consumers can
-    detect (never silently absorb) the corruption.  Every hop that re-creates
-    an RBeat (ID remap, compression) must propagate it.
+    An R channel item is ``(axi_id, RBeat)``: the ID is per-hop routing
+    state, so a NoC hop re-tags it and forwards the same payload.  ``err``
+    models the SLVERR/ECC-poison signalling real links carry: a corrupted
+    beat is delivered with ``err=True`` so downstream consumers can detect
+    (never silently absorb) the corruption; a fault hook that corrupts a
+    beat builds a new payload.
     """
 
-    axi_id: int
     data: bytes
     last: bool
     tag: int = -1
@@ -94,20 +98,20 @@ class AWReq:
     tag: int = field(default_factory=_next_txn_tag)
 
 
-@dataclass(frozen=True, slots=True)
-class WBeat:
-    """Write data channel payload (one beat); strb masks written bytes."""
+class WBeat(NamedTuple):
+    """Write data channel payload (one beat), built once by the master that
+    writes it; strb masks written bytes.  A W channel item is the bare
+    payload: AXI4 write data carries no ID and follows address order."""
 
     data: bytes
     last: bool
     strb: Optional[bytes] = None  # None means all bytes valid
 
 
-@dataclass(frozen=True, slots=True)
-class BResp:
-    """Write response channel payload."""
+class BResp(NamedTuple):
+    """Write response channel payload, built once by the memory controller.
+    A B channel item is ``(axi_id, BResp)``, re-tagged per hop like R."""
 
-    axi_id: int
     okay: bool = True
     tag: int = -1
 
@@ -124,10 +128,10 @@ class AxiPort:
         self.params = params
         self.name = name
         self.ar: ChannelQueue[ARReq] = ChannelQueue(depth, f"{name}.ar")
-        self.r: ChannelQueue[RBeat] = ChannelQueue(depth, f"{name}.r")
+        self.r: ChannelQueue[Tuple[int, RBeat]] = ChannelQueue(depth, f"{name}.r")
         self.aw: ChannelQueue[AWReq] = ChannelQueue(depth, f"{name}.aw")
         self.w: ChannelQueue[WBeat] = ChannelQueue(depth, f"{name}.w")
-        self.b: ChannelQueue[BResp] = ChannelQueue(depth, f"{name}.b")
+        self.b: ChannelQueue[Tuple[int, BResp]] = ChannelQueue(depth, f"{name}.b")
 
     def channels(self):
         return [self.ar, self.r, self.aw, self.w, self.b]

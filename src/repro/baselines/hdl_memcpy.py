@@ -80,7 +80,7 @@ class HdlMemcpyMaster(Component):
             self.mport.push_ar(cycle, ARReq(axi_id=0, addr=addr, length=beats))
             self._read_open = True
         if self.port.r.can_pop():
-            rbeat = self.port.r.pop()
+            rbeat = self.port.r.pop()[1]
             self._fifo.append(rbeat.data)
             self._fifo_bytes += len(rbeat.data)
             if rbeat.last:
@@ -101,7 +101,7 @@ class HdlMemcpyMaster(Component):
             chunk = self._fifo.popleft()
             self._fifo_bytes -= len(chunk)
             last = self._aw_open == 1
-            self.mport.push_w(cycle, WBeat(chunk, last=last))
+            self.mport.push_w(cycle, WBeat(chunk, last))
             self._aw_open -= 1
             if last:
                 self._aw_open = None

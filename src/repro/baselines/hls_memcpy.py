@@ -84,7 +84,7 @@ class HlsMemcpyMaster(Component):
                 self._reads_outstanding += 1
                 self._reserved_bytes += beats * beat
         if self.port.r.can_pop():
-            rbeat = self.port.r.pop()
+            rbeat = self.port.r.pop()[1]
             self._fifo.append(rbeat.data)
             self._fifo_bytes += len(rbeat.data)
             if rbeat.last:
@@ -102,7 +102,7 @@ class HlsMemcpyMaster(Component):
             self._fifo_bytes -= len(chunk)
             self._reserved_bytes -= len(chunk)
             last = self._aw_open == 1
-            self.mport.push_w(cycle, WBeat(chunk, last=last))
+            self.mport.push_w(cycle, WBeat(chunk, last))
             self._aw_open -= 1
             if last:
                 self._aw_open = None

@@ -349,9 +349,7 @@ class MemoryController(Component):
         txn = q[0]
         _ready, data, err = txn.beats[txn.beats_sent]
         last = txn.beats_sent == txn.length - 1
-        self.mport.push_r(
-            cycle, RBeat(axi_id=axi_id, data=data, last=last, tag=txn.tag, err=err)
-        )
+        self.mport.push_r(cycle, (axi_id, RBeat(data, last, txn.tag, err)))
         txn.beats_sent += 1
         if last:
             q.popleft()
@@ -367,7 +365,7 @@ class MemoryController(Component):
         """Acknowledge ``axi_id``'s oldest unanswered (fully written) write."""
         q = self._id_write_return[axi_id]
         txn = q.popleft()
-        self.mport.push_b(cycle, BResp(axi_id=axi_id, okay=True, tag=txn.tag))
+        self.mport.push_b(cycle, (axi_id, BResp(True, txn.tag)))
         del self._write_txns[txn.tag]
         self._retire(self._id_write_pipe, axi_id, txn)
         if not q or q[0].cols_done < q[0].length:

@@ -356,32 +356,33 @@ class AxiNodeFaultHook:
         self.b_drop_rate = b_drop_rate
         self.budget = budget
 
-    def filter_r(self, cycle: int, beat) -> Tuple[str, bytes, bool]:
-        """Returns (verdict, data, err); verdict is "pass"/"corrupt"/"drop"."""
+    def filter_r(self, cycle: int, axi_id: int, beat):
+        """The payload to forward for ``beat`` routed on ``axi_id``: ``beat``
+        itself, a corrupted copy with ``err`` set, or ``None`` (dropped)."""
         if self.budget <= 0:
-            return "pass", beat.data, beat.err
+            return beat
         draw = self.rng.random()
         # Details carry the (stable) local AXI id, never the transaction
         # tag: tags come from a process-global counter, so they differ from
         # build to build and would break cross-mode fingerprint equality.
         if draw < self.drop_rate:
             self.budget -= 1
-            self.state.inject(cycle, self.site, "r_drop", f"id={beat.axi_id}")
-            return "drop", beat.data, beat.err
+            self.state.inject(cycle, self.site, "r_drop", f"id={axi_id}")
+            return None
         if draw < self.drop_rate + self.corrupt_rate:
             self.budget -= 1
             data, bit = _flip_one_bit(beat.data, self.rng)
             self.state.inject(
-                cycle, self.site, "r_corrupt", f"id={beat.axi_id} bit={bit}"
+                cycle, self.site, "r_corrupt", f"id={axi_id} bit={bit}"
             )
-            return "corrupt", data, True
-        return "pass", beat.data, beat.err
+            return beat._replace(data=data, err=True)
+        return beat
 
-    def drop_b(self, cycle: int, resp) -> bool:
+    def drop_b(self, cycle: int, axi_id: int) -> bool:
         if self.budget <= 0 or self.rng.random() >= self.b_drop_rate:
             return False
         self.budget -= 1
-        self.state.inject(cycle, self.site, "b_drop", f"id={resp.axi_id}")
+        self.state.inject(cycle, self.site, "b_drop", f"id={axi_id}")
         return True
 
 

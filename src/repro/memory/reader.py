@@ -224,13 +224,13 @@ class Reader(Component):
     def _collect_beats(self, cycle: int) -> None:
         if not self.port.r.can_pop():
             return
-        beat = self.port.r.pop()
+        axi_id, beat = self.port.r.pop()
         sub = self._by_tag.get(beat.tag)
         if sub is None:
             raise RuntimeError(f"{self.name}: R beat with unknown tag")
         if beat.err and self._fault_state is not None:
             self._fault_state.mark_detected(
-                self._fault_key, cycle, self.name, f"err beat id={beat.axi_id}"
+                self._fault_key, cycle, self.name, f"err beat id={axi_id}"
             )
         sub.received.extend(beat.data)
         if beat.last:

@@ -254,7 +254,7 @@ class Writer(Component):
             strb = b"\x01" * len(chunk) + b"\x00" * (beat_bytes - len(chunk))
             chunk = chunk + bytes(beat_bytes - len(chunk))
         last = sub.beats_sent == sub.beats - 1
-        self.port.w.push(WBeat(chunk, last=last, strb=strb))
+        self.port.w.push(WBeat(chunk, last, strb))
         sub.beats_sent += 1
         if last:
             self._w_stream.popleft()
@@ -262,7 +262,7 @@ class Writer(Component):
     def _collect_b(self, cycle: int) -> None:
         if not self.port.b.can_pop():
             return
-        resp = self.port.b.pop()
+        resp = self.port.b.pop()[1]
         sub = self._by_tag.pop(resp.tag, None)
         if sub is None:
             raise RuntimeError(f"{self.name}: B resp with unknown tag")

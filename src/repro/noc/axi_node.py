@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Tuple
 
-from repro.axi.types import ARReq, AWReq, AxiPort, BResp, RBeat
+from repro.axi.types import ARReq, AWReq, AxiPort
 from repro.noc.links import as_link
 from repro.sim import NEVER, Component, SimulationError
 
@@ -183,8 +183,8 @@ class AxiBufferNode(Component):
         down_r = self.down.port.r
         if not down_r.can_pop():
             return
-        beat: RBeat = down_r.peek()
-        idx, local_id = self._unmap(beat.axi_id)
+        axi_id, beat = down_r.peek()
+        idx, local_id = self._unmap(axi_id)
         if idx >= len(self.upstreams):
             raise SimulationError(f"{self.name}: R beat for unknown upstream {idx}")
         up = self.upstreams[idx]
@@ -196,21 +196,20 @@ class AxiBufferNode(Component):
             self.stall_cycles["r"] += cycle - self._stall_since["r"]
             self._stall_since["r"] = -1
         down_r.pop()
-        data, err = beat.data, beat.err
         hook = self._fault
         if hook is not None:
-            verdict, data, err = hook.filter_r(cycle, beat)
-            if verdict == "drop":
+            beat = hook.filter_r(cycle, axi_id, beat)
+            if beat is None:
                 return  # beat lost on the link; the burst can never complete
-        up.r.push(RBeat(local_id, data, beat.last, beat.tag, err))
+        up.r.push((local_id, beat))
         self.forwarded["r"] += 1
 
     def _route_b(self, cycle: int) -> None:
         down_b = self.down.port.b
         if not down_b.can_pop():
             return
-        resp: BResp = down_b.peek()
-        idx, local_id = self._unmap(resp.axi_id)
+        axi_id, resp = down_b.peek()
+        idx, local_id = self._unmap(axi_id)
         if idx >= len(self.upstreams):
             raise SimulationError(f"{self.name}: B resp for unknown upstream {idx}")
         up = self.upstreams[idx]
@@ -223,9 +222,9 @@ class AxiBufferNode(Component):
             self._stall_since["b"] = -1
         down_b.pop()
         hook = self._fault
-        if hook is not None and hook.drop_b(cycle, resp):
+        if hook is not None and hook.drop_b(cycle, axi_id):
             return  # response lost; the writer stalls and the watchdog fires
-        up.b.push(BResp(local_id, resp.okay, resp.tag))
+        up.b.push((local_id, resp))
         self.forwarded["b"] += 1
 
     def next_event(self, cycle: int) -> float:
@@ -360,8 +359,8 @@ class AxiBufferNode(Component):
                     stall_since["w"] = cycle
             # -- R routing ------------------------------------------------
             if d_r._pop_count < len(d_r._items):
-                beat = d_r._items[d_r._pop_count]
-                idx = beat.axi_id >> child_bits
+                axi_id, beat = d_r._items[d_r._pop_count]
+                idx = axi_id >> child_bits
                 if idx >= n:
                     raise SimulationError(
                         f"{name}: R beat for unknown upstream {idx}"
@@ -373,24 +372,18 @@ class AxiBufferNode(Component):
                         stall_cycles["r"] += cycle - since
                         stall_since["r"] = -1
                     d_r.pop()
-                    data, err = beat.data, beat.err
                     hook = self._fault
-                    dropped = False
                     if hook is not None:
-                        verdict, data, err = hook.filter_r(cycle, beat)
-                        dropped = verdict == "drop"
-                    if not dropped:
-                        chan.push(
-                            RBeat(beat.axi_id & child_mask, data, beat.last,
-                                  beat.tag, err)
-                        )
+                        beat = hook.filter_r(cycle, axi_id, beat)
+                    if beat is not None:
+                        chan.push((axi_id & child_mask, beat))
                         forwarded["r"] += 1
                 elif stall_since["r"] < 0:
                     stall_since["r"] = cycle
             # -- B routing ------------------------------------------------
             if d_b._pop_count < len(d_b._items):
-                resp = d_b._items[d_b._pop_count]
-                idx = resp.axi_id >> child_bits
+                axi_id, resp = d_b._items[d_b._pop_count]
+                idx = axi_id >> child_bits
                 if idx >= n:
                     raise SimulationError(
                         f"{name}: B resp for unknown upstream {idx}"
@@ -403,9 +396,8 @@ class AxiBufferNode(Component):
                         stall_since["b"] = -1
                     d_b.pop()
                     hook = self._fault
-                    if not (hook is not None and hook.drop_b(cycle, resp)):
-                        chan.push(BResp(resp.axi_id & child_mask, resp.okay,
-                                        resp.tag))
+                    if not (hook is not None and hook.drop_b(cycle, axi_id)):
+                        chan.push((axi_id & child_mask, resp))
                         forwarded["b"] += 1
                 elif stall_since["b"] < 0:
                     stall_since["b"] = cycle

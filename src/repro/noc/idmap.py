@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.axi.types import ARReq, AWReq, AxiPort, BResp, RBeat
+from repro.axi.types import ARReq, AWReq, AxiPort
 from repro.noc.links import as_link
 from repro.sim import NEVER, Component, SimulationError
 
@@ -90,25 +90,25 @@ class IdCompressor(Component):
             if d_r._pop_count < len(d_r._items) and (
                 len(u_r._items) + len(u_r._staged) < u_r.capacity
             ):
-                beat = d_r.pop()
+                beat = d_r.pop()[1]
                 orig = read_orig.get(beat.tag)
                 if orig is None:
                     raise SimulationError(
                         f"{name}: R beat with unknown tag {beat.tag}"
                     )
-                u_r.push(RBeat(orig, beat.data, beat.last, beat.tag, beat.err))
+                u_r.push((orig, beat))
                 if beat.last:
                     del read_orig[beat.tag]
             if d_b._pop_count < len(d_b._items) and (
                 len(u_b._items) + len(u_b._staged) < u_b.capacity
             ):
-                resp = d_b.pop()
+                resp = d_b.pop()[1]
                 orig = write_orig.pop(resp.tag, None)
                 if orig is None:
                     raise SimulationError(
                         f"{name}: B resp with unknown tag {resp.tag}"
                     )
-                u_b.push(BResp(orig, resp.okay, resp.tag))
+                u_b.push((orig, resp))
 
         return tick
 
@@ -126,16 +126,16 @@ class IdCompressor(Component):
         if self.up.w.can_pop() and self.down.port.w.can_push():
             self.down.push_w(cycle, self.up.w.pop())
         if self.down.port.r.can_pop() and self.up.r.can_push():
-            beat: RBeat = self.down.port.r.pop()
+            _narrow, beat = self.down.port.r.pop()
             orig = self._read_orig.get(beat.tag)
             if orig is None:
                 raise SimulationError(f"{self.name}: R beat with unknown tag {beat.tag}")
-            self.up.r.push(RBeat(orig, beat.data, beat.last, beat.tag, beat.err))
+            self.up.r.push((orig, beat))
             if beat.last:
                 del self._read_orig[beat.tag]
         if self.down.port.b.can_pop() and self.up.b.can_push():
-            resp: BResp = self.down.port.b.pop()
+            _narrow, resp = self.down.port.b.pop()
             orig = self._write_orig.pop(resp.tag, None)
             if orig is None:
                 raise SimulationError(f"{self.name}: B resp with unknown tag {resp.tag}")
-            self.up.b.push(BResp(orig, resp.okay, resp.tag))
+            self.up.b.push((orig, resp))

@@ -7,6 +7,8 @@ same push interface through these adapters.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.axi.monitor import MonitoredAxiPort
 from repro.axi.types import ARReq, AWReq, AxiPort, BResp, RBeat, WBeat
 
@@ -28,11 +30,11 @@ class PlainAxiLink:
     def push_w(self, cycle: int, beat: WBeat) -> None:
         self.port.w.push(beat)
 
-    def push_r(self, cycle: int, beat: RBeat) -> None:
-        self.port.r.push(beat)
+    def push_r(self, cycle: int, item: Tuple[int, RBeat]) -> None:
+        self.port.r.push(item)
 
-    def push_b(self, cycle: int, resp: BResp) -> None:
-        self.port.b.push(resp)
+    def push_b(self, cycle: int, item: Tuple[int, BResp]) -> None:
+        self.port.b.push(item)
 
 
 def as_link(target) -> "PlainAxiLink | MonitoredAxiPort":

@@ -35,6 +35,7 @@ True)`` bit-for-bit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 SEP = "/"
@@ -182,11 +183,8 @@ class Histogram:
     def observe(self, value) -> None:
         self.count += 1
         self.total += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last bound it is the overflow bin.
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -18,9 +18,10 @@ one of the reserved ``T_*`` strings.  It replaces
 * infrastructure objects (components, channels, the simulator, registry,
   tracer, span tracker, fault state/plan) with index-based ``T_REF``
   markers resolved against the rebuilt skeleton;
-* transient model objects (in-flight AXI beats, DRAM column requests,
-  pending commands) with ``T_OBJ`` markers rebuilt via ``cls.__new__`` +
-  ``object.__setattr__``;
+* transient model objects (DRAM column requests, pending commands) with
+  ``T_OBJ`` markers rebuilt via ``cls.__new__`` + ``object.__setattr__``;
+* named tuples (in-flight AXI payloads) with ``T_NAMED`` markers rebuilt
+  with their class, so a restored beat still has ``.data``;
 * objects that implement ``snapshot_state``/``restore_state`` themselves
   (``MemoryStore``) with a ``T_STATE`` marker around what they returned;
 * callables with a skip sentinel — they are structure, recreated by the
@@ -65,8 +66,9 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``;
 #: 5: it also keeps its live-bank and active-ID indexes; 6: the sim state
 #: drops the wake heap, woken set and quiescent flag of the deleted
-#: schedules.)
-SNAPSHOT_VERSION = 6
+#: schedules; 7: AXI payloads are named tuples that keep their class, and
+#: R/B channel items are ``(axi_id, payload)`` pairs.)
+SNAPSHOT_VERSION = 7
 
 
 class SnapshotError(RuntimeError):
@@ -107,13 +109,15 @@ SCHED_ATTRS = ("_sched_index", "_wake_hook", "_cslot")
 #   [T_RNG, state]  [T_MET, kind, data]  [T_BYTES, bytes]
 #   [T_ARRAY, dtype, shape, bytes]          numpy.ndarray
 #   [T_LIST, *items]  [T_TUPLE, *items]  [T_DEQUE, maxlen, *items]
+#   [T_NAMED, module, qualname, *items]     tuple subclass (named tuple)
 #   [T_SET, frozen, *items]  [T_DICT, {key: fz}]
 T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC = "~ref", "~obj", "~state", "~attrs", "~exc"
 T_RNG, T_MET, T_BYTES, T_ARRAY = "~rng", "~metric", "~bytes", "~array"
 T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT = "~list", "~tuple", "~deque", "~set", "~dict"
+T_NAMED = "~named"
 _TAGS = frozenset(
     (T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC, T_RNG, T_MET, T_BYTES, T_ARRAY,
-     T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT)
+     T_LIST, T_TUPLE, T_NAMED, T_DEQUE, T_SET, T_DICT)
 )
 
 #: Internal "this value is structure" signal.  Containers drop or propagate
@@ -240,9 +244,11 @@ class Freezer:
                     self.skipped += 1
                     return _SKIP
             marker.append(x)
-        if raw:  # primitive-only tuples stay tuples (named ones lose the name)
-            return obj if type(obj) is tuple else tuple(obj)
-        return marker
+        t = type(obj)
+        if t is not tuple:  # a named tuple keeps its class, like any object
+            marker[0:1] = [T_NAMED, t.__module__, t.__qualname__]
+            return marker
+        return obj if raw else marker  # primitive-only tuples stay tuples
 
     def _fz_metric(self, obj: Any) -> list:
         return self._memoize(obj, [T_MET, *_metric_state(obj)])
@@ -441,6 +447,9 @@ class Thawer:
         elif tag == T_TUPLE and isinstance(live, tuple):
             for sub, lv in zip(fz[1:], live):
                 self.pair(sub, lv)
+        elif tag == T_NAMED and isinstance(live, tuple):
+            for sub, lv in zip(fz[3:], live):
+                self.pair(sub, lv)
         elif tag == T_SET and isinstance(live, set) and not fz[1]:
             self._claim(key, live)
         elif tag == T_MET and isinstance(live, (Counter, Gauge, Histogram)):
@@ -493,6 +502,11 @@ class Thawer:
             return self._done[key]
         if tag == T_TUPLE:
             return tuple(self.thaw(x) for x in fz[1:])
+        if tag == T_NAMED:
+            cls = _resolve_class(fz[1], fz[2])
+            if not issubclass(cls, tuple):
+                raise SnapshotError(f"{fz[1]}:{fz[2]} is not a tuple class")
+            return tuple.__new__(cls, [self.thaw(x) for x in fz[3:]])
         # The in-place target the pairing pass found, else a fresh object;
         # registered before it is filled so cycles resolve to it.
         target = self._paired.get(key)

@@ -503,3 +503,24 @@ def test_bench_history_cli_roundtrip(tmp_path):
     r = run("check", "--history", hist)
     assert r.returncode == 1
     assert "regression(s)" in r.stdout
+
+
+def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
+    """The memcpy point reports every component's executed ticks over the
+    DRAM columns it moved: a 4 KiB copy reads and writes 64 columns each."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "tools/bottleneck_report.py", "--out", str(tmp_path),
+         "--bench", "gemm", "--cores", "1", "--rounds", "1", "--memcpy-bytes", "4096"],
+        capture_output=True, text=True, cwd=repo, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "bottleneck_report.json") as fh:
+        memcpy = json.load(fh)["memcpy"]
+    ticks = sum(row["ticks_executed"] for row in memcpy["class_ticks"].values() if row["instances"])
+    assert memcpy["ticks_per_dram_col"] == pytest.approx(ticks / 128)
+    assert f"executed ticks per DRAM column: {ticks / 128:.2f}" in r.stdout

@@ -48,7 +48,7 @@ def test_same_id_read_reorder_detected():
     mport.push_ar(0, r1)
     mport.push_ar(0, r2)
     with pytest.raises(SimulationError, match="reorder"):
-        mport.push_r(5, RBeat(axi_id=0, data=b"\0" * 64, last=True, tag=r2.tag))
+        mport.push_r(5, (0, RBeat(b"\0" * 64, last=True, tag=r2.tag)))
 
 
 def test_beat_count_mismatch_detected():
@@ -56,13 +56,13 @@ def test_beat_count_mismatch_detected():
     req = ARReq(axi_id=0, addr=0, length=2)
     mport.push_ar(0, req)
     with pytest.raises(SimulationError, match="beats"):
-        mport.push_r(5, RBeat(axi_id=0, data=b"\0" * 64, last=True, tag=req.tag))
+        mport.push_r(5, (0, RBeat(b"\0" * 64, last=True, tag=req.tag)))
 
 
 def test_unknown_read_tag_detected():
     port, mon, mport = make_port()
     with pytest.raises(SimulationError, match="unknown"):
-        mport.push_r(0, RBeat(axi_id=0, data=b"", last=True, tag=424242))
+        mport.push_r(0, (0, RBeat(b"", last=True, tag=424242)))
 
 
 def test_w_without_aw_detected():
@@ -89,7 +89,7 @@ def test_txn_records_capture_latency():
     port, mon, mport = make_port()
     req = ARReq(axi_id=3, addr=0, length=1)
     mport.push_ar(10, req)
-    mport.push_r(25, RBeat(axi_id=3, data=b"\0" * 64, last=True, tag=req.tag))
+    mport.push_r(25, (3, RBeat(b"\0" * 64, last=True, tag=req.tag)))
     rec = mon.completed("read")[0]
     assert rec.issue_cycle == 10
     assert rec.first_data_cycle == 25

@@ -74,10 +74,10 @@ class ScriptedMaster(Component):
             else:
                 self._w_queue[0] = (tag, data, sent + 1, beats)
         if self.port.r.can_pop():
-            beat = self.port.r.pop()
+            beat = self.port.r.pop()[1]
             self.read_data[beat.tag].extend(beat.data)
         if self.port.b.can_pop():
-            resp = self.port.b.pop()
+            resp = self.port.b.pop()[1]
             self.write_done.add(resp.tag)
 
     def done(self):

@@ -6,8 +6,8 @@ the R/B ready sets.  Both act through the same helpers, so they must be
 interchangeable cycle by cycle.  Seeded random AXI traffic goes straight into
 a controller (no NoC in between) under ``naive`` and ``compiled``:
 
-* the ``(cycle, RBeat/BResp)`` sequence the controller pushes, its ``stats``
-  and the per-bank counters are identical;
+* the ``(cycle, (axi_id, RBeat/BResp))`` sequence the controller pushes,
+  its ``stats`` and the per-bank counters are identical;
 * the final ``MemoryStore`` equals a plain ``bytearray`` the script was
   applied to, and every read of settled data returns that reference's bytes;
 * after every cycle, under both schedules, the indexes describe exactly what
@@ -137,7 +137,7 @@ class Driver(Component):
         if cycle < self.stalled_until:
             return
         if port.r.can_pop() and not stall_r:
-            beat = port.r.pop()
+            beat = port.r.pop()[1]
             idx = self.beats_seen[beat.tag]
             want = self.expect[beat.tag][idx]
             assert want is None or beat.data == want, (cycle, beat.tag, idx)
@@ -145,7 +145,7 @@ class Driver(Component):
             self.beats_seen[beat.tag] = idx + 1
             self.pending -= beat.last
         if port.b.can_pop() and not stall_b:
-            resp = port.b.pop()
+            resp = port.b.pop()[1]
             assert resp.okay
             self.acked.add(resp.tag)
             self.pending -= 1
@@ -158,13 +158,13 @@ class RecordingPort(MonitoredAxiPort):
         super().__init__(port, monitor)
         self.log = []
 
-    def push_r(self, cycle, beat):
-        self.log.append((cycle, beat))
-        super().push_r(cycle, beat)
+    def push_r(self, cycle, item):
+        self.log.append((cycle, item))
+        super().push_r(cycle, item)
 
-    def push_b(self, cycle, resp):
-        self.log.append((cycle, resp))
-        super().push_b(cycle, resp)
+    def push_b(self, cycle, item):
+        self.log.append((cycle, item))
+        super().push_b(cycle, item)
 
 
 # ---------------------------------------------------------- index invariants

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import (
     Counter,
@@ -48,6 +50,40 @@ def test_histogram_buckets_and_mean():
     assert dump["total"] == 114
     assert dump["buckets"] == {"1": 1, "4": 1, "16": 1}
     assert dump["overflow"] == 1
+
+
+def _linear_bin(buckets, value) -> int:
+    """The bin ``observe`` used to find by walking the bounds in order."""
+    for i, bound in enumerate(buckets):
+        if value <= bound:
+            return i
+    return len(buckets)  # overflow
+
+
+_BOUNDS = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_BOUNDS, st.data())
+def test_histogram_bins_like_the_linear_walk(bounds, data):
+    """On a bound, between two, below the first, past the last (overflow),
+    with duplicate bounds and int or float values."""
+    h = Histogram(buckets=bounds)
+    edges = sorted(bounds)
+    on_or_near = st.sampled_from(edges).flatmap(
+        lambda b: st.sampled_from((b, b - 0.5, b + 0.5, b - 1, b + 1))
+    )
+    beyond = st.sampled_from((edges[0] - 10**6, edges[-1] + 10**6, edges[-1] + 0.001))
+    values = data.draw(st.lists(
+        st.one_of(on_or_near, beyond, st.floats(-100, 100), st.integers(-100, 100)),
+        max_size=40,
+    ))
+    want = [0] * (len(edges) + 1)
+    for v in values:
+        h.observe(v)
+        want[_linear_bin(edges, v)] += 1
+    assert h.counts == want
+    assert h.count == len(values)
 
 
 def test_histogram_rejects_empty_buckets():

@@ -672,3 +672,97 @@ def test_sleeping_server_poll_grid_restores_under_either_schedule(restore_mode):
     restore(handle, snap)
     assert handle.server._next_poll == lazy
     assert outcome(build, handle, futs) == reference
+
+
+# --------------------------------------------- AXI payloads in flight on the NoC
+def _hop_payloads(sim) -> set:
+    """``(hop class, channel)`` of every AXI R/W/B item next to a NoC hop:
+    in a channel the hop forwards between, or in an ``AxiPipe`` delay line."""
+    from repro.axi import BResp, RBeat, WBeat
+    from repro.noc.axi_node import AxiBufferNode, AxiPipe
+    from repro.noc.idmap import IdCompressor
+
+    def kind(item):
+        if isinstance(item, WBeat):
+            return "w"
+        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], int):
+            return {RBeat: "r", BResp: "b"}.get(type(item[1]))
+        return None
+
+    found = set()
+    for comp in sim._components:
+        if type(comp) not in (AxiBufferNode, AxiPipe, IdCompressor):
+            continue
+        items = [it for ch in comp.wake_channels() for it in (*ch._items, *ch._staged)]
+        if isinstance(comp, AxiPipe):
+            items += [it for q in comp._delay.values() for _due, it in q]
+        found.update((type(comp).__name__, k) for k in map(kind, items) if k)
+    return found
+
+
+def _memcpy2_submitted(scheduling):
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import AWSF1Platform
+    from repro.runtime import FpgaHandle
+
+    build = BeethovenBuild(memcpy_config(n_cores=2), AWSF1Platform(), scheduling=scheduling)
+    handle = FpgaHandle(build.design)
+    src = handle.malloc(8192)
+    src.write(bytes((i * 131 + 17) % 256 for i in range(8192)))
+    handle.copy_to_fpga(src)
+    dsts = [handle.malloc(8192) for _ in range(2)]
+    futs = [
+        handle.call("Memcpy", "memcpy", c, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=8192)
+        for c, dst in enumerate(dsts)
+    ]
+    return build, handle, futs, dsts
+
+
+def test_payloads_in_flight_on_every_hop_class_resume_bit_identically(tmp_path):
+    """Captures taken while R, W and B payloads sit on every NoC hop class
+    (buffer node, SLR pipe, ID compressor) resume, from the file, exactly
+    like the uninterrupted run under both schedules: a thawed beat is still
+    an ``RBeat`` with its ``.data``, re-tagged by the hops that follow."""
+    from repro.snapshot import capture, restore
+
+    def outcome(build, handle, futs, dsts):
+        for fut in futs:
+            fut.get()
+        out = []
+        for dst in dsts:
+            handle.copy_from_fpga(dst)
+            out.append(dst.read())
+        return handle.cycle, out, build.metrics(stable_only=True)
+
+    # Survey: which (hop class, channel) pairs each cycle holds.
+    build, handle, futs, _ = _memcpy2_submitted(DEFAULT_SCHEDULING)
+    survey = []
+    while not all(f.done for f in futs):
+        handle.run_cycles(1)
+        survey.append((handle.cycle, _hop_payloads(build.design.sim)))
+    wanted = {(hop, ch) for hop in ("AxiBufferNode", "AxiPipe", "IdCompressor") for ch in "rwb"}
+    assert set().union(*(seen for _, seen in survey)) == wanted
+    # The fewest capture cycles (greedily) that between them cover it all.
+    stops, missing = [], set(wanted)
+    while missing:
+        cycle, seen = max(survey, key=lambda cs: len(cs[1] & missing))
+        stops.append(cycle)
+        missing -= seen
+    stops.sort()
+
+    build, handle, futs, dsts = _memcpy2_submitted(DEFAULT_SCHEDULING)
+    for stop in stops:
+        handle.run_cycles(stop - handle.cycle)
+        save(capture(handle), str(tmp_path / f"c{stop}.ckpt"))
+    reference = outcome(build, handle, futs, dsts)
+    assert reference[1] == [bytes((i * 131 + 17) % 256 for i in range(8192))] * 2
+
+    in_flight = dict(survey)
+    for stop in stops:
+        for mode in MODES:
+            build, handle, futs, dsts = _memcpy2_submitted(mode)
+            restore(handle, load(str(tmp_path / f"c{stop}.ckpt")))
+            # Thawed with their classes: the same payload kinds on the same hops.
+            assert _hop_payloads(build.design.sim) == in_flight[stop]
+            assert outcome(build, handle, futs, dsts) == reference, (stop, mode)

@@ -8,7 +8,9 @@ Runs two instrumented points under both scheduling modes and writes the
   delay-calibrated core at its measured kernel latency, several cores and
   rounds, driven through the full host runtime;
 * a DRAM-heavy memcpy point (``--memcpy-bytes``, 0 disables), where the
-  report attributes most of the critical path to DRAM service.
+  report attributes most of the critical path to DRAM service.  For it the
+  tool also prints executed ticks per DRAM column, the simulator's cost per
+  unit of memory traffic.
 
 For every point the tool enforces the attribution contract and exits
 non-zero on violation:
@@ -74,6 +76,13 @@ def _drive_memcpy(build, n_bytes, rounds):
             src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=n_bytes,
         ).get(max_cycles=10_000_000)
     return handle
+
+
+def ticks_per_dram_col(class_ticks) -> float:
+    """Executed ticks of every component per DRAM column the run moved:
+    the sum of the per-class ``ticks_per_dram_col`` (the commit row, which
+    has no instances, is kernel work, not a component tick)."""
+    return sum(row["ticks_per_dram_col"] for row in class_ticks.values() if row["instances"])
 
 
 def run_point(name, config, drive, max_sum_error=0.01, profile=False):
@@ -188,6 +197,9 @@ def main(argv=None) -> int:
         print(render_attribution_report(report))
         print("executed ticks by component class (compiled schedule):")
         print(render_class_tick_table(report["class_ticks"]))
+        if name == "memcpy":
+            report["ticks_per_dram_col"] = ticks_per_dram_col(report["class_ticks"])
+            print(f"executed ticks per DRAM column: {report['ticks_per_dram_col']:.2f}")
         print()
 
     with open(out / "bottleneck_report.json", "w") as f:
