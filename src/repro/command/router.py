@@ -118,28 +118,6 @@ class CoreCommandAdapter(Component):
                     return cycle
         return NEVER
 
-    def compile_tick(self):
-        """Specialised tick: phase guards inlined so an idle adapter wake
-        (the common case — commands are rare events) costs two comparisons."""
-        cmd_in = self.cmd_in
-        resp_out = self.resp_out
-        ios = self.ios
-        pending = self._pending_rd
-        unpack = self._unpack
-        pack = self._pack_responses
-
-        def tick(cycle):
-            if cmd_in._pop_count < len(cmd_in._items):
-                unpack(cycle)
-            if len(resp_out._items) + len(resp_out._staged) < resp_out.capacity:
-                for idx, io in enumerate(ios):
-                    resp = io.resp
-                    if resp._pop_count < len(resp._items) and pending[idx]:
-                        pack(cycle)
-                        break
-
-        return tick
-
     def _unpack(self, cycle: int) -> None:
         if not self.cmd_in.can_pop():
             return
@@ -294,65 +272,6 @@ class CommandRouter(Component):
             [self.cmd_in] + [e.adapter.resp_out for e in self._routes.values()],
             [],
         )
-
-    def compile_tick(self):
-        """Specialised tick: the adapter list is cached (rebuilt only when a
-        route is attached) and the four phases carry inline guards; the
-        round-robin response sweep only runs when some adapter has a
-        response pending."""
-        cmd_in = self.cmd_in
-        resp_out = self.resp_out
-        routes = self._routes
-        cmd_delay = self._cmd_delay
-        resp_delay = self._resp_delay
-        state = {"n": len(routes), "adapters": list(routes.values())}
-
-        def tick(cycle, self=self):
-            if len(routes) != state["n"]:
-                state["n"] = len(routes)
-                state["adapters"] = list(routes.values())
-            if cmd_in._pop_count < len(cmd_in._items):
-                inst = cmd_in._items[cmd_in._pop_count]
-                entry = routes.get((inst.system_id, inst.core_id))
-                if entry is None:
-                    raise SimulationError(
-                        f"{self.name}: command for unknown core "
-                        f"({inst.system_id}, {inst.core_id})"
-                    )
-                cmd_in.pop()
-                cmd_delay.append((cycle + entry.latency, inst))
-            if cmd_delay:
-                ready_at, inst = cmd_delay[0]
-                entry = routes[(inst.system_id, inst.core_id)]
-                target = entry.adapter.cmd_in
-                if ready_at <= cycle and (
-                    len(target._items) + len(target._staged) < target.capacity
-                ):
-                    cmd_delay.popleft()
-                    target.push(inst)
-                    self.commands_routed += 1
-            adapters = state["adapters"]
-            n = len(adapters)
-            if n:
-                rr = self._resp_rr
-                for k in range(n):
-                    i = rr + k
-                    if i >= n:
-                        i -= n
-                    entry = adapters[i]
-                    source = entry.adapter.resp_out
-                    if source._pop_count < len(source._items):
-                        resp = source.pop()
-                        resp_delay.append((cycle + entry.latency, resp))
-                        self._resp_rr = (rr + k + 1) % n
-                        break
-            if resp_delay and resp_delay[0][0] <= cycle and (
-                len(resp_out._items) + len(resp_out._staged) < resp_out.capacity
-            ):
-                resp_out.push(resp_delay.popleft()[1])
-                self.responses_routed += 1
-
-        return tick
 
 
 class MmioFrontend(Component):

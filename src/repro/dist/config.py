@@ -67,6 +67,9 @@ class DistConfig:
             )
         if self.slice_width is not None and self.slice_width < 1:
             raise DistError("slice_width must be >= 1 when given")
+        # Written so NaN fails too: a NaN deadline never expires.
+        if not self.barrier_timeout_s > 0:
+            raise DistError("barrier_timeout_s must be > 0")
         if self.checkpoint_every_slices < 0:
             raise DistError("checkpoint_every_slices must be >= 0")
         if self.max_restarts < 0:

@@ -15,22 +15,18 @@ probe.  The program removes that interpretation layer:
   directly so updates are ``ctr.value += 1``) and timing constants captured
   as locals, making the same decisions as the interpreted ``tick`` in the
   same order.  Components without the hook run their plain bound ``tick``.
+  Six classes offer it — the DRAM controller, the NoC buffer node and pipe,
+  the ID compressor, ``Reader`` and ``Writer`` — each because turning it off
+  measurably slows a benchmark workload (DESIGN.md lists the figures).
 
-* **Chain fusion** — runs of *consecutively registered* components with
-  *identical* wake subscription signatures (the same pair of push- and
-  pop-sensitive channel sets) are fused into one scheduling slot: one heap
-  entry, one wake subscription, one dispatch.  Identical signatures mean
-  the members are always co-woken, so group dispatch adds zero spurious
-  ticks by construction (overlap-based fusion was measured a net loss:
-  members woken through unshared channels dragged the whole group awake).
-  Fused members tick in registration-index order, and because the run is
-  contiguous the global tick order — and therefore the order channels first
-  become dirty, i.e. the channel-commit order — is exactly the naive order.
-  A spurious member tick (e.g. from a ``request_wake`` aimed at one member)
-  is safe by the ``next_event`` no-op contract.
+* **One slot per component** — slot ``i`` is the component registered
+  ``i``-th (its ``_sched_index``): one heap entry, one wake subscription,
+  one dispatch each.  Woken slots tick in index order, so the global tick
+  order — and therefore the order channels first become dirty, i.e. the
+  channel-commit order — is exactly the naive order.
 
 * **Flat commit drain** — dirty channels commit through an inlined loop that
-  fuses ``sync_observations`` + ``commit`` into direct attribute arithmetic
+  merges ``sync_observations`` + ``commit`` into direct attribute arithmetic
   and wakes subscriber slots from pre-computed tuples stored on the channel
   (``_push_subs`` for a committed push, ``_pop_subs`` for a committed pop),
   with no dict lookups.  By default a component subscribes to *both* edges
@@ -53,8 +49,7 @@ wall clock differ.  The differential harness in
 ``Component.request_wake`` matches naive order: a wake for a slot later in
 the dispatch order that has not ticked this cycle is injected into the
 current cycle (naive would have ticked it after the requester); anything
-else — including a member of the currently executing fused slot that already
-ticked — is woken next cycle.  This is how non-channel coupling such as
+else is woken next cycle.  This is how non-channel coupling such as
 :class:`repro.memory.scratchpad.Memory`'s ``on_activity`` hook stays honoured.
 """
 
@@ -63,14 +58,9 @@ from __future__ import annotations
 import time
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.kernel import NEVER, Component, book_ns
-
-#: Cap on members merged into one fused scheduling slot.  Fused members are
-#: always co-woken (identical wake signatures), so the cap is a safety bound
-#: on dispatch-group size, not a spurious-tick tradeoff.
-MAX_FUSED = 8
 
 
 def _hint_is_constant_never(comp: Component) -> bool:
@@ -97,16 +87,20 @@ class CompiledProgram:
         components: List[Component] = list(sim._components)
         self.components = components
 
-        # -- per-component wake membership ----------------------------------
-        # wake_on[i] = (channels whose committed push wakes component i,
-        # channels whose committed pop does).  Without a wake_edges()
-        # declaration both are the full wake_channels() set, under which a
-        # component draining a backlog one item per tick is re-woken by its
-        # *own* push/pop.  An instance-patched tick or hint (fault hang
-        # injection) voids the class's declaration: the patch need not keep
-        # the class's backlog promise.
-        wake_on: List[Tuple[List[Any], List[Any]]] = []
-        fusable: List[bool] = []
+        # -- wake membership and channel subscriptions ----------------------
+        # Each component subscribes to the channels whose committed push
+        # wakes it and to those whose committed pop does.  Without a
+        # wake_edges() declaration both are the full wake_channels() set,
+        # under which a component draining a backlog one item per tick is
+        # re-woken by its *own* push/pop.  An instance-patched tick or hint
+        # (fault hang injection) voids the class's declaration: the patch
+        # need not keep the class's backlog promise.  Each channel stores two
+        # flat tuples of subscriber slots (push edge, pop edge), so the
+        # commit drain wakes without a dict lookup.
+        for chan in sim._channels:
+            chan._push_subs = chan._pop_subs = ()
+        push_subs: dict = {}  # channel -> subscriber slots, per edge
+        pop_subs: dict = {}
         for idx, comp in enumerate(components):
             comp._sched_index = idx
             comp._wake_hook = self._request_wake
@@ -116,63 +110,10 @@ class CompiledProgram:
             if edges is None:
                 on_push = on_pop = list(comp.wake_channels())
             else:
-                on_push, on_pop = map(list, edges)
-            wake_on.append((on_push, on_pop))
-            hinted = (
-                type(comp).next_event is not Component.next_event or comp.wake_only
-            )
-            fusable.append(hinted and bool(on_push or on_pop) and not patched)
-
-        # -- fusion: partition into contiguous scheduling slots ------------
-        # Fuse a component into the preceding slot only when its wake
-        # subscription signature is *identical* to that slot's: the members
-        # are then always co-woken, so ticking the whole group whenever any
-        # member wakes adds zero spurious ticks.  (Overlap-based fusion was
-        # measured a net loss on the dense 32-core benchmark: members woken
-        # through non-shared channels dragged the rest of the group awake.)
-        signatures = [
-            (frozenset(map(id, on_push)), frozenset(map(id, on_pop)))
-            for on_push, on_pop in wake_on
-        ]
-        # Profiled runs disable fusion entirely: a fused slot is one dispatch,
-        # so its wall-clock sample cannot be split among members and would
-        # mis-attribute self-time to a "(fused)/..." pseudo-component.  The
-        # profiler is volatile instrumentation — cycle results are identical
-        # either way — so trading fusion's dispatch saving for correct
-        # per-component attribution is free in model terms.
-        fuse_ok = not sim.profile_enabled
-        index_groups: List[List[int]] = []
-        for idx in range(len(components)):
-            if (
-                index_groups
-                and fuse_ok
-                and fusable[idx]
-                and fusable[index_groups[-1][-1]]
-                and len(index_groups[-1]) < MAX_FUSED
-                and signatures[idx] == signatures[index_groups[-1][-1]]
-            ):
-                index_groups[-1].append(idx)
-            else:
-                index_groups.append([idx])
-        self.groups: List[List[Component]] = [
-            [components[i] for i in g] for g in index_groups
-        ]
-        for slot, group in enumerate(self.groups):
-            for comp in group:
-                comp._cslot = slot
-
-        # -- channel subscriptions ------------------------------------------
-        # Two flat tuples of subscriber slots per channel (push edge, pop
-        # edge), stored on the channel itself so the commit drain wakes
-        # without a dict lookup.
-        for chan in sim._channels:
-            chan._push_subs = chan._pop_subs = ()
-        push_subs: dict = {}  # channel -> subscriber slots, per edge
-        pop_subs: dict = {}
-        for comp, (on_push, on_pop) in zip(components, wake_on):
+                on_push, on_pop = edges
             for subs, chans in ((push_subs, on_push), (pop_subs, on_pop)):
                 for chan in chans:
-                    subs.setdefault(chan, set()).add(comp._cslot)
+                    subs.setdefault(chan, set()).add(idx)
         for chan, slots in push_subs.items():
             chan._push_subs = tuple(sorted(slots))
         for chan, slots in pop_subs.items():
@@ -185,46 +126,30 @@ class CompiledProgram:
 
         # -- per-slot tick and hint closures -------------------------------
         tick_fns: List[Callable[[int], None]] = []
-        hint_fns: List[Optional[Callable[[int], Optional[float]]]] = []
-        labels: List[str] = []
         specialized: List[str] = []
-        for group in self.groups:
-            member_fns = []
-            for comp in group:
-                fn = None
-                # An instance-patched tick (fault hang injection) must win
-                # over any class-level specialisation.
-                if "tick" not in vars(comp):
-                    hook = getattr(comp, "compile_tick", None)
-                    if hook is not None:
-                        fn = hook()
-                        if fn is not None:
-                            specialized.append(comp.name)
-                member_fns.append(fn if fn is not None else comp.tick)
-            if len(group) == 1:
-                comp = group[0]
-                tick_fns.append(member_fns[0])
-                hint_fns.append(self._hint_fn(comp))
-                labels.append(comp.name)
-            else:
-                tick_fns.append(self._fused_tick(group, member_fns))
-                hint_fns.append(self._fused_hint(group))
-                labels.append(f"(fused)/{group[0].name}(+{len(group) - 1})")
+        for comp in components:
+            fn = None
+            # An instance-patched tick (fault hang injection) must win
+            # over any class-level specialisation.
+            if "tick" not in vars(comp):
+                hook = getattr(comp, "compile_tick", None)
+                if hook is not None:
+                    fn = hook()
+                    if fn is not None:
+                        specialized.append(comp.name)
+            tick_fns.append(fn if fn is not None else comp.tick)
         self._tick_fns = tick_fns
-        self._hint_fns = hint_fns
-        self._labels = labels
+        self._hint_fns = [self._hint_fn(comp) for comp in components]
         self.specialized = specialized  # component names using compile_tick
 
         # -- scheduler state ------------------------------------------------
-        n_slots = len(self.groups)
+        n_slots = len(components)
         self._last_tick = [-1] * n_slots
         self._slot_ticks = [0] * n_slots
         self._wake_heap: List[Tuple[int, int]] = []
         self._woken: set = set()
         self._ready: Optional[List[int]] = None  # set mid-cycle only
-        self._ready_pos = 0
-        self._cur_slot = -1
-        self._cmember = -1
+        self._ready_pos = 0  # ready[_ready_pos - 1] is the ticking slot
         self._fresh = True  # no run yet: the first entry wakes every slot
 
     @staticmethod
@@ -250,38 +175,6 @@ class CompiledProgram:
                     return fn
         return comp.next_event
 
-    # -- fused slot helpers -------------------------------------------------
-    def _fused_tick(self, group, fns):
-        pairs = tuple(zip([m._sched_index for m in group], fns))
-
-        def tick(cycle, self=self, pairs=pairs):
-            for idx, fn in pairs:
-                self._cmember = idx
-                fn(cycle)
-
-        return tick
-
-    def _fused_hint(self, group):
-        hint_fns = [
-            fn for fn in (self._hint_fn(m) for m in group) if fn is not None
-        ]
-        if not hint_fns:
-            return None
-        if len(hint_fns) == 1:
-            return hint_fns[0]
-
-        def hint(cycle, hint_fns=hint_fns):
-            best = NEVER
-            for fn in hint_fns:
-                h = fn(cycle)
-                if h is None:
-                    return None
-                if h < best:
-                    best = h
-            return best
-
-        return hint
-
     # -- wake plumbing -------------------------------------------------------
     def _request_wake(self, comp: Component) -> None:
         """Wake ``comp``'s slot at the earliest cycle that matches naive order.
@@ -292,25 +185,18 @@ class CompiledProgram:
         tick it after the requester); otherwise it wakes next cycle (naive
         ticked it before, necessarily as a no-op on the pre-mutation state).
         """
-        slot = comp._cslot
+        slot = comp._sched_index
         if slot < 0:
             return
         ready = self._ready
         if ready is None:
             self._woken.add(slot)
             return
-        cur = self._cur_slot
-        if slot > cur and self._last_tick[slot] != self.sim.cycle:
+        pos = self._ready_pos
+        if slot > ready[pos - 1] and self._last_tick[slot] != self.sim.cycle:
             # Inject into the still-unvisited tail of this cycle's dispatch
             # order (kept sorted; the main loop walks it by index).
-            insort(ready, slot, self._ready_pos)
-        elif (
-            slot == cur
-            and len(self.groups[slot]) > 1
-            and comp._sched_index > self._cmember
-        ):
-            pass  # later member of the currently executing fused slot: it
-            # ticks this cycle anyway, in naive order, after the requester
+            insort(ready, slot, pos)
         else:
             self._woken.add(slot)
 
@@ -323,18 +209,18 @@ class CompiledProgram:
         a program rebuild.
         """
         slot_ticks = self._slot_ticks
-        groups = self.groups
-        for slot in range(len(groups)) if slots is None else slots:
+        components = self.components
+        for slot in range(len(components)) if slots is None else slots:
             count = slot_ticks[slot]
             if count:
                 slot_ticks[slot] = 0
-                for comp in groups[slot]:
-                    comp._ticks_executed += count
+                components[slot]._ticks_executed += count
 
     def wake_dump(self):
-        """(wake_heap, woken) with slot labels, for deadlock dumps."""
-        heap = sorted((cyc, self._labels[slot]) for cyc, slot in self._wake_heap)
-        woken = sorted(self._labels[slot] for slot in self._woken)
+        """(wake_heap, woken) with component names, for deadlock dumps."""
+        comps = self.components
+        heap = sorted((cyc, comps[slot].name) for cyc, slot in self._wake_heap)
+        woken = sorted(comps[slot].name for slot in self._woken)
         return heap, woken
 
     def prepare(self) -> None:
@@ -343,7 +229,7 @@ class CompiledProgram:
         The wake heap and woken set carry over from the previous run; every
         slot wakes only on this program's first run or after a ``step()``.
         """
-        n_slots = len(self.groups)
+        n_slots = len(self.components)
         if self.sim._wake_all_on_entry(self._fresh, n_slots):
             self._fresh = False
             self._woken.update(range(n_slots))
@@ -365,7 +251,7 @@ class CompiledProgram:
         dirty = sim._dirty_channels
         profile = sim.profile_enabled
         tick_profile = sim.tick_profile
-        labels = self._labels
+        components = self.components
         clock = time.perf_counter_ns
         pred = bool(until()) if until is not None else False
         cycle = first = sim.cycle
@@ -401,11 +287,10 @@ class CompiledProgram:
                 if last_tick[slot] == cycle:
                     continue  # duplicate wake this cycle
                 last_tick[slot] = cycle
-                self._cur_slot = slot
                 if profile:
                     t0 = clock()
                     tick_fns[slot](cycle)
-                    book_ns(tick_profile, labels[slot], clock() - t0)
+                    book_ns(tick_profile, components[slot].name, clock() - t0)
                 else:
                     tick_fns[slot](cycle)
                 slot_ticks[slot] += 1
@@ -417,12 +302,11 @@ class CompiledProgram:
                     elif hint != NEVER:
                         heappush(wake_heap, (int(hint), slot))
             self._ready = None
-            self._cur_slot = -1
             if dirty:
                 if profile:
                     t0 = clock()
                 for chan in dirty:
-                    # sync_observations + commit, fused and inlined: this
+                    # sync_observations + commit, merged and inlined: this
                     # commit plus the ones elided since the last.
                     items = chan._items
                     n = cycle + 1 - chan._anchor - chan._obs

@@ -19,12 +19,12 @@ Two scheduling modes are supported, cycle- and statistic-identical:
   push or pop, when its :meth:`Component.next_event` hint arrives, or when
   it requested a wake through :meth:`Component.request_wake`; only dirty
   channels commit, with lazy occupancy crediting, and windows where nobody
-  is woken are jumped.  At the first ``run()`` the component graph is
-  specialised into closures with channel endpoints pre-resolved, contiguous
-  always-co-woken chains are fused into single scheduling slots, and channel
-  commits drain through flat per-channel subscriber arrays.  Identical
-  cycles, channel statistics and stable metrics; only the wall clock and the
-  volatile tick accounting differ.
+  is woken are jumped.  At the first ``run()`` the component graph becomes a
+  tick program with one scheduling slot per component (the few classes with
+  a measured win run a specialised ``compile_tick`` closure, the rest their
+  ``tick``), and channel commits drain through flat per-channel subscriber
+  arrays.  Identical cycles, channel statistics and stable metrics; only the
+  wall clock and the volatile tick accounting differ.
 """
 
 from __future__ import annotations
@@ -270,7 +270,6 @@ class Component:
     _sched_index = -1
     _wake_hook: Optional[Callable[["Component"], None]] = None
     _ticks_executed = 0
-    _cslot = -1
 
     #: Declares ``next_event`` constant at :data:`NEVER`: the component only
     #: ever progresses on channel traffic (pure dataflow elements such as NoC
@@ -411,7 +410,7 @@ class Component:
         return None
 
     #: Attribute names the snapshot freezer does not walk, on top of the
-    #: scheduler wiring (``_sched_index``/``_wake_hook``/``_cslot``): the
+    #: scheduler wiring (``_sched_index``/``_wake_hook``): the
     #: construction-time wiring (ports, channels, contexts, configs) that
     #: the rebuild recreates.  Each class lists what *it* binds; the freezer
     #: takes the union up the MRO, on components and on any other object it
@@ -583,8 +582,8 @@ class Simulator:
         cycle ticks every component.
         """
         if self._compiled:
-            if self._program is not None and component._cslot >= 0:
-                self._program.flush_ticks((component._cslot,))
+            if self._program is not None and component._sched_index >= 0:
+                self._program.flush_ticks((component._sched_index,))
             return component._ticks_executed
         return self.cycle - self.cycles_skipped
 

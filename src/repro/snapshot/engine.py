@@ -97,7 +97,7 @@ _STRUCTURE_TYPES = (
 
 #: Scheduler wiring rebuilt by the compiled program; excluded from generic
 #: component capture (``_ticks_executed`` stays in).
-SCHED_ATTRS = ("_sched_index", "_wake_hook", "_cslot")
+SCHED_ATTRS = ("_sched_index", "_wake_hook")
 
 # Marker tags.  A marker is a list whose first element is one of these
 # reserved strings; the layouts are

@@ -1,7 +1,7 @@
 """Tests for the cycle-attribution layer (repro.obs.attribution) and its
 satellites: segment decomposition on hand-built span trees, contention
 rollups, bench-history regression checks, histogram percentiles, trace
-truncation warnings, and the profiled-compiled fusion rule."""
+truncation warnings, and per-component samples from a profiled compiled run."""
 
 import json
 
@@ -339,9 +339,9 @@ def test_chrome_trace_quiet_without_drops(recwarn):
 # ---------------------------------------------------------------------------
 
 
-class _FusableRelay:
+class _SharedWakeRelay:
     """Minimal relay stage whose wake signature is the whole chain's channel
-    set, making consecutive stages fusable under the compiled backend."""
+    set, so every stage is woken whenever any of them is."""
 
     def __new__(cls, name, inp, out, all_links):
         from repro.sim import Component
@@ -379,7 +379,7 @@ def _relay_chain(profile):
     sim = Simulator(scheduling="compiled", profile=profile)
     links = [ChannelQueue(2, f"l{i}") for i in range(5)]
     for i in range(4):
-        sim.add(_FusableRelay(f"s{i}", links[i], links[i + 1], links))
+        sim.add(_SharedWakeRelay(f"s{i}", links[i], links[i + 1], links))
     for link in links:
         sim.register_channel(link)
     for v in range(8):
@@ -390,19 +390,17 @@ def _relay_chain(profile):
 
 
 def test_compiled_profile_has_no_fused_slots():
-    """With the profiler on, chain fusion is disabled so every self-time
-    sample lands on a real component; an unprofiled run still fuses and
-    both produce the same cycle count."""
+    """A profiled run executes the same one-slot-per-component program as
+    an unprofiled one, every self-time sample lands on a real component,
+    and both produce the same cycle count."""
     profiled = _relay_chain(profile=True)
     plain = _relay_chain(profile=False)
     assert profiled.cycle == plain.cycle
-    # The optimisation is intact without the profiler...
-    assert any(len(g) > 1 for g in plain._program.groups)
-    # ...and fully disabled with it: one slot per component, and every
-    # collected self-time label is a real component name.
-    assert all(len(g) == 1 for g in profiled._program.groups)
+    names = {comp.name for comp in profiled._program.components}
+    assert len(names) == len(profiled._program._tick_fns)
     assert profiled.tick_profile, "profiler collected no samples"
     assert not any(label.startswith("(fused)") for label in profiled.tick_profile)
+    assert set(profiled.tick_profile) <= names | {"(kernel)/commit"}
 
 
 # ---------------------------------------------------------------------------

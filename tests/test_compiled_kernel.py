@@ -15,10 +15,10 @@ schedule as the naive oracle:
   selection, including the instance-patch escape hatches (fault injection
   replaces ``tick``/``next_event`` on instances; the compiled program must
   honour the patches, not the class specialisations).
-* **Chain fusion units** — components with identical wake signatures fuse
-  into one slot; the fused program must produce the *same channel-commit
-  order* as the unfused one (checked by recording the dirty-list append
-  sequence), not just the same final state.
+* **One slot per component** — the program has one tick function per
+  component, and the set of classes running a ``compile_tick`` closure is
+  pinned on a real design.  A chain whose stages share one wake signature
+  still matches naive timing.
 
 Plus the ``request_wake`` escape hatch: non-channel coupling (a foreign
 component poking a shared :class:`repro.memory.scratchpad.Memory`) must
@@ -29,9 +29,16 @@ import random
 
 import pytest
 
-import repro.sim.compiled as compiled_mod
 from repro.axi.types import AxiParams
+from repro.core.build import BeethovenBuild
+from repro.dram.controller import MemoryController
+from repro.kernels.memcpy import memcpy_config
+from repro.memory.reader import Reader
 from repro.memory.scratchpad import Memory, Scratchpad, SpReq
+from repro.memory.writer import Writer
+from repro.noc.axi_node import AxiBufferNode, AxiPipe
+from repro.noc.idmap import IdCompressor
+from repro.platforms import SimulationPlatform
 from repro.sim import NEVER, SCHEDULING_MODES, ChannelQueue, Component, Simulator
 from repro.sim.compiled import CompiledProgram
 
@@ -598,33 +605,43 @@ def test_wake_only_hint_elided():
     assert CompiledProgram._hint_fn(comp)(0) == 13.0
 
 
+def test_specialized_classes_on_memcpy():
+    """One tick function per component, and exactly these six classes run a
+    ``compile_tick`` closure.  Each is a second body of its model that a
+    benchmark pair showed to be worth keeping; a new ``compile_tick`` needs
+    a ``bench/run.py`` pair that shows a win before it joins this set."""
+    sim = BeethovenBuild(memcpy_config(n_cores=32), SimulationPlatform()).design.sim
+    sim.run(1)  # builds the program
+    prog = sim._program
+    assert len(prog._tick_fns) == len(prog.components) == len(sim._components)
+    assert [c._sched_index for c in prog.components] == list(
+        range(len(prog.components))
+    )
+    specialized = set(prog.specialized)
+    assert {type(c) for c in prog.components if c.name in specialized} == {
+        MemoryController,
+        AxiBufferNode,
+        AxiPipe,
+        IdCompressor,
+        Reader,
+        Writer,
+    }
+
+
 # ---------------------------------------------------------------------------
-# Chain-fusion units
+# A chain sharing one wake signature
 # ---------------------------------------------------------------------------
 
 
 class _SharedWakeStage(RelayStage):
     """A relay stage advertising the whole chain's channel set, so every
-    stage has an identical wake signature and the chain is fusable."""
+    stage has an identical wake signature and is always co-woken."""
 
     def wake_channels(self):
         return list(self.all_links)
 
 
-class _LoggingDirtyList(list):
-    """Stands in for ``sim._dirty_channels`` and records the order channels
-    first turn dirty each cycle — i.e. the channel-commit order."""
-
-    def __init__(self):
-        super().__init__()
-        self.events = []
-
-    def append(self, chan):
-        self.events.append(chan.name)
-        super().append(chan)
-
-
-def _build_fusable_chain(scheduling, n_stages=4):
+def _build_shared_wake_chain(scheduling, n_stages=4):
     rng = random.Random(1234)
     sim = Simulator(scheduling=scheduling)
     links = [ChannelQueue(2, f"l{i}") for i in range(n_stages + 1)]
@@ -635,13 +652,8 @@ def _build_fusable_chain(scheduling, n_stages=4):
         stages.append(sim.add(stage))
     for link in links:
         sim.register_channel(link)
-    # Record commit order from the very first cycle.
-    spy = _LoggingDirtyList()
-    sim._dirty_channels = spy
-    for chan in sim._channels:
-        chan._sink = spy
     feed = [rng.randrange(1, 1 << 16) for _ in range(25)]
-    return sim, links, stages, feed, spy
+    return sim, links, stages, feed
 
 
 def _drive_chain(sim, links, stages, feed):
@@ -662,39 +674,11 @@ def _drive_chain(sim, links, stages, feed):
     return out
 
 
-def test_identical_signature_chain_fuses():
-    sim, links, stages, feed, _spy = _build_fusable_chain("compiled")
-    sim.run(1)  # force program build
-    prog = sim._program
-    assert len(prog.groups) < len(prog.components)
-    assert any(label.startswith("(fused)/") for label in prog._labels)
-    # All four stages share one signature: one fused slot of size 4.
-    sizes = sorted(len(g) for g in prog.groups)
-    assert sizes[-1] == len(stages)
-
-
-def test_fused_chain_same_commit_order_as_unfused(monkeypatch):
-    fused = _build_fusable_chain("compiled")
-    out_fused = _drive_chain(fused[0], fused[1], fused[2], fused[3])
-
-    monkeypatch.setattr(compiled_mod, "MAX_FUSED", 1)
-    unfused = _build_fusable_chain("compiled")
-    out_unfused = _drive_chain(unfused[0], unfused[1], unfused[2], unfused[3])
-    assert all(len(g) == 1 for g in unfused[0]._program.groups)
-
-    assert out_fused == out_unfused
-    # The order channels turn dirty — the channel-commit order — must be
-    # identical event-for-event, not merely produce the same final state.
-    assert fused[4].events == unfused[4].events
-    # And the fused run really did fuse.
-    assert any(len(g) > 1 for g in fused[0]._program.groups)
-
-
 def test_fused_chain_matches_naive_timing():
-    compiled = _build_fusable_chain("compiled")
-    naive = _build_fusable_chain("naive")
-    out_c = _drive_chain(compiled[0], compiled[1], compiled[2], compiled[3])
-    out_n = _drive_chain(naive[0], naive[1], naive[2], naive[3])
+    compiled = _build_shared_wake_chain("compiled")
+    naive = _build_shared_wake_chain("naive")
+    out_c = _drive_chain(*compiled)
+    out_n = _drive_chain(*naive)
     assert out_c == out_n
     stats_c = [
         (c.name, c.total_pushed, c.total_popped, c.occupancy_accum,

@@ -119,6 +119,14 @@ def test_slice_width_beyond_lookahead_rejected():
         )
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_non_positive_barrier_timeout_rejected(timeout):
+    # A NaN deadline never expires, so a hung worker would hang the
+    # supervisor; zero or less turns any slow reply into a missed barrier.
+    with pytest.raises(DistError, match="barrier_timeout_s"):
+        DistConfig(n_workers=2, barrier_timeout_s=timeout)
+
+
 def test_bool_distributed_rejected():
     with pytest.raises(DistError, match="DistConfig or a worker count"):
         BeethovenBuild(

@@ -365,8 +365,8 @@ def test_hang_patched_delay_core_falls_back_to_both_edges(seed):
         for ecore in system.cores:
             core = ecore.core
             assert isinstance(core, DelayCore) and "tick" in vars(core)
-            assert core._cslot in core.io.req._push_subs
-            assert core._cslot in core.io.req._pop_subs
+            assert core._sched_index in core.io.req._push_subs
+            assert core._sched_index in core.io.req._pop_subs
 
 
 def _hang_server(build, handle, start=400, end=2600):
@@ -394,7 +394,7 @@ def test_hang_patched_server_stays_cycle_exact(seed):
     _hang_server(build, handle)
     gen.run(max_cycles=400_000, stall_budget=60_000)
     resp_words = build.design.mmio.resp_words
-    assert handle.server._cslot in resp_words._pop_subs  # union, both edges
+    assert handle.server._sched_index in resp_words._pop_subs  # union, both edges
 
 
 def test_unpatched_classes_subscribe_to_their_declared_edges_only():
@@ -417,8 +417,8 @@ def test_unpatched_classes_subscribe_to_their_declared_edges_only():
         core.io.resp: ({adapter}, set()),
     }
     for chan, (on_push, on_pop) in expected.items():
-        assert set(chan._push_subs) == {c._cslot for c in on_push}, chan.name
-        assert set(chan._pop_subs) == {c._cslot for c in on_pop}, chan.name
+        assert set(chan._push_subs) == {c._sched_index for c in on_push}, chan.name
+        assert set(chan._pop_subs) == {c._sched_index for c in on_pop}, chan.name
     # The union the other engines subscribe to is derived, not restated.
     assert list(server.wake_channels()) == [mmio.resp_words]
     assert set(mmio.wake_channels()) == {

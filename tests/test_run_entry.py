@@ -199,7 +199,7 @@ def _all_tick_once(sim):
     """Run one cycle and check the entry rule woke every slot."""
     before, wakes = _ticks(sim), sim.entry_wakes
     sim.run(1)
-    n_slots = len(sim._program.groups)
+    n_slots = len(sim._program.components)
     after = _ticks(sim)
     assert all(after[name] == before[name] + 1 for name in after), (before, after)
     assert sim.entry_wakes == wakes + n_slots
@@ -347,7 +347,7 @@ def test_asymmetric_serving_ticks_per_command_budget():
     sim = build.design.sim
     executed = sum(sim.component_ticks(c) for c in sim._components)
     assert executed / report.totals["completed"] <= 32
-    assert sim.entry_wakes == len(sim._program.groups)  # the first run only
+    assert sim.entry_wakes == len(sim._program.components)  # the first run only
 
 
 def test_memcpy_awaited_one_future_at_a_time_budget():
