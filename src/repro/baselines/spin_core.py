@@ -1,17 +1,15 @@
-"""A compute-dense stand-in core for parallel-simulation benchmarks.
+"""A compute-dense stand-in core.
 
 ``SpinCore`` is the opposite of :class:`repro.baselines.delay_core.DelayCore`:
 where DelayCore sleeps through its latency window (making simulation nearly
 free under event skipping), SpinCore *computes* every cycle of its window —
-a fixed number of integer-hash steps per tick — so simulating a many-core
-design costs real host CPU.  That is exactly the workload profile where
-sharding the SoC across worker processes (``repro.dist``) pays: the per-tick
-arithmetic parallelises across partitions while the synchronization traffic
-stays on the thin SLR bridges.
+a fixed number of integer-hash steps per tick — so every cycle of its window
+is a tick the scheduler must execute.  Tests use it as the busy core that no
+elision can skip, with a per-core load that differs by command arguments.
 
 The config declares one (unused) read channel so the elaborated design has
 AXI endpoints and therefore a memory tree with SLR-crossing pipes — the cut
-points the partitioner needs.
+points :func:`repro.dist.plan_partitions` needs.
 """
 
 from __future__ import annotations

@@ -172,8 +172,7 @@ class BeethovenBuild:
             desc = d.dist_plan.descriptor()
             lines.append(
                 f"  sharded: {desc.n_workers} partitions, slice width "
-                f"{desc.slice_width}, {len(desc.cut_set)} cut bridges "
-                f"({d.sim.engine} engine)"
+                f"{desc.slice_width}, {len(desc.cut_set)} cut bridges"
             )
         if d.placement is not None and self.platform.device is not None:
             per_slr = {

@@ -185,8 +185,8 @@ class ElaboratedDesign:
         self._wire_observability()
         self._compile_faults(faults)
         # The wiring point.  A single-process design registers its netlist at
-        # the first read of ``sim``; a sharded one wires now, so the
-        # DistSimulator below validates (and may refuse) in the constructor.
+        # the first read of ``sim``; a sharded one wires now, so partition
+        # ownership is validated (and may be refused) in the constructor.
         if self.dist_plan is None:
             self._wire_pending = True
         else:
@@ -197,13 +197,10 @@ class ElaboratedDesign:
             from repro.dist import DistSimulator
 
             # From here on the design drives like any other: ``self.sim`` is
-            # the slice/barrier supervisor, the single-process kernel stays
-            # reachable as ``root_sim`` (partition 0).
+            # the slice loop, the single-process kernel stays reachable as
+            # ``root_sim`` (partition 0).
             self.root_sim = self._sim
-            self._sim = DistSimulator(
-                self.dist_plan, self.part_sims, self.dist_config,
-                fault_state=self.faults,
-            )
+            self._sim = DistSimulator(self.dist_plan, self.part_sims)
 
     # ------------------------------------------------------------------ cores
     def _build_cores(self) -> None:

@@ -1,13 +1,13 @@
-"""Sharded parallel simulation: one SoC partitioned across worker processes.
+"""Sharded simulation: one SoC partitioned at its SLR boundaries.
 
 ``BeethovenBuild(..., distributed=DistConfig(n_workers=4))`` cuts the
 elaborated design at its SLR-bridge boundaries (the only inter-partition
 edges are fixed-latency ``AxiPipe`` crossings and the command-network hops
-into remote SLRs), runs each partition under its own simulator — optionally
-in forked worker processes — and synchronizes them conservatively in cycle
-slices bounded by the minimum bridge latency.  Metrics, completion cycles
-and fault fingerprints are bit-identical to the in-process reference; see
-DESIGN.md ("Sharded simulation") for the lookahead argument.
+into remote SLRs), runs each partition under its own simulator in this
+process, and advances them in lockstep cycle slices bounded by the minimum
+bridge latency.  Completion cycles and stable metrics do not depend on the
+partition count; see DESIGN.md ("Sharded simulation") for the lookahead
+argument.
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +17,6 @@ _LAZY = {
     "BridgeIngress": "repro.dist.bridge",
     "BridgeSpec": "repro.dist.partition",
     "CommandProxy": "repro.dist.bridge",
-    "DIST_ENGINES": "repro.dist.config",
     "DistConfig": "repro.dist.config",
     "DistError": "repro.dist.config",
     "DistSimulator": "repro.dist.engine",

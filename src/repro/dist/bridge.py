@@ -15,29 +15,20 @@ The halves replicate the pipe's per-channel semantics exactly:
 * ingress: ``if head due <= cycle and target.can_push(): push`` — the stock
   pipe's flow-controlled drain.
 
-Two transports connect a pair:
-
-* **local** (default): the egress appends straight into its peer's delay
-  deque and requests a wake — used whenever both halves live in the same
-  simulator (the serial reference engine, or a bridge whose two SLRs were
-  grouped onto one partition).
-* **detached**: the egress accumulates ``(key, due, item)`` deltas which the
-  supervisor ships at the next slice barrier and the receiving side applies
-  via :meth:`BridgeIngress.accept`.  Because every due cycle is at least one
-  full slice in the future (``slice_width <= latency``), barrier shipping
-  and direct appending produce identical drain behaviour — the bit-identity
-  argument in DESIGN.md.
+The egress appends straight into its peer's delay deque and requests a
+wake, whether or not the two halves sit in the same partition.  Because
+every due cycle is at least one full slice in the future
+(``slice_width <= latency``), an item appended into a partition that has
+already run the current slice drains exactly as it would have in one
+simulator — the bit-identity argument in DESIGN.md.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sim import NEVER, ChannelQueue, Component
-
-#: A shipped bridge item: (channel key, due cycle, payload).
-Delta = Tuple[str, int, Any]
 
 
 class BridgeEgress(Component):
@@ -45,8 +36,7 @@ class BridgeEgress(Component):
 
     Pops at most one item per source channel per cycle (mirroring
     ``AxiPipe._ingest``) and forwards it — stamped with its maturity cycle —
-    either directly into the peer ingress (local transport) or into the
-    pending delta list (detached transport).
+    into the peer ingress.
     """
 
     #: Purely reactive: progress requires traffic on a source channel.
@@ -71,8 +61,6 @@ class BridgeEgress(Component):
         self.latency = latency
         self._sources = list(sources)
         self.peer: Optional["BridgeIngress"] = None
-        self.detached = False
-        self.pending: List[Delta] = []
         self.items_sent = 0
 
     @property
@@ -83,29 +71,14 @@ class BridgeEgress(Component):
         latency = self.latency
         for key, chan in self._sources:
             if chan.can_pop():
-                item = chan.pop()
                 self.items_sent += 1
-                if self.detached:
-                    self.pending.append((key, cycle + latency, item))
-                else:
-                    self.peer.inject(key, cycle + latency, item)
+                self.peer.inject(key, cycle + latency, chan.pop())
 
     def next_event(self, cycle: int) -> float:
         return NEVER
 
     def wake_channels(self):
         return [chan for _key, chan in self._sources]
-
-    def take_deltas(self) -> List[Delta]:
-        """Drain the deltas accumulated since the previous barrier."""
-        out = self.pending
-        self.pending = []
-        return out
-
-    def debug_state(self):
-        if self.pending:
-            return {"pending_deltas": len(self.pending)}
-        return None
 
 
 class BridgeIngress(Component):
@@ -148,8 +121,7 @@ class BridgeIngress(Component):
     def register_metrics(self, scope) -> None:
         # A split AxiPipe keeps its stock stable metric surface: the forward
         # ingress binds noc/<pipe>/latency + in_flight_{ar,aw,w}, the reverse
-        # ingress in_flight_{r,b} — same keys, same values at every barrier
-        # (egress pending lists are empty after the exchange).
+        # ingress in_flight_{r,b} — same keys, same values at every barrier.
         if self.latency is not None:
             scope.bind("latency", lambda: self.latency)
         for metric_name, key in self._in_flight_metrics.items():
@@ -157,7 +129,7 @@ class BridgeIngress(Component):
             scope.bind(metric_name, lambda q=q: len(q))
 
     def inject(self, key: str, due: int, item: Any) -> None:
-        """Local-transport delivery: append one item mid-cycle.
+        """Deliver one item from the peer egress.
 
         The wake request covers the case where every delay deque was empty at
         the last hint (``next_event`` returned :data:`NEVER`) — without it
@@ -165,20 +137,6 @@ class BridgeIngress(Component):
         """
         self._delay[key].append((due, item))
         self.request_wake()
-
-    def accept(self, batch: Sequence[Delta]) -> None:
-        """Barrier-transport delivery: apply a shipped delta batch.
-
-        Called between slices, never mid-cycle.  A ``run()`` entry wakes
-        nobody by itself, so a non-empty batch requests the wake that lets
-        the next slice see it (the delay deques may all have been empty at
-        the last hint, which was then :data:`NEVER`).
-        """
-        delay = self._delay
-        for key, due, item in batch:
-            delay[key].append((due, item))
-        if batch:
-            self.request_wake()
 
     def tick(self, cycle: int) -> None:
         for key, push, chan in self._targets:

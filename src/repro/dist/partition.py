@@ -10,15 +10,15 @@ structure, never on the worker count:
   SLR-crossing latency, and the router is attached to the proxy.
 
 The worker count only decides how SLRs are *grouped* onto partitions (and
-therefore which bridges run detached instead of local), so the cycle-level
+therefore which bridges cross a partition boundary), so the cycle-level
 computation is identical for every ``n_workers`` — that is what makes the
-differential harness's cross-worker-count bit-identity hold by construction.
+cross-worker-count bit-identity hold by construction.
 
 The lookahead contract: the slice width never exceeds the minimum bridge
 latency, so an item popped by an egress during a slice matures no earlier
-than the *next* barrier — shipping deltas at barriers is indistinguishable
-from appending them the cycle they were popped (DESIGN.md, "Sharded
-simulation").
+than the *next* barrier — delivering it into a partition that has already
+finished the slice is indistinguishable from delivering it the cycle it was
+popped (DESIGN.md, "Sharded simulation").
 """
 
 from __future__ import annotations

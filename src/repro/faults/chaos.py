@@ -34,27 +34,6 @@ from repro.sim import SCHEDULING_MODES, DeadlockError
 MODES: Tuple[str, ...] = SCHEDULING_MODES
 SCENARIOS: Tuple[str, ...] = ("memcpy", "fig6", "serving", "checkpoint")
 
-#: Sharded-simulation modes (see :mod:`repro.dist`).  These are a separate
-#: family from ``MODES``: command timing legitimately differs from the
-#: single-process build (proxied cores add SLR-crossing hops), so the
-#: identity contract for dist runs is *engine-internal* — ``dist:serial``
-#: and ``dist:fork`` of the same seed must agree bit-for-bit — rather than
-#: cross-mode with the scheduling backends.  Only scenarios whose designs
-#: have SLR-crossing memory pipes support them (memcpy; the DelayCore-based
-#: fig6/serving scenarios have no memory network and therefore no cut
-#: points).
-DIST_MODES: Tuple[str, ...] = ("dist", "dist:serial", "dist:fork")
-
-
-def _mode_build_args(mode: str) -> Dict[str, object]:
-    """Map a chaos mode name to ``BeethovenBuild`` keyword arguments."""
-    if mode in DIST_MODES:
-        from repro.dist import DistConfig
-
-        _, _, engine = mode.partition(":")
-        return {"distributed": DistConfig(n_workers=2, engine=engine or "auto")}
-    return {"scheduling": mode}
-
 #: Outcomes the robustness contract allows.
 GOOD_OUTCOMES = ("ok", "degraded", "error")
 
@@ -138,16 +117,7 @@ def _classify(handle, errors: List[str], corrupt: bool, unexpected: str = "") ->
 def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
     server = handle.server
     faults = handle.faults
-    # Sharded runs absorb partition fault events at slice barriers, so the
-    # *arrival order* of events differs from a single-process run even when
-    # the event multiset is identical; the canonical (sorted) fingerprint is
-    # the order-independent identity dist engines are compared under.
-    if faults is None:
-        fingerprint = ""
-    elif mode in DIST_MODES:
-        fingerprint = faults.canonical_fingerprint()
-    else:
-        fingerprint = faults.fingerprint()
+    fingerprint = faults.fingerprint() if faults is not None else ""
     return ChaosOutcome(
         scenario=scenario,
         mode=mode,
@@ -173,25 +143,20 @@ def run_memcpy_chaos(
 ) -> ChaosOutcome:
     """Memcpy through the full stack (host -> MMIO -> cores -> DRAM) under
     a seeded fault schedule; one command per core so quarantine-and-reroute
-    can finish the work on the surviving core.
-
-    Under a ``dist`` mode the same workload runs on a synthetic multi-die
-    device (so SLR-crossing pipes exist for the partitioner to cut),
-    sharded over two workers."""
+    can finish the work on the surviving core."""
     from repro.core.build import BeethovenBuild
     from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform, multi_die_platform
+    from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
 
     plan = plan if plan is not None else default_plan(seed)
     size, n_cores = 1024, 2
-    platform = multi_die_platform(2) if mode in DIST_MODES else AWSF1Platform()
     build = BeethovenBuild(
         memcpy_config(n_cores=n_cores),
-        platform,
+        AWSF1Platform(),
+        scheduling=mode,
         faults=plan,
         watchdog=watchdog or CHAOS_WATCHDOG,
-        **_mode_build_args(mode),
     )
     handle = FpgaHandle(build.design)
     pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(size))
@@ -224,9 +189,7 @@ def run_memcpy_chaos(
     except Exception as exc:  # noqa: BLE001 — untyped escape = violation
         unexpected = f"{type(exc).__name__}: {exc}"
     outcome, error = _classify(handle, errors, corrupt, unexpected)
-    result = _outcome("memcpy", mode, seed, handle, outcome, error)
-    getattr(build.design.sim, "shutdown", lambda: None)()
-    return result
+    return _outcome("memcpy", mode, seed, handle, outcome, error)
 
 
 def run_fig6_chaos(
@@ -243,11 +206,6 @@ def run_fig6_chaos(
     from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
 
-    if mode in DIST_MODES:
-        raise ValueError(
-            "fig6 chaos cannot run sharded: DelayCore declares no memory "
-            "channels, so the design has no SLR bridges to partition at"
-        )
     plan = plan if plan is not None else default_plan(seed)
     n_cores, rounds = 3, 2
     build = BeethovenBuild(
@@ -312,11 +270,6 @@ def run_serving_chaos(
     from repro.serve.service import AcceleratorService
     from repro.serve.tenant import TenantConfig
 
-    if mode in DIST_MODES:
-        raise ValueError(
-            "serving chaos cannot run sharded: its delay-core design has "
-            "no memory network, so there are no SLR bridges to partition at"
-        )
     plan = plan if plan is not None else default_plan(seed)
     build = hetero_build(
         mode=mode, faults=plan, watchdog=watchdog or CHAOS_WATCHDOG
@@ -368,11 +321,10 @@ def run_checkpoint_chaos(
     bit-identity with an uninterrupted reference (tested under the standard
     seeded fault plan).
 
-    Single-process modes kill the whole process and resume from the snapshot
-    file; ``dist:fork`` kills one worker and relies on barrier-checkpoint
-    failover.  The differential itself runs under the scenario's own plan
-    and watchdog (they are part of its deterministic identity), so ``plan``/
-    ``watchdog`` overrides are rejected rather than silently ignored.
+    The whole process is killed and resumes from the snapshot file.  The
+    differential itself runs under the scenario's own plan and watchdog
+    (they are part of its deterministic identity), so ``plan``/``watchdog``
+    overrides are rejected rather than silently ignored.
     """
     import tempfile
 
@@ -382,11 +334,6 @@ def run_checkpoint_chaos(
         raise ValueError(
             "checkpoint chaos pins its own fault plan and watchdog; "
             "override the seed instead"
-        )
-    if mode in DIST_MODES and mode != "dist:fork":
-        raise ValueError(
-            f"checkpoint chaos needs worker processes to kill; use "
-            f"'dist:fork' or one of {MODES} (got {mode!r})"
         )
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-chaos-") as workdir:
         result = kill_and_resume_differential(seed, mode, workdir)
@@ -488,20 +435,15 @@ def _run_fixed_memcpy(mode: str, faults: Optional[FaultPlan]):
     """Fixed memcpy workload returning (stable metrics, final cycle, ok)."""
     from repro.core.build import BeethovenBuild
     from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform, multi_die_platform
+    from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
 
     size = 2048
-    if mode in DIST_MODES:
-        platform = multi_die_platform(2)
-        n_cores = 2  # sharding needs at least one core per die
-    else:
-        platform, n_cores = AWSF1Platform(), 1
     build = BeethovenBuild(
-        memcpy_config(n_cores=n_cores),
-        platform,
+        memcpy_config(n_cores=1),
+        AWSF1Platform(),
+        scheduling=mode,
         faults=faults,
-        **_mode_build_args(mode),
     )
     handle = FpgaHandle(build.design)
     src, dst = handle.malloc(size), handle.malloc(size)
@@ -514,7 +456,6 @@ def _run_fixed_memcpy(mode: str, faults: Optional[FaultPlan]):
     handle.copy_from_fpga(dst)
     metrics = build.design.metrics(stable_only=True)
     cycle = build.design.sim.cycle
-    getattr(build.design.sim, "shutdown", lambda: None)()
     return metrics, cycle, dst.read() == pattern
 
 

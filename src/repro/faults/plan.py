@@ -216,12 +216,6 @@ class FaultState:
         self.tracer = tracer
         self.events: List[FaultEvent] = []
         self._poison: Dict[Tuple[int, int], List[FaultEvent]] = {}
-        # Sequential append log of (key, event) poison pairs plus drain
-        # watermarks — the distributed engine's partition workers ship only
-        # what they logged since the previous slice barrier.
-        self._poison_log: List[Tuple[Tuple[int, int], FaultEvent]] = []
-        self._drain_mark = 0
-        self._poison_mark = 0
         scope = registry.scope("fault")
         self.counts = {kind: scope.counter(kind) for kind in FAULT_KINDS}
 
@@ -244,7 +238,6 @@ class FaultState:
         ev = self._log(cycle, site, "detected", detail)
         if key is not None:
             self._poison.setdefault(key, []).append(ev)
-            self._poison_log.append((key, ev))
 
     def note_recovery(self, cycle: int, site: str, detail: str = "") -> None:
         self._log(cycle, site, "recovered", detail)
@@ -263,50 +256,15 @@ class FaultState:
     def canonical_fingerprint(self) -> str:
         """Order-independent schedule hash for distributed comparisons.
 
-        In a sharded run the supervisor absorbs partition fault deltas at
-        slice barriers, so ``events`` interleaves differently than in one
-        process even though the *set* of events is identical.  Hashing the
+        In a sharded run the partitions advance one after another within
+        each slice, so ``events`` interleaves differently than in one
+        simulator even though the *set* of events is identical.  Hashing the
         sorted schedule compares the physics, not the append order.
         """
         h = hashlib.sha256()
         for ev in sorted(self.events, key=lambda e: (e.cycle, e.site, e.kind, e.detail)):
             h.update(f"{ev.cycle}:{ev.site}:{ev.kind}:{ev.detail}\n".encode())
         return h.hexdigest()[:16]
-
-    # -------------------------------------------- distributed delta feed
-    def begin_partition_feed(self) -> None:
-        """Called once in a freshly forked partition worker: everything
-        logged so far (e.g. compile-time hang events) is pre-fork state the
-        supervisor already has and must not be re-shipped."""
-        self._drain_mark = len(self.events)
-        self._poison_mark = len(self._poison_log)
-
-    def drain_deltas(self) -> Tuple[List[FaultEvent], List[Tuple[Tuple[int, int], FaultEvent]]]:
-        """Events and poison pairs logged since the previous drain."""
-        events = self.events[self._drain_mark:]
-        poison = self._poison_log[self._poison_mark:]
-        self._drain_mark = len(self.events)
-        self._poison_mark = len(self._poison_log)
-        return events, poison
-
-    def absorb(
-        self,
-        events: List[FaultEvent],
-        poison: List[Tuple[Tuple[int, int], FaultEvent]],
-    ) -> None:
-        """Merge a partition worker's delta into this (supervisor) state.
-
-        Counters are bumped here because the worker bumped only its own
-        process-local registry copy; the tracer is *not* re-driven (remote
-        trace events stay remote — trace counters are volatile metrics)."""
-        for ev in events:
-            self.events.append(ev)
-            self.counts[ev.kind] += 1
-        for key, ev in poison:
-            self._poison.setdefault(key, []).append(ev)
-            self._poison_log.append((key, ev))
-        self._drain_mark = len(self.events)
-        self._poison_mark = len(self._poison_log)
 
 
 def _flip_one_bit(data: bytes, rng: random.Random) -> Tuple[bytes, int]:

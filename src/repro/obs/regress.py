@@ -62,7 +62,6 @@ _LOWER_BETTER = (
     "mean_latency",
     "mean_queue_wait",
     "rejection_rate",
-    "sync_stall_cycles",
     "checkpoint_write_seconds",
     "capture_seconds",
     "save_seconds",
@@ -74,7 +73,7 @@ _LOWER_BETTER = (
 #: Leaf names that are plain event counts, not perf metrics — excluded
 #: before fragment matching because some collide with a fragment
 #: (``rejected_by_reason.rate_limited`` contains ``rate``).
-_NEUTRAL = ("rate_limited", "queue_full", "memory_budget", "restarts")
+_NEUTRAL = ("rate_limited", "queue_full", "memory_budget")
 
 
 def flatten_numeric(obj: Any, prefix: str = "") -> Dict[str, float]:

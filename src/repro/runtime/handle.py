@@ -25,7 +25,7 @@ from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
 from repro.obs.registry import Counter
 from repro.runtime.allocator import make_allocator
 from repro.runtime.server import CommandContext, RuntimeServer, WatchdogConfig
-from repro.sim import DeadlockError, PartitionSyncTimeout
+from repro.sim import DeadlockError
 
 
 class RemotePtr:
@@ -150,11 +150,6 @@ class ResponseHandle:
         except DeadlockError as exc:
             if self._error is not None:
                 raise self._error
-            if isinstance(exc, PartitionSyncTimeout):
-                # Infrastructure failure (a partition worker died or missed
-                # its slice barrier) — never convert into a model-level
-                # CommandTimeout, which the watchdog would retry.
-                raise
             if timeout_cycles is not None:
                 raise CommandTimeout(
                     f"no response within timeout_cycles={timeout_cycles}",

@@ -9,7 +9,6 @@ _LAZY = {
     "DEFAULT_SCHEDULING": "repro.sim.kernel",
     "DeadlockError": "repro.sim.kernel",
     "NEVER": "repro.sim.kernel",
-    "PartitionSyncTimeout": "repro.sim.kernel",
     "SCHEDULING_MODES": "repro.sim.kernel",
     "SimulationError": "repro.sim.kernel",
     "Simulator": "repro.sim.kernel",

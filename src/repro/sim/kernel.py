@@ -76,31 +76,6 @@ class DeadlockError(SimulationError):
         self.dump = dump if dump is not None else {}
 
 
-class PartitionSyncTimeout(DeadlockError):
-    """A distributed partition worker missed its slice barrier.
-
-    Raised by :class:`repro.dist.DistSimulator` when a worker process dies,
-    aborts with an error, or fails to reach the exchange barrier within the
-    configured wall-clock budget.  Subclasses :class:`DeadlockError` so the
-    runtime's existing watchdog/deadlock handling (``ResponseHandle.get``,
-    chaos classification) sees a typed, catchable stall instead of a hung
-    exchange loop.  ``dump`` carries the supervisor partition's
-    ``state_dump`` plus whatever the stalled partition could provide
-    (its own ``state_dump`` on a clean abort, stderr tail / exit code on a
-    crash) under ``dump["partitions"]``; ``partition`` is the id of the
-    partition that missed the barrier.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        dump: Optional[Dict[str, Any]] = None,
-        partition: Optional[int] = None,
-    ) -> None:
-        super().__init__(message, dump)
-        self.partition = partition
-
-
 class ChannelQueue(Generic[T]):
     """A registered FIFO channel with start-of-cycle visibility semantics.
 

@@ -8,10 +8,7 @@ versioned :class:`Snapshot`; after rebuilding the same design and
 replaying the host-side setup, ``restore(handle, snap); run(N)`` is
 bit-identical to the uninterrupted run under both scheduling backends.
 
-Distributed runs checkpoint at slice barriers via
-``DistConfig(checkpoint_every_slices=...)``, which also arms fork-engine
-worker failover: a killed worker is respawned and restored from the last
-barrier checkpoint instead of raising terminal ``PartitionSyncTimeout``.
+Sharded (``distributed=``) builds are refused with :class:`SnapshotError`.
 """
 
 from repro._lazy import lazy_exports

@@ -803,16 +803,18 @@ def capture(handle: Any) -> Snapshot:
     """Snapshot a full single-process run (simulator + host interface).
 
     ``handle`` is the :class:`~repro.runtime.FpgaHandle` driving the design.
-    Distributed designs checkpoint through ``DistConfig(
-    checkpoint_every_slices=...)`` instead — their state spans worker
-    processes and is collected at slice barriers by the engine itself.
+    Sharded designs (``distributed=``) are refused: their state spans one
+    simulator per partition, and a capture would freeze partition 0 only.
     """
     design = handle.design
     sim = design.sim
-    if hasattr(sim, "_children"):
+    # A DistSimulator exists only once its module has been imported, so the
+    # check costs a capture of a plain design no import.
+    dist_engine = sys.modules.get("repro.dist.engine")
+    if dist_engine is not None and isinstance(sim, dist_engine.DistSimulator):
         raise SnapshotError(
-            "disk snapshots cover single-process simulators; distributed runs "
-            "use DistConfig(checkpoint_every_slices=...) barrier checkpoints"
+            "disk snapshots cover single-simulator designs; a sharded "
+            "(distributed=) build cannot be captured"
         )
     fr = Freezer()
     payload = _capture_state(fr, sim, getattr(design, "faults", None), _design_extras(design, sim))
@@ -845,13 +847,12 @@ def restore(handle: Any, snap: Snapshot) -> None:
     handle.restore_state(snap.payload["host"], th)
 
 
-# ============================================================== dist workers
+# ======================================================== bare simulators
 def capture_partition_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
-    """Freeze one partition (worker or root) for a barrier checkpoint.
+    """Freeze a bare simulator (and optionally its fault state).
 
     The payload is fully decoupled from the live objects (plain data only),
-    so worker processes ship it over the barrier pipe and the supervisor can
-    hold the root's payload without aliasing state that keeps advancing.
+    so the caller can hold it while the simulator keeps advancing.
     """
     return _capture_state(Freezer(), sim, fault_state, {})
 

@@ -1,15 +1,10 @@
-"""Sharded parallel simulation (``repro.dist``): the differential contract.
+"""Sharded simulation (``repro.dist``): the differential contract.
 
-The headline property: partitioning a design over worker processes is an
-*implementation detail* — final cycle counts, stable metrics, and fault
-fingerprints are bit-identical between the serial reference engine and the
-forked engine, and across worker counts.  Volatile ``dist/*`` counters
-describe the harness and are exempt by design.
+The headline property: how many partitions a design is cut into is an
+*implementation detail* — final cycle counts and stable metrics are
+bit-identical across worker counts.  Volatile ``dist/*`` counters describe
+the harness and are exempt by design.
 """
-
-import os
-import signal
-import time
 
 import pytest
 
@@ -18,14 +13,13 @@ from repro.core.build import BeethovenBuild
 from repro.dist import DistConfig, DistError, PartitionDescriptor
 from repro.platforms import multi_die_platform
 from repro.runtime import FpgaHandle
-from repro.sim import PartitionSyncTimeout
 
 
-def _build(n_workers, engine, n_cores=8, n_slrs=4):
+def _build(n_workers, n_cores=8, n_slrs=4):
     return BeethovenBuild(
         spin_config(n_cores, work_per_tick=4),
         multi_die_platform(n_slrs),
-        distributed=DistConfig(n_workers=n_workers, engine=engine),
+        distributed=DistConfig(n_workers=n_workers),
     )
 
 
@@ -39,44 +33,21 @@ def _run_workload(build, n_cores=8):
     for fut in futs:
         fut.get()
     design = build.design
-    result = (design.sim.cycle, design.metrics(stable_only=True))
-    design.sim.shutdown()
-    return result
+    return design.sim.cycle, design.metrics(stable_only=True)
 
 
 # ------------------------------------------------------------- differential
-def test_fork_matches_serial_and_worker_counts_match():
-    """Serial == fork at each worker count; everything equal across counts."""
-    reference = None
-    for n_workers in (2, 3):
-        serial = _run_workload(_build(n_workers, "serial"))
-        fork = _run_workload(_build(n_workers, "fork"))
-        assert serial == fork, f"engine mismatch at {n_workers} workers"
-        if reference is None:
-            reference = serial
-        else:
-            assert serial == reference, f"worker-count {n_workers} diverged"
-    assert reference[0] > 0
-    assert reference[1]  # stable metrics actually exist
-
-
-def test_dist_chaos_fingerprints_identical_across_engines():
-    from repro.faults.chaos import run_chaos
-
-    for seed in (2, 3):
-        a = run_chaos("memcpy", "dist:serial", seed)
-        b = run_chaos("memcpy", "dist:fork", seed)
-        assert (a.outcome, a.cycles, a.n_faults, a.fingerprint) == (
-            b.outcome,
-            b.cycles,
-            b.n_faults,
-            b.fingerprint,
-        )
-        assert not a.violates_contract
+def test_worker_counts_match():
+    """Two and three partitions give equal cycles and stable dumps."""
+    two = _run_workload(_build(2))
+    three = _run_workload(_build(3))
+    assert two == three, "worker-count 3 diverged from 2"
+    assert two[0] > 0
+    assert two[1]  # stable metrics actually exist
 
 
 def test_dist_counters_present_and_volatile():
-    build = _build(2, "serial")
+    build = _build(2)
     _run_workload(build)
     metrics = build.design.metrics(prefix="dist/")
     assert metrics["dist/partitions"] == 2
@@ -88,9 +59,8 @@ def test_dist_counters_present_and_volatile():
 
 
 def test_summary_mentions_sharding():
-    build = _build(2, "serial")
+    build = _build(2)
     assert "sharded: 2 partitions" in build.summary()
-    build.design.sim.shutdown()
 
 
 # --------------------------------------------------------------- validation
@@ -107,7 +77,7 @@ def test_single_die_design_rejected():
 
 def test_more_workers_than_slr_groups_rejected():
     with pytest.raises(DistError, match="workers"):
-        _build(5, "serial", n_slrs=4)
+        _build(5, n_slrs=4)
 
 
 def test_slice_width_beyond_lookahead_rejected():
@@ -119,14 +89,6 @@ def test_slice_width_beyond_lookahead_rejected():
         )
 
 
-@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
-def test_non_positive_barrier_timeout_rejected(timeout):
-    # A NaN deadline never expires, so a hung worker would hang the
-    # supervisor; zero or less turns any slow reply into a missed barrier.
-    with pytest.raises(DistError, match="barrier_timeout_s"):
-        DistConfig(n_workers=2, barrier_timeout_s=timeout)
-
-
 def test_bool_distributed_rejected():
     with pytest.raises(DistError, match="DistConfig or a worker count"):
         BeethovenBuild(
@@ -134,22 +96,10 @@ def test_bool_distributed_rejected():
         )
 
 
-def test_explicit_fork_engine_unavailable_is_typed():
-    import repro.dist.engine as engine_mod
-
-    original = engine_mod._fork_available
-    engine_mod._fork_available = lambda: False
-    try:
-        with pytest.raises(DistError, match="fork"):
-            _build(2, "fork")
-    finally:
-        engine_mod._fork_available = original
-
-
 # ----------------------------------------------------------- descriptor
 def test_partition_descriptor_is_deterministic_and_complete():
-    b2 = _build(2, "serial")
-    b2b = _build(2, "serial")
+    b2 = _build(2)
+    b2b = _build(2)
     d2, d2b = b2.design.dist_plan.descriptor(), b2b.design.dist_plan.descriptor()
     assert isinstance(d2, PartitionDescriptor)
     assert d2 == d2b
@@ -158,7 +108,7 @@ def test_partition_descriptor_is_deterministic_and_complete():
     assert len(d2.cut_set) > 0
     # The SLR->partition map covers every die.
     assert len(d2.slr_assignment) == 4
-    d3 = _build(3, "serial").design.dist_plan.descriptor()
+    d3 = _build(3).design.dist_plan.descriptor()
     assert d3 != d2 and d3.n_workers == 3
 
 
@@ -166,42 +116,12 @@ def test_job_fingerprint_covers_partition_descriptor():
     from repro.farm import Job, job_fingerprint
 
     base = job_fingerprint("m:f", (1,), {})
-    d2 = _build(2, "serial").design.dist_plan.descriptor()
-    d3 = _build(3, "serial").design.dist_plan.descriptor()
+    d2 = _build(2).design.dist_plan.descriptor()
+    d3 = _build(3).design.dist_plan.descriptor()
     fp2 = job_fingerprint("m:f", (1,), {}, partition=d2)
     fp3 = job_fingerprint("m:f", (1,), {}, partition=d3)
     assert len({base, fp2, fp3}) == 3
     assert Job("m:f", (1,), partition=d2).fingerprint == fp2
-
-
-# --------------------------------------------------- PartitionSyncTimeout
-def test_killed_worker_surfaces_partition_sync_timeout():
-    build = BeethovenBuild(
-        spin_config(8, work_per_tick=4),
-        multi_die_platform(4),
-        distributed=DistConfig(n_workers=2, engine="fork", barrier_timeout_s=10.0),
-    )
-    handle = FpgaHandle(build.design)
-    fut = handle.call("Spin", "spin", 7, rounds=4000, seed=1)
-    sim = build.design.sim
-    sim.run_slice(sim.slice_width * 2)  # forces the fork
-    assert sim._children, "fork engine should have spawned workers"
-    victim = sim._children[0]
-    os.kill(victim.process.pid, signal.SIGKILL)
-    victim.process.join(timeout=5.0)
-    with pytest.raises(PartitionSyncTimeout) as excinfo:
-        fut.get(max_cycles=200_000)
-    exc = excinfo.value
-    assert exc.partition == victim.pid
-    assert exc.dump is not None
-    assert "partitions" in exc.dump
-    sim.shutdown()
-
-
-def test_partition_sync_timeout_is_a_deadlock_error():
-    from repro.sim import DeadlockError
-
-    assert issubclass(PartitionSyncTimeout, DeadlockError)
 
 
 # ------------------------------------------------------------- pool stats

@@ -89,7 +89,7 @@ def _overlapped_run(reference, platform=AWSF1Platform, **build_args):
         handle.copy_from_fpga(dst)
     faults = handle.faults
     server = handle.server
-    result = {
+    return {
         "cycle": handle.cycle,
         "outcomes": outcomes,
         "latencies": [fut.latency_cycles for fut in futs],
@@ -99,8 +99,6 @@ def _overlapped_run(reference, platform=AWSF1Platform, **build_args):
         "recovery": (int(server.timeouts), int(server.retries), int(server.quarantines)),
         "metrics": build.metrics(stable_only=True),
     }
-    getattr(build.design.sim, "shutdown", lambda: None)()
-    return result
 
 
 def _assert_same(shipped, reference):
@@ -139,7 +137,7 @@ def test_run_path_matches_step_loop_under_hangs_and_watchdog(mode):
 def test_run_path_matches_step_loop_on_sharded_design():
     args = dict(
         platform=lambda: multi_die_platform(2),
-        distributed=DistConfig(n_workers=2, engine="serial"),
+        distributed=DistConfig(n_workers=2),
     )
     shipped = _overlapped_run(False, **args)
     _assert_same(shipped, _overlapped_run(True, **args))

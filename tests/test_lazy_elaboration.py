@@ -174,7 +174,7 @@ def _two_die_serial():
     build = BeethovenBuild(
         memcpy_config(n_cores=2),
         multi_die_platform(2),
-        distributed=DistConfig(n_workers=2, engine="serial"),
+        distributed=DistConfig(n_workers=2),
     )
     yield build
     FpgaHandle(build.design)

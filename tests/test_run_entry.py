@@ -243,8 +243,9 @@ def test_snapshot_restore_wakes_every_component(mode):
 
 
 @pytest.mark.parametrize("mode", SKIPPING)
-def test_bridge_accept_wakes_the_ingress(mode):
-    """A barrier-shipped batch reaches an ingress whose hint was NEVER."""
+def test_bridge_inject_between_slices_wakes_the_ingress(mode):
+    """An item a peer partition delivers after this partition ran its slice
+    reaches an ingress whose hint was NEVER."""
     got = {}
     for sched in ("naive", mode):
         sim = Simulator(scheduling=sched)
@@ -253,7 +254,8 @@ def test_bridge_accept_wakes_the_ingress(mode):
         ingress = sim.add(BridgeIngress("b", "rx", [("k", push, out)]))
         sink = sim.add(Sink("sink", out))
         sim.run_slice(32)
-        ingress.accept([("k", 40, "a"), ("k", 41, "b")])
+        ingress.inject("k", 40, "a")
+        ingress.inject("k", 41, "b")
         sim.run_slice(32)
         got[sched] = sink.got
     assert got[mode] == got["naive"] == [(41, "a"), (42, "b")]

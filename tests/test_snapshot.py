@@ -4,10 +4,9 @@ The core promise: ``restore(snapshot); run(N)`` is bit-identical — final
 cycle, stable metrics, fault fingerprint, output data — to the
 uninterrupted run, under every scheduling backend, with active fault
 plans, across a save/load disk cycle.  On top of that contract ride the
-three integration layers this file also covers: dist fork-engine worker
-failover (a SIGKILLed worker rolls back to the last barrier checkpoint
-instead of raising PartitionSyncTimeout), farm job resume after crashes
-and hung-job kills, and the chaos ``checkpoint`` scenario.
+integration layers this file also covers: the refusal to capture a sharded
+build, farm job resume after crashes and hung-job kills, and the chaos
+``checkpoint`` scenario.
 """
 
 from __future__ import annotations
@@ -69,21 +68,27 @@ def test_resume_from_disk_under_active_fault_plan(tmp_path):
         assert resumed[key] == ref[key], key
 
 
-# ------------------------------------------------------------- dist failover
-def test_dist_fork_failover_survives_worker_kill(tmp_path):
-    """A SIGKILLed worker under barrier checkpointing is respawned and the
-    run rolls back — same final state as never having been killed, no
-    PartitionSyncTimeout."""
-    r = kill_and_resume_differential(FAULTY_SEED, "dist:fork", str(tmp_path))
-    assert r["killed"]
-    assert r["restarts"] >= 1, "failover never fired"
-    assert r["outcome"] != "unexpected", r["error"]
-    assert r["match"], r["error"]
+# ---------------------------------------------------------- sharded builds
+def test_capture_refuses_a_sharded_build():
+    """A sharded design runs one simulator per partition; a capture of the
+    root alone would silently drop every other partition's state."""
+    from repro.baselines.spin_core import spin_config
+    from repro.core.build import BeethovenBuild
+    from repro.dist import DistConfig
+    from repro.platforms import multi_die_platform
+    from repro.runtime import FpgaHandle
+    from repro.snapshot import capture
 
-
-def test_dist_serial_has_no_workers_to_kill(tmp_path):
-    with pytest.raises(ValueError):
-        kill_and_resume_differential(0, "dist:serial", str(tmp_path))
+    build = BeethovenBuild(
+        spin_config(8, work_per_tick=4),
+        multi_die_platform(4),
+        distributed=DistConfig(n_workers=2),
+    )
+    handle = FpgaHandle(build.design)
+    handle.call("Spin", "spin", 7, rounds=400, seed=1)
+    build.design.sim.run(64)
+    with pytest.raises(SnapshotError, match="sharded"):
+        capture(handle)
 
 
 # ------------------------------------------------------------- chaos wiring
@@ -415,18 +420,6 @@ def test_deadlock_dump_is_capped(tmp_path):
     dump = excinfo.value.dump
     assert len(dump.get("channels", {})) <= 64
     assert len(dump.get("components", {})) <= 64
-    getattr(build.design.sim, "shutdown", lambda: None)()
-
-
-# ----------------------------------------------------------- dist defaults
-def test_dist_checkpoint_config_validation():
-    from repro.dist import DistConfig, DistError
-
-    assert DistConfig().checkpoint_every_slices == 0  # fail-fast by default
-    with pytest.raises(DistError):
-        DistConfig(checkpoint_every_slices=-1)
-    with pytest.raises(DistError):
-        DistConfig(max_restarts=-1)
 
 
 # ------------------------------------------- deferred views / first-touch cells

@@ -215,7 +215,7 @@ def dist_bridges() -> Scenario:
         yield "Memcpy", "memcpy", 0, dict(src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=4096)
 
     build = BeethovenBuild(memcpy_config(n_cores=2), multi_die_platform(2),
-                           distributed=DistConfig(n_workers=2, engine="serial"))
+                           distributed=DistConfig(n_workers=2))
     return _accelerated(build, calls, 400)
 
 
@@ -364,7 +364,8 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     # 373 while the controller kept one WBeat per accepted beat; 310 before
     # its live-bank set and two active-ID sets and position maps; 315 while
     # the 9 in-flight AXI payloads were frozen dataclasses, which a capture
-    # memoizes as objects (named tuples are values).
-    assert snap.meta["objects"] == 306
+    # memoizes as objects (named tuples are values); 306 while the fault
+    # state kept a poison append log for partition workers.
+    assert snap.meta["objects"] == 305
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)

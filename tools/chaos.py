@@ -33,7 +33,6 @@ from repro.faults import FaultError
 from repro.sim import DeadlockError
 from repro.faults.chaos import (
     CHAOS_WATCHDOG,
-    DIST_MODES,
     MODES,
     SCENARIOS,
     default_plan,
@@ -112,9 +111,8 @@ def main(argv=None) -> int:
         "--modes",
         nargs="+",
         default=list(MODES),
-        choices=MODES + DIST_MODES,
-        help="scheduling modes and/or sharded modes (dist modes only support "
-        "scenarios with memory networks, e.g. memcpy)",
+        choices=MODES,
+        help="scheduling modes",
     )
     parser.add_argument("--out", default="chaos-artifacts", help="output directory")
     parser.add_argument(

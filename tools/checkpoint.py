@@ -1,21 +1,19 @@
 #!/usr/bin/env python
 """Kill-and-resume differential CLI: the snapshot determinism gate.
 
-For every scheduling backend (and the ``dist:fork`` sharded engine) this
-runs the :mod:`repro.snapshot.scenario` differential: a checkpointed chaos
-memcpy run is SIGKILLed at a seeded point — the whole process for
-single-process modes, one worker process for ``dist:fork`` — then resumed
-from the surviving checkpoint, and the resumed run must be bit-identical
-(outcome, final cycle, fault fingerprint, stable metrics) to an
-uninterrupted reference of the same seed.  Writes into ``--out``:
+For every scheduling backend this runs the :mod:`repro.snapshot.scenario`
+differential: a checkpointed chaos memcpy run is SIGKILLed at a seeded
+point, then resumed from the surviving checkpoint, and the resumed run must
+be bit-identical (outcome, final cycle, fault fingerprint, stable metrics)
+to an uninterrupted reference of the same seed.  Writes into ``--out``:
 
 * ``checkpoint-report.txt``   — per-mode/seed differential table
 * ``outcomes.json``           — one record per differential
 * ``BENCH_checkpoint.json``   — capture / save / load / restore seconds
                                 (checkpoint_write_seconds = capture + save),
-                                snapshot_bytes, objects_frozen (what one
-                                capture walks) and dist restarts, for the
-                                bench-history regression gate
+                                snapshot_bytes and objects_frozen (what one
+                                capture walks), for the bench-history
+                                regression gate
 * ``sample.ckpt``             — one snapshot file artefact
 
 and exits 1 on any divergence.  CI runs this; locally it is the snapshot
@@ -43,8 +41,6 @@ from repro.snapshot.scenario import (  # noqa: E402
 )
 from repro.snapshot.store import load, save  # noqa: E402
 
-ALL_MODES = MODES + ("dist:fork",)
-
 
 def _timing_pass(out: Path, reps: int) -> dict:
     """Per-call wall time of each snapshot step on a mid-flight run."""
@@ -55,7 +51,7 @@ def _timing_pass(out: Path, reps: int) -> dict:
         sim.run(CHUNK)
     # Restore timing excludes the deterministic rebuild+replay (that cost is
     # the build's, not the snapshot layer's): one skeleton, ``reps`` restores.
-    build2, handle2, _futs2, _dsts2, _pattern2 = _build_memcpy(0, DEFAULT_SCHEDULING)
+    _build2, handle2, _futs2, _dsts2, _pattern2 = _build_memcpy(0, DEFAULT_SCHEDULING)
     seconds = dict.fromkeys(("capture", "save", "load", "restore"), 0.0)
 
     def timed(step, fn, *args):
@@ -68,8 +64,6 @@ def _timing_pass(out: Path, reps: int) -> dict:
         snap = timed("capture", capture, handle)
         timed("save", save, snap, path)
         timed("restore", restore, handle2, timed("load", load, path))
-    for b in (build, build2):
-        getattr(b.design.sim, "shutdown", lambda: None)()
     timing = {f"{step}_seconds": total / reps for step, total in seconds.items()}
     # The sum bench-history has always tracked, kept so its rows stay comparable.
     timing["checkpoint_write_seconds"] = timing["capture_seconds"] + timing["save_seconds"]
@@ -82,7 +76,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=3, help="seeds per mode")
     parser.add_argument(
-        "--modes", nargs="+", default=list(ALL_MODES), choices=ALL_MODES
+        "--modes", nargs="+", default=list(MODES), choices=MODES
     )
     parser.add_argument("--reps", type=int, default=5, help="timing repetitions")
     parser.add_argument("--out", default="checkpoint-artifacts", help="output directory")
@@ -100,29 +94,26 @@ def main(argv=None) -> int:
             records.append({"mode": mode, "seed": seed, **{
                 k: r[k] for k in (
                     "match", "killed", "resumed", "outcome", "error",
-                    "cycles", "fingerprint", "checkpoints", "restarts",
+                    "cycles", "fingerprint", "checkpoints",
                 )
             }})
             lines.append(
                 f"  {mode:<13} seed={seed} match={r['match']} killed={r['killed']} "
-                f"resumed={r['resumed']} outcome={r['outcome']} cycles={r['cycles']} "
-                f"restarts={r['restarts']}"
+                f"resumed={r['resumed']} outcome={r['outcome']} cycles={r['cycles']}"
             )
 
     mismatches = [r for r in records if not r["match"]]
     kills = sum(1 for r in records if r["killed"])
     resumes = sum(1 for r in records if r["resumed"])
-    dist_restarts = sum(r["restarts"] for r in records)
     lines.append(
         f"  {len(records)} differentials: {kills} killed, {resumes} resumed, "
-        f"{len(mismatches)} diverged, {dist_restarts} dist worker restart(s)"
+        f"{len(mismatches)} diverged"
     )
 
     bench = {
         "differentials": len(records),
         "kills": kills,
         "resumes": resumes,
-        "restarts": dist_restarts,
         **_timing_pass(out, max(args.reps, 1)),
     }
     (out / "BENCH_checkpoint.json").write_text(
