@@ -34,9 +34,9 @@ def _network_outcome(slr_aware: bool) -> dict:
     (a build holds a live simulator, so the job ships numbers, not objects)."""
     build = BeethovenBuild(a3_config(23), _platform(slr_aware), BuildMode.Simulation)
     out = {
-        "n_nodes": build.design.network.n_nodes,
-        "n_pipes": build.design.network.n_pipes,
-        "max_fanout": build.design.network.max_fanout,
+        "n_nodes": build.design.noc_plan.n_nodes,
+        "n_pipes": build.design.noc_plan.n_pipes,
+        "max_fanout": build.design.noc_plan.max_fanout,
         "feasible": build.routability.feasible,
         "reasons": list(build.routability.reasons),
     }
@@ -45,8 +45,8 @@ def _network_outcome(slr_aware: bool) -> dict:
             build.platform.device,
             build.placement,
             interconnect_per_slr=build.resource_report.interconnect_per_slr,
-            max_fanout=build.design.network.max_fanout,
-            unbuffered_crossings=build.design.network.n_crossings
+            max_fanout=build.design.noc_plan.max_fanout,
+            unbuffered_crossings=build.design.noc_plan.n_crossings
             or len({s for s in build.placement.assignment.values()}) - 1,
             constraints_emitted=False,
         )

@@ -65,10 +65,9 @@ def generate_header(design) -> str:
     ]
     for system in design.systems:
         cfg = system.config
-        core0 = system.cores[0]
         out.append(f"namespace {cfg.name} {{")
         out.append(f"  // {cfg.n_cores} cores")
-        for io in core0.ctx.ios:
+        for io in system.template_ctx.ios:
             spec = io.command_spec
             resp = io.response_spec
             struct = response_struct(cfg.name, resp, spec.name)

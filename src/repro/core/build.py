@@ -163,10 +163,10 @@ class BeethovenBuild:
             f"Beethoven build: {len(d.systems)} system(s), {n_cores} core(s) "
             f"on {self.platform.name}",
         ]
-        if d.network is not None:
+        if d.noc_plan is not None:
             lines.append(
-                f"  memory network: {getattr(d, 'n_memory_interfaces', 0)} interfaces, "
-                f"{d.network.n_nodes} nodes, {d.network.n_pipes} SLR bridges"
+                f"  memory network: {d.n_memory_interfaces} interfaces, "
+                f"{d.noc_plan.n_nodes} nodes, {d.noc_plan.n_pipes} SLR bridges"
             )
         if getattr(d, "dist_plan", None) is not None:
             desc = d.dist_plan.descriptor()

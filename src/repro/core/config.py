@@ -104,6 +104,11 @@ class AcceleratorConfig:
 
     ``module_constructor`` receives a :class:`~repro.core.context.CoreContext`
     and returns the user's :class:`~repro.core.accelerator.AcceleratorCore`.
+    Because the cores are identical, elaboration costs the whole System from
+    core 0 (its constructor, IO checks and ``kernel_resources()``) and
+    constructs cores 1…N−1 only when the design is instantiated for
+    simulation; a constructor that fails only for a later core therefore
+    fails at that first use, not in ``BeethovenBuild(...)``.
     """
 
     name: str

@@ -1,23 +1,34 @@
-"""SoC elaboration: from configurations to a simulatable, costed design.
+"""SoC elaboration: from configurations to a costed, then simulatable, design.
 
 This is the heart of the reproduction — the code path that plays the role of
-Beethoven's Chisel elaboration:
+Beethoven's Chisel elaboration.  It runs in two parts.
 
-1. construct every System's cores and their declared memory primitives;
-2. estimate per-core resources and floorplan cores onto SLRs;
+The **plan**, made by the constructor, is everything costing reads:
+
+1. construct core 0 of every System as its *template* (the user's
+   ``module_constructor``, the type and command-IO checks,
+   ``kernel_resources()``) and cost every core of the System from it — a
+   System is N identical cores;
+2. floorplan the cores onto SLRs;
 3. map each core's on-chip memories to BRAM/URAM (80% spill rule) or, on
    ASIC targets, compile them to SRAM macros;
-4. build the SLR-aware memory tree network from every Reader/Writer port to
-   the DDR controller, and the command network from the MMIO frontend to
-   every core;
-5. produce the resource, floorplan and routability reports, and register
-   everything with a cycle simulator at the first use of ``design.sim``
-   (a handle, the metric registry, a snapshot): most design points a
-   composer builds are only costed, never simulated.
+4. decide the SLR-aware memory tree (:func:`repro.noc.tree.plan_tree`);
+5. produce the resource, floorplan and routability reports.
+
+:meth:`ElaboratedDesign.instantiate` then builds the live model from the
+plan: cores 1…N−1, command adapters, intra-core links, the DDR controller,
+the NoC components, the command network and the observability wiring.  It
+runs once, at the first read of ``design.sim`` or of any live attribute
+(``design.network``, ``design.controller``, ``ecore.core``/``ctx``/
+``adapter``, …): most design points a composer builds are only costed, never
+simulated.  The netlist is registered with the simulator at the first read
+of ``design.sim``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,6 +38,7 @@ from repro.command.router import CommandRouter, CoreCommandAdapter, MmioFrontend
 from repro.core.accelerator import AcceleratorCore
 from repro.core.config import (
     AcceleratorConfig,
+    IntraCoreMemoryPortInConfig,
     IntraCoreMemoryPortOutConfig,
     ReadChannelConfig,
     ScratchpadConfig,
@@ -46,34 +58,69 @@ from repro.fpga.floorplan import (
 from repro.fpga.memcells import MemcellMapper
 from repro.fpga.resources import ResourceEstimator
 from repro.hdl.ir import HdlMemory
-from repro.noc.tree import BuiltNetwork, TreeBuilder
+from repro.noc.tree import TreePlan, build_network, plan_tree
 from repro.platforms.base import Platform
 from repro.sim import DEFAULT_SCHEDULING, Simulator, Tracer
 
+#: ElaboratedCore attributes that exist only once the design is instantiated.
+_LIVE_CORE = frozenset({"core", "ctx", "adapter"})
+#: ElaboratedDesign attributes that exist only once it is instantiated.
+_LIVE_DESIGN = frozenset(
+    {"controller", "monitor", "mem_mport", "network", "router", "mmio", "_broadcasts"}
+)
 
-@dataclass
+
 class ElaboratedCore:
-    """One placed core instance plus its plumbing."""
+    """One placed core: its costing record (``path``, ``slr``,
+    ``resources``, ``primitive_resources``, ``memories``) and, once the
+    design is instantiated, its live model (``core``, ``ctx``, ``adapter``).
+    Reading a live attribute instantiates the design."""
 
-    system_id: int
-    core_id: int
-    core: AcceleratorCore
-    ctx: CoreContext
-    adapter: CoreCommandAdapter
-    slr: int = 0
-    resources: ResourceVector = field(default_factory=ResourceVector)
-    primitive_resources: Dict[str, ResourceVector] = field(default_factory=dict)
-    memories: List[Tuple[str, HdlMemory]] = field(default_factory=list)
+    def __init__(
+        self,
+        design: "ElaboratedDesign",
+        system_id: int,
+        core_id: int,
+        path: str,
+        resources: ResourceVector,
+        primitive_resources: Dict[str, ResourceVector],
+        memories: List[Tuple[str, HdlMemory]],
+    ) -> None:
+        # Weak, so a costed-only design stays free of reference cycles and
+        # is reclaimed as soon as its caller drops it.
+        self._design = weakref.ref(design)
+        self.system_id = system_id
+        self.core_id = core_id
+        self.path = path
+        self.slr = 0
+        self.resources = resources
+        self.primitive_resources = primitive_resources
+        self.memories = memories
 
-    @property
-    def path(self) -> str:
-        return f"{self.ctx.system_name}/core{self.core_id}"
+    def __getattr__(self, name: str):
+        # Only reached while ``name`` is unset.
+        ref = self.__dict__.get("_design")
+        if name in _LIVE_CORE and ref is not None:
+            design = ref()
+            if design is None:
+                raise AttributeError(
+                    f"{self.path}: {name!r} needs the design instantiated, and "
+                    "the design was released first; keep the build alive"
+                )
+            if not design._instantiated:
+                design.instantiate()
+                return getattr(self, name)
+        raise AttributeError(f"'ElaboratedCore' object has no attribute {name!r}")
 
 
 @dataclass
 class ElaboratedSystem:
     config: AcceleratorConfig
     system_id: int
+    #: Core 0's context and model, constructed by the plan; the whole
+    #: System is costed from them, and instantiation reuses them as core 0.
+    template_ctx: CoreContext
+    template_core: AcceleratorCore
     cores: List[ElaboratedCore] = field(default_factory=list)
 
 
@@ -156,37 +203,35 @@ class ElaboratedDesign:
         # Set at the wiring point below; until then a read of ``sim`` (the
         # fault plan's registry) sees the bare simulator.
         self._wire_pending = False
+        self._instantiated = False
         self.estimator = ResourceEstimator()
         self.systems: List[ElaboratedSystem] = []
         self.memcell_mapper: Optional[MemcellMapper] = None
         self.macro_plans: List[Tuple[str, object]] = []
         self.placement: Optional[Placement] = None
-        self.network: Optional[BuiltNetwork] = None
-        self._broadcasts: List = []
+        #: The memory tree as planned (None: no core has an AXI master).
+        self.noc_plan: Optional[TreePlan] = None
+        self.n_memory_interfaces = 0
         self.routability: Optional[RoutabilityReport] = None
         self.report = ResourceReport()
-
-        self._build_cores()
-        self._wire_intra_core_links()
-        self._estimate_core_resources()
-        self._floorplan()
-        self._map_memories()
         # Default watchdog policy handed to FpgaHandle (None = disabled).
         self.watchdog = watchdog
         #: FaultState of the compiled FaultPlan (None when no plan was given).
         self.faults = None
 
-        self._build_memory_network()
-        if self.dist_config is not None:
-            from repro.dist import plan_partitions
-
-            self.dist_plan = plan_partitions(self, self.dist_config)
-        self._build_command_network()
-        self._wire_observability()
+        self._plan_cores()
+        self._check_intra_core_links()
+        self._floorplan()
+        self._map_memories()
+        self._plan_memory_network()
+        # A fault plan hooks into live models and a sharded build validates
+        # partition ownership of the wired netlist, so both instantiate (and
+        # may be refused) in the constructor.
+        if faults is not None or self.dist_config is not None:
+            self.instantiate()
         self._compile_faults(faults)
         # The wiring point.  A single-process design registers its netlist at
-        # the first read of ``sim``; a sharded one wires now, so partition
-        # ownership is validated (and may be refused) in the constructor.
+        # the first read of ``sim``; a sharded one wires now.
         if self.dist_plan is None:
             self._wire_pending = True
         else:
@@ -202,76 +247,81 @@ class ElaboratedDesign:
             self.root_sim = self._sim
             self._sim = DistSimulator(self.dist_plan, self.part_sims)
 
-    # ------------------------------------------------------------------ cores
-    def _build_cores(self) -> None:
+    def __getattr__(self, name: str):
+        # Only reached while ``name`` is unset.
+        if name in _LIVE_DESIGN and not self.__dict__.get("_instantiated", True):
+            self.instantiate()
+            return getattr(self, name)
+        raise AttributeError(f"'ElaboratedDesign' object has no attribute {name!r}")
+
+    # ----------------------------------------------------------------- plan
+    def _construct_core(
+        self, config: AcceleratorConfig, system_id: int, core_id: int
+    ) -> Tuple[CoreContext, AcceleratorCore]:
+        ctx = CoreContext(config.name, system_id, core_id, config, self.platform)
+        core = config.module_constructor(ctx)
+        if not isinstance(core, AcceleratorCore):
+            raise TypeError(
+                f"module_constructor for {config.name!r} must return an "
+                f"AcceleratorCore, got {type(core).__name__}"
+            )
+        if not ctx.ios:
+            raise ValueError(
+                f"core {config.name!r} declares no BeethovenIO; the host "
+                "could never command it"
+            )
+        return ctx, core
+
+    def _plan_cores(self) -> None:
+        """Construct each System's template core and cost every core from it."""
         for system_id, config in enumerate(self.configs):
-            system = ElaboratedSystem(config, system_id)
+            ctx, core = self._construct_core(config, system_id, 0)
+            system = ElaboratedSystem(config, system_id, ctx, core)
+            breakdown = self._primitive_resources(ctx, core)
+            total = ResourceVector()
+            for vec in breakdown.values():
+                total = total + vec
+            shapes = self._core_memories(ctx)
             for core_id in range(config.n_cores):
-                ctx = CoreContext(config.name, system_id, core_id, config, self.platform)
-                core = config.module_constructor(ctx)
-                if not isinstance(core, AcceleratorCore):
-                    raise TypeError(
-                        f"module_constructor for {config.name!r} must return an "
-                        f"AcceleratorCore, got {type(core).__name__}"
+                system.cores.append(
+                    ElaboratedCore(
+                        self,
+                        system_id,
+                        core_id,
+                        f"{config.name}/core{core_id}",
+                        total,
+                        dict(breakdown),
+                        # Each core maps its own copies (mapping annotates them).
+                        [(name, dataclasses.replace(mem)) for name, mem in shapes],
                     )
-                if not ctx.ios:
-                    raise ValueError(
-                        f"core {config.name!r} declares no BeethovenIO; the host "
-                        "could never command it"
-                    )
-                adapter = CoreCommandAdapter(
-                    system_id, core_id, ctx.ios, self.platform.addr_bits
                 )
-                system.cores.append(ElaboratedCore(system_id, core_id, core, ctx, adapter))
             self.systems.append(system)
 
-    def _wire_intra_core_links(self) -> None:
-        by_name = {s.config.name: s for s in self.systems}
-        for system in self.systems:
-            for cfg in system.config.memory_channel_config:
+    def _check_intra_core_links(self) -> None:
+        by_name = {c.name: c for c in self.configs}
+        for config in self.configs:
+            for cfg in config.memory_channel_config:
                 if not isinstance(cfg, IntraCoreMemoryPortOutConfig):
                     continue
-                target_system = by_name.get(cfg.to_system)
-                if target_system is None:
+                target = by_name.get(cfg.to_system)
+                if target is None:
                     raise ValueError(
                         f"intra-core port {cfg.name!r} targets unknown system "
                         f"{cfg.to_system!r}"
                     )
-                for ecore in system.cores:
-                    out_links = ecore.ctx.intra_out[cfg.name]
-                    tgt_core = target_system.cores[
-                        ecore.core_id % len(target_system.cores)
-                    ]
-                    in_mem = tgt_core.ctx.intra_in.get(cfg.to_memory_port)
-                    if in_mem is None:
-                        raise ValueError(
-                            f"intra-core port {cfg.name!r} targets unknown memory "
-                            f"port {cfg.to_memory_port!r} on {cfg.to_system!r}"
-                        )
-                    in_cfg = target_system.config.channel(cfg.to_memory_port)
-                    if getattr(in_cfg, "comm_degree", "point_to_point") == "broadcast":
-                        # Broadcast: one producer feeds the same-named memory
-                        # of EVERY consumer core via a fan-out component.
-                        sinks = [
-                            c.ctx.intra_in[cfg.to_memory_port] for c in target_system.cores
-                        ]
-                        from repro.core.intra import IntraCoreBroadcast
-
-                        for i, link in enumerate(out_links):
-                            fanout = IntraCoreBroadcast(
-                                f"{ecore.path}.{cfg.name}.bcast{i}",
-                                [s.links[i % len(s.links)] for s in sinks],
-                            )
-                            link.chan = fanout.input.chan
-                            self._broadcasts.append(fanout)
-                    else:
-                        for i, link in enumerate(out_links):
-                            link.chan = in_mem.links[i % len(in_mem.links)].chan
+                if not any(
+                    isinstance(c, IntraCoreMemoryPortInConfig)
+                    and c.name == cfg.to_memory_port
+                    for c in target.memory_channel_config
+                ):
+                    raise ValueError(
+                        f"intra-core port {cfg.name!r} targets unknown memory "
+                        f"port {cfg.to_memory_port!r} on {cfg.to_system!r}"
+                    )
 
     # ------------------------------------------------------------ resources
-    def _core_memories(self, ecore: ElaboratedCore) -> List[Tuple[str, HdlMemory]]:
+    def _core_memories(self, ctx: CoreContext) -> List[Tuple[str, HdlMemory]]:
         mems: List[Tuple[str, HdlMemory]] = []
-        ctx = ecore.ctx
         for cfg in ctx.config.memory_channel_config:
             if isinstance(cfg, ScratchpadConfig):
                 depth = cfg.n_datas * (2 if cfg.features.double_buffered else 1)
@@ -328,42 +378,36 @@ class ElaboratedDesign:
                     )
         return mems
 
-    def _estimate_core_resources(self) -> None:
+    def _primitive_resources(
+        self, ctx: CoreContext, core: AcceleratorCore
+    ) -> Dict[str, ResourceVector]:
         est = self.estimator
-        for system in self.systems:
-            for ecore in system.cores:
-                ctx = ecore.ctx
-                breakdown: Dict[str, ResourceVector] = {}
-                for name, readers in ctx.readers.items():
-                    for i, r in enumerate(readers):
-                        breakdown[f"reader.{name}{i}"] = est.reader(
-                            r.data_bytes, r.tuning.max_in_flight, r.tuning.n_axi_ids
-                        )
-                for name, writers in ctx.writers.items():
-                    for i, w in enumerate(writers):
-                        breakdown[f"writer.{name}{i}"] = est.writer(
-                            w.data_bytes, w.tuning.max_in_flight
-                        )
-                for name, sp in ctx.scratchpads.items():
-                    breakdown[f"scratchpad.{name}"] = est.scratchpad_logic(
-                        len(sp.ports), sp.data_width_bits
-                    )
-                    if sp.reader is not None:
-                        breakdown[f"scratchpad.{name}.reader"] = est.reader(
-                            sp.reader.data_bytes,
-                            sp.reader.tuning.max_in_flight,
-                            sp.reader.tuning.n_axi_ids,
-                        )
-                breakdown["cmd_adapter"] = est.command_adapter()
-                kernel = ecore.core.kernel_resources()
-                if kernel is not None:
-                    breakdown["kernel"] = kernel
-                ecore.memories = self._core_memories(ecore)
-                ecore.primitive_resources = breakdown
-                total = ResourceVector()
-                for vec in breakdown.values():
-                    total = total + vec
-                ecore.resources = total
+        breakdown: Dict[str, ResourceVector] = {}
+        for name, readers in ctx.readers.items():
+            for i, r in enumerate(readers):
+                breakdown[f"reader.{name}{i}"] = est.reader(
+                    r.data_bytes, r.tuning.max_in_flight, r.tuning.n_axi_ids
+                )
+        for name, writers in ctx.writers.items():
+            for i, w in enumerate(writers):
+                breakdown[f"writer.{name}{i}"] = est.writer(
+                    w.data_bytes, w.tuning.max_in_flight
+                )
+        for name, sp in ctx.scratchpads.items():
+            breakdown[f"scratchpad.{name}"] = est.scratchpad_logic(
+                len(sp.ports), sp.data_width_bits
+            )
+            if sp.reader is not None:
+                breakdown[f"scratchpad.{name}.reader"] = est.reader(
+                    sp.reader.data_bytes,
+                    sp.reader.tuning.max_in_flight,
+                    sp.reader.tuning.n_axi_ids,
+                )
+        breakdown["cmd_adapter"] = est.command_adapter()
+        kernel = core.kernel_resources()
+        if kernel is not None:
+            breakdown["kernel"] = kernel
+        return breakdown
 
     # ------------------------------------------------------------ floorplan
     def _floorplan(self) -> None:
@@ -425,29 +469,108 @@ class ElaboratedDesign:
                     loads[ecore.slr] = loads[ecore.slr] + ecore.resources
             self.placement.slr_load = loads
 
-    # ------------------------------------------------------------- networks
+    def _plan_memory_network(self) -> None:
+        slrs: List[int] = []
+        child_bits = 1
+        for system in self.systems:
+            masters = system.template_ctx.all_axi_masters()
+            for port in masters:
+                child_bits = max(child_bits, port.params.id_bits)
+            for ecore in system.cores:
+                slrs += [ecore.slr] * len(masters)
+        self.n_memory_interfaces = len(slrs)
+        if slrs:
+            device = self.platform.device
+            root_slr = device.memory_interface_slr if device else 0
+            self.noc_plan = plan_tree(self.platform.tree_config, slrs, child_bits, root_slr)
+
+    # ---------------------------------------------------------- instantiate
+    def instantiate(self) -> None:
+        """Build the live model from the plan; runs once.
+
+        The only code that creates cores 1…N−1 (core 0 is the plan's
+        template), the command adapters, intra-core links and broadcasts,
+        the DDR controller and monitor, the NoC components, the command
+        router and MMIO frontend, and the span-tracker wiring — the same
+        objects, with the same names, in the same order, whenever it runs.
+        A ``module_constructor`` that fails only for a later core fails
+        here (a System is N identical cores; see
+        :class:`~repro.core.config.AcceleratorConfig`).
+        """
+        if self._instantiated:
+            return
+        self._instantiated = True
+        addr_bits = self.platform.addr_bits
+        for system in self.systems:
+            for ecore in system.cores:
+                if ecore.core_id == 0:
+                    ecore.ctx, ecore.core = system.template_ctx, system.template_core
+                else:
+                    ecore.ctx, ecore.core = self._construct_core(
+                        system.config, system.system_id, ecore.core_id
+                    )
+                ecore.adapter = CoreCommandAdapter(
+                    system.system_id, ecore.core_id, ecore.ctx.ios, addr_bits
+                )
+        self._link_intra_core_ports()
+        self._build_memory_network()
+        if self.dist_config is not None:
+            from repro.dist import plan_partitions
+
+            self.dist_plan = plan_partitions(self, self.dist_config)
+        self._build_command_network()
+        self._wire_observability()
+
+    def _link_intra_core_ports(self) -> None:
+        self._broadcasts = []
+        by_name = {s.config.name: s for s in self.systems}
+        for system in self.systems:
+            for cfg in system.config.memory_channel_config:
+                if not isinstance(cfg, IntraCoreMemoryPortOutConfig):
+                    continue
+                target_system = by_name[cfg.to_system]
+                in_cfg = target_system.config.channel(cfg.to_memory_port)
+                broadcast = getattr(in_cfg, "comm_degree", "point_to_point") == "broadcast"
+                for ecore in system.cores:
+                    out_links = ecore.ctx.intra_out[cfg.name]
+                    if broadcast:
+                        # Broadcast: one producer feeds the same-named memory
+                        # of EVERY consumer core via a fan-out component.
+                        sinks = [
+                            c.ctx.intra_in[cfg.to_memory_port] for c in target_system.cores
+                        ]
+                        from repro.core.intra import IntraCoreBroadcast
+
+                        for i, link in enumerate(out_links):
+                            fanout = IntraCoreBroadcast(
+                                f"{ecore.path}.{cfg.name}.bcast{i}",
+                                [s.links[i % len(s.links)] for s in sinks],
+                            )
+                            link.chan = fanout.input.chan
+                            self._broadcasts.append(fanout)
+                    else:
+                        tgt_core = target_system.cores[
+                            ecore.core_id % len(target_system.cores)
+                        ]
+                        in_mem = tgt_core.ctx.intra_in[cfg.to_memory_port]
+                        for i, link in enumerate(out_links):
+                            link.chan = in_mem.links[i % len(in_mem.links)].chan
+
     def _build_memory_network(self) -> None:
         params = self.platform.axi_params
         slave_port = AxiPort(params, "ddr", depth=8)
         self.monitor = AxiMonitor("ddr", self.tracer)
         self.mem_mport = MonitoredAxiPort(slave_port, self.monitor)
         self.controller = MemoryController(self.mem_mport, self.platform.dram_timing)
-        endpoints: List[Tuple[AxiPort, int]] = []
-        child_bits = 1
-        for system in self.systems:
-            for ecore in system.cores:
-                for port in ecore.ctx.all_axi_masters():
-                    endpoints.append((port, ecore.slr))
-                    child_bits = max(child_bits, port.params.id_bits)
-        if not endpoints:
-            self.network = None
-            return
-        builder = TreeBuilder(self.platform.tree_config, endpoints[0][0].params)
-        root_slr = (
-            self.platform.device.memory_interface_slr if self.platform.device else 0
-        )
-        self.network = builder.build(endpoints, self.mem_mport, child_bits, root_slr)
-        self.n_memory_interfaces = len(endpoints)
+        self.network = None
+        if self.noc_plan is not None:
+            ports = [
+                port
+                for system in self.systems
+                for ecore in system.cores
+                for port in ecore.ctx.all_axi_masters()
+            ]
+            self.network = build_network(self.noc_plan, ports, self.mem_mport)
 
     def _build_command_network(self) -> None:
         self.router = CommandRouter()
@@ -512,15 +635,17 @@ class ElaboratedDesign:
     # ------------------------------------------------------------- simulator
     @property
     def sim(self):
-        """The cycle simulator, with the netlist registered on first use.
+        """The cycle simulator, with the design instantiated and its netlist
+        registered on first use.
 
         Everything that drives or reads the design goes through here — the
         runtime handle, the metric registry, snapshots, the serving layer —
         so resource-only callers (sweeps, feasibility searches) never pay for
-        ``Simulator.add``/``register_channel``.
+        the live model or ``Simulator.add``/``register_channel``.
         """
         if self._wire_pending:
             self._wire_pending = False
+            self.instantiate()
             self._register_all()
         return self._sim
 
@@ -565,19 +690,18 @@ class ElaboratedDesign:
                 total = total + ecore.resources
         interconnect = ResourceVector()
         per_slr: Dict[int, ResourceVector] = {}
-        if self.network is not None:
-            for comp in self.network.components:
-                from repro.noc.axi_node import AxiBufferNode, AxiPipe
-
-                if isinstance(comp, AxiBufferNode):
-                    vec = est.noc_node(len(comp.upstreams), beat)
-                elif isinstance(comp, AxiPipe):
-                    vec = est.slr_pipe(beat, comp.latency)
+        plan = self.noc_plan
+        if plan is not None:
+            for spec in plan.nodes:
+                if spec.kind == "node":
+                    vec = est.noc_node(len(spec.inputs), beat)
+                elif spec.kind == "pipe":
+                    vec = est.slr_pipe(beat, spec.latency)
                 else:
                     vec = est.noc_node(1, beat).scaled(0.5)  # id compressor
                 interconnect = interconnect + vec
-            for slr, count in self.network.nodes_per_slr.items():
-                share = count / max(self.network.n_nodes, 1)
+            for slr, count in plan.nodes_per_slr.items():
+                share = count / max(plan.n_nodes, 1)
                 per_slr[slr] = interconnect.scaled(share)
         n_cores = sum(len(s.cores) for s in self.systems)
         command = est.mmio_frontend(n_cores)
@@ -596,7 +720,7 @@ class ElaboratedDesign:
         if device is None or self.placement is None:
             self.routability = RoutabilityReport(feasible=True, score=1.0)
             return
-        net = self.network
+        net = self.noc_plan
         self.routability = routability_report(
             device,
             self.placement,

@@ -130,12 +130,13 @@ def build_hdl(design) -> HdlModule:
             sys_mod.instantiate(core_mod, f"u_core{ecore.core_id}", {"clk": "clk"})
         top.instantiate(sys_mod, f"u_{sanitize(system.config.name)}", {"clk": "clk"})
 
-    if design.network is not None:
+    plan = design.noc_plan
+    if plan is not None:
         noc = HdlModule(
             "memory_noc",
             doc=(
-                f"Generated memory network: {design.network.n_nodes} buffer nodes, "
-                f"{design.network.n_pipes} SLR bridges, depth {design.network.depth}"
+                f"Generated memory network: {plan.n_nodes} buffer nodes, "
+                f"{plan.n_pipes} SLR bridges, depth {plan.depth}"
             ),
         )
         noc.add_port("clk", "input")

@@ -148,7 +148,7 @@ def plan_partitions(design, config: DistConfig) -> "PartitionPlan":
             "distributed= needs a multi-die platform: single-die designs "
             "have no SLR bridges to cut"
         )
-    if net is None or net.n_pipes == 0:
+    if net is None or design.noc_plan.n_pipes == 0:
         raise DistError(
             "distributed= found no inter-SLR AxiPipe bridges to cut — the "
             "design's cores all placed on the memory-interface SLR (or the "

@@ -10,8 +10,11 @@ _LAZY = {
     "as_link": "repro.noc.links",
     "bits_for": "repro.noc.axi_node",
     "BuiltNetwork": "repro.noc.tree",
-    "TreeBuilder": "repro.noc.tree",
+    "NodeSpec": "repro.noc.tree",
     "TreeConfig": "repro.noc.tree",
+    "TreePlan": "repro.noc.tree",
+    "build_network": "repro.noc.tree",
+    "plan_tree": "repro.noc.tree",
 }
 
 __all__ = list(_LAZY)

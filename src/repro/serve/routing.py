@@ -46,7 +46,7 @@ class KernelRouter:
         self._table: Dict[str, List[CoreSlot]] = {}
         self._specs: Dict[str, object] = {}
         for system in design.systems:
-            for io in system.cores[0].ctx.ios:
+            for io in system.template_ctx.ios:
                 kernel = io.command_spec.name
                 self._specs.setdefault(kernel, io.command_spec)
                 slots = self._table.setdefault(kernel, [])

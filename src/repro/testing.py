@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.axi import AxiMonitor, AxiParams, AxiPort, MonitoredAxiPort
 from repro.dram import DDR4_AWS_F1, DramTiming, MemoryController, MemoryStore
-from repro.noc import TreeBuilder, TreeConfig
+from repro.noc import TreeConfig, build_network, plan_tree
 from repro.sim import DEFAULT_SCHEDULING, Component, Simulator, Tracer
 
 
@@ -73,8 +73,8 @@ def build_memory_testbench(
         slrs = [0] * len(master_ports)
     if child_id_bits is None:
         child_id_bits = max(p.params.id_bits for p in master_ports)
-    builder = TreeBuilder(tree_config or TreeConfig(), master_ports[0].params)
-    net = builder.build(list(zip(master_ports, slrs)), mport, child_id_bits)
+    plan = plan_tree(tree_config or TreeConfig(), slrs, child_id_bits)
+    net = build_network(plan, master_ports, mport)
     net.register_with(sim)
     for port in master_ports:
         for chan in port.channels():

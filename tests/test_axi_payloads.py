@@ -47,7 +47,7 @@ def test_one_payload_per_beat_and_per_burst(mode, monkeypatch):
     build = BeethovenBuild(memcpy_config(n_cores=N_CORES), AWSF1Platform(), scheduling=mode)
     design = build.design
     hops = Counter(type(c) for c in design.network.components)
-    assert design.network.depth >= 2 and hops[AxiBufferNode] > 1
+    assert design.noc_plan.depth >= 2 and hops[AxiBufferNode] > 1
     assert hops[AxiPipe] and hops[IdCompressor]
     handle = FpgaHandle(design)
     pattern = random.Random(0).randbytes(SIZE)

@@ -33,7 +33,7 @@ def test_per_core_breakdown_sums_to_core():
 
 def test_network_stats_match_design_size():
     build = BeethovenBuild(a3_config(6), AWSF1Platform())
-    net = build.design.network
+    net = build.design.noc_plan
     assert build.design.n_memory_interfaces == 24  # 4 per core
     assert net.n_nodes >= 3
     assert net.max_fanout <= build.platform.tree_config.fanout
@@ -101,3 +101,33 @@ def test_trace_event_is_frozen():
     event = TraceEvent(1, "c", "e")
     with pytest.raises(AttributeError):
         event.cycle = 2
+
+
+def test_a_design_without_axi_masters_has_no_memory_interfaces():
+    from repro.serve.scenarios import hetero_build
+
+    build = hetero_build()
+    assert build.design.n_memory_interfaces == 0
+    assert build.design.noc_plan is None
+    assert "memory network" not in build.summary()
+
+
+def test_a_core_failing_after_the_template_fails_at_instantiation():
+    """A System is N identical cores: the plan constructs core 0 only, so a
+    constructor that fails for a later core fails when the design is
+    instantiated, not when it is costed."""
+    import dataclasses
+
+    base = vector_add_config(3)
+
+    def construct(ctx):
+        if ctx.core_id == 2:
+            raise RuntimeError("core 2 refuses")
+        return base.module_constructor(ctx)
+
+    build = BeethovenBuild(
+        dataclasses.replace(base, module_constructor=construct), AWSF1Platform()
+    )
+    assert len(build.resource_report.per_core) == 3
+    with pytest.raises(RuntimeError, match="core 2 refuses"):
+        build.design.sim

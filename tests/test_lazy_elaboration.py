@@ -20,6 +20,7 @@ honest:
 
 from __future__ import annotations
 
+import collections
 import gc
 import weakref
 
@@ -81,41 +82,92 @@ def test_a_sweep_wires_nothing(monkeypatch):
     assert log == []
 
 
+def _snapshot(build):
+    handle = FpgaHandle(build.design)
+    capture(handle)
+    return handle
+
+
+# Each entry point returns the FpgaHandle it opened, if any.  The last three
+# instantiate the design without wiring it; the ``sim`` read after them does.
 _ENTRY_POINTS = {
     "handle": lambda build: FpgaHandle(build.design),
     "metrics": lambda build: build.metrics(),
     "registry": lambda build: build.design.registry,
     "service": lambda build: AcceleratorService(
         FpgaHandle(build.design), [TenantConfig(name="t")]
-    ),
-    "snapshot": lambda build: capture(FpgaHandle(build.design)),
+    ).handle,
+    "snapshot": _snapshot,
+    "emit_verilog": lambda build: (build.emit_verilog(), build.design.sim),
+    "network": lambda build: (build.design.network.components, build.design.sim),
+    "last_core": lambda build: (build.design.systems[0].cores[-1].core, build.design.sim),
 }
 
 
-@pytest.mark.parametrize("entry", _ENTRY_POINTS)
-def test_first_use_wires_like_the_eager_reference(entry, monkeypatch):
+def _first_use(entry, monkeypatch, **build_kwargs):
+    """Wiring log, registry keys and the stable dump after one memcpy
+    command, for ``entry`` on a lazy build and on the eager reference."""
     log = _wiring_log(monkeypatch)
 
     def wire():
         log.clear()
-        build = BeethovenBuild(
-            memcpy_config(n_cores=4),
-            AWSF1Platform(),
-            faults=FaultPlan(seed=7, axi_r_corrupt_rate=0.01),
-        )
+        build = BeethovenBuild(memcpy_config(n_cores=4), AWSF1Platform(), **build_kwargs)
         at_construction = len(log)
-        _ENTRY_POINTS[entry](build)
-        return at_construction, list(log), list(build.metrics())
+        handle = _ENTRY_POINTS[entry](build)
+        wired, keys = list(log), list(build.metrics())
+        if not isinstance(handle, FpgaHandle):
+            handle = FpgaHandle(build.design)
+        src, dst = handle.malloc(512), handle.malloc(512)
+        src.write(bytes(range(256)) * 2)
+        handle.copy_to_fpga(src)
+        handle.call(
+            "Memcpy", "memcpy", 3, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=512
+        ).get()
+        return at_construction, wired, keys, build.metrics(stable_only=True)
 
-    built, lazy, lazy_keys = wire()
-    assert built == 0
+    lazy = wire()
     _wire_in_constructor(monkeypatch)
-    built, eager, eager_keys = wire()
-    assert built > 0
+    eager = wire()
+    assert lazy[0] == 0 and eager[0] > 0
     # Same components and channels, in the same order, into the same
-    # simulator; hence the same registry keys and ``#n`` suffixes.
-    assert lazy == eager
-    assert lazy_keys == eager_keys
+    # simulator; hence the same registry keys and ``#n`` suffixes, and the
+    # same run.
+    assert lazy[1:] == eager[1:]
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_first_use_wires_like_the_eager_reference(entry, monkeypatch):
+    _first_use(entry, monkeypatch)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_faulted_first_use_wires_like_the_eager_reference(entry, monkeypatch):
+    """A fault plan instantiates in the constructor; wiring stays lazy."""
+    _first_use(entry, monkeypatch, faults=FaultPlan(seed=7, axi_r_corrupt_rate=0.01))
+
+
+def test_a_costed_build_constructs_one_core_per_system(monkeypatch):
+    """Costing reads the plan: a 48-core point constructs what a 1-core one
+    does (the System's template core) and no network component."""
+    made = collections.Counter()
+    for cls in (ChannelQueue, Component):
+        def counted(self, *args, _init=cls.__init__, _base=cls.__name__, **kwargs):
+            made[_base] += 1
+            made[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def census(n_cores):
+        made.clear()
+        BeethovenBuild(memcpy_config(n_cores=n_cores), AWSF1Platform())
+        return dict(made)
+
+    one, many = census(1), census(48)
+    assert one["ChannelQueue"] > 0 and one["Component"] > 0
+    assert many["ChannelQueue"] == one["ChannelQueue"]
+    assert many["Component"] == one["Component"]
+    assert not {"AxiBufferNode", "AxiPipe", "IdCompressor"} & set(many)
 
 
 def test_sharded_builds_wire_in_the_constructor(monkeypatch):
@@ -266,13 +318,16 @@ def test_elaboration_alone_builds_no_views_and_no_rows():
     # each): nothing for any chan/... or component path.
     assert len(views) <= 20
     mems = [m for i, m in _live(Memory).items() if i not in mems_before]
-    assert len(mems) >= 16 and all(m._cells is None for m in mems)
+    # Costing constructs one template core per System.
+    assert len(mems) >= 2 and all(m._cells is None for m in mems)
 
     # The guard measures something: the first read adopts thousands of views.
     names = copy48.registry.names()
     assert any(n.startswith("chan/") for n in names)
     assert len(_live(BoundMetric)) - len(views_before) > 1000
-    assert nw16.metrics() and all(m._cells is None for m in mems)
+    assert nw16.metrics()
+    mems = [m for i, m in _live(Memory).items() if i not in mems_before]
+    assert len(mems) >= 16 and all(m._cells is None for m in mems)
 
 
 def test_tick_program_is_compiled_at_the_first_run_only():

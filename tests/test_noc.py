@@ -4,7 +4,7 @@ import pytest
 
 from repro.axi import AxiParams, AxiPort
 from repro.memory import Reader, ReaderTuning, ReadRequest, Writer, WriteRequest
-from repro.noc import TreeBuilder, TreeConfig, bits_for
+from repro.noc import TreeConfig, bits_for, build_network, plan_tree
 from repro.sim import Component, SimulationError
 from repro.testing import build_memory_testbench
 
@@ -59,28 +59,39 @@ def test_tree_delivers_all_streams(n_readers, fanout):
 
 def test_slr_aware_tree_builds_bridges():
     ports = [AxiPort(PARAMS, f"p{i}") for i in range(6)]
-    builder = TreeBuilder(TreeConfig(fanout=4, slr_crossing_latency=4), PARAMS)
+    config = TreeConfig(fanout=4, slr_crossing_latency=4)
     from repro.axi import AxiMonitor, MonitoredAxiPort
+    from repro.noc import AxiBufferNode, AxiPipe, IdCompressor
 
     target = MonitoredAxiPort(AxiPort(PARAMS, "mem"), AxiMonitor("mem"))
-    net = builder.build(
-        [(p, i % 3) for i, p in enumerate(ports)], target, child_id_bits=2, root_slr=0
-    )
-    assert net.n_pipes == 2  # SLR1 and SLR2 each bridge to SLR0
-    assert net.n_nodes >= 3  # one subtree node per SLR at least
-    assert net.max_fanout <= 4
+    plan = plan_tree(config, [i % 3 for i in range(6)], child_id_bits=2, root_slr=0)
+    assert plan.n_pipes == 2  # SLR1 and SLR2 each bridge to SLR0
+    assert plan.n_nodes >= 3  # one subtree node per SLR at least
+    assert plan.max_fanout <= 4
+    pipes = [spec for spec in plan.nodes if spec.kind == "pipe"]
+    assert [(p.up_slr, p.slr, p.latency) for p in pipes] == [(1, 0, 4), (2, 0, 4)]
+    # The built network is the plan, component for component.
+    net = build_network(plan, ports, target)
+    kinds = {AxiBufferNode: "node", AxiPipe: "pipe", IdCompressor: "idmap"}
+    assert [(kinds[type(c)], c.name) for c in net.components] == [
+        (spec.kind, spec.name) for spec in plan.nodes
+    ]
+    assert [p.name for p in net.interior_ports] == [
+        spec.port for spec in plan.nodes if spec.port is not None
+    ]
 
 
 def test_flat_network_single_arbiter():
     ports = [AxiPort(PARAMS, f"p{i}") for i in range(10)]
-    builder = TreeBuilder(TreeConfig(slr_aware=False), PARAMS)
     from repro.axi import AxiMonitor, MonitoredAxiPort
 
     target = MonitoredAxiPort(AxiPort(PARAMS, "mem"), AxiMonitor("mem"))
-    net = builder.build([(p, 0) for p in ports], target, child_id_bits=2)
-    assert net.n_nodes == 1
-    assert net.max_fanout == 10
-    assert net.n_pipes == 0
+    plan = plan_tree(TreeConfig(slr_aware=False), [0] * 10, child_id_bits=2)
+    assert plan.n_nodes == 1
+    assert plan.max_fanout == 10
+    assert plan.n_pipes == 0
+    net = build_network(plan, ports, target)
+    assert net.components[0].upstreams == ports
 
 
 def test_mixed_readers_writers_share_network():
