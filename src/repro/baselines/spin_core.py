@@ -8,8 +8,8 @@ is a tick the scheduler must execute.  Tests use it as the busy core that no
 elision can skip, with a per-core load that differs by command arguments.
 
 The config declares one (unused) read channel so the elaborated design has
-AXI endpoints and therefore a memory tree with SLR-crossing pipes — the cut
-points :func:`repro.dist.plan_partitions` needs.
+AXI endpoints and therefore a memory tree, with SLR-crossing pipes on a
+multi-die platform.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def spin_config(
         module_constructor=make,
         memory_channel_config=(
             # Unused data path; present so the design elaborates a memory
-            # tree (and with it the SLR bridges the partitioner cuts).
+            # tree (and with it the SLR bridges).
             ReadChannelConfig("probe", data_bytes=4),
         ),
     )

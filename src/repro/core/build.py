@@ -54,7 +54,6 @@ class BeethovenBuild:
         scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
         watchdog=None,
-        distributed=None,
     ) -> None:
         self.platform = platform
         self.build_mode = build_mode
@@ -67,7 +66,6 @@ class BeethovenBuild:
             scheduling=scheduling,
             faults=faults,
             watchdog=watchdog,
-            distributed=distributed,
         )
         if build_mode is BuildMode.Synthesis:
             report = self.design.routability
@@ -167,12 +165,6 @@ class BeethovenBuild:
             lines.append(
                 f"  memory network: {d.n_memory_interfaces} interfaces, "
                 f"{d.noc_plan.n_nodes} nodes, {d.noc_plan.n_pipes} SLR bridges"
-            )
-        if getattr(d, "dist_plan", None) is not None:
-            desc = d.dist_plan.descriptor()
-            lines.append(
-                f"  sharded: {desc.n_workers} partitions, slice width "
-                f"{desc.slice_width}, {len(desc.cut_set)} cut bridges"
             )
         if d.placement is not None and self.platform.device is not None:
             per_slr = {

@@ -149,30 +149,11 @@ class ElaboratedDesign:
         scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
         watchdog=None,
-        distributed=None,
     ) -> None:
         from repro.obs import CommandSpanTracker, Observability
 
         self.platform = platform
         self.configs = as_config_list(configs)
-        # ``distributed=`` shards the design across partition simulators at
-        # SLR-bridge boundaries (repro.dist).  Accepts a DistConfig or a
-        # plain worker count.
-        if distributed is not None:
-            from repro.dist import DistConfig, DistError
-
-            if isinstance(distributed, bool) or (
-                not isinstance(distributed, (int, DistConfig))
-            ):
-                raise DistError(
-                    "distributed= expects a DistConfig or a worker count, "
-                    f"got {type(distributed).__name__}"
-                )
-            if isinstance(distributed, int):
-                distributed = DistConfig(n_workers=distributed)
-        self.dist_config = distributed
-        self.dist_plan = None
-        self.root_sim = None
         # Metrics are always collected; the Observability config gates span
         # tracking, the wall-clock profiler, and trace ring-buffer caps.
         self.observability = (
@@ -182,12 +163,9 @@ class ElaboratedDesign:
         )
         self.tracer = tracer or Tracer(max_events=self.observability.max_events)
         # Span tracking follows one command across the server, adapter and
-        # memory ports — a lifecycle that spans partitions in a sharded
-        # build, so it is forced off there (documented in DESIGN.md).
+        # memory ports.
         self.span_tracker = (
-            CommandSpanTracker(self.tracer)
-            if self.observability.enabled and self.dist_config is None
-            else None
+            CommandSpanTracker(self.tracer) if self.observability.enabled else None
         )
         # Built designs default to the compiled schedule (the tick program
         # itself is only built at the first ``run()``): every framework
@@ -224,28 +202,15 @@ class ElaboratedDesign:
         self._floorplan()
         self._map_memories()
         self._plan_memory_network()
-        # A fault plan hooks into live models and a sharded build validates
-        # partition ownership of the wired netlist, so both instantiate (and
-        # may be refused) in the constructor.
-        if faults is not None or self.dist_config is not None:
+        # A fault plan hooks into live models, so it instantiates (and may
+        # be refused) in the constructor.
+        if faults is not None:
             self.instantiate()
         self._compile_faults(faults)
-        # The wiring point.  A single-process design registers its netlist at
-        # the first read of ``sim``; a sharded one wires now.
-        if self.dist_plan is None:
-            self._wire_pending = True
-        else:
-            self._register_all()
+        # The wiring point: the netlist registers at the first read of ``sim``.
+        self._wire_pending = True
         self._finalise_report()
         self._check_routability()
-        if self.dist_plan is not None:
-            from repro.dist import DistSimulator
-
-            # From here on the design drives like any other: ``self.sim`` is
-            # the slice loop, the single-process kernel stays reachable as
-            # ``root_sim`` (partition 0).
-            self.root_sim = self._sim
-            self._sim = DistSimulator(self.dist_plan, self.part_sims)
 
     def __getattr__(self, name: str):
         # Only reached while ``name`` is unset.
@@ -514,10 +479,6 @@ class ElaboratedDesign:
                 )
         self._link_intra_core_ports()
         self._build_memory_network()
-        if self.dist_config is not None:
-            from repro.dist import plan_partitions
-
-            self.dist_plan = plan_partitions(self, self.dist_config)
         self._build_command_network()
         self._wire_observability()
 
@@ -575,15 +536,10 @@ class ElaboratedDesign:
     def _build_command_network(self) -> None:
         self.router = CommandRouter()
         self.mmio = MmioFrontend(self.router)
-        proxies = self.dist_plan.proxies if self.dist_plan is not None else {}
         for system in self.systems:
             for ecore in system.cores:
                 latency = self.platform.command_latency_for(ecore.slr)
-                # In a sharded build, cores on non-root SLRs are commanded
-                # through a root-partition proxy; the command bridge adds the
-                # SLR-crossing hop on top of the stock attach latency.
-                proxy = proxies.get((ecore.system_id, ecore.core_id))
-                self.router.attach(proxy if proxy is not None else ecore.adapter, latency)
+                self.router.attach(ecore.adapter, latency)
 
     # -------------------------------------------------------- observability
     def _wire_observability(self) -> None:
@@ -650,15 +606,6 @@ class ElaboratedDesign:
         return self._sim
 
     def _register_all(self) -> None:
-        if self.dist_plan is not None:
-            from repro.dist import register_partitioned
-
-            self.part_sims = [self._sim] + [
-                Simulator(f"part{p}", scheduling=self._sim.scheduling)
-                for p in range(1, self.dist_plan.n_partitions)
-            ]
-            register_partitioned(self, self.dist_plan, self.part_sims)
-            return
         sim = self._sim
         sim.add(self.controller)
         sim.add(self.monitor)
@@ -793,8 +740,7 @@ class ElaboratedDesign:
     def profile_report(self, top: int = 0) -> str:
         from repro.obs.profiler import render_profile_report
 
-        # In a sharded build the wall-clock profiler only covers partition 0.
-        return render_profile_report(getattr(self.sim, "root", self.sim), top=top)
+        return render_profile_report(self.sim, top=top)
 
     def attribution_report(self, by_tenant: bool = False):
         """Cycle-attribution rollup (see :mod:`repro.obs.attribution`).

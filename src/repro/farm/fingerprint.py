@@ -151,16 +151,8 @@ def job_fingerprint(
     args: tuple,
     kwargs: dict,
     salt: Optional[str] = None,
-    partition: Any = None,
 ) -> str:
-    """Content fingerprint of one job: callable + payload + code version.
-
-    ``partition`` folds a sharding descriptor (e.g. a
-    :class:`repro.dist.PartitionDescriptor`) into the key.  Sharded runs are
-    bit-identical to single-process ones for *stable* outputs, but volatile
-    harness metrics (``dist/*``) legitimately differ — so a cached result
-    must not be served across different partitionings.
-    """
+    """Content fingerprint of one job: callable + payload + code version."""
     h = hashlib.sha256()
     h.update((salt if salt is not None else code_salt()).encode())
     h.update(b"\x00")
@@ -169,7 +161,4 @@ def job_fingerprint(
     h.update(_canonical_bytes(tuple(args)))
     h.update(b"\x00")
     h.update(_canonical_bytes(dict(kwargs)))
-    if partition is not None:
-        h.update(b"\x00dist\x00")
-        h.update(_canonical_bytes(partition))
     return h.hexdigest()

@@ -62,7 +62,6 @@ class Job:
     timeout_s: Optional[float] = None
     max_attempts: Optional[int] = None
     cache: bool = True
-    partition: Any = None  # sharding descriptor folded into the cache key
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
 
@@ -84,9 +83,7 @@ class Job:
     def fingerprint(self) -> str:
         """Content fingerprint (cache key); computed once per job."""
         if self._fingerprint is None:
-            self._fingerprint = job_fingerprint(
-                self.fn, self.args, self.kwargs, partition=self.partition
-            )
+            self._fingerprint = job_fingerprint(self.fn, self.args, self.kwargs)
         return self._fingerprint
 
     def resolve(self) -> Callable[..., Any]:

@@ -253,19 +253,6 @@ class FaultState:
             h.update(f"{ev.cycle}:{ev.site}:{ev.kind}:{ev.detail}\n".encode())
         return h.hexdigest()[:16]
 
-    def canonical_fingerprint(self) -> str:
-        """Order-independent schedule hash for distributed comparisons.
-
-        In a sharded run the partitions advance one after another within
-        each slice, so ``events`` interleaves differently than in one
-        simulator even though the *set* of events is identical.  Hashing the
-        sorted schedule compares the physics, not the append order.
-        """
-        h = hashlib.sha256()
-        for ev in sorted(self.events, key=lambda e: (e.cycle, e.site, e.kind, e.detail)):
-            h.update(f"{ev.cycle}:{ev.site}:{ev.kind}:{ev.detail}\n".encode())
-        return h.hexdigest()[:16]
-
 
 def _flip_one_bit(data: bytes, rng: random.Random) -> Tuple[bytes, int]:
     bit = rng.randrange(max(len(data), 1) * 8)

@@ -118,8 +118,7 @@ def make_multi_die(n_slrs: int, name: str = "") -> FpgaDevice:
     """A synthetic ``n_slrs``-die device of VU9P-class SLRs.
 
     Interfaces stay on SLR0 (the common Alveo arrangement), so every other
-    die reaches memory through an SLR-crossing pipe — the topology the
-    sharded-simulation benchmarks partition along.
+    die reaches memory through an SLR-crossing pipe.
     """
     if n_slrs < 1:
         raise ValueError("a device needs at least one SLR")

@@ -71,13 +71,6 @@ class BuiltNetwork:
 
     components: List[Component] = field(default_factory=list)
     interior_ports: List[AxiPort] = field(default_factory=list)
-    # SLR placement records, consumed by the distributed partitioner
-    # (repro.dist): which die each network component / interior port lives
-    # on, and for each AxiPipe the (upstream slr, downstream slr) pair it
-    # spans.  Keyed by id() — the objects themselves are the identity.
-    component_slr: Dict[int, int] = field(default_factory=dict)
-    port_slr: Dict[int, int] = field(default_factory=dict)
-    pipe_sides: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def register_with(self, sim) -> None:
         # Interior-port channels are registered after the node components
@@ -100,6 +93,16 @@ class TreeConfig:
     interior_depth: int = 4
     slr_crossing_latency: int = 4
     slr_aware: bool = True
+
+    def __post_init__(self) -> None:
+        # Refused here, not at the first simulation: a plan prices these
+        # values long before a channel is built from them.
+        if self.interior_depth < 1:
+            raise ValueError(f"interior_depth must be >= 1, got {self.interior_depth}")
+        if self.slr_crossing_latency < 0:
+            raise ValueError(
+                f"slr_crossing_latency must be >= 0, got {self.slr_crossing_latency}"
+            )
 
 
 def plan_tree(
@@ -214,12 +217,9 @@ def build_network(plan: TreePlan, ports: Sequence[AxiPort], target) -> BuiltNetw
             port = AxiPort(params, spec.port, depth=plan.port_depth)
             if spec.kind == "pipe":
                 comp = AxiPipe(inputs[0], port, spec.latency, spec.name)
-                net.pipe_sides[id(comp)] = (spec.up_slr, spec.slr)
             else:
                 comp = AxiBufferNode(inputs, port, spec.child_id_bits, spec.name)
             wires[spec.port] = port
             net.interior_ports.append(port)
-            net.port_slr[id(port)] = spec.slr
         net.components.append(comp)
-        net.component_slr[id(comp)] = spec.slr
     return net

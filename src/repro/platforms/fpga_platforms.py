@@ -50,10 +50,8 @@ def multi_die_platform(
     """An F1-style discrete platform on a synthetic ``n_slrs``-die device.
 
     The deeper SLR-crossing pipelining (default 8 cycles vs F1's 4) is an
-    honest platform parameter — very large multi-die parts need it to close
-    timing — and it doubles as the sharded simulator's lookahead window: the
-    conservative slice width equals the minimum bridge latency, so deeper
-    crossings mean fewer synchronization barriers per simulated cycle.
+    honest platform parameter: very large multi-die parts need it to close
+    timing.
     """
     base = AWSF1Platform(clock_mhz=clock_mhz)
     return dataclasses.replace(

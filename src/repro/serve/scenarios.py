@@ -48,14 +48,11 @@ def hetero_build(
     observability=None,
     n_gemm: int = 2,
     n_attn: int = 2,
-    distributed=None,
 ):
     """Two-system heterogeneous design: Gemm + Attn delay cores.
 
-    ``distributed`` forwards a :class:`repro.dist.DistConfig`; note the
-    delay cores declare no memory channels, so sharding only applies once a
-    scenario swaps in compute cores with AXI endpoints (the partitioner
-    needs SLR-crossing pipes to cut).
+    The delay cores declare no memory channels, so the design has no
+    memory tree.
     """
     from repro.baselines.delay_core import delay_config
     from repro.core.build import BeethovenBuild
@@ -72,7 +69,6 @@ def hetero_build(
         faults=faults,
         watchdog=watchdog,
         observability=observability,
-        distributed=distributed,
     )
 
 

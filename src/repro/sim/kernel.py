@@ -650,20 +650,6 @@ class Simulator:
             self._raise_deadlock(max_cycles)
         return self.cycle
 
-    def run_slice(self, n_cycles: int) -> int:
-        """Advance exactly ``n_cycles`` cycles with no completion predicate.
-
-        The distributed engine's unit of execution: a partition runs one
-        lookahead slice between barriers, with any externally-injected bridge
-        traffic already sitting in its ingress delay lines.  Semantically just
-        ``run(n_cycles, until=None)`` — which can never raise
-        :class:`DeadlockError` — but named so call sites read as slice-bounded
-        execution rather than budgeted completion waits.
-        """
-        if n_cycles <= 0:
-            return self.cycle
-        return self.run(n_cycles, until=None)
-
     # -- compiled scheduling ---------------------------------------------------
     def _wake_all_on_entry(self, fresh: bool, n_slots: int) -> bool:
         """The compiled schedule's ``run()`` entry rule.

@@ -1,14 +1,14 @@
 """Deterministic checkpoint/restore for Beethoven simulations.
 
-``capture(handle)`` freezes the complete state of a single-process run —
+``capture(handle)`` freezes the complete state of a run —
 cycle counter, every channel's contents and lag-credit bookkeeping,
 per-component model state, the dirty-channel list, metric registry, span
 tracker, fault RNG positions and host-side command registry — into a
 versioned :class:`Snapshot`; after rebuilding the same design and
 replaying the host-side setup, ``restore(handle, snap); run(N)`` is
 bit-identical to the uninterrupted run under both scheduling backends.
-
-Sharded (``distributed=``) builds are refused with :class:`SnapshotError`.
+``capture_sim_state``/``restore_sim_state`` do the same for a bare
+simulator with no host interface.
 """
 
 from repro._lazy import lazy_exports
@@ -22,14 +22,14 @@ _LAZY = {
     "StageLog": "repro.snapshot.store",
     "Thawer": "repro.snapshot.engine",
     "capture": "repro.snapshot.engine",
-    "capture_partition_state": "repro.snapshot.engine",
+    "capture_sim_state": "repro.snapshot.engine",
     "consume_resumed_flag": "repro.snapshot.store",
     "job_checkpoint": "repro.snapshot.store",
     "job_checkpoint_path": "repro.snapshot.store",
     "load": "repro.snapshot.store",
     "note_job_resumed": "repro.snapshot.store",
     "restore": "repro.snapshot.engine",
-    "restore_partition_state": "repro.snapshot.engine",
+    "restore_sim_state": "repro.snapshot.engine",
     "save": "repro.snapshot.store",
 }
 

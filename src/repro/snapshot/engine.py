@@ -601,8 +601,8 @@ def _apply_metric(target: Any, kind: str, data: Any) -> None:
 
 # ====================================================================== sim
 def _infra(sim: Any, fault_state: Any, spans: Any):
-    """(kind, key, object) of everything the markers of one simulator (a
-    whole design, or one dist partition) may reference."""
+    """(kind, key, object) of everything the markers of one simulator may
+    reference."""
     yield "sim", None, sim
     named = (("registry", sim.registry), ("tracer", sim.tracer), ("spans", spans),
              ("faults", fault_state), ("plan", getattr(fault_state, "plan", None)))
@@ -630,7 +630,7 @@ def _freeze_queue(fr: Freezer, chan: Any, queue: list) -> Optional[list]:
         raise SnapshotError(f"channel {chan.name!r} holds an unfreezable item: {exc}") from None
 
 
-def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
+def freeze_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     """Freeze one :class:`~repro.sim.Simulator`'s complete mutable state."""
     if sim.mid_cycle:
         raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
@@ -763,7 +763,7 @@ def _capture_state(fr: Freezer, sim: Any, fault_state: Any, extras: Dict[str, An
     for kind, key, obj in _infra(sim, fault_state, extras.get("spans")):
         fr.add_infra(obj, kind, key)
     payload = {
-        "sim": capture_sim_state(sim, fr),
+        "sim": freeze_sim_state(sim, fr),
         "registry": capture_registry(sim.registry) if sim.registry is not None else None,
         "faults": fr.freeze_attrs(fault_state, exclude=("plan",)) if fault_state is not None else None,
     }
@@ -800,22 +800,12 @@ def _design_extras(design: Any, sim: Any) -> Dict[str, Any]:
 
 
 def capture(handle: Any) -> Snapshot:
-    """Snapshot a full single-process run (simulator + host interface).
+    """Snapshot a full run (simulator + host interface).
 
     ``handle`` is the :class:`~repro.runtime.FpgaHandle` driving the design.
-    Sharded designs (``distributed=``) are refused: their state spans one
-    simulator per partition, and a capture would freeze partition 0 only.
     """
     design = handle.design
     sim = design.sim
-    # A DistSimulator exists only once its module has been imported, so the
-    # check costs a capture of a plain design no import.
-    dist_engine = sys.modules.get("repro.dist.engine")
-    if dist_engine is not None and isinstance(sim, dist_engine.DistSimulator):
-        raise SnapshotError(
-            "disk snapshots cover single-simulator designs; a sharded "
-            "(distributed=) build cannot be captured"
-        )
     fr = Freezer()
     payload = _capture_state(fr, sim, getattr(design, "faults", None), _design_extras(design, sim))
     payload["host"] = handle.snapshot_state(fr)
@@ -848,7 +838,7 @@ def restore(handle: Any, snap: Snapshot) -> None:
 
 
 # ======================================================== bare simulators
-def capture_partition_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
+def capture_sim_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
     """Freeze a bare simulator (and optionally its fault state).
 
     The payload is fully decoupled from the live objects (plain data only),
@@ -857,5 +847,5 @@ def capture_partition_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]
     return _capture_state(Freezer(), sim, fault_state, {})
 
 
-def restore_partition_state(sim: Any, payload: Dict[str, Any], fault_state: Any = None) -> None:
+def restore_sim_state(sim: Any, payload: Dict[str, Any], fault_state: Any = None) -> None:
     _restore_state(Thawer(), sim, payload, fault_state, {})

@@ -36,7 +36,7 @@ from repro.kernels.memcpy import memcpy_config
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
 from repro.sim import DEFAULT_SCHEDULING, Component, Simulator
-from repro.snapshot.engine import capture_partition_state, restore_partition_state
+from repro.snapshot.engine import capture_sim_state, restore_sim_state
 
 MEM_BYTES = 1 << 20
 PAGE = 4096  # AXI bursts may not cross a 4 KB boundary
@@ -360,9 +360,9 @@ def test_restore_mid_write_matches_uninterrupted_run(seed):
         tb.sim.run(start)
         tb.sim.run(want["cycles"], until=lambda: _half_fed_write(tb.mc))
         assert tb.sim.cycle < want["cycles"]
-        payload = pickle.loads(pickle.dumps(capture_partition_state(tb.sim)))
+        payload = pickle.loads(pickle.dumps(capture_sim_state(tb.sim)))
         resumed = traffic_bench(seed, scheduling, w_rate=0.15)
-        restore_partition_state(resumed.sim, payload)
+        restore_sim_state(resumed.sim, payload)
         assert _half_fed_write(resumed.mc)
         assert finish_traffic(resumed) == want
 

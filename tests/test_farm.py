@@ -244,3 +244,49 @@ def test_artifact_exports(tmp_path):
     stats = farm.stats()
     assert stats["cache"]["entries"] == 1
     assert stats["jobs_completed"] == 1
+
+
+# ------------------------------------------------------------- pool stats
+def test_serial_pool_collects_stats():
+    from repro.farm import Job, SerialPool
+
+    pool = SerialPool()
+    outs = pool.run([Job("math:hypot", (3, 4)), Job("math:hypot", (6, 8))])
+    assert [o.value for o in outs] == [5.0, 10.0]
+    stats = pool.last_stats
+    assert stats.jobs == 2
+    assert stats.dispatched["serial"] == 2
+    assert stats.elapsed_seconds >= 0.0
+    assert set(stats.utilization) == {"serial"}
+
+
+def test_worker_pool_collects_utilization_and_queue_depth():
+    from repro.farm import Job, WorkerPool
+    from repro.farm.pool import multiprocessing_available
+
+    if not multiprocessing_available():
+        pytest.skip("multiprocessing unavailable in this sandbox")
+    pool = WorkerPool(2, default_timeout_s=60.0)
+    jobs = [Job("math:hypot", (i, i + 1)) for i in range(6)]
+    outs = pool.run(jobs)
+    assert all(o.ok for o in outs)
+    stats = pool.last_stats
+    assert stats.jobs == 6
+    assert stats.queue_high_water >= 1
+    assert sum(stats.dispatched.values()) == 6
+    assert 0.0 <= stats.mean_utilization <= 1.0
+
+
+def test_bind_pool_metrics_publishes_gauges():
+    from repro.farm import Job, SerialPool, bind_pool_metrics
+    from repro.obs.registry import MetricRegistry
+
+    registry = MetricRegistry()
+    pool = SerialPool()
+    bind_pool_metrics(pool, registry)
+    pool.run([Job("math:hypot", (3, 4))])
+    dump = registry.dump()
+    assert dump["farm/pool/jobs"] == 1
+    assert dump["farm/pool/workers"] == 1
+    # Harness-side gauges must stay out of stable comparisons.
+    assert "farm/pool/jobs" not in registry.dump(stable_only=True)

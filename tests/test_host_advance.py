@@ -5,8 +5,8 @@
 It now calls ``sim.run(n)``.  The old loop survives here, as the reference
 driver the shipped path is compared against: same final cycle, per-command
 latencies, DMA accounting, stable metrics and fault fingerprint, with host
-time passing *while commands are in flight*, under every scheduling backend,
-under fault injection with the watchdog armed, and on a sharded design.
+time passing *while commands are in flight*, under every scheduling backend
+and under fault injection with the watchdog armed.
 
 The last tests pin the other half of the contract: every shipped core
 publishes an idle hint, so an idle DMA window is jumped rather than stepped,
@@ -24,7 +24,6 @@ from repro.baselines.delay_core import delay_config
 from repro.baselines.spin_core import spin_config
 from repro.core import BeethovenBuild
 from repro.core.accelerator import AcceleratorCore
-from repro.dist import DistConfig
 from repro.faults.errors import FaultError
 from repro.faults.plan import FaultPlan
 from repro.kernels.attention import a3_config, scale_log2e_q
@@ -32,7 +31,7 @@ from repro.kernels.machsuite.fig6 import CONFIG_FACTORIES
 from repro.kernels.machsuite.phased import PhasedKernelCore
 from repro.kernels.memcpy import memcpy_config
 from repro.kernels.vecadd import vector_add_config
-from repro.platforms import AWSF1Platform, multi_die_platform
+from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
 from repro.runtime.server import WatchdogConfig
 from repro.sim import SCHEDULING_MODES, DeadlockError
@@ -43,10 +42,8 @@ COPY_BYTES = 2048
 
 def _use_step_loop(handle):
     """Reference driver: one tick-everything cycle per host cycle, the loop
-    ``_advance_dma``/``run_cycles`` used to carry (one barrier per cycle on a
-    sharded design, which has no ``step``)."""
-    sim = handle.design.sim
-    step = getattr(sim, "step", None) or (lambda: sim.run_slice(1))
+    ``_advance_dma``/``run_cycles`` used to carry."""
+    step = handle.design.sim.step
 
     def run_cycles(n):
         for _ in range(n):
@@ -55,9 +52,9 @@ def _use_step_loop(handle):
     handle.run_cycles = run_cycles  # _advance_dma advances through run_cycles
 
 
-def _overlapped_run(reference, platform=AWSF1Platform, **build_args):
+def _overlapped_run(reference, **build_args):
     """Four memcpys with DMA and ``run_cycles`` overlapping them in flight."""
-    build = BeethovenBuild(memcpy_config(n_cores=N_CORES), platform(), **build_args)
+    build = BeethovenBuild(memcpy_config(n_cores=N_CORES), AWSF1Platform(), **build_args)
     handle = FpgaHandle(build.design)
     if reference:
         _use_step_loop(handle)
@@ -95,7 +92,7 @@ def _overlapped_run(reference, platform=AWSF1Platform, **build_args):
         "latencies": [fut.latency_cycles for fut in futs],
         "dma_cycles_spent": handle.dma_cycles_spent,
         "data_ok": [dst.read() == pattern for dst in dsts],
-        "fingerprint": faults.canonical_fingerprint() if faults is not None else "",
+        "fingerprint": faults.fingerprint() if faults is not None else "",
         "recovery": (int(server.timeouts), int(server.retries), int(server.quarantines)),
         "metrics": build.metrics(stable_only=True),
     }
@@ -132,17 +129,6 @@ def test_run_path_matches_step_loop_under_hangs_and_watchdog(mode):
     # The scenario is not vacuous: cores hung and the watchdog had to act.
     assert shipped["fingerprint"]
     assert shipped["recovery"][0] > 0
-
-
-def test_run_path_matches_step_loop_on_sharded_design():
-    args = dict(
-        platform=lambda: multi_die_platform(2),
-        distributed=DistConfig(n_workers=2),
-    )
-    shipped = _overlapped_run(False, **args)
-    _assert_same(shipped, _overlapped_run(True, **args))
-    assert shipped["outcomes"] == ["ok"] * N_CORES
-    assert all(shipped["data_ok"])
 
 
 def test_get_on_settled_future_does_not_enter_the_run_loop():

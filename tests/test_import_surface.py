@@ -24,7 +24,7 @@ import repro
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Loaded only by the artefact, ASIC, observability-export, fault, snapshot,
-#: farm-pool, MachSuite and sharded paths (or by NumPy-using kernels).
+#: farm-pool and MachSuite paths (or by NumPy-using kernels).
 NOT_ON_SIMULATE_PATH = (
     "repro.asic",
     "repro.codegen",
@@ -37,7 +37,6 @@ NOT_ON_SIMULATE_PATH = (
     "repro.snapshot.engine",
     "repro.farm.pool",
     "repro.kernels.machsuite",
-    "repro.dist",
     "numpy",
 )
 

@@ -170,18 +170,6 @@ def test_a_costed_build_constructs_one_core_per_system(monkeypatch):
     assert not {"AxiBufferNode", "AxiPipe", "IdCompressor"} & set(many)
 
 
-def test_sharded_builds_wire_in_the_constructor(monkeypatch):
-    """``distributed=`` builds stay eager: DistSimulator validates the wired
-    partitions, and its errors must come from the constructor."""
-    log = _wiring_log(monkeypatch)
-    stages = _two_die_serial()
-    next(stages)
-    assert {entry[1] for entry in log} == {"beethoven", "part1"}
-    wired = len(log)
-    next(stages)  # FpgaHandle adds only the RuntimeServer
-    assert [entry[2] for entry in log[wired:] if entry[0] == "add"] == ["RuntimeServer"]
-
-
 # ------------------------------------------------------------------ identity
 def _memcpy32():
     build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform())
@@ -221,13 +209,8 @@ def _faulted():
 
 
 def _two_die_serial():
-    from repro.dist import DistConfig
-
-    build = BeethovenBuild(
-        memcpy_config(n_cores=2),
-        multi_die_platform(2),
-        distributed=DistConfig(n_workers=2),
-    )
+    # Two dies: the memory tree has an SLR bridge.
+    build = BeethovenBuild(memcpy_config(n_cores=2), multi_die_platform(2))
     yield build
     FpgaHandle(build.design)
     yield build

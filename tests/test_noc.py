@@ -1,10 +1,13 @@
 """Tests for the generated on-chip networks."""
 
+import dataclasses
+
 import pytest
 
 from repro.axi import AxiParams, AxiPort
 from repro.memory import Reader, ReaderTuning, ReadRequest, Writer, WriteRequest
 from repro.noc import TreeConfig, bits_for, build_network, plan_tree
+from repro.platforms import multi_die_platform
 from repro.sim import Component, SimulationError
 from repro.testing import build_memory_testbench
 
@@ -150,3 +153,123 @@ def test_node_rejects_id_overflow():
     down = AxiPort(small, "down")
     with pytest.raises(SimulationError, match="ID bits"):
         AxiBufferNode(ports, down, child_id_bits=2)
+
+
+# ------------------------------------------------------------ tree config
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: TreeConfig(slr_crossing_latency=-1), "slr_crossing_latency"),
+        (lambda: TreeConfig(interior_depth=0), "interior_depth"),
+        (lambda: multi_die_platform(2, slr_crossing_latency=-1), "slr_crossing_latency"),
+    ],
+    ids=["negative_crossing", "zero_depth", "platform_negative_crossing"],
+)
+def test_tree_config_refuses_values_that_cannot_be_built(make, match):
+    """Refused when configured, not at the first simulation of a design
+    that was already priced with them."""
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+# ------------------------------------------------------- SLR cut invariant
+def check_slr_cuts(plan, endpoint_slrs, config, root_slr):
+    """Dies couple only through explicit bridges, read off the plan alone.
+
+    Every non-pipe node's inputs sit on its own SLR (when the tree is
+    SLR-aware); every pipe's input sits on its ``up_slr``, a different die
+    from its output, and it carries the platform's crossing latency; the
+    root subtree sits on the memory interface's SLR.
+    """
+    slr_of = dict(enumerate(endpoint_slrs))
+    for spec in plan.nodes:
+        inputs = [slr_of[wire] for wire in spec.inputs]
+        if spec.kind == "pipe":
+            assert inputs == [spec.up_slr], f"{spec.name}: input not on its up_slr"
+            assert spec.up_slr != spec.slr, f"{spec.name}: bridges a die to itself"
+            assert spec.latency == config.slr_crossing_latency, (
+                f"{spec.name}: latency {spec.latency} is not the platform's "
+                f"{config.slr_crossing_latency}"
+            )
+        elif config.slr_aware:
+            assert set(inputs) <= {spec.slr}, f"{spec.name}: unbridged SLR crossing"
+        if spec.port is not None:
+            slr_of[spec.port] = spec.slr
+    root = plan.nodes[-1]
+    assert root.kind == "idmap" and root.slr == root_slr, "root off the memory SLR"
+
+
+def _design_cut(design):
+    """The check's inputs for a costed design, read without instantiating."""
+    assert not design._instantiated
+    slrs = [
+        ecore.slr
+        for system in design.systems
+        for ecore in system.cores
+        for _ in system.template_ctx.all_axi_masters()
+    ]
+    assert len(slrs) == design.n_memory_interfaces
+    device = design.platform.device
+    root_slr = device.memory_interface_slr if device else 0
+    return design.noc_plan, slrs, design.platform.tree_config, root_slr
+
+
+def _cut_cases():
+    from test_costing_pin import DESIGNS
+
+    for name, make in DESIGNS.items():
+        if name != "hetero":  # delay cores only: no memory tree
+            yield name, lambda make=make: _design_cut(make().design)
+    platform = multi_die_platform(4)
+    slrs = [i * 4 // 256 for i in range(256)]
+    root_slr = platform.device.memory_interface_slr
+    yield "plan256_4die", lambda: (
+        plan_tree(platform.tree_config, slrs, 2, root_slr), slrs, platform.tree_config, root_slr
+    )
+
+
+CUT_CASES = dict(_cut_cases())
+BRIDGED = ["a3x23_f1", "memcpy48_f1", "nw4_f1", "vecadd3_sim", "memcpy4_4die", "plan256_4die"]
+
+
+@pytest.mark.parametrize("name", sorted(CUT_CASES))
+def test_every_slr_crossing_is_a_bridge(name):
+    plan, *rest = CUT_CASES[name]()
+    check_slr_cuts(plan, *rest)
+    # The mutants below run on exactly the cases that have a bridge.
+    assert (plan.n_pipes > 0) == (name in BRIDGED)
+
+
+def _splice_out_a_pipe(plan):
+    """The plan with its first bridge removed: its consumer reads the
+    upstream die's wire directly."""
+    pipe = next(spec for spec in plan.nodes if spec.kind == "pipe")
+    (upstream,) = pipe.inputs
+    nodes = [
+        dataclasses.replace(
+            spec, inputs=tuple(upstream if w == pipe.port else w for w in spec.inputs)
+        )
+        for spec in plan.nodes
+        if spec is not pipe
+    ]
+    return dataclasses.replace(plan, nodes=nodes)
+
+
+def _detune_a_pipe(plan):
+    """The plan with one bridge's latency off the platform's."""
+    nodes = list(plan.nodes)
+    i = next(i for i, spec in enumerate(nodes) if spec.kind == "pipe")
+    nodes[i] = dataclasses.replace(nodes[i], latency=nodes[i].latency + 1)
+    return dataclasses.replace(plan, nodes=nodes)
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [(_splice_out_a_pipe, "unbridged SLR crossing"), (_detune_a_pipe, "is not the platform's")],
+    ids=["spliced_out", "detuned"],
+)
+@pytest.mark.parametrize("name", BRIDGED)
+def test_a_missing_or_detuned_bridge_fails_the_cut_check(name, mutate, match):
+    plan, *rest = CUT_CASES[name]()
+    with pytest.raises(AssertionError, match=match):
+        check_slr_cuts(mutate(plan), *rest)

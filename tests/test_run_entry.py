@@ -16,7 +16,6 @@ import pytest
 
 from repro.baselines.delay_core import delay_config
 from repro.core.build import BeethovenBuild
-from repro.dist.bridge import BridgeIngress
 from repro.kernels.memcpy import memcpy_config
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
@@ -240,25 +239,6 @@ def test_snapshot_restore_wakes_every_component(mode):
     restore(handle, snap)
     _all_tick_once(sim)
     assert finish() == reference
-
-
-@pytest.mark.parametrize("mode", SKIPPING)
-def test_bridge_inject_between_slices_wakes_the_ingress(mode):
-    """An item a peer partition delivers after this partition ran its slice
-    reaches an ingress whose hint was NEVER."""
-    got = {}
-    for sched in ("naive", mode):
-        sim = Simulator(scheduling=sched)
-        out = ChannelQueue(2, "rx.out")
-        push = lambda cyc, item: out.push(item)  # noqa: E731
-        ingress = sim.add(BridgeIngress("b", "rx", [("k", push, out)]))
-        sink = sim.add(Sink("sink", out))
-        sim.run_slice(32)
-        ingress.inject("k", 40, "a")
-        ingress.inject("k", 41, "b")
-        sim.run_slice(32)
-        got[sched] = sink.got
-    assert got[mode] == got["naive"] == [(41, "a"), (42, "b")]
 
 
 @pytest.mark.parametrize("mode", SKIPPING)

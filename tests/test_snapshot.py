@@ -68,29 +68,6 @@ def test_resume_from_disk_under_active_fault_plan(tmp_path):
         assert resumed[key] == ref[key], key
 
 
-# ---------------------------------------------------------- sharded builds
-def test_capture_refuses_a_sharded_build():
-    """A sharded design runs one simulator per partition; a capture of the
-    root alone would silently drop every other partition's state."""
-    from repro.baselines.spin_core import spin_config
-    from repro.core.build import BeethovenBuild
-    from repro.dist import DistConfig
-    from repro.platforms import multi_die_platform
-    from repro.runtime import FpgaHandle
-    from repro.snapshot import capture
-
-    build = BeethovenBuild(
-        spin_config(8, work_per_tick=4),
-        multi_die_platform(4),
-        distributed=DistConfig(n_workers=2),
-    )
-    handle = FpgaHandle(build.design)
-    handle.call("Spin", "spin", 7, rounds=400, seed=1)
-    build.design.sim.run(64)
-    with pytest.raises(SnapshotError, match="sharded"):
-        capture(handle)
-
-
 # ------------------------------------------------------------- chaos wiring
 def test_checkpoint_scenario_registered():
     assert "checkpoint" in SCENARIOS

@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro.core.build import BeethovenBuild
 from repro.dram.controller import MemoryController
-from repro.platforms import AWSF1Platform, SimulationPlatform, multi_die_platform
+from repro.platforms import AWSF1Platform, SimulationPlatform
 from repro.runtime import FpgaHandle
 from repro.snapshot import capture
 from repro.snapshot.engine import T_NAMED, T_OBJ, T_STATE, Freezer, _infra, _is_marker, _plan
@@ -54,7 +54,7 @@ def declaring_classes() -> List[type]:
 
 # ---------------------------------------------------------------- scenarios
 class Scenario(NamedTuple):
-    sims: list  # every simulator of the design (one per dist partition)
+    sim: Any
     design: Any  # None for a bare testbench
     advance: Callable[[], None]  # run to a mid-flight point
     handle: Any = None
@@ -72,7 +72,7 @@ def _accelerated(build, calls, cycles: int) -> Scenario:
     for call in calls(handle):
         handle.call(*call[:3], **call[3])
     sim = build.design.sim
-    return Scenario(getattr(sim, "sims", [sim]), build.design, lambda: sim.run(cycles), handle)
+    return Scenario(sim, build.design, lambda: sim.run(cycles), handle)
 
 
 def memcpy32() -> Scenario:
@@ -202,32 +202,18 @@ def baseline_masters() -> Scenario:
             sim.register_channel(chan)
         controller.store.write(0, bytes(range(256)) * 64)
         master.start(0, 0x4000_0000, 16384)
-    return Scenario([sim], None, lambda: sim.run(300))
-
-
-def dist_bridges() -> Scenario:
-    from repro.dist import DistConfig
-    from repro.kernels.memcpy import memcpy_config
-
-    def calls(handle):
-        src = _upload(handle, bytes(range(256)) * 16)
-        dst = handle.malloc(4096)
-        yield "Memcpy", "memcpy", 0, dict(src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=4096)
-
-    build = BeethovenBuild(memcpy_config(n_cores=2), multi_die_platform(2),
-                           distributed=DistConfig(n_workers=2))
-    return _accelerated(build, calls, 400)
+    return Scenario(sim, None, lambda: sim.run(300))
 
 
 SCENARIOS = (memcpy32, hetero_serving, machsuite, chaos_with_hangs, attention,
-             vecadd_and_spin, intra_core, baseline_masters, dist_bridges)
+             vecadd_and_spin, intra_core, baseline_masters)
 
 
 # --------------------------------------------------------------- the audit
-def _reachable(sims) -> List[Any]:
+def _reachable(sim) -> List[Any]:
     """Every model object reachable from the components, in a fixed order."""
     seen, order = set(), []
-    stack = [comp for sim in reversed(sims) for comp in reversed(sim._components)]
+    stack = list(reversed(sim._components))
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
@@ -253,12 +239,11 @@ def audit(scenario: Scenario) -> Dict[Tuple[str, int, str], Tuple[Any, Any]]:
     for every excluded attribute of every declaring instance."""
     fr = Freezer()
     design = scenario.design
-    for part, sim in enumerate(scenario.sims):
-        spans = getattr(design, "span_tracker", None)
-        for kind, key, obj in _infra(sim, getattr(design, "faults", None), spans):
-            fr.add_infra(obj, kind, (part, key))
+    spans = getattr(design, "span_tracker", None)
+    for kind, key, obj in _infra(scenario.sim, getattr(design, "faults", None), spans):
+        fr.add_infra(obj, kind, key)
     out, counts = {}, {}
-    for obj in _reachable(scenario.sims):
+    for obj in _reachable(scenario.sim):
         names = _declared(type(obj))
         if not names:
             continue
@@ -287,8 +272,8 @@ def test_excluded_attributes_are_wiring(factory):
     same_wiring(at_start, mid_flight, identical=True)
     # A rebuild + replay recreates them: nothing a restore needs is missing.
     same_wiring(mid_flight, audit(factory()), identical=False)
-    shipped = all(type(c).__module__.startswith("repro.") for c in scenario.sims[0]._components)
-    if scenario.handle is not None and len(scenario.sims) == 1 and shipped:
+    shipped = all(type(c).__module__.startswith("repro.") for c in scenario.sim._components)
+    if scenario.handle is not None and shipped:
         # And no object bound to an excluded attribute is reached some other
         # way: it would be thawed as a copy next to the live one.  (A user
         # core that declares nothing still walks into its ports: allowed.)
@@ -318,7 +303,7 @@ def test_a_rebound_attribute_fails_the_audit():
     scenario = memcpy32()
     before = audit(scenario)
     scenario.advance()
-    reader = next(o for o in _reachable(scenario.sims) if type(o).__name__ == "Reader")
+    reader = next(o for o in _reachable(scenario.sim) if type(o).__name__ == "Reader")
     reader.tuning = dataclasses.replace(reader.tuning)  # equal value, different object
     with pytest.raises(AssertionError, match="rebound"):
         same_wiring(before, audit(scenario), identical=True)
@@ -335,7 +320,7 @@ def test_every_declaration_is_covered_and_names_real_attributes():
     assert len(classes) >= 25
     instances: Dict[type, Any] = {}
     for factory in SCENARIOS:
-        for obj in _reachable(factory().sims):
+        for obj in _reachable(factory().sim):
             instances.setdefault(type(obj), obj)
     for cls in classes:
         covered = [obj for typ, obj in instances.items() if issubclass(typ, cls)]
