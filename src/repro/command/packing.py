@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.command.rocc import PAYLOAD_BITS
 
@@ -62,9 +62,50 @@ def Float32() -> object:
     return "float32"
 
 
+class _Layout(NamedTuple):
+    """A command's bit layout at one address width, derived once."""
+
+    widths: Tuple[int, ...]
+    offsets: Tuple[int, ...]
+    names: FrozenSet[str]
+    total_bits: int
+    n_chunks: int
+
+
+def _layout_table(fields: Tuple[Field, ...]) -> Callable[[int], _Layout]:
+    """``addr_bits -> layout`` of ``fields``, each width derived once."""
+    layouts: Dict[int, _Layout] = {}
+
+    def layout(addr_bits: int) -> _Layout:
+        found = layouts.get(addr_bits)
+        if found is None:
+            widths = tuple(f.resolved_width(addr_bits) for f in fields)
+            offsets = []
+            pos = 0
+            for width in widths:
+                offsets.append(pos)
+                pos += width
+            found = layouts[addr_bits] = _Layout(
+                widths,
+                tuple(offsets),
+                frozenset(f.name for f in fields),
+                pos,
+                max(1, -(-pos // PAYLOAD_BITS)),
+            )
+        return found
+
+    return layout
+
+
 @dataclass(frozen=True)
 class CommandSpec:
-    """A named custom command format (an ``AccelCommand``)."""
+    """A named custom command format (an ``AccelCommand``).
+
+    The bit layout at an address width is fixed once the platform is known:
+    ``layout(addr_bits)`` derives it on first use per width, and
+    :meth:`pack`, :meth:`unpack`, :meth:`n_chunks` and :meth:`total_bits`
+    read it from then on.
+    """
 
     name: str
     fields: Tuple[Field, ...] = ()
@@ -73,55 +114,53 @@ class CommandSpec:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in command {self.name!r}")
+        # Not a field, so equality, hashing and ``repr`` ignore it; a
+        # closure, so snapshot capture treats it as structure, not state.
+        object.__setattr__(self, "layout", _layout_table(self.fields))
+
+    def __reduce__(self):
+        return type(self), (self.name, self.fields)
 
     def total_bits(self, addr_bits: int) -> int:
-        return sum(f.resolved_width(addr_bits) for f in self.fields)
+        return self.layout(addr_bits).total_bits
 
     def n_chunks(self, addr_bits: int) -> int:
-        return max(1, -(-self.total_bits(addr_bits) // PAYLOAD_BITS))
+        return self.layout(addr_bits).n_chunks
 
     # -- packing ------------------------------------------------------------
     def pack(self, values: Dict[str, object], addr_bits: int) -> List[Tuple[int, int]]:
         """Pack field values into (rs1, rs2) payload pairs, LSB-first."""
-        missing = {f.name for f in self.fields} - set(values)
-        if missing:
-            raise ValueError(f"missing fields for {self.name!r}: {sorted(missing)}")
-        extra = set(values) - {f.name for f in self.fields}
-        if extra:
+        layout = self.layout(addr_bits)
+        if values.keys() != layout.names:
+            missing = layout.names - set(values)
+            if missing:
+                raise ValueError(f"missing fields for {self.name!r}: {sorted(missing)}")
+            extra = set(values) - layout.names
             raise ValueError(f"unknown fields for {self.name!r}: {sorted(extra)}")
         blob = 0
-        pos = 0
-        for f in self.fields:
-            width = f.resolved_width(addr_bits)
-            raw = _encode_value(f, values[f.name], width)
-            blob |= raw << pos
-            pos += width
+        for f, width, pos in zip(self.fields, layout.widths, layout.offsets):
+            blob |= _encode_value(f, values[f.name], width) << pos
         chunks = []
         mask64 = (1 << 64) - 1
-        for _ in range(self.n_chunks(addr_bits)):
-            rs1 = blob & mask64
-            rs2 = (blob >> 64) & mask64
-            chunks.append((rs1, rs2))
+        for _ in range(layout.n_chunks):
+            chunks.append((blob & mask64, (blob >> 64) & mask64))
             blob >>= PAYLOAD_BITS
         return chunks
 
     def unpack(self, chunks: Sequence[Tuple[int, int]], addr_bits: int) -> Dict[str, object]:
         """Reassemble field values from (rs1, rs2) payload pairs."""
-        if len(chunks) != self.n_chunks(addr_bits):
+        layout = self.layout(addr_bits)
+        if len(chunks) != layout.n_chunks:
             raise ValueError(
-                f"{self.name!r} expects {self.n_chunks(addr_bits)} chunks, got {len(chunks)}"
+                f"{self.name!r} expects {layout.n_chunks} chunks, got {len(chunks)}"
             )
         blob = 0
         for i, (rs1, rs2) in enumerate(chunks):
             blob |= ((rs2 << 64) | rs1) << (i * PAYLOAD_BITS)
-        out: Dict[str, object] = {}
-        pos = 0
-        for f in self.fields:
-            width = f.resolved_width(addr_bits)
-            raw = (blob >> pos) & ((1 << width) - 1)
-            out[f.name] = _decode_value(f, raw)
-            pos += width
-        return out
+        return {
+            f.name: _decode_value(f, (blob >> pos) & ((1 << width) - 1))
+            for f, width, pos in zip(self.fields, layout.widths, layout.offsets)
+        }
 
 
 @dataclass(frozen=True)

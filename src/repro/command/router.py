@@ -89,19 +89,22 @@ class CoreCommandAdapter(Component):
 
     def wake_edges(self):
         # Commands and core responses arriving wake the adapter, as does
-        # room opening in a queue it fills; its own pops and pushes do not,
-        # so next_event covers the backlog.
+        # room opening in a core's command queue; its own pops and pushes do
+        # not, so next_event covers the backlog.  Room opening in
+        # ``resp_out`` does not either: the router drains it one response
+        # per tick, so a response stalled there is polled for (next_event).
         ios = self.ios
         return (
             [self.cmd_in] + [io.resp for io in ios],
-            [self.resp_out] + [io.req for io in ios],
+            [io.req for io in ios],
         )
 
     def next_event(self, cycle: int) -> float:
         """``cycle`` while a tick would still act with no further edge — a
-        visible chunk that is not a final one stalled on a full ``io.req``,
-        or a visible response with room in ``resp_out`` — else
-        :data:`NEVER`: one chunk and one response move per tick."""
+        visible chunk that is not a final one stalled on a full ``io.req`` —
+        or may act within a few cycles: a visible response, whose room in
+        ``resp_out`` no edge announces.  Else :data:`NEVER`: one chunk and
+        one response move per tick."""
         cmd_in = self.cmd_in
         if cmd_in.can_pop():
             io_idx = cmd_in.peek().funct7
@@ -112,10 +115,9 @@ class CoreCommandAdapter(Component):
                 io.command_spec.n_chunks(self.addr_bits)
             ):
                 return cycle
-        if self.resp_out.can_push():
-            for idx, io in enumerate(self.ios):
-                if io.resp.can_pop() and self._pending_rd[idx]:
-                    return cycle
+        for idx, io in enumerate(self.ios):
+            if io.resp.can_pop() and self._pending_rd[idx]:
+                return cycle
         return NEVER
 
     def _unpack(self, cycle: int) -> None:
@@ -182,13 +184,15 @@ class CommandRouter(Component):
     resource model.
     """
 
-    _snapshot_exclude = ("_routes", "cmd_in", "resp_out")  # wiring, rebuilt by elaboration
+    # wiring, rebuilt by elaboration
+    _snapshot_exclude = ("_routes", "_route_list", "cmd_in", "resp_out")
 
     def __init__(self, name: str = "cmdrouter") -> None:
         super().__init__(name)
         self.cmd_in: ChannelQueue[RoccInstruction] = ChannelQueue(4, f"{name}.cmd")
         self.resp_out: ChannelQueue[RoccResponse] = ChannelQueue(4, f"{name}.resp")
         self._routes: Dict[Tuple[int, int], _RouteEntry] = {}
+        self._route_list: Tuple[_RouteEntry, ...] = ()  # attach order
         self._cmd_delay: Deque[Tuple[int, RoccInstruction]] = deque()
         self._resp_delay: Deque[Tuple[int, RoccResponse]] = deque()
         self._resp_rr = 0
@@ -210,6 +214,7 @@ class CommandRouter(Component):
         if key in self._routes:
             raise ValueError(f"duplicate route for {key}")
         self._routes[key] = _RouteEntry(adapter, latency)
+        self._route_list = tuple(self._routes.values())
 
     def tick(self, cycle: int) -> None:
         # Ingest one command per cycle into the delay line.
@@ -232,15 +237,15 @@ class CommandRouter(Component):
                 entry.adapter.cmd_in.push(inst)
                 self.commands_routed += 1
         # Collect one response per cycle, round-robin over cores.
-        adapters = list(self._routes.values())
-        if adapters:
-            for k in range(len(adapters)):
-                entry = adapters[(self._resp_rr + k) % len(adapters)]
-                if entry.adapter.resp_out.can_pop():
-                    resp = entry.adapter.resp_out.pop()
-                    self._resp_delay.append((cycle + entry.latency, resp))
-                    self._resp_rr = (self._resp_rr + k + 1) % len(adapters)
-                    break
+        adapters = self._route_list
+        n = len(adapters)
+        for k in range(n):
+            entry = adapters[(self._resp_rr + k) % n]
+            if entry.adapter.resp_out.can_pop():
+                resp = entry.adapter.resp_out.pop()
+                self._resp_delay.append((cycle + entry.latency, resp))
+                self._resp_rr = (self._resp_rr + k + 1) % n
+                break
         if self._resp_delay and self._resp_delay[0][0] <= cycle and self.resp_out.can_push():
             self.resp_out.push(self._resp_delay.popleft()[1])
             self.responses_routed += 1
@@ -258,7 +263,7 @@ class CommandRouter(Component):
         if self._resp_delay:
             nxt = min(nxt, max(cycle, self._resp_delay[0][0]))
         if nxt > cycle:
-            for entry in self._routes.values():
+            for entry in self._route_list:
                 if entry.adapter.resp_out.can_pop():
                     return cycle
         return nxt
@@ -267,9 +272,13 @@ class CommandRouter(Component):
         # Commands from the frontend and responses from the adapters wake
         # the router.  No pop does: a matured delay-line head blocked on a
         # full adapter ``cmd_in`` or ``resp_out`` keeps the hint at "every
-        # cycle" until the consumer makes room.
+        # cycle" until the consumer makes room.  Nobody waits on the pops
+        # the router makes either: it drains ``cmd_in`` and every adapter's
+        # ``resp_out`` one item per tick without back-pressure (its delay
+        # lines are unbounded), so a producer stalled on one of them polls
+        # (MmioFrontend and CoreCommandAdapter ``next_event``).
         return (
-            [self.cmd_in] + [e.adapter.resp_out for e in self._routes.values()],
+            [self.cmd_in] + [e.adapter.resp_out for e in self._route_list],
             [],
         )
 
@@ -324,12 +333,14 @@ class MmioFrontend(Component):
 
     def next_event(self, cycle: int) -> float:
         """``cycle`` while a tick would still act with no further edge (a
-        word or response is still visible and its destination has room),
-        else :data:`NEVER`: one word and one response move per tick, and the
-        frontend's own pops and pushes do not re-wake it (``wake_edges``)."""
-        router = self.router
-        if (self.cmd_words.can_pop() and router.cmd_in.can_push()) or (
-            router.resp_out.can_pop() and self.resp_words.can_push(4)
+        response is still visible and ``resp_words`` has room) or may act
+        within a few cycles (a word is still visible: the router drains a
+        full ``cmd_in`` one instruction per tick, and no edge announces the
+        room), else :data:`NEVER`: one word and one response move per tick,
+        and the frontend's own pops and pushes do not re-wake it
+        (``wake_edges``)."""
+        if self.cmd_words.can_pop() or (
+            self.router.resp_out.can_pop() and self.resp_words.can_push(4)
         ):
             return cycle
         return NEVER
@@ -337,9 +348,11 @@ class MmioFrontend(Component):
     def wake_edges(self):
         # Bridges its own word FIFOs to the router's instruction queues:
         # woken by what arrives in the two it drains and by room opening in
-        # the two it fills.
+        # ``resp_words``, which the server may leave full for thousands of
+        # cycles.  Room opening in ``router.cmd_in`` wakes nobody: the router
+        # frees it within a cycle or two, so a stalled word polls instead.
         router = self.router
         return (
             [self.cmd_words, router.resp_out],
-            [router.cmd_in, self.resp_words],
+            [self.resp_words],
         )

@@ -62,7 +62,10 @@ class CommandSpanTracker:
         self._tracks[key] = track
 
     def track_for(self, key: Key) -> str:
-        return self._tracks.get(key, f"sys{key[0]}/core{key[1]}")
+        track = self._tracks.get(key)
+        if track is None:
+            track = f"sys{key[0]}/core{key[1]}"
+        return track
 
     # ------------------------------------------------------------ lifecycle
     def command_submitted(

@@ -209,6 +209,13 @@ class FpgaHandle:
         self._calls: Dict[int, Dict[str, object]] = {}
         self._call_uid = 0
         self.server._host_calls = self._calls
+        # The host bindings: a System by name, then (io index, IO) by
+        # (system, IO) name, resolved on first use like generated code would
+        # at compile time.  A System's cores share one IO list.
+        self._systems: Dict[str, object] = {}
+        for system in design.systems:
+            self._systems.setdefault(system.config.name, system)
+        self._ios: Dict[Tuple[str, str], Tuple[int, object]] = {}
 
     # ------------------------------------------------------------ memory API
     def malloc(self, n_bytes: int) -> RemotePtr:
@@ -300,10 +307,7 @@ class FpgaHandle:
         per-tenant attribution and ``_batch`` groups compatible commands so
         the server amortises lock acquisition (both set by ``repro.serve``).
         """
-        design = self.design
-        system = next(
-            (s for s in design.systems if s.config.name == system_name), None
-        )
+        system = self._systems.get(system_name)
         if system is None:
             raise KeyError(f"no system {system_name!r}")
         if not 0 <= core_idx < len(system.cores):
@@ -311,17 +315,12 @@ class FpgaHandle:
                 f"core index {core_idx} out of range for {system_name!r} "
                 f"({len(system.cores)} cores)"
             )
-        core = system.cores[core_idx]
-        io_index, io = next(
-            (
-                (i, io)
-                for i, io in enumerate(core.ctx.ios)
-                if io.command_spec.name == io_name
-            ),
-            (None, None),
+        io_index, io = self._ios.get((system_name, io_name)) or self._bind_io(
+            system, io_name
         )
-        if io is None:
-            raise KeyError(f"no IO {io_name!r} on system {system_name!r}")
+        # Pack (and so validate) before anything is registered: a command
+        # the layout refuses leaves no call, uid or future behind.
+        chunks = io.command_spec.pack(fields, self.design.platform.addr_bits)
         handle = ResponseHandle(self, io.response_spec)
         ctx = CommandContext(
             key=(system.system_id, core_idx),
@@ -329,7 +328,7 @@ class FpgaHandle:
             retryable=_retryable,
         )
         ctx.resubmit = lambda: self._submit_command(
-            system, io_index, io, core_idx, dict(fields), handle, ctx, _client,
+            system, io_index, chunks, core_idx, handle, ctx, _client,
             tenant=_tenant, batch=_batch,
         )
         ctx.on_error = handle._fail
@@ -339,27 +338,33 @@ class FpgaHandle:
             "ctx": ctx,
             "fut": handle,
             "make_cb": lambda: self._make_on_response(
-                system, io_index, io, core_idx, dict(fields), handle, ctx,
+                system, io_index, chunks, core_idx, handle, ctx,
                 _client, _tenant, _batch,
             ),
         }
         self._submit_command(
-            system, io_index, io, core_idx, dict(fields), handle, ctx, _client,
+            system, io_index, chunks, core_idx, handle, ctx, _client,
             tenant=_tenant, batch=_batch,
         )
         return handle
 
+    def _bind_io(self, system, io_name: str) -> Tuple[int, object]:
+        for i, io in enumerate(system.template_ctx.ios):
+            if io.command_spec.name == io_name:
+                self._ios[(system.config.name, io_name)] = (i, io)
+                return i, io
+        raise KeyError(f"no IO {io_name!r} on system {system.config.name!r}")
+
     def _submit_command(
-        self, system, io_index, io, core_idx, fields, handle, ctx, client,
+        self, system, io_index, chunks, core_idx, handle, ctx, client,
         tenant: str = "", batch: Optional[int] = None,
     ) -> None:
-        """Issue (or re-issue) one command onto the next healthy core."""
+        """Issue (or re-issue) one packed command onto the next healthy core."""
         design = self.design
         routed = self._route_core(system, core_idx)
         ctx.key = (system.system_id, routed)
-        chunks = io.command_spec.pack(fields, design.platform.addr_bits)
         on_response = self._make_on_response(
-            system, io_index, io, core_idx, fields, handle, ctx, client,
+            system, io_index, chunks, core_idx, handle, ctx, client,
             tenant, batch,
         )
         for i, (rs1, rs2) in enumerate(chunks):
@@ -385,7 +390,7 @@ class FpgaHandle:
             )
 
     def _make_on_response(
-        self, system, io_index, io, core_idx, fields, handle, ctx, client,
+        self, system, io_index, chunks, core_idx, handle, ctx, client,
         tenant: str = "", batch: Optional[int] = None,
     ) -> "Callable[[RoccResponse], None]":
         """Response callback for one logical command.
@@ -413,7 +418,7 @@ class FpgaHandle:
                         self.server.retries += 1
                         try:
                             self._submit_command(
-                                system, io_index, io, core_idx, fields,
+                                system, io_index, chunks, core_idx,
                                 handle, ctx, client, tenant=tenant, batch=batch,
                             )
                         except Exception as exc:

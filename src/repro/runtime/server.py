@@ -152,6 +152,12 @@ class RuntimeServer(Component):
         self._resp_words: List[int] = []
         # key -> FIFO of in-flight waiters (per-core responses are ordered).
         self._waiters: Dict[Tuple[int, int], Deque[_Waiter]] = {}
+        # A client with a queued command and a core with a waiter, as last
+        # found: they make "anything queued / anything waiting" one lookup
+        # while they still hold.  Checked against the tables on every use,
+        # so they are no state of their own and are not captured.
+        self._queued_client: Optional[int] = None
+        self._waiting_key: Optional[Tuple[int, int]] = None
         # Matured-retry min-heap of (ready_cycle, seq, ctx).
         self._retry_heap: List[Tuple[int, int, CommandContext]] = []
         self._retry_seq = 0
@@ -253,9 +259,21 @@ class RuntimeServer(Component):
         # it with neither can move its next event earlier.  The caller may be
         # another component's tick mid-run (a serving-layer pump, a watchdog
         # retry), so ask for the wake rather than rely on a run entry.
-        if self._current is None and not any(self._queues.values()):
+        if self._current is None and not self._has_queued():
             self.request_wake()
         self._queues[client].append(cmd)
+
+    def _has_queued(self) -> bool:
+        """Whether any client has a command queued."""
+        if not self._queues.get(self._queued_client):
+            self._queued_client = _first_busy(self._queues)
+        return self._queued_client is not None
+
+    def _has_waiters(self) -> bool:
+        """Whether any dispatched command awaits its response."""
+        if not self._waiters.get(self._waiting_key):
+            self._waiting_key = _first_busy(self._waiters)
+        return self._waiting_key is not None
 
     def _pop_next(self) -> Optional[PendingCommand]:
         n = len(self._client_rr)
@@ -280,8 +298,8 @@ class RuntimeServer(Component):
     def idle(self) -> bool:
         return (
             self._current is None
-            and not any(self._queues.values())
-            and not any(self._waiters.values())
+            and not self._has_queued()
+            and not self._has_waiters()
             and not self._retry_heap
         )
 
@@ -293,7 +311,7 @@ class RuntimeServer(Component):
         self._poll(cycle)
         # Deadlines are checked after polling so a response landing exactly
         # at the deadline cycle still wins.
-        if self.watchdog.enabled and any(self._waiters.values()):
+        if self.watchdog.enabled and self._has_waiters():
             self._check_deadlines(cycle)
 
     def next_event(self, cycle: int) -> float:
@@ -309,9 +327,9 @@ class RuntimeServer(Component):
         nxt = NEVER
         if self._current is not None:
             nxt = min(nxt, max(cycle, self._next_word_cycle))
-        elif any(self._queues.values()):
+        elif self._has_queued():
             nxt = min(nxt, max(cycle, self._lock_until))
-        if any(self._waiters.values()):
+        if self._has_waiters():
             if self.mmio.resp_words.can_pop():
                 nxt = min(nxt, max(cycle, self._next_poll))
             if self.watchdog.enabled:
@@ -379,7 +397,7 @@ class RuntimeServer(Component):
                     deadline: float = NEVER
                     if self.watchdog.enabled:
                         deadline = cycle + self.watchdog.timeout_cycles
-                    if not any(self._waiters.values()):
+                    if not self._has_waiters():
                         # Nobody was waiting, so no grid was running: the
                         # first waiter is polled for at once (this very
                         # tick) unless the last visit asked for a pause.
@@ -395,7 +413,7 @@ class RuntimeServer(Component):
                 self._lock_until = cycle + 1
 
     def _poll(self, cycle: int) -> None:
-        if not any(self._waiters.values()):
+        if not self._has_waiters():
             return
         behind = cycle - self._next_poll
         if behind > 0:
@@ -711,3 +729,14 @@ class RuntimeServer(Component):
         if self.quarantined:
             state["quarantined"] = sorted(self.quarantined)
         return state
+
+
+def _first_busy(table: Dict) -> object:
+    """The first key of ``table`` (client -> queue, core -> waiters) whose
+    deque is non-empty, else ``None``.  Read from the table alone, never
+    from a count kept beside it, so an entry added from outside the server
+    (a restore, a test) is found just the same."""
+    for key, items in table.items():
+        if items:
+            return key
+    return None

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 from collections import deque
@@ -115,6 +116,10 @@ class _Runner:
         self.settled = 0
         self.tickets: List[ServeTicket] = []
         self._mix_rng = random.Random(_derive_seed(seed, self.name, "mix"))
+        # The mix is fixed, so its draw table is too (cumulative weights
+        # draw exactly what ``choices(weights=...)`` would).
+        self._mix = list(load.mix)
+        self._mix_cum = list(itertools.accumulate(w for _, _, w in self._mix))
         self._retries: Deque[Tuple[str, Dict[str, int], int]] = deque()
         self.arrival_cycles: List[int] = []
         if not self.closed:
@@ -129,9 +134,7 @@ class _Runner:
         """Next ``(kernel, fields, attempts)`` — a queued retry or a fresh draw."""
         if self._retries:
             return self._retries.popleft()
-        entries = list(self.load.mix)
-        weights = [w for _, _, w in entries]
-        kernel, fields, _ = self._mix_rng.choices(entries, weights=weights)[0]
+        kernel, fields, _ = self._mix_rng.choices(self._mix, cum_weights=self._mix_cum)[0]
         return kernel, dict(fields), 0
 
     def queue_retry(self, kernel: str, fields: Dict[str, int], attempts: int) -> None:

@@ -18,7 +18,7 @@ typed :class:`~repro.faults.errors.CoreQuarantined` the handle would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 from repro.faults.errors import CoreQuarantined
 from repro.obs.registry import Counter
@@ -59,6 +59,12 @@ class KernelRouter:
                             core_id=core.core_id,
                         )
                     )
+        # Each kernel's slots with their keys, in (system_id, core_id) order:
+        # the order ``route`` breaks load ties in.
+        self._ordered: Dict[str, Tuple[Tuple[Tuple[int, int], CoreSlot], ...]] = {
+            kernel: tuple(sorted((slot.key, slot) for slot in slots))
+            for kernel, slots in self._table.items()
+        }
         #: Service-visible in-flight commands per core key.
         self.in_flight: Dict[Tuple[int, int], int] = {}
         self.routed = Counter()
@@ -79,29 +85,35 @@ class KernelRouter:
         return list(self._table.get(kernel, ()))
 
     def command_cost(self, kernel: str, fields: Dict[str, int]) -> int:
-        """DRR cost of one request: its MMIO chunk count."""
+        """DRR cost of one request: its MMIO chunk count.  Packing it
+        validates the fields, so a malformed request raises ``ValueError``."""
         spec = self._specs[kernel]
-        return len(spec.pack(dict(fields), self._design.platform.addr_bits))
+        return len(spec.pack(fields, self._design.platform.addr_bits))
 
-    def route(self, kernel: str, unhealthy: Set[Tuple[int, int]]) -> CoreSlot:
-        """Least-loaded healthy slot for ``kernel`` (deterministic ties)."""
+    def route(self, kernel: str, unhealthy: AbstractSet[Tuple[int, int]]) -> CoreSlot:
+        """Least-loaded healthy slot for ``kernel``; ties go to the lowest
+        ``(system_id, core_id)``.  A route counts as a failover when
+        skipping the unhealthy slots changed the choice."""
         slots = self._table.get(kernel)
         if not slots:
             raise KeyError(f"no core implements kernel {kernel!r}")
-
-        def load(slot: CoreSlot) -> Tuple[int, int, int]:
-            return (self.in_flight.get(slot.key, 0), slot.system_id, slot.core_id)
-
-        healthy = [s for s in slots if s.key not in unhealthy]
-        if not healthy:
+        in_flight = self.in_flight
+        choice = least = None
+        choice_load = least_load = 0
+        for key, slot in self._ordered[kernel]:
+            load = in_flight.get(key, 0)
+            if least is None or load < least_load:
+                least, least_load = slot, load
+            if key not in unhealthy and (choice is None or load < choice_load):
+                choice, choice_load = slot, load
+        if choice is None:
             raise CoreQuarantined(
                 f"every core implementing kernel {kernel!r} is quarantined "
                 f"({len(slots)} slot(s))",
                 key=slots[0].key,
             )
-        choice = min(healthy, key=load)
         self.routed += 1
-        if len(healthy) < len(slots) and choice != min(slots, key=load):
+        if choice is not least:
             self.failovers += 1
         return choice
 

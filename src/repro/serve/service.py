@@ -28,7 +28,7 @@ two scheduling backends reproduce identically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.serve.errors import AdmissionRejected, UnknownTenant
 from repro.serve.routing import KernelRouter
@@ -139,12 +139,15 @@ class AcceleratorService:
         state = self.tenant(tenant)
         cycle = self.design.sim.cycle
         known = self.router.implements(kernel)
+        # Cost first: packing validates the fields, so a malformed request
+        # raises before admission counts it or takes a token.
+        cost = self.router.command_cost(kernel, fields) if known else 0
         self.admission.admit(cycle, state, kernel, known)
         ticket = ServeTicket(
             tenant=tenant,
             kernel=kernel,
             fields=dict(fields),
-            cost=self.router.command_cost(kernel, fields),
+            cost=cost,
             seq=state.next_seq(),
             submit_cycle=cycle,
         )
@@ -154,8 +157,14 @@ class AcceleratorService:
         return ticket
 
     # ----------------------------------------------------------------- pump
-    def unhealthy_cores(self) -> Set[Tuple[int, int]]:
-        return set(self.handle.server.quarantined) | set(self.handle.degraded_cores)
+    def unhealthy_cores(self) -> AbstractSet[Tuple[int, int]]:
+        """Cores quarantined or degraded (read-only).  The usual case,
+        every core healthy, returns the empty frozenset and builds no set."""
+        quarantined = self.handle.server.quarantined
+        degraded = self.handle.degraded_cores
+        if not quarantined and not degraded:
+            return frozenset()
+        return quarantined | degraded
 
     def pump(self) -> int:
         """Run DRR rounds until no further release is possible right now.

@@ -522,3 +522,24 @@ def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
     ticks = sum(row["ticks_executed"] for row in memcpy["class_ticks"].values() if row["instances"])
     assert memcpy["ticks_per_dram_col"] == pytest.approx(ticks / 128)
     assert f"executed ticks per DRAM column: {ticks / 128:.2f}" in r.stdout
+
+
+def test_bottleneck_report_prints_ticks_per_host_command(tmp_path):
+    """The Fig. 6 point reports every component's executed ticks over the
+    host commands the runtime server sent: two cores, two rounds."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "tools/bottleneck_report.py", "--out", str(tmp_path),
+         "--bench", "gemm", "--cores", "2", "--rounds", "2", "--memcpy-bytes", "0"],
+        capture_output=True, text=True, cwd=repo, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "bottleneck_report.json") as fh:
+        fig6 = json.load(fh)["fig6_gemm"]
+    ticks = sum(row["ticks_executed"] for row in fig6["class_ticks"].values() if row["instances"])
+    assert fig6["ticks_per_command"] == pytest.approx(ticks / 4)
+    assert f"executed ticks per host command: {ticks / 4:.2f}" in r.stdout

@@ -1,6 +1,11 @@
 """Tests for the RoCC command subsystem: packing, routing, adapters."""
 
+import pickle
+import struct
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.command import (
     Address,
@@ -98,6 +103,132 @@ def test_response_spec_limits():
     spec = ResponseSpec("ok", (Field("x", UInt(20)), Field("y", UInt(44))))
     vals = {"x": 0xFFFFF, "y": 123}
     assert spec.unpack(spec.pack(vals)) == vals
+
+
+# ------------------------------------------- the cached layout vs per call
+ADDR_BITS = (32, 34, 40, 48, 64)
+_WIDTHS = st.one_of(st.integers(1, 64).map(UInt), st.just(Address()), st.just(Float32()))
+
+
+def _ref_widths(spec, addr_bits):
+    """Widths derived afresh on every call, the rule the cache replaces."""
+    out = []
+    for f in spec.fields:
+        if f.width == Address():
+            out.append(addr_bits)
+        elif f.width == Float32():
+            out.append(32)
+        else:
+            out.append(f.width)
+    return out
+
+
+def _ref_n_chunks(spec, addr_bits):
+    return max(1, -(-sum(_ref_widths(spec, addr_bits)) // 128))
+
+
+def _ref_pack(spec, values, addr_bits):
+    names = {f.name for f in spec.fields}
+    missing = names - set(values)
+    if missing:
+        raise ValueError(f"missing fields for {spec.name!r}: {sorted(missing)}")
+    extra = set(values) - names
+    if extra:
+        raise ValueError(f"unknown fields for {spec.name!r}: {sorted(extra)}")
+    blob = pos = 0
+    for f, width in zip(spec.fields, _ref_widths(spec, addr_bits)):
+        value = values[f.name]
+        if f.width == Float32():
+            raw = struct.unpack("<I", struct.pack("<f", float(value)))[0]
+        else:
+            raw = int(value)
+            if raw < 0 or raw >= 1 << width:
+                raise ValueError(f"value {value!r} does not fit field {f.name!r} ({width} bits)")
+        blob |= raw << pos
+        pos += width
+    mask = (1 << 64) - 1
+    return [
+        ((blob >> (128 * i)) & mask, (blob >> (128 * i + 64)) & mask)
+        for i in range(_ref_n_chunks(spec, addr_bits))
+    ]
+
+
+def _ref_unpack(spec, chunks, addr_bits):
+    n = _ref_n_chunks(spec, addr_bits)
+    if len(chunks) != n:
+        raise ValueError(f"{spec.name!r} expects {n} chunks, got {len(chunks)}")
+    blob = sum(((rs2 << 64) | rs1) << (128 * i) for i, (rs1, rs2) in enumerate(chunks))
+    out, pos = {}, 0
+    for f, width in zip(spec.fields, _ref_widths(spec, addr_bits)):
+        raw = (blob >> pos) & ((1 << width) - 1)
+        out[f.name] = struct.unpack("<f", struct.pack("<I", raw))[0] if f.width == Float32() else raw
+        pos += width
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@st.composite
+def _layout_cases(draw):
+    """A spec and a run of requests at mixed address widths against that
+    one instance, some missing a field, naming an unknown one or
+    overflowing a width."""
+    widths = draw(st.lists(_WIDTHS, max_size=8))
+    spec = CommandSpec("cmd", tuple(Field(f"f{i}", w) for i, w in enumerate(widths)))
+    requests = []
+    for _ in range(draw(st.integers(1, 5))):
+        addr_bits = draw(st.sampled_from(ADDR_BITS))
+        values = {}
+        for f, width in zip(spec.fields, _ref_widths(spec, addr_bits)):
+            if f.width == Float32():
+                values[f.name] = draw(st.floats(width=32, allow_nan=False))
+            else:
+                values[f.name] = draw(st.integers(0, (1 << width) - 1))
+        fault = draw(st.sampled_from(("none", "none", "missing", "unknown", "overflow")))
+        ints = [f for f in spec.fields if f.width != Float32()]
+        if fault == "missing" and spec.fields:
+            del values[draw(st.sampled_from([f.name for f in spec.fields]))]
+        elif fault == "unknown":
+            values["extra"] = 1
+        elif fault == "overflow" and ints:
+            f = draw(st.sampled_from(ints))
+            width = addr_bits if f.width == Address() else f.width
+            values[f.name] = draw(st.sampled_from((1 << width, (1 << width) + 7, -1)))
+        requests.append((addr_bits, values))
+    return spec, requests
+
+
+@seed(20251017)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_layout_cases())
+def test_cached_layout_equals_a_per_call_derivation(case):
+    spec, requests = case
+    for addr_bits, values in requests:
+        assert spec.total_bits(addr_bits) == sum(_ref_widths(spec, addr_bits))
+        assert spec.n_chunks(addr_bits) == _ref_n_chunks(spec, addr_bits)
+        expected = _outcome(_ref_pack, spec, values, addr_bits)
+        assert _outcome(spec.pack, values, addr_bits) == expected
+        if expected[0] == "ok":
+            chunks = expected[1]
+            assert spec.unpack(chunks, addr_bits) == _ref_unpack(spec, chunks, addr_bits)
+            short = chunks[:-1]
+            assert _outcome(spec.unpack, short, addr_bits) == _outcome(
+                _ref_unpack, spec, short, addr_bits
+            )
+
+
+def test_layout_is_no_field_of_the_spec():
+    spec = CommandSpec("s", (Field("p", Address()), Field("n", UInt(32))))
+    twin = CommandSpec("s", (Field("p", Address()), Field("n", UInt(32))))
+    spec.pack({"p": 1, "n": 2}, 34)
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.pack({"p": 1, "n": 2}, 34) == spec.pack({"p": 1, "n": 2}, 34)
 
 
 # -------------------------------------------------------------- adapter/router

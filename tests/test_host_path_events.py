@@ -308,6 +308,112 @@ def test_prestaged_backlogs_drain_one_item_per_cycle():
     assert dumps["compiled"] == dumps["naive"]
 
 
+class _StallProbe(Component):
+    """Ticks every cycle, last, and counts the cycles that open with an item
+    stalled on one of the two queues the router drains: a command word at
+    the frontend with ``router.cmd_in`` full, or a core response at an
+    adapter with its ``resp_out`` full.  Nothing but polling ends either."""
+
+    def __init__(self, design):
+        super().__init__("stallprobe")
+        self._mmio, self._router = design.mmio, design.router
+        self._adapters = [ecore.adapter for system in design.systems for ecore in system.cores]
+        self.word_stalls = self.response_stalls = 0
+
+    def channels(self):
+        return []
+
+    @staticmethod
+    def _next_len(chan):  # visible items when the next cycle opens
+        return len(chan._items) - chan._pop_count + len(chan._staged)
+
+    def tick(self, cycle):
+        n = self._next_len
+        cmd_in = self._router.cmd_in
+        if n(self._mmio.cmd_words) and n(cmd_in) >= cmd_in.capacity:
+            self.word_stalls += 1
+        for adapter in self._adapters:
+            out = adapter.resp_out
+            if n(out) >= out.capacity and any(
+                n(io.resp) and adapter._pending_rd[i] for i, io in enumerate(adapter.ios)
+            ):
+                self.response_stalls += 1
+
+
+class _PairCore(AcceleratorCore):
+    """Answers commands two at a time: holds one until a second arrives (or
+    ``hold`` cycles pass), then pushes both responses in one cycle, a burst
+    its adapter packs faster than a one-item ``resp_out`` empties.  Plain
+    default wake membership and no hint: ticked every cycle."""
+
+    def __init__(self, ctx, hold):
+        super().__init__(ctx)
+        self.io = self.beethoven_io(
+            CommandSpec("pair", (Field("job", UInt(32)),)), EmptyAccelResponse()
+        )
+        self.hold = hold
+        self.held = []  # arrival cycle of each command not yet answered
+
+    def tick(self, cycle):
+        io = self.io
+        if io.req.can_pop() and len(self.held) < 2:
+            io.req.pop()
+            self.held.append(cycle)
+        held = self.held
+        if held and (len(held) == 2 or cycle - held[0] >= self.hold) and io.resp.can_push(len(held)):
+            for _ in held:
+                io.resp.push({})
+            held.clear()
+
+
+def _router_stall_run(mode):
+    """Three pair cores behind a router whose two drained queues hold one
+    item: with no lock cost and one cycle per word a backlog puts an
+    instruction on ``router.cmd_in`` every sixth cycle, and every answered
+    pair backs up at its adapter."""
+    host = HostInterface(True, 1, 32.0, 1, 0)
+    platform = dataclasses.replace(AWSF1Platform(), host=host)
+    config = AcceleratorConfig(
+        name="Pair", n_cores=3, module_constructor=lambda ctx: _PairCore(ctx, hold=50)
+    )
+    build = BeethovenBuild(config, platform, scheduling=mode)
+    design = build.design
+    design.router.cmd_in.capacity = 1
+    for ecore in design.systems[0].cores:
+        ecore.adapter.resp_out.capacity = 1
+    handle = FpgaHandle(design)
+    loads = [
+        TenantLoad(
+            TenantConfig(name=f"t{i}", max_in_flight=8, max_queued=64),
+            [("pair", {"job": i}, 1)],
+            ClosedLoop(concurrency=4, n_requests=31),
+        )
+        for i in range(3)
+    ]
+    service = AcceleratorService(handle, [load.tenant for load in loads])
+    gen = LoadGenerator(service, loads, seed=5)
+    probe = design.sim.add(_StallProbe(design))
+    report = gen.run(max_cycles=400_000, stall_budget=60_000)
+    stalls = (probe.word_stalls, probe.response_stalls)
+    return (handle.cycle, report.to_dict(), build.metrics(stable_only=True)), stalls
+
+
+def test_items_stalled_on_the_router_queues_move_on_schedule():
+    """Nothing wakes a producer when the router drains ``cmd_in`` or an
+    adapter's ``resp_out``; the frontend and adapter hints poll instead.
+    Cycle, serving report and the stable dump agree with every-cycle
+    stepping, and both stalls really occur."""
+    reference, ref_stalls = _router_stall_run(SCHEDULING_MODES[0])
+    assert reference[1]["totals"]["completed"] == 93
+    assert all(ref_stalls), ref_stalls
+    for mode in SCHEDULING_MODES[1:]:
+        got, stalls = _router_stall_run(mode)
+        assert got[0] == reference[0], mode
+        assert got[1] == reference[1], mode
+        assert got[2] == reference[2], mode
+        assert stalls == ref_stalls, mode
+
+
 # ------------------------------------------------------------------- faults
 @pytest.mark.parametrize("seed", range(6))
 def test_dropped_responses_end_a_poll_sleep_on_the_deadline(seed):
@@ -409,10 +515,10 @@ def test_unpatched_classes_subscribe_to_their_declared_edges_only():
         # channel: (push subscribers, pop subscribers)
         mmio.cmd_words: ({mmio}, set()),
         mmio.resp_words: ({server}, {mmio}),
-        router.cmd_in: ({router}, {mmio}),
+        router.cmd_in: ({router}, set()),
         router.resp_out: ({mmio}, set()),
         adapter.cmd_in: ({adapter}, set()),
-        adapter.resp_out: ({router}, {adapter}),
+        adapter.resp_out: ({router}, set()),
         core.io.req: ({core}, {adapter}),
         core.io.resp: ({adapter}, set()),
     }
@@ -421,9 +527,7 @@ def test_unpatched_classes_subscribe_to_their_declared_edges_only():
         assert set(chan._pop_subs) == {c._sched_index for c in on_pop}, chan.name
     # The union the other engines subscribe to is derived, not restated.
     assert list(server.wake_channels()) == [mmio.resp_words]
-    assert set(mmio.wake_channels()) == {
-        mmio.cmd_words, mmio.resp_words, router.cmd_in, router.resp_out
-    }
+    assert set(mmio.wake_channels()) == {mmio.cmd_words, mmio.resp_words, router.resp_out}
     # Nobody outside the host path opted in.
     opted = {type(c).__name__ for c in design.sim._components if c.wake_edges() is not None}
     assert opted == {
@@ -454,10 +558,13 @@ def _count_run_entries(sim):
 
 @pytest.mark.parametrize("profile,n_requests", [("smoke", 40), ("symmetric", 40)])
 def test_ticks_per_command_and_run_entries_stay_bounded(profile, n_requests):
-    """Per command: the server locks, pushes six words and polls once (8),
-    the frontend moves six words and one response (7); a slide back to
-    self-wakes roughly doubles every row, per-settlement waits make the run
-    entries grow with the request count."""
+    """Per command: the server locks, pushes six words and polls once (8);
+    the frontend moves six words and one response and wakes once more when
+    the server reads the response (8); the adapter delivers one command,
+    wakes once more when the core takes it and packs one response (3).  A
+    wake on the router's pops would cost each of the last two one tick more
+    per command, a slide back to self-wakes roughly doubles every row, and
+    per-settlement waits make the run entries grow with the request count."""
     build, handle, gen = _serve(profile, n_requests)
     sim = build.design.sim
     assert sim.scheduling == DEFAULT_SCHEDULING
@@ -467,8 +574,8 @@ def test_ticks_per_command_and_run_entries_stay_bounded(profile, n_requests):
     assert commands == 3 * n_requests
     table = class_tick_table(sim)
     budgets = {
-        "RuntimeServer": 10, "MmioFrontend": 10, "CommandRouter": 7,
-        "CoreCommandAdapter": 5, "DelayCore": 5,
+        "RuntimeServer": 10, "MmioFrontend": 8, "CommandRouter": 7,
+        "CoreCommandAdapter": 3.5, "DelayCore": 5,
     }
     for name, budget in budgets.items():
         assert table[name]["ticks_per_command"] <= budget, (name, table[name])

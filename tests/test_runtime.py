@@ -79,6 +79,39 @@ def test_server_serialises_commands():
     assert server.idle()
 
 
+def test_a_refused_call_leaves_no_call_behind():
+    """Packing validates before the call is registered: a command the
+    layout refuses leaves no uid, no future and no queued word, so the
+    next call takes the uid it would have had."""
+    build = BeethovenBuild(delay_config(2, latency_cycles=10), SimulationPlatform())
+    handle = FpgaHandle(build.design)
+    for bad in ({"job": 2**40}, {}, {"job": 1, "extra": 2}):
+        with pytest.raises(ValueError):
+            handle.call("Delay", "run", 0, **bad)
+    assert handle._calls == {} and handle._call_uid == 0
+    assert handle.server.idle()
+    fut = handle.call("Delay", "run", 1, job=7)
+    assert list(handle._calls) == [1] and handle._calls[1]["fut"] is fut
+    fut.get()
+    assert handle.server.commands_sent == 1
+
+
+def test_call_rejects_unknown_names_and_core_indices():
+    build = BeethovenBuild(delay_config(2, latency_cycles=10), SimulationPlatform())
+    handle = FpgaHandle(build.design)
+    with pytest.raises(KeyError, match="no system"):
+        handle.call("Nope", "run", 0, job=1)
+    with pytest.raises(IndexError):
+        handle.call("Delay", "nope", 2, job=1)  # the index is checked first
+    with pytest.raises(KeyError, match="no IO"):
+        handle.call("Delay", "nope", 0, job=1)
+    for _ in range(2):  # a binding resolved once answers every later call
+        with pytest.raises(IndexError):
+            handle.call("Delay", "run", -1, job=1)
+        assert handle.call("Delay", "run", 1, job=1).get() == {"ok": True}
+    assert handle._calls.keys() == {1, 2}
+
+
 def test_dispatch_cost_formula():
     platform = AWSF1Platform()
     d = dispatch_cost_cycles(platform)

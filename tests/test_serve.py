@@ -79,6 +79,26 @@ def test_admission_rate_limit_is_token_bucket():
     assert int(svc.tenant("t").completed) == 3
 
 
+def test_malformed_request_raises_before_admission_moves_anything():
+    """Costing packs the fields, and it runs before admission: a request the
+    layout refuses moves no counter and burns no token."""
+    svc, handle, build = _service(
+        [TenantConfig(name="t", cycles_per_token=10_000, burst_tokens=1)]
+    )
+    before = build.metrics(stable_only=True)
+    for bad in ({"job": 2**40}, {}, {"job": 1, "extra": 2}):
+        with pytest.raises(ValueError):
+            svc.submit("t", "gemm", **bad)
+    assert build.metrics(stable_only=True) == before
+    state = svc.tenant("t")
+    assert (int(state.submitted), int(state.admitted), state.rejected_total) == (0, 0, 0)
+    assert svc.drained()
+    # The tenant's one token is still there for its next valid request.
+    ticket = svc.submit("t", "gemm", job=1)
+    svc.run_until_drained()
+    assert ticket.outcome == "ok" and int(state.completed) == 1
+
+
 def test_admission_memory_budget_and_release():
     svc, handle, _ = _service(
         [TenantConfig(name="t", memory_budget_bytes=4096)]

@@ -6,7 +6,9 @@ Runs two instrumented points under both scheduling modes and writes the
 
 * a Figure-6 MachSuite point (``--bench``, default ``md-knn``): the paper's
   delay-calibrated core at its measured kernel latency, several cores and
-  rounds, driven through the full host runtime;
+  rounds, driven through the full host runtime.  For it the tool also
+  prints executed ticks per host command, the simulator's cost per command
+  on the host path;
 * a DRAM-heavy memcpy point (``--memcpy-bytes``, 0 disables), where the
   report attributes most of the critical path to DRAM service.  For it the
   tool also prints executed ticks per DRAM column, the simulator's cost per
@@ -83,6 +85,13 @@ def ticks_per_dram_col(class_ticks) -> float:
     the sum of the per-class ``ticks_per_dram_col`` (the commit row, which
     has no instances, is kernel work, not a component tick)."""
     return sum(row["ticks_per_dram_col"] for row in class_ticks.values() if row["instances"])
+
+
+def ticks_per_command(class_ticks) -> float:
+    """Executed ticks of every component per host command the runtime
+    server sent: the sum of the per-class ``ticks_per_command`` over the
+    classes with instances."""
+    return sum(row["ticks_per_command"] for row in class_ticks.values() if row["instances"])
 
 
 def run_point(name, config, drive, max_sum_error=0.01, profile=False):
@@ -200,6 +209,9 @@ def main(argv=None) -> int:
         if name == "memcpy":
             report["ticks_per_dram_col"] = ticks_per_dram_col(report["class_ticks"])
             print(f"executed ticks per DRAM column: {report['ticks_per_dram_col']:.2f}")
+        else:
+            report["ticks_per_command"] = ticks_per_command(report["class_ticks"])
+            print(f"executed ticks per host command: {report['ticks_per_command']:.2f}")
         print()
 
     with open(out / "bottleneck_report.json", "w") as f:
