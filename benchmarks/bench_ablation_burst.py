@@ -15,8 +15,8 @@ SIZE = 262144
 
 @pytest.fixture(scope="module")
 def burst_sweep():
-    # The six (burst, tlp) points are independent pure builds: shard them
-    # across the farm's worker pool instead of evaluating serially.
+    # The six (burst, tlp) points are independent pure builds, one farm job
+    # each.
     grid = [(burst, tlp) for burst in (16, 32, 64) for tlp in (True, False)]
     jobs = [
         Job(

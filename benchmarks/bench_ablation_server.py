@@ -20,7 +20,7 @@ LATENCIES = (500, 2_000, 8_000)
 @pytest.fixture(scope="module")
 def server_sweep():
     # Six independent runtime-server simulations (3 latencies x 2 server
-    # modes), sharded across the farm's worker pool.
+    # modes), one farm job each.
     user = AWSF1Platform(clock_mhz=125.0)
     kernel = kernel_mode(user)
     grid = [(latency, mode) for latency in LATENCIES for mode in ("user", "kernel")]

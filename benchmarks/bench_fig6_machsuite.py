@@ -35,8 +35,8 @@ def test_table1_workloads(benchmark):
 
 @pytest.fixture(scope="module")
 def fig6_rows():
-    # Rows shard across farm workers; results are bit-identical to the
-    # serial path (each row is a pure function of bench/platform/max_cores).
+    # One farm job per row; results are bit-identical to the direct path
+    # (each row is a pure function of bench/platform/max_cores).
     from repro.farm import Farm
 
     return fig6_all(max_cores=48, farm=Farm(cache=False))

@@ -59,8 +59,8 @@ def contention_demo() -> None:
     n_cores = 16
     d = dispatch_cost_cycles(platform)
     print(f"   per-command host dispatch cost: {d} cycles; {n_cores} cores")
-    # The four latency points are independent simulations: shard them across
-    # the farm's worker pool (repeat runs are served from its result cache).
+    # The four latency points are independent simulations, one farm job
+    # each (repeat runs are served from the farm's result cache).
     latencies = (500, 2_000, 8_000, 32_000)
     farm = Farm()
     jobs = [

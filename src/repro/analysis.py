@@ -164,7 +164,7 @@ def noc_link_beats(registry) -> Dict[str, int]:
 # Sweep views (see :mod:`repro.dse` and :mod:`repro.farm`).
 #
 # DesignPoints carry their own provenance — build wall-time, cache hit/miss,
-# worker id — so sweep reports can show *where the time went* without
+# source — so sweep reports can show *where the time went* without
 # holding the farm that produced them.
 # ---------------------------------------------------------------------------
 

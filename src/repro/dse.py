@@ -8,9 +8,9 @@ the "limited by BRAM/LUT overutilisation" observations of Section III-B.
 
 Sweeps route through :class:`repro.farm.Farm` when one is supplied: each
 design point is a pure function of (config, platform, build mode), so
-points shard across worker processes and repeat sweeps are served from the
-content-addressed result cache.  Every :class:`DesignPoint` carries its own
-provenance — build wall-time and whether the cache supplied it.
+repeat sweeps are served from the farm's content-addressed result cache.
+Every :class:`DesignPoint` carries its own provenance — build wall-time and
+whether the cache supplied it.
 
 Two sweep strategies are offered:
 
@@ -34,7 +34,7 @@ from repro.platforms.base import Platform
 
 ConfigFactory = Callable[[int], object]
 
-#: Importable job reference for farm workers (any start method can resolve it).
+#: Importable job reference: its fingerprint names the function, not its bytecode.
 EVALUATE_POINT_JOB = "repro.dse:evaluate_point"
 
 
@@ -53,12 +53,12 @@ class DesignPoint:
     build_seconds: float = 0.0
     #: True when a farm served this point from its result cache.
     cache_hit: bool = False
-    #: Farm worker that built it ("w3", "serial", "inline", or "cache").
+    #: "serial" when a farm built it, "cache" when its cache served it.
     worker: str = ""
     #: Farm job fingerprint (cache key), empty outside a farm run.
     fingerprint: str = ""
     #: True when the evaluation resumed from a checkpoint left behind by an
-    #: earlier killed/timed-out attempt (see ``Job.checkpoint_every``).
+    #: earlier run whose host process died (see ``Job.checkpoint_every``).
     resumed_from_checkpoint: bool = False
 
 
@@ -128,11 +128,11 @@ def sweep_cores(
 ) -> List[DesignPoint]:
     """Evaluate core counts; see the module docstring for the strategies.
 
-    ``farm`` (optional) shards the builds across a worker pool and memoises
-    them; without one, evaluation is in-process and bit-identical to the
-    historical serial path.  ``evaluate`` is the per-point evaluator — an
-    importable ``"module:attr"`` string (preferred: workers can always
-    resolve it) or a callable; tests inject fakes here.
+    ``farm`` (optional) memoises the builds in its result cache and stamps
+    their provenance; either way evaluation runs in this process and the
+    points are bit-identical.  ``evaluate`` is the per-point evaluator — an
+    importable ``"module:attr"`` string (preferred: its fingerprint names
+    the function) or a callable; tests inject fakes here.
     """
     counts = list(counts)
     if strategy == "scan" or len(counts) <= 2:

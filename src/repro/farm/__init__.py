@@ -1,20 +1,18 @@
-"""``repro.farm`` — sharded build/sweep execution with a result cache.
+"""``repro.farm`` — in-process build/sweep execution with a result cache.
 
 The paper's workflow is *composition at scale*: sweep ``n_cores`` per System
 until the feasibility model binds, then repeat for every platform and
 ablation.  Each design point is a pure function of (configuration,
-platform, build mode), so the farm treats evaluation as a job graph:
+platform, build mode), so the farm treats evaluation as a list of jobs:
 
 * :mod:`repro.farm.fingerprint` — deterministic content fingerprints for
   jobs (canonical serialisation of the payload plus a code-version salt);
 * :mod:`repro.farm.cache` — an on-disk content-addressed store keyed by
-  those fingerprints;
-* :mod:`repro.farm.pool` — a multiprocess worker pool with per-job
-  timeouts, bounded retry-with-backoff on worker crash, and graceful
-  degradation to in-process serial execution;
-* :mod:`repro.farm.engine` — the :class:`Farm` facade that glues cache and
-  pool together and registers provenance metrics/spans with
-  :mod:`repro.obs`.
+  those fingerprints, whose entries are tagged JSON data;
+* :mod:`repro.farm.engine` — the :class:`Farm` facade that serves hits
+  from the cache, runs the misses in this process in submission order,
+  resumes checkpointed jobs after a host crash, and registers provenance
+  metrics/spans with :mod:`repro.obs`.
 """
 
 from repro._lazy import lazy_exports
@@ -24,14 +22,9 @@ _LAZY = {
     "FarmJobError": "repro.farm.engine",
     "Job": "repro.farm.job",
     "JobResult": "repro.farm.job",
-    "PoolStats": "repro.farm.pool",
     "ResultCache": "repro.farm.cache",
-    "SerialPool": "repro.farm.pool",
-    "WorkerPool": "repro.farm.pool",
-    "bind_pool_metrics": "repro.farm.pool",
     "canonical": "repro.farm.fingerprint",
     "code_salt": "repro.farm.fingerprint",
-    "current_attempt": "repro.farm.pool",
     "job_fingerprint": "repro.farm.fingerprint",
 }
 

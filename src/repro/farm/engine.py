@@ -1,31 +1,37 @@
-"""The :class:`Farm` facade: cache + pool + observability.
+"""The :class:`Farm` facade: cache + in-process execution + observability.
 
 ``Farm.run(jobs)`` is the one call every sweep-shaped workflow goes
 through: it fingerprints each job, serves hits from the content-addressed
-cache, shards the misses across the worker pool, stores fresh results, and
-returns :class:`~repro.farm.job.JobResult` records in submission order with
-full provenance (worker id, wall time, cache hit/miss, attempt count).
+cache, executes the misses in this process in submission order, stores
+fresh results, and returns :class:`~repro.farm.job.JobResult` records in
+submission order with full provenance (wall time, cache hit/miss,
+checkpoint resume).
+
+A costed design point takes milliseconds, less than forking a worker and
+shipping the job and its result over queues would, so there is no worker
+pool.  A job is bounded by simulated cycles (``max_cycles``, stall budgets,
+the watchdog), which are deterministic where a wall-clock kill is not.
 
 Observability rides along on :mod:`repro.obs`: the farm keeps a
 :class:`~repro.obs.registry.MetricRegistry` under the ``farm/*`` namespace
-(jobs, hits/misses, retries, timeouts, crashes, per-job wall-time
-histogram) and a :class:`~repro.sim.trace.Tracer` that records one span per
-job — track ``farm/<worker>``, one microsecond of trace time per real
-microsecond — exportable with the same Chrome/Perfetto exporter builds use.
+(jobs, hits/misses, checkpoint resumes, per-job wall-time histogram) and a
+:class:`~repro.sim.trace.Tracer` that records one span per job — track
+``farm/<worker>``, one microsecond of trace time per real microsecond —
+exportable with the same Chrome/Perfetto exporter builds use.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import traceback
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.farm.cache import ResultCache
-from repro.farm.job import Job, JobResult
+from repro.farm.job import Job, JobResult, resolve_fn
 from repro.obs.registry import MetricRegistry
 from repro.sim.trace import Tracer
 
-_WORKERS_ENV = "REPRO_FARM_WORKERS"
 _CACHE_DIR_ENV = "REPRO_FARM_CACHE_DIR"
 
 #: Wall-time histogram buckets: 1ms .. ~1hr in powers of four (seconds).
@@ -43,17 +49,6 @@ class FarmJobError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def default_workers() -> int:
-    """Worker count: ``REPRO_FARM_WORKERS`` env, else min(4, cpu_count)."""
-    env = os.environ.get(_WORKERS_ENV)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def default_cache_dir() -> str:
     """Cache root: ``REPRO_FARM_CACHE_DIR`` env, else ``~/.cache/repro-farm``."""
     env = os.environ.get(_CACHE_DIR_ENV)
@@ -62,13 +57,51 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-farm")
 
 
+def _execute(job: Job) -> JobResult:
+    """Run one job in this process, timing it and trapping its errors.
+
+    A resumable job (``checkpoint_path`` set) sees its checkpoint contract
+    through the environment, so job code reaches it via
+    :func:`repro.snapshot.store.job_checkpoint` however deep in the call
+    stack the simulation lives; success retires the checkpoint file.
+    """
+    ckpt_path = job.checkpoint_path
+    if ckpt_path:
+        from repro.snapshot.store import CKPT_EVERY_ENV, CKPT_PATH_ENV, consume_resumed_flag
+
+        os.environ[CKPT_PATH_ENV] = ckpt_path
+        os.environ[CKPT_EVERY_ENV] = str(job.checkpoint_every or 0)
+        consume_resumed_flag()  # drop stale state from a previous job
+    result = JobResult(job=job, worker="serial", fingerprint=job.fingerprint)
+    t0 = time.perf_counter()
+    try:
+        result.value = resolve_fn(job.fn)(*job.args, **job.kwargs)
+        result.ok = True
+        if ckpt_path:
+            result.resumed_from_checkpoint = consume_resumed_flag()
+            try:
+                os.unlink(ckpt_path)
+            except OSError:
+                pass
+    except Exception as exc:  # noqa: BLE001 — job errors become data
+        tb = traceback.format_exc(limit=20)
+        if len(tb) > 4000:
+            tb = "...\n" + tb[-4000:]
+        result.error = f"{type(exc).__name__}: {exc}\n{tb.rstrip()}"
+    finally:
+        result.wall_seconds = time.perf_counter() - t0
+        if ckpt_path:
+            os.environ.pop(CKPT_PATH_ENV, None)
+            os.environ.pop(CKPT_EVERY_ENV, None)
+    return result
+
+
 class Farm:
-    """Sharded job execution with content-addressed memoisation.
+    """In-process job execution with content-addressed memoisation.
 
     ``n_workers``
-        Pool width; ``None`` reads ``REPRO_FARM_WORKERS`` (default
-        ``min(4, cpu_count)``).  ``1`` — or an interpreter where
-        multiprocessing is unusable — selects the in-process serial pool.
+        Accepted only as ``1``: jobs always run in this process.  Any other
+        value raises :class:`ValueError`.
     ``cache``
         ``True`` opens (creating if needed) the content-addressed cache at
         ``cache_dir`` (default ``~/.cache/repro-farm`` or the
@@ -87,34 +120,23 @@ class Farm:
 
     def __init__(
         self,
-        n_workers: Optional[int] = None,
+        n_workers: int = 1,
         cache: Any = True,
         cache_dir: Optional[str] = None,
-        default_timeout_s: Optional[float] = 600.0,
-        max_attempts: int = 3,
-        backoff_base_s: float = 0.05,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
-        from repro.farm.pool import SerialPool, WorkerPool, multiprocessing_available
-
-        self.n_workers = default_workers() if n_workers is None else max(int(n_workers), 1)
+        if n_workers != 1:
+            raise ValueError(f"the farm runs jobs in-process; n_workers={n_workers!r} is not 1")
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache
         elif cache:
             self.cache = ResultCache(cache_dir or default_cache_dir())
         else:
             self.cache = None
-        self.checkpoint_dir = checkpoint_dir or os.path.join(
-            cache_dir or default_cache_dir(), "checkpoints"
-        )
-        if self.n_workers > 1 and multiprocessing_available():
-            self.pool: Any = WorkerPool(
-                self.n_workers, default_timeout_s, max_attempts, backoff_base_s
-            )
-        else:
-            self.pool = SerialPool(default_timeout_s, max_attempts, backoff_base_s)
+        root = self.cache.root if self.cache is not None else cache_dir or default_cache_dir()
+        self.checkpoint_dir = checkpoint_dir or os.path.join(root, "checkpoints")
 
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
@@ -124,20 +146,14 @@ class Farm:
         self._m_failed = scope.counter("jobs_failed")
         self._m_hits = scope.counter("cache/hits")
         self._m_misses = scope.counter("cache/misses")
-        self._m_retries = scope.counter("retries")
-        self._m_timeouts = scope.counter("timeouts")
-        self._m_crashes = scope.counter("crashes")
-        self._m_inline = scope.counter("inline_fallbacks")
         self._m_resumes = scope.counter("checkpoint_resumes")
-        self._m_workers = scope.gauge("workers")
-        self._m_workers.set(self.pool.n_workers)
         self._m_wall = scope.histogram("job_wall_seconds", buckets=_WALL_BUCKETS)
         self._m_saved = scope.gauge("cache/seconds_saved")
         self._epoch = time.perf_counter()
 
     # ----------------------------------------------------------- execution
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
-        """Execute ``jobs`` (cache first, then the pool); provenance included.
+        """Execute ``jobs`` (cache first, then in-process); provenance included.
 
         Results come back in submission order.  Failures are *data* here —
         ``ok=False`` with the error string — so one bad point never aborts a
@@ -145,72 +161,45 @@ class Farm:
         """
         jobs = list(jobs)
         self._m_submitted.inc(len(jobs))
-        results: Dict[int, JobResult] = {}
-
-        # 1. Serve whatever the cache already knows.
-        misses: List[int] = []
+        # Serve whatever the cache already knows, then compute the misses.
+        results = [self._lookup(job) for job in jobs]
         for i, job in enumerate(jobs):
-            fp = job.fingerprint
-            if self.cache is not None and job.cache:
-                hit, value, meta = self.cache.get(fp)
-                if hit:
-                    results[i] = JobResult(
-                        job=job,
-                        value=value,
-                        ok=True,
-                        worker="cache",
-                        wall_seconds=float(meta.get("wall_seconds", 0.0)),
-                        attempts=0,
-                        cache_hit=True,
-                        fingerprint=fp,
-                    )
-                    continue
-            misses.append(i)
+            if results[i] is None:
+                results[i] = self._compute(job)
+        self._account(results)
+        return results
 
-        # 2. Shard the misses across the pool.  Resumable jobs get their
-        #    content-addressed checkpoint path assigned here so a retry —
-        #    or a whole re-run after a host crash — finds the same file.
-        if misses:
+    def _lookup(self, job: Job) -> Optional[JobResult]:
+        if self.cache is None or not job.cache:
+            return None
+        hit, value, meta = self.cache.get(job.fingerprint)
+        if not hit:
+            return None
+        return JobResult(
+            job=job,
+            value=value,
+            ok=True,
+            worker="cache",
+            wall_seconds=float(meta.get("wall_seconds", 0.0)),
+            cache_hit=True,
+            fingerprint=job.fingerprint,
+        )
+
+    def _compute(self, job: Job) -> JobResult:
+        # A resumable job gets its content-addressed checkpoint path here,
+        # so a whole re-run after a host crash finds the same file.
+        if job.checkpoint_every and not job.checkpoint_path:
             from repro.snapshot.store import job_checkpoint_path
 
-            for i in misses:
-                job = jobs[i]
-                if job.checkpoint_every and not job.checkpoint_path:
-                    job.checkpoint_path = job_checkpoint_path(
-                        self.checkpoint_dir, job.fingerprint
-                    )
-            outcomes = self.pool.run([jobs[i] for i in misses])
-            for i, outcome in zip(misses, outcomes):
-                job = jobs[i]
-                results[i] = JobResult(
-                    job=job,
-                    value=outcome.value,
-                    ok=outcome.ok,
-                    error=outcome.error,
-                    worker=outcome.worker,
-                    wall_seconds=outcome.wall_seconds,
-                    attempts=outcome.attempts,
-                    cache_hit=False,
-                    timed_out=outcome.timed_out,
-                    crashes=outcome.crashes,
-                    fingerprint=job.fingerprint,
-                    resumed_from_checkpoint=outcome.resumed_from_checkpoint,
-                )
-                if outcome.ok and self.cache is not None and job.cache:
-                    self.cache.put(
-                        job.fingerprint,
-                        outcome.value,
-                        meta={
-                            "label": job.label,
-                            "worker": outcome.worker,
-                            "wall_seconds": outcome.wall_seconds,
-                            "attempts": outcome.attempts,
-                        },
-                    )
-
-        ordered = [results[i] for i in range(len(jobs))]
-        self._account(ordered)
-        return ordered
+            job.checkpoint_path = job_checkpoint_path(self.checkpoint_dir, job.fingerprint)
+        res = _execute(job)
+        if res.ok and self.cache is not None and job.cache:
+            self.cache.put(
+                job.fingerprint,
+                res.value,
+                meta={"label": job.label, "wall_seconds": res.wall_seconds},
+            )
+        return res
 
     def map(self, jobs: Sequence[Job]) -> List[Any]:
         """Like :meth:`run` but returns plain values, raising on any failure."""
@@ -234,14 +223,6 @@ class Farm:
             else:
                 self._m_misses.inc()
                 self._m_wall.observe(res.wall_seconds)
-            if res.attempts > 1:
-                self._m_retries.inc(res.attempts - 1)
-            if res.timed_out:
-                self._m_timeouts.inc()
-            if res.crashes:
-                self._m_crashes.inc(res.crashes)
-            if res.worker == "inline":
-                self._m_inline.inc()
             if res.resumed_from_checkpoint:
                 self._m_resumes.inc()
             # One span per job on the worker's track.  Cache hits render as
@@ -253,7 +234,6 @@ class Farm:
                 f"job:{res.label}",
                 fingerprint=res.fingerprint[:12],
                 cache_hit=res.cache_hit,
-                attempts=res.attempts,
                 ok=res.ok,
             )
             self.tracer.end_span(sid, now_us)
@@ -280,31 +260,15 @@ class Farm:
         return export_chrome_trace(path, self.tracer)
 
     def stats(self) -> Dict[str, Any]:
-        """One JSON-able snapshot: pool shape, counters, cache state."""
+        """One JSON-able snapshot: job counters and cache state."""
         out: Dict[str, Any] = {
-            "workers": self.pool.n_workers,
-            "pool": type(self.pool).__name__,
             "jobs_submitted": int(self._m_submitted),
             "jobs_completed": int(self._m_completed),
             "jobs_failed": int(self._m_failed),
             "cache_hits": int(self._m_hits),
             "cache_misses": int(self._m_misses),
-            "retries": int(self._m_retries),
-            "timeouts": int(self._m_timeouts),
-            "crashes": int(self._m_crashes),
-            "inline_fallbacks": int(self._m_inline),
         }
         served = int(self._m_hits) + int(self._m_misses)
         out["cache_hit_rate"] = int(self._m_hits) / served if served else 0.0
         out["cache"] = self.cache.stats() if self.cache is not None else None
         return out
-
-    # --------------------------------------------------------- constructors
-    @classmethod
-    def serial(cls, cache: Any = False, **kwargs: Any) -> "Farm":
-        """An in-process farm (no worker processes, cache off by default).
-
-        This is the reference executor: sweeps routed through it are
-        bit-identical to calling the underlying functions directly.
-        """
-        return cls(n_workers=1, cache=cache, **kwargs)

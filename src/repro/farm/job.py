@@ -1,11 +1,10 @@
 """Job and result records for the farm.
 
 A :class:`Job` names a callable (either directly, or as an importable
-``"module:attr"`` string — the form worker processes can always resolve
-regardless of start method) plus its payload and per-job execution policy.
-A :class:`JobResult` carries the value back together with full provenance:
-which worker ran it, how long it took, whether the cache served it, and
-how many attempts the pool needed.
+``"module:attr"`` string, whose fingerprint does not depend on how the
+callable was compiled) plus its payload.  A :class:`JobResult` carries the
+value back together with its provenance: how long it took, whether the
+cache served it, and whether it resumed from a checkpoint.
 """
 
 from __future__ import annotations
@@ -36,20 +35,18 @@ def resolve_fn(ref: FnRef) -> Callable[..., Any]:
 
 @dataclass
 class Job:
-    """One unit of farm work: a callable reference plus payload and policy.
+    """One unit of farm work: a callable reference plus its payload.
 
     ``fn`` may be a callable or an importable ``"module:attr"`` string; the
-    string form survives any multiprocessing start method and is preferred
-    for jobs defined in library code.  ``timeout_s`` / ``max_attempts``
-    default to the pool's settings when ``None``.  ``cache=False`` opts a
-    job out of the result cache (e.g. wall-clock measurements).
+    string form is preferred for jobs defined in library code.
+    ``cache=False`` opts a job out of the result cache (e.g. wall-clock
+    measurements, or a value the cache cannot encode).
 
     ``checkpoint_every`` declares the job *resumable*: job code that honours
     :func:`repro.snapshot.store.job_checkpoint` checkpoints its state every
     N units to a content-addressed file the farm assigns (next to the result
-    cache), and a timed-out or crashed attempt is requeued to resume from
-    the last checkpoint instead of restarting — or, for timeouts without a
-    checkpoint, failing outright.  ``checkpoint_path`` is normally assigned
+    cache), and a re-run after the host process died resumes from the last
+    checkpoint instead of restarting.  ``checkpoint_path`` is normally assigned
     by the farm from the job fingerprint; set it explicitly only to pin a
     location.  Neither field enters the cache fingerprint (they change how a
     result is computed, never its value).
@@ -59,8 +56,6 @@ class Job:
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
-    timeout_s: Optional[float] = None
-    max_attempts: Optional[int] = None
     cache: bool = True
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
@@ -98,15 +93,12 @@ class JobResult:
     value: Any = None
     ok: bool = False
     error: Optional[str] = None
-    worker: str = ""  # "w<N>", "serial", "inline", or "cache"
+    worker: str = ""  # "serial" (computed in-process) or "cache"
     wall_seconds: float = 0.0  # execution time (original compute time on hits)
-    attempts: int = 0
     cache_hit: bool = False
-    timed_out: bool = False
-    crashes: int = 0
     fingerprint: str = ""
-    #: True when the successful attempt restored state from a checkpoint
-    #: file written by an earlier (killed or crashed) attempt.
+    #: True when the run restored state from a checkpoint file written by
+    #: an earlier run that died.
     resumed_from_checkpoint: bool = False
 
     @property

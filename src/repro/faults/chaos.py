@@ -23,7 +23,7 @@ with no plan at all).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.errors import FaultError
@@ -370,39 +370,13 @@ def run_chaos(scenario: str, mode: str, seed: int) -> ChaosOutcome:
     return fn(seed, mode)
 
 
-def chaos_job(scenario: str, mode: str, seed: int) -> Dict[str, object]:
-    """Farm-friendly entry point: plain-dict outcome, importable by name."""
-    return asdict(run_chaos(scenario, mode, seed))
-
-
 def run_chaos_sweep(
     seeds: Sequence[int],
     scenarios: Sequence[str] = SCENARIOS,
     modes: Sequence[str] = MODES,
-    workers: int = 0,
 ) -> List[ChaosOutcome]:
-    """The full cross product; ``workers > 1`` shards it over a farm pool."""
-    combos = [(sc, m, s) for sc in scenarios for m in modes for s in seeds]
-    if workers > 1:
-        from repro.farm.job import Job
-        from repro.farm.pool import WorkerPool, multiprocessing_available
-
-        if multiprocessing_available():
-            pool = WorkerPool(workers, default_timeout_s=600.0)
-            jobs = [
-                Job("repro.faults.chaos:chaos_job", (sc, m, s), cache=False)
-                for sc, m, s in combos
-            ]
-            results: List[ChaosOutcome] = []
-            for (sc, m, s), out in zip(combos, pool.run(jobs)):
-                if out.ok:
-                    results.append(ChaosOutcome(**out.value))
-                else:
-                    results.append(
-                        ChaosOutcome(sc, m, s, "unexpected", error=out.error or "farm failure")
-                    )
-            return results
-    return [run_chaos(sc, m, s) for sc, m, s in combos]
+    """The full cross product, run in this process."""
+    return [run_chaos(sc, m, s) for sc in scenarios for m in modes for s in seeds]
 
 
 def render_chaos_report(outcomes: Sequence[ChaosOutcome]) -> str:

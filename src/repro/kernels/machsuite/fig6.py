@@ -37,7 +37,7 @@ from repro.sim import DEFAULT_SCHEDULING
 
 
 # Each factory imports its kernel when called: a row builds one kernel, and
-# a farm worker serving cached rows builds none.
+# a farm serving cached rows builds none.
 def _gemm(n_cores: int):
     from repro.kernels.machsuite.gemm import gemm_config
 
@@ -82,11 +82,11 @@ SIMULATION_CYCLE_BUDGET = 400_000
 
 
 def config_for(bench: str, n_cores: int):
-    """Importable (hence picklable) factory entry point for farm jobs.
+    """Importable factory entry point for farm jobs.
 
-    ``functools.partial(config_for, bench)`` is the public, payload-safe
-    equivalent of the factories in :data:`CONFIG_FACTORIES`: worker
-    processes resolve it by name, so sweeps over Table I workloads shard
+    ``functools.partial(config_for, bench)`` is the public equivalent of the
+    factories in :data:`CONFIG_FACTORIES` whose fingerprint names the
+    function and the bench, so sweeps over Table I workloads memoise
     cleanly.
     """
     return CONFIG_FACTORIES[bench](n_cores)
@@ -246,12 +246,11 @@ def fig6_row(bench: str, platform: Optional[Platform] = None, max_cores: int = 6
 
 
 def fig6_all(platform: Optional[Platform] = None, max_cores: int = 64, farm=None):
-    """All Figure 6 rows; pass a :class:`repro.farm.Farm` to shard them.
+    """All Figure 6 rows; pass a :class:`repro.farm.Farm` to memoise them.
 
     ``fig6_row`` is a pure function of (bench, platform, max_cores), so the
-    farm path is bit-identical to the serial path — rows simply build in
-    parallel worker processes and repeat sweeps are served from the result
-    cache.
+    farm path is bit-identical to the direct path — repeat sweeps are
+    served from the farm's result cache.
     """
     benches = list(CONFIG_FACTORIES)
     if farm is None:

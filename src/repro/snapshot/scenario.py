@@ -178,6 +178,25 @@ def _comparable(result: Dict[str, Any]) -> Dict[str, Any]:
     return {k: result[k] for k in keys}
 
 
+def _fork_context():
+    """The multiprocessing context for the victim (``fork`` where available:
+    it needs no re-import of this module), or None when this interpreter
+    cannot make processes and queues at all (sandboxed ``/dev/shm`` etc.)."""
+    import multiprocessing
+
+    try:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover — non-POSIX platforms
+            ctx = multiprocessing.get_context()
+        q = ctx.Queue()
+        q.cancel_join_thread()
+        q.close()
+        return ctx
+    except Exception:  # pragma: no cover — sandboxed interpreters
+        return None
+
+
 def kill_and_resume_differential(
     seed: int,
     mode: str,
@@ -193,8 +212,6 @@ def kill_and_resume_differential(
     the resumed result plus ``{"match", "reference", "killed"}``; a mismatch
     means the determinism contract broke (outcome ``corrupt``).
     """
-    from repro.farm.pool import multiprocessing_available, multiprocessing_context
-
     rng = random.Random(0xC4EC ^ (seed * 2654435761 & 0xFFFFFFFF))
     reference = run_checkpointed_memcpy(seed, mode)
     ref_chunks = max(1, reference["chunks"])
@@ -206,8 +223,8 @@ def kill_and_resume_differential(
     max_kill = max(1, (ref_chunks - 1) // checkpoint_every_chunks)
     kill_after = 1 + rng.randrange(max_kill)
     killed = False
-    if multiprocessing_available():
-        ctx = multiprocessing_context()
+    ctx = _fork_context()
+    if ctx is not None:
         proc = ctx.Process(
             target=_victim_main,
             args=(seed, mode, path, checkpoint_every_chunks, kill_after),
@@ -257,13 +274,12 @@ def kill_and_resume_differential(
 
 # ----------------------------------------------------------------- farm entry
 def checkpointed_memcpy_job(seed: int, mode: str) -> Dict[str, Any]:
-    """Farm-friendly resumable job: checkpoint plumbing comes from the pool.
+    """Farm-friendly resumable job: checkpoint plumbing comes from the farm.
 
-    When the dispatching pool exported a checkpoint path (the job was
-    declared with ``Job(checkpoint_every=...)``), the run checkpoints there
-    and transparently resumes after a crash or hung-job kill;
-    ``note_job_resumed`` feeds the ``resumed_from_checkpoint`` provenance
-    the pool surfaces on the outcome.
+    When the farm exported a checkpoint path (the job was declared with
+    ``Job(checkpoint_every=...)``), the run checkpoints there and resumes
+    when a re-run follows a host crash; ``note_job_resumed`` feeds the
+    ``resumed_from_checkpoint`` provenance the farm surfaces on the result.
     """
     from repro.snapshot.store import job_checkpoint, note_job_resumed
 

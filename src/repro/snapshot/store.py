@@ -13,10 +13,10 @@ Files are written atomically (temp file + ``os.replace``) so a SIGKILL
 mid-write leaves the previous checkpoint intact — the resume path never
 sees a torn file.
 
-Farm integration works over the environment: the pool supervisor exports
-the job's checkpoint path/interval before dispatch, checkpointed job
-functions read them via :func:`job_checkpoint`, and a module-level flag
-records whether the job actually resumed so the pool can surface
+Farm integration works over the environment: the farm exports the job's
+checkpoint path/interval around its execution, checkpointed job functions
+read them via :func:`job_checkpoint`, and a module-level flag records
+whether the job actually resumed so the farm can surface
 ``resumed_from_checkpoint`` provenance without changing job signatures.
 """
 
@@ -43,7 +43,7 @@ _MAGIC = b"RPROSNAP"
 _HEADER = struct.Struct(">8sIQ32s")
 _FIELDS = (("version", int), ("cycle", int), ("payload", dict), ("meta", dict))
 
-#: Exported by the farm pool around checkpointed job execution.
+#: Exported by the farm around checkpointed job execution.
 CKPT_PATH_ENV = "REPRO_SNAPSHOT_JOB_PATH"
 CKPT_EVERY_ENV = "REPRO_SNAPSHOT_JOB_EVERY"
 
@@ -154,7 +154,7 @@ def note_job_resumed() -> None:
 
 
 def consume_resumed_flag() -> bool:
-    """Read-and-clear the resumed flag (pool supervisor bookkeeping)."""
+    """Read-and-clear the resumed flag (farm bookkeeping)."""
     global _resumed_flag
     value = _resumed_flag
     _resumed_flag = False

@@ -183,7 +183,7 @@ def test_farm_sweep_stamps_provenance_and_feeds_analysis(tmp_path):
     counts = [1, 2, 4]
 
     def run():
-        farm = Farm(n_workers=1, cache_dir=str(tmp_path))
+        farm = Farm(cache_dir=str(tmp_path))
         return sweep_cores(vector_add_config, counts, platform, farm=farm)
 
     first, second = run(), run()
@@ -223,7 +223,7 @@ def test_sweep_cli_reports_phase_ledger(tmp_path):
     def run_cores():
         r = subprocess.run(
             [sys.executable, "tools/sweep.py", "cores", "--bench", "gemm",
-             "--counts", "1:3", "--workers", "1",
+             "--counts", "1:3",
              "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, cwd=repo, timeout=120,
         )

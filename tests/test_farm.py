@@ -1,60 +1,48 @@
-"""Farm failure modes, cache behaviour, and observability.
+"""Farm execution, cache behaviour, and observability.
 
-Covers the ISSUE 3 satellite checklist: a worker crash mid-job recovers via
-retry, a hung job hits its timeout and is marked failed without stalling
-siblings, and a fingerprint change invalidates only the affected cache
-entries.
+A fingerprint change invalidates only the affected cache entries, job
+errors become data, and a cache file is data: anything that does not decode
+as a value the farm wrote is a miss, and the file is deleted.
 """
 
+import json
 import os
-import time
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+from repro.dse import DesignPoint
 from repro.farm import (
     Farm,
     FarmJobError,
     Job,
     ResultCache,
     canonical,
-    current_attempt,
     job_fingerprint,
 )
-from repro.farm.pool import SerialPool, WorkerPool, multiprocessing_available
+from repro.kernels.machsuite.fig6 import Fig6Row
 from repro.obs.export import validate_chrome_trace
-
-needs_mp = pytest.mark.skipif(
-    not multiprocessing_available(), reason="multiprocessing unavailable"
-)
 
 
 # --------------------------------------------------------------- job bodies
-# Module-level so worker processes can resolve them by reference.
 def _square(x):
     return x * x
 
 
-def _crash_first_attempt(x):
-    if current_attempt() == 1:
-        os._exit(13)  # simulated worker death (OOM-kill / segfault stand-in)
-    return x + 100
-
-
-def _always_crash():
-    os._exit(13)
-
-
-def _hang(seconds):
-    time.sleep(seconds)
-    return "done"
+def _cube(x):
+    return x ** 3
 
 
 def _raise(msg):
     raise ValueError(msg)
 
 
-def _call(f):
-    return f()
+def _checkpoint_path():
+    from repro.snapshot.store import job_checkpoint
+
+    return job_checkpoint()[0]
 
 
 # ----------------------------------------------------------- fingerprinting
@@ -62,7 +50,7 @@ def test_fingerprint_is_deterministic_and_content_sensitive():
     fp1 = job_fingerprint(_square, (3,), {})
     assert fp1 == job_fingerprint(_square, (3,), {})
     assert fp1 != job_fingerprint(_square, (4,), {})
-    assert fp1 != job_fingerprint(_hang, (3,), {})
+    assert fp1 != job_fingerprint(_cube, (3,), {})
     # kwargs order must not matter.
     a = job_fingerprint(_square, (), {"a": 1, "b": 2})
     b = job_fingerprint(_square, (), {"b": 2, "a": 1})
@@ -102,20 +90,127 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert list(cache.entries()) == [fp]
     # Corrupt the entry on disk: next lookup is a miss and the file is gone.
     with open(cache.path_for(fp), "wb") as f:
-        f.write(b"not a pickle")
+        f.write(b"not json")
     assert cache.get(fp)[0] is False
     assert fp not in cache
 
 
+def _stored(tmp_path, value=(1, 2.5)):
+    """A cache holding one good entry; returns (cache, fingerprint)."""
+    cache = ResultCache(str(tmp_path))
+    fp = job_fingerprint(_square, (value,), {})
+    cache.put(fp, value, meta={"wall_seconds": 0.5})
+    assert cache.get(fp)[0]
+    return cache, fp
+
+
+def _is_dropped(cache, fp):
+    return cache.get(fp) == (False, None, {}) and not os.path.exists(cache.path_for(fp))
+
+
+def test_truncated_entry_is_a_miss_and_deleted(tmp_path):
+    cache, fp = _stored(tmp_path)
+    path = cache.path_for(fp)
+    with open(path, "rb") as f:
+        body = f.read()
+    with open(path, "wb") as f:
+        f.write(body[: len(body) // 2])
+    assert _is_dropped(cache, fp)
+
+
+def test_entry_under_the_wrong_fingerprint_is_a_miss_and_deleted(tmp_path):
+    cache, fp = _stored(tmp_path)
+    other = job_fingerprint(_square, (7,), {})
+    os.makedirs(os.path.dirname(cache.path_for(other)), exist_ok=True)
+    os.replace(cache.path_for(fp), cache.path_for(other))
+    assert _is_dropped(cache, other)
+
+
+def _write_value(cache, fp, value, meta=None):
+    with open(cache.path_for(fp), "w") as f:
+        json.dump({"fingerprint": fp, "value": value, "meta": meta or {}}, f)
+
+
+def test_malformed_meta_is_a_miss_and_deleted(tmp_path):
+    cache, fp = _stored(tmp_path)
+    _write_value(cache, fp, 1, meta={"wall_seconds": "soon"})
+    assert _is_dropped(cache, fp)
+
+
+@dataclass
+class _Foreign:
+    command: str
+
+
+@pytest.mark.parametrize("ref", ["os:system", f"{__name__}:_Foreign"])
+def test_dataclass_tag_outside_repro_is_a_miss_and_deleted(tmp_path, ref):
+    cache, fp = _stored(tmp_path)
+    marker = tmp_path / "ran"
+    _write_value(cache, fp, {"__dataclass__": ref, "fields": {"command": f"touch {marker}"}})
+    assert _is_dropped(cache, fp)
+    assert not marker.exists()
+
+
+def test_dataclass_tag_naming_a_repro_non_dataclass_is_a_miss_and_deleted(tmp_path):
+    cache, fp = _stored(tmp_path)
+    target = tmp_path / "made-by-decode"
+    _write_value(cache, fp, {"__dataclass__": "repro.farm.cache:ResultCache",
+                             "fields": {"root": str(target)}})
+    assert _is_dropped(cache, fp)
+    assert not target.exists()
+
+
+def test_put_refuses_values_it_cannot_decode(tmp_path):
+    from dataclasses import make_dataclass
+
+    cache = ResultCache(str(tmp_path))
+    local = make_dataclass("Local", [("x", int)])
+    for value in ({1: "int key"}, {3}, b"bytes", local(1)):
+        with pytest.raises(TypeError):
+            cache.put("ab" + "0" * 62, value)
+    assert len(cache) == 0
+
+
+_floats = st.floats() | st.sampled_from([float("inf"), float("-inf"), -0.0])
+_keys = st.text(max_size=8) | st.sampled_from(["__tuple__", "__dict__", "__dataclass__", "fields"])
+_leaves = (
+    st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=8)
+    | st.builds(DesignPoint, worst_util=_floats, total_lut=_floats, build_seconds=_floats)
+    | st.builds(Fig6Row, hls_ops=_floats)
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@seed(20261017)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(value=_values)
+@example(value=[float("inf"), -0.0, (float("-inf"), {"__tuple__": 0.1})])
+def test_cache_round_trips_values_exactly(tmp_path_factory, value):
+    cache = ResultCache(str(tmp_path_factory.getbasetemp() / "round-trip"))
+    fp = "cd" + "0" * 62
+    cache.put(fp, value)
+    hit, back, _meta = cache.get(fp)
+    # repr tells -0.0 from 0.0 and a tuple from a list, and shows dict order.
+    assert hit and repr(back) == repr(value)
+
+
 def test_fingerprint_change_invalidates_only_affected_entries(tmp_path):
-    farm = Farm(n_workers=1, cache_dir=str(tmp_path))
+    farm = Farm(cache_dir=str(tmp_path))
     job_a, job_b = Job(_square, (2,)), Job(_square, (3,))
     farm.run([job_a, job_b])
     assert len(farm.cache) == 2
 
     # Change one job's parameters: only that entry misses; the sibling's
     # entry is untouched and still serves.
-    farm2 = Farm(n_workers=1, cache_dir=str(tmp_path))
+    farm2 = Farm(cache_dir=str(tmp_path))
     changed = Job(_square, (4,))
     res = farm2.run([changed, Job(_square, (3,))])
     assert [r.cache_hit for r in res] == [False, True]
@@ -125,9 +220,9 @@ def test_fingerprint_change_invalidates_only_affected_entries(tmp_path):
 
 def test_second_run_served_from_cache(tmp_path):
     jobs = lambda: [Job(_square, (i,)) for i in range(8)]  # noqa: E731
-    first = Farm(n_workers=1, cache_dir=str(tmp_path)).run(jobs())
+    first = Farm(cache_dir=str(tmp_path)).run(jobs())
     assert all(not r.cache_hit for r in first)
-    again = Farm(n_workers=1, cache_dir=str(tmp_path))
+    again = Farm(cache_dir=str(tmp_path))
     second = again.run(jobs())
     assert all(r.cache_hit and r.worker == "cache" for r in second)
     assert [r.value for r in second] == [r.value for r in first]
@@ -135,88 +230,40 @@ def test_second_run_served_from_cache(tmp_path):
 
 
 def test_cache_opt_out_per_job(tmp_path):
-    farm = Farm(n_workers=1, cache_dir=str(tmp_path))
+    farm = Farm(cache_dir=str(tmp_path))
     farm.run([Job(_square, (5,), cache=False)])
     assert len(farm.cache) == 0
 
 
-# ------------------------------------------------------------ failure modes
-@needs_mp
-def test_worker_crash_recovers_via_retry():
-    farm = Farm(n_workers=2, cache=False, backoff_base_s=0.01)
-    res = farm.run(
-        [Job(_crash_first_attempt, (7,)), Job(_square, (2,)), Job(_square, (3,))]
-    )
-    crashed = res[0]
-    assert crashed.ok and crashed.value == 107
-    assert crashed.attempts == 2 and crashed.crashes == 1
-    assert [r.value for r in res[1:]] == [4, 9]
-    stats = farm.stats()
-    assert stats["crashes"] >= 1 and stats["retries"] >= 1
-
-
-@needs_mp
-def test_persistent_crash_fails_after_bounded_attempts():
-    farm = Farm(n_workers=2, cache=False, max_attempts=2, backoff_base_s=0.01)
-    res = farm.run([Job(_always_crash), Job(_square, (4,))])
-    assert not res[0].ok and "crashed" in res[0].error
-    assert res[0].attempts == 2
-    assert res[1].ok and res[1].value == 16
-    with pytest.raises(FarmJobError):
-        farm.map([Job(_always_crash)])
-
-
-@needs_mp
-def test_timeout_marks_failed_without_stalling_siblings():
-    farm = Farm(n_workers=2, cache=False)
-    t0 = time.perf_counter()
-    res = farm.run(
-        [Job(_hang, (60,), timeout_s=0.5)] + [Job(_square, (i,)) for i in range(4)]
-    )
-    elapsed = time.perf_counter() - t0
-    hung, siblings = res[0], res[1:]
-    assert not hung.ok and hung.timed_out and "timed out" in hung.error
-    assert [r.value for r in siblings] == [0, 1, 4, 9]
-    assert elapsed < 30.0  # nowhere near the 60s hang
-    assert farm.stats()["timeouts"] == 1
-
-
+# ------------------------------------------------------------ execution
 def test_exceptions_fail_fast_and_propagate_via_map():
-    farm = Farm(n_workers=1, cache=False)
+    farm = Farm(cache=False)
     res = farm.run([Job(_raise, ("bad point",)), Job(_square, (6,))])
     assert not res[0].ok and "ValueError: bad point" in res[0].error
-    assert res[0].attempts == 1  # deterministic errors are not retried
     assert res[1].ok
     with pytest.raises(FarmJobError) as err:
         farm.map([Job(_raise, ("bad point",))])
     assert "bad point" in str(err.value)
 
 
-def test_unpicklable_payload_degrades_to_inline():
-    farm = Farm(n_workers=4, cache=False)
-    res = farm.run([Job(_call, (lambda: 3,), label="closure")])
-    # A closure cannot cross a process boundary: the job must still run.
-    assert res[0].ok and res[0].value == 3
-    assert res[0].worker == "inline"
-    assert farm.stats()["inline_fallbacks"] == 1
+def test_farm_runs_in_process_only():
+    assert Farm(n_workers=1, cache=False).run([Job(_square, (3,))])[0].worker == "serial"
+    for n in (0, 2, 4, None):
+        with pytest.raises(ValueError):
+            Farm(n_workers=n, cache=False)
 
 
-def test_serial_pool_is_bit_identical_to_workers(tmp_path):
-    jobs = lambda: [Job(_square, (i,)) for i in range(6)]  # noqa: E731
-    serial = Farm.serial().run(jobs())
-    pooled = Farm(n_workers=2, cache=False).run(jobs())
-    assert [r.value for r in serial] == [r.value for r in pooled]
-
-
-def test_pool_selection_falls_back_serially():
-    assert isinstance(Farm(n_workers=1, cache=False).pool, SerialPool)
-    if multiprocessing_available():
-        assert isinstance(Farm(n_workers=2, cache=False).pool, WorkerPool)
+def test_checkpoints_live_under_the_cache_root(tmp_path):
+    farm = Farm(cache=ResultCache(str(tmp_path)))
+    job = Job(_checkpoint_path, checkpoint_every=2, cache=False)
+    (res,) = farm.run([job])
+    assert res.ok and res.value == job.checkpoint_path
+    assert job.checkpoint_path.startswith(os.path.join(str(tmp_path), "checkpoints") + os.sep)
 
 
 # ----------------------------------------------------------- observability
 def test_metrics_and_spans_registered_under_farm_namespace(tmp_path):
-    farm = Farm(n_workers=1, cache_dir=str(tmp_path))
+    farm = Farm(cache_dir=str(tmp_path))
     farm.run([Job(_square, (i,)) for i in range(3)])
     dump = farm.metrics()
     assert dump["farm/jobs_submitted"] == 3
@@ -234,7 +281,7 @@ def test_metrics_and_spans_registered_under_farm_namespace(tmp_path):
 
 
 def test_artifact_exports(tmp_path):
-    farm = Farm(n_workers=1, cache_dir=str(tmp_path / "cache"))
+    farm = Farm(cache_dir=str(tmp_path / "cache"))
     farm.run([Job(_square, (1,))])
     metrics_path = tmp_path / "metrics.json"
     trace_path = tmp_path / "trace.json"
@@ -244,49 +291,3 @@ def test_artifact_exports(tmp_path):
     stats = farm.stats()
     assert stats["cache"]["entries"] == 1
     assert stats["jobs_completed"] == 1
-
-
-# ------------------------------------------------------------- pool stats
-def test_serial_pool_collects_stats():
-    from repro.farm import Job, SerialPool
-
-    pool = SerialPool()
-    outs = pool.run([Job("math:hypot", (3, 4)), Job("math:hypot", (6, 8))])
-    assert [o.value for o in outs] == [5.0, 10.0]
-    stats = pool.last_stats
-    assert stats.jobs == 2
-    assert stats.dispatched["serial"] == 2
-    assert stats.elapsed_seconds >= 0.0
-    assert set(stats.utilization) == {"serial"}
-
-
-def test_worker_pool_collects_utilization_and_queue_depth():
-    from repro.farm import Job, WorkerPool
-    from repro.farm.pool import multiprocessing_available
-
-    if not multiprocessing_available():
-        pytest.skip("multiprocessing unavailable in this sandbox")
-    pool = WorkerPool(2, default_timeout_s=60.0)
-    jobs = [Job("math:hypot", (i, i + 1)) for i in range(6)]
-    outs = pool.run(jobs)
-    assert all(o.ok for o in outs)
-    stats = pool.last_stats
-    assert stats.jobs == 6
-    assert stats.queue_high_water >= 1
-    assert sum(stats.dispatched.values()) == 6
-    assert 0.0 <= stats.mean_utilization <= 1.0
-
-
-def test_bind_pool_metrics_publishes_gauges():
-    from repro.farm import Job, SerialPool, bind_pool_metrics
-    from repro.obs.registry import MetricRegistry
-
-    registry = MetricRegistry()
-    pool = SerialPool()
-    bind_pool_metrics(pool, registry)
-    pool.run([Job("math:hypot", (3, 4))])
-    dump = registry.dump()
-    assert dump["farm/pool/jobs"] == 1
-    assert dump["farm/pool/workers"] == 1
-    # Harness-side gauges must stay out of stable comparisons.
-    assert "farm/pool/jobs" not in registry.dump(stable_only=True)

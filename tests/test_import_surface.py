@@ -24,7 +24,7 @@ import repro
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Loaded only by the artefact, ASIC, observability-export, fault, snapshot,
-#: farm-pool and MachSuite paths (or by NumPy-using kernels).
+#: farm and MachSuite paths (or by NumPy-using kernels).
 NOT_ON_SIMULATE_PATH = (
     "repro.asic",
     "repro.codegen",
@@ -35,7 +35,7 @@ NOT_ON_SIMULATE_PATH = (
     "repro.obs.profiler",
     "repro.faults.plan",
     "repro.snapshot.engine",
-    "repro.farm.pool",
+    "repro.farm",
     "repro.kernels.machsuite",
     "numpy",
 )

@@ -5,8 +5,8 @@ cycle, stable metrics, fault fingerprint, output data — to the
 uninterrupted run, under every scheduling backend, with active fault
 plans, across a save/load disk cycle.  On top of that contract ride the
 integration layers this file also covers: the refusal to capture a sharded
-build, farm job resume after crashes and hung-job kills, and the chaos
-``checkpoint`` scenario.
+build, farm job resume after a host crash, and the chaos ``checkpoint``
+scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import pickle
 import signal
 import struct
-import time
 from typing import Callable, NamedTuple
 
 import pytest
@@ -229,64 +228,41 @@ def _crashy_job(x):
     os._exit(3)
 
 
-def _sleepy_job(x):
-    from repro.snapshot.store import job_checkpoint, note_job_resumed
+_HOST_CRASH = """
+import sys
+from repro.farm import Farm, Job, ResultCache
 
-    path, _every = job_checkpoint()
-    if os.path.exists(path):
-        note_job_resumed()
-        return x + 100
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("ckpt")
-    time.sleep(60)
+job = Job("tests.test_snapshot:_crashy_job", (21,), checkpoint_every=4)
+Farm(cache=ResultCache(sys.argv[1])).run([job])
+"""
 
 
-def _needs_multiprocessing():
-    from repro.farm.pool import multiprocessing_available
+def test_farm_job_resumes_after_host_crash(tmp_path):
+    """A host process that dies mid-job leaves its checkpoint behind; the
+    next run on the same cache directory resumes from it and retires it."""
+    import subprocess
+    import sys
 
-    if not multiprocessing_available():
-        pytest.skip("multiprocessing unavailable")
+    from repro.farm import Farm, Job, ResultCache
+    from test_import_surface import SRC
 
+    repo = os.path.dirname(SRC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, repo]))
+    crashed = subprocess.run(
+        [sys.executable, "-c", _HOST_CRASH, str(tmp_path)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert crashed.returncode == 3, crashed.stderr
+    job = Job("tests.test_snapshot:_crashy_job", (21,), checkpoint_every=4)
+    left_behind = job_checkpoint_path(str(tmp_path / "checkpoints"), job.fingerprint)
+    assert os.path.exists(left_behind)
 
-def test_farm_job_resumes_after_worker_crash(tmp_path):
-    _needs_multiprocessing()
-    from repro.farm import Farm, Job
-
-    farm = Farm(n_workers=2, cache_dir=str(tmp_path), default_timeout_s=30.0)
-    (res,) = farm.run([Job(_crashy_job, (21,), checkpoint_every=4, cache=False)])
+    farm = Farm(cache=ResultCache(str(tmp_path)))
+    (res,) = farm.run([job])
     assert res.ok and res.value == 42
     assert res.resumed_from_checkpoint
-    assert res.crashes == 1 and res.attempts == 2
-    assert not os.path.exists(res.job.checkpoint_path)  # retired on success
     assert farm.metrics()["farm/checkpoint_resumes"] == 1
-
-
-def test_farm_job_resumes_after_hung_job_timeout(tmp_path):
-    _needs_multiprocessing()
-    from repro.farm import Farm, Job
-
-    # n_workers=2 forces the real WorkerPool: the serial pool cannot enforce
-    # timeouts (they are advisory in-process), so it cannot kill the hang.
-    farm = Farm(n_workers=2, cache_dir=str(tmp_path), default_timeout_s=30.0)
-    (res,) = farm.run(
-        [Job(_sleepy_job, (7,), checkpoint_every=4, cache=False, timeout_s=2.0)]
-    )
-    assert res.ok and res.value == 107
-    assert res.resumed_from_checkpoint
-    assert not res.timed_out  # the *final* attempt completed
-    assert res.attempts == 2
-
-
-def test_farm_timeout_without_checkpoint_still_fails(tmp_path):
-    """checkpoint-less hung jobs keep the historical fail-fast semantics."""
-    _needs_multiprocessing()
-    from repro.farm import Farm, Job
-
-    farm = Farm(n_workers=2, cache_dir=str(tmp_path), default_timeout_s=30.0)
-    (res,) = farm.run([Job("time:sleep", (60,), cache=False, timeout_s=1.5)])
-    assert not res.ok
-    assert res.timed_out
+    assert job.checkpoint_path == left_behind and not os.path.exists(left_behind)
 
 
 class _CallbackMsg(NamedTuple):

@@ -116,9 +116,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default="chaos-artifacts", help="output directory")
     parser.add_argument(
-        "--workers", type=int, default=0, help=">1 shards the sweep over a farm pool"
-    )
-    parser.add_argument(
         "--no-sample", action="store_true", help="skip the instrumented sample export"
     )
     parser.add_argument(
@@ -131,9 +128,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    outcomes = run_chaos_sweep(
-        range(args.seeds), args.scenarios, args.modes, workers=args.workers
-    )
+    outcomes = run_chaos_sweep(range(args.seeds), args.scenarios, args.modes)
     report = render_chaos_report(outcomes)
     print(report)
     (out / "report.txt").write_text(report + "\n")

@@ -5,27 +5,25 @@ Three subcommands:
 
 ``fig6``
     The paper's Figure 6 sweep through the farm: one job per Table I
-    workload, sharded across workers, memoised in the result cache.
+    workload, memoised in the result cache.
 
-        python tools/sweep.py fig6 --max-cores 48 --workers 4
+        python tools/sweep.py fig6 --max-cores 48
 
 ``cores``
     Core-count sweep of one workload with full per-point provenance
-    (build wall-time, cache hit/miss, worker id).
+    (build wall-time, cache hit/miss).
 
         python tools/sweep.py cores --bench gemm --counts 1:12
         python tools/sweep.py cores --bench nw --counts 1:48 --strategy bisect
 
 ``smoke``
-    The CI gate: runs a serial reference pass, then the same sweep twice
-    through a parallel farm with a fresh cache, and checks three
-    invariants — farm results are bit-identical to serial, the second
-    parallel run is >= --min-hit-rate cache-served, and (when
-    --min-speedup is set) the parallel pass beats serial by that factor.
-    Writes ``smoke-stats.json``, ``farm-metrics.json`` and
-    ``farm-trace.json`` artefacts into --out.
+    The CI gate: runs a reference pass with no cache, then the same sweep
+    twice through a farm with a fresh cache (cold, then warm), and fails
+    unless all three passes are bit-identical and the warm pass is
+    >= --min-hit-rate cache-served.  Writes ``smoke-stats.json``,
+    ``farm-metrics.json`` and ``farm-trace.json`` artefacts into --out.
 
-        python tools/sweep.py smoke --workers 4 --min-speedup 2.0 --out artifacts
+        python tools/sweep.py smoke --out artifacts
 
 Every subcommand's JSON report (``farm-stats.json``; ``smoke-stats.json`` for
 ``smoke``) carries the wall-clock phase ledger: ``end_to_end_seconds`` plus
@@ -33,7 +31,7 @@ Every subcommand's JSON report (``farm-stats.json``; ``smoke-stats.json`` for
 the Figure 6 feasibility searches), ``simulate_seconds`` (inside
 ``simulate_measured``) and ``cache_seconds`` (a pass served wholly by the
 result cache).  Only freshly computed jobs count towards elaborate/simulate;
-farm queueing, IPC and rendering are the unattributed remainder.
+cache lookups and rendering are the unattributed remainder.
 """
 
 from __future__ import annotations
@@ -63,12 +61,8 @@ def _platform() -> AWSF1Platform:
     return AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
 
 
-def _make_farm(args, cache: bool = True) -> Farm:
-    return Farm(
-        n_workers=args.workers,
-        cache=cache and not getattr(args, "no_cache", False),
-        cache_dir=_cache_dir(args),
-    )
+def _make_farm(args) -> Farm:
+    return Farm(cache=not args.no_cache, cache_dir=_cache_dir(args))
 
 
 def _cache_dir(args):
@@ -149,8 +143,8 @@ def cmd_fig6(args) -> int:
     print(render_fig6(_job_values(results)))
     stats = farm.stats()
     print(
-        f"\n{stats['jobs_submitted']} jobs on {stats['workers']} worker(s) "
-        f"in {wall:.1f}s; cache hit rate {stats['cache_hit_rate']:.0%}"
+        f"\n{stats['jobs_submitted']} jobs in {wall:.1f}s; "
+        f"cache hit rate {stats['cache_hit_rate']:.0%}"
     )
     if args.out:
         _emit_artifacts(farm, args.out, _phase_ledger(results, wall))
@@ -182,9 +176,8 @@ def cmd_cores(args) -> int:
 def _smoke_jobs(max_cores: int):
     """The smoke sweep: Figure 6 rows plus a runtime-contention grid.
 
-    Jobs are ordered longest-first (the nw row dominates) so the pool packs
-    them well; all are pure functions, so results compare ``==`` across
-    serial, parallel, and cached executions.
+    All jobs are pure functions, so results compare ``==`` across uncached,
+    cold and warm executions.
     """
     platform = _platform()
     jobs = _fig6_jobs(platform, max_cores, ("nw", "stencil2d", "gemm", "stencil3d", "md-knn"))
@@ -202,12 +195,10 @@ def _smoke_jobs(max_cores: int):
 
 
 def cmd_smoke(args) -> int:
-    # A fresh cache per smoke run unless one is supplied: the cold-cache
-    # speedup measurement must not be served by a previous invocation.
-    # --resume deliberately trades that isolation for restartability: the
-    # cache (and a stage log) live in --out, so a killed smoke run picks up
-    # where it stopped — completed passes are skipped, the interrupted
-    # pass is served its finished jobs.
+    # A fresh cache per smoke run unless one is supplied, so the cold pass
+    # is not served by a previous invocation.  --resume trades that
+    # isolation for restartability: the cache lives in --out, so a killed
+    # smoke run rerun with the same arguments is served its finished jobs.
     cache_dir = _cache_dir(args)
     if cache_dir is None:
         import tempfile
@@ -215,109 +206,54 @@ def cmd_smoke(args) -> int:
         cache_dir = tempfile.mkdtemp(prefix="repro-farm-smoke-")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    stage_log = stage_state = None
-    if args.resume:
-        import pickle
+    report = {"max_cores": args.max_cores}
 
-        from repro.snapshot.store import StageLog
-
-        stage_log = StageLog(
-            os.path.join(out_dir, "smoke-stages.json"),
-            # "ledger" versions the stage payloads (phase split added).
-            {"workers": args.workers, "max_cores": args.max_cores, "ledger": 1},
-        )
-        state_path = os.path.join(out_dir, "smoke-resume.pkl")
-        stage_state = {}
-        if os.path.exists(state_path):
-            try:
-                with open(state_path, "rb") as fh:
-                    stage_state = pickle.load(fh)
-            except Exception:
-                stage_state = {}
-
-    def _stage_done(name):
-        return stage_log is not None and stage_log.is_done(name) and name in stage_state
-
-    def _stage_save(name, payload):
-        if stage_log is None:
-            return
-        stage_state[name] = payload
-        with open(state_path, "wb") as fh:
-            pickle.dump(stage_state, fh)
-        stage_log.mark_done(name)
-
-    report = {"workers": args.workers, "max_cores": args.max_cores}
-
-    # Pass 0: serial reference (no cache, no workers) — ground truth.
-    if _stage_done("serial"):
-        ref_values, report["serial_seconds"], phases = stage_state["serial"]
-        print("resume: serial reference pass already complete")
-    else:
-        serial_farm = Farm.serial()
-        t0 = time.perf_counter()
-        reference = serial_farm.run(_smoke_jobs(args.max_cores))
-        report["serial_seconds"] = time.perf_counter() - t0
-        if not all(r.ok for r in reference):
-            print("serial reference pass failed:", [r.error for r in reference if not r.ok])
-            return 1
-        ref_values = _job_values(reference)
-        phases = _phase_ledger(reference, report["serial_seconds"])
-        _stage_save("serial", (ref_values, report["serial_seconds"], phases))
-
-    # Pass 1: parallel, cold cache.
-    if _stage_done("run1"):
-        run1_values, report["parallel_seconds"], report["run1"] = stage_state["run1"]
-        print("resume: parallel pass already complete")
-    else:
-        farm1 = Farm(n_workers=args.workers, cache_dir=cache_dir)
-        t0 = time.perf_counter()
-        run1 = farm1.run(_smoke_jobs(args.max_cores))
-        report["parallel_seconds"] = time.perf_counter() - t0
-        report["run1"] = farm1.stats()
-        run1_values = _job_values(run1)
-        _stage_save("run1", (run1_values, report["parallel_seconds"], report["run1"]))
-
-    # Pass 2: same sweep again — must be served from the cache.
-    farm2 = Farm(n_workers=args.workers, cache_dir=cache_dir)
+    # Pass 0: reference with no cache — ground truth.
     t0 = time.perf_counter()
-    run2 = farm2.run(_smoke_jobs(args.max_cores))
-    cache_seconds = time.perf_counter() - t0
-    report["run2"] = farm2.stats()
+    reference = Farm(cache=False).run(_smoke_jobs(args.max_cores))
+    report["reference_seconds"] = time.perf_counter() - t0
+    if not all(r.ok for r in reference):
+        print("reference pass failed:", [r.error for r in reference if not r.ok])
+        return 1
+    ref_values = _job_values(reference)
 
-    speedup = report["serial_seconds"] / max(report["parallel_seconds"], 1e-9)
-    hit_rate = report["run2"]["cache_hit_rate"]
-    identical = run1_values == ref_values and _job_values(run2) == ref_values
-    # Phase ledger: the elaborate/simulate split comes from the serial pass
-    # (one process, so its job seconds add up to its wall-clock).
+    # Passes 1 and 2: the same sweep on a cold cache, then on the warm one.
+    values = {}
+    for name in ("cold", "warm"):
+        farm = Farm(cache_dir=cache_dir)
+        t0 = time.perf_counter()
+        values[name] = _job_values(farm.run(_smoke_jobs(args.max_cores)))
+        report[f"{name}_seconds"] = time.perf_counter() - t0
+        report[name] = farm.stats()
+
+    hit_rate = report["warm"]["cache_hit_rate"]
+    identical = values["cold"] == ref_values and values["warm"] == ref_values
+    # Phase ledger: the elaborate/simulate split comes from the reference
+    # pass, whose job seconds add up to its wall-clock.
     report.update(
-        phases,
-        cache_seconds=cache_seconds,
-        end_to_end_seconds=report["serial_seconds"] + report["parallel_seconds"] + cache_seconds,
+        _phase_ledger(reference, report["reference_seconds"]),
+        cache_seconds=report["warm_seconds"],
+        end_to_end_seconds=sum(report[f"{n}_seconds"] for n in ("reference", "cold", "warm")),
     )
-    report["speedup"] = speedup
-    report["second_run_hit_rate"] = hit_rate
+    report["warm_hit_rate"] = hit_rate
     report["bit_identical"] = identical
 
     with open(os.path.join(out_dir, "smoke-stats.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True, default=str)
-    _emit_artifacts(farm2, out_dir)
+    _emit_artifacts(farm, out_dir)
 
     print(
-        f"smoke sweep: serial {report['serial_seconds']:.1f}s, "
-        f"parallel({args.workers}) {report['parallel_seconds']:.1f}s "
-        f"({speedup:.2f}x), cached {cache_seconds:.1f}s; "
-        f"second-run hit rate {hit_rate:.0%}; bit-identical: {identical}"
+        f"smoke sweep: reference {report['reference_seconds']:.1f}s, "
+        f"cold {report['cold_seconds']:.1f}s, warm {report['warm_seconds']:.1f}s; "
+        f"warm hit rate {hit_rate:.0%}; bit-identical: {identical}"
     )
 
     ok = True
     if not identical:
-        print("FAIL: farm results diverge from the serial reference")
+        print("FAIL: cached results diverge from the uncached reference")
         ok = False
     if hit_rate < args.min_hit_rate:
-        print(f"FAIL: second-run cache hit rate {hit_rate:.0%} < {args.min_hit_rate:.0%}")
-        ok = False
-    if args.min_speedup > 0 and speedup < args.min_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x < {args.min_speedup:.2f}x")
+        print(f"FAIL: warm-pass cache hit rate {hit_rate:.0%} < {args.min_hit_rate:.0%}")
         ok = False
     return 0 if ok else 1
 
@@ -327,13 +263,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, cache=True):
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: REPRO_FARM_WORKERS or min(4, cpus))")
         p.add_argument("--out", default="", help="artefact directory (stats/metrics/trace)")
         p.add_argument("--resume", action="store_true",
-                       help="keep resume state in --out: an interrupted run rerun "
-                       "with the same arguments skips completed work (job cache; "
-                       "for smoke, whole completed passes)")
+                       help="keep the result cache in --out: an interrupted run "
+                       "rerun with the same arguments skips completed jobs")
         if cache:
             p.add_argument("--cache-dir", default=None,
                            help="result cache root (default: ~/.cache/repro-farm)")
@@ -351,12 +284,10 @@ def main(argv=None) -> int:
     common(p)
     p.set_defaults(fn=cmd_cores)
 
-    p = sub.add_parser("smoke", help="CI smoke sweep: parallel + cache invariants")
+    p = sub.add_parser("smoke", help="CI smoke sweep: bit-identity + cache invariants")
     p.add_argument("--max-cores", type=int, default=48)
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail if parallel speedup vs serial is below this (0 = don't check)")
     p.add_argument("--min-hit-rate", type=float, default=0.9,
-                   help="fail if the second run's cache hit rate is below this")
+                   help="fail if the warm pass's cache hit rate is below this")
     common(p)
     p.set_defaults(fn=cmd_smoke)
 
