@@ -709,67 +709,23 @@ class MemoryController(Component):
 
         return tick
 
-    def compile_hint(self):
-        """Conservative compiled hint: wake every cycle while any transaction
-        is outstanding, else sleep to the next refresh edge.
-
-        :meth:`next_event` walks the transaction tables to find the exact
-        next progress cycle; under the compiled scheduler that walk costs
-        more than the no-op ticks it saves (an outstanding transaction keeps
-        the controller hot within a few cycles anyway).  Early wakes are
-        no-op ticks by the hint contract, so decisions and cycle counts are
-        unchanged; the refresh-edge cap when idle is identical to
-        :meth:`next_event`'s.
-        """
-        t = self.timing.t_refi
-        read_txns = self._read_txns
-        write_txns = self._write_txns
-        sched = self._sched
-
-        def hint(cycle):
-            if read_txns or write_txns or sched:
-                return cycle
-            return cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
-
-        return hint
-
     def next_event(self, cycle: int) -> float:
-        """Earliest cycle this controller can make progress without new
-        channel traffic.
+        """Conservative hint: wake every cycle while any transaction is
+        outstanding, else sleep to the next refresh edge.
 
         Refresh fires on a fixed cadence whether or not traffic is pending
-        (it mutates bank state and the refresh counter), so the hint is
-        always capped at the next refresh edge — skips can never jump over
-        one.  While column work is pending the controller stays on the naive
-        path (bank prep/bus arbitration is cheap and short-lived); the long
-        sleeps it reports are CAS-latency waits on read data maturity.
+        (it mutates bank state and the refresh counter), so an idle
+        controller is always woken at the next refresh edge — skips can
+        never jump over one.  Waking while busy is earlier than strictly
+        needed (CAS-latency waits included), but walking the transaction
+        tables for the exact cycle costs more than the no-op ticks it saves:
+        an outstanding transaction keeps the controller hot within a few
+        cycles anyway, and early wakes are no-op ticks by the hint contract.
         """
-        t = self.timing.t_refi
-        nxt = cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
-        busy = bool(self._sched)
-        if not busy:
-            for txn in self._read_txns.values():
-                if txn.cols_enqueued < txn.length:
-                    busy = True
-                    break
-        if not busy:
-            for wtxn in self._write_txns.values():
-                if wtxn.cols_enqueued < wtxn.length and len(wtxn.wdata) > wtxn.cols_enqueued:
-                    busy = True  # staged W data ready to enter the scheduler
-                    break
-                if wtxn.cols_done >= wtxn.length:
-                    busy = True  # B response owed
-                    break
-        if busy:
+        if self._read_txns or self._write_txns or self._sched:
             return cycle
-        for q in self._id_read_return.values():
-            if q:
-                txn = q[0]
-                if txn.beats_sent < txn.length:
-                    entry = txn.beats[txn.beats_sent]
-                    if entry is not None:
-                        nxt = min(nxt, max(cycle, entry[0]))
-        return nxt
+        t = self.timing.t_refi
+        return cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
 
     def debug_state(self):
         if not self._read_txns and not self._write_txns and not self._sched:

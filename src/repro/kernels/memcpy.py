@@ -16,7 +16,6 @@ from repro.fpga.device import ResourceVector
 from repro.memory.reader import ReaderTuning
 from repro.memory.types import ReadRequest, WriteRequest
 from repro.memory.writer import WriterTuning
-from repro.sim import NEVER
 
 
 class MemcpyCore(AcceleratorCore):
@@ -66,10 +65,7 @@ class MemcpyCore(AcceleratorCore):
             io.resp.push({})
             self._active = False
 
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: command, data and done all arrive on channels
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    # Purely reactive: command, data and done all arrive on channels.
     wake_only = True
 
 

@@ -16,7 +16,6 @@ from repro.core.config import (
 )
 from repro.fpga.device import ResourceVector
 from repro.memory.types import ReadRequest, WriteRequest
-from repro.sim import NEVER
 
 
 class VectorAddCore(AcceleratorCore):
@@ -71,10 +70,7 @@ class VectorAddCore(AcceleratorCore):
             io.resp.push({})
             self._active = False
 
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: command, words and done all arrive on channels
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    # Purely reactive: command, words and done all arrive on channels.
     wake_only = True
 
 

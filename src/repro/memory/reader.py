@@ -139,15 +139,10 @@ class Reader(Component):
         )
 
     # -- behaviour ------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._accept_request(cycle)
-        self._issue_ar(cycle)
-        self._collect_beats(cycle)
-        self._deliver(cycle)
-
+    # Each phase runs only behind the entry guard :meth:`compile_tick` tests
+    # for it (a visible request, an issuable head, a visible R beat, a
+    # delivery window with room), and checks just the rest of its condition.
     def _accept_request(self, cycle: int) -> None:
-        if not self.request.can_pop():
-            return
         # Only buffer one logical request's segments at a time beyond what is
         # in flight, to bound bookkeeping.
         if len(self._pending) > 2 * self.tuning.max_in_flight:
@@ -192,10 +187,6 @@ class Reader(Component):
             self.stall_backpressure_cycles += cycle - t
 
     def _issue_ar(self, cycle: int) -> None:
-        if not self._pending or cycle < self._next_ar_cycle:
-            return
-        if self._in_flight >= self.tuning.max_in_flight:
-            return
         sub = self._pending[0]
         burst_bytes = sub.beats * self.port.params.beat_bytes
         if self._reserved_bytes + burst_bytes > self.tuning.buffer_bytes:
@@ -222,8 +213,6 @@ class Reader(Component):
             )
 
     def _collect_beats(self, cycle: int) -> None:
-        if not self.port.r.can_pop():
-            return
         axi_id, beat = self.port.r.pop()
         sub = self._by_tag.get(beat.tag)
         if sub is None:
@@ -244,8 +233,6 @@ class Reader(Component):
                 self.spans.axi_end(span_id, cycle)
 
     def _deliver(self, cycle: int) -> None:
-        if not self._order or not self.data.can_push():
-            return
         sub = self._order[0]
         end = sub.delivered + self.data_bytes
         if end > sub.payload_bytes:
@@ -276,8 +263,9 @@ class Reader(Component):
         return len(sub.received) >= end
 
     def compile_tick(self):
-        """Specialised tick: the four phases with their entry guards inlined,
-        so an idle phase costs one comparison instead of a method call."""
+        """The tick: accept a request, issue an AR, collect an R beat, then
+        deliver a chunk — each phase behind its entry guard, inlined so an
+        idle phase costs one comparison instead of a method call."""
         request = self.request
         data = self.data
         port_ar = self.port.ar

@@ -138,17 +138,11 @@ class Writer(Component):
         )
 
     # -- behaviour ----------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._accept_request()
-        self._accept_data(cycle)
-        self._issue_aw(cycle)
-        self._stream_w()
-        self._collect_b(cycle)
-        self._report_done()
-
+    # Each phase runs only behind the entry guard :meth:`compile_tick` tests
+    # for it (room for a request, an active request, an issuable head, W
+    # room, a visible B response, done room), and checks just the rest of
+    # its condition.
     def _accept_request(self) -> None:
-        if not self.request.can_pop() or len(self._requests) >= 2:
-            return
         req = self.request.pop()
         self.requests_accepted += 1
         active = _ActiveRequest(req)
@@ -162,8 +156,6 @@ class Writer(Component):
     def _accept_data(self, cycle: int) -> None:
         """Take one core chunk per cycle into the staging buffer, then carve
         fully-buffered bursts off the front (store-and-forward per burst)."""
-        if not self._requests:
-            return
         active = self._requests[0]
         total_payload = active.req.len_bytes
         if (
@@ -213,10 +205,6 @@ class Writer(Component):
             self.stall_backpressure_cycles += cycle - t
 
     def _issue_aw(self, cycle: int) -> None:
-        if not self._issue_q or cycle < self._next_aw_cycle:
-            return
-        if self._in_flight >= self.tuning.max_in_flight:
-            return
         if not self.port.aw.can_push():
             return
         self._attribute_stall(cycle)
@@ -242,8 +230,6 @@ class Writer(Component):
             )
 
     def _stream_w(self) -> None:
-        if not self._w_stream or not self.port.w.can_push():
-            return
         sub = self._w_stream[0]
         payload = self._sub_payload[sub.tag]
         beat_bytes = self.port.params.beat_bytes
@@ -260,8 +246,6 @@ class Writer(Component):
             self._w_stream.popleft()
 
     def _collect_b(self, cycle: int) -> None:
-        if not self.port.b.can_pop():
-            return
         resp = self.port.b.pop()[1]
         sub = self._by_tag.pop(resp.tag, None)
         if sub is None:
@@ -278,16 +262,17 @@ class Writer(Component):
             self.spans.axi_end(span_id, cycle)
 
     def _report_done(self) -> None:
-        if not self._requests or not self.done.can_push():
-            return
         active = self._requests[0]
         if active.buffered >= active.req.len_bytes and active.all_done():
             self.done.push(True)
             self._requests.popleft()
 
     def compile_tick(self):
-        """Specialised tick: the six phases with their entry guards inlined,
-        so an idle phase costs one comparison instead of a method call."""
+        """The tick: accept a request, take a data chunk and release staged
+        bursts, issue an AW, stream a W beat, collect a B response, then
+        report a finished request — each phase behind its entry guard,
+        inlined so an idle phase costs one comparison instead of a method
+        call."""
         request = self.request
         done = self.done
         port_aw = self.port.aw

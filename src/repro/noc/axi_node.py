@@ -90,149 +90,8 @@ class AxiBufferNode(Component):
             scope.bind(f"stall_{ch}_cycles", lambda ch=ch: self.stall_cycles[ch])
         scope.bind("upstreams", lambda: len(self.upstreams))
 
-    # -- ID remapping -------------------------------------------------------
-    def _remap(self, up_idx: int, axi_id: int) -> int:
-        return (up_idx << self.child_id_bits) | axi_id
-
-    def _unmap(self, axi_id: int) -> Tuple[int, int]:
-        return axi_id >> self.child_id_bits, axi_id & ((1 << self.child_id_bits) - 1)
-
-    # -- tick ---------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._forward_ar(cycle)
-        self._forward_aw(cycle)
-        self._forward_w(cycle)
-        self._route_r(cycle)
-        self._route_b(cycle)
-
-    def _forward_ar(self, cycle: int) -> None:
-        if not self.down.port.ar.can_push():
-            if self._stall_since["ar"] < 0 and any(
-                up.ar.can_pop() for up in self.upstreams
-            ):
-                self._stall_since["ar"] = cycle
-            return
-        if self._stall_since["ar"] >= 0:
-            self.stall_cycles["ar"] += cycle - self._stall_since["ar"]
-            self._stall_since["ar"] = -1
-        n = len(self.upstreams)
-        for k in range(n):
-            idx = (self._ar_rr + k) % n
-            up = self.upstreams[idx]
-            if up.ar.can_pop():
-                req = up.ar.pop()
-                self.down.push_ar(
-                    cycle,
-                    ARReq(self._remap(idx, req.axi_id), req.addr, req.length, req.tag),
-                )
-                self._ar_rr = (idx + 1) % n
-                self.forwarded["ar"] += 1
-                return
-
-    def _forward_aw(self, cycle: int) -> None:
-        if not self.down.port.aw.can_push():
-            if self._stall_since["aw"] < 0 and any(
-                up.aw.can_pop() for up in self.upstreams
-            ):
-                self._stall_since["aw"] = cycle
-            return
-        if self._stall_since["aw"] >= 0:
-            self.stall_cycles["aw"] += cycle - self._stall_since["aw"]
-            self._stall_since["aw"] = -1
-        n = len(self.upstreams)
-        for k in range(n):
-            idx = (self._aw_rr + k) % n
-            up = self.upstreams[idx]
-            if up.aw.can_pop():
-                req = up.aw.pop()
-                self.down.push_aw(
-                    cycle,
-                    AWReq(self._remap(idx, req.axi_id), req.addr, req.length, req.tag),
-                )
-                self._w_order.append((idx, req.length))
-                self._aw_rr = (idx + 1) % n
-                self.forwarded["aw"] += 1
-                return
-
-    def _forward_w(self, cycle: int) -> None:
-        if not self._w_order:
-            return
-        idx, remaining = self._w_order[0]
-        up = self.upstreams[idx]
-        if not self.down.port.w.can_push():
-            if self._stall_since["w"] < 0 and up.w.can_pop():
-                self._stall_since["w"] = cycle
-            return
-        if self._stall_since["w"] >= 0:
-            self.stall_cycles["w"] += cycle - self._stall_since["w"]
-            self._stall_since["w"] = -1
-        if not up.w.can_pop():
-            return
-        beat = up.w.pop()
-        self.down.push_w(cycle, beat)
-        remaining -= 1
-        self.forwarded["w"] += 1
-        if beat.last:
-            if remaining != 0:
-                raise SimulationError(f"{self.name}: W burst length mismatch")
-            self._w_order.popleft()
-        else:
-            self._w_order[0] = (idx, remaining)
-
-    def _route_r(self, cycle: int) -> None:
-        down_r = self.down.port.r
-        if not down_r.can_pop():
-            return
-        axi_id, beat = down_r.peek()
-        idx, local_id = self._unmap(axi_id)
-        if idx >= len(self.upstreams):
-            raise SimulationError(f"{self.name}: R beat for unknown upstream {idx}")
-        up = self.upstreams[idx]
-        if not up.r.can_push():
-            if self._stall_since["r"] < 0:
-                self._stall_since["r"] = cycle
-            return
-        if self._stall_since["r"] >= 0:
-            self.stall_cycles["r"] += cycle - self._stall_since["r"]
-            self._stall_since["r"] = -1
-        down_r.pop()
-        hook = self._fault
-        if hook is not None:
-            beat = hook.filter_r(cycle, axi_id, beat)
-            if beat is None:
-                return  # beat lost on the link; the burst can never complete
-        up.r.push((local_id, beat))
-        self.forwarded["r"] += 1
-
-    def _route_b(self, cycle: int) -> None:
-        down_b = self.down.port.b
-        if not down_b.can_pop():
-            return
-        axi_id, resp = down_b.peek()
-        idx, local_id = self._unmap(axi_id)
-        if idx >= len(self.upstreams):
-            raise SimulationError(f"{self.name}: B resp for unknown upstream {idx}")
-        up = self.upstreams[idx]
-        if not up.b.can_push():
-            if self._stall_since["b"] < 0:
-                self._stall_since["b"] = cycle
-            return
-        if self._stall_since["b"] >= 0:
-            self.stall_cycles["b"] += cycle - self._stall_since["b"]
-            self._stall_since["b"] = -1
-        down_b.pop()
-        hook = self._fault
-        if hook is not None and hook.drop_b(cycle, axi_id):
-            return  # response lost; the writer stalls and the watchdog fires
-        up.b.push((local_id, resp))
-        self.forwarded["b"] += 1
-
-    def next_event(self, cycle: int) -> float:
-        # Purely reactive: every action pops a visible channel item, so with
-        # all channels empty the node provably does nothing.
-        return NEVER
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    # Purely reactive: every action pops a visible channel item, so with
+    # all channels empty the node provably does nothing.
     wake_only = True
 
     def channels(self):
@@ -247,14 +106,15 @@ class AxiBufferNode(Component):
         chans.extend(self.down.port.channels())
         return chans
 
-    # -- compiled tick -------------------------------------------------------
+    # -- tick ---------------------------------------------------------------
     def compile_tick(self):
-        """Specialised tick: same phases and arbitration decisions as
-        :meth:`tick` with channel endpoints, round-robin order and ID
-        remapping constants resolved at compile time.  ``ar_rot[rr]`` is the
-        AR visiting order from round-robin position ``rr`` as
-        ``(index, channel)`` pairs (``aw_rot`` likewise); ``_ar_rr`` and
-        ``_aw_rr`` stay the state."""
+        """The tick, once per cycle: forward one AR and one AW (round-robin
+        over the upstreams, IDs remapped), one W beat (locked to AW order),
+        then route one R beat and one B response back by their upstream
+        bits.  Channel endpoints, round-robin orders and ID constants are
+        bound once: ``ar_rot[rr]`` is the AR visiting order from round-robin
+        position ``rr`` as ``(index, channel)`` pairs (``aw_rot`` likewise);
+        ``_ar_rr`` and ``_aw_rr`` stay the state."""
         ups = self.upstreams
         n = len(ups)
         up_ar = [u.ar for u in ups]
@@ -433,62 +293,28 @@ class AxiPipe(Component):
         for ch in ("ar", "aw", "w", "r", "b"):
             scope.bind(f"in_flight_{ch}", lambda ch=ch: len(self._delay[ch]))
 
-    def tick(self, cycle: int) -> None:
-        self._ingest(cycle, "ar", self.up.ar)
-        self._ingest(cycle, "aw", self.up.aw)
-        self._ingest(cycle, "w", self.up.w)
-        self._ingest(cycle, "r", self.down.port.r)
-        self._ingest(cycle, "b", self.down.port.b)
-        self._drain(cycle, "ar", lambda item: self.down.push_ar(cycle, item), self.down.port.ar)
-        self._drain(cycle, "aw", lambda item: self.down.push_aw(cycle, item), self.down.port.aw)
-        self._drain(cycle, "w", lambda item: self.down.push_w(cycle, item), self.down.port.w)
-        self._drain(cycle, "r", lambda item: self.up.r.push(item), self.up.r)
-        self._drain(cycle, "b", lambda item: self.up.b.push(item), self.up.b)
-
-    def _ingest(self, cycle: int, key: str, chan) -> None:
-        if chan.can_pop():
-            self._delay[key].append((cycle + self.latency, chan.pop()))
-
-    def _drain(self, cycle: int, key: str, push, chan) -> None:
-        q = self._delay[key]
-        if q and q[0][0] <= cycle and chan.can_push():
-            push(q.popleft()[1])
-
     def next_event(self, cycle: int) -> float:
         """Sleep until the oldest in-flight item matures out of a delay line;
         ingest is channel-reactive."""
-        heads = [q[0][0] for q in self._delay.values() if q]
-        if not heads:
-            return NEVER
-        return max(cycle, min(heads))
-
-    def compile_hint(self):
-        """Same hint as :meth:`next_event` with the five delay deques bound
-        and no intermediate list built."""
-        queues = tuple(self._delay.values())
-
-        def hint(cycle):
-            best = NEVER
-            for q in queues:
-                if q:
-                    due = q[0][0]
-                    if due < best:
-                        best = due
-            if best < cycle:
-                return cycle
-            return best
-
-        return hint
+        best = NEVER
+        for q in self._delay.values():
+            if q:
+                due = q[0][0]
+                if due < best:
+                    best = due
+        return cycle if best < cycle else best
 
     def wake_channels(self):
         # Ingests from both port faces and drains into both, so traffic (or
         # freed space) on either side is a wake condition.
         return list(self.up.channels()) + list(self.down.port.channels())
 
-    # -- compiled tick -------------------------------------------------------
+    # -- tick ---------------------------------------------------------------
     def compile_tick(self):
-        """Specialised tick: the five ingest/drain pairs with delay deques and
-        channel endpoints bound, identical ordering to :meth:`tick`."""
+        """The tick: ingest one item per channel into its delay line (due
+        ``latency`` cycles later), then drain each line's matured head where
+        the receiving channel has room — AR, AW, W, R, B in that order, with
+        delay deques and channel endpoints bound once."""
         up = self.up
         down = self.down
         d = down.port

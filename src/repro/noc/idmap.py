@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.axi.types import ARReq, AWReq, AxiPort
 from repro.noc.links import as_link
-from repro.sim import NEVER, Component, SimulationError
+from repro.sim import Component, SimulationError
 
 
 class IdCompressor(Component):
@@ -32,21 +32,8 @@ class IdCompressor(Component):
         self.n_ids = self.down.port.params.n_ids
         self._read_orig: Dict[int, int] = {}  # tag -> original wide id
         self._write_orig: Dict[int, int] = {}
-        self.collisions = 0
-        self._narrow_in_use: Dict[int, set] = {}
 
-    def _fold(self, wide_id: int, live: Dict[int, set]) -> int:
-        narrow = wide_id % self.n_ids
-        users = live.setdefault(narrow, set())
-        if users and wide_id not in users:
-            self.collisions += 1
-        users.add(wide_id)
-        return narrow
-
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: every action pops a channel item
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    # Purely reactive: every action pops a channel item.
     wake_only = True
 
     def wake_channels(self):
@@ -54,8 +41,9 @@ class IdCompressor(Component):
         return list(self.up.channels()) + list(self.down.port.channels())
 
     def compile_tick(self):
-        """Specialised tick: the five forwarding lanes with endpoints bound
-        and the can-pop/can-push guards inlined."""
+        """The tick: five forwarding lanes, each moving one item when its
+        source has one and its sink has room.  AR and AW fold the wide ID to
+        ``wide % n_ids`` and remember it by tag; R and B restore it."""
         up = self.up
         down = self.down
         d = down.port
@@ -65,8 +53,6 @@ class IdCompressor(Component):
         n_ids = self.n_ids
         read_orig = self._read_orig
         write_orig = self._write_orig
-        fold = self._fold
-        live = self._narrow_in_use
         name = self.name
 
         def tick(cycle):
@@ -74,9 +60,8 @@ class IdCompressor(Component):
                 len(d_ar._items) + len(d_ar._staged) < d_ar.capacity
             ):
                 req = u_ar.pop()
-                narrow = fold(req.axi_id, live)
                 read_orig[req.tag] = req.axi_id
-                push_ar(cycle, ARReq(narrow, req.addr, req.length, req.tag))
+                push_ar(cycle, ARReq(req.axi_id % n_ids, req.addr, req.length, req.tag))
             if u_aw._pop_count < len(u_aw._items) and (
                 len(d_aw._items) + len(d_aw._staged) < d_aw.capacity
             ):
@@ -111,31 +96,3 @@ class IdCompressor(Component):
                 u_b.push((orig, resp))
 
         return tick
-
-    def tick(self, cycle: int) -> None:
-        if self.up.ar.can_pop() and self.down.port.ar.can_push():
-            req = self.up.ar.pop()
-            narrow = self._fold(req.axi_id, self._narrow_in_use)
-            self._read_orig[req.tag] = req.axi_id
-            self.down.push_ar(cycle, ARReq(narrow, req.addr, req.length, req.tag))
-        if self.up.aw.can_pop() and self.down.port.aw.can_push():
-            req = self.up.aw.pop()
-            narrow = req.axi_id % self.n_ids
-            self._write_orig[req.tag] = req.axi_id
-            self.down.push_aw(cycle, AWReq(narrow, req.addr, req.length, req.tag))
-        if self.up.w.can_pop() and self.down.port.w.can_push():
-            self.down.push_w(cycle, self.up.w.pop())
-        if self.down.port.r.can_pop() and self.up.r.can_push():
-            _narrow, beat = self.down.port.r.pop()
-            orig = self._read_orig.get(beat.tag)
-            if orig is None:
-                raise SimulationError(f"{self.name}: R beat with unknown tag {beat.tag}")
-            self.up.r.push((orig, beat))
-            if beat.last:
-                del self._read_orig[beat.tag]
-        if self.down.port.b.can_pop() and self.up.b.can_push():
-            _narrow, resp = self.down.port.b.pop()
-            orig = self._write_orig.pop(resp.tag, None)
-            if orig is None:
-                raise SimulationError(f"{self.name}: B resp with unknown tag {resp.tag}")
-            self.up.b.push((orig, resp))

@@ -9,15 +9,15 @@ the class, a ``next_event`` call, a subscription-dict lookup per dirty
 channel, and method calls inside each tick for every ``can_push``/``can_pop``
 probe.  The program removes that interpretation layer:
 
-* **Closure specialisation** — at program build each component is asked for
-  ``compile_tick()``: a specialised closure with its channel endpoints,
-  metric counters (:class:`repro.obs.registry.Counter` objects are bound
-  directly so updates are ``ctr.value += 1``) and timing constants captured
-  as locals, making the same decisions as the interpreted ``tick`` in the
-  same order.  Components without the hook run their plain bound ``tick``.
-  Six classes offer it — the DRAM controller, the NoC buffer node and pipe,
-  the ID compressor, ``Reader`` and ``Writer`` — each because turning it off
-  measurably slows a benchmark workload (DESIGN.md lists the figures).
+* **Closure dispatch** — a class that defines ``compile_tick()`` (the DRAM
+  controller, the NoC buffer node and pipe, the ID compressor, ``Reader``
+  and ``Writer``) has its closure called directly, with channel endpoints
+  and constants captured as locals.  It is the instance's one cached body
+  (:meth:`~repro.sim.kernel.Component.tick_body`), the same one ``naive``
+  steps through :meth:`~repro.sim.kernel.Component.tick`; only the DRAM
+  controller keeps a scanning ``tick`` beside it, as the reference its
+  indexed closure is checked against.  Other components run their bound
+  ``tick``, and every hint is the component's ``next_event``.
 
 * **One slot per component** — slot ``i`` is the component registered
   ``i``-th (its ``_sched_index``): one heap entry, one wake subscription,
@@ -61,17 +61,6 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.kernel import NEVER, Component, book_ns
-
-
-def _hint_is_constant_never(comp: Component) -> bool:
-    """True when the component's hint may be elided entirely.
-
-    ``wake_only`` classes declare ``next_event`` constant at :data:`NEVER`;
-    an instance-level ``next_event`` (fault hang injection) re-enables
-    evaluation, since the patched hint is exactly how hangs reach the
-    scheduler.
-    """
-    return comp.wake_only and "next_event" not in vars(comp)
 
 
 class CompiledProgram:
@@ -124,23 +113,16 @@ class CompiledProgram:
                 else tuple(sorted(slots))
             )
 
-        # -- per-slot tick and hint closures -------------------------------
-        tick_fns: List[Callable[[int], None]] = []
-        specialized: List[str] = []
-        for comp in components:
-            fn = None
-            # An instance-patched tick (fault hang injection) must win
-            # over any class-level specialisation.
-            if "tick" not in vars(comp):
-                hook = getattr(comp, "compile_tick", None)
-                if hook is not None:
-                    fn = hook()
-                    if fn is not None:
-                        specialized.append(comp.name)
-            tick_fns.append(fn if fn is not None else comp.tick)
-        self._tick_fns = tick_fns
+        # -- per-slot tick and hint functions --------------------------------
+        # An instance-patched tick (fault hang injection) must win over the
+        # class's closure.
+        self._tick_fns: List[Callable[[int], None]] = [
+            comp.tick_body()
+            if "tick" not in vars(comp) and hasattr(comp, "compile_tick")
+            else comp.tick
+            for comp in components
+        ]
         self._hint_fns = [self._hint_fn(comp) for comp in components]
-        self.specialized = specialized  # component names using compile_tick
 
         # -- scheduler state ------------------------------------------------
         n_slots = len(components)
@@ -154,25 +136,14 @@ class CompiledProgram:
 
     @staticmethod
     def _hint_fn(comp):
-        """The wake hint evaluated after each tick of ``comp``.
-
-        ``None`` elides the call entirely (constant-:data:`NEVER` classes);
-        otherwise a ``compile_hint()`` closure is preferred when the class
-        offers one.  A compiled hint may be *conservative* — waking no later
-        than ``next_event`` would, possibly earlier — because early wakes are
-        no-op ticks under the hint contract; it must still return
-        :data:`NEVER` when the component is genuinely idle so quiescent jumps
-        stay reachable.  An instance-level ``next_event`` (fault hang
-        injection) disables both elision and specialisation.
+        """The wake hint evaluated after each tick of ``comp``: its
+        ``next_event``, or ``None`` to elide the call for a ``wake_only``
+        class.  An instance-level ``next_event`` (fault hang injection) is
+        always consulted, since the patched hint is exactly how hangs reach
+        the scheduler.
         """
-        if _hint_is_constant_never(comp):
+        if comp.wake_only and "next_event" not in vars(comp):
             return None
-        if "next_event" not in vars(comp):
-            hook = getattr(comp, "compile_hint", None)
-            if hook is not None:
-                fn = hook()
-                if fn is not None:
-                    return fn
         return comp.next_event
 
     # -- wake plumbing -------------------------------------------------------

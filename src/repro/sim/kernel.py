@@ -20,11 +20,16 @@ Two scheduling modes are supported, cycle- and statistic-identical:
   it requested a wake through :meth:`Component.request_wake`; only dirty
   channels commit, with lazy occupancy crediting, and windows where nobody
   is woken are jumped.  At the first ``run()`` the component graph becomes a
-  tick program with one scheduling slot per component (the few classes with
-  a measured win run a specialised ``compile_tick`` closure, the rest their
-  ``tick``), and channel commits drain through flat per-channel subscriber
-  arrays.  Identical cycles, channel statistics and stable metrics; only the
-  wall clock and the volatile tick accounting differ.
+  tick program with one scheduling slot per component, and channel commits
+  drain through flat per-channel subscriber arrays.  Identical cycles,
+  channel statistics and stable metrics; only the wall clock and the
+  volatile tick accounting differ.
+
+Both schedules step the same model body.  A class on the streaming path
+defines its tick as a ``compile_tick()`` closure with endpoints bound once
+(:meth:`Component.tick` runs it); the DRAM controller alone keeps a second,
+scanning ``tick`` that ``naive`` steps, as the reference its indexed closure
+is checked against.
 """
 
 from __future__ import annotations
@@ -246,26 +251,52 @@ class Component:
     _wake_hook: Optional[Callable[["Component"], None]] = None
     _ticks_executed = 0
 
-    #: Declares ``next_event`` constant at :data:`NEVER`: the component only
-    #: ever progresses on channel traffic (pure dataflow elements such as NoC
-    #: buffer nodes).  The compiled backend then elides the post-tick hint
-    #: call entirely.  Honoured only while ``next_event`` is not shadowed on
-    #: the instance (fault injectors patch instance ``next_event`` to model
-    #: hangs, which re-enables hint evaluation).
+    #: Declares the component progresses only on channel traffic (pure
+    #: dataflow elements such as NoC buffer nodes): :meth:`next_event` then
+    #: answers :data:`NEVER`, and the compiled backend elides the post-tick
+    #: hint call entirely.  Honoured only while ``next_event`` is not
+    #: shadowed on the instance (fault injectors patch instance
+    #: ``next_event`` to model hangs, which re-enables hint evaluation).
     wake_only = False
+
+    #: This instance's ``compile_tick()`` closure once :meth:`tick_body`
+    #: built it.  Never captured by a snapshot; a restore drops it, since
+    #: the closure binds the state objects the restore may replace.
+    _tick_body: Optional[Callable[[int], None]] = None
 
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__
 
     def tick(self, cycle: int) -> None:
-        """Advance one cycle; read channel state, stage pushes/pops."""
-        raise NotImplementedError
+        """Advance one cycle; read channel state, stage pushes/pops.
+
+        A class may define ``compile_tick()`` instead: a factory returning
+        the tick as a closure ``fn(cycle)`` with its channel endpoints and
+        constants bound once.  This default then runs that closure, so both
+        schedules step the one body.
+        """
+        body = self._tick_body
+        if body is None:
+            body = self.tick_body()
+        body(cycle)
+
+    def tick_body(self) -> Callable[[int], None]:
+        """The class's ``compile_tick()`` closure, built once per instance."""
+        body = self._tick_body
+        if body is None:
+            factory = getattr(self, "compile_tick", None)
+            if factory is None:
+                raise NotImplementedError(
+                    f"{type(self).__name__} defines neither tick nor compile_tick"
+                )
+            body = self._tick_body = factory()
+        return body
 
     def next_event(self, cycle: int) -> Optional[float]:
         """Earliest cycle >= ``cycle`` at which this component can make
         progress assuming no new channel traffic arrives, or :data:`NEVER`
-        if only channel traffic can wake it, or ``None`` (the safe default)
-        for "tick me every cycle".
+        if only channel traffic can wake it, or ``None`` (the safe default
+        unless the class is :attr:`wake_only`) for "tick me every cycle".
 
         The contract backing event-skipping: when a component returns a hint
         ``h``, then with no committed push on a push-subscribed channel and
@@ -277,7 +308,7 @@ class Component:
         ``tick`` mutates state unconditionally (countdowns, pipelines) must
         either return ``None`` or keep their timing in absolute cycles.
         """
-        return None
+        return NEVER if self.wake_only else None
 
     def channels(self) -> Iterable[ChannelQueue[Any]]:
         """Channels owned by this component (auto-registered)."""
@@ -329,11 +360,6 @@ class Component:
         Under that membership rule (applied to every component that declares
         no edges) a component that consumes one of several pending items per
         tick relies on its *own* activity re-waking it to drain the rest.
-        Components may also define ``compile_tick()`` returning a
-        decision-identical specialised closure ``fn(cycle)`` (or ``None`` to
-        decline); the compiled backend prefers it over the plain bound
-        ``tick`` unless the instance's ``tick`` has been patched (fault hang
-        injection).
         """
         edges = self.wake_edges()
         if edges is None:

@@ -95,9 +95,10 @@ _STRUCTURE_TYPES = (
     memoryview,
 )
 
-#: Scheduler wiring rebuilt by the compiled program; excluded from generic
-#: component capture (``_ticks_executed`` stays in).
-SCHED_ATTRS = ("_sched_index", "_wake_hook")
+#: Scheduler wiring rebuilt by the compiled program, and the cached tick
+#: closure a restore drops; excluded from generic component capture
+#: (``_ticks_executed`` stays in).
+SCHED_ATTRS = ("_sched_index", "_wake_hook", "_tick_body")
 
 # Marker tags.  A marker is a list whose first element is one of these
 # reserved strings; the layouts are
@@ -704,9 +705,12 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
     # Discard any compiled tick program *before* touching component state:
     # its unfolded per-slot tick counts must not land on top of restored
     # counters.  The next run() recompiles, and its first entry wakes all.
+    # Each cached tick closure goes too: it binds state objects the restore
+    # may replace, and the next tick rebuilds it from the restored ones.
     sim._program = None
     sim._subs_stale = True
     for comp, (_name, st) in zip(sim._components, state["components"]):
+        vars(comp).pop("_tick_body", None)
         comp.restore_state(st, th)
     for ch, row in zip(sim._channels, state["channels"]):
         ch._items[:] = [th.thaw(x) for x in row[1] or ()]

@@ -11,24 +11,28 @@ schedule as the naive oracle:
   randomness is drawn up front from seeded generators and service delays
   are pure functions of the item value, so the schedules cannot diverge
   through hidden state.
-* **Closure specialisation units** — ``compile_tick``/``compile_hint``
-  selection, including the instance-patch escape hatches (fault injection
-  replaces ``tick``/``next_event`` on instances; the compiled program must
-  honour the patches, not the class specialisations).
+* **One body per model** — a ``compile_tick`` closure is built once per
+  instance and is what both schedules run; only the DRAM controller keeps
+  a second (scanning) ``tick``, and no class has a second hint.  The
+  instance-patch escape hatches hold under both schedules (fault injection
+  replaces ``tick``/``next_event`` on instances; the patches must win over
+  the class's body and hint).
 * **One slot per component** — the program has one tick function per
-  component, and the set of classes running a ``compile_tick`` closure is
-  pinned on a real design.  A chain whose stages share one wake signature
-  still matches naive timing.
+  component.  A chain whose stages share one wake signature still matches
+  naive timing.
 
 Plus the ``request_wake`` escape hatch: non-channel coupling (a foreign
 component poking a shared :class:`repro.memory.scratchpad.Memory`) must
 re-wake the clocking component under compiled exactly as under naive.
 """
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import repro
 from repro.axi.types import AxiParams
 from repro.core.build import BeethovenBuild
 from repro.dram.controller import MemoryController
@@ -38,7 +42,7 @@ from repro.memory.scratchpad import Memory, Scratchpad, SpReq
 from repro.memory.writer import Writer
 from repro.noc.axi_node import AxiBufferNode, AxiPipe
 from repro.noc.idmap import IdCompressor
-from repro.platforms import SimulationPlatform
+from repro.platforms import AWSF1Platform
 from repro.sim import NEVER, SCHEDULING_MODES, ChannelQueue, Component, Simulator
 from repro.sim.compiled import CompiledProgram
 
@@ -499,7 +503,7 @@ def test_scratchpad_parity_across_schedules():
 
 
 class _SpecializedEcho(Component):
-    """Forwards items; offers a compiled closure and a compile-time hint."""
+    """Forwards items; offers a compiled closure beside its plain tick."""
 
     def __init__(self, name, inp, out):
         super().__init__(name)
@@ -529,15 +533,9 @@ class _SpecializedEcho(Component):
 
         return tick
 
-    def compile_hint(self):
-        def hint(cycle):
-            return NEVER
 
-        return hint
-
-
-def _echo_sim():
-    sim = Simulator(scheduling="compiled")
+def _echo_sim(scheduling="compiled"):
+    sim = Simulator(scheduling=scheduling)
     a = ChannelQueue(2, "a")
     b = ChannelQueue(2, "b")
     echo = sim.add(_SpecializedEcho("echo", a, b))
@@ -552,32 +550,29 @@ def test_compile_tick_closure_is_used():
     sim.run(5)
     assert b.can_pop() and b.peek() == 7
     assert echo.compiled_ticks > 0
-    assert "echo" in sim._program.specialized
+    assert sim._program._tick_fns[echo._sched_index] is echo._tick_body
 
 
 def test_instance_tick_patch_disables_specialization():
     """A fault-style instance patch of ``tick`` must win over the class's
-    ``compile_tick`` (the patch is how hang injection reaches the model)."""
+    ``compile_tick`` under both schedules (the patch is how hang injection
+    reaches the model)."""
+    for mode in MODES:
+        sim, echo, a, b = _echo_sim(mode)
+        echo.tick = lambda cycle: None  # instance patch: component plays dead
+        a.push(7)
+        sim.run(5)
+        assert echo.compiled_ticks == 0, mode
+        assert echo._tick_body is None, mode  # nothing asked for the closure
+        assert not b.can_pop(), mode  # the patched (dead) tick really ran
+
+
+def test_instance_next_event_override():
+    """An instance-level ``next_event`` (fault hang injection) is the hint
+    the compiled program consults."""
     sim, echo, a, b = _echo_sim()
-    echo.tick = lambda cycle: None  # instance patch: component plays dead
-    a.push(7)
-    sim.run(5)
-    assert "echo" not in sim._program.specialized
-    assert echo.compiled_ticks == 0
-    assert not b.can_pop()  # the patched (dead) tick really ran instead
-
-
-def test_compile_hint_selection_and_instance_override():
-    sim, echo, a, b = _echo_sim()
-    hint = CompiledProgram._hint_fn(echo)
-    assert hint is not None
-    assert hint(0) == NEVER  # the compile_hint closure, not next_event
-
-    # An instance-level next_event (fault hang injection) must disable the
-    # compile_hint path and be consulted directly.
     echo.next_event = lambda cycle: 42.0
-    patched = CompiledProgram._hint_fn(echo)
-    assert patched(0) == 42.0
+    assert CompiledProgram._hint_fn(echo)(0) == 42.0
 
 
 def test_wake_only_hint_elided():
@@ -595,37 +590,59 @@ def test_wake_only_hint_elided():
             if self.chan.can_pop():
                 self.chan.pop()
 
-        def next_event(self, cycle):
-            return NEVER
-
     comp = _Reactive("r", ChannelQueue(2, "c"))
+    assert comp.next_event(0) == NEVER  # a wake_only class states no hint
     assert CompiledProgram._hint_fn(comp) is None
     # ...unless an instance patch re-enables evaluation (hang injection).
     comp.next_event = lambda cycle: 13.0
     assert CompiledProgram._hint_fn(comp)(0) == 13.0
 
 
-def test_specialized_classes_on_memcpy():
-    """One tick function per component, and exactly these six classes run a
-    ``compile_tick`` closure.  Each is a second body of its model that a
-    benchmark pair showed to be worth keeping; a new ``compile_tick`` needs
-    a ``bench/run.py`` pair that shows a win before it joins this set."""
-    sim = BeethovenBuild(memcpy_config(n_cores=32), SimulationPlatform()).design.sim
+def _repro_component_classes():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, stack = set(), [Component]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return [cls for cls in found if cls.__module__.startswith("repro.")]
+
+
+def test_one_body_per_model():
+    """Each model has one tick body and one hint: no class in ``repro``
+    defines ``compile_hint``, and only the DRAM controller defines both
+    ``tick`` and ``compile_tick`` (its scanning ``tick`` is the reference
+    its indexed closure is checked against).  On a live design, every
+    closure class's program slot runs the instance's one cached body, the
+    same one ``naive`` steps through ``Component.tick``."""
+    classes = _repro_component_classes()
+    assert len(classes) >= 20
+    assert not [cls for cls in classes if hasattr(cls, "compile_hint")]
+    two_bodies = {
+        cls
+        for cls in classes
+        if "tick" in cls.__dict__ and "compile_tick" in cls.__dict__
+    }
+    assert two_bodies == {MemoryController}
+    closure_only = {AxiBufferNode, AxiPipe, IdCompressor, Reader, Writer}
+    for cls in closure_only:
+        assert cls.tick is Component.tick and "compile_tick" in cls.__dict__
+
+    sim = BeethovenBuild(memcpy_config(n_cores=2), AWSF1Platform()).design.sim
     sim.run(1)  # builds the program
     prog = sim._program
     assert len(prog._tick_fns) == len(prog.components) == len(sim._components)
     assert [c._sched_index for c in prog.components] == list(
         range(len(prog.components))
     )
-    specialized = set(prog.specialized)
-    assert {type(c) for c in prog.components if c.name in specialized} == {
-        MemoryController,
-        AxiBufferNode,
-        AxiPipe,
-        IdCompressor,
-        Reader,
-        Writer,
-    }
+    seen = set()
+    for comp in prog.components:
+        if hasattr(comp, "compile_tick"):
+            assert prog._tick_fns[comp._sched_index] is comp._tick_body
+            seen.add(type(comp))
+    assert seen == closure_only | {MemoryController}
 
 
 # ---------------------------------------------------------------------------

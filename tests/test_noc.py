@@ -5,10 +5,19 @@ import dataclasses
 import pytest
 
 from repro.axi import AxiParams, AxiPort
+from repro.axi.types import ARReq, AWReq, BResp, RBeat, WBeat
 from repro.memory import Reader, ReaderTuning, ReadRequest, Writer, WriteRequest
-from repro.noc import TreeConfig, bits_for, build_network, plan_tree
+from repro.noc import (
+    AxiBufferNode,
+    AxiPipe,
+    IdCompressor,
+    TreeConfig,
+    bits_for,
+    build_network,
+    plan_tree,
+)
 from repro.platforms import multi_die_platform
-from repro.sim import Component, SimulationError
+from repro.sim import SCHEDULING_MODES, Component, SimulationError, Simulator
 from repro.testing import build_memory_testbench
 
 PARAMS = AxiParams()
@@ -64,7 +73,6 @@ def test_slr_aware_tree_builds_bridges():
     ports = [AxiPort(PARAMS, f"p{i}") for i in range(6)]
     config = TreeConfig(fanout=4, slr_crossing_latency=4)
     from repro.axi import AxiMonitor, MonitoredAxiPort
-    from repro.noc import AxiBufferNode, AxiPipe, IdCompressor
 
     target = MonitoredAxiPort(AxiPort(PARAMS, "mem"), AxiMonitor("mem"))
     plan = plan_tree(config, [i % 3 for i in range(6)], child_id_bits=2, root_slr=0)
@@ -145,9 +153,98 @@ def test_id_compression_preserves_ordering_pressure():
     assert tb.monitor.outstanding() == 0
 
 
-def test_node_rejects_id_overflow():
-    from repro.noc import AxiBufferNode
+def _hop_sim(mode, hop, ports):
+    """``hop`` alone in a simulator, with every channel of ``ports``."""
+    sim = Simulator(scheduling=mode)
+    sim.add(hop)
+    for port in ports:
+        for chan in port.channels():
+            sim.register_channel(chan)
+    return sim
 
+
+def _drain(chan) -> list:
+    items = []
+    while chan.can_pop():
+        items.append(chan.pop())
+    return items
+
+
+@pytest.mark.parametrize("mode", SCHEDULING_MODES)
+def test_buffer_node_grants_round_robin_and_locks_w_to_aw_order(mode):
+    """Three upstreams with two one-beat bursts each queued on AR and AW:
+    the node grants one request per cycle per channel in round-robin order,
+    tags each ID with its upstream index above the child bits, and forwards
+    W beats in exactly the granted AW order."""
+    ups = [AxiPort(PARAMS, f"u{i}") for i in range(3)]
+    down = AxiPort(PARAMS, "down")
+    sim = _hop_sim(mode, AxiBufferNode(ups, down, child_id_bits=2), [*ups, down])
+    for i, up in enumerate(ups):
+        for k in range(2):
+            up.ar.push(ARReq(k, 0x1000 * i + 64 * k, 1))
+            up.aw.push(AWReq(k, 0x1000 * i + 64 * k, 1))
+            up.w.push(WBeat(bytes([i]) * 64, True))
+    ar, aw, w = [], [], []
+    while sim.cycle < 20:
+        sim.run(1)
+        ar += [req.axi_id for req in _drain(down.ar)]
+        aw += [req.axi_id for req in _drain(down.aw)]
+        w += [beat.data[0] for beat in _drain(down.w)]
+    assert ar == aw == [(i << 2) | k for k in range(2) for i in range(3)]
+    assert w == [0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("mode", SCHEDULING_MODES)
+def test_pipe_adds_exactly_its_latency(mode):
+    """What an ``AxiPipe`` pops becomes pushable ``latency`` cycles later:
+    staged before cycle 0, an item is visible at the pipe at cycle 1 and on
+    the far side at ``latency + 2``, requests going down and responses
+    coming up alike."""
+    latency = 5
+    up, down = AxiPort(PARAMS, "up"), AxiPort(PARAMS, "down")
+    sim = _hop_sim(mode, AxiPipe(up, down, latency), [up, down])
+    up.ar.push(ARReq(1, 0, 1))
+    up.aw.push(AWReq(1, 0, 1))
+    up.w.push(WBeat(bytes(64), True))
+    down.r.push((1, RBeat(bytes(64), True)))
+    down.b.push((1, BResp()))
+    far = {"ar": down.ar, "aw": down.aw, "w": down.w, "r": up.r, "b": up.b}
+    seen = {}
+    while sim.cycle < 20:
+        seen.update((k, sim.cycle) for k, ch in far.items() if k not in seen and ch.can_pop())
+        sim.run(1)
+    assert seen == dict.fromkeys(far, latency + 2)
+
+
+@pytest.mark.parametrize("mode", SCHEDULING_MODES)
+def test_id_compressor_folds_ids_and_restores_them(mode):
+    """Wide IDs leave on both address lanes as ``wide % n_ids``; each R and
+    B response comes back under the wide ID of its request."""
+    wide = [5, 6, 7, 12]
+    up, down = AxiPort(PARAMS, "up"), AxiPort(AxiParams(id_bits=2), "down")
+    sim = _hop_sim(mode, IdCompressor(up, down), [up, down])
+    for axi_id in wide:
+        up.ar.push(ARReq(axi_id, 0, 1))
+        up.aw.push(AWReq(axi_id, 0, 1))
+    ars, aws = [], []
+    while sim.cycle < 10:
+        sim.run(1)
+        ars += _drain(down.ar)
+        aws += _drain(down.aw)
+    assert [req.axi_id for req in ars] == [axi_id % 4 for axi_id in wide]
+    assert [req.axi_id for req in aws] == [axi_id % 4 for axi_id in wide]
+    for ar, aw in zip(ars, aws):
+        down.r.push((ar.axi_id, RBeat(bytes(64), True, ar.tag)))
+        down.b.push((aw.axi_id, BResp(True, aw.tag)))
+    rs, bs = [], []
+    while sim.cycle < 20:
+        sim.run(1)
+        rs += [axi_id for axi_id, _beat in _drain(up.r)]
+        bs += [axi_id for axi_id, _resp in _drain(up.b)]
+    assert rs == bs == wide
+
+
+def test_node_rejects_id_overflow():
     small = AxiParams(id_bits=2)
     ports = [AxiPort(small, f"p{i}") for i in range(4)]
     down = AxiPort(small, "down")

@@ -665,6 +665,16 @@ def _memcpy2_submitted(scheduling):
     return build, handle, futs, dsts
 
 
+def _memcpy2_outcome(build, handle, futs, dsts):
+    for fut in futs:
+        fut.get()
+    out = []
+    for dst in dsts:
+        handle.copy_from_fpga(dst)
+        out.append(dst.read())
+    return handle.cycle, out, build.metrics(stable_only=True)
+
+
 def test_payloads_in_flight_on_every_hop_class_resume_bit_identically(tmp_path):
     """Captures taken while R, W and B payloads sit on every NoC hop class
     (buffer node, SLR pipe, ID compressor) resume, from the file, exactly
@@ -672,15 +682,7 @@ def test_payloads_in_flight_on_every_hop_class_resume_bit_identically(tmp_path):
     an ``RBeat`` with its ``.data``, re-tagged by the hops that follow."""
     from repro.snapshot import capture, restore
 
-    def outcome(build, handle, futs, dsts):
-        for fut in futs:
-            fut.get()
-        out = []
-        for dst in dsts:
-            handle.copy_from_fpga(dst)
-            out.append(dst.read())
-        return handle.cycle, out, build.metrics(stable_only=True)
-
+    outcome = _memcpy2_outcome
     # Survey: which (hop class, channel) pairs each cycle holds.
     build, handle, futs, _ = _memcpy2_submitted(DEFAULT_SCHEDULING)
     survey = []
@@ -712,3 +714,27 @@ def test_payloads_in_flight_on_every_hop_class_resume_bit_identically(tmp_path):
             # Thawed with their classes: the same payload kinds on the same hops.
             assert _hop_payloads(build.design.sim) == in_flight[stop]
             assert outcome(build, handle, futs, dsts) == reference, (stop, mode)
+
+
+def test_naive_restore_into_the_live_simulator_rebuilds_the_tick_bodies():
+    """``naive`` steps each streaming-path model through its cached
+    ``compile_tick`` closure.  A capture taken once those exist, restored
+    into the same live simulator after it ran on, finishes exactly like the
+    uninterrupted run: the restore drops every cached closure, and the next
+    tick builds it again on the restored state."""
+    from repro.snapshot import capture, restore
+
+    reference = _memcpy2_outcome(*_memcpy2_submitted("naive"))
+    build, handle, futs, dsts = _memcpy2_submitted("naive")
+    sim = build.design.sim
+    handle.run_cycles(400)
+    assert not any(f.done for f in futs)
+    cached = [c for c in sim._components if c._tick_body is not None]
+    assert len(cached) >= 5
+    snap = capture(handle)
+    handle.run_cycles(300)
+    restore(handle, snap)
+    assert all(c._tick_body is None for c in sim._components)
+    assert handle.cycle == snap.cycle
+    assert _memcpy2_outcome(build, handle, futs, dsts) == reference
+    assert all(c._tick_body is not None for c in cached)

@@ -350,7 +350,8 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     # its live-bank set and two active-ID sets and position maps; 315 while
     # the 9 in-flight AXI payloads were frozen dataclasses, which a capture
     # memoizes as objects (named tuples are values); 306 while the fault
-    # state kept a poison append log for partition workers.
-    assert snap.meta["objects"] == 305
+    # state kept a poison append log for partition workers; 305 while the
+    # ID compressor kept a set of every wide read ID per narrow ID.
+    assert snap.meta["objects"] == 300
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)

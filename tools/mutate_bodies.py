@@ -1,0 +1,160 @@
+#!/usr/bin/env python
+"""Mutation check of the streaming-path model bodies.
+
+Each mutant below is one literal edit to one file under ``src/`` — a plausible
+modelling slip in a tick body — paired with the tier-1 test that must catch
+it.  The tool copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, checks that every named test passes there unmutated,
+then applies the mutants one at a time and runs each one's test: the test
+must fail.
+
+The killing tests are independent oracles — cycle pins, ``bytearray`` data
+references, ``AxiMonitor`` records, the paper anchors — never a
+naive-vs-compiled comparison: both schedules step the same body, so a
+mutant changes both alike and such a comparison cannot see it.
+
+    python tools/mutate_bodies.py
+
+It takes no options: every mutant in ``MUTANTS`` runs.  Each pytest run is
+cut after ``TIMEOUT_S`` seconds; a mutant whose test hangs is reported as
+TIMEOUT, not as killed, since the test must fail on its own.  Exits 1 when a
+named test fails or hangs unmutated, an edit no longer matches its file
+exactly once, or a mutant is not killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+# One run takes about 3 s; a hung model is cut off well before CI's own limit.
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in ``path``
+    new: str
+    test: str  # pytest node id that must fail under the mutant
+    what: str
+
+
+MUTANTS = (
+    Mutant(
+        "node-ar-rr-stuck",
+        "src/repro/noc/axi_node.py",
+        "                        self._ar_rr = idx if idx < n else 0\n",
+        "                        pass\n",
+        "tests/test_noc.py::test_buffer_node_grants_round_robin_and_locks_w_to_aw_order[naive]",
+        "AxiBufferNode: the AR round-robin pointer is never advanced",
+    ),
+    Mutant(
+        "node-aw-rr-stuck",
+        "src/repro/noc/axi_node.py",
+        "                        self._aw_rr = idx if idx < n else 0\n",
+        "                        pass\n",
+        "tests/test_noc.py::test_buffer_node_grants_round_robin_and_locks_w_to_aw_order[naive]",
+        "AxiBufferNode: the AW round-robin pointer is never advanced",
+    ),
+    Mutant(
+        "node-w-lock-held",
+        "src/repro/noc/axi_node.py",
+        "                            w_order.popleft()\n",
+        "                            pass\n",
+        "tests/test_memory_primitives.py::test_reader_writer_memcpy_roundtrip",
+        "AxiBufferNode: a finished W burst never releases the W-order lock",
+    ),
+    Mutant(
+        "pipe-latency-plus-one",
+        "src/repro/noc/axi_node.py",
+        "            due = cycle + latency\n",
+        "            due = cycle + latency + 1\n",
+        "tests/test_noc.py::test_pipe_adds_exactly_its_latency[naive]",
+        "AxiPipe: items mature one cycle late",
+    ),
+    Mutant(
+        "idmap-aw-fold-off-by-one",
+        "src/repro/noc/idmap.py",
+        "AWReq(req.axi_id % n_ids,",
+        "AWReq((req.axi_id + 1) % n_ids,",
+        "tests/test_noc.py::test_id_compressor_folds_ids_and_restores_them[naive]",
+        "IdCompressor: the AW lane folds wide IDs one narrow ID off",
+    ),
+    Mutant(
+        "reader-gap-ignored",
+        "src/repro/memory/reader.py",
+        "                and cycle >= self._next_ar_cycle\n",
+        "",
+        "tests/test_memory_primitives.py::test_issue_gap_spaces_bursts",
+        "Reader: the AR issue gap is ignored",
+    ),
+    Mutant(
+        "writer-gap-ignored",
+        "src/repro/memory/writer.py",
+        "                and cycle >= self._next_aw_cycle\n",
+        "",
+        "tests/test_memory_primitives.py::test_issue_gap_spaces_bursts",
+        "Writer: the AW issue gap is ignored",
+    ),
+)
+
+
+def _pytest(tree: Path, tests: List[str]) -> Optional[int]:
+    """pytest's exit code, or ``None`` when the run exceeds ``TIMEOUT_S``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(
+            cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutate-bodies-") as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        tests = sorted({m.test for m in MUTANTS})
+        if _pytest(tree, tests) != 0:
+            print(f"unmutated tree fails or hangs on one of: {' '.join(tests)}")
+            return 1
+        for m in MUTANTS:
+            target = tree / m.path
+            source = target.read_text()
+            if source.count(m.old) != 1:
+                print(f"{m.name:26} STALE     the edit matches {m.path} "
+                      f"{source.count(m.old)} times, not once")
+                failures += 1
+                continue
+            target.write_text(source.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            code = _pytest(tree, [m.test])
+            target.write_text(source)
+            # pytest exits 1 exactly when tests ran and one failed.
+            if code is None:
+                verdict = "TIMEOUT"
+            elif code == 1:
+                verdict = "killed"
+            else:
+                verdict = "SURVIVED" if code == 0 else f"ERROR {code}"
+            failures += verdict != "killed"
+            print(f"{m.name:26} {verdict:9} {time.perf_counter() - t0:5.1f} s  {m.test}")
+    print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
