@@ -3,9 +3,12 @@
 ``Observability`` is the one object a caller hands to
 :class:`~repro.core.build.BeethovenBuild` (or
 :class:`~repro.core.elaboration.ElaboratedDesign`) to control every part of
-the layer at once: metric collection is always on (the registry is cheap
-enough to keep enabled by default), while span tracing, event ring-buffer
-caps, and the wall-clock profiler are opt-in through this config.
+the layer at once.  Metric collection is always on (the registry is cheap
+enough to keep enabled).  A build given no config uses
+``Observability(profile=False)``: span tracing on, the wall-clock profiler
+off.  ``Observability.off()`` turns span tracing off too (metrics only),
+``profile=True`` turns the profiler on, and ``max_events`` caps the
+tracer's event and span stores.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ class Observability:
         anyway); this gates the per-command span machinery and exporters.
     ``profile``
         Turn on the simulator's per-component wall-clock self-time profiler
-        (:func:`repro.obs.profiler.render_profile_report`).
+        (:func:`repro.obs.profiler.render_profile_report`).  On in a bare
+        ``Observability()``; the build default passes ``profile=False``.
     ``max_events``
         Optional ring-buffer cap shared by the tracer's event and span
         stores; evictions are surfaced as ``trace/dropped_events`` /
@@ -37,5 +41,6 @@ class Observability:
 
     @classmethod
     def off(cls) -> "Observability":
-        """Metrics-only default: no span tracking, no profiler."""
+        """Metrics only: no span tracking, no profiler.  Not the default,
+        which keeps span tracking on."""
         return cls(enabled=False, profile=False)

@@ -18,7 +18,7 @@ state) turns a completed command into a retry or a typed
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
@@ -200,7 +200,8 @@ class FpgaHandle:
         self.faults = getattr(design, "faults", None)
         design.sim.add(self.server)
         self.dma_cycles_spent = 0
-        self._next_client = 0
+        #: Every client :meth:`new_client` made, in order (id = index + 1).
+        self._clients: List[ClientHandle] = []
         # uid -> {"ctx", "fut", "make_cb"} for every call() issued through
         # this handle.  The snapshot layer serialises in-flight commands by
         # uid; on restore (after the host-side setup has been replayed so
@@ -257,8 +258,10 @@ class FpgaHandle:
         allocations never conflict) and are served round-robin by the
         runtime server's command arbitration.
         """
-        self._next_client += 1
-        return ClientHandle(self, self._next_client, name or f"client{self._next_client}")
+        client_id = len(self._clients) + 1
+        client = ClientHandle(self, client_id, name or f"client{client_id}")
+        self._clients.append(client)
+        return client
 
     # ------------------------------------------------------------ degradation
     def _mark_degraded(self, key: Tuple[int, int]) -> None:
@@ -455,7 +458,8 @@ class FpgaHandle:
         same uids in the same order) and overwrites each future's outcome in
         place.  Host shadow buffers (:class:`RemotePtr`) are not captured;
         the replay rewrites them, and device memory is restored through the
-        memory store's component state.
+        memory store's component state.  Each client's counters travel here,
+        with the handle that made the client.
         """
         calls = {}
         for uid, rec in self._calls.items():
@@ -470,7 +474,10 @@ class FpgaHandle:
             "allocator": fr.freeze_attrs(self.allocator),
             "degraded_cores": sorted(self.degraded_cores),
             "dma_cycles_spent": self.dma_cycles_spent,
-            "next_client": self._next_client,
+            "clients": [
+                {name: fr.freeze(getattr(client, name)) for name in _CLIENT_METRICS}
+                for client in self._clients
+            ],
             "calls": calls,
         }
 
@@ -480,13 +487,11 @@ class FpgaHandle:
         self.degraded_cores.clear()
         self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
-        self._next_client = state["next_client"]
+        # ``repro.snapshot.restore`` checked that the replay made as many.
+        for client, st in zip(self._clients, state["clients"]):
+            th.thaw_metrics(client, _CLIENT_METRICS, st, f"client {client.client_id}")
         for uid, st in state["calls"].items():
-            rec = self._calls.get(uid)
-            if rec is None:
-                th.unresolved += 1
-                continue
-            fut = rec["fut"]
+            fut = self._calls[uid]["fut"]  # restore checked every uid was replayed
             fut._response = th.thaw(st["response"])
             fut._error = th.thaw(st["error"])
             fut.submitted_cycle = st["submitted_cycle"]
@@ -512,6 +517,10 @@ class FpgaHandle:
     @property
     def cycle(self) -> int:
         return self.design.sim.cycle
+
+
+#: The metrics a :class:`ClientHandle` owns (a snapshot carries them).
+_CLIENT_METRICS = ("submitted", "completed")
 
 
 class ClientHandle:

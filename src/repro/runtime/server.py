@@ -110,6 +110,15 @@ class PendingCommand:
     batch: Optional[int] = None
 
 
+#: The server's own metrics.  Its state is written by hand, so the
+#: snapshot carries them explicitly.
+_METRIC_ATTRS = (
+    "commands_sent", "responses_received", "lock_wait_cycles", "busy_cycles",
+    "lock_wait_hist", "timeouts", "retries", "quarantines", "late_responses",
+    "rerouted", "batch_lock_skips", "batch_cycles_saved", "fifo_violations",
+)
+
+
 class RuntimeServer(Component):
     """Serialises host commands onto the MMIO frontend and polls responses."""
 
@@ -193,9 +202,6 @@ class RuntimeServer(Component):
         # FpgaHandle so snapshot restore can resolve command uids back to
         # live contexts and rebuild response callbacks.
         self._host_calls: Optional[Dict[int, Dict[str, object]]] = None
-        #: Snapshot-restore bookkeeping: uids the last restore could not
-        #: resolve against the call registry (0 on a faithful restore).
-        self._snapshot_unresolved = 0
 
     @property
     def metric_path(self) -> str:
@@ -602,34 +608,28 @@ class RuntimeServer(Component):
                 client: list(v) for client, v in self.client_lock_waits.items()
             },
             "ctxs": ctxs,
+            "metrics": {name: fr.freeze(getattr(self, name)) for name in _METRIC_ATTRS},
         }
 
     def restore_state(self, state: Dict[str, object], th) -> None:
+        # ``repro.snapshot.restore`` has checked that every uid the snapshot
+        # names was replayed; uid 0 is a command no handle issued.
         calls = self._host_calls if self._host_calls is not None else {}
-        unresolved = 0
 
         def ctx_for(uid: int) -> Optional[CommandContext]:
-            nonlocal unresolved
-            if not uid:
-                return None
-            rec = calls.get(uid)
-            if rec is None:
-                unresolved += 1
-                return None
-            return rec["ctx"]
+            rec = calls.get(uid) if uid else None
+            return rec["ctx"] if rec is not None else None
 
         def cb_for(uid: int) -> Callable[[RoccResponse], None]:
-            nonlocal unresolved
             rec = calls.get(uid) if uid else None
             if rec is None:
-                unresolved += 1
                 return lambda resp: None
             return rec["make_cb"]()
 
+        th.thaw_metrics(self, _METRIC_ATTRS, state["metrics"], "server")
         for uid, st in state["ctxs"].items():
             rec = calls.get(uid)
             if rec is None:
-                unresolved += 1
                 continue
             ctx = rec["ctx"]
             ctx.attempts = st["attempts"]
@@ -679,8 +679,7 @@ class RuntimeServer(Component):
             )
             for key, ws in state["waiters"]
         }
-        # A retry without a resolvable context cannot be re-issued; drop it
-        # (counted in _snapshot_unresolved) rather than crash the restore.
+        # A retry without a resolvable context cannot be re-issued; drop it.
         heap = []
         for ready, rseq, uid in state["retry_heap"]:
             ctx = ctx_for(uid)
@@ -696,7 +695,6 @@ class RuntimeServer(Component):
         self.client_lock_waits.update(
             {client: list(v) for client, v in state["client_lock_waits"].items()}
         )
-        self._snapshot_unresolved = unresolved
 
     # ---------------------------------------------------------- diagnostics
     def debug_state(self):

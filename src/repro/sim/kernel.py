@@ -242,6 +242,12 @@ class ChannelQueue(Generic[T]):
         return f"ChannelQueue({self.name!r}, {len(self._items)}/{self.capacity})"
 
 
+#: Scheduler wiring rebuilt by the compiled program, and the cached tick
+#: closure a restore drops; excluded from generic component capture
+#: (``_ticks_executed`` stays in).
+_SCHED_ATTRS = ("_sched_index", "_wake_hook", "_tick_body")
+
+
 class Component:
     """Base class for everything that acts on each clock edge."""
 
@@ -431,9 +437,7 @@ class Component:
         two methods on *any* reachable object (``MemoryStore``) make the
         freezer store what they return instead of walking the object.
         """
-        from repro.snapshot.engine import SCHED_ATTRS  # lazy: avoid cycle
-
-        return fr.freeze_attrs(self, exclude=SCHED_ATTRS)
+        return fr.freeze_attrs(self, exclude=_SCHED_ATTRS)
 
     def restore_state(self, state: Dict[str, Any], th) -> None:
         """Apply a :meth:`snapshot_state` payload onto this live component."""

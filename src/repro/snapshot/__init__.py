@@ -2,9 +2,9 @@
 
 ``capture(handle)`` freezes the complete state of a run —
 cycle counter, every channel's contents and lag-credit bookkeeping,
-per-component model state, the dirty-channel list, metric registry, span
-tracker, fault RNG positions and host-side command registry — into a
-versioned :class:`Snapshot`; after rebuilding the same design and
+per-component model state, the dirty-channel list, every owned metric
+(with the object that holds it), span tracker, fault RNG positions and
+host-side command registry — into a versioned :class:`Snapshot`; after rebuilding the same design and
 replaying the host-side setup, ``restore(handle, snap); run(N)`` is
 bit-identical to the uninterrupted run under both scheduling backends.
 ``capture_sim_state``/``restore_sim_state`` do the same for a bare

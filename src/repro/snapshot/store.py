@@ -176,14 +176,17 @@ class StageLog:
         self.config_fp = hashlib.sha256(
             json.dumps(config, sort_keys=True, default=str).encode()
         ).hexdigest()[:16]
+        # A journal that does not read back as a JSON object — missing,
+        # truncated, binary, nested too deep to parse — is an empty log; an
+        # entry whose value is not a string marks no stage done.
         self._done: Dict[str, str] = {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if isinstance(data, dict):
-                self._done = {str(k): str(v) for k, v in data.items()}
-        except (OSError, ValueError):
-            self._done = {}
+        except (OSError, ValueError, RecursionError):
+            return
+        if isinstance(data, dict):
+            self._done = {k: v for k, v in data.items() if isinstance(v, str)}
 
     def is_done(self, stage: str) -> bool:
         return self._done.get(stage) == self.config_fp

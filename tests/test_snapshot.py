@@ -24,6 +24,7 @@ from repro.faults.chaos import GOOD_OUTCOMES, MODES, SCENARIOS, run_chaos
 from repro.sim import DEFAULT_SCHEDULING
 from repro.snapshot import SNAPSHOT_VERSION, SnapshotError, SnapshotVersionError
 from repro.snapshot.scenario import (
+    _build_memcpy,
     kill_and_resume_differential,
     run_checkpointed_memcpy,
 )
@@ -376,14 +377,14 @@ def test_deadlock_dump_is_capped(tmp_path):
 
 
 # ------------------------------------------- deferred views / first-touch cells
-def _memcpy32_snapshot(mode, read_first, path):
-    """Capture the 32-core memcpy design mid-run; ``read_first`` reads the
-    registry right after elaboration, before the handle adds its server."""
+def _memcpy32(mode, read_first=False):
+    """The 32-core memcpy with one 4 KiB copy submitted on core 0;
+    ``read_first`` reads the registry right after elaboration, before the
+    handle adds its server."""
     from repro.core.build import BeethovenBuild
     from repro.kernels.memcpy import memcpy_config
     from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
-    from repro.snapshot import capture
 
     build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform(), scheduling=mode)
     if read_first:
@@ -393,19 +394,236 @@ def _memcpy32_snapshot(mode, read_first, path):
     src.write(bytes(range(256)) * 16)
     handle.copy_to_fpga(src)
     handle.call("Memcpy", "memcpy", 0, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=4096)
+    return build, handle
+
+
+def _memcpy32_snapshot(mode, read_first, path):
+    """Capture the 32-core memcpy 125 cycles into its copy."""
+    from repro.snapshot import capture
+
+    _build, handle = _memcpy32(mode, read_first)
     handle.run_cycles(125)
     snap = capture(handle)
     save(snap, path)
-    return snap.payload["registry"], os.path.getsize(path)
+    return snap.payload, os.path.getsize(path)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_capture_same_before_and_after_first_registry_read(mode, tmp_path):
     """Deferred metric adoption is invisible to snapshots: capturing a run
-    whose registry was never read equals capturing one that read it early."""
+    whose registry was never read equals capturing one that read it early,
+    and the runtime server's metrics ride in its own state."""
     unread = _memcpy32_snapshot(mode, False, str(tmp_path / "unread.ckpt"))
     read = _memcpy32_snapshot(mode, True, str(tmp_path / "read.ckpt"))
-    assert unread[0] and unread == read
+    assert "registry" not in unread[0] and unread == read
+    (server,) = [st for name, st in unread[0]["sim"]["components"] if name == "server"]
+    assert len(server["metrics"]) == 13 and server["metrics"]["busy_cycles"][2] > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_capture_and_restore_adopt_no_metric_registration(mode):
+    """Neither call reads the metric registry: on a design whose registry
+    was never read, the deferred registrations stay pending through both."""
+    from repro.snapshot import capture, restore
+
+    build, handle = _memcpy32(mode)
+    handle.run_cycles(125)
+    registry = build.design.registry
+    before = list(registry._pending), dict(registry._adopted)
+    assert before[0]
+    snap = capture(handle)
+    assert (registry._pending, registry._adopted) == before
+
+    build, handle = _memcpy32(mode)
+    registry = build.design.registry
+    before = list(registry._pending), dict(registry._adopted)
+    restore(handle, snap)
+    assert (registry._pending, registry._adopted) == before
+    assert build.metrics()["runtime/server/busy_cycles"] > 0
+
+
+def _copies(mode, n_calls):
+    """Two-core memcpy with ``n_calls`` of its two copies submitted."""
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import AWSF1Platform
+    from repro.runtime import FpgaHandle
+
+    build = BeethovenBuild(memcpy_config(n_cores=2), AWSF1Platform(), scheduling=mode)
+    handle = FpgaHandle(build.design)
+    src = handle.malloc(4096)
+    dsts = [handle.malloc(4096) for _ in range(2)]
+    src.write(bytes(range(256)) * 16)
+    handle.copy_to_fpga(src)
+    for core in range(n_calls):
+        handle.call("Memcpy", "memcpy", core, src=src.fpga_addr, dst=dsts[core].fpga_addr,
+                    len_bytes=4096)
+    return handle
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_restore_refuses_a_replay_with_a_call_missing(mode):
+    """A replay that issued one ``call`` fewer than the captured run would
+    drop that command's future and waiter: restore names the missing uid and
+    writes nothing to the design."""
+    from repro.snapshot import capture, restore
+
+    handle = _copies(mode, 2)
+    handle.run_cycles(300)
+    snap = capture(handle)
+    (missing,) = set(handle._calls) - set(_copies(mode, 1)._calls)
+
+    handle = _copies(mode, 1)
+    handle.run_cycles(7)
+    before = pickle.dumps(capture(handle).payload)
+    with pytest.raises(SnapshotError, match=rf"uid \[{missing}\]"):
+        restore(handle, snap)
+    assert pickle.dumps(capture(handle).payload) == before
+
+
+def _two_clients(mode):
+    """Two clients of a two-core delay design, three commands each."""
+    from repro.baselines.delay_core import delay_config
+    from repro.core.build import BeethovenBuild
+    from repro.platforms import SimulationPlatform
+    from repro.runtime import FpgaHandle
+
+    build = BeethovenBuild(delay_config(2, latency_cycles=40), SimulationPlatform(),
+                           scheduling=mode)
+    handle = FpgaHandle(build.design)
+    clients = [handle.new_client(f"p{i}") for i in range(2)]
+    futs = [client.call("Delay", "run", i, job=j)
+            for j in range(3) for i, client in enumerate(clients)]
+    return build, handle, futs
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_two_clients_resume_with_their_counters(mode):
+    """Each client's ``submitted``/``completed`` counters travel with the
+    handle: resumed after some commands finished, the run ends with the
+    uninterrupted run's cycle and stable metrics."""
+    from repro.snapshot import capture, restore
+
+    build, handle, futs = _two_clients(mode)
+    for fut in futs:
+        fut.get()
+    reference = (handle.cycle, build.metrics(stable_only=True))
+
+    _build, handle, futs = _two_clients(mode)
+    handle.run_until(lambda: sum(f.done for f in futs) >= 2)
+    assert not all(f.done for f in futs)
+    snap = capture(handle)
+    build, handle, futs = _two_clients(mode)
+    restore(handle, snap)
+    assert int(handle._clients[0].completed) >= 1
+    for fut in futs:
+        fut.get()
+    assert (handle.cycle, build.metrics(stable_only=True)) == reference
+
+
+def test_restore_refuses_a_replay_with_a_client_missing():
+    from repro.snapshot import capture, restore
+
+    _build, handle, _futs = _two_clients(DEFAULT_SCHEDULING)
+    handle.run_cycles(50)
+    snap = capture(handle)
+    _build, handle, _futs = _two_clients(DEFAULT_SCHEDULING)
+    handle.new_client("extra")
+    with pytest.raises(SnapshotError, match="made 2 clients, the replay 3"):
+        restore(handle, snap)
+
+
+def test_a_served_handle_is_refused():
+    """The serving layer's queues and quotas are not snapshot state."""
+    from repro.runtime import FpgaHandle
+    from repro.serve import AcceleratorService, TenantConfig
+    from repro.snapshot import capture
+
+    build, _handle, _futs = _two_clients(DEFAULT_SCHEDULING)
+    service = AcceleratorService(FpgaHandle(build.design), [TenantConfig(name="t")])
+    with pytest.raises(SnapshotError, match=r"tenants \['t'\]"):
+        capture(service.handle)
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_server_metrics_of_another_shape_are_a_typed_error(edit):
+    """A payload whose server metrics name an attribute the server lacks, or
+    leave one out, is refused with ``SnapshotError``."""
+    from repro.snapshot import capture, restore
+
+    _build, handle = _memcpy32(DEFAULT_SCHEDULING)
+    handle.run_cycles(50)
+    snap = capture(handle)
+    (server,) = [st for name, st in snap.payload["sim"]["components"] if name == "server"]
+    if edit == "extra":
+        server["metrics"]["no_such_metric"] = server["metrics"]["timeouts"]
+    else:
+        del server["metrics"]["timeouts"]
+    _build, handle = _memcpy32(DEFAULT_SCHEDULING)
+    with pytest.raises(SnapshotError, match="server metrics must be"):
+        restore(handle, snap)
+
+
+def _owned_values(registry):
+    from repro.snapshot.engine import _metric_state
+
+    return {name: _metric_state(metric) for name, metric in registry.owned()}
+
+
+def _memcpy32_design():
+    build, handle = _memcpy32("compiled")
+    handle.run_cycles(400)
+    return build, handle
+
+
+def _hetero_design():
+    from repro.runtime import FpgaHandle
+    from repro.serve.scenarios import hetero_build
+
+    build = hetero_build()
+    handle = FpgaHandle(build.design)
+    futs = [handle.call(system, io, core, job=job)
+            for job, (system, io) in enumerate([("Gemm", "gemm"), ("Attn", "attn")] * 2)
+            for core in range(2)]
+    futs[0].get()
+    return build, handle
+
+
+def _faulted_design():
+    build, handle, _futs, _dsts, _pattern = _build_memcpy(FAULTY_SEED, "compiled")
+    handle.run_cycles(1500)
+    return build, handle
+
+
+def _clients_design():
+    build, handle, futs = _two_clients("compiled")
+    futs[0].get()
+    return build, handle
+
+
+@pytest.mark.parametrize(
+    "make", [_memcpy32_design, _hetero_design, _faulted_design, _clients_design],
+    ids=["memcpy32", "serve_hetero", "fault_plan", "two_clients"])
+def test_every_owned_metric_is_captured_with_its_owner(make):
+    """Every counter, gauge and histogram the registry owns is frozen by a
+    capture through the object that holds it: overwrite all of them after
+    the capture, restore, and each reads its captured value again."""
+    from repro.obs.registry import Histogram
+    from repro.snapshot import capture, restore
+
+    build, handle = make()
+    snap = capture(handle)
+    registry = build.design.registry
+    captured = _owned_values(registry)
+    assert any(value != ("c", 0) for value in captured.values())
+    for i, (name, metric) in enumerate(registry.owned()):
+        if isinstance(metric, Histogram):
+            metric.observe(1000 + i)
+        else:
+            metric.value += 1000 + i
+    assert all(_owned_values(registry)[name] != value for name, value in captured.items())
+    restore(handle, snap)
+    assert _owned_values(registry) == captured
 
 
 def _a3_with_pending_load(mode):

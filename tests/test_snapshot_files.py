@@ -13,6 +13,7 @@ no global named by a file ever imported or called.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import random
@@ -194,3 +195,68 @@ def test_save_is_atomic_and_leaves_no_temp_files(checkpoint, tmp_path):
     save(snap, target)
     assert os.listdir(os.path.dirname(target)) == ["again.ckpt"]
     assert load(target).cycle == snap.cycle
+
+
+# ---------------------------------------------------------------- stage logs
+#: Journals that do not read back as a JSON object of strings.
+_BAD_JOURNALS = {
+    "truncated": b'{"baseline": "0123456789abcdef", "sweep": "01',
+    "list": b'["baseline", "sweep"]',
+    "string": b'"baseline"',
+    "null": b"null",
+    "binary": bytes(range(256)) * 4,
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "deep_value": b'{"baseline": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_JOURNALS))
+def test_an_unreadable_stage_log_is_empty(name, tmp_path):
+    from repro.snapshot.store import StageLog
+
+    path = tmp_path / "stages.json"
+    path.write_bytes(_BAD_JOURNALS[name])
+    log = StageLog(str(path), {"seed": 1})
+    assert not log.is_done("baseline") and not log.is_done("sweep")
+    log.mark_done("baseline")  # and the log is usable again
+    assert StageLog(str(path), {"seed": 1}).is_done("baseline")
+
+
+def test_stage_log_ignores_entries_that_are_not_strings(tmp_path):
+    from repro.snapshot.store import StageLog
+
+    path = str(tmp_path / "stages.json")
+    StageLog(path, {"seed": 1}).mark_done("kept")
+    with open(path) as fh:
+        data = json.load(fh)
+    fp = data["kept"]
+    data.update(number=int(fp, 16), listed=[fp], nested={"fp": fp}, null=None)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    log = StageLog(path, {"seed": 1})
+    assert log.is_done("kept")
+    assert not any(log.is_done(s) for s in ("number", "listed", "nested", "null"))
+
+
+def test_a_config_change_invalidates_marked_stages(tmp_path):
+    from repro.snapshot.store import StageLog
+
+    path = str(tmp_path / "stages.json")
+    log = StageLog(path, {"seed": 1, "cores": 4})
+    log.mark_done("baseline")
+    log.mark_done("sweep")
+    assert StageLog(path, {"cores": 4, "seed": 1}).is_done("sweep")  # key order is no change
+    changed = StageLog(path, {"seed": 1, "cores": 8})
+    assert not changed.is_done("baseline") and not changed.is_done("sweep")
+    changed.mark_done("baseline")
+    assert not StageLog(path, {"seed": 1, "cores": 4}).is_done("baseline")
+
+
+def test_mark_done_leaves_no_temp_file(tmp_path):
+    from repro.snapshot.store import StageLog
+
+    path = tmp_path / "runs" / "stages.json"
+    log = StageLog(str(path), {"seed": 1})
+    for stage in ("a", "b", "c"):
+        log.mark_done(stage)
+    assert sorted(os.listdir(path.parent)) == ["stages.json"]

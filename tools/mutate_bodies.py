@@ -104,6 +104,14 @@ MUTANTS = (
         "tests/test_memory_primitives.py::test_issue_gap_spaces_bursts",
         "Writer: the AW issue gap is ignored",
     ),
+    Mutant(
+        "dram-strobe-dropped",
+        "src/repro/dram/controller.py",
+        "self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])",
+        "self.store.write(req.addr, txn.wdata[idx], None)",
+        "tests/test_memory_primitives.py::test_writer_partial_tail_strb",
+        "MemoryController._issue (both bodies): a strobed write column stores every byte",
+    ),
 )
 
 
