@@ -157,9 +157,7 @@ class ElaboratedDesign:
         # Metrics are always collected; the Observability config gates span
         # tracking, the wall-clock profiler, and trace ring-buffer caps.
         self.observability = (
-            observability
-            if observability is not None
-            else Observability(profile=False)
+            observability if observability is not None else Observability()
         )
         self.tracer = tracer or Tracer(max_events=self.observability.max_events)
         # Span tracking follows one command across the server, adapter and

@@ -87,14 +87,14 @@ class _ColReq:
 class MemoryController(Component):
     """FR-FCFS DDR controller with an AXI4 slave frontend.
 
-    Two tick bodies share one state.  The interpreted :meth:`tick` is the
-    reference: every selection (bank prep, column pick, R and B return) is a
-    plain scan over everything pending.  The closure from
-    :meth:`compile_tick` makes the same selections from indexes, so its work
-    follows what is pending rather than what the controller holds.  Neither
-    body touches the indexed containers directly: ``_window_add``,
-    ``_issue``, ``_send_r`` and ``_send_b`` own them, and both bodies act
-    only through those helpers, so either may run any cycle.
+    One body: the closure from :meth:`compile_tick`, which
+    ``Component.tick`` runs under ``naive`` and the compiled program calls
+    directly.  It selects from indexes (per-bank window lists, active-ID
+    positions, R/B ready sets), so its work follows what is pending rather
+    than what the controller holds; only the action helpers below write
+    those containers.  Its reference is ``tests/dram_oracle.py``, a
+    standalone model of the same policy that shares no code with this
+    module.
     """
 
     # Optional fault injector (repro.faults): filters column reads, flipping
@@ -214,29 +214,12 @@ class MemoryController(Component):
     def _outstanding(self) -> int:
         return len(self._read_txns) + len(self._write_txns)
 
-    def _rr_ids(self) -> List[int]:
-        ids = self._return_rr
-        if not ids:
-            return []
-        pos = self._return_rr_pos % len(ids)
-        return ids[pos:] + ids[:pos]
-
     def _note_id(self, axi_id: int) -> None:
         if axi_id not in self._rr_index:
             self._rr_index[axi_id] = len(self._return_rr)
             self._return_rr.append(axi_id)
 
-    # ------------------------------------------------------------------ tick
-    def tick(self, cycle: int) -> None:
-        self._maybe_refresh(cycle)
-        self._accept_requests(cycle)
-        self._enqueue_columns(cycle)
-        self._prep_banks(cycle)
-        self._issue_column(cycle)
-        self._return_read_data(cycle)
-        self._return_write_responses(cycle)
-
-    # -------------------------------------------------- actions (both bodies)
+    # ------------------------------------------------------------------ actions
     def _refresh(self, cycle: int) -> None:
         for bank in self.banks:
             bank.block_for_refresh(cycle)
@@ -371,65 +354,6 @@ class MemoryController(Component):
         if not q or q[0].cols_done < q[0].length:
             self._b_ready.discard(axi_id)
 
-    # ------------------------------------------------- phases (the reference)
-    def _maybe_refresh(self, cycle: int) -> None:
-        if cycle and cycle % self.timing.t_refi == 0:
-            self._refresh(cycle)
-
-    def _accept_requests(self, cycle: int) -> None:
-        if self.port.ar.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            self._accept_read(self.port.ar.pop(), cycle)
-        if self.port.aw.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            self._accept_write(self.port.aw.pop(), cycle)
-        if self.port.w.can_pop() and self._writes_awaiting_data:
-            self._accept_data(self.port.w.pop())
-
-    def _enqueue_columns(self, cycle: int) -> None:
-        """Move column commands from head-of-ID transactions into the
-        scheduler window.  Only the head transaction of each ID contributes —
-        this is the per-ID serialisation rule."""
-        budget = 8  # command-processing bandwidth per cycle
-        for axi_id in list(self._id_read_issue):
-            q = self._id_read_issue[axi_id]
-            while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
-                txn = q[0]
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    continue
-                if txn.cols_enqueued == 0 and not self._may_start(
-                    self._id_read_pipe, axi_id, txn
-                ):
-                    break
-                self._window_add(txn, False, cycle)
-                budget -= 1
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    break  # next same-ID txn starts no earlier than next cycle
-            if not q:
-                self._read_active.discard(self._read_pos[axi_id])
-        for axi_id in list(self._id_write_issue):
-            q = self._id_write_issue[axi_id]
-            while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
-                txn = q[0]
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    continue
-                # Cut-through: a write column is eligible as soon as its W
-                # beat has arrived (no store-and-forward of whole bursts).
-                if txn.cols_enqueued >= len(txn.wdata):
-                    break
-                if txn.cols_enqueued == 0 and not self._may_start(
-                    self._id_write_pipe, axi_id, txn
-                ):
-                    break
-                self._window_add(txn, True, cycle)
-                budget -= 1
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    break
-            if not q:
-                self._write_active.discard(self._write_pos[axi_id])
-
     def _may_start(self, pipes: Dict[int, Deque[object]], axi_id: int, txn: object) -> bool:
         """A transaction enters the DRAM pipeline only when it is among the
         first ``per_id_txn_limit`` unretired same-ID, same-direction
@@ -453,61 +377,6 @@ class MemoryController(Component):
             except ValueError:
                 pass
 
-    def _prep_banks(self, cycle: int) -> None:
-        """Open rows for pending column commands (oldest-first per bank)."""
-        preps = 2  # activate/precharge command bandwidth per cycle
-        seen_banks = set()
-        for req in self._sched.values():
-            if preps == 0:
-                break
-            if req.bank in seen_banks:
-                continue
-            seen_banks.add(req.bank)
-            bank = self.banks[req.bank]
-            if bank.open_row != req.row and bank.can_prep(cycle):
-                self._prep(req, cycle)
-                preps -= 1
-
-    def _issue_column(self, cycle: int) -> None:
-        if cycle < self._bus_free_at or not self._sched:
-            return
-        ready = [
-            r for r in self._sched.values() if self.banks[r.bank].row_open(r.row, cycle)
-        ]
-        if not ready:
-            return
-        same_dir = [r for r in ready if r.is_write == self._bus_dir_write]
-        if same_dir and self._dir_streak < self.timing.direction_streak:
-            self._issue(same_dir[0], cycle)
-        else:
-            self._issue(ready[0], cycle)
-
-    def _return_read_data(self, cycle: int) -> None:
-        if not self.port.r.can_push():
-            return
-        for axi_id in self._rr_ids():
-            q = self._id_read_return.get(axi_id)
-            if not q:
-                continue
-            txn = q[0]
-            entry = txn.beats[txn.beats_sent]
-            if entry is None or entry[0] > cycle:
-                continue
-            self._send_r(axi_id, cycle)
-            return
-
-    def _return_write_responses(self, cycle: int) -> None:
-        if not self.port.b.can_push():
-            return
-        for axi_id in self._rr_ids():
-            q = self._id_write_return.get(axi_id)
-            if not q:
-                continue
-            if q[0].cols_done < q[0].length:
-                continue
-            self._send_b(axi_id, cycle)
-            return
-
     # ----------------------------------------------------------- event skipping
     def wake_channels(self):
         # The AXI slave port channels belong to the monitor wrapper, not this
@@ -517,19 +386,19 @@ class MemoryController(Component):
 
     # ------------------------------------------------------------- compiled tick
     def compile_tick(self):
-        """Specialised tick for the compiled scheduler.
+        """The controller's tick, as a closure over its state and ports.
 
-        Same phases, same decisions, same statistics as :meth:`tick`, and the
-        same action helpers; what differs is how each selection is found.
-        Column enqueue visits only the IDs whose issue queue is non-empty, in
-        first-seen order (sorted active positions); bank prep probes the head
-        of each live bank's list instead of walking the window for first
-        occurrences; the FR-FCFS pick is the smallest arrival number among
-        the first open-row (and first same-direction) entry of each ready
-        live bank; R and B arbitration take the round-robin winner by
-        rotated distance over the candidate/ready sets instead of visiting
-        every ID.  Set iteration order never matters: every selection is a
-        minimum over a total order.
+        Each cycle: refresh edge, accept (one AR, one AW, one W beat),
+        column enqueue, bank prep, FR-FCFS issue, then R and B return, the
+        order ``tests/dram_oracle.py`` restates as plain scans.  Each
+        selection comes from an index.  Column enqueue visits only the IDs
+        whose issue queue is non-empty, in first-seen order (sorted active
+        positions); bank prep probes the head of each live bank's list; the
+        FR-FCFS pick is the smallest arrival number among the first
+        open-row (and first same-direction) entry of each ready live bank;
+        R and B arbitration take the round-robin winner by rotated distance
+        over the candidate/ready sets.  Set iteration order never matters:
+        every selection is a minimum over a total order.
         """
         timing = self.timing
         t_refi = timing.t_refi

@@ -5,10 +5,11 @@
 :class:`~repro.core.elaboration.ElaboratedDesign`) to control every part of
 the layer at once.  Metric collection is always on (the registry is cheap
 enough to keep enabled).  A build given no config uses
-``Observability(profile=False)``: span tracing on, the wall-clock profiler
-off.  ``Observability.off()`` turns span tracing off too (metrics only),
+``Observability()``: span tracing on, the wall-clock profiler off.
+``Observability.off()`` turns span tracing off too (metrics only),
 ``profile=True`` turns the profiler on, and ``max_events`` caps the
-tracer's event and span stores.
+tracer's event and span stores; a partial config such as
+``Observability(max_events=N)`` keeps every other default.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class Observability:
         anyway); this gates the per-command span machinery and exporters.
     ``profile``
         Turn on the simulator's per-component wall-clock self-time profiler
-        (:func:`repro.obs.profiler.render_profile_report`).  On in a bare
-        ``Observability()``; the build default passes ``profile=False``.
+        (:func:`repro.obs.profiler.render_profile_report`).  Off unless
+        asked for.
     ``max_events``
         Optional ring-buffer cap shared by the tracer's event and span
         stores; evictions are surfaced as ``trace/dropped_events`` /
@@ -36,11 +37,11 @@ class Observability:
     """
 
     enabled: bool = True
-    profile: bool = True
+    profile: bool = False
     max_events: Optional[int] = None
 
     @classmethod
     def off(cls) -> "Observability":
         """Metrics only: no span tracking, no profiler.  Not the default,
         which keeps span tracking on."""
-        return cls(enabled=False, profile=False)
+        return cls(enabled=False)

@@ -14,10 +14,9 @@ probe.  The program removes that interpretation layer:
   and ``Writer``) has its closure called directly, with channel endpoints
   and constants captured as locals.  It is the instance's one cached body
   (:meth:`~repro.sim.kernel.Component.tick_body`), the same one ``naive``
-  steps through :meth:`~repro.sim.kernel.Component.tick`; only the DRAM
-  controller keeps a scanning ``tick`` beside it, as the reference its
-  indexed closure is checked against.  Other components run their bound
-  ``tick``, and every hint is the component's ``next_event``.
+  steps through :meth:`~repro.sim.kernel.Component.tick`.  Other
+  components run their bound ``tick``, and every hint is the component's
+  ``next_event``.
 
 * **One slot per component** — slot ``i`` is the component registered
   ``i``-th (its ``_sched_index``): one heap entry, one wake subscription,

@@ -26,10 +26,11 @@ Two scheduling modes are supported, cycle- and statistic-identical:
   volatile tick accounting differ.
 
 Both schedules step the same model body.  A class on the streaming path
-defines its tick as a ``compile_tick()`` closure with endpoints bound once
-(:meth:`Component.tick` runs it); the DRAM controller alone keeps a second,
-scanning ``tick`` that ``naive`` steps, as the reference its indexed closure
-is checked against.
+(the DRAM controller included) defines its tick as a ``compile_tick()``
+closure with endpoints bound once, and :meth:`Component.tick` runs it, so
+comparing the schedules checks scheduling, not the models; the models are
+checked against independent oracles (for the DRAM controller, the
+standalone timing model in ``tests/dram_oracle.py``).
 """
 
 from __future__ import annotations

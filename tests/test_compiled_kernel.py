@@ -12,8 +12,8 @@ schedule as the naive oracle:
   are pure functions of the item value, so the schedules cannot diverge
   through hidden state.
 * **One body per model** — a ``compile_tick`` closure is built once per
-  instance and is what both schedules run; only the DRAM controller keeps
-  a second (scanning) ``tick``, and no class has a second hint.  The
+  instance and is what both schedules run; no class defines both ``tick``
+  and ``compile_tick``, and no class has a second hint.  The
   instance-patch escape hatches hold under both schedules (fault injection
   replaces ``tick``/``next_event`` on instances; the patches must win over
   the class's body and hint).
@@ -612,11 +612,10 @@ def _repro_component_classes():
 
 def test_one_body_per_model():
     """Each model has one tick body and one hint: no class in ``repro``
-    defines ``compile_hint``, and only the DRAM controller defines both
-    ``tick`` and ``compile_tick`` (its scanning ``tick`` is the reference
-    its indexed closure is checked against).  On a live design, every
-    closure class's program slot runs the instance's one cached body, the
-    same one ``naive`` steps through ``Component.tick``."""
+    defines ``compile_hint``, and none defines both ``tick`` and
+    ``compile_tick``.  On a live design, every closure class's program slot
+    runs the instance's one cached body, the same one ``naive`` steps
+    through ``Component.tick``."""
     classes = _repro_component_classes()
     assert len(classes) >= 20
     assert not [cls for cls in classes if hasattr(cls, "compile_hint")]
@@ -625,8 +624,8 @@ def test_one_body_per_model():
         for cls in classes
         if "tick" in cls.__dict__ and "compile_tick" in cls.__dict__
     }
-    assert two_bodies == {MemoryController}
-    closure_only = {AxiBufferNode, AxiPipe, IdCompressor, Reader, Writer}
+    assert two_bodies == set()
+    closure_only = {AxiBufferNode, AxiPipe, IdCompressor, MemoryController, Reader, Writer}
     for cls in closure_only:
         assert cls.tick is Component.tick and "compile_tick" in cls.__dict__
 
@@ -642,7 +641,7 @@ def test_one_body_per_model():
         if hasattr(comp, "compile_tick"):
             assert prog._tick_fns[comp._sched_index] is comp._tick_body
             seen.add(type(comp))
-    assert seen == closure_only | {MemoryController}
+    assert seen == closure_only
 
 
 # ---------------------------------------------------------------------------

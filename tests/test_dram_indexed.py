@@ -1,29 +1,40 @@
-"""Randomised differential for the memory controller's two tick bodies.
+"""The memory controller against a standalone timing oracle.
 
-The interpreted ``MemoryController.tick`` selects by scanning everything it
-holds; the closure from ``compile_tick`` selects from the per-bank index and
-the R/B ready sets.  Both act through the same helpers, so they must be
-interchangeable cycle by cycle.  Seeded random AXI traffic goes straight into
-a controller (no NoC in between) under ``naive`` and ``compiled``:
+``dram_oracle.DramOracle`` restates the controller's documented policy
+(refresh, accept, per-ID in-order enqueue, bank prep, FR-FCFS issue with a
+direction streak, R/B round-robin) from ``DramTiming`` alone, as plain scans
+over plain lists, and shares no code with ``repro.dram.controller``.  It is
+the reference here:
 
-* the ``(cycle, (axi_id, RBeat/BResp))`` sequence the controller pushes,
-  its ``stats`` and the per-bank counters are identical;
-* the final ``MemoryStore`` equals a plain ``bytearray`` the script was
-  applied to, and every read of settled data returns that reference's bytes;
-* after every cycle, under both schedules, the indexes describe exactly what
-  a full scan of the transaction tables finds (``check_index``).
+* closed-form single-stream cases (row miss and CAS latency, a row-hit
+  stream, a row conflict, a refresh collision, bus turnaround and the
+  direction streak) pin the cycle of every push, and both the controller
+  and the oracle must hit those cycles;
+* seeded random AXI traffic goes straight into a controller (no NoC in
+  between) under ``naive`` and ``compiled``, and into the oracle: the
+  ``(cycle, (axi_id, RBeat/BResp))`` sequence pushed, ``stats``, the
+  per-bank counters and the final memory image are identical, the image
+  equals a plain ``bytearray`` the script was applied to, and every read of
+  settled data returns that reference's bytes;
+* after every cycle, under both schedules, the controller's indexes
+  describe exactly what a full scan of its transaction tables finds
+  (``check_index``).
 
-The same testbench is the controller-state differential for snapshots: a
-capture taken while a write burst is half fed restores into a rebuilt
-testbench and finishes exactly like the uninterrupted run.  The last section
-swaps bodies mid-run on the full memcpy design.
+The controller has one body, so ``naive`` against ``compiled`` checks only
+the schedules (its ``next_event`` hint and the wake sets); the oracle checks
+the model.  The same testbench is the controller-state differential for
+snapshots: a capture taken while a write burst is half fed restores into a
+rebuilt testbench and finishes exactly like the uninterrupted run.  The
+last section swaps schedules mid-transfer on the full memcpy design.
 """
 
 from __future__ import annotations
 
+import ast
 import pickle
 import random
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -37,6 +48,9 @@ from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
 from repro.sim import DEFAULT_SCHEDULING, Component, Simulator
 from repro.snapshot.engine import capture_sim_state, restore_sim_state
+
+import dram_oracle
+from dram_oracle import DramOracle
 
 MEM_BYTES = 1 << 20
 PAGE = 4096  # AXI bursts may not cross a 4 KB boundary
@@ -211,10 +225,29 @@ class Checker(Component):
         self.max_window = max(self.max_window, len(self.mc._sched))
 
 
+class OracleSlave(Component):
+    """Puts ``DramOracle`` on the slave side of a port, where the controller
+    would sit, and pushes what it returns through the same monitored port."""
+
+    def __init__(self, mport, timing):
+        super().__init__("oracle")
+        self.mport = mport
+        self.model = DramOracle(timing)
+
+    def tick(self, cycle: int) -> None:
+        r, b = self.model.step(cycle, self.mport.port)
+        if r is not None:
+            self.mport.push_r(cycle, r)
+        if b is not None:
+            self.mport.push_b(cycle, b)
+
+
 # ------------------------------------------------------------------- harness
-def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None, **overrides):
+def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None,
+                  oracle: bool = False, **overrides):
     """The seeded testbench, built but not run; everything about it but
-    ``scheduling`` (and ``w_rate``, when given) follows ``seed``.
+    ``scheduling`` (and ``w_rate``, when given) follows ``seed``.  With
+    ``oracle`` the slave is ``DramOracle`` instead of the controller.
 
     Half the seeds shrink the window to 2 or 4 entries, so ``room`` binds
     and the order the enqueue loops visit IDs decides who gets a slot; half
@@ -240,43 +273,56 @@ def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None, **
     if write_first:
         writes[0]["axi_id"] = reads[len(reads) // 2]["axi_id"] = n_ids
     mport = RecordingPort(port, AxiMonitor("mem"))
-    mc = MemoryController(mport, timing)
     driver = Driver(
         mport, reads, writes, reference, random.Random(seed + 1),
         w_rate=drawn_rate if w_rate is None else w_rate, stall_rate=stall_rate,
     )
-    checker = Checker(mc)
+    if oracle:
+        mc, checker = None, None
+        slave = OracleSlave(mport, timing)
+    else:
+        slave = mc = MemoryController(mport, timing)
+        checker = Checker(mc)
     sim = Simulator(scheduling=scheduling)
     for chan in port.channels():
         sim.register_channel(chan)
-    for comp in (driver, mc, mport.monitor, checker):
-        sim.add(comp)
-    return SimpleNamespace(sim=sim, driver=driver, mc=mc, mport=mport, checker=checker,
-                           reference=reference, timing=timing, write_first=write_first)
+    for comp in (driver, slave, mport.monitor, checker):
+        if comp is not None:
+            sim.add(comp)
+    return SimpleNamespace(sim=sim, driver=driver, mc=mc, slave=slave, mport=mport,
+                           checker=checker, reference=reference, timing=timing,
+                           write_first=write_first)
+
+
+#: What a run shows from outside the slave, compared against the oracle.
+OBSERVED = ("cycles", "log", "stats", "banks", "image")
 
 
 def finish_traffic(tb):
     """Run ``tb`` to the last response; what the run did, for comparison."""
-    sim, driver, mc, mport, timing = tb.sim, tb.driver, tb.mc, tb.mport, tb.timing
+    sim, driver, mport, timing = tb.sim, tb.driver, tb.mport, tb.timing
     sim.run(400_000, until=driver.done)
     sim.run(50)  # nothing may trail the last response
-    assert mc.idle() and not mc._sched and not mport.monitor.outstanding()
+    assert not mport.monitor.outstanding()
+    model = tb.slave.model if tb.mc is None else tb.mc
+    assert model.idle()
     image = bytearray(MEM_BYTES)
-    for index, block in mc.store._blocks.items():
+    for index, block in model.store._blocks.items():
         image[index * timing.col_bytes:(index + 1) * timing.col_bytes] = block
     assert image == tb.reference
-    return {
+    run = {
         "cycles": sim.cycle,
         "log": mport.log,
-        "stats": {k: int(v) for k, v in mc.stats.items()},
-        "banks": [(b.activations, b.row_hits, b.row_misses, b.open_row) for b in mc.banks],
+        "stats": {k: int(v) for k, v in model.stats.items()},
+        "banks": [(b.activations, b.row_hits, b.row_misses, b.open_row) for b in model.banks],
         "image": bytes(image),
-        "rr_pos": mc._return_rr_pos,
-        "max_streak": tb.checker.max_streak,
-        "max_window": tb.checker.max_window,
         "timing": timing,
         "write_first": tb.write_first,
     }
+    if tb.mc is not None:
+        run.update(rr_pos=tb.mc._return_rr_pos, max_streak=tb.checker.max_streak,
+                   max_window=tb.checker.max_window)
+    return run
 
 
 def run_traffic(seed: int, scheduling: str, **overrides):
@@ -284,22 +330,27 @@ def run_traffic(seed: int, scheduling: str, **overrides):
     return finish_traffic(traffic_bench(seed, scheduling, **overrides))
 
 
-def assert_bodies_agree(seed: int, **overrides):
+def assert_matches_oracle(seed: int, **overrides):
+    """The controller under both schedules and the oracle agree on ``seed``'s
+    traffic; the controller's run, for further checks."""
     naive = run_traffic(seed, "naive", **overrides)
     compiled = run_traffic(seed, "compiled", **overrides)
     assert compiled == naive
+    want = run_traffic(seed, "naive", oracle=True, **overrides)
+    assert {k: naive[k] for k in OBSERVED} == {k: want[k] for k in OBSERVED}
     return naive
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_indexed_body_matches_scanning_body(seed):
-    assert_bodies_agree(seed)
+    """The controller's indexed body against the oracle's scans."""
+    assert_matches_oracle(seed)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(20, 220))
 def test_indexed_body_matches_scanning_body_long_sweep(seed):
-    assert_bodies_agree(seed)
+    assert_matches_oracle(seed)
 
 
 def test_refresh_edges_inside_the_run():
@@ -307,16 +358,16 @@ def test_refresh_edges_inside_the_run():
     banks compete for the two prep slots: oldest head first, not lowest
     bank first (seeds 14 and 24 tell the two apart)."""
     for seed in (3, 14, 24):
-        run = assert_bodies_agree(seed, t_refi=257, t_rfc=40)
+        run = assert_matches_oracle(seed, t_refi=257, t_rfc=40)
         assert run["stats"]["refreshes"] >= 2 and run["cycles"] > 2 * 257
 
 
 def test_direction_streak_is_forced_past_its_limit():
     """Past ``direction_streak`` the pick is the oldest ready column whatever
-    its direction, so the streak itself may run on: both bodies must take
-    that branch on the same cycles."""
+    its direction, so the streak itself may run on: the controller must
+    take that branch on the oracle's cycles."""
     for seed in (3, 14, 23, 51):
-        run = assert_bodies_agree(seed, direction_streak=4)
+        run = assert_matches_oracle(seed, direction_streak=4)
         assert run["max_streak"] > 4 and run["stats"]["turnarounds"] >= 30
 
 
@@ -332,6 +383,160 @@ def test_sweep_reaches_the_corners_it_names():
     assert any(r["write_first"] for r in runs)
     assert any(r["stats"]["row_conflicts"] > 20 for r in runs)
     assert any(r["stats"]["refreshes"] for r in runs)
+
+
+def test_oracle_shares_no_code_with_the_controller():
+    """The oracle reads the timing parameters, the backing store and the AXI
+    payload types from ``repro``, and nothing else."""
+    tree = ast.parse(Path(dram_oracle.__file__).read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if node.module.startswith("repro")
+    }
+    assert imported == {("repro.axi.types", "BResp"), ("repro.axi.types", "RBeat"),
+                        ("repro.dram.store", "MemoryStore"),
+                        ("repro.dram.timing", "DramTiming")}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("repro") for alias in node.names)]
+
+
+# ------------------------------------------------------ closed-form timing
+PARTS = {"ddr4": DDR4_AWS_F1, "lpddr4": LPDDR4_KRIA}
+
+
+class Script(Component):
+    """Pushes ``(cycle, channel, item)`` entries at their cycles and drains
+    R and B every cycle."""
+
+    def __init__(self, mport, pushes):
+        super().__init__("script")
+        self.mport, self.pushes = mport, pushes
+
+    def tick(self, cycle: int) -> None:
+        for when, chan, item in self.pushes:
+            if when == cycle:
+                getattr(self.mport, "push_" + chan)(cycle, item)
+        port = self.mport.port
+        if port.r.can_pop():
+            port.r.pop()
+        if port.b.can_pop():
+            port.b.pop()
+
+
+def closed_form(timing, pushes, cycles: int):
+    """Run ``pushes`` into the controller and into the oracle for
+    ``cycles`` cycles; both must push the same ``(cycle, axi_id, "R"/"B",
+    tag)`` sequence and count the same statistics, which are returned."""
+    runs = []
+    for oracle in (False, True):
+        mport = RecordingPort(AxiPort(AxiParams(beat_bytes=timing.col_bytes), "mem", depth=8),
+                              AxiMonitor("mem"))
+        slave = OracleSlave(mport, timing) if oracle else MemoryController(mport, timing)
+        sim = Simulator(scheduling="naive")
+        for chan in mport.port.channels():
+            sim.register_channel(chan)
+        for comp in (Script(mport, pushes), slave, mport.monitor):
+            sim.add(comp)
+        sim.run(cycles)
+        model = slave.model if oracle else slave
+        runs.append((
+            [(c, axi_id, type(p).__name__[0], p.tag) for c, (axi_id, p) in mport.log],
+            {k: int(v) for k, v in model.stats.items()},
+        ))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def _read(cycle, axi_id, addr, beats, tag):
+    return cycle, "ar", ARReq(axi_id, addr, beats, tag=tag)
+
+
+def _write(cycle, axi_id, addr, beats, tag, col_bytes):
+    return [(cycle, "aw", AWReq(axi_id, addr, beats, tag=tag))] + [
+        (cycle, "w", WBeat(bytes([tag + 1]) * col_bytes, last=i == beats - 1))
+        for i in range(beats)
+    ]
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_row_miss_and_cas_latency(part):
+    """A read seen at cycle 1 opens its closed bank (``t_rcd``), takes the
+    bus, and its data leaves ``t_cl`` later."""
+    t = PARTS[part]
+    log, stats = closed_form(t, [_read(0, 0, 0, 1, tag=0)], cycles=40)
+    assert log == [(1 + t.t_rcd + t.t_cl, 0, "R", 0)]
+    assert (stats["row_misses"], stats["row_hits"], stats["row_conflicts"]) == (1, 1, 0)
+    assert stats["queue_wait_cycles"] == t.t_rcd and stats["turnarounds"] == 0
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_row_hit_stream(part):
+    """Sixteen columns of one open row go out one per bus cycle; the window
+    fills 8 columns per cycle, so the second eight waited one cycle less."""
+    t = PARTS[part]
+    log, stats = closed_form(t, [_read(0, 0, 0, 16, tag=0)], cycles=60)
+    assert log == [(1 + t.t_rcd + t.t_cl + k, 0, "R", 0) for k in range(16)]
+    assert (stats["row_misses"], stats["row_hits"], stats["bus_cycles"]) == (1, 16, 16)
+    assert stats["queue_wait_cycles"] == sum(t.t_rcd + k - (k >= 8) for k in range(16))
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_row_conflict(part):
+    """A second row of the same bank waits for the first read to leave the
+    window and for ``t_ras`` since the activate, then pays ``t_rp +
+    t_rcd``."""
+    t = PARTS[part]
+    other_row = t.row_bytes * t.n_banks  # bank 0, row 1
+    log, stats = closed_form(
+        t, [_read(0, 0, 0, 1, tag=0), _read(0, 1, other_row, 1, tag=1)], cycles=60)
+    prep = max(2 + t.t_rcd, 1 + t.t_ras)
+    assert log == [(1 + t.t_rcd + t.t_cl, 0, "R", 0),
+                   (prep + t.t_rp + t.t_rcd + t.t_cl, 1, "R", 1)]
+    assert (stats["row_misses"], stats["row_conflicts"], stats["row_hits"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_refresh_collision(part):
+    """A read arriving on a refresh edge finds its row closed and its bank
+    blocked for ``t_rfc``, then reopens the row."""
+    t = replace(PARTS[part], t_refi=40, t_rfc=10)
+    log, stats = closed_form(
+        t, [_read(0, 0, 0, 1, tag=0), _read(t.t_refi - 1, 0, t.col_bytes, 1, tag=1)],
+        cycles=2 * t.t_refi - 1)
+    assert log == [(1 + t.t_rcd + t.t_cl, 0, "R", 0),
+                   (t.t_refi + t.t_rfc + t.t_rcd + t.t_cl, 0, "R", 1)]
+    assert (stats["refreshes"], stats["row_misses"], stats["row_conflicts"]) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_bus_turnaround(part):
+    """Read, write, read on one open row: each direction change idles the
+    bus ``t_bus_turn`` cycles after its column, so the second read leaves
+    that much later than back-to-back columns would."""
+    t = PARTS[part]
+    first = 1 + t.t_rcd  # the row opens; the first read takes the bus
+    pushes = [_read(0, 0, 0, 1, tag=0), *_write(0, 1, t.col_bytes, 1, 1, t.col_bytes),
+              _read(first + 1, 2, 2 * t.col_bytes, 1, tag=2)]
+    log, stats = closed_form(t, pushes, cycles=60)
+    assert log == [(first + 1, 1, "B", 1), (first + t.t_cl, 0, "R", 0),
+                   (first + 2 + t.t_bus_turn + t.t_cl, 2, "R", 2)]
+    assert (stats["turnarounds"], stats["read_cols"], stats["write_cols"]) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_closed_form_direction_streak(part):
+    """With ``direction_streak=2`` and older writes waiting behind reads,
+    the bus alternates two columns each way: a direction change restarts
+    the streak at one, so the second column after it ends the run."""
+    t = replace(PARTS[part], direction_streak=2)
+    tb, first = t.t_bus_turn, 1 + t.t_rcd
+    pushes = [*_write(0, 1, 8 * t.col_bytes, 4, 1, t.col_bytes), _read(1, 0, 0, 4, tag=0)]
+    log, stats = closed_form(t, pushes, cycles=80)
+    reads = [first, first + 1, first + 4 + tb, first + 5 + 2 * tb]
+    assert log == sorted([(c + t.t_cl, 0, "R", 0) for c in reads]
+                         + [(first + 7 + 3 * tb, 1, "B", 1)])
+    assert stats["turnarounds"] == 3
 
 
 # ------------------------------------------------ snapshot of a half-fed write
@@ -352,7 +557,7 @@ def test_restore_mid_write_matches_uninterrupted_run(seed):
     where one is, capture the testbench, round-trip the payload through
     pickle, restore it into a testbench rebuilt from the same seed and
     finish: cycles, push log, stats, banks and memory image equal the
-    uninterrupted run, under the scanning body and the indexed one."""
+    uninterrupted run, under both schedules."""
     start = random.Random(seed ^ 0x5EED).randrange(50, 1000)
     for scheduling in ("naive", "compiled"):
         want = run_traffic(seed, scheduling, w_rate=0.15)
@@ -367,7 +572,7 @@ def test_restore_mid_write_matches_uninterrupted_run(seed):
         assert finish_traffic(resumed) == want
 
 
-# ------------------------------------------------------ two bodies, one state
+# ------------------------------------------------- two schedules, one body
 def memcpy32_submitted(scheduling=DEFAULT_SCHEDULING, active: int = 32, size: int = 1024):
     """The 32-core memcpy design with ``active`` copies submitted, not yet run."""
     build = BeethovenBuild(memcpy_config(n_cores=32), AWSF1Platform(), scheduling=scheduling)
@@ -388,9 +593,12 @@ def _outcome(build, handle, futs):
 
 
 def test_swapping_bodies_mid_transfer_is_invisible():
-    """``sim.step()`` runs the interpreted ``tick``, ``sim.run`` under
-    ``compiled`` the closure; alternating them mid-transfer, with the window
-    and the R/B queues occupied, ends where an uninterrupted naive run does."""
+    """``sim.step()`` ticks every component (the naive schedule), ``run``
+    under ``compiled`` only the woken ones, both through the controller's
+    one closure.  Swapping between naive steps and compiled runs
+    mid-transfer, with the window and the R/B queues occupied, ends where
+    an uninterrupted naive run does: a compiled run entered after naive
+    steps must wake what those steps changed."""
     build, handle, futs = memcpy32_submitted("naive")
     for fut in futs:
         fut.get()

@@ -24,7 +24,7 @@ def memcpy_build():
     build = BeethovenBuild(
         memcpy_config(n_cores=1),
         AWSF1Platform(),
-        observability=Observability(enabled=True),
+        observability=Observability(profile=True),
     )
     handle = FpgaHandle(build.design)
     size = 4096
@@ -119,6 +119,20 @@ def test_observability_off_disables_spans_and_profiler():
     # Metrics stay on: they are cheap enough to be unconditional.
     assert build.metrics()["runtime/server/commands_sent"] == 1
     assert "no profile samples" in build.profile_report()
+
+
+def test_a_partial_config_leaves_the_profiler_off():
+    """``Observability``'s defaults are the build's defaults: naming only
+    ``max_events`` does not turn the wall-clock profiler on."""
+    build = BeethovenBuild(
+        memcpy_config(n_cores=1),
+        AWSF1Platform(),
+        observability=Observability(max_events=1000),
+    )
+    assert build.design.sim.profile_enabled is False
+    assert build.design.tracer.max_events == 1000
+    default = BeethovenBuild(memcpy_config(n_cores=1), AWSF1Platform())
+    assert default.design.observability == Observability()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     build = BeethovenBuild(
         memcpy_config(n_cores=1),
         AWSF1Platform(),
-        observability=Observability(enabled=True),
+        observability=Observability(profile=True),
         scheduling=args.scheduling,
     )
     handle = FpgaHandle(build.design)

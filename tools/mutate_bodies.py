@@ -9,7 +9,8 @@ then applies the mutants one at a time and runs each one's test: the test
 must fail.
 
 The killing tests are independent oracles — cycle pins, ``bytearray`` data
-references, ``AxiMonitor`` records, the paper anchors — never a
+references, ``AxiMonitor`` records, the standalone DRAM timing model in
+``tests/dram_oracle.py`` and its closed-form cases — never a
 naive-vs-compiled comparison: both schedules step the same body, so a
 mutant changes both alike and such a comparison cannot see it.
 
@@ -110,7 +111,39 @@ MUTANTS = (
         "self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])",
         "self.store.write(req.addr, txn.wdata[idx], None)",
         "tests/test_memory_primitives.py::test_writer_partial_tail_strb",
-        "MemoryController._issue (both bodies): a strobed write column stores every byte",
+        "MemoryController._issue: a strobed write column stores every byte",
+    ),
+    Mutant(
+        "dram-streak-restart-off-by-one",
+        "src/repro/dram/controller.py",
+        "            self._dir_streak = 1\n",
+        "            self._dir_streak = 0\n",
+        "tests/test_dram_indexed.py::test_closed_form_direction_streak[ddr4]",
+        "MemoryController._issue: a direction change restarts the streak at 0",
+    ),
+    Mutant(
+        "dram-turnaround-dropped",
+        "src/repro/dram/controller.py",
+        "cycle + 1 + self.timing.t_bus_turn",
+        "cycle + 1",
+        "tests/test_dram_indexed.py::test_closed_form_bus_turnaround[ddr4]",
+        "MemoryController._issue: a direction change costs no bus turnaround",
+    ),
+    Mutant(
+        "dram-cas-off-by-one",
+        "src/repro/dram/controller.py",
+        "cycle + self.timing.t_cl",
+        "cycle + self.timing.t_cl + 1",
+        "tests/test_dram_indexed.py::test_closed_form_row_miss_and_cas_latency[ddr4]",
+        "MemoryController._issue: read data is back one cycle after the CAS latency",
+    ),
+    Mutant(
+        "dram-enqueue-rr-order",
+        "src/repro/dram/controller.py",
+        "                for pos in sorted(read_active):\n",
+        "                for pos in sorted(read_active, key=lambda p: rr_index[read_slots[p][0]]):\n",
+        "tests/test_dram_indexed.py::test_indexed_body_matches_scanning_body[1]",
+        "MemoryController enqueue: read IDs visited in round-robin order, not first-seen order",
     ),
 )
 
@@ -143,7 +176,7 @@ def main() -> int:
             target = tree / m.path
             source = target.read_text()
             if source.count(m.old) != 1:
-                print(f"{m.name:26} STALE     the edit matches {m.path} "
+                print(f"{m.name:30} STALE     the edit matches {m.path} "
                       f"{source.count(m.old)} times, not once")
                 failures += 1
                 continue
@@ -159,7 +192,7 @@ def main() -> int:
             else:
                 verdict = "SURVIVED" if code == 0 else f"ERROR {code}"
             failures += verdict != "killed"
-            print(f"{m.name:26} {verdict:9} {time.perf_counter() - t0:5.1f} s  {m.test}")
+            print(f"{m.name:30} {verdict:9} {time.perf_counter() - t0:5.1f} s  {m.test}")
     print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
