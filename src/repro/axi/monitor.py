@@ -50,7 +50,8 @@ class AxiMonitor(Component):
     Beethoven masters call these hooks through :class:`MonitoredAxiPort`.
     """
 
-    _snapshot_exclude = ("tracer",)  # wiring, rebuilt by elaboration
+    _state = ("records", "_open_reads", "_open_writes", "_read_order", "_write_order",
+              "_read_beats_seen", "_active_read_tag", "errors")
 
     def __init__(self, port_name: str, tracer: Tracer = NULL_TRACER) -> None:
         super().__init__(f"mon.{port_name}")
@@ -181,9 +182,7 @@ class MonitoredAxiPort:
     arrives in address order).
     """
 
-    # Wiring, rebuilt by elaboration.  Not ``monitor``: a bare testbench may
-    # leave it out of the simulator, and then this is the only path to it.
-    _snapshot_exclude = ("port",)
+    _state = ("monitor", "_w_tags", "_w_beats_left")
 
     def __init__(self, port: AxiPort, monitor: AxiMonitor) -> None:
         self.port = port

@@ -27,7 +27,7 @@ class DelayCore(AcceleratorCore):
     makes long-latency kernels cheap under event-skipping simulation.
     """
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ("_respond_at", "_responding", "jobs_done")
 
     def __init__(self, ctx, latency_cycles: int, io_name: str = "run") -> None:
         super().__init__(ctx)

@@ -23,7 +23,9 @@ from repro.sim import Component
 class HdlMemcpyMaster(Component):
     """Single-outstanding-per-direction streaming copier."""
 
-    _snapshot_exclude = ("port",)  # wiring, rebuilt by elaboration
+    _state = ("started", "done", "_src", "_dst", "_len", "_read_segments",
+              "_write_segments", "_fifo", "_fifo_bytes", "_read_open", "_aw_open",
+              "_w_payload", "_writes_outstanding", "_write_inflight")
 
     def __init__(
         self,

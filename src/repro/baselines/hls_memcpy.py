@@ -29,7 +29,9 @@ from repro.sim import Component
 class HlsMemcpyMaster(Component):
     """Single-ID, short-burst, FIFO-coupled copier."""
 
-    _snapshot_exclude = ("port",)  # wiring, rebuilt by elaboration
+    _state = ("started", "done", "_read_segments", "_write_segments", "_fifo",
+              "_fifo_bytes", "_reads_outstanding", "_reserved_bytes", "_aw_open",
+              "_writes_outstanding")
 
     def __init__(
         self,

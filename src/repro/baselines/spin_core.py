@@ -24,7 +24,7 @@ from repro.sim import NEVER
 class SpinCore(AcceleratorCore):
     """Spins ``rounds`` cycles of integer hashing per command, then responds."""
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ("_remaining", "_phase", "_done_pending", "jobs_done")
 
     def __init__(self, ctx, work_per_tick: int = 64) -> None:
         super().__init__(ctx)
@@ -37,7 +37,7 @@ class SpinCore(AcceleratorCore):
             EmptyAccelResponse(),
         )
         self._remaining = 0
-        self._state = 0
+        self._phase = 0
         self._done_pending = False
         self.jobs_done = 0
 
@@ -53,11 +53,11 @@ class SpinCore(AcceleratorCore):
                 self._done_pending = False
             return
         if self._remaining > 0:
-            x = self._state
+            x = self._phase
             for _ in range(self.work_per_tick):
                 x = (x * 1103515245 + 12345) & 0xFFFFFFFF
                 x ^= x >> 13
-            self._state = x
+            self._phase = x
             self._remaining -= 1
             if self._remaining == 0:
                 self._done_pending = True
@@ -65,7 +65,7 @@ class SpinCore(AcceleratorCore):
         if self.io.req.can_pop():
             cmd = self.io.req.pop()
             self._remaining = max(int(cmd["rounds"]), 1)
-            self._state = int(cmd["seed"]) & 0xFFFFFFFF
+            self._phase = int(cmd["seed"]) & 0xFFFFFFFF
 
     def next_event(self, cycle: int) -> float:
         if self._remaining > 0 or self._done_pending:

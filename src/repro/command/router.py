@@ -44,7 +44,7 @@ class BeethovenIO:
 class CoreCommandAdapter(Component):
     """Command unpacker + response packer sitting next to one core."""
 
-    _snapshot_exclude = ("cmd_in", "ios", "resp_out", "spans")  # wiring, rebuilt by elaboration
+    _state = ("_chunks", "_pending_rd", "commands_delivered", "responses_packed")
 
     def __init__(
         self,
@@ -184,8 +184,7 @@ class CommandRouter(Component):
     resource model.
     """
 
-    # wiring, rebuilt by elaboration
-    _snapshot_exclude = ("_routes", "_route_list", "cmd_in", "resp_out")
+    _state = ("_cmd_delay", "_resp_delay", "_resp_rr", "commands_routed", "responses_routed")
 
     def __init__(self, name: str = "cmdrouter") -> None:
         super().__init__(name)
@@ -296,7 +295,7 @@ class MmioFrontend(Component):
     # MMIO path, modelling a lost interrupt/register read on real hardware.
     _fault = None
 
-    _snapshot_exclude = ("router", "cmd_words", "resp_words")  # wiring, rebuilt by elaboration
+    _state = ("_fault", "_partial", "commands_forwarded", "responses_forwarded")
 
     def __init__(self, router: CommandRouter, name: str = "mmio") -> None:
         super().__init__(name)

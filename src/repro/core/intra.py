@@ -38,7 +38,7 @@ class IntraCoreBroadcast(Component):
     endpoint).
     """
 
-    _snapshot_exclude = ("input", "sinks")  # wiring, rebuilt by elaboration
+    _state = ("forwarded",)
 
     def __init__(self, name: str, sinks: List[IntraCoreLink]) -> None:
         super().__init__(f"bcast.{name}")
@@ -72,7 +72,7 @@ class IntraCoreMemory(Component):
     cycle (matching a physical write port per channel).
     """
 
-    _snapshot_exclude = ("links",)  # wiring, rebuilt by elaboration
+    _state = ("mem", "writes_applied")
 
     def __init__(
         self,

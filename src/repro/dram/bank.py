@@ -22,12 +22,16 @@ class Bank:
     open_row: Optional[int] = None
     ready_at: int = 0  # cycle at which the bank next accepts a command
     activated_at: int = -(10**9)  # last activate, for t_ras
-    # Statistics
+    # The open row was activated and has served no column yet.
+    fresh: bool = False
+    # Statistics: every column is one hit or one miss, the miss being the
+    # first column after an activation.
     activations: int = 0
     row_hits: int = 0
     row_misses: int = 0
 
-    _snapshot_exclude = ("timing",)  # shared config, rebuilt by elaboration
+    _state = ("open_row", "ready_at", "activated_at", "fresh", "activations", "row_hits",
+              "row_misses")
 
     def row_open(self, row: int, cycle: int) -> bool:
         return self.open_row == row and cycle >= self.ready_at
@@ -50,13 +54,18 @@ class Bank:
         self.ready_at = cycle + cost
         self.activated_at = cycle + cost - self.timing.t_rcd
         self.activations += 1
+        self.fresh = True
 
     def block_for_refresh(self, cycle: int) -> None:
         self.ready_at = max(self.ready_at, cycle + self.timing.t_rfc)
         self.open_row = None
 
-    def record_access(self, hit: bool) -> None:
-        if hit:
-            self.row_hits += 1
-        else:
+    def record_access(self) -> bool:
+        """Count one column on the open row; whether it hit (the first
+        column after an activation is the miss)."""
+        if self.fresh:
+            self.fresh = False
             self.row_misses += 1
+            return False
+        self.row_hits += 1
+        return True

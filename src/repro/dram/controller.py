@@ -101,8 +101,12 @@ class MemoryController(Component):
     # bits and marking the beat ``err`` (the modeled ECC detects the flip).
     _fault = None
 
-    # Wiring and timing constants, rebuilt by elaboration.
-    _snapshot_exclude = ("port", "timing", "_col_bytes", "_cols_per_row", "_n_banks")
+    _state = ("_fault", "mport", "store", "banks", "stats", "_read_txns", "_write_txns",
+              "_id_read_issue", "_id_read_return", "_id_write_issue", "_id_write_return",
+              "_writes_awaiting_data", "_id_read_pipe", "_id_write_pipe", "_read_pos",
+              "_write_pos", "_read_active", "_write_active", "_sched", "_sched_seq",
+              "_bank_q", "_live_banks", "_bus_free_at", "_bus_dir_write", "_dir_streak",
+              "_return_rr", "_rr_index", "_return_rr_pos", "_r_cand", "_b_ready")
 
     def __init__(
         self,
@@ -274,8 +278,6 @@ class MemoryController(Component):
         if bank.open_row is not None:
             self.stats["row_conflicts"].value += 1
         bank.prep(req.row, cycle)
-        bank.record_access(False)
-        self.stats["row_misses"].value += 1
 
     def _issue(self, req: _ColReq, cycle: int) -> None:
         """Put the picked column on the data bus and leave the window."""
@@ -298,8 +300,7 @@ class MemoryController(Component):
             q.remove(req)
         if not q:
             self._live_banks.discard(req.bank)
-        self.banks[req.bank].record_access(True)
-        stats["row_hits"].value += 1
+        stats["row_hits" if self.banks[req.bank].record_access() else "row_misses"].value += 1
         txn = req.txn
         if req.is_write:
             idx = req.beat_idx
@@ -640,14 +641,13 @@ class MemoryController(Component):
         seconds = cycles / (clock_mhz * 1e6) if cycles else 1.0
         total_accesses = self.stats["read_cols"] + self.stats["write_cols"]
         activations = sum(b.activations for b in self.banks)
+        hits, misses = int(self.stats["row_hits"]), int(self.stats["row_misses"])
         return {
             "read_bytes": self.stats["read_cols"] * beat,
             "write_bytes": self.stats["write_cols"] * beat,
             "bandwidth_gbps": total_accesses * beat / seconds / 1e9,
             "bus_utilisation": self.bus_utilisation(cycles),
-            "row_hit_rate": (
-                1.0 - activations / total_accesses if total_accesses else 0.0
-            ),
+            "row_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "activations": float(activations),
             "turnarounds": float(self.stats["turnarounds"]),
             "refresh_overhead": self.stats["refreshes"]

@@ -16,6 +16,8 @@ from typing import Optional, Tuple
 class FaultError(RuntimeError):
     """Base class for typed fault outcomes surfaced to the host."""
 
+    _state = ("args", "key", "dump")
+
     def __init__(self, message: str, key: Optional[Tuple[int, int]] = None) -> None:
         super().__init__(message)
         #: (system_id, core_id) of the command this fault surfaced on, if known.
@@ -31,6 +33,8 @@ class CommandTimeout(FaultError):
     delivered through ``CommandContext.on_error`` when the runtime server's
     watchdog exhausts its retries.
     """
+
+    _state = ("attempts",)
 
     def __init__(
         self,
@@ -52,6 +56,8 @@ class FaultedResponse(FaultError):
     into this error instead of silently handing corrupt data to the caller.
     """
 
+    _state = ("attempts", "events")
+
     def __init__(
         self,
         message: str,
@@ -71,3 +77,5 @@ class CoreQuarantined(FaultError):
     Raised synchronously by ``FpgaHandle.call`` / resubmission when every
     core of the addressed system has been quarantined by the watchdog.
     """
+
+    _state = ()

@@ -211,6 +211,8 @@ class FaultState:
     differential harness's bit-identical comparison.
     """
 
+    _state = ("events", "_poison", "counts")
+
     def __init__(self, plan: FaultPlan, registry, tracer=None) -> None:
         self.plan = plan
         self.tracer = tracer
@@ -264,6 +266,8 @@ def _flip_one_bit(data: bytes, rng: random.Random) -> Tuple[bytes, int]:
 class DramReadFaultHook:
     """Bit-flips column reads inside the DRAM controller."""
 
+    _state = ("rng", "budget")
+
     def __init__(self, state: FaultState, site: str, rng, rate: float, budget: int) -> None:
         self.state = state
         self.site = site
@@ -282,6 +286,8 @@ class DramReadFaultHook:
 
 class AxiNodeFaultHook:
     """Corrupts or drops R beats and drops B responses at one NoC node."""
+
+    _state = ("rng", "budget")
 
     def __init__(
         self,
@@ -333,6 +339,8 @@ class AxiNodeFaultHook:
 
 class MmioFaultHook:
     """Eats whole responses at the MMIO frontend (lost interrupt model)."""
+
+    _state = ("rng", "budget")
 
     def __init__(self, state: FaultState, site: str, rng, rate: float, budget: int) -> None:
         self.state = state

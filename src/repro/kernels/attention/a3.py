@@ -50,8 +50,9 @@ STAGE_FIFO_DEPTH = 2
 class A3Core(AcceleratorCore):
     """One A^3 core: stationary K/V, streaming queries."""
 
-    # wiring, rebuilt by elaboration
-    _snapshot_exclude = ("io_init", "io_attend", "queries", "out", "keys_sp", "values_sp")
+    _state = ("_init_pending", "_k_mat", "_v_mat", "_attending", "_temp_q", "_queries_left",
+              "_s1", "_s2", "_s3", "_fifo_scores", "_fifo_weights", "_out_chunks",
+              "queries_processed")
 
     def __init__(self, ctx, dim: int = 64, n_keys: int = 320) -> None:
         super().__init__(ctx)

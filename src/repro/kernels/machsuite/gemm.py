@@ -31,7 +31,7 @@ PIPELINE_DEPTH = 12
 class GemmCore(PhasedKernelCore):
     """C = A @ B over int32, streamed from/to memory."""
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ()
 
     def __init__(self, ctx, unroll_i: int = 4, unroll_j: int = 4) -> None:
         super().__init__(ctx)
@@ -64,20 +64,19 @@ class GemmCore(PhasedKernelCore):
         return -(-(n**3) // lanes) + PIPELINE_DEPTH
 
     def plan(self, cmd) -> KernelPlan:
-        n = cmd["n"]
-        nbytes = n * n * 4
-
-        def compute(loaded):
-            a = np.frombuffer(loaded["mat_a"], dtype=np.int32).reshape(n, n)
-            b = np.frombuffer(loaded["mat_b"], dtype=np.int32).reshape(n, n)
-            c = gemm(a, b)
-            return {"mat_c": c.tobytes()}, self.compute_cycles(n)
-
+        nbytes = cmd["n"] ** 2 * 4
         return KernelPlan(
             loads=[("mat_a", cmd["a_addr"], nbytes), ("mat_b", cmd["b_addr"], nbytes)],
             stores=[("mat_c", cmd["c_addr"])],
-            compute=compute,
+            cmd=cmd,
         )
+
+    def compute(self, plan, loaded):
+        n = plan.cmd["n"]
+        a = np.frombuffer(loaded["mat_a"], dtype=np.int32).reshape(n, n)
+        b = np.frombuffer(loaded["mat_b"], dtype=np.int32).reshape(n, n)
+        c = gemm(a, b)
+        return {"mat_c": c.tobytes()}, self.compute_cycles(n)
 
 
 def gemm_config(

@@ -28,7 +28,7 @@ PIPELINE_DEPTH = 24  # deep FP pipeline: rsqrt chain
 class MdKnnCore(PhasedKernelCore):
     """Forces from positions + neighbour lists (float32)."""
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ()
 
     def __init__(self, ctx, unroll: int = 4) -> None:
         super().__init__(ctx)
@@ -60,21 +60,21 @@ class MdKnnCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n, k = cmd["n_atoms"], cmd["k"]
-
-        def compute(loaded):
-            pos = np.frombuffer(loaded["positions"], dtype=np.float32).reshape(n, 3)
-            nl = np.frombuffer(loaded["neighbors"], dtype=np.int32).reshape(n, k)
-            forces = md_knn(pos, nl)
-            return {"forces": forces.tobytes()}, self.compute_cycles(n, k)
-
         return KernelPlan(
             loads=[
                 ("positions", cmd["pos_addr"], n * 12),
                 ("neighbors", cmd["nl_addr"], n * k * 4),
             ],
             stores=[("forces", cmd["force_addr"])],
-            compute=compute,
+            cmd=cmd,
         )
+
+    def compute(self, plan, loaded):
+        n, k = plan.cmd["n_atoms"], plan.cmd["k"]
+        pos = np.frombuffer(loaded["positions"], dtype=np.float32).reshape(n, 3)
+        nl = np.frombuffer(loaded["neighbors"], dtype=np.int32).reshape(n, k)
+        forces = md_knn(pos, nl)
+        return {"forces": forces.tobytes()}, self.compute_cycles(n, k)
 
 
 def mdknn_config(

@@ -4,7 +4,8 @@ The low-effort Beethoven MachSuite designs share one shape: stream operands
 in through Readers, run a fixed-function pipeline over on-chip data, stream
 results out through Writers (Section III-B: "implemented ... over an
 afternoon").  ``PhasedKernelCore`` captures that shape: subclasses describe
-each command as a :class:`KernelPlan` (loads -> compute -> stores) and the
+each command as a :class:`KernelPlan` (loads -> stores), compute the stored
+bytes from the loaded ones in :meth:`PhasedKernelCore.compute`, and the
 base class runs the cycle-level FSM — parallel load streams, a busy window
 for the compute schedule (whose cycle count the subclass derives from its
 pipeline structure), parallel store streams, then the response.
@@ -17,7 +18,7 @@ references in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.accelerator import AcceleratorCore
 from repro.memory.types import ReadRequest, WriteRequest
@@ -26,14 +27,11 @@ from repro.sim import NEVER
 
 @dataclass
 class KernelPlan:
-    """One command's worth of work."""
+    """One command's worth of work: plain data, so a snapshot holds it whole."""
 
     loads: List[Tuple[str, int, int]]  # (reader channel name, addr, bytes)
     stores: List[Tuple[str, int]]  # (writer channel name, addr); data from compute
-    compute: Callable[[Dict[str, bytes]], Tuple[Dict[str, bytes], int]]
-    """Maps loaded bytes (by channel name) to (stored bytes by channel name,
-    compute busy cycles)."""
-
+    cmd: Dict[str, object] = field(default_factory=dict)  # the command's fields
     response: Dict[str, object] = field(default_factory=dict)
 
 
@@ -42,9 +40,13 @@ class PhasedKernelCore(AcceleratorCore):
 
     IDLE, LOAD, COMPUTE, STORE, RESPOND = range(5)
 
+    _state = ("_phase", "_plan", "_load_buf", "_load_need", "_load_requested",
+              "_store_data", "_store_off", "_stores_done", "_compute_done_at",
+              "commands_completed", "total_compute_cycles")
+
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
-        self._state = self.IDLE
+        self._phase = self.IDLE
         self._plan: Optional[KernelPlan] = None
         self._load_buf: Dict[str, bytearray] = {}
         self._load_need: Dict[str, int] = {}
@@ -62,6 +64,11 @@ class PhasedKernelCore(AcceleratorCore):
     def plan(self, cmd: Dict[str, object]) -> KernelPlan:
         raise NotImplementedError
 
+    def compute(self, plan: KernelPlan, loaded: Dict[str, bytes]) -> Tuple[Dict[str, bytes], int]:
+        """Map the loaded bytes (by channel name) to (stored bytes by channel
+        name, compute busy cycles)."""
+        raise NotImplementedError
+
     @property
     def command_io(self):
         """The BeethovenIO commands arrive on (first declared by default)."""
@@ -69,21 +76,21 @@ class PhasedKernelCore(AcceleratorCore):
 
     # -- FSM ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        if self._state == self.IDLE:
+        if self._phase == self.IDLE:
             self._tick_idle()
-        elif self._state == self.LOAD:
+        elif self._phase == self.LOAD:
             self._tick_load(cycle)
-        elif self._state == self.COMPUTE:
+        elif self._phase == self.COMPUTE:
             self._tick_compute(cycle)
-        elif self._state == self.STORE:
+        elif self._phase == self.STORE:
             self._tick_store()
-        elif self._state == self.RESPOND:
+        elif self._phase == self.RESPOND:
             self._tick_respond()
 
     def next_event(self, cycle: int) -> Optional[float]:
-        if self._state == self.IDLE:
+        if self._phase == self.IDLE:
             return NEVER  # woken by the next command
-        if self._state == self.COMPUTE:
+        if self._phase == self.COMPUTE:
             return max(cycle, self._compute_done_at)
         # LOAD/STORE/RESPOND advance on channel traffic, except a LOAD with
         # no loads, which moves on by itself: tick every cycle.
@@ -98,7 +105,7 @@ class PhasedKernelCore(AcceleratorCore):
         self._load_buf = {name: bytearray() for name, _, _ in self._plan.loads}
         self._load_need = {name: nbytes for name, _, nbytes in self._plan.loads}
         self._load_requested = False
-        self._state = self.LOAD
+        self._phase = self.LOAD
 
     def _tick_load(self, cycle: int) -> None:
         plan = self._plan
@@ -122,21 +129,21 @@ class PhasedKernelCore(AcceleratorCore):
             if len(buf) < self._load_need[name]:
                 done = False
         if done:
-            outputs, cycles = plan.compute(
-                {name: bytes(buf) for name, buf in self._load_buf.items()}
+            outputs, cycles = self.compute(
+                plan, {name: bytes(buf) for name, buf in self._load_buf.items()}
             )
             self._store_data = outputs
             busy = max(int(cycles), 1)
             self.total_compute_cycles += busy
             self._compute_done_at = cycle + busy
-            self._state = self.COMPUTE
+            self._phase = self.COMPUTE
 
     def _tick_compute(self, cycle: int) -> None:
         if cycle < self._compute_done_at:
             return
         plan = self._plan
         if not plan.stores:
-            self._state = self.RESPOND
+            self._phase = self.RESPOND
             return
         for name, addr in plan.stores:
             writer = self.get_writer_module(name)
@@ -144,7 +151,7 @@ class PhasedKernelCore(AcceleratorCore):
             writer.request.push(WriteRequest(addr, len(data)))
         self._store_off = {name: 0 for name, _ in plan.stores}
         self._stores_done = 0
-        self._state = self.STORE
+        self._phase = self.STORE
 
     def _tick_store(self) -> None:
         plan = self._plan
@@ -161,7 +168,7 @@ class PhasedKernelCore(AcceleratorCore):
                 writer.done.pop()
                 self._stores_done += 1
         if self._stores_done == len(plan.stores):
-            self._state = self.RESPOND
+            self._phase = self.RESPOND
 
     def _tick_respond(self) -> None:
         io = self.command_io
@@ -169,4 +176,4 @@ class PhasedKernelCore(AcceleratorCore):
             io.resp.push(self._plan.response)
             self.commands_completed += 1
             self._plan = None
-            self._state = self.IDLE
+            self._phase = self.IDLE

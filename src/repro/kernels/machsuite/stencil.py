@@ -30,7 +30,7 @@ PIPELINE_DEPTH = 10
 class Stencil2dCore(PhasedKernelCore):
     """out = conv3x3(grid, coeffs) with pass-through borders."""
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ()
 
     def __init__(self, ctx, unroll: int = 2) -> None:
         super().__init__(ctx)
@@ -62,27 +62,27 @@ class Stencil2dCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n = cmd["n"]
-
-        def compute(loaded):
-            grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n)
-            coeffs = np.frombuffer(loaded["coeffs"], dtype=np.int32).reshape(3, 3)
-            out = stencil2d(grid, coeffs)
-            return {"result": out.tobytes()}, self.compute_cycles(n)
-
         return KernelPlan(
             loads=[
                 ("grid", cmd["grid_addr"], n * n * 4),
                 ("coeffs", cmd["coeff_addr"], 36),
             ],
             stores=[("result", cmd["out_addr"])],
-            compute=compute,
+            cmd=cmd,
         )
+
+    def compute(self, plan, loaded):
+        n = plan.cmd["n"]
+        grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n)
+        coeffs = np.frombuffer(loaded["coeffs"], dtype=np.int32).reshape(3, 3)
+        out = stencil2d(grid, coeffs)
+        return {"result": out.tobytes()}, self.compute_cycles(n)
 
 
 class Stencil3dCore(PhasedKernelCore):
     """7-point stencil: out = c0*x + c1*sum(neighbours)."""
 
-    _snapshot_exclude = ("io",)  # wiring, rebuilt by elaboration
+    _state = ()
 
     def __init__(self, ctx, unroll: int = 4) -> None:
         super().__init__(ctx)
@@ -113,18 +113,17 @@ class Stencil3dCore(PhasedKernelCore):
         return -(-cells // self.unroll) + PIPELINE_DEPTH
 
     def plan(self, cmd) -> KernelPlan:
-        n = cmd["n"]
-
-        def compute(loaded):
-            grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n, n)
-            out = stencil3d(grid, cmd["c0"], cmd["c1"])
-            return {"result": out.tobytes()}, self.compute_cycles(n)
-
         return KernelPlan(
-            loads=[("grid", cmd["grid_addr"], n * n * n * 4)],
+            loads=[("grid", cmd["grid_addr"], cmd["n"] ** 3 * 4)],
             stores=[("result", cmd["out_addr"])],
-            compute=compute,
+            cmd=cmd,
         )
+
+    def compute(self, plan, loaded):
+        n, cmd = plan.cmd["n"], plan.cmd
+        grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n, n)
+        out = stencil3d(grid, cmd["c0"], cmd["c1"])
+        return {"result": out.tobytes()}, self.compute_cycles(n)
 
 
 def stencil2d_config(

@@ -21,7 +21,7 @@ from repro.memory.writer import WriterTuning
 class MemcpyCore(AcceleratorCore):
     """Copy ``len_bytes`` from ``src`` to ``dst`` at full bus width."""
 
-    _snapshot_exclude = ("io", "src_reader", "dst_writer")  # wiring, rebuilt by elaboration
+    _state = ("_active", "bytes_copied")
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)

@@ -21,7 +21,7 @@ from repro.memory.types import ReadRequest, WriteRequest
 class VectorAddCore(AcceleratorCore):
     """``for i in range(n_eles): vec[i] += addend`` (32-bit wraparound)."""
 
-    _snapshot_exclude = ("io", "vec_in", "vec_out")  # wiring, rebuilt by elaboration
+    _state = ("_active", "_addend", "words_processed")
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)

@@ -60,8 +60,11 @@ class Reader(Component):
     _fault_state = None
     _fault_key = None
 
-    # wiring, rebuilt by elaboration
-    _snapshot_exclude = ("port", "tuning", "data", "request", "spans")
+    _state = ("_pending", "_order", "_by_tag", "_span_by_tag", "_in_flight",
+              "_reserved_bytes", "_next_id", "_next_ar_cycle", "_head_since",
+              "_inflight_ok_since", "_buffer_ok_since", "bytes_delivered",
+              "requests_accepted", "bursts_issued", "stall_gap_cycles",
+              "stall_inflight_cycles", "stall_buffer_cycles", "stall_backpressure_cycles")
 
     def __init__(
         self,

@@ -39,6 +39,8 @@ class Memory:
     "untouched" as state.
     """
 
+    _state = ("_cells", "_pipes", "_out", "_read_used", "_write_used")
+
     on_activity = None
 
     def __init__(
@@ -136,7 +138,9 @@ class Scratchpad(Component):
     ``data_width_bits`` (little-endian), signalling ``init_done`` when full.
     """
 
-    _snapshot_exclude = ("ports", "init", "init_done", "reader")  # wiring, rebuilt by elaboration
+    _state = ("mem", "_init_active", "_init_row", "_init_bytes_left", "_init_residue",
+              "_resp_overflow", "_reads_in_flight", "reads_served", "writes_served",
+              "init_words", "inits_completed")
 
     def __init__(
         self,

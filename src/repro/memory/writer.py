@@ -61,8 +61,11 @@ class _ActiveRequest:
 class Writer(Component):
     """Streams core data to memory; pops ``done`` when the request landed."""
 
-    # wiring, rebuilt by elaboration
-    _snapshot_exclude = ("port", "tuning", "data", "request", "done", "spans")
+    _state = ("_requests", "_fill_buffer", "_issue_q", "_queued_payload", "_w_stream",
+              "_sub_payload", "_by_tag", "_span_by_tag", "_in_flight", "_buffered_bytes",
+              "_next_id", "_next_aw_cycle", "_head_since", "_inflight_ok_since",
+              "bytes_accepted", "requests_accepted", "bursts_issued", "stall_gap_cycles",
+              "stall_inflight_cycles", "stall_backpressure_cycles")
 
     def __init__(
         self,

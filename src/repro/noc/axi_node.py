@@ -40,7 +40,8 @@ class AxiBufferNode(Component):
     # constructions need no changes; a compiled FaultPlan installs instances.
     _fault = None
 
-    _snapshot_exclude = ("down", "upstreams")  # wiring, rebuilt by elaboration
+    _state = ("_fault", "_ar_rr", "_aw_rr", "_w_order", "forwarded", "stall_cycles",
+              "_stall_since")
 
     def __init__(
         self,
@@ -273,7 +274,7 @@ class AxiPipe(Component):
     cycles later (on top of the usual one-cycle channel registration).
     """
 
-    _snapshot_exclude = ("down", "up")  # wiring, rebuilt by elaboration
+    _state = ("_delay",)
 
     def __init__(self, upstream: AxiPort, downstream, latency: int, name: str = "axipipe") -> None:
         super().__init__(name)

@@ -23,7 +23,7 @@ from repro.sim import Component, SimulationError
 class IdCompressor(Component):
     """Folds a wide upstream ID space onto the controller's narrow one."""
 
-    _snapshot_exclude = ("up",)  # wiring, rebuilt by elaboration
+    _state = ("_read_orig", "_write_orig")
 
     def __init__(self, upstream: AxiPort, downstream, name: str = "idmap") -> None:
         super().__init__(name)

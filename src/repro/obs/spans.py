@@ -41,6 +41,9 @@ Key = Tuple[int, int]  # (system_id, core_id)
 class CommandSpanTracker:
     """Assigns span IDs to host commands and stitches their lifecycle."""
 
+    _state = ("_tracks", "_awaiting_delivery", "_executing", "_dispatch_child",
+              "_exec_child", "commands_tracked")
+
     def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
         self._tracks: Dict[Key, str] = {}

@@ -27,6 +27,8 @@ class _FreeBlock:
 class FirstFitAllocator:
     """First-fit allocator with block coalescing on free."""
 
+    _state = ("_free", "_live")
+
     def __init__(self, base: int, size: int, alignment: int = 64) -> None:
         if size <= 0:
             raise ValueError("allocator size must be positive")

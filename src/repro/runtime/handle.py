@@ -461,6 +461,7 @@ class FpgaHandle:
         memory store's component state.  Each client's counters travel here,
         with the handle that made the client.
         """
+        self._refuse_serving()
         calls = {}
         for uid, rec in self._calls.items():
             fut = rec["fut"]
@@ -481,17 +482,58 @@ class FpgaHandle:
             "calls": calls,
         }
 
+    def check_state(self, state, th) -> None:
+        """Refuse, before a restore writes anything, a host state of another
+        shape, or a replay that issued fewer ``call``s or made a different
+        number of clients than the captured run: their futures, waiters or
+        counters would be dropped."""
+        from repro.snapshot.engine import SnapshotError
+
+        self._refuse_serving()
+        keys = ("allocator", "degraded_cores", "dma_cycles_spent", "clients", "calls")
+        if not isinstance(state, dict) or any(k not in state for k in keys) or not (
+                isinstance(state["calls"], dict) and isinstance(state["clients"], list)):
+            raise SnapshotError(f"malformed snapshot: host state must be a dict of {keys}")
+        missing = [uid for uid in state["calls"] if uid not in self._calls]
+        if missing:
+            raise SnapshotError(
+                f"the replay issued no call with uid {missing}: replay every call() "
+                "the captured run made, in the same order, before restoring"
+            )
+        if len(state["clients"]) != len(self._clients):
+            raise SnapshotError(
+                f"the captured run made {len(state['clients'])} clients, the replay "
+                f"{len(self._clients)}: replay every new_client() before restoring"
+            )
+        th.check_attrs(type(self.allocator), state["allocator"])
+        for call in state["calls"].values():
+            if not isinstance(call, dict) or "response" not in call or "error" not in call:
+                raise SnapshotError("malformed snapshot: a call's state lacks its outcome")
+            th.check_all((call["response"], call["error"]))
+
+    def _refuse_serving(self) -> None:
+        """A snapshot holds no serving-layer state (tenant queues, token
+        buckets, scheduler deficits, their metrics); refuse a handle that an
+        :class:`~repro.serve.AcceleratorService` drives."""
+        from repro.snapshot.engine import SnapshotError
+
+        tenants = [client.tenant for client in self._clients if client.tenant]
+        if tenants:
+            raise SnapshotError(
+                f"clients front serving-layer tenants {tenants}: an AcceleratorService's "
+                "queues, quotas and metrics are not part of a snapshot"
+            )
+
     def restore_state(self, state: Dict[str, object], th) -> None:
-        th.pair_attrs(self.allocator, state["allocator"])
         th.thaw_attrs(self.allocator, state["allocator"])
         self.degraded_cores.clear()
         self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
-        # ``repro.snapshot.restore`` checked that the replay made as many.
+        # check_state() made sure the replay made as many.
         for client, st in zip(self._clients, state["clients"]):
             th.thaw_metrics(client, _CLIENT_METRICS, st, f"client {client.client_id}")
         for uid, st in state["calls"].items():
-            fut = self._calls[uid]["fut"]  # restore checked every uid was replayed
+            fut = self._calls[uid]["fut"]  # check_state() found every uid replayed
             fut._response = th.thaw(st["response"])
             fut._error = th.thaw(st["error"])
             fut.submitted_cycle = st["submitted_cycle"]

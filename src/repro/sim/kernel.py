@@ -243,14 +243,28 @@ class ChannelQueue(Generic[T]):
         return f"ChannelQueue({self.name!r}, {len(self._items)}/{self.capacity})"
 
 
-#: Scheduler wiring rebuilt by the compiled program, and the cached tick
-#: closure a restore drops; excluded from generic component capture
-#: (``_ticks_executed`` stays in).
-_SCHED_ATTRS = ("_sched_index", "_wake_hook", "_tick_body")
+#: What a run derives and keeps on a component that is neither
+#: construction-time structure nor state: the scheduler wiring the compiled
+#: program installs, and the cached tick closure a restore drops.
+RUN_CACHES = ("_sched_index", "_wake_hook", "_tick_body")
 
 
 class Component:
-    """Base class for everything that acts on each clock edge."""
+    """Base class for everything that acts on each clock edge.
+
+    A subclass declares its *state* — every attribute that a run changes
+    and a snapshot must capture — in one tuple, ``_state``; the snapshot
+    engine unions the tuples up the MRO
+    (``repro.snapshot.engine.declared_state``).
+    Every other attribute is structure: made at construction, rebuilt by
+    re-elaboration, never written by a restore.  A subclass that adds no
+    state declares ``_state = ()``; one that declares nothing is refused at
+    capture.  A component whose state needs hand-written code (the runtime
+    server, whose queues hold host callbacks) defines
+    ``snapshot_state(fr)``/``restore_state(state, th)`` instead.
+    """
+
+    _state: Tuple[str, ...] = ("_ticks_executed",)
 
     # Compiled-scheduling bookkeeping, installed by CompiledProgram; class
     # attributes so existing subclasses need no __init__ changes.
@@ -416,33 +430,6 @@ class Component:
         into the :class:`DeadlockError` payload.
         """
         return None
-
-    #: Attribute names the snapshot freezer does not walk, on top of the
-    #: scheduler wiring (``_sched_index``/``_wake_hook``): the
-    #: construction-time wiring (ports, channels, contexts, configs) that
-    #: the rebuild recreates.  Each class lists what *it* binds; the freezer
-    #: takes the union up the MRO, on components and on any other object it
-    #: reaches.  An attribute nobody lists is captured, so a missing entry
-    #: costs time, never correctness; a listed one must never be rebound
-    #: after elaboration (``tests/test_snapshot_structure.py`` audits that).
-    _snapshot_exclude: Tuple[str, ...] = ()
-
-    def snapshot_state(self, fr) -> Dict[str, Any]:
-        """Freeze this component's mutable state for ``repro.snapshot``.
-
-        The default captures every instance attribute through the freezer
-        (channels and infrastructure become references, callables are
-        skipped, ``_snapshot_exclude`` names are dropped); components whose
-        state embeds host-side callbacks (the runtime server) override both
-        this and :meth:`restore_state` with an explicit protocol.  The same
-        two methods on *any* reachable object (``MemoryStore``) make the
-        freezer store what they return instead of walking the object.
-        """
-        return fr.freeze_attrs(self, exclude=_SCHED_ATTRS)
-
-    def restore_state(self, state: Dict[str, Any], th) -> None:
-        """Apply a :meth:`snapshot_state` payload onto this live component."""
-        th.thaw_attrs(self, state)
 
 
 class Simulator:
@@ -724,6 +711,114 @@ class Simulator:
             program = self._program = CompiledProgram(self)
             self._subs_stale = False
         return program.run(deadline, max_cycles, until)
+
+    # -- snapshot -------------------------------------------------------------
+    #: The keys of :meth:`snapshot_state`.  A channel row is its name, items
+    #: and staged items (``None`` when empty, else a list of frozen items),
+    #: then its five counters; a component row is its name and its state.
+    _SNAPSHOT_KEYS = ("cycle", "channels", "components", "dirty", "cycles_skipped", "skip_events")
+
+    def snapshot_state(self, fr) -> Dict[str, Any]:
+        """This simulator's complete mutable state for ``repro.snapshot``:
+        the clock, every channel's contents and statistics (elided
+        observations credited), the dirty list, and each component's
+        declared fields (or what its own ``snapshot_state`` returns)."""
+        from repro.snapshot.engine import SnapshotError
+
+        if self.mid_cycle:
+            raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
+        if self._program is not None:
+            self._program.flush_ticks()  # per-slot tick counts into the components
+        channels = []
+        for ch in self._channels:
+            try:
+                items = [fr.freeze(x) for x in ch._items] if ch._items else None
+                staged = [fr.freeze(x) for x in ch._staged] if ch._staged else None
+            except SnapshotError as exc:
+                raise SnapshotError(f"channel {ch.name!r} holds an unfreezable item: {exc}") from None
+            channels.append((ch.name, items, staged, ch._pop_count, ch.total_pushed,
+                             ch.total_popped, ch.occupancy_accum, ch.cycles_observed))
+        index = {id(ch): i for i, ch in enumerate(self._channels)} if self._dirty_channels else {}
+        return {
+            "cycle": self.cycle,
+            "scheduling": self.scheduling,
+            "channels": channels,
+            "components": [
+                (c.name, c.snapshot_state(fr) if hasattr(c, "snapshot_state") else fr.freeze_attrs(c))
+                for c in self._components
+            ],
+            "dirty": [index[id(ch)] for ch in self._dirty_channels],
+            "cycles_skipped": self.cycles_skipped,
+            "skip_events": self.skip_events,
+        }
+
+    def check_state(self, state: Any, th) -> None:
+        """Refuse a :meth:`snapshot_state` payload of another skeleton or
+        shape before :meth:`restore_state` writes anything."""
+        from repro.snapshot.engine import SnapshotError
+
+        def malformed(what: str) -> SnapshotError:
+            return SnapshotError(f"malformed snapshot: {what}")
+
+        if not isinstance(state, dict) or any(k not in state for k in self._SNAPSHOT_KEYS):
+            raise malformed(f"sim state must be a dict with keys {self._SNAPSHOT_KEYS}")
+        for key, arity, have in (("components", 2, self._components), ("channels", 8, self._channels)):
+            rows = state[key]
+            if not isinstance(rows, list) or not all(
+                    isinstance(row, tuple) and len(row) == arity for row in rows):
+                raise malformed(f"{key} rows must be {arity}-tuples")
+            if [row[0] for row in rows] != [x.name for x in have]:
+                raise SnapshotError(
+                    f"{key} skeleton mismatch: snapshot has {len(rows)}, design has "
+                    f"{len(have)} (or names differ) — rebuild with the identical config")
+        counters, items = [state[k] for k in ("cycle", "cycles_skipped", "skip_events")], []
+        for row in state["channels"]:
+            for frozen in row[1:3]:
+                if frozen is not None and type(frozen) is not list:
+                    raise malformed("channel items must be lists")
+                items += frozen or ()
+            counters += row[3:]
+        th.check_all(items)
+        if set(map(type, counters)) != {int}:
+            raise malformed("cycle and channel counters must be ints")
+        dirty = state["dirty"]
+        if type(dirty) is not list or not set(map(type, dirty)) <= {int} or not all(
+                0 <= i < len(self._channels) for i in dirty):
+            raise malformed("dirty must list channel indices")
+        for comp, (_name, st) in zip(self._components, state["components"]):
+            if not hasattr(comp, "snapshot_state"):  # a hand-written state is its author's
+                th.check_attrs(type(comp), st)
+
+    def restore_state(self, state: Dict[str, Any], th) -> None:
+        """Write a :meth:`check_state`-checked payload into this simulator."""
+        # Discard any compiled tick program *before* touching component
+        # state: its unfolded per-slot tick counts must not land on top of
+        # restored counters.  The next run() recompiles, and its first entry
+        # wakes all.  Each cached tick closure goes too: it binds state
+        # objects the restore may replace, and the next tick rebuilds it.
+        self._program = None
+        self._subs_stale = True
+        for comp, (_name, st) in zip(self._components, state["components"]):
+            vars(comp).pop("_tick_body", None)
+            if hasattr(comp, "restore_state"):
+                comp.restore_state(st, th)
+            else:
+                th.thaw_attrs(comp, st)
+        for ch, row in zip(self._channels, state["channels"]):
+            ch._items[:] = th.thaw_items(row[1], ch._items) if row[1] else ()
+            ch._staged[:] = th.thaw_items(row[2], ch._staged) if row[2] else ()
+            ch._pop_count, ch.total_pushed, ch.total_popped, ch._occ, ch._obs = row[3:]
+            ch._dirty = False
+            if self._compiled:
+                # Re-anchor lazy occupancy crediting at the restored cycle,
+                # the same invariant register_channel() establishes.
+                ch._anchor = state["cycle"] - ch._obs
+        self.cycle = state["cycle"]
+        self.cycles_skipped = state["cycles_skipped"]
+        self.skip_events = state["skip_events"]
+        self._dirty_channels[:] = [self._channels[i] for i in state["dirty"]]
+        for ch in self._dirty_channels:
+            ch._dirty = True
 
     # -- deadlock diagnosis ---------------------------------------------------
     def state_dump(self) -> Dict[str, Any]:

@@ -63,6 +63,9 @@ class Tracer:
     records is kept in ``dropped_events`` / ``dropped_spans``.
     """
 
+    _state = ("events", "dropped_events", "dropped_spans", "span_log", "_open_spans",
+              "_next_span_id")
+
     enabled: bool = True
     events: Any = field(default_factory=list)
     max_events: Optional[int] = None

@@ -1,81 +1,44 @@
 """Exact freeze/thaw of live simulation state (the ``repro.snapshot`` core).
 
-A snapshot is *state*, never *structure*: the object graph of a design
-(components, channels, registry bindings, compiled tick programs, fault
-hooks) is rebuilt deterministically by re-elaborating the same config, and
-the snapshot then overwrites every mutable field so that ``restore(snap);
-run(N)`` is bit-identical — cycles, stable metric dumps, fault fingerprints
-— to the uninterrupted run under both scheduling backends.
+A snapshot is *state*, never *structure*: the design's object graph is
+rebuilt by re-elaborating the same config, then the snapshot overwrites
+every mutable field, so ``restore(snap); run(N)`` is bit-identical to the
+uninterrupted run under both scheduling backends.
 
-Why not pickle the :class:`~repro.sim.Simulator` wholesale?  The live graph
-is full of unpicklables that are *structural*: registry ``BoundMetric``
-lambdas closing over model containers, compiled-backend closures, fault
-hooks patched over instance ``tick`` methods, host response callbacks.  The
-freezer therefore walks the graph and emits **plain data**: primitives,
-tuples of primitives, and *markers* — lists ``[tag, ...]`` that start with
-one of the reserved ``T_*`` strings.  It replaces
+**State is declared.**  Every class a capture reaches names its state in
+one ``_state`` tuple, unioned up the MRO (:func:`declared_state`; a
+dataclass or named tuple that declares none uses its fields).  Capture and
+restore touch declared names only: the rest is structure.  A value no rule
+covers (a callable, a port, an undeclared class) raises
+:class:`SnapshotError` naming owner, field and type: nothing is skipped.
 
-* infrastructure objects (components, channels, the simulator, registry,
-  tracer, span tracker, fault state/plan) with index-based ``T_REF``
-  markers resolved against the rebuilt skeleton (the reference table is
-  built once per simulator structure, see :func:`infra_ids`);
-* transient model objects (DRAM column requests, pending commands) with
-  ``T_OBJ`` markers rebuilt via ``cls.__new__`` + ``object.__setattr__``;
-* named tuples (in-flight AXI payloads) with ``T_NAMED`` markers rebuilt
-  with their class, so a restored beat still has ``.data``;
-* objects that implement ``snapshot_state``/``restore_state`` themselves
-  (``MemoryStore``) with a ``T_STATE`` marker around what they returned;
-* callables with a skip sentinel — they are structure, recreated by the
-  rebuild (a container holding a callable is skipped whole, leaving the
-  live one untouched); the sentinel never reaches a payload.
+The freezer emits **plain data**: primitives, tuples of primitives and
+*markers*, lists ``[tag, ...]`` led by a reserved ``T_*`` string;
+infrastructure becomes ``T_REF`` indexes into the rebuilt skeleton.
 
-Attributes a class lists in ``_snapshot_exclude`` are wiring made at
-construction and are not walked at all.
-
-Metrics travel with their owners: a counter, gauge or histogram is frozen
-where a component, the fault state, the span tracker or the runtime server
-holds it, and restored there in place; the metric registry itself is never
-read, so neither call adopts its deferred registrations.
-
-Thawing is **two-pass**.  Registry bindings capture model containers by
-identity (``lambda q=q: len(q)``), so restore must mutate the *live*
-objects in place rather than swap in fresh ones.  A pairing pass first
-walks the frozen and live trees together and pre-seeds the memo with
-``id(marker) -> live object`` wherever a type-matching in-place target
-exists; the thaw pass then resolves aliased references (a DRAM bank reached
-both through ``controller.banks[i]`` and a scheduler entry) to the same
-identity-preserved live object regardless of traversal order.  Pickle keeps
-list identity, so aliasing survives a file or a pipe.
-
-Pairing and thawing apply **only to freezer output**: a state dict written
-by hand (``RuntimeServer``, ``FpgaHandle``) may hold any lists it likes, the
-engine never interprets them, and its author thaws the leaves it froze.
+Restore takes two passes.  :meth:`Thawer.check` resolves every class and
+checks every field name and marker shape; nothing is written before it
+passes.  The thaw then walks in capture order and refills in place: a
+marker whose live counterpart in the same field is of its kind is written
+into it (registry bindings close over model containers by identity), and
+a marker met again resolves to its first visit's object.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import sys
-import types
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
+from repro.obs.registry import Counter, Gauge, Histogram
 
-#: Bumped on any change to the capture format or captured field set.  A
-#: snapshot's version participates in farm checkpoint fingerprints, so a
-#: version bump silently invalidates stale checkpoint files instead of
-#: restoring garbage into a newer model.  (3: plain-data marker trees;
-#: 4: the DRAM controller keeps accepted W data as ``wdata``/``wstrb``;
-#: 5: it also keeps its live-bank and active-ID indexes; 6: the sim state
-#: drops the wake heap, woken set and quiescent flag of the deleted
-#: schedules; 7: AXI payloads are named tuples that keep their class, and
-#: R/B channel items are ``(axi_id, payload)`` pairs; 8: no registry part,
-#: the runtime server carries its own metrics.)
-SNAPSHOT_VERSION = 8
+#: Bumped on any change to the capture format or the captured fields, so a
+#: stale checkpoint file is refused instead of restored (DESIGN.md,
+#: "Versioning"; 9: the fields are the declared ``_state`` names).
+SNAPSHOT_VERSION = 9
 
 
 class SnapshotError(RuntimeError):
@@ -89,113 +52,106 @@ class SnapshotVersionError(SnapshotError):
 _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes)
 _PRIM = frozenset(_PRIMITIVES)  # exact-type test: one hash lookup per value
 
-#: Types that are always structure, never state.
-_STRUCTURE_TYPES = (
-    types.FunctionType,
-    types.MethodType,
-    types.BuiltinFunctionType,
-    types.BuiltinMethodType,
-    functools.partial,
-    type,
-    types.ModuleType,
-    weakref.ReferenceType,
-    memoryview,
-)
-
-# Marker tags.  A marker is a list whose first element is one of these
-# reserved strings; the layouts are
+# Marker layouts:
 #   [T_REF, kind, key]                      infrastructure reference
-#   [T_OBJ, module, qualname, {name: fz}]   transient object
-#   [T_STATE, module, qualname, state]      object with its own protocol
-#   [T_ATTRS, {name: fz}]                   freeze_attrs(): fields, no class
-#   [T_EXC, module, qualname, args, {..}]   exception instance
+#   [T_OBJ, module, qualname, {name: fz}]   declared object
+#   [T_STATE, module, qualname, state]      snapshot_state()/restore_state()
+#   [T_NAMED, module, qualname, *items]     named tuple
 #   [T_RNG, state]  [T_MET, kind, data]  [T_BYTES, bytes]
 #   [T_ARRAY, dtype, shape, bytes]          numpy.ndarray
 #   [T_LIST, *items]  [T_TUPLE, *items]  [T_DEQUE, maxlen, *items]
-#   [T_NAMED, module, qualname, *items]     tuple subclass (named tuple)
 #   [T_SET, frozen, *items]  [T_DICT, {key: fz}]
-T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC = "~ref", "~obj", "~state", "~attrs", "~exc"
+T_REF, T_OBJ, T_STATE, T_NAMED = "~ref", "~obj", "~state", "~named"
 T_RNG, T_MET, T_BYTES, T_ARRAY = "~rng", "~metric", "~bytes", "~array"
 T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT = "~list", "~tuple", "~deque", "~set", "~dict"
-T_NAMED = "~named"
-_TAGS = frozenset(
-    (T_REF, T_OBJ, T_STATE, T_ATTRS, T_EXC, T_RNG, T_MET, T_BYTES, T_ARRAY,
-     T_LIST, T_TUPLE, T_NAMED, T_DEQUE, T_SET, T_DICT)
-)
-
-#: Internal "this value is structure" signal.  Containers drop or propagate
-#: it; :meth:`Freezer.freeze` raises on it, so it never reaches a payload.
-_SKIP = object()
+#: Each tag's marker length (negative: the least length of a variadic one).
+_LENGTHS = {T_REF: 3, T_OBJ: 4, T_STATE: 4, T_NAMED: -3, T_RNG: 2, T_MET: 3, T_BYTES: 2,
+            T_ARRAY: 4, T_LIST: -1, T_TUPLE: -1, T_DEQUE: -2, T_SET: -2, T_DICT: 2}
 
 
 def _is_marker(fz: Any, tag: Optional[str] = None) -> bool:
-    """The one place that decides whether a value is a freezer marker."""
+    """Whether a value is a freezer marker (``Thawer._walk`` inlines it)."""
     if type(fz) is not list or not fz or type(fz[0]) is not str:
         return False
-    return fz[0] == tag if tag is not None else fz[0] in _TAGS
+    return fz[0] == tag if tag is not None else fz[0] in _LENGTHS
 
 
 def _is_plain(obj: Any) -> bool:
-    """Deeply immutable values usable as frozen dict keys."""
-    if isinstance(obj, _PRIMITIVES):
-        return True
-    if isinstance(obj, (tuple, frozenset)):
-        return all(_is_plain(x) for x in obj)
-    return False
+    """Deeply immutable values usable as frozen dict keys and set items."""
+    return type(obj) in _PRIM or (type(obj) is tuple and all(map(_is_plain, obj)))
 
 
-#: type -> freeze handler, filled by :func:`_classify` the first time a type
-#: is met; (type, exclude) -> (slot names, skipped field names).
-_HANDLERS: Dict[type, Callable[["Freezer", Any], Any]] = {}
-_PLANS: Dict[Tuple[type, Tuple[str, ...]], Tuple[Tuple[str, ...], frozenset]] = {}
+def _name(t: type) -> str:
+    return f"{t.__module__}.{t.__qualname__}"
 
 
-def _plan(t: type, exclude: Tuple[str, ...]) -> Tuple[Tuple[str, ...], frozenset]:
-    """Slot names up the MRO and the union of every ``_snapshot_exclude``."""
-    slots: List[str] = []
-    skip = set(exclude)
-    for cls in t.__mro__:
-        names = cls.__dict__.get("__slots__", ())
-        slots.extend((names,) if isinstance(names, str) else names)
-        skip.update(cls.__dict__.get("_snapshot_exclude", ()))
-    plan = _PLANS[(t, exclude)] = (
-        tuple(n for n in slots if n not in ("__dict__", "__weakref__")),
-        frozenset(skip),
-    )
-    return plan
+_DECLS: Dict[type, Tuple[str, ...]] = {}
+_NAME_SETS: Dict[type, frozenset] = {}  # the same, as sets
 
 
+def declared_state(cls: type) -> Tuple[str, ...]:
+    """The attribute names ``cls`` declares as state: the ``_state`` tuples
+    up its MRO, or, for a dataclass or named tuple that declares none, its
+    fields.  A class declares its own tuple (``_state = ()`` when it adds
+    no state); one that declares nothing is refused."""
+    names = _DECLS.get(cls)
+    if names is None:
+        if "_state" in cls.__dict__:
+            merged: Dict[str, None] = {}
+            for base in reversed(cls.__mro__):
+                merged.update(dict.fromkeys(base.__dict__.get("_state", ())))
+            names = tuple(merged)
+        elif is_dataclass(cls):
+            names = tuple(f.name for f in fields(cls))
+        elif issubclass(cls, tuple) and "_fields" in cls.__dict__:
+            names = tuple(cls._fields)
+        else:
+            raise SnapshotError(
+                f"{_name(cls)} declares no state: name the attributes a snapshot must "
+                "capture in a `_state` tuple on the class (`_state = ()` if none)")
+        _DECLS[cls], _NAME_SETS[cls] = names, frozenset(names)
+    return names
+
+
+class _Unfreezable(Exception):
+    """A value no rule covers; the field walk above it names its owner."""
+
+
+# ================================================================= freeze
 class Freezer:
-    """Converts a live object graph into a plain-data marker tree.
-
-    ``refs`` maps ``id(obj)`` to ``(kind, key)`` for every infrastructure
-    object a field may reference (:func:`infra_ids`); the ``[T_REF, kind,
-    key]`` marker is made the first time a field actually holds one.
-    """
+    """Converts a live object graph into a plain-data marker tree; ``refs``
+    maps the id of each infrastructure object to its key (:func:`infra_ids`)."""
 
     def __init__(self, refs: Dict[int, Tuple[str, Any]]) -> None:
         self._refs = refs
         self._ref_markers: Dict[int, list] = {}
         self._memo: Dict[int, Any] = {}
         self._keep: List[Any] = []  # id()-stability for memo keys
-        self.skipped = 0
 
-    # ------------------------------------------------------------- freeze
     def freeze(self, obj: Any) -> Any:
-        """Freeze one value; raises if it is structure (a callable, or a
-        tuple/list/dict holding one) instead of leaking the skip sentinel."""
-        fz = self._freeze(obj)
-        if fz is _SKIP:
-            raise SnapshotError(
-                f"cannot freeze a {type(obj).__qualname__}: it is or holds a "
-                "callable, which is structure, not state"
-            )
-        return fz
+        """Freeze one value, or raise :class:`SnapshotError` naming its type."""
+        try:
+            return self._freeze(obj)
+        except _Unfreezable as exc:
+            raise SnapshotError(f"cannot freeze {exc}") from None
 
-    def freeze_attrs(self, obj: Any, exclude: Tuple[str, ...] = ()) -> list:
-        """Freeze ``obj``'s fields (no class identity) minus ``exclude`` and
-        every ``_snapshot_exclude`` up its MRO."""
-        return [T_ATTRS, self._fields(obj, exclude)]
+    def freeze_attrs(self, obj: Any) -> Dict[str, Any]:
+        """Freeze the declared fields of ``obj`` (name -> frozen value)."""
+        t = type(obj)
+        out = {}
+        prim = _PRIM
+        for name in _DECLS.get(t) or declared_state(t):
+            try:
+                val = getattr(obj, name)
+                if type(val) not in prim:
+                    val = self._freeze(val)
+            except AttributeError:
+                raise SnapshotError(f"{_name(t)} declares {name!r} in `_state`, "
+                                    "but the instance has no such attribute") from None
+            except _Unfreezable as exc:
+                raise SnapshotError(f"{_name(t)}.{name} holds {exc}") from None
+            out[name] = val
+        return out
 
     def _freeze(self, obj: Any) -> Any:
         t = type(obj)
@@ -215,356 +171,280 @@ class Freezer:
         # go through the handler their type was classified to.
         if t is list:
             return self._seq(obj, [T_LIST])
-        if t is deque:
-            return self._seq(obj, [T_DEQUE, obj.maxlen])
         if t is dict:
             return self._fz_dict(obj)
+        if t is deque:
+            return self._seq(obj, [T_DEQUE, obj.maxlen])
         return (_HANDLERS.get(t) or _classify(t))(self, obj)
 
-    def _fields(self, obj: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, Any]:
-        """Frozen ``__dict__`` + ``__slots__`` state; a skipped attribute is
-        dropped (the live one is left alone on restore)."""
-        t = type(obj)
-        slots, skip = _PLANS.get((t, exclude)) or _plan(t, exclude)
-        d = getattr(obj, "__dict__", None) or {}
-        pairs: Any = d.items()
-        if slots:
-            pairs = list(pairs) + [
-                (n, v) for n in slots if n not in d and (v := getattr(obj, n, _SKIP)) is not _SKIP
-            ]
-        out = {}
-        prim = _PRIM
-        for name, val in pairs:
-            if name in skip:
-                continue
-            if type(val) not in prim:
-                val = self._freeze(val)
-                if val is _SKIP:
-                    self.skipped += 1
-                    continue
-            out[name] = val
-        return out
-
-    # ----------------------------------------------------------- handlers
-    def _fz_raw(self, obj: Any) -> Any:
-        return obj  # subclass of a primitive
-
-    def _fz_skip(self, obj: Any) -> Any:
-        self.skipped += 1
-        return _SKIP
+    def _fz_unknown(self, obj: Any) -> Any:
+        raise _Unfreezable(
+            f"a {_name(type(obj))}, which no snapshot rule covers: declare `_state` on "
+            "its class, or leave it out of the declared state (structure is rebuilt)")
 
     def _fz_tuple(self, obj: tuple) -> Any:
-        marker, raw = [T_TUPLE], True
-        for x in obj:
-            if type(x) not in _PRIM:
-                raw = False
-                x = self._freeze(x)
-                if x is _SKIP:
-                    self.skipped += 1
-                    return _SKIP
-            marker.append(x)
         t = type(obj)
+        if t is not tuple and not hasattr(t, "_fields"):
+            return self._fz_unknown(obj)
+        try:
+            items = [x if type(x) in _PRIM else self._freeze(x) for x in obj]
+        except _Unfreezable as exc:
+            if t is tuple:
+                raise
+            raise _Unfreezable(f"a {_name(t)} holding {exc}") from None
         if t is not tuple:  # a named tuple keeps its class, like any object
-            marker[0:1] = [T_NAMED, t.__module__, t.__qualname__]
-            return marker
-        return obj if raw else marker  # primitive-only tuples stay tuples
-
-    def _fz_metric(self, obj: Any) -> list:
-        return self._memoize(obj, [T_MET, *_metric_state(obj)])
-
-    def _fz_rng(self, obj: random.Random) -> list:
-        return self._memoize(obj, [T_RNG, obj.getstate()])
-
-    def _fz_bytes(self, obj: bytearray) -> list:
-        return self._memoize(obj, [T_BYTES, bytes(obj)])
+            return [T_NAMED, t.__module__, t.__qualname__, *items]
+        return obj if _PRIM.issuperset(map(type, obj)) else [T_TUPLE, *items]
 
     def _fz_array(self, obj: Any) -> Any:
         if obj.dtype.hasobject:
-            return self._fz_skip(obj)
+            return self._fz_unknown(obj)
         return self._memoize(obj, [T_ARRAY, obj.dtype.str, obj.shape, obj.tobytes()])
-
-    def _fz_list(self, obj: list) -> Any:
-        return self._seq(obj, [T_LIST])
-
-    def _fz_deque(self, obj: deque) -> Any:
-        return self._seq(obj, [T_DEQUE, obj.maxlen])
 
     def _seq(self, obj: Any, marker: list) -> Any:
         self._memoize(obj, marker)
-        if not obj:
-            return marker
         prim = _PRIM
-        for x in obj:
-            if type(x) not in prim:
-                break
-        else:  # all primitive: copied as it is
-            marker.extend(obj)
+        if prim.issuperset(map(type, obj)):  # copied as it is
+            marker += obj
             return marker
         for x in obj:
-            if type(x) not in prim:
-                x = self._freeze(x)
-                if x is _SKIP:
-                    return self._contaminate(obj)
-            marker.append(x)
+            marker.append(x if type(x) in prim else self._freeze(x))
         return marker
 
     def _fz_dict(self, obj: dict) -> Any:
         out: Dict[Any, Any] = {}
         marker = self._memoize(obj, [T_DICT, out])
-        if not obj:
-            return marker
         prim = _PRIM
-        for k, v in obj.items():
-            if type(k) not in prim or type(v) not in prim:
-                break
-        else:  # all primitive: copied as it is
+        if prim.issuperset(map(type, obj.values())) and prim.issuperset(map(type, obj)):
             out.update(obj)
             return marker
         for k, v in obj.items():
             if type(k) not in prim and not _is_plain(k):
-                return self._contaminate(obj)
-            if type(v) not in prim:
-                v = self._freeze(v)
-                if v is _SKIP:
-                    return self._contaminate(obj)
-            out[k] = v
+                raise _Unfreezable(f"a dict keyed by a {_name(type(k))}")
+            out[k] = v if type(v) in prim else self._freeze(v)
         return marker
 
     def _fz_set(self, obj: Any) -> Any:
-        if not all(_is_plain(x) for x in obj):
-            return self._fz_skip(obj)
+        if not all(map(_is_plain, obj)):
+            raise _Unfreezable(f"a {type(obj).__name__} of items that are not plain values")
         try:
             items = sorted(obj)
-        except TypeError:
-            items = list(obj)
+        except TypeError:  # items of mixed types
+            items = sorted(obj, key=repr)
         return self._memoize(obj, [T_SET, isinstance(obj, frozenset), *items])
 
-    def _fz_exc(self, obj: BaseException) -> list:
+    def _fz_object(self, obj: Any) -> Any:
+        """A declared object; one with ``snapshot_state``/``restore_state``
+        chooses its own compact state (``MemoryStore``: one byte image)."""
         t = type(obj)
-        marker = self._memoize(obj, [T_EXC, t.__module__, t.__qualname__, (), None])
-        args = self._freeze(tuple(obj.args))
-        if args is not _SKIP:
-            marker[3] = args
-        marker[4] = self._fields(obj)
+        protocol = hasattr(t, "snapshot_state")
+        if not (protocol or "_state" in t.__dict__ or is_dataclass(t)):
+            return self._fz_unknown(obj)
+        marker = self._memoize(obj, [T_STATE if protocol else T_OBJ, t.__module__, t.__qualname__, None])
+        marker[3] = obj.snapshot_state(self) if protocol else self.freeze_attrs(obj)
         return marker
 
-    def _fz_protocol(self, obj: Any) -> list:
-        """Any object with ``snapshot_state``/``restore_state`` chooses its
-        own compact state (``MemoryStore``: one joined byte image)."""
-        t = type(obj)
-        marker = self._memoize(obj, [T_STATE, t.__module__, t.__qualname__, None])
-        marker[3] = obj.snapshot_state(self)
-        return marker
-
-    def _fz_object(self, obj: Any) -> list:
-        # Generic transient object: class identity + frozen fields.  The
-        # object itself always freezes.
-        t = type(obj)
-        marker = self._memoize(obj, [T_OBJ, t.__module__, t.__qualname__, None])
-        marker[3] = self._fields(obj)
-        return marker
-
-    # ------------------------------------------------------------ helpers
     def _memoize(self, obj: Any, marker: Any) -> Any:
         self._memo[id(obj)] = marker
         self._keep.append(obj)
         return marker
 
-    def _contaminate(self, obj: Any) -> Any:
-        """Container holding a callable: skip it whole, keep the live one."""
-        self._memo[id(obj)] = _SKIP
-        self.skipped += 1
-        return _SKIP
 
-
-#: Today's precedence, tested once per *type*: first match wins.
-_RULES: Tuple[Tuple[Any, Callable[[Freezer, Any], Any]], ...] = (
-    (_PRIMITIVES, Freezer._fz_raw),
-    (_STRUCTURE_TYPES, Freezer._fz_skip),
+#: type -> freeze handler, filled by :func:`_classify` the first time a type
+#: is met.  First match wins; an ndarray, a declared class and an object
+#: with its own protocol come after these.
+_HANDLERS: Dict[type, Any] = {}
+_RULES = (
+    (_PRIMITIVES, lambda fr, obj: obj),  # a subclass of a primitive
     (tuple, Freezer._fz_tuple),
-    ((Counter, Gauge, Histogram), Freezer._fz_metric),
-    (BoundMetric, Freezer._fz_skip),
-    (random.Random, Freezer._fz_rng),
-    (bytearray, Freezer._fz_bytes),
-    (list, Freezer._fz_list),
-    (deque, Freezer._fz_deque),
-    (dict, Freezer._fz_dict),
+    ((Counter, Gauge, Histogram), lambda fr, m: fr._memoize(m, [T_MET, *_metric_state(m)])),
+    (random.Random, lambda fr, rng: fr._memoize(rng, [T_RNG, rng.getstate()])),
+    (bytearray, lambda fr, b: fr._memoize(b, [T_BYTES, bytes(b)])),
     ((set, frozenset), Freezer._fz_set),
-    (BaseException, Freezer._fz_exc),
+    (dict, Freezer._fz_dict),  # a defaultdict is refilled in place
+    ((list, deque, type), Freezer._fz_unknown),  # their subclasses, and classes
 )
 
 
-def _classify(t: type) -> Callable[[Freezer, Any], Any]:
+def _classify(t: type) -> Any:
     for bases, handler in _RULES:
         if issubclass(t, bases):
             break
     else:
         # An ndarray can only be met once NumPy is loaded: never import it.
         np = sys.modules.get("numpy")
-        if np is not None and issubclass(t, np.ndarray):
-            handler = Freezer._fz_array
-        elif hasattr(t, "snapshot_state") and hasattr(t, "restore_state"):
-            handler = Freezer._fz_protocol
-        else:
-            handler = Freezer._fz_object
+        ndarray = np is not None and issubclass(t, np.ndarray)
+        handler = Freezer._fz_array if ndarray else Freezer._fz_object
     _HANDLERS[t] = handler
     return handler
 
 
-def _resolve_class(module: str, qualname: str) -> type:
-    """Look a class up in an *already imported* module: the rebuilt design
-    has loaded every model class, and a payload must not trigger imports."""
-    try:
-        target: Any = sys.modules[module]
-        for part in qualname.split("."):
-            target = getattr(target, part)
-    except (KeyError, AttributeError, TypeError) as exc:
-        raise SnapshotError(f"cannot resolve class {module}:{qualname}: {exc!r}") from exc
-    if not isinstance(target, type):
-        raise SnapshotError(f"{module}:{qualname} is not a class")
-    return target
+# =================================================================== thaw
+def _malformed(what: str) -> SnapshotError:
+    return SnapshotError(f"malformed snapshot: {what}")
 
 
 class Thawer:
     """Rebuilds live state from a marker tree, preserving object identity.
+    Check every part of a payload first (:meth:`check_all`,
+    :meth:`check_attrs`); the thaw then only writes.
+    ``modules``: the modules besides ``repro``'s whose classes a marker may
+    name (those of the rebuilt design's own components)."""
 
-    Call :meth:`pair`/:meth:`pair_attrs` over every (frozen, live) pair of
-    the payload *first*, then thaw — the pairing memo is global, so aliases
-    that cross component boundaries resolve correctly only if all pairing
-    precedes all thawing.  Both accept freezer output only.
-    """
-
-    def __init__(self, refs: Dict[Tuple[str, Any], Any]) -> None:
-        # (kind, key) -> live infrastructure object (:func:`infra_objects`).
-        self._refs = refs
+    def __init__(self, refs: Dict[Tuple[str, Any], Any], modules: frozenset = frozenset()) -> None:
+        self._refs = refs  # (kind, key) -> live infrastructure (infra_objects)
+        self._modules = modules
+        self._resolved: Dict[Tuple[str, str, str], type] = {}  # (tag, module, qualname)
+        self._checked: set = set()
         self._done: Dict[int, Any] = {}
-        self._paired: Dict[int, Any] = {}
         self._claimed: set = set()  # id(live) already owned by a marker
-        self._visited: set = set()
 
-    # ------------------------------------------------------------ pairing
-    def pair(self, fz: Any, live: Any) -> None:
-        if live is None or not _is_marker(fz):
-            return
-        key = id(fz)
-        if key in self._visited:
-            return
-        self._visited.add(key)
-        tag = fz[0]
-        if tag == T_ATTRS:
-            self._pair_fields(live, _attr_fields(fz))
-        elif tag == T_OBJ or tag == T_STATE:
-            t = type(live)
-            if t.__qualname__ != fz[2] or t.__module__ != fz[1]:
-                return
-            if self._claim(key, live):
-                # A protocol object's state pairs if it is a field walk
-                # (``Component``'s default); anything hand-written is not
-                # a marker and is left to the object's ``restore_state``.
+    # ------------------------------------------------------------ pass 1
+    def check_all(self, items: Any) -> None:
+        """Validate frozen values and all they hold, writing nothing."""
+        if not _PRIM.issuperset(map(type, items)):
+            self._walk([x for x in items if type(x) not in _PRIM])
+
+    def check_attrs(self, cls: type, state: Any) -> None:
+        """Validate ``state`` as the fields of a ``cls``: exactly the names
+        the class declares."""
+        self.check_all(self._fields_of(cls, state))
+
+    def _fields_of(self, cls: type, state: Any) -> Any:
+        declared_state(cls)
+        if type(state) is not dict or state.keys() != _NAME_SETS[cls]:
+            got = sorted(state) if type(state) is dict else state
+            raise _malformed(f"{_name(cls)} declares the fields {declared_state(cls)}, "
+                             f"the state holds {got!r}")
+        return state.values()
+
+    def _walk(self, stack: list) -> None:
+        prim, checked, lengths, resolved = _PRIM, self._checked, _LENGTHS, self._resolved
+        while stack:  # of values that are not primitives
+            fz = stack.pop()
+            try:
+                want = lengths[fz[0]] if type(fz) is list else 0
+            except (IndexError, KeyError, TypeError):
+                want = 0
+            if not want:
+                if type(fz) is tuple and _is_plain(fz):
+                    continue
+                raise SnapshotError(f"not freezer output: a bare {type(fz).__name__} in the payload")
+            key = id(fz)
+            if key in checked:
+                continue
+            checked.add(key)
+            tag, n = fz[0], len(fz)
+            if n != want if want > 0 else n < -want:
+                raise _malformed(f"a {tag} marker of length {n}")
+            if tag == T_OBJ or tag == T_STATE or tag == T_NAMED:
+                try:
+                    cls = resolved[(tag, fz[1], fz[2])]
+                except (KeyError, TypeError):
+                    cls = self._resolve(fz)
                 if tag == T_OBJ:
-                    self._pair_fields(live, fz[3])
+                    state = fz[3]
+                    if type(state) is not dict or state.keys() != _NAME_SETS[cls]:
+                        self._fields_of(cls, state)  # raises, naming the fields
+                    items = state.values()
+                elif tag != T_NAMED:
+                    continue
                 else:
-                    self.pair(fz[3], live)
-        elif tag == T_LIST and isinstance(live, list):
-            if self._claim(key, live):
-                for sub, lv in zip(fz[1:], live):
-                    self.pair(sub, lv)
-        elif tag == T_DEQUE and isinstance(live, deque):
-            if live.maxlen == fz[1] and self._claim(key, live):
-                for sub, lv in zip(fz[2:], live):
-                    self.pair(sub, lv)
-        elif tag == T_DICT and isinstance(live, dict):
-            if self._claim(key, live):
-                for k, sub in fz[1].items():
-                    if k in live:
-                        self.pair(sub, live[k])
-        elif tag == T_TUPLE and isinstance(live, tuple):
-            for sub, lv in zip(fz[1:], live):
-                self.pair(sub, lv)
-        elif tag == T_NAMED and isinstance(live, tuple):
-            for sub, lv in zip(fz[3:], live):
-                self.pair(sub, lv)
-        elif tag == T_SET and isinstance(live, set) and not fz[1]:
-            self._claim(key, live)
-        elif tag == T_MET and isinstance(live, (Counter, Gauge, Histogram)):
-            if _metric_state(live)[0] == fz[1]:
-                self._claim(key, live)
-        elif tag == T_RNG and isinstance(live, random.Random):
-            self._claim(key, live)
-        elif tag == T_BYTES and isinstance(live, bytearray):
-            self._claim(key, live)
+                    if len(getattr(cls, "_fields", ())) != n - 3 or not issubclass(cls, tuple):
+                        raise _malformed(f"{_name(cls)} is not a named tuple of {n - 3} fields")
+                    items = fz[3:]
+            elif tag == T_LIST or tag == T_TUPLE:
+                items = fz[1:]
+            elif tag == T_DICT:
+                if type(fz[1]) is not dict or not (
+                        prim.issuperset(map(type, fz[1])) or all(map(_is_plain, fz[1]))):
+                    raise _malformed("a dict marker holds one dict with plain keys")
+                items = fz[1].values()
+            elif tag == T_REF:
+                if not _is_plain(fz[2]) or (fz[1], fz[2]) not in self._refs:
+                    raise SnapshotError(f"unknown infrastructure {fz[1:]}: not the same design")
+                continue
+            elif tag == T_DEQUE:
+                if fz[1] is not None and (type(fz[1]) is not int or fz[1] < 0):
+                    raise _malformed("a deque's maxlen must be None or a natural number")
+                items = fz[2:]
+            else:  # a leaf (set, bytes, metric, random state, array): built once, here
+                try:
+                    built = _fresh(fz, None)
+                    if tag == T_MET:
+                        _apply_metric(built, fz[1], fz[2])
+                    elif tag == T_BYTES:
+                        built[:] = fz[1]
+                except (TypeError, ValueError, KeyError, IndexError) as exc:
+                    raise _malformed(f"a bad {tag}: {exc}") from None
+                if tag == T_ARRAY:
+                    self._done[key] = built
+                continue
+            if not prim.issuperset(map(type, items)):  # an all-primitive body is done
+                stack += [x for x in items if type(x) not in prim]
 
-    def pair_attrs(self, live: Any, state: Any) -> None:
-        """Pair the output of :meth:`Freezer.freeze_attrs` with ``live``."""
-        self._pair_fields(live, _attr_fields(state))
+    def _resolve(self, fz: list) -> type:
+        """The class a marker names: declared (or, for ``T_STATE``, with its
+        own protocol) and found in an *already imported* module of this
+        design, so a payload never triggers an import."""
+        module, qualname = fz[1], fz[2]
+        if type(module) is not str or type(qualname) is not str:
+            raise _malformed(f"a {fz[0]} marker names no class")
+        if module.split(".")[0] != "repro" and module not in self._modules:
+            raise SnapshotError(f"{module}:{qualname} is not a class of this design")
+        try:
+            cls = sys.modules[module]
+            for part in qualname.split("."):
+                cls = getattr(cls, part)
+        except (KeyError, AttributeError) as exc:
+            raise SnapshotError(f"cannot resolve class {module}:{qualname}: {exc!r}") from None
+        if not isinstance(cls, type):
+            raise SnapshotError(f"{module}:{qualname} is not a class")
+        if fz[0] != T_STATE:
+            declared_state(cls)
+        elif not hasattr(cls, "restore_state"):
+            raise _malformed(f"{_name(cls)} has no restore_state")
+        self._resolved[(fz[0], module, qualname)] = cls
+        return cls
 
-    def _pair_fields(self, live: Any, fields: Dict[str, Any]) -> None:
-        for name, sub in fields.items():
-            self.pair(sub, getattr(live, name, None))
-
-    def _claim(self, key: int, live: Any) -> bool:
-        if key in self._paired:
-            return True
-        if id(live) in self._claimed:
-            # A different marker already owns this live object; creating a
-            # fresh instance for this one preserves checkpoint distinctness.
-            return False
-        self._paired[key] = live  # also keeps id(live) stable
-        self._claimed.add(id(live))
-        return True
-
-    # -------------------------------------------------------------- thaw
-    def thaw(self, fz: Any) -> Any:
-        t = type(fz)
-        if t in _PRIM or t is tuple:
-            return fz  # primitive-only tuples pass through freeze unchanged
-        if not _is_marker(fz):
-            if isinstance(fz, _PRIMITIVES):
-                return fz
-            raise SnapshotError(f"not freezer output: a bare {t.__name__} in the payload")
+    # ------------------------------------------------------------ pass 2
+    def thaw(self, fz: Any, live: Any = None) -> Any:
+        """Thaw a checked value.  ``live`` is the object now in its place,
+        refilled in place if it is of the marker's kind and still unclaimed."""
+        if type(fz) is not list:
+            return fz  # a primitive, or a primitive-only tuple
         tag = fz[0]
         if tag == T_REF:
-            try:
-                return self._refs[(fz[1], fz[2])]
-            except KeyError:
-                raise SnapshotError(
-                    f"snapshot references unknown infrastructure {fz[1]}:{fz[2]} "
-                    "(skeleton mismatch — was the design rebuilt with the same config?)"
-                ) from None
+            return self._refs[(fz[1], fz[2])]
         key = id(fz)
-        if key in self._done:
-            return self._done[key]
-        if tag == T_TUPLE:
-            return tuple(self.thaw(x) for x in fz[1:])
-        if tag == T_NAMED:
-            cls = _resolve_class(fz[1], fz[2])
-            if not issubclass(cls, tuple):
-                raise SnapshotError(f"{fz[1]}:{fz[2]} is not a tuple class")
-            return tuple.__new__(cls, [self.thaw(x) for x in fz[3:]])
-        # The in-place target the pairing pass found, else a fresh object;
-        # registered before it is filled so cycles resolve to it.
-        target = self._paired.get(key)
-        if target is None:
-            target = self._fresh(fz)
-        self._done[key] = target
+        target = self._done.get(key)
+        if target is not None:
+            return target
+        cls = self._resolved[(tag, fz[1], fz[2])] if tag in (T_OBJ, T_STATE, T_NAMED) else None
+        if tag == T_TUPLE or tag == T_NAMED:
+            items = self.thaw_items(fz[1 if cls is None else 3:], live if isinstance(live, tuple) else ())
+            return tuple(items) if cls is None else tuple.__new__(cls, items)
+        if live is None or id(live) in self._claimed or (
+                type(live) is not (cls or _KINDS.get(tag)) and not _fits(fz, live, cls)):
+            live, target = (), _fresh(fz, cls)
+        else:
+            self._claimed.add(id(live))
+            target = live
+        self._done[key] = target  # before it is filled: cycles resolve to it
         if tag == T_OBJ:
-            self._thaw_fields(target, fz[3])
+            self.thaw_attrs(target, fz[3])
         elif tag == T_STATE:
             target.restore_state(fz[3], self)
-        elif tag == T_EXC:
-            BaseException.__init__(target, *self.thaw(fz[3]))
-            self._thaw_fields(target, fz[4])
-        elif tag == T_LIST:
-            target[:] = [self.thaw(x) for x in fz[1:]]
-        elif tag == T_DEQUE:
-            items = [self.thaw(x) for x in fz[2:]]
+        elif tag == T_LIST or tag == T_DEQUE:
+            items = self.thaw_items(fz[1 if tag == T_LIST else 2:], live)
             target.clear()
             target.extend(items)
         elif tag == T_DICT:
-            pairs = [(k, self.thaw(v)) for k, v in fz[1].items()]
+            pairs = fz[1] if _PRIM.issuperset(map(type, fz[1].values())) else [
+                (k, self.thaw(v, live.get(k) if live else None)) for k, v in fz[1].items()]
             target.clear()
             target.update(pairs)
-        elif tag == T_SET and not fz[1]:
+        elif tag == T_SET:
             target.clear()
             target.update(fz[2:])
         elif tag == T_MET:
@@ -575,37 +455,23 @@ class Thawer:
             target[:] = fz[1]
         return target
 
-    def _fresh(self, fz: list) -> Any:
-        """A new, still empty object of the kind ``fz`` describes (complete
-        already for the immutable kinds: frozenset, array)."""
-        tag = fz[0]
-        if tag in (T_OBJ, T_STATE, T_EXC):
-            cls = _resolve_class(fz[1], fz[2])
-            return cls.__new__(cls)
-        if tag == T_DEQUE:
-            return deque(maxlen=fz[1])
-        if tag == T_SET:
-            return frozenset(fz[2:]) if fz[1] else set()
-        if tag == T_MET:
-            if fz[1] == "h":
-                return Histogram(buckets=fz[2][0])
-            return Gauge() if fz[1] == "g" else Counter()
-        if tag == T_ARRAY:
-            import numpy as np  # lazy: only designs that hold arrays pay
+    def thaw_items(self, items: list, live: Any) -> list:
+        """Thaw checked frozen ``items``, each with the live item at its place."""
+        prim, thaw = _PRIM, self.thaw
+        if prim.issuperset(map(type, items)):
+            return list(items)
+        if not live:
+            return [x if type(x) in prim else thaw(x) for x in items]
+        lives = [*live, *[None] * (len(items) - len(live))]
+        return [x if type(x) in prim else thaw(x, lv) for x, lv in zip(items, lives)]
 
-            return np.frombuffer(fz[3], dtype=np.dtype(fz[1])).reshape(fz[2]).copy()
-        try:
-            return {T_LIST: list, T_DICT: dict, T_RNG: random.Random, T_BYTES: bytearray}[tag]()
-        except KeyError:  # T_ATTRS has no identity of its own: use thaw_attrs
-            raise SnapshotError(f"cannot thaw a {tag} marker as a value") from None
-
-    def thaw_attrs(self, live: Any, state: Any) -> None:
-        """Apply the output of :meth:`Freezer.freeze_attrs` onto ``live``."""
-        self._thaw_fields(live, _attr_fields(state))
-
-    def _thaw_fields(self, live: Any, fields: Dict[str, Any]) -> None:
-        for name, sub in fields.items():
-            object.__setattr__(live, name, self.thaw(sub))
+    def thaw_attrs(self, live: Any, state: Dict[str, Any]) -> None:
+        """Write checked :meth:`Freezer.freeze_attrs` output onto ``live``."""
+        prim = _PRIM
+        for name, sub in state.items():
+            if type(sub) not in prim:
+                sub = self.thaw(sub, getattr(live, name, None))
+            object.__setattr__(live, name, sub)
 
     def thaw_metrics(self, owner: Any, names: Tuple[str, ...], state: Any, what: str) -> None:
         """Restore the metric attributes ``names`` of ``owner`` in place
@@ -615,15 +481,48 @@ class Thawer:
             raise SnapshotError(f"malformed snapshot: {what} metrics must be {names}")
         for name in names:
             live, fz = getattr(owner, name), state[name]
-            self.pair(fz, live)
-            if self.thaw(fz) is not live:
+            self.check_all((fz,))
+            if self.thaw(fz, live) is not live:
                 raise SnapshotError(f"{what} metric {name!r} does not match the snapshot")
 
 
-def _attr_fields(state: Any) -> Dict[str, Any]:
-    if not _is_marker(state, T_ATTRS) or len(state) != 2 or type(state[1]) is not dict:
-        raise SnapshotError("expected the output of Freezer.freeze_attrs()")
-    return state[1]
+def _fits(fz: list, live: Any, cls: Optional[type]) -> bool:
+    """Whether ``live`` can take marker ``fz``'s contents in place."""
+    tag = fz[0]
+    if tag == T_OBJ or tag == T_STATE:
+        return type(live) is cls
+    if tag == T_DEQUE:
+        return isinstance(live, deque) and live.maxlen == fz[1]
+    if tag == T_SET:
+        return type(live) is set and not fz[1]
+    if tag == T_MET:
+        return isinstance(live, (Counter, Gauge, Histogram)) and _metric_state(live)[0] == fz[1]
+    return isinstance(live, _KINDS[tag])
+
+
+_KINDS = {T_LIST: list, T_DICT: dict, T_BYTES: bytearray, T_RNG: random.Random}
+
+
+def _fresh(fz: list, cls: Optional[type]) -> Any:
+    """A new object of ``fz``'s kind, already filled if a set, RNG or array."""
+    tag = fz[0]
+    if tag == T_OBJ or tag == T_STATE:
+        return cls.__new__(cls)
+    if tag == T_DEQUE:
+        return deque(maxlen=fz[1])
+    if tag == T_SET:
+        return (frozenset if fz[1] else set)(fz[2:])
+    if tag == T_MET:
+        return Histogram(buckets=fz[2][0]) if fz[1] == "h" else {"g": Gauge, "c": Counter}[fz[1]]()
+    if tag == T_RNG:
+        rng = random.Random()
+        rng.setstate(fz[1])
+        return rng
+    if tag == T_ARRAY:
+        import numpy as np  # lazy: only designs that hold arrays pay
+
+        return np.frombuffer(fz[3], dtype=np.dtype(fz[1])).reshape(fz[2]).copy()
+    return {T_LIST: list, T_DICT: dict, T_BYTES: bytearray}[tag]()
 
 
 def _metric_state(metric: Any) -> Tuple[str, Any]:
@@ -634,167 +533,43 @@ def _metric_state(metric: Any) -> Tuple[str, Any]:
 
 
 def _apply_metric(target: Any, kind: str, data: Any) -> None:
-    if kind in ("c", "g"):
-        target.value = data
-    else:
-        buckets, counts, count, total = data
-        if tuple(target.buckets) != tuple(buckets):
-            raise SnapshotError("histogram bucket layout changed between capture and restore")
-        target.counts[:] = list(counts)
-        target.count = count
-        target.total = total
+    """Write a frozen metric value; ``+ 0`` refuses one that is no number."""
+    if kind != "h":
+        target.value = data + 0
+        return
+    buckets, counts, count, total = data
+    if tuple(target.buckets) != tuple(buckets) or len(counts) != len(target.counts):
+        raise SnapshotError("histogram bucket layout changed between capture and restore")
+    target.counts[:] = [c + 0 for c in counts]
+    target.count, target.total = count + 0, total + 0
 
 
 # ====================================================================== sim
 def infra_objects(sim: Any, fault_state: Any, spans: Any) -> Dict[Tuple[str, Any], Any]:
-    """``(kind, key) -> object`` of everything a marker of one simulator may
-    reference."""
-    by_key: Dict[Tuple[str, Any], Any] = {("sim", None): sim}
-    for kind, obj in _named_infra(sim, fault_state, spans):
-        if obj is not None:
-            by_key[(kind, None)] = obj
-    for i, comp in enumerate(sim._components):
-        by_key[("comp", i)] = comp
-    for i, chan in enumerate(sim._channels):
-        by_key[("chan", i)] = chan
+    """``(kind, key) -> object`` of all that a marker of ``sim`` may name."""
+    named = {"sim": sim, "registry": sim.registry, "tracer": sim.tracer, "spans": spans,
+             "faults": fault_state, "plan": getattr(fault_state, "plan", None)}
+    by_key = {(kind, None): obj for kind, obj in named.items() if obj is not None}
+    by_key.update((("comp", i), comp) for i, comp in enumerate(sim._components))
+    by_key.update((("chan", i), chan) for i, chan in enumerate(sim._channels))
     return by_key
 
 
-def _named_infra(sim: Any, fault_state: Any, spans: Any):
-    return (("registry", sim.registry), ("tracer", sim.tracer), ("spans", spans),
-            ("faults", fault_state), ("plan", getattr(fault_state, "plan", None)))
-
-
-#: sim -> (shape, ids of the named objects, id -> (kind, key)); ids only,
-#: so an entry never keeps its simulator alive.
+#: sim -> (shape, id -> (kind, key)); ids only, so an entry never keeps its
+#: simulator alive.
 _INFRA_IDS: "weakref.WeakKeyDictionary[Any, tuple]" = weakref.WeakKeyDictionary()
 
 
 def infra_ids(sim: Any, fault_state: Any, spans: Any) -> Dict[int, Tuple[str, Any]]:
-    """``id -> (kind, key)``, the inverse of :func:`infra_objects`, built
-    once per simulator structure.  A simulator only appends components and
-    channels, so the table stands while their counts and the named objects
-    are the same (rebuilding it per capture cost 0.25 ms of a 7.6 ms
-    capture of the 32-core memcpy)."""
-    shape = (len(sim._components), len(sim._channels))
-    named = [id(obj) for _, obj in _named_infra(sim, fault_state, spans)]
+    """``id -> (kind, key)``, the inverse of :func:`infra_objects`, kept per
+    simulator while its structure holds (0.25 ms of a 7.6 ms capture)."""
+    shape = (len(sim._components), len(sim._channels), id(sim.registry), id(sim.tracer),
+             id(spans), id(fault_state))
     cached = _INFRA_IDS.get(sim)
-    if cached is not None and cached[0] == shape and cached[1] == named:
-        return cached[2]
-    by_id = {id(obj): ref for ref, obj in infra_objects(sim, fault_state, spans).items()}
-    _INFRA_IDS[sim] = (shape, named, by_id)
-    return by_id
-
-
-#: Channel row: name, items, staged (``None`` when empty, else a list of
-#: frozen items), then the five counters.  Component row: name, state.
-_CHAN_ROW, _COMP_ROW = 8, 2
-_SIM_KEYS = ("cycle", "channels", "components", "dirty", "cycles_skipped", "skip_events")
-
-
-def freeze_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
-    """Freeze one :class:`~repro.sim.Simulator`'s complete mutable state."""
-    if sim.mid_cycle:
-        raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
-    if sim._program is not None:
-        sim._program.flush_ticks()  # per-slot tick counts into the components
-    channels = []
-    freeze = fr.freeze
-    for ch in sim._channels:
-        try:
-            items = [freeze(x) for x in ch._items] if ch._items else None
-            staged = [freeze(x) for x in ch._staged] if ch._staged else None
-        except SnapshotError as exc:
-            raise SnapshotError(f"channel {ch.name!r} holds an unfreezable item: {exc}") from None
-        # The raw counters with the lag still owed to them credited: exactly
-        # what the ``cycles_observed``/``occupancy_accum`` properties read.
-        obs = ch._obs
-        seen = ch._sim.cycle - ch._anchor if ch._sim is not None else 0
-        if seen < obs:
-            seen = obs
-        occ = ch._occ + len(ch._items) * (seen - obs)
-        channels.append((ch.name, items, staged, ch._pop_count, ch.total_pushed,
-                         ch.total_popped, occ, seen))
-    chan_refs = fr._refs
-    return {
-        "cycle": sim.cycle,
-        "scheduling": sim.scheduling,
-        "channels": channels,
-        "components": [(comp.name, comp.snapshot_state(fr)) for comp in sim._components],
-        "dirty": [chan_refs[id(ch)][1] for ch in sim._dirty_channels],
-        "cycles_skipped": sim.cycles_skipped,
-        "skip_events": sim.skip_events,
-    }
-
-
-def _expect_keys(obj: Any, keys: Tuple[str, ...], what: str) -> None:
-    if not isinstance(obj, dict) or any(k not in obj for k in keys):
-        raise SnapshotError(f"malformed snapshot: {what} must be a dict with keys {keys}")
-
-
-def _row_names(rows: Any, arity: int, what: str) -> List[Any]:
-    if not isinstance(rows, list) or not all(
-        isinstance(row, tuple) and len(row) == arity for row in rows
-    ):
-        raise SnapshotError(f"malformed snapshot: {what} rows must be {arity}-tuples")
-    return [row[0] for row in rows]
-
-
-def _check_skeleton(sim: Any, state: Dict[str, Any]) -> None:
-    _expect_keys(state, _SIM_KEYS, "sim state")
-    want_comps = _row_names(state["components"], _COMP_ROW, "component")
-    have_comps = [c.name for c in sim._components]
-    if want_comps != have_comps:
-        raise SnapshotError(
-            f"component skeleton mismatch: snapshot has {len(want_comps)} "
-            f"components, design has {len(have_comps)} (or names differ) — "
-            "rebuild with the identical config before restoring"
-        )
-    if _row_names(state["channels"], _CHAN_ROW, "channel") != [c.name for c in sim._channels]:
-        raise SnapshotError("channel skeleton mismatch between snapshot and rebuilt design")
-
-
-def pair_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
-    _check_skeleton(sim, state)
-    for comp, (_name, st) in zip(sim._components, state["components"]):
-        # Only the freezer's own field walk is a marker and pairs; a component
-        # that wrote its state by hand (the runtime server) thaws it itself.
-        th.pair(st, comp)
-    for ch, row in zip(sim._channels, state["channels"]):
-        for frozen, live in ((row[1], ch._items), (row[2], ch._staged)):
-            for sub, lv in zip(frozen or (), live):
-                th.pair(sub, lv)
-
-
-def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
-    # Discard any compiled tick program *before* touching component state:
-    # its unfolded per-slot tick counts must not land on top of restored
-    # counters.  The next run() recompiles, and its first entry wakes all.
-    # Each cached tick closure goes too: it binds state objects the restore
-    # may replace, and the next tick rebuilds it from the restored ones.
-    sim._program = None
-    sim._subs_stale = True
-    for comp, (_name, st) in zip(sim._components, state["components"]):
-        vars(comp).pop("_tick_body", None)
-        comp.restore_state(st, th)
-    for ch, row in zip(sim._channels, state["channels"]):
-        ch._items[:] = [th.thaw(x) for x in row[1] or ()]
-        ch._staged[:] = [th.thaw(x) for x in row[2] or ()]
-        ch._pop_count, ch.total_pushed, ch.total_popped, ch._occ, ch._obs = row[3:]
-        ch._dirty = False
-    sim.cycle = state["cycle"]
-    sim.cycles_skipped = state["cycles_skipped"]
-    sim.skip_events = state["skip_events"]
-    del sim._dirty_channels[:]
-    for idx in state["dirty"]:
-        ch = sim._channels[idx]
-        ch._dirty = True
-        sim._dirty_channels.append(ch)
-    if sim._compiled:
-        for ch in sim._channels:
-            # Re-anchor lazy occupancy crediting at the restored cycle, the
-            # same invariant register_channel() establishes.
-            ch._anchor = sim.cycle - ch._obs
+    if cached is None or cached[0] != shape:
+        by_id = {id(obj): ref for ref, obj in infra_objects(sim, fault_state, spans).items()}
+        cached = _INFRA_IDS[sim] = (shape, by_id)
+    return cached[1]
 
 
 # ================================================================ snapshots
@@ -808,124 +583,66 @@ class Snapshot:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-def _capture_state(sim: Any, fault_state: Any, extras: Dict[str, Any]) -> Tuple[Freezer, Dict[str, Any]]:
-    """Freeze a simulator, its fault state and ``extras`` (payload key ->
-    live object or ``None``, captured field by field)."""
-    fr = Freezer(infra_ids(sim, fault_state, extras.get("spans")))
-    payload = {
-        "sim": freeze_sim_state(sim, fr),
-        "faults": fr.freeze_attrs(fault_state, exclude=("plan",)) if fault_state is not None else None,
-    }
-    for key, part in extras.items():
-        payload[key] = fr.freeze_attrs(part) if part is not None else None
+def _capture_state(sim: Any, parts: Dict[str, Any], host: Any = None) -> Tuple[Freezer, Dict[str, Any]]:
+    """Freeze a simulator, ``parts`` (payload key -> the fault state, span
+    tracker or tracer, or ``None``) by their declared fields, and ``host``."""
+    fr = Freezer(infra_ids(sim, parts["faults"], parts.get("spans")))
+    payload = {"sim": sim.snapshot_state(fr)}
+    payload.update((k, None if p is None else fr.freeze_attrs(p)) for k, p in parts.items())
+    if host is not None:
+        payload["host"] = host.snapshot_state(fr)
     return fr, payload
 
 
-def _restore_state(
-    sim: Any, payload: Dict[str, Any], fault_state: Any, extras: Dict[str, Any]
-) -> Thawer:
-    _expect_keys(payload, ("sim", "faults", *extras), "payload")
-    th = Thawer(infra_objects(sim, fault_state, extras.get("spans")))
-    parts = [
-        (part, payload[key])
-        for key, part in (("faults", fault_state), *extras.items())
-        if part is not None and payload[key] is not None
-    ]
-    # Pass 1: pair every frozen subtree with its live in-place target.
-    pair_sim_state(sim, payload["sim"], th)
-    for part, state in parts:
-        th.pair_attrs(part, state)
-    # Pass 2: thaw.
-    apply_sim_state(sim, payload["sim"], th)
-    for part, state in parts:
-        th.thaw_attrs(part, state)
-    return th
+def _restore_state(sim: Any, payload: Any, parts: Dict[str, Any], host: Any = None) -> None:
+    """Check all of ``payload``, then thaw it, in capture order."""
+    keys = ("sim", *parts, *("host",) * (host is not None))
+    if not isinstance(payload, dict) or any(k not in payload for k in keys):
+        raise _malformed(f"the payload must be a dict with keys {keys}")
+    th = Thawer(infra_objects(sim, parts["faults"], parts.get("spans")),
+                frozenset(type(comp).__module__ for comp in sim._components))
+    steps = [(sim, payload["sim"], True)]  # (owner, state, writes it by hand)
+    steps += [(part, payload[key], False) for key, part in parts.items()
+              if part is not None and payload[key] is not None]
+    steps += [(host, payload["host"], True)] if host is not None else []
+    for owner, state, by_hand in steps:
+        owner.check_state(state, th) if by_hand else th.check_attrs(type(owner), state)
+    for owner, state, by_hand in steps:
+        owner.restore_state(state, th) if by_hand else th.thaw_attrs(owner, state)
 
 
-def _design_extras(design: Any, sim: Any) -> Dict[str, Any]:
-    return {"spans": getattr(design, "span_tracker", None), "tracer": sim.tracer}
+def _design_parts(design: Any) -> Dict[str, Any]:
+    return {"faults": getattr(design, "faults", None),
+            "spans": getattr(design, "span_tracker", None), "tracer": design.sim.tracer}
 
 
 def capture(handle: Any) -> Snapshot:
-    """Snapshot a full run (simulator + host interface).
-
-    ``handle`` is the :class:`~repro.runtime.FpgaHandle` driving the design.
-    """
-    _refuse_serving(handle)
-    design = handle.design
-    sim = design.sim
-    fr, payload = _capture_state(sim, getattr(design, "faults", None), _design_extras(design, sim))
-    payload["host"] = handle.snapshot_state(fr)
+    """Snapshot a full run: the simulator and ``handle``, the
+    :class:`~repro.runtime.FpgaHandle` driving it."""
+    sim = handle.design.sim
+    fr, payload = _capture_state(sim, _design_parts(handle.design), handle)
     # ``objects``: how many objects the capture froze, which is what it costs.
-    meta = {"scheduling": sim.scheduling, "skipped_attrs": fr.skipped, "objects": len(fr._memo)}
+    meta = {"scheduling": sim.scheduling, "objects": len(fr._memo)}
     return Snapshot(SNAPSHOT_VERSION, sim.cycle, payload, meta)
 
 
 def restore(handle: Any, snap: Snapshot) -> None:
-    """Restore a :func:`capture` snapshot into a freshly rebuilt + replayed run.
-
-    The caller must have rebuilt the design with the identical config and
-    replayed the host-side setup (allocations, writes, ``call()``
-    submissions) so the command registry lines up; the snapshot then
-    overwrites every mutable field, after which ``run(N)`` continues
-    bit-identically to the uninterrupted execution.
-    """
+    """Restore a :func:`capture` snapshot into a run rebuilt from the
+    identical config with its host-side setup (allocations, writes, every
+    ``call()``) replayed; ``run(N)`` then continues bit-identically."""
     if snap.version != SNAPSHOT_VERSION:
         raise SnapshotVersionError(
             f"snapshot version {snap.version} != supported {SNAPSHOT_VERSION}"
         )
-    design = handle.design
-    sim = design.sim
-    _expect_keys(snap.payload, ("host",), "payload")
-    _check_replay(handle, snap.payload["host"])
-    th = _restore_state(
-        sim, snap.payload, getattr(design, "faults", None), _design_extras(design, sim)
-    )
-    handle.restore_state(snap.payload["host"], th)
-
-
-def _check_replay(handle: Any, host: Any) -> None:
-    """Refuse, before anything is written, a replay that issued fewer
-    ``call``s or made a different number of clients than the captured run:
-    their futures, waiters or counters would be dropped."""
-    _refuse_serving(handle)
-    _expect_keys(host, ("calls", "clients"), "host state")
-    if not isinstance(host["calls"], dict) or not isinstance(host["clients"], list):
-        raise SnapshotError("malformed snapshot: host calls must be a dict, clients a list")
-    missing = [uid for uid in host["calls"] if uid not in handle._calls]
-    if missing:
-        raise SnapshotError(
-            f"the replay issued no call with uid {missing}: replay every call() "
-            "the captured run made, in the same order, before restoring"
-        )
-    if len(host["clients"]) != len(handle._clients):
-        raise SnapshotError(
-            f"the captured run made {len(host['clients'])} clients, the replay "
-            f"{len(handle._clients)}: replay every new_client() before restoring"
-        )
-
-
-def _refuse_serving(handle: Any) -> None:
-    """A snapshot holds no serving-layer state (tenant queues, token
-    buckets, scheduler deficits, their metrics); refuse a handle that an
-    :class:`~repro.serve.AcceleratorService` drives."""
-    tenants = [client.tenant for client in handle._clients if client.tenant]
-    if tenants:
-        raise SnapshotError(
-            f"clients front serving-layer tenants {tenants}: an AcceleratorService's "
-            "queues, quotas and metrics are not part of a snapshot"
-        )
+    _restore_state(handle.design.sim, snap.payload, _design_parts(handle.design), handle)
 
 
 # ======================================================== bare simulators
 def capture_sim_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
-    """Freeze a bare simulator (and optionally its fault state).
-
-    The payload is fully decoupled from the live objects (plain data only),
-    so the caller can hold it while the simulator keeps advancing.
-    """
-    return _capture_state(sim, fault_state, {})[1]
+    """Freeze a bare simulator (and optionally its fault state) to plain
+    data, which the caller can hold while the simulator runs on."""
+    return _capture_state(sim, {"faults": fault_state})[1]
 
 
 def restore_sim_state(sim: Any, payload: Dict[str, Any], fault_state: Any = None) -> None:
-    _restore_state(sim, payload, fault_state, {})
+    _restore_state(sim, payload, {"faults": fault_state})

@@ -39,9 +39,11 @@ The policy, in the order one cycle applies it:
    one B response, from the same pointer; B never advances it.  Within an
    ID and direction, beats and responses leave in acceptance order.
 
-Statistics follow the controller's names: ``row_misses`` counts preps,
-``row_conflicts`` the preps that closed an open row, ``row_hits`` every
-issued column, ``queue_wait_cycles`` the cycles columns sat in the window.
+Statistics follow the controller's names: every issued column is one
+``row_hits`` or one ``row_misses``, the miss being the first column after
+its bank's activation; ``activations`` counts preps, ``row_conflicts`` the
+preps that closed an open row, ``queue_wait_cycles`` the cycles columns sat
+in the window.
 Fault injection is not modelled (every beat has ``err=False``).
 """
 
@@ -62,12 +64,14 @@ STAT_KEYS = (
 
 
 class OracleBank:
-    __slots__ = ("open_row", "ready_at", "activated", "activations", "row_hits", "row_misses")
+    __slots__ = ("open_row", "ready_at", "activated", "unused", "activations", "row_hits",
+                 "row_misses")
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
         self.ready_at = 0  # first cycle the bank takes a command
         self.activated = 0  # cycle of the last activate
+        self.unused = False  # no column since the last activate
         self.activations = self.row_hits = self.row_misses = 0
 
 
@@ -203,8 +207,7 @@ class DramOracle:
             bank.activated = start
             bank.ready_at = start + timing.t_rcd
             bank.activations += 1
-            bank.row_misses += 1
-            self.stats["row_misses"] += 1
+            bank.unused = True
             preps -= 1
             if not preps:
                 return
@@ -234,8 +237,14 @@ class DramOracle:
         self.window.remove(col)
         stats["bus_cycles"] += 1
         stats["queue_wait_cycles"] += cycle - col.since
-        stats["row_hits"] += 1
-        self.banks[col.bank].row_hits += 1
+        bank = self.banks[col.bank]
+        if bank.unused:
+            bank.unused = False
+            bank.row_misses += 1
+            stats["row_misses"] += 1
+        else:
+            bank.row_hits += 1
+            stats["row_hits"] += 1
         if txn.is_write:
             data, strb = txn.wbeats[col.beat]
             self.store.write(col.addr, data, strb)

@@ -24,6 +24,8 @@ from repro.runtime import FpgaHandle
 class ProducerCore(AcceleratorCore):
     """Writes value = seed + row into the consumer's memory."""
 
+    _state = ("_active", "_row", "_n", "_seed")
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.io = self.beethoven_io(
@@ -51,6 +53,8 @@ class ProducerCore(AcceleratorCore):
 
 class ConsumerCore(AcceleratorCore):
     """Checksums rows [0, n) of its inbox memory through a read port."""
+
+    _state = ("_active", "_issued", "_collected", "_n", "_total")
 
     def __init__(self, ctx):
         super().__init__(ctx)

@@ -308,9 +308,9 @@ def test_tick_reports_and_captures_equal_eager_flush_values():
     lazy, eager = session(False), session(True)
     assert lazy == eager
     captured = {
-        name: state[1]["_ticks_executed"]
+        name: state["_ticks_executed"]
         for name, state in lazy[0]
-        if isinstance(state, list) and state[0] == "~attrs" and "_ticks_executed" in state[1]
+        if isinstance(state, dict) and "_ticks_executed" in state
     }
     assert captured and all(
         ticks == lazy[1][name]["ticks_executed"] for name, ticks in captured.items()

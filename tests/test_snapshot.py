@@ -313,6 +313,8 @@ def test_capture_from_inside_a_tick_is_refused(mode):
     class _Capturer(Component):
         """Unhinted, so it ticks every cycle; tries one capture mid-tick."""
 
+        _state = ()
+
         def tick(self, cycle):
             if not refusals:
                 try:

@@ -168,8 +168,24 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
         rows = fields["payload"]["sim"]["channels"]
         rows[5] = rows[5][:-1]
 
+    def controller(fields):
+        (state,) = [st for name, st in fields["payload"]["sim"]["components"] if name == "mc"]
+        return state
+
+    def undeclared_field(fields):  # not in MemoryController._state
+        controller(fields)["x_evil"] = 1
+
+    def foreign_class(module, qualname):
+        def mutate(fields):
+            controller(fields)["_fault"] = ["~obj", module, qualname, {}]
+        return mutate
+
     build, handle, futs = _design()
     for mutate in (
+        undeclared_field,
+        foreign_class("builtins", "type"),
+        foreign_class("collections", "OrderedDict"),
+        foreign_class("os", "stat_result"),
         lambda f: f["payload"].pop("sim"),
         lambda f: f["payload"].pop("host"),
         lambda f: f["payload"]["sim"].pop("dirty"),

@@ -1,21 +1,26 @@
-"""Audit of every ``_snapshot_exclude`` declaration under ``repro.``.
+"""Audit of every ``_state`` declaration under ``repro.``.
 
-A class lists the attributes it binds at construction and the snapshot
-freezer does not walk them: the rebuilt design has them already.  That is
-only sound if a listed attribute (1) exists, (2) is never rebound after
-elaboration, (3) holds no state of its own — it freezes to the same tree at
-any point of a run — and (4) is recreated equal by a rebuild + replay.
-This file checks all four on live designs, for every declaring class, and
-checks that the audit itself notices a rebound attribute.  It also pins how
-many objects one capture freezes, which is what a capture costs.
+A class names its state in ``_state``; the snapshot engine captures and
+restores those names and nothing else.  That is only sound if every
+attribute a class does *not* declare is structure: bound at construction,
+never rebound afterwards (the same object, or an equal plain value, right
+after first use, mid-run and at the end), and recreated equal by a rebuild
++ replay.  This file checks that on live designs, for every declaring
+class, checks that each declared name is a real attribute, checks that the
+audit itself notices a rebound attribute and that a core which declares
+nothing is refused, and pins how many objects one capture freezes, which
+is what a capture costs.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import pkgutil
+import random
 import sys
-from collections import deque
+import types
+from collections import Counter, deque
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
@@ -26,15 +31,28 @@ from repro.core.build import BeethovenBuild
 from repro.dram.controller import MemoryController
 from repro.platforms import AWSF1Platform, SimulationPlatform
 from repro.runtime import FpgaHandle
-from repro.snapshot import capture
-from repro.snapshot.engine import T_NAMED, T_OBJ, T_STATE, Freezer, _is_marker, _plan, infra_ids
+from repro.sim.kernel import RUN_CACHES
+from repro.snapshot import SnapshotError, capture, restore
+from repro.snapshot.engine import (
+    T_NAMED,
+    T_OBJ,
+    T_STATE,
+    Freezer,
+    _is_marker,
+    declared_state,
+    infra_ids,
+)
 from repro.snapshot.scenario import CHUNK, _build_memcpy
 
 
 # ------------------------------------------------------------ declarations
-def _declared(cls: type) -> List[str]:
-    """What the freezer skips for ``cls`` — read from the freezer's own plan."""
-    return sorted(_plan(cls, ())[1])
+def _declared(cls: type) -> Tuple[str, ...]:
+    """What the engine captures of a ``cls``, or ``None`` when the class is
+    not one it walks (infrastructure, hand-written state, plain wiring)."""
+    try:
+        return declared_state(cls)
+    except SnapshotError:
+        return None
 
 
 def declaring_classes() -> List[type]:
@@ -45,9 +63,7 @@ def declaring_classes() -> List[type]:
         for name, module in list(sys.modules.items())
         if name.startswith("repro.")
         for obj in vars(module).values()
-        if isinstance(obj, type)
-        and obj.__module__.startswith("repro.")
-        and obj.__dict__.get("_snapshot_exclude")
+        if isinstance(obj, type) and obj.__module__.startswith("repro.") and "_state" in obj.__dict__
     }
     return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
 
@@ -56,7 +72,7 @@ def declaring_classes() -> List[type]:
 class Scenario(NamedTuple):
     sim: Any
     design: Any  # None for a bare testbench
-    advance: Callable[[], None]  # run to a mid-flight point
+    advance: Callable[[], None]  # run on to the next audit point
     handle: Any = None
 
 
@@ -135,6 +151,29 @@ def chaos_with_hangs() -> Scenario:
     return scenario
 
 
+def typed_errors() -> Scenario:
+    """Every fault site live on four cores, two of them wedged for good: the
+    host's futures end up holding each typed fault error."""
+    from repro.faults.plan import FaultPlan
+    from repro.kernels.memcpy import memcpy_config
+    from repro.runtime.server import WatchdogConfig
+
+    plan = FaultPlan(seed=2, axi_r_corrupt_rate=0.5, dram_read_flip_rate=0.3, core_hang_rate=0.5,
+                     core_hang_cycles=0, core_hang_window=50, mmio_resp_drop_rate=0.3,
+                     max_faults_per_site=4)
+    watchdog = WatchdogConfig(timeout_cycles=1500, max_retries=1, backoff_base_cycles=64,
+                              backoff_cap_cycles=256, quarantine_strikes=2)
+    build = BeethovenBuild(memcpy_config(n_cores=4), AWSF1Platform(), faults=plan, watchdog=watchdog)
+
+    def calls(handle):
+        src = _upload(handle, bytes(range(256)) * 8)
+        for job in range(8):
+            yield "Memcpy", "memcpy", job % 4, dict(
+                src=src.fpga_addr, dst=handle.malloc(2048).fpga_addr, len_bytes=2048)
+
+    return _accelerated(build, calls, 3000)
+
+
 def attention() -> Scenario:
     from repro.kernels.attention import a3_config
 
@@ -205,15 +244,39 @@ def baseline_masters() -> Scenario:
     return Scenario(sim, None, lambda: sim.run(300))
 
 
-SCENARIOS = (memcpy32, hetero_serving, machsuite, chaos_with_hangs, attention,
-             vecadd_and_spin, intra_core, baseline_masters)
+SCENARIOS = (memcpy32, hetero_serving, machsuite, chaos_with_hangs, typed_errors,
+             attention, vecadd_and_spin, intra_core, baseline_masters)
 
 
 # --------------------------------------------------------------- the audit
-def _reachable(sim) -> List[Any]:
-    """Every model object reachable from the components, in a fixed order."""
+def _roots(scenario: Scenario) -> List[Any]:
+    """The components, the parts a capture freezes by their declarations,
+    and the host's allocator and command outcomes."""
+    roots = list(scenario.sim._components)
+    design, handle = scenario.design, scenario.handle
+    roots += [getattr(design, "faults", None), getattr(design, "span_tracker", None),
+              scenario.sim.tracer]
+    if handle is not None:
+        roots.append(handle.allocator)
+        for rec in handle._calls.values():
+            roots += [rec["fut"]._response, rec["fut"]._error]
+    return [root for root in roots if root is not None]
+
+
+def _attributes(obj: Any) -> Dict[str, Any]:
+    found = dict(getattr(obj, "__dict__", {}))
+    for cls in type(obj).__mro__:
+        names = cls.__dict__.get("__slots__", ())
+        for name in (names,) if isinstance(names, str) else names:
+            if name not in ("__dict__", "__weakref__") and hasattr(obj, name):
+                found.setdefault(name, getattr(obj, name))
+    return found
+
+
+def _reachable(scenario: Scenario) -> List[Any]:
+    """Every model object reachable from the roots, in a fixed order."""
     seen, order = set(), []
-    stack = list(reversed(sim._components))
+    stack = list(reversed(_roots(scenario)))
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
@@ -225,59 +288,118 @@ def _reachable(sim) -> List[Any]:
             children = list(obj)
         elif type(obj).__module__.split(".")[0] in ("repro", "test_intra_core"):
             order.append(obj)
-            children = list(getattr(obj, "__dict__", {}).values())
-            children += [getattr(obj, s) for s in getattr(type(obj), "__slots__", ())
-                         if hasattr(obj, s)]
+            children = list(_attributes(obj).values())
         else:
             continue
         stack.extend(reversed(children))
     return order
 
 
+def _plain(value: Any) -> bool:
+    return isinstance(value, (type(None), bool, int, float, complex, str, bytes)) or (
+        type(value) is tuple and all(map(_plain, value)))
+
+
+_CALLABLES = (types.FunctionType, types.MethodType, types.BuiltinFunctionType, functools.partial)
+
+
+def fingerprint(value: Any, refs: Dict[int, Tuple[str, Any]], seen: set) -> Any:
+    """What a rebuild must recreate equal: plain values as they are,
+    infrastructure by its skeleton index, callables by name, objects of a
+    state-declaring class by class only (their contents are state), and
+    anything else by its attributes."""
+    if _plain(value):
+        return value
+    if id(value) in refs:
+        return ("ref", *refs[id(value)])
+    t = type(value)
+    if isinstance(value, _CALLABLES):
+        return ("callable", getattr(value, "__qualname__", t.__qualname__))
+    if id(value) in seen:
+        return ("seen", t.__qualname__)
+    seen.add(id(value))
+    if isinstance(value, (list, tuple, deque)):
+        return (t.__qualname__, tuple(fingerprint(x, refs, seen) for x in value))
+    if isinstance(value, (set, frozenset)):
+        return (t.__qualname__, tuple(sorted(map(repr, value))))
+    if isinstance(value, dict):
+        return (t.__qualname__, tuple((repr(k), fingerprint(v, refs, seen)) for k, v in value.items()))
+    if isinstance(value, (bytearray, np.ndarray)):
+        return (t.__qualname__, bytes(value))
+    if isinstance(value, random.Random):
+        return ("Random", value.getstate())
+    if hasattr(t, "_state"):
+        return ("state", t.__qualname__)
+    return (t.__qualname__, tuple(
+        (name, fingerprint(v, refs, seen)) for name, v in sorted(_attributes(value).items())))
+
+
 def audit(scenario: Scenario) -> Dict[Tuple[str, int, str], Tuple[Any, Any]]:
-    """(class, nth instance, attribute) -> (the bound object, its frozen tree)
-    for every excluded attribute of every declaring instance."""
+    """(class, nth instance, attribute) -> (the bound object, its
+    fingerprint) for every attribute a declaring instance does not declare;
+    asserts every declared name is a real attribute on the way."""
     design = scenario.design
-    spans = getattr(design, "span_tracker", None)
-    fr = Freezer(infra_ids(scenario.sim, getattr(design, "faults", None), spans))
+    refs = infra_ids(scenario.sim, getattr(design, "faults", None), getattr(design, "span_tracker", None))
     out, counts = {}, {}
-    for obj in _reachable(scenario.sim):
-        names = _declared(type(obj))
-        if not names:
+    for obj in _reachable(scenario):
+        declared = _declared(type(obj))
+        if declared is None:
             continue
+        missing = [name for name in declared if not hasattr(obj, name)]
+        assert not missing, f"{type(obj).__qualname__} declares {missing}, which it lacks"
         nth = counts[type(obj)] = counts.get(type(obj), -1) + 1
-        for name in names:
-            value = getattr(obj, name)  # a typo in a declaration fails here
-            out[(type(obj).__qualname__, nth, name)] = (value, fr._freeze(value))
+        for name, value in _attributes(obj).items():
+            if name not in declared and name not in RUN_CACHES:
+                out[(type(obj).__qualname__, nth, name)] = (value, fingerprint(value, refs, set()))
     return out
+
+
+def _states(scenario: Scenario) -> Counter:
+    """The declared state of every object of a ``_state``-declaring class
+    reachable from the scenario's roots, as a multiset."""
+    design = scenario.design
+    fr = Freezer(infra_ids(scenario.sim, getattr(design, "faults", None),
+                           getattr(design, "span_tracker", None)))
+    return Counter((type(obj).__qualname__, repr(fr.freeze_attrs(obj)))
+                   for obj in _reachable(scenario) if "_state" in type(obj).__dict__)
 
 
 def same_wiring(before, after, identical: bool) -> None:
     assert before.keys() == after.keys()
     for key, (value, tree) in before.items():
         if identical:
-            assert after[key][0] is value, f"{key} was rebound"
-        assert after[key][1] == tree, f"{key} froze to a different tree"
+            now = after[key][0]
+            assert now is value or (_plain(value) and now == value), f"{key} was rebound"
+        assert after[key][1] == tree, f"{key} holds a different tree"
+
+
+def _first_use(scenario: Scenario) -> Scenario:
+    scenario.sim.run(1)
+    return scenario
 
 
 @pytest.mark.parametrize("factory", SCENARIOS, ids=lambda f: f.__name__)
 def test_excluded_attributes_are_wiring(factory):
-    scenario = factory()
-    at_start = audit(scenario)
-    assert at_start
+    """Every attribute a class leaves out of ``_state`` is structure."""
+    scenario = _first_use(factory())
+    first = audit(scenario)
+    assert first
     scenario.advance()
-    mid_flight = audit(scenario)
-    same_wiring(at_start, mid_flight, identical=True)
+    mid_run = audit(scenario)
+    same_wiring(first, mid_run, identical=True)
+    for _ in range(4):
+        scenario.advance()
+    same_wiring(first, audit(scenario), identical=True)
     # A rebuild + replay recreates them: nothing a restore needs is missing.
-    same_wiring(mid_flight, audit(factory()), identical=False)
-    shipped = all(type(c).__module__.startswith("repro.") for c in scenario.sim._components)
-    if scenario.handle is not None and shipped:
-        # And no object bound to an excluded attribute is reached some other
-        # way: it would be thawed as a copy next to the live one.  (A user
-        # core that declares nothing still walks into its ports: allowed.)
-        wiring = {type(value).__qualname__ for value, tree in mid_flight.values()
-                  if _is_marker(tree, T_OBJ)}
-        assert not wiring & _frozen_classes(capture(scenario.handle).payload)
+    same_wiring(mid_run, audit(_first_use(factory())), identical=False)
+    if scenario.handle is not None:
+        # A restore into a rebuild reproduces every state object reachable
+        # by any path: none is thawed as a copy next to the live one that
+        # an undeclared attribute still holds.
+        snap = capture(scenario.handle)
+        rebuilt = _first_use(factory())
+        restore(rebuilt.handle, snap)
+        assert _states(rebuilt) == _states(scenario)
 
 
 def _frozen_classes(payload) -> set:
@@ -298,10 +420,10 @@ def _frozen_classes(payload) -> set:
 def test_a_rebound_attribute_fails_the_audit():
     import dataclasses
 
-    scenario = memcpy32()
+    scenario = _first_use(memcpy32())
     before = audit(scenario)
     scenario.advance()
-    reader = next(o for o in _reachable(scenario.sim) if type(o).__name__ == "Reader")
+    reader = next(o for o in _reachable(scenario) if type(o).__name__ == "Reader")
     reader.tuning = dataclasses.replace(reader.tuning)  # equal value, different object
     with pytest.raises(AssertionError, match="rebound"):
         same_wiring(before, audit(scenario), identical=True)
@@ -312,22 +434,57 @@ def test_a_rebound_attribute_fails_the_audit():
 
 
 def test_every_declaration_is_covered_and_names_real_attributes():
-    """No typo can silently exclude nothing, and no declaring class escapes
-    the scenarios above."""
+    """Every class that declares ``_state`` is built by a scenario above, and
+    each name it declares is an attribute of every instance."""
     classes = declaring_classes()
     assert len(classes) >= 25
-    instances: Dict[type, Any] = {}
+    instances: Dict[type, List[Any]] = {}
     for factory in SCENARIOS:
-        for obj in _reachable(factory().sim):
-            instances.setdefault(type(obj), obj)
+        scenario = factory()
+        for _ in range(5):
+            scenario.advance()
+        for obj in _reachable(scenario):
+            instances.setdefault(type(obj), []).append(obj)
     for cls in classes:
-        covered = [obj for typ, obj in instances.items() if issubclass(typ, cls)]
+        covered = [obj for typ, objs in instances.items() if issubclass(typ, cls) for obj in objs]
         assert covered, f"no scenario builds a {cls.__qualname__}"
-        for name in cls.__dict__["_snapshot_exclude"]:
+        for name in declared_state(cls):
             assert all(hasattr(obj, name) for obj in covered), (
-                f"{cls.__qualname__}._snapshot_exclude names {name!r}, "
-                "which its instances do not have"
+                f"{cls.__qualname__}._state names {name!r}, which its instances do not have"
             )
+
+
+def test_a_core_that_declares_nothing_is_refused_by_name():
+    """A user core without ``_state`` could only be captured by guessing; the
+    capture refuses it and says what to declare."""
+    from repro.command.packing import CommandSpec, EmptyAccelResponse, Field, UInt
+    from repro.core import AcceleratorConfig
+    from repro.core.accelerator import AcceleratorCore
+
+    class UndeclaredCore(AcceleratorCore):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.io = self.beethoven_io(CommandSpec("noop", (Field("x", UInt(8)),)),
+                                        EmptyAccelResponse())
+            self.seen = 0
+
+        def tick(self, cycle):
+            if self.io.req.can_pop():
+                self.io.req.pop()
+                self.seen += 1
+
+    class DeclaredCore(UndeclaredCore):
+        _state = ("seen",)
+
+    for core, refused in ((UndeclaredCore, True), (DeclaredCore, False)):
+        config = AcceleratorConfig(name="Quiet", n_cores=1, module_constructor=core)
+        handle = FpgaHandle(BeethovenBuild(config, SimulationPlatform()).design)
+        handle.run_cycles(5)
+        if refused:
+            with pytest.raises(SnapshotError, match=r"UndeclaredCore declares no state.*`_state`"):
+                capture(handle)
+        else:
+            assert capture(handle).cycle == handle.cycle
 
 
 # -------------------------------------------------------- what a capture costs

@@ -12,7 +12,12 @@ The killing tests are independent oracles — cycle pins, ``bytearray`` data
 references, ``AxiMonitor`` records, the standalone DRAM timing model in
 ``tests/dram_oracle.py`` and its closed-form cases — never a
 naive-vs-compiled comparison: both schedules step the same body, so a
-mutant changes both alike and such a comparison cannot see it.
+mutant changes both alike and such a comparison cannot see it.  A
+scheduling hint (``next_event``, ``wake_edges``) is the exception: naive
+stepping ignores hints, so for a hint naive stepping *is* the oracle, and
+the naive-vs-compiled differential is the test that kills it.  The last
+mutant drops a name from a ``_state`` declaration, which the snapshot
+structure audit must notice.
 
     python tools/mutate_bodies.py
 
@@ -144,6 +149,38 @@ MUTANTS = (
         "                for pos in sorted(read_active, key=lambda p: rr_index[read_slots[p][0]]):\n",
         "tests/test_dram_indexed.py::test_indexed_body_matches_scanning_body[1]",
         "MemoryController enqueue: read IDs visited in round-robin order, not first-seen order",
+    ),
+    Mutant(
+        "delay-hint-late",
+        "src/repro/baselines/delay_core.py",
+        "return max(cycle, self._respond_at)",
+        "return max(cycle, self._respond_at + 1)",
+        "tests/test_fast_forward.py::test_runtime_server_differential_compiled",
+        "DelayCore.next_event: the response hint names the cycle after the due one",
+    ),
+    Mutant(
+        "delay-wake-edges-drop-req",
+        "src/repro/baselines/delay_core.py",
+        "        return [self.io.req], []\n",
+        "        return [], []\n",
+        "tests/test_fast_forward.py::test_runtime_server_differential_compiled",
+        "DelayCore.wake_edges: an arriving command does not wake an idle core",
+    ),
+    Mutant(
+        "dram-refresh-hint-late",
+        "src/repro/dram/controller.py",
+        "else (cycle // t + 1) * t\n",
+        "else (cycle // t + 1) * t + 1\n",
+        "tests/test_fast_forward.py::test_runtime_server_differential_compiled",
+        "MemoryController.next_event: an idle controller wakes a cycle after the refresh edge",
+    ),
+    Mutant(
+        "dram-state-drops-dir-streak",
+        "src/repro/dram/controller.py",
+        '"_bus_dir_write", "_dir_streak",',
+        '"_bus_dir_write",',
+        "tests/test_snapshot_structure.py::test_excluded_attributes_are_wiring[memcpy32]",
+        "MemoryController._state: the bus direction streak is left out of snapshots",
     ),
 )
 
