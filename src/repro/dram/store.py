@@ -84,9 +84,33 @@ class MemoryStore:
         indices = sorted(self._blocks)
         return self.block_bytes, tuple(indices), b"".join(map(self._blocks.__getitem__, indices))
 
+    @staticmethod
+    def check_state(state) -> None:
+        """Refuse, in a restore's first pass, an image of another shape: a
+        natural block size, strictly increasing natural block indices, and
+        exactly one block of bytes per index."""
+        from repro.snapshot.engine import SnapshotError
+
+        size, indices, image = state if type(state) is tuple and len(state) == 3 else (None,) * 3
+        if not (type(size) is int and size > 0 and type(indices) is tuple and type(image) is bytes
+                and set(map(type, indices)) <= {int} and len(image) == len(indices) * size
+                and all(a < b for a, b in zip((-1, *indices), indices))):
+            raise SnapshotError(
+                "malformed snapshot: a memory image must be (block size, strictly increasing "
+                "block indices, one block of bytes per index)")
+
     def restore_state(self, state, th) -> None:
-        self.block_bytes, indices, image = state
-        size = self.block_bytes
+        size, indices, image = state
+        # The block size is structure (the controller's column size): it is
+        # compared, never written.  Only a store thawed fresh, with no live
+        # counterpart, takes the image's.
+        live_size = self.__dict__.setdefault("block_bytes", size)
+        if size != live_size:
+            from repro.snapshot.engine import SnapshotError
+
+            raise SnapshotError(
+                f"the memory image has {size}-byte blocks, the store {live_size}: "
+                "not the same design")
         view = memoryview(image)
         # In place: the controller and the host both hold this dict's owner.
         blocks = self.__dict__.setdefault("_blocks", {})

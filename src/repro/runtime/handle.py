@@ -18,7 +18,8 @@ state) turns a completed command into a retry or a typed
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
@@ -175,6 +176,18 @@ class ResponseHandle:
         self._completed_cycle = cycle
 
 
+class _Call(NamedTuple):
+    """One ``call()``: the context the server queues, the caller's future."""
+
+    ctx: CommandContext
+    fut: ResponseHandle
+
+
+#: The keys of one call's snapshot state.
+_CALL_KEYS = frozenset(
+    ("response", "error", "submitted_cycle", "completed_cycle", "attempts", "key"))
+
+
 class FpgaHandle:
     """Open handle to the Beethoven runtime for one elaborated design."""
 
@@ -202,14 +215,12 @@ class FpgaHandle:
         self.dma_cycles_spent = 0
         #: Every client :meth:`new_client` made, in order (id = index + 1).
         self._clients: List[ClientHandle] = []
-        # uid -> {"ctx", "fut", "make_cb"} for every call() issued through
-        # this handle.  The snapshot layer serialises in-flight commands by
-        # uid; on restore (after the host-side setup has been replayed so
-        # the uids line up) it resolves them back to the live context and
-        # future and rebuilds the response callback via make_cb.
-        self._calls: Dict[int, Dict[str, object]] = {}
+        # uid -> (context, future) of every call() issued through this
+        # handle.  A snapshot holds a context as a reference to its uid; a
+        # restore, after the host-side setup has been replayed so the uids
+        # line up, resolves it to the replayed call's live context.
+        self._calls: Dict[int, _Call] = {}
         self._call_uid = 0
-        self.server._host_calls = self._calls
         # The host bindings: a System by name, then (io index, IO) by
         # (system, IO) name, resolved on first use like generated code would
         # at compile time.  A System's cores share one IO list.
@@ -325,30 +336,21 @@ class FpgaHandle:
         # the layout refuses leaves no call, uid or future behind.
         chunks = io.command_spec.pack(fields, self.design.platform.addr_bits)
         handle = ResponseHandle(self, io.response_spec)
+        self._call_uid += 1
         ctx = CommandContext(
             key=(system.system_id, core_idx),
             label=io_name,
             retryable=_retryable,
+            on_error=handle._fail,
+            uid=self._call_uid,
         )
-        ctx.resubmit = lambda: self._submit_command(
-            system, io_index, chunks, core_idx, handle, ctx, _client,
-            tenant=_tenant, batch=_batch,
+        ctx.resubmit = partial(
+            self._submit_command, system, io_index, chunks, core_idx, ctx, _client,
+            _tenant, _batch,
         )
-        ctx.on_error = handle._fail
-        self._call_uid += 1
-        ctx.uid = self._call_uid
-        self._calls[ctx.uid] = {
-            "ctx": ctx,
-            "fut": handle,
-            "make_cb": lambda: self._make_on_response(
-                system, io_index, chunks, core_idx, handle, ctx,
-                _client, _tenant, _batch,
-            ),
-        }
-        self._submit_command(
-            system, io_index, chunks, core_idx, handle, ctx, _client,
-            tenant=_tenant, batch=_batch,
-        )
+        ctx.on_response = partial(self._on_response, ctx, handle)
+        self._calls[ctx.uid] = _Call(ctx, handle)
+        ctx.resubmit()
         return handle
 
     def _bind_io(self, system, io_name: str) -> Tuple[int, object]:
@@ -359,17 +361,13 @@ class FpgaHandle:
         raise KeyError(f"no IO {io_name!r} on system {system.config.name!r}")
 
     def _submit_command(
-        self, system, io_index, chunks, core_idx, handle, ctx, client,
+        self, system, io_index, chunks, core_idx, ctx, client,
         tenant: str = "", batch: Optional[int] = None,
     ) -> None:
         """Issue (or re-issue) one packed command onto the next healthy core."""
         design = self.design
         routed = self._route_core(system, core_idx)
         ctx.key = (system.system_id, routed)
-        on_response = self._make_on_response(
-            system, io_index, chunks, core_idx, handle, ctx, client,
-            tenant, batch,
-        )
         for i, (rs1, rs2) in enumerate(chunks):
             last = i == len(chunks) - 1
             inst = RoccInstruction(
@@ -383,102 +381,79 @@ class FpgaHandle:
             )
             self.server.submit(
                 inst,
-                on_response if last else None,
+                ctx if last else None,
                 design.sim.cycle,
                 client=client,
-                label=ctx.label,
-                ctx=ctx if last else None,
                 tenant=tenant,
                 batch=batch,
             )
 
-    def _make_on_response(
-        self, system, io_index, chunks, core_idx, handle, ctx, client,
-        tenant: str = "", batch: Optional[int] = None,
-    ) -> "Callable[[RoccResponse], None]":
-        """Response callback for one logical command.
-
-        Factored out of :meth:`_submit_command` so snapshot restore can
-        rebuild a behaviourally identical callback for a command that was in
-        flight at capture time: every closed-over value is retry-invariant
-        (the routed core only affects the already-encoded command words and
-        ``ctx.key``, both of which the snapshot carries explicitly).
-        """
-        design = self.design
-
-        def on_response(resp: RoccResponse) -> None:
-            faults = self.faults
-            if faults is not None:
-                poison = faults.take_poison(ctx.key)
-                if poison:
-                    # Detected corruption: the data this response summarises
-                    # is suspect.  Re-run if allowed, else fail typed.
-                    if (
-                        ctx.retryable
-                        and ctx.attempts - 1 < self.server.watchdog.max_retries
-                    ):
-                        ctx.attempts += 1
-                        self.server.retries += 1
-                        try:
-                            self._submit_command(
-                                system, io_index, chunks, core_idx,
-                                handle, ctx, client, tenant=tenant, batch=batch,
-                            )
-                        except Exception as exc:
-                            handle._fail(exc)
-                        return
-                    handle._fail(
-                        FaultedResponse(
-                            f"command {ctx.label!r} on core {ctx.key} completed "
-                            f"with {len(poison)} detected data fault(s)",
-                            key=ctx.key,
-                            attempts=ctx.attempts,
-                            events=poison,
-                        )
-                    )
+    def _on_response(self, ctx: CommandContext, handle: ResponseHandle, resp: RoccResponse) -> None:
+        """A command's response (its context's ``on_response``, made once
+        per call: every value it is bound to stays the same across retries,
+        and the routed core is ``ctx.key``)."""
+        faults = self.faults
+        if faults is not None:
+            poison = faults.take_poison(ctx.key)
+            if poison:
+                # Detected corruption: the data this response summarises
+                # is suspect.  Re-run if allowed, else fail typed.
+                if ctx.retryable and ctx.attempts - 1 < self.server.watchdog.max_retries:
+                    ctx.attempts += 1
+                    self.server.retries += 1
+                    try:
+                        ctx.resubmit()
+                    except Exception as exc:
+                        handle._fail(exc)
                     return
-                if ctx.attempts > 1:
-                    faults.note_recovery(
-                        design.sim.cycle,
-                        "runtime/handle",
-                        f"{ctx.label} ok after {ctx.attempts} attempts",
+                handle._fail(
+                    FaultedResponse(
+                        f"command {ctx.label!r} on core {ctx.key} completed "
+                        f"with {len(poison)} detected data fault(s)",
+                        key=ctx.key,
+                        attempts=ctx.attempts,
+                        events=poison,
                     )
-            handle._note_completion_cycle(design.sim.cycle)
-            handle._complete(resp)
-
-        return on_response
+                )
+                return
+            if ctx.attempts > 1:
+                faults.note_recovery(
+                    self.design.sim.cycle,
+                    "runtime/handle",
+                    f"{ctx.label} ok after {ctx.attempts} attempts",
+                )
+        handle._note_completion_cycle(self.design.sim.cycle)
+        handle._complete(resp)
 
     # ----------------------------------------------------------- snapshot
     def snapshot_state(self, fr) -> Dict[str, object]:
         """Host-side state for ``repro.snapshot``: allocator, degradation
-        bookkeeping, and the outcome of every command issued so far.
+        bookkeeping, each client's counters, and per call the outcome of its
+        future and its context's ``attempts`` and ``key``.
 
-        Futures are addressed by command uid — restore runs after the host
-        setup has been *replayed* against a rebuilt design (recreating the
-        same uids in the same order) and overwrites each future's outcome in
-        place.  Host shadow buffers (:class:`RemotePtr`) are not captured;
-        the replay rewrites them, and device memory is restored through the
-        memory store's component state.  Each client's counters travel here,
-        with the handle that made the client.
+        Calls are addressed by uid — restore runs after the host setup has
+        been *replayed* against a rebuilt design (recreating the same uids
+        in the same order) and overwrites each call's state in place; the
+        server's queues name the same contexts by uid.  Host shadow buffers
+        (:class:`RemotePtr`) are not captured; the replay rewrites them, and
+        device memory is restored through the memory store's component state.
         """
         self._refuse_serving()
         calls = {}
-        for uid, rec in self._calls.items():
-            fut = rec["fut"]
+        for uid, (ctx, fut) in self._calls.items():
             calls[uid] = {
                 "response": fr.freeze(fut._response),
                 "error": fr.freeze(fut._error),
                 "submitted_cycle": fut.submitted_cycle,
                 "completed_cycle": getattr(fut, "_completed_cycle", None),
+                "attempts": ctx.attempts,
+                "key": ctx.key,
             }
         return {
             "allocator": fr.freeze_attrs(self.allocator),
             "degraded_cores": sorted(self.degraded_cores),
             "dma_cycles_spent": self.dma_cycles_spent,
-            "clients": [
-                {name: fr.freeze(getattr(client, name)) for name in _CLIENT_METRICS}
-                for client in self._clients
-            ],
+            "clients": [fr.freeze_attrs(client) for client in self._clients],
             "calls": calls,
         }
 
@@ -505,10 +480,20 @@ class FpgaHandle:
                 f"the captured run made {len(state['clients'])} clients, the replay "
                 f"{len(self._clients)}: replay every new_client() before restoring"
             )
+        if type(state["dma_cycles_spent"]) is not int or type(state["degraded_cores"]) is not list \
+                or not all(type(k) is tuple and set(map(type, k)) == {int} for k in state["degraded_cores"]):
+            raise SnapshotError("malformed snapshot: the DMA cycles must be an int and the "
+                                "degraded cores a list of core keys")
         th.check_attrs(type(self.allocator), state["allocator"])
+        for client in state["clients"]:
+            th.check_attrs(ClientHandle, client)
         for call in state["calls"].values():
-            if not isinstance(call, dict) or "response" not in call or "error" not in call:
-                raise SnapshotError("malformed snapshot: a call's state lacks its outcome")
+            if not isinstance(call, dict) or call.keys() != _CALL_KEYS or not (
+                    type(call["attempts"]) is int and type(call["submitted_cycle"]) is int
+                    and type(call["completed_cycle"]) in (int, type(None))
+                    and type(call["key"]) is tuple and set(map(type, call["key"])) == {int}):
+                raise SnapshotError(
+                    f"malformed snapshot: a call's state must be the ints and key of {sorted(_CALL_KEYS)}")
             th.check_all((call["response"], call["error"]))
 
     def _refuse_serving(self) -> None:
@@ -531,9 +516,10 @@ class FpgaHandle:
         self.dma_cycles_spent = state["dma_cycles_spent"]
         # check_state() made sure the replay made as many.
         for client, st in zip(self._clients, state["clients"]):
-            th.thaw_metrics(client, _CLIENT_METRICS, st, f"client {client.client_id}")
+            th.thaw_attrs(client, st)
         for uid, st in state["calls"].items():
-            fut = self._calls[uid]["fut"]  # check_state() found every uid replayed
+            ctx, fut = self._calls[uid]  # check_state() found every uid replayed
+            ctx.attempts, ctx.key = st["attempts"], st["key"]
             fut._response = th.thaw(st["response"])
             fut._error = th.thaw(st["error"])
             fut.submitted_cycle = st["submitted_cycle"]
@@ -561,10 +547,6 @@ class FpgaHandle:
         return self.design.sim.cycle
 
 
-#: The metrics a :class:`ClientHandle` owns (a snapshot carries them).
-_CLIENT_METRICS = ("submitted", "completed")
-
-
 class ClientHandle:
     """A process-local view of a shared :class:`FpgaHandle`.
 
@@ -578,6 +560,8 @@ class ClientHandle:
     FIFO, checked per dispatch (``runtime/server/fifo_violations`` stays 0).
     Per-client traffic counters are published under ``serve/client/<id>/``.
     """
+
+    _state = ("submitted", "completed")
 
     def __init__(self, handle: FpgaHandle, client_id: int, name: str) -> None:
         self._handle = handle

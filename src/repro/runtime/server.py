@@ -76,9 +76,11 @@ class CommandContext:
     attempts: int = 1
     resubmit: Optional[Callable[[], None]] = None
     on_error: Optional[Callable[[Exception], None]] = None
-    #: Command uid assigned by the issuing handle (0 = unregistered).  The
-    #: snapshot layer serialises in-flight commands by uid and resolves them
-    #: back to live contexts/callbacks through the handle's call registry.
+    #: Receives the command's response; set once by the issuing handle.
+    on_response: Optional[Callable[[RoccResponse], None]] = None
+    #: Command uid assigned by the issuing handle (0 = unregistered).  A
+    #: snapshot holds a context as a reference to this uid in the handle's
+    #: call table; ``attempts`` and ``key`` travel with the call's outcome.
     uid: int = 0
 
 
@@ -86,22 +88,20 @@ class CommandContext:
 class _Waiter:
     """One in-flight command awaiting its response."""
 
-    callback: Callable[[RoccResponse], None]
+    ctx: CommandContext
     span_id: int = 0
     deadline: float = NEVER
-    ctx: Optional[CommandContext] = None
 
 
 @dataclass
 class PendingCommand:
     words: List[int]
-    on_response: Optional[Callable[[RoccResponse], None]]
     key: Tuple[int, int]  # (system_id, core_id)
     enqueue_cycle: int = 0
     client: int = 0
-    dispatch_start: Optional[int] = None
-    dispatch_end: Optional[int] = None
     span_id: int = 0  # observability root span (0 = untracked)
+    #: The command's context; only the completing chunk of a command that
+    #: expects a response carries one.
     ctx: Optional[CommandContext] = None
     #: Per-client submission sequence number (FIFO-per-client guarantee).
     seq: int = 0
@@ -110,17 +110,19 @@ class PendingCommand:
     batch: Optional[int] = None
 
 
-#: The server's own metrics.  Its state is written by hand, so the
-#: snapshot carries them explicitly.
-_METRIC_ATTRS = (
-    "commands_sent", "responses_received", "lock_wait_cycles", "busy_cycles",
-    "lock_wait_hist", "timeouts", "retries", "quarantines", "late_responses",
-    "rerouted", "batch_lock_skips", "batch_cycles_saved", "fifo_violations",
-)
-
-
 class RuntimeServer(Component):
     """Serialises host commands onto the MMIO frontend and polls responses."""
+
+    # The queues, lock, poll grid and watchdog tables, then the metrics.
+    _state = (
+        "_queues", "_client_rr", "_rr_pos", "_client_seq", "_dispatched_seq", "_last_batch",
+        "_current", "_words_left", "_next_word_cycle", "_lock_until", "_next_poll",
+        "_resp_words", "_waiters", "_retry_heap", "_retry_seq", "_strikes", "quarantined",
+        "client_lock_waits",
+        "commands_sent", "responses_received", "lock_wait_cycles", "busy_cycles",
+        "lock_wait_hist", "timeouts", "retries", "quarantines", "late_responses",
+        "rerouted", "batch_lock_skips", "batch_cycles_saved", "fifo_violations",
+    )
 
     def __init__(
         self,
@@ -164,7 +166,7 @@ class RuntimeServer(Component):
         # A client with a queued command and a core with a waiter, as last
         # found: they make "anything queued / anything waiting" one lookup
         # while they still hold.  Checked against the tables on every use,
-        # so they are no state of their own and are not captured.
+        # so they are no state of their own (``RUN_CACHES``).
         self._queued_client: Optional[int] = None
         self._waiting_key: Optional[Tuple[int, int]] = None
         # Matured-retry min-heap of (ready_cycle, seq, ctx).
@@ -198,10 +200,6 @@ class RuntimeServer(Component):
         # Per-client lock-wait samples (enqueue -> dispatch), for fairness
         # analysis of the round-robin arbiter.
         self.client_lock_waits: Dict[int, List[int]] = {}
-        # uid -> {"ctx", "fut", "make_cb"}; installed by the owning
-        # FpgaHandle so snapshot restore can resolve command uids back to
-        # live contexts and rebuild response callbacks.
-        self._host_calls: Optional[Dict[int, Dict[str, object]]] = None
 
     @property
     def metric_path(self) -> str:
@@ -232,17 +230,17 @@ class RuntimeServer(Component):
     def submit(
         self,
         inst: RoccInstruction,
-        on_response: Optional[Callable[[RoccResponse], None]],
+        ctx: Optional[CommandContext],
         cycle_hint: int = 0,
         client: int = 0,
-        label: Optional[str] = None,
-        ctx: Optional[CommandContext] = None,
         tenant: str = "",
         batch: Optional[int] = None,
     ) -> None:
+        """Queue one command word group.  ``ctx`` is the command's context
+        when this is the completing chunk of a command that expects a
+        response (its ``on_response`` receives it), else ``None``."""
         cmd = PendingCommand(
             inst.encode_words(),
-            on_response,
             (inst.system_id, inst.core_id),
             cycle_hint,
             client,
@@ -251,10 +249,10 @@ class RuntimeServer(Component):
         )
         self._client_seq[client] = cmd.seq = self._client_seq.get(client, 0) + 1
         # Only the completing chunk of a multi-chunk command carries the
-        # response callback; that chunk is the one the span follows.
-        if self.spans is not None and on_response is not None:
+        # context; that chunk is the one the span follows.
+        if self.spans is not None and ctx is not None:
             cmd.span_id = self.spans.command_submitted(
-                cycle_hint, cmd.key, client, label or f"io{inst.funct7}",
+                cycle_hint, cmd.key, client, ctx.label or f"io{inst.funct7}",
                 tenant=tenant,
             )
         if client not in self._queues:
@@ -363,7 +361,6 @@ class RuntimeServer(Component):
             if cur.seq != last + 1:
                 self.fifo_violations += 1  # must never happen; tests assert 0
             self._dispatched_seq[cur.client] = cur.seq
-            cur.dispatch_start = cycle
             wait = max(0, cycle - cur.enqueue_cycle)
             self.lock_wait_cycles += wait
             self.lock_wait_hist.observe(wait)
@@ -396,10 +393,9 @@ class RuntimeServer(Component):
                 self.busy_cycles += self.host.mmio_word_cycles
             if not self._words_left:
                 cmd = self._current
-                cmd.dispatch_end = cycle
                 if self.spans is not None and cmd.span_id:
                     self.spans.dispatch_end(cycle, cmd.span_id, cmd.key)
-                if cmd.on_response is not None:
+                if cmd.ctx is not None:
                     deadline: float = NEVER
                     if self.watchdog.enabled:
                         deadline = cycle + self.watchdog.timeout_cycles
@@ -409,7 +405,7 @@ class RuntimeServer(Component):
                         # tick) unless the last visit asked for a pause.
                         self._next_poll = max(self._next_poll, cycle)
                     self._waiters.setdefault(cmd.key, deque()).append(
-                        _Waiter(cmd.on_response, cmd.span_id, deadline, cmd.ctx)
+                        _Waiter(cmd.ctx, cmd.span_id, deadline)
                     )
                 self.commands_sent += 1
                 self._last_batch = (
@@ -450,7 +446,7 @@ class RuntimeServer(Component):
                         self.spans.command_completed(cycle, waiter.span_id)
                     if self._strikes:
                         self._strikes.pop(key, None)  # core proved healthy
-                    waiter.callback(resp)
+                    waiter.ctx.on_response(resp)
                 else:
                     # A command we already timed out answered after all.
                     self.late_responses += 1
@@ -495,13 +491,12 @@ class RuntimeServer(Component):
         strikes = self._strikes.get(key, 0) + 1
         self._strikes[key] = strikes
         ctx = waiter.ctx
-        label = ctx.label if ctx is not None else ""
         if self.tracer is not None:
             self.tracer.record(
                 cycle,
                 "watchdog",
                 "timeout",
-                {"core": key, "label": label, "strikes": strikes},
+                {"core": key, "label": ctx.label, "strikes": strikes},
             )
         if self.spans is not None and waiter.span_id:
             self.spans.command_completed(cycle, waiter.span_id)
@@ -513,8 +508,7 @@ class RuntimeServer(Component):
             if self.on_quarantine is not None:
                 self.on_quarantine(key)
         if (
-            ctx is not None
-            and ctx.retryable
+            ctx.retryable
             and ctx.resubmit is not None
             and ctx.attempts - 1 < self.watchdog.max_retries
         ):
@@ -525,176 +519,15 @@ class RuntimeServer(Component):
             )
             return
         err = CommandTimeout(
-            f"command {label or '<untracked>'} on core {key} timed out at cycle "
-            f"{cycle} after {ctx.attempts if ctx else 1} attempt(s)",
+            f"command {ctx.label or '<untracked>'} on core {key} timed out at cycle "
+            f"{cycle} after {ctx.attempts} attempt(s)",
             key=key,
-            attempts=ctx.attempts if ctx else 1,
+            attempts=ctx.attempts,
         )
-        if ctx is not None and ctx.on_error is not None:
+        if ctx.on_error is not None:
             ctx.on_error(err)
         else:
             raise err
-
-    # ------------------------------------------------------------- snapshot
-    def snapshot_state(self, fr) -> Dict[str, object]:
-        """Explicit freeze: response callbacks are *structure* (closures over
-        the handle, the future, the routing tables) and cannot be pickled, so
-        every queued/in-flight command is serialised with its context uid
-        instead; restore resolves uids through the handle's call registry and
-        rebuilds behaviourally identical callbacks."""
-        ctxs: Dict[int, Dict[str, object]] = {}
-
-        def note(ctx: Optional[CommandContext]) -> int:
-            if ctx is None:
-                return 0
-            if ctx.uid:
-                ctxs[ctx.uid] = {"attempts": ctx.attempts, "key": tuple(ctx.key)}
-            return ctx.uid
-
-        def freeze_cmd(cmd: PendingCommand) -> Dict[str, object]:
-            return {
-                "words": list(cmd.words),
-                "key": tuple(cmd.key),
-                "enqueue_cycle": cmd.enqueue_cycle,
-                "client": cmd.client,
-                "dispatch_start": cmd.dispatch_start,
-                "dispatch_end": cmd.dispatch_end,
-                "span_id": cmd.span_id,
-                "seq": cmd.seq,
-                "batch": cmd.batch,
-                "ctx_uid": note(cmd.ctx),
-                "has_cb": cmd.on_response is not None,
-            }
-
-        return {
-            "queues": [
-                (client, [freeze_cmd(c) for c in q])
-                for client, q in self._queues.items()
-            ],
-            "client_rr": list(self._client_rr),
-            "rr_pos": self._rr_pos,
-            "client_seq": dict(self._client_seq),
-            "dispatched_seq": dict(self._dispatched_seq),
-            "last_batch": self._last_batch,
-            "current": (
-                freeze_cmd(self._current) if self._current is not None else None
-            ),
-            "words_left": list(self._words_left),
-            "next_word_cycle": self._next_word_cycle,
-            "lock_until": self._lock_until,
-            "next_poll": self._next_poll,
-            "resp_words": list(self._resp_words),
-            "waiters": [
-                (
-                    key,
-                    [
-                        {
-                            "span_id": w.span_id,
-                            "deadline": w.deadline,
-                            "ctx_uid": note(w.ctx),
-                        }
-                        for w in ws
-                    ],
-                )
-                for key, ws in self._waiters.items()
-            ],
-            "retry_heap": [
-                (ready, rseq, note(ctx)) for ready, rseq, ctx in self._retry_heap
-            ],
-            "retry_seq": self._retry_seq,
-            "strikes": dict(self._strikes),
-            "quarantined": sorted(self.quarantined),
-            "client_lock_waits": {
-                client: list(v) for client, v in self.client_lock_waits.items()
-            },
-            "ctxs": ctxs,
-            "metrics": {name: fr.freeze(getattr(self, name)) for name in _METRIC_ATTRS},
-        }
-
-    def restore_state(self, state: Dict[str, object], th) -> None:
-        # ``repro.snapshot.restore`` has checked that every uid the snapshot
-        # names was replayed; uid 0 is a command no handle issued.
-        calls = self._host_calls if self._host_calls is not None else {}
-
-        def ctx_for(uid: int) -> Optional[CommandContext]:
-            rec = calls.get(uid) if uid else None
-            return rec["ctx"] if rec is not None else None
-
-        def cb_for(uid: int) -> Callable[[RoccResponse], None]:
-            rec = calls.get(uid) if uid else None
-            if rec is None:
-                return lambda resp: None
-            return rec["make_cb"]()
-
-        th.thaw_metrics(self, _METRIC_ATTRS, state["metrics"], "server")
-        for uid, st in state["ctxs"].items():
-            rec = calls.get(uid)
-            if rec is None:
-                continue
-            ctx = rec["ctx"]
-            ctx.attempts = st["attempts"]
-            ctx.key = tuple(st["key"])
-
-        def thaw_cmd(d: Dict[str, object]) -> PendingCommand:
-            return PendingCommand(
-                list(d["words"]),
-                cb_for(d["ctx_uid"]) if d["has_cb"] else None,
-                tuple(d["key"]),
-                d["enqueue_cycle"],
-                d["client"],
-                d["dispatch_start"],
-                d["dispatch_end"],
-                d["span_id"],
-                ctx_for(d["ctx_uid"]),
-                d["seq"],
-                d["batch"],
-            )
-
-        self._queues = {
-            client: deque(thaw_cmd(d) for d in cmds)
-            for client, cmds in state["queues"]
-        }
-        self._client_rr = list(state["client_rr"])
-        self._rr_pos = state["rr_pos"]
-        self._client_seq = dict(state["client_seq"])
-        self._dispatched_seq = dict(state["dispatched_seq"])
-        lb = state["last_batch"]
-        self._last_batch = tuple(lb) if lb is not None else None
-        cur = state["current"]
-        self._current = thaw_cmd(cur) if cur is not None else None
-        self._words_left = list(state["words_left"])
-        self._next_word_cycle = state["next_word_cycle"]
-        self._lock_until = state["lock_until"]
-        self._next_poll = state["next_poll"]
-        self._resp_words = list(state["resp_words"])
-        self._waiters = {
-            tuple(key): deque(
-                _Waiter(
-                    cb_for(w["ctx_uid"]),
-                    w["span_id"],
-                    w["deadline"],
-                    ctx_for(w["ctx_uid"]),
-                )
-                for w in ws
-            )
-            for key, ws in state["waiters"]
-        }
-        # A retry without a resolvable context cannot be re-issued; drop it.
-        heap = []
-        for ready, rseq, uid in state["retry_heap"]:
-            ctx = ctx_for(uid)
-            if ctx is not None:
-                heap.append((ready, rseq, ctx))
-        heapq.heapify(heap)
-        self._retry_heap = heap
-        self._retry_seq = state["retry_seq"]
-        self._strikes = {tuple(k): v for k, v in state["strikes"].items()}
-        self.quarantined.clear()
-        self.quarantined.update(tuple(k) for k in state["quarantined"])
-        self.client_lock_waits.clear()
-        self.client_lock_waits.update(
-            {client: list(v) for client, v in state["client_lock_waits"].items()}
-        )
 
     # ---------------------------------------------------------- diagnostics
     def debug_state(self):
@@ -711,8 +544,8 @@ class RuntimeServer(Component):
                 str(key): [
                     {
                         "deadline": (None if w.deadline == NEVER else int(w.deadline)),
-                        "label": w.ctx.label if w.ctx else "",
-                        "attempts": w.ctx.attempts if w.ctx else 1,
+                        "label": w.ctx.label,
+                        "attempts": w.ctx.attempts,
                     }
                     for w in waiters
                 ]

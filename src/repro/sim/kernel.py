@@ -245,8 +245,10 @@ class ChannelQueue(Generic[T]):
 
 #: What a run derives and keeps on a component that is neither
 #: construction-time structure nor state: the scheduler wiring the compiled
-#: program installs, and the cached tick closure a restore drops.
-RUN_CACHES = ("_sched_index", "_wake_hook", "_tick_body")
+#: program installs, the cached tick closure a restore drops, and the
+#: runtime server's lookup hints (a client with a queued command, a core
+#: with a waiter), re-derived from its tables on every use.
+RUN_CACHES = ("_sched_index", "_wake_hook", "_tick_body", "_queued_client", "_waiting_key")
 
 
 class Component:
@@ -259,9 +261,9 @@ class Component:
     Every other attribute is structure: made at construction, rebuilt by
     re-elaboration, never written by a restore.  A subclass that adds no
     state declares ``_state = ()``; one that declares nothing is refused at
-    capture.  A component whose state needs hand-written code (the runtime
-    server, whose queues hold host callbacks) defines
-    ``snapshot_state(fr)``/``restore_state(state, th)`` instead.
+    capture.  Every component is captured this way: what a state field holds
+    that is not state (a channel, another component, a host command's
+    context) is captured as a reference to the rebuilt object.
     """
 
     _state: Tuple[str, ...] = ("_ticks_executed",)
@@ -722,7 +724,7 @@ class Simulator:
         """This simulator's complete mutable state for ``repro.snapshot``:
         the clock, every channel's contents and statistics (elided
         observations credited), the dirty list, and each component's
-        declared fields (or what its own ``snapshot_state`` returns)."""
+        declared fields."""
         from repro.snapshot.engine import SnapshotError
 
         if self.mid_cycle:
@@ -743,10 +745,7 @@ class Simulator:
             "cycle": self.cycle,
             "scheduling": self.scheduling,
             "channels": channels,
-            "components": [
-                (c.name, c.snapshot_state(fr) if hasattr(c, "snapshot_state") else fr.freeze_attrs(c))
-                for c in self._components
-            ],
+            "components": [(c.name, fr.freeze_attrs(c)) for c in self._components],
             "dirty": [index[id(ch)] for ch in self._dirty_channels],
             "cycles_skipped": self.cycles_skipped,
             "skip_events": self.skip_events,
@@ -786,8 +785,7 @@ class Simulator:
                 0 <= i < len(self._channels) for i in dirty):
             raise malformed("dirty must list channel indices")
         for comp, (_name, st) in zip(self._components, state["components"]):
-            if not hasattr(comp, "snapshot_state"):  # a hand-written state is its author's
-                th.check_attrs(type(comp), st)
+            th.check_attrs(type(comp), st)
 
     def restore_state(self, state: Dict[str, Any], th) -> None:
         """Write a :meth:`check_state`-checked payload into this simulator."""
@@ -800,10 +798,7 @@ class Simulator:
         self._subs_stale = True
         for comp, (_name, st) in zip(self._components, state["components"]):
             vars(comp).pop("_tick_body", None)
-            if hasattr(comp, "restore_state"):
-                comp.restore_state(st, th)
-            else:
-                th.thaw_attrs(comp, st)
+            th.thaw_attrs(comp, st)
         for ch, row in zip(self._channels, state["channels"]):
             ch._items[:] = th.thaw_items(row[1], ch._items) if row[1] else ()
             ch._staged[:] = th.thaw_items(row[2], ch._staged) if row[2] else ()

@@ -37,8 +37,9 @@ from repro.obs.registry import Counter, Gauge, Histogram
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 9: the fields are the declared ``_state`` names).
-SNAPSHOT_VERSION = 9
+#: "Versioning"; 10: the runtime server's fields are declared too, and a
+#: command context is a reference to its call).
+SNAPSHOT_VERSION = 10
 
 
 class SnapshotError(RuntimeError):
@@ -51,11 +52,12 @@ class SnapshotVersionError(SnapshotError):
 
 _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes)
 _PRIM = frozenset(_PRIMITIVES)  # exact-type test: one hash lookup per value
+_METRICS = (Counter, Gauge, Histogram)
 
 # Marker layouts:
 #   [T_REF, kind, key]                      infrastructure reference
 #   [T_OBJ, module, qualname, {name: fz}]   declared object
-#   [T_STATE, module, qualname, state]      snapshot_state()/restore_state()
+#   [T_STATE, module, qualname, state]      check_state()/snapshot_state()/restore_state()
 #   [T_NAMED, module, qualname, *items]     named tuple
 #   [T_RNG, state]  [T_MET, kind, data]  [T_BYTES, bytes]
 #   [T_ARRAY, dtype, shape, bytes]          numpy.ndarray
@@ -235,7 +237,8 @@ class Freezer:
 
     def _fz_object(self, obj: Any) -> Any:
         """A declared object; one with ``snapshot_state``/``restore_state``
-        chooses its own compact state (``MemoryStore``: one byte image)."""
+        (and a ``check_state`` for pass 1) chooses its own compact state
+        (``MemoryStore``: one byte image)."""
         t = type(obj)
         protocol = hasattr(t, "snapshot_state")
         if not (protocol or "_state" in t.__dict__ or is_dataclass(t)):
@@ -257,7 +260,7 @@ _HANDLERS: Dict[type, Any] = {}
 _RULES = (
     (_PRIMITIVES, lambda fr, obj: obj),  # a subclass of a primitive
     (tuple, Freezer._fz_tuple),
-    ((Counter, Gauge, Histogram), lambda fr, m: fr._memoize(m, [T_MET, *_metric_state(m)])),
+    (_METRICS, lambda fr, m: fr._memoize(m, [T_MET, *_metric_state(m)])),
     (random.Random, lambda fr, rng: fr._memoize(rng, [T_RNG, rng.getstate()])),
     (bytearray, lambda fr, b: fr._memoize(b, [T_BYTES, bytes(b)])),
     ((set, frozenset), Freezer._fz_set),
@@ -348,6 +351,7 @@ class Thawer:
                         self._fields_of(cls, state)  # raises, naming the fields
                     items = state.values()
                 elif tag != T_NAMED:
+                    cls.check_state(fz[3])
                     continue
                 else:
                     if len(getattr(cls, "_fields", ())) != n - 3 or not issubclass(cls, tuple):
@@ -402,8 +406,8 @@ class Thawer:
             raise SnapshotError(f"{module}:{qualname} is not a class")
         if fz[0] != T_STATE:
             declared_state(cls)
-        elif not hasattr(cls, "restore_state"):
-            raise _malformed(f"{_name(cls)} has no restore_state")
+        elif not (hasattr(cls, "check_state") and hasattr(cls, "restore_state")):
+            raise _malformed(f"{_name(cls)} has no check_state and restore_state")
         self._resolved[(fz[0], module, qualname)] = cls
         return cls
 
@@ -426,6 +430,9 @@ class Thawer:
             return tuple(items) if cls is None else tuple.__new__(cls, items)
         if live is None or id(live) in self._claimed or (
                 type(live) is not (cls or _KINDS.get(tag)) and not _fits(fz, live, cls)):
+            if tag == T_MET and isinstance(live, _METRICS):
+                # A registry may hold the live metric: refilled, never replaced.
+                raise SnapshotError(f"a {fz[1]!r} metric where the design holds {live!r}")
             live, target = (), _fresh(fz, cls)
         else:
             self._claimed.add(id(live))
@@ -473,18 +480,6 @@ class Thawer:
                 sub = self.thaw(sub, getattr(live, name, None))
             object.__setattr__(live, name, sub)
 
-    def thaw_metrics(self, owner: Any, names: Tuple[str, ...], state: Any, what: str) -> None:
-        """Restore the metric attributes ``names`` of ``owner`` in place
-        from ``state`` (name -> frozen metric): the registry holds the live
-        objects, so they are written, never replaced."""
-        if not isinstance(state, dict) or set(state) != set(names):
-            raise SnapshotError(f"malformed snapshot: {what} metrics must be {names}")
-        for name in names:
-            live, fz = getattr(owner, name), state[name]
-            self.check_all((fz,))
-            if self.thaw(fz, live) is not live:
-                raise SnapshotError(f"{what} metric {name!r} does not match the snapshot")
-
 
 def _fits(fz: list, live: Any, cls: Optional[type]) -> bool:
     """Whether ``live`` can take marker ``fz``'s contents in place."""
@@ -496,7 +491,7 @@ def _fits(fz: list, live: Any, cls: Optional[type]) -> bool:
     if tag == T_SET:
         return type(live) is set and not fz[1]
     if tag == T_MET:
-        return isinstance(live, (Counter, Gauge, Histogram)) and _metric_state(live)[0] == fz[1]
+        return isinstance(live, _METRICS) and _metric_state(live)[0] == fz[1]
     return isinstance(live, _KINDS[tag])
 
 
@@ -545,29 +540,38 @@ def _apply_metric(target: Any, kind: str, data: Any) -> None:
 
 
 # ====================================================================== sim
-def infra_objects(sim: Any, fault_state: Any, spans: Any) -> Dict[Tuple[str, Any], Any]:
-    """``(kind, key) -> object`` of all that a marker of ``sim`` may name."""
+def infra_objects(sim: Any, fault_state: Any, spans: Any,
+                  calls: Dict[int, Any]) -> Dict[Tuple[str, Any], Any]:
+    """``(kind, key) -> object`` of all that a marker of ``sim`` may name;
+    ``calls`` is the driving handle's call table (uid -> call), whose
+    command contexts the runtime server queues."""
     named = {"sim": sim, "registry": sim.registry, "tracer": sim.tracer, "spans": spans,
              "faults": fault_state, "plan": getattr(fault_state, "plan", None)}
     by_key = {(kind, None): obj for kind, obj in named.items() if obj is not None}
     by_key.update((("comp", i), comp) for i, comp in enumerate(sim._components))
     by_key.update((("chan", i), chan) for i, chan in enumerate(sim._channels))
+    by_key.update((("call", uid), call.ctx) for uid, call in calls.items())
     return by_key
 
 
 #: sim -> (shape, id -> (kind, key)); ids only, so an entry never keeps its
 #: simulator alive.
 _INFRA_IDS: "weakref.WeakKeyDictionary[Any, tuple]" = weakref.WeakKeyDictionary()
+#: The call table of a simulator no handle drives: one object, so the
+#: cached id table of a bare simulator keeps its shape.
+_NO_CALLS: Dict[int, Any] = {}
 
 
-def infra_ids(sim: Any, fault_state: Any, spans: Any) -> Dict[int, Tuple[str, Any]]:
+def infra_ids(sim: Any, fault_state: Any, spans: Any,
+              calls: Dict[int, Any]) -> Dict[int, Tuple[str, Any]]:
     """``id -> (kind, key)``, the inverse of :func:`infra_objects`, kept per
-    simulator while its structure holds (0.25 ms of a 7.6 ms capture)."""
+    simulator while its structure holds (0.25 ms of a 7.6 ms capture).  A
+    call table only grows, so its length tells whether it changed."""
     shape = (len(sim._components), len(sim._channels), id(sim.registry), id(sim.tracer),
-             id(spans), id(fault_state))
+             id(spans), id(fault_state), id(calls), len(calls))
     cached = _INFRA_IDS.get(sim)
     if cached is None or cached[0] != shape:
-        by_id = {id(obj): ref for ref, obj in infra_objects(sim, fault_state, spans).items()}
+        by_id = {id(obj): ref for ref, obj in infra_objects(sim, fault_state, spans, calls).items()}
         cached = _INFRA_IDS[sim] = (shape, by_id)
     return cached[1]
 
@@ -584,27 +588,30 @@ class Snapshot:
 
 
 def _capture_state(sim: Any, parts: Dict[str, Any], host: Any = None) -> Tuple[Freezer, Dict[str, Any]]:
-    """Freeze a simulator, ``parts`` (payload key -> the fault state, span
-    tracker or tracer, or ``None``) by their declared fields, and ``host``."""
-    fr = Freezer(infra_ids(sim, parts["faults"], parts.get("spans")))
-    payload = {"sim": sim.snapshot_state(fr)}
+    """Freeze ``host``, a simulator, and ``parts`` (payload key -> the fault
+    state, span tracker or tracer, or ``None``) by their declared fields.
+    The host goes first: its refusals name what the replay or the serving
+    layer got wrong, before the simulator meets a context it cannot name."""
+    calls = host._calls if host is not None else _NO_CALLS
+    fr = Freezer(infra_ids(sim, parts["faults"], parts.get("spans"), calls))
+    payload = {} if host is None else {"host": host.snapshot_state(fr)}
+    payload["sim"] = sim.snapshot_state(fr)
     payload.update((k, None if p is None else fr.freeze_attrs(p)) for k, p in parts.items())
-    if host is not None:
-        payload["host"] = host.snapshot_state(fr)
     return fr, payload
 
 
 def _restore_state(sim: Any, payload: Any, parts: Dict[str, Any], host: Any = None) -> None:
     """Check all of ``payload``, then thaw it, in capture order."""
-    keys = ("sim", *parts, *("host",) * (host is not None))
+    keys = (*("host",) * (host is not None), "sim", *parts)
     if not isinstance(payload, dict) or any(k not in payload for k in keys):
         raise _malformed(f"the payload must be a dict with keys {keys}")
-    th = Thawer(infra_objects(sim, parts["faults"], parts.get("spans")),
+    calls = host._calls if host is not None else _NO_CALLS
+    th = Thawer(infra_objects(sim, parts["faults"], parts.get("spans"), calls),
                 frozenset(type(comp).__module__ for comp in sim._components))
-    steps = [(sim, payload["sim"], True)]  # (owner, state, writes it by hand)
+    steps = [(host, payload["host"], True)] if host is not None else []
+    steps += [(sim, payload["sim"], True)]  # (owner, state, writes it by hand)
     steps += [(part, payload[key], False) for key, part in parts.items()
               if part is not None and payload[key] is not None]
-    steps += [(host, payload["host"], True)] if host is not None else []
     for owner, state, by_hand in steps:
         owner.check_state(state, th) if by_hand else th.check_attrs(type(owner), state)
     for owner, state, by_hand in steps:

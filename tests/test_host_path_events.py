@@ -33,7 +33,7 @@ from repro.faults import FaultPlan
 from repro.platforms import AWSF1Platform
 from repro.platforms.base import HostInterface
 from repro.runtime import FpgaHandle
-from repro.runtime.server import RuntimeServer, WatchdogConfig
+from repro.runtime.server import CommandContext, RuntimeServer, WatchdogConfig
 from repro.serve import AcceleratorService, TenantConfig
 from repro.serve.loadgen import (
     ClosedLoop,
@@ -634,7 +634,7 @@ class _EagerServer(RuntimeServer):
             if len(self._resp_words) == 4:
                 resp = RoccResponse.decode_words(self._resp_words)
                 self._resp_words.clear()
-                self._waiters[(resp.system_id, resp.core_id)].popleft().callback(resp)
+                self._waiters[(resp.system_id, resp.core_id)].popleft().ctx.on_response(resp)
                 self.responses_received += 1
         host = self.host
         self._next_poll = cycle + (
@@ -686,14 +686,15 @@ def _poll_grid_run(server_cls, mode, delays, resubmit_gap, stop_at):
     server = sim.add(server_cls(mmio, POLL_HOST))
     inst = RoccInstruction(system_id=0, core_id=0, funct7=0, rs1=1, rs2=2, xd=True, rd=1)
     visits = []
-    server.submit(inst, lambda resp: visits.append(sim.cycle), cycle_hint=0)
+    ctx = CommandContext((0, 0), on_response=lambda resp: visits.append(sim.cycle))
+    server.submit(inst, ctx, cycle_hint=0)
     sim.run(10_000, until=lambda: len(visits) == 1)
     if resubmit_gap:
         sim.run(resubmit_gap)
-    server.submit(inst, lambda resp: visits.append(sim.cycle), cycle_hint=sim.cycle)
+    server.submit(inst, ctx, cycle_hint=sim.cycle)
     sim.run(10_000, until=lambda: len(visits) == 2)
     sim.run(stop_at)  # sleep on with nothing in flight, then one more command
-    server.submit(inst, lambda resp: visits.append(sim.cycle), cycle_hint=sim.cycle)
+    server.submit(inst, ctx, cycle_hint=sim.cycle)
     sim.run(5)
     # One eager tick brings a lazily held grid position up to date.
     sim.step()
@@ -734,7 +735,8 @@ def test_submission_from_another_tick_wakes_an_idle_server():
 
         def tick(self, cycle):
             if cycle == self.at:
-                self.server.submit(self.inst, lambda resp: None, cycle_hint=cycle)
+                ctx = CommandContext((0, 0), on_response=lambda resp: None)
+                self.server.submit(self.inst, ctx, cycle_hint=cycle)
 
         def next_event(self, cycle):
             return self.at if cycle <= self.at else float("inf")

@@ -91,7 +91,7 @@ def test_a_refused_call_leaves_no_call_behind():
     assert handle._calls == {} and handle._call_uid == 0
     assert handle.server.idle()
     fut = handle.call("Delay", "run", 1, job=7)
-    assert list(handle._calls) == [1] and handle._calls[1]["fut"] is fut
+    assert list(handle._calls) == [1] and handle._calls[1].fut is fut
     fut.get()
     assert handle.server.commands_sent == 1
 

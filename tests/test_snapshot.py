@@ -419,7 +419,8 @@ def test_capture_same_before_and_after_first_registry_read(mode, tmp_path):
     read = _memcpy32_snapshot(mode, True, str(tmp_path / "read.ckpt"))
     assert "registry" not in unread[0] and unread == read
     (server,) = [st for name, st in unread[0]["sim"]["components"] if name == "server"]
-    assert len(server["metrics"]) == 13 and server["metrics"]["busy_cycles"][2] > 0
+    metrics = [fz for fz in server.values() if isinstance(fz, list) and fz[0] == "~metric"]
+    assert len(metrics) == 13 and server["busy_cycles"][2] > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -547,10 +548,11 @@ def test_a_served_handle_is_refused():
         capture(service.handle)
 
 
-@pytest.mark.parametrize("edit", ["extra", "missing"])
+@pytest.mark.parametrize("edit", ["extra", "missing", "kind"])
 def test_server_metrics_of_another_shape_are_a_typed_error(edit):
-    """A payload whose server metrics name an attribute the server lacks, or
-    leave one out, is refused with ``SnapshotError``."""
+    """A payload whose server row names a metric the server lacks, leaves a
+    declared one out, or holds a gauge where the server's registry-bound
+    counter is, is refused with ``SnapshotError``."""
     from repro.snapshot import capture, restore
 
     _build, handle = _memcpy32(DEFAULT_SCHEDULING)
@@ -558,11 +560,14 @@ def test_server_metrics_of_another_shape_are_a_typed_error(edit):
     snap = capture(handle)
     (server,) = [st for name, st in snap.payload["sim"]["components"] if name == "server"]
     if edit == "extra":
-        server["metrics"]["no_such_metric"] = server["metrics"]["timeouts"]
+        server["no_such_metric"] = server["timeouts"]
+    elif edit == "missing":
+        del server["timeouts"]
     else:
-        del server["metrics"]["timeouts"]
+        server["timeouts"] = ["~metric", "g", 1]
     _build, handle = _memcpy32(DEFAULT_SCHEDULING)
-    with pytest.raises(SnapshotError, match="server metrics must be"):
+    message = "metric where the design holds" if edit == "kind" else "RuntimeServer declares the fields"
+    with pytest.raises(SnapshotError, match=message):
         restore(handle, snap)
 
 

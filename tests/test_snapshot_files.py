@@ -180,12 +180,28 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
             controller(fields)["_fault"] = ["~obj", module, qualname, {}]
         return mutate
 
+    def memory_image(edit):  # the store's (block size, indices, image)
+        def mutate(fields):
+            marker = controller(fields)["store"]
+            marker[3] = edit(*marker[3])
+        return mutate
+
+    def server_without(name):  # a field RuntimeServer._state declares
+        def mutate(fields):
+            (state,) = [st for n, st in fields["payload"]["sim"]["components"] if n == "server"]
+            del state[name]
+        return mutate
+
     build, handle, futs = _design()
     for mutate in (
         undeclared_field,
         foreign_class("builtins", "type"),
         foreign_class("collections", "OrderedDict"),
         foreign_class("os", "stat_result"),
+        memory_image(lambda size, indices, image: (size, indices, image[:-1])),
+        memory_image(lambda size, indices, image: (str(size), indices, image)),
+        server_without("_queues"),
+        lambda f: f["payload"]["host"].update(degraded_cores=5),
         lambda f: f["payload"].pop("sim"),
         lambda f: f["payload"].pop("host"),
         lambda f: f["payload"]["sim"].pop("dirty"),

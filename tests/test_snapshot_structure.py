@@ -83,10 +83,13 @@ def _upload(handle, blob: bytes):
     return ptr
 
 
-def _accelerated(build, calls, cycles: int) -> Scenario:
+def _accelerated(build, calls, cycles: int, clients: int = 0) -> Scenario:
+    """The calls issued through the handle, or in turn through ``clients``
+    clients of it."""
     handle = FpgaHandle(build.design)
-    for call in calls(handle):
-        handle.call(*call[:3], **call[3])
+    callers = [handle.new_client() for _ in range(clients)] or [handle]
+    for i, call in enumerate(calls(handle)):
+        callers[i % len(callers)].call(*call[:3], **call[3])
     sim = build.design.sim
     return Scenario(sim, build.design, lambda: sim.run(cycles), handle)
 
@@ -107,7 +110,7 @@ def hetero_serving() -> Scenario:
     from repro.serve.scenarios import hetero_build
 
     calls = lambda handle: [("Gemm", "gemm", 0, dict(job=1)), ("Attn", "attn", 1, dict(job=2))]
-    return _accelerated(hetero_build(), calls, 1150)
+    return _accelerated(hetero_build(), calls, 1150, clients=2)
 
 
 def machsuite() -> Scenario:
@@ -251,16 +254,27 @@ SCENARIOS = (memcpy32, hetero_serving, machsuite, chaos_with_hangs, typed_errors
 # --------------------------------------------------------------- the audit
 def _roots(scenario: Scenario) -> List[Any]:
     """The components, the parts a capture freezes by their declarations,
-    and the host's allocator and command outcomes."""
+    and the host's allocator, clients and command outcomes."""
     roots = list(scenario.sim._components)
     design, handle = scenario.design, scenario.handle
     roots += [getattr(design, "faults", None), getattr(design, "span_tracker", None),
               scenario.sim.tracer]
     if handle is not None:
-        roots.append(handle.allocator)
-        for rec in handle._calls.values():
-            roots += [rec["fut"]._response, rec["fut"]._error]
+        roots += [handle.allocator, *handle._clients]
+        for call in handle._calls.values():
+            roots += [call.fut._response, call.fut._error]
     return [root for root in roots if root is not None]
+
+
+def _refs(scenario: Scenario) -> Dict[int, Tuple[str, Any]]:
+    """What a capture of the scenario freezes as references (the command
+    contexts of the handle's calls among them), and the handle itself,
+    which a client holds."""
+    design, handle = scenario.design, scenario.handle
+    calls = handle._calls if handle is not None else {}
+    refs = infra_ids(scenario.sim, getattr(design, "faults", None),
+                     getattr(design, "span_tracker", None), calls)
+    return refs if handle is None else {**refs, id(handle): ("handle", None)}
 
 
 def _attributes(obj: Any) -> Dict[str, Any]:
@@ -274,8 +288,9 @@ def _attributes(obj: Any) -> Dict[str, Any]:
 
 
 def _reachable(scenario: Scenario) -> List[Any]:
-    """Every model object reachable from the roots, in a fixed order."""
-    seen, order = set(), []
+    """Every model object reachable from the roots, in a fixed order.  The
+    handle is not walked: its own state is written by hand."""
+    seen, order = {id(scenario.handle)}, []
     stack = list(reversed(_roots(scenario)))
     while stack:
         obj = stack.pop()
@@ -338,8 +353,7 @@ def audit(scenario: Scenario) -> Dict[Tuple[str, int, str], Tuple[Any, Any]]:
     """(class, nth instance, attribute) -> (the bound object, its
     fingerprint) for every attribute a declaring instance does not declare;
     asserts every declared name is a real attribute on the way."""
-    design = scenario.design
-    refs = infra_ids(scenario.sim, getattr(design, "faults", None), getattr(design, "span_tracker", None))
+    refs = _refs(scenario)
     out, counts = {}, {}
     for obj in _reachable(scenario):
         declared = _declared(type(obj))
@@ -357,9 +371,7 @@ def audit(scenario: Scenario) -> Dict[Tuple[str, int, str], Tuple[Any, Any]]:
 def _states(scenario: Scenario) -> Counter:
     """The declared state of every object of a ``_state``-declaring class
     reachable from the scenario's roots, as a multiset."""
-    design = scenario.design
-    fr = Freezer(infra_ids(scenario.sim, getattr(design, "faults", None),
-                           getattr(design, "span_tracker", None)))
+    fr = Freezer(_refs(scenario))
     return Counter((type(obj).__qualname__, repr(fr.freeze_attrs(obj)))
                    for obj in _reachable(scenario) if "_state" in type(obj).__dict__)
 
@@ -507,7 +519,9 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     # memoizes as objects (named tuples are values); 306 while the fault
     # state kept a poison append log for partition workers; 305 while the
     # ID compressor kept a set of every wide read ID per narrow ID; 300 while
-    # the runtime server's 13 metrics rode in a registry part, uncounted.
-    assert snap.meta["objects"] == 313
+    # the runtime server's 13 metrics rode in a registry part, uncounted;
+    # 313 while the server wrote its queues and tables as unmemoized plain
+    # data (declared, its 17 containers and waiters count as objects).
+    assert snap.meta["objects"] == 330
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)

@@ -16,7 +16,7 @@ mutant changes both alike and such a comparison cannot see it.  A
 scheduling hint (``next_event``, ``wake_edges``) is the exception: naive
 stepping ignores hints, so for a hint naive stepping *is* the oracle, and
 the naive-vs-compiled differential is the test that kills it.  The last
-mutant drops a name from a ``_state`` declaration, which the snapshot
+two mutants drop a name from a ``_state`` declaration, which the snapshot
 structure audit must notice.
 
     python tools/mutate_bodies.py
@@ -181,6 +181,14 @@ MUTANTS = (
         '"_bus_dir_write",',
         "tests/test_snapshot_structure.py::test_excluded_attributes_are_wiring[memcpy32]",
         "MemoryController._state: the bus direction streak is left out of snapshots",
+    ),
+    Mutant(
+        "server-state-drops-next-poll",
+        "src/repro/runtime/server.py",
+        '"_lock_until", "_next_poll",',
+        '"_lock_until",',
+        "tests/test_snapshot_structure.py::test_excluded_attributes_are_wiring[memcpy32]",
+        "RuntimeServer._state: the next poll visit is left out of snapshots",
     ),
 )
 
