@@ -30,7 +30,6 @@ from repro.axi.types import BResp, RBeat
 from repro.dram.bank import Bank
 from repro.dram.store import MemoryStore
 from repro.dram.timing import DramTiming
-from repro.obs.registry import Counter
 from repro.sim import Component
 
 
@@ -179,30 +178,23 @@ class MemoryController(Component):
         self._r_cand: Set[int] = set()
         self._b_ready: Set[int] = set()
 
-        # Statistics: typed counters (int-like), adopted by the metric
-        # registry when this controller joins a simulator.
-        self.stats = {
-            "bus_cycles": Counter(),
-            "read_cols": Counter(),
-            "write_cols": Counter(),
-            "turnarounds": Counter(),
-            "row_hits": Counter(),
-            "row_misses": Counter(),
-            "refreshes": Counter(),
-            # Contention accounting (repro.obs.attribution): activations that
-            # had to close an already-open row, and the total cycles column
-            # commands sat in the scheduler window before winning the bus.
-            "row_conflicts": Counter(),
-            "queue_wait_cycles": Counter(),
-        }
+        # Statistics: plain counts, published by the metric registry when
+        # this controller joins a simulator.  Contention accounting
+        # (repro.obs.attribution) reads ``row_conflicts`` (activations that
+        # had to close an already-open row) and ``queue_wait_cycles`` (the
+        # total cycles column commands sat in the scheduler window before
+        # winning the bus).
+        self.stats = dict.fromkeys(
+            ("bus_cycles", "read_cols", "write_cols", "turnarounds", "row_hits", "row_misses",
+             "refreshes", "row_conflicts", "queue_wait_cycles"), 0)
 
     @property
     def metric_path(self) -> str:
         return "dram/" + self.name.replace(".", "/")
 
     def register_metrics(self, scope) -> None:
-        for key, ctr in self.stats.items():
-            scope.attach(key, ctr)
+        for key in self.stats:
+            scope.bind(key, lambda key=key: self.stats[key])
         scope.bind("outstanding_txns", self._outstanding)
         scope.bind("sched_queue_depth", lambda: len(self._sched))
         scope.bind(
@@ -227,7 +219,7 @@ class MemoryController(Component):
     def _refresh(self, cycle: int) -> None:
         for bank in self.banks:
             bank.block_for_refresh(cycle)
-        self.stats["refreshes"].value += 1
+        self.stats["refreshes"] += 1
 
     def _accept_read(self, req, cycle: int) -> None:
         txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
@@ -276,7 +268,7 @@ class MemoryController(Component):
         """Switch ``req``'s bank to its row (precharge if one is open)."""
         bank = self.banks[req.bank]
         if bank.open_row is not None:
-            self.stats["row_conflicts"].value += 1
+            self.stats["row_conflicts"] += 1
         bank.prep(req.row, cycle)
 
     def _issue(self, req: _ColReq, cycle: int) -> None:
@@ -285,13 +277,13 @@ class MemoryController(Component):
         if req.is_write != self._bus_dir_write:
             self._bus_dir_write = req.is_write
             self._dir_streak = 1
-            stats["turnarounds"].value += 1
+            stats["turnarounds"] += 1
             self._bus_free_at = cycle + 1 + self.timing.t_bus_turn
         else:
             self._dir_streak += 1
             self._bus_free_at = cycle + 1
-        stats["bus_cycles"].value += 1
-        stats["queue_wait_cycles"].value += cycle - req.enqueued_cycle
+        stats["bus_cycles"] += 1
+        stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
         del self._sched[req.seq]
         q = self._bank_q[req.bank]
         if q[0] is req:
@@ -300,13 +292,13 @@ class MemoryController(Component):
             q.remove(req)
         if not q:
             self._live_banks.discard(req.bank)
-        stats["row_hits" if self.banks[req.bank].record_access() else "row_misses"].value += 1
+        stats["row_hits" if self.banks[req.bank].record_access() else "row_misses"] += 1
         txn = req.txn
         if req.is_write:
             idx = req.beat_idx
             self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])
             txn.cols_done += 1
-            stats["write_cols"].value += 1
+            stats["write_cols"] += 1
             if (
                 txn.cols_done >= txn.length
                 and self._id_write_return[txn.axi_id][0] is txn
@@ -320,7 +312,7 @@ class MemoryController(Component):
                 data, err = hook.filter_read(cycle, req.addr, data)
             txn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
             txn.cols_done += 1
-            stats["read_cols"].value += 1
+            stats["read_cols"] += 1
             if (
                 req.beat_idx == txn.beats_sent
                 and self._id_read_return[txn.axi_id][0] is txn
@@ -641,7 +633,7 @@ class MemoryController(Component):
         seconds = cycles / (clock_mhz * 1e6) if cycles else 1.0
         total_accesses = self.stats["read_cols"] + self.stats["write_cols"]
         activations = sum(b.activations for b in self.banks)
-        hits, misses = int(self.stats["row_hits"]), int(self.stats["row_misses"])
+        hits, misses = self.stats["row_hits"], self.stats["row_misses"]
         return {
             "read_bytes": self.stats["read_cols"] * beat,
             "write_bytes": self.stats["write_cols"] * beat,

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.farm.cache import ResultCache
 from repro.farm.job import Job, JobResult, resolve_fn
-from repro.obs.registry import MetricRegistry
+from repro.obs.registry import Histogram, MetricRegistry
 from repro.sim.trace import Tracer
 
 _CACHE_DIR_ENV = "REPRO_FARM_CACHE_DIR"
@@ -140,15 +140,19 @@ class Farm:
 
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
+        self.jobs_submitted = self.jobs_completed = self.jobs_failed = 0
+        self.cache_hits = self.cache_misses = self.checkpoint_resumes = 0
+        self.job_wall_seconds = Histogram(_WALL_BUCKETS)
+        self.cache_seconds_saved = 0
         scope = self.registry.scope("farm")
-        self._m_submitted = scope.counter("jobs_submitted")
-        self._m_completed = scope.counter("jobs_completed")
-        self._m_failed = scope.counter("jobs_failed")
-        self._m_hits = scope.counter("cache/hits")
-        self._m_misses = scope.counter("cache/misses")
-        self._m_resumes = scope.counter("checkpoint_resumes")
-        self._m_wall = scope.histogram("job_wall_seconds", buckets=_WALL_BUCKETS)
-        self._m_saved = scope.gauge("cache/seconds_saved")
+        scope.bind("jobs_submitted", lambda: self.jobs_submitted)
+        scope.bind("jobs_completed", lambda: self.jobs_completed)
+        scope.bind("jobs_failed", lambda: self.jobs_failed)
+        scope.bind("cache/hits", lambda: self.cache_hits)
+        scope.bind("cache/misses", lambda: self.cache_misses)
+        scope.bind("checkpoint_resumes", lambda: self.checkpoint_resumes)
+        scope.bind("job_wall_seconds", lambda: self.job_wall_seconds.dump_value())
+        scope.bind("cache/seconds_saved", lambda: self.cache_seconds_saved)
         self._epoch = time.perf_counter()
 
     # ----------------------------------------------------------- execution
@@ -160,7 +164,7 @@ class Farm:
         sweep; use :meth:`map` for raise-on-failure semantics.
         """
         jobs = list(jobs)
-        self._m_submitted.inc(len(jobs))
+        self.jobs_submitted += len(jobs)
         # Serve whatever the cache already knows, then compute the misses.
         results = [self._lookup(job) for job in jobs]
         for i, job in enumerate(jobs):
@@ -214,17 +218,17 @@ class Farm:
         now_us = int((time.perf_counter() - self._epoch) * 1e6)
         for res in results:
             if res.ok:
-                self._m_completed.inc()
+                self.jobs_completed += 1
             else:
-                self._m_failed.inc()
+                self.jobs_failed += 1
             if res.cache_hit:
-                self._m_hits.inc()
-                self._m_saved.add(res.wall_seconds)
+                self.cache_hits += 1
+                self.cache_seconds_saved += res.wall_seconds
             else:
-                self._m_misses.inc()
-                self._m_wall.observe(res.wall_seconds)
+                self.cache_misses += 1
+                self.job_wall_seconds.observe(res.wall_seconds)
             if res.resumed_from_checkpoint:
-                self._m_resumes.inc()
+                self.checkpoint_resumes += 1
             # One span per job on the worker's track.  Cache hits render as
             # zero-length markers at the lookup instant.
             dur_us = 0 if res.cache_hit else int(res.wall_seconds * 1e6)
@@ -262,13 +266,13 @@ class Farm:
     def stats(self) -> Dict[str, Any]:
         """One JSON-able snapshot: job counters and cache state."""
         out: Dict[str, Any] = {
-            "jobs_submitted": int(self._m_submitted),
-            "jobs_completed": int(self._m_completed),
-            "jobs_failed": int(self._m_failed),
-            "cache_hits": int(self._m_hits),
-            "cache_misses": int(self._m_misses),
+            "jobs_submitted": self.jobs_submitted,
+            "jobs_completed": self.jobs_completed,
+            "jobs_failed": self.jobs_failed,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
         }
-        served = int(self._m_hits) + int(self._m_misses)
-        out["cache_hit_rate"] = int(self._m_hits) / served if served else 0.0
+        served = self.cache_hits + self.cache_misses
+        out["cache_hit_rate"] = self.cache_hits / served if served else 0.0
         out["cache"] = self.cache.stats() if self.cache is not None else None
         return out

@@ -21,8 +21,9 @@ import dataclasses
 import enum
 import hashlib
 import os
+import types
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 _SALT_ENV = "REPRO_FARM_SALT"
 
@@ -33,7 +34,7 @@ def _qualified_name(obj: Any) -> str:
     return f"{module}.{qual}"
 
 
-def _code_digest(fn: Any) -> Optional[str]:
+def _code_digest(fn: Any, path: Set[int]) -> Optional[str]:
     """Digest of a function's compiled body, if it has one."""
     code = getattr(fn, "__code__", None)
     if code is None:
@@ -45,7 +46,7 @@ def _code_digest(fn: Any) -> Optional[str]:
     # Default arguments are part of behaviour too.
     defaults = getattr(fn, "__defaults__", None)
     if defaults:
-        h.update(repr([canonical(d) for d in defaults]).encode())
+        h.update(repr([_canonical(d, path) for d in defaults]).encode())
     return h.hexdigest()
 
 
@@ -54,8 +55,16 @@ def canonical(obj: Any) -> Any:
 
     The output is deterministic across processes and runs: dict keys are
     sorted, sets are ordered, dataclasses and enums carry their qualified
-    type names, and callables reduce to name + code digest.
+    type names, modules reduce to their name, and callables reduce to name +
+    code digest.  An object that contains itself has no finite form: it is
+    a ``TypeError`` naming its type.
     """
+    return _canonical(obj, set())
+
+
+def _canonical(obj: Any, path: Set[int]) -> Any:
+    """:func:`canonical`, with ``path`` the ids of the objects being reduced
+    around this one: only a cycle recurs on it, a shared reference does not."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -63,51 +72,67 @@ def canonical(obj: Any) -> Any:
         return {"__float__": repr(obj)}
     if isinstance(obj, (bytes, bytearray)):
         return {"__bytes__": bytes(obj).hex()}
+    if isinstance(obj, types.ModuleType):
+        # A builtin's ``__self__`` is its module, whose namespace reaches itself.
+        return {"__module__": obj.__name__}
+    key = id(obj)
+    if key in path:
+        raise TypeError(
+            f"cannot fingerprint a {_qualified_name(type(obj))} that refers to itself; "
+            "name the job's callable as a 'module:attr' string and pass plain data")
+    path.add(key)
+    try:
+        return _reduce(obj, path)
+    finally:
+        path.discard(key)
+
+
+def _reduce(obj: Any, path: Set[int]) -> Any:
     if isinstance(obj, enum.Enum):
-        return {"__enum__": _qualified_name(type(obj)), "value": canonical(obj.value)}
+        return {"__enum__": _qualified_name(type(obj)), "value": _canonical(obj.value, path)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {
-            f.name: canonical(getattr(obj, f.name))
+            f.name: _canonical(getattr(obj, f.name), path)
             for f in dataclasses.fields(obj)
         }
         return {"__dataclass__": _qualified_name(type(obj)), "fields": fields}
     if isinstance(obj, (list, tuple)):
-        return [canonical(x) for x in obj]
+        return [_canonical(x, path) for x in obj]
     if isinstance(obj, (set, frozenset)):
-        return {"__set__": sorted(repr(canonical(x)) for x in obj)}
+        return {"__set__": sorted(repr(_canonical(x, path)) for x in obj)}
     if isinstance(obj, dict):
         return {
             "__dict__": sorted(
-                (repr(canonical(k)), canonical(v)) for k, v in obj.items()
+                (repr(_canonical(k, path)), _canonical(v, path)) for k, v in obj.items()
             )
         }
     # functools.partial: canonicalise the pieces, not the object identity.
     func = getattr(obj, "func", None)
     if func is not None and hasattr(obj, "args") and hasattr(obj, "keywords"):
         return {
-            "__partial__": canonical(func),
-            "args": canonical(tuple(obj.args)),
-            "kwargs": canonical(dict(obj.keywords or {})),
+            "__partial__": _canonical(func, path),
+            "args": _canonical(tuple(obj.args), path),
+            "kwargs": _canonical(dict(obj.keywords or {}), path),
         }
     if callable(obj):
         entry: Dict[str, Any] = {"__callable__": _qualified_name(obj)}
-        digest = _code_digest(obj)
+        digest = _code_digest(obj, path)
         if digest is not None:
             entry["code"] = digest
         self_obj = getattr(obj, "__self__", None)
         if self_obj is not None:
-            entry["self"] = canonical(self_obj)
+            entry["self"] = _canonical(self_obj, path)
         return entry
     # numpy scalars and other number-likes that expose .item()
     item = getattr(obj, "item", None)
     if callable(item):
         try:
-            return canonical(item())
+            return _canonical(item(), path)
         except Exception:
             pass
     state = getattr(obj, "__dict__", None)
     if isinstance(state, dict):
-        return {"__object__": _qualified_name(type(obj)), "state": canonical(state)}
+        return {"__object__": _qualified_name(type(obj)), "state": _canonical(state, path)}
     return {"__repr__": f"{_qualified_name(type(obj))}:{obj!r}"}
 
 

@@ -106,10 +106,10 @@ def _classify(handle, errors: List[str], corrupt: bool, unexpected: str = "") ->
         return "error", "; ".join(errors)
     server = handle.server
     recovered = (
-        int(server.retries)
-        or int(server.rerouted)
-        or int(server.quarantines)
-        or int(server.timeouts)
+        server.retries
+        or server.rerouted
+        or server.quarantines
+        or server.timeouts
     )
     return ("degraded" if recovered else "ok"), ""
 
@@ -127,11 +127,11 @@ def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
         cycles=handle.design.sim.cycle,
         n_faults=len(faults.events) if faults is not None else 0,
         fingerprint=fingerprint,
-        timeouts=int(server.timeouts),
-        retries=int(server.retries),
-        quarantines=int(server.quarantines),
-        rerouted=int(server.rerouted),
-        late_responses=int(server.late_responses),
+        timeouts=server.timeouts,
+        retries=server.retries,
+        quarantines=server.quarantines,
+        rerouted=server.rerouted,
+        late_responses=server.late_responses,
     )
 
 

@@ -218,8 +218,10 @@ class FaultState:
         self.tracer = tracer
         self.events: List[FaultEvent] = []
         self._poison: Dict[Tuple[int, int], List[FaultEvent]] = {}
+        self.counts = dict.fromkeys(FAULT_KINDS, 0)
         scope = registry.scope("fault")
-        self.counts = {kind: scope.counter(kind) for kind in FAULT_KINDS}
+        for kind in FAULT_KINDS:
+            scope.bind(kind, lambda kind=kind: self.counts[kind])
 
     # ------------------------------------------------------------- logging
     def _log(self, cycle: int, site: str, kind: str, detail: str) -> FaultEvent:

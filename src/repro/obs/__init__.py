@@ -9,10 +9,8 @@ _LAZY = {
     "BoundMetric": "repro.obs.registry",
     "CommandPath": "repro.obs.attribution",
     "CommandSpanTracker": "repro.obs.spans",
-    "Counter": "repro.obs.registry",
     "DEFAULT_BUCKETS": "repro.obs.registry",
     "DEFAULT_PERCENTILES": "repro.obs.registry",
-    "Gauge": "repro.obs.registry",
     "Histogram": "repro.obs.registry",
     "MetricRegistry": "repro.obs.registry",
     "MetricScope": "repro.obs.registry",

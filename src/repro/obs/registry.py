@@ -4,28 +4,29 @@ Before this layer existed each model grew its own ad-hoc stat fields
 (``ChannelQueue.total_pushed``, ``DramController.stats``, the runtime
 server's lock-wait samples, ...) and every analysis reached into model
 internals to read them.  The registry replaces that with a single
-hierarchically-namespaced (``system/core/port``) collection of *typed*
-metrics:
+hierarchically-namespaced (``system/core/port``) collection of *views*:
 
-* :class:`Counter` — monotonically increasing event count.  Counters behave
-  like numbers in comparisons (``ctr == 4``) so model code and tests keep
-  reading naturally, and support ``+=`` so hot paths stay one line.
-* :class:`Gauge` — a point-in-time value (``set``/``add``).
-* :class:`Histogram` — fixed upper-bound buckets plus count/total, cheap
-  enough for per-command latency samples.
-* bound views (:meth:`MetricScope.bind`) — zero-overhead adapters over an
-  existing plain field, read lazily at dump time.  The simulation kernel's
-  hottest counters (per-cycle channel occupancy accumulation) use these so
-  instrumentation stays on by default without slowing the kernel.
+* a model counts in plain fields — ``int`` counters, dicts of ints for
+  per-kind tables — and :meth:`MetricScope.bind` publishes each as a lazy
+  view read through its owner at dump time (``lambda: self.retries``), so
+  the hot paths stay plain attribute arithmetic;
+* a :class:`Histogram` — fixed upper-bound buckets plus count/total, cheap
+  enough for per-command latency samples — is an object of its owner, bound
+  the same way (``lambda: self.lock_wait_hist.dump_value()``).
 
-Metrics are *owned by the components* and adopted into the registry after
-the component is registered with a :class:`~repro.sim.Simulator` —
-construction signatures stay unchanged and a primitive used standalone
-(outside any simulator) simply keeps private metrics.  Adoption is deferred
-(:meth:`MetricRegistry.defer`): the simulator leaves one pending entry per
-component/channel and the registry runs them, in registration order, the
-first time anything reads or writes it, so a design that is elaborated only
-for its floorplan never builds the views.
+Because every entry reads through its owner, the registry holds no value
+of its own: a snapshot captures a statistic with the object that holds it,
+and a restore that refills or replaces that field is what the next dump
+reads.
+
+Views are registered after the component joins a
+:class:`~repro.sim.Simulator` — construction signatures stay unchanged and
+a primitive used standalone (outside any simulator) simply keeps private
+counters.  Registration is deferred (:meth:`MetricRegistry.defer`): the
+simulator leaves one pending entry per component/channel and the registry
+runs them, in registration order, the first time anything reads or writes
+it, so a design that is elaborated only for its floorplan never builds the
+views.
 
 Volatile metrics (skip accounting, wall-clock profiles) are flagged so the
 compiled-vs-naive differential harness can compare ``dump(stable_only=
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 SEP = "/"
 
@@ -51,106 +52,6 @@ DEFAULT_PERCENTILES = (0.5, 0.9, 0.99, 0.999)
 def _percentile_key(q: float) -> str:
     """``0.999 -> "p999"``, ``0.5 -> "p50"`` — stable dump/report keys."""
     return "p" + f"{q * 100:g}".replace(".", "")
-
-
-class Counter:
-    """A monotonically increasing event counter that compares like an int."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    # Number-like behaviour so existing call sites (``ctr == 4``,
-    # ``ctr += 1``, ``ctr / cycles``) keep working after the field swap.
-    def __iadd__(self, n: int) -> "Counter":
-        self.value += n
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Counter, Gauge)):
-            return self.value == other.value
-        return self.value == other
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __lt__(self, other) -> bool:
-        return self.value < _num(other)
-
-    def __le__(self, other) -> bool:
-        return self.value <= _num(other)
-
-    def __gt__(self, other) -> bool:
-        return self.value > _num(other)
-
-    def __ge__(self, other) -> bool:
-        return self.value >= _num(other)
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __add__(self, other):
-        return self.value + _num(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.value - _num(other)
-
-    def __rsub__(self, other):
-        return _num(other) - self.value
-
-    def __mul__(self, other):
-        return self.value * _num(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self.value / _num(other)
-
-    def __rtruediv__(self, other):
-        return _num(other) / self.value
-
-    def __index__(self) -> int:
-        return int(self.value)
-
-    def __repr__(self) -> str:
-        return f"Counter({self.value})"
-
-    def dump_value(self):
-        return self.value
-
-
-def _num(x):
-    return x.value if isinstance(x, (Counter, Gauge)) else x
-
-
-class Gauge(Counter):
-    """A point-in-time value; same number-like surface as :class:`Counter`."""
-
-    __slots__ = ()
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def add(self, n) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.value})"
 
 
 class Histogram:
@@ -220,26 +121,62 @@ class Histogram:
             out[_percentile_key(q)] = self.quantile(q)
         return out
 
+    # ------------------------------------------------------------- snapshot
+    def snapshot_state(self, fr) -> Tuple[Tuple[float, ...], Tuple[int, ...], int, Any]:
+        """The bucket bounds, the counts per bin, the count and the total."""
+        return self.buckets, tuple(self.counts), self.count, self.total
+
+    @staticmethod
+    def check_state(state) -> None:
+        """Refuse, in a restore's first pass, a histogram image of another
+        shape: sorted numeric bounds, one natural count per bin plus the
+        overflow bin, a count that is their sum, and a numeric total."""
+        from repro.snapshot.engine import SnapshotError
+
+        buckets, counts, count, total = state if type(state) is tuple and len(state) == 4 else (None,) * 4
+        if not (type(buckets) is tuple and buckets and type(counts) is tuple
+                and set(map(type, buckets)) <= {int, float} and set(map(type, counts)) <= {int}
+                and all(a <= b for a, b in zip(buckets, buckets[1:]))
+                and len(counts) == len(buckets) + 1 and min(counts) >= 0
+                and type(count) is int and count == sum(counts) and type(total) in (int, float)):
+            raise SnapshotError(
+                "malformed snapshot: a histogram must be (sorted bucket bounds, one natural "
+                "count per bin and overflow, their sum, a numeric total)")
+
+    def restore_state(self, state, th) -> None:
+        buckets, counts, count, total = state
+        # The bounds are structure: compared, never written.  Only a
+        # histogram thawed fresh, with no live counterpart, takes the
+        # image's (and the default percentiles).
+        try:
+            live = self.buckets
+        except AttributeError:
+            live = self.buckets = buckets
+            self.percentiles, self.counts = DEFAULT_PERCENTILES, []
+        if live != buckets:
+            from repro.snapshot.engine import SnapshotError
+
+            raise SnapshotError(
+                f"the histogram image has bucket bounds {buckets}, the live one {live}: "
+                "not the same design")
+        self.counts[:] = counts
+        self.count, self.total = count, total
+
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, mean={self.mean:.2f})"
 
 
 class BoundMetric:
-    """A lazy view over an existing value: read through ``fn`` at dump time.
+    """A lazy view over an owner's value: read through ``fn`` at dump time.
 
-    This is the zero-overhead binding for hot-path fields that must stay
-    plain Python ints (channel statistics): the owning object mutates its
-    field directly and the registry reads it only when asked.
+    Every registry entry is one: the owning object mutates its plain field
+    directly and the registry reads it only when asked.
     """
 
     __slots__ = ("fn",)
 
     def __init__(self, fn: Callable[[], Any]) -> None:
         self.fn = fn
-
-    @property
-    def value(self):
-        return self.fn()
 
     def dump_value(self):
         return self.fn()
@@ -255,14 +192,13 @@ class MetricRegistry:
         self._adopted: Dict[str, object] = {}
         self._volatile: Dict[str, bool] = {}
         self._pending: List[Tuple[str, Callable[["MetricScope"], None]]] = []
-        self._owned: Tuple[int, List[Tuple[str, object]]] = (0, [])
 
     # ------------------------------------------------------------- adoption
     def defer(self, prefix: str, register: Callable[["MetricScope"], None]) -> None:
         """Queue ``register(scope(prefix))`` until the registry is next used.
 
         Pending entries run in the order they were queued, before any read
-        and before any direct :meth:`attach`, so the key sequence — and with
+        and before any direct :meth:`bind`, so the key sequence — and with
         it every ``#2``/``#3`` duplicate suffix — is exactly the one eager
         registration would have produced.
         """
@@ -273,45 +209,18 @@ class MetricRegistry:
         """Every adopted metric by name; adopts what is pending first."""
         pending = self._pending
         if pending:
-            # Detach first: the callbacks attach through this same property.
+            # Detach first: the callbacks bind through this same property.
             self._pending = []
             for prefix, register in pending:
                 register(MetricScope(self, prefix))
         return self._adopted
 
-    def owned(self) -> List[Tuple[str, object]]:
-        """``(name, metric)`` of every metric that holds a value of its own
-        (counters, gauges, histograms — not :class:`BoundMetric` views), in
-        adoption order.  Metrics are only ever added, so the list is cached
-        against the adopted count."""
-        metrics = self._metrics
-        if self._owned[0] != len(metrics):
-            self._owned = (
-                len(metrics),
-                [(n, m) for n, m in metrics.items() if isinstance(m, (Counter, Histogram))],
-            )
-        return self._owned[1]
-
     # ------------------------------------------------------------- creation
     def scope(self, prefix: str) -> "MetricScope":
         return MetricScope(self, prefix)
 
-    def counter(self, name: str) -> Counter:
-        return self.attach(name, Counter())
-
-    def gauge(self, name: str) -> Gauge:
-        return self.attach(name, Gauge())
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-    ) -> Histogram:
-        return self.attach(name, Histogram(buckets, percentiles))
-
-    def attach(self, name: str, metric, volatile: bool = False):
-        """Adopt an existing metric object under ``name``.
+    def bind(self, name: str, fn: Callable[[], Any], volatile: bool = False) -> BoundMetric:
+        """Register a view that reads ``fn()`` at dump time under ``name``.
 
         Duplicate names get a deterministic ``#2``, ``#3`` ... suffix: two
         anonymous components may legitimately share a name, and observability
@@ -323,12 +232,9 @@ class MetricRegistry:
         while key in metrics:
             key = f"{name}#{n}"
             n += 1
-        metrics[key] = metric
+        metric = metrics[key] = BoundMetric(fn)
         self._volatile[key] = volatile
         return metric
-
-    def bind(self, name: str, fn: Callable[[], Any], volatile: bool = False) -> BoundMetric:
-        return self.attach(name, BoundMetric(fn), volatile=volatile)
 
     # --------------------------------------------------------------- access
     def get(self, name: str):
@@ -408,28 +314,6 @@ class MetricScope:
     def scope(self, prefix: str) -> "MetricScope":
         return MetricScope(self.registry, self._name(prefix))
 
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(self._name(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self.registry.gauge(self._name(name))
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-    ) -> Histogram:
-        return self.registry.histogram(self._name(name), buckets, percentiles)
-
-    def attach(self, name: str, metric, volatile: bool = False):
-        return self.registry.attach(self._name(name), metric, volatile=volatile)
-
     def bind(self, name: str, fn: Callable[[], Any], volatile: bool = False) -> BoundMetric:
         return self.registry.bind(self._name(name), fn, volatile=volatile)
 
-
-def attach_all(scope: MetricScope, metrics: Iterable) -> None:
-    """Attach ``(name, metric)`` pairs under ``scope`` in one call."""
-    for name, metric in metrics:
-        scope.attach(name, metric)

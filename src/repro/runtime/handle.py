@@ -23,7 +23,6 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
-from repro.obs.registry import Counter
 from repro.runtime.allocator import make_allocator
 from repro.runtime.server import CommandContext, RuntimeServer, WatchdogConfig
 from repro.sim import DeadlockError
@@ -569,16 +568,16 @@ class ClientHandle:
         self.name = name
         #: Tenant this client fronts (set by the serving layer; spans carry it).
         self.tenant = ""
-        self.submitted = Counter()
-        self.completed = Counter()
+        self.submitted = 0
+        self.completed = 0
         scope = handle.design.registry.scope(f"serve/client/{client_id}")
-        scope.attach("submitted", self.submitted)
-        scope.attach("completed", self.completed)
-        scope.bind("in_flight", lambda: int(self.submitted) - int(self.completed))
+        scope.bind("submitted", lambda: self.submitted)
+        scope.bind("completed", lambda: self.completed)
+        scope.bind("in_flight", lambda: self.in_flight)
 
     @property
     def in_flight(self) -> int:
-        return int(self.submitted) - int(self.completed)
+        return self.submitted - self.completed
 
     def malloc(self, n_bytes: int) -> RemotePtr:
         return self._handle.malloc(n_bytes)
@@ -610,8 +609,11 @@ class ClientHandle:
             **fields,
         )
         self.submitted += 1
-        fut.add_done_callback(lambda _f: self.completed.__iadd__(1))
+        fut.add_done_callback(self._note_completed)
         return fut
+
+    def _note_completed(self, _fut: ResponseHandle) -> None:
+        self.completed += 1
 
 
 def bindings_for(handle: FpgaHandle, system_name: str):

@@ -26,7 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.command.router import MmioFrontend
 from repro.faults.errors import CommandTimeout
-from repro.obs.registry import Counter, Histogram
+from repro.obs.registry import Histogram
 from repro.platforms.base import HostInterface
 from repro.sim import NEVER, Component
 
@@ -177,26 +177,25 @@ class RuntimeServer(Component):
         self.quarantined: Set[Tuple[int, int]] = set()
         #: Host hook invoked (once per core) at quarantine time.
         self.on_quarantine: Optional[Callable[[Tuple[int, int]], None]] = None
-        # Statistics for the contention analysis.  Typed metrics compare and
-        # accumulate like ints, so call sites and tests read them unchanged.
-        self.commands_sent = Counter()
-        self.responses_received = Counter()
-        self.lock_wait_cycles = Counter()
-        self.busy_cycles = Counter()
+        # Statistics for the contention analysis.
+        self.commands_sent = 0
+        self.responses_received = 0
+        self.lock_wait_cycles = 0
+        self.busy_cycles = 0
         self.lock_wait_hist = Histogram()
-        # Watchdog statistics: always attached (zero when disabled) so metric
-        # dumps have a config-independent key set.
-        self.timeouts = Counter()
-        self.retries = Counter()
-        self.quarantines = Counter()
-        self.late_responses = Counter()
-        self.rerouted = Counter()  # incremented by the handle's router
+        # Watchdog statistics: always published (zero when disabled) so
+        # metric dumps have a config-independent key set.
+        self.timeouts = 0
+        self.retries = 0
+        self.quarantines = 0
+        self.late_responses = 0
+        self.rerouted = 0  # incremented by the handle's router
         # Serving-layer batching: lock acquisitions skipped because the
         # command continued the previous command's batch, and the cycles
         # that amortisation saved.
-        self.batch_lock_skips = Counter()
-        self.batch_cycles_saved = Counter()
-        self.fifo_violations = Counter()
+        self.batch_lock_skips = 0
+        self.batch_cycles_saved = 0
+        self.fifo_violations = 0
         # Per-client lock-wait samples (enqueue -> dispatch), for fairness
         # analysis of the round-robin arbiter.
         self.client_lock_waits: Dict[int, List[int]] = {}
@@ -206,21 +205,15 @@ class RuntimeServer(Component):
         return "runtime/" + self.name.replace(".", "/")
 
     def register_metrics(self, scope) -> None:
-        scope.attach("commands_sent", self.commands_sent)
-        scope.attach("responses_received", self.responses_received)
-        scope.attach("lock_wait_cycles", self.lock_wait_cycles)
-        scope.attach("busy_cycles", self.busy_cycles)
-        scope.attach("lock_wait", self.lock_wait_hist)
-        scope.attach("batch_lock_skips", self.batch_lock_skips)
-        scope.attach("batch_cycles_saved", self.batch_cycles_saved)
-        scope.attach("fifo_violations", self.fifo_violations)
+        for name in ("commands_sent", "responses_received", "lock_wait_cycles", "busy_cycles"):
+            scope.bind(name, lambda name=name: getattr(self, name))
+        scope.bind("lock_wait", lambda: self.lock_wait_hist.dump_value())
+        for name in ("batch_lock_skips", "batch_cycles_saved", "fifo_violations"):
+            scope.bind(name, lambda name=name: getattr(self, name))
         scope.bind("in_flight", lambda: self.in_flight)
         wd = scope.scope("watchdog")
-        wd.attach("timeouts", self.timeouts)
-        wd.attach("retries", self.retries)
-        wd.attach("quarantines", self.quarantines)
-        wd.attach("late_responses", self.late_responses)
-        wd.attach("rerouted", self.rerouted)
+        for name in ("timeouts", "retries", "quarantines", "late_responses", "rerouted"):
+            wd.bind(name, lambda name=name: getattr(self, name))
         wd.bind("pending_retries", lambda: len(self._retry_heap))
         wd.bind("quarantined_cores", lambda: len(self.quarantined))
         if self.spans is not None:

@@ -344,17 +344,17 @@ class LoadGenerator:
             )
             completed = len(latencies)
             failed = sum(1 for t in runner.tickets if t.outcome == "failed")
-            submitted = int(state.submitted)
+            submitted = state.submitted
             rejected = state.rejected_total
             goodput = completed * 1000.0 / elapsed
             goodputs.append(goodput)
             all_latencies.extend(latencies)
             report.tenants[runner.name] = {
                 "submitted": submitted,
-                "admitted": int(state.admitted),
+                "admitted": state.admitted,
                 "rejected": rejected,
                 "rejected_by_reason": {
-                    r: int(c) for r, c in state.rejected.items() if int(c)
+                    r: c for r, c in state.rejected.items() if c
                 },
                 "dropped": runner.dropped,
                 "completed": completed,
@@ -372,7 +372,7 @@ class LoadGenerator:
                 "rejection_rate": rejected / submitted if submitted else 0.0,
             }
             tot["submitted"] += submitted
-            tot["admitted"] += int(state.admitted)
+            tot["admitted"] += state.admitted
             tot["rejected"] += rejected
             tot["completed"] += completed
             tot["failed"] += failed

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Tuple
 
 from repro.faults.errors import CoreQuarantined
-from repro.obs.registry import Counter
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,13 @@ class KernelRouter:
         }
         #: Service-visible in-flight commands per core key.
         self.in_flight: Dict[Tuple[int, int], int] = {}
-        self.routed = Counter()
+        self.routed = 0
         #: Routes where quarantine changed the placement decision.
-        self.failovers = Counter()
+        self.failovers = 0
 
     def register_metrics(self, scope) -> None:
-        scope.attach("routed", self.routed)
-        scope.attach("failovers", self.failovers)
+        scope.bind("routed", lambda: self.routed)
+        scope.bind("failovers", lambda: self.failovers)
 
     def kernels(self) -> List[str]:
         return sorted(self._table)

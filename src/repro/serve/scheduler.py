@@ -8,7 +8,7 @@ requests are released to the server.
 
 DRR mechanics (Shreedhar & Varghese): every time the scheduler visits a
 tenant whose queue is non-empty and whose in-flight window has room, the
-tenant's *deficit* grows by ``quantum_unit * weight``; requests are released
+tenant's *deficit* grows by ``QUANTUM_UNIT * weight``; requests are released
 while the head's cost (its MMIO chunk count) fits in the deficit.  A tenant
 whose queue drains forfeits its remaining deficit, so deficits stay bounded
 by one maximal request cost and long-run service is proportional to weight.
@@ -16,7 +16,7 @@ Strict priority classes sit above this: class 0 tenants are fully served
 before class 1 is visited at all (use with care — higher classes can starve).
 
 Batching: consecutive releases of the *same tenant and kernel* share a
-batch id (capped at ``max_batch`` members), chained across pump calls until
+batch id (capped at ``MAX_BATCH`` members), chained across pump calls until
 a different tenant or kernel releases.  The runtime server then skips the
 per-command lock-acquisition cost — but only when the batched command keeps
 the bus continuously occupied (dispatch resumes the cycle the lock would
@@ -34,25 +34,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import Counter
 from repro.serve.tenant import ServeTicket, TenantState
+
+#: Deficit a tenant earns per DRR visit, per unit of weight, in MMIO chunks.
+QUANTUM_UNIT = 4
+#: Most commands one batch id may carry.
+MAX_BATCH = 8
 
 
 class DrrScheduler:
     """Weighted deficit-round-robin over per-tenant queues."""
 
-    def __init__(
-        self,
-        tenants: Sequence[TenantState],
-        quantum_unit: int = 4,
-        max_batch: int = 8,
-    ) -> None:
-        if quantum_unit < 1:
-            raise ValueError("quantum_unit must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.quantum_unit = quantum_unit
-        self.max_batch = max_batch
+    def __init__(self, tenants: Sequence[TenantState]) -> None:
         # Strict priority classes; within a class, registration order is the
         # round-robin order (deterministic by construction).
         classes: Dict[int, List[TenantState]] = {}
@@ -63,20 +56,20 @@ class DrrScheduler:
         self._next_batch = 1
         # Open batch chain: (tenant, kernel, batch_id, members).  The next
         # release continues it iff tenant and kernel match and the chain is
-        # under max_batch; any other release (or a failed emit) breaks it.
+        # under MAX_BATCH; any other release (or a failed emit) breaks it.
         self._chain: Optional[Tuple[str, str, int, int]] = None
-        self.rounds = Counter()
-        self.dispatched = Counter()
-        self.batches = Counter()
+        self.rounds = 0
+        self.dispatched = 0
+        self.batches = 0
         #: Commands that rode in a batch after its first member (each one
         #: saves a lock acquisition at the server).
-        self.coalesced = Counter()
+        self.coalesced = 0
 
     def register_metrics(self, scope) -> None:
-        scope.attach("rounds", self.rounds)
-        scope.attach("dispatched", self.dispatched)
-        scope.attach("batches", self.batches)
-        scope.attach("coalesced", self.coalesced)
+        scope.bind("rounds", lambda: self.rounds)
+        scope.bind("dispatched", lambda: self.dispatched)
+        scope.bind("batches", lambda: self.batches)
+        scope.bind("coalesced", lambda: self.coalesced)
         scope.bind("backlog", lambda: sum(len(s.queue) for s in self.states()))
 
     def states(self) -> List[TenantState]:
@@ -100,7 +93,7 @@ class DrrScheduler:
                 state = states[(pos + k) % n]
                 if not state.queue or not state.can_dispatch():
                     continue
-                state.deficit += self.quantum_unit * state.config.weight
+                state.deficit += QUANTUM_UNIT * state.config.weight
                 while state.queue and state.can_dispatch():
                     head = state.queue[0]
                     if head.cost > state.deficit:
@@ -112,7 +105,7 @@ class DrrScheduler:
                         chain is not None
                         and chain[0] == state.name
                         and chain[1] == head.kernel
-                        and chain[3] < self.max_batch
+                        and chain[3] < MAX_BATCH
                     ):
                         batch_id = chain[2]
                         self._chain = (chain[0], chain[1], batch_id, chain[3] + 1)

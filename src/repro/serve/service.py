@@ -78,13 +78,7 @@ class TenantSession:
 class AcceleratorService:
     """Admission + fair scheduling + heterogeneous routing over one handle."""
 
-    def __init__(
-        self,
-        handle,
-        tenants: Iterable[TenantConfig],
-        quantum_unit: int = 4,
-        max_batch: int = 8,
-    ) -> None:
+    def __init__(self, handle, tenants: Iterable[TenantConfig]) -> None:
         self.handle = handle
         self.design = handle.design
         self.router = KernelRouter(self.design)
@@ -101,10 +95,7 @@ class AcceleratorService:
         if not self._tenants:
             raise ValueError("a service needs at least one tenant")
         self.admission = AdmissionController(self._tenants)
-        self.scheduler = DrrScheduler(
-            list(self._tenants.values()), quantum_unit=quantum_unit,
-            max_batch=max_batch,
-        )
+        self.scheduler = DrrScheduler(list(self._tenants.values()))
         self.scheduler.register_metrics(registry.scope("serve/sched"))
         self.router.register_metrics(registry.scope("serve/routing"))
         registry.scope("serve").bind("settled", lambda: self._settled)

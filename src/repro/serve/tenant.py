@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.obs.registry import Counter, Histogram
+from repro.obs.registry import Histogram
 from repro.serve.errors import REJECT_REASONS, AdmissionRejected
 
 
@@ -152,12 +152,12 @@ class TenantState:
         self.mem_used = 0
         self.bucket = TokenBucket(config.cycles_per_token, config.burst_tokens)
         self._next_seq = 0
-        # Metrics (attached under serve/tenant/<name>/ by the service).
-        self.submitted = Counter()
-        self.admitted = Counter()
-        self.completed = Counter()
-        self.failed = Counter()
-        self.rejected = {reason: Counter() for reason in REJECT_REASONS}
+        # Metrics (published under serve/tenant/<name>/ by the service).
+        self.submitted = 0
+        self.admitted = 0
+        self.completed = 0
+        self.failed = 0
+        self.rejected = dict.fromkeys(REJECT_REASONS, 0)
         self.latency_hist = Histogram()
         self.queue_wait_hist = Histogram()
 
@@ -171,20 +171,20 @@ class TenantState:
 
     @property
     def rejected_total(self) -> int:
-        return sum(int(c) for c in self.rejected.values())
+        return sum(self.rejected.values())
 
     def can_dispatch(self) -> bool:
         return self.in_flight < self.config.max_in_flight
 
     def register_metrics(self, scope) -> None:
-        scope.attach("submitted", self.submitted)
-        scope.attach("admitted", self.admitted)
-        scope.attach("completed", self.completed)
-        scope.attach("failed", self.failed)
-        for reason, counter in self.rejected.items():
-            scope.attach(f"rejected_{reason}", counter)
-        scope.attach("latency", self.latency_hist)
-        scope.attach("queue_wait", self.queue_wait_hist)
+        scope.bind("submitted", lambda: self.submitted)
+        scope.bind("admitted", lambda: self.admitted)
+        scope.bind("completed", lambda: self.completed)
+        scope.bind("failed", lambda: self.failed)
+        for reason in self.rejected:
+            scope.bind(f"rejected_{reason}", lambda reason=reason: self.rejected[reason])
+        scope.bind("latency", lambda: self.latency_hist.dump_value())
+        scope.bind("queue_wait", lambda: self.queue_wait_hist.dump_value())
         scope.bind("queued", lambda: len(self.queue))
         scope.bind("in_flight", lambda: self.in_flight)
         scope.bind("mem_used_bytes", lambda: self.mem_used)

@@ -20,8 +20,8 @@ Restore takes two passes.  :meth:`Thawer.check` resolves every class and
 checks every field name and marker shape; nothing is written before it
 passes.  The thaw then walks in capture order and refills in place: a
 marker whose live counterpart in the same field is of its kind is written
-into it (registry bindings close over model containers by identity), and
-a marker met again resolves to its first visit's object.
+into it (tick closures and registry views close over model objects by
+identity), and a marker met again resolves to its first visit's object.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from collections import deque
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.registry import Counter, Gauge, Histogram
-
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 10: the runtime server's fields are declared too, and a
-#: command context is a reference to its call).
-SNAPSHOT_VERSION = 10
+#: "Versioning"; 11: a counter is a plain declared int and a histogram
+#: writes its own state, so the metric marker is gone).
+SNAPSHOT_VERSION = 11
 
 
 class SnapshotError(RuntimeError):
@@ -52,23 +50,22 @@ class SnapshotVersionError(SnapshotError):
 
 _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes)
 _PRIM = frozenset(_PRIMITIVES)  # exact-type test: one hash lookup per value
-_METRICS = (Counter, Gauge, Histogram)
 
 # Marker layouts:
 #   [T_REF, kind, key]                      infrastructure reference
 #   [T_OBJ, module, qualname, {name: fz}]   declared object
 #   [T_STATE, module, qualname, state]      check_state()/snapshot_state()/restore_state()
 #   [T_NAMED, module, qualname, *items]     named tuple
-#   [T_RNG, state]  [T_MET, kind, data]  [T_BYTES, bytes]
+#   [T_RNG, state]  [T_BYTES, bytes]
 #   [T_ARRAY, dtype, shape, bytes]          numpy.ndarray
 #   [T_LIST, *items]  [T_TUPLE, *items]  [T_DEQUE, maxlen, *items]
 #   [T_SET, frozen, *items]  [T_DICT, {key: fz}]
 T_REF, T_OBJ, T_STATE, T_NAMED = "~ref", "~obj", "~state", "~named"
-T_RNG, T_MET, T_BYTES, T_ARRAY = "~rng", "~metric", "~bytes", "~array"
+T_RNG, T_BYTES, T_ARRAY = "~rng", "~bytes", "~array"
 T_LIST, T_TUPLE, T_DEQUE, T_SET, T_DICT = "~list", "~tuple", "~deque", "~set", "~dict"
 #: Each tag's marker length (negative: the least length of a variadic one).
-_LENGTHS = {T_REF: 3, T_OBJ: 4, T_STATE: 4, T_NAMED: -3, T_RNG: 2, T_MET: 3, T_BYTES: 2,
-            T_ARRAY: 4, T_LIST: -1, T_TUPLE: -1, T_DEQUE: -2, T_SET: -2, T_DICT: 2}
+_LENGTHS = {T_REF: 3, T_OBJ: 4, T_STATE: 4, T_NAMED: -3, T_RNG: 2, T_BYTES: 2, T_ARRAY: 4,
+            T_LIST: -1, T_TUPLE: -1, T_DEQUE: -2, T_SET: -2, T_DICT: 2}
 
 
 def _is_marker(fz: Any, tag: Optional[str] = None) -> bool:
@@ -238,7 +235,7 @@ class Freezer:
     def _fz_object(self, obj: Any) -> Any:
         """A declared object; one with ``snapshot_state``/``restore_state``
         (and a ``check_state`` for pass 1) chooses its own compact state
-        (``MemoryStore``: one byte image)."""
+        (``MemoryStore``: one byte image; ``Histogram``: its bins)."""
         t = type(obj)
         protocol = hasattr(t, "snapshot_state")
         if not (protocol or "_state" in t.__dict__ or is_dataclass(t)):
@@ -260,7 +257,6 @@ _HANDLERS: Dict[type, Any] = {}
 _RULES = (
     (_PRIMITIVES, lambda fr, obj: obj),  # a subclass of a primitive
     (tuple, Freezer._fz_tuple),
-    (_METRICS, lambda fr, m: fr._memoize(m, [T_MET, *_metric_state(m)])),
     (random.Random, lambda fr, rng: fr._memoize(rng, [T_RNG, rng.getstate()])),
     (bytearray, lambda fr, b: fr._memoize(b, [T_BYTES, bytes(b)])),
     ((set, frozenset), Freezer._fz_set),
@@ -372,12 +368,10 @@ class Thawer:
                 if fz[1] is not None and (type(fz[1]) is not int or fz[1] < 0):
                     raise _malformed("a deque's maxlen must be None or a natural number")
                 items = fz[2:]
-            else:  # a leaf (set, bytes, metric, random state, array): built once, here
+            else:  # a leaf (set, bytes, random state, array): built once, here
                 try:
                     built = _fresh(fz, None)
-                    if tag == T_MET:
-                        _apply_metric(built, fz[1], fz[2])
-                    elif tag == T_BYTES:
+                    if tag == T_BYTES:
                         built[:] = fz[1]
                 except (TypeError, ValueError, KeyError, IndexError) as exc:
                     raise _malformed(f"a bad {tag}: {exc}") from None
@@ -430,9 +424,6 @@ class Thawer:
             return tuple(items) if cls is None else tuple.__new__(cls, items)
         if live is None or id(live) in self._claimed or (
                 type(live) is not (cls or _KINDS.get(tag)) and not _fits(fz, live, cls)):
-            if tag == T_MET and isinstance(live, _METRICS):
-                # A registry may hold the live metric: refilled, never replaced.
-                raise SnapshotError(f"a {fz[1]!r} metric where the design holds {live!r}")
             live, target = (), _fresh(fz, cls)
         else:
             self._claimed.add(id(live))
@@ -454,8 +445,6 @@ class Thawer:
         elif tag == T_SET:
             target.clear()
             target.update(fz[2:])
-        elif tag == T_MET:
-            _apply_metric(target, fz[1], fz[2])
         elif tag == T_RNG:
             target.setstate(fz[1])
         elif tag == T_BYTES:
@@ -490,8 +479,6 @@ def _fits(fz: list, live: Any, cls: Optional[type]) -> bool:
         return isinstance(live, deque) and live.maxlen == fz[1]
     if tag == T_SET:
         return type(live) is set and not fz[1]
-    if tag == T_MET:
-        return isinstance(live, _METRICS) and _metric_state(live)[0] == fz[1]
     return isinstance(live, _KINDS[tag])
 
 
@@ -507,8 +494,6 @@ def _fresh(fz: list, cls: Optional[type]) -> Any:
         return deque(maxlen=fz[1])
     if tag == T_SET:
         return (frozenset if fz[1] else set)(fz[2:])
-    if tag == T_MET:
-        return Histogram(buckets=fz[2][0]) if fz[1] == "h" else {"g": Gauge, "c": Counter}[fz[1]]()
     if tag == T_RNG:
         rng = random.Random()
         rng.setstate(fz[1])
@@ -518,25 +503,6 @@ def _fresh(fz: list, cls: Optional[type]) -> Any:
 
         return np.frombuffer(fz[3], dtype=np.dtype(fz[1])).reshape(fz[2]).copy()
     return {T_LIST: list, T_DICT: dict, T_BYTES: bytearray}[tag]()
-
-
-def _metric_state(metric: Any) -> Tuple[str, Any]:
-    """(kind, raw value) of an owned registry metric."""
-    if isinstance(metric, Histogram):
-        return "h", (tuple(metric.buckets), list(metric.counts), metric.count, metric.total)
-    return ("g" if isinstance(metric, Gauge) else "c"), metric.value
-
-
-def _apply_metric(target: Any, kind: str, data: Any) -> None:
-    """Write a frozen metric value; ``+ 0`` refuses one that is no number."""
-    if kind != "h":
-        target.value = data + 0
-        return
-    buckets, counts, count, total = data
-    if tuple(target.buckets) != tuple(buckets) or len(counts) != len(target.counts):
-        raise SnapshotError("histogram bucket layout changed between capture and restore")
-    target.counts[:] = [c + 0 for c in counts]
-    target.count, target.total = count + 0, total + 0
 
 
 # ====================================================================== sim

@@ -155,11 +155,11 @@ def run_checkpointed_memcpy(
         "stable_metrics": build.design.metrics(stable_only=True),
         "resumed": resumed,
         "checkpoints": checkpoints,
-        "timeouts": int(server.timeouts),
-        "retries": int(server.retries),
-        "quarantines": int(server.quarantines),
-        "rerouted": int(server.rerouted),
-        "late_responses": int(server.late_responses),
+        "timeouts": server.timeouts,
+        "retries": server.retries,
+        "quarantines": server.quarantines,
+        "rerouted": server.rerouted,
+        "late_responses": server.late_responses,
     }
 
 

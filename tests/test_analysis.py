@@ -125,18 +125,19 @@ def test_tree_arbitration_is_fair():
 
 
 def _synthetic_registry():
-    from repro.obs.registry import MetricRegistry
+    from repro.obs.registry import Histogram, MetricRegistry
 
     reg = MetricRegistry()
-    reg.counter("sim/cycles_total").inc(1000)
+    reg.bind("sim/cycles_total", lambda: 1000)
     reg.bind("sim/cycles_skipped", lambda: 750, volatile=True)
-    reg.counter("dram/mc/bus_cycles").inc(400)
-    reg.counter("dram/mc/row_hits").inc(90)
-    reg.counter("dram/mc/row_misses").inc(10)
-    reg.counter("noc/root/forwarded_ar").inc(5)
-    reg.counter("noc/root/forwarded_r").inc(20)
-    reg.counter("noc/leaf0/forwarded_w").inc(8)
-    hist = reg.histogram("runtime/server/lock_wait_hist")
+    reg.bind("dram/mc/bus_cycles", lambda: 400)
+    reg.bind("dram/mc/row_hits", lambda: 90)
+    reg.bind("dram/mc/row_misses", lambda: 10)
+    reg.bind("noc/root/forwarded_ar", lambda: 5)
+    reg.bind("noc/root/forwarded_r", lambda: 20)
+    reg.bind("noc/leaf0/forwarded_w", lambda: 8)
+    hist = Histogram()
+    reg.bind("runtime/server/lock_wait_hist", lambda: hist.dump_value())
     hist.observe(4)
     hist.observe(8)
     return reg

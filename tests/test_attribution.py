@@ -287,7 +287,8 @@ def test_histogram_dump_reports_default_percentiles():
 
 def test_histogram_custom_percentiles_and_registry_pass_through():
     reg = MetricRegistry()
-    h = reg.scope("a").histogram("lat", buckets=(10, 100), percentiles=(0.25,))
+    h = Histogram(buckets=(10, 100), percentiles=(0.25,))
+    reg.scope("a").bind("lat", lambda: h.dump_value())
     for v in (1, 2, 3, 4):
         h.observe(v)
     dump = reg.dump()["a/lat"]

@@ -6,6 +6,7 @@ as a value the farm wrote is a miss, and the file is deleted.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -77,6 +78,31 @@ def test_canonical_handles_dataclasses_and_containers():
     p2 = canonical(AWSF1Platform())
     assert p1 == p2
     assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
+
+
+def test_builtins_fingerprint_by_their_module_name():
+    """A builtin's ``__self__`` is its module, whose namespace reaches
+    itself: the module reduces to its name."""
+    assert canonical(abs) == {"__callable__": "builtins.abs", "self": {"__module__": "builtins"}}
+    assert Job(abs, (1,)).fingerprint != Job(abs, (2,)).fingerprint
+    assert Job(math.sqrt, (4,)).fingerprint == Job(math.sqrt, (4,)).fingerprint
+    assert Job(math.sqrt, (4,)).fingerprint != Job(math.floor, (4,)).fingerprint
+
+
+class _SelfReferring:
+    def __init__(self):
+        self.me = self
+
+    def run(self):
+        return 1
+
+
+def test_a_self_referring_object_is_a_typed_error():
+    with pytest.raises(TypeError, match=r"_SelfReferring that refers to itself.*'module:attr'"):
+        Job(_SelfReferring().run, ()).fingerprint
+    # A reference shared by two fields is no cycle.
+    shared = [1, 2]
+    assert canonical((shared, shared)) == canonical(([1, 2], [1, 2]))
 
 
 # ------------------------------------------------------------------- cache

@@ -34,7 +34,7 @@ from repro.faults.chaos import MODES
 from repro.kernels.machsuite.nw import nw_config
 from repro.kernels.memcpy import memcpy_config
 from repro.memory.scratchpad import Memory
-from repro.obs.registry import BoundMetric, Counter, MetricRegistry
+from repro.obs.registry import BoundMetric, MetricRegistry
 from repro.platforms import AWSF1Platform, multi_die_platform
 from repro.runtime import FpgaHandle
 from repro.serve import AcceleratorService, TenantConfig
@@ -219,14 +219,14 @@ def _two_die_serial():
 class _Twin(Component):
     def __init__(self, hits: int, depth: int) -> None:
         super().__init__("twin")
-        self.hits = Counter(hits)
+        self.hits = hits
         self.q = ChannelQueue(depth, "twin.q")
 
     def channels(self):
         return [self.q]
 
     def register_metrics(self, scope) -> None:
-        scope.attach("hits", self.hits)
+        scope.bind("hits", lambda: self.hits)
 
     def tick(self, cycle: int) -> None:
         pass

@@ -6,37 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    attach_all,
-)
-
-
-def test_counter_behaves_like_int():
-    c = Counter()
-    c += 3
-    c.inc()
-    assert c == 4
-    assert c != 5
-    assert c < 5 and c <= 4 and c > 3 and c >= 4
-    assert c + 1 == 5 and 1 + c == 5
-    assert c - 1 == 3 and 10 - c == 6
-    assert c * 2 == 8 and c / 2 == 2.0 and 8 / c == 2.0
-    assert int(c) == 4 and float(c) == 4.0 and bool(c)
-    assert list(range(10))[c] == 4  # __index__
-    assert not Counter()
-
-
-def test_counter_gauge_cross_comparison():
-    assert Counter(3) == Gauge(3)
-    assert Counter(3) < Gauge(5)
-    g = Gauge()
-    g.set(7)
-    g.add(-2)
-    assert g == 5
+from repro.obs.registry import Histogram, MetricRegistry
 
 
 def test_histogram_buckets_and_mean():
@@ -94,9 +64,12 @@ def test_histogram_rejects_empty_buckets():
 def test_registry_namespaces_and_dump():
     reg = MetricRegistry()
     scope = reg.scope("dram/mc")
-    scope.counter("row_hits").inc(9)
-    scope.scope("bank0").counter("activations").inc(2)
+    stats = {"row_hits": 0, "activations": 0}
+    scope.bind("row_hits", lambda: stats["row_hits"])
+    scope.scope("bank0").bind("activations", lambda: stats["activations"])
     reg.bind("sim/cycles_total", lambda: 123)
+    stats["row_hits"] += 9
+    stats["activations"] += 2
     assert "dram/mc/row_hits" in reg
     assert reg.value("dram/mc/bank0/activations") == 2
     assert reg.value("nonexistent", default=None) is None
@@ -110,17 +83,16 @@ def test_registry_namespaces_and_dump():
 
 def test_registry_duplicate_names_get_suffix():
     reg = MetricRegistry()
-    a = reg.counter("noc/node/forwarded")
-    b = reg.counter("noc/node/forwarded")
-    a.inc(1)
-    b.inc(2)
+    reg.bind("noc/node/forwarded", lambda: 1)
+    reg.bind("noc/node/forwarded", lambda: 2)
+    assert reg.names() == ["noc/node/forwarded", "noc/node/forwarded#2"]
     assert reg.value("noc/node/forwarded") == 1
     assert reg.value("noc/node/forwarded#2") == 2
 
 
 def test_registry_stable_only_drops_volatile():
     reg = MetricRegistry()
-    reg.counter("sim/cycles_total").inc(10)
+    reg.bind("sim/cycles_total", lambda: 10)
     reg.bind("sim/cycles_skipped", lambda: 7, volatile=True)
     full = reg.dump()
     stable = reg.dump(stable_only=True)
@@ -130,8 +102,10 @@ def test_registry_stable_only_drops_volatile():
 
 def test_registry_to_json_and_report():
     reg = MetricRegistry()
-    reg.counter("a/count").inc(2)
-    reg.histogram("a/lat", buckets=(8,)).observe(3)
+    hist = Histogram(buckets=(8,))
+    reg.bind("a/count", lambda: 2)
+    reg.bind("a/lat", lambda: hist.dump_value())
+    hist.observe(3)
     loaded = json.loads(reg.to_json())
     assert loaded["a/count"] == 2
     assert loaded["a/lat"]["count"] == 1
@@ -139,9 +113,31 @@ def test_registry_to_json_and_report():
     assert "a/count" in report and "count=1" in report
 
 
-def test_attach_all():
-    reg = MetricRegistry()
-    c, g = Counter(5), Gauge(6)
-    attach_all(reg.scope("x"), [("c", c), ("g", g)])
-    assert reg.get("x/c") is c
-    assert reg.value("x/g") == 6
+def test_histogram_state_round_trips_and_refuses_other_shapes():
+    from repro.snapshot import SnapshotError
+
+    h = Histogram(buckets=(1, 4, 4, 16))  # a duplicate bound is still sorted
+    for v in (1, 3, 10, 100):
+        h.observe(v)
+    state = h.snapshot_state(None)
+    Histogram.check_state(state)
+    other = Histogram(buckets=(1, 4, 4, 16))
+    other.observe(2)
+    other.restore_state(state, None)
+    assert other.dump_value() == h.dump_value()
+    buckets, counts, count, total = state
+    for bad in (
+        None,
+        state[:3],
+        ((), (0,), 0, 0),  # no bound
+        ((4, 1, 16, 16), counts, count, total),  # unsorted bounds
+        (buckets, counts[:-1], count, total),  # no overflow bin
+        (buckets, (-1, *counts[1:]), count - counts[0] - 1, total),  # a negative count
+        (buckets, counts, count + 1, total),  # count is not their sum
+        (buckets, counts, count, "114"),
+        (buckets, tuple(map(float, counts)), count, total),
+    ):
+        with pytest.raises(SnapshotError, match="malformed snapshot: a histogram"):
+            Histogram.check_state(bad)
+    with pytest.raises(SnapshotError, match="bucket bounds .* not the same design"):
+        Histogram(buckets=(2, 4, 4, 16)).restore_state(state, None)

@@ -419,8 +419,10 @@ def test_capture_same_before_and_after_first_registry_read(mode, tmp_path):
     read = _memcpy32_snapshot(mode, True, str(tmp_path / "read.ckpt"))
     assert "registry" not in unread[0] and unread == read
     (server,) = [st for name, st in unread[0]["sim"]["components"] if name == "server"]
-    metrics = [fz for fz in server.values() if isinstance(fz, list) and fz[0] == "~metric"]
-    assert len(metrics) == 13 and server["busy_cycles"][2] > 0
+    counters = [name for name, fz in server.items() if type(fz) is int and name[0] != "_"]
+    states = [fz for fz in server.values() if isinstance(fz, list) and fz[0] == "~state"]
+    assert states == [server["lock_wait_hist"]] and states[0][2] == "Histogram"
+    assert len(counters) == 12 and server["busy_cycles"] > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -548,33 +550,36 @@ def test_a_served_handle_is_refused():
         capture(service.handle)
 
 
-@pytest.mark.parametrize("edit", ["extra", "missing", "kind"])
+@pytest.mark.parametrize("edit", ["extra", "missing", "buckets", "malformed"])
 def test_server_metrics_of_another_shape_are_a_typed_error(edit):
     """A payload whose server row names a metric the server lacks, leaves a
-    declared one out, or holds a gauge where the server's registry-bound
-    counter is, is refused with ``SnapshotError``."""
+    declared one out, or holds a lock-wait histogram with other bucket
+    bounds is refused with ``SnapshotError``; a histogram image of the wrong
+    shape is refused by the first pass, before anything is written."""
     from repro.snapshot import capture, restore
 
     _build, handle = _memcpy32(DEFAULT_SCHEDULING)
     handle.run_cycles(50)
     snap = capture(handle)
     (server,) = [st for name, st in snap.payload["sim"]["components"] if name == "server"]
+    buckets, counts, count, total = server["lock_wait_hist"][3]
     if edit == "extra":
         server["no_such_metric"] = server["timeouts"]
     elif edit == "missing":
         del server["timeouts"]
+    elif edit == "buckets":
+        server["lock_wait_hist"][3] = (tuple(b * 2 for b in buckets), counts, count, total)
     else:
-        server["timeouts"] = ["~metric", "g", 1]
+        server["lock_wait_hist"][3] = (buckets, counts[:-1], count, total)
     _build, handle = _memcpy32(DEFAULT_SCHEDULING)
-    message = "metric where the design holds" if edit == "kind" else "RuntimeServer declares the fields"
+    handle.run_cycles(50)
+    before = capture(handle).payload
+    message = {"buckets": "bucket bounds .* not the same design",
+               "malformed": "malformed snapshot: a histogram"}.get(edit, "RuntimeServer declares the fields")
     with pytest.raises(SnapshotError, match=message):
         restore(handle, snap)
-
-
-def _owned_values(registry):
-    from repro.snapshot.engine import _metric_state
-
-    return {name: _metric_state(metric) for name, metric in registry.owned()}
+    if edit != "buckets":  # refused by the first pass: nothing was written
+        assert capture(handle).payload == before
 
 
 def _memcpy32_design():
@@ -608,29 +613,57 @@ def _clients_design():
     return build, handle
 
 
+def _overwrite_counted_state(handle, offset):
+    """Overwrite every int counter and histogram a registry view reads
+    through its owner — the server's and the clients' declared ones, the
+    DRAM controllers' ``stats``, the fault ``counts`` — each int with its
+    own sentinel; returns the sentinels."""
+    from repro.dram.controller import MemoryController
+    from repro.obs.registry import Histogram
+
+    server = handle.server
+    tables = [(vars(server), [name for name in type(server)._state if name[0] != "_"])]
+    tables += [(vars(client), type(client)._state) for client in handle._clients]
+    tables += [(comp.stats, list(comp.stats)) for comp in handle.design.sim._components
+               if isinstance(comp, MemoryController)]
+    if handle.faults is not None:
+        tables.append((handle.faults.counts, list(handle.faults.counts)))
+    sentinels = []
+    for table, names in tables:
+        for name in names:
+            if isinstance(table[name], Histogram):
+                table[name].observe(offset)
+            elif type(table[name]) is int:
+                table[name] = offset + len(sentinels)
+                sentinels.append(table[name])
+    return sentinels
+
+
 @pytest.mark.parametrize(
     "make", [_memcpy32_design, _hetero_design, _faulted_design, _clients_design],
     ids=["memcpy32", "serve_hetero", "fault_plan", "two_clients"])
 def test_every_owned_metric_is_captured_with_its_owner(make):
-    """Every counter, gauge and histogram the registry owns is frozen by a
-    capture through the object that holds it: overwrite all of them after
-    the capture, restore, and each reads its captured value again."""
-    from repro.obs.registry import Histogram
+    """Every counter and histogram a registry view reads is captured through
+    the object that holds it: overwrite all of them after the capture (each
+    one moves the dump), restore, and the whole registry dump reads its
+    captured values again."""
     from repro.snapshot import capture, restore
 
     build, handle = make()
     snap = capture(handle)
     registry = build.design.registry
-    captured = _owned_values(registry)
-    assert any(value != ("c", 0) for value in captured.values())
-    for i, (name, metric) in enumerate(registry.owned()):
-        if isinstance(metric, Histogram):
-            metric.observe(1000 + i)
-        else:
-            metric.value += 1000 + i
-    assert all(_owned_values(registry)[name] != value for name, value in captured.items())
+    captured = registry.dump()
+    assert any(type(value) is int and value for value in captured.values())
+    sentinels = _overwrite_counted_state(handle, 10**9)
+    assert len(sentinels) >= 12 + 9  # the server's counters and one controller's stats
+    overwritten = registry.dump()
+    # Every view reads through its owner: each sentinel and the lock-wait
+    # histogram's new sample show in the dump.
+    assert set(sentinels) <= {value for value in overwritten.values() if type(value) is int}
+    lock_wait = "runtime/server/lock_wait"
+    assert overwritten[lock_wait]["count"] == captured[lock_wait]["count"] + 1
     restore(handle, snap)
-    assert _owned_values(registry) == captured
+    assert registry.dump() == captured
 
 
 def _a3_with_pending_load(mode):

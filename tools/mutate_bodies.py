@@ -15,9 +15,10 @@ naive-vs-compiled comparison: both schedules step the same body, so a
 mutant changes both alike and such a comparison cannot see it.  A
 scheduling hint (``next_event``, ``wake_edges``) is the exception: naive
 stepping ignores hints, so for a hint naive stepping *is* the oracle, and
-the naive-vs-compiled differential is the test that kills it.  The last
-two mutants drop a name from a ``_state`` declaration, which the snapshot
-structure audit must notice.
+the naive-vs-compiled differential is the test that kills it.  Two
+mutants drop a name from a ``_state`` declaration, which the snapshot
+structure audit must notice, and the last makes a registry view read a value
+captured when it was registered instead of reading through its owner.
 
     python tools/mutate_bodies.py
 
@@ -189,6 +190,14 @@ MUTANTS = (
         '"_lock_until",',
         "tests/test_snapshot_structure.py::test_excluded_attributes_are_wiring[memcpy32]",
         "RuntimeServer._state: the next poll visit is left out of snapshots",
+    ),
+    Mutant(
+        "dram-stats-view-stale",
+        "src/repro/dram/controller.py",
+        "lambda key=key: self.stats[key]",
+        "lambda v=self.stats[key]: v",
+        "tests/test_snapshot.py::test_every_owned_metric_is_captured_with_its_owner[memcpy32]",
+        "MemoryController: a stats view reads the count it had when registered",
     ),
 )
 
