@@ -21,6 +21,7 @@ implements the mechanisms the paper's microbenchmark analysis hinges on:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -33,25 +34,26 @@ from repro.dram.timing import DramTiming
 from repro.sim import Component
 
 
-# The three records below are identities, not values (``eq=False``): the
-# window, the per-bank index and the per-ID queues alias the same objects,
-# and ``deque.remove``/``list.remove`` must find *that* object rather than
-# compare ``beats`` lists field by field.
+# The two records below are identities, not values (``eq=False``): the
+# per-tag tables, the per-ID queues and the window's runs alias the same
+# objects.  Each keeps the cycle every column entered the window
+# (``enq_at``) and the live window run holding its last enqueued column.
 @dataclass(slots=True, eq=False)
 class _ReadTxn:
     tag: int
     axi_id: int
     addr: int
     length: int
-    accept_cycle: int
     cols_enqueued: int = 0
-    cols_done: int = 0
     beats_sent: int = 0
     # (ready_cycle, data, err) per beat; err marks a modeled ECC failure.
     beats: List[Optional[Tuple[int, bytes, bool]]] = field(default_factory=list)
+    enq_at: List[int] = field(default_factory=list)
+    run: Optional[list] = None
 
     def __post_init__(self) -> None:
         self.beats = [None] * self.length
+        self.enq_at = [0] * self.length
 
 
 @dataclass(slots=True, eq=False)
@@ -60,7 +62,6 @@ class _WriteTxn:
     axi_id: int
     addr: int
     length: int
-    accept_cycle: int
     # Accepted W data, one entry per beat: the payload and its byte strobe
     # (``None``: every byte valid).  Plain values, not ``WBeat``s, so a
     # capture copies two flat lists instead of freezing an object per beat.
@@ -69,18 +70,18 @@ class _WriteTxn:
     data_complete: bool = False
     cols_enqueued: int = 0
     cols_done: int = 0
+    enq_at: List[int] = field(default_factory=list)
+    run: Optional[list] = None
+
+    def __post_init__(self) -> None:
+        self.enq_at = [0] * self.length
 
 
-@dataclass(slots=True, eq=False)
-class _ColReq:
-    txn: object
-    beat_idx: int
-    addr: int
-    bank: int
-    row: int
-    is_write: bool
-    enqueued_cycle: int
-    seq: int  # arrival number: the key in the window, the FCFS tie-break
+#: The controller's counters, by metric name and in registry order.  Six are
+#: plain int fields; ``bus_cycles`` and the row-buffer outcomes are derived
+#: (every issued column is one bus cycle and one bank's hit or miss).
+STAT_KEYS = ("bus_cycles", "read_cols", "write_cols", "turnarounds", "row_hits",
+             "row_misses", "refreshes", "row_conflicts", "queue_wait_cycles")
 
 
 class MemoryController(Component):
@@ -88,32 +89,50 @@ class MemoryController(Component):
 
     One body: the closure from :meth:`compile_tick`, which
     ``Component.tick`` runs under ``naive`` and the compiled program calls
-    directly.  It selects from indexes (per-bank window lists, active-ID
-    positions, R/B ready sets), so its work follows what is pending rather
-    than what the controller holds; only the action helpers below write
-    those containers.  Its reference is ``tests/dram_oracle.py``, a
-    standalone model of the same policy that shares no code with this
-    module.
+    directly.  It works from indexes, so its cost follows what happens in a
+    cycle rather than what the controller holds, and it builds no object
+    per column:
+
+    * the scheduler window is ``_bank_runs``: per bank, in arrival order,
+      *runs* ``[seq, stop, base, txn, bank, row, is_write, row_end]`` —
+      consecutive columns of one transaction in one row, with consecutive
+      arrival numbers ``seq .. stop - 1``; arrival number ``s`` is column
+      ``s - base`` of ``txn``, and the row (or the transaction) ends at
+      column ``row_end``.  A column that arrives right after its transaction's
+      live run (``txn.run``) in the same row extends it (``stop += 1``);
+      issuing the run's head advances ``seq``, and a spent run leaves its
+      bank's list and ``txn.run``.  ``_next_seq`` counts the columns ever
+      enqueued, so the window holds ``_next_seq - read_cols - write_cols``;
+      ``_live_banks`` holds the banks with runs and ``_want_prep`` those
+      whose head run is on another row than the open one;
+    * ``_ready`` holds, as sorted ``(is_write, position, issue queue,
+      return queue)`` entries — reads first, each direction in first-seen
+      order — the IDs whose oldest not fully enqueued transaction may put a
+      column in the window now: it is among the first ``per_id_txn_limit``
+      unanswered ones, and a write holds the W beat of its next column.
+      The events that change that (accept, W beat, enqueue, answer) update
+      it where they happen;
+    * ``_r_cand`` / ``_b_ready`` hold the IDs with an R beat back from DRAM
+      or a B response due.
+
+    Its reference is ``tests/dram_oracle.py``, a standalone model of the
+    same policy that shares no code with this module.
     """
 
     # Optional fault injector (repro.faults): filters column reads, flipping
     # bits and marking the beat ``err`` (the modeled ECC detects the flip).
     _fault = None
 
-    _state = ("_fault", "mport", "store", "banks", "stats", "_read_txns", "_write_txns",
+    _state = ("_fault", "mport", "store", "banks", "_read_txns", "_write_txns",
               "_id_read_issue", "_id_read_return", "_id_write_issue", "_id_write_return",
-              "_writes_awaiting_data", "_id_read_pipe", "_id_write_pipe", "_read_pos",
-              "_write_pos", "_read_active", "_write_active", "_sched", "_sched_seq",
-              "_bank_q", "_live_banks", "_bus_free_at", "_bus_dir_write", "_dir_streak",
-              "_return_rr", "_rr_index", "_return_rr_pos", "_r_cand", "_b_ready")
+              "_writes_awaiting_data", "_read_pos", "_write_pos", "_ready", "_bank_runs",
+              "_live_banks", "_want_prep", "_next_seq", "_bus_free_at",
+              "_bus_dir_write", "_dir_streak", "_return_rr", "_rr_index", "_return_rr_pos",
+              "_r_cand", "_b_ready", "read_cols", "write_cols", "turnarounds", "refreshes",
+              "row_conflicts", "queue_wait_cycles")
 
-    def __init__(
-        self,
-        mport: MonitoredAxiPort,
-        timing: DramTiming,
-        store: Optional[MemoryStore] = None,
-        name: str = "mc",
-    ) -> None:
+    def __init__(self, mport: MonitoredAxiPort, timing: DramTiming,
+                 store: Optional[MemoryStore] = None, name: str = "mc") -> None:
         super().__init__(name)
         self.mport = mport
         self.port = mport.port
@@ -128,42 +147,32 @@ class MemoryController(Component):
 
         self._read_txns: Dict[int, _ReadTxn] = {}
         self._write_txns: Dict[int, _WriteTxn] = {}
+        # Per ID and direction, in acceptance order: the transactions not
+        # yet fully enqueued (issue) and the unanswered ones (return).  AXI
+        # orders same-ID transactions within each direction, and the issue
+        # queue is always a suffix of the return queue, so the issue head is
+        # unanswered transaction number ``len(return) - len(issue)`` of its
+        # ID: it may start while that is under ``per_id_txn_limit``, so
+        # short-burst single-ID masters (HLS) expose serialisation bubbles
+        # and read/write bus turnaround that multi-ID masters hide.
         self._id_read_issue: Dict[int, Deque[_ReadTxn]] = {}
         self._id_read_return: Dict[int, Deque[_ReadTxn]] = {}
         self._id_write_issue: Dict[int, Deque[_WriteTxn]] = {}
         self._id_write_return: Dict[int, Deque[_WriteTxn]] = {}
         self._writes_awaiting_data: Deque[_WriteTxn] = deque()
-        # Per-ID, per-direction transaction pipelines: AXI orders same-ID
-        # transactions within each direction (reads with reads, writes with
-        # writes), and the controller processes at most ``per_id_txn_limit``
-        # of each in order.  Short-burst single-ID masters (HLS) therefore
-        # expose serialisation bubbles and fine-grained read/write bus
-        # turnaround that multi-ID masters hide.
-        self._id_read_pipe: Dict[int, Deque[object]] = {}
-        self._id_write_pipe: Dict[int, Deque[object]] = {}
-        # Active-ID index, per direction: each ID's position in its issue
-        # dict (first-seen order) and the positions whose issue queue is
-        # non-empty.  Walking the active positions in sorted order visits the
-        # non-empty queues in dict order, which decides who gets the
-        # window's last slots; ``_rr_index`` would not (an ID first seen as a
-        # write sits elsewhere in it).
+        # Each ID's position in its direction's issue dict (first-seen
+        # order) and the ready entries (class docstring).  Position order
+        # decides who gets the window's last slots; ``_rr_index`` would not
+        # do (an ID first seen as a write sits elsewhere in it).
         self._read_pos: Dict[int, int] = {}
         self._write_pos: Dict[int, int] = {}
-        self._read_active: Set[int] = set()
-        self._write_active: Set[int] = set()
-        # Scheduler window: arrival number -> column command, so dict order
-        # is arrival order and removal is O(1).  ``_bank_q[b]`` indexes the
-        # same commands by bank, each list in arrival order, and
-        # ``_live_banks`` holds the banks whose list is non-empty.
-        self._sched: Dict[int, _ColReq] = {}
-        self._sched_seq = 0
-        self._bank_q: List[List[_ColReq]] = [[] for _ in self.banks]
+        self._ready: List[Tuple[bool, int, Deque, Deque]] = []
+        # Scheduler window (class docstring).
+        self._bank_runs: List[List[list]] = [[] for _ in self.banks]
         self._live_banks: Set[int] = set()
-        # ``timing.decompose``'s constants, read once per column.
-        self._col_bytes = timing.col_bytes
-        self._cols_per_row = timing.cols_per_row
-        self._n_banks = timing.n_banks
-        self._bus_free_at = 0
+        self._want_prep: Set[int] = set()
+        self._next_seq = 0
+        self._bus_free_at = 0  # the end of the last turnaround's idle time
         self._bus_dir_write = False
         self._dir_streak = 0
         # Round-robin order of IDs for the R and B channels (first-seen
@@ -178,197 +187,48 @@ class MemoryController(Component):
         self._r_cand: Set[int] = set()
         self._b_ready: Set[int] = set()
 
-        # Statistics: plain counts, published by the metric registry when
-        # this controller joins a simulator.  Contention accounting
-        # (repro.obs.attribution) reads ``row_conflicts`` (activations that
-        # had to close an already-open row) and ``queue_wait_cycles`` (the
-        # total cycles column commands sat in the scheduler window before
-        # winning the bus).
-        self.stats = dict.fromkeys(
-            ("bus_cycles", "read_cols", "write_cols", "turnarounds", "row_hits", "row_misses",
-             "refreshes", "row_conflicts", "queue_wait_cycles"), 0)
+        # Statistics (STAT_KEYS): plain counts, published by the metric
+        # registry when this controller joins a simulator.  Contention
+        # accounting (repro.obs.attribution) reads ``row_conflicts``
+        # (activations that had to close an already-open row) and
+        # ``queue_wait_cycles`` (the total cycles columns sat in the
+        # scheduler window before winning the bus).
+        self.read_cols = self.write_cols = self.turnarounds = 0
+        self.refreshes = self.row_conflicts = self.queue_wait_cycles = 0
 
     @property
     def metric_path(self) -> str:
         return "dram/" + self.name.replace(".", "/")
 
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Every ``STAT_KEYS`` count, read now (a fresh dict)."""
+        return {"bus_cycles": self.read_cols + self.write_cols, "read_cols": self.read_cols,
+                "write_cols": self.write_cols, "turnarounds": self.turnarounds,
+                "row_hits": sum(b.row_hits for b in self.banks),
+                "row_misses": sum(b.row_misses for b in self.banks),
+                "refreshes": self.refreshes, "row_conflicts": self.row_conflicts,
+                "queue_wait_cycles": self.queue_wait_cycles}
+
     def register_metrics(self, scope) -> None:
-        for key in self.stats:
+        for key in STAT_KEYS:
             scope.bind(key, lambda key=key: self.stats[key])
         scope.bind("outstanding_txns", self._outstanding)
-        scope.bind("sched_queue_depth", lambda: len(self._sched))
-        scope.bind(
-            "activations", lambda: sum(b.activations for b in self.banks)
-        )
+        scope.bind("sched_queue_depth", lambda: self.window_columns)
+        scope.bind("activations", lambda: sum(b.activations for b in self.banks))
         # Per-bank row-buffer outcomes, for the contention accounter.
         for i, bank in enumerate(self.banks):
             scope.bind(f"bank{i}/activations", lambda b=bank: b.activations)
             scope.bind(f"bank{i}/row_hits", lambda b=bank: b.row_hits)
             scope.bind(f"bank{i}/row_misses", lambda b=bank: b.row_misses)
 
-    # ------------------------------------------------------------------ helpers
+    @property
+    def window_columns(self) -> int:
+        """Columns in the scheduler window now."""
+        return self._next_seq - self.read_cols - self.write_cols
+
     def _outstanding(self) -> int:
         return len(self._read_txns) + len(self._write_txns)
-
-    def _note_id(self, axi_id: int) -> None:
-        if axi_id not in self._rr_index:
-            self._rr_index[axi_id] = len(self._return_rr)
-            self._return_rr.append(axi_id)
-
-    # ------------------------------------------------------------------ actions
-    def _refresh(self, cycle: int) -> None:
-        for bank in self.banks:
-            bank.block_for_refresh(cycle)
-        self.stats["refreshes"] += 1
-
-    def _accept_read(self, req, cycle: int) -> None:
-        txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-        self._read_txns[req.tag] = txn
-        self._id_read_issue.setdefault(req.axi_id, deque()).append(txn)
-        self._read_active.add(self._read_pos.setdefault(req.axi_id, len(self._read_pos)))
-        self._id_read_return.setdefault(req.axi_id, deque()).append(txn)
-        self._id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
-        self._note_id(req.axi_id)
-
-    def _accept_write(self, req, cycle: int) -> None:
-        txn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-        self._write_txns[req.tag] = txn
-        self._id_write_issue.setdefault(req.axi_id, deque()).append(txn)
-        self._write_active.add(self._write_pos.setdefault(req.axi_id, len(self._write_pos)))
-        self._id_write_return.setdefault(req.axi_id, deque()).append(txn)
-        self._id_write_pipe.setdefault(req.axi_id, deque()).append(txn)
-        self._writes_awaiting_data.append(txn)
-        self._note_id(req.axi_id)
-
-    def _accept_data(self, beat) -> None:
-        """Keep ``beat``'s payload on the oldest write still awaiting data;
-        its ``last`` flag ends that burst and is not stored."""
-        head = self._writes_awaiting_data[0]
-        head.wdata.append(beat.data)
-        head.wstrb.append(beat.strb)
-        if beat.last:
-            head.data_complete = True
-            self._writes_awaiting_data.popleft()
-
-    def _window_add(self, txn, is_write: bool, cycle: int) -> None:
-        """Move ``txn``'s next column command into the scheduler window."""
-        idx = txn.cols_enqueued
-        addr = txn.addr + idx * self._col_bytes
-        # ``timing.decompose`` without the column.
-        row, bank = divmod(addr // self._col_bytes // self._cols_per_row, self._n_banks)
-        seq = self._sched_seq
-        self._sched_seq = seq + 1
-        req = _ColReq(txn, idx, addr, bank, row, is_write, cycle, seq)
-        self._sched[seq] = req
-        self._bank_q[bank].append(req)
-        self._live_banks.add(bank)
-        txn.cols_enqueued = idx + 1
-
-    def _prep(self, req: _ColReq, cycle: int) -> None:
-        """Switch ``req``'s bank to its row (precharge if one is open)."""
-        bank = self.banks[req.bank]
-        if bank.open_row is not None:
-            self.stats["row_conflicts"] += 1
-        bank.prep(req.row, cycle)
-
-    def _issue(self, req: _ColReq, cycle: int) -> None:
-        """Put the picked column on the data bus and leave the window."""
-        stats = self.stats
-        if req.is_write != self._bus_dir_write:
-            self._bus_dir_write = req.is_write
-            self._dir_streak = 1
-            stats["turnarounds"] += 1
-            self._bus_free_at = cycle + 1 + self.timing.t_bus_turn
-        else:
-            self._dir_streak += 1
-            self._bus_free_at = cycle + 1
-        stats["bus_cycles"] += 1
-        stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
-        del self._sched[req.seq]
-        q = self._bank_q[req.bank]
-        if q[0] is req:
-            del q[0]
-        else:
-            q.remove(req)
-        if not q:
-            self._live_banks.discard(req.bank)
-        stats["row_hits" if self.banks[req.bank].record_access() else "row_misses"] += 1
-        txn = req.txn
-        if req.is_write:
-            idx = req.beat_idx
-            self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])
-            txn.cols_done += 1
-            stats["write_cols"] += 1
-            if (
-                txn.cols_done >= txn.length
-                and self._id_write_return[txn.axi_id][0] is txn
-            ):
-                self._b_ready.add(txn.axi_id)
-        else:
-            data = self.store.read(req.addr, self._col_bytes)
-            err = False
-            hook = self._fault
-            if hook is not None:
-                data, err = hook.filter_read(cycle, req.addr, data)
-            txn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
-            txn.cols_done += 1
-            stats["read_cols"] += 1
-            if (
-                req.beat_idx == txn.beats_sent
-                and self._id_read_return[txn.axi_id][0] is txn
-            ):
-                self._r_cand.add(txn.axi_id)
-
-    def _send_r(self, axi_id: int, cycle: int) -> None:
-        """Return the next beat of ``axi_id``'s oldest unanswered read."""
-        q = self._id_read_return[axi_id]
-        txn = q[0]
-        _ready, data, err = txn.beats[txn.beats_sent]
-        last = txn.beats_sent == txn.length - 1
-        self.mport.push_r(cycle, (axi_id, RBeat(data, last, txn.tag, err)))
-        txn.beats_sent += 1
-        if last:
-            q.popleft()
-            del self._read_txns[txn.tag]
-            # Pipeline slot frees once the data has left the controller.
-            self._retire(self._id_read_pipe, axi_id, txn)
-            txn = q[0] if q else None
-        if txn is None or txn.beats[txn.beats_sent] is None:
-            self._r_cand.discard(axi_id)
-        self._return_rr_pos += 1
-
-    def _send_b(self, axi_id: int, cycle: int) -> None:
-        """Acknowledge ``axi_id``'s oldest unanswered (fully written) write."""
-        q = self._id_write_return[axi_id]
-        txn = q.popleft()
-        self.mport.push_b(cycle, (axi_id, BResp(True, txn.tag)))
-        del self._write_txns[txn.tag]
-        self._retire(self._id_write_pipe, axi_id, txn)
-        if not q or q[0].cols_done < q[0].length:
-            self._b_ready.discard(axi_id)
-
-    def _may_start(self, pipes: Dict[int, Deque[object]], axi_id: int, txn: object) -> bool:
-        """A transaction enters the DRAM pipeline only when it is among the
-        first ``per_id_txn_limit`` unretired same-ID, same-direction
-        transactions (the controller's in-order processing window)."""
-        pipeline = pipes.get(axi_id)
-        if pipeline is None:
-            return True
-        limit = self.timing.per_id_txn_limit
-        for i, entry in enumerate(pipeline):
-            if i >= limit:
-                return False
-            if entry is txn:
-                return True
-        return True  # not tracked (should not happen) — fail open
-
-    def _retire(self, pipes: Dict[int, Deque[object]], axi_id: int, txn: object) -> None:
-        pipeline = pipes.get(axi_id)
-        if pipeline is not None:
-            try:
-                pipeline.remove(txn)
-            except ValueError:
-                pass
 
     # ----------------------------------------------------------- event skipping
     def wake_channels(self):
@@ -383,162 +243,282 @@ class MemoryController(Component):
 
         Each cycle: refresh edge, accept (one AR, one AW, one W beat),
         column enqueue, bank prep, FR-FCFS issue, then R and B return, the
-        order ``tests/dram_oracle.py`` restates as plain scans.  Each
-        selection comes from an index.  Column enqueue visits only the IDs
-        whose issue queue is non-empty, in first-seen order (sorted active
-        positions); bank prep probes the head of each live bank's list; the
-        FR-FCFS pick is the smallest arrival number among the first
-        open-row (and first same-direction) entry of each ready live bank;
-        R and B arbitration take the round-robin winner by rotated distance
-        over the candidate/ready sets.  Set iteration order never matters:
-        every selection is a minimum over a total order.
+        order ``tests/dram_oracle.py`` restates as plain scans.  Enqueue
+        walks ``_ready`` and moves each entry's head columns into the
+        window (up to 8 per cycle and the room left), extending the
+        transaction's live run; prep probes the heads of ``_want_prep``;
+        the FR-FCFS pick is the smallest arrival number among the first
+        open-row (and first same-direction) run of each ready live bank,
+        and issues that run's head column; R and B take the round-robin
+        winner by rotated distance over ``_r_cand``/``_b_ready``.  Every
+        selection is a minimum over a total order, so set iteration order
+        never matters.  Everything is inline: per column the body calls
+        only the store, the fault hook and the port.
         """
         timing = self.timing
-        t_refi = timing.t_refi
-        streak_limit = timing.direction_streak
-        sched_depth = timing.sched_queue_depth
-        max_txns = timing.max_outstanding_txns
-        bank_view = tuple(zip(self.banks, self._bank_q))
-        live_banks = self._live_banks
-        read_active, write_active = self._read_active, self._write_active
-        # Position -> (ID, issue queue), extended as IDs are first seen.
-        read_slots: List[Tuple[int, Deque[_ReadTxn]]] = []
-        write_slots: List[Tuple[int, Deque[_WriteTxn]]] = []
+        t_refi, t_ras, t_cl, t_turn = timing.t_refi, timing.t_ras, timing.t_cl, timing.t_bus_turn
+        streak_limit, depth = timing.direction_streak, timing.sched_queue_depth
+        max_txns, limit = timing.max_outstanding_txns, timing.per_id_txn_limit
+        col_bytes, cols_per_row, n_banks = timing.col_bytes, timing.cols_per_row, timing.n_banks
+        banks, live_banks, want_prep = self.banks, self._live_banks, self._want_prep
+        bank_view = tuple(zip(banks, self._bank_runs))
+        ready = self._ready
+        read_pos, write_pos = self._read_pos, self._write_pos
         port = self.port
         ar, aw, w, r, b = port.ar, port.aw, port.w, port.r, port.b
-        sched = self._sched
+        push_r, push_b = self.mport.push_r, self.mport.push_b
+        store_read, store_write = self.store.read, self.store.write
         read_txns, write_txns = self._read_txns, self._write_txns
-        id_read_issue = self._id_read_issue
-        id_write_issue = self._id_write_issue
-        id_read_return = self._id_read_return
-        id_read_pipe = self._id_read_pipe
-        id_write_pipe = self._id_write_pipe
+        id_read_issue, id_write_issue = self._id_read_issue, self._id_write_issue
+        id_read_return, id_write_return = self._id_read_return, self._id_write_return
         awaiting = self._writes_awaiting_data
-        rr = self._return_rr
-        rr_index = self._rr_index
+        rr, rr_index = self._return_rr, self._rr_index
         r_cand, b_ready = self._r_cand, self._b_ready
-        may_start = self._may_start
-        refresh = self._refresh
-        accept_read, accept_write = self._accept_read, self._accept_write
-        accept_data = self._accept_data
-        window_add, prep, issue = self._window_add, self._prep, self._issue
-        send_r, send_b = self._send_r, self._send_b
+
+        def first_seen(axi_id, issue, returns_of, pos):
+            """Queues and a position for an ID new to one direction."""
+            pos[axi_id] = len(pos)
+            if axi_id not in rr_index:
+                rr_index[axi_id] = len(rr)
+                rr.append(axi_id)
+            issue[axi_id], returns_of[axi_id] = deque(), deque()
+            return issue[axi_id], returns_of[axi_id]
+
+        # A cache, rebuilt with the closure: the last pick (its run, cycle
+        # and whether it was restricted to the bus direction) and the latest
+        # cycle any bank turns ready.  The pick at cycle c was the oldest
+        # ready open-row column of its class (all, or the bus direction,
+        # now the run's own).  At c + 1, if no bank has turned ready or
+        # switched rows since (``settle < cycle``), the older ready columns
+        # are the same and the new ones younger; so unless the class widened
+        # (the streak just reached its limit), the run's next column wins.
+        last_run, last_cycle, last_same = None, -2, False
+        settle = max(bank.ready_at for bank in banks)
 
         def tick(cycle, self=self):
+            nonlocal last_run, last_cycle, last_same, settle
             if cycle and not cycle % t_refi:
-                refresh(cycle)
+                for bank in banks:
+                    bank.block_for_refresh(cycle)
+                    if bank.ready_at > settle:
+                        settle = bank.ready_at
+                want_prep.update(live_banks)
+                self.refreshes += 1
             # -- accept ---------------------------------------------------
-            if ar._pop_count < len(ar._items) and (
+            if ar._items and ar._pop_count < len(ar._items) and (
                 len(read_txns) + len(write_txns) < max_txns
             ):
-                accept_read(ar.pop(), cycle)
-            if aw._pop_count < len(aw._items) and (
+                req = ar.pop()
+                axi_id = req.axi_id
+                txn = read_txns[req.tag] = _ReadTxn(req.tag, axi_id, req.addr, req.length)
+                q = id_read_issue.get(axi_id)
+                if q is None:
+                    q, returns = first_seen(axi_id, id_read_issue, id_read_return, read_pos)
+                else:
+                    returns = id_read_return[axi_id]
+                q.append(txn)
+                returns.append(txn)
+                if len(q) == 1 and len(returns) <= limit:
+                    insort(ready, (False, read_pos[axi_id], q, returns))
+            if aw._items and aw._pop_count < len(aw._items) and (
                 len(read_txns) + len(write_txns) < max_txns
             ):
-                accept_write(aw.pop(), cycle)
+                req = aw.pop()
+                axi_id = req.axi_id
+                txn = write_txns[req.tag] = _WriteTxn(req.tag, axi_id, req.addr, req.length)
+                q = id_write_issue.get(axi_id)
+                if q is None:
+                    q, returns = first_seen(axi_id, id_write_issue, id_write_return, write_pos)
+                else:
+                    returns = id_write_return[axi_id]
+                # No W beat yet, so it is not ready to enqueue.
+                q.append(txn)
+                returns.append(txn)
+                awaiting.append(txn)
             if awaiting and w._pop_count < len(w._items):
-                accept_data(w.pop())
+                # The oldest write still awaiting data keeps the beat; its
+                # ``last`` flag ends that burst and is not stored.
+                data, last, strb = w.pop()
+                txn = awaiting[0]
+                wdata = txn.wdata
+                wdata.append(data)
+                txn.wstrb.append(strb)
+                if last:
+                    txn.data_complete = True
+                    awaiting.popleft()
+                if txn.cols_enqueued == len(wdata) - 1:  # it was waiting on this beat
+                    q = id_write_issue[txn.axi_id]
+                    returns = id_write_return[txn.axi_id]
+                    if q[0] is txn and len(returns) - len(q) < limit:
+                        insort(ready, (True, write_pos[txn.axi_id], q, returns))
             # -- enqueue columns ------------------------------------------
-            budget = 8
-            room = sched_depth - len(sched)
-            if room > 0 and read_active:
-                if len(read_slots) < len(id_read_issue):
-                    read_slots.extend(list(id_read_issue.items())[len(read_slots):])
-                for pos in sorted(read_active):
-                    axi_id, q = read_slots[pos]
-                    while q:
-                        txn = q[0]
-                        if txn.cols_enqueued >= txn.length:
-                            q.popleft()
-                            continue
-                        if not txn.cols_enqueued and not may_start(
-                            id_read_pipe, axi_id, txn
+            seq = self._next_seq
+            room = depth - seq + self.read_cols + self.write_cols
+            if room == 1 and ready:
+                is_write, _pos, q, returns = ready[0]
+                txn = q[0]
+                col = txn.cols_enqueued
+                run = txn.run
+                if run is not None and run[1] == seq and col + 1 < run[7] and (
+                        not is_write or col + 1 < len(txn.wdata)):
+                    # The streaming case: the last issue freed the one slot,
+                    # and the first ready ID's next column extends its live
+                    # run and leaves it more to enqueue.
+                    run[1] = self._next_seq = seq + 1
+                    txn.enq_at[col] = cycle
+                    txn.cols_enqueued = col + 1
+                    room = 0
+            if room > 0 and ready:
+                n = room if room < 8 else 8
+                i = 0
+                while n and i < len(ready):
+                    is_write, _pos, q, returns = ready[i]
+                    txn = q[0]
+                    col = txn.cols_enqueued
+                    end = avail = len(txn.wdata) if is_write else txn.length
+                    if end - col > n:
+                        end = col + n
+                    n -= end - col
+                    txn.cols_enqueued = end
+                    enq_at = txn.enq_at
+                    while col < end:
+                        run = txn.run
+                        if run is not None and run[1] == seq and col < run[7]:
+                            # The columns follow the transaction's live
+                            # run in arrival order and in the row.
+                            k = (end if end < run[7] else run[7]) - col
+                            run[1] = seq + k
+                        else:
+                            # ``timing.decompose``, once per row.
+                            row, offset = divmod(txn.addr // col_bytes + col, cols_per_row)
+                            row, bank_idx = divmod(row, n_banks)
+                            row_end = min(col + cols_per_row - offset, txn.length)
+                            k = (end if end < row_end else row_end) - col
+                            run = txn.run = [seq, seq + k, seq - col, txn, bank_idx, row,
+                                             is_write, row_end]
+                            bank, runs = bank_view[bank_idx]
+                            if not runs:
+                                live_banks.add(bank_idx)
+                                if row != bank.open_row:
+                                    want_prep.add(bank_idx)
+                            runs.append(run)
+                        enq_at[col:col + k] = [cycle] * k
+                        seq += k
+                        col += k
+                    if end == txn.length:
+                        # Fully enqueued: the ID's next transaction may
+                        # start next cycle if the pipeline limit allows.
+                        q.popleft()
+                        if q and len(returns) - len(q) < limit and (not is_write or q[0].wdata):
+                            i += 1
+                        else:
+                            del ready[i]
+                    elif end == avail:  # a write's columns up to its last W beat
+                        del ready[i]  # cut-through: wait for the next W beat
+                    else:
+                        i += 1
+                self._next_seq = seq
+            if live_banks:
+                # -- prep: the two oldest heads that want another row and
+                # whose bank may switch now ----------------------------------
+                if want_prep:
+                    first = second = None
+                    for bank_idx in want_prep:
+                        bank, runs = bank_view[bank_idx]
+                        if cycle >= bank.ready_at and (
+                            bank.open_row is None or cycle >= bank.activated_at + t_ras
                         ):
-                            break
-                        window_add(txn, False, cycle)
-                        room -= 1
-                        budget -= 1
-                        if txn.cols_enqueued >= txn.length:
-                            q.popleft()
-                            break
-                        if not budget or not room:
-                            break
-                    if not q:
-                        read_active.discard(pos)
-                    if not budget or not room:
-                        break
-            if budget and room > 0 and write_active:
-                if len(write_slots) < len(id_write_issue):
-                    write_slots.extend(list(id_write_issue.items())[len(write_slots):])
-                for pos in sorted(write_active):
-                    axi_id, q = write_slots[pos]
-                    while q:
-                        txn = q[0]
-                        if txn.cols_enqueued >= txn.length:
-                            q.popleft()
-                            continue
-                        if txn.cols_enqueued >= len(txn.wdata):
-                            break  # cut-through: wait for the W beat
-                        if not txn.cols_enqueued and not may_start(
-                            id_write_pipe, axi_id, txn
-                        ):
-                            break
-                        window_add(txn, True, cycle)
-                        room -= 1
-                        budget -= 1
-                        if txn.cols_enqueued >= txn.length:
-                            q.popleft()
-                            break
-                        if not budget or not room:
-                            break
-                    if not q:
-                        write_active.discard(pos)
-                    if not budget or not room:
-                        break
-            if sched:
-                # -- prep: the two oldest-headed banks whose head needs
-                # another row and may switch now --------------------------
-                first = second = None
-                for bank_idx in live_banks:
-                    bank, q = bank_view[bank_idx]
-                    head = q[0]
-                    if bank.open_row != head.row and bank.can_prep(cycle):
-                        if first is None or head.seq < first.seq:
-                            first, second = head, first
-                        elif second is None or head.seq < second.seq:
-                            second = head
-                if first is not None:
-                    prep(first, cycle)
-                    if second is not None:
-                        prep(second, cycle)
-                # -- FR-FCFS pick over the ready banks --------------------
+                            head = runs[0]
+                            if first is None or head[0] < first[0]:
+                                first, second = head, first
+                            elif second is None or head[0] < second[0]:
+                                second = head
+                    for head in (first, second):
+                        if head is not None:
+                            bank = banks[head[4]]
+                            if bank.open_row is not None:
+                                self.row_conflicts += 1
+                            bank.prep(head[5], cycle)
+                            want_prep.discard(head[4])
+                            if bank.ready_at > settle:
+                                settle = bank.ready_at
+                # -- FR-FCFS pick over the ready banks, then issue ----------
                 if cycle >= self._bus_free_at:
                     dir_write = self._bus_dir_write
                     want_same = self._dir_streak < streak_limit
-                    oldest = None  # oldest ready column
-                    oldest_same = None  # oldest ready same-direction column
-                    for bank_idx in live_banks:
-                        bank, q = bank_view[bank_idx]
-                        if cycle >= bank.ready_at:
-                            row = bank.open_row
-                            first_open = True
-                            for req in q:
-                                if req.row != row:
-                                    continue
-                                if first_open:
-                                    first_open = False
-                                    if oldest is None or req.seq < oldest.seq:
-                                        oldest = req
-                                    if not want_same:
-                                        break
-                                if req.is_write == dir_write:
-                                    if oldest_same is None or req.seq < oldest_same.seq:
-                                        oldest_same = req
-                                    break
-                    if oldest_same is not None:
-                        issue(oldest_same, cycle)
-                    elif oldest is not None:
-                        issue(oldest, cycle)
+                    run = last_run
+                    if not (cycle == last_cycle + 1 and settle < cycle and run[0] < run[1]
+                            and want_same >= last_same):
+                        # The run of the oldest ready column, and (while the
+                        # streak may go on) of the oldest ready one in the
+                        # bus direction.  A bank's runs are in arrival order,
+                        # so its first open-row run is its oldest ready
+                        # column; the later ones visited on the way to its
+                        # first same-direction run are younger and leave the
+                        # minimum as it is.
+                        oldest = oldest_same = None
+                        for bank_idx in live_banks:
+                            bank, runs = bank_view[bank_idx]
+                            if cycle >= bank.ready_at:
+                                row = bank.open_row
+                                for run in runs:
+                                    if run[5] == row:
+                                        if want_same and run[6] == dir_write:
+                                            if oldest_same is None or run[0] < oldest_same[0]:
+                                                oldest_same = run
+                                            break
+                                        if oldest is None or run[0] < oldest[0]:
+                                            oldest = run
+                                        if not want_same:
+                                            break
+                        run = oldest if oldest_same is None else oldest_same
+                    if run is not None:
+                        last_run, last_cycle, last_same = run, cycle, want_same
+                        seq, stop, base, txn, bank_idx, _row, is_write, _row_end = run
+                        if is_write != dir_write:
+                            self._bus_dir_write = is_write
+                            self._dir_streak = 1
+                            self.turnarounds += 1
+                            self._bus_free_at = cycle + 1 + t_turn
+                        else:  # the bus is free again next cycle
+                            self._dir_streak += 1
+                        col = seq - base
+                        self.queue_wait_cycles += cycle - txn.enq_at[col]
+                        run[0] = seq = seq + 1
+                        bank, runs = bank_view[bank_idx]
+                        if seq == stop:  # the run is spent
+                            if txn.run is run:
+                                txn.run = None
+                            if runs[0] is run:
+                                del runs[0]
+                                if not runs:
+                                    live_banks.discard(bank_idx)
+                                elif runs[0][5] != bank.open_row:
+                                    want_prep.add(bank_idx)
+                            else:
+                                runs.remove(run)  # distinct runs never compare equal
+                        if bank.fresh:  # the first column after an activation
+                            bank.fresh = False
+                            bank.row_misses += 1
+                        else:
+                            bank.row_hits += 1
+                        addr = txn.addr + col * col_bytes
+                        if is_write:
+                            store_write(addr, txn.wdata[col], txn.wstrb[col])
+                            self.write_cols += 1
+                            txn.cols_done = done = txn.cols_done + 1
+                            if done == txn.length and id_write_return[txn.axi_id][0] is txn:
+                                b_ready.add(txn.axi_id)
+                        else:
+                            data = store_read(addr, col_bytes)
+                            err = False
+                            hook = self._fault
+                            if hook is not None:
+                                data, err = hook.filter_read(cycle, addr, data)
+                            txn.beats[col] = (cycle + t_cl, data, err)
+                            self.read_cols += 1
+                            if col == txn.beats_sent and id_read_return[txn.axi_id][0] is txn:
+                                r_cand.add(txn.axi_id)
             # -- return read data -----------------------------------------
             if r_cand and len(r._items) + len(r._staged) < r.capacity:
                 n_ids = len(rr)
@@ -552,9 +532,27 @@ class MemoryController(Component):
                             dist += n_ids
                         if dist < best:
                             best = dist
-                            winner = axi_id
+                            winner, win_txn = axi_id, txn
                 if best < n_ids:
-                    send_r(winner, cycle)
+                    txn = win_txn
+                    sent = txn.beats_sent
+                    _ready, data, err = txn.beats[sent]
+                    last = sent == txn.length - 1
+                    push_r(cycle, (winner, RBeat(data, last, txn.tag, err)))
+                    txn.beats_sent = sent + 1
+                    if last:
+                        returns = id_read_return[winner]
+                        returns.popleft()
+                        del read_txns[txn.tag]
+                        # Answered: the ID's next read may now be within the
+                        # pipeline limit.
+                        q = id_read_issue[winner]
+                        if q and len(returns) - len(q) == limit - 1:
+                            insort(ready, (False, read_pos[winner], q, returns))
+                        txn = returns[0] if returns else None
+                    if txn is None or txn.beats[txn.beats_sent] is None:
+                        r_cand.discard(winner)
+                    self._return_rr_pos += 1
             # -- return write responses -----------------------------------
             if b_ready and len(b._items) + len(b._staged) < b.capacity:
                 n_ids = len(rr)
@@ -567,7 +565,15 @@ class MemoryController(Component):
                     if dist < best:
                         best = dist
                         winner = axi_id
-                send_b(winner, cycle)
+                returns = id_write_return[winner]
+                txn = returns.popleft()
+                push_b(cycle, (winner, BResp(True, txn.tag)))
+                del write_txns[txn.tag]
+                q = id_write_issue[winner]
+                if q and len(returns) - len(q) == limit - 1 and q[0].wdata:
+                    insort(ready, (True, write_pos[winner], q, returns))
+                if not returns or returns[0].cols_done < returns[0].length:
+                    b_ready.discard(winner)
 
         return tick
 
@@ -583,30 +589,27 @@ class MemoryController(Component):
         tables for the exact cycle costs more than the no-op ticks it saves:
         an outstanding transaction keeps the controller hot within a few
         cycles anyway, and early wakes are no-op ticks by the hint contract.
+        (A column in the window belongs to an outstanding transaction.)
         """
-        if self._read_txns or self._write_txns or self._sched:
+        if self._read_txns or self._write_txns:
             return cycle
         t = self.timing.t_refi
         return cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
 
     def debug_state(self):
-        if not self._read_txns and not self._write_txns and not self._sched:
+        if not self._read_txns and not self._write_txns:
             return None
-        reads = [
-            {"tag": t.tag, "axi_id": t.axi_id, "addr": hex(t.addr),
-             "beats_sent": t.beats_sent, "length": t.length}
-            for t in list(self._read_txns.values())[:8]
-        ]
-        writes = [
-            {"tag": t.tag, "axi_id": t.axi_id, "addr": hex(t.addr),
-             "cols_done": t.cols_done, "length": t.length,
-             "data_complete": t.data_complete}
-            for t in list(self._write_txns.values())[:8]
-        ]
+        reads = [{"tag": t.tag, "axi_id": t.axi_id, "addr": hex(t.addr),
+                  "beats_sent": t.beats_sent, "length": t.length}
+                 for t in list(self._read_txns.values())[:8]]
+        writes = [{"tag": t.tag, "axi_id": t.axi_id, "addr": hex(t.addr),
+                   "cols_done": t.cols_done, "length": t.length,
+                   "data_complete": t.data_complete}
+                  for t in list(self._write_txns.values())[:8]]
         return {
             "reads_in_flight": len(self._read_txns),
             "writes_in_flight": len(self._write_txns),
-            "sched_queue": len(self._sched),
+            "sched_queue": self.window_columns,
             "awaiting_w_data": len(self._writes_awaiting_data),
             "bus_free_at": self._bus_free_at,
             "reads": reads,
@@ -615,34 +618,28 @@ class MemoryController(Component):
 
     # ------------------------------------------------------------------ analysis
     def idle(self) -> bool:
-        return (
-            not self._read_txns
-            and not self._write_txns
-            and not self._sched
-            and not len(self.port.ar)
-            and not len(self.port.aw)
-            and not len(self.port.w)
-        )
+        port = self.port
+        return not (self._read_txns or self._write_txns or len(port.ar) or len(port.aw)
+                    or len(port.w))
 
     def bus_utilisation(self, cycles: int) -> float:
-        return self.stats["bus_cycles"] / max(cycles, 1)
+        return (self.read_cols + self.write_cols) / max(cycles, 1)
 
     def report(self, cycles: int, clock_mhz: float = 250.0) -> Dict[str, float]:
         """DRAMsim3-style channel summary over ``cycles`` of simulation."""
         beat = self.timing.col_bytes
         seconds = cycles / (clock_mhz * 1e6) if cycles else 1.0
-        total_accesses = self.stats["read_cols"] + self.stats["write_cols"]
+        stats = self.stats
+        total_accesses = stats["read_cols"] + stats["write_cols"]
         activations = sum(b.activations for b in self.banks)
-        hits, misses = self.stats["row_hits"], self.stats["row_misses"]
+        hits, misses = stats["row_hits"], stats["row_misses"]
         return {
-            "read_bytes": self.stats["read_cols"] * beat,
-            "write_bytes": self.stats["write_cols"] * beat,
+            "read_bytes": stats["read_cols"] * beat,
+            "write_bytes": stats["write_cols"] * beat,
             "bandwidth_gbps": total_accesses * beat / seconds / 1e9,
             "bus_utilisation": self.bus_utilisation(cycles),
             "row_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "activations": float(activations),
-            "turnarounds": float(self.stats["turnarounds"]),
-            "refresh_overhead": self.stats["refreshes"]
-            * self.timing.t_rfc
-            / max(cycles, 1),
+            "turnarounds": float(stats["turnarounds"]),
+            "refresh_overhead": stats["refreshes"] * self.timing.t_rfc / max(cycles, 1),
         }

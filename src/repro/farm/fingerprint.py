@@ -34,6 +34,23 @@ def _qualified_name(obj: Any) -> str:
     return f"{module}.{qual}"
 
 
+def _consts(code: types.CodeType) -> tuple:
+    """``code.co_consts`` with each nested code object (a comprehension,
+    lambda or inner function) replaced by its body's digest: the repr of a
+    code object holds its memory address, which differs between processes."""
+    if not any(isinstance(c, types.CodeType) for c in code.co_consts):
+        return code.co_consts
+    return tuple(_body_digest(c) if isinstance(c, types.CodeType) else c
+                 for c in code.co_consts)
+
+
+def _body_digest(code: types.CodeType) -> str:
+    h = hashlib.sha256(code.co_code)
+    h.update(repr(_consts(code)).encode())
+    h.update(repr(code.co_names).encode())
+    return h.hexdigest()
+
+
 def _code_digest(fn: Any, path: Set[int]) -> Optional[str]:
     """Digest of a function's compiled body, if it has one."""
     code = getattr(fn, "__code__", None)
@@ -41,7 +58,7 @@ def _code_digest(fn: Any, path: Set[int]) -> Optional[str]:
         return None
     h = hashlib.sha256()
     h.update(code.co_code)
-    h.update(repr(code.co_consts).encode())
+    h.update(repr(_consts(code)).encode())
     h.update(repr(code.co_names).encode())
     # Default arguments are part of behaviour too.
     defaults = getattr(fn, "__defaults__", None)

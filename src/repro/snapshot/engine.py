@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 11: a counter is a plain declared int and a histogram
-#: writes its own state, so the metric marker is gone).
-SNAPSHOT_VERSION = 11
+#: "Versioning"; 12: the DRAM controller's window is per-bank runs and a
+#: ready list, and its counters are plain fields).
+SNAPSHOT_VERSION = 12
 
 
 class SnapshotError(RuntimeError):

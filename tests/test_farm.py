@@ -64,6 +64,25 @@ def test_fingerprint_sees_lambda_bodies():
     assert fp_double != fp_triple
 
 
+def _compiled(source: str):
+    namespace: dict = {}
+    exec(compile(source, "<job>", "exec"), namespace)
+    return namespace["f"]
+
+
+def test_fingerprint_of_nested_code_is_its_body_not_its_address():
+    """A comprehension is a code object inside the function's constants;
+    two functions compiled from the same text hold two such objects at two
+    addresses, and must still share a fingerprint (a repr of the constants
+    would not: it names the address, so the key changed every process)."""
+    source = "def f(x):\n    return [i * {k} for i in range(x)]\n"
+    first, second = _compiled(source.format(k=2)), _compiled(source.format(k=2))
+    assert repr(first.__code__.co_consts) != repr(second.__code__.co_consts)  # two addresses
+    key = job_fingerprint(first, (3,), {}, salt="s")
+    assert key == job_fingerprint(second, (3,), {}, salt="s")
+    assert key != job_fingerprint(_compiled(source.format(k=3)), (3,), {}, salt="s")
+
+
 def test_fingerprint_salt_env_changes_keys(monkeypatch):
     before = job_fingerprint(_square, (3,), {})
     monkeypatch.setenv("REPRO_FARM_SALT", "release-2")

@@ -613,19 +613,35 @@ def _clients_design():
     return build, handle
 
 
+class _Fields:
+    """An object's attributes as a mapping (for a slotted one)."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __getitem__(self, name):
+        return getattr(self.obj, name)
+
+    def __setitem__(self, name, value):
+        setattr(self.obj, name, value)
+
+
 def _overwrite_counted_state(handle, offset):
     """Overwrite every int counter and histogram a registry view reads
     through its owner — the server's and the clients' declared ones, the
-    DRAM controllers' ``stats``, the fault ``counts`` — each int with its
-    own sentinel; returns the sentinels."""
-    from repro.dram.controller import MemoryController
+    DRAM controllers' counters and their banks' row-buffer counts, the fault
+    ``counts`` — each int with its own sentinel; returns the sentinels."""
+    from repro.dram.controller import STAT_KEYS, MemoryController
     from repro.obs.registry import Histogram
 
     server = handle.server
     tables = [(vars(server), [name for name in type(server)._state if name[0] != "_"])]
     tables += [(vars(client), type(client)._state) for client in handle._clients]
-    tables += [(comp.stats, list(comp.stats)) for comp in handle.design.sim._components
-               if isinstance(comp, MemoryController)]
+    for comp in handle.design.sim._components:
+        if isinstance(comp, MemoryController):
+            tables.append((vars(comp), [k for k in STAT_KEYS if k in vars(comp)]))
+            tables += [(_Fields(bank), ("activations", "row_hits", "row_misses"))
+                       for bank in comp.banks]
     if handle.faults is not None:
         tables.append((handle.faults.counts, list(handle.faults.counts)))
     sentinels = []
@@ -655,7 +671,8 @@ def test_every_owned_metric_is_captured_with_its_owner(make):
     captured = registry.dump()
     assert any(type(value) is int and value for value in captured.values())
     sentinels = _overwrite_counted_state(handle, 10**9)
-    assert len(sentinels) >= 12 + 9  # the server's counters and one controller's stats
+    # The server's 12 counters, one controller's 6 and its banks' 3 each (16 banks).
+    assert len(sentinels) >= 12 + 6 + 3 * 16
     overwritten = registry.dump()
     # Every view reads through its owner: each sentinel and the lock-wait
     # histogram's new sample show in the dump.
@@ -782,11 +799,12 @@ def test_numpy_state_round_trips_mid_attention(mode, tmp_path):
 
 # --------------------------------------------- the DRAM window and its indexes
 def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
-    """The window, the per-bank lists and the per-ID queues hold the *same*
-    column and transaction objects; a restore that rebuilt them as copies
-    would leave the controller issuing from one and retiring from another.
-    The live-bank and active-ID indexes are restored with them, and stay
-    exact to the end under either controller body."""
+    """The window's per-bank runs, each transaction's ``run`` and the per-ID
+    queues and ready entries hold the *same* run, queue and transaction
+    objects; a restore that rebuilt them as copies would leave the
+    controller extending one run while issuing from another, or retiring
+    from another queue.  The live-bank, want-prep and ready indexes are
+    restored with them, and stay exact to the end under either schedule."""
     from test_dram_indexed import check_index, memcpy32_submitted
 
     from repro.snapshot import capture, restore
@@ -809,7 +827,7 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
     # (A ready B is answered in the tick that completes it unless the B
     # channel is full, so ``_b_ready`` is empty between cycles here.)
     while not (
-        len(mc._sched) > 8
+        mc.window_columns > 8
         and mc._r_cand
         and any(txn.cols_done for txn in mc._write_txns.values())
     ):
@@ -823,11 +841,17 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
         build, handle, futs = submitted(restore_mode)
         restore(handle, load(path))
         mc = build.design.controller
-        window = list(mc._sched.values())
-        assert len(window) > 8 and mc._r_cand and mc._live_banks
-        check_index(mc)  # per-bank lists hold the window's own objects
-        for req in window:
-            assert req.txn is (mc._write_txns if req.is_write else mc._read_txns)[req.txn.tag]
+        runs = [run for bank_runs in mc._bank_runs for run in bank_runs]
+        assert mc.window_columns > 8 and mc._r_cand and mc._live_banks
+        check_index(mc)  # per-bank lists and ``txn.run`` hold the same runs
+        for run in runs:
+            txn, is_write = run[3], run[6]
+            assert txn is (mc._write_txns if is_write else mc._read_txns)[txn.tag]
+        assert any(txn.run is run for run in runs for txn in mc._read_txns.values())
+        for is_write, _pos, q, returns in mc._ready:
+            issue, ret = (mc._id_write_issue, mc._id_write_return) if is_write else (
+                mc._id_read_issue, mc._id_read_return)
+            assert q is issue[q[0].axi_id] and returns is ret[q[0].axi_id]
         for txns, queues in ((mc._read_txns, mc._id_read_return), (mc._write_txns, mc._id_write_return)):
             assert all(any(txn is t for t in queues[txn.axi_id]) for txn in txns.values())
         assert outcome(build, handle, futs) == reference

@@ -114,42 +114,58 @@ MUTANTS = (
     Mutant(
         "dram-strobe-dropped",
         "src/repro/dram/controller.py",
-        "self.store.write(req.addr, txn.wdata[idx], txn.wstrb[idx])",
-        "self.store.write(req.addr, txn.wdata[idx], None)",
+        "store_write(addr, txn.wdata[col], txn.wstrb[col])",
+        "store_write(addr, txn.wdata[col], None)",
         "tests/test_memory_primitives.py::test_writer_partial_tail_strb",
-        "MemoryController._issue: a strobed write column stores every byte",
+        "MemoryController issue: a strobed write column stores every byte",
     ),
     Mutant(
         "dram-streak-restart-off-by-one",
         "src/repro/dram/controller.py",
-        "            self._dir_streak = 1\n",
-        "            self._dir_streak = 0\n",
+        "                            self._dir_streak = 1\n",
+        "                            self._dir_streak = 0\n",
         "tests/test_dram_indexed.py::test_closed_form_direction_streak[ddr4]",
-        "MemoryController._issue: a direction change restarts the streak at 0",
+        "MemoryController issue: a direction change restarts the streak at 0",
     ),
     Mutant(
         "dram-turnaround-dropped",
         "src/repro/dram/controller.py",
-        "cycle + 1 + self.timing.t_bus_turn",
-        "cycle + 1",
+        "self._bus_free_at = cycle + 1 + t_turn",
+        "self._bus_free_at = cycle + 1",
         "tests/test_dram_indexed.py::test_closed_form_bus_turnaround[ddr4]",
-        "MemoryController._issue: a direction change costs no bus turnaround",
+        "MemoryController issue: a direction change costs no bus turnaround",
     ),
     Mutant(
         "dram-cas-off-by-one",
         "src/repro/dram/controller.py",
-        "cycle + self.timing.t_cl",
-        "cycle + self.timing.t_cl + 1",
+        "(cycle + t_cl, data, err)",
+        "(cycle + t_cl + 1, data, err)",
         "tests/test_dram_indexed.py::test_closed_form_row_miss_and_cas_latency[ddr4]",
-        "MemoryController._issue: read data is back one cycle after the CAS latency",
+        "MemoryController issue: read data is back one cycle after the CAS latency",
     ),
     Mutant(
         "dram-enqueue-rr-order",
         "src/repro/dram/controller.py",
-        "                for pos in sorted(read_active):\n",
-        "                for pos in sorted(read_active, key=lambda p: rr_index[read_slots[p][0]]):\n",
+        "insort(ready, (False, read_pos[axi_id], q, returns))",
+        "insort(ready, (False, rr_index[axi_id], q, returns))",
         "tests/test_dram_indexed.py::test_indexed_body_matches_scanning_body[1]",
         "MemoryController enqueue: read IDs visited in round-robin order, not first-seen order",
+    ),
+    Mutant(
+        "dram-sticky-pick-ignores-settle",
+        "src/repro/dram/controller.py",
+        "cycle == last_cycle + 1 and settle < cycle and",
+        "cycle == last_cycle + 1 and",
+        "tests/test_dram_indexed.py::test_bench_shaped_stream_matches_oracle",
+        "MemoryController pick: the last pick's run is kept while a bank turns ready",
+    ),
+    Mutant(
+        "dram-window-depth-plus-one",
+        "src/repro/dram/controller.py",
+        "room = depth - seq + self.read_cols",
+        "room = depth + 1 - seq + self.read_cols",
+        "tests/test_dram_indexed.py::test_bench_shaped_stream_matches_oracle",
+        "MemoryController enqueue: the window holds one column more than its depth",
     ),
     Mutant(
         "delay-hint-late",
