@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.axi.monitor import MonitoredAxiPort
 from repro.axi.types import BResp, RBeat
@@ -34,10 +34,25 @@ from repro.dram.timing import DramTiming
 from repro.sim import Component
 
 
-# The two records below are identities, not values (``eq=False``): the
+# The three records below are identities, not values (``eq=False``): the
 # per-tag tables, the per-ID queues and the window's runs alias the same
-# objects.  Each keeps the cycle every column entered the window
+# objects.  A transaction keeps the cycle every column entered the window
 # (``enq_at``) and the live window run holding its last enqueued column.
+@dataclass(slots=True, eq=False)
+class _Run:
+    """Window columns of one transaction in one bank row: arrival numbers
+    ``seq .. stop - 1``, where arrival number ``s`` is column ``s - base``
+    of ``txn``; the row (or the transaction) ends at column ``row_end``."""
+    seq: int
+    stop: int
+    base: int
+    txn: Union[_ReadTxn, _WriteTxn]
+    bank: int
+    row: int
+    is_write: bool
+    row_end: int
+
+
 @dataclass(slots=True, eq=False)
 class _ReadTxn:
     tag: int
@@ -49,7 +64,7 @@ class _ReadTxn:
     # (ready_cycle, data, err) per beat; err marks a modeled ECC failure.
     beats: List[Optional[Tuple[int, bytes, bool]]] = field(default_factory=list)
     enq_at: List[int] = field(default_factory=list)
-    run: Optional[list] = None
+    run: Optional[_Run] = None
 
     def __post_init__(self) -> None:
         self.beats = [None] * self.length
@@ -71,17 +86,10 @@ class _WriteTxn:
     cols_enqueued: int = 0
     cols_done: int = 0
     enq_at: List[int] = field(default_factory=list)
-    run: Optional[list] = None
+    run: Optional[_Run] = None
 
     def __post_init__(self) -> None:
         self.enq_at = [0] * self.length
-
-
-#: The controller's counters, by metric name and in registry order.  Six are
-#: plain int fields; ``bus_cycles`` and the row-buffer outcomes are derived
-#: (every issued column is one bus cycle and one bank's hit or miss).
-STAT_KEYS = ("bus_cycles", "read_cols", "write_cols", "turnarounds", "row_hits",
-             "row_misses", "refreshes", "row_conflicts", "queue_wait_cycles")
 
 
 class MemoryController(Component):
@@ -94,12 +102,9 @@ class MemoryController(Component):
     per column:
 
     * the scheduler window is ``_bank_runs``: per bank, in arrival order,
-      *runs* ``[seq, stop, base, txn, bank, row, is_write, row_end]`` —
-      consecutive columns of one transaction in one row, with consecutive
-      arrival numbers ``seq .. stop - 1``; arrival number ``s`` is column
-      ``s - base`` of ``txn``, and the row (or the transaction) ends at
-      column ``row_end``.  A column that arrives right after its transaction's
-      live run (``txn.run``) in the same row extends it (``stop += 1``);
+      ``_Run``s of consecutive columns.  A column that arrives right after
+      its transaction's live run (``txn.run``) in the same row extends it
+      (``stop += 1``);
       issuing the run's head advances ``seq``, and a spent run leaves its
       bank's list and ``txn.run``.  ``_next_seq`` counts the columns ever
       enqueued, so the window holds ``_next_seq - read_cols - write_cols``;
@@ -187,7 +192,7 @@ class MemoryController(Component):
         self._r_cand: Set[int] = set()
         self._b_ready: Set[int] = set()
 
-        # Statistics (STAT_KEYS): plain counts, published by the metric
+        # Statistics (``_stat_views``): plain counts, published by the metric
         # registry when this controller joins a simulator.  Contention
         # accounting (repro.obs.attribution) reads ``row_conflicts``
         # (activations that had to close an already-open row) and
@@ -200,19 +205,30 @@ class MemoryController(Component):
     def metric_path(self) -> str:
         return "dram/" + self.name.replace(".", "/")
 
+    def _stat_views(self) -> Dict[str, Callable[[], int]]:
+        """Each counter's reader, by metric name and in registry order.  Six
+        counters are plain int fields; ``bus_cycles`` and the row-buffer
+        outcomes are derived (every issued column is one bus cycle and one
+        bank's hit or miss)."""
+        banks = self.banks
+        return {"bus_cycles": lambda: self.read_cols + self.write_cols,
+                "read_cols": lambda: self.read_cols,
+                "write_cols": lambda: self.write_cols,
+                "turnarounds": lambda: self.turnarounds,
+                "row_hits": lambda: sum(b.row_hits for b in banks),
+                "row_misses": lambda: sum(b.row_misses for b in banks),
+                "refreshes": lambda: self.refreshes,
+                "row_conflicts": lambda: self.row_conflicts,
+                "queue_wait_cycles": lambda: self.queue_wait_cycles}
+
     @property
     def stats(self) -> Dict[str, int]:
-        """Every ``STAT_KEYS`` count, read now (a fresh dict)."""
-        return {"bus_cycles": self.read_cols + self.write_cols, "read_cols": self.read_cols,
-                "write_cols": self.write_cols, "turnarounds": self.turnarounds,
-                "row_hits": sum(b.row_hits for b in self.banks),
-                "row_misses": sum(b.row_misses for b in self.banks),
-                "refreshes": self.refreshes, "row_conflicts": self.row_conflicts,
-                "queue_wait_cycles": self.queue_wait_cycles}
+        """Every counter, read now (a fresh dict)."""
+        return {key: view() for key, view in self._stat_views().items()}
 
     def register_metrics(self, scope) -> None:
-        for key in STAT_KEYS:
-            scope.bind(key, lambda key=key: self.stats[key])
+        for key, view in self._stat_views().items():
+            scope.bind(key, view)
         scope.bind("outstanding_txns", self._outstanding)
         scope.bind("sched_queue_depth", lambda: self.window_columns)
         scope.bind("activations", lambda: sum(b.activations for b in self.banks))
@@ -246,7 +262,9 @@ class MemoryController(Component):
         order ``tests/dram_oracle.py`` restates as plain scans.  Enqueue
         walks ``_ready`` and moves each entry's head columns into the
         window (up to 8 per cycle and the room left), extending the
-        transaction's live run; prep probes the heads of ``_want_prep``;
+        transaction's live run (one free slot that extends the first entry's
+        run takes a short path to the same result); prep probes the heads
+        of ``_want_prep``;
         the FR-FCFS pick is the smallest arrival number among the first
         open-row (and first same-direction) run of each ready live bank,
         and issues that run's head column; R and B take the round-robin
@@ -284,24 +302,10 @@ class MemoryController(Component):
             issue[axi_id], returns_of[axi_id] = deque(), deque()
             return issue[axi_id], returns_of[axi_id]
 
-        # A cache, rebuilt with the closure: the last pick (its run, cycle
-        # and whether it was restricted to the bus direction) and the latest
-        # cycle any bank turns ready.  The pick at cycle c was the oldest
-        # ready open-row column of its class (all, or the bus direction,
-        # now the run's own).  At c + 1, if no bank has turned ready or
-        # switched rows since (``settle < cycle``), the older ready columns
-        # are the same and the new ones younger; so unless the class widened
-        # (the streak just reached its limit), the run's next column wins.
-        last_run, last_cycle, last_same = None, -2, False
-        settle = max(bank.ready_at for bank in banks)
-
         def tick(cycle, self=self):
-            nonlocal last_run, last_cycle, last_same, settle
             if cycle and not cycle % t_refi:
                 for bank in banks:
                     bank.block_for_refresh(cycle)
-                    if bank.ready_at > settle:
-                        settle = bank.ready_at
                 want_prep.update(live_banks)
                 self.refreshes += 1
             # -- accept ---------------------------------------------------
@@ -359,12 +363,15 @@ class MemoryController(Component):
                 txn = q[0]
                 col = txn.cols_enqueued
                 run = txn.run
-                if run is not None and run[1] == seq and col + 1 < run[7] and (
+                if run is not None and run.stop == seq and col + 1 < run.row_end and (
                         not is_write or col + 1 < len(txn.wdata)):
-                    # The streaming case: the last issue freed the one slot,
-                    # and the first ready ID's next column extends its live
-                    # run and leaves it more to enqueue.
-                    run[1] = self._next_seq = seq + 1
+                    # The streaming case (~80 % of ticks on the stream
+                    # shapes): the last issue freed the one slot, and the
+                    # first ready ID's next column extends its live run and
+                    # leaves it more to enqueue.  The loop below would do the
+                    # same with n = 1 (``ready`` does not change) at about
+                    # twice the cost.
+                    run.stop = self._next_seq = seq + 1
                     txn.enq_at[col] = cycle
                     txn.cols_enqueued = col + 1
                     room = 0
@@ -383,19 +390,19 @@ class MemoryController(Component):
                     enq_at = txn.enq_at
                     while col < end:
                         run = txn.run
-                        if run is not None and run[1] == seq and col < run[7]:
+                        if run is not None and run.stop == seq and col < run.row_end:
                             # The columns follow the transaction's live
                             # run in arrival order and in the row.
-                            k = (end if end < run[7] else run[7]) - col
-                            run[1] = seq + k
+                            k = (end if end < run.row_end else run.row_end) - col
+                            run.stop = seq + k
                         else:
                             # ``timing.decompose``, once per row.
                             row, offset = divmod(txn.addr // col_bytes + col, cols_per_row)
                             row, bank_idx = divmod(row, n_banks)
                             row_end = min(col + cols_per_row - offset, txn.length)
                             k = (end if end < row_end else row_end) - col
-                            run = txn.run = [seq, seq + k, seq - col, txn, bank_idx, row,
-                                             is_write, row_end]
+                            run = txn.run = _Run(seq, seq + k, seq - col, txn, bank_idx, row,
+                                                   is_write, row_end)
                             bank, runs = bank_view[bank_idx]
                             if not runs:
                                 live_banks.add(bank_idx)
@@ -429,52 +436,46 @@ class MemoryController(Component):
                             bank.open_row is None or cycle >= bank.activated_at + t_ras
                         ):
                             head = runs[0]
-                            if first is None or head[0] < first[0]:
+                            if first is None or head.seq < first.seq:
                                 first, second = head, first
-                            elif second is None or head[0] < second[0]:
+                            elif second is None or head.seq < second.seq:
                                 second = head
                     for head in (first, second):
                         if head is not None:
-                            bank = banks[head[4]]
+                            bank = banks[head.bank]
                             if bank.open_row is not None:
                                 self.row_conflicts += 1
-                            bank.prep(head[5], cycle)
-                            want_prep.discard(head[4])
-                            if bank.ready_at > settle:
-                                settle = bank.ready_at
+                            bank.prep(head.row, cycle)
+                            want_prep.discard(head.bank)
                 # -- FR-FCFS pick over the ready banks, then issue ----------
                 if cycle >= self._bus_free_at:
                     dir_write = self._bus_dir_write
                     want_same = self._dir_streak < streak_limit
-                    run = last_run
-                    if not (cycle == last_cycle + 1 and settle < cycle and run[0] < run[1]
-                            and want_same >= last_same):
-                        # The run of the oldest ready column, and (while the
-                        # streak may go on) of the oldest ready one in the
-                        # bus direction.  A bank's runs are in arrival order,
-                        # so its first open-row run is its oldest ready
-                        # column; the later ones visited on the way to its
-                        # first same-direction run are younger and leave the
-                        # minimum as it is.
-                        oldest = oldest_same = None
-                        for bank_idx in live_banks:
-                            bank, runs = bank_view[bank_idx]
-                            if cycle >= bank.ready_at:
-                                row = bank.open_row
-                                for run in runs:
-                                    if run[5] == row:
-                                        if want_same and run[6] == dir_write:
-                                            if oldest_same is None or run[0] < oldest_same[0]:
-                                                oldest_same = run
-                                            break
-                                        if oldest is None or run[0] < oldest[0]:
-                                            oldest = run
-                                        if not want_same:
-                                            break
-                        run = oldest if oldest_same is None else oldest_same
+                    # The run of the oldest ready column, and (while the
+                    # streak may go on) of the oldest ready one in the
+                    # bus direction.  A bank's runs are in arrival order,
+                    # so its first open-row run is its oldest ready
+                    # column; the later ones visited on the way to its
+                    # first same-direction run are younger and leave the
+                    # minimum as it is.
+                    oldest = oldest_same = None
+                    for bank_idx in live_banks:
+                        bank, runs = bank_view[bank_idx]
+                        if cycle >= bank.ready_at:
+                            row = bank.open_row
+                            for run in runs:
+                                if run.row == row:
+                                    if want_same and run.is_write == dir_write:
+                                        if oldest_same is None or run.seq < oldest_same.seq:
+                                            oldest_same = run
+                                        break
+                                    if oldest is None or run.seq < oldest.seq:
+                                        oldest = run
+                                    if not want_same:
+                                        break
+                    run = oldest if oldest_same is None else oldest_same
                     if run is not None:
-                        last_run, last_cycle, last_same = run, cycle, want_same
-                        seq, stop, base, txn, bank_idx, _row, is_write, _row_end = run
+                        seq, txn, is_write, bank_idx = run.seq, run.txn, run.is_write, run.bank
                         if is_write != dir_write:
                             self._bus_dir_write = is_write
                             self._dir_streak = 1
@@ -482,21 +483,21 @@ class MemoryController(Component):
                             self._bus_free_at = cycle + 1 + t_turn
                         else:  # the bus is free again next cycle
                             self._dir_streak += 1
-                        col = seq - base
+                        col = seq - run.base
                         self.queue_wait_cycles += cycle - txn.enq_at[col]
-                        run[0] = seq = seq + 1
+                        run.seq = seq = seq + 1
                         bank, runs = bank_view[bank_idx]
-                        if seq == stop:  # the run is spent
+                        if seq == run.stop:  # the run is spent
                             if txn.run is run:
                                 txn.run = None
                             if runs[0] is run:
                                 del runs[0]
                                 if not runs:
                                     live_banks.discard(bank_idx)
-                                elif runs[0][5] != bank.open_row:
+                                elif runs[0].row != bank.open_row:
                                     want_prep.add(bank_idx)
                             else:
-                                runs.remove(run)  # distinct runs never compare equal
+                                runs.remove(run)  # by identity (``eq=False``)
                         if bank.fresh:  # the first column after an activation
                             bank.fresh = False
                             bank.row_misses += 1

@@ -199,16 +199,17 @@ def check_index(mc: MemoryController) -> None:
     for bank, runs in enumerate(mc._bank_runs):
         arrived = -1
         for run in runs:
-            seq, stop, base, txn, run_bank, row, is_write, row_end = run
+            seq, stop, base, txn, row, is_write = (run.seq, run.stop, run.base, run.txn,
+                                                   run.row, run.is_write)
             # Each bank's runs in arrival order, each run non-empty.
-            assert arrived <= seq < stop and run_bank == bank
+            assert arrived <= seq < stop and run.bank == bank
             arrived = stop
             assert is_write == hasattr(txn, "wdata")
             assert txn is (mc._write_txns if is_write else mc._read_txns)[txn.tag]
             # The enqueue inlines the address map; it must stay ``decompose``:
             # the run's columns (consecutive addresses) lie in its bank and row.
             assert bank_row(seq - base, txn) == bank_row(stop - 1 - base, txn) == (bank, row)
-            assert stop - base <= row_end <= txn.length
+            assert stop - base <= run.row_end <= txn.length
             if not is_write:  # a read column in the window is not issued yet
                 assert txn.beats[seq - base:stop - base] == [None] * (stop - seq)
             spans.append((seq, stop))
@@ -220,7 +221,7 @@ def check_index(mc: MemoryController) -> None:
     assert not spans or spans[-1][1] <= mc._next_seq
     assert mc._live_banks == {b for b, runs in enumerate(mc._bank_runs) if runs}
     assert mc._want_prep == {b for b, runs in enumerate(mc._bank_runs)
-                             if runs and runs[0][5] != mc.banks[b].open_row}
+                             if runs and runs[0].row != mc.banks[b].open_row}
     for txns, is_write in ((mc._read_txns, False), (mc._write_txns, True)):
         for txn in txns.values():
             # ``txn.run`` is the run its last enqueued column went to while
@@ -228,8 +229,8 @@ def check_index(mc: MemoryController) -> None:
             # transaction's enqueued, not yet issued columns.
             in_window, live = 0, None
             for run in runs_of.pop(id(txn), ()):
-                in_window += run[1] - run[0]
-                if run[1] - run[2] == txn.cols_enqueued:
+                in_window += run.stop - run.seq
+                if run.stop - run.base == txn.cols_enqueued:
                     assert live is None
                     live = run
             assert txn.run is live

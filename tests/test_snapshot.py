@@ -631,7 +631,7 @@ def _overwrite_counted_state(handle, offset):
     through its owner — the server's and the clients' declared ones, the
     DRAM controllers' counters and their banks' row-buffer counts, the fault
     ``counts`` — each int with its own sentinel; returns the sentinels."""
-    from repro.dram.controller import STAT_KEYS, MemoryController
+    from repro.dram.controller import MemoryController
     from repro.obs.registry import Histogram
 
     server = handle.server
@@ -639,7 +639,7 @@ def _overwrite_counted_state(handle, offset):
     tables += [(vars(client), type(client)._state) for client in handle._clients]
     for comp in handle.design.sim._components:
         if isinstance(comp, MemoryController):
-            tables.append((vars(comp), [k for k in STAT_KEYS if k in vars(comp)]))
+            tables.append((vars(comp), [k for k in comp._stat_views() if k in vars(comp)]))
             tables += [(_Fields(bank), ("activations", "row_hits", "row_misses"))
                        for bank in comp.banks]
     if handle.faults is not None:
@@ -845,7 +845,7 @@ def test_dram_window_and_indexes_restore_onto_a_rebuilt_design(tmp_path):
         assert mc.window_columns > 8 and mc._r_cand and mc._live_banks
         check_index(mc)  # per-bank lists and ``txn.run`` hold the same runs
         for run in runs:
-            txn, is_write = run[3], run[6]
+            txn, is_write = run.txn, run.is_write
             assert txn is (mc._write_txns if is_write else mc._read_txns)[txn.tag]
         assert any(txn.run is run for run in runs for txn in mc._read_txns.values())
         for is_write, _pos, q, returns in mc._ready:

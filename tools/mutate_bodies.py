@@ -152,12 +152,12 @@ MUTANTS = (
         "MemoryController enqueue: read IDs visited in round-robin order, not first-seen order",
     ),
     Mutant(
-        "dram-sticky-pick-ignores-settle",
+        "dram-pick-newest-bank",
         "src/repro/dram/controller.py",
-        "cycle == last_cycle + 1 and settle < cycle and",
-        "cycle == last_cycle + 1 and",
+        "if oldest_same is None or run.seq < oldest_same.seq:",
+        "if oldest_same is None or run.seq > oldest_same.seq:",
         "tests/test_dram_indexed.py::test_bench_shaped_stream_matches_oracle",
-        "MemoryController pick: the last pick's run is kept while a bank turns ready",
+        "MemoryController pick: the youngest ready bank's same-direction run wins, not the oldest",
     ),
     Mutant(
         "dram-window-depth-plus-one",
@@ -210,8 +210,8 @@ MUTANTS = (
     Mutant(
         "dram-stats-view-stale",
         "src/repro/dram/controller.py",
-        "lambda key=key: self.stats[key]",
-        "lambda v=self.stats[key]: v",
+        "scope.bind(key, view)",
+        "scope.bind(key, lambda v=view(): v)",
         "tests/test_snapshot.py::test_every_owned_metric_is_captured_with_its_owner[memcpy32]",
         "MemoryController: a stats view reads the count it had when registered",
     ),
