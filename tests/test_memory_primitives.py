@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.axi import AxiParams
+from repro.axi import AxiMonitor, AxiParams
+from repro.axi.types import BResp, RBeat
 from repro.memory import (
     Memory,
     Reader,
@@ -15,7 +16,7 @@ from repro.memory import (
     WriterTuning,
     WriteRequest,
 )
-from repro.sim import Component, Simulator
+from repro.sim import SCHEDULING_MODES, Component, Simulator
 from repro.testing import build_memory_testbench
 
 PARAMS = AxiParams()
@@ -263,6 +264,180 @@ def test_issue_gap_spaces_bursts():
         issued = sorted(r.issue_cycle for r in tb.monitor.completed(kind))
         assert len(issued) == 16, kind
         assert min(b - a for a, b in zip(issued, issued[1:])) == gap, kind
+
+
+# ---------------------------------------------------------- stall split
+class _StubSlave(Component):
+    """A hand-timed AXI slave on one master port.
+
+    An :class:`AxiMonitor` snoops every AR/AW the cycle it becomes visible
+    and records it at the cycle before, when the master pushed it (the
+    channels are registered).  Addresses are accepted one per cycle from
+    ``accept_from`` on; a read burst's beats leave ``latency`` cycles after
+    its AR was accepted, a write burst's B ``latency`` cycles after both its
+    AW and its last W beat were taken.  W beats are taken as they arrive.
+    """
+
+    def __init__(self, port, accept_from, latency):
+        super().__init__("stub")
+        self.port = port
+        self.accept_from = accept_from
+        self.latency = latency
+        self.monitor = AxiMonitor("stub")
+        self.seen = set()
+        self.r_due = []  # (cycle, (axi_id, RBeat)), in push order
+        self.aw_taken = []  # accepted AWs whose W burst has not ended
+        self.w_ended = 0  # W bursts that ended before their AW was taken
+        self.b_due = []
+
+    def channels(self):
+        return []  # the master owns and registers its port
+
+    def _snoop(self, chan, hook, cycle):
+        for k in range(len(chan)):
+            req = chan.peek(k)
+            if req.tag not in self.seen:
+                self.seen.add(req.tag)
+                hook(cycle - 1, req.tag, req.axi_id, req.addr, req.length)
+
+    def tick(self, cycle):
+        port, mon = self.port, self.monitor
+        self._snoop(port.ar, mon.on_ar, cycle)
+        self._snoop(port.aw, mon.on_aw, cycle)
+        if cycle >= self.accept_from and port.ar.can_pop():
+            req = port.ar.pop()
+            for i in range(req.length):
+                beat = RBeat(bytes(port.params.beat_bytes), i == req.length - 1, req.tag)
+                self.r_due.append((cycle + self.latency + i, (req.axi_id, beat)))
+        if cycle >= self.accept_from and port.aw.can_pop():
+            self.aw_taken.append(port.aw.pop())
+            if self.w_ended:
+                self.w_ended -= 1
+                req = self.aw_taken.pop(0)
+                self.b_due.append((cycle + self.latency, (req.axi_id, BResp(True, req.tag))))
+        if port.w.can_pop() and port.w.pop().last:
+            if self.aw_taken:
+                req = self.aw_taken.pop(0)
+                self.b_due.append((cycle + self.latency, (req.axi_id, BResp(True, req.tag))))
+            else:
+                self.w_ended += 1
+        for due, chan, on in ((self.r_due, port.r, mon.on_r), (self.b_due, port.b, None)):
+            if due and due[0][0] <= cycle and chan.can_push():
+                item = due.pop(0)[1]
+                chan.push(item)
+                axi_id, payload = item
+                if on is not None:
+                    on(cycle, payload.tag, axi_id, payload.last)
+                else:
+                    mon.on_b(cycle, payload.tag, axi_id)
+
+
+class _LateReaderDriver(ReaderDriver):
+    """A :class:`ReaderDriver` whose consumer pops no data before ``start``."""
+
+    def __init__(self, reader, addr, length, start):
+        super().__init__(reader, addr, length)
+        self.start = start
+
+    def tick(self, cycle):
+        if not self.sent and self.reader.request.can_push():
+            self.reader.request.push(self.req)
+            self.sent = True
+        while cycle >= self.start and self.reader.data.can_pop():
+            self.received.extend(self.reader.data.pop())
+
+
+GAP, LATENCY, ACCEPT_FROM, CONSUME_FROM = 3, 4, 5, 40
+
+# Closed form, one-beat bursts, the request taken at cycle 1 and the head
+# burst issued there.  Burst k >= 1 becomes eligible the cycle after burst
+# k-1 issued and waits GAP - 1 cycles for the issue gap.
+#
+# One burst in flight: burst 1 then waits for burst 0's reply, whose address
+# the sink holds until ACCEPT_FROM: accepted at ACCEPT_FROM, its reply is
+# pushed LATENCY later, taken the cycle after, and the window is free the
+# cycle after that, ACCEPT_FROM + LATENCY + 2, against a gap deadline of
+# 1 + GAP.  Bursts 2 and 3 are accepted the cycle after they issue and
+# wait LATENCY + 3 - GAP each.  The address channel can never fill: the one
+# burst it could hold is the one in flight, so nothing is backpressure.
+# The Reader's buffer holds one burst and its two-deep data channel fills
+# with bursts 0 and 1: burst 2's data stays in the buffer until the
+# consumer pops the channel at CONSUME_FROM, is delivered the cycle after,
+# and burst 3 issues at CONSUME_FROM + 2.  It had been eligible since burst
+# 2 issued at ACCEPT_FROM + 2 * LATENCY + 5 and the window freed
+# LATENCY + 3 after that.
+_INFLIGHT_1 = (ACCEPT_FROM + LATENCY + 1 - GAP) + 2 * (LATENCY + 3 - GAP)
+_BURST2_ISSUED = ACCEPT_FROM + 2 * LATENCY + 5
+WINDOW_EXPECT = {
+    "read": {"stall_gap_cycles": 3 * (GAP - 1), "stall_inflight_cycles": _INFLIGHT_1,
+               "stall_buffer_cycles": CONSUME_FROM + 2 - (_BURST2_ISSUED + LATENCY + 3),
+               "stall_backpressure_cycles": 0},
+    "write": {"stall_gap_cycles": 3 * (GAP - 1), "stall_inflight_cycles": _INFLIGHT_1,
+               "stall_backpressure_cycles": 0},
+}
+# Eight bursts in flight, the sink holding every address until cycle
+# STALL_UNTIL: bursts 0-3 fill the four-deep address channel at 1, 1 + GAP,
+# 1 + 2 GAP and 1 + 3 GAP.  Burst 4 waits its gap, then for the pop at
+# STALL_UNTIL to commit, issuing at STALL_UNTIL + 1; the sink then drains a
+# burst a cycle, faster than the gap lets the master issue, so bursts 5-7
+# wait only for the gap.  Neither the window nor the buffer ever binds.
+STALL_UNTIL = 20
+BACKPRESSURE_EXPECT = {
+    "stall_gap_cycles": 7 * (GAP - 1), "stall_inflight_cycles": 0,
+    "stall_buffer_cycles": 0, "stall_backpressure_cycles": STALL_UNTIL - 4 * GAP,
+}
+
+
+def _run_stall_case(kind, scheduling, n_bursts, max_in_flight, buffer_bytes,
+                    accept_from, consume_from=0):
+    if kind == "read":
+        tuning = ReaderTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
+                              buffer_bytes=buffer_bytes, ar_issue_gap=GAP)
+        master = Reader("r", 64, PARAMS, tuning)
+        drv = _LateReaderDriver(master, 0, 64 * n_bursts, consume_from)
+    else:
+        tuning = WriterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
+                              aw_issue_gap=GAP)
+        master = Writer("w", 64, PARAMS, tuning)
+        drv = WriterDriver(master, 0, bytes(64 * n_bursts))
+    slave = _StubSlave(master.port, accept_from, LATENCY)
+    sim = Simulator(scheduling=scheduling)
+    for comp in (master, drv, slave, slave.monitor):
+        sim.add(comp)
+    sim.run(2000, until=drv.done)
+    assert drv.done() and master.idle()
+    issued = [r.issue_cycle for r in slave.monitor.completed(kind)]
+    assert len(issued) == n_bursts and issued[0] == 1
+    split = {k: getattr(master, k) for k in (
+        "stall_gap_cycles", "stall_inflight_cycles", "stall_buffer_cycles",
+        "stall_backpressure_cycles") if hasattr(master, k)}
+    # Every burst after the head was eligible the cycle after its
+    # predecessor issued, so its wait is the gap between the two issue
+    # cycles the monitor recorded, less one.
+    assert sum(split.values()) == sum(b - a - 1 for a, b in zip(issued, issued[1:]))
+    return split
+
+
+@pytest.mark.parametrize("scheduling", SCHEDULING_MODES)
+@pytest.mark.parametrize("kind", ["read", "write"])
+def test_stall_split_one_burst_in_flight(kind, scheduling):
+    """With one burst in flight, the issue gap, the in-flight window and
+    (for the Reader) the prefetch buffer take every cycle the head waits,
+    each the closed-form count above."""
+    split = _run_stall_case(kind, scheduling, 4, 1, 64, ACCEPT_FROM, CONSUME_FROM)
+    assert split == WINDOW_EXPECT[kind]
+
+
+@pytest.mark.parametrize("scheduling", SCHEDULING_MODES)
+@pytest.mark.parametrize("kind", ["read", "write"])
+def test_stall_split_stalled_address_sink(kind, scheduling):
+    """A sink that holds every address until ``STALL_UNTIL`` fills the
+    address channel: the cycles past the gap are backpressure."""
+    split = _run_stall_case(kind, scheduling, 8, 8, 8 * 64, STALL_UNTIL)
+    expect = dict(BACKPRESSURE_EXPECT)
+    if kind == "write":
+        del expect["stall_buffer_cycles"]
+    assert split == expect
 
 
 # ----------------------------------------------------------------- scratchpad
