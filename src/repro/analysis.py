@@ -215,13 +215,3 @@ def render_sweep_report(points: Sequence) -> str:
         f"{f['build_seconds_saved']:.2f}s"
     )
     return "\n".join(lines)
-
-
-def fairness_index(values: Sequence[float]) -> float:
-    """Jain's fairness index: 1.0 = perfectly fair, 1/n = one master hogs."""
-    vals = [float(v) for v in values]
-    if not vals or not any(vals):
-        return 1.0
-    num = sum(vals) ** 2
-    den = len(vals) * sum(v * v for v in vals)
-    return num / den

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.fpga.device import ResourceVector
-from repro.memory.reader import ReaderTuning
-from repro.memory.writer import WriterTuning
+from repro.memory.master import MasterTuning
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,7 @@ class ReadChannelConfig:
     name: str
     data_bytes: int
     n_channels: int = 1
-    tuning: Optional[ReaderTuning] = None
+    tuning: Optional[MasterTuning] = None
 
     def __post_init__(self) -> None:
         if self.n_channels < 1:
@@ -36,7 +35,7 @@ class WriteChannelConfig:
     name: str
     data_bytes: int
     n_channels: int = 1
-    tuning: Optional[WriterTuning] = None
+    tuning: Optional[MasterTuning] = None
 
     def __post_init__(self) -> None:
         if self.n_channels < 1:

@@ -56,7 +56,7 @@ class CoreContext:
         prefix = f"{self.system_name}.c{self.core_id}"
         for cfg in self.config.memory_channel_config:
             if isinstance(cfg, ReadChannelConfig):
-                tuning = cfg.tuning or self.platform.reader_tuning
+                tuning = cfg.tuning or self.platform.master_tuning
                 self.readers[cfg.name] = [
                     Reader(
                         f"{prefix}.{cfg.name}{i}",
@@ -67,7 +67,7 @@ class CoreContext:
                     for i in range(cfg.n_channels)
                 ]
             elif isinstance(cfg, WriteChannelConfig):
-                tuning = cfg.tuning or self.platform.writer_tuning
+                tuning = cfg.tuning or self.platform.master_tuning
                 self.writers[cfg.name] = [
                     Writer(
                         f"{prefix}.{cfg.name}{i}",

@@ -89,6 +89,10 @@ def build_hdl(design) -> HdlModule:
             doc=f"Beethoven System {system.config.name!r} ({len(system.cores)} cores)",
         )
         sys_mod.add_port("clk", "input")
+        # Every core of a System is built from its template, so the plan's
+        # core 0 describes them all: emitting instantiates nothing.
+        kernel_class = type(system.template_core).__name__
+        ctx = system.template_ctx
         for ecore in system.cores:
             core_mod = HdlModule(
                 sanitize(f"core_{system.config.name}_{ecore.core_id}"),
@@ -98,13 +102,12 @@ def build_hdl(design) -> HdlModule:
             core_mod.attrs["slr"] = ecore.slr
             kernel = HdlModule(
                 sanitize(f"kernel_{system.config.name}"),
-                doc=f"User kernel logic ({type(ecore.core).__name__})",
+                doc=f"User kernel logic ({kernel_class})",
             )
             kernel.add_port("clk", "input")
             if kernel.name not in module_cache:
                 module_cache[kernel.name] = kernel
             core_mod.instantiate(module_cache[kernel.name], "u_kernel", {"clk": "clk"})
-            ctx = ecore.ctx
             for rname, readers in ctx.readers.items():
                 for i, r in enumerate(readers):
                     rmod_name = sanitize(f"reader_{system.config.name}_{rname}")

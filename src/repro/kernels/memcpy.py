@@ -13,9 +13,8 @@ from repro.command.packing import Address, CommandSpec, EmptyAccelResponse, Fiel
 from repro.core.accelerator import AcceleratorCore
 from repro.core.config import AcceleratorConfig, ReadChannelConfig, WriteChannelConfig
 from repro.fpga.device import ResourceVector
-from repro.memory.reader import ReaderTuning
+from repro.memory.master import MasterTuning
 from repro.memory.types import ReadRequest, WriteRequest
-from repro.memory.writer import WriterTuning
 
 
 class MemcpyCore(AcceleratorCore):
@@ -81,18 +80,10 @@ def memcpy_config(
     ``tlp=False`` gives the single-AXI-ID variant; ``burst_beats=16``
     reproduces the short-burst ablation the paper ran against HLS.
     """
-    n_ids = 4 if tlp else 1
-    in_flight = 8
-    reader = ReaderTuning(
+    tuning = MasterTuning(
         max_txn_beats=burst_beats,
-        n_axi_ids=n_ids,
-        max_in_flight=in_flight,
-        buffer_bytes=8 * 4096,
-    )
-    writer = WriterTuning(
-        max_txn_beats=burst_beats,
-        n_axi_ids=n_ids,
-        max_in_flight=in_flight,
+        n_axi_ids=4 if tlp else 1,
+        max_in_flight=8,
         buffer_bytes=8 * 4096,
     )
     return AcceleratorConfig(
@@ -100,7 +91,7 @@ def memcpy_config(
         n_cores=n_cores,
         module_constructor=MemcpyCore,
         memory_channel_config=(
-            ReadChannelConfig("copy_in", data_bytes=data_bytes, tuning=reader),
-            WriteChannelConfig("copy_out", data_bytes=data_bytes, tuning=writer),
+            ReadChannelConfig("copy_in", data_bytes=data_bytes, tuning=tuning),
+            WriteChannelConfig("copy_out", data_bytes=data_bytes, tuning=tuning),
         ),
     )

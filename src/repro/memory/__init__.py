@@ -3,10 +3,10 @@
 from repro._lazy import lazy_exports
 
 _LAZY = {
+    "BurstMaster": "repro.memory.master",
+    "MasterTuning": "repro.memory.master",
     "Reader": "repro.memory.reader",
-    "ReaderTuning": "repro.memory.reader",
     "Writer": "repro.memory.writer",
-    "WriterTuning": "repro.memory.writer",
     "Memory": "repro.memory.scratchpad",
     "Scratchpad": "repro.memory.scratchpad",
     "ScratchpadPort": "repro.memory.scratchpad",

@@ -14,28 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
-from repro.axi.types import ARReq, AxiParams, AxiPort
-from repro.memory.types import ReadRequest, split_into_bursts
-from repro.noc.axi_node import bits_for
-from repro.sim import NEVER, ChannelQueue, Component
-
-
-@dataclass
-class ReaderTuning:
-    """Platform-tunable Reader internals (paper: 'Reader/Writer internal
-    performance knobs').  ``n_axi_ids = 1`` disables TLP."""
-
-    max_txn_beats: int = 64
-    n_axi_ids: int = 4
-    max_in_flight: int = 4
-    buffer_bytes: int = 4 * 4096
-    ar_issue_gap: int = 1  # min cycles between AR issues (request FSM cost)
-
-    @property
-    def id_bits(self) -> int:
-        return bits_for(self.n_axi_ids)
+from repro.axi.types import ARReq, AxiParams
+from repro.memory.master import BurstMaster, MasterTuning
+from repro.memory.types import split_into_bursts
+from repro.sim import NEVER
 
 
 @dataclass
@@ -49,8 +33,11 @@ class _SubTxn:
     delivered: int = 0
 
 
-class Reader(Component):
+class Reader(BurstMaster):
     """Streams memory to the core; the core pops ``data`` in program order."""
+
+    _addr_req = ARReq
+    _span_kind = "read"
 
     # Fault detection (repro.faults): when the elaborator compiles a
     # FaultPlan it points every master at the shared FaultState so beats
@@ -60,86 +47,31 @@ class Reader(Component):
     _fault_state = None
     _fault_key = None
 
-    _state = ("_pending", "_order", "_by_tag", "_span_by_tag", "_in_flight",
-              "_reserved_bytes", "_next_id", "_next_ar_cycle", "_head_since",
-              "_inflight_ok_since", "_buffer_ok_since", "bytes_delivered",
-              "requests_accepted", "bursts_issued", "stall_gap_cycles",
-              "stall_inflight_cycles", "stall_buffer_cycles", "stall_backpressure_cycles")
+    _state = ("_pending", "_order", "_reserved_bytes", "_buffer_ok_since",
+              "bytes_delivered", "stall_buffer_cycles")
 
     def __init__(
         self,
         name: str,
         data_bytes: int,
         axi_params: AxiParams,
-        tuning: Optional[ReaderTuning] = None,
+        tuning: Optional[MasterTuning] = None,
     ) -> None:
-        super().__init__(f"reader.{name}")
-        self.data_bytes = data_bytes
-        self.tuning = tuning or ReaderTuning()
-        beat = axi_params.beat_bytes
-        if data_bytes < 1 or data_bytes > beat or beat % data_bytes:
-            raise ValueError(
-                f"reader port width {data_bytes} must divide the bus width {beat}"
-            )
-        self.port = AxiPort(
-            AxiParams(
-                beat,
-                max(self.tuning.id_bits, 1),
-                axi_params.addr_bits,
-                axi_params.max_burst_beats,
-            ),
-            f"{self.name}.axi",
-        )
-        self.request: ChannelQueue[ReadRequest] = ChannelQueue(2, f"{self.name}.req")
-        self.data: ChannelQueue[bytes] = ChannelQueue(2, f"{self.name}.data")
-
+        super().__init__(f"reader.{name}", data_bytes, axi_params, tuning)
         self._pending: Deque[_SubTxn] = deque()  # not yet issued
         self._order: Deque[_SubTxn] = deque()  # issued or pending, delivery order
-        self._by_tag: Dict[int, _SubTxn] = {}
-        self._in_flight = 0
         self._reserved_bytes = 0
-        self._next_id = 0
-        self._next_ar_cycle = 0
         self.bytes_delivered = 0
-        self.requests_accepted = 0
-        self.bursts_issued = 0
-        # Contention accounting (repro.obs.attribution): per-burst AR stall
-        # attribution, computed retroactively at issue time from stamps that
-        # are only updated by genuinely mutating ticks (so the counters stay
-        # bit-identical under both scheduling modes, including compiled
-        # jumps over quiescent windows).  ``_head_since`` is the cycle the
-        # current head-of-pending burst became eligible for issue;
-        # ``_inflight_ok_since``/``_buffer_ok_since`` are the cycles the
-        # in-flight window and prefetch buffer last stopped being binding.
-        self._head_since = 0
-        self._inflight_ok_since = 0
+        # The prefetch buffer is the Reader's own issue gate:
+        # ``_buffer_ok_since`` is the cycle it last stopped being binding.
         self._buffer_ok_since = 0
-        self.stall_gap_cycles = 0
-        self.stall_inflight_cycles = 0
         self.stall_buffer_cycles = 0
-        self.stall_backpressure_cycles = 0
-        # Observability: set by the elaborator so AXI bursts are attributed
-        # to the host command currently executing on this Reader's core.
-        self.spans = None
-        self.span_key = None
-        self._span_by_tag: Dict[int, int] = {}
-
-    # -- elaboration hooks ---------------------------------------------------
-    def channels(self):
-        return [self.request, self.data] + self.port.channels()
 
     def register_metrics(self, scope) -> None:
         scope.bind("bytes_delivered", lambda: self.bytes_delivered)
-        scope.bind("requests_accepted", lambda: self.requests_accepted)
-        scope.bind("bursts_issued", lambda: self.bursts_issued)
-        scope.bind("in_flight", lambda: self._in_flight)
         scope.bind("reserved_bytes", lambda: self._reserved_bytes)
-        scope.bind("stall_gap_cycles", lambda: self.stall_gap_cycles)
-        scope.bind("stall_inflight_cycles", lambda: self.stall_inflight_cycles)
         scope.bind("stall_buffer_cycles", lambda: self.stall_buffer_cycles)
-        scope.bind(
-            "stall_backpressure_cycles", lambda: self.stall_backpressure_cycles
-        )
+        super().register_metrics(scope)
 
     # -- behaviour ------------------------------------------------------------
     # Each phase runs only behind the entry guard :meth:`compile_tick` tests
@@ -164,30 +96,14 @@ class Reader(Component):
             self._pending.append(sub)
             self._order.append(sub)
 
-    def _attribute_stall(self, cycle: int) -> None:
-        """Book the cycles the issued head burst waited, split by the first
-        binding reason in guard order: issue-gap FSM, in-flight window,
-        prefetch-buffer space, then downstream AR backpressure."""
-        t = self._head_since
-        if t >= cycle:
-            return
-        gap_until = self._next_ar_cycle  # pre-issue value: the old gap deadline
-        if gap_until > t:
-            adv = gap_until if gap_until < cycle else cycle
-            self.stall_gap_cycles += adv - t
-            t = adv
-        ok = self._inflight_ok_since
-        if ok > t:
-            adv = ok if ok < cycle else cycle
-            self.stall_inflight_cycles += adv - t
-            t = adv
+    def _gate_stall(self, t: int, cycle: int) -> int:
+        """The prefetch buffer gates issue after the in-flight window."""
         ok = self._buffer_ok_since
         if ok > t:
             adv = ok if ok < cycle else cycle
             self.stall_buffer_cycles += adv - t
             t = adv
-        if cycle > t:
-            self.stall_backpressure_cycles += cycle - t
+        return t
 
     def _issue_ar(self, cycle: int) -> None:
         sub = self._pending[0]
@@ -196,24 +112,9 @@ class Reader(Component):
             return
         if not self.port.ar.can_push():
             return
-        self._attribute_stall(cycle)
-        sub.axi_id = self._next_id
-        self._next_id = (self._next_id + 1) % max(self.tuning.n_axi_ids, 1)
-        req = ARReq(axi_id=sub.axi_id, addr=sub.addr, length=sub.beats)
-        sub.tag = req.tag
-        self.port.ar.push(req)
-        self._by_tag[req.tag] = sub
+        self._issue(cycle, sub, self.port.ar)
         self._pending.popleft()
-        self._in_flight += 1
-        self.bursts_issued += 1
         self._reserved_bytes += burst_bytes
-        self._next_ar_cycle = cycle + self.tuning.ar_issue_gap
-        # The next pending burst (if any) cannot issue before the next tick.
-        self._head_since = cycle + 1
-        if self.spans is not None:
-            self._span_by_tag[req.tag] = self.spans.axi_begin(
-                cycle, self.span_key, self.name, "read", sub.addr, sub.beats
-            )
 
     def _collect_beats(self, cycle: int) -> None:
         axi_id, beat = self.port.r.pop()
@@ -226,14 +127,7 @@ class Reader(Component):
             )
         sub.received.extend(beat.data)
         if beat.last:
-            self._in_flight -= 1
-            if self._in_flight == self.tuning.max_in_flight - 1:
-                # Freed slot is usable from the next tick (issue ran already).
-                self._inflight_ok_since = cycle + 1
-            del self._by_tag[beat.tag]
-            span_id = self._span_by_tag.pop(beat.tag, 0)
-            if span_id and self.spans is not None:
-                self.spans.axi_end(span_id, cycle)
+            self._retire(cycle, beat.tag)
 
     def _deliver(self, cycle: int) -> None:
         sub = self._order[0]
@@ -284,7 +178,7 @@ class Reader(Component):
                 accept(cycle)
             if (
                 self._pending
-                and cycle >= self._next_ar_cycle
+                and cycle >= self._next_issue_cycle
                 and self._in_flight < tuning.max_in_flight
             ):
                 issue(cycle)
@@ -313,7 +207,7 @@ class Reader(Component):
                 self._reserved_bytes + burst_bytes <= self.tuning.buffer_bytes
                 and self.port.ar.can_push()
             ):
-                nxt = min(nxt, max(cycle, self._next_ar_cycle))
+                nxt = min(nxt, max(cycle, self._next_issue_cycle))
         if self._deliverable() and self.data.can_push():
             nxt = min(nxt, cycle)
         return nxt

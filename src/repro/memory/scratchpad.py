@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.axi.types import AxiParams
-from repro.memory.reader import Reader, ReaderTuning
+from repro.memory.master import MasterTuning
+from repro.memory.reader import Reader
 from repro.memory.types import ReadRequest
 from repro.sim import NEVER, ChannelQueue, Component
 
@@ -150,7 +151,7 @@ class Scratchpad(Component):
         axi_params: AxiParams,
         n_ports: int = 1,
         latency: int = 2,
-        reader_tuning: Optional[ReaderTuning] = None,
+        reader_tuning: Optional[MasterTuning] = None,
         with_init: bool = True,
     ) -> None:
         super().__init__(f"scratchpad.{name}")

@@ -14,25 +14,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
-from repro.axi.types import AWReq, AxiParams, AxiPort, WBeat
+from repro.axi.types import AWReq, AxiParams, WBeat
+from repro.memory.master import BurstMaster, MasterTuning
 from repro.memory.types import WriteRequest, split_into_bursts
-from repro.noc.axi_node import bits_for
-from repro.sim import NEVER, ChannelQueue, Component
-
-
-@dataclass
-class WriterTuning:
-    """Platform-tunable Writer internals; ``n_axi_ids = 1`` disables TLP."""
-
-    max_txn_beats: int = 64
-    n_axi_ids: int = 4
-    max_in_flight: int = 4
-    buffer_bytes: int = 4 * 4096
-    aw_issue_gap: int = 1
-
-    @property
-    def id_bits(self) -> int:
-        return bits_for(self.n_axi_ids)
+from repro.sim import NEVER, ChannelQueue
 
 
 @dataclass
@@ -58,41 +43,23 @@ class _ActiveRequest:
         return all(s.done for s in self.subs)
 
 
-class Writer(Component):
+class Writer(BurstMaster):
     """Streams core data to memory; pops ``done`` when the request landed."""
 
+    _addr_req = AWReq
+    _span_kind = "write"
+
     _state = ("_requests", "_fill_buffer", "_issue_q", "_queued_payload", "_w_stream",
-              "_sub_payload", "_by_tag", "_span_by_tag", "_in_flight", "_buffered_bytes",
-              "_next_id", "_next_aw_cycle", "_head_since", "_inflight_ok_since",
-              "bytes_accepted", "requests_accepted", "bursts_issued", "stall_gap_cycles",
-              "stall_inflight_cycles", "stall_backpressure_cycles")
+              "_sub_payload", "_buffered_bytes", "bytes_accepted")
 
     def __init__(
         self,
         name: str,
         data_bytes: int,
         axi_params: AxiParams,
-        tuning: Optional[WriterTuning] = None,
+        tuning: Optional[MasterTuning] = None,
     ) -> None:
-        super().__init__(f"writer.{name}")
-        self.data_bytes = data_bytes
-        self.tuning = tuning or WriterTuning()
-        beat = axi_params.beat_bytes
-        if data_bytes < 1 or data_bytes > beat or beat % data_bytes:
-            raise ValueError(
-                f"writer port width {data_bytes} must divide the bus width {beat}"
-            )
-        self.port = AxiPort(
-            AxiParams(
-                beat,
-                max(self.tuning.id_bits, 1),
-                axi_params.addr_bits,
-                axi_params.max_burst_beats,
-            ),
-            f"{self.name}.axi",
-        )
-        self.request: ChannelQueue[WriteRequest] = ChannelQueue(2, f"{self.name}.req")
-        self.data: ChannelQueue[bytes] = ChannelQueue(2, f"{self.name}.data")
+        super().__init__(f"writer.{name}", data_bytes, axi_params, tuning)
         self.done: ChannelQueue[bool] = ChannelQueue(2, f"{self.name}.done")
 
         self._requests: Deque[_ActiveRequest] = deque()
@@ -101,44 +68,18 @@ class Writer(Component):
         self._queued_payload: Dict[int, bytes] = {}  # id(sub) -> burst payload
         self._w_stream: Deque[_WrSubTxn] = deque()  # AW sent, W beats owed
         self._sub_payload: Dict[int, bytes] = {}  # tag -> burst payload
-        self._by_tag: Dict[int, _WrSubTxn] = {}
-        self._in_flight = 0
         self._buffered_bytes = 0
-        self._next_id = 0
-        self._next_aw_cycle = 0
         self.bytes_accepted = 0
-        self.requests_accepted = 0
-        self.bursts_issued = 0
-        # Contention accounting (repro.obs.attribution): per-burst AW stall
-        # attribution, computed retroactively at issue time from stamps that
-        # are only updated by genuinely mutating ticks — see Reader for the
-        # determinism argument.  There is no buffer gate on the AW path, so
-        # the reasons are gap / in-flight window / downstream backpressure.
-        self._head_since = 0
-        self._inflight_ok_since = 0
-        self.stall_gap_cycles = 0
-        self.stall_inflight_cycles = 0
-        self.stall_backpressure_cycles = 0
-        # Observability: set by the elaborator so AXI bursts are attributed
-        # to the host command currently executing on this Writer's core.
-        self.spans = None
-        self.span_key = None
-        self._span_by_tag: Dict[int, int] = {}
+        # There is no buffer gate on the AW path, so the stall split is gap /
+        # in-flight window / downstream backpressure.
 
     def channels(self):
         return [self.request, self.data, self.done] + self.port.channels()
 
     def register_metrics(self, scope) -> None:
         scope.bind("bytes_accepted", lambda: self.bytes_accepted)
-        scope.bind("requests_accepted", lambda: self.requests_accepted)
-        scope.bind("bursts_issued", lambda: self.bursts_issued)
-        scope.bind("in_flight", lambda: self._in_flight)
         scope.bind("buffered_bytes", lambda: self._buffered_bytes)
-        scope.bind("stall_gap_cycles", lambda: self.stall_gap_cycles)
-        scope.bind("stall_inflight_cycles", lambda: self.stall_inflight_cycles)
-        scope.bind(
-            "stall_backpressure_cycles", lambda: self.stall_backpressure_cycles
-        )
+        super().register_metrics(scope)
 
     # -- behaviour ----------------------------------------------------------
     # Each phase runs only behind the entry guard :meth:`compile_tick` tests
@@ -187,50 +128,14 @@ class Writer(Component):
                 self._queued_payload[id(sub)] = payload
             break  # only the front un-queued burst can complete
 
-    def _attribute_stall(self, cycle: int) -> None:
-        """Book the cycles the issued head burst waited, split by the first
-        binding reason in guard order: issue-gap FSM, in-flight window, then
-        downstream AW backpressure."""
-        t = self._head_since
-        if t >= cycle:
-            return
-        gap_until = self._next_aw_cycle  # pre-issue value: the old gap deadline
-        if gap_until > t:
-            adv = gap_until if gap_until < cycle else cycle
-            self.stall_gap_cycles += adv - t
-            t = adv
-        ok = self._inflight_ok_since
-        if ok > t:
-            adv = ok if ok < cycle else cycle
-            self.stall_inflight_cycles += adv - t
-            t = adv
-        if cycle > t:
-            self.stall_backpressure_cycles += cycle - t
-
     def _issue_aw(self, cycle: int) -> None:
         if not self.port.aw.can_push():
             return
-        self._attribute_stall(cycle)
         sub = self._issue_q.popleft()
-        sub.axi_id = self._next_id
-        self._next_id = (self._next_id + 1) % max(self.tuning.n_axi_ids, 1)
-        req = AWReq(axi_id=sub.axi_id, addr=sub.addr, length=sub.beats)
-        sub.tag = req.tag
+        tag = self._issue(cycle, sub, self.port.aw)
         sub.issued = True
-        payload = self._queued_payload.pop(id(sub))
-        self._sub_payload[req.tag] = payload
-        self._by_tag[req.tag] = sub
-        self.port.aw.push(req)
+        self._sub_payload[tag] = self._queued_payload.pop(id(sub))
         self._w_stream.append(sub)
-        self._in_flight += 1
-        self.bursts_issued += 1
-        self._next_aw_cycle = cycle + self.tuning.aw_issue_gap
-        # The next queued burst (if any) cannot issue before the next tick.
-        self._head_since = cycle + 1
-        if self.spans is not None:
-            self._span_by_tag[req.tag] = self.spans.axi_begin(
-                cycle, self.span_key, self.name, "write", sub.addr, sub.beats
-            )
 
     def _stream_w(self) -> None:
         sub = self._w_stream[0]
@@ -249,20 +154,11 @@ class Writer(Component):
             self._w_stream.popleft()
 
     def _collect_b(self, cycle: int) -> None:
-        resp = self.port.b.pop()[1]
-        sub = self._by_tag.pop(resp.tag, None)
-        if sub is None:
-            raise RuntimeError(f"{self.name}: B resp with unknown tag")
+        tag = self.port.b.pop()[1].tag
+        sub = self._retire(cycle, tag)
         sub.done = True
-        self._in_flight -= 1
-        if self._in_flight == self.tuning.max_in_flight - 1:
-            # Freed slot is usable from the next tick (issue ran already).
-            self._inflight_ok_since = cycle + 1
         self._buffered_bytes -= sub.payload_bytes
-        del self._sub_payload[resp.tag]
-        span_id = self._span_by_tag.pop(resp.tag, 0)
-        if span_id and self.spans is not None:
-            self.spans.axi_end(span_id, cycle)
+        del self._sub_payload[tag]
 
     def _report_done(self) -> None:
         active = self._requests[0]
@@ -297,7 +193,7 @@ class Writer(Component):
                 accept_data(cycle)
             if (
                 self._issue_q
-                and cycle >= self._next_aw_cycle
+                and cycle >= self._next_issue_cycle
                 and self._in_flight < tuning.max_in_flight
             ):
                 issue(cycle)
@@ -329,7 +225,7 @@ class Writer(Component):
             and self._in_flight < self.tuning.max_in_flight
             and self.port.aw.can_push()
         ):
-            nxt = min(nxt, max(cycle, self._next_aw_cycle))
+            nxt = min(nxt, max(cycle, self._next_issue_cycle))
         if self._w_stream and self.port.w.can_push():
             nxt = min(nxt, cycle)
         if self._requests:

@@ -8,8 +8,7 @@ from typing import Optional, Sequence
 from repro.asic.macros import ASAP7_MACROS, SAED_MACROS, SramMacro
 from repro.axi.types import AxiParams
 from repro.dram.timing import DramTiming
-from repro.memory.reader import ReaderTuning
-from repro.memory.writer import WriterTuning
+from repro.memory.master import MasterTuning
 from repro.noc.tree import TreeConfig
 from repro.platforms.base import HostInterface, Platform
 
@@ -49,9 +48,7 @@ def Asap7Platform(clock_mhz: float = 1000.0) -> AsicPlatform:
         tree_config=TreeConfig(fanout=4, interior_depth=2, slr_crossing_latency=0),
         device=None,
         memory_bytes=2 * 2**30,
-        reader_tuning=ReaderTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
-                                   buffer_bytes=2048),
-        writer_tuning=WriterTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
+        master_tuning=MasterTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
                                    buffer_bytes=2048),
         macro_library=ASAP7_MACROS,
     )
@@ -70,8 +67,7 @@ def SynopsysPdkPlatform(clock_mhz: float = 400.0) -> AsicPlatform:
         tree_config=base.tree_config,
         device=None,
         memory_bytes=base.memory_bytes,
-        reader_tuning=base.reader_tuning,
-        writer_tuning=base.writer_tuning,
+        master_tuning=base.master_tuning,
         macro_library=SAED_MACROS,
     )
 
@@ -89,8 +85,7 @@ def ChipKitPlatform(m0_source_path: str, clock_mhz: float = 400.0) -> AsicPlatfo
         tree_config=base.tree_config,
         device=None,
         memory_bytes=base.memory_bytes,
-        reader_tuning=base.reader_tuning,
-        writer_tuning=base.writer_tuning,
+        master_tuning=base.master_tuning,
         macro_library=ASAP7_MACROS,
         m0_source_path=m0_source_path,
     )

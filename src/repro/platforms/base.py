@@ -16,8 +16,7 @@ from typing import Optional
 from repro.axi.types import AxiParams
 from repro.dram.timing import DramTiming
 from repro.fpga.device import FpgaDevice
-from repro.memory.reader import ReaderTuning
-from repro.memory.writer import WriterTuning
+from repro.memory.master import MasterTuning
 from repro.noc.tree import TreeConfig
 
 
@@ -46,8 +45,7 @@ class Platform:
     device: Optional[FpgaDevice] = None  # None for ASIC targets
     memory_base: int = 0x0
     memory_bytes: int = 16 * 2**30
-    reader_tuning: ReaderTuning = field(default_factory=ReaderTuning)
-    writer_tuning: WriterTuning = field(default_factory=WriterTuning)
+    master_tuning: MasterTuning = field(default_factory=MasterTuning)  # Readers and Writers
     command_hop_latency: int = 2  # per-SLR-crossing command network latency
 
     @property

@@ -8,8 +8,7 @@ import dataclasses
 from repro.axi.types import AxiParams
 from repro.dram.timing import DDR4_AWS_F1, LPDDR4_KRIA
 from repro.fpga.device import make_kria_k26, make_multi_die, make_vu9p_aws_f1
-from repro.memory.reader import ReaderTuning
-from repro.memory.writer import WriterTuning
+from repro.memory.master import MasterTuning
 from repro.noc.tree import TreeConfig
 from repro.platforms.base import HostInterface, Platform
 
@@ -37,8 +36,7 @@ def AWSF1Platform(clock_mhz: float = 250.0) -> Platform:
         tree_config=TreeConfig(fanout=8, interior_depth=4, slr_crossing_latency=4),
         device=make_vu9p_aws_f1(),
         memory_bytes=16 * 2**30,
-        reader_tuning=ReaderTuning(max_txn_beats=64, n_axi_ids=4, max_in_flight=4),
-        writer_tuning=WriterTuning(max_txn_beats=64, n_axi_ids=4, max_in_flight=4),
+        master_tuning=MasterTuning(max_txn_beats=64, n_axi_ids=4, max_in_flight=4),
     )
 
 
@@ -87,9 +85,7 @@ def KriaPlatform(clock_mhz: float = 100.0) -> Platform:
         tree_config=TreeConfig(fanout=6, interior_depth=2, slr_crossing_latency=0),
         device=make_kria_k26(),
         memory_bytes=4 * 2**30,
-        reader_tuning=ReaderTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
-                                   buffer_bytes=2 * 4096),
-        writer_tuning=WriterTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
+        master_tuning=MasterTuning(max_txn_beats=32, n_axi_ids=2, max_in_flight=2,
                                    buffer_bytes=2 * 4096),
     )
 
@@ -118,6 +114,5 @@ def SimulationPlatform(clock_mhz: float = 250.0) -> Platform:
         tree_config=f1.tree_config,
         device=f1.device,
         memory_bytes=f1.memory_bytes,
-        reader_tuning=f1.reader_tuning,
-        writer_tuning=f1.writer_tuning,
+        master_tuning=f1.master_tuning,
     )

@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 12: the DRAM controller's window is per-bank runs and a
-#: ready list, and its counters are plain fields).
-SNAPSHOT_VERSION = 12
+#: "Versioning"; 13: a Reader's and a Writer's issue-gap deadline is one
+#: field, ``_next_issue_cycle``, declared by their shared base).
+SNAPSHOT_VERSION = 13
 
 
 class SnapshotError(RuntimeError):

@@ -9,7 +9,6 @@ from repro.analysis import (
     bytes_transferred,
     dram_bus_utilisation,
     dram_row_hit_rate,
-    fairness_index,
     latency_stats,
     noc_link_beats,
     registry_frame,
@@ -18,6 +17,7 @@ from repro.analysis import (
 from repro.axi import AxiParams
 from repro.axi.monitor import TxnRecord
 from repro.baselines.memcpy_experiment import run_hls_memcpy
+from repro.serve.loadgen import jain_index
 from repro.memory import Reader, ReadRequest
 from repro.sim import Component
 from repro.testing import build_memory_testbench
@@ -70,12 +70,6 @@ def test_bytes_transferred():
     assert out == {"read": 256, "write": 128}
 
 
-def test_fairness_index_bounds():
-    assert fairness_index([1, 1, 1, 1]) == pytest.approx(1.0)
-    assert fairness_index([1, 0, 0, 0]) == pytest.approx(0.25)
-    assert fairness_index([]) == 1.0
-
-
 def test_hls_latency_growth_detected():
     result = run_hls_memcpy(262144)
     stats = latency_stats(result.records, "read")
@@ -120,7 +114,7 @@ def test_tree_arbitration_is_fair():
     shares = bandwidth_share(
         tb.monitor.records, lambda addr: addr // 0x100_0000, beat_bytes=64
     )
-    index = fairness_index(list(shares.values()))
+    index = jain_index(list(shares.values()))
     assert index > 0.99
 
 

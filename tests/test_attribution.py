@@ -506,11 +506,15 @@ def test_bench_history_cli_roundtrip(tmp_path):
 
 def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
     """The memcpy point reports every component's executed ticks over the
-    DRAM columns it moved: a 4 KiB copy reads and writes 64 columns each."""
+    DRAM columns it moved: each of its ``MEMCPY_ROUNDS`` 4 KiB copies reads
+    and writes 64 columns."""
     import os
     import subprocess
     import sys
 
+    from test_tick_budget import _bottleneck_report
+
+    cols = 128 * _bottleneck_report().MEMCPY_ROUNDS
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     r = subprocess.run(
         [sys.executable, "tools/bottleneck_report.py", "--out", str(tmp_path),
@@ -521,8 +525,8 @@ def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
     with open(tmp_path / "bottleneck_report.json") as fh:
         memcpy = json.load(fh)["memcpy"]
     ticks = sum(row["ticks_executed"] for row in memcpy["class_ticks"].values() if row["instances"])
-    assert memcpy["ticks_per_dram_col"] == pytest.approx(ticks / 128)
-    assert f"executed ticks per DRAM column: {ticks / 128:.2f}" in r.stdout
+    assert memcpy["ticks_per_dram_col"] == pytest.approx(ticks / cols)
+    assert f"executed ticks per DRAM column: {ticks / cols:.2f}" in r.stdout
 
 
 def test_bottleneck_report_prints_ticks_per_host_command(tmp_path):

@@ -26,13 +26,15 @@ import weakref
 
 import pytest
 
-from repro.core.build import BeethovenBuild
+from repro.core.build import BeethovenBuild, BuildMode
 from repro.core.elaboration import ElaboratedDesign
 from repro.dse import sweep_cores
 from repro.faults import FaultPlan
 from repro.faults.chaos import MODES
+from repro.kernels.attention import a3_config
 from repro.kernels.machsuite.nw import nw_config
 from repro.kernels.memcpy import memcpy_config
+from repro.kernels.vecadd import vector_add_config
 from repro.memory.scratchpad import Memory
 from repro.obs.registry import BoundMetric, MetricRegistry
 from repro.platforms import AWSF1Platform, multi_die_platform
@@ -168,6 +170,26 @@ def test_a_costed_build_constructs_one_core_per_system(monkeypatch):
     assert many["ChannelQueue"] == one["ChannelQueue"]
     assert many["Component"] == one["Component"]
     assert not {"AxiBufferNode", "AxiPipe", "IdCompressor"} & set(many)
+
+
+def test_a_costed_build_emits_verilog_from_its_plan():
+    """Emitting Verilog reads each System's template core: a costed-only
+    synthesis build emits without instantiating, and the text is the one an
+    instantiated build emits."""
+    def synthesis():
+        configs = [
+            vector_add_config(n_cores=3, name="VecAdd"),
+            memcpy_config(n_cores=2, name="Copy"),
+            a3_config(n_cores=2, dim=32, n_keys=64, name="Attn"),
+        ]
+        return BeethovenBuild(configs, AWSF1Platform(), BuildMode.Synthesis)
+
+    costed = synthesis()
+    text = costed.emit_verilog()
+    assert not costed.design._instantiated
+    live = synthesis()
+    live.design.instantiate()
+    assert live.emit_verilog() == text
 
 
 # ------------------------------------------------------------------ identity

@@ -4,8 +4,8 @@ import pytest
 
 from repro.axi import AxiParams
 from repro.memory import (
+    MasterTuning,
     Reader,
-    ReaderTuning,
     ReadRequest,
     Writer,
     WriteRequest,
@@ -145,7 +145,7 @@ def test_reader_idle_reporting():
 
 
 def test_tiny_tuning_still_functions():
-    tuning = ReaderTuning(max_txn_beats=1, n_axi_ids=1, max_in_flight=1, buffer_bytes=64)
+    tuning = MasterTuning(max_txn_beats=1, n_axi_ids=1, max_in_flight=1, buffer_bytes=64)
     reader = Reader("r", 64, PARAMS, tuning)
     tb = build_memory_testbench([reader.port])
     tb.store.write(0, bytes(range(128)) + bytes(128))

@@ -5,15 +5,14 @@ import pytest
 from repro.axi import AxiMonitor, AxiParams
 from repro.axi.types import BResp, RBeat
 from repro.memory import (
+    MasterTuning,
     Memory,
     Reader,
-    ReaderTuning,
     ReadRequest,
     Scratchpad,
     SpReq,
     split_into_bursts,
     Writer,
-    WriterTuning,
     WriteRequest,
 )
 from repro.sim import SCHEDULING_MODES, Component, Simulator
@@ -130,7 +129,7 @@ def test_reader_partial_tail_length():
 
 
 def test_reader_no_tlp_uses_single_id():
-    reader = Reader("r", 64, PARAMS, ReaderTuning(n_axi_ids=1, max_in_flight=4))
+    reader = Reader("r", 64, PARAMS, MasterTuning(n_axi_ids=1, max_in_flight=4))
     tb = build_memory_testbench([reader.port])
     drv = ReaderDriver(reader, 0, 16384)
     tb.sim.add(reader)
@@ -141,7 +140,7 @@ def test_reader_no_tlp_uses_single_id():
 
 
 def test_reader_tlp_spreads_ids():
-    reader = Reader("r", 64, PARAMS, ReaderTuning(n_axi_ids=4, max_in_flight=4))
+    reader = Reader("r", 64, PARAMS, MasterTuning(n_axi_ids=4, max_in_flight=4))
     tb = build_memory_testbench([reader.port])
     drv = ReaderDriver(reader, 0, 16384)
     tb.sim.add(reader)
@@ -152,7 +151,7 @@ def test_reader_tlp_spreads_ids():
 
 
 def test_reader_prefetch_buffer_bounds_inflight():
-    tuning = ReaderTuning(max_txn_beats=16, buffer_bytes=2048, max_in_flight=8)
+    tuning = MasterTuning(max_txn_beats=16, buffer_bytes=2048, max_in_flight=8)
     reader = Reader("r", 64, PARAMS, tuning)
     tb = build_memory_testbench([reader.port])
     drv = ReaderDriver(reader, 0, 65536)
@@ -199,7 +198,7 @@ def test_writer_partial_tail_strb():
 
 
 def test_writer_no_tlp_single_id():
-    writer = Writer("w", 64, PARAMS, WriterTuning(n_axi_ids=1))
+    writer = Writer("w", 64, PARAMS, MasterTuning(n_axi_ids=1))
     tb = build_memory_testbench([writer.port])
     drv = WriterDriver(writer, 0, b"\x55" * 16384)
     tb.sim.add(writer)
@@ -243,13 +242,13 @@ def test_reader_writer_memcpy_roundtrip():
 
 
 def test_issue_gap_spaces_bursts():
-    """The request FSM's issue gap: with ``ar_issue_gap`` and
-    ``aw_issue_gap`` at 9, no two of one master's bursts reach the
-    controller closer than 9 cycles, and some are exactly 9 apart (read on
-    the ``AxiMonitor`` records); the data still lands exactly."""
+    """The request FSM's issue gap: with ``issue_gap`` at 9, no two of one
+    master's bursts reach the controller closer than 9 cycles, and some are
+    exactly 9 apart (read on the ``AxiMonitor`` records); the data still
+    lands exactly."""
     gap = 9
-    reader = Reader("r", 64, PARAMS, ReaderTuning(max_txn_beats=4, ar_issue_gap=gap))
-    writer = Writer("w", 64, PARAMS, WriterTuning(max_txn_beats=4, aw_issue_gap=gap))
+    reader = Reader("r", 64, PARAMS, MasterTuning(max_txn_beats=4, issue_gap=gap))
+    writer = Writer("w", 64, PARAMS, MasterTuning(max_txn_beats=4, issue_gap=gap))
     tb = build_memory_testbench([reader.port, writer.port])
     pattern = bytes((i * 29 + 11) % 256 for i in range(4096))
     tb.store.write(0, pattern)
@@ -391,13 +390,13 @@ BACKPRESSURE_EXPECT = {
 def _run_stall_case(kind, scheduling, n_bursts, max_in_flight, buffer_bytes,
                     accept_from, consume_from=0):
     if kind == "read":
-        tuning = ReaderTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
-                              buffer_bytes=buffer_bytes, ar_issue_gap=GAP)
+        tuning = MasterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
+                              buffer_bytes=buffer_bytes, issue_gap=GAP)
         master = Reader("r", 64, PARAMS, tuning)
         drv = _LateReaderDriver(master, 0, 64 * n_bursts, consume_from)
     else:
-        tuning = WriterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
-                              aw_issue_gap=GAP)
+        tuning = MasterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
+                              issue_gap=GAP)
         master = Writer("w", 64, PARAMS, tuning)
         drv = WriterDriver(master, 0, bytes(64 * n_bursts))
     slave = _StubSlave(master.port, accept_from, LATENCY)

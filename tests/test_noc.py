@@ -6,7 +6,7 @@ import pytest
 
 from repro.axi import AxiParams, AxiPort
 from repro.axi.types import ARReq, AWReq, BResp, RBeat, WBeat
-from repro.memory import Reader, ReaderTuning, ReadRequest, Writer, WriteRequest
+from repro.memory import MasterTuning, Reader, ReadRequest, Writer, WriteRequest
 from repro.noc import (
     AxiBufferNode,
     AxiPipe,
@@ -138,7 +138,7 @@ def test_mixed_readers_writers_share_network():
 
 def test_id_compression_preserves_ordering_pressure():
     """Many masters folded onto few controller IDs still all complete."""
-    tuning = ReaderTuning(n_axi_ids=4, max_in_flight=4)
+    tuning = MasterTuning(n_axi_ids=4, max_in_flight=4)
     readers = [Reader(f"r{i}", 64, PARAMS, tuning) for i in range(6)]
     tb = build_memory_testbench([r.port for r in readers])
     drivers = []

@@ -2,17 +2,19 @@
 """Mutation check of the streaming-path model bodies.
 
 Each mutant below is one literal edit to one file under ``src/`` — a plausible
-modelling slip in a tick body — paired with the tier-1 test that must catch
-it.  The tool copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+modelling slip in a tick body or in the per-burst code it calls, such as the
+issue and retire half that ``Reader`` and ``Writer`` share
+(``repro.memory.master``) — paired with the tier-1 test that must catch it.  The tool copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 temporary directory, checks that every named test passes there unmutated,
 then applies the mutants one at a time and runs each one's test: the test
 must fail.
 
 The killing tests are independent oracles — cycle pins, ``bytearray`` data
-references, ``AxiMonitor`` records, the standalone DRAM timing model in
-``tests/dram_oracle.py`` and its closed-form cases — never a
-naive-vs-compiled comparison: both schedules step the same body, so a
-mutant changes both alike and such a comparison cannot see it.  A
+references, ``AxiMonitor`` records, the closed-form Reader/Writer stall
+split, the standalone DRAM timing model in ``tests/dram_oracle.py`` and its
+closed-form cases — never a naive-vs-compiled comparison: both schedules
+step the same body, so a mutant changes both alike and such a comparison
+cannot see it.  A
 scheduling hint (``next_event``, ``wake_edges``) is the exception: naive
 stepping ignores hints, so for a hint naive stepping *is* the oracle, and
 the naive-vs-compiled differential is the test that kills it.  Two
@@ -98,7 +100,7 @@ MUTANTS = (
     Mutant(
         "reader-gap-ignored",
         "src/repro/memory/reader.py",
-        "                and cycle >= self._next_ar_cycle\n",
+        "                and cycle >= self._next_issue_cycle\n",
         "",
         "tests/test_memory_primitives.py::test_issue_gap_spaces_bursts",
         "Reader: the AR issue gap is ignored",
@@ -106,10 +108,19 @@ MUTANTS = (
     Mutant(
         "writer-gap-ignored",
         "src/repro/memory/writer.py",
-        "                and cycle >= self._next_aw_cycle\n",
+        "                and cycle >= self._next_issue_cycle\n",
         "",
         "tests/test_memory_primitives.py::test_issue_gap_spaces_bursts",
         "Writer: the AW issue gap is ignored",
+    ),
+    Mutant(
+        "master-inflight-release-early",
+        "src/repro/memory/master.py",
+        "            self._inflight_ok_since = cycle + 1\n",
+        "            self._inflight_ok_since = cycle\n",
+        "tests/test_memory_primitives.py::test_stall_split_one_burst_in_flight[read-naive]",
+        "BurstMaster: a retired burst's in-flight slot is stamped free in the "
+        "cycle it retires, not the next",
     ),
     Mutant(
         "dram-strobe-dropped",
