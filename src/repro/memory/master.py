@@ -147,10 +147,10 @@ class BurstMaster(Component):
         returns the cycle booked up to.  The base master has none."""
         return t
 
-    def _issue(self, cycle: int, sub, chan: ChannelQueue) -> int:
+    def _issue(self, cycle: int, sub, chan: ChannelQueue) -> None:
         """Push ``sub``'s address on ``chan`` under the next AXI ID and book
-        the issue; returns the burst's tag.  The caller has checked that the
-        head may issue and that ``chan`` has room."""
+        the issue.  The caller has checked that the head may issue and that
+        ``chan`` has room."""
         self._attribute_stall(cycle)
         sub.axi_id = axi_id = self._next_id
         self._next_id = (axi_id + 1) % max(self.tuning.n_axi_ids, 1)
@@ -167,7 +167,6 @@ class BurstMaster(Component):
             self._span_by_tag[tag] = self.spans.axi_begin(
                 cycle, self.span_key, self.name, self._span_kind, sub.addr, sub.beats
             )
-        return tag
 
     def _retire(self, cycle: int, tag: int):
         """Close the burst ``tag`` on its last response: free its in-flight

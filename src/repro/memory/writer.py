@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from repro.axi.types import AWReq, AxiParams, WBeat
 from repro.memory.master import BurstMaster, MasterTuning
@@ -28,7 +28,7 @@ class _WrSubTxn:
     axi_id: int = 0
     tag: int = -1
     queued: bool = False  # payload carved off and waiting for / past AW
-    issued: bool = False
+    payload: bytes = b""  # the staged burst, from release until its B
     beats_sent: int = 0
     done: bool = False
 
@@ -49,8 +49,8 @@ class Writer(BurstMaster):
     _addr_req = AWReq
     _span_kind = "write"
 
-    _state = ("_requests", "_fill_buffer", "_issue_q", "_queued_payload", "_w_stream",
-              "_sub_payload", "_buffered_bytes", "bytes_accepted")
+    _state = ("_requests", "_fill_buffer", "_issue_q", "_w_stream", "_buffered_bytes",
+              "bytes_accepted")
 
     def __init__(
         self,
@@ -65,9 +65,7 @@ class Writer(BurstMaster):
         self._requests: Deque[_ActiveRequest] = deque()
         self._fill_buffer = bytearray()  # staging for the request being fed
         self._issue_q: Deque[_WrSubTxn] = deque()  # fully-buffered, awaiting AW
-        self._queued_payload: Dict[int, bytes] = {}  # id(sub) -> burst payload
         self._w_stream: Deque[_WrSubTxn] = deque()  # AW sent, W beats owed
-        self._sub_payload: Dict[int, bytes] = {}  # tag -> burst payload
         self._buffered_bytes = 0
         self.bytes_accepted = 0
         # There is no buffer gate on the AW path, so the stall split is gap /
@@ -117,7 +115,7 @@ class Writer(BurstMaster):
             if sub.queued:
                 continue
             if len(self._fill_buffer) >= sub.payload_bytes:
-                payload = bytes(self._fill_buffer[: sub.payload_bytes])
+                sub.payload = bytes(self._fill_buffer[: sub.payload_bytes])
                 del self._fill_buffer[: sub.payload_bytes]
                 sub.queued = True
                 if not self._issue_q:
@@ -125,21 +123,18 @@ class Writer(BurstMaster):
                     # new head is eligible for issue from this very cycle.
                     self._head_since = cycle
                 self._issue_q.append(sub)
-                self._queued_payload[id(sub)] = payload
             break  # only the front un-queued burst can complete
 
     def _issue_aw(self, cycle: int) -> None:
         if not self.port.aw.can_push():
             return
         sub = self._issue_q.popleft()
-        tag = self._issue(cycle, sub, self.port.aw)
-        sub.issued = True
-        self._sub_payload[tag] = self._queued_payload.pop(id(sub))
+        self._issue(cycle, sub, self.port.aw)
         self._w_stream.append(sub)
 
     def _stream_w(self) -> None:
         sub = self._w_stream[0]
-        payload = self._sub_payload[sub.tag]
+        payload = sub.payload
         beat_bytes = self.port.params.beat_bytes
         start = sub.beats_sent * beat_bytes
         chunk = payload[start : start + beat_bytes]
@@ -154,11 +149,10 @@ class Writer(BurstMaster):
             self._w_stream.popleft()
 
     def _collect_b(self, cycle: int) -> None:
-        tag = self.port.b.pop()[1].tag
-        sub = self._retire(cycle, tag)
+        sub = self._retire(cycle, self.port.b.pop()[1].tag)
         sub.done = True
+        sub.payload = b""
         self._buffered_bytes -= sub.payload_bytes
-        del self._sub_payload[tag]
 
     def _report_done(self) -> None:
         active = self._requests[0]

@@ -1,5 +1,7 @@
 """Unit and integration tests for Reader, Writer, Scratchpad and Memory."""
 
+import pickle
+
 import pytest
 
 from repro.axi import AxiMonitor, AxiParams
@@ -16,6 +18,7 @@ from repro.memory import (
     WriteRequest,
 )
 from repro.sim import SCHEDULING_MODES, Component, Simulator
+from repro.snapshot import capture_sim_state, restore_sim_state
 from repro.testing import build_memory_testbench
 
 PARAMS = AxiParams()
@@ -45,6 +48,8 @@ class ReaderDriver(Component):
 
 class WriterDriver(Component):
     """Feeds a writer with data chunks and waits for completion."""
+
+    _state = ("sent_req", "offset", "finished")
 
     def __init__(self, writer, addr, payload):
         super().__init__("wdrv")
@@ -274,8 +279,11 @@ class _StubSlave(Component):
     channels are registered).  Addresses are accepted one per cycle from
     ``accept_from`` on; a read burst's beats leave ``latency`` cycles after
     its AR was accepted, a write burst's B ``latency`` cycles after both its
-    AW and its last W beat were taken.  W beats are taken as they arrive.
+    AW and its last W beat were taken.  W beats are taken as they arrive,
+    their bytes kept in ``written``.
     """
+
+    _state = ("seen", "r_due", "aw_taken", "w_ended", "b_due", "written")
 
     def __init__(self, port, accept_from, latency):
         super().__init__("stub")
@@ -288,6 +296,7 @@ class _StubSlave(Component):
         self.aw_taken = []  # accepted AWs whose W burst has not ended
         self.w_ended = 0  # W bursts that ended before their AW was taken
         self.b_due = []
+        self.written = bytearray()
 
     def channels(self):
         return []  # the master owns and registers its port
@@ -314,7 +323,10 @@ class _StubSlave(Component):
                 self.w_ended -= 1
                 req = self.aw_taken.pop(0)
                 self.b_due.append((cycle + self.latency, (req.axi_id, BResp(True, req.tag))))
-        if port.w.can_pop() and port.w.pop().last:
+        beat = port.w.pop() if port.w.can_pop() else None
+        if beat is not None:
+            self.written += beat.data
+        if beat is not None and beat.last:
             if self.aw_taken:
                 req = self.aw_taken.pop(0)
                 self.b_due.append((cycle + self.latency, (req.axi_id, BResp(True, req.tag))))
@@ -437,6 +449,37 @@ def test_stall_split_stalled_address_sink(kind, scheduling):
     if kind == "write":
         del expect["stall_buffer_cycles"]
     assert split == expect
+
+
+@pytest.mark.parametrize("scheduling", SCHEDULING_MODES)
+def test_writer_restored_with_staged_bursts_resumes_exactly(scheduling):
+    """A Writer captured while staged bursts wait behind a held AW channel
+    resumes on a rebuilt twin exactly as the uninterrupted run: the same
+    issue and completion cycles and the same bytes on W."""
+    def build():
+        writer = Writer("w", 64, PARAMS, MasterTuning(max_txn_beats=1, max_in_flight=1))
+        drv = WriterDriver(writer, 0, bytes(range(256)) * 2)
+        slave = _StubSlave(writer.port, 30, LATENCY)
+        sim = Simulator(scheduling=scheduling)
+        for comp in (writer, drv, slave, slave.monitor):
+            sim.add(comp)
+        return sim, writer, drv, slave
+
+    def finish(sim, drv, slave):
+        sim.run(2000, until=drv.done)
+        records = [(r.issue_cycle, r.complete_cycle) for r in slave.monitor.records]
+        return sim.cycle, records, bytes(slave.written)
+
+    sim, _, drv, slave = build()
+    want = finish(sim, drv, slave)
+    assert want[2] == bytes(range(256)) * 2
+    sim, writer, _, _ = build()
+    sim.run(10)
+    assert len(writer._issue_q) > 1
+    payload = pickle.loads(pickle.dumps(capture_sim_state(sim)))
+    sim, _, drv, slave = build()
+    restore_sim_state(sim, payload)
+    assert finish(sim, drv, slave) == want
 
 
 # ----------------------------------------------------------------- scratchpad

@@ -525,7 +525,9 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     # while each of the server's 12 counters, the 9 DRAM stats and the 8
     # fault counts was a memoized metric object rather than a plain int; 301
     # while the DRAM window kept one column object per entry in an arrival
-    # dict, with active-ID sets and per-ID pipeline deques beside it.
-    assert snap.meta["objects"] == 249
+    # dict, with active-ID sets and per-ID pipeline deques beside it; 249
+    # while a Writer kept its staged burst payloads in two dicts beside the
+    # bursts.
+    assert snap.meta["objects"] == 245
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)
