@@ -44,7 +44,10 @@ class _ActiveRequest:
 
 
 class Writer(BurstMaster):
-    """Streams core data to memory; pops ``done`` when the request landed."""
+    """Streams core data to memory; pops ``done`` when the request landed.
+
+    No buffer gates the AW path, so the stall split is the base's: issue
+    gap, in-flight window, downstream backpressure."""
 
     _addr_req = AWReq
     _span_kind = "write"
@@ -68,8 +71,6 @@ class Writer(BurstMaster):
         self._w_stream: Deque[_WrSubTxn] = deque()  # AW sent, W beats owed
         self._buffered_bytes = 0
         self.bytes_accepted = 0
-        # There is no buffer gate on the AW path, so the stall split is gap /
-        # in-flight window / downstream backpressure.
 
     def channels(self):
         return [self.request, self.data, self.done] + self.port.channels()
@@ -134,10 +135,9 @@ class Writer(BurstMaster):
 
     def _stream_w(self) -> None:
         sub = self._w_stream[0]
-        payload = sub.payload
         beat_bytes = self.port.params.beat_bytes
         start = sub.beats_sent * beat_bytes
-        chunk = payload[start : start + beat_bytes]
+        chunk = sub.payload[start : start + beat_bytes]
         strb = None
         if len(chunk) < beat_bytes:
             strb = b"\x01" * len(chunk) + b"\x00" * (beat_bytes - len(chunk))
