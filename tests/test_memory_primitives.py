@@ -25,21 +25,23 @@ PARAMS = AxiParams()
 
 
 class ReaderDriver(Component):
-    """Pushes one read request and collects the data stream."""
+    """Pushes one read request and collects the data stream, popping none
+    before cycle ``start``."""
 
-    def __init__(self, reader, addr, length):
+    def __init__(self, reader, addr, length, start=0):
         super().__init__("rdrv")
         self.reader = reader
         self.req = ReadRequest(addr, length)
         self.sent = False
         self.received = bytearray()
         self.expect = length
+        self.start = start
 
     def tick(self, cycle):
         if not self.sent and self.reader.request.can_push():
             self.reader.request.push(self.req)
             self.sent = True
-        while self.reader.data.can_pop():
+        while cycle >= self.start and self.reader.data.can_pop():
             self.received.extend(self.reader.data.pop())
 
     def done(self):
@@ -343,21 +345,6 @@ class _StubSlave(Component):
                     mon.on_b(cycle, payload.tag, axi_id)
 
 
-class _LateReaderDriver(ReaderDriver):
-    """A :class:`ReaderDriver` whose consumer pops no data before ``start``."""
-
-    def __init__(self, reader, addr, length, start):
-        super().__init__(reader, addr, length)
-        self.start = start
-
-    def tick(self, cycle):
-        if not self.sent and self.reader.request.can_push():
-            self.reader.request.push(self.req)
-            self.sent = True
-        while cycle >= self.start and self.reader.data.can_pop():
-            self.received.extend(self.reader.data.pop())
-
-
 GAP, LATENCY, ACCEPT_FROM, CONSUME_FROM = 3, 4, 5, 40
 
 # Closed form, one-beat bursts, the request taken at cycle 1 and the head
@@ -405,7 +392,7 @@ def _run_stall_case(kind, scheduling, n_bursts, max_in_flight, buffer_bytes,
         tuning = MasterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
                               buffer_bytes=buffer_bytes, issue_gap=GAP)
         master = Reader("r", 64, PARAMS, tuning)
-        drv = _LateReaderDriver(master, 0, 64 * n_bursts, consume_from)
+        drv = ReaderDriver(master, 0, 64 * n_bursts, consume_from)
     else:
         tuning = MasterTuning(max_txn_beats=1, n_axi_ids=2, max_in_flight=max_in_flight,
                               issue_gap=GAP)
