@@ -3,7 +3,6 @@
 from repro._lazy import lazy_exports
 
 _LAZY = {
-    "BurstMaster": "repro.memory.master",
     "MasterTuning": "repro.memory.master",
     "Reader": "repro.memory.reader",
     "Writer": "repro.memory.writer",
