@@ -70,6 +70,12 @@ def test_bytes_transferred():
     assert out == {"read": 256, "write": 128}
 
 
+def test_fairness_index_bounds():
+    assert jain_index([1, 1, 1, 1]) == pytest.approx(1.0)
+    assert jain_index([1, 0, 0, 0]) == pytest.approx(0.25)
+    assert jain_index([]) == 1.0
+
+
 def test_hls_latency_growth_detected():
     result = run_hls_memcpy(262144)
     stats = latency_stats(result.records, "read")
