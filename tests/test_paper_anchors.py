@@ -3,7 +3,8 @@
 Every number the paper credits to Beethoven is beats moving through the
 generated AXI tree, so a change to that path that moves one of these moves a
 figure: Fig. 5's 4 KB memcpy spans and the Table III A^3 row (EXPERIMENTS.md
-has the full comparison).  The full Table III row takes a few seconds and
+has the full comparison).  The two baseline copiers' run cycles are pinned
+too, at a whole number of bursts and at a size that is not.  The full Table III row takes a few seconds and
 runs under ``-m slow``; tier-1 runs a 4-core, 16-query cut of it.
 """
 
@@ -11,7 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.memcpy_experiment import run_beethoven_memcpy, run_hls_memcpy, timeline
+from repro.baselines.memcpy_experiment import (
+    run_beethoven_memcpy,
+    run_hdl_memcpy,
+    run_hls_memcpy,
+    timeline,
+)
 from repro.kernels.attention.table3 import run_beethoven_a3
 
 
@@ -24,6 +30,21 @@ def test_fig5_memcpy_spans():
     Beethoven spreading its bursts over four."""
     assert _span(timeline(run_hls_memcpy(4096, burst_beats=16))) == 161
     assert _span(timeline(run_beethoven_memcpy(4096, tlp=True, burst_beats=16))) == 135
+
+
+def test_fig5_pure_hdl_span():
+    """Fig. 5c: one 64-beat read and one 64-beat write, directly on the
+    controller port."""
+    assert _span(timeline(run_hdl_memcpy(4096))) == 148
+
+
+@pytest.mark.parametrize("size, hdl, hls", [(65536, 2317, 2624), (100000, 3509, 4068)])
+def test_baseline_memcpy_cycles(size, hdl, hls):
+    """Fig. 4's baselines: 64 KiB is a whole number of bursts, 100000 B ends
+    on a short one."""
+    pure_hdl, vitis = run_hdl_memcpy(size), run_hls_memcpy(size)
+    assert pure_hdl.verified and vitis.verified
+    assert (pure_hdl.cycles, vitis.cycles) == (hdl, hls)
 
 
 def test_table3_a3_reduced():
