@@ -13,11 +13,11 @@ one read and one write transaction.
 
 import pytest
 
+from repro.baselines.copier import HLS, PURE_HDL
 from repro.baselines.memcpy_experiment import (
     render_timeline,
+    run_baseline_memcpy,
     run_beethoven_memcpy,
-    run_hdl_memcpy,
-    run_hls_memcpy,
     timeline,
 )
 
@@ -27,9 +27,9 @@ SIZE = 4096
 @pytest.fixture(scope="module")
 def fig5_results():
     return {
-        "hls": run_hls_memcpy(SIZE, burst_beats=16),
+        "hls": run_baseline_memcpy(SIZE, HLS),
         "beethoven": run_beethoven_memcpy(SIZE, tlp=True, burst_beats=16),
-        "pure-hdl": run_hdl_memcpy(SIZE, burst_beats=64),
+        "pure-hdl": run_baseline_memcpy(SIZE, PURE_HDL),
     }
 
 

@@ -8,12 +8,12 @@ and prints throughputs plus the Figure-5 style transaction timeline for the
 Run:  python examples/memcpy_bandwidth.py
 """
 
+from repro.baselines.copier import HLS, PURE_HDL
 from repro.baselines.memcpy_experiment import (
     render_timeline,
     run_all,
+    run_baseline_memcpy,
     run_beethoven_memcpy,
-    run_hdl_memcpy,
-    run_hls_memcpy,
 )
 
 
@@ -31,9 +31,9 @@ def main() -> None:
     print()
     print("== 4KB transaction timelines (Figure 5) ==")
     for result in (
-        run_hls_memcpy(4096, burst_beats=16),
+        run_baseline_memcpy(4096, HLS),
         run_beethoven_memcpy(4096, tlp=True, burst_beats=16),
-        run_hdl_memcpy(4096, burst_beats=64),
+        run_baseline_memcpy(4096, PURE_HDL),
     ):
         print(render_timeline(result))
         print()

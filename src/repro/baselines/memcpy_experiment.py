@@ -5,8 +5,10 @@ and reports throughput plus per-transaction timelines:
 
 * ``beethoven``      — framework-generated core, 64-beat bursts over 4 AXI IDs
 * ``beethoven-notlp``— same core, single AXI ID
-* ``pure-hdl``       — hand-written master, direct controller attach
-* ``hls``            — Vitis-style master, 16-beat bursts on one ID
+* ``pure-hdl``       — hand-written copier, direct controller attach
+* ``hls``            — Vitis-style copier, 16-beat bursts on one ID
+
+The two baselines are presets of one ``BaselineCopier`` (``baselines/copier.py``).
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.axi import AxiMonitor, AxiParams, AxiPort, MonitoredAxiPort, TxnRecord
-from repro.baselines.hdl_memcpy import HdlMemcpyMaster
-from repro.baselines.hls_memcpy import HlsMemcpyMaster
+from repro.baselines.copier import HLS, PURE_HDL, BaselineCopier, CopierPreset
 from repro.core.build import BeethovenBuild, BuildMode
 from repro.dram import DDR4_AWS_F1, MemoryController
 from repro.kernels.memcpy import memcpy_config
@@ -57,32 +58,17 @@ def _standalone_stack():
     return sim, controller, mport, monitor
 
 
-def run_hdl_memcpy(size_bytes: int, burst_beats: int = 64) -> MemcpyResult:
+def run_baseline_memcpy(size_bytes: int, preset: CopierPreset) -> MemcpyResult:
+    """One baseline copier, alone on the controller port, copying ``size_bytes``."""
     sim, controller, mport, monitor = _standalone_stack()
-    master = HdlMemcpyMaster(mport, burst_beats=burst_beats)
+    master = BaselineCopier(mport, *preset)
     sim.add(master)
     src, dst = 0x0, 0x4000_0000
     controller.store.write(src, _pattern(size_bytes))
     master.start(src, dst, size_bytes)
     start = sim.cycle
     sim.run(200 * max(size_bytes // 64, 64) + 50_000, until=lambda: master.done)
-    result = MemcpyResult("pure-hdl", size_bytes, sim.cycle - start, monitor.records)
-    result.verified = controller.store.read(dst, size_bytes) == _pattern(size_bytes)
-    return result
-
-
-def run_hls_memcpy(
-    size_bytes: int, burst_beats: int = 16, fifo_bytes: int = 4096
-) -> MemcpyResult:
-    sim, controller, mport, monitor = _standalone_stack()
-    master = HlsMemcpyMaster(mport, burst_beats=burst_beats, fifo_bytes=fifo_bytes)
-    sim.add(master)
-    src, dst = 0x0, 0x4000_0000
-    controller.store.write(src, _pattern(size_bytes))
-    master.start(src, dst, size_bytes)
-    start = sim.cycle
-    sim.run(200 * max(size_bytes // 64, 64) + 50_000, until=lambda: master.done)
-    result = MemcpyResult("hls", size_bytes, sim.cycle - start, monitor.records)
+    result = MemcpyResult(preset.name, size_bytes, sim.cycle - start, monitor.records)
     result.verified = controller.store.read(dst, size_bytes) == _pattern(size_bytes)
     return result
 
@@ -121,10 +107,10 @@ def run_beethoven_memcpy(
 def run_all(size_bytes: int) -> Dict[str, MemcpyResult]:
     """The Figure 4 comparison at one copy size."""
     return {
-        "hls": run_hls_memcpy(size_bytes),
+        "hls": run_baseline_memcpy(size_bytes, HLS),
         "beethoven": run_beethoven_memcpy(size_bytes, tlp=True),
         "beethoven-notlp": run_beethoven_memcpy(size_bytes, tlp=False),
-        "pure-hdl": run_hdl_memcpy(size_bytes),
+        "pure-hdl": run_baseline_memcpy(size_bytes, PURE_HDL),
     }
 
 

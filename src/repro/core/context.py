@@ -21,6 +21,7 @@ from repro.core.config import (
     WriteChannelConfig,
 )
 from repro.core.intra import IntraCoreLink, IntraCoreMemory
+from repro.memory.master import BurstMaster
 from repro.memory.reader import Reader
 from repro.memory.scratchpad import Scratchpad
 from repro.memory.writer import Writer
@@ -86,6 +87,7 @@ class CoreContext:
                     n_ports=cfg.n_ports,
                     latency=cfg.latency,
                     with_init=cfg.features.init_via_reader,
+                    reader_tuning=self.platform.master_tuning,
                 )
             elif isinstance(cfg, IntraCoreMemoryPortInConfig):
                 self.intra_in[cfg.name] = IntraCoreMemory(
@@ -144,17 +146,20 @@ class CoreContext:
         return self.intra_out[name]
 
     # -- elaborator-facing API -------------------------------------------------
+    def masters(self) -> List[BurstMaster]:
+        """This core's AXI masters: its Readers, its Writers, then each
+        scratchpad's init Reader."""
+        masters: List[BurstMaster] = []
+        for readers in self.readers.values():
+            masters += readers
+        for writers in self.writers.values():
+            masters += writers
+        masters += [sp.reader for sp in self.scratchpads.values() if sp.reader is not None]
+        return masters
+
     def all_axi_masters(self):
         """Every AXI master port this core contributes to the memory NoC."""
-        ports = []
-        for readers in self.readers.values():
-            ports += [r.port for r in readers]
-        for writers in self.writers.values():
-            ports += [w.port for w in writers]
-        for sp in self.scratchpads.values():
-            if sp.reader is not None:
-                ports.append(sp.reader.port)
-        return ports
+        return [master.port for master in self.masters()]
 
     def all_components(self):
         comps = []

@@ -556,15 +556,7 @@ class ElaboratedDesign:
                 key = (ecore.system_id, ecore.core_id)
                 tracker.set_track(key, ecore.path)
                 ecore.adapter.spans = tracker
-                ctx = ecore.ctx
-                masters = [r for rs in ctx.readers.values() for r in rs]
-                masters += [w for ws in ctx.writers.values() for w in ws]
-                masters += [
-                    sp.reader
-                    for sp in ctx.scratchpads.values()
-                    if sp.reader is not None
-                ]
-                for master in masters:
+                for master in ecore.ctx.masters():
                     master.spans = tracker
                     master.span_key = key
 

@@ -148,17 +148,15 @@ class FaultPlan:
                 state, "cmd/mmio", self.site_rng("cmd/mmio"),
                 self.mmio_resp_drop_rate, budget,
             )
+        from repro.memory.reader import Reader
+
         for system in design.systems:
             for ecore in system.cores:
                 key = (ecore.system_id, ecore.core_id)
-                ctx = ecore.ctx
-                masters = [r for rs in ctx.readers.values() for r in rs]
-                masters += [
-                    sp.reader for sp in ctx.scratchpads.values() if sp.reader is not None
-                ]
-                for master in masters:
-                    master._fault_state = state
-                    master._fault_key = key
+                for master in ecore.ctx.masters():
+                    if isinstance(master, Reader):  # only a Reader sees err beats
+                        master._fault_state = state
+                        master._fault_key = key
                 if self.core_hang_rate > 0:
                     self._maybe_install_hang(state, ecore)
         return state

@@ -35,10 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 13: a Reader's and a Writer's issue-gap deadline is one
-#: field, ``_next_issue_cycle``, declared by their shared base, and a
-#: Writer's staged burst keeps its payload itself).
-SNAPSHOT_VERSION = 13
+#: "Versioning"; 14: the pure-HDL and HLS memcpy masters are one
+#: ``BaselineCopier`` whose FIFO state is counted in beats).
+SNAPSHOT_VERSION = 14
 
 
 class SnapshotError(RuntimeError):

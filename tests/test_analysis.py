@@ -16,7 +16,8 @@ from repro.analysis import (
 )
 from repro.axi import AxiParams
 from repro.axi.monitor import TxnRecord
-from repro.baselines.memcpy_experiment import run_hls_memcpy
+from repro.baselines.copier import HLS
+from repro.baselines.memcpy_experiment import run_baseline_memcpy
 from repro.serve.loadgen import jain_index
 from repro.memory import Reader, ReadRequest
 from repro.sim import Component
@@ -77,7 +78,7 @@ def test_fairness_index_bounds():
 
 
 def test_hls_latency_growth_detected():
-    result = run_hls_memcpy(262144)
+    result = run_baseline_memcpy(262144, HLS)
     stats = latency_stats(result.records, "read")
     assert stats.growth > 1.5  # queueing behind the single-ID pipeline
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.baselines.copier import HLS, PURE_HDL
 from repro.baselines.delay_core import delay_config
 from repro.baselines.memcpy_experiment import (
+    run_baseline_memcpy,
     run_beethoven_memcpy,
-    run_hdl_memcpy,
-    run_hls_memcpy,
     timeline,
 )
 from repro.baselines.roofline import (
@@ -24,7 +24,7 @@ SIZE = 65536
 
 
 def test_hdl_memcpy_functional():
-    result = run_hdl_memcpy(SIZE)
+    result = run_baseline_memcpy(SIZE, PURE_HDL)
     assert result.verified
     # One outstanding transaction per direction, single AXI ID.
     ids = {r["id"] for r in timeline(result)}
@@ -32,7 +32,7 @@ def test_hdl_memcpy_functional():
 
 
 def test_hls_memcpy_functional_and_single_id():
-    result = run_hls_memcpy(SIZE)
+    result = run_baseline_memcpy(SIZE, HLS)
     assert result.verified
     rows = timeline(result)
     assert {r["id"] for r in rows} == {0}
@@ -53,9 +53,9 @@ def test_no_tlp_uses_one_read_id():
 
 
 def test_memcpy_shape_holds_at_64k():
-    hls = run_hls_memcpy(SIZE)
+    hls = run_baseline_memcpy(SIZE, HLS)
     beethoven = run_beethoven_memcpy(SIZE, tlp=True)
-    hdl = run_hdl_memcpy(SIZE)
+    hdl = run_baseline_memcpy(SIZE, PURE_HDL)
     assert hls.gbps < beethoven.gbps
     assert abs(hdl.gbps - beethoven.gbps) / beethoven.gbps < 0.15
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.copier import HLS, PURE_HDL
 from repro.baselines.memcpy_experiment import (
+    run_baseline_memcpy,
     run_beethoven_memcpy,
-    run_hdl_memcpy,
-    run_hls_memcpy,
     timeline,
 )
 from repro.kernels.attention.table3 import run_beethoven_a3
@@ -28,23 +28,39 @@ def _span(rows) -> int:
 def test_fig5_memcpy_spans():
     """Fig. 5: a 4 KB copy in 16-beat bursts, HLS on one AXI ID against
     Beethoven spreading its bursts over four."""
-    assert _span(timeline(run_hls_memcpy(4096, burst_beats=16))) == 161
+    assert _span(timeline(run_baseline_memcpy(4096, HLS))) == 161
     assert _span(timeline(run_beethoven_memcpy(4096, tlp=True, burst_beats=16))) == 135
 
 
 def test_fig5_pure_hdl_span():
     """Fig. 5c: one 64-beat read and one 64-beat write, directly on the
     controller port."""
-    assert _span(timeline(run_hdl_memcpy(4096))) == 148
+    assert _span(timeline(run_baseline_memcpy(4096, PURE_HDL))) == 148
+
+
+def _peak_in_flight(rows, kind: str) -> int:
+    """Most ``kind`` bursts between issue and completion at any one cycle."""
+    edges = sorted(e for r in rows if r["kind"] == kind
+                   for e in ((r["issue"], 1), (r["complete"], -1)))
+    depth = peak = 0
+    for _, step in edges:
+        depth += step
+        peak = max(peak, depth)
+    return peak
 
 
 @pytest.mark.parametrize("size, hdl, hls", [(65536, 2317, 2624), (100000, 3509, 4068)])
 def test_baseline_memcpy_cycles(size, hdl, hls):
     """Fig. 4's baselines: 64 KiB is a whole number of bursts, 100000 B ends
-    on a short one."""
-    pure_hdl, vitis = run_hdl_memcpy(size), run_hls_memcpy(size)
+    on a short one.  The pure-HDL copier keeps one read and one write in
+    flight; the HLS copier's 4 KiB FIFO holds four 16-beat reads in flight,
+    not the 16 its port allows."""
+    pure_hdl, vitis = run_baseline_memcpy(size, PURE_HDL), run_baseline_memcpy(size, HLS)
     assert pure_hdl.verified and vitis.verified
     assert (pure_hdl.cycles, vitis.cycles) == (hdl, hls)
+    hdl_rows, hls_rows = timeline(pure_hdl), timeline(vitis)
+    assert (_peak_in_flight(hdl_rows, "read"), _peak_in_flight(hdl_rows, "write")) == (1, 1)
+    assert _peak_in_flight(hls_rows, "read") == 4
 
 
 def test_table3_a3_reduced():

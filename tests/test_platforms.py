@@ -65,6 +65,18 @@ def test_kria_memcpy_end_to_end():
     assert dst.read() == payload
 
 
+def test_a3_runs_on_asap7_with_its_burst_cap():
+    """ASAP7 caps bursts at 32 beats; a scratchpad's init Reader issues the
+    platform's bursts like every channel Reader does."""
+    from repro.kernels.attention.table3 import run_beethoven_a3
+
+    result = run_beethoven_a3(
+        n_cores=1, queries_per_core=2, dim=32, n_keys=64, platform=Asap7Platform()
+    )
+    assert result.verified
+    assert result.cycles == 387
+
+
 def test_every_fpga_platform_elaborates_vecadd():
     for platform in (AWSF1Platform(), KriaPlatform(), SimulationPlatform()):
         build = BeethovenBuild(vector_add_config(1), platform)

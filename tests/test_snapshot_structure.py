@@ -225,19 +225,19 @@ def intra_core() -> Scenario:
 
 
 def baseline_masters() -> Scenario:
-    """The hand-written HDL and HLS copiers on one bare memory testbench."""
+    """Both baseline copier presets, pure-HDL and HLS, on one bare memory
+    testbench."""
     from repro.axi import AxiMonitor, AxiParams, AxiPort, MonitoredAxiPort
-    from repro.baselines.hdl_memcpy import HdlMemcpyMaster
-    from repro.baselines.hls_memcpy import HlsMemcpyMaster
+    from repro.baselines.copier import HLS, PURE_HDL, BaselineCopier
     from repro.dram import DDR4_AWS_F1, MemoryController
     from repro.sim import Simulator
 
     sim = Simulator()
-    for i, master_cls in enumerate((HdlMemcpyMaster, HlsMemcpyMaster)):
+    for i, preset in enumerate((PURE_HDL, HLS)):
         port = AxiPort(AxiParams(), name=f"axi{i}", depth=8)
         mport = MonitoredAxiPort(port, AxiMonitor(f"mem{i}"))
         controller = MemoryController(mport, DDR4_AWS_F1, name=f"mc{i}")
-        master = master_cls(mport, name=f"master{i}")
+        master = BaselineCopier(mport, *preset)
         for comp in (controller, master):
             sim.add(comp)
         for chan in port.channels():

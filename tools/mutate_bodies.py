@@ -179,6 +179,22 @@ MUTANTS = (
         "MemoryController enqueue: the window holds one column more than its depth",
     ),
     Mutant(
+        "copier-ignores-max-writes",
+        "src/repro/baselines/copier.py",
+        "(self.max_writes is None or self._writes_in_flight < self.max_writes)",
+        "True",
+        "tests/test_paper_anchors.py::test_baseline_memcpy_cycles",
+        "BaselineCopier: the pure-HDL preset opens a write before the last one's B",
+    ),
+    Mutant(
+        "copier-reserves-fifo-only",
+        "src/repro/baselines/copier.py",
+        "(self._reserved + beats) * beat <= self.fifo_bytes",
+        "(len(self._fifo) + beats) * beat <= self.fifo_bytes",
+        "tests/test_paper_anchors.py::test_baseline_memcpy_cycles",
+        "BaselineCopier: an AR counts banked beats but not the reads still in flight",
+    ),
+    Mutant(
         "delay-hint-late",
         "src/repro/baselines/delay_core.py",
         "return max(cycle, self._respond_at)",
