@@ -59,6 +59,15 @@ def test_beat_count_mismatch_detected():
         mport.push_r(5, (0, RBeat(b"\0" * 64, last=True, tag=req.tag)))
 
 
+def test_missing_last_on_final_beat_detected():
+    port, mon, mport = make_port()
+    req = ARReq(axi_id=0, addr=0, length=2)
+    mport.push_ar(0, req)
+    mport.push_r(5, (0, RBeat(b"\0" * 64, last=False, tag=req.tag)))
+    with pytest.raises(SimulationError, match="missing last on final beat"):
+        mport.push_r(6, (0, RBeat(b"\0" * 64, last=False, tag=req.tag)))
+
+
 def test_unknown_read_tag_detected():
     port, mon, mport = make_port()
     with pytest.raises(SimulationError, match="unknown"):

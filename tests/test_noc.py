@@ -194,6 +194,59 @@ def test_buffer_node_grants_round_robin_and_locks_w_to_aw_order(mode):
     assert w == [0, 1, 2, 0, 1, 2]
 
 
+#: Cycle at which each side starts draining what the node forwarded to it:
+#: the downstream sink takes AR, AW and W, upstream 0 takes R and B.
+RELEASE = {"ar": 6, "aw": 9, "w": 12, "r": 15, "b": 19}
+
+
+@pytest.mark.parametrize("mode", SCHEDULING_MODES)
+def test_buffer_node_stall_windows(mode):
+    """Hand-timed stall accounting on a 3-upstream node.
+
+    Every upstream queues one AR and one two-beat AW with its W beats, and
+    two R beats and two B responses wait for upstream 0.  The sink's AR, AW
+    and W and upstream 0's R and B hold one item each, and each side is
+    drained from its ``RELEASE`` cycle ``T`` on (between cycles, as a
+    registered sink pops).  Staged before cycle 0, the first items move at
+    cycle 1; every window opens at cycle 2 with the receiver full and an item
+    pending, and the release pop is committed at the end of cycle ``T``, so
+    the node sees room at ``T + 1``: ``T - 1`` stalled cycles.  After that a
+    depth-1 receiver drained between cycles takes an item every other cycle,
+    so each item after the first one out stalls one cycle more: AR and AW
+    have two upstreams left (``T - 1 + 1``), W has five beats left
+    (``T - 1 + 4``), and R and B one item each (``T - 1``)."""
+    ups = [AxiPort(PARAMS, f"u{i}") for i in range(3)]
+    down = AxiPort(PARAMS, "down")
+    for chan in (down.ar, down.aw, down.w, ups[0].r, ups[0].b):
+        chan.capacity = 1
+    node = AxiBufferNode(ups, down, child_id_bits=2)
+    sim = _hop_sim(mode, node, [*ups, down])
+    for i, up in enumerate(ups):
+        up.ar.push(ARReq(0, 0x1000 * i, 1))
+        up.aw.push(AWReq(0, 0x1000 * i, 2))
+        up.w.push(WBeat(bytes(64), False))
+        up.w.push(WBeat(bytes(64), True))
+    for _ in range(2):
+        down.r.push((0, RBeat(bytes(64), True)))
+        down.b.push((0, BResp()))
+    sinks = {"ar": down.ar, "aw": down.aw, "w": down.w, "r": ups[0].r, "b": ups[0].b}
+    while sim.cycle < 40:
+        sim.run(1)
+        for ch, chan in sinks.items():
+            if sim.cycle >= RELEASE[ch]:
+                _drain(chan)
+    t = RELEASE
+    assert node.stall_cycles == {
+        "ar": t["ar"] - 1 + 1,
+        "aw": t["aw"] - 1 + 1,
+        "w": t["w"] - 1 + 4,
+        "r": t["r"] - 1,
+        "b": t["b"] - 1,
+    }
+    assert node.forwarded == {"ar": 3, "aw": 3, "w": 6, "r": 2, "b": 2}
+    assert all(since == -1 for since in node._stall_since.values())
+
+
 @pytest.mark.parametrize("mode", SCHEDULING_MODES)
 def test_pipe_adds_exactly_its_latency(mode):
     """What an ``AxiPipe`` pops becomes pushable ``latency`` cycles later:
