@@ -11,9 +11,9 @@ every burst it records issue and completion cycles.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NoReturn, Optional
 
 from repro.axi.types import AxiPort
 from repro.sim import Component, SimulationError, Tracer, NULL_TRACER
@@ -30,6 +30,7 @@ class TxnRecord:
     issue_cycle: int
     first_data_cycle: Optional[int] = None
     complete_cycle: Optional[int] = None
+    beats: int = 0  # R beats seen so far (reads only)
 
     @property
     def latency(self) -> Optional[int]:
@@ -51,7 +52,7 @@ class AxiMonitor(Component):
     """
 
     _state = ("records", "_open_reads", "_open_writes", "_read_order", "_write_order",
-              "_read_beats_seen", "_active_read_tag", "errors")
+              "errors")
 
     def __init__(self, port_name: str, tracer: Tracer = NULL_TRACER) -> None:
         super().__init__(f"mon.{port_name}")
@@ -60,53 +61,52 @@ class AxiMonitor(Component):
         self.records: List[TxnRecord] = []
         self._open_reads: Dict[int, TxnRecord] = {}  # tag -> record
         self._open_writes: Dict[int, TxnRecord] = {}
-        self._read_order: Dict[int, Deque[int]] = defaultdict(deque)  # id -> tags
-        self._write_order: Dict[int, Deque[int]] = defaultdict(deque)
-        self._read_beats_seen: Dict[int, int] = defaultdict(int)
-        self._active_read_tag: Dict[int, Optional[int]] = {}
+        self._read_order: Dict[int, Deque[int]] = {}  # id -> tags
+        self._write_order: Dict[int, Deque[int]] = {}
         self.errors: List[str] = []
 
     # -- hooks ---------------------------------------------------------------
     def on_ar(self, cycle: int, tag: int, axi_id: int, addr: int, length: int) -> None:
         rec = TxnRecord("read", axi_id, addr, length, cycle)
         self._open_reads[tag] = rec
-        self._read_order[axi_id].append(tag)
+        self._read_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)
         self.tracer.record(cycle, self.port_name, "ar", tag)
 
     def on_r(self, cycle: int, tag: int, axi_id: int, last: bool) -> None:
-        rec = self._open_reads.get(tag)
-        if rec is None:
+        # Once per R beat on the memory port: plain-dict subscripts, and
+        # the open record counts its own beats.
+        try:
+            rec = self._open_reads[tag]
+        except KeyError:
             self._fail(f"R beat for unknown read tag {tag}")
-            return
-        order = self._read_order[axi_id]
+        try:
+            order = self._read_order[axi_id]
+        except KeyError:
+            order = None
         if not order or order[0] != tag:
             self._fail(
                 f"same-ID read reorder on id {axi_id}: beat for tag {tag} "
                 f"while tag {order[0] if order else '?'} is outstanding"
             )
-        if rec.first_data_cycle is None:
+        beats = rec.beats = rec.beats + 1
+        if beats == 1:
             rec.first_data_cycle = cycle
             self.tracer.record(cycle, self.port_name, "r_first", tag)
-        self._read_beats_seen[tag] += 1
         if last:
-            if self._read_beats_seen[tag] != rec.length:
-                self._fail(
-                    f"read tag {tag} returned {self._read_beats_seen[tag]} beats, "
-                    f"expected {rec.length}"
-                )
+            if beats != rec.length:
+                self._fail(f"read tag {tag} returned {beats} beats, expected {rec.length}")
             rec.complete_cycle = cycle
             order.popleft()
             del self._open_reads[tag]
-            del self._read_beats_seen[tag]
             self.tracer.record(cycle, self.port_name, "r_last", tag)
-        elif self._read_beats_seen[tag] >= rec.length:
+        elif beats >= rec.length:
             self._fail(f"read tag {tag} missing last on final beat")
 
     def on_aw(self, cycle: int, tag: int, axi_id: int, addr: int, length: int) -> None:
         rec = TxnRecord("write", axi_id, addr, length, cycle)
         self._open_writes[tag] = rec
-        self._write_order[axi_id].append(tag)
+        self._write_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)
         self.tracer.record(cycle, self.port_name, "aw", tag)
 
@@ -121,7 +121,7 @@ class AxiMonitor(Component):
         if rec is None:
             self._fail(f"B response for unknown write tag {tag}")
             return
-        order = self._write_order[axi_id]
+        order = self._write_order.get(axi_id)
         if not order or order[0] != tag:
             self._fail(f"same-ID write response reorder on id {axi_id}")
         else:
@@ -159,9 +159,9 @@ class AxiMonitor(Component):
         scope.bind("outstanding", self.outstanding)
         scope.bind("protocol_errors", lambda: len(self.errors))
 
-    def _fail(self, msg: str) -> None:
+    def _fail(self, msg: str) -> NoReturn:
         self.errors.append(msg)
-        raise SimulationError(f"AXI protocol violation on {self.port_name}: {msg}")
+        raise SimulationError(f"AXI protocol violation on {self.port_name}: {msg}") from None
 
     # -- analysis ----------------------------------------------------------------
     def completed(self, kind: Optional[str] = None) -> List[TxnRecord]:

@@ -19,6 +19,10 @@ from repro.noc.links import as_link
 from repro.sim import NEVER, Component, SimulationError
 
 
+#: The five AXI channels, in the order a hop serves them.
+CHANNELS = ("ar", "aw", "w", "r", "b")
+
+
 def bits_for(n: int) -> int:
     """Bits needed to number ``n`` distinct upstreams (0 for a single one)."""
     if n <= 1:
@@ -68,9 +72,8 @@ class AxiBufferNode(Component):
         # (upstream_index, beats_remaining) in downstream AW order: AXI4 write
         # data may not interleave, so W is locked to this order.
         self._w_order: Deque[Tuple[int, int]] = deque()
-        # Per-upstream count of outstanding W bursts already granted, so we
-        # never forward an AW whose W data could deadlock the lock queue.
-        self.forwarded = {"ar": 0, "aw": 0, "w": 0, "r": 0, "b": 0}
+        # Items forwarded per channel (a dropped R beat or B is not).
+        self.forwarded = dict.fromkeys(CHANNELS, 0)
         # Contention accounting (repro.obs.attribution): cycles each channel
         # spent with an item ready to forward but the receiving side full.
         # ``_stall_since[ch] >= 0`` marks an open stall window; the window is
@@ -78,15 +81,15 @@ class AxiBufferNode(Component):
         # again.  Stall windows only open while the blocking channels are
         # non-empty, so every open/close tick is executed under both
         # scheduling modes and the counters are mode-identical.
-        self.stall_cycles = {"ar": 0, "aw": 0, "w": 0, "r": 0, "b": 0}
-        self._stall_since = {"ar": -1, "aw": -1, "w": -1, "r": -1, "b": -1}
+        self.stall_cycles = dict.fromkeys(CHANNELS, 0)
+        self._stall_since = dict.fromkeys(CHANNELS, -1)
 
     @property
     def metric_path(self) -> str:
         return "noc/" + self.name.replace(".", "/")
 
     def register_metrics(self, scope) -> None:
-        for ch in ("ar", "aw", "w", "r", "b"):
+        for ch in CHANNELS:
             scope.bind(f"forwarded_{ch}", lambda ch=ch: self.forwarded[ch])
             scope.bind(f"stall_{ch}_cycles", lambda ch=ch: self.stall_cycles[ch])
         scope.bind("upstreams", lambda: len(self.upstreams))
@@ -115,7 +118,14 @@ class AxiBufferNode(Component):
         bits.  Channel endpoints, round-robin orders and ID constants are
         bound once: ``ar_rot[rr]`` is the AR visiting order from round-robin
         position ``rr`` as ``(index, channel)`` pairs (``aw_rot`` likewise);
-        ``_ar_rr`` and ``_aw_rr`` stay the state."""
+        ``_ar_rr`` and ``_aw_rr`` stay the state.
+
+        Every channel the node pops (upstream AR, AW and W, downstream R
+        and B) has it as its one consumer, so a bound ``_items`` list is
+        truthy exactly when the channel has a visible item (DESIGN.md, "One
+        consumer per popped channel").  A stall window opens only with a
+        request pending, which only this node takes, so AR and AW skip
+        their whole section while every upstream is empty."""
         ups = self.upstreams
         n = len(ups)
         up_ar = [u.ar for u in ups]
@@ -126,9 +136,14 @@ class AxiBufferNode(Component):
         up_w = [u.w for u in ups]
         up_r = [u.r for u in ups]
         up_b = [u.b for u in ups]
+        up_ar_items = tuple(chan._items for chan in up_ar)
+        up_aw_items = tuple(chan._items for chan in up_aw)
         down = self.down
         d = down.port
-        d_ar, d_aw, d_w, d_r, d_b = d.ar, d.aw, d.w, d.r, d.b
+        dar, dar_staged, dar_cap = d.ar._items, d.ar._staged, d.ar.capacity
+        daw, daw_staged, daw_cap = d.aw._items, d.aw._staged, d.aw.capacity
+        dw, dw_staged, dw_cap = d.w._items, d.w._staged, d.w.capacity
+        d_r, d_b, dr, db = d.r, d.b, d.r._items, d.b._items
         push_ar, push_aw, push_w = down.push_ar, down.push_aw, down.push_w
         child_bits = self.child_id_bits
         child_mask = (1 << child_bits) - 1
@@ -140,70 +155,66 @@ class AxiBufferNode(Component):
 
         def tick(cycle, self=self):
             # -- AR arbitration -------------------------------------------
-            if len(d_ar._items) + len(d_ar._staged) < d_ar.capacity:
-                since = stall_since["ar"]
-                if since >= 0:
-                    stall_cycles["ar"] += cycle - since
-                    stall_since["ar"] = -1
-                for idx, chan in ar_rot[self._ar_rr]:
-                    if chan._pop_count < len(chan._items):
-                        req = chan.pop()
-                        push_ar(
-                            cycle,
-                            ARReq(
-                                (idx << child_bits) | req.axi_id,
-                                req.addr,
-                                req.length,
-                                req.tag,
-                            ),
-                        )
-                        idx += 1
-                        self._ar_rr = idx if idx < n else 0
-                        forwarded["ar"] += 1
-                        break
-            elif stall_since["ar"] < 0:
-                for chan in up_ar:
-                    if chan._pop_count < len(chan._items):
-                        stall_since["ar"] = cycle
-                        break
+            if any(up_ar_items):
+                if len(dar) + len(dar_staged) < dar_cap:
+                    since = stall_since["ar"]
+                    if since >= 0:
+                        stall_cycles["ar"] += cycle - since
+                        stall_since["ar"] = -1
+                    for idx, chan in ar_rot[self._ar_rr]:
+                        if chan._items:
+                            req = chan.pop()
+                            push_ar(
+                                cycle,
+                                ARReq(
+                                    (idx << child_bits) | req.axi_id,
+                                    req.addr,
+                                    req.length,
+                                    req.tag,
+                                ),
+                            )
+                            idx += 1
+                            self._ar_rr = idx if idx < n else 0
+                            forwarded["ar"] += 1
+                            break
+                elif stall_since["ar"] < 0:
+                    stall_since["ar"] = cycle
             # -- AW arbitration -------------------------------------------
-            if len(d_aw._items) + len(d_aw._staged) < d_aw.capacity:
-                since = stall_since["aw"]
-                if since >= 0:
-                    stall_cycles["aw"] += cycle - since
-                    stall_since["aw"] = -1
-                for idx, chan in aw_rot[self._aw_rr]:
-                    if chan._pop_count < len(chan._items):
-                        req = chan.pop()
-                        push_aw(
-                            cycle,
-                            AWReq(
-                                (idx << child_bits) | req.axi_id,
-                                req.addr,
-                                req.length,
-                                req.tag,
-                            ),
-                        )
-                        w_order.append((idx, req.length))
-                        idx += 1
-                        self._aw_rr = idx if idx < n else 0
-                        forwarded["aw"] += 1
-                        break
-            elif stall_since["aw"] < 0:
-                for chan in up_aw:
-                    if chan._pop_count < len(chan._items):
-                        stall_since["aw"] = cycle
-                        break
+            if any(up_aw_items):
+                if len(daw) + len(daw_staged) < daw_cap:
+                    since = stall_since["aw"]
+                    if since >= 0:
+                        stall_cycles["aw"] += cycle - since
+                        stall_since["aw"] = -1
+                    for idx, chan in aw_rot[self._aw_rr]:
+                        if chan._items:
+                            req = chan.pop()
+                            push_aw(
+                                cycle,
+                                AWReq(
+                                    (idx << child_bits) | req.axi_id,
+                                    req.addr,
+                                    req.length,
+                                    req.tag,
+                                ),
+                            )
+                            w_order.append((idx, req.length))
+                            idx += 1
+                            self._aw_rr = idx if idx < n else 0
+                            forwarded["aw"] += 1
+                            break
+                elif stall_since["aw"] < 0:
+                    stall_since["aw"] = cycle
             # -- W streaming (locked to AW order) -------------------------
             if w_order:
                 idx, remaining = w_order[0]
                 chan = up_w[idx]
-                if len(d_w._items) + len(d_w._staged) < d_w.capacity:
+                if len(dw) + len(dw_staged) < dw_cap:
                     since = stall_since["w"]
                     if since >= 0:
                         stall_cycles["w"] += cycle - since
                         stall_since["w"] = -1
-                    if chan._pop_count < len(chan._items):
+                    if chan._items:
                         beat = chan.pop()
                         push_w(cycle, beat)
                         remaining -= 1
@@ -216,11 +227,11 @@ class AxiBufferNode(Component):
                             w_order.popleft()
                         else:
                             w_order[0] = (idx, remaining)
-                elif stall_since["w"] < 0 and chan._pop_count < len(chan._items):
+                elif stall_since["w"] < 0 and chan._items:
                     stall_since["w"] = cycle
             # -- R routing ------------------------------------------------
-            if d_r._pop_count < len(d_r._items):
-                axi_id, beat = d_r._items[d_r._pop_count]
+            if dr:
+                axi_id, beat = dr[0]
                 idx = axi_id >> child_bits
                 if idx >= n:
                     raise SimulationError(
@@ -242,8 +253,8 @@ class AxiBufferNode(Component):
                 elif stall_since["r"] < 0:
                     stall_since["r"] = cycle
             # -- B routing ------------------------------------------------
-            if d_b._pop_count < len(d_b._items):
-                axi_id, resp = d_b._items[d_b._pop_count]
+            if db:
+                axi_id, resp = db[0]
                 idx = axi_id >> child_bits
                 if idx >= n:
                     raise SimulationError(
@@ -283,7 +294,9 @@ class AxiPipe(Component):
         self.up = upstream
         self.down = as_link(downstream)
         self.latency = latency
-        self._delay: dict = {ch: deque() for ch in ("ar", "aw", "w", "r", "b")}
+        # One delay line per channel, in CHANNELS order.  A restore refills
+        # these deques in place, so whatever binds them stays valid.
+        self._delay: Tuple[Deque, ...] = tuple(deque() for _ in CHANNELS)
 
     @property
     def metric_path(self) -> str:
@@ -291,14 +304,14 @@ class AxiPipe(Component):
 
     def register_metrics(self, scope) -> None:
         scope.bind("latency", lambda: self.latency)
-        for ch in ("ar", "aw", "w", "r", "b"):
-            scope.bind(f"in_flight_{ch}", lambda ch=ch: len(self._delay[ch]))
+        for i, ch in enumerate(CHANNELS):
+            scope.bind(f"in_flight_{ch}", lambda i=i: len(self._delay[i]))
 
     def next_event(self, cycle: int) -> float:
         """Sleep until the oldest in-flight item matures out of a delay line;
         ingest is channel-reactive."""
         best = NEVER
-        for q in self._delay.values():
+        for q in self._delay:
             if q:
                 due = q[0][0]
                 if due < best:
@@ -315,50 +328,46 @@ class AxiPipe(Component):
         """The tick: ingest one item per channel into its delay line (due
         ``latency`` cycles later), then drain each line's matured head where
         the receiving channel has room — AR, AW, W, R, B in that order, with
-        delay deques and channel endpoints bound once."""
+        delay deques and channel endpoints bound once.  The pipe is the one
+        consumer of every channel it ingests from, so a bound ``_items``
+        list is truthy exactly when that channel has a visible item."""
         up = self.up
         down = self.down
         d = down.port
         latency = self.latency
-        delay = self._delay
-        q_ar, q_aw, q_w, q_r, q_b = (
-            delay["ar"], delay["aw"], delay["w"], delay["r"], delay["b"]
-        )
+        q_ar, q_aw, q_w, q_r, q_b = self._delay
         u_ar, u_aw, u_w, u_r, u_b = up.ar, up.aw, up.w, up.r, up.b
-        d_ar, d_aw, d_w, d_r, d_b = d.ar, d.aw, d.w, d.r, d.b
+        d_r, d_b = d.r, d.b
+        in_ar, in_aw, in_w = u_ar._items, u_aw._items, u_w._items
+        in_r, in_b = d_r._items, d_b._items
+        dar, dar_staged, dar_cap = d.ar._items, d.ar._staged, d.ar.capacity
+        daw, daw_staged, daw_cap = d.aw._items, d.aw._staged, d.aw.capacity
+        dw, dw_staged, dw_cap = d.w._items, d.w._staged, d.w.capacity
+        ur, ur_staged, ur_cap = u_r._items, u_r._staged, u_r.capacity
+        ub, ub_staged, ub_cap = u_b._items, u_b._staged, u_b.capacity
         push_ar, push_aw, push_w = down.push_ar, down.push_aw, down.push_w
 
         def tick(cycle):
             due = cycle + latency
-            if u_ar._pop_count < len(u_ar._items):
+            if in_ar:
                 q_ar.append((due, u_ar.pop()))
-            if u_aw._pop_count < len(u_aw._items):
+            if in_aw:
                 q_aw.append((due, u_aw.pop()))
-            if u_w._pop_count < len(u_w._items):
+            if in_w:
                 q_w.append((due, u_w.pop()))
-            if d_r._pop_count < len(d_r._items):
+            if in_r:
                 q_r.append((due, d_r.pop()))
-            if d_b._pop_count < len(d_b._items):
+            if in_b:
                 q_b.append((due, d_b.pop()))
-            if q_ar and q_ar[0][0] <= cycle and (
-                len(d_ar._items) + len(d_ar._staged) < d_ar.capacity
-            ):
+            if q_ar and q_ar[0][0] <= cycle and len(dar) + len(dar_staged) < dar_cap:
                 push_ar(cycle, q_ar.popleft()[1])
-            if q_aw and q_aw[0][0] <= cycle and (
-                len(d_aw._items) + len(d_aw._staged) < d_aw.capacity
-            ):
+            if q_aw and q_aw[0][0] <= cycle and len(daw) + len(daw_staged) < daw_cap:
                 push_aw(cycle, q_aw.popleft()[1])
-            if q_w and q_w[0][0] <= cycle and (
-                len(d_w._items) + len(d_w._staged) < d_w.capacity
-            ):
+            if q_w and q_w[0][0] <= cycle and len(dw) + len(dw_staged) < dw_cap:
                 push_w(cycle, q_w.popleft()[1])
-            if q_r and q_r[0][0] <= cycle and (
-                len(u_r._items) + len(u_r._staged) < u_r.capacity
-            ):
+            if q_r and q_r[0][0] <= cycle and len(ur) + len(ur_staged) < ur_cap:
                 u_r.push(q_r.popleft()[1])
-            if q_b and q_b[0][0] <= cycle and (
-                len(u_b._items) + len(u_b._staged) < u_b.capacity
-            ):
+            if q_b and q_b[0][0] <= cycle and len(ub) + len(ub_staged) < ub_cap:
                 u_b.push(q_b.popleft()[1])
 
         return tick

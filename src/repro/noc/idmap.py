@@ -43,12 +43,21 @@ class IdCompressor(Component):
     def compile_tick(self):
         """The tick: five forwarding lanes, each moving one item when its
         source has one and its sink has room.  AR and AW fold the wide ID to
-        ``wide % n_ids`` and remember it by tag; R and B restore it."""
+        ``wide % n_ids`` and remember it by tag; R and B restore it.  The
+        compressor is the one consumer of every source lane, so a bound
+        ``_items`` list is truthy exactly when it has a visible item."""
         up = self.up
         down = self.down
         d = down.port
         u_ar, u_aw, u_w, u_r, u_b = up.ar, up.aw, up.w, up.r, up.b
-        d_ar, d_aw, d_w, d_r, d_b = d.ar, d.aw, d.w, d.r, d.b
+        d_r, d_b = d.r, d.b
+        in_ar, in_aw, in_w = u_ar._items, u_aw._items, u_w._items
+        in_r, in_b = d_r._items, d_b._items
+        dar, dar_staged, dar_cap = d.ar._items, d.ar._staged, d.ar.capacity
+        daw, daw_staged, daw_cap = d.aw._items, d.aw._staged, d.aw.capacity
+        dw, dw_staged, dw_cap = d.w._items, d.w._staged, d.w.capacity
+        ur, ur_staged, ur_cap = u_r._items, u_r._staged, u_r.capacity
+        ub, ub_staged, ub_cap = u_b._items, u_b._staged, u_b.capacity
         push_ar, push_aw, push_w = down.push_ar, down.push_aw, down.push_w
         n_ids = self.n_ids
         read_orig = self._read_orig
@@ -56,25 +65,17 @@ class IdCompressor(Component):
         name = self.name
 
         def tick(cycle):
-            if u_ar._pop_count < len(u_ar._items) and (
-                len(d_ar._items) + len(d_ar._staged) < d_ar.capacity
-            ):
+            if in_ar and len(dar) + len(dar_staged) < dar_cap:
                 req = u_ar.pop()
                 read_orig[req.tag] = req.axi_id
                 push_ar(cycle, ARReq(req.axi_id % n_ids, req.addr, req.length, req.tag))
-            if u_aw._pop_count < len(u_aw._items) and (
-                len(d_aw._items) + len(d_aw._staged) < d_aw.capacity
-            ):
+            if in_aw and len(daw) + len(daw_staged) < daw_cap:
                 req = u_aw.pop()
                 write_orig[req.tag] = req.axi_id
                 push_aw(cycle, AWReq(req.axi_id % n_ids, req.addr, req.length, req.tag))
-            if u_w._pop_count < len(u_w._items) and (
-                len(d_w._items) + len(d_w._staged) < d_w.capacity
-            ):
+            if in_w and len(dw) + len(dw_staged) < dw_cap:
                 push_w(cycle, u_w.pop())
-            if d_r._pop_count < len(d_r._items) and (
-                len(u_r._items) + len(u_r._staged) < u_r.capacity
-            ):
+            if in_r and len(ur) + len(ur_staged) < ur_cap:
                 beat = d_r.pop()[1]
                 orig = read_orig.get(beat.tag)
                 if orig is None:
@@ -84,9 +85,7 @@ class IdCompressor(Component):
                 u_r.push((orig, beat))
                 if beat.last:
                     del read_orig[beat.tag]
-            if d_b._pop_count < len(d_b._items) and (
-                len(u_b._items) + len(u_b._staged) < u_b.capacity
-            ):
+            if in_b and len(ub) + len(ub_staged) < ub_cap:
                 resp = d_b.pop()[1]
                 orig = write_orig.pop(resp.tag, None)
                 if orig is None:

@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 14: the pure-HDL and HLS memcpy masters are one
-#: ``BaselineCopier`` whose FIFO state is counted in beats).
-SNAPSHOT_VERSION = 14
+#: "Versioning"; 15: an AXI monitor's open read record counts its own R
+#: beats, and an ``AxiPipe`` holds its five delay lines in a tuple).
+SNAPSHOT_VERSION = 15
 
 
 class SnapshotError(RuntimeError):

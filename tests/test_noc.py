@@ -247,6 +247,88 @@ def test_buffer_node_stall_windows(mode):
     assert all(since == -1 for since in node._stall_since.values())
 
 
+def _sole_consumer_channels(hop):
+    """The channels a hop's tick tests by the truthiness of ``_items``:
+    every one it pops, upstream AR, AW and W and downstream R and B."""
+    ups = hop.upstreams if isinstance(hop, AxiBufferNode) else [hop.up]
+    d = hop.down.port
+    return [*(c for u in ups for c in (u.ar, u.aw, u.w)), d.r, d.b]
+
+
+def _stream_design(active, size):
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import SimulationPlatform
+
+    build = BeethovenBuild(memcpy_config(n_cores=32), SimulationPlatform(), scheduling="naive")
+    return build, [(core, size) for core in range(active)]
+
+
+def _faulty_design(active, size):
+    from repro.core.build import BeethovenBuild
+    from repro.faults import FaultPlan
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import AWSF1Platform
+
+    plan = FaultPlan(seed=5, axi_r_corrupt_rate=0.05, dram_read_flip_rate=0.02,
+                     max_faults_per_site=4)
+    build = BeethovenBuild(memcpy_config(n_cores=4), AWSF1Platform(), scheduling="naive",
+                           faults=plan)
+    return build, [(core, size) for core in range(active)]
+
+
+@pytest.mark.parametrize(
+    "make, active, size",
+    [(_stream_design, 32, 2048), (_stream_design, 1, 32768), (_faulty_design, 4, 8192)],
+    ids=["memcpy32_dense", "memcpy32_sparse", "memcpy4_faults"],
+)
+def test_every_hop_is_the_one_consumer_of_what_it_pops(make, active, size):
+    """The rule the hop bodies rest on: a channel popped by exactly one
+    component has ``_pop_count == 0`` whenever that component's tick starts
+    (a commit resets it, and a consumer ticks at most once per cycle), so
+    the tick may read "has a visible item" off the bound ``_items`` list.
+    Every hop tick is wrapped and checked at entry on the stream shapes
+    and on a design whose buffer nodes corrupt and drop responses."""
+    from repro.runtime import FpgaHandle
+
+    build, copies = make(active, size)
+    design = build.design
+    sim = design.sim
+    entered = dict.fromkeys((AxiBufferNode, AxiPipe, IdCompressor), 0)
+
+    def guard(hop):
+        body, chans = hop.tick_body(), _sole_consumer_channels(hop)
+
+        def tick(cycle):
+            busy = [c.name for c in chans if c._pop_count]
+            assert not busy, f"{hop.name} at cycle {cycle}: {busy} already popped"
+            entered[type(hop)] += 1
+            body(cycle)
+
+        hop._tick_body = tick
+
+    for comp in sim._components:
+        if type(comp) in entered:
+            guard(comp)
+    handle = FpgaHandle(design)
+    src = handle.malloc(size)
+    src.write(bytes(range(256)) * (size // 256))
+    handle.copy_to_fpga(src)
+    futs = [
+        handle.call("Memcpy", "memcpy", core, src=src.fpga_addr,
+                    dst=handle.malloc(n).fpga_addr, len_bytes=n)
+        for core, n in copies
+    ]
+    while not all(fut.done for fut in futs) and handle.cycle < 20_000:
+        handle.run_cycles(200)
+    assert all(fut.done for fut in futs)
+    assert all(entered.values()), entered
+    reads = design.monitor.completed("read")
+    assert sum(rec.length for rec in reads) * 64 >= len(copies) * size
+    if design.faults is not None:
+        assert design.faults.events  # the hooks fired on the guarded path
+
+
 @pytest.mark.parametrize("mode", SCHEDULING_MODES)
 def test_pipe_adds_exactly_its_latency(mode):
     """What an ``AxiPipe`` pops becomes pushable ``latency`` cycles later:

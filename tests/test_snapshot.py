@@ -923,7 +923,7 @@ def _hop_payloads(sim) -> set:
             continue
         items = [it for ch in comp.wake_channels() for it in (*ch._items, *ch._staged)]
         if isinstance(comp, AxiPipe):
-            items += [it for q in comp._delay.values() for _due, it in q]
+            items += [it for q in comp._delay for _due, it in q]
         found.update((type(comp).__name__, k) for k in map(kind, items) if k)
     return found
 
@@ -996,6 +996,58 @@ def test_payloads_in_flight_on_every_hop_class_resume_bit_identically(tmp_path):
             # Thawed with their classes: the same payload kinds on the same hops.
             assert _hop_payloads(build.design.sim) == in_flight[stop]
             assert outcome(build, handle, futs, dsts) == reference, (stop, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_restored_pipe_keeps_its_delay_lines_and_drains_like_the_live_one(mode):
+    """``AxiPipe`` binds its delay-line deques (its tick closure and its
+    ``next_event`` walk them), and a restore refills them in place: captured
+    with items in flight and restored into a rebuild, every pipe holds the
+    very deques it was built with, and from there its hint and what it
+    drains, cycle by cycle, equal the uninterrupted run's (up to the
+    transaction tags of requests issued after the capture, which a
+    process-wide counter numbers)."""
+    from repro.axi import ARReq, AWReq, WBeat
+    from repro.noc.axi_node import AxiPipe
+    from repro.snapshot import capture, restore
+
+    def untagged(item):
+        if isinstance(item, (ARReq, AWReq)):
+            return type(item).__name__, item.axi_id, item.addr, item.length
+        if isinstance(item, WBeat):
+            return item
+        axi_id, payload = item
+        return axi_id, payload._replace(tag=-1)
+
+    def pipes(build):
+        return [c for c in build.design.sim._components if isinstance(c, AxiPipe)]
+
+    def in_flight(build):
+        return sum(len(q) for pipe in pipes(build) for q in pipe._delay)
+
+    def trace(build, handle, cycles):
+        steps = []
+        for _ in range(cycles):
+            handle.run_cycles(1)
+            for pipe in pipes(build):
+                d, u = pipe.down.port, pipe.up
+                drained = [[*map(untagged, ch._items)] for ch in (d.ar, d.aw, d.w, u.r, u.b)]
+                steps.append((pipe.next_event(handle.cycle), drained))
+        return steps
+
+    build, handle, _futs, _ = _memcpy2_submitted(mode)
+    while not in_flight(build):
+        handle.run_cycles(1)
+    snap = capture(handle)
+    reference = trace(build, handle, 300)
+
+    build, handle, _futs, _ = _memcpy2_submitted(mode)
+    built = [pipe._delay for pipe in pipes(build)]
+    restore(handle, snap)
+    assert in_flight(build)
+    for lines, pipe in zip(built, pipes(build)):
+        assert all(a is b for a, b in zip(lines, pipe._delay, strict=True))
+    assert trace(build, handle, 300) == reference
 
 
 def test_naive_restore_into_the_live_simulator_rebuilds_the_tick_bodies():

@@ -527,7 +527,9 @@ def test_capture_freezes_a_pinned_number_of_objects(mode):
     # while the DRAM window kept one column object per entry in an arrival
     # dict, with active-ID sets and per-ID pipeline deques beside it; 249
     # while a Writer kept its staged burst payloads in two dicts beside the
-    # bursts.
-    assert snap.meta["objects"] == 245
+    # bursts; 245 while the AXI monitor kept per-tag R beat counts and an
+    # unused active-tag table beside its open records and each SLR pipe held
+    # its delay lines in a dict.
+    assert snap.meta["objects"] == 241
     (state,) = [s for name, s in snap.payload["sim"]["components"] if name == mc.name]
     assert "WBeat" not in _frozen_classes(state)

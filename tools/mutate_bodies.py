@@ -60,18 +60,34 @@ MUTANTS = (
     Mutant(
         "node-ar-rr-stuck",
         "src/repro/noc/axi_node.py",
-        "                        self._ar_rr = idx if idx < n else 0\n",
-        "                        pass\n",
+        "                            self._ar_rr = idx if idx < n else 0\n",
+        "                            pass\n",
         "tests/test_noc.py::test_buffer_node_grants_round_robin_and_locks_w_to_aw_order[naive]",
         "AxiBufferNode: the AR round-robin pointer is never advanced",
     ),
     Mutant(
         "node-aw-rr-stuck",
         "src/repro/noc/axi_node.py",
-        "                        self._aw_rr = idx if idx < n else 0\n",
-        "                        pass\n",
+        "                            self._aw_rr = idx if idx < n else 0\n",
+        "                            pass\n",
         "tests/test_noc.py::test_buffer_node_grants_round_robin_and_locks_w_to_aw_order[naive]",
         "AxiBufferNode: the AW round-robin pointer is never advanced",
+    ),
+    Mutant(
+        "node-ar-gate-first-upstream",
+        "src/repro/noc/axi_node.py",
+        "            if any(up_ar_items):\n",
+        "            if up_ar_items[0]:\n",
+        "tests/test_noc.py::test_buffer_node_grants_round_robin_and_locks_w_to_aw_order[naive]",
+        "AxiBufferNode: the AR section runs only while the first upstream has a request",
+    ),
+    Mutant(
+        "node-ar-stall-never-opens",
+        "src/repro/noc/axi_node.py",
+        '                    stall_since["ar"] = cycle\n',
+        "                    pass\n",
+        "tests/test_noc.py::test_buffer_node_stall_windows[naive]",
+        "AxiBufferNode: a blocked AR request opens no stall window",
     ),
     Mutant(
         "node-w-lock-held",
