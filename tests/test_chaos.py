@@ -13,6 +13,8 @@ acceptance floor) is marked ``slow``.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import asdict
 
 import pytest
@@ -68,6 +70,17 @@ def test_full_population_holds_the_contract():
     test_contract_no_hangs_no_silent_corruption(population)
     test_recovery_paths_actually_exercised(population)
     test_outcome_identical_across_scheduling_modes(population)
+
+
+#: sha256 of the slice's outcome records.  Cross-mode and rerun identity
+#: both survive a change to a scenario's size, plan or call order; this pin
+#: does not.
+SLICE_DIGEST = "ac8c33fac642180819b50bf144d7fddb308a9db228a011b711ca0eac76ac309c"
+
+
+def test_slice_outcomes_are_pinned(sweep):
+    records = json.dumps([asdict(o) for o in sweep], sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == SLICE_DIGEST
 
 
 def test_contract_no_hangs_no_silent_corruption(sweep):
