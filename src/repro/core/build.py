@@ -21,7 +21,7 @@ from repro.core.config import AcceleratorConfig, as_config_list
 from repro.core.elaboration import ElaboratedDesign
 from repro.obs.config import Observability
 from repro.platforms.base import Platform
-from repro.sim import DEFAULT_SCHEDULING, Tracer
+from repro.sim import DEFAULT_SCHEDULING
 
 
 class BuildMode(enum.Enum):
@@ -49,7 +49,6 @@ class BeethovenBuild:
         configs: Union[AcceleratorConfig, Sequence[AcceleratorConfig]],
         platform: Platform,
         build_mode: BuildMode = BuildMode.Simulation,
-        tracer: Optional[Tracer] = None,
         observability: Optional["Observability"] = None,
         scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
@@ -61,7 +60,6 @@ class BeethovenBuild:
         self.design = ElaboratedDesign(
             self.configs,
             platform,
-            tracer,
             observability=observability,
             scheduling=scheduling,
             faults=faults,

@@ -144,7 +144,6 @@ class ElaboratedDesign:
         self,
         configs,
         platform: Platform,
-        tracer: Optional[Tracer] = None,
         observability: Optional["Observability"] = None,
         scheduling: str = DEFAULT_SCHEDULING,
         faults=None,
@@ -159,7 +158,7 @@ class ElaboratedDesign:
         self.observability = (
             observability if observability is not None else Observability()
         )
-        self.tracer = tracer or Tracer(max_events=self.observability.max_events)
+        self.tracer = Tracer(max_events=self.observability.max_events)
         # Span tracking follows one command across the server, adapter and
         # memory ports.
         self.span_tracker = (

@@ -15,15 +15,22 @@ classifies the outcome:
 The contract the sweep asserts: every seeded schedule terminates bounded in
 one of the first three outcomes, under both scheduling modes (the naive
 oracle and the compiled production loop), and a given seed produces the
-same fault schedule and final cycle count in both.  ``run_empty_plan_differential`` additionally proves the empty plan
-is a strict no-op (stable metrics and final cycles bit-identical to a build
-with no plan at all).
+same fault schedule and final cycle count in both.
+``run_empty_plan_differential`` additionally proves the empty plan is a
+strict no-op (stable metrics and final cycles bit-identical to a build with
+no plan at all).
+
+A scenario is a build preset plus a drive.  :func:`memcpy_scenario` is the
+one memcpy builder (the sweep's, the differential's and the checkpoint
+scenario's presets differ only in size, core count, plan and watchdog), and
+:func:`run_scene` is the one runner: it drives a built scene, catches what
+escapes and classifies the run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.errors import FaultError
@@ -32,7 +39,6 @@ from repro.runtime.server import WatchdogConfig
 from repro.sim import SCHEDULING_MODES, DeadlockError
 
 MODES: Tuple[str, ...] = SCHEDULING_MODES
-SCENARIOS: Tuple[str, ...] = ("memcpy", "fig6", "serving", "checkpoint")
 
 #: Outcomes the robustness contract allows.
 GOOD_OUTCOMES = ("ok", "degraded", "error")
@@ -97,13 +103,23 @@ def default_plan(seed: int, intensity: float = 1.0) -> FaultPlan:
     )
 
 
-def _classify(handle, errors: List[str], corrupt: bool, unexpected: str = "") -> Tuple[str, str]:
-    if unexpected:
-        return "unexpected", unexpected
-    if corrupt:
+@dataclass
+class _Verdict:
+    """What a drive observed: per-step typed errors, wrong output, and an
+    untyped escape (the last two are contract violations)."""
+
+    errors: List[str] = field(default_factory=list)
+    corrupt: bool = False
+    unexpected: str = ""
+
+
+def _classify(handle, v: _Verdict) -> Tuple[str, str]:
+    if v.unexpected:
+        return "unexpected", v.unexpected
+    if v.corrupt:
         return "corrupt", "output mismatch with no error raised"
-    if errors:
-        return "error", "; ".join(errors)
+    if v.errors:
+        return "error", "; ".join(v.errors)
     server = handle.server
     recovered = (
         server.retries
@@ -114,10 +130,32 @@ def _classify(handle, errors: List[str], corrupt: bool, unexpected: str = "") ->
     return ("degraded" if recovered else "ok"), ""
 
 
-def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
+def run_scene(
+    scenario: str,
+    mode: str,
+    seed: int,
+    scene: tuple,
+    drive: Callable[[tuple, _Verdict], None],
+    review: Optional[Callable[[tuple, _Verdict], None]] = None,
+) -> ChaosOutcome:
+    """The one scenario runner: drive a built ``scene`` (``(build, handle,
+    ...)``), turn what escapes into a typed error or an untyped violation,
+    let ``review`` inspect the scene afterwards, and classify."""
+    from repro.serve.errors import ServeError
+
+    handle = scene[1]
+    v = _Verdict()
+    try:
+        drive(scene, v)
+    except (FaultError, DeadlockError, ServeError) as exc:
+        v.errors.append(type(exc).__name__)
+    except Exception as exc:  # noqa: BLE001 — untyped escape = violation
+        v.unexpected = f"{type(exc).__name__}: {exc}"
+    if review is not None:
+        review(scene, v)
+    outcome, error = _classify(handle, v)
     server = handle.server
     faults = handle.faults
-    fingerprint = faults.fingerprint() if faults is not None else ""
     return ChaosOutcome(
         scenario=scenario,
         mode=mode,
@@ -126,7 +164,7 @@ def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
         error=error,
         cycles=handle.design.sim.cycle,
         n_faults=len(faults.events) if faults is not None else 0,
-        fingerprint=fingerprint,
+        fingerprint=faults.fingerprint() if faults is not None else "",
         timeouts=server.timeouts,
         retries=server.retries,
         quarantines=server.quarantines,
@@ -135,28 +173,27 @@ def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
     )
 
 
-def run_memcpy_chaos(
-    seed: int,
-    mode: str,
-    plan: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> ChaosOutcome:
-    """Memcpy through the full stack (host -> MMIO -> cores -> DRAM) under
-    a seeded fault schedule; one command per core so quarantine-and-reroute
-    can finish the work on the surviving core."""
+# ----------------------------------------------------------------- memcpy
+def memcpy_scenario(mode: str, seed: int, *, size: int, n_cores: int, faults, watchdog):
+    """Memcpy on AWS F1 with the host setup done and one copy per core
+    issued: ``(build, handle, futs, dsts, pattern)``.
+
+    One source buffer holds a seeded pattern; core ``c`` copies it to
+    ``dsts[c]``.  Two calls with the same arguments build identical
+    skeletons and command uids, which is the replay a snapshot restore
+    needs.
+    """
     from repro.core.build import BeethovenBuild
     from repro.kernels.memcpy import memcpy_config
     from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
 
-    plan = plan if plan is not None else default_plan(seed)
-    size, n_cores = 1024, 2
     build = BeethovenBuild(
         memcpy_config(n_cores=n_cores),
         AWSF1Platform(),
         scheduling=mode,
-        faults=plan,
-        watchdog=watchdog or CHAOS_WATCHDOG,
+        faults=faults,
+        watchdog=watchdog,
     )
     handle = FpgaHandle(build.design)
     pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(size))
@@ -164,79 +201,90 @@ def run_memcpy_chaos(
     dsts = [handle.malloc(size) for _ in range(n_cores)]
     src.write(pattern)
     handle.copy_to_fpga(src)
-    errors: List[str] = []
-    corrupt = False
-    unexpected = ""
-    try:
-        futs = [
-            handle.call(
-                "Memcpy", "memcpy", c,
-                src=src.fpga_addr, dst=dsts[c].fpga_addr, len_bytes=size,
-            )
-            for c in range(n_cores)
-        ]
-        for c, fut in enumerate(futs):
-            try:
-                fut.get(max_cycles=400_000)
-            except (FaultError, DeadlockError) as exc:
-                errors.append(f"core{c}: {type(exc).__name__}")
-                continue
-            handle.copy_from_fpga(dsts[c])
-            if dsts[c].read() != pattern:
-                corrupt = True
-    except (FaultError, DeadlockError) as exc:
-        errors.append(type(exc).__name__)
-    except Exception as exc:  # noqa: BLE001 — untyped escape = violation
-        unexpected = f"{type(exc).__name__}: {exc}"
-    outcome, error = _classify(handle, errors, corrupt, unexpected)
-    return _outcome("memcpy", mode, seed, handle, outcome, error)
+    futs = [
+        handle.call(
+            "Memcpy", "memcpy", c,
+            src=src.fpga_addr, dst=dsts[c].fpga_addr, len_bytes=size,
+        )
+        for c in range(n_cores)
+    ]
+    return build, handle, futs, dsts, pattern
 
 
-def run_fig6_chaos(
-    seed: int,
-    mode: str,
-    plan: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> ChaosOutcome:
-    """The Figure-6 measured model (DelayCore rounds through the runtime
-    server) under fault injection — exercises the command path, the
-    watchdog, and hang quarantine with no memory traffic at all."""
+def check_copies(scene: tuple, v: _Verdict, max_cycles: Optional[int] = None) -> None:
+    """Settle each core's copy and compare it with the pattern.
+
+    With ``max_cycles`` each future is waited on for that long; without it
+    the run is over, and a copy still in flight is an ``Unfinished`` error.
+    A typed error is recorded against its core.
+    """
+    _, handle, futs, dsts, pattern = scene
+    for c, fut in enumerate(futs):
+        if max_cycles is None and not fut.done:
+            v.errors.append(f"core{c}: Unfinished")
+            continue
+        try:
+            fut.get(max_cycles=max_cycles) if max_cycles else fut.try_get()
+        except (FaultError, DeadlockError) as exc:
+            v.errors.append(f"core{c}: {type(exc).__name__}")
+            continue
+        handle.copy_from_fpga(dsts[c])
+        if dsts[c].read() != pattern:
+            v.corrupt = True
+
+
+def chaos_memcpy(mode: str, seed: int) -> tuple:
+    """The sweep's memcpy: 1 KiB on each of two cores, so quarantine and
+    reroute can finish the work on the surviving core."""
+    return memcpy_scenario(
+        mode, seed, size=1024, n_cores=2, faults=default_plan(seed), watchdog=CHAOS_WATCHDOG
+    )
+
+
+def drive_memcpy(scene: tuple, v: _Verdict) -> None:
+    check_copies(scene, v, max_cycles=400_000)
+
+
+# ------------------------------------------------------------------- fig6
+_FIG6_CORES, _FIG6_ROUNDS = 3, 2
+
+
+def _fig6(mode: str, seed: int) -> tuple:
+    """The Figure-6 measured model: DelayCore rounds through the runtime
+    server, so the command path, the watchdog and hang quarantine run with
+    no memory traffic at all."""
     from repro.baselines.delay_core import delay_config
     from repro.core.build import BeethovenBuild
     from repro.platforms import AWSF1Platform
     from repro.runtime import FpgaHandle
 
-    plan = plan if plan is not None else default_plan(seed)
-    n_cores, rounds = 3, 2
     build = BeethovenBuild(
-        delay_config(n_cores, 600),
+        delay_config(_FIG6_CORES, 600),
         AWSF1Platform(),
         scheduling=mode,
-        faults=plan,
-        watchdog=watchdog or CHAOS_WATCHDOG,
+        faults=default_plan(seed),
+        watchdog=CHAOS_WATCHDOG,
     )
-    handle = FpgaHandle(build.design)
-    errors: List[str] = []
-    unexpected = ""
-    try:
-        for r in range(rounds):
-            futs = []
-            for c in range(n_cores):
-                try:
-                    futs.append((c, handle.call("Delay", "run", c, job=r * n_cores + c)))
-                except FaultError as exc:  # every core already quarantined
-                    errors.append(f"r{r}c{c}: {type(exc).__name__}")
-            for c, fut in futs:
-                try:
-                    fut.get(max_cycles=400_000)
-                except (FaultError, DeadlockError) as exc:
-                    errors.append(f"r{r}c{c}: {type(exc).__name__}")
-    except Exception as exc:  # noqa: BLE001 — untyped escape = violation
-        unexpected = f"{type(exc).__name__}: {exc}"
-    outcome, error = _classify(handle, errors, False, unexpected)
-    return _outcome("fig6", mode, seed, handle, outcome, error)
+    return build, FpgaHandle(build.design)
 
 
+def _drive_fig6(scene: tuple, v: _Verdict) -> None:
+    handle = scene[1]
+    for r in range(_FIG6_ROUNDS):
+        futs = []
+        for c in range(_FIG6_CORES):
+            try:
+                futs.append((c, handle.call("Delay", "run", c, job=r * _FIG6_CORES + c)))
+            except FaultError as exc:  # every core already quarantined
+                v.errors.append(f"r{r}c{c}: {type(exc).__name__}")
+        for c, fut in futs:
+            try:
+                fut.get(max_cycles=400_000)
+            except (FaultError, DeadlockError) as exc:
+                v.errors.append(f"r{r}c{c}: {type(exc).__name__}")
+
+
+# ---------------------------------------------------------------- serving
 #: Exception type names the serving layer records as *typed* ticket errors;
 #: anything else settling a ticket is an untyped escape (contract violation).
 _SERVING_TYPED = (
@@ -248,126 +296,93 @@ _SERVING_TYPED = (
 )
 
 
-def run_serving_chaos(
-    seed: int,
-    mode: str,
-    plan: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> ChaosOutcome:
-    """The multi-tenant serving layer under fault injection.
+def _serving(mode: str, seed: int) -> tuple:
+    """The multi-tenant serving layer over a faulted heterogeneous fabric:
+    ``(build, handle, tickets)``, the tickets filled by the drive.
 
-    Two tenants submit a fixed heterogeneous mix (gemm + attn) through
-    :class:`~repro.serve.AcceleratorService` — admission, DRR release,
-    kernel routing and the settle pump all run over a faulted fabric, and
-    the contract is the serving layer's own: every admitted request settles
-    ``ok`` or ``failed`` with a *typed* error, and the run drains bounded.
-    The submission schedule is fixed (no RNG), so a given seed's outcome is
-    a pure function of the fault schedule — identical across modes.
+    Two tenants submit a fixed gemm + attn mix (no RNG), so a seed's
+    outcome is a pure function of its fault schedule, the same in every
+    mode.  The contract is the serving layer's own: every admitted request
+    settles ``ok`` or ``failed`` with a *typed* error, and the run drains
+    bounded.
     """
     from repro.runtime import FpgaHandle
-    from repro.serve.errors import ServeError
     from repro.serve.scenarios import hetero_build
+
+    build = hetero_build(mode=mode, faults=default_plan(seed), watchdog=CHAOS_WATCHDOG)
+    return build, FpgaHandle(build.design), []
+
+
+def _drive_serving(scene: tuple, v: _Verdict) -> None:
+    from repro.serve.errors import ServeError
     from repro.serve.service import AcceleratorService
     from repro.serve.tenant import TenantConfig
 
-    plan = plan if plan is not None else default_plan(seed)
-    build = hetero_build(
-        mode=mode, faults=plan, watchdog=watchdog or CHAOS_WATCHDOG
+    _, handle, tickets = scene
+    service = AcceleratorService(
+        handle,
+        [
+            TenantConfig(name="tA", max_in_flight=2),
+            TenantConfig(name="tB", max_in_flight=2),
+        ],
     )
-    handle = FpgaHandle(build.design)
-    errors: List[str] = []
-    unexpected = ""
-    tickets = []
-    try:
-        service = AcceleratorService(
-            handle,
-            [
-                TenantConfig(name="tA", max_in_flight=2),
-                TenantConfig(name="tB", max_in_flight=2),
-            ],
-        )
-        for r in range(2):
-            for tenant in ("tA", "tB"):
-                for kernel in ("gemm", "attn"):
-                    try:
-                        tickets.append(service.submit(tenant, kernel, job=r))
-                    except ServeError as exc:
-                        errors.append(f"{tenant}/{kernel}: {type(exc).__name__}")
-        service.run_until_drained(max_cycles=400_000)
-    except (FaultError, DeadlockError, ServeError) as exc:
-        errors.append(type(exc).__name__)
-    except Exception as exc:  # noqa: BLE001 — untyped escape = violation
-        unexpected = f"{type(exc).__name__}: {exc}"
-    for t in tickets:
+    for r in range(2):
+        for tenant in ("tA", "tB"):
+            for kernel in ("gemm", "attn"):
+                try:
+                    tickets.append(service.submit(tenant, kernel, job=r))
+                except ServeError as exc:
+                    v.errors.append(f"{tenant}/{kernel}: {type(exc).__name__}")
+    service.run_until_drained(max_cycles=400_000)
+
+
+def _review_tickets(scene: tuple, v: _Verdict) -> None:
+    """Every ticket must have settled, a failed one with a typed error."""
+    for t in scene[2]:
         if not t.settled:
-            errors.append(f"{t.tenant}/{t.kernel}: unsettled")
+            v.errors.append(f"{t.tenant}/{t.kernel}: unsettled")
         elif t.outcome == "failed":
             name = t.error.split(":", 1)[0]
             if name in _SERVING_TYPED:
-                errors.append(f"{t.tenant}/{t.kernel}: {name}")
-            elif not unexpected:
-                unexpected = f"untyped ticket error: {t.error}"
-    outcome, error = _classify(handle, errors, False, unexpected)
-    return _outcome("serving", mode, seed, handle, outcome, error)
+                v.errors.append(f"{t.tenant}/{t.kernel}: {name}")
+            elif not v.unexpected:
+                v.unexpected = f"untyped ticket error: {t.error}"
 
 
-def run_checkpoint_chaos(
-    seed: int,
-    mode: str,
-    plan: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> ChaosOutcome:
-    """SIGKILL a checkpointed run at a seeded point, resume it, and demand
-    bit-identity with an uninterrupted reference (tested under the standard
-    seeded fault plan).
-
-    The whole process is killed and resumes from the snapshot file.  The
-    differential itself runs under the scenario's own plan and watchdog
-    (they are part of its deterministic identity), so ``plan``/``watchdog``
-    overrides are rejected rather than silently ignored.
-    """
+# ------------------------------------------------------------- checkpoint
+def run_checkpoint_chaos(mode: str, seed: int) -> ChaosOutcome:
+    """SIGKILL a checkpointed memcpy at a seeded point, resume it, and
+    demand bit-identity with an uninterrupted reference: the outcome fields
+    of :func:`repro.snapshot.scenario.kill_and_resume_differential`."""
     import tempfile
 
     from repro.snapshot.scenario import kill_and_resume_differential
 
-    if plan is not None or watchdog is not None:
-        raise ValueError(
-            "checkpoint chaos pins its own fault plan and watchdog; "
-            "override the seed instead"
-        )
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-chaos-") as workdir:
         result = kill_and_resume_differential(seed, mode, workdir)
-    return ChaosOutcome(
-        scenario="checkpoint",
-        mode=mode,
-        seed=seed,
-        outcome=result["outcome"],
-        error=result["error"],
-        cycles=result["cycles"],
-        n_faults=result["n_faults"],
-        fingerprint=result["fingerprint"],
-        timeouts=result["timeouts"],
-        retries=result["retries"],
-        quarantines=result["quarantines"],
-        rerouted=result["rerouted"],
-        late_responses=result["late_responses"],
-    )
+    return ChaosOutcome(**{f.name: result[f.name] for f in fields(ChaosOutcome)})
 
 
-_SCENARIO_FNS: Dict[str, Callable[..., ChaosOutcome]] = {
-    "memcpy": run_memcpy_chaos,
-    "fig6": run_fig6_chaos,
-    "serving": run_serving_chaos,
+#: Scenario name -> ``(mode, seed) -> ChaosOutcome``: a build preset and a
+#: drive through :func:`run_scene`, or the kill-and-resume differential.
+_SCENARIOS: Dict[str, Callable[[str, int], ChaosOutcome]] = {
+    "memcpy": lambda mode, seed: run_scene(
+        "memcpy", mode, seed, chaos_memcpy(mode, seed), drive_memcpy),
+    "fig6": lambda mode, seed: run_scene(
+        "fig6", mode, seed, _fig6(mode, seed), _drive_fig6),
+    "serving": lambda mode, seed: run_scene(
+        "serving", mode, seed, _serving(mode, seed), _drive_serving, _review_tickets),
     "checkpoint": run_checkpoint_chaos,
 }
+SCENARIOS: Tuple[str, ...] = tuple(_SCENARIOS)
 
 
 def run_chaos(scenario: str, mode: str, seed: int) -> ChaosOutcome:
     try:
-        fn = _SCENARIO_FNS[scenario]
+        fn = _SCENARIOS[scenario]
     except KeyError:
         raise ValueError(f"unknown chaos scenario {scenario!r}") from None
-    return fn(seed, mode)
+    return fn(mode, seed)
 
 
 def run_chaos_sweep(
@@ -406,27 +421,11 @@ def render_chaos_report(outcomes: Sequence[ChaosOutcome]) -> str:
 
 # ------------------------------------------------------------ differential
 def _run_fixed_memcpy(mode: str, faults: Optional[FaultPlan]):
-    """Fixed memcpy workload returning (stable metrics, final cycle, ok)."""
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform
-    from repro.runtime import FpgaHandle
-
-    size = 2048
-    build = BeethovenBuild(
-        memcpy_config(n_cores=1),
-        AWSF1Platform(),
-        scheduling=mode,
-        faults=faults,
+    """2 KiB on one core, no watchdog: (stable metrics, final cycle, ok)."""
+    build, handle, (fut,), (dst,), pattern = memcpy_scenario(
+        mode, 0, size=2048, n_cores=1, faults=faults, watchdog=None
     )
-    handle = FpgaHandle(build.design)
-    src, dst = handle.malloc(size), handle.malloc(size)
-    pattern = bytes((i * 131 + 17) % 256 for i in range(size))
-    src.write(pattern)
-    handle.copy_to_fpga(src)
-    handle.call(
-        "Memcpy", "memcpy", 0, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=size
-    ).get(max_cycles=500_000)
+    fut.get(max_cycles=500_000)
     handle.copy_from_fpga(dst)
     metrics = build.design.metrics(stable_only=True)
     cycle = build.design.sim.cycle

@@ -8,18 +8,18 @@ advances the simulation until the accelerator responds — the same blocking
 semantics the generated C++ gives on real hardware.
 
 With a :class:`WatchdogConfig` installed the handle also owns *graceful
-degradation*: cores the server quarantines are marked degraded and later
-commands (including watchdog retries) are transparently rerouted to the next
-healthy core of the same system, so a wedged core costs throughput, not
-correctness.  Detected data corruption (``err`` beats poisoning the fault
-state) turns a completed command into a retry or a typed
-:class:`FaultedResponse` — never silently wrong data.
+degradation*: later commands (including watchdog retries) are transparently
+rerouted around the cores the server quarantines, to the next healthy core
+of the same system, so a wedged core costs throughput, not correctness.
+Detected data corruption (``err`` beats poisoning the fault state) turns a
+completed command into a retry or a typed :class:`FaultedResponse` — never
+silently wrong data.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
@@ -205,9 +205,6 @@ class FpgaHandle:
             watchdog=wd,
             tracer=getattr(design, "tracer", None),
         )
-        self.server.on_quarantine = self._mark_degraded
-        #: Cores taken out of rotation by the watchdog.
-        self.degraded_cores: Set[Tuple[int, int]] = set()
         #: FaultState of the compiled FaultPlan, when one was elaborated in.
         self.faults = getattr(design, "faults", None)
         design.sim.add(self.server)
@@ -274,15 +271,13 @@ class FpgaHandle:
         return client
 
     # ------------------------------------------------------------ degradation
-    def _mark_degraded(self, key: Tuple[int, int]) -> None:
-        self.degraded_cores.add(key)
-
     def _route_core(self, system, core_idx: int) -> int:
-        """The preferred core, or the next healthy one of the same system."""
+        """The preferred core, or the next one of the same system the
+        watchdog has not quarantined."""
         n = len(system.cores)
         for k in range(n):
             idx = (core_idx + k) % n
-            if (system.system_id, idx) not in self.degraded_cores:
+            if (system.system_id, idx) not in self.server.quarantined:
                 if k:
                     self.server.rerouted += 1
                     tracer = getattr(self.design, "tracer", None)
@@ -450,7 +445,6 @@ class FpgaHandle:
             }
         return {
             "allocator": fr.freeze_attrs(self.allocator),
-            "degraded_cores": sorted(self.degraded_cores),
             "dma_cycles_spent": self.dma_cycles_spent,
             "clients": [fr.freeze_attrs(client) for client in self._clients],
             "calls": calls,
@@ -464,7 +458,7 @@ class FpgaHandle:
         from repro.snapshot.engine import SnapshotError
 
         self._refuse_serving()
-        keys = ("allocator", "degraded_cores", "dma_cycles_spent", "clients", "calls")
+        keys = ("allocator", "dma_cycles_spent", "clients", "calls")
         if not isinstance(state, dict) or any(k not in state for k in keys) or not (
                 isinstance(state["calls"], dict) and isinstance(state["clients"], list)):
             raise SnapshotError(f"malformed snapshot: host state must be a dict of {keys}")
@@ -479,10 +473,8 @@ class FpgaHandle:
                 f"the captured run made {len(state['clients'])} clients, the replay "
                 f"{len(self._clients)}: replay every new_client() before restoring"
             )
-        if type(state["dma_cycles_spent"]) is not int or type(state["degraded_cores"]) is not list \
-                or not all(type(k) is tuple and set(map(type, k)) == {int} for k in state["degraded_cores"]):
-            raise SnapshotError("malformed snapshot: the DMA cycles must be an int and the "
-                                "degraded cores a list of core keys")
+        if type(state["dma_cycles_spent"]) is not int:
+            raise SnapshotError("malformed snapshot: the DMA cycles must be an int")
         th.check_attrs(type(self.allocator), state["allocator"])
         for client in state["clients"]:
             th.check_attrs(ClientHandle, client)
@@ -510,8 +502,6 @@ class FpgaHandle:
 
     def restore_state(self, state: Dict[str, object], th) -> None:
         th.thaw_attrs(self.allocator, state["allocator"])
-        self.degraded_cores.clear()
-        self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
         # check_state() made sure the replay made as many.
         for client, st in zip(self._clients, state["clients"]):

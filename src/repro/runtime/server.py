@@ -175,8 +175,6 @@ class RuntimeServer(Component):
         self._strikes: Dict[Tuple[int, int], int] = {}
         #: Cores the watchdog has given up on; the handle reroutes around them.
         self.quarantined: Set[Tuple[int, int]] = set()
-        #: Host hook invoked (once per core) at quarantine time.
-        self.on_quarantine: Optional[Callable[[Tuple[int, int]], None]] = None
         # Statistics for the contention analysis.
         self.commands_sent = 0
         self.responses_received = 0
@@ -498,8 +496,6 @@ class RuntimeServer(Component):
             self.quarantines += 1
             if self.tracer is not None:
                 self.tracer.record(cycle, "watchdog", "quarantine", {"core": key})
-            if self.on_quarantine is not None:
-                self.on_quarantine(key)
         if (
             ctx.retryable
             and ctx.resubmit is not None

@@ -149,13 +149,9 @@ class AcceleratorService:
 
     # ----------------------------------------------------------------- pump
     def unhealthy_cores(self) -> AbstractSet[Tuple[int, int]]:
-        """Cores quarantined or degraded (read-only).  The usual case,
-        every core healthy, returns the empty frozenset and builds no set."""
-        quarantined = self.handle.server.quarantined
-        degraded = self.handle.degraded_cores
-        if not quarantined and not degraded:
-            return frozenset()
-        return quarantined | degraded
+        """Cores the watchdog quarantined: the runtime server's own set,
+        read-only here, so no call builds a set."""
+        return self.handle.server.quarantined
 
     def pump(self) -> int:
         """Run DRR rounds until no further release is possible right now.

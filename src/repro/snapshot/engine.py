@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 15: an AXI monitor's open read record counts its own R
-#: beats, and an ``AxiPipe`` holds its five delay lines in a tuple).
-SNAPSHOT_VERSION = 15
+#: "Versioning"; 16: the host state no longer carries ``degraded_cores``,
+#: a copy of the runtime server's ``quarantined``).
+SNAPSHOT_VERSION = 16
 
 
 class SnapshotError(RuntimeError):

@@ -18,11 +18,16 @@ from __future__ import annotations
 import os
 import random
 import signal
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict
+from typing import Any, Dict, Optional
 
-from repro.faults.chaos import CHAOS_WATCHDOG, _classify, default_plan
-from repro.faults.errors import FaultError
-from repro.sim import DeadlockError
+from repro.faults.chaos import (
+    CHAOS_WATCHDOG,
+    check_copies,
+    default_plan,
+    memcpy_scenario,
+    run_scene,
+)
 from repro.snapshot.engine import capture, restore
 from repro.snapshot.store import load, save
 
@@ -35,43 +40,18 @@ CHUNK = 500
 #: after this many chunks instead of spinning forever.
 MAX_CHUNKS = 250
 
-_SIZE = 8192
-_N_CORES = 2
-
 
 def _build_memcpy(seed: int, mode: str):
-    """Elaborate the chaos memcpy design and replay the host-side setup.
+    """The checkpoint preset of the chaos memcpy: 8 KiB on each of two
+    cores under the seed's plan and the chaos watchdog.
 
     This function *is* the deterministic rebuild+replay the snapshot
     restore contract requires: calling it twice with the same arguments
     produces identical skeletons and identical command uids.
     """
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform
-    from repro.runtime import FpgaHandle
-
-    build = BeethovenBuild(
-        memcpy_config(n_cores=_N_CORES),
-        AWSF1Platform(),
-        scheduling=mode,
-        faults=default_plan(seed),
-        watchdog=CHAOS_WATCHDOG,
+    return memcpy_scenario(
+        mode, seed, size=8192, n_cores=2, faults=default_plan(seed), watchdog=CHAOS_WATCHDOG
     )
-    handle = FpgaHandle(build.design)
-    pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(_SIZE))
-    src = handle.malloc(_SIZE)
-    dsts = [handle.malloc(_SIZE) for _ in range(_N_CORES)]
-    src.write(pattern)
-    handle.copy_to_fpga(src)
-    futs = [
-        handle.call(
-            "Memcpy", "memcpy", c,
-            src=src.fpga_addr, dst=dsts[c].fpga_addr, len_bytes=_SIZE,
-        )
-        for c in range(_N_CORES)
-    ]
-    return build, handle, futs, dsts, pattern
 
 
 def run_checkpointed_memcpy(
@@ -82,7 +62,6 @@ def run_checkpointed_memcpy(
     checkpoint_every_chunks: int = 0,
     kill_after_checkpoints: Optional[int] = None,
     stop_after_checkpoints: Optional[int] = None,
-    max_chunks: int = MAX_CHUNKS,
 ) -> Dict[str, Any]:
     """One resumable chaos-memcpy run, driven in fixed :data:`CHUNK`s.
 
@@ -93,74 +72,41 @@ def run_checkpointed_memcpy(
       Nth checkpoint write (the victim half of the differential).
     * ``stop_after_checkpoints`` — abandon the run (return early) after the
       Nth checkpoint; the in-process fallback when fork is unavailable.
+
+    The result is the run's :class:`~repro.faults.chaos.ChaosOutcome` as a
+    dict plus ``chunks``, ``stable_metrics``, ``resumed`` and
+    ``checkpoints``.
     """
-    build, handle, futs, dsts, pattern = _build_memcpy(seed, mode)
+    scene = _build_memcpy(seed, mode)
+    build, handle, futs = scene[:3]
     sim = build.design.sim
-    resumed = False
-    checkpoints = 0
-    chunk = 0
+    run = {"chunks": 0, "resumed": False, "checkpoints": 0}
     if checkpoint_path and os.path.exists(checkpoint_path):
         snap = load(checkpoint_path)
         restore(handle, snap)
-        chunk = int(snap.meta.get("chunks_done", 0))
-        resumed = True
+        run.update(chunks=int(snap.meta.get("chunks_done", 0)), resumed=True)
 
-    errors: List[str] = []
-    corrupt = False
-    unexpected = ""
-    try:
-        while chunk < max_chunks and not all(f.done for f in futs):
+    def drive(scene, v) -> None:
+        while run["chunks"] < MAX_CHUNKS and not all(f.done for f in futs):
             sim.run(CHUNK)
-            chunk += 1
+            run["chunks"] += 1
             if (
                 checkpoint_path
                 and checkpoint_every_chunks
-                and chunk % checkpoint_every_chunks == 0
+                and run["chunks"] % checkpoint_every_chunks == 0
             ):
                 snap = capture(handle)
-                snap.meta["chunks_done"] = chunk
+                snap.meta["chunks_done"] = run["chunks"]
                 save(snap, checkpoint_path)
-                checkpoints += 1
-                if kill_after_checkpoints is not None and checkpoints == kill_after_checkpoints:
+                run["checkpoints"] += 1
+                if run["checkpoints"] == kill_after_checkpoints:
                     os.kill(os.getpid(), signal.SIGKILL)
-                if stop_after_checkpoints is not None and checkpoints == stop_after_checkpoints:
-                    break
-        if stop_after_checkpoints is None or checkpoints < stop_after_checkpoints:
-            for c, fut in enumerate(futs):
-                if not fut.done:
-                    errors.append(f"core{c}: Unfinished")
-                    continue
-                try:
-                    fut.try_get()
-                except (FaultError, DeadlockError) as exc:
-                    errors.append(f"core{c}: {type(exc).__name__}")
-                    continue
-                handle.copy_from_fpga(dsts[c])
-                if dsts[c].read() != pattern:
-                    corrupt = True
-    except (FaultError, DeadlockError) as exc:
-        errors.append(type(exc).__name__)
-    except Exception as exc:  # noqa: BLE001 — untyped escape = violation
-        unexpected = f"{type(exc).__name__}: {exc}"
-    outcome, error = _classify(handle, errors, corrupt, unexpected)
-    faults = handle.faults
-    server = handle.server
-    return {
-        "outcome": outcome,
-        "error": error,
-        "cycles": sim.cycle,
-        "chunks": chunk,
-        "n_faults": len(faults.events) if faults is not None else 0,
-        "fingerprint": faults.fingerprint() if faults is not None else "",
-        "stable_metrics": build.design.metrics(stable_only=True),
-        "resumed": resumed,
-        "checkpoints": checkpoints,
-        "timeouts": server.timeouts,
-        "retries": server.retries,
-        "quarantines": server.quarantines,
-        "rerouted": server.rerouted,
-        "late_responses": server.late_responses,
-    }
+                if run["checkpoints"] == stop_after_checkpoints:
+                    return
+        check_copies(scene, v)
+
+    outcome = run_scene("checkpoint", mode, seed, scene, drive)
+    return {**asdict(outcome), **run, "stable_metrics": build.design.metrics(stable_only=True)}
 
 
 def _victim_main(seed: int, mode: str, path: str, every: int, kill_after: int) -> None:
@@ -269,26 +215,4 @@ def kill_and_resume_differential(
                 if resumed[k] != reference[k]
             )
         )
-    return result
-
-
-# ----------------------------------------------------------------- farm entry
-def checkpointed_memcpy_job(seed: int, mode: str) -> Dict[str, Any]:
-    """Farm-friendly resumable job: checkpoint plumbing comes from the farm.
-
-    When the farm exported a checkpoint path (the job was declared with
-    ``Job(checkpoint_every=...)``), the run checkpoints there and resumes
-    when a re-run follows a host crash; ``note_job_resumed`` feeds the
-    ``resumed_from_checkpoint`` provenance the farm surfaces on the result.
-    """
-    from repro.snapshot.store import job_checkpoint, note_job_resumed
-
-    path, every = job_checkpoint()
-    result = run_checkpointed_memcpy(
-        seed, mode,
-        checkpoint_path=path,
-        checkpoint_every_chunks=every or (2 if path else 0),
-    )
-    if result["resumed"]:
-        note_job_resumed()
     return result

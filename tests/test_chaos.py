@@ -14,8 +14,10 @@ acceptance floor) is marked ``slow``.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,20 @@ def test_default_plan_is_pure_function_of_seed():
     assert default_plan(7) == default_plan(7)
     plans = {default_plan(s) for s in range(20)}
     assert len(plans) > 1  # the sweep population is not degenerate
+
+
+def test_exported_sample_is_the_sweeps_own_run(tmp_path):
+    """``tools/chaos.py`` exports the memcpy run it names: seed 3's fault
+    log has the fingerprint the sweep recorded for it."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "chaos.py"
+    spec = importlib.util.spec_from_file_location("chaos_tool", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool._export_sample(tmp_path, 3, "compiled")
+    exported = json.loads((tmp_path / "sample-faults.json").read_text())
+    outcome = run_chaos("memcpy", "compiled", 3)
+    assert outcome.n_faults == len(exported["events"]) > 0
+    assert exported["fingerprint"] == outcome.fingerprint
 
 
 @pytest.mark.parametrize("mode", MODES)

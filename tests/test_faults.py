@@ -139,7 +139,6 @@ def test_quarantine_reroutes_to_healthy_core():
     assert fut.get(max_cycles=200_000) == {"ok": True}
     handle.copy_from_fpga(dst)
     assert dst.read() == pattern
-    assert handle.degraded_cores == {(0, 0)}
     assert handle.server.quarantined == {(0, 0)}
     assert int(handle.server.rerouted) >= 1
     # Later commands route straight to the healthy core, no new timeouts.
@@ -163,7 +162,7 @@ def test_all_cores_quarantined_raises_typed_error():
     fut = _memcpy(handle, 0, src, dst, 512)
     with pytest.raises(CoreQuarantined):
         fut.get(max_cycles=400_000)
-    assert handle.degraded_cores == {(0, 0), (0, 1)}
+    assert handle.server.quarantined == {(0, 0), (0, 1)}
 
 
 def test_non_retryable_command_times_out_without_retry():

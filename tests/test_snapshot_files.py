@@ -201,7 +201,7 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
         memory_image(lambda size, indices, image: (size, indices, image[:-1])),
         memory_image(lambda size, indices, image: (str(size), indices, image)),
         server_without("_queues"),
-        lambda f: f["payload"]["host"].update(degraded_cores=5),
+        lambda f: f["payload"]["host"].update(dma_cycles_spent="5"),
         lambda f: f["payload"].pop("sim"),
         lambda f: f["payload"].pop("host"),
         lambda f: f["payload"]["sim"].pop("dirty"),

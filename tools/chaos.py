@@ -14,11 +14,12 @@ silently corrupted data.  Writes into ``--out``:
 * ``differential.json`` — empty-FaultPlan no-op check per scheduling mode
 * ``sample-trace.json`` / ``sample-metrics.json`` / ``sample-faults.json``
                         — Perfetto trace, metric dump and fault-event log of
-                          one instrumented faulty run, for eyeballing what
-                          recovery looks like on a timeline
+                          the sweep's own run of one faulty memcpy seed,
+                          for eyeballing what recovery looks like on a
+                          timeline
 
-and exits 1 on any contract violation (or a perturbed empty-plan
-differential).  CI runs this; locally it is the chaos playground.
+and exits 1 on any contract violation, a perturbed empty-plan differential,
+or a sample whose fault fingerprint is not the one the sweep recorded.  CI runs this; locally it is the chaos playground.
 """
 
 from __future__ import annotations
@@ -29,53 +30,24 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.faults import FaultError
-from repro.sim import DeadlockError
 from repro.faults.chaos import (
-    CHAOS_WATCHDOG,
     MODES,
     SCENARIOS,
-    default_plan,
+    chaos_memcpy,
+    drive_memcpy,
     render_chaos_report,
     run_chaos_sweep,
     run_empty_plan_differential,
+    run_scene,
 )
 
 
-def _export_sample(out: Path, seed: int, mode: str, export_dump: bool = False) -> None:
-    """Re-run one known-faulty memcpy schedule with observability on and
-    export its trace/metrics/fault-log artefacts."""
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.obs import Observability
-    from repro.platforms import AWSF1Platform
-    from repro.runtime import FpgaHandle
-
-    size = 1024
-    deadlock_dump = None
-    build = BeethovenBuild(
-        memcpy_config(n_cores=2),
-        AWSF1Platform(),
-        scheduling=mode,
-        faults=default_plan(seed),
-        watchdog=CHAOS_WATCHDOG,
-        observability=Observability(enabled=True),
-    )
-    handle = FpgaHandle(build.design)
-    for core in range(2):
-        pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(size))
-        src, dst = handle.malloc(size), handle.malloc(size)
-        src.write(pattern)
-        handle.copy_to_fpga(src)
-        try:
-            handle.call(
-                "Memcpy", "memcpy", core,
-                src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=size,
-            ).get(max_cycles=400_000)
-        except DeadlockError as exc:
-            deadlock_dump = exc.dump or deadlock_dump
-        except FaultError:
-            pass  # typed errors are an allowed outcome; the trace still tells the story
+def _export_sample(out: Path, seed: int, mode: str, export_dump: bool = False) -> str:
+    """Re-run the sweep's memcpy run of ``(seed, mode)`` and export its
+    trace, metrics and fault log; returns the exported fault fingerprint."""
+    scene = chaos_memcpy(mode, seed)
+    run_scene("memcpy", mode, seed, scene, drive_memcpy)
+    build = scene[0]
     build.export_chrome_trace(str(out / "sample-trace.json"))
     build.export_metrics(str(out / "sample-metrics.json"))
     faults = build.design.faults
@@ -95,10 +67,9 @@ def _export_sample(out: Path, seed: int, mode: str, export_dump: bool = False) -
     if export_dump:
         from repro.sim.trace import compact_state_dump, export_state_dump
 
-        # Prefer the dump a deadlock carried (the interesting moment);
-        # otherwise dump the end-of-run state so the flag always delivers.
-        dump = deadlock_dump or compact_state_dump(build.design.sim.state_dump())
+        dump = compact_state_dump(build.design.sim.state_dump())
         export_state_dump(dump, str(out / "sample-state-dump.json"))
+    return faults.fingerprint()
 
 
 def main(argv=None) -> int:
@@ -121,8 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--export-state-dump",
         action="store_true",
-        help="also export the sample run's simulator state dump (or the dump "
-        "carried by a deadlock, if one fires) as sample-state-dump.json",
+        help="also export the sample run's end-of-run simulator state dump "
+        "as sample-state-dump.json",
     )
     args = parser.parse_args(argv)
     out = Path(args.out)
@@ -148,6 +119,7 @@ def main(argv=None) -> int:
     if not perturbed:
         print(f"empty-plan differential: strict no-op in {len(diffs)} mode(s)")
 
+    diverged = False
     if not args.no_sample:
         sample = next(
             (
@@ -158,17 +130,27 @@ def main(argv=None) -> int:
             None,
         )
         if sample is not None:
-            _export_sample(out, sample.seed, sample.mode, export_dump=args.export_state_dump)
+            exported = _export_sample(
+                out, sample.seed, sample.mode, export_dump=args.export_state_dump
+            )
             print(
                 f"sample artefacts: memcpy/{sample.mode} seed={sample.seed} "
                 f"({sample.n_faults} faults, outcome={sample.outcome})"
             )
+            diverged = exported != sample.fingerprint
+            if diverged:
+                print(
+                    f"FAIL: the exported sample's fault fingerprint {exported} is "
+                    f"not the sweep's {sample.fingerprint}",
+                    file=sys.stderr,
+                )
 
     violations = [o for o in outcomes if o.violates_contract]
-    if violations or perturbed:
+    if violations or perturbed or diverged:
         print(
             f"FAIL: {len(violations)} contract violation(s), "
-            f"{len(perturbed)} perturbed differential(s)",
+            f"{len(perturbed)} perturbed differential(s), "
+            f"{int(diverged)} diverged sample",
             file=sys.stderr,
         )
         return 1

@@ -57,13 +57,13 @@ def _mode_identity(profile: str, seed: int, n_requests: int) -> dict:
 
 def _chaos_slice(seeds: int) -> list:
     """Seeded chaos schedules over the serving scenario, all modes."""
-    from repro.faults.chaos import run_serving_chaos
+    from repro.faults.chaos import run_chaos
 
     outcomes = []
     for seed in range(seeds):
         per_mode = []
         for mode in SCHEDULING_MODES:
-            o = run_serving_chaos(seed, mode)
+            o = run_chaos("serving", mode, seed)
             per_mode.append(o)
             outcomes.append(o)
         identity = {
