@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, NoReturn, Optional
 
 from repro.axi.types import AxiPort
-from repro.sim import Component, SimulationError, Tracer, NULL_TRACER
+from repro.sim import Component, SimulationError
 
 
 @dataclass
@@ -54,10 +54,9 @@ class AxiMonitor(Component):
     _state = ("records", "_open_reads", "_open_writes", "_read_order", "_write_order",
               "errors")
 
-    def __init__(self, port_name: str, tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(self, port_name: str) -> None:
         super().__init__(f"mon.{port_name}")
         self.port_name = port_name
-        self.tracer = tracer
         self.records: List[TxnRecord] = []
         self._open_reads: Dict[int, TxnRecord] = {}  # tag -> record
         self._open_writes: Dict[int, TxnRecord] = {}
@@ -71,7 +70,6 @@ class AxiMonitor(Component):
         self._open_reads[tag] = rec
         self._read_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)
-        self.tracer.record(cycle, self.port_name, "ar", tag)
 
     def on_r(self, cycle: int, tag: int, axi_id: int, last: bool) -> None:
         # Once per R beat on the memory port: plain-dict subscripts, and
@@ -92,14 +90,12 @@ class AxiMonitor(Component):
         beats = rec.beats = rec.beats + 1
         if beats == 1:
             rec.first_data_cycle = cycle
-            self.tracer.record(cycle, self.port_name, "r_first", tag)
         if last:
             if beats != rec.length:
                 self._fail(f"read tag {tag} returned {beats} beats, expected {rec.length}")
             rec.complete_cycle = cycle
             order.popleft()
             del self._open_reads[tag]
-            self.tracer.record(cycle, self.port_name, "r_last", tag)
         elif beats >= rec.length:
             self._fail(f"read tag {tag} missing last on final beat")
 
@@ -108,13 +104,11 @@ class AxiMonitor(Component):
         self._open_writes[tag] = rec
         self._write_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)
-        self.tracer.record(cycle, self.port_name, "aw", tag)
 
     def on_w_last(self, cycle: int, tag: int) -> None:
         rec = self._open_writes.get(tag)
         if rec is not None and rec.first_data_cycle is None:
             rec.first_data_cycle = cycle
-        self.tracer.record(cycle, self.port_name, "w_last", tag)
 
     def on_b(self, cycle: int, tag: int, axi_id: int) -> None:
         rec = self._open_writes.get(tag)
@@ -128,7 +122,6 @@ class AxiMonitor(Component):
             order.popleft()
         rec.complete_cycle = cycle
         del self._open_writes[tag]
-        self.tracer.record(cycle, self.port_name, "b", tag)
 
     # -- Component -------------------------------------------------------------
     def tick(self, cycle: int) -> None:

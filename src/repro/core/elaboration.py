@@ -517,7 +517,7 @@ class ElaboratedDesign:
     def _build_memory_network(self) -> None:
         params = self.platform.axi_params
         slave_port = AxiPort(params, "ddr", depth=8)
-        self.monitor = AxiMonitor("ddr", self.tracer)
+        self.monitor = AxiMonitor("ddr")
         self.mem_mport = MonitoredAxiPort(slave_port, self.monitor)
         self.controller = MemoryController(self.mem_mport, self.platform.dram_timing)
         self.network = None

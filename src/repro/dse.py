@@ -57,9 +57,6 @@ class DesignPoint:
     worker: str = ""
     #: Farm job fingerprint (cache key), empty outside a farm run.
     fingerprint: str = ""
-    #: True when the evaluation resumed from a checkpoint left behind by an
-    #: earlier run whose host process died (see ``Job.checkpoint_every``).
-    resumed_from_checkpoint: bool = False
 
 
 def evaluate_point(factory: ConfigFactory, n_cores: int, platform: Platform) -> DesignPoint:
@@ -112,7 +109,6 @@ def _evaluate_many(
             cache_hit=r.cache_hit,
             worker=r.worker,
             fingerprint=r.fingerprint,
-            resumed_from_checkpoint=r.resumed_from_checkpoint,
         )
         for r in results
     ]

@@ -11,8 +11,7 @@ platform, build mode), so the farm treats evaluation as a list of jobs:
   those fingerprints, whose entries are tagged JSON data;
 * :mod:`repro.farm.engine` — the :class:`Farm` facade that serves hits
   from the cache, runs the misses in this process in submission order,
-  resumes checkpointed jobs after a host crash, and registers provenance
-  metrics/spans with :mod:`repro.obs`.
+  and registers provenance metrics/spans with :mod:`repro.obs`.
 """
 
 from repro._lazy import lazy_exports

@@ -4,8 +4,7 @@
 through: it fingerprints each job, serves hits from the content-addressed
 cache, executes the misses in this process in submission order, stores
 fresh results, and returns :class:`~repro.farm.job.JobResult` records in
-submission order with full provenance (wall time, cache hit/miss,
-checkpoint resume).
+submission order with their provenance (wall time, cache hit/miss).
 
 A costed design point takes milliseconds, less than forking a worker and
 shipping the job and its result over queues would, so there is no worker
@@ -14,7 +13,7 @@ the watchdog), which are deterministic where a wall-clock kill is not.
 
 Observability rides along on :mod:`repro.obs`: the farm keeps a
 :class:`~repro.obs.registry.MetricRegistry` under the ``farm/*`` namespace
-(jobs, hits/misses, checkpoint resumes, per-job wall-time histogram) and a
+(jobs, hits/misses, per-job wall-time histogram) and a
 :class:`~repro.sim.trace.Tracer` that records one span per job — track
 ``farm/<worker>``, one microsecond of trace time per real microsecond —
 exportable with the same Chrome/Perfetto exporter builds use.
@@ -58,31 +57,12 @@ def default_cache_dir() -> str:
 
 
 def _execute(job: Job) -> JobResult:
-    """Run one job in this process, timing it and trapping its errors.
-
-    A resumable job (``checkpoint_path`` set) sees its checkpoint contract
-    through the environment, so job code reaches it via
-    :func:`repro.snapshot.store.job_checkpoint` however deep in the call
-    stack the simulation lives; success retires the checkpoint file.
-    """
-    ckpt_path = job.checkpoint_path
-    if ckpt_path:
-        from repro.snapshot.store import CKPT_EVERY_ENV, CKPT_PATH_ENV, consume_resumed_flag
-
-        os.environ[CKPT_PATH_ENV] = ckpt_path
-        os.environ[CKPT_EVERY_ENV] = str(job.checkpoint_every or 0)
-        consume_resumed_flag()  # drop stale state from a previous job
+    """Run one job in this process, timing it and trapping its errors."""
     result = JobResult(job=job, worker="serial", fingerprint=job.fingerprint)
     t0 = time.perf_counter()
     try:
         result.value = resolve_fn(job.fn)(*job.args, **job.kwargs)
         result.ok = True
-        if ckpt_path:
-            result.resumed_from_checkpoint = consume_resumed_flag()
-            try:
-                os.unlink(ckpt_path)
-            except OSError:
-                pass
     except Exception as exc:  # noqa: BLE001 — job errors become data
         tb = traceback.format_exc(limit=20)
         if len(tb) > 4000:
@@ -90,9 +70,6 @@ def _execute(job: Job) -> JobResult:
         result.error = f"{type(exc).__name__}: {exc}\n{tb.rstrip()}"
     finally:
         result.wall_seconds = time.perf_counter() - t0
-        if ckpt_path:
-            os.environ.pop(CKPT_PATH_ENV, None)
-            os.environ.pop(CKPT_EVERY_ENV, None)
     return result
 
 
@@ -107,15 +84,6 @@ class Farm:
         ``cache_dir`` (default ``~/.cache/repro-farm`` or the
         ``REPRO_FARM_CACHE_DIR`` env); ``False`` disables memoisation.  An
         existing :class:`ResultCache` may also be passed directly.
-    ``registry`` / ``tracer``
-        Adopt an existing obs registry/tracer (e.g. a build's) instead of
-        farm-private ones; metrics land under ``farm/*`` either way.
-    ``checkpoint_dir``
-        Where resumable jobs (``Job(checkpoint_every=...)``) keep their
-        checkpoint files; defaults to ``<cache root>/checkpoints``.  Paths
-        are content-addressed by job fingerprint *and* snapshot format
-        version, so a host crash mid-sweep resumes from the right file on
-        the next run and a format bump never feeds stale snapshots.
     """
 
     def __init__(
@@ -123,9 +91,6 @@ class Farm:
         n_workers: int = 1,
         cache: Any = True,
         cache_dir: Optional[str] = None,
-        registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        checkpoint_dir: Optional[str] = None,
     ) -> None:
         if n_workers != 1:
             raise ValueError(f"the farm runs jobs in-process; n_workers={n_workers!r} is not 1")
@@ -135,13 +100,10 @@ class Farm:
             self.cache = ResultCache(cache_dir or default_cache_dir())
         else:
             self.cache = None
-        root = self.cache.root if self.cache is not None else cache_dir or default_cache_dir()
-        self.checkpoint_dir = checkpoint_dir or os.path.join(root, "checkpoints")
-
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.registry = MetricRegistry()
+        self.tracer = Tracer()
         self.jobs_submitted = self.jobs_completed = self.jobs_failed = 0
-        self.cache_hits = self.cache_misses = self.checkpoint_resumes = 0
+        self.cache_hits = self.cache_misses = 0
         self.job_wall_seconds = Histogram(_WALL_BUCKETS)
         self.cache_seconds_saved = 0
         scope = self.registry.scope("farm")
@@ -150,7 +112,6 @@ class Farm:
         scope.bind("jobs_failed", lambda: self.jobs_failed)
         scope.bind("cache/hits", lambda: self.cache_hits)
         scope.bind("cache/misses", lambda: self.cache_misses)
-        scope.bind("checkpoint_resumes", lambda: self.checkpoint_resumes)
         scope.bind("job_wall_seconds", lambda: self.job_wall_seconds.dump_value())
         scope.bind("cache/seconds_saved", lambda: self.cache_seconds_saved)
         self._epoch = time.perf_counter()
@@ -190,12 +151,6 @@ class Farm:
         )
 
     def _compute(self, job: Job) -> JobResult:
-        # A resumable job gets its content-addressed checkpoint path here,
-        # so a whole re-run after a host crash finds the same file.
-        if job.checkpoint_every and not job.checkpoint_path:
-            from repro.snapshot.store import job_checkpoint_path
-
-            job.checkpoint_path = job_checkpoint_path(self.checkpoint_dir, job.fingerprint)
         res = _execute(job)
         if res.ok and self.cache is not None and job.cache:
             self.cache.put(
@@ -227,8 +182,6 @@ class Farm:
             else:
                 self.cache_misses += 1
                 self.job_wall_seconds.observe(res.wall_seconds)
-            if res.resumed_from_checkpoint:
-                self.checkpoint_resumes += 1
             # One span per job on the worker's track.  Cache hits render as
             # zero-length markers at the lookup instant.
             dur_us = 0 if res.cache_hit else int(res.wall_seconds * 1e6)

@@ -3,8 +3,8 @@
 A :class:`Job` names a callable (either directly, or as an importable
 ``"module:attr"`` string, whose fingerprint does not depend on how the
 callable was compiled) plus its payload.  A :class:`JobResult` carries the
-value back together with its provenance: how long it took, whether the
-cache served it, and whether it resumed from a checkpoint.
+value back together with its provenance: how long it took and whether the
+cache served it.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ class Job:
     string form is preferred for jobs defined in library code.
     ``cache=False`` opts a job out of the result cache (e.g. wall-clock
     measurements, or a value the cache cannot encode).
-
-    ``checkpoint_every`` declares the job *resumable*: job code that honours
-    :func:`repro.snapshot.store.job_checkpoint` checkpoints its state every
-    N units to a content-addressed file the farm assigns (next to the result
-    cache), and a re-run after the host process died resumes from the last
-    checkpoint instead of restarting.  ``checkpoint_path`` is normally assigned
-    by the farm from the job fingerprint; set it explicitly only to pin a
-    location.  Neither field enters the cache fingerprint (they change how a
-    result is computed, never its value).
     """
 
     fn: FnRef
@@ -57,8 +48,6 @@ class Job:
     kwargs: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
     cache: bool = True
-    checkpoint_every: Optional[int] = None
-    checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.args = tuple(self.args)
@@ -97,9 +86,6 @@ class JobResult:
     wall_seconds: float = 0.0  # execution time (original compute time on hits)
     cache_hit: bool = False
     fingerprint: str = ""
-    #: True when the run restored state from a checkpoint file written by
-    #: an earlier run that died.
-    resumed_from_checkpoint: bool = False
 
     @property
     def label(self) -> str:

@@ -124,7 +124,7 @@ class FaultPlan:
         detection wiring (Readers reporting ``err`` beats) is always
         installed because it is free when no faults fire.
         """
-        state = FaultState(self, design.sim.registry, design.tracer)
+        state = FaultState(self, design.sim.registry)
         budget = self.max_faults_per_site
         if self.dram_read_flip_rate > 0:
             design.controller._fault = DramReadFaultHook(
@@ -211,9 +211,8 @@ class FaultState:
 
     _state = ("events", "_poison", "counts")
 
-    def __init__(self, plan: FaultPlan, registry, tracer=None) -> None:
+    def __init__(self, plan: FaultPlan, registry) -> None:
         self.plan = plan
-        self.tracer = tracer
         self.events: List[FaultEvent] = []
         self._poison: Dict[Tuple[int, int], List[FaultEvent]] = {}
         self.counts = dict.fromkeys(FAULT_KINDS, 0)
@@ -226,8 +225,6 @@ class FaultState:
         ev = FaultEvent(int(cycle), site, kind, detail)
         self.events.append(ev)
         self.counts[kind] += 1
-        if self.tracer is not None:
-            self.tracer.record(int(cycle), "fault", kind, {"site": site, "detail": detail})
         return ev
 
     def inject(self, cycle: int, site: str, kind: str, detail: str = "") -> FaultEvent:

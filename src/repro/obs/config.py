@@ -8,7 +8,7 @@ enough to keep enabled).  A build given no config uses
 ``Observability()``: span tracing on, the wall-clock profiler off.
 ``Observability.off()`` turns span tracing off too (metrics only),
 ``profile=True`` turns the profiler on, and ``max_events`` caps the
-tracer's event and span stores; a partial config such as
+tracer's span log; a partial config such as
 ``Observability(max_events=N)`` keeps every other default.
 """
 
@@ -31,9 +31,8 @@ class Observability:
         (:func:`repro.obs.profiler.render_profile_report`).  Off unless
         asked for.
     ``max_events``
-        Optional ring-buffer cap shared by the tracer's event and span
-        stores; evictions are surfaced as ``trace/dropped_events`` /
-        ``trace/dropped_spans`` metrics.
+        Optional ring-buffer cap on the tracer's span log; evictions are
+        surfaced as the ``trace/dropped_spans`` metric.
     """
 
     enabled: bool = True

@@ -156,14 +156,12 @@ def chrome_trace(
     extra_events: Sequence[Dict[str, Any]] = (),
 ) -> Dict[str, Any]:
     other: Dict[str, Any] = {"clock": "1 cycle = 1us"}
-    if tracer is not None and (tracer.dropped_events or tracer.dropped_spans):
+    if tracer is not None and tracer.dropped_spans:
         # Never let a wrapped ring buffer masquerade as a complete trace.
-        other["dropped_events"] = tracer.dropped_events
         other["dropped_spans"] = tracer.dropped_spans
         warnings.warn(
-            f"trace ring buffer wrapped: {tracer.dropped_events} event(s) and "
-            f"{tracer.dropped_spans} span(s) dropped; exported trace is "
-            "incomplete (raise Observability.max_events)",
+            f"trace ring buffer wrapped: {tracer.dropped_spans} span(s) dropped; "
+            "exported trace is incomplete (raise Observability.max_events)",
             TraceTruncationWarning,
             stacklevel=2,
         )

@@ -24,8 +24,9 @@ emits :class:`~repro.sim.trace.Span` records through the shared tracer:
        (AXI bursts issued while a command executes are parented to the root
        span via :meth:`current_command`)
 
-Everything degrades gracefully: with a disabled tracer every method is a
-cheap no-op returning span id 0.
+A build with span tracing off (``Observability.off()``) has no tracker at
+all, and its models test for ``None``; span id 0 stands for "no span", and
+every method taking a span id ignores it.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class CommandSpanTracker:
         self._exec_child: Dict[int, int] = {}
         self.commands_tracked = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
-
     # ------------------------------------------------------------- topology
     def set_track(self, key: Key, track: str) -> None:
         """Name the display track for a core (``"Memcpy/core0"``)."""
@@ -81,8 +78,6 @@ class CommandSpanTracker:
         args only when non-empty, so untagged traces keep their exact
         pre-serving shape.
         """
-        if not self.enabled:
-            return 0
         self.commands_tracked += 1
         args = {"system_id": key[0], "core_id": key[1], "client": client}
         if tenant:
@@ -160,8 +155,6 @@ class CommandSpanTracker:
         beats: int,
     ) -> int:
         """Open an AXI burst span parented to the executing command (if any)."""
-        if not self.enabled:
-            return 0
         parent = self.current_command(key) if key is not None else None
         return self.tracer.begin_span(
             cycle,

@@ -93,6 +93,7 @@ class ResponseHandle:
         self._error: Optional[Exception] = None
         self._callbacks: list = []
         self.submitted_cycle = handle.design.sim.cycle
+        self._completed_cycle: Optional[int] = None
 
     def _complete(self, resp: RoccResponse) -> None:
         if self._error is None and self._response is None:
@@ -203,7 +204,6 @@ class FpgaHandle:
             platform.host,
             spans=getattr(design, "span_tracker", None),
             watchdog=wd,
-            tracer=getattr(design, "tracer", None),
         )
         #: FaultState of the compiled FaultPlan, when one was elaborated in.
         self.faults = getattr(design, "faults", None)
@@ -280,15 +280,6 @@ class FpgaHandle:
             if (system.system_id, idx) not in self.server.quarantined:
                 if k:
                     self.server.rerouted += 1
-                    tracer = getattr(self.design, "tracer", None)
-                    if tracer is not None:
-                        tracer.record(
-                            self.design.sim.cycle,
-                            "watchdog",
-                            "reroute",
-                            {"from": (system.system_id, core_idx),
-                             "to": (system.system_id, idx)},
-                        )
                 return idx
         raise CoreQuarantined(
             f"all {n} cores of system {system.config.name!r} are quarantined",
@@ -439,7 +430,7 @@ class FpgaHandle:
                 "response": fr.freeze(fut._response),
                 "error": fr.freeze(fut._error),
                 "submitted_cycle": fut.submitted_cycle,
-                "completed_cycle": getattr(fut, "_completed_cycle", None),
+                "completed_cycle": fut._completed_cycle,
                 "attempts": ctx.attempts,
                 "key": ctx.key,
             }
@@ -512,8 +503,7 @@ class FpgaHandle:
             fut._response = th.thaw(st["response"])
             fut._error = th.thaw(st["error"])
             fut.submitted_cycle = st["submitted_cycle"]
-            if st["completed_cycle"] is not None:
-                fut._completed_cycle = st["completed_cycle"]
+            fut._completed_cycle = st["completed_cycle"]
             if fut.done:
                 # This outcome fired before the checkpoint: its callback
                 # effects are already part of the restored state (metrics,

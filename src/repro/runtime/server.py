@@ -131,7 +131,6 @@ class RuntimeServer(Component):
         name: str = "server",
         spans=None,
         watchdog: Optional[WatchdogConfig] = None,
-        tracer=None,
     ) -> None:
         super().__init__(name)
         self.mmio = mmio
@@ -140,7 +139,6 @@ class RuntimeServer(Component):
         # follows them through dispatch, delivery, execution, and response.
         self.spans = spans
         self.watchdog = watchdog if watchdog is not None else WatchdogConfig()
-        self.tracer = tracer
         # Fair arbitration: one command queue per client process, served
         # round-robin (the "arbitrating fair access to the command-response
         # bus" of Section II-C1).  Within one client, dispatch order is a
@@ -441,10 +439,6 @@ class RuntimeServer(Component):
                 else:
                     # A command we already timed out answered after all.
                     self.late_responses += 1
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            cycle, "watchdog", "late_response", {"core": key}
-                        )
                 self.responses_received += 1
         if progressed:
             self._next_poll = cycle + self.host.mmio_word_cycles
@@ -457,13 +451,6 @@ class RuntimeServer(Component):
             _, _, ctx = heapq.heappop(self._retry_heap)
             self.retries += 1
             ctx.attempts += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    cycle,
-                    "watchdog",
-                    "retry",
-                    {"core": ctx.key, "label": ctx.label, "attempt": ctx.attempts},
-                )
             try:
                 ctx.resubmit()
             except Exception as exc:  # e.g. CoreQuarantined from rerouting
@@ -482,20 +469,11 @@ class RuntimeServer(Component):
         strikes = self._strikes.get(key, 0) + 1
         self._strikes[key] = strikes
         ctx = waiter.ctx
-        if self.tracer is not None:
-            self.tracer.record(
-                cycle,
-                "watchdog",
-                "timeout",
-                {"core": key, "label": ctx.label, "strikes": strikes},
-            )
         if self.spans is not None and waiter.span_id:
             self.spans.command_completed(cycle, waiter.span_id)
         if strikes >= self.watchdog.quarantine_strikes and key not in self.quarantined:
             self.quarantined.add(key)
             self.quarantines += 1
-            if self.tracer is not None:
-                self.tracer.record(cycle, "watchdog", "quarantine", {"core": key})
         if (
             ctx.retryable
             and ctx.resubmit is not None

@@ -14,8 +14,6 @@ _LAZY = {
     "Simulator": "repro.sim.kernel",
     "Span": "repro.sim.trace",
     "Tracer": "repro.sim.trace",
-    "TraceEvent": "repro.sim.trace",
-    "NULL_TRACER": "repro.sim.trace",
     "class_tick_table": "repro.sim.trace",
     "compact_state_dump": "repro.sim.trace",
     "export_state_dump": "repro.sim.trace",

@@ -512,13 +512,7 @@ class Simulator:
         if self.tracer is not None:
             tracer = self.tracer
             tscope = self.registry.scope("trace")
-            # Event counts are volatile: they are not part of the stable
-            # surface the cross-schedule differentials and digests compare.
-            tscope.bind("events", lambda: len(tracer.events), volatile=True)
-            tscope.bind("spans", lambda: len(getattr(tracer, "span_log", ())))
-            tscope.bind(
-                "dropped_events", lambda: tracer.dropped_events, volatile=True
-            )
+            tscope.bind("spans", lambda: len(tracer.span_log))
             tscope.bind("dropped_spans", lambda: tracer.dropped_spans)
 
     def add(self, component: Component) -> Component:

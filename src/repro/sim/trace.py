@@ -1,33 +1,22 @@
-"""Event and span tracing for simulations.
+"""Span tracing for simulations, plus the kernel's run reports.
 
-The tracer records two kinds of data:
-
-* flat :class:`TraceEvent` records — (cycle, channel, event, payload) tuples
-  the models emit at interesting points (the Figure-5 AXI timelines slice
-  these afterwards);
-* :class:`Span` records — named intervals with parent links, used by the
-  observability layer to reconstruct one host command's full lifetime
-  (enqueue -> dispatch -> execute -> AXI bursts -> response) and exported as
-  Chrome/Perfetto ``trace_event`` JSON by :mod:`repro.obs.export`.
+The tracer stores :class:`Span` records — named intervals with parent
+links, used by the observability layer to reconstruct one host command's
+full lifetime (enqueue -> dispatch -> execute -> AXI bursts -> response) and
+exported as Chrome/Perfetto ``trace_event`` JSON by :mod:`repro.obs.export`.
+AXI bursts themselves are kept by :class:`repro.axi.monitor.AxiMonitor`,
+whose records the Figure-5 timelines read.
 
 Long traced runs stay bounded: construct the tracer with ``max_events`` and
-both stores become ring buffers; evictions are counted in
-``dropped_events``/``dropped_spans`` which the simulator exposes as metrics.
+the span log becomes a ring buffer; evictions are counted in
+``dropped_spans``, which the simulator exposes as a metric.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    cycle: int
-    channel: str
-    event: str
-    payload: Any = None
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -56,71 +45,27 @@ class Span:
 
 @dataclass
 class Tracer:
-    """Collects :class:`TraceEvent` and :class:`Span` records during a run.
+    """Collects :class:`Span` records during a run.
 
-    ``max_events`` (optional) caps *each* store with ring-buffer semantics so
+    ``max_events`` (optional) caps the span log with ring-buffer semantics so
     tracing can stay enabled on arbitrarily long runs; the number of evicted
-    records is kept in ``dropped_events`` / ``dropped_spans``.
+    spans is kept in ``dropped_spans``.
     """
 
-    _state = ("events", "dropped_events", "dropped_spans", "span_log", "_open_spans",
-              "_next_span_id")
+    _state = ("dropped_spans", "span_log", "_open_spans", "_next_span_id")
 
-    enabled: bool = True
-    events: Any = field(default_factory=list)
     max_events: Optional[int] = None
-    dropped_events: int = 0
     dropped_spans: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_events is not None:
-            if self.max_events < 1:
-                raise ValueError("max_events must be >= 1")
-            self.events = deque(self.events, maxlen=self.max_events)
+        if self.max_events is not None and self.max_events < 1:
+            raise ValueError("max_events must be >= 1")
         self.span_log: Any = (
             deque(maxlen=self.max_events) if self.max_events is not None else []
         )
         self._open_spans: Dict[int, Span] = {}
         self._next_span_id = 1
 
-    # -- flat events --------------------------------------------------------
-    def record(self, cycle: int, channel: str, event: str, payload: Any = None) -> None:
-        if not self.enabled:
-            return
-        if self.max_events is not None and len(self.events) == self.max_events:
-            self.dropped_events += 1
-        self.events.append(TraceEvent(cycle, channel, event, payload))
-
-    def filter(self, channel: Optional[str] = None, event: Optional[str] = None) -> List[TraceEvent]:
-        out = list(self.events)
-        if channel is not None:
-            out = [e for e in out if e.channel == channel]
-        if event is not None:
-            out = [e for e in out if e.event == event]
-        return out
-
-    def spans(self, channel: str, start_event: str, end_event: str) -> List[Tuple[Any, int, int]]:
-        """Pair start/end events by payload key into (key, start, end) spans.
-
-        Re-used payload keys are handled with a per-key stack: each end event
-        pairs with the *most recent* unmatched start for that key, so nested
-        or repeated use of one key (e.g. a recycled transaction tag) yields
-        every span instead of silently overwriting the earlier start.
-        """
-        starts: Dict[Any, List[int]] = {}
-        spans: List[Tuple[Any, int, int]] = []
-        for e in self.events:
-            if e.channel != channel:
-                continue
-            if e.event == start_event:
-                starts.setdefault(e.payload, []).append(e.cycle)
-            elif e.event == end_event:
-                open_starts = starts.get(e.payload)
-                if open_starts:
-                    spans.append((e.payload, open_starts.pop(), e.cycle))
-        return spans
-
-    # -- spans --------------------------------------------------------------
     def begin_span(
         self,
         cycle: int,
@@ -129,9 +74,7 @@ class Tracer:
         parent: Optional[int] = None,
         **args: Any,
     ) -> int:
-        """Open a span; returns its id (0 when the tracer is disabled)."""
-        if not self.enabled:
-            return 0
+        """Open a span; returns its id (ids start at 1)."""
         span_id = self._next_span_id
         self._next_span_id += 1
         span = Span(span_id, name, track, cycle, parent=parent, args=args)
@@ -146,7 +89,7 @@ class Tracer:
     def end_span(self, span_id: int, cycle: int, **args: Any) -> None:
         span = self._open_spans.pop(span_id, None)
         if span is None:
-            return  # disabled tracer, evicted span, or double end
+            return  # evicted span, or double end
         span.end_cycle = cycle
         if args:
             span.args.update(args)
@@ -159,15 +102,6 @@ class Tracer:
 
     def children_of(self, span_id: int) -> List[Span]:
         return [s for s in self.span_log if s.parent == span_id]
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.span_log.clear()
-        self._open_spans.clear()
-
-
-#: A process-wide null tracer models can default to.
-NULL_TRACER = Tracer(enabled=False)
 
 
 def skip_summary(sim) -> Dict[str, float]:

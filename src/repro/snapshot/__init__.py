@@ -23,11 +23,7 @@ _LAZY = {
     "Thawer": "repro.snapshot.engine",
     "capture": "repro.snapshot.engine",
     "capture_sim_state": "repro.snapshot.engine",
-    "consume_resumed_flag": "repro.snapshot.store",
-    "job_checkpoint": "repro.snapshot.store",
-    "job_checkpoint_path": "repro.snapshot.store",
     "load": "repro.snapshot.store",
-    "note_job_resumed": "repro.snapshot.store",
     "restore": "repro.snapshot.engine",
     "restore_sim_state": "repro.snapshot.engine",
     "save": "repro.snapshot.store",

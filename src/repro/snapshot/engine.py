@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 16: the host state no longer carries ``degraded_cores``,
-#: a copy of the runtime server's ``quarantined``).
-SNAPSHOT_VERSION = 16
+#: "Versioning"; 17: the tracer keeps spans only, so its state no longer
+#: carries an event list or ``dropped_events``).
+SNAPSHOT_VERSION = 17
 
 
 class SnapshotError(RuntimeError):

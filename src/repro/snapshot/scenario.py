@@ -59,13 +59,13 @@ def run_checkpointed_memcpy(
     mode: str,
     *,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every_chunks: int = 0,
+    chunks_per_checkpoint: int = 0,
     kill_after_checkpoints: Optional[int] = None,
     stop_after_checkpoints: Optional[int] = None,
 ) -> Dict[str, Any]:
     """One resumable chaos-memcpy run, driven in fixed :data:`CHUNK`s.
 
-    * ``checkpoint_path``/``checkpoint_every_chunks`` — write a snapshot
+    * ``checkpoint_path``/``chunks_per_checkpoint`` — write a snapshot
       file every N chunks; if the file already exists the run *resumes from
       it* instead of starting over.
     * ``kill_after_checkpoints`` — SIGKILL our own process right after the
@@ -92,8 +92,8 @@ def run_checkpointed_memcpy(
             run["chunks"] += 1
             if (
                 checkpoint_path
-                and checkpoint_every_chunks
-                and run["chunks"] % checkpoint_every_chunks == 0
+                and chunks_per_checkpoint
+                and run["chunks"] % chunks_per_checkpoint == 0
             ):
                 snap = capture(handle)
                 snap.meta["chunks_done"] = run["chunks"]
@@ -114,7 +114,7 @@ def _victim_main(seed: int, mode: str, path: str, every: int, kill_after: int) -
     run_checkpointed_memcpy(
         seed, mode,
         checkpoint_path=path,
-        checkpoint_every_chunks=every,
+        chunks_per_checkpoint=every,
         kill_after_checkpoints=kill_after,
     )
 
@@ -148,7 +148,7 @@ def kill_and_resume_differential(
     mode: str,
     workdir: str,
     *,
-    checkpoint_every_chunks: int = 2,
+    chunks_per_checkpoint: int = 2,
 ) -> Dict[str, Any]:
     """Kill a run mid-flight at a seeded point, resume it, and compare with
     an uninterrupted reference of the same seed.
@@ -166,14 +166,14 @@ def kill_and_resume_differential(
         os.unlink(path)
     # Seeded kill point: after 1..N checkpoint writes, where N keeps the
     # kill strictly before the reference's completion chunk.
-    max_kill = max(1, (ref_chunks - 1) // checkpoint_every_chunks)
+    max_kill = max(1, (ref_chunks - 1) // chunks_per_checkpoint)
     kill_after = 1 + rng.randrange(max_kill)
     killed = False
     ctx = _fork_context()
     if ctx is not None:
         proc = ctx.Process(
             target=_victim_main,
-            args=(seed, mode, path, checkpoint_every_chunks, kill_after),
+            args=(seed, mode, path, chunks_per_checkpoint, kill_after),
             daemon=True,
         )
         proc.start()
@@ -189,7 +189,7 @@ def kill_and_resume_differential(
         run_checkpointed_memcpy(
             seed, mode,
             checkpoint_path=path,
-            checkpoint_every_chunks=checkpoint_every_chunks,
+            chunks_per_checkpoint=chunks_per_checkpoint,
             stop_after_checkpoints=kill_after,
         )
     # If the seeded workload finished before its first checkpoint (or the
@@ -198,7 +198,7 @@ def kill_and_resume_differential(
     resumed = run_checkpointed_memcpy(
         seed, mode,
         checkpoint_path=path,
-        checkpoint_every_chunks=checkpoint_every_chunks,
+        chunks_per_checkpoint=chunks_per_checkpoint,
     )
 
     match = _comparable(resumed) == _comparable(reference)

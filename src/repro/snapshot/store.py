@@ -1,4 +1,4 @@
-"""Checkpoint persistence: atomic snapshot files, farm plumbing, stage logs.
+"""Checkpoint persistence: atomic snapshot files and stage logs.
 
 A snapshot file is a fixed header — magic, ``SNAPSHOT_VERSION``, payload
 length, SHA-256 of the payload — then the payload: a pickle of one dict of
@@ -12,12 +12,6 @@ not authenticity: whoever can write the file can recompute it.
 Files are written atomically (temp file + ``os.replace``) so a SIGKILL
 mid-write leaves the previous checkpoint intact — the resume path never
 sees a torn file.
-
-Farm integration works over the environment: the farm exports the job's
-checkpoint path/interval around its execution, checkpointed job functions
-read them via :func:`job_checkpoint`, and a module-level flag records
-whether the job actually resumed so the farm can surface
-``resumed_from_checkpoint`` provenance without changing job signatures.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ import os
 import pickle
 import struct
 import tempfile
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 from repro.snapshot.engine import (
     SNAPSHOT_VERSION,
@@ -42,12 +36,6 @@ _MAGIC = b"RPROSNAP"
 #: magic, version, payload length, sha256(payload) — big-endian, 52 bytes.
 _HEADER = struct.Struct(">8sIQ32s")
 _FIELDS = (("version", int), ("cycle", int), ("payload", dict), ("meta", dict))
-
-#: Exported by the farm around checkpointed job execution.
-CKPT_PATH_ENV = "REPRO_SNAPSHOT_JOB_PATH"
-CKPT_EVERY_ENV = "REPRO_SNAPSHOT_JOB_EVERY"
-
-_resumed_flag = False
 
 
 # ------------------------------------------------------------------- files
@@ -115,50 +103,6 @@ def load(path: str) -> Snapshot:
     if fields["version"] != version:
         raise SnapshotError(f"{path}: header and payload disagree on the version")
     return Snapshot(**{name: fields[name] for name, _type in _FIELDS})
-
-
-# -------------------------------------------------------------------- farm
-def job_checkpoint_path(root: str, fingerprint: str) -> str:
-    """Content-addressed checkpoint location next to the farm result cache.
-
-    The address hashes the job fingerprint *and* ``SNAPSHOT_VERSION``, so a
-    format bump orphans stale checkpoints instead of restoring them.
-    """
-    digest = hashlib.sha256(
-        f"{fingerprint}:snapshot-v{SNAPSHOT_VERSION}".encode()
-    ).hexdigest()
-    return os.path.join(root, digest[:2], digest[2:] + ".ckpt")
-
-
-def job_checkpoint() -> Tuple[Optional[str], int]:
-    """(checkpoint path, interval) for the currently executing farm job.
-
-    ``(None, 0)`` outside a checkpointed job.  Job functions that support
-    resumable execution call this, resume from the file when it exists, and
-    write checkpoints at the declared interval.
-    """
-    path = os.environ.get(CKPT_PATH_ENV)
-    if not path:
-        return None, 0
-    try:
-        every = int(os.environ.get(CKPT_EVERY_ENV, "0"))
-    except ValueError:
-        every = 0
-    return path, every
-
-
-def note_job_resumed() -> None:
-    """Called by job code after successfully restoring a checkpoint."""
-    global _resumed_flag
-    _resumed_flag = True
-
-
-def consume_resumed_flag() -> bool:
-    """Read-and-clear the resumed flag (farm bookkeeping)."""
-    global _resumed_flag
-    value = _resumed_flag
-    _resumed_flag = False
-    return value
 
 
 # --------------------------------------------------------------- stage log

@@ -59,7 +59,7 @@ def build_memory_testbench(
     tracer = tracer or Tracer()
     params = controller_params or AxiParams(beat_bytes=timing.col_bytes)
     slave_port = AxiPort(params, "mem", depth=8)
-    monitor = AxiMonitor("mem", tracer)
+    monitor = AxiMonitor("mem")
     mport = MonitoredAxiPort(slave_port, monitor)
     controller = MemoryController(mport, timing)
 

@@ -318,20 +318,20 @@ def test_chrome_trace_warns_on_ring_buffer_wrap():
 
     tracer = Tracer(max_events=2)
     for i in range(5):
-        tracer.record(i, "ch", "ev", i)
-    assert tracer.dropped_events == 3
+        tracer.end_span(tracer.begin_span(i, "t", f"s{i}"), i + 1)
+    assert tracer.dropped_spans == 3
     with pytest.warns(TraceTruncationWarning):
         trace = chrome_trace(tracer)
-    assert trace["otherData"]["dropped_events"] == 3
+    assert trace["otherData"]["dropped_spans"] == 3
 
 
 def test_chrome_trace_quiet_without_drops(recwarn):
     from repro.obs.export import chrome_trace
 
     tracer = Tracer()
-    tracer.record(1, "ch", "ev")
+    tracer.end_span(tracer.begin_span(1, "t", "s"), 2)
     trace = chrome_trace(tracer)
-    assert "dropped_events" not in trace["otherData"]
+    assert "dropped_spans" not in trace["otherData"]
     assert not recwarn.list
 
 

@@ -7,7 +7,6 @@ from repro.fpga.device import ResourceVector
 from repro.kernels.attention import a3_config
 from repro.kernels.vecadd import vector_add_config
 from repro.platforms import AWSF1Platform, SimulationPlatform
-from repro.sim import TraceEvent, Tracer
 
 
 def test_report_totals_are_sum_of_parts():
@@ -73,34 +72,6 @@ def test_synthesis_mode_rejects_oversize_design():
 
     with pytest.raises(InfeasibleDesignError):
         BeethovenBuild(a3_config(40), AWSF1Platform(), BuildMode.Synthesis)
-
-
-def test_tracer_spans_pairing():
-    tracer = Tracer()
-    tracer.record(5, "ch", "start", "a")
-    tracer.record(7, "ch", "start", "b")
-    tracer.record(9, "ch", "end", "a")
-    tracer.record(12, "ch", "end", "b")
-    spans = tracer.spans("ch", "start", "end")
-    assert ("a", 5, 9) in spans and ("b", 7, 12) in spans
-
-
-def test_tracer_filtering_and_disable():
-    tracer = Tracer()
-    tracer.record(1, "x", "e")
-    tracer.record(2, "y", "e")
-    assert len(tracer.filter(channel="x")) == 1
-    tracer.enabled = False
-    tracer.record(3, "x", "e")
-    assert len(tracer.filter(channel="x")) == 1
-    tracer.clear()
-    assert not tracer.events
-
-
-def test_trace_event_is_frozen():
-    event = TraceEvent(1, "c", "e")
-    with pytest.raises(AttributeError):
-        event.cycle = 2
 
 
 def test_a_design_without_axi_masters_has_no_memory_interfaces():

@@ -40,12 +40,6 @@ def _raise(msg):
     raise ValueError(msg)
 
 
-def _checkpoint_path():
-    from repro.snapshot.store import job_checkpoint
-
-    return job_checkpoint()[0]
-
-
 # ----------------------------------------------------------- fingerprinting
 def test_fingerprint_is_deterministic_and_content_sensitive():
     fp1 = job_fingerprint(_square, (3,), {})
@@ -296,14 +290,6 @@ def test_farm_runs_in_process_only():
     for n in (0, 2, 4, None):
         with pytest.raises(ValueError):
             Farm(n_workers=n, cache=False)
-
-
-def test_checkpoints_live_under_the_cache_root(tmp_path):
-    farm = Farm(cache=ResultCache(str(tmp_path)))
-    job = Job(_checkpoint_path, checkpoint_every=2, cache=False)
-    (res,) = farm.run([job])
-    assert res.ok and res.value == job.checkpoint_path
-    assert job.checkpoint_path.startswith(os.path.join(str(tmp_path), "checkpoints") + os.sep)
 
 
 # ----------------------------------------------------------- observability

@@ -319,7 +319,7 @@ def test_elaboration_alone_builds_no_views_and_no_rows():
     copy48 = BeethovenBuild(memcpy_config(n_cores=48), AWSF1Platform())
     nw16 = BeethovenBuild(nw_config(n_cores=16), AWSF1Platform())
     views = [v for i, v in _live(BoundMetric).items() if i not in views_before]
-    # Only the two simulators' own sim/* and trace/* views exist (6 + 4
+    # Only the two simulators' own sim/* and trace/* views exist (6 + 2
     # each): nothing for any chan/... or component path.
     assert len(views) <= 20
     mems = [m for i, m in _live(Memory).items() if i not in mems_before]

@@ -28,7 +28,7 @@ from repro.snapshot.scenario import (
     kill_and_resume_differential,
     run_checkpointed_memcpy,
 )
-from repro.snapshot.store import job_checkpoint_path, load, save
+from repro.snapshot.store import load, save
 
 #: A seed whose chaos plan is known to inject faults (the differential under
 #: it exercises fault-RNG positions and poison bookkeeping, not just queues).
@@ -57,11 +57,11 @@ def test_resume_from_disk_under_active_fault_plan(tmp_path):
     assert ref["n_faults"] > 0
     run_checkpointed_memcpy(
         FAULTY_SEED, "compiled",
-        checkpoint_path=path, checkpoint_every_chunks=1, stop_after_checkpoints=2,
+        checkpoint_path=path, chunks_per_checkpoint=1, stop_after_checkpoints=2,
     )
     assert os.path.exists(path)
     resumed = run_checkpointed_memcpy(
-        FAULTY_SEED, "compiled", checkpoint_path=path, checkpoint_every_chunks=1
+        FAULTY_SEED, "compiled", checkpoint_path=path, chunks_per_checkpoint=1
     )
     assert resumed["resumed"]
     for key in _COMPARE_KEYS:
@@ -85,7 +85,7 @@ def test_snapshot_file_round_trip(tmp_path):
     path = str(tmp_path / "roundtrip.ckpt")
     run_checkpointed_memcpy(
         0, "naive", checkpoint_path=path,
-        checkpoint_every_chunks=1, stop_after_checkpoints=1,
+        chunks_per_checkpoint=1, stop_after_checkpoints=1,
     )
     snap = load(path)
     assert snap.version == SNAPSHOT_VERSION
@@ -109,7 +109,7 @@ def test_load_rejects_garbage_and_foreign_versions(tmp_path):
     path = str(tmp_path / "versioned.ckpt")
     run_checkpointed_memcpy(
         0, "naive", checkpoint_path=path,
-        checkpoint_every_chunks=1, stop_after_checkpoints=1,
+        chunks_per_checkpoint=1, stop_after_checkpoints=1,
     )
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
@@ -120,19 +120,6 @@ def test_load_rejects_garbage_and_foreign_versions(tmp_path):
             fh.write(data)
         with pytest.raises(SnapshotVersionError):
             load(path)
-
-
-def test_job_checkpoint_path_is_version_addressed(tmp_path, monkeypatch):
-    """A snapshot format bump must orphan old checkpoints, not restore them."""
-    import repro.snapshot.store as store_mod
-
-    p1 = job_checkpoint_path(str(tmp_path), "fp")
-    assert p1.endswith(".ckpt") and str(tmp_path) in p1
-    assert job_checkpoint_path(str(tmp_path), "fp") == p1
-    assert job_checkpoint_path(str(tmp_path), "other") != p1
-    for version in (SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1):
-        monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", version)
-        assert job_checkpoint_path(str(tmp_path), "fp") != p1
 
 
 # ------------------------------------------------------ fresh-process restore
@@ -215,57 +202,6 @@ def test_restore_in_a_fresh_interpreter_is_bit_identical(faulted, tmp_path):
     resumed = run("resume")
     assert resumed == reference
     assert all(o is True for o in reference["outcomes"])
-def _crashy_job(x):
-    from repro.snapshot.store import job_checkpoint, note_job_resumed
-
-    path, every = job_checkpoint()
-    assert path and every == 4, (path, every)
-    if os.path.exists(path):
-        note_job_resumed()
-        return x * 2
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("ckpt")
-    os._exit(3)
-
-
-_HOST_CRASH = """
-import sys
-from repro.farm import Farm, Job, ResultCache
-
-job = Job("tests.test_snapshot:_crashy_job", (21,), checkpoint_every=4)
-Farm(cache=ResultCache(sys.argv[1])).run([job])
-"""
-
-
-def test_farm_job_resumes_after_host_crash(tmp_path):
-    """A host process that dies mid-job leaves its checkpoint behind; the
-    next run on the same cache directory resumes from it and retires it."""
-    import subprocess
-    import sys
-
-    from repro.farm import Farm, Job, ResultCache
-    from test_import_surface import SRC
-
-    repo = os.path.dirname(SRC)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, repo]))
-    crashed = subprocess.run(
-        [sys.executable, "-c", _HOST_CRASH, str(tmp_path)],
-        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert crashed.returncode == 3, crashed.stderr
-    job = Job("tests.test_snapshot:_crashy_job", (21,), checkpoint_every=4)
-    left_behind = job_checkpoint_path(str(tmp_path / "checkpoints"), job.fingerprint)
-    assert os.path.exists(left_behind)
-
-    farm = Farm(cache=ResultCache(str(tmp_path)))
-    (res,) = farm.run([job])
-    assert res.ok and res.value == 42
-    assert res.resumed_from_checkpoint
-    assert farm.metrics()["farm/checkpoint_resumes"] == 1
-    assert job.checkpoint_path == left_behind and not os.path.exists(left_behind)
-
-
 class _CallbackMsg(NamedTuple):
     """A queue item that carries structure: tuples holding a callable are
     skipped whole, so it cannot be frozen."""
