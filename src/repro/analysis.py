@@ -78,26 +78,26 @@ def latency_stats(records: Sequence[TxnRecord], kind: Optional[str] = None) -> L
     )
 
 
-def bytes_transferred(records: Sequence[TxnRecord], beat_bytes: int = 64) -> Dict[str, int]:
+def bytes_transferred(records: Sequence[TxnRecord]) -> Dict[str, int]:
+    """Bytes read and written by the completed transactions, in 64-byte
+    beats (the F1 DDR port)."""
     out = {"read": 0, "write": 0}
     for r in records:
         if r.complete_cycle is not None:
-            out[r.kind] += r.length * beat_bytes
+            out[r.kind] += r.length * 64
     return out
 
 
-def bandwidth_share(
-    records: Sequence[TxnRecord], region_of, beat_bytes: int = 64
-) -> Dict[object, int]:
-    """Bytes moved per region key (``region_of(addr) -> key``): used to
-    check that the tree arbitration shares bandwidth fairly across masters
-    working in disjoint address regions."""
+def bandwidth_share(records: Sequence[TxnRecord], region_of) -> Dict[object, int]:
+    """Bytes moved per region key (``region_of(addr) -> key``), in 64-byte
+    beats: used to check that the tree arbitration shares bandwidth fairly
+    across masters working in disjoint address regions."""
     shares: Dict[object, int] = {}
     for r in records:
         if r.complete_cycle is None:
             continue
         key = region_of(r.addr)
-        shares[key] = shares.get(key, 0) + r.length * beat_bytes
+        shares[key] = shares.get(key, 0) + r.length * 64
     return shares
 
 
@@ -127,17 +127,19 @@ def registry_frame(registry, prefix: Optional[str] = None) -> Dict[str, float]:
     return out
 
 
-def dram_bus_utilisation(registry, controller: str = "dram/mc") -> float:
-    """Data-bus utilisation of one controller, from registry counters alone."""
+def dram_bus_utilisation(registry) -> float:
+    """Data-bus utilisation of the ``dram/mc`` controller, from registry
+    counters alone."""
     cycles = registry.value("sim/cycles_total", 0)
-    busy = registry.value(f"{controller}/bus_cycles", 0)
+    busy = registry.value("dram/mc/bus_cycles", 0)
     return int(busy) / max(int(cycles), 1)
 
 
-def dram_row_hit_rate(registry, controller: str = "dram/mc") -> float:
-    """Fraction of column accesses that hit an open row."""
-    hits = int(registry.value(f"{controller}/row_hits", 0))
-    misses = int(registry.value(f"{controller}/row_misses", 0))
+def dram_row_hit_rate(registry) -> float:
+    """Fraction of the ``dram/mc`` controller's column accesses that hit an
+    open row."""
+    hits = int(registry.value("dram/mc/row_hits", 0))
+    misses = int(registry.value("dram/mc/row_misses", 0))
     total = hits + misses
     return hits / total if total else 0.0
 

@@ -25,7 +25,6 @@ class ChipKitIntegration:
     """Parameters for a ChipKIT-style test chip build."""
 
     m0_source_path: str
-    sram_boot_kib: int = 64
 
     def validate(self) -> None:
         if not self.m0_source_path:
@@ -39,7 +38,7 @@ class ChipKitIntegration:
             )
 
     def build_top(self, fabric_top: HdlModule) -> HdlModule:
-        """Wrap the Beethoven fabric with the on-chip CPU and boot SRAM."""
+        """Wrap the Beethoven fabric with the on-chip CPU."""
         self.validate()
         top = HdlModule(
             "chipkit_top",

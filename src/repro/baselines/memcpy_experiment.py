@@ -134,8 +134,9 @@ def timeline(result: MemcpyResult) -> List[dict]:
     return sorted(rows, key=lambda r: r["issue"])
 
 
-def render_timeline(result: MemcpyResult, width: int = 72) -> str:
-    """ASCII reproduction of the Figure 5 timing diagrams."""
+def render_timeline(result: MemcpyResult) -> str:
+    """ASCII reproduction of the Figure 5 timing diagrams, 72 columns wide."""
+    width = 72
     rows = timeline(result)
     if not rows:
         return "(no transactions)"

@@ -78,14 +78,13 @@ class SpinCore(AcceleratorCore):
 
 def spin_config(
     n_cores: int,
-    name: str = "Spin",
     work_per_tick: int = 64,
 ) -> AcceleratorConfig:
     def make(ctx):
         return SpinCore(ctx, work_per_tick=work_per_tick)
 
     return AcceleratorConfig(
-        name=name,
+        name="Spin",
         n_cores=n_cores,
         module_constructor=make,
         memory_channel_config=(

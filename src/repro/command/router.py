@@ -29,7 +29,6 @@ class BeethovenIO:
         self,
         command: CommandSpec,
         response: ResponseSpec,
-        depth: int = 2,
         owner: str = "",
     ) -> None:
         self.command_spec = command
@@ -37,8 +36,8 @@ class BeethovenIO:
         # The owner prefix keeps channel (and metric) names unique per core;
         # without it every core's "io.<cmd>.req" would collide in the registry.
         stem = f"io.{owner}.{command.name}" if owner else f"io.{command.name}"
-        self.req: ChannelQueue[dict] = ChannelQueue(depth, f"{stem}.req")
-        self.resp: ChannelQueue[dict] = ChannelQueue(depth, f"{stem}.resp")
+        self.req: ChannelQueue[dict] = ChannelQueue(2, f"{stem}.req")
+        self.resp: ChannelQueue[dict] = ChannelQueue(2, f"{stem}.resp")
 
 
 class CoreCommandAdapter(Component):
@@ -52,9 +51,8 @@ class CoreCommandAdapter(Component):
         core_id: int,
         ios: List[BeethovenIO],
         addr_bits: int,
-        name: str = "cmdadapt",
     ) -> None:
-        super().__init__(f"{name}.{system_id}.{core_id}")
+        super().__init__(f"cmdadapt.{system_id}.{core_id}")
         self.system_id = system_id
         self.core_id = core_id
         self.ios = ios
@@ -186,10 +184,10 @@ class CommandRouter(Component):
 
     _state = ("_cmd_delay", "_resp_delay", "_resp_rr", "commands_routed", "responses_routed")
 
-    def __init__(self, name: str = "cmdrouter") -> None:
-        super().__init__(name)
-        self.cmd_in: ChannelQueue[RoccInstruction] = ChannelQueue(4, f"{name}.cmd")
-        self.resp_out: ChannelQueue[RoccResponse] = ChannelQueue(4, f"{name}.resp")
+    def __init__(self) -> None:
+        super().__init__("cmdrouter")
+        self.cmd_in: ChannelQueue[RoccInstruction] = ChannelQueue(4, "cmdrouter.cmd")
+        self.resp_out: ChannelQueue[RoccResponse] = ChannelQueue(4, "cmdrouter.resp")
         self._routes: Dict[Tuple[int, int], _RouteEntry] = {}
         self._route_list: Tuple[_RouteEntry, ...] = ()  # attach order
         self._cmd_delay: Deque[Tuple[int, RoccInstruction]] = deque()
@@ -297,11 +295,11 @@ class MmioFrontend(Component):
 
     _state = ("_fault", "_partial", "commands_forwarded", "responses_forwarded")
 
-    def __init__(self, router: CommandRouter, name: str = "mmio") -> None:
-        super().__init__(name)
+    def __init__(self, router: CommandRouter) -> None:
+        super().__init__("mmio")
         self.router = router
-        self.cmd_words: ChannelQueue[int] = ChannelQueue(16, f"{name}.cmdw")
-        self.resp_words: ChannelQueue[int] = ChannelQueue(16, f"{name}.respw")
+        self.cmd_words: ChannelQueue[int] = ChannelQueue(16, "mmio.cmdw")
+        self.resp_words: ChannelQueue[int] = ChannelQueue(16, "mmio.respw")
         self._partial: List[int] = []
         self.commands_forwarded = 0
         self.responses_forwarded = 0

@@ -125,8 +125,8 @@ class BeethovenBuild:
         """Write a Perfetto-loadable (ui.perfetto.dev) trace JSON file."""
         return self.design.export_chrome_trace(path)
 
-    def profile_report(self, top: int = 0) -> str:
-        return self.design.profile_report(top=top)
+    def profile_report(self) -> str:
+        return self.design.profile_report()
 
     def attribution_report(self, by_tenant: bool = False):
         """Cycle-attribution rollup (see :mod:`repro.obs.attribution`)."""

@@ -679,12 +679,6 @@ class ElaboratedDesign:
         return emit_constraints(self.placement, self.platform.device)
 
     # ------------------------------------------------------------- lookups
-    def core(self, system_name: str, core_id: int = 0) -> ElaboratedCore:
-        for system in self.systems:
-            if system.config.name == system_name:
-                return system.cores[core_id]
-        raise KeyError(f"no system {system_name!r}")
-
     def all_cores(self) -> List[ElaboratedCore]:
         return [c for s in self.systems for c in s.cores]
 
@@ -726,10 +720,10 @@ class ElaboratedDesign:
             extra_events=counter_track_events([self.monitor]),
         )
 
-    def profile_report(self, top: int = 0) -> str:
+    def profile_report(self) -> str:
         from repro.obs.profiler import render_profile_report
 
-        return render_profile_report(self.sim, top=top)
+        return render_profile_report(self.sim)
 
     def attribution_report(self, by_tenant: bool = False):
         """Cycle-attribution rollup (see :mod:`repro.obs.attribution`).

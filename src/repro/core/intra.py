@@ -19,9 +19,9 @@ from repro.sim import NEVER, ChannelQueue, Component
 class IntraCoreLink:
     """A one-way (row, data) channel between cores."""
 
-    def __init__(self, name: str, depth: int = 4) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.chan: ChannelQueue[Tuple[int, int]] = ChannelQueue(depth, name)
+        self.chan: ChannelQueue[Tuple[int, int]] = ChannelQueue(4, name)
 
     def push(self, row: int, data: int) -> None:
         self.chan.push((row, data))

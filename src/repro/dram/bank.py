@@ -33,18 +33,6 @@ class Bank:
     _state = ("open_row", "ready_at", "activated_at", "fresh", "activations", "row_hits",
               "row_misses")
 
-    def row_open(self, row: int, cycle: int) -> bool:
-        return self.open_row == row and cycle >= self.ready_at
-
-    def can_prep(self, cycle: int) -> bool:
-        """Can we begin switching this bank to a new row this cycle?"""
-        if cycle < self.ready_at:
-            return False
-        if self.open_row is not None:
-            # Must satisfy minimum row-open time before precharging.
-            return cycle >= self.activated_at + self.timing.t_ras
-        return True
-
     def prep(self, row: int, cycle: int) -> None:
         """Begin precharge (if a row is open) + activate of ``row``."""
         cost = self.timing.t_rcd
@@ -59,13 +47,3 @@ class Bank:
     def block_for_refresh(self, cycle: int) -> None:
         self.ready_at = max(self.ready_at, cycle + self.timing.t_rfc)
         self.open_row = None
-
-    def record_access(self) -> bool:
-        """Count one column on the open row; whether it hit (the first
-        column after an activation is the miss)."""
-        if self.fresh:
-            self.fresh = False
-            self.row_misses += 1
-            return False
-        self.row_hits += 1
-        return True

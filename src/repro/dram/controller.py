@@ -136,8 +136,7 @@ class MemoryController(Component):
               "_r_cand", "_b_ready", "read_cols", "write_cols", "turnarounds", "refreshes",
               "row_conflicts", "queue_wait_cycles")
 
-    def __init__(self, mport: MonitoredAxiPort, timing: DramTiming,
-                 store: Optional[MemoryStore] = None, name: str = "mc") -> None:
+    def __init__(self, mport: MonitoredAxiPort, timing: DramTiming, name: str = "mc") -> None:
         super().__init__(name)
         self.mport = mport
         self.port = mport.port
@@ -147,7 +146,7 @@ class MemoryController(Component):
                 "AXI beat width must match the DRAM column width "
                 f"({self.port.params.beat_bytes} != {timing.col_bytes})"
             )
-        self.store = store if store is not None else MemoryStore(timing.col_bytes)
+        self.store = MemoryStore(timing.col_bytes)
         self.banks = [Bank(timing) for _ in range(timing.n_banks)]
 
         self._read_txns: Dict[int, _ReadTxn] = {}
@@ -626,10 +625,11 @@ class MemoryController(Component):
     def bus_utilisation(self, cycles: int) -> float:
         return (self.read_cols + self.write_cols) / max(cycles, 1)
 
-    def report(self, cycles: int, clock_mhz: float = 250.0) -> Dict[str, float]:
-        """DRAMsim3-style channel summary over ``cycles`` of simulation."""
+    def report(self, cycles: int) -> Dict[str, float]:
+        """DRAMsim3-style channel summary over ``cycles`` of simulation at
+        the 250 MHz F1 fabric clock."""
         beat = self.timing.col_bytes
-        seconds = cycles / (clock_mhz * 1e6) if cycles else 1.0
+        seconds = cycles / 250e6 if cycles else 1.0
         stats = self.stats
         total_accesses = stats["read_cols"] + stats["write_cols"]
         activations = sum(b.activations for b in self.banks)

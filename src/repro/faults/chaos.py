@@ -78,7 +78,7 @@ class ChaosOutcome:
         return self.outcome not in GOOD_OUTCOMES
 
 
-def default_plan(seed: int, intensity: float = 1.0) -> FaultPlan:
+def default_plan(seed: int) -> FaultPlan:
     """The sweep's plan generator: a pure function of ``seed``.
 
     Each seed activates up to three fault classes with rates tuned so small
@@ -91,12 +91,12 @@ def default_plan(seed: int, intensity: float = 1.0) -> FaultPlan:
     )
     return FaultPlan(
         seed=seed,
-        dram_read_flip_rate=0.02 * intensity if "dram" in active else 0.0,
-        axi_r_corrupt_rate=0.03 * intensity if "r_corrupt" in active else 0.0,
-        axi_r_drop_rate=0.03 * intensity if "r_drop" in active else 0.0,
-        axi_b_drop_rate=0.10 * intensity if "b_drop" in active else 0.0,
-        mmio_resp_drop_rate=0.30 * intensity if "mmio" in active else 0.0,
-        core_hang_rate=0.40 * intensity if "hang" in active else 0.0,
+        dram_read_flip_rate=0.02 if "dram" in active else 0.0,
+        axi_r_corrupt_rate=0.03 if "r_corrupt" in active else 0.0,
+        axi_r_drop_rate=0.03 if "r_drop" in active else 0.0,
+        axi_b_drop_rate=0.10 if "b_drop" in active else 0.0,
+        mmio_resp_drop_rate=0.30 if "mmio" in active else 0.0,
+        core_hang_rate=0.40 if "hang" in active else 0.0,
         core_hang_cycles=rng.choice((0, 2000)),
         core_hang_window=6000,
         max_faults_per_site=2,

@@ -114,7 +114,7 @@ def make_vu9p_aws_f1() -> FpgaDevice:
     )
 
 
-def make_multi_die(n_slrs: int, name: str = "") -> FpgaDevice:
+def make_multi_die(n_slrs: int) -> FpgaDevice:
     """A synthetic ``n_slrs``-die device of VU9P-class SLRs.
 
     Interfaces stay on SLR0 (the common Alveo arrangement), so every other
@@ -123,7 +123,7 @@ def make_multi_die(n_slrs: int, name: str = "") -> FpgaDevice:
     if n_slrs < 1:
         raise ValueError("a device needs at least one SLR")
     return FpgaDevice(
-        name=name or f"multi-die-{n_slrs}",
+        name=f"multi-die-{n_slrs}",
         slr_capacity=[_vu9p_slr() for _ in range(n_slrs)],
         memory_interface_slr=0,
         host_interface_slr=0,

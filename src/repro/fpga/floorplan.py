@@ -37,20 +37,21 @@ class Placement:
         return [name for name, s in self.assignment.items() if s == slr]
 
 
+#: Share of every SLR's free capacity the placer holds back for the
+#: networks elaborated *after* placement (memory tree nodes, command
+#: routing, SLR bridge buffering).
+RESERVE_FRACTION = 0.10
+
+
 class Floorplanner:
-    """Greedy worst-utilisation-balancing placer.
+    """Greedy worst-utilisation-balancing placer; it fills each SLR up to
+    ``1 - RESERVE_FRACTION`` of its free capacity."""
 
-    ``reserve_fraction`` holds back capacity on every SLR for the networks
-    that are elaborated *after* placement (memory tree nodes, command
-    routing, SLR bridge buffering).
-    """
-
-    def __init__(self, device: FpgaDevice, reserve_fraction: float = 0.10) -> None:
+    def __init__(self, device: FpgaDevice) -> None:
         self.device = device
-        self.reserve_fraction = reserve_fraction
 
     def _budget(self, slr: int) -> ResourceVector:
-        return self.device.free_capacity(slr).scaled(1.0 - self.reserve_fraction)
+        return self.device.free_capacity(slr).scaled(1.0 - RESERVE_FRACTION)
 
     def place(self, cores: Sequence[Tuple[str, ResourceVector]]) -> Placement:
         """Assign each (name, resource) core to an SLR."""

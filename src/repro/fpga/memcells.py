@@ -79,11 +79,10 @@ class MemcellMapper:
     """Per-SLR stateful mapper applying the preference + spill policy."""
 
     device: FpgaDevice
-    spill_threshold: float = SPILL_THRESHOLD
     spill_enabled: bool = True
-    usage: Dict[int, MemcellUsage] = field(default_factory=dict)
-    spills: int = 0
-    infeasible: List[str] = field(default_factory=list)
+    usage: Dict[int, MemcellUsage] = field(default_factory=dict, init=False)
+    spills: int = field(default=0, init=False)
+    infeasible: List[str] = field(default_factory=list, init=False)
     #: Per-SLR free capacity, read from the device once per mapper.
     _free: Dict[int, ResourceVector] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -130,7 +129,7 @@ class MemcellMapper:
         if self.spill_enabled:
             primary = order[0]
             count = n_bram if primary == "BRAM" else n_uram
-            if self._util(slr, primary.lower(), count) > self.spill_threshold:
+            if self._util(slr, primary.lower(), count) > SPILL_THRESHOLD:
                 order.reverse()
                 self.spills += 1
         chosen = order[0]

@@ -15,7 +15,6 @@ an achieved packing of ~7 LUTs per CLB on the A^3 design, which we adopt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.fpga.device import ResourceVector
 
@@ -67,8 +66,8 @@ class CostModel:
 class ResourceEstimator:
     """Prices components and aggregates per-core / interconnect / totals."""
 
-    def __init__(self, model: Optional[CostModel] = None) -> None:
-        self.model = model or CostModel()
+    def __init__(self) -> None:
+        self.model = CostModel()
 
     # ----------------------------------------------------------- primitives
     def reader(self, data_bytes: int, max_in_flight: int, n_axi_ids: int) -> ResourceVector:

@@ -26,6 +26,10 @@ from repro.platforms.base import Platform
 from repro.runtime import FpgaHandle
 
 
+#: Fixed-point quantisation scale of the A^3 softmax temperature.
+QUANT_SCALE = 0.05
+
+
 @dataclass
 class Table3Row:
     platform: str
@@ -55,7 +59,6 @@ def run_beethoven_a3(
     dim: int = BERT_DIM,
     n_keys: int = BERT_KEYS,
     platform: Optional[Platform] = None,
-    quant_scale: float = 0.05,
 ) -> BeethovenA3Result:
     """Simulate the multi-core A^3 design end to end and measure throughput."""
     platform = platform or AWSF1Platform()
@@ -77,7 +80,7 @@ def run_beethoven_a3(
     for fut in loads:
         fut.get()
     queries = rng.integers(-40, 40, (n_cores, queries_per_core, dim)).astype(np.int8)
-    temp = scale_log2e_q(dim, quant_scale)
+    temp = scale_log2e_q(dim, QUANT_SCALE)
     in_ptrs, out_ptrs, futures = [], [], []
     for core in range(n_cores):
         pq = handle.malloc(queries_per_core * dim)
@@ -108,7 +111,7 @@ def run_beethoven_a3(
     handle.copy_from_fpga(out_ptrs[0])
     got = np.frombuffer(out_ptrs[0].read(), dtype=np.int8).reshape(queries_per_core, dim)
     expected = np.stack(
-        [attention_a3_fixed(q, keys, values, quant_scale) for q in queries[0]]
+        [attention_a3_fixed(q, keys, values, QUANT_SCALE) for q in queries[0]]
     )
     power = estimate_power(build.resource_report.with_shell, platform.clock_mhz)
     return BeethovenA3Result(
@@ -122,9 +125,9 @@ def run_beethoven_a3(
     )
 
 
-def table3(
-    n_cores: int = 23, queries_per_core: int = 128, dim: int = BERT_DIM, n_keys: int = BERT_KEYS
-) -> List[Table3Row]:
+def table3(n_cores: int = 23, queries_per_core: int = 128) -> List[Table3Row]:
+    """The paper's Table III rows for one BERT head (``BERT_DIM`` x ``BERT_KEYS``)."""
+    dim, n_keys = BERT_DIM, BERT_KEYS
     rows = [
         Table3Row(
             "CPU (roofline)",
@@ -139,7 +142,7 @@ def table3(
             GPU_RTX_3090.power_w,
         ),
     ]
-    result = run_beethoven_a3(n_cores, queries_per_core, dim, n_keys)
+    result = run_beethoven_a3(n_cores, queries_per_core)
     rows.append(
         Table3Row(
             f"Beethoven ({result.n_cores}-core FPGA @250MHz)",

@@ -83,19 +83,18 @@ def gemm_config(
     n_cores: int = 1,
     unroll_i: int = 4,
     unroll_j: int = 4,
-    n: int = 256,
-    name: str = "Gemm",
 ) -> AcceleratorConfig:
     """GeMM System; on-chip A/B/C tiles declared as scratchpads so the
-    memcell mapper accounts for them (working set = 3 * N^2 * 4 bytes)."""
+    memcell mapper accounts for them (working set = 3 * N^2 * 4 bytes,
+    N = 256)."""
 
     def make(ctx):
         return GemmCore(ctx, unroll_i, unroll_j)
 
-    depth = max(n * n * 4 // 64, 1)
+    depth = 256 * 256 * 4 // 64
     no_init = ScratchpadFeatures(init_via_reader=False)
     return AcceleratorConfig(
-        name=name,
+        name="Gemm",
         n_cores=n_cores,
         module_constructor=make,
         memory_channel_config=(

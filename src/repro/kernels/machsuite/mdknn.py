@@ -77,25 +77,23 @@ class MdKnnCore(PhasedKernelCore):
         return {"forces": forces.tobytes()}, self.compute_cycles(n, k)
 
 
-def mdknn_config(
-    n_cores: int = 1, unroll: int = 4, n_atoms: int = 1024, name: str = "MdKnn"
-) -> AcceleratorConfig:
-    """MD-KNN System; positions and force accumulators live on chip while
-    the neighbour list streams (it is only read once)."""
+def mdknn_config(n_cores: int = 1, unroll: int = 4) -> AcceleratorConfig:
+    """MD-KNN System; the positions and force accumulators of 1024 atoms
+    live on chip while the neighbour list streams (it is only read once)."""
 
     def make(ctx):
         return MdKnnCore(ctx, unroll)
 
     no_init = ScratchpadFeatures(init_via_reader=False)
     return AcceleratorConfig(
-        name=name,
+        name="MdKnn",
         n_cores=n_cores,
         module_constructor=make,
         memory_channel_config=(
             ReadChannelConfig("positions", data_bytes=4),
             ReadChannelConfig("neighbors", data_bytes=64),
             WriteChannelConfig("forces", data_bytes=4),
-            ScratchpadConfig("pos_sp", 96, n_atoms, features=no_init),
-            ScratchpadConfig("force_sp", 96, n_atoms, features=no_init),
+            ScratchpadConfig("pos_sp", 96, 1024, features=no_init),
+            ScratchpadConfig("force_sp", 96, 1024, features=no_init),
         ),
     )

@@ -72,13 +72,13 @@ class NwCore(PhasedKernelCore):
         return {"aligned": blob}, self.compute_cycles(n)
 
 
-def nw_config(n_cores: int = 1, n: int = 256, name: str = "Nw") -> AcceleratorConfig:
-    """NW System; the traceback-pointer matrix (2 bits per DP cell) and the
-    score wavefront buffers live on chip."""
+def nw_config(n_cores: int = 1) -> AcceleratorConfig:
+    """NW System for two 256-symbol sequences; the traceback-pointer matrix
+    (2 bits per DP cell) and the score wavefront buffers live on chip."""
     no_init = ScratchpadFeatures(init_via_reader=False)
-    cells = (n + 1) * (n + 1)
+    cells = 257 * 257
     return AcceleratorConfig(
-        name=name,
+        name="Nw",
         n_cores=n_cores,
         module_constructor=NwCore,
         memory_channel_config=(

@@ -126,18 +126,16 @@ class Stencil3dCore(PhasedKernelCore):
         return {"result": out.tobytes()}, self.compute_cycles(n)
 
 
-def stencil2d_config(
-    n_cores: int = 1, unroll: int = 2, n: int = 256, name: str = "Stencil2d"
-) -> AcceleratorConfig:
-    """Stencil2D System; input and output grids are buffered on chip."""
+def stencil2d_config(n_cores: int = 1) -> AcceleratorConfig:
+    """Stencil2D System (unroll 2); both 256^2 grids are buffered on chip."""
 
     def make(ctx):
-        return Stencil2dCore(ctx, unroll)
+        return Stencil2dCore(ctx, 2)
 
-    depth = max(n * n * 4 // 64, 1)
+    depth = 256 * 256 * 4 // 64
     no_init = ScratchpadFeatures(init_via_reader=False)
     return AcceleratorConfig(
-        name=name,
+        name="Stencil2d",
         n_cores=n_cores,
         module_constructor=make,
         memory_channel_config=(
@@ -150,18 +148,16 @@ def stencil2d_config(
     )
 
 
-def stencil3d_config(
-    n_cores: int = 1, unroll: int = 4, n: int = 32, name: str = "Stencil3d"
-) -> AcceleratorConfig:
-    """Stencil3D System; both N^3 grids are buffered on chip."""
+def stencil3d_config(n_cores: int = 1) -> AcceleratorConfig:
+    """Stencil3D System (unroll 4); both 32^3 grids are buffered on chip."""
 
     def make(ctx):
-        return Stencil3dCore(ctx, unroll)
+        return Stencil3dCore(ctx, 4)
 
-    depth = max(n * n * n * 4 // 64, 1)
+    depth = 32 * 32 * 32 * 4 // 64
     no_init = ScratchpadFeatures(init_via_reader=False)
     return AcceleratorConfig(
-        name=name,
+        name="Stencil3d",
         n_cores=n_cores,
         module_constructor=make,
         memory_channel_config=(

@@ -64,8 +64,8 @@ class ToolSchedule:
         stream_s = workload.bytes_moved / STREAM_BYTES_PER_SEC
         return compute_s + stream_s
 
-    def ops_per_second(self, workload: Workload, instances: int = 1) -> float:
-        return instances / self.kernel_seconds(workload)
+    def ops_per_second(self, workload: Workload) -> float:
+        return 1 / self.kernel_seconds(workload)
 
 
 def _table1() -> Dict[str, Workload]:

@@ -126,9 +126,9 @@ class SpReq:
 class ScratchpadPort:
     """Channel pair for one scratchpad port."""
 
-    def __init__(self, name: str, depth: int = 2) -> None:
-        self.req: ChannelQueue[SpReq] = ChannelQueue(depth, f"{name}.req")
-        self.resp: ChannelQueue[int] = ChannelQueue(depth, f"{name}.resp")
+    def __init__(self, name: str) -> None:
+        self.req: ChannelQueue[SpReq] = ChannelQueue(2, f"{name}.req")
+        self.resp: ChannelQueue[int] = ChannelQueue(2, f"{name}.resp")
 
 
 class Scratchpad(Component):

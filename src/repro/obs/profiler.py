@@ -36,11 +36,12 @@ def profile_summary(sim) -> List[Dict[str, float]]:
     return rows
 
 
-def render_profile_report(sim, top: int = 0) -> str:
-    """Human-readable profile table; companion to ``render_skip_report``.
+def render_profile_report(sim) -> str:
+    """Human-readable profile table, one row per profiled component;
+    companion to ``render_skip_report``.
 
-    ``top`` limits the row count (0 = all).  Raises nothing on an unprofiled
-    simulator — it simply reports that no samples were collected.
+    Raises nothing on an unprofiled simulator — it simply reports that no
+    samples were collected.
     """
     rows = profile_summary(sim)
     if not rows:
@@ -48,8 +49,6 @@ def render_profile_report(sim, top: int = 0) -> str:
             f"sim {sim.name!r}: no profile samples "
             "(construct the Simulator with profile=True)"
         )
-    if top:
-        rows = rows[:top]
     lines = [
         f"sim {sim.name!r} self-time profile "
         f"({sim.cycle} cycles simulated, {sim.cycle - sim.cycles_skipped} stepped):",

@@ -275,8 +275,8 @@ class MetricRegistry:
             out[name] = metrics[name].dump_value()
         return out
 
-    def to_json(self, prefix: Optional[str] = None, indent: int = 2) -> str:
-        return json.dumps(self.dump(prefix), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.dump(), indent=2, sort_keys=True)
 
     def render_report(self, prefix: Optional[str] = None) -> str:
         """Human-readable flat metrics report, one ``path = value`` per line."""

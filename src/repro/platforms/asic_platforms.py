@@ -54,13 +54,13 @@ def Asap7Platform(clock_mhz: float = 1000.0) -> AsicPlatform:
     )
 
 
-def SynopsysPdkPlatform(clock_mhz: float = 400.0) -> AsicPlatform:
-    """Synopsys academic PDK target."""
-    base = Asap7Platform(clock_mhz)
+def SynopsysPdkPlatform() -> AsicPlatform:
+    """Synopsys academic PDK target (400 MHz)."""
+    base = Asap7Platform(400.0)
     return AsicPlatform(
         name="synopsys-pdk",
         is_asic=True,
-        clock_mhz=clock_mhz,
+        clock_mhz=base.clock_mhz,
         axi_params=base.axi_params,
         dram_timing=base.dram_timing,
         host=base.host,
@@ -72,13 +72,14 @@ def SynopsysPdkPlatform(clock_mhz: float = 400.0) -> AsicPlatform:
     )
 
 
-def ChipKitPlatform(m0_source_path: str, clock_mhz: float = 400.0) -> AsicPlatform:
-    """ChipKIT test-chip target; requires the licensed ARM M0 source path."""
-    base = Asap7Platform(clock_mhz)
+def ChipKitPlatform(m0_source_path: str) -> AsicPlatform:
+    """ChipKIT test-chip target (400 MHz); requires the licensed ARM M0
+    source path."""
+    base = Asap7Platform(400.0)
     return AsicPlatform(
         name="chipkit",
         is_asic=True,
-        clock_mhz=clock_mhz,
+        clock_mhz=base.clock_mhz,
         axi_params=base.axi_params,
         dram_timing=base.dram_timing,
         host=base.host,

@@ -43,10 +43,8 @@ class Platform:
     host: HostInterface
     tree_config: TreeConfig = field(default_factory=TreeConfig)
     device: Optional[FpgaDevice] = None  # None for ASIC targets
-    memory_base: int = 0x0
-    memory_bytes: int = 16 * 2**30
+    memory_bytes: int = 16 * 2**30  # device memory, addressed from 0
     master_tuning: MasterTuning = field(default_factory=MasterTuning)  # Readers and Writers
-    command_hop_latency: int = 2  # per-SLR-crossing command network latency
 
     @property
     def addr_bits(self) -> int:
@@ -64,9 +62,10 @@ class Platform:
         return cycles * self.clock_ns * 1e-9
 
     def command_latency_for(self, slr: int) -> int:
-        """Command-network latency from the host interface to ``slr``."""
+        """Command-network latency from the host interface to ``slr``: 2
+        cycles, plus 2 per SLR crossing."""
         host_slr = self.device.host_interface_slr if self.device else 0
-        return 2 + self.command_hop_latency * abs(slr - host_slr)
+        return 2 + 2 * abs(slr - host_slr)
 
 
 def kernel_mode(platform: Platform) -> Platform:

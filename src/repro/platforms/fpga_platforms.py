@@ -40,18 +40,14 @@ def AWSF1Platform(clock_mhz: float = 250.0) -> Platform:
     )
 
 
-def multi_die_platform(
-    n_slrs: int = 4,
-    slr_crossing_latency: int = 8,
-    clock_mhz: float = 250.0,
-) -> Platform:
+def multi_die_platform(n_slrs: int = 4, slr_crossing_latency: int = 8) -> Platform:
     """An F1-style discrete platform on a synthetic ``n_slrs``-die device.
 
     The deeper SLR-crossing pipelining (default 8 cycles vs F1's 4) is an
     honest platform parameter: very large multi-die parts need it to close
     timing.
     """
-    base = AWSF1Platform(clock_mhz=clock_mhz)
+    base = AWSF1Platform()
     return dataclasses.replace(
         base,
         name=f"multi-die-{n_slrs}",
@@ -62,7 +58,7 @@ def multi_die_platform(
     )
 
 
-def KriaPlatform(clock_mhz: float = 100.0) -> Platform:
+def KriaPlatform() -> Platform:
     """The Kria KV260 embedded target (paper Figure 3a).
 
     Embedded: the FPGA shares the host address space (hugepage-backed
@@ -72,7 +68,7 @@ def KriaPlatform(clock_mhz: float = 100.0) -> Platform:
     return Platform(
         name="kria",
         is_asic=False,
-        clock_mhz=clock_mhz,
+        clock_mhz=100.0,
         axi_params=AxiParams(beat_bytes=16, id_bits=4, addr_bits=40, max_burst_beats=64),
         dram_timing=LPDDR4_KRIA,
         host=HostInterface(
@@ -90,18 +86,18 @@ def KriaPlatform(clock_mhz: float = 100.0) -> Platform:
     )
 
 
-def SimulationPlatform(clock_mhz: float = 250.0) -> Platform:
+def SimulationPlatform() -> Platform:
     """A debugging platform: AWS F1 fabric with a free host.
 
     Mirrors the paper's Verilator/VCS + DRAMsim3 simulation platform: the
     memory model is the full DRAM simulator, but host interactions cost
     (almost) nothing, which makes functional unit tests fast and focused.
     """
-    f1 = AWSF1Platform(clock_mhz)
+    f1 = AWSF1Platform()
     return Platform(
         name="simulation",
         is_asic=False,
-        clock_mhz=clock_mhz,
+        clock_mhz=f1.clock_mhz,
         axi_params=f1.axi_params,
         dram_timing=f1.dram_timing,
         host=HostInterface(

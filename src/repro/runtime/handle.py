@@ -191,14 +191,14 @@ _CALL_KEYS = frozenset(
 class FpgaHandle:
     """Open handle to the Beethoven runtime for one elaborated design."""
 
-    def __init__(self, design, watchdog: Optional[WatchdogConfig] = None) -> None:
+    def __init__(self, design) -> None:
         self.design = design
         platform = design.platform
         self.discrete = platform.host.discrete
         self.allocator = make_allocator(
-            self.discrete, platform.memory_base, platform.memory_bytes
+            self.discrete, 0x0, platform.memory_bytes
         )
-        wd = watchdog or getattr(design, "watchdog", None) or WatchdogConfig()
+        wd = getattr(design, "watchdog", None) or WatchdogConfig()
         self.server = RuntimeServer(
             design.mmio,
             platform.host,

@@ -128,11 +128,10 @@ class RuntimeServer(Component):
         self,
         mmio: MmioFrontend,
         host: HostInterface,
-        name: str = "server",
         spans=None,
         watchdog: Optional[WatchdogConfig] = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__("server")
         self.mmio = mmio
         self.host = host
         # Optional CommandSpanTracker: assigns IDs to host commands here and

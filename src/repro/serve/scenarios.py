@@ -127,20 +127,15 @@ def run_scenario(
     seed: int,
     mode: str = DEFAULT_SCHEDULING,
     n_requests: int = 8,
-    faults=None,
-    watchdog=None,
     observability=None,
-    max_cycles: int = 2_000_000,
 ) -> Tuple[ServingReport, AcceleratorService, object]:
     """Build, serve and drain one profile; returns (report, service, build)."""
-    build = hetero_build(
-        mode=mode, faults=faults, watchdog=watchdog, observability=observability
-    )
+    build = hetero_build(mode=mode, observability=observability)
     from repro.runtime import FpgaHandle
 
     handle = FpgaHandle(build.design)
     loads = profile_loads(profile, n_requests)
     service = AcceleratorService(handle, [load.tenant for load in loads])
     gen = LoadGenerator(service, loads, seed=seed)
-    report = gen.run(max_cycles=max_cycles)
+    report = gen.run()
     return report, service, build

@@ -12,8 +12,7 @@ tenant's *deficit* grows by ``QUANTUM_UNIT * weight``; requests are released
 while the head's cost (its MMIO chunk count) fits in the deficit.  A tenant
 whose queue drains forfeits its remaining deficit, so deficits stay bounded
 by one maximal request cost and long-run service is proportional to weight.
-Strict priority classes sit above this: class 0 tenants are fully served
-before class 1 is visited at all (use with care — higher classes can starve).
+Tenants are visited in one rotation, in registration order.
 
 Batching: consecutive releases of the *same tenant and kernel* share a
 batch id (capped at ``MAX_BATCH`` members), chained across pump calls until
@@ -32,7 +31,7 @@ cycles, which the two scheduling backends reproduce cycle-identically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.serve.tenant import ServeTicket, TenantState
 
@@ -46,13 +45,10 @@ class DrrScheduler:
     """Weighted deficit-round-robin over per-tenant queues."""
 
     def __init__(self, tenants: Sequence[TenantState]) -> None:
-        # Strict priority classes; within a class, registration order is the
-        # round-robin order (deterministic by construction).
-        classes: Dict[int, List[TenantState]] = {}
-        for state in tenants:
-            classes.setdefault(state.config.priority, []).append(state)
-        self._classes: List[Tuple[int, List[TenantState]]] = sorted(classes.items())
-        self._pos: Dict[int, int] = {prio: 0 for prio, _ in self._classes}
+        # Registration order is the round-robin order (deterministic by
+        # construction); each round starts one tenant later.
+        self._tenants: List[TenantState] = list(tenants)
+        self._pos = 0
         self._next_batch = 1
         # Open batch chain: (tenant, kernel, batch_id, members).  The next
         # release continues it iff tenant and kernel match and the chain is
@@ -73,7 +69,7 @@ class DrrScheduler:
         scope.bind("backlog", lambda: sum(len(s.queue) for s in self.states()))
 
     def states(self) -> List[TenantState]:
-        return [s for _, states in self._classes for s in states]
+        return list(self._tenants)
 
     def dispatch_round(
         self, emit: Callable[[ServeTicket, int], bool]
@@ -86,45 +82,45 @@ class DrrScheduler:
         """
         self.rounds += 1
         released = 0
-        for prio, states in self._classes:
-            n = len(states)
-            pos = self._pos[prio]
-            for k in range(n):
-                state = states[(pos + k) % n]
-                if not state.queue or not state.can_dispatch():
-                    continue
-                state.deficit += QUANTUM_UNIT * state.config.weight
-                while state.queue and state.can_dispatch():
-                    head = state.queue[0]
-                    if head.cost > state.deficit:
-                        break
-                    state.queue.popleft()
-                    state.deficit -= head.cost
-                    chain = self._chain
-                    if (
-                        chain is not None
-                        and chain[0] == state.name
-                        and chain[1] == head.kernel
-                        and chain[3] < MAX_BATCH
-                    ):
-                        batch_id = chain[2]
-                        self._chain = (chain[0], chain[1], batch_id, chain[3] + 1)
-                        self.coalesced += 1
-                    else:
-                        batch_id = self._next_batch
-                        self._next_batch += 1
-                        self._chain = (state.name, head.kernel, batch_id, 1)
-                        self.batches += 1
-                    head.batch = batch_id
-                    released += 1
-                    self.dispatched += 1
-                    if not emit(head, batch_id):
-                        # Settled synchronously; the slot is still free but
-                        # the batch chain is broken (nothing hit the server).
-                        self._chain = None
-                if not state.queue:
-                    state.deficit = 0
-            self._pos[prio] = (pos + 1) % n if n else 0
+        states = self._tenants
+        n = len(states)
+        pos = self._pos
+        for k in range(n):
+            state = states[(pos + k) % n]
+            if not state.queue or not state.can_dispatch():
+                continue
+            state.deficit += QUANTUM_UNIT * state.config.weight
+            while state.queue and state.can_dispatch():
+                head = state.queue[0]
+                if head.cost > state.deficit:
+                    break
+                state.queue.popleft()
+                state.deficit -= head.cost
+                chain = self._chain
+                if (
+                    chain is not None
+                    and chain[0] == state.name
+                    and chain[1] == head.kernel
+                    and chain[3] < MAX_BATCH
+                ):
+                    batch_id = chain[2]
+                    self._chain = (chain[0], chain[1], batch_id, chain[3] + 1)
+                    self.coalesced += 1
+                else:
+                    batch_id = self._next_batch
+                    self._next_batch += 1
+                    self._chain = (state.name, head.kernel, batch_id, 1)
+                    self.batches += 1
+                head.batch = batch_id
+                released += 1
+                self.dispatched += 1
+                if not emit(head, batch_id):
+                    # Settled synchronously; the slot is still free but
+                    # the batch chain is broken (nothing hit the server).
+                    self._chain = None
+            if not state.queue:
+                state.deficit = 0
+        self._pos = (pos + 1) % n if n else 0
         return released
 
     def has_eligible_backlog(self) -> bool:

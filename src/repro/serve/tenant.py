@@ -38,8 +38,6 @@ class TenantConfig:
     name: str
     #: DRR weight: a tenant with weight 2 receives twice the deficit quantum.
     weight: int = 1
-    #: Strict priority class; lower classes are fully served first.
-    priority: int = 0
     #: Commands this tenant may have dispatched-but-unanswered at once.
     max_in_flight: int = 4
     #: Bounded queue depth; admission rejects (``queue_full``) past it.

@@ -20,7 +20,6 @@ _LAZY = {
     "render_class_tick_table": "repro.sim.trace",
     "render_deadlock_report": "repro.sim.trace",
     "render_skip_report": "repro.sim.trace",
-    "render_wake_report": "repro.sim.trace",
     "skip_summary": "repro.sim.trace",
     "wake_summary": "repro.sim.trace",
 }

@@ -456,7 +456,6 @@ class Simulator:
         self,
         name: str = "sim",
         tracer: Optional["Tracer"] = None,
-        registry=None,
         profile: bool = False,
         scheduling: str = "naive",
     ) -> None:
@@ -490,7 +489,7 @@ class Simulator:
         self._dirty_channels: List[ChannelQueue[Any]] = []
         self._subs_stale = True
         # Unified metrics: every added component/channel is adopted here.
-        self.registry = registry if registry is not None else MetricRegistry()
+        self.registry = MetricRegistry()
         self._bind_own_metrics()
         # Wall-clock self-time profile: component name -> [ns_total, calls].
         self.profile_enabled = profile

@@ -55,7 +55,7 @@ class Tracer:
     _state = ("dropped_spans", "span_log", "_open_spans", "_next_span_id")
 
     max_events: Optional[int] = None
-    dropped_spans: int = 0
+    dropped_spans: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.max_events is not None and self.max_events < 1:
@@ -94,11 +94,8 @@ class Tracer:
         if args:
             span.args.update(args)
 
-    def closed_spans(self, track: Optional[str] = None) -> List[Span]:
-        out = [s for s in self.span_log if s.end_cycle is not None]
-        if track is not None:
-            out = [s for s in out if s.track == track]
-        return out
+    def closed_spans(self) -> List[Span]:
+        return [s for s in self.span_log if s.end_cycle is not None]
 
     def children_of(self, span_id: int) -> List[Span]:
         return [s for s in self.span_log if s.parent == span_id]
@@ -138,14 +135,14 @@ def render_skip_report(sim) -> str:
     )
 
 
-def render_deadlock_report(dump: Dict[str, Any], top: int = 16) -> str:
+def render_deadlock_report(dump: Dict[str, Any]) -> str:
     """Human rendering of a :meth:`~repro.sim.Simulator.state_dump`.
 
-    Mirrors :func:`render_wake_report`'s table style: the busiest channels
-    first (they are usually the smoking gun — a full queue nobody drains),
-    then each component's own debug state, then the compiled scheduler's
-    wake heap.  ``top`` bounds the channel rows.
+    The busiest channels first (they are usually the smoking gun — a full
+    queue nobody drains), then each component's own debug state, then the
+    compiled scheduler's wake heap; each list shows at most 16 rows.
     """
+    top = 16
     lines = [
         f"deadlock state of sim {dump.get('sim')!r} at cycle {dump.get('cycle')} "
         f"({dump.get('scheduling')} scheduling)"
@@ -156,7 +153,7 @@ def render_deadlock_report(dump: Dict[str, Any], top: int = 16) -> str:
             channels.items(),
             key=lambda kv: -(kv[1]["occupancy"] + kv[1]["staged"]),
         )
-        shown = rows[:top] if top is not None else rows
+        shown = rows[:top]
         width = max(len(name) for name, _ in shown)
         lines.append(f"  {len(channels)} channel(s) holding items:")
         for name, c in shown:
@@ -170,7 +167,7 @@ def render_deadlock_report(dump: Dict[str, Any], top: int = 16) -> str:
         lines.append("  all channels empty")
     components = dump.get("components", {})
     comp_rows = list(components.items())
-    shown_comps = comp_rows[:top] if top is not None else comp_rows
+    shown_comps = comp_rows[:top]
     for name, state in shown_comps:
         body = ", ".join(f"{k}={v!r}" for k, v in state.items())
         lines.append(f"  {name}: {body}")
@@ -250,8 +247,8 @@ def wake_summary(sim) -> Dict[str, Dict[str, float]]:
     skipped it) and ``tick_fraction`` (executed / simulated cycles).  Under
     the compiled schedule the counts are exact per component; under naive
     every component shares the stepped-cycle count.  The
-    dict is keyed by component name in registration order — feed it to
-    :func:`render_wake_report` for the human version.
+    dict is keyed by component name in registration order;
+    :func:`class_tick_table` rolls it up by class.
     """
     total = sim.cycle
     out: Dict[str, Dict[str, float]] = {}
@@ -263,39 +260,6 @@ def wake_summary(sim) -> Dict[str, Dict[str, float]]:
             "tick_fraction": executed / total if total else 0.0,
         }
     return out
-
-
-def render_wake_report(sim, top: int = 12) -> str:
-    """Table of the busiest components by executed ticks.
-
-    ``top`` bounds the rows (the aggregate line always includes everyone);
-    pass ``top=None`` for the full table.  The aggregate elision fraction is
-    the wall-clock headroom the compiled scheduler exploited: 0% means
-    every component ticked every cycle (a dense design or naive schedule).
-    """
-    summary = wake_summary(sim)
-    total = sim.cycle
-    n_comps = len(summary)
-    executed_total = sum(s["ticks_executed"] for s in summary.values())
-    possible = total * n_comps
-    elided_frac = 1.0 - executed_total / possible if possible else 0.0
-    lines = [
-        f"sim {sim.name!r}: {total} cycles, {n_comps} components, "
-        f"{executed_total:.0f}/{possible} component-ticks executed "
-        f"({elided_frac:.1%} elided)"
-    ]
-    rows = sorted(
-        summary.items(), key=lambda kv: kv[1]["ticks_executed"], reverse=True
-    )
-    if top is not None:
-        rows = rows[:top]
-    width = max((len(name) for name, _ in rows), default=4)
-    for name, s in rows:
-        lines.append(
-            f"  {name:<{width}} {s['ticks_executed']:>10.0f} ticks "
-            f"({s['tick_fraction']:>6.1%})"
-        )
-    return "\n".join(lines)
 
 
 def class_tick_table(sim) -> Dict[str, Dict[str, float]]:

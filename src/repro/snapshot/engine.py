@@ -611,11 +611,11 @@ def restore(handle: Any, snap: Snapshot) -> None:
 
 
 # ======================================================== bare simulators
-def capture_sim_state(sim: Any, fault_state: Any = None) -> Dict[str, Any]:
-    """Freeze a bare simulator (and optionally its fault state) to plain
-    data, which the caller can hold while the simulator runs on."""
-    return _capture_state(sim, {"faults": fault_state})[1]
+def capture_sim_state(sim: Any) -> Dict[str, Any]:
+    """Freeze a bare simulator to plain data, which the caller can hold
+    while the simulator runs on."""
+    return _capture_state(sim, {"faults": None})[1]
 
 
-def restore_sim_state(sim: Any, payload: Dict[str, Any], fault_state: Any = None) -> None:
-    _restore_state(sim, payload, {"faults": fault_state})
+def restore_sim_state(sim: Any, payload: Dict[str, Any]) -> None:
+    _restore_state(sim, payload, {"faults": None})

@@ -109,6 +109,10 @@ def run_checkpointed_memcpy(
     return {**asdict(outcome), **run, "stable_metrics": build.design.metrics(stable_only=True)}
 
 
+#: Chunks between two checkpoint writes in the kill-and-resume differential.
+_CHUNKS_PER_CHECKPOINT = 2
+
+
 def _victim_main(seed: int, mode: str, path: str, every: int, kill_after: int) -> None:
     """Forked victim body: run with checkpointing and SIGKILL ourselves."""
     run_checkpointed_memcpy(
@@ -143,18 +147,13 @@ def _fork_context():
         return None
 
 
-def kill_and_resume_differential(
-    seed: int,
-    mode: str,
-    workdir: str,
-    *,
-    chunks_per_checkpoint: int = 2,
-) -> Dict[str, Any]:
+def kill_and_resume_differential(seed: int, mode: str, workdir: str) -> Dict[str, Any]:
     """Kill a run mid-flight at a seeded point, resume it, and compare with
     an uninterrupted reference of the same seed.
 
-    The whole process is killed (a forked victim SIGKILLs itself right after
-    a checkpoint write) and the run resumes from the checkpoint file.  Returns
+    The whole process is killed (a forked victim, checkpointing every
+    ``_CHUNKS_PER_CHECKPOINT`` chunks, SIGKILLs itself right after a
+    checkpoint write) and the run resumes from the checkpoint file.  Returns
     the resumed result plus ``{"match", "reference", "killed"}``; a mismatch
     means the determinism contract broke (outcome ``corrupt``).
     """
@@ -166,14 +165,14 @@ def kill_and_resume_differential(
         os.unlink(path)
     # Seeded kill point: after 1..N checkpoint writes, where N keeps the
     # kill strictly before the reference's completion chunk.
-    max_kill = max(1, (ref_chunks - 1) // chunks_per_checkpoint)
+    max_kill = max(1, (ref_chunks - 1) // _CHUNKS_PER_CHECKPOINT)
     kill_after = 1 + rng.randrange(max_kill)
     killed = False
     ctx = _fork_context()
     if ctx is not None:
         proc = ctx.Process(
             target=_victim_main,
-            args=(seed, mode, path, chunks_per_checkpoint, kill_after),
+            args=(seed, mode, path, _CHUNKS_PER_CHECKPOINT, kill_after),
             daemon=True,
         )
         proc.start()
@@ -189,7 +188,7 @@ def kill_and_resume_differential(
         run_checkpointed_memcpy(
             seed, mode,
             checkpoint_path=path,
-            chunks_per_checkpoint=chunks_per_checkpoint,
+            chunks_per_checkpoint=_CHUNKS_PER_CHECKPOINT,
             stop_after_checkpoints=kill_after,
         )
     # If the seeded workload finished before its first checkpoint (or the
@@ -198,7 +197,7 @@ def kill_and_resume_differential(
     resumed = run_checkpointed_memcpy(
         seed, mode,
         checkpoint_path=path,
-        chunks_per_checkpoint=chunks_per_checkpoint,
+        chunks_per_checkpoint=_CHUNKS_PER_CHECKPOINT,
     )
 
     match = _comparable(resumed) == _comparable(reference)

@@ -67,7 +67,7 @@ def test_latency_stats_percentiles_pinned():
 
 def test_bytes_transferred():
     records = [rec("read", 0, 0, 4, 0, 10), rec("write", 0, 0, 2, 0, 10)]
-    out = bytes_transferred(records, beat_bytes=64)
+    out = bytes_transferred(records)
     assert out == {"read": 256, "write": 128}
 
 
@@ -118,9 +118,7 @@ def test_tree_arbitration_is_fair():
         500_000,
         until=lambda: all(s.received >= s.total for s in streamers),
     )
-    shares = bandwidth_share(
-        tb.monitor.records, lambda addr: addr // 0x100_0000, beat_bytes=64
-    )
+    shares = bandwidth_share(tb.monitor.records, lambda addr: addr // 0x100_0000)
     index = jain_index(list(shares.values()))
     assert index > 0.99
 

@@ -19,7 +19,7 @@ def test_begin_end_span_roundtrip():
     assert tracer.closed_spans() == []
     tracer.end_span(child, 20)
     tracer.end_span(root, 25, status="ok")
-    closed = tracer.closed_spans("core0")
+    closed = tracer.closed_spans()
     assert [s.name for s in closed] == ["cmd:memcpy", "execute"]
     root_span = closed[0]
     assert root_span.duration == 15

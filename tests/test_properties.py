@@ -8,7 +8,7 @@ from repro.asic import ASAP7_MACROS, MemoryCompiler
 from repro.command import CommandSpec, Field, RoccInstruction, UInt
 from repro.dram import MemoryStore
 from repro.fpga import FpgaDevice, MemcellMapper, ResourceVector, bram_count, uram_count
-from repro.fpga.memcells import BRAM_BITS, LUTRAM_MAX_BITS, URAM_BITS
+from repro.fpga.memcells import BRAM_BITS, LUTRAM_MAX_BITS, SPILL_THRESHOLD, URAM_BITS
 from repro.hdl.ir import HdlMemory
 from repro.kernels.attention.fixedpoint import exp2_fixed
 from repro.memory import split_into_bursts
@@ -190,7 +190,7 @@ class _PerCallMapper(MemcellMapper):
         order = ["BRAM", "URAM"] if kind == "BRAM" else ["URAM", "BRAM"]
         if self.spill_enabled:
             count = n_bram if order[0] == "BRAM" else n_uram
-            if self._util(slr, order[0].lower(), count) > self.spill_threshold:
+            if self._util(slr, order[0].lower(), count) > SPILL_THRESHOLD:
                 order.reverse()
                 self.spills += 1
         chosen = order[0]
