@@ -18,6 +18,7 @@ silently wrong data.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -86,9 +87,12 @@ class ResponseHandle:
     stored error rather than returning bad data.
     """
 
-    def __init__(self, handle: "FpgaHandle", response_spec) -> None:
+    def __init__(self, handle: "FpgaHandle", response_spec, ctx: CommandContext) -> None:
         self._handle = handle
         self._spec = response_spec
+        #: The call's context: its ``attempts`` and ``key`` are part of the
+        #: outcome a snapshot keeps while this future is held.
+        self._ctx = ctx
         self._response: Optional[RoccResponse] = None
         self._error: Optional[Exception] = None
         self._callbacks: list = []
@@ -107,6 +111,7 @@ class ResponseHandle:
             self._notify()
 
     def _notify(self) -> None:
+        self._handle._release(self)
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
@@ -211,11 +216,16 @@ class FpgaHandle:
         self.dma_cycles_spent = 0
         #: Every client :meth:`new_client` made, in order (id = index + 1).
         self._clients: List[ClientHandle] = []
-        # uid -> (context, future) of every call() issued through this
-        # handle.  A snapshot holds a context as a reference to its uid; a
-        # restore, after the host-side setup has been replayed so the uids
-        # line up, resolves it to the replayed call's live context.
+        # uid -> (context, future) of every live call: issued, not yet
+        # settled.  The server's queues hold only these contexts; a snapshot
+        # names each by its uid, and a restore, after the host-side setup
+        # has been replayed so the uids line up, resolves it to the replayed
+        # call's context.  A call leaves at settlement and moves to
+        # ``_settled``, which holds its future weakly: a settled call lives
+        # as long as the host program holds its future, no longer.
         self._calls: Dict[int, _Call] = {}
+        self._settled: "weakref.WeakValueDictionary[int, ResponseHandle]" = (
+            weakref.WeakValueDictionary())
         self._call_uid = 0
         # The host bindings: a System by name, then (io index, IO) by
         # (system, IO) name, resolved on first use like generated code would
@@ -320,21 +330,24 @@ class FpgaHandle:
         # Pack (and so validate) before anything is registered: a command
         # the layout refuses leaves no call, uid or future behind.
         chunks = io.command_spec.pack(fields, self.design.platform.addr_bits)
-        handle = ResponseHandle(self, io.response_spec)
         self._call_uid += 1
+        uid = self._call_uid
+        # The callbacks name the call by uid, never the context or future
+        # they serve, so a settled call is freed by reference counting.
         ctx = CommandContext(
             key=(system.system_id, core_idx),
             label=io_name,
             retryable=_retryable,
-            on_error=handle._fail,
-            uid=self._call_uid,
+            resubmit=partial(
+                self._submit_command, system, io_index, chunks, core_idx, uid, _client,
+                _tenant, _batch,
+            ),
+            on_error=partial(self._on_error, uid),
+            on_response=partial(self._on_response, uid),
+            uid=uid,
         )
-        ctx.resubmit = partial(
-            self._submit_command, system, io_index, chunks, core_idx, ctx, _client,
-            _tenant, _batch,
-        )
-        ctx.on_response = partial(self._on_response, ctx, handle)
-        self._calls[ctx.uid] = _Call(ctx, handle)
+        handle = ResponseHandle(self, io.response_spec, ctx)
+        self._calls[uid] = _Call(ctx, handle)
         ctx.resubmit()
         return handle
 
@@ -346,11 +359,12 @@ class FpgaHandle:
         raise KeyError(f"no IO {io_name!r} on system {system.config.name!r}")
 
     def _submit_command(
-        self, system, io_index, chunks, core_idx, ctx, client,
+        self, system, io_index, chunks, core_idx, uid, client,
         tenant: str = "", batch: Optional[int] = None,
     ) -> None:
         """Issue (or re-issue) one packed command onto the next healthy core."""
         design = self.design
+        ctx = self._calls[uid].ctx
         routed = self._route_core(system, core_idx)
         ctx.key = (system.system_id, routed)
         for i, (rs1, rs2) in enumerate(chunks):
@@ -373,10 +387,14 @@ class FpgaHandle:
                 batch=batch,
             )
 
-    def _on_response(self, ctx: CommandContext, handle: ResponseHandle, resp: RoccResponse) -> None:
-        """A command's response (its context's ``on_response``, made once
-        per call: every value it is bound to stays the same across retries,
-        and the routed core is ``ctx.key``)."""
+    def _on_error(self, uid: int, exc: Exception) -> None:
+        """A live call's terminal typed error (its context's ``on_error``)."""
+        self._calls[uid].fut._fail(exc)
+
+    def _on_response(self, uid: int, resp: RoccResponse) -> None:
+        """A live call's response (its context's ``on_response``, made once
+        per call: the routed core is ``ctx.key``)."""
+        ctx, handle = self._calls[uid]
         faults = self.faults
         if faults is not None:
             poison = faults.take_poison(ctx.key)
@@ -410,11 +428,38 @@ class FpgaHandle:
         handle._note_completion_cycle(self.design.sim.cycle)
         handle._complete(resp)
 
+    # ------------------------------------------------------------ call table
+    def _release(self, fut: ResponseHandle) -> None:
+        """A call settled: it leaves the live table, and its future stays
+        reachable by uid only while the host program holds it."""
+        uid = fut._ctx.uid
+        del self._calls[uid]
+        self._settled[uid] = fut
+
+    @property
+    def live_calls(self) -> int:
+        """Calls issued and not yet settled."""
+        return len(self._calls)
+
+    @property
+    def issued_calls(self) -> int:
+        """Calls accepted so far; the last one took this uid."""
+        return self._call_uid
+
+    def _held_calls(self) -> Dict[int, _Call]:
+        """uid -> call of every live call and of every settled one whose
+        future the host program still holds, in uid order: the calls whose
+        outcome a snapshot keeps."""
+        calls = {uid: _Call(fut._ctx, fut) for uid, fut in self._settled.items()}
+        calls.update(self._calls)
+        return dict(sorted(calls.items()))
+
     # ----------------------------------------------------------- snapshot
     def snapshot_state(self, fr) -> Dict[str, object]:
         """Host-side state for ``repro.snapshot``: allocator, degradation
-        bookkeeping, each client's counters, and per call the outcome of its
-        future and its context's ``attempts`` and ``key``.
+        bookkeeping, each client's counters, how many calls were issued, and
+        per held call (:meth:`_held_calls`) the outcome of its future and
+        its context's ``attempts`` and ``key``.
 
         Calls are addressed by uid — restore runs after the host setup has
         been *replayed* against a rebuilt design (recreating the same uids
@@ -425,7 +470,7 @@ class FpgaHandle:
         """
         self._refuse_serving()
         calls = {}
-        for uid, (ctx, fut) in self._calls.items():
+        for uid, (ctx, fut) in self._held_calls().items():
             calls[uid] = {
                 "response": fr.freeze(fut._response),
                 "error": fr.freeze(fut._error),
@@ -438,23 +483,29 @@ class FpgaHandle:
             "allocator": fr.freeze_attrs(self.allocator),
             "dma_cycles_spent": self.dma_cycles_spent,
             "clients": [fr.freeze_attrs(client) for client in self._clients],
+            "issued": self._call_uid,
             "calls": calls,
         }
 
     def check_state(self, state, th) -> None:
         """Refuse, before a restore writes anything, a host state of another
-        shape, or a replay that issued fewer ``call``s or made a different
-        number of clients than the captured run: their futures, waiters or
-        counters would be dropped."""
+        shape, a replay that issued fewer ``call``s or made a different
+        number of clients than the captured run (their futures, waiters or
+        counters would be dropped), or one that settled and dropped a call
+        the captured run had in flight (the server's queues name it)."""
         from repro.snapshot.engine import SnapshotError
 
         self._refuse_serving()
-        keys = ("allocator", "dma_cycles_spent", "clients", "calls")
+        keys = ("allocator", "dma_cycles_spent", "clients", "issued", "calls")
         if not isinstance(state, dict) or any(k not in state for k in keys) or not (
-                isinstance(state["calls"], dict) and isinstance(state["clients"], list)):
+                isinstance(state["calls"], dict) and isinstance(state["clients"], list)
+                and type(state["issued"]) is int):
             raise SnapshotError(f"malformed snapshot: host state must be a dict of {keys}")
-        missing = [uid for uid in state["calls"] if uid not in self._calls]
-        if missing:
+        issued = state["issued"]
+        if any(type(uid) is not int or not 0 < uid <= issued for uid in state["calls"]):
+            raise SnapshotError(f"malformed snapshot: a call uid outside 1..{issued}")
+        if issued > self._call_uid:
+            missing = list(range(self._call_uid + 1, issued + 1))
             raise SnapshotError(
                 f"the replay issued no call with uid {missing}: replay every call() "
                 "the captured run made, in the same order, before restoring"
@@ -469,7 +520,8 @@ class FpgaHandle:
         th.check_attrs(type(self.allocator), state["allocator"])
         for client in state["clients"]:
             th.check_attrs(ClientHandle, client)
-        for call in state["calls"].values():
+        held = self._held_calls()
+        for uid, call in state["calls"].items():
             if not isinstance(call, dict) or call.keys() != _CALL_KEYS or not (
                     type(call["attempts"]) is int and type(call["submitted_cycle"]) is int
                     and type(call["completed_cycle"]) in (int, type(None))
@@ -477,6 +529,11 @@ class FpgaHandle:
                 raise SnapshotError(
                     f"malformed snapshot: a call's state must be the ints and key of {sorted(_CALL_KEYS)}")
             th.check_all((call["response"], call["error"]))
+            if uid not in held and call["response"] is None and call["error"] is None:
+                raise SnapshotError(
+                    f"call uid {uid} was in flight at the capture, but the replay settled it "
+                    "and dropped its future: hold it until the restore"
+                )
 
     def _refuse_serving(self) -> None:
         """A snapshot holds no serving-layer state (tenant queues, token
@@ -492,13 +549,19 @@ class FpgaHandle:
             )
 
     def restore_state(self, state: Dict[str, object], th) -> None:
+        from repro.snapshot.engine import OutcomeNotCaptured
+
         th.thaw_attrs(self.allocator, state["allocator"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
         # check_state() made sure the replay made as many.
         for client, st in zip(self._clients, state["clients"]):
             th.thaw_attrs(client, st)
+        held = self._held_calls()
         for uid, st in state["calls"].items():
-            ctx, fut = self._calls[uid]  # check_state() found every uid replayed
+            call = held.pop(uid, None)
+            if call is None:
+                continue  # settled, and no longer held by the replay: unreadable
+            ctx, fut = call
             ctx.attempts, ctx.key = st["attempts"], st["key"]
             fut._response = th.thaw(st["response"])
             fut._error = th.thaw(st["error"])
@@ -510,6 +573,22 @@ class FpgaHandle:
                 # counters), so replay-registered callbacks must not fire
                 # again.
                 fut._callbacks = []
+                self._calls.pop(uid, None)
+                self._settled[uid] = fut
+            else:
+                self._settled.pop(uid, None)
+                self._calls[uid] = call
+        # The rest have no captured outcome: the captured run had settled
+        # and dropped them, or had not issued them.  None may hang a reader.
+        for uid, (_ctx, fut) in held.items():
+            fut._response, fut._completed_cycle, fut._callbacks = None, None, []
+            fut._error = OutcomeNotCaptured(
+                f"call uid {uid}: the snapshot holds no outcome for it (the captured run "
+                "had settled it and dropped its future, or had not issued it)",
+                uid=uid,
+            )
+            self._calls.pop(uid, None)
+            self._settled.pop(uid, None)
 
     # ------------------------------------------------------------- sim plumbing
     def run_until(self, predicate, max_cycles: int = 10_000_000) -> int:

@@ -80,7 +80,7 @@ class CommandContext:
     on_response: Optional[Callable[[RoccResponse], None]] = None
     #: Command uid assigned by the issuing handle (0 = unregistered).  A
     #: snapshot holds a context as a reference to this uid in the handle's
-    #: call table; ``attempts`` and ``key`` travel with the call's outcome.
+    #: live call table; ``attempts`` and ``key`` travel with the call's outcome.
     uid: int = 0
 
 

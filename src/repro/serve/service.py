@@ -228,8 +228,11 @@ class AcceleratorService:
             state.latency_hist.observe(ticket.latency)
         else:
             state.failed += 1
-        if ticket.on_settle is not None:
-            ticket.on_settle(ticket)
+        # The hook fires once; dropping it breaks the ticket -> load
+        # generator cycle, so a finished run is freed by reference counting.
+        on_settle, ticket.on_settle = ticket.on_settle, None
+        if on_settle is not None:
+            on_settle(ticket)
 
     # ------------------------------------------------------------ inspection
     @property

@@ -16,6 +16,7 @@ from repro._lazy import lazy_exports
 _LAZY = {
     "SNAPSHOT_VERSION": "repro.snapshot.engine",
     "Freezer": "repro.snapshot.engine",
+    "OutcomeNotCaptured": "repro.snapshot.engine",
     "Snapshot": "repro.snapshot.engine",
     "SnapshotError": "repro.snapshot.engine",
     "SnapshotVersionError": "repro.snapshot.engine",

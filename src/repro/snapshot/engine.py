@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 17: the tracer keeps spans only, so its state no longer
-#: carries an event list or ``dropped_events``).
-SNAPSHOT_VERSION = 17
+#: "Versioning"; 18: the host state holds the live calls and the settled
+#: ones whose future is still held, plus the issued-call count).
+SNAPSHOT_VERSION = 18
 
 
 class SnapshotError(RuntimeError):
@@ -46,6 +46,16 @@ class SnapshotError(RuntimeError):
 
 class SnapshotVersionError(SnapshotError):
     """The snapshot was written by an incompatible ``SNAPSHOT_VERSION``."""
+
+
+class OutcomeNotCaptured(SnapshotError):
+    """Read from the future of a replayed call that a restore has no outcome
+    for: the captured run had settled it and dropped its future, or had not
+    issued it.  ``uid`` names the call."""
+
+    def __init__(self, message: str, uid: int) -> None:
+        super().__init__(message)
+        self.uid = uid
 
 
 _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes)
@@ -509,7 +519,8 @@ def _fresh(fz: list, cls: Optional[type]) -> Any:
 def infra_objects(sim: Any, fault_state: Any, spans: Any,
                   calls: Dict[int, Any]) -> Dict[Tuple[str, Any], Any]:
     """``(kind, key) -> object`` of all that a marker of ``sim`` may name;
-    ``calls`` is the driving handle's call table (uid -> call), whose
+    ``calls`` maps a uid to a call of the driving handle (its live table, or
+    for a restore every call whose context the snapshot may name), whose
     command contexts the runtime server queues."""
     named = {"sim": sim, "registry": sim.registry, "tracer": sim.tracer, "spans": spans,
              "faults": fault_state, "plan": getattr(fault_state, "plan", None)}
@@ -532,9 +543,11 @@ def infra_ids(sim: Any, fault_state: Any, spans: Any,
               calls: Dict[int, Any]) -> Dict[int, Tuple[str, Any]]:
     """``id -> (kind, key)``, the inverse of :func:`infra_objects`, kept per
     simulator while its structure holds (0.25 ms of a 7.6 ms capture).  A
-    call table only grows, so its length tells whether it changed."""
+    call table gains a call at issue and loses it at settlement, and a uid
+    names one context for the handle's life, so its uids tell whether it
+    changed."""
     shape = (len(sim._components), len(sim._channels), id(sim.registry), id(sim.tracer),
-             id(spans), id(fault_state), id(calls), len(calls))
+             id(spans), id(fault_state), id(calls), tuple(calls))
     cached = _INFRA_IDS.get(sim)
     if cached is None or cached[0] != shape:
         by_id = {id(obj): ref for ref, obj in infra_objects(sim, fault_state, spans, calls).items()}
@@ -571,7 +584,7 @@ def _restore_state(sim: Any, payload: Any, parts: Dict[str, Any], host: Any = No
     keys = (*("host",) * (host is not None), "sim", *parts)
     if not isinstance(payload, dict) or any(k not in payload for k in keys):
         raise _malformed(f"the payload must be a dict with keys {keys}")
-    calls = host._calls if host is not None else _NO_CALLS
+    calls = host._held_calls() if host is not None else _NO_CALLS
     th = Thawer(infra_objects(sim, parts["faults"], parts.get("spans"), calls),
                 frozenset(type(comp).__module__ for comp in sim._components))
     steps = [(host, payload["host"], True)] if host is not None else []
@@ -602,7 +615,9 @@ def capture(handle: Any) -> Snapshot:
 def restore(handle: Any, snap: Snapshot) -> None:
     """Restore a :func:`capture` snapshot into a run rebuilt from the
     identical config with its host-side setup (allocations, writes, every
-    ``call()``) replayed; ``run(N)`` then continues bit-identically."""
+    ``call()``) replayed; ``run(N)`` then continues bit-identically.  A
+    replayed call the snapshot holds no outcome for leaves the live table,
+    and its future raises :class:`OutcomeNotCaptured`."""
     if snap.version != SNAPSHOT_VERSION:
         raise SnapshotVersionError(
             f"snapshot version {snap.version} != supported {SNAPSHOT_VERSION}"

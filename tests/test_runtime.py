@@ -109,7 +109,8 @@ def test_call_rejects_unknown_names_and_core_indices():
         with pytest.raises(IndexError):
             handle.call("Delay", "run", -1, job=1)
         assert handle.call("Delay", "run", 1, job=1).get() == {"ok": True}
-    assert handle._calls.keys() == {1, 2}
+    # A rejected call consumes no uid and leaves no call behind.
+    assert handle.issued_calls == 2 and handle.live_calls == 0
 
 
 def test_dispatch_cost_formula():

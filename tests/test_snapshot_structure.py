@@ -74,6 +74,7 @@ class Scenario(NamedTuple):
     design: Any  # None for a bare testbench
     advance: Callable[[], None]  # run on to the next audit point
     handle: Any = None
+    futs: Tuple[Any, ...] = ()  # the futures the host program holds
 
 
 def _upload(handle, blob: bytes):
@@ -85,13 +86,14 @@ def _upload(handle, blob: bytes):
 
 def _accelerated(build, calls, cycles: int, clients: int = 0) -> Scenario:
     """The calls issued through the handle, or in turn through ``clients``
-    clients of it."""
+    clients of it; the scenario holds their futures, so the outcomes they
+    settle with stay part of every capture."""
     handle = FpgaHandle(build.design)
     callers = [handle.new_client() for _ in range(clients)] or [handle]
-    for i, call in enumerate(calls(handle)):
-        callers[i % len(callers)].call(*call[:3], **call[3])
+    futs = tuple(callers[i % len(callers)].call(*call[:3], **call[3])
+                 for i, call in enumerate(calls(handle)))
     sim = build.design.sim
-    return Scenario(sim, build.design, lambda: sim.run(cycles), handle)
+    return Scenario(sim, build.design, lambda: sim.run(cycles), handle, futs)
 
 
 def memcpy32() -> Scenario:
@@ -261,7 +263,7 @@ def _roots(scenario: Scenario) -> List[Any]:
               scenario.sim.tracer]
     if handle is not None:
         roots += [handle.allocator, *handle._clients]
-        for call in handle._calls.values():
+        for call in handle._held_calls().values():
             roots += [call.fut._response, call.fut._error]
     return [root for root in roots if root is not None]
 

@@ -15,7 +15,8 @@ kernel-class routing, command batching — and writes into ``--out``:
 
 ``--smoke`` additionally (a) re-runs the profile under every scheduling
 backend and fails unless the reports are bit-identical (the determinism
-contract), and (b) runs a small chaos slice over the ``serving`` scenario —
+contract) and the runtime handle holds no live call once each run drained,
+and (b) runs a small chaos slice over the ``serving`` scenario —
 seeded fault schedules through the serving layer must terminate bounded in
 ok / degraded / typed-error, identically across modes.  CI runs
 ``--smoke``; locally this is the serving playground.
@@ -34,17 +35,20 @@ from repro.serve.scenarios import PROFILES, run_scenario
 from repro.sim import DEFAULT_SCHEDULING, SCHEDULING_MODES, class_tick_table, render_class_tick_table
 
 
-def _mode_identity(profile: str, seed: int, n_requests: int) -> dict:
-    """Run ``profile`` under every backend; returns the canonical report.
+def _mode_identity(profile: str, seed: int, n_requests: int) -> tuple:
+    """Run ``profile`` under every backend; returns the canonical report and,
+    per backend, how many calls the runtime handle still held live once the
+    run drained (0 unless a settled call failed to leave its table).
 
     Raises AssertionError when any backend disagrees bit-for-bit.
     """
-    reports = {}
+    reports, live = {}, {}
     for mode in SCHEDULING_MODES:
-        report, _service, _build = run_scenario(
+        report, service, _build = run_scenario(
             profile, seed=seed, mode=mode, n_requests=n_requests
         )
         reports[mode] = report.to_dict()
+        live[mode] = service.handle.live_calls
     canonical = json.dumps(reports[SCHEDULING_MODES[0]], sort_keys=True)
     for mode, rep in reports.items():
         if json.dumps(rep, sort_keys=True) != canonical:
@@ -52,7 +56,7 @@ def _mode_identity(profile: str, seed: int, n_requests: int) -> dict:
                 f"serving report differs between {SCHEDULING_MODES[0]} and "
                 f"{mode} on profile {profile!r}"
             )
-    return reports[SCHEDULING_MODES[0]]
+    return reports[SCHEDULING_MODES[0]], live
 
 
 def _chaos_slice(seeds: int) -> list:
@@ -133,11 +137,16 @@ def main(argv=None) -> int:
         print("resume: report stage already complete")
     else:
         if args.smoke:
-            report_dict = _mode_identity(profile, args.seed, n_requests)
+            report_dict, live = _mode_identity(profile, args.seed, n_requests)
             print(
                 f"determinism: profile {profile!r} bit-identical across "
                 f"{len(SCHEDULING_MODES)} scheduling backends"
             )
+            print("live calls after the run drained: "
+                  + " ".join(f"{mode}={n}" for mode, n in live.items()))
+            if any(live.values()):
+                print("FAIL: the runtime handle still holds settled calls", file=sys.stderr)
+                return 1
         else:
             report, _service, _build = run_scenario(
                 profile, seed=args.seed, mode=args.mode, n_requests=n_requests
