@@ -31,21 +31,20 @@ def burst_sweep():
     return dict(zip(grid, Farm(cache=False).map(jobs)))
 
 
-def test_ablation_burst_length(benchmark, burst_sweep):
-    results = benchmark.pedantic(lambda: burst_sweep, rounds=1, iterations=1)
+def test_ablation_burst_length(burst_sweep):
     print()
     print(f"{'burst':>6} {'tlp GB/s':>9} {'no-tlp GB/s':>12}")
     for burst in (16, 32, 64):
         print(
-            f"{burst:>6} {results[(burst, True)].gbps:>9.2f} "
-            f"{results[(burst, False)].gbps:>12.2f}"
+            f"{burst:>6} {burst_sweep[(burst, True)].gbps:>9.2f} "
+            f"{burst_sweep[(burst, False)].gbps:>12.2f}"
         )
-    assert all(r.verified for r in results.values())
+    assert all(r.verified for r in burst_sweep.values())
     # Paper: 16-beat Beethoven (with TLP) shows no degradation vs 64-beat.
-    degradation = 1 - results[(16, True)].gbps / results[(64, True)].gbps
+    degradation = 1 - burst_sweep[(16, True)].gbps / burst_sweep[(64, True)].gbps
     print(f"16-beat TLP degradation vs 64-beat: {degradation:.1%}")
     assert degradation < 0.05
     # Without TLP, short bursts DO hurt: the single-ID pipeline drains.
-    no_tlp_degradation = 1 - results[(16, False)].gbps / results[(64, False)].gbps
+    no_tlp_degradation = 1 - burst_sweep[(16, False)].gbps / burst_sweep[(64, False)].gbps
     print(f"16-beat no-TLP degradation vs 64-beat: {no_tlp_degradation:.1%}")
     assert no_tlp_degradation > degradation

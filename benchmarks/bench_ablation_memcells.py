@@ -38,9 +38,8 @@ def mapping_outcomes():
     return dict(zip((True, False), farm.map(jobs)))
 
 
-def test_ablation_memcell_spill(benchmark, mapping_outcomes):
-    outcomes = benchmark.pedantic(lambda: mapping_outcomes, rounds=1, iterations=1)
-    for spill, (mapper, mems) in outcomes.items():
+def test_ablation_memcell_spill(mapping_outcomes):
+    for spill, (mapper, mems) in mapping_outcomes.items():
         kinds = {}
         for mem in mems:
             kinds[mem.cell_mapping] = kinds.get(mem.cell_mapping, 0) + 1
@@ -50,8 +49,8 @@ def test_ablation_memcell_spill(benchmark, mapping_outcomes):
             f"bram={usage.bram}, uram={usage.uram}, "
             f"feasible={mapper.feasible}, spills={mapper.spills}"
         )
-    on_mapper, on_mems = outcomes[True]
-    off_mapper, off_mems = outcomes[False]
+    on_mapper, on_mems = mapping_outcomes[True]
+    off_mapper, off_mems = mapping_outcomes[False]
     # With the rule: a mixed mapping that fits the device.
     assert on_mapper.feasible
     on_kinds = {m.cell_mapping for m in on_mems}

@@ -44,8 +44,7 @@ def server_sweep():
     }
 
 
-def test_ablation_server_mode(benchmark, server_sweep):
-    sweep = benchmark.pedantic(lambda: server_sweep, rounds=1, iterations=1)
+def test_ablation_server_mode(server_sweep):
     user_platform = AWSF1Platform(clock_mhz=125.0)
     print()
     print(
@@ -53,14 +52,14 @@ def test_ablation_server_mode(benchmark, server_sweep):
         f"kernel={dispatch_cost_cycles(kernel_mode(user_platform))} cycles"
     )
     print(f"{'kernel cycles':>14} {'user meas/ideal':>16} {'kernel meas/ideal':>18}")
-    for latency, row in sweep.items():
+    for latency, row in server_sweep.items():
         u = row["user"].ops_per_second / row["ideal"]
         k = row["kernel"].ops_per_second / row["ideal"]
         print(f"{latency:>14} {u:>15.1%} {k:>17.1%}")
         # The kernel-module runtime never does worse...
         assert k >= u * 0.98
     # ...and recovers a large share of the gap for the lowest-latency kernel.
-    low = sweep[LATENCIES[0]]
+    low = server_sweep[LATENCIES[0]]
     user_eff = low["user"].ops_per_second / low["ideal"]
     kernel_eff = low["kernel"].ops_per_second / low["ideal"]
     assert kernel_eff - user_eff > 0.15

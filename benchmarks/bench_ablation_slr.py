@@ -64,8 +64,8 @@ def outcomes():
     return aware, naive
 
 
-def test_ablation_slr_structure(benchmark, outcomes):
-    aware, naive = benchmark.pedantic(lambda: outcomes, rounds=1, iterations=1)
+def test_ablation_slr_structure(outcomes):
+    aware, naive = outcomes
     print()
     print(
         f"SLR-aware: {aware['n_nodes']} nodes, {aware['n_pipes']} bridges, "
@@ -84,7 +84,7 @@ def test_ablation_slr_structure(benchmark, outcomes):
     assert not naive["feasible"]
 
 
-def test_ablation_slr_throughput_cost(benchmark):
+def test_ablation_slr_throughput_cost():
     """Buffered crossings add latency, not bandwidth: throughput holds."""
     job = Job(
         "repro.kernels.attention.table3:run_beethoven_a3",
@@ -92,9 +92,7 @@ def test_ablation_slr_throughput_cost(benchmark):
         {"n_cores": 4, "queries_per_core": 32},
         label="slr/throughput",
     )
-    result = benchmark.pedantic(
-        lambda: Farm(cache=False).map([job])[0], rounds=1, iterations=1
-    )
+    result = Farm(cache=False).map([job])[0]
     print(f"\n4-core SLR-aware: {result.cycles_per_query_per_core:.0f} cyc/q/core")
     assert result.verified
     assert result.cycles_per_query_per_core < 2.2 * 320

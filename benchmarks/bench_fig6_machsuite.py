@@ -13,18 +13,17 @@ import time
 
 import pytest
 
-from repro.analysis import skip_fraction
 from repro.baselines.delay_core import delay_config
 from repro.core.build import BeethovenBuild, BuildMode
 from repro.kernels.machsuite.fig6 import beethoven_kernel_cycles, fig6_all, render_fig6
 from repro.kernels.machsuite.workloads import TABLE1
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
+from repro.sim import skip_summary
 
 
-def test_table1_workloads(benchmark):
+def test_table1_workloads():
     """Table I: the selected benchmarks and their parameters."""
-    benchmark.pedantic(lambda: TABLE1, rounds=1, iterations=1)
     print()
     print(f"{'benchmark':<12} {'description':<34} {'parallelism':<12}")
     for w in TABLE1.values():
@@ -42,13 +41,12 @@ def fig6_rows():
     return fig6_all(max_cores=48, farm=Farm(cache=False))
 
 
-def test_fig6_machsuite(benchmark, fig6_rows):
-    rows = benchmark.pedantic(lambda: fig6_rows, rounds=1, iterations=1)
+def test_fig6_machsuite(fig6_rows):
     print()
-    print(render_fig6(rows))
-    by_name = {r.bench: r for r in rows}
+    print(render_fig6(fig6_rows))
+    by_name = {r.bench: r for r in fig6_rows}
     # Beethoven multi-core beats HLS and Spatial on every workload.
-    for r in rows:
+    for r in fig6_rows:
         assert r.beethoven_measured_speedup > 1.0
         assert r.beethoven_measured_speedup > r.spatial_speedup
     # NW: ~2x over HLS for even a single core (the paper's headline).
@@ -63,9 +61,9 @@ def test_fig6_machsuite(benchmark, fig6_rows):
     # The ideal-vs-measured gap is largest for the lowest-latency kernels.
     gaps = {
         r.bench: 1.0 - r.beethoven_measured_speedup / r.beethoven_ideal_speedup
-        for r in rows
+        for r in fig6_rows
     }
-    latencies = {r.bench: beethoven_kernel_cycles(r.bench) for r in rows}
+    latencies = {r.bench: beethoven_kernel_cycles(r.bench) for r in fig6_rows}
     lowest = min(latencies, key=latencies.get)
     highest = max(latencies, key=latencies.get)
     print(f"gaps: { {k: f'{v:.1%}' for k, v in gaps.items()} }")
@@ -97,27 +95,28 @@ def _sparse_delay_run(scheduling):
         fut.get(max_cycles=10_000_000)
         latencies.append(fut.latency_cycles)
     wall = time.perf_counter() - t0
-    return handle.cycle, latencies, wall, build.design
+    return handle.cycle, latencies, wall, build
 
 
 def test_compiled_sparse_speedup():
     """The compiled schedule wins >= 3x wall clock over the naive oracle on a
     sparse config, with the exact cycles and command latencies.
 
-    The skip accounting is read back through the unified metric registry
-    (``sim/*`` namespace) rather than from simulator internals.
+    The naive run's skip counter is read back through the unified metric
+    registry (``sim/*`` namespace); the compiled run's skip fraction comes
+    from ``repro.sim.skip_summary``, the one body of that number.
     """
-    naive_cycle, naive_lat, naive_wall, naive_design = _sparse_delay_run("naive")
-    comp_cycle, comp_lat, comp_wall, comp_design = _sparse_delay_run("compiled")
+    naive_cycle, naive_lat, naive_wall, naive_build = _sparse_delay_run("naive")
+    comp_cycle, comp_lat, comp_wall, comp_build = _sparse_delay_run("compiled")
     speedup = naive_wall / comp_wall
     print()
     print(f"naive   : {naive_cycle} cycles in {naive_wall:.3f}s")
     print(f"compiled: {comp_cycle} cycles in {comp_wall:.3f}s ({speedup:.1f}x)")
-    print(comp_design.metrics_report("sim"))
+    print(comp_build.metrics_report("sim"))
     assert (comp_cycle, comp_lat) == (naive_cycle, naive_lat) == (SPARSE_CYCLES, SPARSE_LATENCIES)
-    assert naive_design.registry.value("sim/cycles_skipped") == 0
-    assert skip_fraction(comp_design.registry) > 0.9
-    sim = comp_design.sim
+    assert naive_build.registry.value("sim/cycles_skipped") == 0
+    sim = comp_build.design.sim
+    assert skip_summary(sim)["skip_fraction"] > 0.9
     executed = sum(sim.component_ticks(c) for c in sim._components)
     elided_fraction = 1.0 - executed / (sim.cycle * len(sim._components))
     print(f"elided component-tick fraction: {elided_fraction:.1%}")

@@ -36,14 +36,13 @@ def render_floorplan(build) -> str:
     return "\n".join(lines)
 
 
-def test_fig8_floorplan(benchmark, a3_build):
-    build = benchmark.pedantic(lambda: a3_build, rounds=1, iterations=1)
+def test_fig8_floorplan(a3_build):
     print()
-    print(render_floorplan(build))
-    constraints = build.emit_constraints()
+    print(render_floorplan(a3_build))
+    constraints = a3_build.emit_constraints()
     print(f"constraint file: {len(constraints.splitlines())} lines")
-    placement = build.placement
-    device = build.platform.device
+    placement = a3_build.placement
+    device = a3_build.platform.device
     assert len(placement.assignment) == 23
     counts = {slr: len(placement.cores_on(slr)) for slr in range(device.n_slrs)}
     # Shell on SLR0 (and partially SLR1) pushes cores away from it.

@@ -33,10 +33,9 @@ def _fmt(name, v, cap=None):
     )
 
 
-def test_table2_resources(benchmark, a3_build):
-    build = benchmark.pedantic(lambda: a3_build, rounds=1, iterations=1)
-    rep = build.resource_report
-    cap = build.platform.device.total_capacity()
+def test_table2_resources(a3_build):
+    rep = a3_build.resource_report
+    cap = a3_build.platform.device.total_capacity()
     print()
     print(_fmt("total (w/ shell)", rep.with_shell, cap))
     print(_fmt("beethoven", rep.total))
@@ -45,14 +44,14 @@ def test_table2_resources(benchmark, a3_build):
     print(_fmt("core (1)", rep.per_core[core_path]))
     for prim in sorted(rep.per_core_breakdown[core_path]):
         print(_fmt("  " + prim, rep.per_core_breakdown[core_path][prim]))
-    print(f"memory interfaces: {build.design.n_memory_interfaces}")
+    print(f"memory interfaces: {a3_build.design.n_memory_interfaces}")
 
     # The paper's 23-core design: 92 memory interfaces, ~94% CLB with shell.
-    assert build.design.n_memory_interfaces == 92
+    assert a3_build.design.n_memory_interfaces == 92
     util = rep.with_shell.utilisation_of(cap)
     assert 0.88 < util["clb"] < 0.97
     # It routes — but only thanks to constraints + spill (Synthesis passed).
-    assert build.routability.feasible
+    assert a3_build.routability.feasible
     # Interconnect is a modest share of the Beethoven region (paper: the
     # host+memory interconnect awareness costs little for what it buys).
     assert rep.interconnect.lut / rep.total.lut < 0.20
@@ -60,7 +59,7 @@ def test_table2_resources(benchmark, a3_build):
     # scratchpads (Table II's 15-BRAM vs 16-URAM Value SPs).
     kinds = Counter(
         mem.cell_mapping
-        for core in build.design.all_cores()
+        for core in a3_build.design.all_cores()
         for name, mem in core.memories
         if name in ("keys", "values")
     )

@@ -20,13 +20,12 @@ def table3_rows():
     return table3(n_cores=23, queries_per_core=128)
 
 
-def test_table3_attention(benchmark, table3_rows):
-    rows = benchmark.pedantic(lambda: table3_rows, rounds=1, iterations=1)
+def test_table3_attention(table3_rows):
     print()
-    print(render_table3(rows))
+    print(render_table3(table3_rows))
     local = measure_numpy_attention(BERT_DIM, BERT_KEYS)
     print(f"(sanity: single-thread NumPy attention on this host: {local:,.0f} ops/s)")
-    cpu, gpu, beethoven, asic = rows
+    cpu, gpu, beethoven, asic = table3_rows
     assert cpu.ops_per_second < gpu.ops_per_second < beethoven.ops_per_second
     # Paper: 3.3x GPU throughput, 34x better energy/op, ~24 W average power.
     assert 2.0 < beethoven.ops_per_second / gpu.ops_per_second < 4.5
@@ -36,13 +35,9 @@ def test_table3_attention(benchmark, table3_rows):
     assert asic.ops_per_second < beethoven.ops_per_second
 
 
-def test_table3_functional_verification(benchmark):
+def test_table3_functional_verification():
     """A small multi-core run whose outputs are checked bit-for-bit."""
-    result = benchmark.pedantic(
-        lambda: run_beethoven_a3(n_cores=4, queries_per_core=32),
-        rounds=1,
-        iterations=1,
-    )
+    result = run_beethoven_a3(n_cores=4, queries_per_core=32)
     print(
         f"\n4-core probe: {result.cycles_per_query_per_core:.0f} cycles/query/core, "
         f"verified={result.verified}"
@@ -52,7 +47,7 @@ def test_table3_functional_verification(benchmark):
     assert result.cycles_per_query_per_core < 2.2 * BERT_KEYS
 
 
-def test_asic_single_core_matches_paper_model(benchmark):
-    asic = benchmark.pedantic(AsicA3Baseline, rounds=1, iterations=1)
+def test_asic_single_core_matches_paper_model():
+    asic = AsicA3Baseline()
     # Paper Table III: 2.94M ops/s at 1 GHz for the 320-key configuration.
     assert abs(asic.ops_per_second(BERT_KEYS) - 2.94e6) / 2.94e6 < 0.01

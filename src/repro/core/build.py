@@ -104,39 +104,84 @@ class BeethovenBuild:
         return integration.build_top(self.hdl_top())
 
     # ---------------------------------------------------------- observability
+    # The one body of each metrics, trace and attribution export; the
+    # design itself exposes only ``registry``.
     @property
     def registry(self):
         """Design-wide metric registry (see :mod:`repro.obs`)."""
         return self.design.registry
 
-    def metrics(self, prefix=None, stable_only: bool = False):
-        return self.design.metrics(prefix, stable_only=stable_only)
+    def metrics(self, stable_only: bool = False):
+        return self.registry.dump(stable_only=stable_only)
 
     def metrics_report(self, prefix=None) -> str:
-        return self.design.metrics_report(prefix)
+        return self.registry.render_report(prefix)
 
-    def export_metrics(self, path: str, prefix=None):
-        return self.design.export_metrics(path, prefix)
+    def export_metrics(self, path: str):
+        from repro.obs.export import export_metrics
+
+        return export_metrics(path, self.registry)
 
     def chrome_trace(self):
-        return self.design.chrome_trace()
+        from repro.obs.attribution import counter_track_events
+        from repro.obs.export import chrome_trace
+
+        design = self.design
+        return chrome_trace(
+            design.tracer,
+            [design.monitor],
+            extra_events=counter_track_events([design.monitor]),
+        )
 
     def export_chrome_trace(self, path: str):
         """Write a Perfetto-loadable (ui.perfetto.dev) trace JSON file."""
-        return self.design.export_chrome_trace(path)
+        from repro.obs.attribution import counter_track_events
+        from repro.obs.export import export_chrome_trace
+
+        design = self.design
+        return export_chrome_trace(
+            path,
+            design.tracer,
+            [design.monitor],
+            extra_events=counter_track_events([design.monitor]),
+        )
 
     def profile_report(self) -> str:
-        return self.design.profile_report()
+        from repro.obs.profiler import render_profile_report
+
+        return render_profile_report(self.design.sim)
 
     def attribution_report(self, by_tenant: bool = False):
-        """Cycle-attribution rollup (see :mod:`repro.obs.attribution`)."""
-        return self.design.attribution_report(by_tenant=by_tenant)
+        """Cycle-attribution rollup (see :mod:`repro.obs.attribution`).
+
+        ``by_tenant=True`` adds a per-tenant rollup keyed on the serving
+        layer's tenant span tags.
+        """
+        from repro.obs.attribution import attribution_report
+
+        design = self.design
+        return attribution_report(
+            design.tracer,
+            [design.monitor],
+            registry=design.sim.registry,
+            cycles=design.sim.cycle,
+            timing=self.platform.dram_timing,
+            by_tenant=by_tenant,
+        )
 
     def attribution_report_text(self) -> str:
-        return self.design.attribution_report_text()
+        from repro.obs.attribution import render_attribution_report
 
-    def export_attribution(self, path: str, by_tenant: bool = False):
-        return self.design.export_attribution(path, by_tenant=by_tenant)
+        return render_attribution_report(self.attribution_report())
+
+    def export_attribution(self, path: str):
+        """Write the attribution rollup as JSON; returns the report dict."""
+        import json
+
+        report = self.attribution_report()
+        with open(path, "w") as f:
+            json.dump(report, f, indent=2, sort_keys=True, default=float)
+        return report
 
     # ---------------------------------------------------------------- reports
     @property

@@ -682,76 +682,8 @@ class ElaboratedDesign:
     def all_cores(self) -> List[ElaboratedCore]:
         return [c for s in self.systems for c in s.cores]
 
-    # -------------------------------------------------------------- exports
+    # ------------------------------------------------------------- registry
     @property
     def registry(self):
         """The design-wide metric registry (owned by the simulator)."""
         return self.sim.registry
-
-    def metrics(self, prefix: Optional[str] = None, stable_only: bool = False):
-        return self.sim.registry.dump(prefix, stable_only=stable_only)
-
-    def metrics_report(self, prefix: Optional[str] = None) -> str:
-        return self.sim.registry.render_report(prefix)
-
-    def export_metrics(self, path: str, prefix: Optional[str] = None):
-        from repro.obs.export import export_metrics
-
-        return export_metrics(path, self.sim.registry, prefix)
-
-    def chrome_trace(self):
-        from repro.obs.attribution import counter_track_events
-        from repro.obs.export import chrome_trace
-
-        return chrome_trace(
-            self.tracer,
-            [self.monitor],
-            extra_events=counter_track_events([self.monitor]),
-        )
-
-    def export_chrome_trace(self, path: str):
-        from repro.obs.attribution import counter_track_events
-        from repro.obs.export import export_chrome_trace
-
-        return export_chrome_trace(
-            path,
-            self.tracer,
-            [self.monitor],
-            extra_events=counter_track_events([self.monitor]),
-        )
-
-    def profile_report(self) -> str:
-        from repro.obs.profiler import render_profile_report
-
-        return render_profile_report(self.sim)
-
-    def attribution_report(self, by_tenant: bool = False):
-        """Cycle-attribution rollup (see :mod:`repro.obs.attribution`).
-
-        ``by_tenant=True`` adds a per-tenant rollup keyed on the serving
-        layer's tenant span tags.
-        """
-        from repro.obs.attribution import attribution_report
-
-        return attribution_report(
-            self.tracer,
-            [self.monitor],
-            registry=self.sim.registry,
-            cycles=self.sim.cycle,
-            timing=self.platform.dram_timing,
-            by_tenant=by_tenant,
-        )
-
-    def attribution_report_text(self) -> str:
-        from repro.obs.attribution import render_attribution_report
-
-        return render_attribution_report(self.attribution_report())
-
-    def export_attribution(self, path: str, by_tenant: bool = False):
-        """Write the attribution rollup as JSON; returns the report dict."""
-        import json
-
-        report = self.attribution_report(by_tenant=by_tenant)
-        with open(path, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True, default=float)
-        return report

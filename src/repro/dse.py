@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.build import BeethovenBuild, BuildMode, InfeasibleDesignError
 from repro.platforms.base import Platform
@@ -234,3 +234,49 @@ def max_feasible_cores(
         raw = _limiting_kind(rejected)
     limiter = "LUT" if raw in ("clb", "lut", "reg") else "BRAM"
     return best, limiter, best_build
+
+
+# ---------------------------------------------------------------- sweep views
+def sweep_frame(points: Sequence[DesignPoint]) -> Dict[str, float]:
+    """Scalar summary of a sweep: frontier, build cost, cache effectiveness.
+
+    ``build_seconds`` on a cache-served point is the original compute time
+    stored with the entry, so ``build_seconds_saved`` is real time the cache
+    returned to the caller.
+    """
+    built = [p for p in points if not p.cache_hit]
+    hits = [p for p in points if p.cache_hit]
+    return {
+        "points": float(len(points)),
+        "built": float(len(built)),
+        "cache_hits": float(len(hits)),
+        "cache_hit_rate": len(hits) / len(points) if points else 0.0,
+        "build_seconds_spent": sum(p.build_seconds for p in built),
+        "build_seconds_saved": sum(p.build_seconds for p in hits),
+        "max_feasible_cores": float(frontier(points)),
+    }
+
+
+def render_sweep_report(points: Sequence[DesignPoint]) -> str:
+    """Human-readable sweep table with per-point provenance and a footer."""
+    lines = [
+        f"{'cores':>5} {'feasible':>8} {'worst util':>10} {'build s':>8} "
+        f"{'source':>8} {'limited by':<30}"
+    ]
+    for p in sorted(points, key=lambda p: p.n_cores):
+        source = "cache" if p.cache_hit else (p.worker or "local")
+        reasons = "; ".join(p.reasons[:1]) if p.reasons else "-"
+        lines.append(
+            f"{p.n_cores:>5} {'yes' if p.feasible else 'NO':>8} "
+            f"{p.worst_util:>9.1%} {p.build_seconds:>8.3f} "
+            f"{source:>8} {reasons:<30}"
+        )
+    f = sweep_frame(points)
+    lines.append(
+        f"frontier: {f['max_feasible_cores']:.0f} cores | "
+        f"built {f['built']:.0f}/{f['points']:.0f} points in "
+        f"{f['build_seconds_spent']:.2f}s | cache served "
+        f"{f['cache_hits']:.0f} ({f['cache_hit_rate']:.0%}), saving "
+        f"{f['build_seconds_saved']:.2f}s"
+    )
+    return "\n".join(lines)

@@ -195,16 +195,13 @@ class Farm:
             )
             self.tracer.end_span(sid, now_us)
 
-    def metrics(self, prefix: Optional[str] = "farm") -> Dict[str, Any]:
-        return self.registry.dump(prefix)
+    def metrics(self) -> Dict[str, Any]:
+        return self.registry.dump("farm")
 
-    def metrics_report(self, prefix: Optional[str] = "farm") -> str:
-        return self.registry.render_report(prefix)
-
-    def export_metrics(self, path: str, prefix: Optional[str] = "farm"):
+    def export_metrics(self, path: str):
         from repro.obs.export import export_metrics
 
-        return export_metrics(path, self.registry, prefix)
+        return export_metrics(path, self.registry, "farm")
 
     def chrome_trace(self) -> Dict[str, Any]:
         from repro.obs.export import chrome_trace

@@ -427,7 +427,7 @@ def _run_fixed_memcpy(mode: str, faults: Optional[FaultPlan]):
     )
     fut.get(max_cycles=500_000)
     handle.copy_from_fpga(dst)
-    metrics = build.design.metrics(stable_only=True)
+    metrics = build.metrics(stable_only=True)
     cycle = build.design.sim.cycle
     return metrics, cycle, dst.read() == pattern
 

@@ -266,47 +266,55 @@ def segment_totals(paths: Iterable[CommandPath]) -> Dict[str, int]:
     return totals
 
 
+def _rollup(paths: List[CommandPath]) -> Dict[str, Any]:
+    """Command count, latency, segment and group shares and the bottleneck
+    verdict of ``paths``; shares are of their summed latency."""
+    totals = segment_totals(paths)
+    total_latency = sum(p.latency for p in paths)
+    n = len(paths)
+    groups = {
+        name: sum(totals[seg] for seg in segs)
+        for name, segs in SEGMENT_GROUPS.items()
+    }
+
+    def share(cycles: int) -> float:
+        return cycles / total_latency if total_latency else 0.0
+
+    return {
+        "commands": n,
+        "total_latency_cycles": total_latency,
+        "mean_latency_cycles": total_latency / n if n else 0.0,
+        "segments": {
+            seg: {"cycles": totals[seg], "share": share(totals[seg])}
+            for seg in SEGMENTS
+        },
+        "groups": {
+            name: {"cycles": cyc, "share": share(cyc)}
+            for name, cyc in groups.items()
+        },
+        "bottleneck": (
+            max(groups, key=lambda g: (groups[g], g)) if total_latency else None
+        ),
+    }
+
+
 def tenant_rollup(paths: Iterable[CommandPath]) -> Dict[str, Dict[str, Any]]:
     """Per-tenant attribution: same segment taxonomy, grouped by tenant tag.
 
     Commands without a tenant tag (plain :class:`FpgaHandle` traffic) roll up
     under ``""``; callers rendering the result usually label that bucket
     "untagged".  Shares are of the tenant's own total latency, so a tenant's
-    bottleneck verdict is independent of how much traffic it sent.
+    bottleneck verdict is independent of how much traffic it sent.  A
+    tenant's rollup carries no ``groups`` table, only its verdict.
     """
     by_tenant: Dict[str, List[CommandPath]] = {}
     for path in paths:
         by_tenant.setdefault(path.tenant, []).append(path)
     out: Dict[str, Dict[str, Any]] = {}
     for tenant in sorted(by_tenant):
-        tpaths = by_tenant[tenant]
-        totals = segment_totals(tpaths)
-        total_latency = sum(p.latency for p in tpaths)
-        groups = {
-            name: sum(totals[seg] for seg in segs)
-            for name, segs in SEGMENT_GROUPS.items()
-        }
-        out[tenant] = {
-            "commands": len(tpaths),
-            "total_latency_cycles": total_latency,
-            "mean_latency_cycles": (
-                total_latency / len(tpaths) if tpaths else 0.0
-            ),
-            "segments": {
-                seg: {
-                    "cycles": totals[seg],
-                    "share": (
-                        totals[seg] / total_latency if total_latency else 0.0
-                    ),
-                }
-                for seg in SEGMENTS
-            },
-            "bottleneck": (
-                max(groups, key=lambda g: (groups[g], g))
-                if total_latency
-                else None
-            ),
-        }
+        rollup = _rollup(by_tenant[tenant])
+        del rollup["groups"]
+        out[tenant] = rollup
     return out
 
 
@@ -424,37 +432,9 @@ def attribution_report(
     with the same segment taxonomy rolled up per serving-layer tenant tag.
     """
     paths = extract_command_paths(tracer, monitors)
-    totals = segment_totals(paths)
-    total_latency = sum(p.latency for p in paths)
-    n = len(paths)
-    groups = {
-        name: sum(totals[seg] for seg in segs)
-        for name, segs in SEGMENT_GROUPS.items()
-    }
-    bottleneck = max(groups, key=lambda g: (groups[g], g)) if total_latency else None
     metrics = registry.dump() if registry is not None else {}
     contention = contention_summary(metrics, cycles)
-    report: Dict[str, Any] = {
-        "commands": n,
-        "total_latency_cycles": total_latency,
-        "mean_latency_cycles": total_latency / n if n else 0.0,
-        "segments": {
-            seg: {
-                "cycles": totals[seg],
-                "share": totals[seg] / total_latency if total_latency else 0.0,
-            }
-            for seg in SEGMENTS
-        },
-        "groups": {
-            name: {
-                "cycles": cyc,
-                "share": cyc / total_latency if total_latency else 0.0,
-            }
-            for name, cyc in groups.items()
-        },
-        "bottleneck": bottleneck,
-        "contention": contention,
-    }
+    report: Dict[str, Any] = {**_rollup(paths), "contention": contention}
     if timing is not None:
         report["dram_service_split"] = dram_service_split(contention, timing)
     if by_tenant:

@@ -118,7 +118,6 @@ class RuntimeServer(Component):
         "_queues", "_client_rr", "_rr_pos", "_client_seq", "_dispatched_seq", "_last_batch",
         "_current", "_words_left", "_next_word_cycle", "_lock_until", "_next_poll",
         "_resp_words", "_waiters", "_retry_heap", "_retry_seq", "_strikes", "quarantined",
-        "client_lock_waits",
         "commands_sent", "responses_received", "lock_wait_cycles", "busy_cycles",
         "lock_wait_hist", "timeouts", "retries", "quarantines", "late_responses",
         "rerouted", "batch_lock_skips", "batch_cycles_saved", "fifo_violations",
@@ -191,9 +190,6 @@ class RuntimeServer(Component):
         self.batch_lock_skips = 0
         self.batch_cycles_saved = 0
         self.fifo_violations = 0
-        # Per-client lock-wait samples (enqueue -> dispatch), for fairness
-        # analysis of the round-robin arbiter.
-        self.client_lock_waits: Dict[int, List[int]] = {}
 
     @property
     def metric_path(self) -> str:
@@ -352,7 +348,6 @@ class RuntimeServer(Component):
             wait = max(0, cycle - cur.enqueue_cycle)
             self.lock_wait_cycles += wait
             self.lock_wait_hist.observe(wait)
-            self.client_lock_waits.setdefault(cur.client, []).append(wait)
             self._words_left = list(cur.words)
             # Lock acquisition + per-command bookkeeping cost — skipped when
             # this command continues the immediately preceding command's

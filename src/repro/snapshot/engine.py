@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped on any change to the capture format or the captured fields, so a
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
-#: "Versioning"; 18: the host state holds the live calls and the settled
-#: ones whose future is still held, plus the issued-call count).
-SNAPSHOT_VERSION = 18
+#: "Versioning"; 19: the runtime server no longer keeps per-client
+#: lock-wait samples — a command's wait is its ``queue_wait`` span segment).
+SNAPSHOT_VERSION = 19
 
 
 class SnapshotError(RuntimeError):

@@ -106,7 +106,7 @@ def run_checkpointed_memcpy(
         check_copies(scene, v)
 
     outcome = run_scene("checkpoint", mode, seed, scene, drive)
-    return {**asdict(outcome), **run, "stable_metrics": build.design.metrics(stable_only=True)}
+    return {**asdict(outcome), **run, "stable_metrics": build.metrics(stable_only=True)}
 
 
 #: Chunks between two checkpoint writes in the kill-and-resume differential.

@@ -4,14 +4,15 @@ import math
 from collections import Counter
 
 import repro.core.build as build_module
-from repro.analysis import render_sweep_report, sweep_frame
 from repro.dse import (
     DesignPoint,
     evaluate_point,
     frontier,
     limiting_resource,
     max_feasible_cores,
+    render_sweep_report,
     sweep_cores,
+    sweep_frame,
 )
 from repro.farm import Farm
 from repro.kernels.attention import a3_config

@@ -28,6 +28,7 @@ from repro.core.build import BuildMode
 from repro.kernels.machsuite.fig6 import simulate_measured
 from repro.kernels.memcpy import memcpy_config
 from repro.memory.types import ReadRequest, WriteRequest
+from repro.obs import extract_command_paths, segment_totals
 from repro.platforms import AWSF1Platform, SimulationPlatform
 from repro.runtime import FpgaHandle
 from repro.sim import (
@@ -83,8 +84,6 @@ def _attribution_totals(design):
     contention counters), so the decomposition must be bit-identical across
     scheduling modes.
     """
-    from repro.obs import extract_command_paths, segment_totals
-
     paths = extract_command_paths(design.tracer, [design.monitor])
     for p in paths:
         assert sum(p.segments.values()) == p.latency
@@ -291,7 +290,10 @@ def _run_server(scheduling):
             server.responses_received,
             server.lock_wait_cycles,
             server.busy_cycles,
-            {k: tuple(v) for k, v in server.client_lock_waits.items()},
+            tuple(
+                p.segments["queue_wait"]
+                for p in extract_command_paths(build.design.tracer, [build.design.monitor])
+            ),
         ),
     )
 

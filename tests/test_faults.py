@@ -249,7 +249,7 @@ def test_snapshot_round_trip_preserves_fault_state(tmp_path):
             "cycle": build.design.sim.cycle,
             "n_faults": len(handle.faults.events),
             "fingerprint": handle.faults.fingerprint(),
-            "stable_metrics": build.design.metrics(stable_only=True),
+            "stable_metrics": build.metrics(stable_only=True),
         }
 
     path = str(tmp_path / "faults.ckpt")

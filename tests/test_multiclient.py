@@ -10,6 +10,7 @@ import numpy as np
 from repro.core import BeethovenBuild
 from repro.baselines.delay_core import delay_config
 from repro.kernels.vecadd import vector_add_config
+from repro.obs import extract_command_paths
 from repro.platforms import SimulationPlatform
 from repro.runtime import FpgaHandle
 
@@ -68,7 +69,13 @@ def test_round_robin_lock_wait_fairness():
         fut.get(max_cycles=1_000_000)
     host = build.design.platform.host
     service = host.command_lock_cycles + 6 * host.mmio_word_cycles
-    waits = handle.server.client_lock_waits
+    # Each command's lock wait (enqueue -> dispatch) is the ``queue_wait``
+    # segment of its root span; group them by the span's client tag.
+    tracer = build.design.tracer
+    client_of = {s.span_id: s.args["client"] for s in tracer.span_log if s.parent is None}
+    waits = {}
+    for path in extract_command_paths(tracer, [build.design.monitor]):
+        waits.setdefault(client_of[path.span_id], []).append(path.segments["queue_wait"])
     assert sorted(waits) == [c.client_id for c in clients]
     assert all(len(w) == burst for w in waits.values())
     worst = {client: max(w) for client, w in waits.items()}

@@ -41,7 +41,7 @@ def _finish(build, handle, futs):
         if all(f.done for f in futs):
             break
         sim.run(CHUNK)
-    return sim.cycle, build.design.metrics(stable_only=True)
+    return sim.cycle, build.metrics(stable_only=True)
 
 
 @pytest.fixture(scope="module")

@@ -45,8 +45,7 @@ from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.analysis import render_sweep_report, sweep_frame  # noqa: E402
-from repro.dse import sweep_cores  # noqa: E402
+from repro.dse import render_sweep_report, sweep_cores  # noqa: E402
 from repro.farm import Farm, FarmJobError, Job  # noqa: E402
 from repro.kernels.machsuite.fig6 import (  # noqa: E402
     CONFIG_FACTORIES,
