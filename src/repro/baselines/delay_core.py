@@ -52,7 +52,7 @@ class DelayCore(AcceleratorCore):
                 self._respond_at = None
                 self._responding = True
             return
-        if self.io.req.can_pop():
+        if self.io.req._items:  # the core is its one consumer (DESIGN.md)
             self.io.req.pop()
             self._respond_at = cycle + self.latency_cycles
 
@@ -61,7 +61,8 @@ class DelayCore(AcceleratorCore):
             return cycle
         if self._respond_at is not None:
             return max(cycle, self._respond_at)
-        if self.io.req.can_pop():
+        req = self.io.req
+        if req._pop_count < len(req._items):
             return cycle  # a queued command: nothing else re-wakes us for it
         return NEVER  # waiting for a command to be pushed
 

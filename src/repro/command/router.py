@@ -82,6 +82,11 @@ class CoreCommandAdapter(Component):
         return chans
 
     def tick(self, cycle: int) -> None:
+        # The adapter is the one consumer of ``cmd_in`` and of every
+        # ``io.resp`` and pops each at most once per tick, so a truthy
+        # ``_items`` is a visible item (DESIGN.md, "One consumer per popped
+        # channel").  ``next_event`` runs after those pops and tests the
+        # visible window instead.
         self._unpack(cycle)
         self._pack_responses(cycle)
 
@@ -104,7 +109,7 @@ class CoreCommandAdapter(Component):
         ``resp_out`` no edge announces.  Else :data:`NEVER`: one chunk and
         one response move per tick."""
         cmd_in = self.cmd_in
-        if cmd_in.can_pop():
+        if cmd_in._pop_count < len(cmd_in._items):
             io_idx = cmd_in.peek().funct7
             if io_idx >= len(self.ios):
                 return cycle  # the tick raises
@@ -114,12 +119,13 @@ class CoreCommandAdapter(Component):
             ):
                 return cycle
         for idx, io in enumerate(self.ios):
-            if io.resp.can_pop() and self._pending_rd[idx]:
+            resp = io.resp
+            if resp._pop_count < len(resp._items) and self._pending_rd[idx]:
                 return cycle
         return NEVER
 
     def _unpack(self, cycle: int) -> None:
-        if not self.cmd_in.can_pop():
+        if not self.cmd_in._items:
             return
         inst = self.cmd_in.peek()
         io_idx = inst.funct7
@@ -152,7 +158,7 @@ class CoreCommandAdapter(Component):
         if not self.resp_out.can_push():
             return
         for idx, io in enumerate(self.ios):
-            if io.resp.can_pop() and self._pending_rd[idx]:
+            if io.resp._items and self._pending_rd[idx]:
                 values = io.resp.pop()
                 rd = self._pending_rd[idx].popleft()
                 data = io.response_spec.pack(values) if io.response_spec.fields else 0
@@ -214,8 +220,10 @@ class CommandRouter(Component):
         self._route_list = tuple(self._routes.values())
 
     def tick(self, cycle: int) -> None:
+        # The router is the one consumer of ``cmd_in`` and of every
+        # adapter's ``resp_out`` (see CoreCommandAdapter.tick).
         # Ingest one command per cycle into the delay line.
-        if self.cmd_in.can_pop():
+        if self.cmd_in._items:
             inst = self.cmd_in.peek()
             entry = self._routes.get((inst.system_id, inst.core_id))
             if entry is None:
@@ -238,7 +246,7 @@ class CommandRouter(Component):
         n = len(adapters)
         for k in range(n):
             entry = adapters[(self._resp_rr + k) % n]
-            if entry.adapter.resp_out.can_pop():
+            if entry.adapter.resp_out._items:
                 resp = entry.adapter.resp_out.pop()
                 self._resp_delay.append((cycle + entry.latency, resp))
                 self._resp_rr = (self._resp_rr + k + 1) % n
@@ -252,7 +260,8 @@ class CommandRouter(Component):
         backlog remains: ingest and response collection move one item per
         tick and the router's own pops do not re-wake it (``wake_edges``),
         so a still-visible command or response names the next cycle."""
-        if self.cmd_in.can_pop():
+        cmd_in = self.cmd_in
+        if cmd_in._pop_count < len(cmd_in._items):
             return cycle
         nxt = NEVER
         if self._cmd_delay:
@@ -261,7 +270,8 @@ class CommandRouter(Component):
             nxt = min(nxt, max(cycle, self._resp_delay[0][0]))
         if nxt > cycle:
             for entry in self._route_list:
-                if entry.adapter.resp_out.can_pop():
+                resp_out = entry.adapter.resp_out
+                if resp_out._pop_count < len(resp_out._items):
                     return cycle
         return nxt
 
@@ -313,13 +323,15 @@ class MmioFrontend(Component):
         scope.bind("responses_forwarded", lambda: self.responses_forwarded)
 
     def tick(self, cycle: int) -> None:
-        if self.cmd_words.can_pop() and self.router.cmd_in.can_push():
+        # The frontend is the one consumer of ``cmd_words`` and of
+        # ``router.resp_out`` (see CoreCommandAdapter.tick).
+        if self.cmd_words._items and self.router.cmd_in.can_push():
             self._partial.append(self.cmd_words.pop())
             if len(self._partial) == 6:
                 self.router.cmd_in.push(RoccInstruction.decode_words(self._partial))
                 self._partial.clear()
                 self.commands_forwarded += 1
-        if self.router.resp_out.can_pop() and self.resp_words.can_push(4):
+        if self.router.resp_out._items and self.resp_words.can_push(4):
             resp = self.router.resp_out.pop()
             hook = self._fault
             if hook is not None and hook.drop_response(cycle, resp):
@@ -336,8 +348,9 @@ class MmioFrontend(Component):
         room), else :data:`NEVER`: one word and one response move per tick,
         and the frontend's own pops and pushes do not re-wake it
         (``wake_edges``)."""
-        if self.cmd_words.can_pop() or (
-            self.router.resp_out.can_pop() and self.resp_words.can_push(4)
+        words, resp_out = self.cmd_words, self.router.resp_out
+        if words._pop_count < len(words._items) or (
+            resp_out._pop_count < len(resp_out._items) and self.resp_words.can_push(4)
         ):
             return cycle
         return NEVER

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from repro.axi.types import ARReq, AWReq, AxiPort
-from repro.noc.links import as_link
+from repro.noc.links import PlainAxiLink, as_link
 from repro.sim import NEVER, Component, SimulationError
 
 
@@ -122,17 +122,22 @@ class AxiBufferNode(Component):
 
         Every channel the node pops (upstream AR, AW and W, downstream R
         and B) has it as its one consumer, so a bound ``_items`` list is
-        truthy exactly when the channel has a visible item (DESIGN.md, "One
-        consumer per popped channel").  A stall window opens only with a
-        request pending, which only this node takes, so AR and AW skip
-        their whole section while every upstream is empty."""
+        truthy exactly when the channel has a visible item, its head is
+        ``items[0]`` and popping it is ``_pop_count = 1`` (DESIGN.md, "One
+        consumer per popped channel").  A transfer is moved under the guard
+        the node already tests: it sets the pop count or appends to the
+        receiving ``_staged`` list and puts the channel on its dirty list
+        itself, instead of calling ``pop``/``push``, which would test
+        again.  A stall window opens only with a request pending, which
+        only this node takes, so AR and AW skip their whole section while
+        every upstream is empty."""
         ups = self.upstreams
         n = len(ups)
         up_ar = [u.ar for u in ups]
         up_aw = [u.aw for u in ups]
         order = [[*range(rr, n), *range(rr)] for rr in range(n)]
-        ar_rot = tuple(tuple((idx, up_ar[idx]) for idx in o) for o in order)
-        aw_rot = tuple(tuple((idx, up_aw[idx]) for idx in o) for o in order)
+        ar_rot = tuple(tuple((idx, up_ar[idx], up_ar[idx]._items) for idx in o) for o in order)
+        aw_rot = tuple(tuple((idx, up_aw[idx], up_aw[idx]._items) for idx in o) for o in order)
         up_w = [u.w for u in ups]
         up_r = [u.r for u in ups]
         up_b = [u.b for u in ups]
@@ -142,9 +147,13 @@ class AxiBufferNode(Component):
         d = down.port
         dar, dar_staged, dar_cap = d.ar._items, d.ar._staged, d.ar.capacity
         daw, daw_staged, daw_cap = d.aw._items, d.aw._staged, d.aw.capacity
-        dw, dw_staged, dw_cap = d.w._items, d.w._staged, d.w.capacity
+        d_w, dw, dw_staged, dw_cap = d.w, d.w._items, d.w._staged, d.w.capacity
         d_r, d_b, dr, db = d.r, d.b, d.r._items, d.b._items
         push_ar, push_aw, push_w = down.push_ar, down.push_aw, down.push_w
+        # A plain link's push_w is the bare channel push the room test
+        # already guards, so a W beat is staged directly; a monitored port
+        # also feeds its monitor.
+        w_plain = type(down) is PlainAxiLink
         child_bits = self.child_id_bits
         child_mask = (1 << child_bits) - 1
         w_order = self._w_order
@@ -161,9 +170,13 @@ class AxiBufferNode(Component):
                     if since >= 0:
                         stall_cycles["ar"] += cycle - since
                         stall_since["ar"] = -1
-                    for idx, chan in ar_rot[self._ar_rr]:
-                        if chan._items:
-                            req = chan.pop()
+                    for idx, chan, items in ar_rot[self._ar_rr]:
+                        if items:
+                            req = items[0]
+                            chan._pop_count = 1
+                            if not chan._dirty:
+                                chan._dirty = True
+                                chan._sink.append(chan)
                             push_ar(
                                 cycle,
                                 ARReq(
@@ -186,9 +199,13 @@ class AxiBufferNode(Component):
                     if since >= 0:
                         stall_cycles["aw"] += cycle - since
                         stall_since["aw"] = -1
-                    for idx, chan in aw_rot[self._aw_rr]:
-                        if chan._items:
-                            req = chan.pop()
+                    for idx, chan, items in aw_rot[self._aw_rr]:
+                        if items:
+                            req = items[0]
+                            chan._pop_count = 1
+                            if not chan._dirty:
+                                chan._dirty = True
+                                chan._sink.append(chan)
                             push_aw(
                                 cycle,
                                 AWReq(
@@ -215,8 +232,18 @@ class AxiBufferNode(Component):
                         stall_cycles["w"] += cycle - since
                         stall_since["w"] = -1
                     if chan._items:
-                        beat = chan.pop()
-                        push_w(cycle, beat)
+                        beat = chan._items[0]
+                        chan._pop_count = 1
+                        if not chan._dirty:
+                            chan._dirty = True
+                            chan._sink.append(chan)
+                        if w_plain:
+                            dw_staged.append(beat)
+                            if not d_w._dirty:
+                                d_w._dirty = True
+                                d_w._sink.append(d_w)
+                        else:
+                            push_w(cycle, beat)
                         remaining -= 1
                         forwarded["w"] += 1
                         if beat.last:
@@ -238,17 +265,24 @@ class AxiBufferNode(Component):
                         f"{name}: R beat for unknown upstream {idx}"
                     )
                 chan = up_r[idx]
-                if len(chan._items) + len(chan._staged) < chan.capacity:
+                staged = chan._staged
+                if len(chan._items) + len(staged) < chan.capacity:
                     since = stall_since["r"]
                     if since >= 0:
                         stall_cycles["r"] += cycle - since
                         stall_since["r"] = -1
-                    d_r.pop()
+                    d_r._pop_count = 1
+                    if not d_r._dirty:
+                        d_r._dirty = True
+                        d_r._sink.append(d_r)
                     hook = self._fault
                     if hook is not None:
                         beat = hook.filter_r(cycle, axi_id, beat)
                     if beat is not None:
-                        chan.push((axi_id & child_mask, beat))
+                        staged.append((axi_id & child_mask, beat))
+                        if not chan._dirty:
+                            chan._dirty = True
+                            chan._sink.append(chan)
                         forwarded["r"] += 1
                 elif stall_since["r"] < 0:
                     stall_since["r"] = cycle
@@ -261,15 +295,22 @@ class AxiBufferNode(Component):
                         f"{name}: B resp for unknown upstream {idx}"
                     )
                 chan = up_b[idx]
-                if len(chan._items) + len(chan._staged) < chan.capacity:
+                staged = chan._staged
+                if len(chan._items) + len(staged) < chan.capacity:
                     since = stall_since["b"]
                     if since >= 0:
                         stall_cycles["b"] += cycle - since
                         stall_since["b"] = -1
-                    d_b.pop()
+                    d_b._pop_count = 1
+                    if not d_b._dirty:
+                        d_b._dirty = True
+                        d_b._sink.append(d_b)
                     hook = self._fault
                     if not (hook is not None and hook.drop_b(cycle, axi_id)):
-                        chan.push((axi_id & child_mask, resp))
+                        staged.append((axi_id & child_mask, resp))
+                        if not chan._dirty:
+                            chan._dirty = True
+                            chan._sink.append(chan)
                         forwarded["b"] += 1
                 elif stall_since["b"] < 0:
                     stall_since["b"] = cycle
@@ -307,16 +348,32 @@ class AxiPipe(Component):
         for i, ch in enumerate(CHANNELS):
             scope.bind(f"in_flight_{ch}", lambda i=i: len(self._delay[i]))
 
+    #: The earliest head due cycle over the delay lines as the last hint
+    #: found it: a run cache (``RUN_CACHES``), never captured, dropped by a
+    #: restore.  Every item joins a line due no earlier than any in flight
+    #: and a head only leaves once due, so the earliest due never falls: a
+    #: finite value not yet passed is still exact, and only a passed one
+    #: (a head left, or a matured head waits for room) or ``NEVER`` with
+    #: something in flight sends the hint back to the lines.
+    _next_due = NEVER
+
     def next_event(self, cycle: int) -> float:
         """Sleep until the oldest in-flight item matures out of a delay line;
-        ingest is channel-reactive."""
-        best = NEVER
+        ingest is channel-reactive.  O(1) while the cached earliest due is
+        still ahead."""
+        due = self._next_due
+        if due >= cycle and (due != NEVER or not any(self._delay)):
+            return due
+        due = NEVER
         for q in self._delay:
             if q:
-                due = q[0][0]
-                if due < best:
-                    best = due
-        return cycle if best < cycle else best
+                head = q[0][0]
+                if head <= cycle:
+                    return cycle  # matured (or waiting for room): next cycle
+                if head < due:
+                    due = head
+        self._next_due = due
+        return due
 
     def wake_channels(self):
         # Ingests from both port faces and drains into both, so traffic (or
@@ -330,7 +387,10 @@ class AxiPipe(Component):
         the receiving channel has room — AR, AW, W, R, B in that order, with
         delay deques and channel endpoints bound once.  The pipe is the one
         consumer of every channel it ingests from, so a bound ``_items``
-        list is truthy exactly when that channel has a visible item."""
+        list is truthy exactly when that channel has a visible item, which
+        it then takes as the buffer node does: ``items[0]``, a pop count of
+        one and a dirty mark.  R and B drain into the upstream port's
+        ``_staged`` lists the same way."""
         up = self.up
         down = self.down
         d = down.port
@@ -342,32 +402,65 @@ class AxiPipe(Component):
         in_r, in_b = d_r._items, d_b._items
         dar, dar_staged, dar_cap = d.ar._items, d.ar._staged, d.ar.capacity
         daw, daw_staged, daw_cap = d.aw._items, d.aw._staged, d.aw.capacity
-        dw, dw_staged, dw_cap = d.w._items, d.w._staged, d.w.capacity
+        d_w, dw, dw_staged, dw_cap = d.w, d.w._items, d.w._staged, d.w.capacity
         ur, ur_staged, ur_cap = u_r._items, u_r._staged, u_r.capacity
         ub, ub_staged, ub_cap = u_b._items, u_b._staged, u_b.capacity
         push_ar, push_aw, push_w = down.push_ar, down.push_aw, down.push_w
+        w_plain = type(down) is PlainAxiLink  # as in AxiBufferNode
 
         def tick(cycle):
             due = cycle + latency
             if in_ar:
-                q_ar.append((due, u_ar.pop()))
+                q_ar.append((due, in_ar[0]))
+                u_ar._pop_count = 1
+                if not u_ar._dirty:
+                    u_ar._dirty = True
+                    u_ar._sink.append(u_ar)
             if in_aw:
-                q_aw.append((due, u_aw.pop()))
+                q_aw.append((due, in_aw[0]))
+                u_aw._pop_count = 1
+                if not u_aw._dirty:
+                    u_aw._dirty = True
+                    u_aw._sink.append(u_aw)
             if in_w:
-                q_w.append((due, u_w.pop()))
+                q_w.append((due, in_w[0]))
+                u_w._pop_count = 1
+                if not u_w._dirty:
+                    u_w._dirty = True
+                    u_w._sink.append(u_w)
             if in_r:
-                q_r.append((due, d_r.pop()))
+                q_r.append((due, in_r[0]))
+                d_r._pop_count = 1
+                if not d_r._dirty:
+                    d_r._dirty = True
+                    d_r._sink.append(d_r)
             if in_b:
-                q_b.append((due, d_b.pop()))
+                q_b.append((due, in_b[0]))
+                d_b._pop_count = 1
+                if not d_b._dirty:
+                    d_b._dirty = True
+                    d_b._sink.append(d_b)
             if q_ar and q_ar[0][0] <= cycle and len(dar) + len(dar_staged) < dar_cap:
                 push_ar(cycle, q_ar.popleft()[1])
             if q_aw and q_aw[0][0] <= cycle and len(daw) + len(daw_staged) < daw_cap:
                 push_aw(cycle, q_aw.popleft()[1])
             if q_w and q_w[0][0] <= cycle and len(dw) + len(dw_staged) < dw_cap:
-                push_w(cycle, q_w.popleft()[1])
+                if w_plain:
+                    dw_staged.append(q_w.popleft()[1])
+                    if not d_w._dirty:
+                        d_w._dirty = True
+                        d_w._sink.append(d_w)
+                else:
+                    push_w(cycle, q_w.popleft()[1])
             if q_r and q_r[0][0] <= cycle and len(ur) + len(ur_staged) < ur_cap:
-                u_r.push(q_r.popleft()[1])
+                ur_staged.append(q_r.popleft()[1])
+                if not u_r._dirty:
+                    u_r._dirty = True
+                    u_r._sink.append(u_r)
             if q_b and q_b[0][0] <= cycle and len(ub) + len(ub_staged) < ub_cap:
-                u_b.push(q_b.popleft()[1])
+                ub_staged.append(q_b.popleft()[1])
+                if not u_b._dirty:
+                    u_b._dirty = True
+                    u_b._sink.append(u_b)
 
         return tick

@@ -45,7 +45,10 @@ class IdCompressor(Component):
         source has one and its sink has room.  AR and AW fold the wide ID to
         ``wide % n_ids`` and remember it by tag; R and B restore it.  The
         compressor is the one consumer of every source lane, so a bound
-        ``_items`` list is truthy exactly when it has a visible item."""
+        ``_items`` list is truthy exactly when it has a visible item, which
+        it then takes as the buffer node does: ``items[0]``, a pop count of
+        one and a dirty mark.  R and B land in the upstream port's
+        ``_staged`` lists the same way."""
         up = self.up
         down = self.down
         d = down.port
@@ -66,32 +69,58 @@ class IdCompressor(Component):
 
         def tick(cycle):
             if in_ar and len(dar) + len(dar_staged) < dar_cap:
-                req = u_ar.pop()
+                req = in_ar[0]
+                u_ar._pop_count = 1
+                if not u_ar._dirty:
+                    u_ar._dirty = True
+                    u_ar._sink.append(u_ar)
                 read_orig[req.tag] = req.axi_id
                 push_ar(cycle, ARReq(req.axi_id % n_ids, req.addr, req.length, req.tag))
             if in_aw and len(daw) + len(daw_staged) < daw_cap:
-                req = u_aw.pop()
+                req = in_aw[0]
+                u_aw._pop_count = 1
+                if not u_aw._dirty:
+                    u_aw._dirty = True
+                    u_aw._sink.append(u_aw)
                 write_orig[req.tag] = req.axi_id
                 push_aw(cycle, AWReq(req.axi_id % n_ids, req.addr, req.length, req.tag))
             if in_w and len(dw) + len(dw_staged) < dw_cap:
-                push_w(cycle, u_w.pop())
+                u_w._pop_count = 1
+                if not u_w._dirty:
+                    u_w._dirty = True
+                    u_w._sink.append(u_w)
+                push_w(cycle, in_w[0])
             if in_r and len(ur) + len(ur_staged) < ur_cap:
-                beat = d_r.pop()[1]
+                beat = in_r[0][1]
+                d_r._pop_count = 1
+                if not d_r._dirty:
+                    d_r._dirty = True
+                    d_r._sink.append(d_r)
                 orig = read_orig.get(beat.tag)
                 if orig is None:
                     raise SimulationError(
                         f"{name}: R beat with unknown tag {beat.tag}"
                     )
-                u_r.push((orig, beat))
+                ur_staged.append((orig, beat))
+                if not u_r._dirty:
+                    u_r._dirty = True
+                    u_r._sink.append(u_r)
                 if beat.last:
                     del read_orig[beat.tag]
             if in_b and len(ub) + len(ub_staged) < ub_cap:
-                resp = d_b.pop()[1]
+                resp = in_b[0][1]
+                d_b._pop_count = 1
+                if not d_b._dirty:
+                    d_b._dirty = True
+                    d_b._sink.append(d_b)
                 orig = write_orig.pop(resp.tag, None)
                 if orig is None:
                     raise SimulationError(
                         f"{name}: B resp with unknown tag {resp.tag}"
                     )
-                u_b.push((orig, resp))
+                ub_staged.append((orig, resp))
+                if not u_b._dirty:
+                    u_b._dirty = True
+                    u_b._sink.append(u_b)
 
         return tick

@@ -24,9 +24,9 @@ probe.  The program removes that interpretation layer:
   order — and therefore the order channels first become dirty, i.e. the
   channel-commit order — is exactly the naive order.
 
-* **Flat commit drain** — dirty channels commit through an inlined loop that
-  merges ``sync_observations`` + ``commit`` into direct attribute arithmetic
-  and wakes subscriber slots from pre-computed tuples stored on the channel
+* **Flat commit drain** — dirty channels commit through
+  :func:`~repro.sim.kernel.commit_dirty`'s loop, inlined, which also wakes
+  subscriber slots from pre-computed tuples stored on the channel
   (``_push_subs`` for a committed push, ``_pop_subs`` for a committed pop),
   with no dict lookups.  By default a component subscribes to *both* edges
   of every ``wake_channels()`` entry — the rule a component that consumes
@@ -55,7 +55,7 @@ else is woken next cycle.  This is how non-channel coupling such as
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -125,12 +125,11 @@ class CompiledProgram:
 
         # -- scheduler state ------------------------------------------------
         n_slots = len(components)
-        self._last_tick = [-1] * n_slots
         self._slot_ticks = [0] * n_slots
         self._wake_heap: List[Tuple[int, int]] = []
         self._woken: set = set()
         self._ready: Optional[List[int]] = None  # set mid-cycle only
-        self._ready_pos = 0  # ready[_ready_pos - 1] is the ticking slot
+        self._ticking = -1  # the slot whose tick runs while _ready is set
         self._fresh = True  # no run yet: the first entry wakes every slot
 
     @staticmethod
@@ -159,16 +158,16 @@ class CompiledProgram:
         if slot < 0:
             return
         ready = self._ready
-        if ready is None:
+        if ready is None or slot <= self._ticking:
             self._woken.add(slot)
             return
-        pos = self._ready_pos
-        if slot > ready[pos - 1] and self._last_tick[slot] != self.sim.cycle:
-            # Inject into the still-unvisited tail of this cycle's dispatch
-            # order (kept sorted; the main loop walks it by index).
-            insort(ready, slot, pos)
-        else:
-            self._woken.add(slot)
+        # Slots tick in ascending order, so a later one has not ticked yet:
+        # inject it into the still-unvisited tail of this cycle's dispatch
+        # order (kept sorted and duplicate-free; the main loop iterates it
+        # and sees the insertion).
+        pos = bisect_left(ready, slot)
+        if pos == len(ready) or ready[pos] != slot:
+            ready.insert(pos, slot)
 
     def flush_ticks(self, slots: Optional[Iterable[int]] = None) -> None:
         """Fold per-slot tick counts into ``Component._ticks_executed``.
@@ -212,7 +211,6 @@ class CompiledProgram:
         self.prepare()
         tick_fns = self._tick_fns
         hint_fns = self._hint_fns
-        last_tick = self._last_tick
         slot_ticks = self._slot_ticks
         wake_heap = self._wake_heap
         woken = self._woken
@@ -246,17 +244,10 @@ class CompiledProgram:
             woken.clear()
             self._ready = order
             cy1 = cycle + 1
-            i = 0
-            # Walk the sorted dispatch order by index; same-cycle wakes
-            # (request_wake) insort into the unvisited tail, so the loop
-            # bound is re-read each iteration.
-            while i < len(order):
-                slot = order[i]
-                i += 1
-                self._ready_pos = i
-                if last_tick[slot] == cycle:
-                    continue  # duplicate wake this cycle
-                last_tick[slot] = cycle
+            # Same-cycle wakes (request_wake) insert into the unvisited tail
+            # of the sorted order, which the list iterator then reaches.
+            for slot in order:
+                self._ticking = slot
                 if profile:
                     t0 = clock()
                     tick_fns[slot](cycle)
@@ -276,21 +267,20 @@ class CompiledProgram:
                 if profile:
                     t0 = clock()
                 for chan in dirty:
-                    # sync_observations + commit, merged and inlined: this
-                    # commit plus the ones elided since the last.
-                    items = chan._items
-                    n = cycle + 1 - chan._anchor - chan._obs
-                    chan._occ += len(items) * n
-                    chan._obs += n
-                    # Wake each edge's subscribers (a dirty channel
-                    # committed at least one of the two).
-                    if chan._pop_count:
-                        del items[: chan._pop_count]
+                    # commit_dirty's body, waking each edge's subscribers
+                    # (a dirty channel committed at least one of the two).
+                    n = chan._pop_count
+                    staged = chan._staged
+                    k = len(staged)
+                    if n != k:
+                        chan._area += (n - k) * (cy1 - chan._anchor)
+                    if n:
+                        del chan._items[:n]
+                        chan._popped += n
                         chan._pop_count = 0
                         woken_update(chan._pop_subs)
-                    staged = chan._staged
-                    if staged:
-                        items += staged
+                    if k:
+                        chan._items += staged
                         staged.clear()
                         woken_update(chan._push_subs)
                     chan._dirty = False

@@ -12,16 +12,15 @@ ready/valid design gives real hardware).
 
 Two scheduling modes are supported, cycle- and statistic-identical:
 
-* ``"naive"`` — the oracle: tick every component and commit every channel
-  each cycle.
+* ``"naive"`` — the oracle: tick every component each cycle, then commit
+  the channels that saw a push or pop.
 * ``"compiled"`` — the production loop (:mod:`repro.sim.compiled`): a
   component is ticked only when one of its wake channels saw a committed
   push or pop, when its :meth:`Component.next_event` hint arrives, or when
-  it requested a wake through :meth:`Component.request_wake`; only dirty
-  channels commit, with lazy occupancy crediting, and windows where nobody
-  is woken are jumped.  At the first ``run()`` the component graph becomes a
-  tick program with one scheduling slot per component, and channel commits
-  drain through flat per-channel subscriber arrays.  Identical cycles,
+  it requested a wake through :meth:`Component.request_wake`, and windows
+  where nobody is woken are jumped.  At the first ``run()`` the component
+  graph becomes a tick program with one scheduling slot per component, and
+  channel commits drain through flat per-channel subscriber arrays.  Identical cycles,
   channel statistics and stable metrics; only the wall clock and the
   volatile tick accounting differ.
 
@@ -82,6 +81,18 @@ class DeadlockError(SimulationError):
         self.dump = dump if dump is not None else {}
 
 
+class _Unregistered:
+    """The clock of every channel no simulator has registered.  It stands
+    at cycle 0; such a channel counts its own :meth:`ChannelQueue.commit`
+    calls by lowering its ``_anchor``."""
+
+    __slots__ = ()
+    cycle = 0
+
+
+_UNREGISTERED = _Unregistered()
+
+
 class ChannelQueue(Generic[T]):
     """A registered FIFO channel with start-of-cycle visibility semantics.
 
@@ -89,6 +100,21 @@ class ChannelQueue(Generic[T]):
     ``pop`` the consumer interface.  Capacity admission uses the occupancy at
     the start of the cycle plus anything staged this cycle, so a full queue
     does not accept a push in the same cycle one of its items is popped.
+
+    A transfer costs one guard and one O(1) update: ``push`` and ``pop``
+    stage the item or the pop and put the channel on its clock's dirty list
+    the first time it is touched in a cycle; the commit applies both and
+    does all the counting.  The statistics are derived, exact at any time
+    (mid-tick too):
+
+    * ``total_popped`` is ``_popped`` (pops committed) plus ``_pop_count``;
+    * ``total_pushed`` is ``total_popped`` plus the items still held;
+    * ``cycles_observed`` is ``_clock.cycle - _anchor``, the commits a
+      channel committed every cycle would have made;
+    * ``occupancy_accum`` is ``_area + len(_items) * cycles_observed``.
+      ``_area`` changes only at a commit that changes the occupancy, which
+      keeps that sum equal to the occupancy integral over every observed
+      cycle.
     """
 
     # Slotted: channels are the hottest objects in the kernel (every guard in
@@ -100,14 +126,12 @@ class ChannelQueue(Generic[T]):
         "_items",
         "_staged",
         "_pop_count",
-        "total_pushed",
-        "total_popped",
-        "_occ",
-        "_obs",
+        "_popped",
+        "_area",
+        "_anchor",
+        "_clock",
         "_sink",
         "_dirty",
-        "_anchor",
-        "_sim",
         "_push_subs",
         "_pop_subs",
     )
@@ -120,21 +144,20 @@ class ChannelQueue(Generic[T]):
         self._items: List[T] = []
         self._staged: List[T] = []
         self._pop_count = 0
-        # Statistics, useful for NoC link utilisation reporting.  ``_occ`` and
-        # ``_obs`` are raw: read them through the exact properties below.
-        self.total_pushed = 0
-        self.total_popped = 0
-        self._occ = 0
-        self._obs = 0
-        # Compiled-scheduling hooks, installed by Simulator.register_channel:
-        # ``_sink`` is the simulator's dirty list (None under naive),
-        # ``_dirty`` marks membership in it, ``_sim`` is the
-        # simulator whose clock elided observations are credited against and
-        # ``_anchor`` the registration offset that makes the credit exact.
-        self._sink: Optional[List["ChannelQueue[Any]"]] = None
-        self._dirty = False
+        # Statistics (NoC link utilisation reporting), read through the
+        # exact properties below.
+        self._popped = 0
+        self._area = 0
         self._anchor = 0
-        self._sim: Optional["Simulator"] = None
+        # ``_clock`` is the registering simulator and ``_sink`` its dirty
+        # list, which holds every channel with an uncommitted push or pop;
+        # ``_dirty`` marks membership.  Until Simulator.register_channel
+        # installs them, the channel stays marked dirty, so push and pop
+        # never reach ``_sink`` (an empty tuple: appending would raise), and
+        # its own commit() applies what it holds.
+        self._clock: Any = _UNREGISTERED
+        self._sink: Any = ()
+        self._dirty = True
         # Compiled-scheduling subscriber arrays, installed by CompiledProgram:
         # the scheduling slots woken when this channel commits a push / a pop.
         self._push_subs: Tuple[int, ...] = ()
@@ -149,8 +172,7 @@ class ChannelQueue(Generic[T]):
         if len(self._items) + len(staged) >= self.capacity:
             raise SimulationError(f"push to full channel {self.name!r}")
         staged.append(item)
-        self.total_pushed += 1
-        if not self._dirty and self._sink is not None:
+        if not self._dirty:
             self._dirty = True
             self._sink.append(self)
 
@@ -169,59 +191,50 @@ class ChannelQueue(Generic[T]):
 
     def pop(self) -> T:
         n = self._pop_count
-        if n >= len(self._items):
+        items = self._items
+        if n >= len(items):
             raise SimulationError(f"pop from empty channel {self.name!r}")
-        item = self._items[n]
         self._pop_count = n + 1
-        self.total_popped += 1
-        if not self._dirty and self._sink is not None:
+        if not self._dirty:
             self._dirty = True
             self._sink.append(self)
-        return item
+        return items[n]
 
     # -- kernel interface ----------------------------------------------------
     def commit(self) -> None:
-        """Apply this cycle's pops and pushes; called once per cycle."""
-        self._occ += len(self._items)
-        self._obs += 1
-        if self._pop_count:
-            del self._items[: self._pop_count]
-            self._pop_count = 0
-        if self._staged:
-            self._items.extend(self._staged)
-            self._staged.clear()
+        """End one cycle of a channel no simulator registered: apply its
+        pops and pushes and count the cycle.  A registered channel is
+        committed by its simulator, and refuses this."""
+        if self._clock is not _UNREGISTERED:
+            raise SimulationError(f"channel {self.name!r} is committed by its simulator")
+        commit_dirty([self], 0)
+        self._dirty = True
+        self._anchor -= 1
 
-    def sync_observations(self, cycle: int) -> None:
-        """Credit every observation elided since the last commit/sync.
+    @property
+    def total_popped(self) -> int:
+        return self._popped + self._pop_count
 
-        Under sparse commit a channel is only committed on cycles it saw a
-        push or pop; its occupancy was constant in between, so the elided
-        commits are reconstructed exactly: at ``cycle`` the channel should
-        have been observed ``cycle - _anchor`` times in total.
-        """
-        lag = cycle - self._anchor - self._obs
-        if lag > 0:
-            self._occ += len(self._items) * lag
-            self._obs += lag
+    @property
+    def total_pushed(self) -> int:
+        return self._popped + len(self._items) + len(self._staged)
 
     @property
     def cycles_observed(self) -> int:
-        """Commits a naive run would have made by now, exact at any time
-        (mid-tick too): elided ones are counted against ``_sim``'s clock."""
-        seen = self._sim.cycle - self._anchor if self._sim is not None else 0
-        return seen if seen > self._obs else self._obs
+        """Commits a channel committed every cycle would have made by now."""
+        return self._clock.cycle - self._anchor
 
     @property
     def occupancy_accum(self) -> int:
-        """Occupancy integral; an elided commit saw the last real one's."""
-        return self._occ + len(self._items) * (self.cycles_observed - self._obs)
+        """Occupancy integral over every observed cycle."""
+        return self._area + len(self._items) * (self._clock.cycle - self._anchor)
 
     def register_metrics(self, scope) -> None:
         """Bind this channel's statistics into a metric registry scope.
 
-        The raw stats stay plain int slots — ``commit`` runs once per
-        channel per cycle and is the kernel's hottest statistic — so the
-        registry holds lazy views that read the exact values at dump time.
+        The statistics are derived from raw slots that only a commit
+        updates, so the registry holds lazy views that read the exact
+        values at dump time.
         """
         scope.bind("pushed", lambda: self.total_pushed)
         scope.bind("popped", lambda: self.total_popped)
@@ -243,12 +256,44 @@ class ChannelQueue(Generic[T]):
         return f"ChannelQueue({self.name!r}, {len(self._items)}/{self.capacity})"
 
 
+def commit_dirty(dirty: List[ChannelQueue[Any]], cycle: int) -> None:
+    """Commit every channel on ``dirty`` at the end of ``cycle``, then empty
+    the list.
+
+    A commit applies the cycle's pops and pushes, counts the pops and, when
+    the occupancy changes by ``len(staged) - pops``, moves ``_area`` by the
+    opposite amount times the cycles observed once this one is, so that
+    ``occupancy_accum`` is unchanged at the commit and grows by the new
+    occupancy from the next cycle on.  The compiled program's drain is this
+    loop with the subscriber wakes inlined.
+    """
+    end = cycle + 1
+    for chan in dirty:
+        items = chan._items
+        n = chan._pop_count
+        staged = chan._staged
+        k = len(staged)
+        if n != k:
+            chan._area += (n - k) * (end - chan._anchor)
+        if n:
+            del items[:n]
+            chan._popped += n
+            chan._pop_count = 0
+        if k:
+            items += staged
+            staged.clear()
+        chan._dirty = False
+    dirty.clear()
+
+
 #: What a run derives and keeps on a component that is neither
 #: construction-time structure nor state: the scheduler wiring the compiled
-#: program installs, the cached tick closure a restore drops, and the
-#: runtime server's lookup hints (a client with a queued command, a core
-#: with a waiter), re-derived from its tables on every use.
-RUN_CACHES = ("_sched_index", "_wake_hook", "_tick_body", "_queued_client", "_waiting_key")
+#: program installs, the cached tick closure, the pipe's earliest due cycle,
+#: and the runtime server's lookup hints (a client with a queued command, a
+#: core with a waiter), re-derived from its tables on every use.  A restore
+#: drops each one whose class has a default, which the next use rebuilds.
+RUN_CACHES = ("_sched_index", "_wake_hook", "_tick_body", "_next_due", "_queued_client",
+              "_waiting_key")
 
 
 class Component:
@@ -437,15 +482,16 @@ class Component:
 class Simulator:
     """Owns the clock; ticks components and commits channels each cycle.
 
+    Both schedules commit the one dirty list every registered channel
+    joins when it is first pushed or popped in a cycle; a channel nobody
+    touched has nothing to apply, and its statistics follow the clock.
     ``scheduling`` selects one of two cycle-identical schedules:
 
     * ``"naive"`` (the default) ticks everything every cycle — the oracle;
     * ``"compiled"`` executes the event-driven tick program compiled at the
       first ``run()`` (see :mod:`repro.sim.compiled`): each cycle only the
       components woken by dirty channels, matured ``next_event`` hints, or
-      explicit :meth:`Component.request_wake` calls are ticked, and only
-      dirty channels commit (with lazy occupancy crediting so every
-      statistic matches naive stepping exactly).
+      explicit :meth:`Component.request_wake` calls are ticked.
 
     A component returning ``None`` from :meth:`Component.next_event` (the
     default) is ticked every cycle under either schedule, so unhinted user
@@ -482,11 +528,12 @@ class Simulator:
         # True while step() ticks; the compiled loop's marker is its
         # program's ``_ready`` (see :attr:`mid_cycle`).
         self._stepping = False
-        # Compiled-schedule state: the dirty list, lazy channel anchors and
-        # per-component tick accounting behind every ``_compiled`` guard.
+        # Every registered channel with an uncommitted push or pop.
+        self._dirty_channels: List[ChannelQueue[Any]] = []
+        # Compiled-schedule state: per-component tick accounting behind
+        # every ``_compiled`` guard.
         self._compiled = scheduling == "compiled"
         self._program = None  # CompiledProgram, built lazily at run()
-        self._dirty_channels: List[ChannelQueue[Any]] = []
         self._subs_stale = True
         # Unified metrics: every added component/channel is adopted here.
         self.registry = MetricRegistry()
@@ -545,18 +592,14 @@ class Simulator:
             self._channel_ids.add(id(chan))
             self._channels.append(chan)
             self._subs_stale = True
-            if self._compiled:
-                chan._sink = self._dirty_channels
-                # Anchor so that a fully synced channel always satisfies
-                # cycles_observed == sim.cycle - _anchor, exactly as if it
-                # had been committed on every cycle since registration.
-                chan._anchor = self.cycle - chan._obs
-                chan._sim = self
-                # Traffic staged before registration joins the dirty list now,
-                # so it always holds every channel with uncommitted traffic.
-                if not chan._dirty and (chan._staged or chan._pop_count):
-                    chan._dirty = True
-                    self._dirty_channels.append(chan)
+            # Move the channel onto this clock, keeping what it observed so
+            # far, and its uncommitted traffic onto this dirty list.
+            chan._anchor = self.cycle - chan.cycles_observed
+            chan._clock = self
+            chan._sink = self._dirty_channels
+            chan._dirty = bool(chan._staged or chan._pop_count)
+            if chan._dirty:
+                self._dirty_channels.append(chan)
             self.registry.defer(
                 "chan/" + chan.name.replace(".", "/"), chan.register_metrics
             )
@@ -591,11 +634,10 @@ class Simulator:
         modes share these step semantics, so tests may freely interleave
         ``step()`` with ``run()``; under the compiled schedule a step marks
         the simulator touched, so the next ``run()`` entry wakes every
-        component (the wake state never saw what the step did), and the
-        commit sweep first credits any lazily deferred channel observations.
+        component (the wake state never saw what the step did).
 
-        Profiled runs time each tick individually and book the channel-commit
-        sweep under ``(kernel)/commit``, so simulator overhead is
+        Profiled runs time each tick individually and book the dirty-list
+        commit under ``(kernel)/commit``, so simulator overhead is
         distinguishable from model cost.
         """
         cycle = self.cycle
@@ -615,13 +657,8 @@ class Simulator:
         self._stepping = False
         if profile is not None:
             t0 = clock()
-        for chan in self._channels:
-            if compiled:
-                chan.sync_observations(cycle)
-                chan._dirty = False
-            chan.commit()
+        commit_dirty(self._dirty_channels, cycle)
         if compiled:
-            self._dirty_channels.clear()
             self._touched = True
         if profile is not None:
             book_ns(profile, "(kernel)/commit", clock() - t0)
@@ -671,20 +708,14 @@ class Simulator:
         channel lands in the dirty list (committed at the entry cycle, which
         is always stepped), anything else calls :meth:`Component.request_wake`
         — and the wake state carries over, so an entry wakes nobody.  Only a
-        ``fresh`` program (first run; rebuilt after a restore or an add),
-        which also adopts staged channels, and a :meth:`step` since the last
-        run wake all ``n_slots`` for one naive cycle; returns whether to.
+        ``fresh`` program (first run; rebuilt after a restore or an add)
+        and a :meth:`step` since the last run wake all ``n_slots`` for one
+        naive cycle; returns whether to.
         """
         if not (fresh or self._touched):
             return False
         self._touched = False
         self.entry_wakes += n_slots
-        if fresh:
-            dirty = self._dirty_channels
-            for chan in self._channels:
-                if not chan._dirty and (chan._staged or chan._pop_count):
-                    chan._dirty = True
-                    dirty.append(chan)
         return True
 
     def _run_compiled(
@@ -715,9 +746,8 @@ class Simulator:
 
     def snapshot_state(self, fr) -> Dict[str, Any]:
         """This simulator's complete mutable state for ``repro.snapshot``:
-        the clock, every channel's contents and statistics (elided
-        observations credited), the dirty list, and each component's
-        declared fields."""
+        the clock, every channel's contents and exact statistics, the dirty
+        list, and each component's declared fields."""
         from repro.snapshot.engine import SnapshotError
 
         if self.mid_cycle:
@@ -773,6 +803,14 @@ class Simulator:
         th.check_all(items)
         if set(map(type, counters)) != {int}:
             raise malformed("cycle and channel counters must be ints")
+        cycle = state["cycle"]
+        for name, items, staged, pop_count, pushed, popped, _accum, observed in state["channels"]:
+            held = len(items or ()) - pop_count + len(staged or ())
+            if pushed - popped != held or pop_count > len(items or ()) or observed > cycle:
+                raise malformed(
+                    f"channel {name!r} counters disagree with its contents or the clock "
+                    f"(pushed {pushed} - popped {popped} against {held} held, "
+                    f"{pop_count} pops, {observed} cycles observed by cycle {cycle})")
         dirty = state["dirty"]
         if type(dirty) is not list or not set(map(type, dirty)) <= {int} or not all(
                 0 <= i < len(self._channels) for i in dirty):
@@ -785,28 +823,39 @@ class Simulator:
         # Discard any compiled tick program *before* touching component
         # state: its unfolded per-slot tick counts must not land on top of
         # restored counters.  The next run() recompiles, and its first entry
-        # wakes all.  Each cached tick closure goes too: it binds state
-        # objects the restore may replace, and the next tick rebuilds it.
+        # wakes all.  The run caches go too (a tick closure binds state
+        # objects the restore may replace); their next use rebuilds them.
         self._program = None
         self._subs_stale = True
         for comp, (_name, st) in zip(self._components, state["components"]):
-            vars(comp).pop("_tick_body", None)
+            comp_vars = vars(comp)
+            for cache in RUN_CACHES:
+                if cache in comp_vars and hasattr(type(comp), cache):
+                    del comp_vars[cache]
             th.thaw_attrs(comp, st)
+        cycle = state["cycle"]
         for ch, row in zip(self._channels, state["channels"]):
             ch._items[:] = th.thaw_items(row[1], ch._items) if row[1] else ()
             ch._staged[:] = th.thaw_items(row[2], ch._staged) if row[2] else ()
-            ch._pop_count, ch.total_pushed, ch.total_popped, ch._occ, ch._obs = row[3:]
+            # total_pushed is derived: check_state refused a row whose
+            # stored value disagrees with the contents.
+            ch._pop_count, _pushed, popped, accum, observed = row[3:]
+            ch._popped = popped - ch._pop_count
+            ch._anchor = cycle - observed
+            ch._area = accum - len(ch._items) * observed
             ch._dirty = False
-            if self._compiled:
-                # Re-anchor lazy occupancy crediting at the restored cycle,
-                # the same invariant register_channel() establishes.
-                ch._anchor = state["cycle"] - ch._obs
-        self.cycle = state["cycle"]
+        self.cycle = cycle
         self.cycles_skipped = state["cycles_skipped"]
         self.skip_events = state["skip_events"]
-        self._dirty_channels[:] = [self._channels[i] for i in state["dirty"]]
-        for ch in self._dirty_channels:
-            ch._dirty = True
+        # The saved dirty list, then any other channel with uncommitted
+        # traffic: a naive run's payload listed none before both schedules
+        # kept the list.
+        dirty = self._dirty_channels
+        dirty.clear()
+        for ch in [self._channels[i] for i in state["dirty"]] + self._channels:
+            if not ch._dirty and (ch._staged or ch._pop_count):
+                ch._dirty = True
+                dirty.append(ch)
 
     # -- deadlock diagnosis ---------------------------------------------------
     def state_dump(self) -> Dict[str, Any]:

@@ -507,7 +507,8 @@ def test_bench_history_cli_roundtrip(tmp_path):
 def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
     """The memcpy point reports every component's executed ticks over the
     DRAM columns it moved: each of its ``MEMCPY_ROUNDS`` 4 KiB copies reads
-    and writes 64 columns."""
+    and writes 64 columns.  Its artefacts are deterministic: two runs write
+    identical JSON, and the profiled µs per tick is printed, not written."""
     import os
     import subprocess
     import sys
@@ -516,14 +517,20 @@ def test_bottleneck_report_prints_ticks_per_dram_column(tmp_path):
 
     cols = 128 * _bottleneck_report().MEMCPY_ROUNDS
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    r = subprocess.run(
-        [sys.executable, "tools/bottleneck_report.py", "--out", str(tmp_path),
-         "--bench", "gemm", "--cores", "1", "--rounds", "1", "--memcpy-bytes", "4096"],
-        capture_output=True, text=True, cwd=repo, timeout=120,
-    )
-    assert r.returncode == 0, r.stderr
-    with open(tmp_path / "bottleneck_report.json") as fh:
-        memcpy = json.load(fh)["memcpy"]
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        r = subprocess.run(
+            [sys.executable, "tools/bottleneck_report.py", "--out", str(out),
+             "--bench", "gemm", "--cores", "1", "--rounds", "1", "--memcpy-bytes", "4096"],
+            capture_output=True, text=True, cwd=repo, timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        assert "us/tick" in r.stdout
+        runs.append({name: (out / name).read_text()
+                     for name in ("bottleneck_report.json", "attribution_memcpy.json")})
+    assert runs[0] == runs[1]
+    assert "us_per_tick" not in runs[0]["bottleneck_report.json"]
+    memcpy = json.loads(runs[0]["bottleneck_report.json"])["memcpy"]
     ticks = sum(row["ticks_executed"] for row in memcpy["class_ticks"].values() if row["instances"])
     assert memcpy["ticks_per_dram_col"] == pytest.approx(ticks / cols)
     assert f"executed ticks per DRAM column: {ticks / cols:.2f}" in r.stdout

@@ -168,6 +168,15 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
         rows = fields["payload"]["sim"]["channels"]
         rows[5] = rows[5][:-1]
 
+    def channel_counters(edit):
+        """Rewrite row 5's (pop_count, pushed, popped, accum, observed):
+        each edit breaks one consistency rule and keeps the others."""
+        def mutate(fields):
+            sim = fields["payload"]["sim"]
+            row = sim["channels"][5]
+            sim["channels"][5] = row[:3] + edit(len(row[1] or ()), sim["cycle"], *row[3:])
+        return mutate
+
     def controller(fields):
         (state,) = [st for name, st in fields["payload"]["sim"]["components"] if name == "mc"]
         return state
@@ -208,6 +217,13 @@ def test_wrong_shapes_never_reach_the_design(checkpoint, tmp_path):
         lambda f: f["payload"]["sim"].update(components=3),
         swap_row,
         short_row,
+        # pushed is derived from the contents and popped: a stored value
+        # that disagrees would be lost silently.
+        channel_counters(lambda held, cycle, pc, pu, po, acc, obs: (pc, pu + 1, po, acc, obs)),
+        channel_counters(  # more pops than committed items
+            lambda held, cycle, pc, pu, po, acc, obs: (held + 1, pu, po + held + 1 - pc, acc, obs)),
+        channel_counters(  # observed cycles the clock has not reached
+            lambda held, cycle, pc, pu, po, acc, obs: (pc, pu, po, acc, cycle + 1)),
         lambda f: f["payload"].update(tracer={"events": []}),  # not freezer output
     ):
         snap = load(confused(mutate))

@@ -19,8 +19,11 @@ scheduling hint (``next_event``, ``wake_edges``) is the exception: naive
 stepping ignores hints, so for a hint naive stepping *is* the oracle, and
 the naive-vs-compiled differential is the test that kills it.  Two
 mutants drop a name from a ``_state`` declaration, which the snapshot
-structure audit must notice, and the last makes a registry view read a value
-captured when it was registered instead of reading through its owner.
+structure audit must notice, one makes a registry view read a value
+captured when it was registered instead of reading through its owner, and
+the last two slip the compiled commit drain's bookkeeping, which the
+channel-statistics reference model in ``tests/test_channel_stats.py`` must
+catch.
 
     python tools/mutate_bodies.py
 
@@ -257,6 +260,22 @@ MUTANTS = (
         "scope.bind(key, lambda v=view(): v)",
         "tests/test_snapshot.py::test_every_owned_metric_is_captured_with_its_owner[memcpy32]",
         "MemoryController: a stats view reads the count it had when registered",
+    ),
+    Mutant(
+        "drain-area-one-cycle-early",
+        "src/repro/sim/compiled.py",
+        "chan._area += (n - k) * (cy1 - chan._anchor)",
+        "chan._area += (n - k) * (cycle - chan._anchor)",
+        "tests/test_channel_stats.py::test_channel_statistics_match_the_reference_model[compiled-0]",
+        "Commit drain: an occupancy change is credited from the committed cycle, not the next",
+    ),
+    Mutant(
+        "drain-pops-uncounted",
+        "src/repro/sim/compiled.py",
+        "                        chan._popped += n\n",
+        "",
+        "tests/test_channel_stats.py::test_channel_statistics_match_the_reference_model[compiled-0]",
+        "Commit drain: committed pops are not counted",
     ),
 )
 
