@@ -196,6 +196,7 @@ class CommandRouter(Component):
         self.resp_out: ChannelQueue[RoccResponse] = ChannelQueue(4, "cmdrouter.resp")
         self._routes: Dict[Tuple[int, int], _RouteEntry] = {}
         self._route_list: Tuple[_RouteEntry, ...] = ()  # attach order
+        self._resp_outs: Tuple[ChannelQueue[RoccResponse], ...] = ()  # the same order
         self._cmd_delay: Deque[Tuple[int, RoccInstruction]] = deque()
         self._resp_delay: Deque[Tuple[int, RoccResponse]] = deque()
         self._resp_rr = 0
@@ -218,6 +219,7 @@ class CommandRouter(Component):
             raise ValueError(f"duplicate route for {key}")
         self._routes[key] = _RouteEntry(adapter, latency)
         self._route_list = tuple(self._routes.values())
+        self._resp_outs = tuple(e.adapter.resp_out for e in self._route_list)
 
     def tick(self, cycle: int) -> None:
         # The router is the one consumer of ``cmd_in`` and of every
@@ -269,8 +271,7 @@ class CommandRouter(Component):
         if self._resp_delay:
             nxt = min(nxt, max(cycle, self._resp_delay[0][0]))
         if nxt > cycle:
-            for entry in self._route_list:
-                resp_out = entry.adapter.resp_out
+            for resp_out in self._resp_outs:
                 if resp_out._pop_count < len(resp_out._items):
                     return cycle
         return nxt
@@ -284,10 +285,7 @@ class CommandRouter(Component):
         # ``resp_out`` one item per tick without back-pressure (its delay
         # lines are unbounded), so a producer stalled on one of them polls
         # (MmioFrontend and CoreCommandAdapter ``next_event``).
-        return (
-            [self.cmd_in] + [e.adapter.resp_out for e in self._route_list],
-            [],
-        )
+        return [self.cmd_in, *self._resp_outs], []
 
 
 class MmioFrontend(Component):

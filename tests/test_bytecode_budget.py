@@ -38,7 +38,7 @@ WARM, WINDOW = 600, 300
 #: shape -> (active cores, bytes per copy, bytecodes per stepped cycle
 #: today).  Dense is every core copying at once, sparse one core streaming a
 #: long copy.
-PER_CYCLE = {"dense": (32, 2048, 1572), "sparse": (1, 32768, 3041)}
+PER_CYCLE = {"dense": (32, 2048, 1568), "sparse": (1, 32768, 3041)}
 
 #: Bytecodes per sparse-shape AxiBufferNode tick today, callees included.
 PER_NODE_TICK = 144
