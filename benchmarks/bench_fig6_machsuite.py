@@ -4,8 +4,7 @@ For each Table I workload: Spatial, Beethoven(Ideal) and Beethoven(Measured)
 normalised to the tuned Vitis HLS implementation.  Core counts are derived
 by packing cores until the place/route feasibility model fails, reproducing
 the paper's account of which resource binds.  The measured bar goes through
-the simulated runtime server (or its validated queueing model for
-long-latency kernels), so the ideal-vs-measured gap is widest for the
+the simulated runtime server, so the ideal-vs-measured gap is widest for the
 lowest-latency kernels, as in the paper.
 """
 

@@ -111,6 +111,3 @@ class MemoryCompiler:
                 f"no macro in the library offers {n_rw_ports} ports"
             )
         return best
-
-    def compile_all(self, requests) -> List[MacroPlan]:
-        return [self.compile(*req) for req in requests]

@@ -27,6 +27,7 @@ class TxnRecord:
     axi_id: int
     addr: int
     length: int
+    tag: int  # the request's transaction tag, as the master issued it
     issue_cycle: int
     first_data_cycle: Optional[int] = None
     complete_cycle: Optional[int] = None
@@ -66,7 +67,7 @@ class AxiMonitor(Component):
 
     # -- hooks ---------------------------------------------------------------
     def on_ar(self, cycle: int, tag: int, axi_id: int, addr: int, length: int) -> None:
-        rec = TxnRecord("read", axi_id, addr, length, cycle)
+        rec = TxnRecord("read", axi_id, addr, length, tag, cycle)
         self._open_reads[tag] = rec
         self._read_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)
@@ -100,7 +101,7 @@ class AxiMonitor(Component):
             self._fail(f"read tag {tag} missing last on final beat")
 
     def on_aw(self, cycle: int, tag: int, axi_id: int, addr: int, length: int) -> None:
-        rec = TxnRecord("write", axi_id, addr, length, cycle)
+        rec = TxnRecord("write", axi_id, addr, length, tag, cycle)
         self._open_writes[tag] = rec
         self._write_order.setdefault(axi_id, deque()).append(tag)
         self.records.append(rec)

@@ -66,9 +66,6 @@ class ARReq:
     length: int  # beats
     tag: int = field(default_factory=_next_txn_tag)
 
-    def bytes_total(self, beat_bytes: int) -> int:
-        return self.length * beat_bytes
-
 
 class RBeat(NamedTuple):
     """Read data channel payload (one beat), built once by the memory

@@ -30,15 +30,7 @@ class BuildMode(enum.Enum):
 
 
 class InfeasibleDesignError(RuntimeError):
-    """Raised in Synthesis mode when the design would not place/route.
-
-    ``design`` is the rejected :class:`ElaboratedDesign`, so a caller can
-    ask what binds without elaborating the same point again.
-    """
-
-    def __init__(self, message: str, design: Optional[ElaboratedDesign] = None) -> None:
-        super().__init__(message)
-        self.design = design
+    """Raised in Synthesis mode when the design would not place/route."""
 
 
 class BeethovenBuild:
@@ -70,8 +62,7 @@ class BeethovenBuild:
             if report is not None and not report.feasible:
                 raise InfeasibleDesignError(
                     "design fails the place/route feasibility model: "
-                    + "; ".join(report.reasons),
-                    self.design,
+                    + "; ".join(report.reasons)
                 )
 
     # ------------------------------------------------------------- artefacts

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.hdl.ir import HdlModule, sanitize
-from repro.hdl.verilog import emit_design
 
 
 def _reader_module(name: str, data_bytes: int, axi_beat_bytes: int) -> HdlModule:
@@ -146,6 +145,3 @@ def build_hdl(design) -> HdlModule:
         top.instantiate(noc, "u_memory_noc", {"clk": "clk"})
     return top
 
-
-def emit_verilog(design) -> str:
-    return emit_design(build_hdl(design))

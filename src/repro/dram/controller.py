@@ -220,11 +220,6 @@ class MemoryController(Component):
                 "row_conflicts": lambda: self.row_conflicts,
                 "queue_wait_cycles": lambda: self.queue_wait_cycles}
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Every counter, read now (a fresh dict)."""
-        return {key: view() for key, view in self._stat_views().items()}
-
     def register_metrics(self, scope) -> None:
         for key, view in self._stat_views().items():
             scope.bind(key, view)
@@ -621,26 +616,3 @@ class MemoryController(Component):
         port = self.port
         return not (self._read_txns or self._write_txns or len(port.ar) or len(port.aw)
                     or len(port.w))
-
-    def bus_utilisation(self, cycles: int) -> float:
-        return (self.read_cols + self.write_cols) / max(cycles, 1)
-
-    def report(self, cycles: int) -> Dict[str, float]:
-        """DRAMsim3-style channel summary over ``cycles`` of simulation at
-        the 250 MHz F1 fabric clock."""
-        beat = self.timing.col_bytes
-        seconds = cycles / 250e6 if cycles else 1.0
-        stats = self.stats
-        total_accesses = stats["read_cols"] + stats["write_cols"]
-        activations = sum(b.activations for b in self.banks)
-        hits, misses = stats["row_hits"], stats["row_misses"]
-        return {
-            "read_bytes": stats["read_cols"] * beat,
-            "write_bytes": stats["write_cols"] * beat,
-            "bandwidth_gbps": total_accesses * beat / seconds / 1e9,
-            "bus_utilisation": self.bus_utilisation(cycles),
-            "row_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "activations": float(activations),
-            "turnarounds": float(stats["turnarounds"]),
-            "refresh_overhead": stats["refreshes"] * self.timing.t_rfc / max(cycles, 1),
-        }

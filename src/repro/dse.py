@@ -21,15 +21,19 @@ Two sweep strategies are offered:
   paper's resource model produces).  Monotonicity is probed at the
   endpoints: if the smallest count is infeasible the hypothesis is void and
   the sweep falls back to the full scan.
+
+:func:`max_feasible_cores` is the bisect over ``1..limit``; it names the
+binding resource from the :attr:`DesignPoint.limiter` of the first
+infeasible count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.core.build import BeethovenBuild, BuildMode, InfeasibleDesignError
+from repro.core.build import BeethovenBuild, BuildMode
 from repro.platforms.base import Platform
 
 ConfigFactory = Callable[[int], object]
@@ -49,6 +53,9 @@ class DesignPoint:
     total_lut: float
     total_bram: float
     total_uram: float
+    #: Most over-subscribed resource kind ("clb", "lut", "reg", "bram" or
+    #: "uram"); "" on a platform without a device model.
+    limiter: str
     #: Wall-clock seconds the (simulation-mode) build took to elaborate.
     build_seconds: float = 0.0
     #: True when a farm served this point from its result cache.
@@ -60,11 +67,24 @@ class DesignPoint:
 
 
 def evaluate_point(factory: ConfigFactory, n_cores: int, platform: Platform) -> DesignPoint:
-    """Build (simulation mode) and score one core count."""
+    """Build (simulation mode) and score one core count, and name the
+    resource that binds it while the design is alive."""
     t0 = time.perf_counter()
-    build = BeethovenBuild(factory(n_cores), platform, BuildMode.Simulation)
-    report = build.routability
-    total = build.resource_report.total
+    design = BeethovenBuild(factory(n_cores), platform, BuildMode.Simulation).design
+    report = design.routability
+    total = design.report.total
+    device = platform.device
+    limiter = ""
+    if device is not None and design.placement is not None:
+        limiter, worst = "lut", 0.0
+        for slr in range(device.n_slrs):
+            load = design.placement.slr_load[slr]
+            extra = design.report.interconnect_per_slr.get(slr)
+            if extra is not None:
+                load = load + extra
+            for kind, util in load.utilisation_of(device.free_capacity(slr)).items():
+                if util > worst:
+                    limiter, worst = kind, util
     return DesignPoint(
         n_cores=n_cores,
         feasible=report.feasible if report else True,
@@ -73,6 +93,7 @@ def evaluate_point(factory: ConfigFactory, n_cores: int, platform: Platform) -> 
         total_lut=total.lut,
         total_bram=total.bram,
         total_uram=total.uram,
+        limiter=limiter,
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -82,21 +103,14 @@ def _evaluate_many(
     counts: Sequence[int],
     platform: Platform,
     farm,
-    evaluate,
 ) -> List[DesignPoint]:
     """Evaluate ``counts`` directly (no farm) or as farm jobs with provenance."""
     if farm is None:
-        if callable(evaluate):
-            fn = evaluate
-        else:
-            from repro.farm.job import resolve_fn
-
-            fn = resolve_fn(evaluate)
-        return [fn(factory, n, platform) for n in counts]
+        return [evaluate_point(factory, n, platform) for n in counts]
     from repro.farm import FarmJobError, Job
 
     jobs = [
-        Job(evaluate, (factory, n, platform), label=f"dse/cores{n}")
+        Job(EVALUATE_POINT_JOB, (factory, n, platform), label=f"dse/cores{n}")
         for n in counts
     ]
     results = farm.run(jobs)
@@ -114,37 +128,28 @@ def _evaluate_many(
     ]
 
 
-def sweep_cores(
-    factory: ConfigFactory,
-    counts,
-    platform: Platform,
-    farm=None,
-    strategy: str = "scan",
-    evaluate=EVALUATE_POINT_JOB,
+def _bisect(
+    factory: ConfigFactory, counts: List[int], platform: Platform, farm
 ) -> List[DesignPoint]:
-    """Evaluate core counts; see the module docstring for the strategies.
+    """The frontier search: probe both ends of ``counts``, then bisect.
 
-    ``farm`` (optional) memoises the builds in its result cache and stamps
-    their provenance; either way evaluation runs in this process and the
-    points are bit-identical.  ``evaluate`` is the per-point evaluator — an
-    importable ``"module:attr"`` string (preferred: its fingerprint names
-    the function) or a callable; tests inject fakes here.
+    Bisection assumes a monotone frontier (feasible up to some N*,
+    infeasible after).  An infeasible smallest count voids that hypothesis,
+    and the search falls back to evaluating every count.  When the search
+    bisects, the result holds the largest feasible count and the next count
+    after it.
     """
-    counts = list(counts)
-    if strategy == "scan" or len(counts) <= 2:
-        return _evaluate_many(factory, counts, platform, farm, evaluate)
-    if strategy != "bisect":
-        raise ValueError(f"unknown sweep strategy {strategy!r}")
-
+    if len(counts) <= 2:
+        return _evaluate_many(factory, counts, platform, farm)
     ordered = sorted(set(int(n) for n in counts))
-    # Probe both endpoints (one farm batch: they build in parallel).
+    # Probe both endpoints (one farm batch).
     lo_pt, hi_pt = _evaluate_many(
-        factory, [ordered[0], ordered[-1]], platform, farm, evaluate
+        factory, [ordered[0], ordered[-1]], platform, farm
     )
     if not lo_pt.feasible:
         # The monotone-frontier hypothesis is void (or nothing is feasible):
         # fall back to the full scan, which is always correct.
-        return _evaluate_many(factory, counts, platform, farm, evaluate)
+        return _evaluate_many(factory, counts, platform, farm)
     if hi_pt.feasible:
         # Everything in range is feasible under the monotone hypothesis.
         return [lo_pt, hi_pt] if len(ordered) > 1 else [lo_pt]
@@ -154,9 +159,7 @@ def sweep_cores(
     points = {lo_pt.n_cores: lo_pt, hi_pt.n_cores: hi_pt}
     while hi_i - lo_i > 1:
         mid_i = (lo_i + hi_i) // 2
-        (mid_pt,) = _evaluate_many(
-            factory, [ordered[mid_i]], platform, farm, evaluate
-        )
+        (mid_pt,) = _evaluate_many(factory, [ordered[mid_i]], platform, farm)
         points[mid_pt.n_cores] = mid_pt
         if mid_pt.feasible:
             lo_i = mid_i
@@ -165,75 +168,54 @@ def sweep_cores(
     return [points[n] for n in sorted(points)]
 
 
+def sweep_cores(
+    factory: ConfigFactory,
+    counts,
+    platform: Platform,
+    farm=None,
+    strategy: str = "scan",
+) -> List[DesignPoint]:
+    """Evaluate core counts; see the module docstring for the strategies.
+
+    ``farm`` (optional) memoises the builds in its result cache and stamps
+    their provenance; either way evaluation runs in this process and the
+    points are bit-identical.
+    """
+    counts = list(counts)
+    if strategy == "scan":
+        return _evaluate_many(factory, counts, platform, farm)
+    if strategy != "bisect":
+        raise ValueError(f"unknown sweep strategy {strategy!r}")
+    return _bisect(factory, counts, platform, farm)
+
+
 def frontier(points: Sequence[DesignPoint]) -> int:
     """Largest feasible core count among ``points`` (0 when none is)."""
     feasible = [p.n_cores for p in points if p.feasible]
     return max(feasible) if feasible else 0
 
 
-def limiting_resource(factory: ConfigFactory, n_cores: int, platform: Platform) -> str:
-    """The most over-subscribed resource at ``n_cores`` (raw kind name)."""
-    build = BeethovenBuild(factory(n_cores), platform, BuildMode.Simulation)
-    return _limiting_kind(build.design)
-
-
-def _limiting_kind(design) -> str:
-    """The most over-subscribed resource of an elaborated design."""
-    device = design.platform.device
-    worst_kind, worst_util = "lut", 0.0
-    for slr in range(device.n_slrs):
-        free = device.free_capacity(slr)
-        load = design.placement.slr_load[slr]
-        extra = design.report.interconnect_per_slr.get(slr)
-        if extra is not None:
-            load = load + extra
-        for kind, util in load.utilisation_of(free).items():
-            if util > worst_util:
-                worst_kind, worst_util = kind, util
-    return worst_kind
-
-
 def max_feasible_cores(
     factory: ConfigFactory,
     platform: Platform,
     limit: int = 64,
-) -> Tuple[int, str, Optional[BeethovenBuild]]:
-    """Largest feasible core count, its classified limiter, and the build.
+) -> Tuple[int, str]:
+    """Largest feasible core count in ``1..limit`` and its classified limiter.
 
     The limiter is classified the way the paper reports it: logic pressure
     (CLB/LUT/FF) as "LUT", memory-tile pressure as "BRAM".  It is read off
-    the first infeasible count, ``best + 1``: the search stops just below
-    its last rejected design, so that design is reused rather than
-    elaborated again.  Only ``best == limit`` never built ``best + 1``.
+    the first infeasible count, ``best + 1``, which the search has already
+    evaluated unless ``best == limit``; only then is ``limit + 1`` built.
     """
-    best, best_build, rejected = 0, None, None
-    lo, hi = 1, limit
-    n = 1
-    while n <= limit:
-        try:
-            best_build = BeethovenBuild(factory(n), platform, BuildMode.Synthesis)
-            best = n
-            lo = n + 1
-            n *= 2
-        except InfeasibleDesignError as exc:
-            rejected = exc.design
-            hi = n - 1
-            break
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        try:
-            best_build = BeethovenBuild(factory(mid), platform, BuildMode.Synthesis)
-            best = mid
-            lo = mid + 1
-        except InfeasibleDesignError as exc:
-            rejected = exc.design
-            hi = mid - 1
-    if rejected is None:
-        raw = limiting_resource(factory, best + 1, platform)
-    else:
-        raw = _limiting_kind(rejected)
-    limiter = "LUT" if raw in ("clb", "lut", "reg") else "BRAM"
-    return best, limiter, best_build
+    points = {
+        p.n_cores: p
+        for p in _bisect(factory, list(range(1, limit + 1)), platform, None)
+    }
+    best = frontier(list(points.values()))
+    boundary = points.get(best + 1)
+    if boundary is None:  # best == limit
+        boundary = evaluate_point(factory, best + 1, platform)
+    return best, "LUT" if boundary.limiter in ("clb", "lut", "reg") else "BRAM"
 
 
 # ---------------------------------------------------------------- sweep views

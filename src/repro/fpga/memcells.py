@@ -159,11 +159,3 @@ class MemcellMapper:
     @property
     def feasible(self) -> bool:
         return not self.infeasible
-
-    def total_usage(self) -> MemcellUsage:
-        total = MemcellUsage()
-        for u in self.usage.values():
-            total.bram += u.bram
-            total.uram += u.uram
-            total.lutram_bits += u.lutram_bits
-        return total

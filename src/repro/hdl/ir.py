@@ -134,14 +134,6 @@ class HdlModule:
         visit(self)
         return seen.values()
 
-    def count_instances(self) -> int:
-        return sum(1 for _ in self._walk_instances())
-
-    def _walk_instances(self):
-        for inst in self.instances:
-            yield inst
-            yield from inst.module._walk_instances()
-
     def all_memories(self) -> List[Tuple[str, HdlMemory]]:
         """(hierarchical path, memory) for every memory in the tree."""
         out: List[Tuple[str, HdlMemory]] = []

@@ -26,10 +26,6 @@ def quantize_int8(x: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(q, -128, 127).astype(np.int8)
 
 
-def dequantize(q: np.ndarray, scale: float) -> np.ndarray:
-    return q.astype(np.float32) * scale
-
-
 def exp2_fixed(x_q: np.ndarray, frac_bits: int) -> np.ndarray:
     """2^x for fixed-point x (signed, ``frac_bits`` fractional bits).
 

@@ -5,8 +5,7 @@ For each Table I workload this produces the four bars of the paper's figure:
 * ``spatial``             — Spatial's tuned schedule (normalised to HLS)
 * ``beethoven_ideal``     — single-core throughput x feasible core count
 * ``beethoven_measured``  — multi-core throughput through the simulated
-  runtime server (lock + MMIO serialisation), or the validated queueing
-  model of the same server for kernels too long to simulate whole
+  runtime server (lock + MMIO serialisation)
 * the feasible core count itself, with the resource that limits it
 
 Core counts are not copied from the paper: they are *derived* by packing
@@ -23,6 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.delay_core import delay_config
 from repro.core.build import BeethovenBuild, BuildMode
+from repro.dse import max_feasible_cores
 from repro.kernels.machsuite.workloads import (
     BEETHOVEN_CLOCK_MHZ,
     SCHEDULES,
@@ -77,9 +77,6 @@ CONFIG_FACTORIES: Dict[str, Callable[[int], object]] = {
     "md-knn": _mdknn,
 }
 
-#: Simulate the measured bar when the whole run fits in this many cycles.
-SIMULATION_CYCLE_BUDGET = 400_000
-
 
 def config_for(bench: str, n_cores: int):
     """Importable factory entry point for farm jobs.
@@ -92,23 +89,9 @@ def config_for(bench: str, n_cores: int):
     return CONFIG_FACTORIES[bench](n_cores)
 
 
-def max_feasible_cores(bench: str, platform: Optional[Platform] = None, limit: int = 64):
-    """Largest core count that passes the place/route feasibility model.
-
-    Returns (n_cores, limiter): the classified resource whose utilisation is
-    highest at the first infeasible count — the paper's "limited by BRAM /
-    LUT overutilisation" observation.  Thin wrapper over :mod:`repro.dse`.
-    """
-    from repro.dse import max_feasible_cores as dse_max
-
-    platform = platform or AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
-    return dse_max(CONFIG_FACTORIES[bench], platform, limit)
-
-
 @dataclass
 class ContentionResult:
     ops_per_second: float
-    simulated: bool
     server_bound: bool
 
 
@@ -134,7 +117,7 @@ def analytic_measured(
     per_op_cores = l_eff / n_cores
     bottleneck = max(per_op_server, per_op_cores)
     ops = (platform.clock_mhz * 1e6) / bottleneck
-    return ContentionResult(ops, simulated=False, server_bound=per_op_server >= per_op_cores)
+    return ContentionResult(ops, server_bound=per_op_server >= per_op_cores)
 
 
 def simulate_measured(
@@ -168,17 +151,7 @@ def simulate_measured(
     elapsed = handle.cycle - start
     ops = len(futures) / (elapsed / (platform.clock_mhz * 1e6))
     d = dispatch_cost_cycles(platform)
-    return ContentionResult(ops, simulated=True, server_bound=n_cores * d > kernel_cycles)
-
-
-def measured_ops(
-    n_cores: int, kernel_cycles: int, platform: Optional[Platform] = None
-) -> ContentionResult:
-    platform = platform or AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
-    rounds = 3
-    if kernel_cycles * rounds <= SIMULATION_CYCLE_BUDGET:
-        return simulate_measured(n_cores, kernel_cycles, platform, rounds)
-    return analytic_measured(n_cores, kernel_cycles, platform)
+    return ContentionResult(ops, server_bound=n_cores * d > kernel_cycles)
 
 
 @dataclass
@@ -191,7 +164,6 @@ class Fig6Row:
     spatial_speedup: float
     beethoven_ideal_speedup: float
     beethoven_measured_speedup: float
-    measured_simulated: bool
 
 
 def beethoven_kernel_cycles(bench: str) -> int:
@@ -209,9 +181,9 @@ def fig6_row_timed(
     """One Figure 6 row plus the wall-clock seconds of its two phases.
 
     ``elaborate_seconds`` is the feasibility search (every build inside
-    :func:`max_feasible_cores`), ``simulate_seconds`` the runtime-server
-    measurement.  The timings travel beside the row, not on it, so rows stay
-    ``==`` across serial, farm and cached executions.
+    :func:`repro.dse.max_feasible_cores`), ``simulate_seconds`` the
+    runtime-server measurement.  The timings travel beside the row, not on
+    it, so rows stay ``==`` across serial, farm and cached executions.
     """
     platform = platform or AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
     workload = TABLE1[bench]
@@ -220,12 +192,12 @@ def fig6_row_timed(
     beethoven = SCHEDULES[bench]["beethoven"]
     hls_ops = hls.ops_per_second(workload)
     t0 = time.perf_counter()
-    n_cores, limiter, _build = max_feasible_cores(bench, platform, max_cores)
+    n_cores, limiter = max_feasible_cores(CONFIG_FACTORIES[bench], platform, max_cores)
     t1 = time.perf_counter()
     single = beethoven.ops_per_second(workload)
     ideal = single * n_cores
     kernel_cycles = beethoven_kernel_cycles(bench)
-    measured = measured_ops(n_cores, kernel_cycles, platform)
+    measured = simulate_measured(n_cores, kernel_cycles, platform)
     t2 = time.perf_counter()
     row = Fig6Row(
         bench=bench,
@@ -236,7 +208,6 @@ def fig6_row_timed(
         spatial_speedup=spatial.ops_per_second(workload) / hls_ops,
         beethoven_ideal_speedup=ideal / hls_ops,
         beethoven_measured_speedup=measured.ops_per_second / hls_ops,
-        measured_simulated=measured.simulated,
     )
     return row, {"elaborate_seconds": t1 - t0, "simulate_seconds": t2 - t1}
 
@@ -271,13 +242,12 @@ def fig6_all(platform: Optional[Platform] = None, max_cores: int = 64, farm=None
 def render_fig6(rows) -> str:
     lines = [
         f"{'bench':<10} {'par':<7} {'cores':>5} {'limit':>5} "
-        f"{'spatial':>8} {'bthvn(ideal)':>13} {'bthvn(meas)':>12} {'meas-src':>8}",
+        f"{'spatial':>8} {'bthvn(ideal)':>13} {'bthvn(meas)':>12}",
     ]
     for r in rows:
         lines.append(
             f"{r.bench:<10} {r.parallelism:<7} {r.n_cores:>5} {r.limiter:>5} "
             f"{r.spatial_speedup:>7.2f}x {r.beethoven_ideal_speedup:>12.2f}x "
-            f"{r.beethoven_measured_speedup:>11.2f}x "
-            f"{'sim' if r.measured_simulated else 'model':>8}"
+            f"{r.beethoven_measured_speedup:>11.2f}x"
         )
     return "\n".join(lines)

@@ -165,7 +165,7 @@ class BurstMaster(Component):
         self._head_since = cycle + 1
         if self.spans is not None:
             self._span_by_tag[tag] = self.spans.axi_begin(
-                cycle, self.span_key, self.name, self._span_kind, sub.addr, sub.beats
+                cycle, self.span_key, self.name, self._span_kind, sub.addr, sub.beats, tag
             )
 
     def _retire(self, cycle: int, tag: int):

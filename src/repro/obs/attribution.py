@@ -86,34 +86,19 @@ class CommandPath:
 
 
 def _match_records(spans: List[Span], monitors: Iterable) -> Dict[int, Any]:
-    """FIFO-match axi burst spans to monitor TxnRecords.
+    """Pair each axi burst span with the monitor TxnRecord of its request.
 
-    Neither side carries the other's identity (the RoCC/AXI encodings have no
-    span-id field), but both sides observe the same per-``(kind, addr,
-    length)`` burst stream in issue order: the span opens when the master
-    pushes AR/AW and the record is appended when the same request reaches the
-    DDR boundary, and the fabric preserves per-master order.  Per-key FIFOs
-    therefore pair them exactly.  Every axi span in the trace participates
-    (not just command-parented ones) so the FIFOs stay aligned.
+    The master stamps the request's transaction tag on the burst span, the
+    fabric forwards the tag unchanged, and the DDR monitor records it, so
+    the join is exact even when several masters issue identical bursts.
     """
-    fifos: Dict[Tuple[str, int, int], List[Any]] = {}
-    for monitor in monitors:
-        for rec in monitor.records:
-            fifos.setdefault((rec.kind, rec.addr, rec.length), []).append(rec)
-    heads: Dict[Tuple[str, int, int], int] = {}
+    by_tag = {rec.tag: rec for monitor in monitors for rec in monitor.records}
     out: Dict[int, Any] = {}
-    axi_spans = sorted(
-        (s for s in spans if s.name.startswith("axi:")),
-        key=lambda s: (s.begin_cycle, s.span_id),
-    )
-    for span in axi_spans:
-        kind = span.name[len("axi:") :]
-        key = (kind, span.args.get("addr"), span.args.get("beats"))
-        queue = fifos.get(key)
-        pos = heads.get(key, 0)
-        if queue is not None and pos < len(queue):
-            out[span.span_id] = queue[pos]
-            heads[key] = pos + 1
+    for span in spans:
+        if span.name.startswith("axi:"):
+            rec = by_tag.get(span.args.get("tag"))
+            if rec is not None:
+                out[span.span_id] = rec
     return out
 
 

@@ -1,7 +1,7 @@
 """The metric registry: one namespace for every statistic the models keep.
 
 Before this layer existed each model grew its own ad-hoc stat fields
-(``ChannelQueue.total_pushed``, ``DramController.stats``, the runtime
+(channel push counts, the DRAM controller's stats table, the runtime
 server's lock-wait samples, ...) and every analysis reached into model
 internals to read them.  The registry replaces that with a single
 hierarchically-namespaced (``system/core/port``) collection of *views*:

@@ -153,8 +153,11 @@ class CommandSpanTracker:
         kind: str,
         addr: int,
         beats: int,
+        tag: int,
     ) -> int:
-        """Open an AXI burst span parented to the executing command (if any)."""
+        """Open an AXI burst span parented to the executing command (if any);
+        ``tag`` is the request's transaction tag, which the DDR monitor
+        records too."""
         parent = self.current_command(key) if key is not None else None
         return self.tracer.begin_span(
             cycle,
@@ -163,6 +166,7 @@ class CommandSpanTracker:
             parent=parent,
             addr=addr,
             beats=beats,
+            tag=tag,
         )
 
     def axi_end(self, span_id: int, cycle: int, **args: Any) -> None:

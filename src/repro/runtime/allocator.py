@@ -78,10 +78,6 @@ class FirstFitAllocator:
     def free_bytes(self) -> int:
         return sum(b.size for b in self._free)
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
 
 HUGEPAGE_BYTES = 2 * 1024 * 1024
 

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #: stale checkpoint file is refused instead of restored (DESIGN.md,
 #: "Versioning"; 19: the runtime server no longer keeps per-client
 #: lock-wait samples — a command's wait is its ``queue_wait`` span segment).
-SNAPSHOT_VERSION = 19
+SNAPSHOT_VERSION = 20
 
 
 class SnapshotError(RuntimeError):

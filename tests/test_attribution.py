@@ -39,15 +39,16 @@ class _FakeMonitor:
 def _cmd_tree(tracer, begin, dispatch, noc_in, execute, end, bursts=()):
     """Build one cmd span tree: returns the root id.
 
-    ``bursts``: (begin, end, kind, addr, beats) child spans inside execute.
+    ``bursts``: (begin, end, kind, addr, beats, tag) child spans inside
+    execute.
     """
     root = tracer.begin_span(begin, "sys0/core0", "cmd:test")
     d = tracer.begin_span(dispatch[0], "runtime", "dispatch", parent=root)
     tracer.end_span(d, dispatch[1])
     x = tracer.begin_span(execute[0], "sys0/core0", "execute", parent=root)
-    for b, e, kind, addr, beats in bursts:
+    for b, e, kind, addr, beats, tag in bursts:
         s = tracer.begin_span(
-            b, "reader/r0", f"axi:{kind}", parent=root, addr=addr, beats=beats
+            b, "reader/r0", f"axi:{kind}", parent=root, addr=addr, beats=beats, tag=tag
         )
         tracer.end_span(s, e)
     tracer.end_span(x, execute[1])
@@ -82,9 +83,9 @@ def test_decomposition_burst_phases_and_compute_gap():
     tracer = Tracer()
     _cmd_tree(
         tracer, 0, (0, 2), None, (5, 65), 70,
-        bursts=[(10, 50, "read", 0x1000, 4)],
+        bursts=[(10, 50, "read", 0x1000, 4, 0)],
     )
-    rec = TxnRecord("read", 0, 0x1000, 4, issue_cycle=15,
+    rec = TxnRecord("read", 0, 0x1000, 4, 0, issue_cycle=15,
                     first_data_cycle=30, complete_cycle=42)
     paths = extract_command_paths(tracer, [_FakeMonitor([rec])])
     p = paths[0]
@@ -105,13 +106,13 @@ def test_decomposition_overlapping_bursts_oldest_wins():
     _cmd_tree(
         tracer, 0, (0, 0), None, (0, 100), 100,
         bursts=[
-            (10, 60, "read", 0x0, 4),
-            (20, 80, "read", 0x100, 4),
+            (10, 60, "read", 0x0, 4, 0),
+            (20, 80, "read", 0x100, 4, 1),
         ],
     )
     recs = [
-        TxnRecord("read", 0, 0x0, 4, 12, 20, 55),
-        TxnRecord("read", 0, 0x100, 4, 25, 40, 75),
+        TxnRecord("read", 0, 0x0, 4, 0, 12, 20, 55),
+        TxnRecord("read", 0, 0x100, 4, 1, 25, 40, 75),
     ]
     paths = extract_command_paths(tracer, [_FakeMonitor(recs)])
     p = paths[0]
@@ -125,7 +126,7 @@ def test_decomposition_unmatched_burst_books_unmatched_segment():
     tracer = Tracer()
     _cmd_tree(
         tracer, 0, (0, 0), None, (0, 50), 50,
-        bursts=[(10, 30, "read", 0x42, 2)],
+        bursts=[(10, 30, "read", 0x42, 2, 0)],
     )
     paths = extract_command_paths(tracer)  # no monitor records at all
     p = paths[0]
@@ -147,17 +148,18 @@ def test_decomposition_clamps_malformed_children():
     assert all(v >= 0 for v in p.segments.values())
 
 
-def test_fifo_matching_pairs_repeated_addresses_in_order():
-    """Two bursts with identical (kind, addr, beats) match records in FIFO
-    order, keeping phase boundaries with their own burst."""
+def test_tag_matching_pairs_repeated_addresses_with_their_own_records():
+    """Two bursts with identical (kind, addr, beats) match the records of
+    their own tags, whatever order the monitor holds them in, keeping phase
+    boundaries with their own burst."""
     tracer = Tracer()
     _cmd_tree(
         tracer, 0, (0, 0), None, (0, 100), 100,
-        bursts=[(0, 40, "write", 0x0, 1), (50, 90, "write", 0x0, 1)],
+        bursts=[(0, 40, "write", 0x0, 1, 5), (50, 90, "write", 0x0, 1, 6)],
     )
     recs = [
-        TxnRecord("write", 0, 0x0, 1, 10, 20, 30),
-        TxnRecord("write", 0, 0x0, 1, 60, 70, 80),
+        TxnRecord("write", 0, 0x0, 1, 6, 60, 70, 80),
+        TxnRecord("write", 0, 0x0, 1, 5, 10, 20, 30),
     ]
     p = extract_command_paths(tracer, [_FakeMonitor(recs)])[0]
     assert p.segments["mem_noc_request"] == 10 + 10
@@ -165,6 +167,46 @@ def test_fifo_matching_pairs_repeated_addresses_in_order():
     assert p.segments["mem_dram_service"] == 10 + 10
     assert p.segments["mem_noc_return"] == 10 + 10
     assert sum(p.segments.values()) == 100
+
+
+def test_bursts_of_masters_reading_one_source_pair_with_their_own_records():
+    """Eight memcpy cores copy one 8 KiB source, so every core issues the
+    same (kind, addr, beats) bursts.  Each burst span pairs with the DDR
+    record of its own request: the record carries the span's tag, and the
+    DDR boundary sees the request after the master issues it and finishes
+    it before the master retires the burst."""
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.obs.attribution import _match_records
+    from repro.platforms import SimulationPlatform
+    from repro.runtime import FpgaHandle
+
+    build = BeethovenBuild(memcpy_config(n_cores=8), SimulationPlatform())
+    handle = FpgaHandle(build.design)
+    size = 8192
+    src = handle.malloc(size)
+    src.write(bytes(i % 251 for i in range(size)))
+    handle.copy_to_fpga(src)
+    dsts = [handle.malloc(size) for _ in range(8)]
+    futures = [
+        handle.call("Memcpy", "memcpy", core, src=src.fpga_addr,
+                    dst=dst.fpga_addr, len_bytes=size)
+        for core, dst in enumerate(dsts)
+    ]
+    for fut in futures:
+        fut.get(max_cycles=1_000_000)
+    design = build.design
+    spans = list(design.tracer.span_log)
+    bursts = [s for s in spans if s.name.startswith("axi:")]
+    rec_of = _match_records(spans, [design.monitor])
+    assert len(bursts) == len(rec_of) == len(design.monitor.records) == 32
+    misnested = [
+        s.span_id for s in bursts
+        if not s.begin_cycle <= rec_of[s.span_id].issue_cycle
+        <= rec_of[s.span_id].complete_cycle <= s.end_cycle
+    ]
+    assert misnested == []
+    assert all(rec_of[s.span_id].tag == s.args["tag"] for s in bursts)
 
 
 def test_segment_totals_and_report_render():
@@ -254,9 +296,9 @@ def test_counter_track_events_cumulative_and_valid():
     from repro.obs.export import validate_chrome_trace
 
     recs = [
-        TxnRecord("read", 0, 0x0, 4, 10, 12, 20),
-        TxnRecord("read", 0, 0x40, 4, 15, 22, 30),
-        TxnRecord("write", 0, 0x80, 4, 5, 8, 12),
+        TxnRecord("read", 0, 0x0, 4, 0, 10, 12, 20),
+        TxnRecord("read", 0, 0x40, 4, 1, 15, 22, 30),
+        TxnRecord("write", 0, 0x80, 4, 2, 5, 8, 12),
     ]
     events = counter_track_events([_FakeMonitor(recs)])
     reads = [e for e in events if "read" in e["name"]]

@@ -209,7 +209,7 @@ def test_a_replay_that_dropped_an_in_flight_call_is_refused():
 
 
 def test_a_version_17_file_is_refused(tmp_path):
-    assert SNAPSHOT_VERSION == 19
+    assert SNAPSHOT_VERSION == 20
     _build, handle, _futs = _program("compiled")
     snap = capture(handle)
     snap.version = 17

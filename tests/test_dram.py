@@ -12,6 +12,7 @@ from repro.axi import (
     WBeat,
 )
 from repro.dram import DDR4_AWS_F1, MemoryController, MemoryStore, DramTiming
+from repro.obs.attribution import contention_summary
 from repro.sim import Component, Simulator
 
 
@@ -186,7 +187,7 @@ def test_refresh_blocks_banks():
         sim.register_channel(ch)
     sim.add(mc)
     sim.run(101)
-    assert mc.stats["refreshes"] == 1
+    assert mc.refreshes == 1
     assert all(b.ready_at >= 150 for b in mc.banks)
 
 
@@ -201,19 +202,20 @@ def test_bus_utilisation_stat():
     sim, port, mport, mc, mon = make_stack()
     m = sim.add(ScriptedMaster(port, mport, [("r", 0, 0x0, 64)]))
     sim.run(2000, until=m.done)
-    assert 0 < mc.bus_utilisation(sim.cycle) <= 1.0
+    dram = contention_summary(sim.registry.dump(), sim.cycle)["dram"]
+    assert 0 < dram["bus_utilization"] <= 1.0
 
 
 def test_channel_report_consistency():
     sim, port, mport, mc, mon = make_stack()
     m = sim.add(ScriptedMaster(port, mport, [("r", 0, 0x0, 64), ("w", 1, 0x9000, b"\xaa" * 4096)]))
     sim.run(4000, until=m.done)
-    report = mc.report(sim.cycle)
-    assert report["read_bytes"] == 4096
-    assert report["write_bytes"] == 4096
-    assert 0 < report["bus_utilisation"] <= 1
-    assert 0 <= report["row_hit_rate"] <= 1
-    assert report["bandwidth_gbps"] > 0
+    dram = contention_summary(sim.registry.dump(), sim.cycle)["dram"]
+    assert dram["read_cols"] * mc.timing.col_bytes == 4096
+    assert dram["write_cols"] * mc.timing.col_bytes == 4096
+    assert (dram["read_cols"], dram["write_cols"]) == (mc.read_cols, mc.write_cols)
+    assert 0 < dram["bus_utilization"] <= 1
+    assert 0 <= dram["row_hit_rate"] <= 1
 
 
 def test_address_decompose_spreads_banks():

@@ -363,6 +363,15 @@ def traffic_bench(seed: int, scheduling: str, w_rate: Optional[float] = None,
 OBSERVED = ("cycles", "log", "stats", "banks", "image")
 
 
+def counters(sim, model):
+    """The slave's counters by name: the oracle's own dict, or what the
+    controller publishes in the simulator's metric registry."""
+    if isinstance(model, DramOracle):
+        return dict(model.stats)
+    dump = sim.registry.dump()
+    return {k: int(dump[f"{model.metric_path}/{k}"]) for k in dram_oracle.STAT_KEYS}
+
+
 def finish_traffic(tb):
     """Run ``tb`` to the last response; what the run did, for comparison."""
     sim, driver, mport, timing = tb.sim, tb.driver, tb.mport, tb.timing
@@ -378,7 +387,7 @@ def finish_traffic(tb):
     run = {
         "cycles": sim.cycle,
         "log": mport.log,
-        "stats": {k: int(v) for k, v in model.stats.items()},
+        "stats": counters(sim, model),
         "banks": [(b.activations, b.row_hits, b.row_misses, b.open_row) for b in model.banks],
         "image": bytes(image),
         "timing": timing,
@@ -565,7 +574,7 @@ def closed_form(timing, pushes, cycles: int):
         model = slave.model if oracle else slave
         runs.append((
             [(c, axi_id, type(p).__name__[0], p.tag) for c, (axi_id, p) in mport.log],
-            {k: int(v) for k, v in model.stats.items()},
+            counters(sim, model),
         ))
     assert runs[0] == runs[1]
     return runs[0]

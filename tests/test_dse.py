@@ -4,11 +4,11 @@ import math
 from collections import Counter
 
 import repro.core.build as build_module
+import repro.dse as dse
 from repro.dse import (
     DesignPoint,
     evaluate_point,
     frontier,
-    limiting_resource,
     max_feasible_cores,
     render_sweep_report,
     sweep_cores,
@@ -22,7 +22,7 @@ from repro.kernels.vecadd import vector_add_config
 from repro.platforms import AWSF1Platform, kernel_mode
 
 
-def _fake_point(n: int, feasible: bool) -> DesignPoint:
+def _fake_point(n: int, feasible: bool, limiter: str) -> DesignPoint:
     return DesignPoint(
         n_cores=n,
         feasible=feasible,
@@ -31,18 +31,27 @@ def _fake_point(n: int, feasible: bool) -> DesignPoint:
         total_lut=1000.0 * n,
         total_bram=10.0 * n,
         total_uram=0.0,
+        limiter=limiter,
         build_seconds=0.01,
     )
 
 
-def _counting_evaluator(frontier_at, calls):
-    """Fake evaluator: feasible iff n <= frontier_at; records every build."""
+def _fake_evaluator(monkeypatch, feasible, limiter=lambda n: "lut"):
+    """Replace ``repro.dse.evaluate_point``: count ``n`` is feasible iff
+    ``feasible(n)`` and bound by ``limiter(n)``; returns the list of every
+    count evaluated, in order."""
+    calls = []
 
     def evaluate(factory, n, platform):
         calls.append(n)
-        return _fake_point(n, n <= frontier_at)
+        return _fake_point(n, feasible(n), limiter(n))
 
-    return evaluate
+    monkeypatch.setattr(dse, "evaluate_point", evaluate)
+    return calls
+
+
+def _classified(raw: str) -> str:
+    return "LUT" if raw in ("clb", "lut", "reg") else "BRAM"
 
 
 def test_sweep_reports_monotone_totals():
@@ -55,10 +64,9 @@ def test_sweep_reports_monotone_totals():
 
 def test_max_feasible_a3_is_at_least_23():
     """The paper shipped 23 A^3 cores; our model must admit them."""
-    n, limiter, build = max_feasible_cores(lambda c: a3_config(c), AWSF1Platform(), limit=32)
+    n, limiter = max_feasible_cores(lambda c: a3_config(c), AWSF1Platform(), limit=32)
     assert n >= 23
     assert limiter in ("LUT", "BRAM")
-    assert build is not None
 
 
 def test_infeasible_point_carries_reasons():
@@ -68,10 +76,10 @@ def test_infeasible_point_carries_reasons():
         assert big.reasons
 
 
-def test_limiting_resource_returns_kind():
+def test_design_point_names_its_limiting_resource():
     platform = AWSF1Platform()
-    kind = limiting_resource(lambda n: vector_add_config(n), 2, platform)
-    assert kind in ("clb", "lut", "reg", "bram", "uram")
+    point = evaluate_point(lambda n: vector_add_config(n), 2, platform)
+    assert point.limiter in ("clb", "lut", "reg", "bram", "uram")
 
 
 def _count_elaborations(monkeypatch):
@@ -87,52 +95,67 @@ def _count_elaborations(monkeypatch):
 
 
 def test_fig6_rows_elaborate_the_boundary_design_once(monkeypatch):
-    """The limiter is read off the design the search already rejected at
-    ``best + 1``; each row is unchanged and costs one elaboration less."""
+    """The limiter is read off the point the search already evaluated at
+    ``best + 1``; each row is unchanged and elaborates no design twice."""
     counter = _count_elaborations(monkeypatch)
     rows, builds = {}, {}
     for bench in CONFIG_FACTORIES:
         counter.clear()
         rows[bench] = fig6_row(bench, max_cores=48)
         builds[bench] = counter["n"]
-    assert {b: (r.n_cores, r.limiter, r.measured_simulated) for b, r in rows.items()} == {
-        "gemm": (9, "LUT", True),
-        "nw": (29, "BRAM", True),
-        "stencil2d": (29, "BRAM", True),
-        "stencil3d": (41, "BRAM", True),
-        "md-knn": (26, "LUT", True),
+    assert {b: (r.n_cores, r.limiter) for b, r in rows.items()} == {
+        "gemm": (9, "LUT"),
+        "nw": (29, "BRAM"),
+        "stencil2d": (29, "BRAM"),
+        "stencil3d": (41, "BRAM"),
+        "md-knn": (26, "LUT"),
     }
-    # Search plus one simulate_measured build; before, 10 and 12 each.
-    assert builds == {"gemm": 9, "nw": 11, "stencil2d": 11, "stencil3d": 11, "md-knn": 11}
-    # The limiter agrees with a fresh elaboration of the boundary count.
+    # The bisect over 1..48 plus one simulate_measured build.
+    assert builds == {"gemm": 8, "nw": 9, "stencil2d": 9, "stencil3d": 9, "md-knn": 9}
+    # The limiter agrees with a fresh evaluation of the boundary count.
     platform = AWSF1Platform(clock_mhz=BEETHOVEN_CLOCK_MHZ)
     for bench, row in rows.items():
-        raw = limiting_resource(CONFIG_FACTORIES[bench], row.n_cores + 1, platform)
-        assert row.limiter == ("LUT" if raw in ("clb", "lut", "reg") else "BRAM")
+        boundary = evaluate_point(CONFIG_FACTORIES[bench], row.n_cores + 1, platform)
+        assert row.limiter == _classified(boundary.limiter)
 
 
 def test_search_capped_at_limit_elaborates_its_boundary(monkeypatch):
     """At ``best == limit`` the search never built ``best + 1``."""
     counter = _count_elaborations(monkeypatch)
     factory, platform = CONFIG_FACTORIES["gemm"], AWSF1Platform()
-    n, limiter, build = max_feasible_cores(factory, platform, limit=4)
-    assert (n, build.design.systems[0].config.n_cores) == (4, 4)
-    assert counter["n"] == 4  # counts 1, 2, 4, then the boundary 5
-    raw = limiting_resource(factory, 5, platform)
-    assert limiter == ("LUT" if raw in ("clb", "lut", "reg") else "BRAM")
+    n, limiter = max_feasible_cores(factory, platform, limit=4)
+    assert n == 4
+    assert counter["n"] == 3  # the endpoints 1 and 4, then the boundary 5
+    assert limiter == _classified(evaluate_point(factory, 5, platform).limiter)
 
 
-def test_bisect_matches_scan_on_monotone_frontier():
+def test_search_reads_the_limiter_of_its_boundary_point(monkeypatch):
+    """The search stops with ``best + 1`` evaluated and classifies its
+    limiter; no count is evaluated twice."""
+    calls = _fake_evaluator(
+        monkeypatch, lambda n: n <= 11, lambda n: "bram" if n == 12 else "lut"
+    )
+    assert max_feasible_cores(None, None, limit=48) == (11, "BRAM")
+    assert 12 in calls and len(calls) == len(set(calls))
+    assert len(calls) <= 2 + math.ceil(math.log2(48))
+
+
+def test_search_with_count_one_infeasible_returns_zero(monkeypatch):
+    """Nothing fits: the count is 0 and the limiter is that of count 1."""
+    _fake_evaluator(
+        monkeypatch, lambda n: False, lambda n: "uram" if n == 1 else "lut"
+    )
+    assert max_feasible_cores(None, None, limit=6) == (0, "BRAM")
+
+
+def test_bisect_matches_scan_on_monotone_frontier(monkeypatch):
     counts = list(range(1, 33))
-    scan_calls, bisect_calls = [], []
-    scan = sweep_cores(
-        None, counts, None, strategy="scan",
-        evaluate=_counting_evaluator(7, scan_calls),
-    )
-    bisect = sweep_cores(
-        None, counts, None, strategy="bisect",
-        evaluate=_counting_evaluator(7, bisect_calls),
-    )
+    calls = _fake_evaluator(monkeypatch, lambda n: n <= 7)
+    scan = sweep_cores(None, counts, None, strategy="scan")
+    scan_calls = list(calls)
+    calls.clear()
+    bisect = sweep_cores(None, counts, None, strategy="bisect")
+    bisect_calls = calls
     assert frontier(scan) == frontier(bisect) == 7
     assert len(scan_calls) == 32
     # Two endpoint probes plus a binary search over 32 candidates.
@@ -142,16 +165,11 @@ def test_bisect_matches_scan_on_monotone_frontier():
     assert all(p.feasible == scan_by_n[p.n_cores] for p in bisect)
 
 
-def test_bisect_falls_back_to_scan_when_frontier_not_monotone():
+def test_bisect_falls_back_to_scan_when_frontier_not_monotone(monkeypatch):
     counts = list(range(1, 17))
-    calls = []
-
-    def evaluate(factory, n, platform):
-        calls.append(n)
-        # Count 1 infeasible but mid-range counts feasible: non-monotone.
-        return _fake_point(n, n != 1 and n <= 7)
-
-    points = sweep_cores(None, counts, None, strategy="bisect", evaluate=evaluate)
+    # Count 1 infeasible but mid-range counts feasible: non-monotone.
+    calls = _fake_evaluator(monkeypatch, lambda n: n != 1 and n <= 7)
+    points = sweep_cores(None, counts, None, strategy="bisect")
     # The lo-endpoint probe voids the monotone hypothesis: full scan results.
     assert [p.n_cores for p in points] == counts
     assert frontier(points) == 7
@@ -159,12 +177,9 @@ def test_bisect_falls_back_to_scan_when_frontier_not_monotone():
     assert len(calls) == 2 + len(counts)
 
 
-def test_bisect_all_feasible_evaluates_endpoints_only():
-    calls = []
-    points = sweep_cores(
-        None, list(range(1, 65)), None, strategy="bisect",
-        evaluate=_counting_evaluator(1000, calls),
-    )
+def test_bisect_all_feasible_evaluates_endpoints_only(monkeypatch):
+    calls = _fake_evaluator(monkeypatch, lambda n: True)
+    points = sweep_cores(None, list(range(1, 65)), None, strategy="bisect")
     assert calls == [1, 64]
     assert [p.n_cores for p in points] == [1, 64]
     assert frontier(points) == 64

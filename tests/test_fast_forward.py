@@ -318,7 +318,7 @@ def test_runtime_server_differential_compiled():
 @pytest.mark.parametrize("mode", SKIPPING_MODES)
 def test_fig6_machsuite_differential(mode):
     # Small Delay-core stand-in at a real fig6 operating point: multi-core
-    # with runtime-server contention, exactly what measured_ops simulates.
+    # with runtime-server contention, exactly what the Fig. 6 measured bar simulates.
     results = {
         s: simulate_measured(4, 3000, AWSF1Platform(), rounds=2, scheduling=s)
         for s in ("naive", mode)

@@ -64,7 +64,7 @@ def _run_one_command(tracker, cycle0=100, label="memcpy"):
     tracker.dispatch_begin(cycle0 + 2, sid)
     tracker.dispatch_end(cycle0 + 8, sid, KEY)
     tracker.delivered(cycle0 + 12, KEY)
-    axi = tracker.axi_begin(cycle0 + 15, KEY, "Memcpy.core0.reader", "read", 0x1000, 4)
+    axi = tracker.axi_begin(cycle0 + 15, KEY, "Memcpy.core0.reader", "read", 0x1000, 4, 7)
     tracker.axi_end(axi, cycle0 + 30)
     tracker.response_sent(cycle0 + 40, KEY)
     tracker.command_completed(cycle0 + 45, sid)
@@ -87,7 +87,7 @@ def test_command_lifecycle_produces_span_tree():
     assert (children["execute"].begin_cycle, children["execute"].end_cycle) == (112, 140)
     burst = children["axi:read"]
     assert burst.track == "Memcpy/core0/reader"
-    assert burst.args["addr"] == 0x1000 and burst.args["beats"] == 4
+    assert burst.args == {"addr": 0x1000, "beats": 4, "tag": 7}
     # Every child interval sits inside the root interval.
     for child in children.values():
         assert root.begin_cycle <= child.begin_cycle
@@ -126,7 +126,7 @@ def test_unmatched_delivery_and_response_are_none():
 def test_axi_burst_without_executing_command_has_no_parent():
     tracer = Tracer()
     tracker = CommandSpanTracker(tracer)
-    sid = tracker.axi_begin(5, KEY, "init.reader", "read", 0x0, 1)
+    sid = tracker.axi_begin(5, KEY, "init.reader", "read", 0x0, 1, 0)
     tracker.axi_end(sid, 9)
     span = tracer.closed_spans()[0]
     assert span.parent is None
